@@ -14,8 +14,6 @@
      CHURN           collector update counts vs SDN fraction
      TELEMETRY       one instrumented withdrawal run: sampled metrics
                      timeline + scheduler wall-clock profile
-     SHARD           lockstep-epoch partitioned run vs sequential
-                     (bit-identity differential + barrier accounting)
      MICRO           Bechamel micro-benchmarks
 
    `dune exec bench/main.exe -- --quick` runs a reduced sweep.
@@ -419,41 +417,6 @@ let check_baseline path =
       Fmt.str ", scale %.0f ASes x %.0f prefixes (%.0f upd/s)" ases prefixes ups
     | Some _ -> fail "\"scale\" is not an object"
   in
-  (* Optional "shard" object (PR 9+): the sharded-vs-sequential
-     differential must have held, the partition must be non-degenerate
-     (cross-shard traffic actually flowed), and the recorded speedup
-     must match the two wall times.  No lower bound on the speedup
-     itself: few-core hosts legitimately see ~1.0x. *)
-  let shard_summary =
-    match List.assoc_opt "shard" top with
-    | None -> ""
-    | Some (Json.Obj kvs) ->
-      let num k =
-        match List.assoc_opt k kvs with
-        | Some (Json.Num v) when Float.is_finite v -> v
-        | Some _ -> fail (Fmt.str "\"shard.%s\" is not a finite number" k)
-        | None -> fail (Fmt.str "missing \"shard.%s\"" k)
-      in
-      let shards = num "shards" in
-      if shards < 2.0 then fail "\"shard.shards\" must be >= 2";
-      if num "identical" <> 1.0 then
-        fail "shard: differential FAILED: sharded run was not identical to sequential";
-      if num "epochs" < 1.0 then fail "\"shard.epochs\" must be >= 1";
-      if num "executed_total" <= 0.0 then fail "\"shard.executed_total\" must be positive";
-      if num "injected_total" <= 0.0 then
-        fail "shard: no cross-shard deliveries: degenerate partition?";
-      if num "cut_links" < 1.0 then fail "\"shard.cut_links\" must be >= 1";
-      if num "stall_s" < 0.0 then fail "\"shard.stall_s\" must be non-negative";
-      let wall_seq = num "wall_seq_s" and wall_par = num "wall_shard_s" in
-      if wall_seq <= 0.0 || wall_par <= 0.0 then
-        fail "\"shard.wall_seq_s\"/\"shard.wall_shard_s\" must be positive";
-      let speedup = num "speedup" in
-      if speedup <= 0.0 then fail "\"shard.speedup\" must be positive";
-      if Float.abs ((wall_seq /. wall_par) -. speedup) > 0.05 *. speedup then
-        fail "shard: speedup is inconsistent with wall_seq_s / wall_shard_s";
-      Fmt.str ", shard differential ok at %.0f shards (%.2fx)" shards speedup
-    | Some _ -> fail "\"shard\" is not an object"
-  in
   (* Optional "loss" object (PR 10+): the data-plane fast path's
      throughput and allocation guards, plus the probe-vs-verifier sweep
      health.  Missing = an older baseline, still valid. *)
@@ -486,11 +449,11 @@ let check_baseline path =
       Fmt.str ", loss %.1fM probes/s (%.2f w/probe)" (pps /. 1e6) alloc
     | Some _ -> fail "\"loss\" is not an object"
   in
-  Fmt.pr "%s: ok (%d sections%s, %d micro benchmarks%s%s%s%s)@." path (List.length sections)
+  Fmt.pr "%s: ok (%d sections%s, %d micro benchmarks%s%s%s)@." path (List.length sections)
     (if nspeedup > 0 then Fmt.str ", %d with speedup" nspeedup else "")
     nmicro
     (match meta_jobs with Some j -> Fmt.str ", jobs=%d" j | None -> ", pre-jobs baseline")
-    scale_summary shard_summary loss_summary;
+    scale_summary loss_summary;
   exit 0
 
 let () = Option.iter check_baseline check_path
@@ -866,62 +829,6 @@ let scale () =
     ("tdown_s", r.withdrawal.seconds);
   ]
 
-(* --- Sharded single-run execution ---------------------------------------- *)
-
-(* The PR 9 tentpole proof: ONE run partitioned across domains advancing
-   in lockstep epochs must be bit-identical to the same run at one
-   shard, and the section shows where the time went (per-shard event
-   counts, barrier stall).  The speedup figure is reported honestly but
-   NOT guarded: on few-core hosts or small runs lockstep epochs can sit
-   at ~1.0x — the invariant this section defends is identity. *)
-let shard () =
-  section "SHARD: lockstep-epoch partitioned run == sequential (differential)";
-  let tier1, tier2, stubs, prefixes =
-    if quick then (2, 8, 30, 40) else (5, 40, 455, 300)
-  in
-  let nshards = 2 in
-  let run n =
-    let t0 = Unix.gettimeofday () in
-    let _, s =
-      Framework.Experiments.scale_shard_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn:4
-        ~shards:n ~clock:Unix.gettimeofday ~seed:9 ~config ()
-    in
-    (s, Unix.gettimeofday () -. t0)
-  in
-  let seq, wall_seq = run 1 in
-  let par, wall_par = run nshards in
-  if not (Framework.Sharding.equal_result par seq) then
-    failwith "SHARD: sharded result differs from the sequential run";
-  let st = par.Framework.Sharding.stats in
-  let total = Array.fold_left ( + ) 0 in
-  let stall = Array.fold_left ( +. ) 0.0 st.Engine.Shard.stall_s in
-  let speedup = wall_seq /. wall_par in
-  let pp_ints = Fmt.(array ~sep:(any "/") int) in
-  Fmt.pr "partition: sizes %a, %d cut links, %d epochs, lookahead %a@." pp_ints
-    par.Framework.Sharding.partition_sizes par.Framework.Sharding.cut_links
-    st.Engine.Shard.epochs Engine.Time.pp_span st.Engine.Shard.lookahead;
-  Fmt.pr "events: executed %a (%d total), injected cross-shard %a (%d total)@." pp_ints
-    st.Engine.Shard.executed (total st.Engine.Shard.executed) pp_ints
-    st.Engine.Shard.injected (total st.Engine.Shard.injected);
-  Fmt.pr "barrier stall: %a s (%.2f s total)@."
-    Fmt.(array ~sep:(any "/") (fmt "%.2f"))
-    st.Engine.Shard.stall_s stall;
-  Fmt.pr "wall: %.2f s at 1 shard, %.2f s at %d shards (speedup %.2fx)@." wall_seq wall_par
-    nshards speedup;
-  Fmt.pr "differential: identical@.";
-  [
-    ("shards", float_of_int nshards);
-    ("epochs", float_of_int st.Engine.Shard.epochs);
-    ("cut_links", float_of_int par.Framework.Sharding.cut_links);
-    ("executed_total", float_of_int (total st.Engine.Shard.executed));
-    ("injected_total", float_of_int (total st.Engine.Shard.injected));
-    ("stall_s", stall);
-    ("wall_seq_s", wall_seq);
-    ("wall_shard_s", wall_par);
-    ("speedup", speedup);
-    ("identical", 1.0);
-  ]
-
 (* --- Data-plane loss + fast-path throughput ------------------------------ *)
 
 (* The PR 10 tentpole proof, two halves.  (1) The loss sweep: seeded
@@ -1230,7 +1137,7 @@ let series_medians (s : Framework.Experiments.series) =
     s.Framework.Experiments.points
 
 let write_baseline path ~fig2_series ~telemetry_tdown ~headline ~micro_rows ~scale_stats
-    ~shard_stats ~loss_stats =
+    ~loss_stats =
   let json =
     Json.Obj
       [
@@ -1274,7 +1181,6 @@ let write_baseline path ~fig2_series ~telemetry_tdown ~headline ~micro_rows ~sca
                    [ ("name", Json.Str name); ("ns_per_run", Json.num ns); ("r2", Json.num r2) ])
                micro_rows) );
         ("scale", Json.Obj (List.map (fun (k, v) -> (k, Json.num v)) scale_stats));
-        ("shard", Json.Obj (List.map (fun (k, v) -> (k, Json.num v)) shard_stats));
         ("loss", Json.Obj (List.map (fun (k, v) -> (k, Json.num v)) loss_stats));
       ]
   in
@@ -1322,12 +1228,11 @@ let () =
   let overhead_rows = timed "trace_overhead" causal_overhead in
   let headline = headline @ overhead_rows in
   let scale_stats = timed "scale" scale in
-  let shard_stats = timed "shard" shard in
   let loss_stats = loss () in
   Option.iter Engine.Pool.shutdown pool;
   Option.iter
     (fun path ->
       write_baseline path ~fig2_series ~telemetry_tdown ~headline ~micro_rows ~scale_stats
-        ~shard_stats ~loss_stats)
+        ~loss_stats)
     out_path;
   Fmt.pr "@.done.@."

@@ -89,8 +89,7 @@ let jobs_arg =
            and results are collected in deterministic order, so output is identical for any \
            N. 0 (default) picks the recommended domain count: one per core, capped at 8 \
            unless the $(b,HYBRIDSIM_JOBS_CAP) environment variable overrides the cap; 1 \
-           runs sequentially.  Distinct from $(b,--shards), which splits ONE run across \
-           domains.")
+           runs sequentially.")
 
 (* 0 = auto.  Sweeps accept any positive value; domains beyond the core
    count just time-share. *)
@@ -296,72 +295,12 @@ let sweep_cmd =
 (* --- run ------------------------------------------------------------------ *)
 
 let run_cmd =
-  let run topo sdn event seed mrai shards verify metrics_out metrics_interval =
+  let run topo sdn event seed mrai metrics_out metrics_interval =
     let result =
       let* spec = parse_topo ~seed topo in
       let* spec = with_sdn_tail spec sdn in
       let config = config_of_mrai mrai in
       match String.lowercase_ascii event with
-      | _ when shards < 1 -> Error "--shards must be >= 1"
-      | ("withdraw" | "announce") as event when shards > 1 || verify ->
-        if metrics_out <> None then
-          Error "--metrics-out is not supported with --shards/--verify"
-        else begin
-          let origin = List.hd (Topology.Spec.asns spec) in
-          let plan = Framework.Addressing.plan spec in
-          let prefix = plan.Framework.Addressing.origin_prefix origin in
-          let phases =
-            if event = "announce" then
-              [
-                {
-                  Framework.Sharding.commands =
-                    [ Framework.Sharding.Originate (origin, prefix) ];
-                  measured = Some prefix;
-                };
-              ]
-            else
-              [
-                {
-                  Framework.Sharding.commands =
-                    [ Framework.Sharding.Originate (origin, prefix) ];
-                  measured = None;
-                };
-                {
-                  Framework.Sharding.commands =
-                    [ Framework.Sharding.Withdraw (origin, prefix) ];
-                  measured = Some prefix;
-                };
-              ]
-          in
-          let shard_run n =
-            Framework.Sharding.run ~shards:n ~clock:Unix.gettimeofday ~config ~seed
-              ~phases spec
-          in
-          let r = shard_run shards in
-          Fmt.pr "topology: %s (%d ASes, %d SDN)@." (Topology.Spec.title spec)
-            (Topology.Spec.node_count spec)
-            (List.length (Topology.Spec.sdn_asns spec));
-          Fmt.pr "event: %s at %a@." event Net.Asn.pp origin;
-          (match List.rev r.Framework.Sharding.phases with
-          | { Framework.Sharding.measurement = Some m; _ } :: _ ->
-            Fmt.pr "%a@." Framework.Convergence.pp_measurement m
-          | _ -> ());
-          let st = r.Framework.Sharding.stats in
-          Fmt.pr "shards: %d (sizes %a), %d cut links, %d epochs@." shards
-            Fmt.(array ~sep:(any "/") int)
-            r.Framework.Sharding.partition_sizes r.Framework.Sharding.cut_links
-            st.Engine.Shard.epochs;
-          if verify then
-            if Framework.Sharding.equal_result r (shard_run 1) then begin
-              Fmt.pr "verify: shards=%d result identical to shards=1@." shards;
-              Ok ()
-            end
-            else
-              Error (Fmt.str "verify FAILED: shards=%d result differs from shards=1" shards)
-          else Ok ()
-        end
-      | "failover" when shards > 1 || verify ->
-        Error "--shards/--verify support withdraw and announce events only"
       | "withdraw" | "announce" ->
         let exp = Framework.Experiment.create ~config ~seed spec in
         let tele = telemetry_of exp metrics_out metrics_interval in
@@ -403,30 +342,12 @@ let run_cmd =
     Arg.(value & opt string "withdraw" & info [ "event" ] ~docv:"EVENT"
            ~doc:"withdraw, announce or failover.")
   in
-  let shards =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Partition the run across N domains advancing in lockstep epochs \
-             (withdraw/announce only); the result is bit-identical to $(b,--shards) 1.")
-  in
-  let verify =
-    Arg.(
-      value
-      & flag
-      & info [ "verify" ]
-          ~doc:
-            "Differential check: rerun at $(b,--shards) 1 and fail unless the sharded \
-             result is identical.")
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a single convergence experiment.")
     Term.(
       ret
-        (const run $ topo $ sdn $ event $ seed_arg $ mrai_arg $ shards $ verify
-        $ metrics_out_arg $ metrics_interval_arg))
+        (const run $ topo $ sdn $ event $ seed_arg $ mrai_arg $ metrics_out_arg
+        $ metrics_interval_arg))
 
 (* --- topo ----------------------------------------------------------------- *)
 
@@ -835,18 +756,13 @@ let chaos_cmd =
 (* --- scale ---------------------------------------------------------------- *)
 
 let scale_cmd =
-  let run tier1 tier2 stubs prefixes ks runs seed mrai jobs single shards verify budget wall
-      csv =
-    let sharded = shards > 1 || verify in
+  let run tier1 tier2 stubs prefixes ks runs seed mrai jobs single budget wall csv =
     let result =
       let* jobs = resolve_jobs jobs in
       if tier1 < 1 || tier2 < 1 || stubs < 1 then Error "--tier1/--tier2/--stubs must be >= 1"
       else if prefixes < 1 then Error "--prefixes must be >= 1"
       else if runs < 1 then Error "--runs must be >= 1"
       else if budget < 1 then Error "--budget must be >= 1"
-      else if shards < 1 then Error "--shards must be >= 1"
-      else if sharded && wall <> None then
-        Error "--wall is not supported with --shards/--verify (epochs are wall-clock-free)"
       else if (match wall with Some w -> w <= 0.0 | None -> false) then
         Error "--wall must be positive"
       else Ok jobs
@@ -855,7 +771,13 @@ let scale_cmd =
     | Error msg -> `Error (false, msg)
     | Ok jobs ->
       let config = config_of_mrai mrai in
-      let print_summary (r : Framework.Experiments.scale_result) =
+      if single then begin
+        let sdn = match ks with k :: _ -> k | [] -> 0 in
+        let r =
+          Framework.Experiments.scale_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn
+            ~load_max_events:budget ?phase_wall_s:wall ~clock:Unix.gettimeofday ~seed
+            ~config ()
+        in
         Fmt.pr "graph:           %d ASes (%d tier1, %d tier2, %d stubs), %d links@."
           r.Framework.Experiments.ases tier1 tier2 stubs r.Framework.Experiments.links;
         Fmt.pr "centralized:     %d top-degree members@." r.Framework.Experiments.sdn_members;
@@ -872,51 +794,7 @@ let scale_cmd =
         Fmt.pr "withdrawal:      Tdown = %.2f s, %d changes, %d collector updates@."
           r.Framework.Experiments.withdrawal.Framework.Experiments.seconds
           r.Framework.Experiments.withdrawal.Framework.Experiments.changes
-          r.Framework.Experiments.withdrawal.Framework.Experiments.collector_updates
-      in
-      if sharded then begin
-        let sdn = match ks with k :: _ -> k | [] -> 0 in
-        let shard_run n =
-          Framework.Experiments.scale_shard_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn
-            ~load_max_events:budget ~shards:n ~clock:Unix.gettimeofday ~seed ~config ()
-        in
-        let r, sres = shard_run shards in
-        print_summary r;
-        let st = sres.Framework.Sharding.stats in
-        Fmt.pr "shards:          %d (sizes %a), %d cut links, %d epochs, lookahead %a@."
-          shards
-          Fmt.(array ~sep:(any "/") int)
-          sres.Framework.Sharding.partition_sizes sres.Framework.Sharding.cut_links
-          st.Engine.Shard.epochs Engine.Time.pp_span st.Engine.Shard.lookahead;
-        Fmt.pr "shard events:    executed %a, injected %a@."
-          Fmt.(array ~sep:(any "/") int)
-          st.Engine.Shard.executed
-          Fmt.(array ~sep:(any "/") int)
-          st.Engine.Shard.injected;
-        Fmt.pr "barrier stall:   %a s@."
-          Fmt.(array ~sep:(any "/") (fmt "%.2f"))
-          st.Engine.Shard.stall_s;
-        if verify then begin
-          let _, base = shard_run 1 in
-          if Framework.Sharding.equal_result sres base then begin
-            Fmt.pr "verify:          shards=%d result identical to shards=1@." shards;
-            `Ok ()
-          end
-          else
-            `Error
-              ( false,
-                Fmt.str "verify FAILED: shards=%d result differs from shards=1" shards )
-        end
-        else `Ok ()
-      end
-      else if single then begin
-        let sdn = match ks with k :: _ -> k | [] -> 0 in
-        let r =
-          Framework.Experiments.scale_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn
-            ~load_max_events:budget ?phase_wall_s:wall ~clock:Unix.gettimeofday ~seed
-            ~config ()
-        in
-        print_summary r;
+          r.Framework.Experiments.withdrawal.Framework.Experiments.collector_updates;
         `Ok ()
       end
       else begin
@@ -968,25 +846,6 @@ let scale_cmd =
             "Run one detailed stress run (first value of $(b,--ks) as the member count) and \
              report throughput, table sizes and heap figures instead of the sweep.")
   in
-  let shards =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Partition ONE run across N domains advancing in lockstep epochs; the result \
-             is bit-identical to $(b,--shards) 1.  Values > 1 imply $(b,--single).  \
-             Distinct from $(b,--jobs), which parallelizes across independent sweep runs.")
-  in
-  let verify =
-    Arg.(
-      value
-      & flag
-      & info [ "verify" ]
-          ~doc:
-            "Differential check: rerun at $(b,--shards) 1 and fail unless the sharded \
-             result is identical (phases, merged metrics, collector stream, RIB sums).")
-  in
   let budget =
     Arg.(
       value
@@ -1022,7 +881,7 @@ let scale_cmd =
     Term.(
       ret
         (const run $ tier1 $ tier2 $ stubs $ prefixes $ ks $ runs $ seed_arg $ mrai_arg
-        $ jobs_arg $ single $ shards $ verify $ budget $ wall $ csv))
+        $ jobs_arg $ single $ budget $ wall $ csv))
 
 (* --- loss ----------------------------------------------------------------- *)
 

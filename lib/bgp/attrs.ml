@@ -180,11 +180,3 @@ let pp_path ppf path =
 let pp ppf t =
   Fmt.pf ppf "path=[%a] nh=%a lp=%d med=%d origin=%s" pp_path t.as_path Net.Ipv4.pp_addr
     t.next_hop t.local_pref t.med (origin_to_string t.origin)
-
-(* Re-intern on the CURRENT domain: intern tables live in Domain.DLS, so a
-   value minted on another domain (a cross-shard message payload) must be
-   rebuilt here before [equal]'s pointer comparison is meaningful.  On the
-   minting domain this is the identity. *)
-let rehash t =
-  intern ~as_path:t.as_path ~next_hop:t.next_hop ~local_pref:t.local_pref ~med:t.med
-    ~origin:t.origin ~communities:t.communities

@@ -87,9 +87,3 @@ val intern_stats : unit -> intern_stats
 val pp_path : Format.formatter -> Net.Asn.t list -> unit
 
 val pp : Format.formatter -> t -> unit
-
-val rehash : t -> t
-(** Re-intern on the calling domain.  Intern tables are domain-local, so
-    an attrs value that crossed domains (sharded execution) must be
-    rehashed before pointer-equality semantics apply; on the minting
-    domain this returns the argument itself. *)

@@ -32,11 +32,3 @@ let pp ppf = function
       Fmt.(list ~sep:comma Net.Ipv4.pp_prefix)
       withdrawn
   | Notification reason -> Fmt.pf ppf "NOTIFICATION %s" reason
-
-(* Re-intern hash-consed attrs on the current domain (cross-shard receive
-   path); identity for attr-free messages. *)
-let rehash = function
-  | Update { announced; withdrawn } ->
-    Update
-      { announced = List.map (fun (p, a) -> (p, Attrs.rehash a)) announced; withdrawn }
-  | (Open _ | Keepalive | Notification _) as m -> m

@@ -21,7 +21,3 @@ val is_empty_update : update -> bool
 val update_size : update -> int
 
 val pp : Format.formatter -> t -> unit
-
-val rehash : t -> t
-(** Re-intern the hash-consed {!Attrs.t} of an [Update] on the calling
-    domain (cross-shard receive path); identity for other messages. *)

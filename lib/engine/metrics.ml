@@ -194,63 +194,6 @@ let snapshot t ~at =
   let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) keyed in
   { at; samples = List.map (fun (_, e) -> freeze e) sorted }
 
-(* --- Merging (sharded runs) --------------------------------------------- *)
-
-(* Bucket bounds come from identical registration code in every shard, so a
-   mismatch means the snapshots are not replicas of the same registry. *)
-let merge_hist name a b =
-  let buckets =
-    try
-      List.map2
-        (fun (ba, ca) (bb, cb) ->
-          if not (ba = bb) then
-            invalid_arg (Fmt.str "Metrics.merge: %s histogram bucket mismatch" name);
-          (ba, ca + cb))
-        a.buckets b.buckets
-    with Invalid_argument _ ->
-      invalid_arg (Fmt.str "Metrics.merge: %s histogram bucket mismatch" name)
-  in
-  { buckets; sum = a.sum +. b.sum; count = a.count + b.count }
-
-let merge_value ~resolve ~name ~labels a b =
-  match (a, b) with
-  | Counter_v x, Counter_v y -> Counter_v (x + y)
-  | Gauge_v x, Gauge_v y -> (
-    match resolve ~name ~labels with
-    | `Sum -> Gauge_v (x +. y)
-    | `Max -> Gauge_v (Float.max x y))
-  | Histogram_v x, Histogram_v y -> Histogram_v (merge_hist name x y)
-  | _ -> invalid_arg (Fmt.str "Metrics.merge: %s has mismatched kinds" name)
-
-let merge ?(resolve = fun ~name:_ ~labels:_ -> `Sum) snapshots =
-  match snapshots with
-  | [] -> invalid_arg "Metrics.merge: empty snapshot list"
-  | first :: _ ->
-    let at =
-      List.fold_left
-        (fun acc s -> if Time.compare s.at acc > 0 then s.at else acc)
-        first.at snapshots
-    in
-    let tbl = Hashtbl.create 256 in
-    List.iter
-      (fun snap ->
-        List.iter
-          (fun s ->
-            let key = series_key s.name s.labels in
-            match Hashtbl.find_opt tbl key with
-            | None -> Hashtbl.replace tbl key s
-            | Some prev ->
-              Hashtbl.replace tbl key
-                { prev with
-                  value =
-                    merge_value ~resolve ~name:s.name ~labels:s.labels prev.value
-                      s.value })
-          snap.samples)
-      snapshots;
-    let keyed = Hashtbl.fold (fun key s acc -> (key, s) :: acc) tbl [] in
-    let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) keyed in
-    { at; samples = List.map snd sorted }
-
 let find_sample snapshot ?(labels = []) name =
   let labels = canon_labels labels in
   List.find_opt (fun s -> String.equal s.name name && s.labels = labels) snapshot.samples

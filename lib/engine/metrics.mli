@@ -95,19 +95,6 @@ val snapshot : t -> at:Time.t -> snapshot
 (** Run the collect callbacks, then freeze every series.  The result is
     immutable: later registry mutation never alters an earlier snapshot. *)
 
-val merge :
-  ?resolve:(name:string -> labels:labels -> [ `Sum | `Max ]) -> snapshot list -> snapshot
-(** Combine per-shard snapshots of replicated registries into the series
-    a single unsharded registry would hold: counters and histogram
-    buckets/sums/counts add, gauges combine per [resolve] (default
-    [`Sum], which is right for gauges only the owning shard ever sets —
-    the replicas contribute their initial 0; use [`Max] for
-    last-timestamp-style gauges every shard touches).  Series present in
-    only some snapshots are kept as-is.  The result is sorted like
-    {!snapshot} output and stamped with the latest [at].
-    @raise Invalid_argument on an empty list, mismatched series kinds, or
-    mismatched histogram buckets. *)
-
 val find_sample : snapshot -> ?labels:labels -> string -> sample option
 
 val value : snapshot -> ?labels:labels -> string -> float option

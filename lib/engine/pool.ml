@@ -147,38 +147,3 @@ let map t f xs =
     Array.to_list (Array.map Option.get results)
 
 let map_reduce t ~map:f ~reduce ~init xs = List.fold_left reduce init (map t f xs)
-
-(* Pinned execution: index [i] runs on its own dedicated domain for its
-   whole lifetime (index 0 on the caller).  This is NOT what [map] gives
-   you — the FIFO hands tasks to whichever worker wakes first — and the
-   pinning matters for workloads that (a) build Domain.DLS state (e.g.
-   hash-consed attribute tables) that must stay on one domain, and
-   (b) synchronize with each other through barriers, where queue-based
-   scheduling could park two phases of the same task on one worker and
-   deadlock.  Standalone by design: it spawns its own domains and does
-   not touch a pool's queue. *)
-let run_each ~n f =
-  if n < 1 then invalid_arg "Pool.run_each: n must be >= 1";
-  if n = 1 then [| f 0 |]
-  else begin
-    let spawned = Array.init (n - 1) (fun k -> Domain.spawn (fun () -> f (k + 1))) in
-    let r0 =
-      match f 0 with
-      | v -> Ok v
-      | exception e -> Error (e, Printexc.get_raw_backtrace ())
-    in
-    let rest =
-      Array.map
-        (fun d ->
-          match Domain.join d with
-          | v -> Ok v
-          | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-        spawned
-    in
-    let all = Array.append [| r0 |] rest in
-    (* lowest index wins, matching [map]'s deterministic error rule *)
-    Array.iter
-      (function Error (e, bt) -> Printexc.raise_with_backtrace e bt | Ok _ -> ())
-      all;
-    Array.map (function Ok v -> v | Error _ -> assert false) all
-  end

@@ -45,18 +45,6 @@ val map_reduce : t -> map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> init:'c -> 'a
     the results sequentially in input order on the submitting domain —
     deterministic whatever [reduce] is. *)
 
-val run_each : n:int -> (int -> 'a) -> 'a array
-(** [run_each ~n f] runs [f 0 .. f (n-1)] concurrently with each index
-    PINNED to its own domain for the call's whole duration ([f 0] on the
-    calling domain, each other index on a freshly spawned domain), and
-    returns the results in index order after all have finished.  Unlike
-    {!map}, tasks may synchronize with each other (e.g. via a barrier)
-    and may rely on staying on one domain (Domain.DLS state); the
-    trade-off is that all [n] run at once regardless of core count.
-    If several raise, the lowest-indexed exception is re-raised.
-    [n = 1] spawns nothing and runs [f 0] inline.
-    @raise Invalid_argument if [n < 1]. *)
-
 val shutdown : t -> unit
 (** Join all worker domains.  Idempotent; the pool must not be used
     afterwards.  [jobs = 1] pools shut down trivially. *)

@@ -11,14 +11,9 @@
    a separate table that deliberately stays OUT of the registry so metric
    exports remain byte-identical across runs of the same seed. *)
 
-type key = { kclass : int; knode : int; kseq : int }
-
-let default_key = { kclass = 0; knode = 0; kseq = 0 }
-
 type event = {
   fire_at : Time.t;
   seq : int;
-  key : key;
   category : string;
   span : int; (* causal span id, -1 when tracing is disabled *)
   mutable cancelled : bool;
@@ -31,10 +26,7 @@ type profile_row = { category : string; events : int; seconds : float }
 
 type prof_cell = { mutable p_events : int; mutable p_seconds : float }
 
-type order = Seq | Canonical
-
 type t = {
-  order : order;
   mutable now : Time.t;
   mutable next_seq : int;
   mutable executed : int;
@@ -55,44 +47,23 @@ let compare_event a b =
   let c = Time.compare a.fire_at b.fire_at in
   if c <> 0 then c else compare a.seq b.seq
 
-(* Canonical order is independent of the local scheduling sequence for
-   keyed events: cross-shard deliveries carry a (class, node, channel-seq)
-   key that every partitioning assigns identically, so the merged event
-   order matches the single-shard run regardless of how work was split. *)
-let compare_event_canonical a b =
-  let c = Time.compare a.fire_at b.fire_at in
-  if c <> 0 then c
-  else
-    let c = compare a.key.kclass b.key.kclass in
-    if c <> 0 then c
-    else
-      let c = compare a.key.knode b.key.knode in
-      if c <> 0 then c
-      else
-        let c = compare a.key.kseq b.key.kseq in
-        if c <> 0 then c else compare a.seq b.seq
-
 let dummy_event =
   {
     fire_at = Time.zero;
     seq = -1;
-    key = default_key;
     category = "";
     span = -1;
     cancelled = true;
     action = ignore;
   }
 
-let create ?(order = Seq) ?(seed = 0) ?(trace = true) ?(causal = Causal.Disabled)
-    ?(profiling = false) () =
+let create ?(seed = 0) ?(trace = true) ?(causal = Causal.Disabled) ?(profiling = false) () =
   let metrics = Metrics.create () in
-  let cmp = match order with Seq -> compare_event | Canonical -> compare_event_canonical in
   {
-    order;
     now = Time.zero;
     next_seq = 0;
     executed = 0;
-    queue = Heap.create ~capacity:1024 ~dummy:dummy_event cmp;
+    queue = Heap.create ~capacity:1024 ~dummy:dummy_event compare_event;
     rng = Rng.create seed;
     trace = Trace.create ~enabled:trace ();
     causal = Causal.create ~mode:causal ~seed ();
@@ -108,8 +79,6 @@ let create ?(order = Seq) ?(seed = 0) ?(trace = true) ?(causal = Causal.Disabled
   }
 
 let now t = t.now
-
-let order t = t.order
 
 let rng t = t.rng
 
@@ -154,12 +123,12 @@ let category_counter cache metrics name category =
     Hashtbl.replace cache category c;
     c
 
-let schedule_at ?(category = "event") ?(key = default_key) t fire_at action =
+let schedule_at ?(category = "event") t fire_at action =
   if Time.(fire_at < t.now) then
     invalid_arg
       (Fmt.str "Sim.schedule_at: %a is in the past (now %a)" Time.pp fire_at Time.pp t.now);
   let span = Causal.on_schedule t.causal ~category ~queued_at:t.now in
-  let ev = { fire_at; seq = t.next_seq; key; category; span; cancelled = false; action } in
+  let ev = { fire_at; seq = t.next_seq; category; span; cancelled = false; action } in
   t.next_seq <- t.next_seq + 1;
   Metrics.Counter.inc
     (category_counter t.scheduled_by t.metrics "sim_events_scheduled_total" category);
@@ -170,8 +139,8 @@ let schedule_at ?(category = "event") ?(key = default_key) t fire_at action =
   if was_empty then List.iter (fun f -> f ()) t.on_wake;
   ev
 
-let schedule_after ?category ?key t span action =
-  schedule_at ?category ?key t (Time.add t.now span) action
+let schedule_after ?category t span action =
+  schedule_at ?category t (Time.add t.now span) action
 
 let on_wake t f = t.on_wake <- t.on_wake @ [ f ]
 
@@ -244,33 +213,6 @@ let run ?until ?(max_events = max_int) t =
           if step t then loop (remaining - 1) else Exhausted)
   in
   loop max_events
-
-(* Epoch-horizon run for sharded execution: strictly-before semantics, and
-   the clock stays at the last executed event so messages injected at the
-   barrier (which arrive at or after the horizon) are still in the future. *)
-let run_before ?(max_events = max_int) t ~horizon =
-  let rec loop remaining =
-    if remaining = 0 then Reached_limit
-    else
-      match Heap.peek t.queue with
-      | None -> Exhausted
-      | Some ev when ev.cancelled ->
-        ignore (Heap.pop t.queue);
-        note_reaped t;
-        loop remaining
-      | Some ev when Time.(ev.fire_at >= horizon) -> Reached_time horizon
-      | Some _ -> if step t then loop (remaining - 1) else Exhausted
-  in
-  loop max_events
-
-let rec next_event_time t =
-  match Heap.peek t.queue with
-  | None -> None
-  | Some ev when ev.cancelled ->
-    ignore (Heap.pop t.queue);
-    note_reaped t;
-    next_event_time t
-  | Some ev -> Some ev.fire_at
 
 let log t ~node ~category ?level msg =
   Trace.record t.trace ~time:t.now ~node ~category ?level msg

@@ -15,37 +15,11 @@ type t
 type handle
 (** A scheduled event, usable for cancellation. *)
 
-type order = Seq | Canonical
-(** Same-instant tie-breaking discipline.  [Seq] (the default) orders
-    same-time events by scheduling sequence — the historical behaviour,
-    byte-identical to every pre-sharding run.  [Canonical] orders them by
-    their {!key} first (class, node, per-channel sequence) and falls back
-    to the scheduling sequence only between events with equal keys; this
-    makes the merged event order of a sharded run independent of how the
-    topology was partitioned. *)
-
-type key = { kclass : int; knode : int; kseq : int }
-(** Canonical tie-break key.  Sharded runs use [kclass = -1] for
-    pre-scheduled driver commands, [0] (the default) for component-local
-    events such as timers, and [1] for network deliveries keyed by
-    source node and per-directed-channel sequence number. *)
-
-val default_key : key
-(** [{ kclass = 0; knode = 0; kseq = 0 }]. *)
-
 val create :
-  ?order:order ->
-  ?seed:int ->
-  ?trace:bool ->
-  ?causal:Causal.mode ->
-  ?profiling:bool ->
-  unit ->
-  t
+  ?seed:int -> ?trace:bool -> ?causal:Causal.mode -> ?profiling:bool -> unit -> t
 (** [causal] (default {!Causal.Disabled}) selects the causal-tracing mode:
     disabled costs nothing per event, [Ring n] keeps a bounded flight
     recorder, [Full] retains every span for export and analysis. *)
-
-val order : t -> order
 
 val now : t -> Time.t
 
@@ -80,15 +54,13 @@ val pending : t -> int
 val executed : t -> int
 (** Events executed so far. *)
 
-val schedule_at : ?category:string -> ?key:key -> t -> Time.t -> (unit -> unit) -> handle
+val schedule_at : ?category:string -> t -> Time.t -> (unit -> unit) -> handle
 (** [category] (default ["event"]) labels the event in the
     [sim_events_scheduled_total]/[sim_events_executed_total] counters and
-    in the wall-clock profile.  [key] (default {!default_key}) is the
-    canonical tie-break key; it only affects ordering under [Canonical].
+    in the wall-clock profile.
     @raise Invalid_argument if the instant is in the past. *)
 
-val schedule_after :
-  ?category:string -> ?key:key -> t -> Time.span -> (unit -> unit) -> handle
+val schedule_after : ?category:string -> t -> Time.span -> (unit -> unit) -> handle
 
 val on_wake : t -> (unit -> unit) -> unit
 (** [f] runs whenever the event queue transitions from empty to non-empty
@@ -107,17 +79,6 @@ type run_result = Exhausted | Reached_limit | Reached_time of Time.t
 val run : ?until:Time.t -> ?max_events:int -> t -> run_result
 (** Run until the queue drains, [max_events] fire, or the next event lies
     beyond [until] (in which case the clock advances to [until]). *)
-
-val run_before : ?max_events:int -> t -> horizon:Time.t -> run_result
-(** Run every event with [fire_at < horizon] (strictly before — the epoch
-    horizon itself is excluded).  Unlike {!run}, the clock is NOT advanced
-    to the horizon: it stays at the last executed event, so events injected
-    afterwards at instants [>= horizon] are still schedulable.  Used by
-    {!Shard} for lockstep epochs. *)
-
-val next_event_time : t -> Time.t option
-(** Fire time of the earliest live (non-cancelled) queued event; reaps
-    cancelled events it skips over.  [None] when the queue is drained. *)
 
 (** {1 Wall-clock self-profiling}
 

@@ -420,15 +420,14 @@ type scale_result = {
   distinct_attrs : int; (* interned attribute sets (domain-local table) *)
 }
 
-(* [Network.settle] treats an exhausted event budget as divergence and
-   raises; at scale a bounded horizon is the intended operating mode, so
-   run the scheduler directly and report whether quiescence was reached. *)
 (* Run the queue dry under two explicit bounds: an event budget and an
-   optional host-clock deadline.  At Internet scale one batched delivery
-   can carry thousands of prefixes — per-event cost varies by four
-   orders of magnitude — so events alone cannot bound wall time; the
-   deadline is checked between small slices.  Returns [true] iff the
-   queue actually drained (quiescence). *)
+   optional host-clock deadline.  [Network.settle] treats an exhausted
+   budget as divergence and raises, but at scale a bounded horizon is the
+   intended operating mode.  One batched delivery can carry thousands of
+   prefixes — per-event cost varies by four orders of magnitude — so
+   events alone cannot bound wall time; the deadline is checked between
+   small slices.  Returns [true] iff the queue actually drained
+   (quiescence). *)
 let bounded_settle ?deadline ?(clock = Sys.time) exp ~budget =
   let sim = Experiment.sim exp in
   let slice = 100 in
@@ -473,98 +472,8 @@ let scale_prefix m =
     (Net.Ipv4.addr_of_octets (101 + (m lsr 16)) ((m lsr 8) land 0xff) (m land 0xff) 0)
     24
 
-(* The sharded twin of [scale_run]: the same CAIDA graph, load, announce
-   and withdrawal, but executed through {!Sharding} as three driver
-   phases across [shards] domains.  Returns both the [scale_result] view
-   and the raw {!Sharding.result} (partition sizes, per-shard stats, and
-   the deterministic signature the shards=N-vs-1 differential compares).
-
-   The phase structure differs from the sequential path — commands fire
-   at pre-scheduled driver instants after quiescence rather than
-   immediately — so sharded results are bit-comparable across SHARD
-   COUNTS (N vs 1 through this same function), not against the
-   unsharded [scale_run]. *)
-let scale_shard_run ?(tier1 = 5) ?(tier2 = 40) ?(stubs = 455) ?(prefixes = 1000) ?(sdn = 0)
-    ?(load_max_events = 20_000_000) ?(shards = 1) ?(clock = Sys.time) ~seed ~config () =
-  let total = tier1 + tier2 + stubs in
-  let spec = Topology.Caida.generate ~tier1 ~tier2 ~stubs (Engine.Rng.create seed) in
-  let stub_list = Topology.Caida.stub_asns ~tier1 ~tier2 ~stubs in
-  let origin = List.hd stub_list in
-  let members = choose_members ~spec ~k:sdn ~placement:Top_degree ~origin ~seed in
-  let spec = Topology.Spec.with_sdn spec members in
-  let config = { config with Config.collector_retention = Bgp.Collector.Counts_only } in
-  let plan = Addressing.plan spec in
-  let prefix = plan.Addressing.origin_prefix origin in
-  let stub_arr = Array.of_list stub_list in
-  let load_cmds =
-    List.init prefixes (fun m ->
-        Sharding.Originate (stub_arr.(m mod Array.length stub_arr), scale_prefix m))
-  in
-  let phases =
-    [
-      { Sharding.commands = load_cmds; measured = None };
-      { Sharding.commands = [ Sharding.Originate (origin, prefix) ]; measured = Some prefix };
-      { Sharding.commands = [ Sharding.Withdraw (origin, prefix) ]; measured = Some prefix };
-    ]
-  in
-  let t0 = clock () in
-  let r =
-    Sharding.run ~shards ~partition_seed:seed ~budget:load_max_events ~clock ~config ~seed
-      ~phases spec
-  in
-  let wall = clock () -. t0 in
-  let phase k = List.nth_opt r.Sharding.phases k in
-  let load_updates =
-    match phase 0 with Some p -> p.Sharding.collector_updates | None -> 0
-  in
-  let withdrawal_m = Option.bind (phase 2) (fun p -> p.Sharding.measurement) in
-  let withdrawal =
-    {
-      seconds =
-        (match withdrawal_m with
-        | Some { Convergence.convergence = Some c; _ } -> Engine.Time.to_sec_f c
-        | Some _ | None -> nan);
-      changes = (match withdrawal_m with Some m -> m.Convergence.changes | None -> 0);
-      collector_updates =
-        (match phase 2 with Some p -> p.Sharding.collector_updates | None -> 0);
-      restore_mean = nan;
-      restore_max = nan;
-      metrics = r.Sharding.metrics;
-    }
-  in
-  let stat = Gc.stat () in
-  let intern = Bgp.Attrs.intern_stats () in
-  ( {
-      ases = total;
-      links = List.length (Topology.Spec.links spec);
-      prefixes;
-      sdn_members = sdn;
-      load_updates;
-      (* sharded phases interleave at the epoch loop; report whole-run
-         host seconds rather than a per-phase split *)
-      load_seconds = wall;
-      updates_per_sec = (if wall > 0.0 then float_of_int load_updates /. wall else nan);
-      load_settled = phase 0 <> None;
-      withdrawal;
-      rib_routes = r.Sharding.rib_routes;
-      adj_in_routes = r.Sharding.adj_in_routes;
-      live_words = stat.Gc.live_words;
-      peak_words = stat.Gc.top_heap_words;
-      distinct_attrs = intern.Bgp.Attrs.distinct_full;
-    },
-    r )
-
 let scale_run ?(tier1 = 5) ?(tier2 = 40) ?(stubs = 455) ?(prefixes = 1000) ?(sdn = 0)
-    ?(load_max_events = 20_000_000) ?phase_wall_s ?(clock = Sys.time) ?shards ~seed ~config
-    () =
-  match shards with
-  | Some shards ->
-    if phase_wall_s <> None then
-      invalid_arg "Experiments.scale_run: phase_wall_s is not supported with ~shards";
-    fst
-      (scale_shard_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn ~load_max_events ~shards ~clock
-         ~seed ~config ())
-  | None ->
+    ?(load_max_events = 20_000_000) ?phase_wall_s ?(clock = Sys.time) ~seed ~config () =
   let total = tier1 + tier2 + stubs in
   let spec = Topology.Caida.generate ~tier1 ~tier2 ~stubs (Engine.Rng.create seed) in
   let stub_list = Topology.Caida.stub_asns ~tier1 ~tier2 ~stubs in

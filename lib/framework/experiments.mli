@@ -163,30 +163,6 @@ val scale_prefix : int -> Net.Ipv4.prefix
 (** The [m]-th synthetic load prefix (101.0.0.0/24 onward), disjoint from
     the addressing plan's origin prefixes. *)
 
-val scale_shard_run :
-  ?tier1:int ->
-  ?tier2:int ->
-  ?stubs:int ->
-  ?prefixes:int ->
-  ?sdn:int ->
-  ?load_max_events:int ->
-  ?shards:int ->
-  ?clock:(unit -> float) ->
-  seed:int ->
-  config:Config.t ->
-  unit ->
-  scale_result * Sharding.result
-(** The sharded twin of {!scale_run}: the same CAIDA load, announce and
-    withdrawal executed through {!Sharding} as three driver phases across
-    [shards] domains (default 1).  Returns the [scale_result] view plus
-    the raw {!Sharding.result} (partition, per-shard stats, and the
-    deterministic signature compared by the shards=N-vs-1 differential,
-    {!Sharding.equal_result}).  Sharded runs are bit-comparable across
-    shard counts through this function, not against the phase-timing of
-    the unsharded path.  [load_max_events] bounds the whole run's real
-    event count; a run it stops reports [load_settled = false] and/or a
-    truncated phase list. *)
-
 val scale_run :
   ?tier1:int ->
   ?tier2:int ->
@@ -196,7 +172,6 @@ val scale_run :
   ?load_max_events:int ->
   ?phase_wall_s:float ->
   ?clock:(unit -> float) ->
-  ?shards:int ->
   seed:int ->
   config:Config.t ->
   unit ->
@@ -212,10 +187,7 @@ val scale_run :
     host-clock deadline per phase (load / announce / withdrawal): at
     Internet scale one batched delivery can carry thousands of prefixes,
     so an event budget alone cannot bound wall time; a phase stopped at
-    its deadline counts as unsettled.
-
-    [shards] switches to the sharded execution path
-    ({!scale_shard_run}); [phase_wall_s] is rejected there. *)
+    its deadline counts as unsettled. *)
 
 val scale_sweep :
   ?pool:Engine.Pool.t ->

@@ -42,11 +42,6 @@ type t = {
   rel_overrides : (Net.Asn.t * Net.Asn.t, Bgp.Policy.relationship) Hashtbl.t;
   (* (me, neighbor) -> spec link, both directions; see [index_links] *)
   link_index : (Net.Asn.t * Net.Asn.t, Topology.Spec.link_spec) Hashtbl.t;
-  (* sharded execution: which fabric nodes this instance executes.  The
-     full network is always CONSTRUCTED (replicated construction keeps
-     every per-component RNG stream identical across shards); ownership
-     only gates what runs — [start] and link watchers. *)
-  owned : int -> bool;
 }
 
 let sim t = t.sim
@@ -214,13 +209,12 @@ let relationship_for t ~me ~neighbor =
 
 let policy_for t ~me ~neighbor = Bgp.Policy.make (relationship_for t ~me ~neighbor)
 
-let create ?(config = Config.default) ?(order = Engine.Sim.Seq) ?(owned = fun _ -> true)
-    ~seed spec =
+let create ?(config = Config.default) ~seed spec =
   (match Topology.Spec.validate spec with
   | [] -> ()
   | problems ->
     invalid_arg (Fmt.str "Network.create: invalid spec: %s" (String.concat "; " problems)));
-  let sim = Engine.Sim.create ~order ~seed ~causal:config.Config.causal () in
+  let sim = Engine.Sim.create ~seed ~causal:config.Config.causal () in
   let net = Net.Netsim.create sim in
   let plan = Addressing.plan spec in
   let link_index = index_links spec in
@@ -449,7 +443,6 @@ let create ?(config = Config.default) ?(order = Engine.Sim.Seq) ?(owned = fun _ 
       auto_reply = true;
       rel_overrides = Hashtbl.create 8;
       link_index;
-      owned;
     }
   in
   t_ref := Some t;
@@ -528,12 +521,9 @@ let create ?(config = Config.default) ?(order = Engine.Sim.Seq) ?(owned = fun _ 
       Engine.Node.on_crash (Bgp.Router.node router) (fun () -> Net.Fib.clear fib))
     routers;
   (* Link watchers: session lifecycle for legacy routers, PORT_STATUS for
-     switches.  Only installed on OWNED nodes: a non-owned replica must
-     stay inert when a replicated link-state command flips a link, or it
-     would run detection timers the owning shard also runs. *)
+     switches. *)
   Net.Asn.Map.iter
     (fun asn router ->
-      if owned (Net.Asn.to_int asn) then
       (* Detection delays run on the router's node: if it crashes while
          the timer is pending, the epoch guard discards the stale event. *)
       let node = Bgp.Router.node router in
@@ -552,23 +542,16 @@ let create ?(config = Config.default) ?(order = Engine.Sim.Seq) ?(owned = fun _ 
     routers;
   Net.Asn.Map.iter
     (fun _ sw ->
-      if owned (Sdn.Switch.node_id sw) then
-        Net.Netsim.set_link_watcher net (Sdn.Switch.node_id sw) (fun ~link:_ ~peer ~up ->
-            if peer <> ctrl_node && Engine.Node.is_up (Sdn.Switch.node sw) then
-              Sdn.Switch.port_change sw ~peer ~up))
+      Net.Netsim.set_link_watcher net (Sdn.Switch.node_id sw) (fun ~link:_ ~peer ~up ->
+          if peer <> ctrl_node && Engine.Node.is_up (Sdn.Switch.node sw) then
+            Sdn.Switch.port_change sw ~peer ~up))
     switches;
   t
 
-let owned t node = t.owned node
-
-(* Open all BGP sessions (idempotent).  In a sharded run only owned
-   components come alive; the rest are inert replicas that exist so the
-   construction-order RNG splits match the single-shard run. *)
+(* Open all BGP sessions (idempotent). *)
 let start t =
-  Net.Asn.Map.iter
-    (fun asn r -> if t.owned (Net.Asn.to_int asn) then Bgp.Router.start r)
-    t.routers;
-  if t.owned ctrl_node then Option.iter Cluster_ctl.Speaker.open_all t.speaker
+  Net.Asn.Map.iter (fun _ r -> Bgp.Router.start r) t.routers;
+  Option.iter Cluster_ctl.Speaker.open_all t.speaker
 
 (* --- Experiment-facing operations -------------------------------------- *)
 

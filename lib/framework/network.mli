@@ -12,29 +12,12 @@ val collector_node : int
 
 val collector_asn : Net.Asn.t
 
-val create :
-  ?config:Config.t ->
-  ?order:Engine.Sim.order ->
-  ?owned:(int -> bool) ->
-  seed:int ->
-  Topology.Spec.t ->
-  t
+val create : ?config:Config.t -> seed:int -> Topology.Spec.t -> t
 (** Build the emulation (validates the spec).  Call {!start} to open BGP
-    sessions, then drive the simulator.
-
-    [order] (default {!Engine.Sim.Seq}) selects the scheduler's
-    tie-breaking discipline; sharded runs use [Canonical].  [owned]
-    (default everything) restricts which fabric nodes this instance
-    EXECUTES: the whole network is still constructed — replicated
-    construction keeps every per-component RNG stream identical across
-    shards — but {!start} and link watchers are gated to owned nodes, so
-    non-owned replicas stay inert. *)
+    sessions, then drive the simulator. *)
 
 val start : t -> unit
-(** Open all BGP sessions (routers and cluster speaker) on owned nodes. *)
-
-val owned : t -> int -> bool
-(** Whether this instance executes the given fabric node. *)
+(** Open all BGP sessions (routers and cluster speaker). *)
 
 (* --- Accessors --- *)
 

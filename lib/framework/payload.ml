@@ -10,12 +10,3 @@ let pp ppf = function
   | Bgp m -> Fmt.pf ppf "bgp:%a" Bgp.Message.pp m
   | Openflow m -> Fmt.pf ppf "of:%a" Sdn.Openflow.pp m
   | Data p -> Fmt.pf ppf "data:%a" Net.Packet.pp p
-
-(* Cross-shard receive path: rebuild any domain-local hash-consed state
-   (BGP path attributes) on the receiving domain.  Data packets and
-   attr-free control messages pass through untouched. *)
-let rehash = function
-  | Bgp m -> Bgp (Bgp.Message.rehash m)
-  | Openflow (Sdn.Openflow.Bgp_relay r) ->
-    Openflow (Sdn.Openflow.Bgp_relay { r with payload = Bgp.Message.rehash r.payload })
-  | (Openflow _ | Data _) as p -> p

@@ -6,8 +6,3 @@ type t =
   | Data of Net.Packet.t
 
 val pp : Format.formatter -> t -> unit
-
-val rehash : t -> t
-(** Re-intern domain-local hash-consed state (BGP path attributes,
-    including those inside relayed OpenFlow messages) on the calling
-    domain — required on the receiving side of a cross-shard exchange. *)

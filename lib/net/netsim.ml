@@ -49,30 +49,15 @@ type 'a flight = {
 
 type 'a in_flight = { src : int; dst : int; deliver_at : Engine.Time.t; payload : 'a }
 
-type 'a remote = {
-  r_src : int;
-  r_dst : int;
-  r_at : Engine.Time.t;
-  r_seq : int;
-  r_payload : 'a;
-}
-
 type 'a t = {
   sim : Engine.Sim.t;
   rng : Engine.Rng.t;
-  canonical : bool;
   nodes : (int, 'a node) Hashtbl.t;
   links : (Link.id, Link.t) Hashtbl.t;
   by_pair : (int * int, Link.id) Hashtbl.t;
   mutable next_link_id : int;
   flights : (int, 'a flight) Hashtbl.t;
   mutable next_flight_id : int;
-  (* per directed (src, dst) channel send sequence — canonical mode only.
-     Counts admitted sends, so delivery order on a FIFO link equals send
-     order and the sequence is independent of how nodes are partitioned
-     across shards (only the owning shard ever sends from a node). *)
-  chan_seqs : (int * int, int ref) Hashtbl.t;
-  mutable remote : ((int -> bool) * ('a remote -> unit)) option;
   sent_c : Engine.Metrics.Counter.t;
   delivered_c : Engine.Metrics.Counter.t;
   dropped_c : Engine.Metrics.Counter.t;
@@ -85,15 +70,12 @@ let create sim =
   {
     sim;
     rng = Engine.Rng.split (Engine.Sim.rng sim);
-    canonical = Engine.Sim.order sim = Engine.Sim.Canonical;
     nodes = Hashtbl.create 64;
     links = Hashtbl.create 64;
     by_pair = Hashtbl.create 64;
     next_link_id = 0;
     flights = Hashtbl.create 64;
     next_flight_id = 0;
-    chan_seqs = Hashtbl.create 64;
-    remote = None;
     sent_c =
       Engine.Metrics.counter m ~help:"messages accepted onto a link" "net_messages_sent_total";
     delivered_c =
@@ -248,35 +230,15 @@ let deliver t link ~src ~dst payload () =
 (* Each scheduled delivery is tracked in [flights] until it fires, so a
    checkpoint can capture the wire contents ([in_flight]) and a restore
    can put them back ([inject_in_flight]). *)
-let schedule_flight ?(kseq = 0) t link ~src ~dst deliver_at payload =
+let schedule_flight t link ~src ~dst deliver_at payload =
   let id = t.next_flight_id in
   t.next_flight_id <- id + 1;
   Hashtbl.replace t.flights id
     { f_id = id; f_src = src; f_dst = dst; f_at = deliver_at; f_payload = payload };
-  let key =
-    if t.canonical then { Engine.Sim.kclass = 1; knode = src; kseq }
-    else Engine.Sim.default_key
-  in
   ignore
-    (Engine.Sim.schedule_at ~category:"net.deliver" ~key t.sim deliver_at (fun () ->
+    (Engine.Sim.schedule_at ~category:"net.deliver" t.sim deliver_at (fun () ->
          Hashtbl.remove t.flights id;
          deliver t link ~src ~dst payload ()))
-
-let next_chan_seq t ~src ~dst =
-  match Hashtbl.find_opt t.chan_seqs (src, dst) with
-  | Some r ->
-    incr r;
-    !r
-  | None ->
-    Hashtbl.replace t.chan_seqs (src, dst) (ref 0);
-    0
-
-let set_remote_route t ~local ~route = t.remote <- Some (local, route)
-
-let inject_remote t { r_src; r_dst; r_at; r_seq; r_payload } =
-  match link_between t r_src r_dst with
-  | None -> invalid_arg (Fmt.str "Netsim.inject_remote: no link %d<->%d" r_src r_dst)
-  | Some link -> schedule_flight ~kseq:r_seq t link ~src:r_src ~dst:r_dst r_at r_payload
 
 (* [size_bits] matters only on bandwidth-limited links, where it adds
    serialization delay and FIFO queuing (drop-tail when the direction's
@@ -292,13 +254,7 @@ let send ?(size_bits = 8 * 64) t ~src ~dst payload =
       true (* accepted by the sender, lost in the queue *)
     | Some delivery_at ->
       Engine.Metrics.Counter.inc t.sent_c;
-      let kseq = if t.canonical then next_chan_seq t ~src ~dst else 0 in
-      (match t.remote with
-      | Some (local, route) when not (local dst) ->
-        (* cross-shard: hand to the exchange layer, delivery is scheduled
-           by [inject_remote] on the owning shard with the same key *)
-        route { r_src = src; r_dst = dst; r_at = delivery_at; r_seq = kseq; r_payload = payload }
-      | Some _ | None -> schedule_flight ~kseq t link ~src ~dst delivery_at payload);
+      schedule_flight t link ~src ~dst delivery_at payload;
       true)
 
 let in_flight t =

@@ -96,39 +96,6 @@ val note_drop : 'a t -> drop_reason -> unit
 (** Account a drop that never reached a wire (protocol-layer discard,
     e.g. a BGP relay thrown away while its session is down). *)
 
-(** {1 Sharded execution}
-
-    When the owning sim runs in {!Engine.Sim.Canonical} order, every
-    admitted send draws a per-directed-channel sequence number and its
-    delivery event is keyed [(kclass = 1, knode = src, kseq)] — a key
-    every partitioning assigns identically, because only the shard
-    owning [src] ever sends from it and FIFO links deliver in send
-    order.  A remote route diverts sends whose destination lives on
-    another shard; the receiving shard re-schedules them with
-    {!inject_remote} under the very same key. *)
-
-type 'a remote = {
-  r_src : int;
-  r_dst : int;
-  r_at : Engine.Time.t;  (** absolute delivery instant *)
-  r_seq : int;  (** the sender's per-channel sequence (canonical key) *)
-  r_payload : 'a;
-}
-
-val set_remote_route : 'a t -> local:(int -> bool) -> route:('a remote -> unit) -> unit
-(** Divert sends to nodes for which [local] is [false]: instead of
-    scheduling a local delivery, the fully-formed {!remote} (with its
-    delivery instant and canonical sequence already fixed) is handed to
-    [route] for barrier exchange.  Send-side accounting (admission,
-    queue drops, [net_messages_sent_total]) still happens here; delivery
-    accounting happens on the shard that injects. *)
-
-val inject_remote : 'a t -> 'a remote -> unit
-(** Schedule a delivery received from another shard at its original
-    instant and canonical key.  The caller is responsible for re-interning
-    any domain-local hash-consed payload state first.
-    @raise Invalid_argument if no link joins the endpoints. *)
-
 type 'a in_flight = { src : int; dst : int; deliver_at : Engine.Time.t; payload : 'a }
 
 val in_flight : 'a t -> 'a in_flight list

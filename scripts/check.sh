@@ -42,10 +42,10 @@ dune build @bench-smoke
 step "scale smoke (reduced 500-AS run + PR 8 baseline ratio guards)"
 dune build @scale-smoke
 
-step "shard smoke (500-AS sharded run == sequential differential + PR 9 baseline guards)"
-dune build @shard-smoke
-
 step "loss smoke (data-plane loss sweep differential + PR 10 baseline guards)"
 dune build @loss-smoke
+
+step "bench workloads smoke (fixed-work benchmark workloads, reduced)"
+dune build @bench-workloads-smoke
 
 printf '\nall checks passed\n'

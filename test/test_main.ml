@@ -50,7 +50,6 @@ let () =
       ("framework.scenario", Test_scenario.suite);
       ("framework.chaos", Test_chaos.suite);
       ("framework.experiments", Test_experiments.suite);
-      ("framework.sharding", Test_shard.suite);
       ("formats", Test_formats.suite);
       ("framework.looking_glass", Test_looking_glass.suite);
       ("framework.quagga_conf", Test_quagga_conf.suite);

@@ -64,6 +64,28 @@ let test_pool_guards () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "map after shutdown must raise"
 
+(* [recommended_jobs] honours HYBRIDSIM_JOBS_CAP, falls back to the
+   default cap on unset/invalid values, and yields to an explicit ?cap. *)
+let test_jobs_cap_env () =
+  let with_env v f =
+    let old = Sys.getenv_opt "HYBRIDSIM_JOBS_CAP" in
+    Unix.putenv "HYBRIDSIM_JOBS_CAP" v;
+    Fun.protect ~finally:(fun () -> Unix.putenv "HYBRIDSIM_JOBS_CAP" (Option.value old ~default:"")) f
+  in
+  with_env "2" (fun () ->
+      Alcotest.(check bool) "cap=2 applies" true (Engine.Pool.recommended_jobs () <= 2));
+  with_env "1" (fun () ->
+      Alcotest.(check int) "cap=1 applies" 1 (Engine.Pool.recommended_jobs ()));
+  with_env "bogus" (fun () ->
+      let d = Engine.Pool.recommended_jobs () in
+      Alcotest.(check bool) "bogus falls back to default" true (d >= 1 && d <= 8));
+  with_env "0" (fun () ->
+      let d = Engine.Pool.recommended_jobs () in
+      Alcotest.(check bool) "non-positive falls back" true (d >= 1 && d <= 8));
+  (* explicit ?cap still beats the env var *)
+  with_env "7" (fun () ->
+      Alcotest.(check int) "explicit cap wins" 1 (Engine.Pool.recommended_jobs ~cap:1 ()))
+
 (* --- Parallel-vs-sequential sweep differentials -------------------------- *)
 
 let check_differential name (seq : Framework.Experiments.series)
@@ -164,6 +186,7 @@ let suite =
     Alcotest.test_case "pool: reuse across batches" `Quick test_pool_reuse;
     Alcotest.test_case "pool: map_reduce order" `Quick test_pool_map_reduce;
     Alcotest.test_case "pool: guards" `Quick test_pool_guards;
+    Alcotest.test_case "pool: HYBRIDSIM_JOBS_CAP" `Quick test_jobs_cap_env;
     Alcotest.test_case "fig2 parallel == sequential" `Slow test_fig2_differential;
     Alcotest.test_case "announce parallel == sequential" `Slow test_announcement_differential;
     Alcotest.test_case "failover parallel == sequential" `Slow test_failover_differential;
