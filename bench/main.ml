@@ -539,19 +539,13 @@ let rounds () =
       ignore
         (Framework.Experiment.measure exp ~prefix (fun () ->
              ignore (Framework.Experiment.announce exp origin)));
-      let before_us = Engine.Time.to_us (Framework.Experiment.now exp) in
+      let since = Framework.Experiment.now exp in
       let m =
         Framework.Experiment.measure exp ~prefix (fun () ->
             ignore (Framework.Experiment.withdraw exp origin))
       in
-      let entries =
-        Framework.Logparse.of_trace (Engine.Sim.trace (Framework.Experiment.sim exp))
-      in
-      let after_withdrawal =
-        List.filter (fun e -> e.Framework.Logparse.time_us >= before_us) entries
-      in
       let waves =
-        Framework.Logparse.exploration_rounds ~round_gap_us:10_000_000 after_withdrawal prefix
+        Framework.Convergence.exploration_rounds ~since (Framework.Experiment.watcher exp) prefix
       in
       Fmt.pr "%8d %8d %14.2f@." sdn waves (Framework.Experiment.convergence_seconds m))
     (if quick then [ 0; 4 ] else [ 0; 4; 8; 12; 14 ])

@@ -452,10 +452,8 @@ let scenario_cmd =
         match Net.Ipv4.prefix_of_string prefix_str with
         | None -> Fmt.pr "bad --timeline prefix %S@." prefix_str
         | Some prefix ->
-          let entries =
-            Framework.Logparse.of_trace (Engine.Sim.trace (Framework.Experiment.sim exp))
-          in
-          print_string (Framework.Visualize.timeline entries prefix))
+          print_string
+            (Framework.Visualize.timeline (Framework.Experiment.watcher exp) prefix))
       | None -> ());
       finish_telemetry tele;
       Ok ()

@@ -68,13 +68,17 @@ let () =
   Fmt.pr "withdrawal: converged in %.2f s (%d changes)@."
     (Framework.Experiment.convergence_seconds m_down)
     m_down.Framework.Convergence.changes;
-  (* log-file analysis, as the framework's tooling would do it *)
-  let entries =
-    Framework.Logparse.of_trace (Engine.Sim.trace (Framework.Experiment.sim exp))
+  (* which ASes changed their route for the prefix most often *)
+  let history = Framework.Convergence.history (Framework.Experiment.watcher exp) prefix in
+  let by_as =
+    List.fold_left
+      (fun m (_, asn) -> Net.Asn.Map.update asn (fun c -> Some (1 + Option.value c ~default:0)) m)
+      Net.Asn.Map.empty history
   in
-  Fmt.pr "@.trace: %d log lines; busiest nodes:@." (List.length entries);
-  let by_node = Framework.Logparse.by_node entries in
+  Fmt.pr "@.%d route changes for %a; busiest ASes:@." (List.length history) Net.Ipv4.pp_prefix
+    prefix;
   let top =
-    List.sort (fun (_, a) (_, b) -> Int.compare b a) by_node |> List.filteri (fun i _ -> i < 5)
+    List.stable_sort (fun (_, a) (_, b) -> Int.compare b a) (Net.Asn.Map.bindings by_as)
+    |> List.filteri (fun i _ -> i < 5)
   in
-  List.iter (fun (node, count) -> Fmt.pr "  %-12s %d@." node count) top
+  List.iter (fun (asn, count) -> Fmt.pr "  %-12s %d@." (Net.Asn.to_string asn) count) top

@@ -81,8 +81,6 @@ type t = {
 
 let name t = Net.Asn.to_string t.asn
 
-let log t fmt = Engine.Sim.logf t.sim ~node:(Net.Asn.to_string t.asn) ~category:"bgp" fmt
-
 (* [create] is completed by [hook_lifecycle] at the bottom of this file
    (the crash/restart/snapshot hooks need the session machinery defined
    in between). *)
@@ -349,13 +347,8 @@ let run_decision t prefix =
   in
   if changed then begin
     (match best with
-    | Some r ->
-      Rib.Loc.set t.loc r;
-      log t "bestpath %a -> [%a]" Net.Ipv4.pp_prefix prefix Attrs.pp_path
-        (Attrs.as_path (Route.attrs r))
-    | None ->
-      Rib.Loc.remove t.loc prefix;
-      log t "bestpath %a -> unreachable" Net.Ipv4.pp_prefix prefix);
+    | Some r -> Rib.Loc.set t.loc r
+    | None -> Rib.Loc.remove t.loc prefix);
     t.stats.best_changes <- t.stats.best_changes + 1;
     Engine.Metrics.Counter.inc t.tm.best_changes_c;
     Array.iter (fun f -> f prefix best) t.on_best_change;
@@ -379,13 +372,11 @@ let originate ?(med = 0) ?(origin = Attrs.Igp) ?(communities = Community.Set.emp
     Attrs.make ~as_path:[] ~med ~origin ~communities ~next_hop:t.router_id ()
   in
   Pt.set prefix attrs t.originated;
-  log t "originate %a" Net.Ipv4.pp_prefix prefix;
   with_batch t (fun () -> run_decision t prefix)
 
 let withdraw_origin t prefix =
   if Pt.mem prefix t.originated then begin
     Pt.remove prefix t.originated;
-    log t "withdraw-origin %a" Net.Ipv4.pp_prefix prefix;
     with_batch t (fun () -> run_decision t prefix)
   end
 
@@ -429,7 +420,6 @@ let session_down t peer_asn =
       peer.open_sent <- false;
       Mrai.reset peer.mrai;
       stop_liveness peer;
-      log t "session %a down" Net.Asn.pp peer_asn;
       let dropped_in = Rib.Adj_in.drop_peer t.adj_in ~peer:peer_asn in
       ignore (Rib.Adj_out.drop_peer t.adj_out ~peer:peer_asn);
       with_batch t (fun () -> run_decisions t dropped_in)
@@ -486,8 +476,6 @@ let rec start_liveness t peer =
     Engine.Timer.start hold hold_time
 
 and hold_expired t peer =
-  Engine.Sim.logf t.sim ~node:(Net.Asn.to_string t.asn) ~category:"bgp"
-    ~level:Engine.Trace.Warn "hold timer expired for %a" Net.Asn.pp peer.peer_asn;
   Engine.Metrics.Counter.inc t.tm.hold_expirations;
   ignore (send_message t peer (Message.Notification "hold timer expired"));
   session_down t peer.peer_asn;
@@ -515,7 +503,6 @@ and schedule_retry t peer =
       Engine.Node.schedule_after ~category:"bgp.reconnect" t.node delay (fun () ->
           if peer.open_sent && not peer.established then begin
             peer.retry_attempt <- attempt + 1;
-            log t "reconnect %a: retry %d" Net.Asn.pp peer.peer_asn (attempt + 1);
             send_open t peer;
             schedule_retry t peer
           end)
@@ -536,7 +523,6 @@ let establish t peer =
   if not peer.established then begin
     peer.established <- true;
     peer.retry_attempt <- 0;
-    log t "session %a established" Net.Asn.pp peer.peer_asn;
     start_liveness t peer;
     sync_peer t peer
   end
@@ -561,8 +547,6 @@ let note_flap t peer_asn prefix event =
     match Damping.record damping ~peer:peer_asn ~prefix ~now event with
     | `Ok -> ()
     | `Suppressed_until reuse_at ->
-      log t "damping: %a from %a suppressed until %a" Net.Ipv4.pp_prefix prefix Net.Asn.pp
-        peer_asn Engine.Time.pp reuse_at;
       (* a hair past the reuse instant so the decayed penalty is safely
          at-or-below the threshold despite floating-point rounding *)
       let recheck = Engine.Time.add reuse_at (Engine.Time.ms 10) in
@@ -620,7 +604,7 @@ let process_update t peer_asn (u : Message.update) =
 let handle_message t ~from msg =
   with_batch t @@ fun () ->
   match Hashtbl.find_opt t.peer_of_node from with
-  | None -> log t "message from unknown node %d dropped" from
+  | None -> ()
   | Some peer_asn -> (
     Option.iter (fun peer -> touch_hold t peer) (find_peer t peer_asn);
     match msg with
@@ -635,9 +619,7 @@ let handle_message t ~from msg =
         end;
         establish t peer)
     | Message.Keepalive -> ()
-    | Message.Notification reason ->
-      log t "notification from %a: %s" Net.Asn.pp peer_asn reason;
-      session_down t peer_asn
+    | Message.Notification _ -> session_down t peer_asn
     | Message.Update u ->
       t.stats.msgs_in <- t.stats.msgs_in + 1;
       t.stats.prefixes_in <- t.stats.prefixes_in + Message.update_size u;

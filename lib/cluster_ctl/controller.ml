@@ -109,8 +109,6 @@ type t = {
   tm : telemetry;
 }
 
-let log t fmt = Engine.Sim.logf t.sim ~node:"controller" ~category:"controller" fmt
-
 let node t = t.node
 
 let members t = Net.Asn.Set.elements t.members
@@ -225,9 +223,6 @@ let recompute_prefix t prefix =
       if changed then begin
         t.stats.decision_changes <- t.stats.decision_changes + 1;
         Engine.Metrics.Counter.inc t.tm.decision_changes_c;
-        log t "decision %a %a: %a" Net.Ipv4.pp_prefix prefix Net.Asn.pp member
-          (Fmt.option ~none:(Fmt.any "unreachable") As_graph.pp_decision)
-          new_d;
         Array.iter (fun f -> f prefix member new_d) t.on_decision_change
       end)
     t.members;
@@ -271,9 +266,7 @@ let flush_resyncing t =
     let pending = t.resyncing in
     t.resyncing <- Net.Asn.Set.empty;
     Net.Asn.Set.iter
-      (fun member ->
-        log t "resync done -> %a" Net.Asn.pp member;
-        ignore (t.send_switch ~member Sdn.Openflow.Resync_done))
+      (fun member -> ignore (t.send_switch ~member Sdn.Openflow.Resync_done))
       pending
   end
 
@@ -372,14 +365,12 @@ let on_session_change t ~member ~neighbor ~up =
    bounces the BGP session riding on it. *)
 let handle_port_status t ~switch_asn ~port ~up =
   match t.asn_of_node port with
-  | None -> log t "port status for unknown node %d" port
+  | None -> ()
   | Some peer_asn ->
     if Net.Asn.Set.mem peer_asn t.members then begin
       let u = Net.Asn.to_int switch_asn and v = Net.Asn.to_int peer_asn in
       (if up then Net.Graph.add_edge t.switch_graph u v
        else Net.Graph.remove_edge t.switch_graph u v);
-      log t "switch graph %a<->%a %s" Net.Asn.pp switch_asn Net.Asn.pp peer_asn
-        (if up then "up" else "down");
       List.iter (fun p -> mark_dirty t p) (known_prefixes t)
     end
     else if up then Speaker.open_session t.speaker ~member:switch_asn ~neighbor:peer_asn
@@ -440,7 +431,6 @@ let handle_openflow t msg =
   | Sdn.Openflow.Flow_removed { switch_asn; rule; reason = _ } ->
     (* A timed-out rule is gone from the switch: forget it so a later
        PACKET_IN (reactive) or recomputation (proactive) reinstalls it. *)
-    log t "flow removed at %a: %a" Net.Asn.pp switch_asn Sdn.Flow.pp rule;
     let prefix = rule.Sdn.Flow.match_prefix in
     (match Pm.find_opt prefix t.installed with
     | Some installed ->
@@ -453,8 +443,7 @@ let handle_openflow t msg =
       if t.config.proactive then mark_dirty t prefix
     | None -> ())
   | Sdn.Openflow.Bgp_relay _ | Sdn.Openflow.Packet_out _ | Sdn.Openflow.Flow_mod _
-  | Sdn.Openflow.Echo_reply | Sdn.Openflow.Resync_done ->
-    log t "unexpected openflow message: %a" Sdn.Openflow.pp msg
+  | Sdn.Openflow.Echo_reply | Sdn.Openflow.Resync_done -> ()
 
 (* --- Origination --------------------------------------------------------- *)
 
@@ -463,7 +452,6 @@ let originate t ~member prefix =
     invalid_arg (Fmt.str "Controller.originate: %a not a member" Net.Asn.pp member);
   let current = Option.value (Pm.find_opt prefix t.originated) ~default:Net.Asn.Set.empty in
   t.originated <- Pm.add prefix (Net.Asn.Set.add member current) t.originated;
-  log t "originate %a at %a" Net.Ipv4.pp_prefix prefix Net.Asn.pp member;
   mark_dirty t prefix
 
 let withdraw_origin t ~member prefix =
@@ -474,7 +462,6 @@ let withdraw_origin t ~member prefix =
     t.originated <-
       (if Net.Asn.Set.is_empty set then Pm.remove prefix t.originated
        else Pm.add prefix set t.originated);
-    log t "withdraw-origin %a at %a" Net.Ipv4.pp_prefix prefix Net.Asn.pp member;
     mark_dirty t prefix
 
 let flush_recompute t = Option.iter Recompute.flush_now t.recompute

@@ -62,8 +62,6 @@ type t = {
   mutable any_dirty : bool;
 }
 
-let log t fmt = Engine.Sim.logf t.sim ~node:"speaker" ~category:"speaker" fmt
-
 (* [create] is completed by [hook_lifecycle] at the bottom of this file. *)
 let create_unhooked ?liveness ~sim ~send_relay () =
   let rng = Engine.Rng.split (Engine.Sim.rng sim) in
@@ -240,7 +238,6 @@ let session_down t ~member ~neighbor =
       s.dirty <- false;
       Option.iter Bgp.Mrai.reset s.mrai;
       stop_liveness s;
-      log t "session %a/%a down" Net.Asn.pp member Net.Asn.pp neighbor;
       t.on_session ~member ~neighbor ~up:false
     end
 
@@ -283,9 +280,6 @@ let start_liveness t (s : session) =
           Engine.Timer.create ~category:"speaker.liveness" t.sim
             ~name:(Fmt.str "speaker-hold-%a-%a" Net.Asn.pp s.member Net.Asn.pp s.neighbor)
             ~callback:(fun () ->
-              Engine.Sim.logf t.sim ~node:"speaker" ~category:"speaker"
-                ~level:Engine.Trace.Warn "hold timer expired on %a/%a" Net.Asn.pp s.member
-                Net.Asn.pp s.neighbor;
               Engine.Metrics.Counter.inc t.hold_expirations;
               ignore (send_wire t s (Bgp.Message.Notification "hold timer expired"));
               session_down t ~member:s.member ~neighbor:s.neighbor)
@@ -300,7 +294,6 @@ let start_liveness t (s : session) =
 let establish t (s : session) =
   if not s.established then begin
     s.established <- true;
-    log t "session %a/%a established" Net.Asn.pp s.member Net.Asn.pp s.neighbor;
     start_liveness t s;
     t.on_session ~member:s.member ~neighbor:s.neighbor ~up:true
   end
@@ -313,7 +306,7 @@ let touch_hold t (s : session) =
 (* A BGP message relayed in from a border switch. *)
 let handle_relay t ~member ~neighbor (msg : Bgp.Message.t) =
   match find t ~member ~neighbor with
-  | None -> log t "relay for unknown session %a/%a" Net.Asn.pp member Net.Asn.pp neighbor
+  | None -> ()
   | Some s -> (
     touch_hold t s;
     match msg with
@@ -325,9 +318,7 @@ let handle_relay t ~member ~neighbor (msg : Bgp.Message.t) =
       end;
       establish t s
     | Bgp.Message.Keepalive -> ()
-    | Bgp.Message.Notification reason ->
-      log t "notification on %a/%a: %s" Net.Asn.pp member Net.Asn.pp neighbor reason;
-      session_down t ~member ~neighbor
+    | Bgp.Message.Notification _ -> session_down t ~member ~neighbor
     | Bgp.Message.Update u ->
       if s.established then begin
         t.stats.updates_in <- t.stats.updates_in + 1;

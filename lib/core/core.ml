@@ -22,7 +22,6 @@ module Time = Engine.Time
 module Rng = Engine.Rng
 module Stats = Engine.Stats
 module Sim = Engine.Sim
-module Trace = Engine.Trace
 
 module Asn = Net.Asn
 module Ipv4 = Net.Ipv4
@@ -60,7 +59,6 @@ module Convergence = Framework.Convergence
 module Monitor = Framework.Monitor
 module Scenario = Framework.Scenario
 module Visualize = Framework.Visualize
-module Logparse = Framework.Logparse
 module Addressing = Framework.Addressing
 module Looking_glass = Framework.Looking_glass
 

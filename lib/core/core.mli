@@ -18,7 +18,6 @@ module Time = Engine.Time
 module Rng = Engine.Rng
 module Stats = Engine.Stats
 module Sim = Engine.Sim
-module Trace = Engine.Trace
 
 (** {1 Network substrate} *)
 
@@ -73,7 +72,6 @@ module Convergence = Framework.Convergence
 module Monitor = Framework.Monitor
 module Scenario = Framework.Scenario
 module Visualize = Framework.Visualize
-module Logparse = Framework.Logparse
 module Addressing = Framework.Addressing
 module Looking_glass = Framework.Looking_glass
 

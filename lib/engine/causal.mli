@@ -15,7 +15,7 @@
     seed, same spans, byte-identical exports.
 
     Domain-safety: a span store is unsynchronized mutable state owned by
-    its simulation — one sim, one domain at a time, exactly like {!Trace}
+    its simulation — one sim, one domain at a time, exactly like {!Rng}
     and {!Metrics}.  {!Pool} sweeps are safe because every task builds its
     own sim and thus its own store. *)
 
@@ -146,7 +146,8 @@ val to_jsonl : t -> string
 (** One JSON object per span per line. *)
 
 val render_line : span -> string
-(** Human-readable one-liner, {!Trace.render_line}-style. *)
+(** Human-readable one-liner: fire time (us), span and parent ids,
+    category, node, label and queueing wait. *)
 
 val flight_lines : t -> string list
 (** The retained spans rendered oldest first — the flight-recorder dump

@@ -137,8 +137,6 @@ let crash t =
       List.iter Timer.cancel t.timers;
       Queue.clear t.mailbox;
       t.draining <- false;
-      Sim.logf t.sim ~node:t.name ~category:"node" ~level:Trace.Warn "crash (epoch %d)"
-        t.epoch;
       List.iter (fun f -> f ()) (List.rev t.crash_hooks)
 
 let restart t =

@@ -3,7 +3,7 @@
 
     The pool exists to run many *independent* simulations at once: each
     task must own all of its mutable state ({!Sim}, {!Metrics}, {!Rng},
-    {!Trace} instances and everything hanging off them) — see the
+    {!Causal} instances and everything hanging off them) — see the
     ownership rule documented in those interfaces.  The pool itself
     never shares anything between tasks beyond the immutable inputs the
     caller closes over.

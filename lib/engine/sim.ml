@@ -32,7 +32,6 @@ type t = {
   mutable executed : int;
   queue : event Heap.t;
   rng : Rng.t;
-  trace : Trace.t;
   causal : Causal.t;
   metrics : Metrics.t;
   mutable profiling : bool;
@@ -57,7 +56,7 @@ let dummy_event =
     action = ignore;
   }
 
-let create ?(seed = 0) ?(trace = true) ?(causal = Causal.Disabled) ?(profiling = false) () =
+let create ?(seed = 0) ?(causal = Causal.Disabled) () =
   let metrics = Metrics.create () in
   {
     now = Time.zero;
@@ -65,10 +64,9 @@ let create ?(seed = 0) ?(trace = true) ?(causal = Causal.Disabled) ?(profiling =
     executed = 0;
     queue = Heap.create ~capacity:1024 ~dummy:dummy_event compare_event;
     rng = Rng.create seed;
-    trace = Trace.create ~enabled:trace ();
     causal = Causal.create ~mode:causal ~seed ();
     metrics;
-    profiling;
+    profiling = false;
     profile = Hashtbl.create 16;
     scheduled_by = Hashtbl.create 16;
     executed_by = Hashtbl.create 16;
@@ -81,8 +79,6 @@ let create ?(seed = 0) ?(trace = true) ?(causal = Causal.Disabled) ?(profiling =
 let now t = t.now
 
 let rng t = t.rng
-
-let trace t = t.trace
 
 let causal t = t.causal
 
@@ -213,8 +209,3 @@ let run ?until ?(max_events = max_int) t =
           if step t then loop (remaining - 1) else Exhausted)
   in
   loop max_events
-
-let log t ~node ~category ?level msg =
-  Trace.record t.trace ~time:t.now ~node ~category ?level msg
-
-let logf t ~node ~category ?level fmt = Fmt.kstr (log t ~node ~category ?level) fmt

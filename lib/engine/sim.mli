@@ -4,7 +4,7 @@
     {!Rng} this makes runs bit-reproducible for a given seed.
 
     Domain-safety: a sim — and everything reachable from it ({!rng},
-    {!trace}, {!metrics}, queued events) — is owned by exactly one
+    {!causal}, {!metrics}, queued events) — is owned by exactly one
     domain at a time.  {!Pool}-driven sweeps respect this by building a
     fresh sim inside each task; the one accidental-sharing hazard is
     capturing a [t] (or its registry) in a closure submitted to the
@@ -15,8 +15,7 @@ type t
 type handle
 (** A scheduled event, usable for cancellation. *)
 
-val create :
-  ?seed:int -> ?trace:bool -> ?causal:Causal.mode -> ?profiling:bool -> unit -> t
+val create : ?seed:int -> ?causal:Causal.mode -> unit -> t
 (** [causal] (default {!Causal.Disabled}) selects the causal-tracing mode:
     disabled costs nothing per event, [Ring n] keeps a bounded flight
     recorder, [Full] retains every span for export and analysis. *)
@@ -26,11 +25,9 @@ val now : t -> Time.t
 val rng : t -> Rng.t
 (** The root RNG; split per subsystem rather than drawing directly. *)
 
-val trace : t -> Trace.t
-
 val causal : t -> Causal.t
 (** The per-simulation causal span store (one per sim, same domain
-    ownership rule as {!trace} and {!metrics}).  Every scheduled event
+    ownership rule as {!rng} and {!metrics}).  Every scheduled event
     opens a span parented under the event executing at schedule time. *)
 
 val annotate : t -> category:string -> ?node:string -> ?label:string -> unit -> unit
@@ -88,6 +85,7 @@ val run : ?until:Time.t -> ?max_events:int -> t -> run_result
     metric exports byte-identical across same-seed runs. *)
 
 val set_profiling : t -> bool -> unit
+(** Off at creation; the only switch for the wall-clock profile. *)
 
 val profiling : t -> bool
 
@@ -97,13 +95,3 @@ val profile : t -> profile_row list
 (** Sorted by category; empty unless profiling was enabled. *)
 
 val pp_profile : Format.formatter -> t -> unit
-
-val log : t -> node:string -> category:string -> ?level:Trace.level -> string -> unit
-
-val logf :
-  t ->
-  node:string ->
-  category:string ->
-  ?level:Trace.level ->
-  ('a, Format.formatter, unit, unit) format4 ->
-  'a

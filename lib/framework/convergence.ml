@@ -4,7 +4,10 @@
    has converged for a prefix when no routing state anywhere changes any
    more.  We instrument every decision point — each legacy router's
    Loc-RIB and each controller member decision — plus the route
-   collector's update stream, and record the last change time per prefix.
+   collector's update stream.  Per prefix we keep the full change history
+   — (time, AS) for every router best-path change and every controller
+   decision change — from which the last change, the change count and the
+   exploration rounds all follow.
    Because the emulation is a discrete-event simulation, "no more events"
    is an exact quiet-period test: [Network.settle] drains the queue and
    the convergence time is simply the last recorded change.
@@ -13,22 +16,24 @@
 
 module Pm = Net.Ipv4.Prefix_map
 
+(* Loc-RIB / decision changes of one prefix. *)
+type prefix_changes = {
+  mutable count : int;
+  mutable history : (Engine.Time.t * Net.Asn.t) list; (* newest first *)
+}
+
 type t = {
-  mutable last_control_change : Engine.Time.t Pm.t; (* loc-rib / decisions *)
+  mutable changes : prefix_changes Pm.t;
   mutable last_collector_update : Engine.Time.t Pm.t;
-  mutable control_changes : int Pm.t;
   mutable last_any : Engine.Time.t; (* latest control change, any prefix *)
   network : Network.t;
 }
 
-let bump_map time prefix m = Pm.add prefix time m
-
 let attach network =
   let t =
     {
-      last_control_change = Pm.empty;
+      changes = Pm.empty;
       last_collector_update = Pm.empty;
-      control_changes = Pm.empty;
       last_any = Engine.Time.zero;
       network;
     }
@@ -42,21 +47,29 @@ let attach network =
     Engine.Metrics.gauge m ~help:"simulated time of the last control-plane change"
       "convergence_last_change_seconds"
   in
-  let note prefix =
+  let note prefix asn =
     let now = Engine.Sim.now (Network.sim network) in
-    t.last_control_change <- bump_map now prefix t.last_control_change;
+    let pc =
+      match Pm.find_opt prefix t.changes with
+      | Some pc -> pc
+      | None ->
+        let pc = { count = 0; history = [] } in
+        t.changes <- Pm.add prefix pc t.changes;
+        pc
+    in
+    pc.count <- pc.count + 1;
+    pc.history <- (now, asn) :: pc.history;
     t.last_any <- now;
     Engine.Metrics.Counter.inc changes_c;
-    Engine.Metrics.Gauge.set last_change_g (Engine.Time.to_sec_f now);
-    t.control_changes <-
-      Pm.update prefix (fun c -> Some (1 + Option.value c ~default:0)) t.control_changes
+    Engine.Metrics.Gauge.set last_change_g (Engine.Time.to_sec_f now)
   in
   Net.Asn.Map.iter
-    (fun _ router -> Bgp.Router.subscribe_best_change router (fun prefix _ -> note prefix))
+    (fun asn router -> Bgp.Router.subscribe_best_change router (fun prefix _ -> note prefix asn))
     (Network.routers network);
   (match Network.controller network with
   | Some ctrl ->
-    Cluster_ctl.Controller.subscribe_decision_change ctrl (fun prefix _ _ -> note prefix)
+    Cluster_ctl.Controller.subscribe_decision_change ctrl (fun prefix member _ ->
+        note prefix member)
   | None -> ());
   t
 
@@ -71,17 +84,47 @@ let refresh_collector t =
       let better =
         match current with None -> true | Some c -> Engine.Time.(time > c)
       in
-      if better then
-        t.last_collector_update <- bump_map time prefix t.last_collector_update)
+      if better then t.last_collector_update <- Pm.add prefix time t.last_collector_update)
     (Bgp.Collector.last_updates collector)
 
-let last_control_change t prefix = Pm.find_opt prefix t.last_control_change
+let history_newest_first t prefix =
+  match Pm.find_opt prefix t.changes with Some pc -> pc.history | None -> []
+
+let last_control_change t prefix =
+  match history_newest_first t prefix with (time, _) :: _ -> Some time | [] -> None
 
 let last_collector_update t prefix =
   refresh_collector t;
   Pm.find_opt prefix t.last_collector_update
 
-let control_changes t prefix = Option.value (Pm.find_opt prefix t.control_changes) ~default:0
+let control_changes t prefix =
+  match Pm.find_opt prefix t.changes with Some pc -> pc.count | None -> 0
+
+let history t prefix = List.rev (history_newest_first t prefix)
+
+(* Path-exploration rounds: a prefix's changes cluster into MRAI-spaced
+   waves; count the clusters of distinct change instants, splitting
+   wherever consecutive instants are more than [gap] apart (use about
+   half the MRAI).  This makes the mechanism behind Fig. 2 — "convergence
+   time = rounds x MRAI" — a measurable quantity. *)
+let exploration_rounds ?(gap = Engine.Time.sec 10) ?since t prefix =
+  let times =
+    List.filter_map
+      (fun (time, _) ->
+        match since with
+        | Some s when Engine.Time.(time < s) -> None
+        | Some _ | None -> Some time)
+      (history_newest_first t prefix)
+    |> List.sort_uniq Engine.Time.compare
+  in
+  match times with
+  | [] -> 0
+  | first :: rest ->
+    fst
+      (List.fold_left
+         (fun (rounds, prev) time ->
+           ((if Engine.Time.(diff time prev > gap) then rounds + 1 else rounds), time))
+         (1, first) rest)
 
 (* Convergence time of an event on a prefix: run the network to
    quiescence, then report the interval from [event_time] to the last

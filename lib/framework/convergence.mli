@@ -1,6 +1,7 @@
 (** Convergence detection: instruments every decision point (legacy
-    Loc-RIBs, controller decisions) and the route collector, and measures
-    per-prefix convergence of experiment events. *)
+    Loc-RIBs, controller decisions) and the route collector, keeps each
+    prefix's change history, and measures per-prefix convergence of
+    experiment events. *)
 
 type t
 
@@ -14,6 +15,17 @@ val last_collector_update : t -> Net.Ipv4.prefix -> Engine.Time.t option
 
 val control_changes : t -> Net.Ipv4.prefix -> int
 (** Total best-route changes observed for the prefix. *)
+
+val history : t -> Net.Ipv4.prefix -> (Engine.Time.t * Net.Asn.t) list
+(** Every change of the prefix, oldest first: the instant and the AS whose
+    best path (legacy router) or central decision (SDN member) changed. *)
+
+val exploration_rounds :
+  ?gap:Engine.Time.span -> ?since:Engine.Time.t -> t -> Net.Ipv4.prefix -> int
+(** Path-exploration waves of the prefix: its distinct change instants at
+    or after [since], clustered wherever consecutive instants lie more
+    than [gap] (default 10 s, about half the default MRAI) apart.  0 when
+    nothing changed. *)
 
 val last_any_change : t -> Engine.Time.t
 (** Latest control-plane change for any prefix. *)

@@ -141,7 +141,7 @@ let take_drop k xs =
 
    The (x, trial) grid is flattened into one task list and dispatched
    through [pool] when given; each task builds its own [Experiment]
-   (and thus its own [Sim]/[Metrics]/[Rng]/[Trace]) so nothing mutable
+   (and thus its own [Sim]/[Metrics]/[Rng]/[Causal]) so nothing mutable
    crosses a domain boundary.  Results come back from [Engine.Pool.map]
    in submission order, and are regrouped per x here — so the output is
    bit-identical to the sequential run whatever the pool's scheduling.

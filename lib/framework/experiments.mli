@@ -6,7 +6,7 @@
     the independent [(x, trial)] runs of the sweep are dispatched across
     the pool's domains.  Each run owns its whole mutable world (its
     [Experiment], and through it its [Sim], [Metrics] registry, [Rng]
-    streams and [Trace]), and results are collected in deterministic
+    streams and [Causal] spans), and results are collected in deterministic
     (x, trial-index) order — so parallel output is bit-identical to the
     sequential run ([?pool] absent, or [jobs = 1]). *)
 

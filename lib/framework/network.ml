@@ -141,8 +141,6 @@ let set_auto_reply t flag = t.auto_reply <- flag
 
 let rec deliver_local t asn (packet : Net.Packet.t) =
   t.data_stats.delivered <- t.data_stats.delivered + 1;
-  Engine.Sim.logf t.sim ~node:(Net.Asn.to_string asn) ~category:"data" "delivered %a"
-    Net.Packet.pp packet;
   List.iter (fun f -> f asn packet) t.on_deliver;
   if t.auto_reply then
     match Net.Packet.reply_to packet with
@@ -446,7 +444,7 @@ let create ?(config = Config.default) ~seed spec =
     }
   in
   t_ref := Some t;
-  (* Data-plane and trace health series, synced from their owners at
+  (* Data-plane health series, synced from their owners at
      snapshot time (data_stats counts are monotonic, so exporting the
      delta since the previous collect keeps counter semantics). *)
   let m = Engine.Sim.metrics sim in
@@ -462,18 +460,13 @@ let create ?(config = Config.default) ~seed spec =
     Engine.Metrics.counter m ~help:"data packets dropped (no route, TTL, dead link)"
       "net_data_dropped_total"
   in
-  let warn_g =
-    Engine.Metrics.gauge m ~help:"Warn-level trace records emitted" "trace_warn_records"
-  in
   let exported = ref (0, 0, 0) in
   Engine.Metrics.on_collect m (fun () ->
       let f0, d0, r0 = !exported in
       Engine.Metrics.Counter.add fwd_c (t.data_stats.forwarded - f0);
       Engine.Metrics.Counter.add dlv_c (t.data_stats.delivered - d0);
       Engine.Metrics.Counter.add drp_c (t.data_stats.dropped - r0);
-      exported := (t.data_stats.forwarded, t.data_stats.delivered, t.data_stats.dropped);
-      Engine.Metrics.Gauge.set warn_g
-        (float_of_int (Engine.Trace.warn_count (Engine.Sim.trace sim))));
+      exported := (t.data_stats.forwarded, t.data_stats.delivered, t.data_stats.dropped));
   (* Ingress: every fabric node's deliveries go through its component's
      runtime-node mailbox, so a crashed component refuses traffic at the
      fabric boundary (counted as [node_down] drops) instead of having a

@@ -91,11 +91,12 @@ let series_to_ascii ?(width = 56) (s : Experiments.series) =
     s.Experiments.points;
   Buffer.contents buf
 
-(* Route-change timeline for a prefix, from parsed log entries. *)
-let timeline entries prefix =
+(* Route-change timeline for a prefix, from the watcher's change history. *)
+let timeline watcher prefix =
   let buf = Buffer.create 512 in
   List.iter
-    (fun (e : Logparse.entry) ->
-      Buffer.add_string buf (Fmt.str "%a\n" Logparse.pp_entry e))
-    (Logparse.route_changes entries prefix);
+    (fun (time, asn) ->
+      Buffer.add_string buf
+        (Fmt.str "%.3fs %a route change\n" (Engine.Time.to_sec_f time) Net.Asn.pp asn))
+    (Convergence.history watcher prefix);
   Buffer.contents buf

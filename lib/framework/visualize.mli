@@ -10,5 +10,6 @@ val spec_to_dot : ?with_infrastructure:bool -> Topology.Spec.t -> string
 val series_to_ascii : ?width:int -> Experiments.series -> string
 (** One boxplot row per sweep point over a shared scale. *)
 
-val timeline : Logparse.entry list -> Net.Ipv4.prefix -> string
-(** Rendered route-change history for a prefix. *)
+val timeline : Convergence.t -> Net.Ipv4.prefix -> string
+(** One line per change in the prefix's {!Convergence.history}: the
+    instant and the AS whose route changed. *)

@@ -152,8 +152,6 @@ let set_link_up t link up =
   if Link.is_up link <> up then begin
     Link.set_up_internal link up;
     let a, b = Link.endpoints link in
-    Engine.Sim.logf t.sim ~node:"net" ~category:"link" "link %d<->%d %s" a b
-      (if up then "up" else "down");
     let notify endpoint peer =
       match (node t endpoint).link_watcher with
       | Some w -> w ~link ~peer ~up

@@ -57,8 +57,6 @@ type t = {
   expired_by : (string, Engine.Metrics.Counter.t) Hashtbl.t; (* lazy, by reason *)
 }
 
-let log t fmt = Engine.Sim.logf t.sim ~node:(Net.Asn.to_string t.asn) ~category:"switch" fmt
-
 (* rules, index of the fallback rule within them (if active), last
    control-plane contact. *)
 type Engine.Node.blob +=
@@ -110,17 +108,12 @@ let fallback_active t = Option.is_some t.fallback
 let install_fallback t port =
   let rule = Flow.make ~priority:0 ~match_prefix:prefix_all (Flow.Output port) in
   Flow_table.add t.table rule;
-  t.fallback <- Some rule;
-  log t "fallback route -> port %d" port
+  t.fallback <- Some rule
 
 let enter_fallback t =
   if not (fallback_active t) then begin
-    Engine.Sim.logf t.sim ~node:(Net.Asn.to_string t.asn) ~category:"switch"
-      ~level:Engine.Trace.Warn "controller unreachable: entering legacy fallback";
     count_failover t;
-    match t.fallback_port () with
-    | Some port -> install_fallback t port
-    | None -> log t "no legacy neighbor available for fallback"
+    Option.iter (install_fallback t) (t.fallback_port ())
   end
 
 let exit_fallback t =
@@ -128,8 +121,7 @@ let exit_fallback t =
   | None -> ()
   | Some rule ->
     ignore (Flow_table.remove_physical t.table rule);
-    t.fallback <- None;
-    log t "leaving legacy fallback (controller resynced)"
+    t.fallback <- None
 
 (* The fallback port died: re-pick a surviving legacy neighbor. *)
 let repick_fallback t =
@@ -138,9 +130,7 @@ let repick_fallback t =
   | Some rule ->
     ignore (Flow_table.remove_physical t.table rule);
     t.fallback <- None;
-    (match t.fallback_port () with
-    | Some port -> install_fallback t port
-    | None -> log t "no legacy neighbor left for fallback")
+    Option.iter (install_fallback t) (t.fallback_port ())
 
 let start_supervision t =
   match (t.liveness, t.supervise) with
@@ -297,19 +287,14 @@ let handle_data t ~from (packet : Net.Packet.t) =
   if t.is_local packet.Net.Packet.dst then t.deliver_local packet
   else
     match Net.Packet.decr_ttl packet with
-    | None ->
-      t.stats.dropped <- t.stats.dropped + 1;
-      log t "ttl exceeded for %a" Net.Packet.pp packet
+    | None -> t.stats.dropped <- t.stats.dropped + 1
     | Some packet -> (
       let matched = Flow_table.lookup t.table packet.Net.Packet.dst in
       Option.iter (fun (r : Flow.rule) -> r.Flow.last_used <- Engine.Sim.now t.sim) matched;
       match matched with
       | Some { Flow.action = Flow.Output port; _ } ->
         if t.send_data ~dst:port packet then t.stats.forwarded <- t.stats.forwarded + 1
-        else begin
-          t.stats.dropped <- t.stats.dropped + 1;
-          log t "output port %d unreachable, packet dropped" port
-        end
+        else t.stats.dropped <- t.stats.dropped + 1
       | Some { Flow.action = Flow.Drop; _ } -> t.stats.dropped <- t.stats.dropped + 1
       | Some { Flow.action = Flow.To_controller; _ } | None ->
         (* Table miss (or explicit punt): controller decides. *)
@@ -323,7 +308,7 @@ let handle_data t ~from (packet : Net.Packet.t) =
    node is down are dropped at delivery and accounted as [node_down].) *)
 let handle_bgp t ~from msg =
   match t.asn_of_node from with
-  | None -> log t "bgp from unknown node %d dropped" from
+  | None -> ()
   | Some neighbor ->
     t.stats.relayed_in <- t.stats.relayed_in + 1;
     if
@@ -333,8 +318,7 @@ let handle_bgp t ~from msg =
               { member = t.asn; neighbor; direction = Openflow.To_speaker; payload = msg }))
     then begin
       t.stats.relay_drops <- t.stats.relay_drops + 1;
-      t.on_relay_drop ();
-      log t "bgp relay from %a dropped (control channel down)" Net.Asn.pp neighbor
+      t.on_relay_drop ()
     end
 
 let handle_control t msg =
@@ -370,11 +354,10 @@ let handle_control t msg =
     | Some dst ->
       t.stats.relayed_out <- t.stats.relayed_out + 1;
       ignore (t.send_bgp ~dst payload)
-    | None -> log t "relay to unknown neighbor %a dropped" Net.Asn.pp neighbor
+    | None -> ()
   end
   | Openflow.Bgp_relay _ | Openflow.Packet_in _ | Openflow.Port_status _
-  | Openflow.Flow_removed _ | Openflow.Echo_request _ ->
-    log t "unexpected control message: %a" Openflow.pp msg
+  | Openflow.Flow_removed _ | Openflow.Echo_request _ -> ()
 
 (* Adjacent link changed state: report to the controller, and re-pick the
    legacy fallback route when its egress just died. *)

@@ -73,9 +73,155 @@ let test_sdn_reduces_withdrawal_time () =
     (Fmt.str "hybrid %.2fs < legacy %.2fs" t_hybrid t_legacy)
     true (t_hybrid < t_legacy)
 
+let prefix_of s = Option.get (Net.Ipv4.prefix_of_string s)
+
+let test_change_history () =
+  let exp = make_exp ~n:3 () in
+  let prefix = Framework.Experiment.default_prefix exp (asn 0) in
+  ignore
+    (Framework.Experiment.measure exp ~prefix (fun () ->
+         ignore (Framework.Experiment.announce exp (asn 0))));
+  let w = Framework.Experiment.watcher exp in
+  let history = Framework.Convergence.history w prefix in
+  Alcotest.(check int) "one entry per counted change"
+    (Framework.Convergence.control_changes w prefix) (List.length history);
+  Alcotest.(check bool) "every router changed" true (List.length history >= 3);
+  let times = List.map fst history in
+  Alcotest.(check bool) "oldest first" true (List.sort Engine.Time.compare times = times);
+  Alcotest.(check (option int)) "newest entry is the last change"
+    (Option.map Engine.Time.to_us (Framework.Convergence.last_control_change w prefix))
+    (Some (Engine.Time.to_us (List.nth times (List.length times - 1))));
+  List.iter
+    (fun (_, a) ->
+      Alcotest.(check bool) (Fmt.str "%a is a topology AS" Net.Asn.pp a) true
+        (List.exists (Net.Asn.equal a) [ asn 0; asn 1; asn 2 ]))
+    history
+
+(* fast_test MRAI is 2 s: use a 1 s gap *)
+let rounds ?since exp p =
+  Framework.Convergence.exploration_rounds ~gap:(Engine.Time.sec 1) ?since
+    (Framework.Experiment.watcher exp) p
+
+(* Announce then withdraw the default prefix of a 6-clique.  Returns the
+   experiment, the prefix, the instant the withdrawal started and the
+   rounds counted once the announcement had settled. *)
+let clique_announce_withdraw () =
+  let exp =
+    Framework.Experiment.create ~config:cfg ~seed:23 (Topology.Artificial.clique 6)
+  in
+  let prefix = Framework.Experiment.default_prefix exp (asn 0) in
+  ignore
+    (Framework.Experiment.measure exp ~prefix (fun () ->
+         ignore (Framework.Experiment.announce exp (asn 0))));
+  let announce_rounds = rounds exp prefix in
+  let since = Framework.Experiment.now exp in
+  ignore
+    (Framework.Experiment.measure exp ~prefix (fun () ->
+         ignore (Framework.Experiment.withdraw exp (asn 0))));
+  (exp, prefix, since, announce_rounds)
+
+(* A withdrawal on a clique explores in several MRAI waves; the
+   announcement settles in one. *)
+let test_exploration_waves () =
+  let exp, prefix, _, announce_rounds = clique_announce_withdraw () in
+  Alcotest.(check int) "announcement: one wave" 1 announce_rounds;
+  let total = rounds exp prefix in
+  Alcotest.(check bool)
+    (Fmt.str "withdrawal adds exploration waves (total %d)" total)
+    true (total >= 3);
+  Alcotest.(check int) "no changes, no rounds" 0 (rounds exp (prefix_of "203.0.113.0/24"))
+
+(* [~since] keeps only the changes at or after the instant. *)
+let test_rounds_since_window () =
+  let exp, prefix, since, _ = clique_announce_withdraw () in
+  let total = rounds exp prefix in
+  Alcotest.(check int) "since drops the announcement wave" (total - 1)
+    (rounds ~since exp prefix);
+  Alcotest.(check int) "since zero keeps everything" total
+    (rounds ~since:Engine.Time.zero exp prefix);
+  Alcotest.(check int) "since the end keeps nothing" 0
+    (rounds ~since:(Engine.Time.add (Framework.Experiment.now exp) (Engine.Time.sec 1)) exp prefix)
+
+(* The bench ROUNDS section's numbers: a seed-67 clique-16 withdrawal at
+   the default configuration, waves and changes per SDN member count. *)
+let test_rounds_golden () =
+  let n = 16 in
+  let run sdn =
+    let members = List.init sdn (fun i -> asn (n - 1 - i)) in
+    let spec = Topology.Spec.with_sdn (Topology.Artificial.clique n) members in
+    let exp = Framework.Experiment.create ~config:Framework.Config.default ~seed:67 spec in
+    let prefix = Framework.Experiment.default_prefix exp (asn 0) in
+    ignore
+      (Framework.Experiment.measure exp ~prefix (fun () ->
+           ignore (Framework.Experiment.announce exp (asn 0))));
+    let since = Framework.Experiment.now exp in
+    let m =
+      Framework.Experiment.measure exp ~prefix (fun () ->
+          ignore (Framework.Experiment.withdraw exp (asn 0)))
+    in
+    ( Framework.Convergence.exploration_rounds ~since (Framework.Experiment.watcher exp) prefix,
+      m.Framework.Convergence.changes )
+  in
+  let results = List.map run [ 0; 4; 8; 12; 14 ] in
+  Alcotest.(check (list int)) "waves" [ 5; 4; 6; 3; 1 ] (List.map fst results);
+  Alcotest.(check (list int)) "changes" [ 463; 362; 246; 117; 30 ] (List.map snd results)
+
+(* Prefixes are keys, not text: 10.0.0.0/8 and 110.0.0.0/8 (one is a
+   substring of the other when printed) keep separate histories. *)
+let test_prefix_independence () =
+  let exp = make_exp () in
+  let w = Framework.Experiment.watcher exp in
+  let p10 = prefix_of "10.0.0.0/8" and p110 = prefix_of "110.0.0.0/8" in
+  let gap = Engine.Time.sec 1 in
+  let view p =
+    ( List.map
+        (fun (t, a) -> (Engine.Time.to_us t, Net.Asn.to_int a))
+        (Framework.Convergence.history w p),
+      Framework.Convergence.exploration_rounds ~gap w p,
+      Framework.Visualize.timeline w p )
+  in
+  let m10 =
+    Framework.Experiment.measure exp ~prefix:p10 (fun () ->
+        ignore (Framework.Experiment.announce ~prefix:p10 exp (asn 0)))
+  in
+  let before = view p10 in
+  Alcotest.(check int) "untouched prefix has no history" 0
+    (List.length (Framework.Convergence.history w p110));
+  Alcotest.(check string) "untouched prefix has an empty timeline" ""
+    (Framework.Visualize.timeline w p110);
+  let m110 =
+    Framework.Experiment.measure exp ~prefix:p110 (fun () ->
+        ignore (Framework.Experiment.announce ~prefix:p110 exp (asn 1)))
+  in
+  ignore
+    (Framework.Experiment.measure exp ~prefix:p110 (fun () ->
+         ignore (Framework.Experiment.withdraw ~prefix:p110 exp (asn 1))));
+  let h10, r10, tl10 = view p10 in
+  let b10, br10, btl10 = before in
+  Alcotest.(check (list (pair int int))) "10/8 history unchanged" b10 h10;
+  Alcotest.(check int) "10/8 rounds unchanged" br10 r10;
+  Alcotest.(check string) "10/8 timeline unchanged" btl10 tl10;
+  Alcotest.(check int) "10/8 history is its own changes" m10.Framework.Convergence.changes
+    (List.length h10);
+  let h110, r110, tl110 = view p110 in
+  Alcotest.(check bool) "110/8 history starts at its announcement" true
+    (List.for_all
+       (fun (t, _) -> t >= Engine.Time.to_us m110.Framework.Convergence.event_time)
+       h110);
+  Alcotest.(check int) "110/8 counts only its own changes"
+    (Framework.Convergence.control_changes w p110) (List.length h110);
+  Alcotest.(check bool) "110/8 explored after its withdrawal" true (r110 >= 2);
+  Alcotest.(check int) "110/8 timeline has a line per change" (List.length h110)
+    (List.length (String.split_on_char '\n' tl110) - 1)
+
 let suite =
   [
     Alcotest.test_case "announcement measured" `Quick test_announcement_measured;
+    Alcotest.test_case "change history" `Quick test_change_history;
+    Alcotest.test_case "exploration waves" `Quick test_exploration_waves;
+    Alcotest.test_case "exploration since window" `Quick test_rounds_since_window;
+    Alcotest.test_case "exploration rounds golden" `Quick test_rounds_golden;
+    Alcotest.test_case "prefix histories independent" `Quick test_prefix_independence;
     Alcotest.test_case "no-op has no convergence" `Quick test_noop_event_has_no_convergence;
     Alcotest.test_case "withdrawal slower than announcement" `Quick
       test_withdrawal_slower_than_announcement;

@@ -45,7 +45,6 @@ let () =
       ("framework.convergence", Test_convergence.suite);
       ("framework.monitor", Test_monitor.suite);
       ("net.dataplane", Test_dataplane.suite);
-      ("framework.logparse", Test_logparse.suite);
       ("framework.visualize", Test_visualize.suite);
       ("framework.scenario", Test_scenario.suite);
       ("framework.chaos", Test_chaos.suite);

@@ -1,7 +1,7 @@
-(* Engine.Metrics, Engine.Sampler, Framework.Telemetry and the Trace
-   eviction fix: primitive semantics, label canonicalization, snapshot
-   immutability, exporter goldens, Prometheus round-trip, and the
-   determinism guarantee (same seed => byte-identical exports). *)
+(* Engine.Metrics, Engine.Sampler and Framework.Telemetry: primitive
+   semantics, label canonicalization, snapshot immutability, exporter
+   goldens, Prometheus round-trip, and the determinism guarantee (same
+   seed => byte-identical exports). *)
 
 open Engine
 
@@ -152,18 +152,6 @@ let test_log_buckets () =
   Alcotest.(check (array (float 1e-12))) "geometric bounds"
     [| 0.001; 0.002; 0.004; 0.008 |] b
 
-(* The Trace eviction fix: capacity 1 must retain the newest record
-   instead of looping, and warn_count must survive eviction. *)
-let test_trace_capacity_one () =
-  let tr = Trace.create ~capacity:1 () in
-  Trace.record tr ~time:Time.zero ~node:"a" ~category:"t" "first";
-  Trace.record tr ~time:(Time.ms 1) ~node:"a" ~category:"t" ~level:Trace.Warn "second";
-  let entries = Trace.records tr in
-  Alcotest.(check int) "retains one record" 1 (List.length entries);
-  Alcotest.(check string) "the newest one" "second" (List.hd entries).Trace.message;
-  Alcotest.(check int) "total counts evicted records" 2 (Trace.total tr);
-  Alcotest.(check int) "warn count" 1 (Trace.warn_count tr)
-
 (* The sampler must never keep the queue alive on its own, and must
    resume when new work arrives after a drain. *)
 let test_sampler_dormant_and_resume () =
@@ -250,7 +238,6 @@ let suite =
     Alcotest.test_case "csv golden" `Quick test_csv_golden;
     Alcotest.test_case "prometheus round-trip" `Quick test_prometheus_roundtrip;
     Alcotest.test_case "log bucket bounds" `Quick test_log_buckets;
-    Alcotest.test_case "trace capacity-1 retention" `Quick test_trace_capacity_one;
     Alcotest.test_case "sampler dormant + resume" `Quick test_sampler_dormant_and_resume;
     Alcotest.test_case "sim category counters" `Quick test_sim_category_counters;
     Alcotest.test_case "same seed, byte-identical export" `Quick

@@ -75,18 +75,6 @@ let test_max_events () =
   | Sim.Exhausted | Sim.Reached_time _ -> Alcotest.fail "expected Reached_limit");
   Alcotest.(check int) "executed exactly 3" 3 (Sim.executed sim)
 
-let test_trace_logging () =
-  let sim = Sim.create () in
-  ignore
-    (Sim.schedule_at sim (Time.ms 7) (fun () ->
-         Sim.logf sim ~node:"x" ~category:"test" "value=%d" 42));
-  ignore (Sim.run sim);
-  match Trace.records (Sim.trace sim) with
-  | [ r ] ->
-    Alcotest.(check string) "message" "value=42" r.Trace.message;
-    Alcotest.(check int) "time" 7_000 (Time.to_us r.Trace.time)
-  | records -> Alcotest.failf "expected 1 record, got %d" (List.length records)
-
 (* Timer semantics *)
 
 let test_timer_fires_once () =
@@ -133,62 +121,15 @@ let test_timer_cancel () =
   ignore (Sim.run sim);
   Alcotest.(check int) "cancelled" 0 !fires
 
-let test_trace_capacity () =
-  let trace = Trace.create ~capacity:10 () in
-  for i = 1 to 25 do
-    Trace.record trace ~time:(Time.ms i) ~node:"n" ~category:"c" (string_of_int i)
-  done;
-  (* Exact ring: precisely the [capacity] newest records survive. *)
-  Alcotest.(check int) "exactly capacity retained" 10 (Trace.count trace);
-  Alcotest.(check int) "total is eviction-proof" 25 (Trace.total trace);
-  (match Trace.records trace with
-  | oldest :: _ -> Alcotest.(check string) "oldest is n-9" "16" oldest.Trace.message
-  | [] -> Alcotest.fail "trace empty");
-  (match List.rev (Trace.records trace) with
-  | newest :: _ -> Alcotest.(check string) "newest kept" "25" newest.Trace.message
-  | [] -> Alcotest.fail "trace empty");
-  Alcotest.(check (list string))
-    "contiguous newest window"
-    (List.init 10 (fun i -> string_of_int (16 + i)))
-    (List.map (fun r -> r.Trace.message) (Trace.records trace));
-  Trace.clear trace;
-  Alcotest.(check int) "clear empties" 0 (Trace.count trace);
-  Trace.record trace ~time:(Time.ms 1) ~node:"n" ~category:"c" "after-clear";
-  Alcotest.(check int) "usable after clear" 1 (Trace.count trace)
-
-let test_trace_filter () =
-  let trace = Trace.create () in
-  Trace.record trace ~time:(Time.ms 1) ~node:"a" ~category:"x" "1";
-  Trace.record trace ~time:(Time.ms 2) ~node:"b" ~category:"x" "2";
-  Trace.record trace ~time:(Time.ms 3) ~node:"a" ~category:"y" "3";
-  Alcotest.(check int) "by node" 2 (List.length (Trace.filter ~node:"a" trace));
-  Alcotest.(check int) "by category" 2 (List.length (Trace.filter ~category:"x" trace));
-  Alcotest.(check int) "by both" 1 (List.length (Trace.filter ~node:"a" ~category:"x" trace));
-  Alcotest.(check int) "since" 2 (List.length (Trace.filter ~since:(Time.ms 2) trace));
-  Alcotest.(check (option int)) "last matching" (Some 3_000)
-    (Option.map Time.to_us (Trace.last_time_matching trace (fun r -> r.Trace.node = "a")))
-
-let test_trace_disabled () =
-  let trace = Trace.create ~enabled:false () in
-  Trace.record trace ~time:Time.zero ~node:"a" ~category:"c" "x";
-  Alcotest.(check int) "nothing recorded" 0 (Trace.count trace);
-  Trace.set_enabled trace true;
-  Trace.record trace ~time:Time.zero ~node:"a" ~category:"c" "x";
-  Alcotest.(check int) "recording after enable" 1 (Trace.count trace)
-
 let suite =
   [
     Alcotest.test_case "FIFO at same instant" `Quick test_fifo_same_instant;
-    Alcotest.test_case "trace capacity" `Quick test_trace_capacity;
-    Alcotest.test_case "trace filter" `Quick test_trace_filter;
-    Alcotest.test_case "trace disabled" `Quick test_trace_disabled;
     Alcotest.test_case "time ordering" `Quick test_time_order;
     Alcotest.test_case "cancellation" `Quick test_cancellation;
     Alcotest.test_case "nested scheduling" `Quick test_nested_scheduling;
     Alcotest.test_case "past scheduling rejected" `Quick test_past_scheduling_rejected;
     Alcotest.test_case "run until" `Quick test_run_until;
     Alcotest.test_case "max events" `Quick test_max_events;
-    Alcotest.test_case "trace logging" `Quick test_trace_logging;
     Alcotest.test_case "timer fires once" `Quick test_timer_fires_once;
     Alcotest.test_case "timer restart" `Quick test_timer_restart_replaces;
     Alcotest.test_case "timer start_if_idle" `Quick test_timer_start_if_idle_coalesces;

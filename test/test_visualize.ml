@@ -66,14 +66,26 @@ let test_ascii_boxplot () =
   Alcotest.(check bool) "medians annotated" true (contains out "med=12.0")
 
 let test_timeline () =
-  let trace = Engine.Trace.create () in
-  Engine.Trace.record trace ~time:(Engine.Time.ms 3) ~node:"AS65001" ~category:"bgp"
-    "bestpath 100.64.0.0/24 -> [AS65002]";
-  let entries = Framework.Logparse.of_trace trace in
-  let out =
-    Framework.Visualize.timeline entries (Option.get (Net.Ipv4.prefix_of_string "100.64.0.0/24"))
+  let exp =
+    Framework.Experiment.create ~config:Framework.Config.fast_test ~seed:21
+      (Topology.Artificial.clique 3)
   in
-  Alcotest.(check bool) "event rendered" true (contains out "bestpath")
+  let origin = Topology.Artificial.asn 0 in
+  let prefix = Framework.Experiment.default_prefix exp origin in
+  let w = Framework.Experiment.watcher exp in
+  Alcotest.(check string) "nothing before the announcement" ""
+    (Framework.Visualize.timeline w prefix);
+  ignore
+    (Framework.Experiment.measure exp ~prefix (fun () ->
+         ignore (Framework.Experiment.announce exp origin)));
+  let lines =
+    List.filter (( <> ) "") (String.split_on_char '\n' (Framework.Visualize.timeline w prefix))
+  in
+  Alcotest.(check int) "a line per change"
+    (Framework.Convergence.control_changes w prefix)
+    (List.length lines);
+  Alcotest.(check bool) "the origin's own change comes first" true
+    (contains (List.hd lines) (Net.Asn.to_string origin))
 
 let suite =
   [
