@@ -623,9 +623,8 @@ let handle_message t ~from msg =
     | Message.Update u ->
       t.stats.msgs_in <- t.stats.msgs_in + 1;
       t.stats.prefixes_in <- t.stats.prefixes_in + Message.update_size u;
-      if Engine.Causal.enabled (Engine.Sim.causal t.sim) then
-        Engine.Sim.annotate t.sim ~category:"bgp.update" ~node:(Net.Asn.to_string t.asn)
-          ~label:(Net.Asn.to_string peer_asn) ();
+      Engine.Sim.mark t.sim ~category:"bgp.update" ~node:(Engine.Node.name t.node)
+        ~render:Net.Asn.int_to_string (Net.Asn.to_int peer_asn);
       Engine.Metrics.Counter.add t.tm.updates_received (List.length u.Message.announced);
       Engine.Metrics.Counter.add t.tm.withdrawals_received (List.length u.Message.withdrawn);
       (* Serialized processing behind a busy watermark: emulates a

@@ -179,9 +179,8 @@ let sync_session t ~member ~neighbor prefix decision_map =
 (* --- Recomputation ------------------------------------------------------ *)
 
 let recompute_prefix t prefix =
-  if Engine.Causal.enabled (Engine.Sim.causal t.sim) then
-    Engine.Sim.annotate t.sim ~category:"ctrl.recompute" ~node:"controller"
-      ~label:(Net.Ipv4.prefix_to_string prefix) ();
+  Engine.Sim.mark t.sim ~category:"ctrl.recompute" ~node:"controller"
+    ~render:Net.Ipv4.packed_prefix_to_string (Net.Ipv4.prefix_to_packed prefix);
   let originators = Option.value (Pm.find_opt prefix t.originated) ~default:Net.Asn.Set.empty in
   let fp =
     {

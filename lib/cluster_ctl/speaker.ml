@@ -322,9 +322,8 @@ let handle_relay t ~member ~neighbor (msg : Bgp.Message.t) =
     | Bgp.Message.Update u ->
       if s.established then begin
         t.stats.updates_in <- t.stats.updates_in + 1;
-        if Engine.Causal.enabled (Engine.Sim.causal t.sim) then
-          Engine.Sim.annotate t.sim ~category:"speaker.relay" ~node:"speaker"
-            ~label:(Net.Asn.to_string neighbor) ();
+        Engine.Sim.mark t.sim ~category:"speaker.relay" ~node:"speaker"
+          ~render:Net.Asn.int_to_string (Net.Asn.to_int neighbor);
         t.on_update ~member ~neighbor u
       end)
 

@@ -1,11 +1,23 @@
 (* Deterministic causal span tracing.  See causal.mli for the contract.
 
-   The store is either a fixed ring (span id [i] lives in slot
-   [i mod capacity]; a slot is valid iff its occupant's id is within the
-   newest [capacity] ids) or a growable array indexed directly by id.
-   Ids are dense sequence numbers, so no RNG draw happens per span — the
-   only randomness is the run's trace id, minted once at [create] from a
-   dedicated stream so the sim root RNG's draw order is untouched. *)
+   The store is a set of parallel slot arrays; span id [i] lives in slot
+   [i land mask].  The arrays start at 256 slots and double as spans
+   arrive: a [Ring n] store stops at the power of two >= n and then
+   wraps around (a span is retained iff its id is among the newest
+   [window] = n ids), a [Full] store keeps doubling.  A short run thus
+   holds only the slots it used.  Ids are dense sequence numbers, so no
+   RNG draw happens per span — the only randomness is the run's trace
+   id, minted once at [create] from a dedicated stream so the sim root
+   RNG's draw order is untouched.
+
+   The record path ([on_schedule], [on_execute], [annotate], [mark],
+   [with_span]) writes only immediates and already-built strings into
+   the slots, so once a ring has reached its size it allocates nothing.
+   Every pointer store costs a write barrier, so a slot's [kind] says
+   which of [nodes], [labels], [renders] and [args] were written for it:
+   a plain event writes none of them, and a slot's stale entries are
+   never read.  [span] records and rendered labels are built only by the
+   readers. *)
 
 type mode = Disabled | Ring of int | Full
 
@@ -16,27 +28,32 @@ type span = {
   node : string;
   label : string;
   queued_at : Time.t;
-  mutable fired_at : Time.t;
-  mutable closed : bool;
+  fired_at : Time.t;
+  closed : bool;
 }
 
-let dummy =
-  {
-    id = -1;
-    parent = -1;
-    category = "";
-    node = "";
-    label = "";
-    queued_at = Time.zero;
-    fired_at = Time.zero;
-    closed = false;
-  }
+(* Slot kinds. *)
+let event = '\000' (* no node, no label *)
+
+let string_marker = '\001' (* node, labels *)
+
+let render_marker = '\002' (* node, renders applied to args *)
 
 type t = {
   mode : mode;
   trace_id : int;
-  capacity : int; (* ring slots; 0 when Disabled or Full *)
-  mutable arr : span array;
+  window : int; (* spans retained: n for [Ring n], max_int for Full *)
+  max_slots : int; (* the power of two >= n for [Ring n], max_int for Full *)
+  mutable mask : int; (* slots - 1: the slot of id i is i land mask *)
+  mutable kinds : Bytes.t;
+  mutable parents : int array;
+  mutable queued : int array; (* us *)
+  mutable fired : int array; (* us; -1 while the span is open *)
+  mutable categories : string array;
+  mutable nodes : string array;
+  mutable labels : string array;
+  mutable renders : (int -> string) array;
+  mutable args : int array;
   mutable next_id : int; (* = total spans ever opened *)
   mutable current : int; (* span of the event now executing, -1 at top *)
 }
@@ -47,84 +64,127 @@ let mint_trace_id seed =
   let rng = Rng.create (seed lxor 0x6361_7573) in
   Int64.to_int (Rng.next_int64 rng) land 0x3FFF_FFFF_FFFF
 
+let no_render : int -> string = fun _ -> ""
+
 let create ?(mode = Disabled) ~seed () =
-  let capacity = match mode with Ring n -> Stdlib.max 1 n | _ -> 0 in
-  let arr =
+  let window, max_slots =
     match mode with
-    | Disabled -> [||]
-    | Ring _ -> Array.make capacity dummy
-    | Full -> Array.make 1024 dummy
+    | Disabled -> (0, 0)
+    | Ring r ->
+      let rec pow2 k = if k >= r then k else pow2 (2 * k) in
+      (Stdlib.max 1 r, pow2 1)
+    | Full -> (max_int, max_int)
   in
-  { mode; trace_id = mint_trace_id seed; capacity; arr; next_id = 0; current = -1 }
+  let n = Stdlib.min 256 max_slots in
+  {
+    mode;
+    trace_id = mint_trace_id seed;
+    window;
+    max_slots;
+    mask = n - 1;
+    kinds = Bytes.make n event;
+    parents = Array.make n (-1);
+    queued = Array.make n 0;
+    fired = Array.make n (-1);
+    categories = Array.make n "";
+    nodes = Array.make n "";
+    labels = Array.make n "";
+    renders = Array.make n no_render;
+    args = Array.make n 0;
+    next_id = 0;
+    current = -1;
+  }
 
 let mode t = t.mode
 
-let enabled t = t.mode <> Disabled
+let enabled t = match t.mode with Disabled -> false | Ring _ | Full -> true
 
 let trace_id t = t.trace_id
 
 let total t = t.next_id
 
-let stored t =
-  match t.mode with
-  | Disabled -> 0
-  | Ring _ -> Stdlib.min t.next_id t.capacity
-  | Full -> t.next_id
+let stored t = Stdlib.min t.next_id t.window
 
-let slot t id = match t.mode with Ring _ -> id mod t.capacity | _ -> id
+let retained t id = id >= 0 && id < t.next_id && id >= t.next_id - t.window
 
-let find t id =
-  if id < 0 || id >= t.next_id then None
-  else
-    match t.mode with
-    | Disabled -> None
-    | Full -> Some t.arr.(id)
-    | Ring _ -> if id < t.next_id - t.capacity then None else Some t.arr.(slot t id)
+(* Readers: the only place a [span] is built or a label rendered. *)
+let span_of t id =
+  let s = id land t.mask in
+  let kind = Bytes.get t.kinds s in
+  let queued = t.queued.(s) and fired = t.fired.(s) in
+  {
+    id;
+    parent = t.parents.(s);
+    category = t.categories.(s);
+    node = (if kind = event then "" else t.nodes.(s));
+    label =
+      (if kind = string_marker then t.labels.(s)
+       else if kind = render_marker then t.renders.(s) t.args.(s)
+       else "");
+    queued_at = Time.of_us queued;
+    fired_at = Time.of_us (if fired < 0 then queued else fired);
+    closed = fired >= 0;
+  }
+
+let find t id = if retained t id then Some (span_of t id) else None
 
 let spans t =
   let n = stored t in
   let first = t.next_id - n in
-  List.init n (fun i -> t.arr.(slot t (first + i)))
+  List.init n (fun i -> span_of t (first + i))
 
 let find_last t pred =
-  let n = stored t in
-  let first = t.next_id - n in
+  let first = t.next_id - stored t in
   let rec scan i =
     if i < first then None
     else
-      let s = t.arr.(slot t i) in
+      let s = span_of t i in
       if pred s then Some s else scan (i - 1)
   in
   scan (t.next_id - 1)
 
-let grow_if_needed t =
-  if t.mode = Full && t.next_id >= Array.length t.arr then begin
-    let bigger = Array.make (2 * Array.length t.arr) dummy in
-    Array.blit t.arr 0 bigger 0 (Array.length t.arr);
-    t.arr <- bigger
-  end
+let grow t =
+  let n = t.mask + 1 in
+  let grown a fill =
+    let b = Array.make (2 * n) fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.kinds <- Bytes.extend t.kinds 0 n;
+  t.parents <- grown t.parents (-1);
+  t.queued <- grown t.queued 0;
+  t.fired <- grown t.fired (-1);
+  t.categories <- grown t.categories "";
+  t.nodes <- grown t.nodes "";
+  t.labels <- grown t.labels "";
+  t.renders <- grown t.renders no_render;
+  t.args <- grown t.args 0;
+  t.mask <- (2 * n) - 1
 
-let open_span t ~parent ~category ~node ~label ~queued_at ~fired_at ~closed =
-  grow_if_needed t;
-  let id = t.next_id in
-  let s = { id; parent; category; node; label; queued_at; fired_at; closed } in
-  t.arr.(slot t id) <- s;
-  t.next_id <- id + 1;
-  id
+(* Fill the fields every span has and return its slot; the caller writes
+   the fields its [kind] names.  Callers have checked the store is
+   enabled. *)
+let open_slot t ~kind ~category ~queued ~fired =
+  if t.next_id = t.mask + 1 && t.next_id < t.max_slots then grow t;
+  let s = t.next_id land t.mask in
+  Bytes.set t.kinds s kind;
+  t.parents.(s) <- t.current;
+  t.queued.(s) <- queued;
+  t.fired.(s) <- fired;
+  t.categories.(s) <- category;
+  t.next_id <- t.next_id + 1;
+  s
 
 let on_schedule t ~category ~queued_at =
-  if t.mode = Disabled then -1
-  else
-    open_span t ~parent:t.current ~category ~node:"" ~label:"" ~queued_at
-      ~fired_at:queued_at ~closed:false
+  match t.mode with
+  | Disabled -> -1
+  | Ring _ | Full ->
+    ignore (open_slot t ~kind:event ~category ~queued:(Time.to_us queued_at) ~fired:(-1));
+    t.next_id - 1
 
 let on_execute t id ~fired_at =
   if id >= 0 then begin
-    (match find t id with
-    | Some s ->
-        s.fired_at <- fired_at;
-        s.closed <- true
-    | None -> ());
+    if retained t id then t.fired.(id land t.mask) <- Time.to_us fired_at;
     (* Even an evicted span remains the causal parent of whatever its
        action schedules: children record the id regardless. *)
     t.current <- id
@@ -134,23 +194,42 @@ let current t = t.current
 
 let clear_current t = t.current <- -1
 
+let string_marker_span t ~category ~node ~label ~at =
+  let us = Time.to_us at in
+  let s = open_slot t ~kind:string_marker ~category ~queued:us ~fired:us in
+  t.nodes.(s) <- node;
+  t.labels.(s) <- label
+
 let annotate t ~category ?(node = "") ?(label = "") ~at () =
-  if t.mode <> Disabled then
-    ignore
-      (open_span t ~parent:t.current ~category ~node ~label ~queued_at:at
-         ~fired_at:at ~closed:true)
+  match t.mode with
+  | Disabled -> ()
+  | Ring _ | Full -> string_marker_span t ~category ~node ~label ~at
+
+let mark t ~category ~node ~render arg ~at =
+  match t.mode with
+  | Disabled -> ()
+  | Ring _ | Full ->
+    let us = Time.to_us at in
+    let s = open_slot t ~kind:render_marker ~category ~queued:us ~fired:us in
+    t.nodes.(s) <- node;
+    t.renders.(s) <- render;
+    t.args.(s) <- arg
 
 let with_span t ~category ?(node = "") ?(label = "") ~at f =
-  if t.mode = Disabled then f ()
-  else begin
-    let id =
-      open_span t ~parent:t.current ~category ~node ~label ~queued_at:at
-        ~fired_at:at ~closed:true
-    in
+  match t.mode with
+  | Disabled -> f ()
+  | Ring _ | Full -> (
+    string_marker_span t ~category ~node ~label ~at;
     let saved = t.current in
-    t.current <- id;
-    Fun.protect ~finally:(fun () -> t.current <- saved) f
-  end
+    t.current <- t.next_id - 1;
+    match f () with
+    | v ->
+      t.current <- saved;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.current <- saved;
+      Printexc.raise_with_backtrace e bt)
 
 (* Critical path *)
 
@@ -242,15 +321,24 @@ let attribute t leaf =
   in
   { rows; total_seconds; depth = List.length path }
 
-let is_dataplane_write s =
-  match s.category with
+let is_dataplane_write = function
   | "fib.write" | "flow.install" | "flow.remove" -> true
   | _ -> false
 
+(* Like [find_last], but the category is tested on the raw slot so only
+   data-plane writes get their label rendered. *)
 let convergence_leaf ?label t =
-  find_last t (fun s ->
-      is_dataplane_write s
-      && match label with None -> true | Some l -> String.equal s.label l)
+  let first = t.next_id - stored t in
+  let rec scan i =
+    if i < first then None
+    else if not (is_dataplane_write t.categories.(i land t.mask)) then scan (i - 1)
+    else
+      let s = span_of t i in
+      match label with
+      | Some l when not (String.equal s.label l) -> scan (i - 1)
+      | Some _ | None -> Some s
+  in
+  scan (t.next_id - 1)
 
 let pp_attribution ppf a =
   Format.fprintf ppf "critical path: depth %d, total %.6fs@," a.depth

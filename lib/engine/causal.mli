@@ -32,9 +32,12 @@ type span = {
   node : string;  (** emitting component, [""] for plain events *)
   label : string;  (** free-form detail (e.g. the prefix), [""] if none *)
   queued_at : Time.t;  (** when the event was scheduled (= parent fire time) *)
-  mutable fired_at : Time.t;  (** when it executed; [= queued_at] for markers *)
-  mutable closed : bool;  (** false while queued (or cancelled forever) *)
+  fired_at : Time.t;  (** when it executed; [= queued_at] for markers *)
+  closed : bool;  (** false while queued (or cancelled forever) *)
 }
+(** A snapshot of one stored span, built by the readers below.  The store
+    itself keeps spans in slot arrays and renders a label only when a
+    span is read. *)
 
 type t
 
@@ -65,7 +68,10 @@ val find_last : t -> (span -> bool) -> span option
 
 (** {1 Scheduler hooks}
 
-    Called by {!Sim}; exposed so alternative drivers can participate. *)
+    Called by {!Sim}; exposed so other schedulers can participate.
+    Like the instrumentation calls below, they allocate nothing once a
+    [Ring n] store holds [n] spans; until then, and in [Full] mode, the
+    slot arrays occasionally double. *)
 
 val on_schedule : t -> category:string -> queued_at:Time.t -> int
 (** Open a span for a freshly scheduled event, parented under the span
@@ -86,10 +92,17 @@ val annotate : t -> category:string -> ?node:string -> ?label:string -> at:Time.
 (** Record a zero-length marker span (e.g. a FIB or flow-table write) as a
     child of the current span. *)
 
+val mark : t -> category:string -> node:string -> render:(int -> string) -> int -> at:Time.t -> unit
+(** [mark t ~category ~node ~render arg ~at] is {!annotate} with the label
+    [render arg], rendered only when the span is read — the hot-path
+    marker: [node] should be a prebuilt string, [render] a static
+    function and [arg] an immediate (an ASN, a packed prefix, a node id). *)
+
 val with_span :
   t -> category:string -> ?node:string -> ?label:string -> at:Time.t -> (unit -> 'a) -> 'a
 (** Run [f] under a zero-length container span: children scheduled inside
-    [f] are parented under it.  A top-level call roots a new tree. *)
+    [f] are parented under it.  A top-level call roots a new tree.  The
+    previous current span is restored when [f] returns or raises. *)
 
 (** {1 Critical path}
 

@@ -191,9 +191,7 @@ let deliver p ~from msg =
   end
   else begin
     Queue.push (fun () -> p.handler ~from msg) t.mailbox;
-    if Causal.enabled (Sim.causal t.sim) then
-      Sim.annotate t.sim ~category:"node.deliver" ~node:t.name
-        ~label:(string_of_int from) ();
+    Sim.mark t.sim ~category:"node.deliver" ~node:t.name ~render:string_of_int from;
     drain t;
     true
   end

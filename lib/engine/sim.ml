@@ -85,6 +85,8 @@ let causal t = t.causal
 let annotate t ~category ?node ?label () =
   Causal.annotate t.causal ~category ?node ?label ~at:t.now ()
 
+let mark t ~category ~node ~render arg = Causal.mark t.causal ~category ~node ~render arg ~at:t.now
+
 let with_span t ~category ?node ?label f =
   Causal.with_span t.causal ~category ?node ?label ~at:t.now f
 
@@ -171,9 +173,12 @@ let execute t ev =
     (category_counter t.executed_by t.metrics "sim_events_executed_total" ev.category);
   if Causal.enabled t.causal then begin
     Causal.on_execute t.causal ev.span ~fired_at:ev.fire_at;
-    Fun.protect
-      ~finally:(fun () -> Causal.clear_current t.causal)
-      (fun () -> run_action t ev)
+    match run_action t ev with
+    | () -> Causal.clear_current t.causal
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Causal.clear_current t.causal;
+      Printexc.raise_with_backtrace e bt
   end
   else run_action t ev
 

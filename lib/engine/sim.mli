@@ -35,11 +35,17 @@ val annotate : t -> category:string -> ?node:string -> ?label:string -> unit -> 
     simulated time, as a child of the currently executing event's span.
     No-op when tracing is disabled. *)
 
+val mark : t -> category:string -> node:string -> render:(int -> string) -> int -> unit
+(** {!annotate} for hot paths: the label is [render arg], rendered only
+    when the span is read (see {!Causal.mark}).  Allocation-free in every
+    mode. *)
+
 val with_span :
   t -> category:string -> ?node:string -> ?label:string -> (unit -> 'a) -> 'a
 (** Run a thunk under a labelled span so the events it schedules are
     parented under it — used to root a tree per scenario action.
-    Just calls the thunk when tracing is disabled. *)
+    Just calls the thunk when tracing is disabled; restores the previous
+    span when the thunk raises. *)
 
 val metrics : t -> Metrics.t
 (** The per-simulation metrics registry.  Every subsystem holding a [Sim.t]

@@ -313,10 +313,10 @@ let create ?(config = Config.default) ~seed spec =
   Net.Asn.Map.iter
     (fun asn router ->
       let fib = Net.Asn.Map.find asn fibs in
+      let name = Net.Asn.to_string asn in
       Bgp.Router.subscribe_best_change router (fun prefix best ->
-          if Engine.Causal.enabled (Engine.Sim.causal sim) then
-            Engine.Sim.annotate sim ~category:"fib.write" ~node:(Net.Asn.to_string asn)
-              ~label:(Net.Ipv4.prefix_to_string prefix) ();
+          Engine.Sim.mark sim ~category:"fib.write" ~node:name
+            ~render:Net.Ipv4.packed_prefix_to_string (Net.Ipv4.prefix_to_packed prefix);
           match best with
           | Some route -> (
             match Bgp.Route.from_peer route with

@@ -16,7 +16,9 @@ let hash = Hashtbl.hash
 
 let pp ppf t = Fmt.pf ppf "AS%d" t
 
-let to_string t = Fmt.str "%a" pp t
+let to_string t = "AS" ^ string_of_int t
+
+let int_to_string = to_string
 
 let of_string s =
   let s = String.trim s in

@@ -35,8 +35,6 @@ let pp_addr ppf a =
   let o1, o2, o3, o4 = octets a in
   Fmt.pf ppf "%d.%d.%d.%d" o1 o2 o3 o4
 
-let addr_to_string a = Fmt.str "%a" pp_addr a
-
 let addr_of_string s =
   match String.split_on_char '.' (String.trim s) with
   | [ a; b; c; d ] -> (
@@ -56,6 +54,14 @@ let mask_of_len len =
 let addr_to_bits (a : addr) = Int32.to_int a land 0xffff_ffff
 
 let addr_of_bits b = Int32.of_int b
+
+(* Dotted quad of the 32 address bits (as in [addr_to_bits]) followed by
+   [suffix]: one concatenation, no Format buffer. *)
+let dotted_quad bits suffix =
+  let octet shift = string_of_int ((bits lsr shift) land 0xFF) in
+  String.concat "" [ octet 24; "."; octet 16; "."; octet 8; "."; octet 0; suffix ]
+
+let addr_to_string a = dotted_quad (addr_to_bits a) ""
 
 let mask_bits len = if len = 0 then 0 else 0xffff_ffff lsl (32 - len) land 0xffff_ffff
 
@@ -84,7 +90,13 @@ let subsumes ~outer ~inner =
 
 let pp_prefix ppf p = Fmt.pf ppf "%a/%d" pp_addr p.network p.len
 
-let prefix_to_string p = Fmt.str "%a" pp_prefix p
+(* Packed prefix: the network's 32 bits above a 6-bit length, so it is an
+   immediate int on 64-bit hosts. *)
+let prefix_to_packed p = (addr_to_bits p.network lsl 6) lor p.len
+
+let packed_prefix_to_string n = dotted_quad (n lsr 6) ("/" ^ string_of_int (n land 63))
+
+let prefix_to_string p = packed_prefix_to_string (prefix_to_packed p)
 
 let prefix_of_string s =
   match String.split_on_char '/' (String.trim s) with

@@ -21,6 +21,7 @@ val octets : addr -> int * int * int * int
 val pp_addr : Format.formatter -> addr -> unit
 
 val addr_to_string : addr -> string
+(** [Fmt.str "%a" pp_addr], without going through Format. *)
 
 val addr_of_string : string -> addr option
 
@@ -60,6 +61,15 @@ val subsumes : outer:prefix -> inner:prefix -> bool
 val pp_prefix : Format.formatter -> prefix -> unit
 
 val prefix_to_string : prefix -> string
+(** [Fmt.str "%a" pp_prefix], without going through Format. *)
+
+val prefix_to_packed : prefix -> int
+(** The prefix as one immediate int (network bits and length); with
+    {!packed_prefix_to_string} the allocation-free label of a causal
+    marker. *)
+
+val packed_prefix_to_string : int -> string
+(** [packed_prefix_to_string (prefix_to_packed p) = prefix_to_string p]. *)
 
 val prefix_of_string : string -> prefix option
 (** Accepts ["10.0.0.0/8"] and bare addresses (as /32). *)

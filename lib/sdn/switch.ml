@@ -37,6 +37,7 @@ type t = {
   sim : Engine.Sim.t;
   node : Engine.Node.t;
   asn : Net.Asn.t;
+  asn_name : string; (* the node of this switch's causal markers *)
   node_id : int;
   table : Flow_table.t;
   liveness : liveness option;
@@ -157,6 +158,7 @@ let create ?liveness ?(fallback_port = fun () -> None) ?(on_relay_drop = fun () 
     sim;
     node;
     asn;
+    asn_name = Net.Asn.to_string asn;
     node_id;
     table =
       Flow_table.create ~metrics:(Engine.Sim.metrics sim)
@@ -329,15 +331,13 @@ let handle_control t msg =
   | Openflow.Resync_done -> exit_fallback t
   | Openflow.Flow_mod { command; rule } -> begin
     t.stats.flow_mods <- t.stats.flow_mods + 1;
-    if Engine.Causal.enabled (Engine.Sim.causal t.sim) then
-      Engine.Sim.annotate t.sim
-        ~category:
-          (match command with
-          | Openflow.Add -> "flow.install"
-          | Openflow.Delete | Openflow.Delete_strict -> "flow.remove")
-        ~node:(Net.Asn.to_string t.asn)
-        ~label:(Net.Ipv4.prefix_to_string rule.Flow.match_prefix)
-        ();
+    Engine.Sim.mark t.sim
+      ~category:
+        (match command with
+        | Openflow.Add -> "flow.install"
+        | Openflow.Delete | Openflow.Delete_strict -> "flow.remove")
+      ~node:t.asn_name ~render:Net.Ipv4.packed_prefix_to_string
+      (Net.Ipv4.prefix_to_packed rule.Flow.match_prefix);
     match command with
     | Openflow.Add ->
       Flow_table.add t.table rule;

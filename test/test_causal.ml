@@ -54,6 +54,107 @@ let test_trace_id_leaves_root_rng_alone () =
   Alcotest.(check (list int)) "root RNG stream unchanged by tracing"
     (draws Causal.Disabled) (draws Causal.Full)
 
+(* --- Allocation-free record path ----------------------------------------- *)
+
+let packed_prefix s = Net.Ipv4.prefix_to_packed (Option.get (Net.Ipv4.prefix_of_string s))
+
+(* Minor words [f] allocates, net of the measurement's own boxing. *)
+let minor_words_of f =
+  let measure f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  measure f -. measure ignore
+
+let round_at = Time.ms 5
+
+let round_prefix = packed_prefix "10.1.2.0/24"
+
+(* What a delivered event costs the store: schedule and execute it, with
+   the hot-path markers (ASN and prefix labels) and an action span. *)
+let record_rounds c rounds =
+  let at = round_at and prefix = round_prefix in
+  let action () = () in
+  for i = 1 to rounds do
+    let id = Causal.on_schedule c ~category:"net.deliver" ~queued_at:at in
+    Causal.on_execute c id ~fired_at:at;
+    Causal.mark c ~category:"bgp.update" ~node:"AS65001" ~render:Net.Asn.int_to_string
+      (65000 + (i land 15)) ~at;
+    Causal.mark c ~category:"fib.write" ~node:"AS65001"
+      ~render:Net.Ipv4.packed_prefix_to_string prefix ~at;
+    Causal.with_span c ~category:"action.withdraw" ~at action;
+    Causal.clear_current c
+  done
+
+let test_record_path_allocation_free () =
+  let rounds = 10_000 in
+  let ring = Causal.create ~mode:(Causal.Ring 4096) ~seed:1 () in
+  (* Fill the ring first: its slot arrays grow until they hold 4096. *)
+  record_rounds ring 1000;
+  let words = minor_words_of (fun () -> record_rounds ring rounds) in
+  Alcotest.(check bool) "ring wrapped around" true (Causal.total ring > 2 * 4096);
+  Alcotest.(check int) "ring keeps its window" 4096 (Causal.stored ring);
+  (* Five record calls a round.  The bound is well under one word per
+     call, so even one 2-word block per round (0.4) fails it. *)
+  let per_op = words /. float_of_int (5 * rounds) in
+  if per_op >= 0.1 then
+    Alcotest.failf "Ring 4096 record path allocates %.2f minor words per operation" per_op;
+  let off = Causal.create ~seed:1 () in
+  Alcotest.(check (float 0.0)) "Disabled allocates nothing" 0.0
+    (minor_words_of (fun () -> record_rounds off rounds))
+
+(* Marker labels are rendered when read, exactly as the [pp] printers
+   render them. *)
+let test_marker_labels_render_like_pp () =
+  let c = Causal.create ~mode:Causal.Full ~seed:1 () in
+  let prefixes = [ "0.0.0.0/0"; "255.255.255.255/32"; "10.1.2.0/24" ] in
+  let asns = [ 1; 65001; 0xFFFF_FFFF ] in
+  List.iter
+    (fun s ->
+      Causal.mark c ~category:"fib.write" ~node:"n" ~render:Net.Ipv4.packed_prefix_to_string
+        (packed_prefix s) ~at:Time.zero)
+    prefixes;
+  List.iter
+    (fun n ->
+      Causal.mark c ~category:"bgp.update" ~node:"n" ~render:Net.Asn.int_to_string n ~at:Time.zero)
+    asns;
+  let want =
+    List.map
+      (fun s -> Fmt.str "%a" Net.Ipv4.pp_prefix (Option.get (Net.Ipv4.prefix_of_string s)))
+      prefixes
+    @ List.map (fun n -> Fmt.str "%a" Net.Asn.pp (Net.Asn.of_int n)) asns
+  in
+  Alcotest.(check (list string)) "labels" want
+    (List.map (fun (s : Causal.span) -> s.Causal.label) (Causal.spans c))
+
+(* An exception out of an event action or a [with_span] thunk propagates
+   and leaves no stale current span behind. *)
+let test_exception_restores_current () =
+  let sim = Sim.create ~seed:1 ~causal:(Causal.Ring 64) () in
+  let c = Sim.causal sim in
+  ignore (Sim.schedule_at ~category:"boom" sim (Time.ms 1) (fun () -> failwith "boom"));
+  (match Sim.run sim with
+  | _ -> Alcotest.fail "the action's exception was swallowed"
+  | exception Failure msg -> Alcotest.(check string) "propagates out of Sim.run" "boom" msg);
+  Alcotest.(check int) "current cleared" (-1) (Causal.current c);
+  (match Causal.find c 0 with
+  | Some s ->
+    Alcotest.(check string) "the raising event's span" "boom" s.Causal.category;
+    Alcotest.(check bool) "left closed" true s.Causal.closed
+  | None -> Alcotest.fail "span missing");
+  let outer = ref (-2) and after = ref (-2) in
+  ignore
+    (Sim.schedule_at ~category:"outer" sim (Time.ms 2) (fun () ->
+         outer := Causal.current c;
+         (match Sim.with_span sim ~category:"inner" (fun () -> failwith "inner") with
+         | () -> Alcotest.fail "with_span swallowed the exception"
+         | exception Failure _ -> ());
+         after := Causal.current c));
+  ignore (Sim.run sim);
+  Alcotest.(check bool) "outer span current inside its action" true (!outer >= 0);
+  Alcotest.(check int) "with_span restores the saved parent" !outer !after
+
 (* --- Parent chains ------------------------------------------------------- *)
 
 let test_parent_chain_telescopes () =
@@ -287,7 +388,12 @@ let test_chaos_execute_dumps_flight () =
     go 0
   in
   Alcotest.(check bool) "dump shows the chaos fault spans" true
-    (List.exists (contains "chaos.") r.Framework.Chaos.flight)
+    (List.exists (contains "chaos.") r.Framework.Chaos.flight);
+  (* The dump itself is pinned, so the recorder's store layout cannot
+     change what it renders. *)
+  Alcotest.(check int) "flight lines" 3311 (List.length r.Framework.Chaos.flight);
+  Alcotest.(check string) "flight dump digest" "a444c67f2015302de2062fcf6daf9946"
+    (Digest.to_hex (Digest.string (String.concat "\n" r.Framework.Chaos.flight)))
 
 let suite =
   [
@@ -296,6 +402,9 @@ let suite =
     Alcotest.test_case "trace id deterministic" `Quick test_trace_id_deterministic;
     Alcotest.test_case "trace id leaves root RNG alone" `Quick
       test_trace_id_leaves_root_rng_alone;
+    Alcotest.test_case "record path allocation-free" `Quick test_record_path_allocation_free;
+    Alcotest.test_case "marker labels render like pp" `Quick test_marker_labels_render_like_pp;
+    Alcotest.test_case "exception restores current span" `Quick test_exception_restores_current;
     Alcotest.test_case "parent chain telescopes" `Quick test_parent_chain_telescopes;
     Alcotest.test_case "annotate and with_span" `Quick test_annotate_and_with_span;
     Alcotest.test_case "convergence leaf label filter" `Quick

@@ -64,6 +64,38 @@ let test_allocator () =
   Alcotest.check_raises "exhausted" (Failure "Ipv4.Allocator: pool exhausted") (fun () ->
       ignore (Ipv4.Allocator.next alloc))
 
+(* The Format-free string printers, and the packed-prefix and int ASN
+   renderers causal markers store, are byte-identical to the [pp]
+   printers: edge values, then a seeded random sample. *)
+let test_printers_match_pp () =
+  let check_addr x =
+    let want = Fmt.str "%a" Ipv4.pp_addr x in
+    Alcotest.(check string) ("addr " ^ want) want (Ipv4.addr_to_string x)
+  in
+  let check_prefix x =
+    let want = Fmt.str "%a" Ipv4.pp_prefix x in
+    Alcotest.(check string) ("prefix " ^ want) want (Ipv4.prefix_to_string x);
+    Alcotest.(check string) ("packed " ^ want) want
+      (Ipv4.packed_prefix_to_string (Ipv4.prefix_to_packed x))
+  in
+  let check_asn n =
+    let x = Asn.of_int n in
+    let want = Fmt.str "%a" Asn.pp x in
+    Alcotest.(check string) ("asn " ^ want) want (Asn.to_string x);
+    Alcotest.(check string) ("int asn " ^ want) want (Asn.int_to_string (Asn.to_int x))
+  in
+  List.iter check_addr [ a "0.0.0.0"; a "255.255.255.255"; a "128.0.0.0"; a "0.0.0.1" ];
+  List.iter check_prefix
+    [ p "0.0.0.0/0"; p "255.255.255.255/32"; p "128.0.0.0/1"; p "10.0.0.0/8"; p "203.0.113.0/24" ];
+  List.iter check_asn [ 1; 65001; 0xFFFF; 0x10000; 0xFFFF_FFFF ];
+  let rng = Random.State.make [| 2014 |] in
+  for _ = 1 to 1000 do
+    let x = Ipv4.addr_of_bits (Random.State.bits rng lor (Random.State.bits rng lsl 30)) in
+    check_addr x;
+    check_prefix (Ipv4.prefix x (Random.State.int rng 33));
+    check_asn (1 + Random.State.full_int rng 0xFFFF_FFFF)
+  done
+
 let gen_addr =
   QCheck.Gen.(map Int32.of_int (int_range Int32.(to_int min_int) Int32.(to_int max_int)))
 
@@ -104,6 +136,7 @@ let suite =
     Alcotest.test_case "subnets" `Quick test_subnets;
     Alcotest.test_case "hosts" `Quick test_hosts;
     Alcotest.test_case "allocator" `Quick test_allocator;
+    Alcotest.test_case "string printers match pp" `Quick test_printers_match_pp;
     QCheck_alcotest.to_alcotest prop_addr_string_roundtrip;
     QCheck_alcotest.to_alcotest prop_prefix_contains_network;
     QCheck_alcotest.to_alcotest prop_subnets_subsumed;
