@@ -477,16 +477,19 @@ let pool = if jobs > 1 then Some (Engine.Pool.create ~jobs) else None
 
 let section name = Fmt.pr "@.===== %s =====@." name
 
+(* Machine-readable copy of a sweep for external plotting:
+   bench_results/<label>.csv. *)
+let write_csv (s : _ Framework.Experiments.series) csv =
+  let dir = "bench_results" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let oc = open_out (Filename.concat dir (s.Framework.Experiments.label ^ ".csv")) in
+  output_string oc csv;
+  close_out oc
+
 let print_series s =
   Fmt.pr "%a@." Framework.Experiments.pp_series s;
   Fmt.pr "%s@." (Framework.Visualize.series_to_ascii s);
-  (* machine-readable copy for external plotting *)
-  let dir = "bench_results" in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = Filename.concat dir (Fmt.str "%s.csv" s.Framework.Experiments.label) in
-  let oc = open_out path in
-  output_string oc (Framework.Experiments.series_to_csv s);
-  close_out oc
+  write_csv s (Framework.Experiments.series_to_csv s)
 
 let print_trend s =
   let intercept, slope, r2 = Framework.Experiments.median_trend s in
@@ -517,7 +520,7 @@ let failover () =
   Fmt.pr "data-plane restoration (the demo's end-to-end interruption):@.";
   Fmt.pr "%8s %14s %14s@." "sdn" "mean-restore-s" "max-restore-s";
   List.iter
-    (fun (p : Framework.Experiments.point) ->
+    (fun (p : Framework.Experiments.run_result Framework.Experiments.point) ->
       let mean f = Engine.Stats.mean (List.map f p.Framework.Experiments.results) in
       Fmt.pr "%8.0f %14.2f %14.2f@." p.Framework.Experiments.x
         (mean (fun r -> r.Framework.Experiments.restore_mean))
@@ -530,9 +533,7 @@ let rounds () =
   Fmt.pr "%8s %8s %14s@." "sdn" "waves" "Tdown-s";
   List.iter
     (fun sdn ->
-      let spec = Topology.Artificial.clique n in
-      let members = List.init sdn (fun i -> Topology.Artificial.asn (n - 1 - i)) in
-      let spec = Topology.Spec.with_sdn spec members in
+      let spec = Framework.Experiments.with_clique_sdn ~n ~sdn (Topology.Artificial.clique n) in
       let exp = Framework.Experiment.create ~config ~seed:67 spec in
       let origin = Topology.Artificial.asn 0 in
       let prefix = Framework.Experiment.default_prefix exp origin in
@@ -671,11 +672,11 @@ let subcluster () =
   Fmt.pr "post-split path via legacy:   %b@." r.Framework.Experiments.used_legacy_bridge;
   Fmt.pr "reachable after recovery:     %b@." r.Framework.Experiments.reachable_after_recovery
 
-let churn (fig2_series : Framework.Experiments.series) =
+let churn (fig2_series : Framework.Experiments.run_result Framework.Experiments.series) =
   section "CHURN: BGP updates seen by the route collector per withdrawal run";
   Fmt.pr "%8s %12s %12s@." "sdn" "mean-updates" "mean-changes";
   List.iter
-    (fun (p : Framework.Experiments.point) ->
+    (fun (p : Framework.Experiments.run_result Framework.Experiments.point) ->
       let mean f = Engine.Stats.mean (List.map f p.Framework.Experiments.results) in
       Fmt.pr "%8.0f %12.1f %12.1f@." p.Framework.Experiments.x
         (mean (fun r -> float_of_int r.Framework.Experiments.collector_updates))
@@ -685,9 +686,7 @@ let churn (fig2_series : Framework.Experiments.series) =
 let telemetry () =
   section "TELEMETRY: instrumented withdrawal run (metrics timeline + scheduler profile)";
   let sdn = n / 2 in
-  let spec = Topology.Artificial.clique n in
-  let members = List.init sdn (fun i -> Topology.Artificial.asn (n - 1 - i)) in
-  let spec = Topology.Spec.with_sdn spec members in
+  let spec = Framework.Experiments.with_clique_sdn ~n ~sdn (Topology.Artificial.clique n) in
   let exp = Framework.Experiment.create ~config ~seed:67 spec in
   let sim = Framework.Experiment.sim exp in
   Engine.Sim.set_profiling sim true;
@@ -841,32 +840,15 @@ let loss () =
     timed_speedup "loss"
       ~seq:(fun () -> Framework.Experiments.loss_sweep ~n:nn ~runs:lruns ~config ())
       ~par:(fun () -> Framework.Experiments.loss_sweep ?pool ~n:nn ~runs:lruns ~config ())
-      ~equal:Framework.Experiments.equal_loss_series
+      ~equal:Framework.Experiments.equal_series
   in
   Fmt.pr "%a@." Framework.Experiments.pp_loss_series s;
-  let dir = "bench_results" in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = Filename.concat dir (Fmt.str "%s.csv" s.Framework.Experiments.ls_label) in
-  let oc = open_out path in
-  output_string oc (Framework.Experiments.loss_series_to_csv s);
-  close_out oc;
-  let mean f rs = Engine.Stats.mean (List.map f rs) in
-  let point_loss (p : Framework.Experiments.loss_point) =
-    mean (fun (r : Framework.Experiments.loss_result) -> r.Framework.Experiments.loss_seconds)
-      p.Framework.Experiments.lp_results
-  in
-  let first_point = List.hd s.Framework.Experiments.ls_points in
-  let last_point = List.nth s.Framework.Experiments.ls_points
-      (List.length s.Framework.Experiments.ls_points - 1)
-  in
+  write_csv s (Framework.Experiments.loss_series_to_csv s);
+  let open Framework.Experiments in
+  let results = List.map (fun p -> p.results) s.points in
+  let point_loss rs = Engine.Stats.mean (List.map (fun r -> r.loss_seconds) rs) in
   let residual_total =
-    List.fold_left
-      (fun acc (p : Framework.Experiments.loss_point) ->
-        List.fold_left
-          (fun acc (r : Framework.Experiments.loss_result) ->
-            acc + r.Framework.Experiments.residual_issues)
-          acc p.Framework.Experiments.lp_results)
-      0 s.Framework.Experiments.ls_points
+    List.fold_left (fun acc r -> acc + r.residual_issues) 0 (List.concat results)
   in
   (* Fast-path throughput: every AS fires at the stub's host address
      against one frozen snapshot of the settled (pre-failure) state. *)
@@ -935,8 +917,8 @@ let loss () =
   end;
   throughput_stats
   @ [
-      ("loss_s_sdn0", point_loss first_point);
-      ("loss_s_sdnmax", point_loss last_point);
+      ("loss_s_sdn0", point_loss (List.hd results));
+      ("loss_s_sdnmax", point_loss (List.hd (List.rev results)));
       ("residual_issues_total", float_of_int residual_total);
       ("identical", 1.0);
     ]
@@ -1120,14 +1102,9 @@ let micro () =
 
 (* --- machine-readable baseline ------------------------------------------ *)
 
-let series_medians (s : Framework.Experiments.series) =
+let series_medians (s : Framework.Experiments.run_result Framework.Experiments.series) =
   List.map
-    (fun (p : Framework.Experiments.point) ->
-      let med =
-        Engine.Stats.median
-          (List.map (fun r -> r.Framework.Experiments.seconds) p.Framework.Experiments.results)
-      in
-      (p.Framework.Experiments.x, med))
+    (fun p -> (p.Framework.Experiments.x, (Framework.Experiments.box p).Engine.Stats.median))
     s.Framework.Experiments.points
 
 let write_baseline path ~fig2_series ~telemetry_tdown ~headline ~micro_rows ~scale_stats

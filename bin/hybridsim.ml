@@ -1,7 +1,7 @@
 (* hybridsim — command-line front end to the hybrid BGP-SDN emulation
    framework.
 
-     hybridsim fig2 -n 16 --runs 10        reproduce the paper's Fig. 2
+     hybridsim sweep -n 16 --runs 10       reproduce the paper's Fig. 2
      hybridsim run --topo clique:16 --sdn 8 --event withdraw
      hybridsim topo --kind ba:30:2 --dot topo.dot
      hybridsim dot -n 8 --sdn 4            component diagram (Fig. 1)
@@ -164,103 +164,95 @@ let write_snapshot path snap =
   close_out oc;
   Fmt.pr "metrics: final snapshot written to %s@." path
 
-(* --- fig2 ----------------------------------------------------------------- *)
-
-let fig2_cmd =
-  let run n runs seed mrai jobs =
-    match resolve_jobs jobs with
-    | Error msg -> `Error (false, msg)
-    | Ok jobs ->
-      let config = config_of_mrai mrai in
-      let s =
-        with_optional_pool jobs (fun pool ->
-            Framework.Experiments.fig2_withdrawal ?pool ~n ~runs ~seed ~config ())
-      in
-      Fmt.pr "%a@.@.%s@." Framework.Experiments.pp_series s
-        (Framework.Visualize.series_to_ascii s);
-      let intercept, slope, r2 = Framework.Experiments.median_trend s in
-      Fmt.pr "linear fit of medians: y = %.2f %+.2f*x  r^2=%.3f@." intercept slope r2;
-      `Ok ()
-  in
-  let n = Arg.(value & opt int 16 & info [ "n"; "size" ] ~docv:"N" ~doc:"Clique size.") in
-  let runs = Arg.(value & opt int 10 & info [ "runs" ] ~docv:"R" ~doc:"Runs per point.") in
-  Cmd.v
-    (Cmd.info "fig2" ~doc:"Reproduce Fig. 2: withdrawal convergence vs SDN fraction.")
-    Term.(ret (const run $ n $ runs $ seed_arg $ mrai_arg $ jobs_arg))
-
 (* --- sweep ---------------------------------------------------------------- *)
 
+(* An integer option below [min] is a usage error, reported before any run
+   starts. *)
+let int_at_least min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= min -> Ok v
+    | _ -> Error (`Msg (Fmt.str "expected an integer >= %d, got %S" min s))
+  in
+  Arg.conv (parse, Fmt.int)
+
+let print_convergence s =
+  Fmt.pr "%a@.@.%s@." Framework.Experiments.pp_series s (Framework.Visualize.series_to_ascii s);
+  let intercept, slope, r2 = Framework.Experiments.median_trend s in
+  Fmt.pr "linear fit of medians: y = %.2f %+.2f*x  r^2=%.3f@." intercept slope r2
+
+(* Run a sweep on [jobs] domains, print it and optionally write its CSV.
+   [verify] is the parallel-vs-sequential differential: rerun the sweep
+   sequentially (and, when [jobs] is 1, on 2 domains) and require deep
+   structural equality. *)
+let run_sweep ~jobs ~verify ~csv ~print ~to_csv
+    (build : ?pool:Engine.Pool.t -> unit -> 'r Framework.Experiments.series) =
+  let t0 = Unix.gettimeofday () in
+  let s = with_optional_pool jobs (fun pool -> build ?pool ()) in
+  let wall = Unix.gettimeofday () -. t0 in
+  print s;
+  Fmt.pr "jobs: %d  wall: %.2f s@." jobs wall;
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc (to_csv s);
+      close_out oc;
+      Fmt.pr "csv written to %s@." path)
+    csv;
+  if not verify then Ok ()
+  else begin
+    let vjobs = max 2 jobs in
+    let seq = build () in
+    let par =
+      if jobs > 1 then s else Engine.Pool.with_pool ~jobs:vjobs (fun pool -> build ~pool ())
+    in
+    if Framework.Experiments.equal_series seq par then begin
+      Fmt.pr "deterministic: jobs=%d result identical to sequential@." vjobs;
+      Ok ()
+    end
+    else Error (Fmt.str "parallel (jobs=%d) result differs from sequential run" vjobs)
+  end
+
 let sweep_cmd =
-  let run kind n runs seed mrai jobs verify csv =
+  let run kind n runs seed mrai per_prefix interval_ms jobs verify csv =
     let result =
       let* jobs = resolve_jobs jobs in
-      let* build =
-        match String.lowercase_ascii (String.trim kind) with
-        | "fig2" | "withdraw" ->
-          Ok (fun ?pool () ->
-              Framework.Experiments.fig2_withdrawal ?pool ~n ~runs ~seed
-                ~config:(config_of_mrai mrai) ())
-        | "announce" ->
-          Ok (fun ?pool () ->
-              Framework.Experiments.announcement_sweep ?pool ~n ~runs ~seed
-                ~config:(config_of_mrai mrai) ())
-        | "failover" ->
-          Ok (fun ?pool () ->
-              Framework.Experiments.failover_sweep ?pool ~n ~runs ~seed
-                ~config:(config_of_mrai mrai) ())
-        | "scaling" ->
-          Ok (fun ?pool () ->
-              Framework.Experiments.scaling_sweep ?pool ~runs ~seed
-                ~config:(config_of_mrai mrai) ())
-        | "placement" | "placement:top-degree" ->
-          Ok (fun ?pool () ->
-              Framework.Experiments.placement_sweep ?pool ~runs ~seed
-                ~config:(config_of_mrai mrai) ~placement:Framework.Experiments.Top_degree ())
-        | "placement:random" ->
-          Ok (fun ?pool () ->
-              Framework.Experiments.placement_sweep ?pool ~runs ~seed
-                ~config:(config_of_mrai mrai) ~placement:Framework.Experiments.Random_choice
-                ())
-        | "placement:stubs" ->
-          Ok (fun ?pool () ->
-              Framework.Experiments.placement_sweep ?pool ~runs ~seed
-                ~config:(config_of_mrai mrai) ~placement:Framework.Experiments.Stubs_first ())
-        | k ->
-          Error
-            (Fmt.str
-               "unknown sweep %S (fig2|announce|failover|scaling|placement[:top-degree| \
-                :random|:stubs])"
-               k)
+      let config = config_of_mrai mrai in
+      let module E = Framework.Experiments in
+      let convergence =
+        run_sweep ~jobs ~verify ~csv ~print:print_convergence ~to_csv:E.series_to_csv
       in
-      let t0 = Unix.gettimeofday () in
-      let s = with_optional_pool jobs (fun pool -> build ?pool ()) in
-      let wall = Unix.gettimeofday () -. t0 in
-      Fmt.pr "%a@.@.%s@." Framework.Experiments.pp_series s
-        (Framework.Visualize.series_to_ascii s);
-      Fmt.pr "jobs: %d  wall: %.2f s@." jobs wall;
-      Option.iter
-        (fun path ->
-          let oc = open_out path in
-          output_string oc (Framework.Experiments.series_to_csv s);
-          close_out oc;
-          Fmt.pr "csv written to %s@." path)
-        csv;
-      if verify then begin
-        (* the parallel-vs-sequential differential: rerun on jobs=1 and
-           require deep structural equality *)
-        let vjobs = max 2 jobs in
-        let seq = build () in
-        let par =
-          if jobs > 1 then s
-          else Engine.Pool.with_pool ~jobs:vjobs (fun pool -> build ~pool ())
-        in
-        if Framework.Experiments.equal_series seq par then begin
-          Fmt.pr "deterministic: jobs=%d result identical to sequential@." vjobs;
-          Ok ()
-        end
-        else Error (Fmt.str "parallel (jobs=%d) result differs from sequential run" vjobs)
-      end
-      else Ok ()
+      let loss =
+        run_sweep ~jobs ~verify ~csv
+          ~print:(Fmt.pr "%a@." E.pp_loss_series)
+          ~to_csv:E.loss_series_to_csv
+      in
+      let placement placement =
+        convergence (fun ?pool () -> E.placement_sweep ?pool ?runs ~seed ~config ~placement ())
+      in
+      match String.lowercase_ascii (String.trim kind) with
+      | "fig2" | "withdraw" ->
+        convergence (fun ?pool () -> E.fig2_withdrawal ?pool ~n ?runs ~seed ~config ())
+      | "announce" ->
+        convergence (fun ?pool () -> E.announcement_sweep ?pool ~n ?runs ~seed ~config ())
+      | "failover" ->
+        convergence (fun ?pool () -> E.failover_sweep ?pool ~n ?runs ~seed ~config ())
+      | "scaling" -> convergence (fun ?pool () -> E.scaling_sweep ?pool ?runs ~seed ~config ())
+      | "placement" | "placement:top-degree" -> placement E.Top_degree
+      | "placement:random" -> placement E.Random_choice
+      | "placement:stubs" -> placement E.Stubs_first
+      | "loss" ->
+        loss (fun ?pool () ->
+            E.loss_sweep ?pool ~n ?runs ~seed ~per_prefix ~interval_ms ~config ())
+      | "loss:caida" ->
+        loss (fun ?pool () ->
+            E.loss_sweep_caida ?pool ?runs ~seed ~per_prefix ~interval_ms ~config ())
+      | k ->
+        Error
+          (Fmt.str
+             "unknown sweep %S (fig2|announce|failover|scaling|placement[:top-degree|\
+              :random|:stubs]|loss[:caida])"
+             k)
     in
     match result with Ok () -> `Ok () | Error msg -> `Error (false, msg)
   in
@@ -269,10 +261,38 @@ let sweep_cmd =
       value
       & opt string "fig2"
       & info [ "kind" ] ~docv:"KIND"
-          ~doc:"fig2, announce, failover, scaling, or placement[:top-degree|:random|:stubs].")
+          ~doc:
+            "fig2 (the paper's Fig. 2), announce, failover, scaling, \
+             placement[:top-degree|:random|:stubs], loss (data-plane loss on the fail-over \
+             clique) or loss:caida (loss on a generated Internet-like graph, failing a \
+             multi-homed stub's provider link).")
   in
-  let n = Arg.(value & opt int 16 & info [ "n"; "size" ] ~docv:"N" ~doc:"Clique size.") in
-  let runs = Arg.(value & opt int 10 & info [ "runs" ] ~docv:"R" ~doc:"Runs per point.") in
+  let n =
+    Arg.(value & opt (int_at_least 2) 16 & info [ "n"; "size" ] ~docv:"N" ~doc:"Clique size.")
+  in
+  let runs =
+    Arg.(
+      value
+      & opt (some (int_at_least 1)) None
+      & info [ "runs" ] ~docv:"R"
+          ~doc:
+            "Runs per point (default: the sweep's own — 10 for fig2, announce and failover, \
+             5 for scaling, placement and loss, 3 for loss:caida).")
+  in
+  let per_prefix =
+    Arg.(
+      value
+      & opt (int_at_least 1) 2
+      & info [ "per-prefix" ] ~docv:"K"
+          ~doc:"Loss sweeps: seeded probe sources per destination prefix.")
+  in
+  let interval_ms =
+    Arg.(
+      value
+      & opt (int_at_least 1) 100
+      & info [ "interval-ms" ] ~docv:"MS"
+          ~doc:"Loss sweeps: simulated milliseconds between probe bursts after the failure.")
+  in
   let verify =
     Arg.(
       value
@@ -288,9 +308,14 @@ let sweep_cmd =
   in
   Cmd.v
     (Cmd.info "sweep"
-       ~doc:"Run a full experiment sweep, optionally across a pool of worker domains.")
+       ~doc:
+         "Run an experiment sweep — the paper's Fig. 2 by default, or one of its variants, \
+          or data-plane loss vs centralization — optionally across a pool of worker \
+          domains.")
     Term.(
-      ret (const run $ kind $ n $ runs $ seed_arg $ mrai_arg $ jobs_arg $ verify $ csv))
+      ret
+        (const run $ kind $ n $ runs $ seed_arg $ mrai_arg $ per_prefix $ interval_ms
+        $ jobs_arg $ verify $ csv))
 
 (* --- run ------------------------------------------------------------------ *)
 
@@ -795,25 +820,15 @@ let scale_cmd =
           r.Framework.Experiments.withdrawal.Framework.Experiments.collector_updates;
         `Ok ()
       end
-      else begin
-        let s =
-          with_optional_pool jobs (fun pool ->
-              Framework.Experiments.scale_sweep ?pool ~tier1 ~tier2 ~stubs ~prefixes ~ks
-                ~runs ~seed ~config ())
-        in
-        Fmt.pr "%a@.@.%s@." Framework.Experiments.pp_series s
-          (Framework.Visualize.series_to_ascii s);
-        let intercept, slope, r2 = Framework.Experiments.median_trend s in
-        Fmt.pr "linear fit of medians: y = %.2f %+.2f*x  r^2=%.3f@." intercept slope r2;
-        Option.iter
-          (fun path ->
-            let oc = open_out path in
-            output_string oc (Framework.Experiments.series_to_csv s);
-            close_out oc;
-            Fmt.pr "csv written to %s@." path)
-          csv;
-        `Ok ()
-      end
+      else
+        match
+          run_sweep ~jobs ~verify:false ~csv ~print:print_convergence
+            ~to_csv:Framework.Experiments.series_to_csv (fun ?pool () ->
+              Framework.Experiments.scale_sweep ?pool ~tier1 ~tier2 ~stubs ~prefixes ~ks ~runs
+                ~seed ~config ())
+        with
+        | Ok () -> `Ok ()
+        | Error msg -> `Error (false, msg)
   in
   let tier1 =
     Arg.(value & opt int 4 & info [ "tier1" ] ~docv:"N" ~doc:"Tier-1 clique size.")
@@ -881,105 +896,6 @@ let scale_cmd =
         (const run $ tier1 $ tier2 $ stubs $ prefixes $ ks $ runs $ seed_arg $ mrai_arg
         $ jobs_arg $ single $ budget $ wall $ csv))
 
-(* --- loss ----------------------------------------------------------------- *)
-
-let loss_cmd =
-  let run topo n runs seed mrai per_prefix interval_ms jobs verify csv =
-    let result =
-      let* jobs = resolve_jobs jobs in
-      let* build =
-        match String.lowercase_ascii (String.trim topo) with
-        | "clique" | "failover" ->
-          Ok (fun ?pool () ->
-              Framework.Experiments.loss_sweep ?pool ~n ~runs ~seed ~per_prefix ~interval_ms
-                ~config:(config_of_mrai mrai) ())
-        | "caida" ->
-          Ok (fun ?pool () ->
-              Framework.Experiments.loss_sweep_caida ?pool ~runs ~seed ~per_prefix
-                ~interval_ms ~config:(config_of_mrai mrai) ())
-        | k -> Error (Fmt.str "unknown loss topology %S (clique|caida)" k)
-      in
-      let t0 = Unix.gettimeofday () in
-      let s = with_optional_pool jobs (fun pool -> build ?pool ()) in
-      let wall = Unix.gettimeofday () -. t0 in
-      Fmt.pr "%a@." Framework.Experiments.pp_loss_series s;
-      Fmt.pr "jobs: %d  wall: %.2f s@." jobs wall;
-      Option.iter
-        (fun path ->
-          let oc = open_out path in
-          output_string oc (Framework.Experiments.loss_series_to_csv s);
-          close_out oc;
-          Fmt.pr "csv written to %s@." path)
-        csv;
-      if verify then begin
-        (* the parallel-vs-sequential differential: rerun on jobs=1 and
-           require deep structural equality *)
-        let vjobs = max 2 jobs in
-        let seq = build () in
-        let par =
-          if jobs > 1 then s
-          else Engine.Pool.with_pool ~jobs:vjobs (fun pool -> build ~pool ())
-        in
-        if Framework.Experiments.equal_loss_series seq par then begin
-          Fmt.pr "deterministic: jobs=%d result identical to sequential@." vjobs;
-          Ok ()
-        end
-        else Error (Fmt.str "parallel (jobs=%d) result differs from sequential run" vjobs)
-      end
-      else Ok ()
-    in
-    match result with Ok () -> `Ok () | Error msg -> `Error (false, msg)
-  in
-  let topo =
-    Arg.(
-      value
-      & opt string "clique"
-      & info [ "topo" ] ~docv:"KIND"
-          ~doc:
-            "clique (the Fig. 2 fail-over clique with a backup chain) or caida (a generated \
-             Internet-like graph, failing a multi-homed stub's provider link).")
-  in
-  let n =
-    Arg.(value & opt int 16 & info [ "n"; "size" ] ~docv:"N" ~doc:"Clique size (clique mode).")
-  in
-  let runs = Arg.(value & opt int 5 & info [ "runs" ] ~docv:"R" ~doc:"Runs per point.") in
-  let per_prefix =
-    Arg.(
-      value
-      & opt int 2
-      & info [ "per-prefix" ] ~docv:"K" ~doc:"Seeded probe sources per destination prefix.")
-  in
-  let interval_ms =
-    Arg.(
-      value
-      & opt int 100
-      & info [ "interval-ms" ] ~docv:"MS"
-          ~doc:"Simulated milliseconds between probe bursts after the failure.")
-  in
-  let verify =
-    Arg.(
-      value
-      & flag
-      & info [ "verify" ]
-          ~doc:
-            "Differential mode: also run the sweep sequentially and fail unless the \
-             parallel result is structurally identical.")
-  in
-  let csv =
-    Arg.(value & opt (some string) None
-         & info [ "csv" ] ~docv:"PATH" ~doc:"Write per-run results as CSV.")
-  in
-  Cmd.v
-    (Cmd.info "loss"
-       ~doc:
-         "Data-plane loss vs centralization: after a link failure, seeded probe bursts \
-          against the allocation-free forwarding snapshot measure how long packets are \
-          lost, black-holed or looped while BGP re-converges, per SDN membership level.")
-    Term.(
-      ret
-        (const run $ topo $ n $ runs $ seed_arg $ mrai_arg $ per_prefix $ interval_ms
-        $ jobs_arg $ verify $ csv))
-
 let () =
   let doc = "hybrid BGP-SDN emulation framework" in
   let info = Cmd.info "hybridsim" ~version:Core.version ~doc in
@@ -987,7 +903,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            fig2_cmd;
             sweep_cmd;
             run_cmd;
             topo_cmd;
@@ -999,5 +914,4 @@ let () =
             metrics_cmd;
             trace_cmd;
             scale_cmd;
-            loss_cmd;
           ]))

@@ -22,53 +22,67 @@ type run_result = {
   metrics : Engine.Metrics.snapshot; (* whole-stack telemetry at run end *)
 }
 
-type point = {
+type 'r point = {
   x : float; (* e.g. SDN fraction *)
-  results : run_result list;
-  box : Engine.Stats.boxplot; (* over convergence seconds *)
+  results : 'r list;
 }
 
-type series = { label : string; points : point list }
+type 'r series = { label : string; points : 'r point list }
 
-let box_of results = Engine.Stats.boxplot (List.map (fun r -> r.seconds) results)
+let box p = Engine.Stats.boxplot (List.map (fun r -> r.seconds) p.results)
+
+(* --- Shared run steps ------------------------------------------------------ *)
+
+(* The last [sdn] of an [n]-clique's ASes centralized: node 0 (the origin,
+   or the fail-over primary) and node 1 (the backup anchor) join last. *)
+let with_clique_sdn ~n ~sdn spec =
+  Topology.Spec.with_sdn spec (List.init sdn (fun i -> Topology.Artificial.asn (n - 1 - i)))
+
+(* Announce [origin]'s plan prefix, run to quiescence, return the prefix. *)
+let announced exp origin =
+  let prefix = Experiment.default_prefix exp origin in
+  ignore (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp origin)));
+  prefix
+
+let collector_count exp = Bgp.Collector.event_count (Network.collector (Experiment.network exp))
+
+(* The result of one [measured] event; [collector_updates] counts what the
+   collector recorded after its first [since] updates. *)
+let result ?(since = 0) exp (measured : Convergence.measurement) =
+  {
+    seconds = Experiment.convergence_seconds measured;
+    changes = measured.Convergence.changes;
+    collector_updates = collector_count exp - since;
+    restore_mean = nan;
+    restore_max = nan;
+    metrics = Experiment.final_metrics exp;
+  }
+
+(* Withdraw [origin]'s announced [prefix] and measure it to quiescence. *)
+let measure_withdrawal ?since exp origin prefix =
+  result ?since exp
+    (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.withdraw exp origin)))
 
 (* --- Single measured runs ------------------------------------------------ *)
 
 (* One convergence measurement on a clique with [sdn] of the non-origin
    ASes centralized.  The origin AS (node 0) always stays legacy, as in
    the paper's experiment where the withdrawn prefix belongs to the
-   legacy world. *)
+   legacy world.  For withdrawals, [collector_updates] counts only the
+   measured phase, not the bootstrap announcement's churn. *)
 let clique_run ~n ~sdn ~event ~seed ~config () =
   if sdn > n - 2 then invalid_arg "Experiments.clique_run: sdn must leave origin + 1 legacy";
-  let spec = Topology.Artificial.clique n in
-  let members = List.init sdn (fun i -> Topology.Artificial.asn (n - 1 - i)) in
-  let spec = Topology.Spec.with_sdn spec members in
+  let spec = with_clique_sdn ~n ~sdn (Topology.Artificial.clique n) in
   let exp = Experiment.create ~config ~seed spec in
   let origin = Topology.Artificial.asn 0 in
-  let prefix = Experiment.default_prefix exp origin in
-  let collector = Network.collector (Experiment.network exp) in
-  (* For withdrawals, [collector_updates] counts only the measured
-     (post-announcement) phase, not the bootstrap announcement's churn. *)
-  let baseline = ref 0 in
-  let measured =
-    match event with
-    | Announcement ->
-      Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp origin))
-    | Withdrawal ->
-      ignore (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp origin)));
-      baseline := Bgp.Collector.event_count collector;
-      Experiment.measure exp ~prefix (fun () -> ignore (Experiment.withdraw exp origin))
-    | Failover -> invalid_arg "Experiments.clique_run: use failover_run"
-  in
-  let collector_updates = Bgp.Collector.event_count collector - !baseline in
-  {
-    seconds = Experiment.convergence_seconds measured;
-    changes = measured.Convergence.changes;
-    collector_updates;
-    restore_mean = nan;
-    restore_max = nan;
-    metrics = Experiment.final_metrics exp;
-  }
+  match event with
+  | Announcement ->
+    let prefix = Experiment.default_prefix exp origin in
+    result exp (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp origin)))
+  | Withdrawal ->
+    let prefix = announced exp origin in
+    measure_withdrawal ~since:(collector_count exp) exp origin prefix
+  | Failover -> invalid_arg "Experiments.clique_run: use failover_run"
 
 (* Fail-over: a stub's short primary path (into clique member 0) dies and
    the network must fall back to a strictly longer backup chain (into
@@ -79,15 +93,14 @@ let clique_run ~n ~sdn ~event ~seed ~config () =
    the primary and backup paths. *)
 let failover_run ~n ~sdn ~seed ~config () =
   if sdn > n - 2 then invalid_arg "Experiments.failover_run: too many SDN members";
-  let spec = Topology.Artificial.failover_backup_chain ~clique_size:n ~chain_len:2 () in
-  let members = List.init sdn (fun i -> Topology.Artificial.asn (n - 1 - i)) in
-  let spec = Topology.Spec.with_sdn spec members in
+  let spec =
+    with_clique_sdn ~n ~sdn
+      (Topology.Artificial.failover_backup_chain ~clique_size:n ~chain_len:2 ())
+  in
   let exp = Experiment.create ~config ~seed spec in
   let stub = Topology.Artificial.stub_asn spec in
   let primary = Topology.Artificial.asn 0 in
-  let prefix = Experiment.default_prefix exp stub in
-  ignore (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp stub)));
-  let collector = Network.collector (Experiment.network exp) in
+  let prefix = announced exp stub in
   (* Track per-AS data-plane restoration (the paper's end-to-end video
      interruption): sample forwarding state every 100 ms after the
      failure and record each AS's first instant of renewed reachability
@@ -117,15 +130,10 @@ let failover_run ~n ~sdn ~seed ~config () =
         sample ())
   in
   let restore_times = Hashtbl.fold (fun _ t acc -> t :: acc) restored [] in
-  let restore_mean = Engine.Stats.mean restore_times in
-  let restore_max = List.fold_left Float.max 0.0 restore_times in
   {
-    seconds = Experiment.convergence_seconds measured;
-    changes = measured.Convergence.changes;
-    collector_updates = Bgp.Collector.event_count collector;
-    restore_mean;
-    restore_max;
-    metrics = Experiment.final_metrics exp;
+    (result exp measured) with
+    restore_mean = Engine.Stats.mean restore_times;
+    restore_max = List.fold_left Float.max 0.0 restore_times;
   }
 
 (* --- Sweeps --------------------------------------------------------------- *)
@@ -145,11 +153,11 @@ let take_drop k xs =
    crosses a domain boundary.  Results come back from [Engine.Pool.map]
    in submission order, and are regrouped per x here — so the output is
    bit-identical to the sequential run whatever the pool's scheduling.
-   Without a pool (or with [jobs = 1]) this is plain [List.map]: the
-   sequential path is unchanged. *)
-let sweep_points ?pool ~runs ~seed ~run_at xs =
+   Without a pool (or with [jobs = 1]) this is plain [List.map]. *)
+let sweep ?pool ~label ~runs ~seed xs run =
+  if runs < 1 then invalid_arg "Experiments.sweep: runs must be >= 1";
   let tasks = List.concat_map (fun x -> List.init runs (fun i -> (x, seed + (1000 * i)))) xs in
-  let eval (x, seed) = run_at ~x ~seed in
+  let eval (x, seed) = run ~x ~seed in
   let results =
     match pool with
     | Some pool -> Engine.Pool.map pool eval tasks
@@ -160,100 +168,68 @@ let sweep_points ?pool ~runs ~seed ~run_at xs =
     | [] -> []
     | x :: rest ->
       let mine, others = take_drop runs results in
-      { x; results = mine; box = box_of mine } :: regroup rest others
+      { x; results = mine } :: regroup rest others
   in
-  regroup xs results
+  { label; points = regroup xs results }
 
-let default_fractions n =
-  (* 0, 2, 4, ... n-2 SDN members out of n, as in Fig. 2. *)
-  List.init ((n / 2) - 0) (fun i -> 2 * i) |> List.filter (fun k -> k <= n - 2)
+(* 0, 2, 4, ... n-2 SDN members out of n, as in Fig. 2. *)
+let sdn_levels n =
+  List.init (n / 2) (fun i -> 2 * i)
+  |> List.filter (fun k -> k <= n - 2)
+  |> List.map float_of_int
 
 (* Fig. 2: withdrawal convergence vs SDN fraction. *)
 let fig2_withdrawal ?pool ?(n = 16) ?(runs = 10) ?(seed = 7) ?(config = Config.default) () =
-  let points =
-    sweep_points ?pool ~runs ~seed
-      ~run_at:(fun ~x ~seed ->
-        clique_run ~n ~sdn:(int_of_float x) ~event:Withdrawal ~seed ~config ())
-      (List.map float_of_int (default_fractions n))
-  in
-  { label = Fmt.str "fig2-withdrawal-clique%d" n; points }
+  sweep ?pool ~label:(Fmt.str "fig2-withdrawal-clique%d" n) ~runs ~seed (sdn_levels n)
+    (fun ~x ~seed -> clique_run ~n ~sdn:(int_of_float x) ~event:Withdrawal ~seed ~config ())
 
 (* §4: announcement experiments — smaller reductions. *)
 let announcement_sweep ?pool ?(n = 16) ?(runs = 10) ?(seed = 11) ?(config = Config.default) () =
-  let points =
-    sweep_points ?pool ~runs ~seed
-      ~run_at:(fun ~x ~seed ->
-        clique_run ~n ~sdn:(int_of_float x) ~event:Announcement ~seed ~config ())
-      (List.map float_of_int (default_fractions n))
-  in
-  { label = Fmt.str "announcement-clique%d" n; points }
+  sweep ?pool ~label:(Fmt.str "announcement-clique%d" n) ~runs ~seed (sdn_levels n)
+    (fun ~x ~seed -> clique_run ~n ~sdn:(int_of_float x) ~event:Announcement ~seed ~config ())
 
 (* §4: fail-over experiments — smaller reductions. *)
 let failover_sweep ?pool ?(n = 16) ?(runs = 10) ?(seed = 13) ?(config = Config.default) () =
-  let points =
-    sweep_points ?pool ~runs ~seed
-      ~run_at:(fun ~x ~seed -> failover_run ~n ~sdn:(int_of_float x) ~seed ~config ())
-      (List.map float_of_int (default_fractions n))
-  in
-  { label = Fmt.str "failover-clique%d" n; points }
+  sweep ?pool ~label:(Fmt.str "failover-clique%d" n) ~runs ~seed (sdn_levels n)
+    (fun ~x ~seed -> failover_run ~n ~sdn:(int_of_float x) ~seed ~config ())
 
 (* Ablation A1: the controller's delayed-recomputation interval, at a
    fixed 50% deployment. *)
 let ablation_recompute_delay ?pool ?(n = 16) ?(runs = 10) ?(seed = 17)
     ?(config = Config.default) ?(delays_ms = [ 0; 500; 2000; 8000 ]) () =
-  let points =
-    sweep_points ?pool ~runs ~seed
-      ~run_at:(fun ~x ~seed ->
-        let config = Config.with_recompute_delay config (Engine.Time.ms (int_of_float x)) in
-        clique_run ~n ~sdn:(n / 2) ~event:Withdrawal ~seed ~config ())
-      (List.map float_of_int delays_ms)
-  in
-  { label = Fmt.str "ablation-recompute-delay-clique%d" n; points }
+  sweep ?pool ~label:(Fmt.str "ablation-recompute-delay-clique%d" n) ~runs ~seed
+    (List.map float_of_int delays_ms) (fun ~x ~seed ->
+      let config = Config.with_recompute_delay config (Engine.Time.ms (int_of_float x)) in
+      clique_run ~n ~sdn:(n / 2) ~event:Withdrawal ~seed ~config ())
 
 (* Ablation A3: MRAI sensitivity of the 0%-SDN baseline and of a 50%
    deployment. *)
 let ablation_mrai ?pool ?(n = 16) ?(runs = 10) ?(seed = 19) ?(config = Config.default)
     ?(mrai_s = [ 5; 15; 30 ]) ~sdn () =
-  let points =
-    sweep_points ?pool ~runs ~seed
-      ~run_at:(fun ~x ~seed ->
-        let config = Config.with_mrai config (Engine.Time.sec (int_of_float x)) in
-        clique_run ~n ~sdn ~event:Withdrawal ~seed ~config ())
-      (List.map float_of_int mrai_s)
-  in
-  { label = Fmt.str "ablation-mrai-clique%d-sdn%d" n sdn; points }
+  sweep ?pool ~label:(Fmt.str "ablation-mrai-clique%d-sdn%d" n sdn) ~runs ~seed
+    (List.map float_of_int mrai_s) (fun ~x ~seed ->
+      let config = Config.with_mrai config (Engine.Time.sec (int_of_float x)) in
+      clique_run ~n ~sdn ~event:Withdrawal ~seed ~config ())
 
 (* Ablation A4: RFC-style MRAI (withdrawals exempt, x=0) vs Quagga-style
    (x=1). *)
 let ablation_wrate ?pool ?(n = 16) ?(runs = 10) ?(seed = 23) ?(config = Config.default) ~sdn ()
     =
-  let points =
-    sweep_points ?pool ~runs ~seed
-      ~run_at:(fun ~x ~seed ->
-        let wrate = x > 0.5 in
-        let config =
-          { config with Config.bgp = { config.Config.bgp with Bgp.Config.mrai_on_withdrawals = wrate } }
-        in
-        clique_run ~n ~sdn ~event:Withdrawal ~seed ~config ())
-      [ 0.0; 1.0 ]
-  in
-  { label = Fmt.str "ablation-wrate-clique%d-sdn%d" n sdn; points }
+  sweep ?pool ~label:(Fmt.str "ablation-wrate-clique%d-sdn%d" n sdn) ~runs ~seed [ 0.0; 1.0 ]
+    (fun ~x ~seed ->
+      let bgp = { config.Config.bgp with Bgp.Config.mrai_on_withdrawals = x > 0.5 } in
+      clique_run ~n ~sdn ~event:Withdrawal ~seed ~config:{ config with Config.bgp } ())
 
 (* Scaling: withdrawal convergence vs clique size at a fixed deployment
    fraction — does the linear-in-(legacy count) behaviour persist as the
    network grows? *)
 let scaling_sweep ?pool ?(sizes = [ 8; 12; 16; 20; 24 ]) ?(fraction = 0.5) ?(runs = 5)
     ?(seed = 37) ?(config = Config.default) () =
-  let points =
-    sweep_points ?pool ~runs ~seed
-      ~run_at:(fun ~x ~seed ->
-        let n = int_of_float x in
-        let sdn = int_of_float (float_of_int n *. fraction) in
-        let sdn = min sdn (n - 2) in
-        clique_run ~n ~sdn ~event:Withdrawal ~seed ~config ())
-      (List.map float_of_int sizes)
-  in
-  { label = Fmt.str "scaling-withdrawal-f%.2f" fraction; points }
+  sweep ?pool ~label:(Fmt.str "scaling-withdrawal-f%.2f" fraction) ~runs ~seed
+    (List.map float_of_int sizes) (fun ~x ~seed ->
+      let n = int_of_float x in
+      let sdn = min (int_of_float (float_of_int n *. fraction)) (n - 2) in
+      clique_run ~n ~sdn ~event:Withdrawal ~seed ~config ())
 
 (* Convergence under background churn: a second AS flaps its own prefix
    throughout the measurement.  Because MRAI timers are per *peer*, not
@@ -262,14 +238,11 @@ let scaling_sweep ?pool ?(sizes = [ 8; 12; 16; 20; 24 ]) ?(fraction = 0.5) ?(run
    immune to that coupling. *)
 let churn_run ~n ~sdn ~flap_period_s ~seed ~config () =
   if sdn > n - 3 then invalid_arg "Experiments.churn_run: need origin + flapper legacy";
-  let spec = Topology.Artificial.clique n in
-  let members = List.init sdn (fun i -> Topology.Artificial.asn (n - 1 - i)) in
-  let spec = Topology.Spec.with_sdn spec members in
+  let spec = with_clique_sdn ~n ~sdn (Topology.Artificial.clique n) in
   let exp = Experiment.create ~config ~seed spec in
   let origin = Topology.Artificial.asn 0 in
   let flapper = Topology.Artificial.asn 1 in
-  let prefix = Experiment.default_prefix exp origin in
-  ignore (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp origin)));
+  let prefix = announced exp origin in
   (* schedule a finite flap train long enough to cover the measurement *)
   let sim = Experiment.sim exp in
   let network = Experiment.network exp in
@@ -285,18 +258,7 @@ let churn_run ~n ~sdn ~flap_period_s ~seed ~config () =
          (Engine.Time.add base (Engine.Time.span_scale period 0.5))
          (fun () -> Network.withdraw network flapper flap_prefix))
   done;
-  let collector = Network.collector network in
-  let measured =
-    Experiment.measure exp ~prefix (fun () -> ignore (Experiment.withdraw exp origin))
-  in
-  {
-    seconds = Experiment.convergence_seconds measured;
-    changes = measured.Convergence.changes;
-    collector_updates = Bgp.Collector.event_count collector;
-    restore_mean = nan;
-    restore_max = nan;
-    metrics = Experiment.final_metrics exp;
-  }
+  measure_withdrawal exp origin prefix
 
 (* --- Deployment placement -------------------------------------------------
 
@@ -328,22 +290,8 @@ let choose_members ~spec ~k ~placement ~origin ~seed =
 (* Withdrawal convergence with [k] members placed by [placement]. *)
 let placement_run ~spec ~k ~placement ~origin ~seed ~config () =
   let members = choose_members ~spec ~k ~placement ~origin ~seed in
-  let spec = Topology.Spec.with_sdn spec members in
-  let exp = Experiment.create ~config ~seed spec in
-  let prefix = Experiment.default_prefix exp origin in
-  ignore (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp origin)));
-  let collector = Network.collector (Experiment.network exp) in
-  let measured =
-    Experiment.measure exp ~prefix (fun () -> ignore (Experiment.withdraw exp origin))
-  in
-  {
-    seconds = Experiment.convergence_seconds measured;
-    changes = measured.Convergence.changes;
-    collector_updates = Bgp.Collector.event_count collector;
-    restore_mean = nan;
-    restore_max = nan;
-    metrics = Experiment.final_metrics exp;
-  }
+  let exp = Experiment.create ~config ~seed (Topology.Spec.with_sdn spec members) in
+  measure_withdrawal exp origin (announced exp origin)
 
 (* Sweep k for one strategy on an Internet-like topology.  The spec is
    generated once and shared read-only across (possibly parallel) runs;
@@ -352,13 +300,9 @@ let placement_sweep ?pool ?(tier1 = 3) ?(tier2 = 8) ?(stubs = 20) ?(ks = [ 0; 2;
     ?(runs = 5) ?(seed = 53) ?(config = Config.default) ~placement () =
   let spec = Topology.Caida.generate ~tier1 ~tier2 ~stubs (Engine.Rng.create seed) in
   let origin = List.hd (Topology.Caida.stub_asns ~tier1 ~tier2 ~stubs) in
-  let points =
-    sweep_points ?pool ~runs ~seed:(seed + 1)
-      ~run_at:(fun ~x ~seed ->
-        placement_run ~spec ~k:(int_of_float x) ~placement ~origin ~seed ~config ())
-      (List.map float_of_int ks)
-  in
-  { label = Fmt.str "placement-%s" (placement_to_string placement); points }
+  sweep ?pool ~label:(Fmt.str "placement-%s" (placement_to_string placement)) ~runs
+    ~seed:(seed + 1) (List.map float_of_int ks) (fun ~x ~seed ->
+      placement_run ~spec ~k:(int_of_float x) ~placement ~origin ~seed ~config ())
 
 (* Table-size independence (negative control): withdraw one prefix while
    [background] unrelated prefixes sit in every table.  Since updates are
@@ -366,9 +310,7 @@ let placement_sweep ?pool ?(tier1 = 3) ?(tier2 = 8) ?(stubs = 20) ?(ks = [ 0; 2;
    withdrawn prefix should not depend on table size. *)
 let table_size_run ~n ~sdn ~background ~seed ~config () =
   if background > n - 1 then invalid_arg "Experiments.table_size_run: too many background origins";
-  let spec = Topology.Artificial.clique n in
-  let members = List.init sdn (fun i -> Topology.Artificial.asn (n - 1 - i)) in
-  let spec = Topology.Spec.with_sdn spec members in
+  let spec = with_clique_sdn ~n ~sdn (Topology.Artificial.clique n) in
   let exp = Experiment.create ~config ~seed spec in
   (* background prefixes from ASes 1..background *)
   for i = 1 to background do
@@ -376,20 +318,7 @@ let table_size_run ~n ~sdn ~background ~seed ~config () =
   done;
   ignore (Experiment.settle exp);
   let origin = Topology.Artificial.asn 0 in
-  let prefix = Experiment.default_prefix exp origin in
-  ignore (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp origin)));
-  let collector = Network.collector (Experiment.network exp) in
-  let measured =
-    Experiment.measure exp ~prefix (fun () -> ignore (Experiment.withdraw exp origin))
-  in
-  {
-    seconds = Experiment.convergence_seconds measured;
-    changes = measured.Convergence.changes;
-    collector_updates = Bgp.Collector.event_count collector;
-    restore_mean = nan;
-    restore_max = nan;
-    metrics = Experiment.final_metrics exp;
-  }
+  measure_withdrawal exp origin (announced exp origin)
 
 (* --- Internet scale -------------------------------------------------------
 
@@ -485,13 +414,12 @@ let scale_run ?(tier1 = 5) ?(tier2 = 40) ?(stubs = 455) ?(prefixes = 1000) ?(sdn
   let config = { config with Config.collector_retention = Bgp.Collector.Counts_only } in
   let exp = Experiment.create ~config ~seed spec in
   let network = Experiment.network exp in
-  let collector = Network.collector network in
   let stub_arr = Array.of_list stub_list in
   (* Load: [prefixes] origins round-robin across the stubs, one event
      budget for the whole propagation. *)
   let t0 = clock () in
   let deadline_from t = Option.map (fun w -> t +. w) phase_wall_s in
-  let updates_before = Bgp.Collector.event_count collector in
+  let updates_before = collector_count exp in
   for m = 0 to prefixes - 1 do
     Network.originate network stub_arr.(m mod Array.length stub_arr) (scale_prefix m)
   done;
@@ -499,7 +427,7 @@ let scale_run ?(tier1 = 5) ?(tier2 = 40) ?(stubs = 455) ?(prefixes = 1000) ?(sdn
     bounded_settle ?deadline:(deadline_from t0) ~clock exp ~budget:load_max_events
   in
   let load_seconds = clock () -. t0 in
-  let load_updates = Bgp.Collector.event_count collector - updates_before in
+  let load_updates = collector_count exp - updates_before in
   let rib_routes, adj_in_routes =
     Net.Asn.Map.fold
       (fun _ r (loc, adj) -> (loc + Bgp.Router.loc_size r, adj + Bgp.Router.adj_in_size r))
@@ -508,27 +436,14 @@ let scale_run ?(tier1 = 5) ?(tier2 = 40) ?(stubs = 455) ?(prefixes = 1000) ?(sdn
   (* The measured withdrawal: the origin announces its (plan) prefix and
      withdraws it, each phase run to quiescence under the same budget. *)
   let prefix = Experiment.default_prefix exp origin in
-  ignore
-    (bounded_measure
-       ?deadline:(deadline_from (clock ()))
-       ~clock exp ~budget:load_max_events ~prefix
-       (fun () -> ignore (Experiment.announce exp origin)));
-  let baseline = Bgp.Collector.event_count collector in
-  let measured =
-    bounded_measure
-      ?deadline:(deadline_from (clock ()))
-      ~clock exp ~budget:load_max_events ~prefix
-      (fun () -> ignore (Experiment.withdraw exp origin))
+  let measure action =
+    bounded_measure ?deadline:(deadline_from (clock ())) ~clock exp ~budget:load_max_events
+      ~prefix action
   in
+  ignore (measure (fun () -> ignore (Experiment.announce exp origin)));
+  let since = collector_count exp in
   let withdrawal =
-    {
-      seconds = Experiment.convergence_seconds measured;
-      changes = measured.Convergence.changes;
-      collector_updates = Bgp.Collector.event_count collector - baseline;
-      restore_mean = nan;
-      restore_max = nan;
-      metrics = Experiment.final_metrics exp;
-    }
+    result ~since exp (measure (fun () -> ignore (Experiment.withdraw exp origin)))
   in
   let stat = Gc.stat () in
   let intern = Bgp.Attrs.intern_stats () in
@@ -555,14 +470,10 @@ let scale_run ?(tier1 = 5) ?(tier2 = 40) ?(stubs = 455) ?(prefixes = 1000) ?(sdn
    count (top-degree placement). *)
 let scale_sweep ?pool ?(tier1 = 4) ?(tier2 = 24) ?(stubs = 72) ?(prefixes = 200)
     ?(ks = [ 0; 8; 16; 24 ]) ?(runs = 3) ?(seed = 97) ?(config = Config.default) () =
-  let points =
-    sweep_points ?pool ~runs ~seed
-      ~run_at:(fun ~x ~seed ->
-        (scale_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn:(int_of_float x) ~seed ~config ())
-          .withdrawal)
-      (List.map float_of_int ks)
-  in
-  { label = Fmt.str "scale-caida%d-p%d" (tier1 + tier2 + stubs) prefixes; points }
+  sweep ?pool ~label:(Fmt.str "scale-caida%d-p%d" (tier1 + tier2 + stubs) prefixes) ~runs ~seed
+    (List.map float_of_int ks) (fun ~x ~seed ->
+      (scale_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn:(int_of_float x) ~seed ~config ())
+        .withdrawal)
 
 (* --- Flap storm / route-flap damping ------------------------------------ *)
 
@@ -584,8 +495,7 @@ let flap_run ?(n = 8) ?(flaps = 4) ?(gap_s = 45.0) ~damping ~seed ~config () =
   let spec = Topology.Artificial.clique n in
   let exp = Experiment.create ~config ~seed spec in
   let origin = Topology.Artificial.asn 0 in
-  let prefix = Experiment.default_prefix exp origin in
-  ignore (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp origin)));
+  let prefix = announced exp origin in
   let network = Experiment.network exp in
   let sim = Experiment.sim exp in
   let collector = Network.collector network in
@@ -678,8 +588,7 @@ let subcluster_resilience ?(seed = 29) ?(config = Config.default) () =
       [ a; b; c; d ]
   in
   let exp = Experiment.create ~config ~seed spec in
-  let prefix = Experiment.default_prefix exp d in
-  ignore (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp d)));
+  let prefix = announced exp d in
   let reachable_before = Experiment.reachable exp ~src:a ~dst:d in
   ignore (Experiment.measure exp ~prefix (fun () -> Experiment.fail_link exp b c));
   let reachable_after_split = Experiment.reachable exp ~src:a ~dst:d in
@@ -700,9 +609,7 @@ let subcluster_resilience ?(seed = 29) ?(config = Config.default) () =
    NaN fields (restore_mean/restore_max on non-failover runs, unmeasured
    seconds) compare equal to themselves. *)
 
-let equal_run_result (a : run_result) (b : run_result) = Stdlib.compare a b = 0
-
-let equal_series (a : series) (b : series) = Stdlib.compare a b = 0
+let equal_series (a : 'r series) (b : 'r series) = Stdlib.compare a b = 0
 
 (* --- Rendering ------------------------------------------------------------ *)
 
@@ -711,31 +618,34 @@ let pp_series ppf s =
     "max" "mean";
   List.iter
     (fun p ->
-      Fmt.pf ppf "%8.1f %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f@," p.x p.box.Engine.Stats.minimum
-        p.box.Engine.Stats.q1 p.box.Engine.Stats.median p.box.Engine.Stats.q3
-        p.box.Engine.Stats.maximum p.box.Engine.Stats.mean)
+      let b = box p in
+      Fmt.pf ppf "%8.1f %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f@," p.x b.Engine.Stats.minimum
+        b.Engine.Stats.q1 b.Engine.Stats.median b.Engine.Stats.q3 b.Engine.Stats.maximum
+        b.Engine.Stats.mean)
     s.points;
   Fmt.pf ppf "@]"
 
-(* CSV export: one row per (point, run) for external plotting. *)
-let series_to_csv s =
+(* CSV export: one row per (point, run) for external plotting — label, x,
+   run index, then [row r] under the [columns] header. *)
+let to_csv ~columns row s =
   let buf = Buffer.create 512 in
-  Buffer.add_string buf "label,x,run,seconds,changes,collector_updates\n";
+  Buffer.add_string buf ("label,x,run," ^ columns ^ "\n");
   List.iter
     (fun p ->
       List.iteri
-        (fun i r ->
-          Buffer.add_string buf
-            (Fmt.str "%s,%g,%d,%.6f,%d,%d\n" s.label p.x i r.seconds r.changes
-               r.collector_updates))
+        (fun i r -> Buffer.add_string buf (Fmt.str "%s,%g,%d,%s\n" s.label p.x i (row r)))
         p.results)
     s.points;
   Buffer.contents buf
 
+let series_to_csv =
+  to_csv ~columns:"seconds,changes,collector_updates" (fun r ->
+      Fmt.str "%.6f,%d,%d" r.seconds r.changes r.collector_updates)
+
 (* The linear-trend check for Fig. 2: slope of median convergence vs SDN
    count, and the fit quality. *)
 let median_trend s =
-  let pts = List.map (fun p -> (p.x, p.box.Engine.Stats.median)) s.points in
+  let pts = List.map (fun p -> (p.x, (box p).Engine.Stats.median)) s.points in
   let intercept, slope = Engine.Stats.linear_fit pts in
   let r2 = Engine.Stats.r_squared pts in
   (intercept, slope, r2)
@@ -771,8 +681,7 @@ let rec drop k xs = if k <= 0 then xs else match xs with [] -> [] | _ :: tl -> d
    that can never recover). *)
 let loss_run_core ~spec ~origin ~peer ~per_prefix ~interval_ms ~cap_s ~seed ~config () =
   let exp = Experiment.create ~config ~seed spec in
-  let prefix = Experiment.default_prefix exp origin in
-  ignore (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp origin)));
+  let prefix = announced exp origin in
   let network = Experiment.network exp in
   let sim = Experiment.sim exp in
   (* only [origin]'s prefix is announced, so probe that one: the loss
@@ -835,49 +744,21 @@ let loss_run_core ~spec ~origin ~peer ~per_prefix ~interval_ms ~cap_s ~seed ~con
    members (never the primary/backup anchors) are centralized. *)
 let loss_run ?(per_prefix = 2) ?(interval_ms = 100) ?(cap_s = 600.0) ~n ~sdn ~seed ~config () =
   if sdn > n - 2 then invalid_arg "Experiments.loss_run: too many SDN members";
-  let spec = Topology.Artificial.failover_backup_chain ~clique_size:n ~chain_len:2 () in
-  let members = List.init sdn (fun i -> Topology.Artificial.asn (n - 1 - i)) in
-  let spec = Topology.Spec.with_sdn spec members in
+  let spec =
+    with_clique_sdn ~n ~sdn
+      (Topology.Artificial.failover_backup_chain ~clique_size:n ~chain_len:2 ())
+  in
   let stub = Topology.Artificial.stub_asn spec in
   let primary = Topology.Artificial.asn 0 in
   loss_run_core ~spec ~origin:stub ~peer:primary ~per_prefix ~interval_ms ~cap_s ~seed ~config
     ()
 
-type loss_point = { lp_x : float; lp_results : loss_result list }
-
-type loss_series = { ls_label : string; ls_points : loss_point list }
-
-(* The loss analogue of [sweep_points]: same flattened (x, trial) grid,
-   same submission-order [Engine.Pool.map], so the parallel sweep is
-   bit-identical to the sequential one. *)
-let loss_sweep_points ?pool ~runs ~seed ~run_at xs =
-  let tasks = List.concat_map (fun x -> List.init runs (fun i -> (x, seed + (1000 * i)))) xs in
-  let eval (x, seed) = run_at ~x ~seed in
-  let results =
-    match pool with
-    | Some pool -> Engine.Pool.map pool eval tasks
-    | None -> List.map eval tasks
-  in
-  let rec regroup xs results =
-    match xs with
-    | [] -> []
-    | x :: rest ->
-      let mine, others = take_drop runs results in
-      { lp_x = x; lp_results = mine } :: regroup rest others
-  in
-  regroup xs results
-
 (* Fig. 2's companion curve: data-plane loss duration vs SDN membership
    on the fail-over clique. *)
 let loss_sweep ?pool ?(n = 16) ?(runs = 5) ?(seed = 43) ?(per_prefix = 2) ?(interval_ms = 100)
     ?(config = Config.default) () =
-  let points =
-    loss_sweep_points ?pool ~runs ~seed
-      ~run_at:(fun ~x ~seed ->
-        loss_run ~per_prefix ~interval_ms ~n ~sdn:(int_of_float x) ~seed ~config ())
-      (List.map float_of_int (default_fractions n))
-  in
-  { ls_label = Fmt.str "loss-failover-clique%d" n; ls_points = points }
+  sweep ?pool ~label:(Fmt.str "loss-failover-clique%d" n) ~runs ~seed (sdn_levels n)
+    (fun ~x ~seed -> loss_run ~per_prefix ~interval_ms ~n ~sdn:(int_of_float x) ~seed ~config ())
 
 (* The same curve on an Internet-like CAIDA graph: the origin is a
    multi-homed stub (so the failure is survivable), the failed link its
@@ -896,52 +777,33 @@ let loss_sweep_caida ?pool ?(tier1 = 3) ?(tier2 = 8) ?(stubs = 20) ?(ks = [ 0; 2
     | None -> List.hd stub_list
   in
   let peer = List.hd (Topology.Spec.neighbors spec0 origin) in
-  let points =
-    loss_sweep_points ?pool ~runs ~seed:(seed + 1)
-      ~run_at:(fun ~x ~seed ->
-        let members =
-          choose_members ~spec:spec0 ~k:(int_of_float x) ~placement:Top_degree ~origin ~seed
-        in
-        let spec = Topology.Spec.with_sdn spec0 members in
-        loss_run_core ~spec ~origin ~peer ~per_prefix ~interval_ms ~cap_s:600.0 ~seed ~config
-          ())
-      (List.map float_of_int ks)
-  in
-  { ls_label = Fmt.str "loss-caida%d" (tier1 + tier2 + stubs); ls_points = points }
-
-let equal_loss_series (a : loss_series) (b : loss_series) = Stdlib.compare a b = 0
+  sweep ?pool ~label:(Fmt.str "loss-caida%d" (tier1 + tier2 + stubs)) ~runs ~seed:(seed + 1)
+    (List.map float_of_int ks) (fun ~x ~seed ->
+      let members =
+        choose_members ~spec:spec0 ~k:(int_of_float x) ~placement:Top_degree ~origin ~seed
+      in
+      let spec = Topology.Spec.with_sdn spec0 members in
+      loss_run_core ~spec ~origin ~peer ~per_prefix ~interval_ms ~cap_s:600.0 ~seed ~config ())
 
 let pp_loss_series ppf s =
-  Fmt.pf ppf "@[<v># %s@,%8s %10s %10s %10s %10s %10s@," s.ls_label "x" "loss_s" "bh_s"
+  Fmt.pf ppf "@[<v># %s@,%8s %10s %10s %10s %10s %10s@," s.label "x" "loss_s" "bh_s"
     "loop_s" "maxloss" "converge";
   List.iter
     (fun p ->
-      let mean f =
-        match p.lp_results with
-        | [] -> nan
-        | rs -> List.fold_left (fun a r -> a +. f r) 0.0 rs /. float_of_int (List.length rs)
-      in
-      Fmt.pf ppf "%8.1f %10.2f %10.2f %10.2f %10.4f %10.2f@," p.lp_x
+      let mean f = Engine.Stats.mean (List.map f p.results) in
+      Fmt.pf ppf "%8.1f %10.2f %10.2f %10.2f %10.4f %10.2f@," p.x
         (mean (fun r -> r.loss_seconds))
         (mean (fun r -> r.blackhole_seconds))
         (mean (fun r -> r.loop_seconds))
         (mean (fun r -> r.max_loss_ratio))
         (mean (fun r -> r.converge_seconds)))
-    s.ls_points;
+    s.points;
   Fmt.pf ppf "@]"
 
-let loss_series_to_csv s =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "label,x,run,converge_seconds,loss_seconds,blackhole_seconds,loop_seconds,probes,lost,max_loss_ratio,residual_issues\n";
-  List.iter
-    (fun p ->
-      List.iteri
-        (fun i r ->
-          Buffer.add_string buf
-            (Fmt.str "%s,%g,%d,%.6f,%.6f,%.6f,%.6f,%d,%d,%.6f,%d\n" s.ls_label p.lp_x i
-               r.converge_seconds r.loss_seconds r.blackhole_seconds r.loop_seconds r.probes
-               r.lost r.max_loss_ratio r.residual_issues))
-        p.lp_results)
-    s.ls_points;
-  Buffer.contents buf
+let loss_series_to_csv =
+  to_csv
+    ~columns:
+      "converge_seconds,loss_seconds,blackhole_seconds,loop_seconds,probes,lost,max_loss_ratio,residual_issues"
+    (fun r ->
+      Fmt.str "%.6f,%.6f,%.6f,%.6f,%d,%d,%.6f,%d" r.converge_seconds r.loss_seconds
+        r.blackhole_seconds r.loop_seconds r.probes r.lost r.max_loss_ratio r.residual_issues)

@@ -26,9 +26,21 @@ type run_result = {
   metrics : Engine.Metrics.snapshot;  (** whole-stack telemetry at run end *)
 }
 
-type point = { x : float; results : run_result list; box : Engine.Stats.boxplot }
+type 'r point = { x : float; results : 'r list }
+(** The runs at one value of a sweep's axis, in trial order. *)
 
-type series = { label : string; points : point list }
+type 'r series = { label : string; points : 'r point list }
+(** A whole sweep, points in axis order: convergence sweeps hold
+    {!run_result}s, loss sweeps {!loss_result}s. *)
+
+val box : run_result point -> Engine.Stats.boxplot
+(** Boxplot of the point's convergence seconds.
+    @raise Invalid_argument on a point without runs. *)
+
+val with_clique_sdn : n:int -> sdn:int -> Topology.Spec.t -> Topology.Spec.t
+(** Centralize the last [sdn] ASes of an [n]-clique (nodes [n-1] down to
+    [n-sdn]), so the origin and fail-over anchors (nodes 0 and 1) join
+    last. *)
 
 val clique_run :
   n:int -> sdn:int -> event:event_kind -> seed:int -> config:Config.t -> unit -> run_result
@@ -40,15 +52,33 @@ val failover_run : n:int -> sdn:int -> seed:int -> config:Config.t -> unit -> ru
 (** Primary-link failure with a longer backup chain; also measures per-AS
     data-plane restoration. *)
 
+val sweep :
+  ?pool:Engine.Pool.t ->
+  label:string ->
+  runs:int ->
+  seed:int ->
+  float list ->
+  (x:float -> seed:int -> 'r) ->
+  'r series
+(** [sweep ~label ~runs ~seed xs run] is the grid runner every sweep goes
+    through: [run ~x ~seed:(seed + 1000 * i)] for each [x] in [xs] and
+    each trial [i < runs].  Each run must build its own mutable world;
+    with [pool] the runs are dispatched across its domains and collected
+    in (x, trial) order, so the result is identical to the sequential one.
+    @raise Invalid_argument if [runs < 1]. *)
+
 val fig2_withdrawal :
-  ?pool:Engine.Pool.t -> ?n:int -> ?runs:int -> ?seed:int -> ?config:Config.t -> unit -> series
+  ?pool:Engine.Pool.t -> ?n:int -> ?runs:int -> ?seed:int -> ?config:Config.t -> unit ->
+  run_result series
 (** The paper's Fig. 2 sweep: withdrawal convergence vs SDN fraction. *)
 
 val announcement_sweep :
-  ?pool:Engine.Pool.t -> ?n:int -> ?runs:int -> ?seed:int -> ?config:Config.t -> unit -> series
+  ?pool:Engine.Pool.t -> ?n:int -> ?runs:int -> ?seed:int -> ?config:Config.t -> unit ->
+  run_result series
 
 val failover_sweep :
-  ?pool:Engine.Pool.t -> ?n:int -> ?runs:int -> ?seed:int -> ?config:Config.t -> unit -> series
+  ?pool:Engine.Pool.t -> ?n:int -> ?runs:int -> ?seed:int -> ?config:Config.t -> unit ->
+  run_result series
 
 val ablation_recompute_delay :
   ?pool:Engine.Pool.t ->
@@ -58,7 +88,7 @@ val ablation_recompute_delay :
   ?config:Config.t ->
   ?delays_ms:int list ->
   unit ->
-  series
+  run_result series
 
 val ablation_mrai :
   ?pool:Engine.Pool.t ->
@@ -69,7 +99,7 @@ val ablation_mrai :
   ?mrai_s:int list ->
   sdn:int ->
   unit ->
-  series
+  run_result series
 
 val ablation_wrate :
   ?pool:Engine.Pool.t ->
@@ -79,7 +109,7 @@ val ablation_wrate :
   ?config:Config.t ->
   sdn:int ->
   unit ->
-  series
+  run_result series
 (** RFC-exempt (x=0) vs Quagga-paced (x=1) withdrawals. *)
 
 val scaling_sweep :
@@ -90,7 +120,7 @@ val scaling_sweep :
   ?seed:int ->
   ?config:Config.t ->
   unit ->
-  series
+  run_result series
 (** Withdrawal convergence vs clique size at a fixed SDN fraction. *)
 
 val churn_run :
@@ -132,7 +162,7 @@ val placement_sweep :
   ?config:Config.t ->
   placement:placement ->
   unit ->
-  series
+  run_result series
 (** Withdrawal convergence vs cluster size on a synthetic Internet-like
     topology, for one placement strategy. *)
 
@@ -200,7 +230,7 @@ val scale_sweep :
   ?seed:int ->
   ?config:Config.t ->
   unit ->
-  series
+  run_result series
 (** The convergence-vs-centralization curve at scale: withdrawal
     convergence on a loaded CAIDA graph vs centralized member count
     (top-degree placement). *)
@@ -235,20 +265,17 @@ val subcluster_resilience : ?seed:int -> ?config:Config.t -> unit -> subcluster_
 (** Two SDN islands lose their intra-cluster bridge and must reach each
     other over the legacy world (the paper's design goal 3). *)
 
-val equal_run_result : run_result -> run_result -> bool
-(** Structural equality, NaN-tolerant ([Stdlib.compare]-based). *)
+val equal_series : 'r series -> 'r series -> bool
+(** Deep structural equality of a whole sweep, NaN-tolerant
+    ([Stdlib.compare]-based) — per-run results and metrics snapshots
+    included; the parallel-vs-sequential differential check. *)
 
-val equal_series : series -> series -> bool
-(** Deep structural equality of a whole sweep — per-run results, metrics
-    snapshots and boxplots included; the parallel-vs-sequential
-    differential check. *)
+val pp_series : Format.formatter -> run_result series -> unit
 
-val pp_series : Format.formatter -> series -> unit
-
-val series_to_csv : series -> string
+val series_to_csv : run_result series -> string
 (** One row per (point, run): label,x,run,seconds,changes,collector_updates. *)
 
-val median_trend : series -> float * float * float
+val median_trend : run_result series -> float * float * float
 (** (intercept, slope, r²) of the least-squares line through the medians
     — the Fig. 2 "linear reduction" check. *)
 
@@ -281,10 +308,6 @@ val loss_run :
     every [interval_ms] of simulated time) classify the data plane until
     a burst comes back loss-free or [cap_s] passes (censored). *)
 
-type loss_point = { lp_x : float; lp_results : loss_result list }
-
-type loss_series = { ls_label : string; ls_points : loss_point list }
-
 val loss_sweep :
   ?pool:Engine.Pool.t ->
   ?n:int ->
@@ -294,7 +317,7 @@ val loss_sweep :
   ?interval_ms:int ->
   ?config:Config.t ->
   unit ->
-  loss_series
+  loss_result series
 (** Fig. 2's companion curve: loss / black-hole / loop duration vs SDN
     membership on the fail-over clique.  Runs dispatch through [pool]
     when given; output is bit-identical to the sequential sweep. *)
@@ -311,15 +334,12 @@ val loss_sweep_caida :
   ?interval_ms:int ->
   ?config:Config.t ->
   unit ->
-  loss_series
+  loss_result series
 (** The same curve on a generated CAIDA graph: the origin is a
     multi-homed stub, the failed link its first provider, members placed
     top-degree. *)
 
-val equal_loss_series : loss_series -> loss_series -> bool
-(** Structural equality — the parallel-vs-sequential differential. *)
+val pp_loss_series : Format.formatter -> loss_result series -> unit
 
-val pp_loss_series : Format.formatter -> loss_series -> unit
-
-val loss_series_to_csv : loss_series -> string
+val loss_series_to_csv : loss_result series -> string
 (** One row per (point, run) for external plotting. *)

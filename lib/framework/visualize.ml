@@ -57,20 +57,20 @@ let spec_to_dot ?(with_infrastructure = true) spec =
 
 (* ASCII boxplot chart for a sweep series: one row per point, the box
    drawn over a fixed-width scale. *)
-let series_to_ascii ?(width = 56) (s : Experiments.series) =
+let series_to_ascii ?(width = 56) (s : Experiments.run_result Experiments.series) =
   let buf = Buffer.create 1024 in
   let add fmt = Fmt.kstr (Buffer.add_string buf) fmt in
   let maxv =
     List.fold_left
-      (fun acc (p : Experiments.point) -> Float.max acc p.Experiments.box.Engine.Stats.maximum)
+      (fun acc p -> Float.max acc (Experiments.box p).Engine.Stats.maximum)
       0.0 s.Experiments.points
   in
   let maxv = if maxv <= 0.0 then 1.0 else maxv in
   let col v = int_of_float (v /. maxv *. float_of_int (width - 1)) in
   add "%s (convergence seconds, scale 0..%.1f)\n" s.Experiments.label maxv;
   List.iter
-    (fun (p : Experiments.point) ->
-      let b = p.Experiments.box in
+    (fun (p : Experiments.run_result Experiments.point) ->
+      let b = Experiments.box p in
       let line = Bytes.make width ' ' in
       let put i c = if i >= 0 && i < width then Bytes.set line i c in
       let lo = col b.Engine.Stats.minimum

@@ -7,7 +7,7 @@ val spec_to_dot : ?with_infrastructure:bool -> Topology.Spec.t -> string
     (unless disabled) the collector and controller/speaker with their
     monitoring/control edges. *)
 
-val series_to_ascii : ?width:int -> Experiments.series -> string
+val series_to_ascii : ?width:int -> Experiments.run_result Experiments.series -> string
 (** One boxplot row per sweep point over a shared scale. *)
 
 val timeline : Convergence.t -> Net.Ipv4.prefix -> string

@@ -45,6 +45,9 @@ dune build @scale-smoke
 step "loss smoke (data-plane loss sweep differential + PR 10 baseline guards)"
 dune build @loss-smoke
 
+step "csv golden (committed sweep CSVs regenerate byte for byte)"
+dune build @csv-golden
+
 step "bench workloads smoke (fixed-work benchmark workloads, reduced)"
 dune build @bench-workloads-smoke
 

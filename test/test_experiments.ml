@@ -8,7 +8,7 @@ let test_fig2_shape () =
      the SDN fraction, and the linear fit must slope downward. *)
   let s = Framework.Experiments.fig2_withdrawal ~n:8 ~runs:2 ~seed:3 ~config:cfg () in
   let medians =
-    List.map (fun (p : Framework.Experiments.point) -> p.Framework.Experiments.box.Engine.Stats.median)
+    List.map (fun p -> (Framework.Experiments.box p).Engine.Stats.median)
       s.Framework.Experiments.points
   in
   (match (medians, List.rev medians) with
@@ -24,11 +24,11 @@ let test_fig2_shape () =
 let test_announcement_fast_and_flat () =
   let s = Framework.Experiments.announcement_sweep ~n:8 ~runs:2 ~seed:5 ~config:cfg () in
   List.iter
-    (fun (p : Framework.Experiments.point) ->
+    (fun p ->
       Alcotest.(check bool)
         (Fmt.str "Tup small at x=%.0f" p.Framework.Experiments.x)
         true
-        (p.Framework.Experiments.box.Engine.Stats.median < 2.0))
+        ((Framework.Experiments.box p).Engine.Stats.median < 2.0))
     s.Framework.Experiments.points
 
 let test_failover_completes () =
@@ -40,9 +40,9 @@ let test_failover_sweep_runs () =
   let s = Framework.Experiments.failover_sweep ~n:6 ~runs:1 ~seed:9 ~config:cfg () in
   Alcotest.(check bool) "has points" true (List.length s.Framework.Experiments.points >= 2);
   List.iter
-    (fun (p : Framework.Experiments.point) ->
+    (fun p ->
       Alcotest.(check bool) "finite medians" true
-        (Float.is_finite p.Framework.Experiments.box.Engine.Stats.median))
+        (Float.is_finite (Framework.Experiments.box p).Engine.Stats.median))
     s.Framework.Experiments.points
 
 let test_ablation_recompute_delay () =
@@ -59,11 +59,11 @@ let test_ablation_wrate_direction () =
   match s.Framework.Experiments.points with
   | [ rfc; quagga ] ->
     Alcotest.(check bool)
-      (Fmt.str "rfc %.2f < quagga %.2f" rfc.Framework.Experiments.box.Engine.Stats.median
-         quagga.Framework.Experiments.box.Engine.Stats.median)
+      (Fmt.str "rfc %.2f < quagga %.2f" (Framework.Experiments.box rfc).Engine.Stats.median
+         (Framework.Experiments.box quagga).Engine.Stats.median)
       true
-      (rfc.Framework.Experiments.box.Engine.Stats.median
-      < quagga.Framework.Experiments.box.Engine.Stats.median)
+      ((Framework.Experiments.box rfc).Engine.Stats.median
+      < (Framework.Experiments.box quagga).Engine.Stats.median)
   | _ -> Alcotest.fail "expected two points"
 
 let test_placement_strategies () =
@@ -128,8 +128,8 @@ let test_scaling_sweep () =
   match s.Framework.Experiments.points with
   | [ small; large ] ->
     Alcotest.(check bool) "bigger clique converges slower" true
-      (large.Framework.Experiments.box.Engine.Stats.median
-      > small.Framework.Experiments.box.Engine.Stats.median)
+      ((Framework.Experiments.box large).Engine.Stats.median
+      > (Framework.Experiments.box small).Engine.Stats.median)
   | _ -> Alcotest.fail "two points expected"
 
 let test_subcluster_resilience () =

@@ -88,12 +88,11 @@ let test_jobs_cap_env () =
 
 (* --- Parallel-vs-sequential sweep differentials -------------------------- *)
 
-let check_differential name (seq : Framework.Experiments.series)
-    (par : Framework.Experiments.series) =
+let check_differential name seq par =
   (* targeted projections first, for readable failures *)
   let proj f s =
     List.concat_map
-      (fun (p : Framework.Experiments.point) -> List.map f p.Framework.Experiments.results)
+      (fun p -> List.map f p.Framework.Experiments.results)
       s.Framework.Experiments.points
   in
   Alcotest.(check (list (float 0.0)))
@@ -110,8 +109,8 @@ let check_differential name (seq : Framework.Experiments.series)
     (proj (fun r -> r.Framework.Experiments.collector_updates) par);
   let boxes s =
     List.map
-      (fun (p : Framework.Experiments.point) ->
-        p.Framework.Experiments.box.Engine.Stats.median)
+      (fun p ->
+        (Framework.Experiments.box p).Engine.Stats.median)
       s.Framework.Experiments.points
   in
   Alcotest.(check (list (float 0.0))) (name ^ ": box medians") (boxes seq) (boxes par);
@@ -178,6 +177,46 @@ let test_scaling_differential () =
   let seq = sweep () in
   with_jobs 3 (fun pool -> check_differential "scaling jobs=3" seq (sweep ~pool ()))
 
+(* The loss grid through the same runner: per-run loss results (probe
+   epochs included) must not depend on the domain count. *)
+let test_loss_differential () =
+  let clique ?pool () =
+    Framework.Experiments.loss_sweep ?pool ~n:6 ~runs:2 ~seed:43 ~config:cfg ()
+  in
+  let caida ?pool () =
+    Framework.Experiments.loss_sweep_caida ?pool ~tier1:2 ~tier2:4 ~stubs:8 ~ks:[ 0; 2 ] ~runs:1
+      ~seed:61 ~config:cfg ()
+  in
+  let seq_clique = clique () and seq_caida = caida () in
+  let loss_seconds s =
+    List.concat_map
+      (fun p ->
+        List.map
+          (fun r -> r.Framework.Experiments.loss_seconds)
+          p.Framework.Experiments.results)
+      s.Framework.Experiments.points
+  in
+  let probes s =
+    List.fold_left
+      (fun acc p ->
+        List.fold_left
+          (fun acc r -> acc + r.Framework.Experiments.probes)
+          acc p.Framework.Experiments.results)
+      0 s.Framework.Experiments.points
+  in
+  Alcotest.(check bool) "clique sweep probes" true (probes seq_clique > 0);
+  Alcotest.(check bool) "caida sweep probes" true (probes seq_caida > 0);
+  with_jobs 2 (fun pool ->
+      let par_clique = clique ~pool () in
+      Alcotest.(check (list (float 0.0)))
+        "loss clique jobs=2: loss seconds" (loss_seconds seq_clique) (loss_seconds par_clique);
+      Alcotest.(check bool)
+        "loss clique jobs=2: deep structural equality" true
+        (Framework.Experiments.equal_series seq_clique par_clique);
+      Alcotest.(check bool)
+        "loss caida jobs=2: deep structural equality" true
+        (Framework.Experiments.equal_series seq_caida (caida ~pool ())))
+
 let suite =
   [
     Alcotest.test_case "pool: order preservation" `Quick test_pool_order;
@@ -193,4 +232,5 @@ let suite =
     Alcotest.test_case "placement parallel == sequential" `Slow test_placement_differential;
     Alcotest.test_case "ablation parallel == sequential" `Quick test_ablation_differential;
     Alcotest.test_case "scaling parallel == sequential" `Slow test_scaling_differential;
+    Alcotest.test_case "loss parallel == sequential" `Quick test_loss_differential;
   ]

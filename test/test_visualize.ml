@@ -46,13 +46,7 @@ let test_ascii_boxplot () =
           restore_mean = nan; restore_max = nan;
           metrics = { Engine.Metrics.at = Engine.Time.zero; samples = [] } })
   in
-  let point x secs =
-    {
-      Framework.Experiments.x;
-      results = results secs;
-      box = Engine.Stats.boxplot secs;
-    }
-  in
+  let point x secs = { Framework.Experiments.x; results = results secs } in
   let series =
     {
       Framework.Experiments.label = "test-series";
