@@ -48,26 +48,6 @@ type decision = {
   provenance : Bgp.Policy.route_provenance;
 }
 
-(* Reserved Dijkstra node id for the virtual destination (ASNs are > 0). *)
-let dest_id = 0
-
-let subcluster_table members switch_graph =
-  let components = Net.Graph.components switch_graph in
-  let table = Hashtbl.create 16 in
-  List.iteri (fun i comp -> List.iter (fun v -> Hashtbl.replace table v i) comp) components;
-  (* Members isolated from the switch graph still form their own
-     sub-cluster. *)
-  let next = ref (List.length components) in
-  Net.Asn.Set.iter
-    (fun m ->
-      let id = Net.Asn.to_int m in
-      if not (Hashtbl.mem table id) then begin
-        Hashtbl.replace table id !next;
-        incr next
-      end)
-    members;
-  table
-
 (* Split an AS path at its first cluster member: [`External] when it never
    enters the cluster, [`Reenters (segment, c)] with the legacy segment
    up to and including [c] otherwise. *)
@@ -87,155 +67,237 @@ type edge_kind =
                   rel : Bgp.Policy.relationship }
   | K_local
 
-(* Reusable working state for [compute].  A controller recomputing many
-   prefixes against the same switch graph reuses the edge/memo tables, the
-   reversed graph, the Dijkstra scratch, and — keyed on the switch graph's
-   version counter — the sub-cluster table, so a batch stops reallocating
-   (and stops rerunning [Net.Graph.components]) per prefix. *)
+(* Dense working state for [compute].  Node 0 is the virtual destination
+   and nodes 1..k are the members in ascending ASN order, so index order
+   is the id order the sorted-adjacency Dijkstra used to relax in.  The
+   member index, the sub-cluster ids and the intra-cluster adjacency are
+   derived once per (member set, switch graph, version) and reused by
+   every prefix of a batch; the per-prefix arrays are sized (k+1)^2 and
+   (k+1) and refilled, never reallocated, while k stays the same. *)
 type arena = {
-  a_edges : (int * int, float * edge_kind) Hashtbl.t;
-  a_reversed : Net.Graph.t;
-  a_memo : (int, Net.Asn.t list * Bgp.Policy.route_provenance) Hashtbl.t;
-  a_scratch : Net.Graph.scratch;
-  mutable a_subclusters : (Net.Graph.t * int * Net.Asn.Set.t * (int, int) Hashtbl.t) option;
-      (* switch graph (physical identity), its version and the member set
-         when the table was built, and the node -> sub-cluster id table *)
+  mutable a_key : (Net.Asn.Set.t * Net.Graph.t * int) option;
+      (* member set, switch graph (physical identity) and its version *)
+  mutable a_n : int; (* k + 1 *)
+  mutable a_asns : Net.Asn.t array; (* ascending members: index i + 1 at slot i *)
+  mutable a_sub : int array; (* index -> sub-cluster id *)
+  mutable a_intra : (int * int) list; (* (u, v) index pairs, sorted edge order *)
+  mutable a_w : int array; (* a_w.(u * n + v): weight of u -> v, -1 when absent *)
+  mutable a_kind : edge_kind array; (* what realizes that edge, where a_w >= 0 *)
+  mutable a_dist : int array;
+  mutable a_seq : int array; (* relaxation sequence of the current distance *)
+  mutable a_succ : int array; (* next node toward the destination *)
+  mutable a_state : int array; (* 0 unreached, 1 reached, 2 settled *)
+  mutable a_memo : (Net.Asn.t list * Bgp.Policy.route_provenance) option array;
 }
 
 let create_arena () =
   {
-    a_edges = Hashtbl.create 64;
-    a_reversed = Net.Graph.create ~directed:true ();
-    a_memo = Hashtbl.create 16;
-    a_scratch = Net.Graph.scratch ();
-    a_subclusters = None;
+    a_key = None;
+    a_n = 0;
+    a_asns = [||];
+    a_sub = [||];
+    a_intra = [];
+    a_w = [||];
+    a_kind = [||];
+    a_dist = [||];
+    a_seq = [||];
+    a_succ = [||];
+    a_state = [||];
+    a_memo = [||];
   }
 
-let subcluster_lookup ?arena members switch_graph =
-  let table =
-    match arena with
-    | None -> subcluster_table members switch_graph
-    | Some a -> (
-      let v = Net.Graph.version switch_graph in
-      match a.a_subclusters with
-      | Some (g, v', ms, table) when g == switch_graph && v' = v && Net.Asn.Set.equal ms members
-        -> table
-      | Some _ | None ->
-        let table = subcluster_table members switch_graph in
-        a.a_subclusters <- Some (switch_graph, v, members, table);
-        table)
+(* Index of a member ASN (1..k), or -1 for a non-member. *)
+let index_of a asn =
+  let asns = a.a_asns in
+  let rec search lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let x = (Array.unsafe_get asns mid :> int) in
+      if x = asn then mid + 1 else if x < asn then search (mid + 1) hi else search lo mid
   in
-  fun asn -> Hashtbl.find_opt table (Net.Asn.to_int asn)
+  search 0 (Array.length asns)
+
+(* Rebuild the member index, sub-cluster ids and intra adjacency. *)
+let prepare a members switch_graph =
+  let asns = Array.of_list (Net.Asn.Set.elements members) in
+  let k = Array.length asns in
+  let n = k + 1 in
+  a.a_asns <- asns;
+  a.a_intra <-
+    List.filter_map
+      (fun (u, v, _) ->
+        let iu = index_of a u and iv = index_of a v in
+        if iu > 0 && iv > 0 then Some (iu, iv) else None)
+      (Net.Graph.edges switch_graph);
+  (* Sub-clusters are the switch graph's components; a member missing
+     from the graph is a sub-cluster of its own. *)
+  let sub = Array.init n (fun i -> -i) in
+  List.iteri
+    (fun c comp ->
+      List.iter
+        (fun v ->
+          let i = index_of a v in
+          if i > 0 then sub.(i) <- c + 1)
+        comp)
+    (Net.Graph.components switch_graph);
+  a.a_sub <- sub;
+  if n <> a.a_n then begin
+    a.a_n <- n;
+    a.a_w <- Array.make (n * n) (-1);
+    a.a_kind <- Array.make (n * n) K_intra;
+    a.a_dist <- Array.make n 0;
+    a.a_seq <- Array.make n 0;
+    a.a_succ <- Array.make n 0;
+    a.a_state <- Array.make n 0;
+    a.a_memo <- Array.make n None
+  end;
+  a.a_key <- Some (members, switch_graph, Net.Graph.version switch_graph)
+
+let refresh a members switch_graph =
+  match a.a_key with
+  | Some (ms, g, v)
+    when g == switch_graph
+         && v = Net.Graph.version switch_graph
+         && (ms == members || Net.Asn.Set.equal ms members) -> ()
+  | Some _ | None -> prepare a members switch_graph
+
+let member_at a i = a.a_asns.(i - 1)
+
+(* The first member on an AS path: its index and the legacy segment up to
+   and including it, or index -1 when the path never enters the cluster. *)
+let first_member a path =
+  let rec scan acc = function
+    | [] -> (-1, [])
+    | asn :: rest ->
+      let i = index_of a (Net.Asn.to_int asn) in
+      if i > 0 then (i, List.rev (asn :: acc)) else scan (asn :: acc) rest
+  in
+  scan [] path
 
 let compute ?arena ~members ~switch_graph ~(routes : exit_route list) ~originators () =
-  let subcluster_of = subcluster_lookup ?arena members switch_graph in
-  (* Best candidate per directed edge, with the realizing kind. *)
-  let edges : (int * int, float * edge_kind) Hashtbl.t =
-    match arena with
-    | Some a ->
-      Hashtbl.clear a.a_edges;
-      a.a_edges
-    | None -> Hashtbl.create 64
-  in
-  let consider u v w kind =
-    match Hashtbl.find_opt edges (u, v) with
-    | Some (w', _) when w' <= w -> ()
-    | Some _ | None -> Hashtbl.replace edges (u, v) (w, kind)
+  let a = match arena with Some a -> a | None -> create_arena () in
+  refresh a members switch_graph;
+  let n = a.a_n and w = a.a_w and kind = a.a_kind in
+  Array.fill w 0 (n * n) (-1);
+  (* Best candidate per directed edge: a later candidate replaces an
+     earlier one only when strictly lighter. *)
+  let consider u v wt k =
+    let e = (u * n) + v in
+    let old = w.(e) in
+    if old < 0 || wt < old then begin
+      w.(e) <- wt;
+      kind.(e) <- k
+    end
   in
   (* Intra-cluster switch links. *)
   List.iter
-    (fun (u, v, _) ->
-      consider u v 1.0 K_intra;
-      consider v u 1.0 K_intra)
-    (Net.Graph.edges switch_graph);
+    (fun (u, v) ->
+      consider u v 1 K_intra;
+      consider v u 1 K_intra)
+    a.a_intra;
   (* Originators reach the destination at no cost. *)
   Net.Asn.Set.iter
-    (fun o -> consider (Net.Asn.to_int o) dest_id 0.0 K_local)
+    (fun o ->
+      let i = index_of a (Net.Asn.to_int o) in
+      if i > 0 then consider i 0 0 K_local)
     originators;
   (* External routes: exits or legacy bridges. *)
   List.iter
     (fun (r : exit_route) ->
-      if Net.Asn.Set.mem r.member members then begin
-        let m = Net.Asn.to_int r.member in
-        let path = Bgp.Attrs.as_path r.attrs in
-        match classify_path members path with
-        | `External -> consider m dest_id (float_of_int (List.length path)) (K_exit r)
-        | `Reenters (segment, c) ->
-          let same_subcluster =
-            match (subcluster_of r.member, subcluster_of c) with
-            | Some a, Some b -> a = b
-            | _, _ -> true (* unknown membership: be conservative, drop *)
-          in
-          if (not same_subcluster) && not (Net.Asn.equal c r.member) then
-            consider m (Net.Asn.to_int c)
-              (float_of_int (List.length segment))
+      let m = index_of a (Net.Asn.to_int r.member) in
+      if m > 0 then begin
+        match first_member a (Bgp.Attrs.as_path r.attrs) with
+        | -1, _ -> consider m 0 r.attrs.Bgp.Attrs.path_len (K_exit r)
+        | c, segment ->
+          if a.a_sub.(m) <> a.a_sub.(c) then
+            consider m c (List.length segment)
               (K_bridge
-                 { via_neighbor = r.neighbor; to_member = c; segment; rel = r.rel })
+                 { via_neighbor = r.neighbor; to_member = member_at a c; segment; rel = r.rel })
       end)
     routes;
-  (* Dijkstra from the destination over reversed edges: pred in the
-     reversed run is each node's successor toward the destination. *)
-  let reversed =
-    match arena with
-    | Some a ->
-      Net.Graph.clear a.a_reversed;
-      a.a_reversed
-    | None -> Net.Graph.create ~directed:true ()
+  (* Dijkstra from the destination over reversed edges: settle the
+     unsettled node with the least (distance, relaxation sequence), then
+     relax its in-edges in index order.  This is the pop order of a
+     (distance, push sequence) heap over ascending-id adjacency lists. *)
+  let dist = a.a_dist and seq = a.a_seq and succ = a.a_succ and state = a.a_state in
+  Array.fill state 0 n 0;
+  dist.(0) <- 0;
+  seq.(0) <- 0;
+  state.(0) <- 1;
+  let next_seq = ref 1 in
+  let rec settle () =
+    let best = ref (-1) in
+    for i = 0 to n - 1 do
+      if state.(i) = 1 then begin
+        let b = !best in
+        if b < 0 || dist.(i) < dist.(b) || (dist.(i) = dist.(b) && seq.(i) < seq.(b)) then
+          best := i
+      end
+    done;
+    let v = !best in
+    if v >= 0 then begin
+      state.(v) <- 2;
+      let d = dist.(v) in
+      for u = 0 to n - 1 do
+        let wt = w.((u * n) + v) in
+        if wt >= 0 then begin
+          let nd = d + wt in
+          if state.(u) = 0 || (state.(u) = 1 && nd < dist.(u)) then begin
+            dist.(u) <- nd;
+            succ.(u) <- v;
+            seq.(u) <- !next_seq;
+            incr next_seq;
+            state.(u) <- 1
+          end
+        end
+      done;
+      settle ()
+    end
   in
-  Net.Graph.add_node reversed dest_id;
-  Net.Asn.Set.iter (fun m -> Net.Graph.add_node reversed (Net.Asn.to_int m)) members;
-  Hashtbl.iter (fun (u, v) (w, _) -> Net.Graph.add_edge ~w reversed v u) edges;
-  let dist, succ =
-    match arena with
-    | Some a -> Net.Graph.dijkstra_reuse a.a_scratch reversed dest_id
-    | None -> Net.Graph.dijkstra reversed dest_id
-  in
+  settle ();
   (* Read decisions off the successor tree, memoizing AS paths. *)
-  let memo : (int, Net.Asn.t list * Bgp.Policy.route_provenance) Hashtbl.t =
-    match arena with
-    | Some a ->
-      Hashtbl.clear a.a_memo;
-      a.a_memo
-    | None -> Hashtbl.create 16
-  in
+  let memo = a.a_memo in
+  Array.fill memo 0 n None;
   let rec path_of m =
-    match Hashtbl.find_opt memo m with
+    match memo.(m) with
     | Some r -> r
     | None ->
-      let s = Hashtbl.find succ m in
-      let _, kind = Hashtbl.find edges (m, s) in
+      let s = succ.(m) in
       let result =
-        match kind with
+        match kind.((m * n) + s) with
         | K_local -> ([], Bgp.Policy.Originated)
         | K_exit r -> (Bgp.Attrs.as_path r.attrs, Bgp.Policy.From r.rel)
         | K_intra ->
           let rest, prov = path_of s in
-          (Net.Asn.of_int s :: rest, prov)
-        | K_bridge { segment; rel; to_member; _ } ->
-          let rest, _ = path_of (Net.Asn.to_int to_member) in
+          (member_at a s :: rest, prov)
+        | K_bridge { segment; rel; _ } ->
+          let rest, _ = path_of s in
           (segment @ rest, Bgp.Policy.From rel)
       in
-      Hashtbl.replace memo m result;
+      memo.(m) <- Some result;
       result
   in
-  Net.Asn.Set.fold
-    (fun member acc ->
-      let m = Net.Asn.to_int member in
-      match Hashtbl.find_opt dist m with
-      | None -> acc (* unreachable *)
-      | Some distance ->
-        let s = Hashtbl.find succ m in
-        let _, kind = Hashtbl.find edges (m, s) in
-        let hop =
-          match kind with
-          | K_local -> Deliver_local
-          | K_exit r -> Exit { neighbor = r.neighbor }
-          | K_intra -> Intra { next_member = Net.Asn.of_int s }
-          | K_bridge { via_neighbor; to_member; _ } -> Bridge { via_neighbor; to_member }
-        in
-        let as_path, provenance = path_of m in
-        acc |> Net.Asn.Map.add member { member; hop; as_path; distance; provenance })
-    members Net.Asn.Map.empty
+  let decisions = ref Net.Asn.Map.empty in
+  for m = n - 1 downto 1 do
+    if state.(m) = 2 then begin
+      let s = succ.(m) in
+      let member = member_at a m in
+      let hop =
+        match kind.((m * n) + s) with
+        | K_local -> Deliver_local
+        | K_exit r -> Exit { neighbor = r.neighbor }
+        | K_intra -> Intra { next_member = member_at a s }
+        | K_bridge { via_neighbor; to_member; _ } -> Bridge { via_neighbor; to_member }
+      in
+      let as_path, provenance = path_of m in
+      decisions :=
+        Net.Asn.Map.add member
+          { member; hop; as_path; distance = float_of_int dist.(m); provenance }
+          !decisions
+    end
+  done;
+  !decisions
 
 (* The strategy the paper warns against ("we can not naively use the same
    loop avoidance mechanism as BGP"): select each member's best external

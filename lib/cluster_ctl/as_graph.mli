@@ -30,10 +30,12 @@ val classify_path :
     to and including the first member, and that member. *)
 
 type arena
-(** Reusable working state for {!compute}: edge/memo tables, the reversed
-    graph, Dijkstra scratch, and the sub-cluster table cached on the
-    switch graph's {!Net.Graph.version}.  One arena serves any number of
-    sequential computations; results never alias arena storage. *)
+(** Reusable dense working state for {!compute}: the member index, the
+    sub-cluster ids and intra-cluster adjacency (cached on the member set
+    and the switch graph's {!Net.Graph.version}), and the (k+1)^2
+    edge arrays and Dijkstra arrays of k members.  One arena serves any
+    number of sequential computations; results never alias arena
+    storage. *)
 
 val create_arena : unit -> arena
 
@@ -46,11 +48,13 @@ val compute :
   unit ->
   decision Net.Asn.Map.t
 (** Route selection for one prefix.  [switch_graph] nodes are member ASN
-    integers with only up links.  Routes whose path re-enters the member's
-    own sub-cluster are discarded (loop avoidance); paths into a different
-    sub-cluster become legacy bridges.  Unreachable members are absent
-    from the result.  The result's next hops form a tree — loop-free by
-    construction. *)
+    integers with only up links.  Routes whose path re-enters the
+    member's own sub-cluster are discarded (loop avoidance); paths into a
+    different sub-cluster become legacy bridges.  Of several candidates
+    for one edge the first strictly lightest wins, in the order intra
+    links, originators, then [routes]; Dijkstra ties go to the earlier
+    relaxation.  Unreachable members are absent from the result.  The
+    result's next hops form a tree — loop-free by construction. *)
 
 val naive_compute :
   members:Net.Asn.Set.t ->

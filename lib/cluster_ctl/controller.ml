@@ -91,9 +91,16 @@ type t = {
   node_of_asn : Net.Asn.t -> int option;
   asn_of_node : int -> Net.Asn.t option;
   addr_of_member : Net.Asn.t -> Net.Ipv4.addr;
-  policy_of : member:Net.Asn.t -> neighbor:Net.Asn.t -> Bgp.Policy.t;
   switch_graph : Net.Graph.t;
   arena : As_graph.arena;
+  member_index : Net.Asn.t array; (* ascending members: slot i of the sync cache *)
+  (* Per-prefix sync cache, valid for slots stamped with [sync_gen]: each
+     member's decision and its announcement attributes, made at most once
+     per prefix and only when one of its sessions exports them. *)
+  mutable sync_gen : int;
+  sync_stamp : int array;
+  sync_decision : As_graph.decision option array;
+  sync_attrs : Bgp.Attrs.t option array;
   mutable rib : As_graph.exit_route list Pm.t;
   mutable originated : Net.Asn.Set.t Pm.t;
   mutable installed : Sdn.Flow.action Net.Asn.Map.t Pm.t;
@@ -138,43 +145,78 @@ let subscribe_decision_change t f =
 
 (* --- Announcement construction ---------------------------------------- *)
 
-(* What session (member, neighbor) should advertise for this prefix given
-   the decision map: the member's centrally selected route with its own
-   ASN prepended (AS identity preserved), filtered by loop check, by
-   not-back-to-exit, and by the member's export policy. *)
-let announcement t ~member ~neighbor prefix decision_map =
-  match Net.Asn.Map.find_opt member decision_map with
-  | None -> None
-  | Some (d : As_graph.decision) ->
-    let back_to_exit =
-      match d.As_graph.hop with
-      | As_graph.Exit { neighbor = n } -> Net.Asn.equal n neighbor
-      | As_graph.Bridge { via_neighbor; _ } -> Net.Asn.equal via_neighbor neighbor
-      | As_graph.Deliver_local | As_graph.Intra _ -> false
-    in
-    if back_to_exit then None
-    else begin
-      let as_path = member :: d.As_graph.as_path in
-      if List.exists (Net.Asn.equal neighbor) as_path then None
+(* Slot of a member in [member_index], or -1. *)
+let member_slot t (member : Net.Asn.t) =
+  let idx = t.member_index and key = (member :> int) in
+  let rec search lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let x = (Array.unsafe_get idx mid :> int) in
+      if x = key then mid else if x < key then search (mid + 1) hi else search lo mid
+  in
+  search 0 (Array.length idx)
+
+let rec path_mem (asn : Net.Asn.t) (path : Net.Asn.t list) =
+  match path with
+  | [] -> false
+  | a :: rest -> (a :> int) = (asn :> int) || path_mem asn rest
+
+(* Start syncing another prefix (or decision map): invalidates the cache. *)
+let begin_sync t = t.sync_gen <- t.sync_gen + 1
+
+(* What a session should advertise for this prefix given the decision
+   map: the member's centrally selected route with its own ASN prepended
+   (AS identity preserved), filtered by loop check, by not-back-to-exit,
+   and by the session's export policy. *)
+let announcement t s prefix decision_map =
+  let member = Speaker.session_member s and neighbor = Speaker.session_neighbor s in
+  let i = member_slot t member in
+  if i < 0 then None
+  else begin
+    if t.sync_stamp.(i) <> t.sync_gen then begin
+      t.sync_stamp.(i) <- t.sync_gen;
+      t.sync_decision.(i) <- Net.Asn.Map.find_opt member decision_map;
+      t.sync_attrs.(i) <- None
+    end;
+    match t.sync_decision.(i) with
+    | None -> None
+    | Some (d : As_graph.decision) ->
+      let back_to_exit =
+        match d.As_graph.hop with
+        | As_graph.Exit { neighbor = n } -> Net.Asn.equal n neighbor
+        | As_graph.Bridge { via_neighbor; _ } -> Net.Asn.equal via_neighbor neighbor
+        | As_graph.Deliver_local | As_graph.Intra _ -> false
+      in
+      if back_to_exit || Net.Asn.equal neighbor member || path_mem neighbor d.As_graph.as_path
+      then None
       else begin
         let attrs =
-          Bgp.Attrs.make ~as_path ~next_hop:(t.addr_of_member member) ()
+          match t.sync_attrs.(i) with
+          | Some attrs -> attrs
+          | None ->
+            let attrs =
+              Bgp.Attrs.make ~as_path:(member :: d.As_graph.as_path)
+                ~next_hop:(t.addr_of_member member) ()
+            in
+            t.sync_attrs.(i) <- Some attrs;
+            attrs
         in
-        let policy = t.policy_of ~member ~neighbor in
-        Bgp.Policy.export policy ~provenance:d.As_graph.provenance ~prefix attrs
+        Bgp.Policy.export (Speaker.session_policy s) ~provenance:d.As_graph.provenance ~prefix
+          attrs
       end
-    end
+  end
 
-let sync_session t ~member ~neighbor prefix decision_map =
-  match announcement t ~member ~neighbor prefix decision_map with
+let sync_session t s prefix decision_map =
+  match announcement t s prefix decision_map with
   | Some attrs ->
     t.stats.announces <- t.stats.announces + 1;
     Engine.Metrics.Counter.inc t.tm.announce_c;
-    Speaker.announce t.speaker ~member ~neighbor prefix attrs
+    Speaker.announce_to t.speaker s prefix attrs
   | None ->
     t.stats.withdraws <- t.stats.withdraws + 1;
     Engine.Metrics.Counter.inc t.tm.withdraw_c;
-    Speaker.withdraw t.speaker ~member ~neighbor prefix
+    Speaker.withdraw_to t.speaker s prefix
 
 (* --- Recomputation ------------------------------------------------------ *)
 
@@ -253,9 +295,8 @@ let recompute_prefix t prefix =
         mods)
     changes;
   (* Update the legacy world through the speaker. *)
-  List.iter
-    (fun (member, neighbor) -> sync_session t ~member ~neighbor prefix desired)
-    (Speaker.sessions t.speaker)
+  begin_sync t;
+  Speaker.iter_sessions t.speaker (fun s -> sync_session t s prefix desired)
 
 (* Close the fallback-exit handshake: the batch that just ran reinstalled
    the flow state of every member awaiting resync, so release them from
@@ -310,7 +351,9 @@ let remove_route t prefix ~member ~neighbor =
   in
   t.rib <- (if routes = [] then Pm.remove prefix t.rib else Pm.add prefix routes t.rib)
 
-let on_external_update t ~member ~neighbor (u : Bgp.Message.update) =
+let on_external_update t s (u : Bgp.Message.update) =
+  let member = Speaker.session_member s and neighbor = Speaker.session_neighbor s in
+  let policy = Speaker.session_policy s in
   t.stats.updates_in <- t.stats.updates_in + 1;
   Engine.Metrics.Counter.inc t.tm.updates_in_c;
   List.iter
@@ -320,7 +363,6 @@ let on_external_update t ~member ~neighbor (u : Bgp.Message.update) =
     u.Bgp.Message.withdrawn;
   List.iter
     (fun (prefix, attrs) ->
-      let policy = t.policy_of ~member ~neighbor in
       (match Bgp.Policy.import policy ~me:member ~prefix attrs with
       | Some attrs ->
         upsert_route t prefix
@@ -329,15 +371,18 @@ let on_external_update t ~member ~neighbor (u : Bgp.Message.update) =
       mark_dirty t prefix)
     u.Bgp.Message.announced
 
-let on_session_change t ~member ~neighbor ~up =
+let on_session_change t s ~up =
   if up then begin
     (* Full-table sync toward the new session from current decisions. *)
     Speaker.with_batch t.speaker (fun () ->
         List.iter
-          (fun prefix -> sync_session t ~member ~neighbor prefix (decisions_for t prefix))
+          (fun prefix ->
+            begin_sync t;
+            sync_session t s prefix (decisions_for t prefix))
           (known_prefixes t))
   end
   else begin
+    let member = Speaker.session_member s and neighbor = Speaker.session_neighbor s in
     (* Flush everything learned over this peering. *)
     let affected =
       Pm.fold
@@ -375,44 +420,48 @@ let handle_port_status t ~switch_asn ~port ~up =
     else if up then Speaker.open_session t.speaker ~member:switch_asn ~neighbor:peer_asn
     else Speaker.session_down t.speaker ~member:switch_asn ~neighbor:peer_asn
 
+(* The longest prefix holding [dst] that has a decision for [member]:
+   longest-prefix match over the decided prefixes, as a FIB would. *)
+let longest_decided t ~member dst =
+  Pm.fold
+    (fun prefix map best ->
+      if Net.Ipv4.mem dst prefix && Net.Asn.Map.mem member map then
+        match best with
+        | Some (p, _) when Net.Ipv4.prefix_len p >= Net.Ipv4.prefix_len prefix -> best
+        | Some _ | None -> Some (prefix, Net.Asn.Map.find member map)
+      else best)
+    t.decisions None
+
 (* PACKET_IN: emit the packet on the decided port; in reactive mode also
    install the rule (with an idle timeout) so the flow's successors stay
    in the data plane. *)
 let handle_packet_in t ~switch_asn ~in_port:_ (packet : Net.Packet.t) =
-  let prefix_match =
-    List.find_opt
-      (fun p -> Net.Ipv4.mem packet.Net.Packet.dst p)
-      (known_prefixes t)
-  in
-  match prefix_match with
+  match longest_decided t ~member:switch_asn packet.Net.Packet.dst with
   | None -> ()
-  | Some prefix -> (
-    match decision t ~member:switch_asn prefix with
-    | None -> ()
-    | Some d -> (
-      match Flow_compiler.action_of_decision ~node_of_asn:t.node_of_asn d with
-      | Some (Sdn.Flow.Output port as action) ->
-        if not t.config.proactive then begin
-          let rule =
-            Sdn.Flow.make
-              ~priority:(Net.Ipv4.prefix_len prefix)
-              ~idle_timeout:t.config.reactive_idle_timeout ~match_prefix:prefix action
-          in
-          t.stats.flow_mods <- t.stats.flow_mods + 1;
-          ignore
-            (t.send_switch ~member:switch_asn
-               (Sdn.Openflow.Flow_mod { command = Sdn.Openflow.Add; rule }));
-          let installed =
-            Option.value (Pm.find_opt prefix t.installed) ~default:Net.Asn.Map.empty
-          in
-          t.installed <- Pm.add prefix (Net.Asn.Map.add switch_asn action installed) t.installed;
-          (* [installed] changed outside recomputation: the next recompute
-             must not be skipped on stale inputs. *)
-          t.fingerprints <- Pm.remove prefix t.fingerprints
-        end;
+  | Some (prefix, d) -> (
+    match Flow_compiler.action_of_decision ~node_of_asn:t.node_of_asn d with
+    | Some (Sdn.Flow.Output port as action) ->
+      if not t.config.proactive then begin
+        let rule =
+          Sdn.Flow.make
+            ~priority:(Net.Ipv4.prefix_len prefix)
+            ~idle_timeout:t.config.reactive_idle_timeout ~match_prefix:prefix action
+        in
+        t.stats.flow_mods <- t.stats.flow_mods + 1;
         ignore
-          (t.send_switch ~member:switch_asn (Sdn.Openflow.Packet_out { out_port = port; packet }))
-      | Some (Sdn.Flow.To_controller | Sdn.Flow.Drop) | None -> ()))
+          (t.send_switch ~member:switch_asn
+             (Sdn.Openflow.Flow_mod { command = Sdn.Openflow.Add; rule }));
+        let installed =
+          Option.value (Pm.find_opt prefix t.installed) ~default:Net.Asn.Map.empty
+        in
+        t.installed <- Pm.add prefix (Net.Asn.Map.add switch_asn action installed) t.installed;
+        (* [installed] changed outside recomputation: the next recompute
+           must not be skipped on stale inputs. *)
+        t.fingerprints <- Pm.remove prefix t.fingerprints
+      end;
+      ignore
+        (t.send_switch ~member:switch_asn (Sdn.Openflow.Packet_out { out_port = port; packet }))
+    | Some (Sdn.Flow.To_controller | Sdn.Flow.Drop) | None -> ())
 
 let handle_openflow t msg =
   match msg with
@@ -560,7 +609,7 @@ let on_restarted t =
 (* --- Construction --------------------------------------------------------- *)
 
 let create ?flow_idle_timeout ?flow_hard_timeout ~sim ~config ~members:member_list ~speaker
-    ~send_switch ~node_of_asn ~asn_of_node ~addr_of_member ~policy_of ~intra_links () =
+    ~send_switch ~node_of_asn ~asn_of_node ~addr_of_member ~intra_links () =
   let members = Net.Asn.Set.of_list member_list in
   let switch_graph = Net.Graph.create () in
   List.iter (fun m -> Net.Graph.add_node switch_graph (Net.Asn.to_int m)) member_list;
@@ -605,9 +654,13 @@ let create ?flow_idle_timeout ?flow_hard_timeout ~sim ~config ~members:member_li
       node_of_asn;
       asn_of_node;
       addr_of_member;
-      policy_of;
       switch_graph;
       arena = As_graph.create_arena ();
+      member_index = Array.of_list (Net.Asn.Set.elements members);
+      sync_gen = 0;
+      sync_stamp = Array.make (Net.Asn.Set.cardinal members) (-1);
+      sync_decision = Array.make (Net.Asn.Set.cardinal members) None;
+      sync_attrs = Array.make (Net.Asn.Set.cardinal members) None;
       rib = Pm.empty;
       originated = Pm.empty;
       installed = Pm.empty;
@@ -635,8 +688,8 @@ let create ?flow_idle_timeout ?flow_hard_timeout ~sim ~config ~members:member_li
       (Recompute.create ~sim ~delay:config.recompute_delay ~callback:(fun prefixes ->
            recompute_batch t prefixes));
   Speaker.set_handlers speaker
-    ~on_update:(fun ~member ~neighbor u -> on_external_update t ~member ~neighbor u)
-    ~on_session:(fun ~member ~neighbor ~up -> on_session_change t ~member ~neighbor ~up);
+    ~on_update:(fun s u -> on_external_update t s u)
+    ~on_session:(fun s ~up -> on_session_change t s ~up);
   Engine.Node.on_crash t.node (fun () -> on_crashed t);
   Engine.Node.on_start t.node (fun ~first -> if not first then on_restarted t);
   Engine.Node.set_snapshot t.node (fun () -> snapshot t);

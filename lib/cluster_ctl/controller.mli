@@ -40,11 +40,11 @@ val create :
   node_of_asn:(Net.Asn.t -> int option) ->
   asn_of_node:(int -> Net.Asn.t option) ->
   addr_of_member:(Net.Asn.t -> Net.Ipv4.addr) ->
-  policy_of:(member:Net.Asn.t -> neighbor:Net.Asn.t -> Bgp.Policy.t) ->
   intra_links:(Net.Asn.t * Net.Asn.t) list ->
   unit ->
   t
-(** Registers itself as the speaker's update/session handler.
+(** Registers itself as the speaker's update/session handler; imports and
+    exports use each speaker session's own policy.
     [flow_idle_timeout]/[flow_hard_timeout] stamp every proactively pushed
     flow rule, so installed rules decay at the switch when the controller
     dies and stops refreshing them (the FLOW_REMOVED notification marks

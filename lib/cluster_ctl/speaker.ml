@@ -6,32 +6,33 @@
    Messages physically travel encapsulated over the speaker's link to the
    member's border switch (Switch.handle_control forwards them out).
 
-   The speaker keeps a per-session Adj-RIB-Out so the controller's
+   Each session is a record carrying its export/import policy, resolved
+   once when the peering is configured; the controller walks the records
+   in configuration order and announces through them directly, without
+   a per-prefix (member, neighbor) lookup.  The speaker keeps a
+   per-session exact-match Adj-RIB-Out so the controller's
    (re)announcements are deduplicated, and optionally paces announcements
    with an MRAI like a conventional BGP implementation would (off by
    default — ExaBGP emits updates as instructed; the controller's delayed
    recomputation is the rate limiter). *)
 
-module Pm = Net.Ipv4.Prefix_map
-module Pt = Net.Ipv4.Prefix_trie
-
-type pending = Pend_announce of Bgp.Attrs.t | Pend_withdraw
-
-type session_key = Net.Asn.t * Net.Asn.t (* member, neighbor *)
+module Pt = Net.Ipv4.Prefix_table
 
 type session = {
   member : Net.Asn.t;
   neighbor : Net.Asn.t;
   member_addr : Net.Ipv4.addr;
+  policy : Bgp.Policy.t;
   mutable established : bool;
   mutable open_sent : bool;
   mutable peer_hold : int; (* hold time (s) the neighbor proposed; 0 = none *)
   adj_out : Bgp.Attrs.t Pt.t;
   mrai : Bgp.Mrai.t option;
-  (* Non-MRAI sessions buffer changes here within a batch scope; the
-     scope close emits them as one packed UPDATE (latest state per
-     prefix).  Always empty between scheduler events. *)
-  mutable pending : pending Pm.t;
+  (* Non-MRAI sessions note the prefixes whose Adj-RIB-Out entry changed
+     within a batch scope; the scope close emits their current entries
+     (or withdrawals) as one packed UPDATE.  Always empty between
+     scheduler events. *)
+  mutable touched : Net.Ipv4.prefix list;
   mutable dirty : bool;
   mutable keepalive : Engine.Timer.t option;
   mutable hold : Engine.Timer.t option;
@@ -49,11 +50,11 @@ type t = {
   rng : Engine.Rng.t;
   liveness : Bgp.Config.keepalive option;
   send_relay : member:Net.Asn.t -> neighbor:Net.Asn.t -> Bgp.Message.t -> bool;
-  sessions : (session_key, session) Hashtbl.t;
-  mutable session_order : session_key list; (* deterministic iteration *)
-  mutable on_update :
-    member:Net.Asn.t -> neighbor:Net.Asn.t -> Bgp.Message.update -> unit;
-  mutable on_session : member:Net.Asn.t -> neighbor:Net.Asn.t -> up:bool -> unit;
+  by_key : (Net.Asn.t * Net.Asn.t, session) Hashtbl.t; (* relay and API lookups *)
+  mutable order : session array; (* first [count] slots: configuration order *)
+  mutable count : int;
+  mutable on_update : session -> Bgp.Message.update -> unit;
+  mutable on_session : session -> up:bool -> unit;
   stats : stats;
   hold_expirations : Engine.Metrics.Counter.t;
   (* Update batching, mirroring Router: controller-driven announcement
@@ -71,10 +72,11 @@ let create_unhooked ?liveness ~sim ~send_relay () =
     rng;
     liveness;
     send_relay;
-    sessions = Hashtbl.create 32;
-    session_order = [];
-    on_update = (fun ~member:_ ~neighbor:_ _ -> ());
-    on_session = (fun ~member:_ ~neighbor:_ ~up:_ -> ());
+    by_key = Hashtbl.create 32;
+    order = [||];
+    count = 0;
+    on_update = (fun _ _ -> ());
+    on_session = (fun _ ~up:_ -> ());
     stats = { updates_in = 0; updates_out = 0; opens = 0 };
     batch_depth = 0;
     any_dirty = false;
@@ -91,14 +93,27 @@ let set_handlers t ~on_update ~on_session =
   t.on_update <- on_update;
   t.on_session <- on_session
 
-let find t ~member ~neighbor = Hashtbl.find_opt t.sessions (member, neighbor)
+let find t ~member ~neighbor = Hashtbl.find_opt t.by_key (member, neighbor)
 
-let sessions t = t.session_order
+let iter_sessions t f =
+  for i = 0 to t.count - 1 do
+    f (Array.unsafe_get t.order i)
+  done
+
+let sessions t = List.init t.count (fun i -> t.order.(i))
+
+let session_member s = s.member
+
+let session_neighbor s = s.neighbor
+
+let session_policy s = s.policy
+
+let is_established s = s.established
 
 let sessions_of t member =
   List.filter_map
-    (fun (m, n) -> if Net.Asn.equal m member then Some n else None)
-    t.session_order
+    (fun s -> if Net.Asn.equal s.member member then Some s.neighbor else None)
+    (sessions t)
 
 let session_established t ~member ~neighbor =
   match find t ~member ~neighbor with Some s -> s.established | None -> false
@@ -114,9 +129,9 @@ let send_wire t (s : session) msg =
   end;
   sent
 
-let add_session ?(mrai_config : Bgp.Config.t option) t ~member ~neighbor ~member_addr =
+let add_session ?(mrai_config : Bgp.Config.t option) t ~member ~neighbor ~member_addr ~policy =
   let key = (member, neighbor) in
-  if Hashtbl.mem t.sessions key then
+  if Hashtbl.mem t.by_key key then
     invalid_arg
       (Fmt.str "Speaker.add_session: duplicate %a/%a" Net.Asn.pp member Net.Asn.pp neighbor);
   let self = ref None in
@@ -133,8 +148,8 @@ let add_session ?(mrai_config : Bgp.Config.t option) t ~member ~neighbor ~member
       mrai_config
   in
   let s =
-    { member; neighbor; member_addr; established = false; open_sent = false; peer_hold = 0;
-      adj_out = Pt.create (); mrai; pending = Pm.empty; dirty = false; keepalive = None;
+    { member; neighbor; member_addr; policy; established = false; open_sent = false; peer_hold = 0;
+      adj_out = Pt.create (); mrai; touched = []; dirty = false; keepalive = None;
       hold = None }
   in
   self := Some s;
@@ -147,39 +162,38 @@ let add_session ?(mrai_config : Bgp.Config.t option) t ~member ~neighbor ~member
           end
           else Bgp.Mrai.flush_event m))
     mrai;
-  Hashtbl.replace t.sessions key s;
-  t.session_order <- t.session_order @ [ key ]
+  Hashtbl.replace t.by_key key s;
+  if t.count = Array.length t.order then begin
+    let order = Array.make (max 16 (2 * t.count)) s in
+    Array.blit t.order 0 order 0 t.count;
+    t.order <- order
+  end;
+  t.order.(t.count) <- s;
+  t.count <- t.count + 1
 
-(* End-of-scope flush, in deterministic [session_order]. *)
+(* End-of-scope flush, in configuration order. *)
 let flush_session t (s : session) =
   s.dirty <- false;
   (match s.mrai with Some m -> Bgp.Mrai.flush_event m | None -> ());
-  if not (Pm.is_empty s.pending) then begin
+  if s.touched <> [] then begin
     let announced, withdrawn =
-      Pm.fold
-        (fun prefix p (ann, wd) ->
-          match p with
-          | Pend_announce attrs -> ((prefix, attrs) :: ann, wd)
-          | Pend_withdraw -> (ann, prefix :: wd))
-        s.pending ([], [])
+      List.fold_left
+        (fun (ann, wd) prefix ->
+          match Pt.find prefix s.adj_out with
+          | Some attrs -> ((prefix, attrs) :: ann, wd)
+          | None -> (ann, prefix :: wd))
+        ([], [])
+        (List.sort_uniq (fun a b -> Net.Ipv4.compare_prefix b a) s.touched)
     in
-    s.pending <- Pm.empty;
+    s.touched <- [];
     if s.established then
-      ignore
-        (send_wire t s
-           (Bgp.Message.update ~announced:(List.rev announced)
-              ~withdrawn:(List.rev withdrawn) ()))
+      ignore (send_wire t s (Bgp.Message.update ~announced ~withdrawn ()))
   end
 
 let flush_batch t =
   if t.any_dirty then begin
     t.any_dirty <- false;
-    List.iter
-      (fun key ->
-        match Hashtbl.find_opt t.sessions key with
-        | Some s when s.dirty -> flush_session t s
-        | Some _ | None -> ())
-      t.session_order
+    iter_sessions t (fun s -> if s.dirty then flush_session t s)
   end
 
 let with_batch t f =
@@ -208,38 +222,38 @@ let send_open t (s : session) =
        (Bgp.Message.Open
           { asn = s.member; router_id = s.member_addr; hold_time = our_hold_secs t }))
 
+let open_session_of t s =
+  if not s.open_sent then begin
+    s.open_sent <- true;
+    send_open t s
+  end
+
 let open_session t ~member ~neighbor =
   match find t ~member ~neighbor with
   | None ->
     invalid_arg
       (Fmt.str "Speaker.open_session: unknown %a/%a" Net.Asn.pp member Net.Asn.pp neighbor)
-  | Some s ->
-    if not s.open_sent then begin
-      s.open_sent <- true;
-      send_open t s
-    end
+  | Some s -> open_session_of t s
 
-let open_all t =
-  List.iter (fun (member, neighbor) -> open_session t ~member ~neighbor) t.session_order
+let open_all t = iter_sessions t (open_session_of t)
 
 let stop_liveness (s : session) =
   Option.iter Engine.Timer.cancel s.keepalive;
   Option.iter Engine.Timer.cancel s.hold
 
-let session_down t ~member ~neighbor =
-  match find t ~member ~neighbor with
-  | None -> ()
-  | Some s ->
-    if s.established || s.open_sent then begin
-      s.established <- false;
-      s.open_sent <- false;
-      Pt.clear s.adj_out;
-      s.pending <- Pm.empty;
-      s.dirty <- false;
-      Option.iter Bgp.Mrai.reset s.mrai;
-      stop_liveness s;
-      t.on_session ~member ~neighbor ~up:false
-    end
+let down t s =
+  if s.established || s.open_sent then begin
+    s.established <- false;
+    s.open_sent <- false;
+    Pt.clear s.adj_out;
+    s.touched <- [];
+    s.dirty <- false;
+    Option.iter Bgp.Mrai.reset s.mrai;
+    stop_liveness s;
+    t.on_session s ~up:false
+  end
+
+let session_down t ~member ~neighbor = Option.iter (down t) (find t ~member ~neighbor)
 
 (* Per-session KEEPALIVE emission + hold supervision, mirroring
    Router.start_liveness (negotiated hold, jittered emission). *)
@@ -282,7 +296,7 @@ let start_liveness t (s : session) =
             ~callback:(fun () ->
               Engine.Metrics.Counter.inc t.hold_expirations;
               ignore (send_wire t s (Bgp.Message.Notification "hold timer expired"));
-              session_down t ~member:s.member ~neighbor:s.neighbor)
+              down t s)
         in
         s.hold <- Some timer;
         Engine.Node.own_timer t.node timer;
@@ -295,7 +309,7 @@ let establish t (s : session) =
   if not s.established then begin
     s.established <- true;
     start_liveness t s;
-    t.on_session ~member:s.member ~neighbor:s.neighbor ~up:true
+    t.on_session s ~up:true
   end
 
 let touch_hold t (s : session) =
@@ -312,27 +326,21 @@ let handle_relay t ~member ~neighbor (msg : Bgp.Message.t) =
     match msg with
     | Bgp.Message.Open { hold_time; _ } ->
       s.peer_hold <- hold_time;
-      if not s.open_sent then begin
-        s.open_sent <- true;
-        send_open t s
-      end;
+      open_session_of t s;
       establish t s
     | Bgp.Message.Keepalive -> ()
-    | Bgp.Message.Notification _ -> session_down t ~member ~neighbor
+    | Bgp.Message.Notification _ -> down t s
     | Bgp.Message.Update u ->
       if s.established then begin
         t.stats.updates_in <- t.stats.updates_in + 1;
         Engine.Sim.mark t.sim ~category:"speaker.relay" ~node:"speaker"
           ~render:Net.Asn.int_to_string (Net.Asn.to_int neighbor);
-        t.on_update ~member ~neighbor u
+        t.on_update s u
       end)
 
 (* Controller-driven advertisement with Adj-RIB-Out deduplication. *)
-let announce t ~member ~neighbor prefix attrs =
-  match find t ~member ~neighbor with
-  | None -> ()
-  | Some s when not s.established -> ()
-  | Some s -> (
+let announce_to t s prefix attrs =
+  if s.established then begin
     match Pt.find prefix s.adj_out with
     | Some prev when Bgp.Attrs.wire_equal prev attrs -> ()
     | Some _ | None -> (
@@ -340,28 +348,33 @@ let announce t ~member ~neighbor prefix attrs =
       match s.mrai with
       | Some m -> Bgp.Mrai.enqueue_announce m prefix attrs
       | None when t.batch_depth > 0 ->
-        s.pending <- Pm.add prefix (Pend_announce attrs) s.pending;
+        s.touched <- prefix :: s.touched;
         s.dirty <- true;
         t.any_dirty <- true
       | None ->
         ignore
-          (send_wire t s (Bgp.Message.update ~announced:[ (prefix, attrs) ] ()))))
+          (send_wire t s (Bgp.Message.update ~announced:[ (prefix, attrs) ] ())))
+  end
 
-let withdraw t ~member ~neighbor prefix =
-  match find t ~member ~neighbor with
-  | None -> ()
-  | Some s when not s.established -> ()
-  | Some s ->
+let withdraw_to t s prefix =
+  if s.established then begin
     if Pt.mem prefix s.adj_out then begin
       Pt.remove prefix s.adj_out;
       match s.mrai with
       | Some m -> Bgp.Mrai.enqueue_withdraw m prefix
       | None when t.batch_depth > 0 ->
-        s.pending <- Pm.add prefix Pend_withdraw s.pending;
+        s.touched <- prefix :: s.touched;
         s.dirty <- true;
         t.any_dirty <- true
       | None -> ignore (send_wire t s (Bgp.Message.update ~withdrawn:[ prefix ] ()))
     end
+  end
+
+let announce t ~member ~neighbor prefix attrs =
+  Option.iter (fun s -> announce_to t s prefix attrs) (find t ~member ~neighbor)
+
+let withdraw t ~member ~neighbor prefix =
+  Option.iter (fun s -> withdraw_to t s prefix) (find t ~member ~neighbor)
 
 let advertised t ~member ~neighbor prefix =
   Option.bind (find t ~member ~neighbor) (fun s -> Pt.find prefix s.adj_out)
@@ -382,21 +395,18 @@ type Engine.Node.blob += Speaker_state of Engine.Rng.t * session_ck list
 
 let snapshot t =
   let sessions =
-    List.filter_map
-      (fun key ->
-        Option.map
-          (fun s ->
-            {
-              sk_member = s.member;
-              sk_neighbor = s.neighbor;
-              sk_established = s.established;
-              sk_open_sent = s.open_sent;
-              sk_peer_hold = s.peer_hold;
-              sk_adj_out = Pt.entries s.adj_out;
-              sk_mrai = Option.map Bgp.Mrai.state s.mrai;
-            })
-          (Hashtbl.find_opt t.sessions key))
-      t.session_order
+    List.map
+      (fun s ->
+        {
+          sk_member = s.member;
+          sk_neighbor = s.neighbor;
+          sk_established = s.established;
+          sk_open_sent = s.open_sent;
+          sk_peer_hold = s.peer_hold;
+          sk_adj_out = Pt.entries s.adj_out;
+          sk_mrai = Option.map Bgp.Mrai.state s.mrai;
+        })
+      (sessions t)
   in
   Speaker_state (Engine.Rng.copy t.rng, sessions)
 
@@ -426,29 +436,23 @@ let restore t = function
    alone the framework decides, and when the whole cluster head crashes
    the controller loses its RIB anyway. *)
 let on_crashed t =
-  Hashtbl.iter
-    (fun _ s ->
+  iter_sessions t
+    (fun s ->
       s.established <- false;
       s.open_sent <- false;
       s.peer_hold <- 0;
       Pt.clear s.adj_out;
-      s.pending <- Pm.empty;
+      s.touched <- [];
       s.dirty <- false;
       Option.iter Bgp.Mrai.reset s.mrai)
-    t.sessions
 
 (* Restart: NOTIFICATION-then-OPEN on every configured session, so the
    remote router tears the old session down (flushing our stale routes)
    and answers the OPEN like a cold start. *)
 let on_restarted t =
-  List.iter
-    (fun (member, neighbor) ->
-      match find t ~member ~neighbor with
-      | None -> ()
-      | Some s ->
-        ignore (send_wire t s (Bgp.Message.Notification "speaker restarted"));
-        open_session t ~member ~neighbor)
-    t.session_order
+  iter_sessions t (fun s ->
+      ignore (send_wire t s (Bgp.Message.Notification "speaker restarted"));
+      open_session_of t s)
 
 let create ?liveness ~sim ~send_relay () =
   let t = create_unhooked ?liveness ~sim ~send_relay () in

@@ -4,6 +4,10 @@
 
 type t
 
+type session
+(** One configured external peering: its member, neighbor and the
+    policy governing it, resolved once at configuration. *)
+
 type stats = {
   mutable updates_in : int;
   mutable updates_out : int;
@@ -28,8 +32,8 @@ val node : t -> Engine.Node.t
 
 val set_handlers :
   t ->
-  on_update:(member:Net.Asn.t -> neighbor:Net.Asn.t -> Bgp.Message.update -> unit) ->
-  on_session:(member:Net.Asn.t -> neighbor:Net.Asn.t -> up:bool -> unit) ->
+  on_update:(session -> Bgp.Message.update -> unit) ->
+  on_session:(session -> up:bool -> unit) ->
   unit
 (** Wire the controller in. *)
 
@@ -39,12 +43,26 @@ val add_session :
   member:Net.Asn.t ->
   neighbor:Net.Asn.t ->
   member_addr:Net.Ipv4.addr ->
+  policy:Bgp.Policy.t ->
   unit
-(** Configure one external peering.  [mrai_config] enables conventional
-    MRAI pacing of the speaker's announcements (off by default). *)
+(** Configure one external peering, governed by [policy] for the
+    controller's import and export.  [mrai_config] enables conventional
+    MRAI pacing of the speaker's announcements (off by default).
+    @raise Invalid_argument on a duplicate (member, neighbor). *)
 
-val sessions : t -> (Net.Asn.t * Net.Asn.t) list
-(** (member, neighbor) pairs in configuration order. *)
+val sessions : t -> session list
+(** In configuration order. *)
+
+val iter_sessions : t -> (session -> unit) -> unit
+(** In configuration order, without building a list. *)
+
+val session_member : session -> Net.Asn.t
+
+val session_neighbor : session -> Net.Asn.t
+
+val session_policy : session -> Bgp.Policy.t
+
+val is_established : session -> bool
 
 val sessions_of : t -> Net.Asn.t -> Net.Asn.t list
 
@@ -68,8 +86,14 @@ val with_batch : t -> (unit -> 'a) -> 'a
     configuration order).  Outside any scope each change is sent
     immediately, as before. *)
 
+val announce_to : t -> session -> Net.Ipv4.prefix -> Bgp.Attrs.t -> unit
+(** Advertise (deduplicated against the session's Adj-RIB-Out); ignored
+    while the session is not established. *)
+
+val withdraw_to : t -> session -> Net.Ipv4.prefix -> unit
+
 val announce : t -> member:Net.Asn.t -> neighbor:Net.Asn.t -> Net.Ipv4.prefix -> Bgp.Attrs.t -> unit
-(** Advertise (deduplicated against the session's Adj-RIB-Out). *)
+(** {!announce_to} the session configured for (member, neighbor), if any. *)
 
 val withdraw : t -> member:Net.Asn.t -> neighbor:Net.Asn.t -> Net.Ipv4.prefix -> unit
 

@@ -1,6 +1,6 @@
 (* Array-backed binary min-heap, polymorphic in the element type with an
-   explicit comparison supplied at creation.  Used by the event queue, the
-   timer wheel and Dijkstra. *)
+   explicit comparison supplied at creation.  Used by [Net.Graph]'s
+   Dijkstra; the scheduler keeps its own event-specialized heap. *)
 
 type 'a t = {
   mutable data : 'a array;

@@ -9,10 +9,10 @@
    Two invariants keep the runtime behaviour-preserving for runs that
    never crash a node:
 
-   - Delivery through a port drains the mailbox synchronously, so a
-     message is processed at the same instant (and in the same order)
-     as the direct handler call it replaces.  The queue only holds more
-     than one message during re-entrant delivery, which the previous
+   - Delivery through a port to an idle node is the direct handler call
+     itself: no closure, no queue cell.  The queue only holds messages
+     delivered re-entrantly while a handler runs (drained in arrival
+     order before the outermost delivery returns), which the previous
      closure wiring could not express at all.
 
    - Metric series (mailbox drops, lifecycle transitions) are registered
@@ -162,21 +162,28 @@ let schedule_at ?category t at f =
 let schedule_after ?category t span f =
   ignore (Sim.schedule_after ?category t.sim span (guarded t f))
 
-(* Mailbox.  Enqueue then drain: with no re-entrancy this is exactly one
-   synchronous handler call; under re-entrant delivery the outer drain
-   loop processes queued messages in arrival order. *)
-let drain t =
-  if not t.draining then begin
-    t.draining <- true;
-    Fun.protect
-      ~finally:(fun () -> t.draining <- false)
-      (fun () ->
-        while not (Queue.is_empty t.mailbox) do
-          let work = Queue.pop t.mailbox in
-          t.processed <- t.processed + 1;
-          work ()
-        done)
+(* Mailbox.  An idle node (not draining, nothing queued) handles the
+   message with a direct handler call; messages delivered re-entrantly
+   while it runs are queued and drained, in arrival order, before the
+   outermost delivery returns.  A raising handler propagates its
+   exception with the node idle again, and anything still queued is
+   handled at the front of the next delivery. *)
+let rec drain_queue t =
+  if not (Queue.is_empty t.mailbox) then begin
+    let work = Queue.pop t.mailbox in
+    t.processed <- t.processed + 1;
+    work ();
+    drain_queue t
   end
+
+(* [t.draining] is set; clear it however the handlers end. *)
+let finish_drain t =
+  match drain_queue t with
+  | () -> t.draining <- false
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.draining <- false;
+    Printexc.raise_with_backtrace e bt
 
 let port node ~handler = { node; handler }
 let port_node p = p.node
@@ -189,10 +196,27 @@ let deliver p ~from msg =
     bump_drop_counter t;
     false
   end
-  else begin
+  else if t.draining || not (Queue.is_empty t.mailbox) then begin
+    (* re-entrant, or behind messages a raising handler left queued *)
     Queue.push (fun () -> p.handler ~from msg) t.mailbox;
     Sim.mark t.sim ~category:"node.deliver" ~node:t.name ~render:string_of_int from;
-    drain t;
+    if not t.draining then begin
+      t.draining <- true;
+      finish_drain t
+    end;
+    true
+  end
+  else begin
+    Sim.mark t.sim ~category:"node.deliver" ~node:t.name ~render:string_of_int from;
+    t.draining <- true;
+    t.processed <- t.processed + 1;
+    (match p.handler ~from msg with
+    | () -> ()
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.draining <- false;
+      Printexc.raise_with_backtrace e bt);
+    finish_drain t;
     true
   end
 

@@ -109,14 +109,18 @@ val port : t -> handler:(from:int -> 'msg -> unit) -> 'msg port
 val port_node : 'msg port -> t
 
 val deliver : 'msg port -> from:int -> 'msg -> bool
-(** Enqueue and (unless re-entrant) immediately process one message.
+(** Process one message now — a direct handler call when the node is
+    idle — or, when delivered re-entrantly from one of its handlers,
+    queue it to be processed before the outermost delivery returns.  A
+    handler's exception propagates; messages it left queued are
+    processed first by the next delivery.
     [false] when the node is not up ([`node down`]) or the mailbox is
     full ([`queue overflow`] — counted in [node_mailbox_dropped_total]
     and visible via {!mailbox_dropped}). *)
 
 val mailbox_depth : t -> int
 (** Messages enqueued but not yet processed (non-zero only during
-    re-entrant processing). *)
+    re-entrant processing, or after a raising handler left some). *)
 
 val mailbox_dropped : t -> int
 

@@ -11,10 +11,21 @@
    a separate table that deliberately stays OUT of the registry so metric
    exports remain byte-identical across runs of the same seed. *)
 
+type prof_cell = { mutable p_events : int; mutable p_seconds : float }
+
+(* Everything the scheduler keeps per event category, resolved once per
+   [schedule_at] so executing an event touches no string-keyed table. *)
+type cat = {
+  c_name : string;
+  c_scheduled : Metrics.Counter.t;
+  mutable c_executed : Metrics.Counter.t option; (* registered at first execution *)
+  mutable c_prof : prof_cell option; (* created at first profiled execution *)
+}
+
 type event = {
-  fire_at : Time.t;
+  at_us : int; (* firing instant, [Time.to_us]: the queue orders on (at_us, seq) *)
   seq : int;
-  category : string;
+  cat : cat;
   span : int; (* causal span id, -1 when tracing is disabled *)
   mutable cancelled : bool;
   action : unit -> unit;
@@ -24,33 +35,35 @@ type handle = event
 
 type profile_row = { category : string; events : int; seconds : float }
 
-type prof_cell = { mutable p_events : int; mutable p_seconds : float }
-
 type t = {
   mutable now : Time.t;
   mutable next_seq : int;
   mutable executed : int;
-  queue : event Heap.t;
+  mutable queue : event array; (* binary min-heap on (at_us, seq), first [size] slots *)
+  mutable size : int;
   rng : Rng.t;
   causal : Causal.t;
   metrics : Metrics.t;
   mutable profiling : bool;
-  profile : (string, prof_cell) Hashtbl.t;
-  scheduled_by : (string, Metrics.Counter.t) Hashtbl.t;
-  executed_by : (string, Metrics.Counter.t) Hashtbl.t;
+  mutable cats : cat array; (* first [ncats] slots used, in first-use order *)
+  mutable ncats : int;
   reaped : Metrics.Counter.t;
   mutable on_wake : (unit -> unit) list;
 }
 
-let compare_event a b =
-  let c = Time.compare a.fire_at b.fire_at in
-  if c <> 0 then c else compare a.seq b.seq
+let dummy_cat =
+  {
+    c_name = "";
+    c_scheduled = Metrics.counter (Metrics.create ()) "unused";
+    c_executed = None;
+    c_prof = None;
+  }
 
 let dummy_event =
   {
-    fire_at = Time.zero;
+    at_us = 0;
     seq = -1;
-    category = "";
+    cat = dummy_cat;
     span = -1;
     cancelled = true;
     action = ignore;
@@ -62,14 +75,14 @@ let create ?(seed = 0) ?(causal = Causal.Disabled) () =
     now = Time.zero;
     next_seq = 0;
     executed = 0;
-    queue = Heap.create ~capacity:1024 ~dummy:dummy_event compare_event;
+    queue = Array.make 1024 dummy_event;
+    size = 0;
     rng = Rng.create seed;
     causal = Causal.create ~mode:causal ~seed ();
     metrics;
     profiling = false;
-    profile = Hashtbl.create 16;
-    scheduled_by = Hashtbl.create 16;
-    executed_by = Hashtbl.create 16;
+    cats = Array.make 16 dummy_cat;
+    ncats = 0;
     reaped =
       Metrics.counter metrics ~help:"cancelled events reaped from the queue"
         "sim_events_cancelled_total";
@@ -92,7 +105,7 @@ let with_span t ~category ?node ?label f =
 
 let metrics t = t.metrics
 
-let pending t = Heap.length t.queue
+let pending t = t.size
 
 let executed t = t.executed
 
@@ -101,10 +114,12 @@ let set_profiling t flag = t.profiling <- flag
 let profiling t = t.profiling
 
 let profile t =
-  Hashtbl.fold
-    (fun category cell acc ->
-      { category; events = cell.p_events; seconds = cell.p_seconds } :: acc)
-    t.profile []
+  Array.fold_left
+    (fun acc c ->
+      match c.c_prof with
+      | Some cell -> { category = c.c_name; events = cell.p_events; seconds = cell.p_seconds } :: acc
+      | None -> acc)
+    [] (Array.sub t.cats 0 t.ncats)
   |> List.sort (fun a b -> String.compare a.category b.category)
 
 let pp_profile ppf t =
@@ -113,25 +128,105 @@ let pp_profile ppf t =
     (fun r -> Fmt.pf ppf "%-24s %10d %12.6f@." r.category r.events r.seconds)
     (profile t)
 
-let category_counter cache metrics name category =
-  match Hashtbl.find_opt cache category with
-  | Some c -> c
-  | None ->
-    let c = Metrics.counter metrics ~labels:[ ("category", category) ] name in
-    Hashtbl.replace cache category c;
-    c
+(* Categories are few and nearly always string literals, so a scan by
+   physical equality resolves them without hashing or comparing strings;
+   a string built at run time falls back to a scan by value. *)
+let new_cat t name =
+  let c =
+    {
+      c_name = name;
+      c_scheduled =
+        Metrics.counter t.metrics ~labels:[ ("category", name) ] "sim_events_scheduled_total";
+      c_executed = None;
+      c_prof = None;
+    }
+  in
+  if t.ncats = Array.length t.cats then begin
+    let cats = Array.make (2 * t.ncats) dummy_cat in
+    Array.blit t.cats 0 cats 0 t.ncats;
+    t.cats <- cats
+  end;
+  t.cats.(t.ncats) <- c;
+  t.ncats <- t.ncats + 1;
+  c
+
+let resolve_cat t name =
+  let rec by_value i =
+    if i = t.ncats then new_cat t name
+    else if String.equal t.cats.(i).c_name name then t.cats.(i)
+    else by_value (i + 1)
+  in
+  let rec by_address i =
+    if i = t.ncats then by_value 0
+    else
+      let c = Array.unsafe_get t.cats i in
+      if c.c_name == name then c else by_address (i + 1)
+  in
+  by_address 0
+
+(* The event queue: a binary min-heap on (at_us, seq) specialized to
+   events, so ordering two events is two int comparisons. *)
+let earlier a b = a.at_us < b.at_us || (a.at_us = b.at_us && a.seq < b.seq)
+
+let push t ev =
+  if t.size = Array.length t.queue then begin
+    let q = Array.make (2 * t.size) dummy_event in
+    Array.blit t.queue 0 q 0 t.size;
+    t.queue <- q
+  end;
+  let q = t.queue in
+  let rec up i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      let p = q.(parent) in
+      if earlier ev p then begin
+        q.(i) <- p;
+        up parent
+      end
+      else q.(i) <- ev
+    end
+    else q.(i) <- ev
+  in
+  up t.size;
+  t.size <- t.size + 1
+
+(* Remove and return the earliest event; the queue must be non-empty. *)
+let pop t =
+  let q = t.queue in
+  let top = q.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  let last = q.(n) in
+  q.(n) <- dummy_event;
+  let rec down i =
+    let l = (2 * i) + 1 in
+    if l >= n then q.(i) <- last
+    else begin
+      let r = l + 1 in
+      let c = if r < n && earlier q.(r) q.(l) then r else l in
+      if earlier q.(c) last then begin
+        q.(i) <- q.(c);
+        down c
+      end
+      else q.(i) <- last
+    end
+  in
+  if n > 0 then down 0;
+  top
 
 let schedule_at ?(category = "event") t fire_at action =
   if Time.(fire_at < t.now) then
     invalid_arg
       (Fmt.str "Sim.schedule_at: %a is in the past (now %a)" Time.pp fire_at Time.pp t.now);
+  let cat = resolve_cat t category in
   let span = Causal.on_schedule t.causal ~category ~queued_at:t.now in
-  let ev = { fire_at; seq = t.next_seq; category; span; cancelled = false; action } in
+  let ev =
+    { at_us = Time.to_us fire_at; seq = t.next_seq; cat; span; cancelled = false; action }
+  in
   t.next_seq <- t.next_seq + 1;
-  Metrics.Counter.inc
-    (category_counter t.scheduled_by t.metrics "sim_events_scheduled_total" category);
-  let was_empty = Heap.length t.queue = 0 in
-  Heap.push t.queue ev;
+  Metrics.Counter.inc cat.c_scheduled;
+  let was_empty = t.size = 0 in
+  push t ev;
   (* Notify after the push so a hook's own scheduling sees a non-empty
      queue and cannot re-trigger the transition. *)
   if was_empty then List.iter (fun f -> f ()) t.on_wake;
@@ -154,11 +249,11 @@ let run_action t ev =
     ev.action ();
     let dt = Sys.time () -. t0 in
     let cell =
-      match Hashtbl.find_opt t.profile ev.category with
+      match ev.cat.c_prof with
       | Some c -> c
       | None ->
         let c = { p_events = 0; p_seconds = 0.0 } in
-        Hashtbl.replace t.profile ev.category c;
+        ev.cat.c_prof <- Some c;
         c
     in
     cell.p_events <- cell.p_events + 1;
@@ -167,12 +262,22 @@ let run_action t ev =
   else ev.action ()
 
 let execute t ev =
-  t.now <- ev.fire_at;
+  t.now <- Time.of_us ev.at_us;
   t.executed <- t.executed + 1;
-  Metrics.Counter.inc
-    (category_counter t.executed_by t.metrics "sim_events_executed_total" ev.category);
+  let executed =
+    match ev.cat.c_executed with
+    | Some c -> c
+    | None ->
+      let c =
+        Metrics.counter t.metrics ~labels:[ ("category", ev.cat.c_name) ]
+          "sim_events_executed_total"
+      in
+      ev.cat.c_executed <- Some c;
+      c
+  in
+  Metrics.Counter.inc executed;
   if Causal.enabled t.causal then begin
-    Causal.on_execute t.causal ev.span ~fired_at:ev.fire_at;
+    Causal.on_execute t.causal ev.span ~fired_at:t.now;
     match run_action t ev with
     | () -> Causal.clear_current t.causal
     | exception e ->
@@ -184,14 +289,18 @@ let execute t ev =
 
 (* Run one event; returns false when the queue is exhausted. *)
 let rec step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some ev when ev.cancelled ->
-    note_reaped t;
-    step t
-  | Some ev ->
-    execute t ev;
-    true
+  if t.size = 0 then false
+  else begin
+    let ev = pop t in
+    if ev.cancelled then begin
+      note_reaped t;
+      step t
+    end
+    else begin
+      execute t ev;
+      true
+    end
+  end
 
 type run_result = Exhausted | Reached_limit | Reached_time of Time.t
 
@@ -199,18 +308,20 @@ let run ?until ?(max_events = max_int) t =
   let rec loop remaining =
     if remaining = 0 then Reached_limit
     else
-      match Heap.peek t.queue with
-      | None -> Exhausted
-      | Some ev when ev.cancelled ->
-        ignore (Heap.pop t.queue);
-        note_reaped t;
-        loop remaining
-      | Some ev -> (
-        match until with
-        | Some stop when Time.(ev.fire_at > stop) ->
-          t.now <- stop;
-          Reached_time stop
-        | Some _ | None ->
-          if step t then loop (remaining - 1) else Exhausted)
+      if t.size = 0 then Exhausted
+      else begin
+        let ev = t.queue.(0) in
+        if ev.cancelled then begin
+          ignore (pop t);
+          note_reaped t;
+          loop remaining
+        end
+        else
+          match until with
+          | Some stop when Time.(of_us ev.at_us > stop) ->
+            t.now <- stop;
+            Reached_time stop
+          | Some _ | None -> if step t then loop (remaining - 1) else Exhausted
+      end
   in
   loop max_events

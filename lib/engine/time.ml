@@ -3,59 +3,62 @@
    Time is an absolute instant measured in integer microseconds since the
    start of the simulation; [span] is a difference of instants.  Integer
    microseconds keep event ordering exact and runs bit-reproducible, which
-   float seconds would not. *)
+   float seconds would not.  The representation is a plain immediate
+   [int] (63 bits: ±146,000 years of microseconds), so comparing,
+   storing and adding instants allocates nothing. *)
 
-type t = int64
+type t = int
 
-type span = int64
+type span = int
 
-let zero = 0L
+let zero = 0
 
-let compare = Int64.compare
+let compare = Int.compare
 
-let equal = Int64.equal
+let equal = Int.equal
 
-let min a b = if Stdlib.( <= ) (Int64.compare a b) 0 then a else b
+let min (a : t) b = if a <= b then a else b
 
-let max a b = if Stdlib.( >= ) (Int64.compare a b) 0 then a else b
+let max (a : t) b = if a >= b then a else b
 
-let ( <= ) a b = Stdlib.( <= ) (Int64.compare a b) 0
+let ( <= ) (a : t) b = a <= b
 
-let ( < ) a b = Stdlib.( < ) (Int64.compare a b) 0
+let ( < ) (a : t) b = a < b
 
-let ( >= ) a b = Stdlib.( >= ) (Int64.compare a b) 0
+let ( >= ) (a : t) b = a >= b
 
-let ( > ) a b = Stdlib.( > ) (Int64.compare a b) 0
+let ( > ) (a : t) b = a > b
 
-let add = Int64.add
+let add = ( + )
 
-let diff = Int64.sub
+let diff = ( - )
 
 (* Span constructors. *)
 
-let us n = Int64.of_int n
+let us n = n
 
-let ms n = Int64.mul (Int64.of_int n) 1_000L
+let ms n = n * 1_000
 
-let sec n = Int64.mul (Int64.of_int n) 1_000_000L
+let sec n = n * 1_000_000
 
-let of_sec_f f = Int64.of_float (f *. 1e6)
+(* Truncation toward zero, as the earlier int64 representation did. *)
+let of_sec_f f = Float.to_int (f *. 1e6)
 
-let span_add = Int64.add
+let span_add = ( + )
 
-let span_scale span f = Int64.of_float (Int64.to_float span *. f)
+let span_scale span f = Float.to_int (Float.of_int span *. f)
 
-let span_zero = 0L
+let span_zero = 0
 
 (* Conversions. *)
 
-let to_us t = Int64.to_int t
+let to_us t = t
 
-let to_ms_f t = Int64.to_float t /. 1e3
+let to_ms_f t = Float.of_int t /. 1e3
 
-let to_sec_f t = Int64.to_float t /. 1e6
+let to_sec_f t = Float.of_int t /. 1e6
 
-let of_us n = Int64.of_int n
+let of_us n = n
 
 let pp ppf t = Fmt.pf ppf "%.3fs" (to_sec_f t)
 

@@ -256,11 +256,12 @@ let render_state net =
   (match Network.speaker net with
   | None -> ()
   | Some sp ->
-    List.iter
-      (fun (member, neighbor) ->
-        add "speaker %a/%a established=%b\n" Net.Asn.pp member Net.Asn.pp neighbor
-          (Cluster_ctl.Speaker.session_established sp ~member ~neighbor))
-      (Cluster_ctl.Speaker.sessions sp));
+    Cluster_ctl.Speaker.iter_sessions sp (fun s ->
+        add "speaker %a/%a established=%b\n" Net.Asn.pp
+          (Cluster_ctl.Speaker.session_member s)
+          Net.Asn.pp
+          (Cluster_ctl.Speaker.session_neighbor s)
+          (Cluster_ctl.Speaker.is_established s)));
   Buffer.contents buf
 
 let state_digest net = Digest.to_hex (Digest.string (render_state net))

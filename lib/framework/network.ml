@@ -351,11 +351,14 @@ let create ?(config = Config.default) ~seed spec =
             (fun neighbor ->
               if not (is_sdn neighbor) then
                 Cluster_ctl.Speaker.add_session ?mrai_config:config.Config.speaker_mrai speaker
-                  ~member ~neighbor ~member_addr:(plan.Addressing.router_addr member))
+                  ~member ~neighbor ~member_addr:(plan.Addressing.router_addr member)
+                  ~policy:
+                    (Bgp.Policy.make (indexed_relationship link_index ~me:member ~neighbor)))
             (Topology.Spec.neighbors spec member);
           Cluster_ctl.Speaker.add_session ?mrai_config:config.Config.speaker_mrai speaker
             ~member ~neighbor:collector_asn
-            ~member_addr:(plan.Addressing.router_addr member);
+            ~member_addr:(plan.Addressing.router_addr member)
+            ~policy:(Bgp.Policy.make Bgp.Policy.Customer);
           Bgp.Collector.add_peer collector ~peer_asn:member ~peer_node:(Net.Asn.to_int member))
         sdn;
       let intra_links =
@@ -375,9 +378,7 @@ let create ?(config = Config.default) ~seed spec =
               (Payload.Openflow msg))
           ~node_of_asn:(fun asn -> node_of_asn (the ()) asn)
           ~asn_of_node:(fun node -> asn_of_node (the ()) node)
-          ~addr_of_member:plan.Addressing.router_addr
-          ~policy_of:(fun ~member ~neighbor -> policy_for (the ()) ~me:member ~neighbor)
-          ~intra_links ()
+          ~addr_of_member:plan.Addressing.router_addr ~intra_links ()
       in
       (* Fallback egress for a degraded member: its lowest-numbered legacy
          neighbor whose link is still up (deterministic, re-picked by the
@@ -700,7 +701,8 @@ let add_peering ?(rel = Topology.Spec.Open) ?delay t a b =
         | Some speaker ->
           Cluster_ctl.Speaker.add_session ?mrai_config:t.config.Config.speaker_mrai speaker
             ~member:me ~neighbor:other
-            ~member_addr:(t.plan.Addressing.router_addr me);
+            ~member_addr:(t.plan.Addressing.router_addr me)
+            ~policy:(policy_for t ~me ~neighbor:other);
           Cluster_ctl.Speaker.open_session speaker ~member:me ~neighbor:other
         | None -> ())
   in

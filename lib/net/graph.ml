@@ -169,28 +169,10 @@ let heap_cmp (d1, s1, _) (d2, s2, _) =
   let c = Float.compare d1 d2 in
   if c <> 0 then c else Int.compare s1 s2
 
-(* Reusable state so per-prefix sweeps don't reallocate tables and heap
-   storage on every run (the controller's hottest loop). *)
-type scratch = {
-  s_dist : (int, float) Hashtbl.t;
-  s_pred : (int, int) Hashtbl.t;
-  s_heap : (float * int * int) Engine.Heap.t;
-}
-
-let scratch () =
-  {
-    s_dist = Hashtbl.create 64;
-    s_pred = Hashtbl.create 64;
-    s_heap = Engine.Heap.create ~dummy:(0.0, 0, 0) heap_cmp;
-  }
-
-(* Dijkstra from [src]; infinite-distance nodes are absent from the result.
-   The returned tables belong to [s] and are overwritten by its next use. *)
-let dijkstra_reuse s t src =
-  let dist = s.s_dist and pred = s.s_pred and heap = s.s_heap in
-  Hashtbl.clear dist;
-  Hashtbl.clear pred;
-  Engine.Heap.clear heap;
+(* Dijkstra from [src]; infinite-distance nodes are absent from the result. *)
+let dijkstra t src =
+  let dist = Hashtbl.create 64 and pred = Hashtbl.create 64 in
+  let heap = Engine.Heap.create ~dummy:(0.0, 0, 0) heap_cmp in
   let seq = ref 0 in
   let push d v =
     Engine.Heap.push heap (d, !seq, v);
@@ -223,8 +205,6 @@ let dijkstra_reuse s t src =
   in
   loop ();
   (dist, pred)
-
-let dijkstra t src = dijkstra_reuse (scratch ()) t src
 
 let distance t src dst =
   let dist, _ = dijkstra t src in

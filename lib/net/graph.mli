@@ -56,18 +56,6 @@ val dijkstra : t -> int -> (int, float) Hashtbl.t * (int, int) Hashtbl.t
 (** [dijkstra t src] is [(dist, pred)]; unreachable nodes are absent.
     @raise Invalid_argument on negative edge weights. *)
 
-type scratch
-(** Reusable Dijkstra working state (distance/predecessor tables and the
-    priority queue), for callers that run many single-source computations
-    back to back — the controller's per-prefix sweep. *)
-
-val scratch : unit -> scratch
-
-val dijkstra_reuse : scratch -> t -> int -> (int, float) Hashtbl.t * (int, int) Hashtbl.t
-(** Like {!dijkstra} but allocation-lean: the returned tables belong to the
-    scratch and are overwritten by its next use — read them before running
-    again, or copy what must survive. *)
-
 val distance : t -> int -> int -> float option
 
 val shortest_path : t -> int -> int -> int list option

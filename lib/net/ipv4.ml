@@ -314,6 +314,41 @@ module Prefix_trie = struct
     t.size <- 0
 end
 
+(* Exact-match table keyed by [prefix_to_packed]: one hash of an
+   immediate int per lookup, for owners that never need longest-prefix
+   match.  Packed order is [compare_prefix] order (network bits above the
+   length), so sorting by key gives the trie's iteration order. *)
+module Prefix_table = struct
+  module H = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+
+    let hash = Hashtbl.hash
+  end)
+
+  type 'a t = 'a H.t
+
+  let unpack n = { network = Int32.of_int (n lsr 6); len = n land 63 }
+
+  let create () = H.create 16
+
+  let find p t = H.find_opt t (prefix_to_packed p)
+
+  let mem p t = H.mem t (prefix_to_packed p)
+
+  let set p v t = H.replace t (prefix_to_packed p) v
+
+  let remove p t = H.remove t (prefix_to_packed p)
+
+  let clear = H.reset
+
+  let entries t =
+    H.fold (fun k v acc -> (k, v) :: acc) t []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map (fun (k, v) -> (unpack k, v))
+end
+
 module Prefix_map = Map.Make (struct
   type t = prefix
 

@@ -151,6 +151,28 @@ module Prefix_trie : sig
   val clear : 'a t -> unit
 end
 
+(** Mutable exact-match table keyed on {!prefix_to_packed}, for owners
+    that never need longest-prefix match.  Not domain-safe. *)
+module Prefix_table : sig
+  type 'a t
+
+  val create : unit -> 'a t
+
+  val find : prefix -> 'a t -> 'a option
+
+  val mem : prefix -> 'a t -> bool
+
+  val set : prefix -> 'a -> 'a t -> unit
+  (** Insert or replace the entry for exactly this prefix. *)
+
+  val remove : prefix -> 'a t -> unit
+
+  val clear : 'a t -> unit
+
+  val entries : 'a t -> (prefix * 'a) list
+  (** Ascending [compare_prefix] order, like {!Prefix_trie.entries}. *)
+end
+
 module Prefix_map : Map.S with type key = prefix
 
 module Prefix_set : Set.S with type elt = prefix

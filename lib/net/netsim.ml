@@ -24,6 +24,18 @@ type 'a sink = Handler of 'a handler | Port of 'a Engine.Node.port
 
 type drop_reason = Link_down | Loss | Queue | No_handler | Node_down | Session_down
 
+(* Int-keyed tables (node ids, link ids, flight ids, endpoint pairs), so
+   neither the key nor the hash goes through the polymorphic primitives.
+   The multiplicative hash moves well-mixed high product bits down, as
+   bucket selection reads the low bits and pair keys differ in high ones. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x = (x * 0x2545F4914F6CDD1D) lsr 20
+end)
+
 let drop_reason_label = function
   | Link_down -> "link_down"
   | Loss -> "loss"
@@ -37,6 +49,7 @@ type 'a node = {
   name : string;
   mutable sink : 'a sink option;
   mutable link_watcher : link_watcher option;
+  idx : int; (* dense, in [add_node] order: the halves of a [pairs] key *)
 }
 
 type 'a flight = {
@@ -52,11 +65,11 @@ type 'a in_flight = { src : int; dst : int; deliver_at : Engine.Time.t; payload 
 type 'a t = {
   sim : Engine.Sim.t;
   rng : Engine.Rng.t;
-  nodes : (int, 'a node) Hashtbl.t;
-  links : (Link.id, Link.t) Hashtbl.t;
-  by_pair : (int * int, Link.id) Hashtbl.t;
+  nodes : 'a node Itbl.t;
+  links : Link.t Itbl.t; (* by link id *)
+  pairs : Link.t Itbl.t; (* by [pair_key] of the endpoints *)
   mutable next_link_id : int;
-  flights : (int, 'a flight) Hashtbl.t;
+  flights : 'a flight Itbl.t;
   mutable next_flight_id : int;
   sent_c : Engine.Metrics.Counter.t;
   delivered_c : Engine.Metrics.Counter.t;
@@ -70,11 +83,11 @@ let create sim =
   {
     sim;
     rng = Engine.Rng.split (Engine.Sim.rng sim);
-    nodes = Hashtbl.create 64;
-    links = Hashtbl.create 64;
-    by_pair = Hashtbl.create 64;
+    nodes = Itbl.create 64;
+    links = Itbl.create 64;
+    pairs = Itbl.create 64;
     next_link_id = 0;
-    flights = Hashtbl.create 64;
+    flights = Itbl.create 64;
     next_flight_id = 0;
     sent_c =
       Engine.Metrics.counter m ~help:"messages accepted onto a link" "net_messages_sent_total";
@@ -93,23 +106,24 @@ let sim t = t.sim
 
 let rng t = t.rng
 
-let pair u v = if u < v then (u, v) else (v, u)
+(* One int per unordered node pair: the two dense indices side by side. *)
+let pair_key a b = if a.idx < b.idx then (a.idx lsl 31) lor b.idx else (b.idx lsl 31) lor a.idx
 
 let add_node t ~id ~name =
-  if Hashtbl.mem t.nodes id then invalid_arg (Fmt.str "Netsim.add_node: duplicate id %d" id);
-  Hashtbl.replace t.nodes id { id; name; sink = None; link_watcher = None }
+  if Itbl.mem t.nodes id then invalid_arg (Fmt.str "Netsim.add_node: duplicate id %d" id);
+  Itbl.replace t.nodes id
+    { id; name; sink = None; link_watcher = None; idx = Itbl.length t.nodes }
 
 let node t id =
-  match Hashtbl.find_opt t.nodes id with
+  match Itbl.find_opt t.nodes id with
   | Some n -> n
   | None -> invalid_arg (Fmt.str "Netsim: unknown node %d" id)
 
-let mem_node t id = Hashtbl.mem t.nodes id
+let mem_node t id = Itbl.mem t.nodes id
 
 let node_name t id = (node t id).name
 
-let node_ids t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.nodes [] |> List.sort Int.compare
+let node_ids t = Itbl.fold (fun id _ acc -> id :: acc) t.nodes [] |> List.sort Int.compare
 
 let set_handler t id h = (node t id).sink <- Some (Handler h)
 
@@ -121,24 +135,26 @@ let attached_node t id =
 let set_link_watcher t id w = (node t id).link_watcher <- Some w
 
 let add_link ?(delay = Engine.Time.ms 2) ?(loss = 0.0) ?bandwidth_bps ?queue_limit t u v =
-  ignore (node t u);
-  ignore (node t v);
-  if Hashtbl.mem t.by_pair (pair u v) then
+  let nu = node t u and nv = node t v in
+  let key = pair_key nu nv in
+  if Itbl.mem t.pairs key then
     invalid_arg (Fmt.str "Netsim.add_link: duplicate link %d<->%d" u v);
   let id = t.next_link_id in
   t.next_link_id <- id + 1;
   let link = Link.make ?bandwidth_bps ?queue_limit ~id ~a:u ~b:v ~delay ~loss () in
-  Hashtbl.replace t.links id link;
-  Hashtbl.replace t.by_pair (pair u v) id;
+  Itbl.replace t.links id link;
+  Itbl.replace t.pairs key link;
   link
 
-let link_by_id t id = Hashtbl.find_opt t.links id
+let link_by_id t id = Itbl.find_opt t.links id
 
 let link_between t u v =
-  Option.bind (Hashtbl.find_opt t.by_pair (pair u v)) (fun id -> Hashtbl.find_opt t.links id)
+  match (Itbl.find_opt t.nodes u, Itbl.find_opt t.nodes v) with
+  | Some nu, Some nv -> Itbl.find_opt t.pairs (pair_key nu nv)
+  | _ -> None
 
 let links t =
-  Hashtbl.fold (fun _ l acc -> l :: acc) t.links []
+  Itbl.fold (fun _ l acc -> l :: acc) t.links []
   |> List.sort (fun a b -> Int.compare (Link.id a) (Link.id b))
 
 let neighbors t id =
@@ -205,12 +221,12 @@ let drop t link reason =
 
 let drops t reason = Option.value ~default:0 (Hashtbl.find_opt t.drop_counts reason)
 
-let deliver t link ~src ~dst payload () =
+let deliver t link ~src (dst : _ node) payload =
   if not (Link.is_up link) then drop t link Link_down
   else if Link.loss link > 0.0 && Engine.Rng.chance t.rng (Link.loss link) then
     drop t link Loss
   else begin
-    match (node t dst).sink with
+    match dst.sink with
     | None -> drop t link No_handler
     | Some (Handler h) ->
       Link.note_delivered link;
@@ -231,12 +247,13 @@ let deliver t link ~src ~dst payload () =
 let schedule_flight t link ~src ~dst deliver_at payload =
   let id = t.next_flight_id in
   t.next_flight_id <- id + 1;
-  Hashtbl.replace t.flights id
+  let dst_node = node t dst in
+  Itbl.replace t.flights id
     { f_id = id; f_src = src; f_dst = dst; f_at = deliver_at; f_payload = payload };
   ignore
     (Engine.Sim.schedule_at ~category:"net.deliver" t.sim deliver_at (fun () ->
-         Hashtbl.remove t.flights id;
-         deliver t link ~src ~dst payload ()))
+         Itbl.remove t.flights id;
+         deliver t link ~src dst_node payload))
 
 (* [size_bits] matters only on bandwidth-limited links, where it adds
    serialization delay and FIFO queuing (drop-tail when the direction's
@@ -256,7 +273,7 @@ let send ?(size_bits = 8 * 64) t ~src ~dst payload =
       true)
 
 let in_flight t =
-  Hashtbl.fold (fun _ f acc -> f :: acc) t.flights []
+  Itbl.fold (fun _ f acc -> f :: acc) t.flights []
   |> List.sort (fun a b -> Int.compare a.f_id b.f_id)
   |> List.map (fun f ->
          { src = f.f_src; dst = f.f_dst; deliver_at = f.f_at; payload = f.f_payload })

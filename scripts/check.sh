@@ -36,6 +36,9 @@ dune build @par-smoke
 step "trace smoke (causal spans: valid Chrome JSON, seed-stable critical path)"
 dune build @trace-smoke
 
+step "metrics golden (same-seed metrics exports match committed digests)"
+dune build @metrics-golden
+
 step "bench smoke (quick sweep + JSON baseline validation)"
 dune build @bench-smoke
 

@@ -329,6 +329,126 @@ let prop_bridges_cross_subclusters =
           | As_graph.Exit _ | As_graph.Intra _ | As_graph.Deliver_local -> true)
         map)
 
+(* --- Differential oracle: dense compute = the hash-table reference ------ *)
+
+(* One random instance: 1-45 members with scattered ASNs (so index order
+   and insertion order differ), split into random sub-clusters that are
+   themselves often disconnected; routes in arbitrary order whose short
+   paths over a small AS alphabet make equal lengths (ties) common, some
+   re-entering the cluster; a few member originators. *)
+let oracle_instance st =
+  let k = 1 + Random.State.int st 45 in
+  let pool = Array.init 200 (fun i -> 1000 + i) in
+  for i = Array.length pool - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = pool.(i) in
+    pool.(i) <- pool.(j);
+    pool.(j) <- x
+  done;
+  let member_ids = Array.sub pool 0 k in
+  let members = Net.Asn.Set.of_list (Array.to_list (Array.map asn member_ids)) in
+  let groups = 1 + Random.State.int st (min k 6) in
+  let group = Array.init k (fun _ -> Random.State.int st groups) in
+  let density = Random.State.float st 0.6 in
+  let g = Net.Graph.create () in
+  (* a quarter of the members are left off the graph unless linked *)
+  Array.iter (fun m -> if Random.State.int st 4 > 0 then Net.Graph.add_node g m) member_ids;
+  for i = 0 to k - 1 do
+    for j = i + 1 to k - 1 do
+      if group.(i) = group.(j) && Random.State.float st 1.0 < density then
+        Net.Graph.add_edge g member_ids.(i) member_ids.(j)
+    done
+  done;
+  let legacy () = asn (1 + Random.State.int st 12) in
+  let member () = asn member_ids.(Random.State.int st k) in
+  let rels =
+    [| Bgp.Policy.Customer; Bgp.Policy.Provider; Bgp.Policy.Peer; Bgp.Policy.Unrestricted |]
+  in
+  let routes =
+    List.init
+      (Random.State.int st ((2 * k) + 6))
+      (fun _ ->
+        let neighbor = if Random.State.int st 12 = 0 then member () else legacy () in
+        let path = neighbor :: List.init (Random.State.int st 4) (fun _ -> legacy ()) in
+        let path =
+          if Random.State.int st 3 = 0 then
+            path @ (member () :: List.init (Random.State.int st 3) (fun _ -> legacy ()))
+          else path
+        in
+        {
+          As_graph.member = (if Random.State.int st 20 = 0 then legacy () else member ());
+          neighbor;
+          attrs = Bgp.Attrs.make ~as_path:path ~next_hop:nh ();
+          rel = rels.(Random.State.int st 4);
+        })
+  in
+  let originators =
+    Net.Asn.Set.filter (fun _ -> Random.State.int st 15 = 0) members
+  in
+  (members, g, routes, originators)
+
+let decision_matches (a : As_graph.decision) (b : As_graph.decision) =
+  a.As_graph.hop = b.As_graph.hop
+  && List.equal Net.Asn.equal a.As_graph.as_path b.As_graph.as_path
+  && Float.equal a.As_graph.distance b.As_graph.distance
+  && a.As_graph.provenance = b.As_graph.provenance
+
+(* Members with two or more exit routes of the same, shortest length. *)
+let exit_ties members routes =
+  Net.Asn.Set.fold
+    (fun m acc ->
+      let lens =
+        List.filter_map
+          (fun (r : As_graph.exit_route) ->
+            if Net.Asn.equal r.As_graph.member m then
+              match As_graph.classify_path members (Bgp.Attrs.as_path r.As_graph.attrs) with
+              | `External -> Some (Bgp.Attrs.path_length r.As_graph.attrs)
+              | `Reenters _ -> None
+            else None)
+          routes
+      in
+      match List.sort Int.compare lens with
+      | a :: b :: _ when a = b -> acc + 1
+      | _ -> acc)
+    members 0
+
+let test_matches_reference () =
+  let st = Random.State.make [| 2014 |] in
+  let arena = As_graph.create_arena () in
+  let seen = Hashtbl.create 8 in
+  let note key = Hashtbl.replace seen key (1 + Option.value ~default:0 (Hashtbl.find_opt seen key)) in
+  for i = 1 to 1200 do
+    let members, switch_graph, routes, originators = oracle_instance st in
+    let expected = As_graph_reference.compute ~members ~switch_graph ~routes ~originators () in
+    if exit_ties members routes > 0 then note "tie";
+    if Net.Asn.Map.cardinal expected < Net.Asn.Set.cardinal members then note "unreachable";
+    Net.Asn.Map.iter
+      (fun _ (d : As_graph.decision) ->
+        note
+          (match d.As_graph.hop with
+          | As_graph.Deliver_local -> "local"
+          | As_graph.Exit _ -> "exit"
+          | As_graph.Intra _ -> "intra"
+          | As_graph.Bridge _ -> "bridge"))
+      expected;
+    let check label actual =
+      if not (Net.Asn.Map.equal decision_matches expected actual) then
+        Alcotest.failf "instance %d (%d members): %s differs from the reference@.%a@.vs@.%a" i
+          (Net.Asn.Set.cardinal members) label
+          Fmt.(list ~sep:cut As_graph.pp_decision)
+          (List.map snd (Net.Asn.Map.bindings expected))
+          Fmt.(list ~sep:cut As_graph.pp_decision)
+          (List.map snd (Net.Asn.Map.bindings actual))
+    in
+    check "fresh" (As_graph.compute ~members ~switch_graph ~routes ~originators ());
+    check "arena" (As_graph.compute ~arena ~members ~switch_graph ~routes ~originators ())
+  done;
+  (* the generator must reach every case the oracle is meant to pin *)
+  List.iter
+    (fun key ->
+      if not (Hashtbl.mem seen key) then Alcotest.failf "no instance exercised %s" key)
+    [ "tie"; "unreachable"; "local"; "exit"; "intra"; "bridge" ]
+
 let suite =
   [
     Alcotest.test_case "classify_path" `Quick test_classify;
@@ -347,6 +467,7 @@ let suite =
       test_naive_loops_on_mutual_stale_routes;
     Alcotest.test_case "naive agrees on clean routes" `Quick
       test_naive_matches_compute_on_clean_routes;
+    Alcotest.test_case "dense compute matches the reference" `Quick test_matches_reference;
     QCheck_alcotest.to_alcotest prop_loop_free;
     QCheck_alcotest.to_alcotest prop_bridges_cross_subclusters;
   ]

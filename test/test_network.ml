@@ -204,6 +204,54 @@ let test_dynamic_peering_hybrid () =
   Alcotest.(check bool) "speaker session live" true
     (Cluster_ctl.Speaker.session_established speaker ~member:(asn 3) ~neighbor:(asn 0))
 
+(* Sessions added at run time join the end of the speaker's configuration
+   order, and a recompute batch flushes its UPDATEs in exactly that order. *)
+let test_runtime_sessions_flush_in_order () =
+  let spec = Topology.Spec.with_sdn (Topology.Artificial.line 5) [ asn 3; asn 4 ] in
+  let net = Framework.Network.create ~config:cfg ~seed:15 spec in
+  Framework.Network.start net;
+  ignore (Framework.Network.settle net);
+  Framework.Network.add_peering net (asn 0) (asn 4);
+  Framework.Network.add_peering net (asn 1) (asn 3);
+  ignore (Framework.Network.settle net);
+  let speaker = Option.get (Framework.Network.speaker net) in
+  let pairs =
+    List.map
+      (fun s ->
+        ( Net.Asn.to_int (Cluster_ctl.Speaker.session_member s),
+          Net.Asn.to_int (Cluster_ctl.Speaker.session_neighbor s) ))
+      (Cluster_ctl.Speaker.sessions speaker)
+  in
+  let collector = Net.Asn.to_int Framework.Network.collector_asn in
+  Alcotest.(check (list (pair int int))) "configuration order, runtime sessions last"
+    [ (65004, 65003); (65004, collector); (65005, collector); (65005, 65001); (65004, 65002) ]
+    pairs;
+  (* run exactly up to the end of the recompute batch the origination
+     triggers, then read the relayed UPDATEs off the wire in send order *)
+  let ctrl = Option.get (Framework.Network.controller net) in
+  let batches () = (Cluster_ctl.Controller.stats ctrl).Cluster_ctl.Controller.recompute_batches in
+  let before = batches () in
+  let plan = Framework.Network.plan net in
+  Framework.Network.originate net (asn 3) (plan.Framework.Addressing.origin_prefix (asn 3));
+  let sim = Framework.Network.sim net in
+  while batches () = before && Engine.Sim.step sim do
+    ()
+  done;
+  let flushed =
+    List.filter_map
+      (fun (f : _ Net.Netsim.in_flight) ->
+        match f.Net.Netsim.payload with
+        | Framework.Payload.Openflow
+            (Sdn.Openflow.Bgp_relay
+               { member; neighbor; direction = Sdn.Openflow.To_neighbor;
+                 payload = Bgp.Message.Update _ }) ->
+          Some (Net.Asn.to_int member, Net.Asn.to_int neighbor)
+        | _ -> None)
+      (Net.Netsim.in_flight (Framework.Network.fabric net))
+  in
+  Alcotest.(check (list (pair int int))) "UPDATEs leave in configuration order" pairs flushed;
+  ignore (Framework.Network.settle net)
+
 let test_dynamic_peering_guards () =
   let net = build 3 in
   (match Framework.Network.add_peering net (asn 0) (asn 1) with
@@ -240,6 +288,8 @@ let suite =
     Alcotest.test_case "hybrid data path" `Quick test_hybrid_data_path;
     Alcotest.test_case "dynamic peering (legacy)" `Quick test_dynamic_peering_legacy;
     Alcotest.test_case "dynamic peering (hybrid)" `Quick test_dynamic_peering_hybrid;
+    Alcotest.test_case "runtime sessions flush in order" `Quick
+      test_runtime_sessions_flush_in_order;
     Alcotest.test_case "dynamic peering guards" `Quick test_dynamic_peering_guards;
     Alcotest.test_case "determinism" `Quick test_determinism;
   ]

@@ -91,10 +91,41 @@ let test_reactive_rules_refresh_on_reroute () =
   | Some port -> Alcotest.(check bool) "rerouted away from dead link" true (port <> 65001)
   | None -> () (* rule dropped is also safe: next packet reinstalls *)
 
+(* PACKET_IN must pick the longest decided prefix holding the
+   destination, not the first one in prefix order: 10.0.0.0/8 sorts
+   before 10.1.0.0/16, but a packet to 10.1.2.3 belongs to the /16. *)
+let test_packet_in_longest_prefix_match () =
+  let spec = Topology.Spec.with_sdn (Topology.Artificial.clique 4) [ asn 2; asn 3 ] in
+  let net = Framework.Network.create ~config:reactive_cfg ~seed:71 spec in
+  Framework.Network.start net;
+  ignore (Framework.Network.settle net);
+  let pfx s = Option.get (Net.Ipv4.prefix_of_string s) in
+  let covering = pfx "10.0.0.0/8" and specific = pfx "10.1.0.0/16" in
+  Framework.Network.originate net (asn 0) covering;
+  Framework.Network.originate net (asn 1) specific;
+  ignore (Framework.Network.settle net);
+  let plan = Framework.Network.plan net in
+  Framework.Network.inject net ~src:(asn 2)
+    (Net.Packet.echo
+       ~src:(plan.Framework.Addressing.host_addr (asn 2))
+       ~dst:(Net.Ipv4.addr_of_octets 10 1 2 3)
+       1);
+  Framework.Network.run_until net
+    (Engine.Time.add (Framework.Network.now net) (Engine.Time.sec 1));
+  let table = Sdn.Switch.table (Option.get (Framework.Network.switch net (asn 2))) in
+  let installed =
+    List.map (fun (r : Sdn.Flow.rule) -> Net.Ipv4.prefix_to_string r.Sdn.Flow.match_prefix)
+      (Sdn.Flow_table.rules table)
+  in
+  Alcotest.(check (list string)) "rule for the most specific prefix" [ "10.1.0.0/16" ] installed;
+  ignore (Framework.Network.settle net)
+
 let suite =
   [
     Alcotest.test_case "no rules until traffic" `Quick test_no_rules_until_traffic;
     Alcotest.test_case "install + idle expiry + reinstall" `Quick
       test_traffic_installs_and_expires;
     Alcotest.test_case "refresh on reroute" `Quick test_reactive_rules_refresh_on_reroute;
+    Alcotest.test_case "packet-in longest prefix match" `Quick
+      test_packet_in_longest_prefix_match;
   ]

@@ -10,6 +10,8 @@ let nh = Net.Ipv4.addr_of_octets 10 0 10 1
 
 let p s = Option.get (Net.Ipv4.prefix_of_string s)
 
+let policy = Bgp.Policy.make Bgp.Policy.Unrestricted
+
 let setup () =
   let sim = Engine.Sim.create () in
   let wire = ref [] in
@@ -21,9 +23,15 @@ let setup () =
   in
   let updates = ref [] and sessions = ref [] in
   Cluster_ctl.Speaker.set_handlers speaker
-    ~on_update:(fun ~member ~neighbor u -> updates := (member, neighbor, u) :: !updates)
-    ~on_session:(fun ~member ~neighbor ~up -> sessions := (member, neighbor, up) :: !sessions);
-  Cluster_ctl.Speaker.add_session speaker ~member ~neighbor ~member_addr:nh;
+    ~on_update:(fun s u ->
+      updates :=
+        (Cluster_ctl.Speaker.session_member s, Cluster_ctl.Speaker.session_neighbor s, u)
+        :: !updates)
+    ~on_session:(fun s ~up ->
+      sessions :=
+        (Cluster_ctl.Speaker.session_member s, Cluster_ctl.Speaker.session_neighbor s, up)
+        :: !sessions);
+  Cluster_ctl.Speaker.add_session speaker ~member ~neighbor ~member_addr:nh ~policy;
   (speaker, wire, updates, sessions)
 
 let open_msg = Bgp.Message.Open { asn = neighbor; router_id = nh; hold_time = 0 }
@@ -99,7 +107,7 @@ let test_session_down_clears_state () =
 
 let test_duplicate_session_rejected () =
   let speaker, _, _, _ = setup () in
-  match Cluster_ctl.Speaker.add_session speaker ~member ~neighbor ~member_addr:nh with
+  match Cluster_ctl.Speaker.add_session speaker ~member ~neighbor ~member_addr:nh ~policy with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "duplicate session must raise"
 
