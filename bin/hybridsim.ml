@@ -448,6 +448,7 @@ let scenario_cmd =
       let* scenario = Framework.Scenario.parse_file file in
       let config = config_of_mrai mrai in
       let exp = Framework.Experiment.create ~config ~seed spec in
+      let* () = Framework.Scenario.validate (Framework.Experiment.network exp) scenario in
       let tele = telemetry_of exp metrics_out metrics_interval in
       Fmt.pr "topology %s (%d ASes, %d SDN); scenario %s (%d steps)@."
         (Topology.Spec.title spec) (Topology.Spec.node_count spec)

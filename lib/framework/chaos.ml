@@ -9,30 +9,22 @@
    same seed and the same violation appears, then greedy minimization
    shrinks the schedule to the faults that actually matter. *)
 
-module Pm = Net.Ipv4.Prefix_map
+(* --- Fault model --------------------------------------------------------
 
-(* --- Fault model -------------------------------------------------------- *)
+   A fault is a {!Scenario.action}: crash (restart at heal), fail-link
+   (recover at heal), flap, loss-burst, partition ctrl and crash-head. *)
 
-type fault =
-  | Crash of Net.Asn.t (* crash the AS's router/switch, restart at heal *)
-  | Link_down of Net.Asn.t * Net.Asn.t (* fail the link, recover at heal *)
-  | Link_flap of Net.Asn.t * Net.Asn.t * int (* n 1 s fail/recover cycles *)
-  | Loss_burst of Net.Asn.t * Net.Asn.t
-      (* 100% loss, link still reports up: only liveness timers can see it *)
-  | Ctrl_partition of Net.Asn.t (* member's control channel down, data links up *)
-  | Head_crash (* the cluster head: controller + speaker together *)
-
-type event = { at : Engine.Time.t; heal_at : Engine.Time.t; fault : fault }
+type event = { at : Engine.Time.t; heal_at : Engine.Time.t; fault : Scenario.action }
 
 type schedule = { index : int; events : event list }
 
+(* The report wording, frozen: campaign digests are computed over it. *)
 let pp_fault ppf = function
-  | Crash a -> Fmt.pf ppf "crash %a" Net.Asn.pp a
-  | Link_down (a, b) -> Fmt.pf ppf "link-down %a %a" Net.Asn.pp a Net.Asn.pp b
-  | Link_flap (a, b, n) -> Fmt.pf ppf "flap %a %a x%d" Net.Asn.pp a Net.Asn.pp b n
-  | Loss_burst (a, b) -> Fmt.pf ppf "loss-burst %a %a" Net.Asn.pp a Net.Asn.pp b
-  | Ctrl_partition a -> Fmt.pf ppf "ctrl-partition %a" Net.Asn.pp a
-  | Head_crash -> Fmt.string ppf "head-crash"
+  | Scenario.Fail_link (a, b) -> Fmt.pf ppf "link-down %a %a" Net.Asn.pp a Net.Asn.pp b
+  | Scenario.Flap (a, b, n) -> Fmt.pf ppf "flap %a %a x%d" Net.Asn.pp a Net.Asn.pp b n
+  | Scenario.Partition (a, None) -> Fmt.pf ppf "ctrl-partition %a" Net.Asn.pp a
+  | Scenario.Crash_head -> Fmt.string ppf "head-crash"
+  | fault -> Scenario.pp_action ppf fault
 
 let pp_event ppf e =
   Fmt.pf ppf "%a@%.2f..%.2f" pp_fault e.fault
@@ -102,14 +94,14 @@ let generate ~spec ~rng index =
           | Some a ->
             touch a;
             let t = at () in
-            Some { at = t; heal_at = heal_after t 4.0 8.0; fault = Crash a }
+            Some { at = t; heal_at = heal_after t 4.0 8.0; fault = Scenario.Crash_node a }
           | None -> None)
         | 1 -> (
           match fresh_link () with
           | Some (a, b) ->
             used_links := (a, b) :: !used_links;
             let t = at () in
-            Some { at = t; heal_at = heal_after t 4.0 8.0; fault = Link_down (a, b) }
+            Some { at = t; heal_at = heal_after t 4.0 8.0; fault = Scenario.Fail_link (a, b) }
           | None -> None)
         | 2 -> (
           match fresh_link () with
@@ -121,7 +113,7 @@ let generate ~spec ~rng index =
               {
                 at = t;
                 heal_at = Engine.Time.add t (Engine.Time.sec cycles);
-                fault = Link_flap (a, b, cycles);
+                fault = Scenario.Flap (a, b, cycles);
               }
           | None -> None)
         | 3 -> (
@@ -129,21 +121,21 @@ let generate ~spec ~rng index =
           | Some (a, b) ->
             used_links := (a, b) :: !used_links;
             let t = at () in
-            Some { at = t; heal_at = heal_after t 8.0 12.0; fault = Loss_burst (a, b) }
+            Some { at = t; heal_at = heal_after t 8.0 12.0; fault = Scenario.Loss_burst (a, b) }
           | None -> None)
         | 4 -> (
           match fresh_node sdn with
           | Some m ->
             touch m;
             let t = at () in
-            Some { at = t; heal_at = heal_after t 6.0 10.0; fault = Ctrl_partition m }
+            Some { at = t; heal_at = heal_after t 6.0 10.0; fault = Scenario.Partition (m, None) }
           | None -> None)
         | _ ->
           if !used_head || sdn = [] then None
           else begin
             used_head := true;
             let t = at () in
-            Some { at = t; heal_at = heal_after t 5.0 9.0; fault = Head_crash }
+            Some { at = t; heal_at = heal_after t 5.0 9.0; fault = Scenario.Crash_head }
           end
       in
       match event with
@@ -158,50 +150,36 @@ let generate ~spec ~rng index =
 
 (* --- Fault execution ---------------------------------------------------- *)
 
-let apply_fault net (e : event) =
+let heal_of = function
+  | Scenario.Crash_node a -> Scenario.Restart_node a
+  | Scenario.Fail_link (a, b) | Scenario.Partition (a, Some b) -> Scenario.Recover_link (a, b)
+  | Scenario.Loss_burst (a, b) -> Scenario.Loss_heal (a, b)
+  | Scenario.Partition (a, None) -> Scenario.Recover_ctrl a
+  | Scenario.Crash_head -> Scenario.Restart_head
+  | fault -> invalid_arg (Fmt.str "Chaos: no heal for %a" Scenario.pp_action fault)
+
+(* Injection, heal, injection, heal...: a flap's own fail/recover train,
+   or the fault then its heal. *)
+let steps e =
+  match e.fault with
+  | Scenario.Flap _ -> Scenario.expand { Scenario.at = e.at; action = e.fault }
+  | fault ->
+    [ { Scenario.at = e.at; action = fault }; { at = e.heal_at; action = heal_of fault } ]
+
+(* Each injection/heal event carries its own category and a marker span
+   labelled with the fault, so a flight-recorder dump shows which fault
+   every causal subtree hangs off. *)
+let apply_fault net e =
   let sim = Network.sim net in
   let label = Fmt.str "%a" pp_fault e.fault in
-  (* Each injection/heal event carries its own category and a marker span
-     labelled with the fault, so a flight-recorder dump shows which fault
-     every causal subtree hangs off. *)
-  let sched ~category time fn =
-    ignore
-      (Engine.Sim.schedule_at ~category sim time (fun () ->
-           Engine.Sim.annotate sim ~category ~label ();
-           fn ()))
-  in
-  let fault time fn = sched ~category:"chaos.fault" time fn in
-  let heal time fn = sched ~category:"chaos.heal" time fn in
-  match e.fault with
-  | Crash a ->
-    fault e.at (fun () -> Network.crash_node net a);
-    heal e.heal_at (fun () -> Network.restart_node net a)
-  | Link_down (a, b) ->
-    fault e.at (fun () -> Network.fail_link net a b);
-    heal e.heal_at (fun () -> Network.recover_link net a b)
-  | Link_flap (a, b, cycles) ->
-    for i = 0 to cycles - 1 do
-      let base = Engine.Time.add e.at (Engine.Time.sec i) in
-      fault base (fun () -> Network.fail_link net a b);
-      heal
-        (Engine.Time.add base (Engine.Time.ms 500))
-        (fun () -> Network.recover_link net a b)
-    done
-  | Loss_burst (a, b) -> (
-    match
-      Net.Netsim.link_between (Network.fabric net) (Net.Asn.to_int a) (Net.Asn.to_int b)
-    with
-    | None -> invalid_arg "Chaos: loss burst on a non-existent link"
-    | Some link ->
-      let original = Net.Link.loss link in
-      fault e.at (fun () -> Net.Link.set_loss link 1.0);
-      heal e.heal_at (fun () -> Net.Link.set_loss link original))
-  | Ctrl_partition m ->
-    fault e.at (fun () -> Network.fail_ctrl_link net m);
-    heal e.heal_at (fun () -> Network.recover_ctrl_link net m)
-  | Head_crash ->
-    fault e.at (fun () -> Network.crash_controller net);
-    heal e.heal_at (fun () -> Network.restart_controller net)
+  List.iteri
+    (fun i (step : Scenario.step) ->
+      let category = if i mod 2 = 0 then "chaos.fault" else "chaos.heal" in
+      ignore
+        (Engine.Sim.schedule_at ~category sim step.at (fun () ->
+             Engine.Sim.annotate sim ~category ~label ();
+             Scenario.apply net step.action)))
+    (steps e)
 
 (* --- State digest ------------------------------------------------------- *)
 
@@ -478,10 +456,7 @@ let execute ?(fallback = true) ?(spec = default_spec ()) ~seed (schedule : sched
   in
   let conv = Convergence.attach net in
   Network.start net;
-  let plan = Network.plan net in
-  List.iter
-    (fun a -> Network.originate net a (plan.Addressing.origin_prefix a))
-    (Network.asns net);
+  List.iter (fun a -> Scenario.apply net (Scenario.Announce (a, None))) (Network.asns net);
   List.iter (apply_fault net) schedule.events;
   let last_heal =
     List.fold_left

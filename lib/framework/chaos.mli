@@ -4,24 +4,23 @@
     deterministic RNG streams, so a campaign report (and its MD5 digest)
     is bit-identical across invocations of the same seed. *)
 
-type fault =
-  | Crash of Net.Asn.t  (** crash the AS's router/switch, restart at heal *)
-  | Link_down of Net.Asn.t * Net.Asn.t
-  | Link_flap of Net.Asn.t * Net.Asn.t * int  (** n 1 s fail/recover cycles *)
-  | Loss_burst of Net.Asn.t * Net.Asn.t
-      (** 100% loss while the link still reports up: only KEEPALIVE/hold
-          liveness can detect it *)
-  | Ctrl_partition of Net.Asn.t
-      (** a member's control channel goes down, its data links stay up *)
-  | Head_crash  (** the cluster head: controller + speaker together *)
-
-type event = { at : Engine.Time.t; heal_at : Engine.Time.t; fault : fault }
+type event = { at : Engine.Time.t; heal_at : Engine.Time.t; fault : Scenario.action }
+(** A fault is a crash, fail-link, flap, loss-burst, ctrl partition or
+    crash-head action; [heal_at] is when its heal runs (a flap heals
+    itself and ends at [heal_at]). *)
 
 type schedule = { index : int; events : event list }
 
-val pp_fault : Format.formatter -> fault -> unit
+val pp_fault : Format.formatter -> Scenario.action -> unit
+(** The campaign-report wording: [crash], [link-down], [flap … xN],
+    [loss-burst], [ctrl-partition], [head-crash]. *)
 
 val pp_event : Format.formatter -> event -> unit
+
+val steps : event -> Scenario.step list
+(** The event as scenario steps, injection then heal: a flap's
+    {!Scenario.expand}ed train, otherwise the fault and its heal
+    (restart, recover-link, loss-heal, recover-ctrl or restart-head). *)
 
 val default_spec : unit -> Topology.Spec.t
 (** The 8-AS clique with a 3-member SDN sub-cluster. *)

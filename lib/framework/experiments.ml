@@ -243,21 +243,21 @@ let churn_run ~n ~sdn ~flap_period_s ~seed ~config () =
   let origin = Topology.Artificial.asn 0 in
   let flapper = Topology.Artificial.asn 1 in
   let prefix = announced exp origin in
-  (* schedule a finite flap train long enough to cover the measurement *)
-  let sim = Experiment.sim exp in
+  (* a finite flap train long enough to cover the measurement *)
   let network = Experiment.network exp in
   let period = Engine.Time.of_sec_f flap_period_s in
-  let flap_prefix = Experiment.default_prefix exp flapper in
-  let cycles = 40 in
-  for i = 0 to cycles - 1 do
-    let base = Engine.Time.add (Engine.Sim.now sim) (Engine.Time.span_scale period (float_of_int i)) in
-    ignore
-      (Engine.Sim.schedule_at sim base (fun () -> Network.originate network flapper flap_prefix));
-    ignore
-      (Engine.Sim.schedule_at sim
-         (Engine.Time.add base (Engine.Time.span_scale period 0.5))
-         (fun () -> Network.withdraw network flapper flap_prefix))
-  done;
+  let cycle i =
+    let base =
+      Engine.Time.add (Network.now network) (Engine.Time.span_scale period (float_of_int i))
+    in
+    let down = Engine.Time.add base (Engine.Time.span_scale period 0.5) in
+    Scenario.
+      [
+        { at = base; action = Announce (flapper, None) };
+        { at = down; action = Withdraw (flapper, None) };
+      ]
+  in
+  Scenario.schedule network (List.concat (List.init 40 cycle));
   measure_withdrawal exp origin prefix
 
 (* --- Deployment placement -------------------------------------------------

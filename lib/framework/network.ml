@@ -42,6 +42,8 @@ type t = {
   rel_overrides : (Net.Asn.t * Net.Asn.t, Bgp.Policy.relationship) Hashtbl.t;
   (* (me, neighbor) -> spec link, both directions; see [index_links] *)
   link_index : (Net.Asn.t * Net.Asn.t, Topology.Spec.link_spec) Hashtbl.t;
+  (* link id -> the loss it had before its current loss burst *)
+  burst_loss : (Net.Link.id, float) Hashtbl.t;
 }
 
 let sim t = t.sim
@@ -442,6 +444,7 @@ let create ?(config = Config.default) ~seed spec =
       auto_reply = true;
       rel_overrides = Hashtbl.create 8;
       link_index;
+      burst_loss = Hashtbl.create 4;
     }
   in
   t_ref := Some t;
@@ -601,6 +604,28 @@ let recover_ctrl_link t member =
   if not (Net.Netsim.recover_link_between t.net (Net.Asn.to_int member) ctrl_node) then
     invalid_arg
       (Fmt.str "Network.recover_ctrl_link: %a has no control link" Net.Asn.pp member)
+
+let as_link op t a b =
+  match Net.Netsim.link_between t.net (Net.Asn.to_int a) (Net.Asn.to_int b) with
+  | Some link -> link
+  | None -> invalid_arg (Fmt.str "Network.%s: no link %a<->%a" op Net.Asn.pp a Net.Asn.pp b)
+
+(* A loss burst drops everything on a link that still reports up, so
+   only KEEPALIVE/hold liveness can see it.  The heal restores the loss
+   the link had before the burst (the first one, if bursts overlap). *)
+let start_loss_burst t a b =
+  let link = as_link "start_loss_burst" t a b in
+  if not (Hashtbl.mem t.burst_loss (Net.Link.id link)) then
+    Hashtbl.replace t.burst_loss (Net.Link.id link) (Net.Link.loss link);
+  Net.Link.set_loss link 1.0
+
+let end_loss_burst t a b =
+  let link = as_link "end_loss_burst" t a b in
+  match Hashtbl.find_opt t.burst_loss (Net.Link.id link) with
+  | Some loss ->
+    Hashtbl.remove t.burst_loss (Net.Link.id link);
+    Net.Link.set_loss link loss
+  | None -> ()
 
 let ctrl_link_up t member =
   match Net.Netsim.link_between t.net (Net.Asn.to_int member) ctrl_node with

@@ -94,6 +94,15 @@ val recover_ctrl_link : t -> Net.Asn.t -> unit
 
 val ctrl_link_up : t -> Net.Asn.t -> bool
 
+val start_loss_burst : t -> Net.Asn.t -> Net.Asn.t -> unit
+(** 100% loss on the link while it still reports up: only KEEPALIVE/hold
+    liveness can detect it.  @raise Invalid_argument when no such link
+    exists. *)
+
+val end_loss_burst : t -> Net.Asn.t -> Net.Asn.t -> unit
+(** Restore the loss the link had before {!start_loss_burst} (no-op
+    when no burst is active). *)
+
 val heal_all_links : t -> unit
 (** Bring every failed link (AS-AS, control, collector) back up —
     chaos-schedule epilogue. *)

@@ -1,6 +1,6 @@
 (* Declarative experiment scenarios: a list of timed actions replayed
-   against a network — the scripting layer on which interactive demos and
-   regression experiments are written. *)
+   against a network — the one vocabulary for timed network events, used
+   by scenario files, chaos campaigns and the churn experiment alike. *)
 
 type action =
   | Announce of Net.Asn.t * Net.Ipv4.prefix option (* None = the AS's default prefix *)
@@ -11,7 +11,12 @@ type action =
   | Restart_node of Net.Asn.t
   | Partition of Net.Asn.t * Net.Asn.t option
       (* cut the link to another AS, or (None) the member's control channel *)
+  | Recover_ctrl of Net.Asn.t (* bring a member's control channel back *)
   | Flap of Net.Asn.t * Net.Asn.t * int (* n fail/recover cycles, 1 s period *)
+  | Loss_burst of Net.Asn.t * Net.Asn.t (* 100% loss, link still up *)
+  | Loss_heal of Net.Asn.t * Net.Asn.t (* restore the pre-burst loss *)
+  | Crash_head (* the cluster head: controller + speaker *)
+  | Restart_head
   | Heal (* bring every failed link back up *)
   | Ping of Net.Asn.t * Net.Asn.t
   | Note of string
@@ -30,26 +35,6 @@ let title t = t.title
 
 let steps t = t.steps
 
-let pp_action ppf = function
-  | Announce (asn, p) ->
-    Fmt.pf ppf "announce %a %a" Net.Asn.pp asn
-      (Fmt.option ~none:(Fmt.any "<default>") Net.Ipv4.pp_prefix)
-      p
-  | Withdraw (asn, p) ->
-    Fmt.pf ppf "withdraw %a %a" Net.Asn.pp asn
-      (Fmt.option ~none:(Fmt.any "<default>") Net.Ipv4.pp_prefix)
-      p
-  | Fail_link (a, b) -> Fmt.pf ppf "fail-link %a %a" Net.Asn.pp a Net.Asn.pp b
-  | Recover_link (a, b) -> Fmt.pf ppf "recover-link %a %a" Net.Asn.pp a Net.Asn.pp b
-  | Crash_node asn -> Fmt.pf ppf "crash %a" Net.Asn.pp asn
-  | Restart_node asn -> Fmt.pf ppf "restart %a" Net.Asn.pp asn
-  | Partition (a, Some b) -> Fmt.pf ppf "partition %a %a" Net.Asn.pp a Net.Asn.pp b
-  | Partition (a, None) -> Fmt.pf ppf "partition %a ctrl" Net.Asn.pp a
-  | Flap (a, b, n) -> Fmt.pf ppf "flap %a %a %d" Net.Asn.pp a Net.Asn.pp b n
-  | Heal -> Fmt.string ppf "heal"
-  | Ping (a, b) -> Fmt.pf ppf "ping %a -> %a" Net.Asn.pp a Net.Asn.pp b
-  | Note s -> Fmt.pf ppf "note %S" s
-
 (* --- Text format ----------------------------------------------------------
 
    One action per line, '#' comments:
@@ -57,113 +42,137 @@ let pp_action ppf = function
      @0.5  announce AS65001
      @2.0  announce AS65002 100.99.0.0/24
      @10.0 fail-link AS65001 AS65002
+     @12.0 loss-burst AS65002 AS65003
      @15.0 crash AS65003
+     @17.0 crash-head
      @18.0 restart AS65003
      @20.0 recover-link AS65001 AS65002
      @25.0 ping AS65002 AS65001
      @30.0 withdraw AS65001
      @31.0 note measurement window ends
 
-   This is the file format `hybridsim scenario` replays. *)
+   This is the file format `hybridsim scenario` replays; the printer
+   below writes exactly this syntax, so logs are valid scenario lines. *)
 
-let render_action = function
+let pp_action ppf = function
   | Announce (asn, p) ->
-    Fmt.str "announce %a%s" Net.Asn.pp asn
-      (match p with Some p -> " " ^ Net.Ipv4.prefix_to_string p | None -> "")
+    Fmt.pf ppf "announce %a%a" Net.Asn.pp asn Fmt.(option (any " " ++ Net.Ipv4.pp_prefix)) p
   | Withdraw (asn, p) ->
-    Fmt.str "withdraw %a%s" Net.Asn.pp asn
-      (match p with Some p -> " " ^ Net.Ipv4.prefix_to_string p | None -> "")
-  | Fail_link (a, b) -> Fmt.str "fail-link %a %a" Net.Asn.pp a Net.Asn.pp b
-  | Recover_link (a, b) -> Fmt.str "recover-link %a %a" Net.Asn.pp a Net.Asn.pp b
-  | Crash_node asn -> Fmt.str "crash %a" Net.Asn.pp asn
-  | Restart_node asn -> Fmt.str "restart %a" Net.Asn.pp asn
-  | Partition (a, Some b) -> Fmt.str "partition %a %a" Net.Asn.pp a Net.Asn.pp b
-  | Partition (a, None) -> Fmt.str "partition %a ctrl" Net.Asn.pp a
-  | Flap (a, b, n) -> Fmt.str "flap %a %a %d" Net.Asn.pp a Net.Asn.pp b n
-  | Heal -> "heal"
-  | Ping (a, b) -> Fmt.str "ping %a %a" Net.Asn.pp a Net.Asn.pp b
-  | Note s -> Fmt.str "note %s" s
+    Fmt.pf ppf "withdraw %a%a" Net.Asn.pp asn Fmt.(option (any " " ++ Net.Ipv4.pp_prefix)) p
+  | Fail_link (a, b) -> Fmt.pf ppf "fail-link %a %a" Net.Asn.pp a Net.Asn.pp b
+  | Recover_link (a, b) -> Fmt.pf ppf "recover-link %a %a" Net.Asn.pp a Net.Asn.pp b
+  | Crash_node asn -> Fmt.pf ppf "crash %a" Net.Asn.pp asn
+  | Restart_node asn -> Fmt.pf ppf "restart %a" Net.Asn.pp asn
+  | Partition (a, Some b) -> Fmt.pf ppf "partition %a %a" Net.Asn.pp a Net.Asn.pp b
+  | Partition (a, None) -> Fmt.pf ppf "partition %a ctrl" Net.Asn.pp a
+  | Recover_ctrl a -> Fmt.pf ppf "recover-ctrl %a" Net.Asn.pp a
+  | Flap (a, b, n) -> Fmt.pf ppf "flap %a %a %d" Net.Asn.pp a Net.Asn.pp b n
+  | Loss_burst (a, b) -> Fmt.pf ppf "loss-burst %a %a" Net.Asn.pp a Net.Asn.pp b
+  | Loss_heal (a, b) -> Fmt.pf ppf "loss-heal %a %a" Net.Asn.pp a Net.Asn.pp b
+  | Crash_head -> Fmt.string ppf "crash-head"
+  | Restart_head -> Fmt.string ppf "restart-head"
+  | Heal -> Fmt.string ppf "heal"
+  | Ping (a, b) -> Fmt.pf ppf "ping %a %a" Net.Asn.pp a Net.Asn.pp b
+  | Note s -> Fmt.pf ppf "note %s" s
+
+let pp_step ppf s = Fmt.pf ppf "@%.6f %a" (Engine.Time.to_sec_f s.at) pp_action s.action
 
 let render t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Fmt.str "# scenario: %s\n" t.title);
-  List.iter
-    (fun step ->
-      Buffer.add_string buf
-        (Fmt.str "@%.3f %s\n" (Engine.Time.to_sec_f step.at) (render_action step.action)))
-    t.steps;
-  Buffer.contents buf
+  String.concat ""
+    (Fmt.str "# scenario: %s\n" t.title :: List.map (Fmt.str "%a\n" pp_step) t.steps)
+
+(* Seconds as written in a file, to the nearest microsecond (rounding,
+   not truncation, so every rendered time parses back exactly). *)
+let parse_time s =
+  match float_of_string_opt s with
+  | Some sec when Float.is_finite sec && sec >= 0.0 && sec *. 1e6 < Float.of_int max_int ->
+    Ok (Engine.Time.of_us (Float.to_int (Float.round (sec *. 1e6))))
+  | _ -> Error (Fmt.str "bad time %S (want finite, non-negative seconds)" s)
+
+let ( let* ) = Result.bind
+
+let parse_action verb args =
+  let asn s =
+    match Net.Asn.of_string s with Some a -> Ok a | None -> Error "bad or missing AS number"
+  in
+  let prefix s =
+    match Net.Ipv4.prefix_of_string s with
+    | Some p -> Ok p
+    | None -> Error (Fmt.str "bad prefix %S" s)
+  in
+  let origin make = function
+    | [ a ] ->
+      let* a = asn a in
+      Ok (make a None)
+    | [ a; p ] ->
+      let* a = asn a in
+      let* p = prefix p in
+      Ok (make a (Some p))
+    | _ -> Error (Fmt.str "expected: %s AS [prefix]" verb)
+  in
+  let one make = function
+    | [ a ] ->
+      let* a = asn a in
+      Ok (make a)
+    | _ -> Error (Fmt.str "expected: %s AS" verb)
+  in
+  let two make = function
+    | [ a; b ] ->
+      let* a = asn a in
+      let* b = asn b in
+      Ok (make a b)
+    | _ -> Error (Fmt.str "expected: %s AS AS" verb)
+  in
+  let none action = function
+    | [] -> Ok action
+    | _ -> Error (Fmt.str "%s takes no arguments" verb)
+  in
+  match verb with
+  | "announce" -> origin (fun a p -> Announce (a, p)) args
+  | "withdraw" -> origin (fun a p -> Withdraw (a, p)) args
+  | "fail-link" -> two (fun a b -> Fail_link (a, b)) args
+  | "recover-link" -> two (fun a b -> Recover_link (a, b)) args
+  | "crash" -> one (fun a -> Crash_node a) args
+  | "restart" -> one (fun a -> Restart_node a) args
+  | "partition" -> (
+    match args with
+    | [ a; b ] when String.lowercase_ascii b = "ctrl" ->
+      let* a = asn a in
+      Ok (Partition (a, None))
+    | [ _; _ ] -> two (fun a b -> Partition (a, Some b)) args
+    | _ -> Error "expected: partition AS (AS|ctrl)")
+  | "recover-ctrl" -> one (fun a -> Recover_ctrl a) args
+  | "flap" -> (
+    match args with
+    | [ a; b; n ] -> (
+      let* a = asn a in
+      let* b = asn b in
+      match int_of_string_opt n with
+      | Some n when n > 0 -> Ok (Flap (a, b, n))
+      | _ -> Error (Fmt.str "bad flap count %S" n))
+    | _ -> Error "expected: flap AS AS COUNT")
+  | "loss-burst" -> two (fun a b -> Loss_burst (a, b)) args
+  | "loss-heal" -> two (fun a b -> Loss_heal (a, b)) args
+  | "crash-head" -> none Crash_head args
+  | "restart-head" -> none Restart_head args
+  | "heal" -> none Heal args
+  | "ping" -> two (fun a b -> Ping (a, b)) args
+  | "note" -> Ok (Note (String.concat " " args))
+  | other -> Error (Fmt.str "unknown action %S" other)
 
 let parse_line lineno line =
   let line = String.trim line in
   if line = "" || line.[0] = '#' then Ok None
-  else begin
-    let fail reason = Error (Fmt.str "line %d: %s" lineno reason) in
-    let words = String.split_on_char ' ' line |> List.filter (fun s -> s <> "") in
-    match words with
-    | time :: action :: args when String.length time > 1 && time.[0] = '@' -> (
-      let time_str = String.sub time 1 (String.length time - 1) in
-      match float_of_string_opt time_str with
-      | None -> fail (Fmt.str "bad time %S" time_str)
-      | Some seconds -> (
-        let asn1 () =
-          match args with
-          | a :: _ -> Net.Asn.of_string a
-          | [] -> None
-        in
-        let asn2 () =
-          match args with
-          | _ :: b :: _ -> Net.Asn.of_string b
-          | _ -> None
-        in
-        let opt_prefix () =
-          match args with
-          | [ _ ] -> Ok None
-          | [ _; p ] -> (
-            match Net.Ipv4.prefix_of_string p with
-            | Some p -> Ok (Some p)
-            | None -> Error (Fmt.str "bad prefix %S" p))
-          | _ -> Error "expected: AS [prefix]"
-        in
-        match (String.lowercase_ascii action, asn1 (), asn2 ()) with
-        | "announce", Some a, _ -> (
-          match opt_prefix () with
-          | Ok p -> Ok (Some (at seconds (Announce (a, p))))
-          | Error e -> fail e)
-        | "withdraw", Some a, _ -> (
-          match opt_prefix () with
-          | Ok p -> Ok (Some (at seconds (Withdraw (a, p))))
-          | Error e -> fail e)
-        | "fail-link", Some a, Some b -> Ok (Some (at seconds (Fail_link (a, b))))
-        | "recover-link", Some a, Some b -> Ok (Some (at seconds (Recover_link (a, b))))
-        | "crash", Some a, _ -> Ok (Some (at seconds (Crash_node a)))
-        | "restart", Some a, _ -> Ok (Some (at seconds (Restart_node a)))
-        | "partition", Some a, _ -> (
-          match args with
-          | [ _; b ] when String.lowercase_ascii b = "ctrl" ->
-            Ok (Some (at seconds (Partition (a, None))))
-          | _ -> (
-            match asn2 () with
-            | Some b -> Ok (Some (at seconds (Partition (a, Some b))))
-            | None -> fail "expected: partition AS (AS|ctrl)"))
-        | "flap", Some a, Some b -> (
-          match args with
-          | [ _; _; n ] -> (
-            match int_of_string_opt n with
-            | Some n when n > 0 -> Ok (Some (at seconds (Flap (a, b, n))))
-            | _ -> fail (Fmt.str "bad flap count %S" n))
-          | _ -> fail "expected: flap AS AS COUNT")
-        | "heal", _, _ -> Ok (Some (at seconds Heal))
-        | "ping", Some a, Some b -> Ok (Some (at seconds (Ping (a, b))))
-        | "note", _, _ -> Ok (Some (at seconds (Note (String.concat " " args))))
-        | ( ("announce" | "withdraw" | "fail-link" | "recover-link" | "crash" | "restart"
-            | "partition" | "flap" | "ping"),
-            _,
-            _ ) ->
-          fail "bad or missing AS number"
-        | other, _, _ -> fail (Fmt.str "unknown action %S" other)))
-    | _ -> fail "expected: @SECONDS ACTION ..."
-  end
+  else
+    let step =
+      match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
+      | time :: verb :: args when String.length time > 1 && time.[0] = '@' ->
+        let* at = parse_time (String.sub time 1 (String.length time - 1)) in
+        let* action = parse_action (String.lowercase_ascii verb) args in
+        Ok (Some { at; action })
+      | _ -> Error "expected: @SECONDS ACTION ..."
+    in
+    Result.map_error (Fmt.str "line %d: %s" lineno) step
 
 let parse_string ?(title = "scenario") text =
   let lines = String.split_on_char '\n' text in
@@ -184,66 +193,136 @@ let parse_file path =
   close_in ic;
   parse_string ~title:(Filename.basename path) text
 
-(* Schedule every step on the simulator, then run to quiescence.  Returns
-   the executed (time, action, note) log. *)
-let run exp scenario =
-  let network = Experiment.network exp in
-  let sim = Network.sim network in
-  let log = ref [] in
-  let record action = log := (Engine.Sim.now sim, action) :: !log in
-  let prefix_for asn = function Some p -> p | None -> Experiment.default_prefix exp asn in
+(* --- Execution -------------------------------------------------------------- *)
+
+(* Does the step name only things the network has?  Checked for every
+   step before any is scheduled, so a bad file fails up front instead of
+   mid-run. *)
+let check_step net step =
+  let as_ a =
+    if Topology.Spec.mem (Network.spec net) a then Ok ()
+    else Error (Fmt.str "%a is not in the topology" Net.Asn.pp a)
+  in
+  let link a b =
+    let* () = as_ a in
+    let* () = as_ b in
+    if Option.is_some (Network.link_delay net a b) then Ok ()
+    else Error (Fmt.str "no link %a-%a" Net.Asn.pp a Net.Asn.pp b)
+  in
+  let member a =
+    let* () = as_ a in
+    if List.exists (Net.Asn.equal a) (Network.sdn_asns net) then Ok ()
+    else Error (Fmt.str "%a has no control channel (not an SDN member)" Net.Asn.pp a)
+  in
+  let head () =
+    if Option.is_some (Network.controller net) then Ok ()
+    else Error "no cluster head (the topology has no SDN members)"
+  in
+  let checked =
+    match step.action with
+    | Announce (a, _) | Withdraw (a, _) | Crash_node a | Restart_node a -> as_ a
+    | Flap (_, _, n) when n <= 0 -> Error "a flap needs at least one cycle"
+    | Fail_link (a, b)
+    | Recover_link (a, b)
+    | Partition (a, Some b)
+    | Flap (a, b, _)
+    | Loss_burst (a, b)
+    | Loss_heal (a, b) ->
+      link a b
+    | Partition (a, None) | Recover_ctrl a -> member a
+    | Crash_head | Restart_head -> head ()
+    | Ping (a, b) ->
+      let* () = as_ a in
+      as_ b
+    | Heal | Note _ -> Ok ()
+  in
+  Result.map_error (Fmt.str "scenario step \"%a\": %s" pp_step step) checked
+
+let validate net t =
+  List.fold_left (fun acc step -> Result.bind acc (fun () -> check_step net step)) (Ok ())
+    t.steps
+
+(* The one dispatcher from actions to the network: everything that runs
+   a scenario step, a chaos fault or a churn cycle ends here. *)
+let apply net action =
+  let prefix_for asn = function
+    | Some p -> p
+    | None -> (Network.plan net).Addressing.origin_prefix asn
+  in
+  match action with
+  | Announce (asn, p) -> Network.originate net asn (prefix_for asn p)
+  | Withdraw (asn, p) -> Network.withdraw net asn (prefix_for asn p)
+  | Fail_link (a, b) | Partition (a, Some b) -> Network.fail_link net a b
+  | Recover_link (a, b) -> Network.recover_link net a b
+  | Crash_node asn -> Network.crash_node net asn
+  | Restart_node asn -> Network.restart_node net asn
+  | Partition (a, None) -> Network.fail_ctrl_link net a
+  | Recover_ctrl a -> Network.recover_ctrl_link net a
+  | Loss_burst (a, b) -> Network.start_loss_burst net a b
+  | Loss_heal (a, b) -> Network.end_loss_burst net a b
+  | Crash_head -> Network.crash_controller net
+  | Restart_head -> Network.restart_controller net
+  | Heal -> Network.heal_all_links net
+  | Ping (src, dst) ->
+    let plan = Network.plan net in
+    Network.inject net ~src
+      (Net.Packet.echo ~src:(plan.Addressing.host_addr src)
+         ~dst:(plan.Addressing.host_addr dst) 0)
+  | Note _ -> ()
+  | Flap _ -> invalid_arg "Scenario.apply: a flap is a train of steps (see Scenario.expand)"
+
+(* A flap is n fail/recover cycles on a 1 s period: down for 500 ms, up
+   for 500 ms (the last recovery leaves the link up).  Every other step
+   is its own single primitive. *)
+let expand step =
+  match step.action with
+  | Flap (a, b, n) ->
+    List.concat
+      (List.init n (fun i ->
+           let base = Engine.Time.add step.at (Engine.Time.sec i) in
+           [
+             { at = base; action = Fail_link (a, b) };
+             { at = Engine.Time.add base (Engine.Time.ms 500); action = Recover_link (a, b) };
+           ]))
+  | _ -> [ step ]
+
+let schedule ?(on_step = ignore) net steps =
+  let sim = Network.sim net in
+  let at_step time fn = ignore (Engine.Sim.schedule_at ~category:"scenario.step" sim time fn) in
   List.iter
-    (fun { at; action } ->
-      let dispatch () =
-        record action;
-        match action with
-        | Announce (asn, p) -> Network.originate network asn (prefix_for asn p)
-        | Withdraw (asn, p) -> Network.withdraw network asn (prefix_for asn p)
-        | Fail_link (a, b) -> Network.fail_link network a b
-        | Recover_link (a, b) -> Network.recover_link network a b
-        | Crash_node asn -> Network.crash_node network asn
-        | Restart_node asn -> Network.restart_node network asn
-        | Partition (a, Some b) -> Network.fail_link network a b
-        | Partition (a, None) -> Network.fail_ctrl_link network a
-        | Flap (a, b, n) ->
-          (* n fail/recover cycles on a 1 s period: down for 500 ms, up
-             for 500 ms (the last recovery leaves the link up). *)
-          let down = Engine.Time.ms 500 and period = Engine.Time.sec 1 in
-          Network.fail_link network a b;
-          for i = 0 to n - 1 do
-            let base =
-              Engine.Time.add (Engine.Sim.now sim)
-                (Engine.Time.span_scale period (float_of_int i))
-            in
-            ignore
-              (Engine.Sim.schedule_at ~category:"scenario.step" sim
-                 (Engine.Time.add base down) (fun () ->
-                   Network.recover_link network a b));
-            if i < n - 1 then
-              ignore
-                (Engine.Sim.schedule_at ~category:"scenario.step" sim
-                   (Engine.Time.add base period) (fun () ->
-                     Network.fail_link network a b))
-          done
-        | Heal -> Network.heal_all_links network
-        | Ping (src, dst) ->
-          let plan = Network.plan network in
-          Network.inject network ~src
-            (Net.Packet.echo ~src:(plan.Addressing.host_addr src)
-               ~dst:(plan.Addressing.host_addr dst) 0)
-        | Note _ -> ()
-      in
-      (* Each step runs under its own span so every scenario action roots
-         a causal tree (Announce/Withdraw add their own action.* span via
-         Network; this covers link/crash/flap steps uniformly). *)
-      let run_action () =
-        if Engine.Causal.enabled (Engine.Sim.causal sim) then
-          Engine.Sim.with_span sim ~category:"scenario.action"
-            ~label:(render_action action) dispatch
-        else dispatch ()
-      in
-      if Engine.Time.(at <= Engine.Sim.now sim) then run_action ()
-      else ignore (Engine.Sim.schedule_at ~category:"scenario.step" sim at run_action))
-    scenario.steps;
-  ignore (Network.settle network);
+    (fun step ->
+      (* A step already in the past runs now, at once. *)
+      let late = Engine.Time.(step.at < Engine.Sim.now sim) in
+      match expand { step with at = Engine.Time.max step.at (Engine.Sim.now sim) } with
+      | [] -> ()
+      | first :: rest ->
+        let run () =
+          on_step step;
+          apply net first.action;
+          (* The rest of a flap's train is queued only once its first
+             fail has run, so same-instant ties keep their order: that
+             fail's session-down detection (500 ms by default, like the
+             down time) runs before the first recovery. *)
+          List.iter (fun prim -> at_step prim.at (fun () -> apply net prim.action)) rest
+        in
+        (* each step roots its own causal tree *)
+        let fire () =
+          if Engine.Causal.enabled (Engine.Sim.causal sim) then
+            Engine.Sim.with_span sim ~category:"scenario.action"
+              ~label:(Fmt.str "%a" pp_action step.action)
+              run
+          else run ()
+        in
+        if late then fire () else at_step first.at fire)
+    steps
+
+(* Check, schedule every step, then run to quiescence.  Returns the
+   executed (time, action) log. *)
+let run exp scenario =
+  let net = Experiment.network exp in
+  (match validate net scenario with Ok () -> () | Error e -> invalid_arg e);
+  let log = ref [] in
+  schedule net scenario.steps ~on_step:(fun step ->
+      log := (Network.now net, step.action) :: !log);
+  ignore (Network.settle net);
   List.rev !log

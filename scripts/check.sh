@@ -24,10 +24,7 @@ dune runtest
 step "smoke (instrumented run + metrics validation)"
 dune build @smoke
 
-step "chaos smoke (cluster-head crash/restart + graceful degradation)"
-dune build @chaos-smoke
-
-step "chaos campaign (25 seeded fault schedules through the invariant oracle)"
+step "chaos campaign (25 seeded fault schedules, with and without fallback, vs committed digests)"
 dune build @chaos-campaign
 
 step "parallel smoke (multi-domain sweep == sequential differential)"

@@ -370,7 +370,7 @@ let test_chaos_execute_dumps_flight () =
           {
             Framework.Chaos.at = Engine.Time.sec 12;
             heal_at = Engine.Time.sec 13;
-            fault = Framework.Chaos.Link_flap (a, b, 220);
+            fault = Framework.Scenario.Flap (a, b, 220);
           };
         ];
     }

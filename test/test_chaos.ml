@@ -116,6 +116,113 @@ let test_no_fallback_blackholes () =
   Alcotest.(check bool) "member blackholes without fallback" false
     (reach_during_head_outage ~fallback:false)
 
+(* --- The head-crash drill ------------------------------------------------
+
+   Crash the cluster head mid-run on an 8-AS clique with 4 members and
+   keep routing changing while it is down.  With [fallback] the member
+   switches detect the dead controller via echo liveness and degrade
+   onto a legacy default route, so they retain reachability — including
+   to a prefix announced during the outage.  Without it they blackhole
+   unknown traffic until the restart.  Either way the restart must
+   resync to the state of a run that never crashed. *)
+
+let drill ~fallback () =
+  let check what ok = Alcotest.(check bool) what true ok in
+  let wait_quiet what conv =
+    match
+      Framework.Convergence.wait_quiet ~quiet:(Engine.Time.sec 3)
+        ~max_wait:(Engine.Time.sec 120) conv
+    with
+    | `Quiet _ -> ()
+    | `Timeout _ -> Alcotest.failf "%s: control plane never went quiet" what
+  in
+  let config =
+    if fallback then quiet_cfg else { quiet_cfg with Framework.Config.switch_liveness = None }
+  in
+  let n = 8 in
+  let spec =
+    let clique = Topology.Artificial.clique n in
+    Topology.Spec.with_sdn clique
+      (List.filteri (fun i _ -> i >= n - 4) (Topology.Spec.asns clique))
+  in
+  let origin = asn 0 and origin2 = asn 1 and member = asn (n - 1) in
+  let fresh () =
+    let net = Framework.Network.create ~config ~seed:2014 spec in
+    let conv = Framework.Convergence.attach net in
+    Framework.Network.start net;
+    (net, conv)
+  in
+  let net, conv = fresh () in
+  let apply = Framework.Scenario.apply net in
+  let advance s =
+    Framework.Network.run_until net
+      (Engine.Time.add (Framework.Network.now net) (Engine.Time.sec s))
+  in
+  let reach dst = Framework.Monitor.reachable net ~src:member ~dst in
+  let fallback_active () =
+    Sdn.Switch.fallback_active (Option.get (Framework.Network.switch net member))
+  in
+  apply (Framework.Scenario.Announce (origin, None));
+  wait_quiet "initial convergence" conv;
+  check "member reaches the origin after initial convergence" (reach origin);
+  (* every relay toward the dead head is refused at the fabric *)
+  apply Framework.Scenario.Crash_head;
+  apply (Framework.Scenario.Announce (origin2, None));
+  advance 8;
+  check "deliveries to the dead head are dropped as node_down"
+    (Net.Netsim.drops (Framework.Network.fabric net) Net.Netsim.Node_down > 0);
+  if fallback then begin
+    check "member switch degraded onto its legacy fallback" (fallback_active ());
+    check "member keeps reaching the origin while the head is down" (reach origin);
+    check "member reaches the route announced during the outage" (reach origin2)
+  end
+  else begin
+    check "no fallback without switch liveness" (not (fallback_active ()));
+    check "the mid-outage announcement blackholes at the member" (not (reach origin2))
+  end;
+  (* The speaker's NOTIFICATION-then-OPEN resync pulls external routes
+     back in; the controller reinstalls rules and releases the switches
+     with RESYNC_DONE.  Let the handshake begin before asking for quiet. *)
+  apply Framework.Scenario.Restart_head;
+  advance 1;
+  wait_quiet "post-restart reconvergence" conv;
+  check "member reaches the origin after the restart" (reach origin);
+  check "member learned the route announced during the outage" (reach origin2);
+  check "RESYNC_DONE released the member from fallback" (not (fallback_active ()));
+  let baseline =
+    let net', conv' = fresh () in
+    Framework.Scenario.apply net' (Framework.Scenario.Announce (origin, None));
+    Framework.Scenario.apply net' (Framework.Scenario.Announce (origin2, None));
+    wait_quiet "baseline convergence" conv';
+    Framework.Chaos.render_state net'
+  in
+  Alcotest.(check string) "post-resync state matches a never-crashed run" baseline
+    (Framework.Chaos.render_state net);
+  if fallback then begin
+    (* past the flow hard timeout, so expiry and reinstallation are exported *)
+    advance 50;
+    let snap =
+      Engine.Metrics.snapshot
+        (Engine.Sim.metrics (Framework.Network.sim net))
+        ~at:(Framework.Network.now net)
+    in
+    match Engine.Metrics.parse_prometheus (Engine.Metrics.to_prometheus snap) with
+    | Error e -> Alcotest.failf "metrics export does not parse: %s" e
+    | Ok samples ->
+      List.iter
+        (fun name ->
+          check (name ^ " exported")
+            (List.exists (fun s -> s.Engine.Metrics.p_name = name) samples))
+        [
+          "node_lifecycle_transitions_total";
+          "net_messages_dropped_total";
+          "bgp_session_state";
+          "bgp_hold_expirations_total";
+          "controller_failovers_total";
+          "flow_rules_expired_total";
+        ]
+  end
+
 (* --- Minimization ------------------------------------------------------- *)
 
 let test_minimize_keeps_passing_schedule () =
@@ -139,4 +246,6 @@ let suite =
     Alcotest.test_case "fallback retains reachability" `Quick test_fallback_retains_reachability;
     Alcotest.test_case "no-fallback blackholes" `Quick test_no_fallback_blackholes;
     Alcotest.test_case "minimize keeps a passing schedule" `Quick test_minimize_keeps_passing_schedule;
+    Alcotest.test_case "head-crash drill with fallback" `Quick (drill ~fallback:true);
+    Alcotest.test_case "head-crash drill without fallback" `Quick (drill ~fallback:false);
   ]
