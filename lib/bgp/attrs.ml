@@ -42,10 +42,23 @@ let default_local_pref = 100
 type wire_key =
   Net.Asn.t list * Net.Ipv4.addr * int * origin * Community.t list
 
+(* Int-keyed: wire ids are dense and sequential, so the identity is a
+   perfect hash. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash (i : int) = i
+end)
+
 type tables = {
   paths : (Net.Asn.t list, Net.Asn.t list) Hashtbl.t; (* logical -> canonical *)
   wires : (wire_key, int) Hashtbl.t;
-  full : (int * int, t) Hashtbl.t; (* (wire_id, local_pref) -> canonical *)
+  (* wire_id -> its canonical values, one per local_pref: the full table,
+     and the memo [with_local_pref] restamps through without rehashing
+     the path. *)
+  full : t list Itbl.t;
   mutable next_wire : int;
   mutable next_id : int;
 }
@@ -55,7 +68,7 @@ let tables_key =
       {
         paths = Hashtbl.create 1024;
         wires = Hashtbl.create 1024;
-        full = Hashtbl.create 1024;
+        full = Itbl.create 1024;
         next_wire = 0;
         next_id = 0;
       })
@@ -70,20 +83,15 @@ let intern_path tbl path =
       Hashtbl.add tbl.paths path path;
       path)
 
-let intern ~as_path ~next_hop ~local_pref ~med ~origin ~communities =
-  let tbl = Domain.DLS.get tables_key in
-  let as_path = intern_path tbl as_path in
-  let wkey = (as_path, next_hop, med, origin, Community.Set.elements communities) in
-  let wire_id =
-    match Hashtbl.find_opt tbl.wires wkey with
-    | Some id -> id
-    | None ->
-      let id = tbl.next_wire in
-      tbl.next_wire <- id + 1;
-      Hashtbl.add tbl.wires wkey id;
-      id
-  in
-  match Hashtbl.find_opt tbl.full (wire_id, local_pref) with
+let rec find_local_pref lp = function
+  | [] -> None
+  | t :: rest -> if t.local_pref = lp then Some t else find_local_pref lp rest
+
+(* The canonical value for wire-visible content [wire_id] (whose fields
+   are the rest of the arguments) stamped with [local_pref]. *)
+let canonical tbl ~wire_id ~as_path ~next_hop ~local_pref ~med ~origin ~communities =
+  let variants = Option.value (Itbl.find_opt tbl.full wire_id) ~default:[] in
+  match find_local_pref local_pref variants with
   | Some t -> t
   | None ->
     let id = tbl.next_id in
@@ -101,8 +109,23 @@ let intern ~as_path ~next_hop ~local_pref ~med ~origin ~communities =
         id;
       }
     in
-    Hashtbl.add tbl.full (wire_id, local_pref) t;
+    Itbl.replace tbl.full wire_id (t :: variants);
     t
+
+let intern ~as_path ~next_hop ~local_pref ~med ~origin ~communities =
+  let tbl = Domain.DLS.get tables_key in
+  let as_path = intern_path tbl as_path in
+  let wkey = (as_path, next_hop, med, origin, Community.Set.elements communities) in
+  let wire_id =
+    match Hashtbl.find_opt tbl.wires wkey with
+    | Some id -> id
+    | None ->
+      let id = tbl.next_wire in
+      tbl.next_wire <- id + 1;
+      Hashtbl.add tbl.wires wkey id;
+      id
+  in
+  canonical tbl ~wire_id ~as_path ~next_hop ~local_pref ~med ~origin ~communities
 
 let make ?(as_path = []) ?(local_pref = default_local_pref) ?(med = 0) ?(origin = Igp)
     ?(communities = Community.Set.empty) ~next_hop () =
@@ -112,7 +135,13 @@ let as_path t = t.as_path
 
 let path_length t = t.path_len
 
-let path_contains t asn = List.exists (Net.Asn.equal asn) t.as_path
+(* A top-level walk: [List.exists (Net.Asn.equal asn)] would allocate a
+   closure per call, and export checks every peer against the path. *)
+let rec path_mem asn = function
+  | [] -> false
+  | a :: rest -> Net.Asn.equal a asn || path_mem asn rest
+
+let path_contains t asn = path_mem asn t.as_path
 
 let prepend t asn =
   (* [t.as_path] is canonical, so the new cons shares its tail; interning
@@ -120,16 +149,28 @@ let prepend t asn =
   intern ~as_path:(asn :: t.as_path) ~next_hop:t.next_hop ~local_pref:t.local_pref
     ~med:t.med ~origin:t.origin ~communities:t.communities
 
+(* [times] own-ASN prepends, the router's next hop and the default
+   local-pref in one intern: the per-peer export content, without the
+   intermediate canonical values a [prepend]/[with_next_hop]/
+   [with_local_pref] chain would create (and the intern tables keep). *)
+let exported t ~asn ~times ~next_hop =
+  let rec prepend_n n path = if n <= 0 then path else prepend_n (n - 1) (asn :: path) in
+  intern ~as_path:(prepend_n times t.as_path) ~next_hop ~local_pref:default_local_pref
+    ~med:t.med ~origin:t.origin ~communities:t.communities
+
 let origin_as t =
   match List.rev t.as_path with [] -> None | last :: _ -> Some last
 
 let neighbor_as t = match t.as_path with [] -> None | first :: _ -> Some first
 
+(* Restamping keeps the wire-visible content, so the canonical result is
+   found from [t.wire_id] alone: no path or wire-key hashing on import. *)
 let with_local_pref t lp =
   if lp = t.local_pref then t
   else
-    intern ~as_path:t.as_path ~next_hop:t.next_hop ~local_pref:lp ~med:t.med
-      ~origin:t.origin ~communities:t.communities
+    canonical (Domain.DLS.get tables_key) ~wire_id:t.wire_id ~as_path:t.as_path
+      ~next_hop:t.next_hop ~local_pref:lp ~med:t.med ~origin:t.origin
+      ~communities:t.communities
 
 let with_next_hop t nh =
   if Net.Ipv4.equal_addr nh t.next_hop then t
@@ -170,7 +211,7 @@ let intern_stats () =
   {
     distinct_paths = Hashtbl.length tbl.paths;
     distinct_wire = Hashtbl.length tbl.wires;
-    distinct_full = Hashtbl.length tbl.full;
+    distinct_full = tbl.next_id;
   }
 
 let pp_path ppf path =

@@ -47,6 +47,12 @@ val path_contains : t -> Net.Asn.t -> bool
 val prepend : t -> Net.Asn.t -> t
 (** Prepend an ASN (what an eBGP speaker does on export). *)
 
+val exported : t -> asn:Net.Asn.t -> times:int -> next_hop:Net.Ipv4.addr -> t
+(** What an eBGP speaker advertises for a route carrying [t]: [asn]
+    prepended [times] times, [next_hop] its own, local-pref back to
+    {!default_local_pref}.  One intern; physically equal to [times]
+    {!prepend}s, then {!with_next_hop}, then {!with_local_pref}. *)
+
 val origin_as : t -> Net.Asn.t option
 (** Rightmost (originating) AS of the path. *)
 
@@ -54,6 +60,8 @@ val neighbor_as : t -> Net.Asn.t option
 (** Leftmost AS of the path. *)
 
 val with_local_pref : t -> int -> t
+(** Restamps through the canonical value's wire id, without rehashing its
+    path (the import path stamps every received route). *)
 
 val with_next_hop : t -> Net.Ipv4.addr -> t
 

@@ -2,7 +2,7 @@
    everything and never advertises — its timestamped update stream is the
    monitoring signal the framework's convergence detection consumes. *)
 
-module Pt = Net.Ipv4.Prefix_trie
+module Tbl = Net.Ipv4.Prefix_table
 
 type action = Announce of Attrs.t | Withdraw
 
@@ -25,7 +25,7 @@ type t = {
   retention : retention;
   mutable events : event list; (* newest first; empty under Counts_only *)
   mutable event_count : int;
-  last_by_prefix : Engine.Time.t Pt.t;
+  last_by_prefix : Engine.Time.t Tbl.t;
   mutable last_time : Engine.Time.t option;
 }
 
@@ -47,7 +47,7 @@ let create ?(retention = Full) ~sim ~asn ~node_id ~router_id ~send () =
       retention;
       events = [];
       event_count = 0;
-      last_by_prefix = Pt.create ();
+      last_by_prefix = Tbl.create ();
       last_time = None;
     }
   in
@@ -56,16 +56,16 @@ let create ?(retention = Full) ~sim ~asn ~node_id ~router_id ~send () =
   Engine.Node.on_crash node (fun () ->
       t.events <- [];
       t.event_count <- 0;
-      Pt.clear t.last_by_prefix;
+      Tbl.clear t.last_by_prefix;
       t.last_time <- None);
   Engine.Node.set_snapshot node (fun () ->
-      Collector_state (t.events, t.event_count, Pt.entries t.last_by_prefix, t.last_time));
+      Collector_state (t.events, t.event_count, Tbl.entries t.last_by_prefix, t.last_time));
   Engine.Node.set_restore node (function
     | Collector_state (events, count, last_entries, last_time) ->
       t.events <- events;
       t.event_count <- count;
-      Pt.clear t.last_by_prefix;
-      List.iter (fun (p, time) -> Pt.set p time t.last_by_prefix) last_entries;
+      Tbl.clear t.last_by_prefix;
+      List.iter (fun (p, time) -> Tbl.set p time t.last_by_prefix) last_entries;
       t.last_time <- last_time
     | _ -> invalid_arg "Collector.restore: foreign snapshot blob");
   Engine.Node.start node;
@@ -84,7 +84,7 @@ let record t ~peer ~prefix action =
   (match t.retention with
   | Full -> t.events <- { time; peer; prefix; action } :: t.events
   | Counts_only -> ());
-  Pt.set prefix time t.last_by_prefix;
+  Tbl.set prefix time t.last_by_prefix;
   t.last_time <- Some time;
   t.event_count <- t.event_count + 1
 
@@ -115,9 +115,9 @@ let events_for t prefix =
 
 let last_update_time t = t.last_time
 
-let last_update_for t prefix = Pt.find prefix t.last_by_prefix
+let last_update_for t prefix = Tbl.find prefix t.last_by_prefix
 
-let last_updates t = Pt.entries t.last_by_prefix
+let last_updates t = Tbl.entries t.last_by_prefix
 
 let updates_since t time =
   List.length (List.filter (fun e -> Engine.Time.(e.time >= time)) (events t))
@@ -125,7 +125,7 @@ let updates_since t time =
 let clear t =
   t.events <- [];
   t.event_count <- 0;
-  Pt.clear t.last_by_prefix;
+  Tbl.clear t.last_by_prefix;
   t.last_time <- None
 
 (* --- Dump format (MRT-inspired text) ----------------------------------

@@ -5,33 +5,35 @@
    Adj_out: per (peer, prefix) attributes as advertised — consulted to
             suppress duplicate announcements and to know what to withdraw.
 
-   Storage is mutable prefix tries ([Net.Ipv4.Prefix_trie]) rather than
-   persistent [Prefix_map]s: at Internet scale a RIB holds 10k+ prefixes
-   per peer and the persistent spines dominated both allocation and live
-   heap.  Iteration order is unchanged ([compare_prefix] ascending), so
-   checkpoint dumps and decision ordering are bit-identical to the old
-   map-based representation (enforced by test/test_rib_differential.ml). *)
+   Storage is mutable exact-match tables ([Net.Ipv4.Prefix_table]): a
+   RIB never needs longest-prefix match, and at Internet scale (10k+
+   prefixes per peer) one hash of the packed prefix per operation beats
+   both a persistent map's rebalancing allocation and a trie's
+   node-per-prefix-bit walk.  Every ordered read sorts the packed keys,
+   so iteration is [compare_prefix] ascending and checkpoint dumps and
+   decision ordering match the map-based reference implementations
+   (enforced by test/test_rib_differential.ml). *)
 
-module Pt = Net.Ipv4.Prefix_trie
+module Tbl = Net.Ipv4.Prefix_table
 
 module Adj_in = struct
-  (* Two views of the same routes.  The peer-major view (one trie per
+  (* Two views of the same routes.  The peer-major view (one table per
      peer, dropped when emptied) serves session maintenance
      ([drop_peer], [prefixes_from]); the prefix-major view makes
-     [candidates] — run on every decision process — a single trie lookup
+     [candidates] — run on every decision process — a single lookup
      yielding a compact flat array of (peer, route) cells in ascending
      peer order.  Both are updated together; [count] tracks the total so
      [size] is O(1). *)
   type t = {
-    mutable by_peer : Route.t Pt.t Net.Asn.Map.t;
-    by_prefix : (int * Route.t) array Pt.t;
+    mutable by_peer : Route.t Tbl.t Net.Asn.Map.t;
+    by_prefix : (int * Route.t) array Tbl.t;
     mutable count : int;
   }
 
-  let create () = { by_peer = Net.Asn.Map.empty; by_prefix = Pt.create (); count = 0 }
+  let create () = { by_peer = Net.Asn.Map.empty; by_prefix = Tbl.create (); count = 0 }
 
   (* Insert or replace a cell keeping ascending peer order.  Replacement
-     mutates in place (the array is owned by the trie); insertion copies. *)
+     mutates in place (the array is owned by the table); insertion copies. *)
   let array_set arr pi route =
     let n = Array.length arr in
     let rec pos i = if i = n || fst arr.(i) >= pi then i else pos (i + 1) in
@@ -61,146 +63,151 @@ module Adj_in = struct
 
   let set t ~peer (route : Route.t) =
     let prefix = Route.prefix route in
-    let ptrie =
+    let table =
       match Net.Asn.Map.find_opt peer t.by_peer with
-      | Some tr -> tr
+      | Some tbl -> tbl
       | None ->
-        let tr = Pt.create () in
-        t.by_peer <- Net.Asn.Map.add peer tr t.by_peer;
-        tr
+        let tbl = Tbl.create () in
+        t.by_peer <- Net.Asn.Map.add peer tbl t.by_peer;
+        tbl
     in
-    if not (Pt.mem prefix ptrie) then t.count <- t.count + 1;
-    Pt.set prefix route ptrie;
+    let before = Tbl.size table in
+    Tbl.set prefix route table;
+    t.count <- t.count + Tbl.size table - before;
     let pi = Net.Asn.to_int peer in
-    let arr = match Pt.find prefix t.by_prefix with None -> [||] | Some a -> a in
+    let arr = match Tbl.find prefix t.by_prefix with None -> [||] | Some a -> a in
     let arr' = array_set arr pi route in
-    if arr' != arr || Array.length arr = 0 then Pt.set prefix arr' t.by_prefix
+    if arr' != arr || Array.length arr = 0 then Tbl.set prefix arr' t.by_prefix
 
   let remove_from_prefix t ~peer prefix =
-    match Pt.find prefix t.by_prefix with
+    match Tbl.find prefix t.by_prefix with
     | None -> ()
     | Some arr ->
       let arr' = array_remove arr (Net.Asn.to_int peer) in
-      if Array.length arr' = 0 then Pt.remove prefix t.by_prefix
-      else if arr' != arr then Pt.set prefix arr' t.by_prefix
+      if Array.length arr' = 0 then Tbl.remove prefix t.by_prefix
+      else if arr' != arr then Tbl.set prefix arr' t.by_prefix
 
   let remove t ~peer prefix =
     match Net.Asn.Map.find_opt peer t.by_peer with
     | None -> ()
-    | Some ptrie ->
-      if Pt.mem prefix ptrie then begin
+    | Some table ->
+      let before = Tbl.size table in
+      Tbl.remove prefix table;
+      if Tbl.size table < before then begin
         t.count <- t.count - 1;
-        Pt.remove prefix ptrie;
-        if Pt.is_empty ptrie then t.by_peer <- Net.Asn.Map.remove peer t.by_peer;
+        if Tbl.is_empty table then t.by_peer <- Net.Asn.Map.remove peer t.by_peer;
         remove_from_prefix t ~peer prefix
       end
 
   let find t ~peer prefix =
-    Option.bind (Net.Asn.Map.find_opt peer t.by_peer) (Pt.find prefix)
+    Option.bind (Net.Asn.Map.find_opt peer t.by_peer) (Tbl.find prefix)
 
   (* All routes for a prefix across peers, in ascending peer order. *)
   let candidates t prefix =
-    match Pt.find prefix t.by_prefix with
+    match Tbl.find prefix t.by_prefix with
     | None -> []
     | Some arr -> Array.fold_right (fun (_, r) acc -> r :: acc) arr []
 
   let prefixes_from t ~peer =
     match Net.Asn.Map.find_opt peer t.by_peer with
     | None -> []
-    | Some ptrie -> Pt.keys ptrie
+    | Some table -> Tbl.keys table
 
   let drop_peer t ~peer =
     match Net.Asn.Map.find_opt peer t.by_peer with
     | None -> []
-    | Some ptrie ->
-      let dropped = Pt.keys ptrie in
+    | Some table ->
+      let dropped = Tbl.keys table in
       t.by_peer <- Net.Asn.Map.remove peer t.by_peer;
       List.iter (fun prefix -> remove_from_prefix t ~peer prefix) dropped;
       t.count <- t.count - List.length dropped;
       dropped
 
-  let all_prefixes t = Pt.keys t.by_prefix
+  let all_prefixes t = Tbl.keys t.by_prefix
 
   let size t = t.count
 
   let entries t =
     Net.Asn.Map.fold
-      (fun peer ptrie acc -> Pt.fold (fun _ r acc -> (peer, r) :: acc) ptrie acc)
+      (fun peer table acc ->
+        List.fold_left (fun acc (_, r) -> (peer, r) :: acc) acc (Tbl.entries table))
       t.by_peer []
     |> List.rev
 
   let clear t =
     t.by_peer <- Net.Asn.Map.empty;
-    Pt.clear t.by_prefix;
+    Tbl.clear t.by_prefix;
     t.count <- 0
 end
 
 module Loc = struct
-  type t = { best : Route.t Pt.t }
+  type t = { best : Route.t Tbl.t }
 
-  let create () = { best = Pt.create () }
+  let create () = { best = Tbl.create () }
 
-  let find t prefix = Pt.find prefix t.best
+  let find t prefix = Tbl.find prefix t.best
 
-  let set t (route : Route.t) = Pt.set (Route.prefix route) route t.best
+  let set t (route : Route.t) = Tbl.set (Route.prefix route) route t.best
 
-  let remove t prefix = Pt.remove prefix t.best
+  let remove t prefix = Tbl.remove prefix t.best
 
-  let entries t = Pt.entries t.best
+  let entries t = Tbl.entries t.best
 
-  let prefixes t = Pt.keys t.best
+  let prefixes t = Tbl.keys t.best
 
-  let size t = Pt.size t.best
+  let size t = Tbl.size t.best
 
-  let clear t = Pt.clear t.best
+  let clear t = Tbl.clear t.best
 end
 
 module Adj_out = struct
-  (* One trie per peer, dropped as soon as it empties (a peer whose last
+  (* One table per peer, dropped as soon as it empties (a peer whose last
      advertisement was withdrawn leaves no residue), with a maintained
      total count so [size] is O(1). *)
   type t = {
-    mutable by_peer : Attrs.t Pt.t Net.Asn.Map.t;
+    mutable by_peer : Attrs.t Tbl.t Net.Asn.Map.t;
     mutable count : int;
   }
 
   let create () = { by_peer = Net.Asn.Map.empty; count = 0 }
 
   let set t ~peer prefix attrs =
-    let ptrie =
+    let table =
       match Net.Asn.Map.find_opt peer t.by_peer with
-      | Some tr -> tr
+      | Some tbl -> tbl
       | None ->
-        let tr = Pt.create () in
-        t.by_peer <- Net.Asn.Map.add peer tr t.by_peer;
-        tr
+        let tbl = Tbl.create () in
+        t.by_peer <- Net.Asn.Map.add peer tbl t.by_peer;
+        tbl
     in
-    if not (Pt.mem prefix ptrie) then t.count <- t.count + 1;
-    Pt.set prefix attrs ptrie
+    let before = Tbl.size table in
+    Tbl.set prefix attrs table;
+    t.count <- t.count + Tbl.size table - before
 
   let remove t ~peer prefix =
     match Net.Asn.Map.find_opt peer t.by_peer with
     | None -> ()
-    | Some ptrie ->
-      if Pt.mem prefix ptrie then begin
+    | Some table ->
+      let before = Tbl.size table in
+      Tbl.remove prefix table;
+      if Tbl.size table < before then begin
         t.count <- t.count - 1;
-        Pt.remove prefix ptrie;
-        if Pt.is_empty ptrie then t.by_peer <- Net.Asn.Map.remove peer t.by_peer
+        if Tbl.is_empty table then t.by_peer <- Net.Asn.Map.remove peer t.by_peer
       end
 
   let find t ~peer prefix =
-    Option.bind (Net.Asn.Map.find_opt peer t.by_peer) (Pt.find prefix)
+    Option.bind (Net.Asn.Map.find_opt peer t.by_peer) (Tbl.find prefix)
 
   let advertised t ~peer =
     match Net.Asn.Map.find_opt peer t.by_peer with
     | None -> []
-    | Some ptrie -> Pt.entries ptrie
+    | Some table -> Tbl.entries table
 
   let drop_peer t ~peer =
     match Net.Asn.Map.find_opt peer t.by_peer with
     | None -> []
-    | Some ptrie ->
-      let dropped = Pt.keys ptrie in
+    | Some table ->
+      let dropped = Tbl.keys table in
       t.by_peer <- Net.Asn.Map.remove peer t.by_peer;
       t.count <- t.count - List.length dropped;
       dropped
@@ -209,7 +216,7 @@ module Adj_out = struct
 
   let entries t =
     Net.Asn.Map.bindings t.by_peer
-    |> List.map (fun (peer, ptrie) -> (peer, Pt.entries ptrie))
+    |> List.map (fun (peer, table) -> (peer, Tbl.entries table))
 
   let clear t =
     t.by_peer <- Net.Asn.Map.empty;

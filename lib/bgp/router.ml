@@ -11,7 +11,7 @@
      its input queue, so each update's processing delay pushes a
      [busy_until] watermark and later updates queue behind it. *)
 
-module Pt = Net.Ipv4.Prefix_trie
+module Tbl = Net.Ipv4.Prefix_table
 
 type stats = {
   mutable msgs_in : int;
@@ -60,7 +60,7 @@ type t = {
   adj_in : Rib.Adj_in.t;
   loc : Rib.Loc.t;
   adj_out : Rib.Adj_out.t;
-  originated : Attrs.t Pt.t;
+  originated : Attrs.t Tbl.t;
   mutable busy_until : Engine.Time.t;
   (* Updates accepted but not yet processed by the serialized bgpd:
      (finish instant, peer, update) in processing order.  The scheduler
@@ -126,7 +126,7 @@ let create_unhooked ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
       adj_in = Rib.Adj_in.create ();
       loc = Rib.Loc.create ();
       adj_out = Rib.Adj_out.create ();
-      originated = Pt.create ();
+      originated = Tbl.create ();
       busy_until = Engine.Time.zero;
       pending_updates = Queue.create ();
       stats =
@@ -203,13 +203,23 @@ let flush_batch t =
   in
   List.iter (fun p -> Mrai.flush_event p.mrai) dirty
 
+let close_batch t =
+  t.batch_depth <- t.batch_depth - 1;
+  if t.batch_depth = 0 then flush_batch t
+
+(* Runs twice per delivered UPDATE, so a direct handler rather than a
+   closure-allocating wrapper.  The scope closes (and flushes) on both
+   paths, and an exception leaves with its own backtrace. *)
 let with_batch t f =
   t.batch_depth <- t.batch_depth + 1;
-  Fun.protect
-    ~finally:(fun () ->
-      t.batch_depth <- t.batch_depth - 1;
-      if t.batch_depth = 0 then flush_batch t)
-    f
+  match f () with
+  | v ->
+    close_batch t;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    close_batch t;
+    Printexc.raise_with_backtrace e bt
 
 let add_peer t ~peer_asn ~peer_node ~policy =
   if Net.Asn.Map.mem peer_asn t.peers then
@@ -251,7 +261,7 @@ let add_peer t ~peer_asn ~peer_node ~policy =
 (* --- Decision process and export ------------------------------------- *)
 
 let local_route t prefix =
-  match Pt.find prefix t.originated with
+  match Tbl.find prefix t.originated with
   | None -> None
   | Some attrs ->
     Some (Route.make ~prefix ~attrs ~source:Route.Local ~learned_at:Engine.Time.zero)
@@ -280,7 +290,7 @@ let best t prefix = Rib.Loc.find t.loc prefix
 
 let loc_entries t = Rib.Loc.entries t.loc
 
-let originated_prefixes t = Pt.keys t.originated
+let originated_prefixes t = Tbl.keys t.originated
 
 let route_equal a b =
   (match (Route.source a, Route.source b) with
@@ -298,29 +308,45 @@ let provenance t (route : Route.t) =
     | Some p -> Policy.From (Policy.relationship p.policy)
     | None -> Policy.From Policy.Unrestricted)
 
+(* What an advertisement of one best route shares across peers, computed
+   once per best change: its origin peer, its provenance and the exported
+   attrs for peers without extra prepends (interned on first use, so a
+   route no peer receives creates no attrs). *)
+type export = {
+  route : Route.t;
+  from : Net.Asn.t option;
+  provenance : Policy.route_provenance;
+  mutable plain : Attrs.t option;
+}
+
+let export_of t route =
+  { route; from = Route.from_peer route; provenance = provenance t route; plain = None }
+
+let exported_attrs t ex peer =
+  let k = Policy.export_prepend peer.policy in
+  match ex.plain with
+  | Some a when k = 0 -> a
+  | Some _ | None ->
+    let a =
+      Attrs.exported (Route.attrs ex.route) ~asn:t.asn ~times:(1 + k) ~next_hop:t.router_id
+    in
+    if k = 0 then ex.plain <- Some a;
+    a
+
 (* What (if anything) the current best route looks like when advertised to
    [peer]. *)
-let desired_export t prefix best peer =
-  match best with
+let desired_export t prefix ex peer =
+  match ex with
   | None -> None
-  | Some route ->
-    if Route.from_peer route = Some peer.peer_asn then None
-    else if Attrs.path_contains (Route.attrs route) peer.peer_asn then None
-    else begin
-      let rec prepend_n n a = if n <= 0 then a else prepend_n (n - 1) (Attrs.prepend a t.asn) in
-      let attrs =
-        Route.attrs route
-        |> prepend_n (1 + Policy.export_prepend peer.policy)
-        |> (fun a -> Attrs.with_next_hop a t.router_id)
-        |> fun a -> Attrs.with_local_pref a Attrs.default_local_pref
-      in
-      Policy.export peer.policy ~provenance:(provenance t route) ~prefix attrs
-    end
+  | Some { from = Some q; _ } when Net.Asn.equal q peer.peer_asn -> None
+  | Some ex when Attrs.path_contains (Route.attrs ex.route) peer.peer_asn -> None
+  | Some ex ->
+    Policy.export peer.policy ~provenance:ex.provenance ~prefix (exported_attrs t ex peer)
 
-let export_to_peer t prefix best peer =
+let export_to_peer t prefix ex peer =
   if peer.established then begin
     let current = Rib.Adj_out.find t.adj_out ~peer:peer.peer_asn prefix in
-    match (desired_export t prefix best peer, current) with
+    match (desired_export t prefix ex peer, current) with
     | Some a, Some b when Attrs.wire_equal a b -> ()
     | Some a, (Some _ | None) ->
       Rib.Adj_out.set t.adj_out ~peer:peer.peer_asn prefix a;
@@ -332,7 +358,8 @@ let export_to_peer t prefix best peer =
   end
 
 let export_all_peers t prefix best =
-  Net.Asn.Map.iter (fun _ peer -> export_to_peer t prefix best peer) t.peers
+  let ex = Option.map (export_of t) best in
+  Net.Asn.Map.iter (fun _ peer -> export_to_peer t prefix ex peer) t.peers
 
 let run_decision t prefix =
   t.stats.decision_runs <- t.stats.decision_runs + 1;
@@ -356,11 +383,11 @@ let run_decision t prefix =
   end
 
 let run_decisions t prefixes =
-  let seen = Hashtbl.create 8 in
+  let seen = Tbl.create () in
   List.iter
     (fun p ->
-      if not (Hashtbl.mem seen p) then begin
-        Hashtbl.replace seen p ();
+      if not (Tbl.mem p seen) then begin
+        Tbl.set p () seen;
         run_decision t p
       end)
     prefixes
@@ -371,19 +398,19 @@ let originate ?(med = 0) ?(origin = Attrs.Igp) ?(communities = Community.Set.emp
   let attrs =
     Attrs.make ~as_path:[] ~med ~origin ~communities ~next_hop:t.router_id ()
   in
-  Pt.set prefix attrs t.originated;
+  Tbl.set prefix attrs t.originated;
   with_batch t (fun () -> run_decision t prefix)
 
 let withdraw_origin t prefix =
-  if Pt.mem prefix t.originated then begin
-    Pt.remove prefix t.originated;
+  if Tbl.mem prefix t.originated then begin
+    Tbl.remove prefix t.originated;
     with_batch t (fun () -> run_decision t prefix)
   end
 
 (* --- Sessions ---------------------------------------------------------- *)
 
 let sync_peer t peer =
-  List.iter (fun (prefix, route) -> export_to_peer t prefix (Some route) peer)
+  List.iter (fun (prefix, route) -> export_to_peer t prefix (Some (export_of t route)) peer)
     (Rib.Loc.entries t.loc)
 
 let stop_liveness peer =
@@ -572,20 +599,21 @@ let process_update t peer_asn (u : Message.update) =
       (fun (prefix, attrs) ->
         match Policy.import peer.policy ~me:t.asn ~prefix attrs with
         | Some attrs ->
-          let previous = Rib.Adj_in.find t.adj_in ~peer:peer_asn prefix in
-          (match (previous, t.damping) with
-          | _, None -> ()
-          | Some old, Some _ ->
-            if not (Attrs.wire_equal (Route.attrs old) attrs) then
-              note_flap t peer_asn prefix Damping.Attribute_change
-          | None, Some damping ->
-            (* Re-advertisement after a withdrawal leaves a decaying
-               penalty behind; a first-ever announcement does not. *)
-            if
-              Damping.current_penalty damping ~peer:peer_asn ~prefix
-                ~now:(Engine.Sim.now t.sim)
-              > 0.0
-            then note_flap t peer_asn prefix Damping.Readvertisement);
+          (match t.damping with
+          | None -> ()
+          | Some damping -> (
+            match Rib.Adj_in.find t.adj_in ~peer:peer_asn prefix with
+            | Some old ->
+              if not (Attrs.wire_equal (Route.attrs old) attrs) then
+                note_flap t peer_asn prefix Damping.Attribute_change
+            | None ->
+              (* Re-advertisement after a withdrawal leaves a decaying
+                 penalty behind; a first-ever announcement does not. *)
+              if
+                Damping.current_penalty damping ~peer:peer_asn ~prefix
+                  ~now:(Engine.Sim.now t.sim)
+                > 0.0
+              then note_flap t peer_asn prefix Damping.Readvertisement));
           let route =
             Route.make ~prefix ~attrs ~source:(Route.Ebgp peer_asn)
               ~learned_at:(Engine.Sim.now t.sim)
@@ -666,7 +694,7 @@ let snapshot t =
       ck_adj_in = Rib.Adj_in.entries t.adj_in;
       ck_loc = List.map snd (Rib.Loc.entries t.loc);
       ck_adj_out = Rib.Adj_out.entries t.adj_out;
-      ck_originated = Pt.entries t.originated;
+      ck_originated = Tbl.entries t.originated;
       ck_peers =
         List.map
           (fun (asn, p) ->
@@ -691,8 +719,8 @@ let restore t = function
       (fun (peer, entries) ->
         List.iter (fun (prefix, attrs) -> Rib.Adj_out.set t.adj_out ~peer prefix attrs) entries)
       ck.ck_adj_out;
-    Pt.clear t.originated;
-    List.iter (fun (p, a) -> Pt.set p a t.originated) ck.ck_originated;
+    Tbl.clear t.originated;
+    List.iter (fun (p, a) -> Tbl.set p a t.originated) ck.ck_originated;
     List.iter
       (fun (asn, established, open_sent, peer_hold, retry_attempt, mrai_state) ->
         match find_peer t asn with
@@ -739,7 +767,7 @@ let on_crashed t =
    flushes routes learned from us and stops treating the old session as
    open), so the OPEN that follows is answered like a cold start. *)
 let on_restarted t =
-  with_batch t (fun () -> run_decisions t (Pt.keys t.originated));
+  with_batch t (fun () -> run_decisions t (Tbl.keys t.originated));
   Net.Asn.Map.iter
     (fun _ peer ->
       ignore (send_message t peer (Message.Notification "peer restarted"));

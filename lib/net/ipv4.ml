@@ -324,7 +324,12 @@ module Prefix_table = struct
 
     let equal = Int.equal
 
-    let hash = Hashtbl.hash
+    (* Inline multiply-xorshift mix instead of the C [Hashtbl.hash]: the
+       low bits of a packed /24 (zero host byte, constant length) carry
+       no entropy, and the bucket index is taken from the low bits. *)
+    let hash n =
+      let h = n * 0x9E3779B97F4A7C1 in
+      h lxor (h lsr 29)
   end)
 
   type 'a t = 'a H.t
@@ -332,6 +337,10 @@ module Prefix_table = struct
   let unpack n = { network = Int32.of_int (n lsr 6); len = n land 63 }
 
   let create () = H.create 16
+
+  let size = H.length
+
+  let is_empty t = H.length t = 0
 
   let find p t = H.find_opt t (prefix_to_packed p)
 
@@ -347,6 +356,8 @@ module Prefix_table = struct
     H.fold (fun k v acc -> (k, v) :: acc) t []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     |> List.map (fun (k, v) -> (unpack k, v))
+
+  let keys t = H.fold (fun k _ acc -> k :: acc) t [] |> List.sort Int.compare |> List.map unpack
 end
 
 module Prefix_map = Map.Make (struct

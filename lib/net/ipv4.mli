@@ -152,11 +152,19 @@ module Prefix_trie : sig
 end
 
 (** Mutable exact-match table keyed on {!prefix_to_packed}, for owners
-    that never need longest-prefix match.  Not domain-safe. *)
+    that never need longest-prefix match (the RIBs, the speaker, the
+    collector).  Every ordered read sorts the packed keys, so iteration is
+    [compare_prefix] ascending exactly as in {!Prefix_trie}.  Not
+    domain-safe. *)
 module Prefix_table : sig
   type 'a t
 
   val create : unit -> 'a t
+
+  val size : 'a t -> int
+  (** O(1). *)
+
+  val is_empty : 'a t -> bool
 
   val find : prefix -> 'a t -> 'a option
 
@@ -166,11 +174,15 @@ module Prefix_table : sig
   (** Insert or replace the entry for exactly this prefix. *)
 
   val remove : prefix -> 'a t -> unit
+  (** No-op when absent. *)
 
   val clear : 'a t -> unit
 
   val entries : 'a t -> (prefix * 'a) list
   (** Ascending [compare_prefix] order, like {!Prefix_trie.entries}. *)
+
+  val keys : 'a t -> prefix list
+  (** Ascending [compare_prefix] order. *)
 end
 
 module Prefix_map : Map.S with type key = prefix

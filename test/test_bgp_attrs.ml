@@ -122,6 +122,48 @@ let test_intern_stats_monotone () =
   Alcotest.(check bool) "full >= wire" true
     (s1.Bgp.Attrs.distinct_full >= s1.Bgp.Attrs.distinct_wire)
 
+(* [exported] is one intern of what the per-peer export chain built in
+   three: the same canonical value, over seeded attrs that exercise every
+   field the chain carries through (communities, MED, origin, a
+   local-pref other than the default). *)
+let test_exported_matches_chain () =
+  let rng = Engine.Rng.create 19 in
+  let pick l = Engine.Rng.pick rng l in
+  let hops = [ nh; Net.Ipv4.addr_of_octets 10 0 0 2; Net.Ipv4.addr_of_octets 192 0 2 1 ] in
+  let communities =
+    [ Bgp.Community.make 65000 1; Bgp.Community.make 65000 2; Bgp.Community.no_export ]
+  in
+  for i = 1 to 300 do
+    let a =
+      Bgp.Attrs.make
+        ~as_path:(List.init (Engine.Rng.int rng 4) (fun _ -> asn (65001 + Engine.Rng.int rng 6)))
+        ~local_pref:(pick [ 90; 100; 110; 130 ])
+        ~med:(Engine.Rng.int rng 3)
+        ~origin:(pick Bgp.Attrs.[ Igp; Egp; Incomplete ])
+        ~communities:
+          (Bgp.Community.Set.of_list (List.filter (fun _ -> Engine.Rng.bool rng) communities))
+        ~next_hop:(pick hops) ()
+    in
+    let me = asn (65001 + Engine.Rng.int rng 8) in
+    let times = 1 + Engine.Rng.int rng 3 in
+    let next_hop = pick hops in
+    let rec prepend_n n a = if n = 0 then a else prepend_n (n - 1) (Bgp.Attrs.prepend a me) in
+    let chain =
+      Bgp.Attrs.with_local_pref
+        (Bgp.Attrs.with_next_hop (prepend_n times a) next_hop)
+        Bgp.Attrs.default_local_pref
+    in
+    Alcotest.(check bool)
+      (Fmt.str "case %d: exported == chain (%a, x%d)" i Bgp.Attrs.pp a times)
+      true
+      (Bgp.Attrs.exported a ~asn:me ~times ~next_hop == chain);
+    (* the memoized restamp round-trips to the same canonical value *)
+    Alcotest.(check bool)
+      (Fmt.str "case %d: restamp round trip" i)
+      true
+      (Bgp.Attrs.with_local_pref (Bgp.Attrs.with_local_pref a 77) a.Bgp.Attrs.local_pref == a)
+  done
+
 let suite =
   [
     Alcotest.test_case "prepend" `Quick test_prepend;
@@ -133,4 +175,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_same_spec_physically_equal;
     QCheck_alcotest.to_alcotest prop_table_growth_bounded;
     Alcotest.test_case "intern stats monotone" `Quick test_intern_stats_monotone;
+    Alcotest.test_case "exported matches the prepend chain" `Quick test_exported_matches_chain;
   ]

@@ -1,11 +1,13 @@
-(* Differential suite: the scale-path structures (prefix-trie RIBs,
-   hash-consed attrs) against plain map-based reference implementations —
+(* Differential suite: the scale-path structures (prefix trie, exact-match
+   prefix tables and the RIBs built on them, hash-consed attrs) against
+   plain map-based reference implementations —
    the pre-scale design kept here as an executable specification.  Every
    random sequence is seeded from [Engine.Rng] so a failure reproduces
    exactly. *)
 
 module Pm = Net.Ipv4.Prefix_map
 module Pt = Net.Ipv4.Prefix_trie
+module Tbl = Net.Ipv4.Prefix_table
 module Am = Net.Asn.Map
 
 let nh = Net.Ipv4.addr_of_octets 10 0 0 1
@@ -99,7 +101,62 @@ let test_trie_vs_map () =
   Alcotest.(check int) "clear empties" 0 (Pt.size trie);
   Alcotest.(check bool) "clear is_empty" true (Pt.is_empty trie)
 
-(* --- Adj-RIB-In: trie-backed vs per-peer Prefix_map ------------------ *)
+(* --- Prefix_table vs Prefix_map: set / remove / find / order --------- *)
+
+(* Mixed lengths across the whole address space: /0, /32 and networks
+   with the top bit set, whose packed keys sort above every 0.x-127.x
+   key only if the packing keeps the network unsigned. *)
+let wide_prefix rng =
+  match Engine.Rng.int rng 8 with
+  | 0 -> Net.Ipv4.prefix (Net.Ipv4.addr_of_octets 0 0 0 0) 0
+  | 1 -> Net.Ipv4.prefix (Net.Ipv4.addr_of_octets 128 0 0 0) 1
+  | 2 -> Net.Ipv4.prefix (Net.Ipv4.addr_of_octets 255 255 255 255) 32
+  | _ ->
+    let octet () = if Engine.Rng.bool rng then 255 else Engine.Rng.int rng 4 in
+    Net.Ipv4.prefix
+      (Net.Ipv4.addr_of_octets (octet ()) (octet ()) (octet ()) (octet ()))
+      (Engine.Rng.int rng 33)
+
+let test_table_vs_map () =
+  let rng = Engine.Rng.create 77 in
+  let table = Tbl.create () in
+  let reference = ref Pm.empty in
+  for step = 1 to 4000 do
+    let p = wide_prefix rng in
+    (match Engine.Rng.int rng 4 with
+    | 0 | 1 ->
+      Tbl.set p step table;
+      reference := Pm.add p step !reference
+    | 2 ->
+      Tbl.remove p table;
+      reference := Pm.remove p !reference
+    | _ ->
+      Alcotest.(check (option int))
+        (Fmt.str "step %d: find %a" step Net.Ipv4.pp_prefix p)
+        (Pm.find_opt p !reference) (Tbl.find p table));
+    Alcotest.(check int) (Fmt.str "step %d: size" step) (Pm.cardinal !reference)
+      (Tbl.size table);
+    Alcotest.(check bool) (Fmt.str "step %d: mem" step) (Pm.mem p !reference)
+      (Tbl.mem p table);
+    if step mod 200 = 0 then begin
+      let expected = Pm.bindings !reference in
+      let got = Tbl.entries table in
+      check_entries (Fmt.str "step %d: entries" step) expected got;
+      List.iter2
+        (fun (_, ve) (_, vg) -> Alcotest.(check int) "entry value" ve vg)
+        expected got;
+      check_entries (Fmt.str "step %d: keys" step) expected
+        (List.map (fun k -> (k, ())) (Tbl.keys table))
+    end
+  done;
+  let top_bit = Net.Ipv4.prefix (Net.Ipv4.addr_of_octets 128 0 0 0) 1 in
+  Alcotest.(check bool) "covers top-bit networks" true
+    (Pm.exists (fun p _ -> Net.Ipv4.subsumes ~outer:top_bit ~inner:p) !reference);
+  Tbl.clear table;
+  Alcotest.(check int) "clear empties" 0 (Tbl.size table);
+  Alcotest.(check bool) "clear is_empty" true (Tbl.is_empty table)
+
+(* --- Adj-RIB-In: table-backed vs per-peer Prefix_map ----------------- *)
 
 type ref_adj_in = { mutable tables : Bgp.Route.t Pm.t Am.t }
 
@@ -160,9 +217,8 @@ let test_adj_in_differential () =
         (List.length want) (List.length got);
       List.iter2
         (fun w g ->
-          Alcotest.(check bool) "dropped prefix" true (Net.Ipv4.equal_prefix w g))
-        (List.sort Net.Ipv4.compare_prefix want)
-        (List.sort Net.Ipv4.compare_prefix got)
+          Alcotest.(check bool) "dropped prefix, in order" true (Net.Ipv4.equal_prefix w g))
+        want got
     | _ ->
       let got = Bgp.Rib.Adj_in.candidates rib prefix in
       let want = ref_adj_in_candidates reference prefix in
@@ -204,12 +260,17 @@ let test_adj_in_differential () =
       Alcotest.(check int) (Fmt.str "final: AS%d prefixes" p) (List.length want)
         (List.length got);
       List.iter2
-        (fun w g -> Alcotest.(check bool) "prefix" true (Net.Ipv4.equal_prefix w g))
-        want
-        (List.sort Net.Ipv4.compare_prefix got))
-    peers
+        (fun w g -> Alcotest.(check bool) "prefix, in order" true (Net.Ipv4.equal_prefix w g))
+        want got)
+    peers;
+  let union =
+    Am.fold (fun _ m acc -> Pm.union (fun _ r _ -> Some r) m acc) reference.tables Pm.empty
+  in
+  check_entries "final: all_prefixes"
+    (List.map (fun (k, _) -> (k, ())) (Pm.bindings union))
+    (List.map (fun k -> (k, ())) (Bgp.Rib.Adj_in.all_prefixes rib))
 
-(* --- Loc-RIB: trie-backed vs Prefix_map ------------------------------ *)
+(* --- Loc-RIB: table-backed vs Prefix_map ----------------------------- *)
 
 let test_loc_differential () =
   let rng = Engine.Rng.create 2002 in
@@ -239,7 +300,7 @@ let test_loc_differential () =
   done;
   check_entries "final entries" (Pm.bindings !reference) (Bgp.Rib.Loc.entries rib)
 
-(* --- Adj-RIB-Out: trie-backed vs per-peer Prefix_map ----------------- *)
+(* --- Adj-RIB-Out: table-backed vs per-peer Prefix_map ---------------- *)
 
 let test_adj_out_differential () =
   let rng = Engine.Rng.create 3003 in
@@ -273,9 +334,10 @@ let test_adj_out_differential () =
         | Some m -> List.map fst (Pm.bindings m)
       in
       ref_tables := Am.remove peer !ref_tables;
-      Alcotest.(check int)
-        (Fmt.str "step %d: drop_peer count" step)
-        (List.length want) (List.length got));
+      check_entries
+        (Fmt.str "step %d: drop_peer" step)
+        (List.map (fun k -> (k, ())) want)
+        (List.map (fun k -> (k, ())) got));
     let ref_size = Am.fold (fun _ m acc -> acc + Pm.cardinal m) !ref_tables 0 in
     Alcotest.(check int) (Fmt.str "step %d: size" step) ref_size
       (Bgp.Rib.Adj_out.size rib);
@@ -306,10 +368,14 @@ let test_adj_out_differential () =
       let want = Pm.bindings (Am.find_opt peer !ref_tables |> Option.get) in
       check_entries
         (Fmt.str "final advertised AS%d" (Net.Asn.to_int peer))
-        want advertised)
+        want advertised;
+      check_entries
+        (Fmt.str "final Adj_out.advertised AS%d" (Net.Asn.to_int peer))
+        want
+        (Bgp.Rib.Adj_out.advertised rib ~peer))
     entries
 
-(* --- Small-topology end-to-end: trie-backed Loc-RIBs vs a map mirror
+(* --- Small-topology end-to-end: table-backed Loc-RIBs vs a map mirror
    rebuilt from the best-route change stream of a real run -------------- *)
 
 let test_small_topology_mirror () =
@@ -348,6 +414,7 @@ let test_small_topology_mirror () =
 let suite =
   [
     Alcotest.test_case "trie vs map (insert/remove/LPM)" `Quick test_trie_vs_map;
+    Alcotest.test_case "prefix table vs map (set/remove/order)" `Quick test_table_vs_map;
     Alcotest.test_case "adj-in vs map reference" `Quick test_adj_in_differential;
     Alcotest.test_case "loc vs map reference" `Quick test_loc_differential;
     Alcotest.test_case "adj-out vs map reference" `Quick test_adj_out_differential;

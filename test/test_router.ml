@@ -287,6 +287,91 @@ let test_stats_counted () =
   Alcotest.(check bool) "b received updates" true (sb.Bgp.Router.msgs_in > 0);
   Alcotest.(check bool) "b changed best" true (sb.Bgp.Router.best_changes > 0)
 
+(* One best change fanned out to peers with different export needs: the
+   shared 1x attrs, a peer's own prepended attrs and the path-loop skip
+   must not bleed into one another, whatever the peer order. *)
+let test_shared_export_per_peer () =
+  let h = make_harness () in
+  let r = add_router h 65001 in
+  let plain = add_router h 65002
+  and prepended = add_router h 65003
+  and plain_after = add_router h 65004
+  and in_path = add_router h 65005
+  and transit = add_router h 65009 in
+  let link ?(policy = Bgp.Policy.make Bgp.Policy.Unrestricted) a b =
+    Bgp.Router.add_peer a ~peer_asn:(Bgp.Router.asn b) ~peer_node:(Bgp.Router.node_id b) ~policy
+  in
+  let pair ?policy a b =
+    link ?policy a b;
+    link b a
+  in
+  pair r plain;
+  link r prepended
+    ~policy:(Bgp.Policy.make ~export_prepend:2 Bgp.Policy.Unrestricted);
+  link prepended r;
+  pair r plain_after;
+  (* r hears in_path's prefix directly (local-pref 50) and via transit
+     (100), so its best path carries in_path's ASN *)
+  link r in_path ~policy:(Bgp.Policy.make ~local_pref:50 Bgp.Policy.Unrestricted);
+  link in_path r;
+  pair r transit;
+  pair transit in_path;
+  List.iter Bgp.Router.start [ r; plain; prepended; plain_after; in_path; transit ];
+  run h;
+  let prefix = p "100.64.0.0/24" in
+  Bgp.Router.originate in_path prefix;
+  run h;
+  (match Bgp.Router.best r prefix with
+  | Some route -> Alcotest.(check (list int)) "r's best via transit" [ 65009; 65005 ] (path_of route)
+  | None -> Alcotest.fail "r must route");
+  let received router =
+    Option.map path_of (Bgp.Router.adj_in_find router ~peer:(asn 65001) prefix)
+  in
+  Alcotest.(check (option (list int))) "plain peer: one prepend"
+    (Some [ 65001; 65009; 65005 ]) (received plain);
+  Alcotest.(check (option (list int))) "prepend peer: three prepends"
+    (Some [ 65001; 65001; 65001; 65009; 65005 ]) (received prepended);
+  Alcotest.(check (option (list int))) "plain peer after the prepend peer: one prepend"
+    (Some [ 65001; 65009; 65005 ]) (received plain_after);
+  Alcotest.(check bool) "peer already in the path gets nothing" true
+    (Bgp.Router.adj_out_find r ~peer:(asn 65005) prefix = None);
+  Alcotest.(check bool) "plain peers share one canonical value" true
+    (match
+       ( Bgp.Router.adj_out_find r ~peer:(asn 65002) prefix,
+         Bgp.Router.adj_out_find r ~peer:(asn 65004) prefix )
+     with
+    | Some a, Some b -> a == b
+    | _ -> false)
+
+exception Boom
+
+(* An exception escaping a batch scope (here a best-change subscriber's)
+   leaves as itself, the scope still flushes what it enqueued, and the
+   router's next UPDATE is processed and flushed normally. *)
+let test_batch_survives_exception () =
+  let h = make_harness () in
+  let a = add_router h 65001 and b = add_router h 65002 and c = add_router h 65003 in
+  peer_pair a b;
+  peer_pair b c;
+  let p1 = p "100.64.1.0/24" and p2 = p "100.64.2.0/24" and p3 = p "100.64.3.0/24" in
+  (* originated before any session is up, so a's table sync carries both
+     prefixes in one UPDATE to b *)
+  Bgp.Router.originate a p1;
+  Bgp.Router.originate a p2;
+  Bgp.Router.subscribe_best_change b (fun prefix _ ->
+      if Net.Ipv4.equal_prefix prefix p2 then raise Boom);
+  List.iter Bgp.Router.start [ a; b; c ];
+  (match run h with
+  | () -> Alcotest.fail "the subscriber's exception must propagate"
+  | exception Boom -> ());
+  run h;
+  Alcotest.(check bool) "the change before the exception was flushed to c" true
+    (Bgp.Router.best c p1 <> None);
+  Bgp.Router.originate a p3;
+  run h;
+  Alcotest.(check bool) "the next UPDATE is processed" true (Bgp.Router.best b p3 <> None);
+  Alcotest.(check bool) "and flushed onward" true (Bgp.Router.best c p3 <> None)
+
 let suite =
   [
     Alcotest.test_case "session establishment" `Quick test_session_establishment;
@@ -302,4 +387,6 @@ let suite =
     Alcotest.test_case "re-establish resyncs" `Quick test_reestablish_resyncs;
     Alcotest.test_case "export prepending" `Quick test_export_prepending;
     Alcotest.test_case "stats counted" `Quick test_stats_counted;
+    Alcotest.test_case "shared export per peer" `Quick test_shared_export_per_peer;
+    Alcotest.test_case "batch survives an exception" `Quick test_batch_survives_exception;
   ]
