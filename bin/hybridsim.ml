@@ -178,8 +178,11 @@ let int_at_least min =
 
 let print_convergence s =
   Fmt.pr "%a@.@.%s@." Framework.Experiments.pp_series s (Framework.Visualize.series_to_ascii s);
-  let intercept, slope, r2 = Framework.Experiments.median_trend s in
-  Fmt.pr "linear fit of medians: y = %.2f %+.2f*x  r^2=%.3f@." intercept slope r2
+  (* a one-point sweep (e.g. fig2 at -n 2) has no trend to fit *)
+  if List.compare_length_with s.Framework.Experiments.points 2 >= 0 then begin
+    let intercept, slope, r2 = Framework.Experiments.median_trend s in
+    Fmt.pr "linear fit of medians: y = %.2f %+.2f*x  r^2=%.3f@." intercept slope r2
+  end
 
 (* Run a sweep on [jobs] domains, print it and optionally write its CSV.
    [verify] is the parallel-vs-sequential differential: rerun the sweep
@@ -230,6 +233,16 @@ let sweep_cmd =
       let placement placement =
         convergence (fun ?pool () -> E.placement_sweep ?pool ?runs ~seed ~config ~placement ())
       in
+      (* An integer axis on the n-clique, labelled NAME-cliqueN; [runs]
+         defaults to [default_runs]. *)
+      let clique name ~default_runs xs run =
+        convergence (fun ?pool () ->
+            E.sweep ?pool ~label:(Fmt.str "%s-clique%d" name n)
+              ~runs:(Option.value runs ~default:default_runs)
+              ~seed (List.map float_of_int xs)
+              (fun ~x ~seed -> run ~x:(int_of_float x) ~seed))
+      in
+      let upto step limit = List.init ((limit / step) + 1) (fun i -> step * i) in
       match String.lowercase_ascii (String.trim kind) with
       | "fig2" | "withdraw" ->
         convergence (fun ?pool () -> E.fig2_withdrawal ?pool ~n ?runs ~seed ~config ())
@@ -238,6 +251,29 @@ let sweep_cmd =
       | "failover" ->
         convergence (fun ?pool () -> E.failover_sweep ?pool ~n ?runs ~seed ~config ())
       | "scaling" -> convergence (fun ?pool () -> E.scaling_sweep ?pool ?runs ~seed ~config ())
+      | "scaling:0" ->
+        convergence (fun ?pool () -> E.scaling_sweep ?pool ~fraction:0.0 ?runs ~seed ~config ())
+      | "ablation:delay" ->
+        convergence (fun ?pool () -> E.ablation_recompute_delay ?pool ~n ?runs ~seed ~config ())
+      | "ablation:mrai" ->
+        convergence (fun ?pool () -> E.ablation_mrai ?pool ~n ?runs ~seed ~config ~sdn:0 ())
+      | "ablation:mrai:half" ->
+        convergence (fun ?pool () ->
+            E.ablation_mrai ?pool ~n ?runs ~seed ~config ~sdn:(n / 2) ())
+      | "ablation:wrate" ->
+        convergence (fun ?pool () -> E.ablation_wrate ?pool ~n ?runs ~seed ~config ~sdn:0 ())
+      | "ablation:speaker" ->
+        clique "ablation-speaker-mrai" ~default_runs:5 [ 0; 1 ] (fun ~x ~seed ->
+            let speaker_mrai = if x = 1 then Some Bgp.Config.default else None in
+            E.clique_run ~n ~sdn:(n / 2) ~event:E.Withdrawal ~seed
+              ~config:{ config with Framework.Config.speaker_mrai } ())
+      | "churn-load" when n < 3 -> Error "churn-load needs -n >= 3 (origin + legacy flapper)"
+      | "churn-load" ->
+        clique "churn-load" ~default_runs:1 (upto 4 (n - 3)) (fun ~x ~seed ->
+            E.churn_run ~n ~sdn:x ~flap_period_s:20.0 ~seed ~config ())
+      | "table-size" ->
+        clique "table-size" ~default_runs:1 (upto 5 (n - 1)) (fun ~x ~seed ->
+            E.table_size_run ~n ~sdn:0 ~background:x ~seed ~config ())
       | "placement" | "placement:top-degree" -> placement E.Top_degree
       | "placement:random" -> placement E.Random_choice
       | "placement:stubs" -> placement E.Stubs_first
@@ -250,8 +286,9 @@ let sweep_cmd =
       | k ->
         Error
           (Fmt.str
-             "unknown sweep %S (fig2|announce|failover|scaling|placement[:top-degree|\
-              :random|:stubs]|loss[:caida])"
+             "unknown sweep %S (fig2|announce|failover|scaling[:0]|ablation:delay|\
+              ablation:mrai[:half]|ablation:wrate|ablation:speaker|churn-load|table-size|\
+              placement[:top-degree|:random|:stubs]|loss[:caida])"
              k)
     in
     match result with Ok () -> `Ok () | Error msg -> `Error (false, msg)
@@ -262,10 +299,14 @@ let sweep_cmd =
       & opt string "fig2"
       & info [ "kind" ] ~docv:"KIND"
           ~doc:
-            "fig2 (the paper's Fig. 2), announce, failover, scaling, \
-             placement[:top-degree|:random|:stubs], loss (data-plane loss on the fail-over \
-             clique) or loss:caida (loss on a generated Internet-like graph, failing a \
-             multi-homed stub's provider link).")
+            "fig2 (the paper's Fig. 2), announce, failover, scaling (50% SDN) or scaling:0 \
+             (0% SDN), the ablations ablation:delay (recompute delay, 50% SDN), ablation:mrai \
+             (0% SDN) or ablation:mrai:half (50% SDN), ablation:wrate (withdrawal pacing) and \
+             ablation:speaker (speaker MRAI off/on, 50% SDN), churn-load (withdrawal under a \
+             flapping neighbour vs SDN members), table-size (withdrawal vs background \
+             prefixes), placement[:top-degree|:random|:stubs], loss (data-plane loss on the \
+             fail-over clique) or loss:caida (loss on a generated Internet-like graph, \
+             failing a multi-homed stub's provider link).")
   in
   let n =
     Arg.(value & opt (int_at_least 2) 16 & info [ "n"; "size" ] ~docv:"N" ~doc:"Clique size.")
@@ -276,8 +317,9 @@ let sweep_cmd =
       & opt (some (int_at_least 1)) None
       & info [ "runs" ] ~docv:"R"
           ~doc:
-            "Runs per point (default: the sweep's own — 10 for fig2, announce and failover, \
-             5 for scaling, placement and loss, 3 for loss:caida).")
+            "Runs per point (default: the sweep's own — 10 for fig2, announce, failover and \
+             the delay, mrai and wrate ablations, 5 for scaling, ablation:speaker, placement \
+             and loss, 3 for loss:caida, 1 for churn-load and table-size).")
   in
   let per_prefix =
     Arg.(

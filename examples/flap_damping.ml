@@ -9,14 +9,17 @@
                              batches the burst without the availability
                              penalty.
 
+   The 16-AS clique at seed 31 is the world of EXPERIMENTS.md's
+   ablation A5 table, whose first two rows this prints.
+
      dune exec examples/flap_damping.exe *)
 
 let flap_world ~label ~damping ~sdn =
-  let n = 8 in
+  let n = 16 in
   let flaps = 4 in
   if sdn = 0 then begin
     let r =
-      Framework.Experiments.flap_run ~n ~flaps ~gap_s:45.0 ~damping ~seed:77
+      Framework.Experiments.flap_run ~n ~flaps ~gap_s:45.0 ~damping ~seed:31
         ~config:Framework.Config.default ()
     in
     Fmt.pr "%-28s updates=%4d  recovery=%7.1fs  suppressions=%3d@." label
@@ -29,7 +32,7 @@ let flap_world ~label ~damping ~sdn =
       Topology.Spec.with_sdn (Topology.Artificial.clique n)
         (List.init sdn (fun i -> Topology.Artificial.asn (n - 1 - i)))
     in
-    let exp = Framework.Experiment.create ~seed:77 spec in
+    let exp = Framework.Experiment.create ~seed:31 spec in
     let origin = Topology.Artificial.asn 0 in
     let prefix = Framework.Experiment.default_prefix exp origin in
     ignore (Framework.Experiment.measure exp ~prefix (fun () ->
@@ -63,10 +66,10 @@ let flap_world ~label ~damping ~sdn =
   end
 
 let () =
-  Fmt.pr "flap storm: 4 withdraw/announce cycles, 45 s apart, 8-AS clique@.@.";
+  Fmt.pr "flap storm: 4 withdraw/announce cycles, 45 s apart, 16-AS clique@.@.";
   flap_world ~label:"plain BGP" ~damping:false ~sdn:0;
   flap_world ~label:"BGP + flap damping" ~damping:true ~sdn:0;
-  flap_world ~label:"hybrid (4/8 centralized)" ~damping:false ~sdn:4;
+  flap_world ~label:"hybrid (8/16 centralized)" ~damping:false ~sdn:8;
   Fmt.pr
     "@.damping buys quiet at the price of availability (the route stays@.\
      suppressed ~49 min after the last flap); the hybrid deployment's@.\

@@ -122,12 +122,6 @@ let profile t =
     [] (Array.sub t.cats 0 t.ncats)
   |> List.sort (fun a b -> String.compare a.category b.category)
 
-let pp_profile ppf t =
-  Fmt.pf ppf "%-24s %10s %12s@." "category" "events" "self-s";
-  List.iter
-    (fun r -> Fmt.pf ppf "%-24s %10d %12.6f@." r.category r.events r.seconds)
-    (profile t)
-
 (* Categories are few and nearly always string literals, so a scan by
    physical equality resolves them without hashing or comparing strings;
    a string built at run time falls back to a scan by value. *)

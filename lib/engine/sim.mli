@@ -99,5 +99,3 @@ type profile_row = { category : string; events : int; seconds : float }
 
 val profile : t -> profile_row list
 (** Sorted by category; empty unless profiling was enabled. *)
-
-val pp_profile : Format.formatter -> t -> unit

@@ -1,6 +1,6 @@
 (** Canned experiments reproducing the paper's evaluation, parameterized
-    so tests can run scaled-down instances of the bench's exact code
-    paths.
+    so tests can run scaled-down instances of the exact code paths
+    [hybridsim sweep] runs.
 
     Every sweep takes an optional [?pool] ({!Engine.Pool.t}): when given,
     the independent [(x, trial)] runs of the sweep are dispatched across

@@ -36,16 +36,13 @@ dune build @trace-smoke
 step "metrics golden (same-seed metrics exports match committed digests)"
 dune build @metrics-golden
 
-step "bench smoke (quick sweep + JSON baseline validation)"
-dune build @bench-smoke
-
-step "scale smoke (reduced 500-AS run + PR 8 baseline ratio guards)"
+step "scale smoke (reduced 500-AS run vs committed expectation)"
 dune build @scale-smoke
 
-step "loss smoke (data-plane loss sweep differential + PR 10 baseline guards)"
+step "loss smoke (data-plane loss sweep differential)"
 dune build @loss-smoke
 
-step "csv golden (committed sweep CSVs regenerate byte for byte)"
+step "csv golden (every bench_results CSV regenerates byte for byte)"
 dune build @csv-golden
 
 step "bench workloads smoke (fixed-work benchmark workloads, reduced)"

@@ -308,6 +308,25 @@ let test_cancelled_events_not_exported () =
   Alcotest.(check bool) "executed span exported" true (contains "kept" chrome);
   Alcotest.(check bool) "cancelled span skipped" false (contains "doomed" chrome)
 
+(* Tracing never changes results: trace ids come from a dedicated RNG
+   stream, so the same seeded withdrawal converges identically with
+   tracing disabled, on the default flight-recorder ring and with full
+   retention. *)
+let test_mode_leaves_result_alone () =
+  let run causal =
+    let config = { Framework.Config.default with Framework.Config.causal } in
+    let r =
+      Framework.Experiments.clique_run ~n:16 ~sdn:8 ~event:Framework.Experiments.Withdrawal
+        ~seed:67 ~config ()
+    in
+    Framework.Experiments.(r.seconds, r.changes, r.collector_updates)
+  in
+  let disabled = run Causal.Disabled in
+  List.iter
+    (fun (name, mode) ->
+      Alcotest.(check (triple (float 0.0) int int)) name disabled (run mode))
+    [ ("ring 4096", Causal.Ring 4096); ("full", Causal.Full) ]
+
 (* --- Flight recorder ----------------------------------------------------- *)
 
 (* The framework default keeps a bounded ring alive on every network, so a
@@ -416,6 +435,8 @@ let suite =
     Alcotest.test_case "exports are valid JSON" `Quick test_exports_are_valid_json;
     Alcotest.test_case "cancelled events not exported" `Quick
       test_cancelled_events_not_exported;
+    Alcotest.test_case "tracing mode leaves results alone" `Quick
+      test_mode_leaves_result_alone;
     Alcotest.test_case "framework ring always on" `Quick test_ring_always_on_in_framework;
     Alcotest.test_case "chaos violation renders flight" `Quick
       test_chaos_violation_renders_flight;

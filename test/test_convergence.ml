@@ -142,8 +142,9 @@ let test_rounds_since_window () =
   Alcotest.(check int) "since the end keeps nothing" 0
     (rounds ~since:(Engine.Time.add (Framework.Experiment.now exp) (Engine.Time.sec 1)) exp prefix)
 
-(* The bench ROUNDS section's numbers: a seed-67 clique-16 withdrawal at
-   the default configuration, waves and changes per SDN member count. *)
+(* The exploration-wave numbers EXPERIMENTS.md quotes for Fig. 2: a seed-67
+   clique-16 withdrawal at the default configuration, waves and changes
+   per SDN member count. *)
 let test_rounds_golden () =
   let n = 16 in
   let run sdn =

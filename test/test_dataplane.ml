@@ -274,6 +274,51 @@ let test_loss_run_recovers () =
   Alcotest.(check int) "verifier clean after recovery" 0
     r.Framework.Experiments.residual_issues
 
+(* The fast-path gate: on the settled 16-clique fail-over world every AS
+   delivers to the stub's host address, and a tight loop of 1M forwards
+   over that snapshot allocates nothing and clears 1M probes/s (best of
+   3 reps; the walker does ~5M/s on a 2-vCPU host). *)
+let test_fast_path_gate () =
+  let spec = Topology.Artificial.failover_backup_chain ~clique_size:16 ~chain_len:2 () in
+  let exp = Framework.Experiment.create ~config:Framework.Config.default ~seed:73 spec in
+  let stub = Topology.Artificial.stub_asn spec in
+  let prefix = Framework.Experiment.default_prefix exp stub in
+  ignore
+    (Framework.Experiment.measure exp ~prefix (fun () ->
+         ignore (Framework.Experiment.announce exp stub)));
+  let network = Framework.Experiment.network exp in
+  let dp = Framework.Network.dataplane_snapshot network in
+  let plan = Framework.Network.plan network in
+  let dst_bits = Net.Ipv4.addr_to_bits (plan.Framework.Addressing.host_addr stub) in
+  let srcs =
+    Array.of_list
+      (List.map (fun a -> Net.Dataplane.index_of dp (Net.Asn.to_int a)) (Topology.Spec.asns spec))
+  in
+  Array.iter
+    (fun si ->
+      Alcotest.check fate (Fmt.str "delivers from index %d" si) Net.Dataplane.Delivered
+        (Net.Dataplane.result_fate (Net.Dataplane.forward dp ~src:si ~dst_bits ~ttl:64)))
+    srcs;
+  let probes = 1_000_000 and nsrc = Array.length srcs in
+  let rep () =
+    let sink = ref 0 in
+    let before = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    for i = 0 to probes - 1 do
+      sink := !sink + Net.Dataplane.forward dp ~src:srcs.(i mod nsrc) ~dst_bits ~ttl:64
+    done;
+    let wall = Unix.gettimeofday () -. t0 in
+    let words = Gc.minor_words () -. before in
+    ignore (Sys.opaque_identity !sink);
+    (float_of_int probes /. wall, words)
+  in
+  let reps = List.init 3 (fun _ -> rep ()) in
+  List.iter
+    (fun (_, words) -> Alcotest.(check (float 0.0)) "minor words per 1M forwards" 0.0 words)
+    reps;
+  let best = List.fold_left (fun acc (rate, _) -> Float.max acc rate) 0.0 reps in
+  Alcotest.(check bool) (Fmt.str "%.2fM probes/s >= 1M" (best /. 1e6)) true (best >= 1e6)
+
 let suite =
   [
     Alcotest.test_case "unit: delivered + local at source" `Quick test_unit_delivered;
@@ -294,4 +339,6 @@ let suite =
     Alcotest.test_case "trafficgen: fate census = verifier census" `Quick
       test_trafficgen_fate_agreement;
     Alcotest.test_case "loss_run: loss clears by convergence" `Quick test_loss_run_recovers;
+    Alcotest.test_case "fast path: delivers, 0 words, >= 1M probes/s" `Quick
+      test_fast_path_gate;
   ]

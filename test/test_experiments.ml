@@ -1,5 +1,5 @@
 (* Framework.Experiments: scaled-down versions of the paper experiments —
-   the same code paths as the bench harness, with small n and few runs. *)
+   the same code paths as `hybridsim sweep`, with small n and few runs. *)
 
 let cfg = Framework.Config.fast_test
 
@@ -65,6 +65,22 @@ let test_ablation_wrate_direction () =
       ((Framework.Experiments.box rfc).Engine.Stats.median
       < (Framework.Experiments.box quagga).Engine.Stats.median)
   | _ -> Alcotest.fail "expected two points"
+
+let test_ablation_mrai_direction () =
+  (* Exploration rounds are MRAI-paced: at 0% SDN a longer MRAI must
+     converge slower. *)
+  let s =
+    Framework.Experiments.ablation_mrai ~n:6 ~runs:2 ~seed:17 ~config:cfg ~mrai_s:[ 1; 2; 4 ]
+      ~sdn:0 ()
+  in
+  let medians =
+    List.map (fun p -> (Framework.Experiments.box p).Engine.Stats.median)
+      s.Framework.Experiments.points
+  in
+  match medians with
+  | [ m1; m2; m4 ] ->
+    Alcotest.(check bool) (Fmt.str "rising %.2f < %.2f < %.2f" m1 m2 m4) true (m1 < m2 && m2 < m4)
+  | _ -> Alcotest.fail "expected three points"
 
 let test_placement_strategies () =
   let rng = Engine.Rng.create 91 in
@@ -168,6 +184,7 @@ let suite =
     Alcotest.test_case "failover sweep" `Slow test_failover_sweep_runs;
     Alcotest.test_case "ablation recompute delay" `Slow test_ablation_recompute_delay;
     Alcotest.test_case "ablation wrate direction" `Quick test_ablation_wrate_direction;
+    Alcotest.test_case "ablation mrai direction" `Quick test_ablation_mrai_direction;
     Alcotest.test_case "placement strategies" `Quick test_placement_strategies;
     Alcotest.test_case "churn coupling" `Quick test_churn_run;
     Alcotest.test_case "table-size control" `Quick test_table_size_control;
