@@ -15,23 +15,17 @@ let ( let* ) r f = Result.bind r f
 
 let parse_topo ~seed s =
   let rng = Engine.Rng.create seed in
+  (* a one-size family: NAME:N with N >= [min] *)
+  let sized name n ~min make =
+    match int_of_string_opt n with
+    | Some n when n >= min -> Ok (make n)
+    | _ -> Error (Fmt.str "%s:N with N >= %d" name min)
+  in
   match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
-  | [ "clique"; n ] -> (
-    match int_of_string_opt n with
-    | Some n when n >= 2 -> Ok (Topology.Artificial.clique n)
-    | _ -> Error "clique:N with N >= 2")
-  | [ "ring"; n ] -> (
-    match int_of_string_opt n with
-    | Some n when n >= 3 -> Ok (Topology.Artificial.ring n)
-    | _ -> Error "ring:N with N >= 3")
-  | [ "line"; n ] -> (
-    match int_of_string_opt n with
-    | Some n when n >= 2 -> Ok (Topology.Artificial.line n)
-    | _ -> Error "line:N with N >= 2")
-  | [ "star"; n ] -> (
-    match int_of_string_opt n with
-    | Some n when n >= 2 -> Ok (Topology.Artificial.star n)
-    | _ -> Error "star:N with N >= 2")
+  | [ "clique"; n ] -> sized "clique" n ~min:2 Topology.Artificial.clique
+  | [ "ring"; n ] -> sized "ring" n ~min:3 Topology.Artificial.ring
+  | [ "line"; n ] -> sized "line" n ~min:2 Topology.Artificial.line
+  | [ "star"; n ] -> sized "star" n ~min:2 Topology.Artificial.star
   | [ "er"; n; p ] -> (
     match (int_of_string_opt n, float_of_string_opt p) with
     | Some n, Some p when n >= 2 && p >= 0.0 && p <= 1.0 ->
@@ -41,10 +35,7 @@ let parse_topo ~seed s =
     match (int_of_string_opt n, int_of_string_opt m) with
     | Some n, Some m when n > m && m >= 1 -> Ok (Topology.Random_models.barabasi_albert rng ~n ~m)
     | _ -> Error "ba:N:M with N > M >= 1")
-  | [ "waxman"; n ] -> (
-    match int_of_string_opt n with
-    | Some n when n >= 2 -> Ok (Topology.Random_models.waxman rng ~n)
-    | _ -> Error "waxman:N with N >= 2")
+  | [ "waxman"; n ] -> sized "waxman" n ~min:2 (fun n -> Topology.Random_models.waxman rng ~n)
   | [ "glp"; n; m ] -> (
     match (int_of_string_opt n, int_of_string_opt m) with
     | Some n, Some m when n > m && m >= 1 && n >= 3 ->
@@ -79,6 +70,12 @@ let with_sdn_tail spec k =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
+let topo_arg default =
+  Arg.(value & opt string default & info [ "topo" ] ~docv:"SPEC" ~doc:"Topology spec.")
+
+let sdn_arg default =
+  Arg.(value & opt int default & info [ "sdn" ] ~docv:"K" ~doc:"SDN member count.")
+
 let jobs_arg =
   Arg.(
     value
@@ -96,9 +93,6 @@ let jobs_arg =
 let resolve_jobs jobs =
   if jobs < 0 then Error "--jobs must be >= 0 (0 = auto-select the recommended domain count)"
   else Ok (if jobs = 0 then Engine.Pool.recommended_jobs () else jobs)
-
-let with_optional_pool jobs f =
-  if jobs <= 1 then f None else Engine.Pool.with_pool ~jobs (fun pool -> f (Some pool))
 
 let mrai_arg =
   Arg.(
@@ -159,9 +153,7 @@ let write_snapshot path snap =
     | Framework.Telemetry.Jsonl -> Engine.Metrics.to_jsonl snap
     | Framework.Telemetry.Csv -> Engine.Metrics.to_csv snap
   in
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc;
+  Out_channel.with_open_text path (fun oc -> output_string oc content);
   Fmt.pr "metrics: final snapshot written to %s@." path
 
 (* --- sweep ---------------------------------------------------------------- *)
@@ -176,11 +168,13 @@ let int_at_least min =
   in
   Arg.conv (parse, Fmt.int)
 
+module E = Framework.Experiments
+
 let print_convergence s =
-  Fmt.pr "%a@.@.%s@." Framework.Experiments.pp_series s (Framework.Visualize.series_to_ascii s);
+  Fmt.pr "%a@.@.%s@." E.pp_series s (Framework.Visualize.series_to_ascii s);
   (* a one-point sweep (e.g. fig2 at -n 2) has no trend to fit *)
-  if List.compare_length_with s.Framework.Experiments.points 2 >= 0 then begin
-    let intercept, slope, r2 = Framework.Experiments.median_trend s in
+  if List.compare_length_with s.E.points 2 >= 0 then begin
+    let intercept, slope, r2 = E.median_trend s in
     Fmt.pr "linear fit of medians: y = %.2f %+.2f*x  r^2=%.3f@." intercept slope r2
   end
 
@@ -188,18 +182,25 @@ let print_convergence s =
    [verify] is the parallel-vs-sequential differential: rerun the sweep
    sequentially (and, when [jobs] is 1, on 2 domains) and require deep
    structural equality. *)
-let run_sweep ~jobs ~verify ~csv ~print ~to_csv
-    (build : ?pool:Engine.Pool.t -> unit -> 'r Framework.Experiments.series) =
+let run_sweep ~jobs ~verify ~csv (build : ?pool:Engine.Pool.t -> unit -> E.sweep_result) =
   let t0 = Unix.gettimeofday () in
-  let s = with_optional_pool jobs (fun pool -> build ?pool ()) in
+  let s =
+    if jobs <= 1 then build () else Engine.Pool.with_pool ~jobs (fun pool -> build ~pool ())
+  in
   let wall = Unix.gettimeofday () -. t0 in
-  print s;
+  let rows =
+    match s with
+    | E.Convergence_series s ->
+      print_convergence s;
+      E.series_to_csv s
+    | E.Loss_series s ->
+      Fmt.pr "%a@." E.pp_loss_series s;
+      E.loss_series_to_csv s
+  in
   Fmt.pr "jobs: %d  wall: %.2f s@." jobs wall;
   Option.iter
     (fun path ->
-      let oc = open_out path in
-      output_string oc (to_csv s);
-      close_out oc;
+      Out_channel.with_open_text path (fun oc -> output_string oc rows);
       Fmt.pr "csv written to %s@." path)
     csv;
   if not verify then Ok ()
@@ -209,87 +210,35 @@ let run_sweep ~jobs ~verify ~csv ~print ~to_csv
     let par =
       if jobs > 1 then s else Engine.Pool.with_pool ~jobs:vjobs (fun pool -> build ~pool ())
     in
-    if Framework.Experiments.equal_series seq par then begin
+    let same =
+      match (seq, par) with
+      | E.Convergence_series a, E.Convergence_series b -> E.equal_series a b
+      | E.Loss_series a, E.Loss_series b -> E.equal_series a b
+      | _ -> false
+    in
+    if same then begin
       Fmt.pr "deterministic: jobs=%d result identical to sequential@." vjobs;
       Ok ()
     end
     else Error (Fmt.str "parallel (jobs=%d) result differs from sequential run" vjobs)
   end
 
+let kind_names (k : E.kind) = String.concat "|" (k.name :: k.aliases)
+
+let find_kind name =
+  let name = String.lowercase_ascii (String.trim name) in
+  let known = String.concat "|" (List.map kind_names E.kinds) in
+  List.find_opt (fun (k : E.kind) -> List.mem name (k.name :: k.aliases)) E.kinds
+  |> Option.to_result ~none:(Fmt.str "unknown sweep %S (%s)" name known)
+
 let sweep_cmd =
   let run kind n runs seed mrai per_prefix interval_ms jobs verify csv =
     let result =
       let* jobs = resolve_jobs jobs in
-      let config = config_of_mrai mrai in
-      let module E = Framework.Experiments in
-      let convergence =
-        run_sweep ~jobs ~verify ~csv ~print:print_convergence ~to_csv:E.series_to_csv
-      in
-      let loss =
-        run_sweep ~jobs ~verify ~csv
-          ~print:(Fmt.pr "%a@." E.pp_loss_series)
-          ~to_csv:E.loss_series_to_csv
-      in
-      let placement placement =
-        convergence (fun ?pool () -> E.placement_sweep ?pool ?runs ~seed ~config ~placement ())
-      in
-      (* An integer axis on the n-clique, labelled NAME-cliqueN; [runs]
-         defaults to [default_runs]. *)
-      let clique name ~default_runs xs run =
-        convergence (fun ?pool () ->
-            E.sweep ?pool ~label:(Fmt.str "%s-clique%d" name n)
-              ~runs:(Option.value runs ~default:default_runs)
-              ~seed (List.map float_of_int xs)
-              (fun ~x ~seed -> run ~x:(int_of_float x) ~seed))
-      in
-      let upto step limit = List.init ((limit / step) + 1) (fun i -> step * i) in
-      match String.lowercase_ascii (String.trim kind) with
-      | "fig2" | "withdraw" ->
-        convergence (fun ?pool () -> E.fig2_withdrawal ?pool ~n ?runs ~seed ~config ())
-      | "announce" ->
-        convergence (fun ?pool () -> E.announcement_sweep ?pool ~n ?runs ~seed ~config ())
-      | "failover" ->
-        convergence (fun ?pool () -> E.failover_sweep ?pool ~n ?runs ~seed ~config ())
-      | "scaling" -> convergence (fun ?pool () -> E.scaling_sweep ?pool ?runs ~seed ~config ())
-      | "scaling:0" ->
-        convergence (fun ?pool () -> E.scaling_sweep ?pool ~fraction:0.0 ?runs ~seed ~config ())
-      | "ablation:delay" ->
-        convergence (fun ?pool () -> E.ablation_recompute_delay ?pool ~n ?runs ~seed ~config ())
-      | "ablation:mrai" ->
-        convergence (fun ?pool () -> E.ablation_mrai ?pool ~n ?runs ~seed ~config ~sdn:0 ())
-      | "ablation:mrai:half" ->
-        convergence (fun ?pool () ->
-            E.ablation_mrai ?pool ~n ?runs ~seed ~config ~sdn:(n / 2) ())
-      | "ablation:wrate" ->
-        convergence (fun ?pool () -> E.ablation_wrate ?pool ~n ?runs ~seed ~config ~sdn:0 ())
-      | "ablation:speaker" ->
-        clique "ablation-speaker-mrai" ~default_runs:5 [ 0; 1 ] (fun ~x ~seed ->
-            let speaker_mrai = if x = 1 then Some Bgp.Config.default else None in
-            E.clique_run ~n ~sdn:(n / 2) ~event:E.Withdrawal ~seed
-              ~config:{ config with Framework.Config.speaker_mrai } ())
-      | "churn-load" when n < 3 -> Error "churn-load needs -n >= 3 (origin + legacy flapper)"
-      | "churn-load" ->
-        clique "churn-load" ~default_runs:1 (upto 4 (n - 3)) (fun ~x ~seed ->
-            E.churn_run ~n ~sdn:x ~flap_period_s:20.0 ~seed ~config ())
-      | "table-size" ->
-        clique "table-size" ~default_runs:1 (upto 5 (n - 1)) (fun ~x ~seed ->
-            E.table_size_run ~n ~sdn:0 ~background:x ~seed ~config ())
-      | "placement" | "placement:top-degree" -> placement E.Top_degree
-      | "placement:random" -> placement E.Random_choice
-      | "placement:stubs" -> placement E.Stubs_first
-      | "loss" ->
-        loss (fun ?pool () ->
-            E.loss_sweep ?pool ~n ?runs ~seed ~per_prefix ~interval_ms ~config ())
-      | "loss:caida" ->
-        loss (fun ?pool () ->
-            E.loss_sweep_caida ?pool ?runs ~seed ~per_prefix ~interval_ms ~config ())
-      | k ->
-        Error
-          (Fmt.str
-             "unknown sweep %S (fig2|announce|failover|scaling[:0]|ablation:delay|\
-              ablation:mrai[:half]|ablation:wrate|ablation:speaker|churn-load|table-size|\
-              placement[:top-degree|:random|:stubs]|loss[:caida])"
-             k)
+      let* kind = find_kind kind in
+      let* () = E.check_n kind n in
+      let params = { E.n; seed; config = config_of_mrai mrai; per_prefix; interval_ms } in
+      run_sweep ~jobs ~verify ~csv (fun ?pool () -> E.sweep_kind ?pool ?runs kind params)
     in
     match result with Ok () -> `Ok () | Error msg -> `Error (false, msg)
   in
@@ -299,27 +248,20 @@ let sweep_cmd =
       & opt string "fig2"
       & info [ "kind" ] ~docv:"KIND"
           ~doc:
-            "fig2 (the paper's Fig. 2), announce, failover, scaling (50% SDN) or scaling:0 \
-             (0% SDN), the ablations ablation:delay (recompute delay, 50% SDN), ablation:mrai \
-             (0% SDN) or ablation:mrai:half (50% SDN), ablation:wrate (withdrawal pacing) and \
-             ablation:speaker (speaker MRAI off/on, 50% SDN), churn-load (withdrawal under a \
-             flapping neighbour vs SDN members), table-size (withdrawal vs background \
-             prefixes), placement[:top-degree|:random|:stubs], loss (data-plane loss on the \
-             fail-over clique) or loss:caida (loss on a generated Internet-like graph, \
-             failing a multi-homed stub's provider link).")
+            (String.concat "; "
+               (List.map (fun (k : E.kind) -> Fmt.str "$(b,%s): %s" (kind_names k) k.doc) E.kinds)
+            ^ "."))
   in
-  let n =
-    Arg.(value & opt (int_at_least 2) 16 & info [ "n"; "size" ] ~docv:"N" ~doc:"Clique size.")
-  in
+  let n = Arg.(value & opt int 16 & info [ "n"; "size" ] ~docv:"N" ~doc:"Clique size.") in
   let runs =
+    let default (k : E.kind) = Fmt.str "%s %d" k.name k.runs in
     Arg.(
       value
       & opt (some (int_at_least 1)) None
       & info [ "runs" ] ~docv:"R"
           ~doc:
-            "Runs per point (default: the sweep's own — 10 for fig2, announce, failover and \
-             the delay, mrai and wrate ablations, 5 for scaling, ablation:speaker, placement \
-             and loss, 3 for loss:caida, 1 for churn-load and table-size).")
+            (Fmt.str "Runs per point (default: the kind's own — %s)."
+               (String.concat ", " (List.map default E.kinds))))
   in
   let per_prefix =
     Arg.(
@@ -361,6 +303,20 @@ let sweep_cmd =
 
 (* --- run ------------------------------------------------------------------ *)
 
+(* Withdraw (after announcing) or announce the first AS's prefix to
+   quiescence, printing what ran; [run] and [trace] share it. *)
+let measure_event exp spec event =
+  let origin = List.hd (Topology.Spec.asns spec) in
+  let measured =
+    if event = "announce" then Core.measure_announcement exp origin
+    else Core.measure_withdrawal exp origin
+  in
+  Fmt.pr "topology: %s (%d ASes, %d SDN)@." (Topology.Spec.title spec)
+    (Topology.Spec.node_count spec)
+    (List.length (Topology.Spec.sdn_asns spec));
+  Fmt.pr "event: %s at %a@." event Net.Asn.pp origin;
+  (origin, measured)
+
 let run_cmd =
   let run topo sdn event seed mrai metrics_out metrics_interval =
     let result =
@@ -368,22 +324,22 @@ let run_cmd =
       let* spec = with_sdn_tail spec sdn in
       let config = config_of_mrai mrai in
       match String.lowercase_ascii event with
-      | "withdraw" | "announce" ->
+      | ("withdraw" | "announce") as event ->
         let exp = Framework.Experiment.create ~config ~seed spec in
         let tele = telemetry_of exp metrics_out metrics_interval in
-        let origin = List.hd (Topology.Spec.asns spec) in
-        let measured =
-          if event = "announce" then Core.measure_announcement exp origin
-          else Core.measure_withdrawal exp origin
-        in
-        Fmt.pr "topology: %s (%d ASes, %d SDN)@." (Topology.Spec.title spec)
-          (Topology.Spec.node_count spec)
-          (List.length (Topology.Spec.sdn_asns spec));
-        Fmt.pr "event: %s at %a@." event Net.Asn.pp origin;
+        let _, measured = measure_event exp spec event in
         Fmt.pr "%a@." Framework.Convergence.pp_measurement measured;
         Fmt.pr "convergence: %.2f s@." (Framework.Experiment.convergence_seconds measured);
         finish_telemetry tele;
         Ok ()
+      (* the run builds its own n-clique plus stub and backup chain, and
+         keeps clique members 0 and 1 (the path anchors) legacy *)
+      | "failover"
+        when not (String.starts_with ~prefix:"clique:" (String.lowercase_ascii (String.trim topo)))
+        ->
+        Error "--event failover needs --topo clique:N"
+      | "failover" when sdn > Topology.Spec.node_count spec - 2 ->
+        Error (Fmt.str "--event failover needs --sdn <= %d" (Topology.Spec.node_count spec - 2))
       | "failover" ->
         let n = Topology.Spec.node_count spec in
         let r = Framework.Experiments.failover_run ~n ~sdn ~seed ~config () in
@@ -401,10 +357,6 @@ let run_cmd =
     | Ok () -> `Ok ()
     | Error msg -> `Error (false, msg)
   in
-  let topo =
-    Arg.(value & opt string "clique:16" & info [ "topo" ] ~docv:"SPEC" ~doc:"Topology spec.")
-  in
-  let sdn = Arg.(value & opt int 0 & info [ "sdn" ] ~docv:"K" ~doc:"SDN member count.") in
   let event =
     Arg.(value & opt string "withdraw" & info [ "event" ] ~docv:"EVENT"
            ~doc:"withdraw, announce or failover.")
@@ -413,8 +365,8 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a single convergence experiment.")
     Term.(
       ret
-        (const run $ topo $ sdn $ event $ seed_arg $ mrai_arg $ metrics_out_arg
-        $ metrics_interval_arg))
+        (const run $ topo_arg "clique:16" $ sdn_arg 0 $ event $ seed_arg $ mrai_arg
+        $ metrics_out_arg $ metrics_interval_arg))
 
 (* --- topo ----------------------------------------------------------------- *)
 
@@ -436,16 +388,13 @@ let topo_cmd =
         (List.fold_left Float.max 0.0 fdeg);
       Option.iter
         (fun path ->
-          let oc = open_out path in
-          output_string oc (Framework.Visualize.spec_to_dot ~with_infrastructure:false spec);
-          close_out oc;
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc (Framework.Visualize.spec_to_dot ~with_infrastructure:false spec));
           Fmt.pr "wrote %s@." path)
         dot_out;
       Option.iter
         (fun path ->
-          let oc = open_out path in
-          output_string oc (Topology.Caida.render spec);
-          close_out oc;
+          Out_channel.with_open_text path (fun oc -> output_string oc (Topology.Caida.render spec));
           Fmt.pr "wrote %s (CAIDA serial-1)@." path)
         caida_out;
       `Ok ()
@@ -475,10 +424,9 @@ let dot_cmd =
       `Ok ()
   in
   let n = Arg.(value & opt int 8 & info [ "n"; "size" ] ~docv:"N" ~doc:"Clique size.") in
-  let sdn = Arg.(value & opt int 4 & info [ "sdn" ] ~docv:"K" ~doc:"SDN member count.") in
   Cmd.v
     (Cmd.info "dot" ~doc:"Emit the experiment component diagram (Fig. 1 equivalent) as dot.")
-    Term.(ret (const run $ n $ sdn))
+    Term.(ret (const run $ n $ sdn_arg 4))
 
 (* --- scenario --------------------------------------------------------------- *)
 
@@ -509,9 +457,8 @@ let scenario_cmd =
         (Bgp.Collector.event_count collector);
       Option.iter
         (fun path ->
-          let oc = open_out path in
-          output_string oc (Bgp.Collector.dump collector);
-          close_out oc;
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc (Bgp.Collector.dump collector));
           Fmt.pr "collector dump written to %s@." path)
         dump;
       if show_state then print_string (Framework.Looking_glass.network_state network);
@@ -528,10 +475,6 @@ let scenario_cmd =
     in
     match result with Ok () -> `Ok () | Error msg -> `Error (false, msg)
   in
-  let topo =
-    Arg.(value & opt string "clique:8" & info [ "topo" ] ~docv:"SPEC" ~doc:"Topology spec.")
-  in
-  let sdn = Arg.(value & opt int 0 & info [ "sdn" ] ~docv:"K" ~doc:"SDN member count.") in
   let file =
     Arg.(required & opt (some file) None & info [ "file" ] ~docv:"PATH" ~doc:"Scenario file.")
   in
@@ -550,8 +493,8 @@ let scenario_cmd =
     (Cmd.info "scenario" ~doc:"Replay a timed scenario file against a topology.")
     Term.(
       ret
-        (const run $ topo $ sdn $ file $ seed_arg $ mrai_arg $ dump $ timeline $ show_state
-        $ metrics_out_arg $ metrics_interval_arg))
+        (const run $ topo_arg "clique:8" $ sdn_arg 0 $ file $ seed_arg $ mrai_arg $ dump $ timeline
+        $ show_state $ metrics_out_arg $ metrics_interval_arg))
 
 (* --- metrics ----------------------------------------------------------------- *)
 
@@ -584,22 +527,14 @@ let metrics_cmd =
    array; JSONL exports are one object per line.  Both are checked with
    the same self-contained JSON validator the metrics formats use. *)
 let validate_trace_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  let is_jsonl = Filename.check_suffix (String.lowercase_ascii path) ".jsonl" in
-  if is_jsonl then begin
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  if Filename.check_suffix (String.lowercase_ascii path) ".jsonl" then begin
     let lines =
       String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
     in
-    let rec go i = function
-      | [] -> Ok (List.length lines)
-      | l :: rest ->
-        if Framework.Telemetry.json_valid (String.trim l) then go (i + 1) rest
-        else Error (Fmt.str "line %d: invalid JSON" i)
-    in
-    go 1 lines
+    match List.find_index (fun l -> not (Framework.Telemetry.json_valid (String.trim l))) lines with
+    | Some i -> Error (Fmt.str "line %d: invalid JSON" (i + 1))
+    | None -> Ok (List.length lines)
   end
   else begin
     let body = String.trim text in
@@ -638,17 +573,8 @@ let trace_cmd =
         match String.lowercase_ascii event with
         | ("withdraw" | "announce") as event ->
           let exp = Framework.Experiment.create ~config ~seed spec in
-          let origin = List.hd (Topology.Spec.asns spec) in
-          let measured =
-            if event = "announce" then Core.measure_announcement exp origin
-            else Core.measure_withdrawal exp origin
-          in
-          let sim = Framework.Experiment.sim exp in
-          let causal = Engine.Sim.causal sim in
-          Fmt.pr "topology: %s (%d ASes, %d SDN)@." (Topology.Spec.title spec)
-            (Topology.Spec.node_count spec)
-            (List.length (Topology.Spec.sdn_asns spec));
-          Fmt.pr "event: %s at %a@." event Net.Asn.pp origin;
+          let origin, measured = measure_event exp spec event in
+          let causal = Engine.Sim.causal (Framework.Experiment.sim exp) in
           Fmt.pr "convergence: %.6f s@."
             (Framework.Experiment.convergence_seconds measured);
           Fmt.pr "trace: id=%d, %d spans@." (Engine.Causal.trace_id causal)
@@ -671,9 +597,7 @@ let trace_cmd =
                   Engine.Causal.to_jsonl causal
                 else Engine.Causal.to_chrome causal
               in
-              let oc = open_out path in
-              output_string oc content;
-              close_out oc;
+              Out_channel.with_open_text path (fun oc -> output_string oc content);
               Fmt.pr "trace: written to %s@." path)
             out;
           Ok ()
@@ -683,10 +607,6 @@ let trace_cmd =
       | Ok () -> `Ok ()
       | Error msg -> `Error (false, msg))
   in
-  let topo =
-    Arg.(value & opt string "clique:8" & info [ "topo" ] ~docv:"SPEC" ~doc:"Topology spec.")
-  in
-  let sdn = Arg.(value & opt int 0 & info [ "sdn" ] ~docv:"K" ~doc:"SDN member count.") in
   let event =
     Arg.(value & opt string "withdraw" & info [ "event" ] ~docv:"EVENT"
            ~doc:"withdraw or announce.")
@@ -721,7 +641,9 @@ let trace_cmd =
           span trees from each action down to the last FIB/flow-table write, a \
           critical-path attribution table, and Perfetto-loadable exports.")
     Term.(
-      ret (const run $ topo $ sdn $ event $ seed_arg $ mrai_arg $ out $ critical $ check))
+      ret
+        (const run $ topo_arg "clique:8" $ sdn_arg 0 $ event $ seed_arg $ mrai_arg $ out $ critical
+        $ check))
 
 (* --- export-quagga ----------------------------------------------------------- *)
 
@@ -734,16 +656,13 @@ let export_quagga_cmd =
       Fmt.pr "wrote %d bgpd configs to %s/@." (Topology.Spec.node_count spec) dir;
       `Ok ()
   in
-  let topo =
-    Arg.(value & opt string "clique:8" & info [ "topo" ] ~docv:"SPEC" ~doc:"Topology spec.")
-  in
   let dir =
     Arg.(value & opt string "quagga-configs" & info [ "dir" ] ~docv:"DIR" ~doc:"Output directory.")
   in
   Cmd.v
     (Cmd.info "export-quagga"
        ~doc:"Generate Quagga/FRR bgpd.conf files for a topology (real-testbed export).")
-    Term.(ret (const run $ topo $ seed_arg $ dir))
+    Term.(ret (const run $ topo_arg "clique:8" $ seed_arg $ dir))
 
 (* --- demo ------------------------------------------------------------------ *)
 
@@ -822,66 +741,54 @@ let chaos_cmd =
 (* --- scale ---------------------------------------------------------------- *)
 
 let scale_cmd =
-  let run tier1 tier2 stubs prefixes ks runs seed mrai jobs single budget wall csv =
+  let run tier1 tier2 stubs prefixes ks runs seed mrai jobs single budget csv =
     let result =
       let* jobs = resolve_jobs jobs in
-      if tier1 < 1 || tier2 < 1 || stubs < 1 then Error "--tier1/--tier2/--stubs must be >= 1"
-      else if prefixes < 1 then Error "--prefixes must be >= 1"
-      else if runs < 1 then Error "--runs must be >= 1"
-      else if budget < 1 then Error "--budget must be >= 1"
-      else if (match wall with Some w -> w <= 0.0 | None -> false) then
-        Error "--wall must be positive"
-      else Ok jobs
-    in
-    match result with
-    | Error msg -> `Error (false, msg)
-    | Ok jobs ->
       let config = config_of_mrai mrai in
+      let world = E.caida_world ~tier1 ~tier2 ~stubs ~seed in
+      let scale ~k ~seed =
+        E.scale_run ~prefixes ~load_max_events:budget ~clock:Unix.gettimeofday ~world ~k ~seed
+          ~config ()
+      in
       if single then begin
-        let sdn = match ks with k :: _ -> k | [] -> 0 in
-        let r =
-          Framework.Experiments.scale_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn
-            ~load_max_events:budget ?phase_wall_s:wall ~clock:Unix.gettimeofday ~seed
-            ~config ()
-        in
+        let k = match ks with k :: _ -> k | [] -> 0 in
+        let r = scale ~k ~seed in
         Fmt.pr "graph:           %d ASes (%d tier1, %d tier2, %d stubs), %d links@."
-          r.Framework.Experiments.ases tier1 tier2 stubs r.Framework.Experiments.links;
-        Fmt.pr "centralized:     %d top-degree members@." r.Framework.Experiments.sdn_members;
+          (tier1 + tier2 + stubs) tier1 tier2 stubs
+          (Topology.Spec.link_count world.E.spec);
+        Fmt.pr "centralized:     %d top-degree members@." k;
         Fmt.pr "load:            %d prefixes, %d collector updates in %.2f s wall (%.0f upd/s)@."
-          r.Framework.Experiments.prefixes r.Framework.Experiments.load_updates
-          r.Framework.Experiments.load_seconds r.Framework.Experiments.updates_per_sec;
-        Fmt.pr "load settled:    %b (budget %d events)@." r.Framework.Experiments.load_settled
-          budget;
+          prefixes r.E.load_updates r.E.load_seconds
+          (float_of_int r.E.load_updates /. r.E.load_seconds);
+        Fmt.pr "load settled:    %b (budget %d events)@." r.E.load_settled budget;
         Fmt.pr "tables:          %d Loc-RIB routes, %d Adj-RIB-In routes, %d distinct attrs@."
-          r.Framework.Experiments.rib_routes r.Framework.Experiments.adj_in_routes
-          r.Framework.Experiments.distinct_attrs;
-        Fmt.pr "heap:            %d live words, %d peak words@."
-          r.Framework.Experiments.live_words r.Framework.Experiments.peak_words;
+          r.E.rib_routes r.E.adj_in_routes r.E.distinct_attrs;
+        Fmt.pr "heap:            %d live words, %d peak words@." r.E.live_words r.E.peak_words;
         Fmt.pr "withdrawal:      Tdown = %.2f s, %d changes, %d collector updates@."
-          r.Framework.Experiments.withdrawal.Framework.Experiments.seconds
-          r.Framework.Experiments.withdrawal.Framework.Experiments.changes
-          r.Framework.Experiments.withdrawal.Framework.Experiments.collector_updates;
-        `Ok ()
+          r.E.withdrawal.E.seconds r.E.withdrawal.E.changes r.E.withdrawal.E.collector_updates;
+        Ok ()
       end
       else
-        match
-          run_sweep ~jobs ~verify:false ~csv ~print:print_convergence
-            ~to_csv:Framework.Experiments.series_to_csv (fun ?pool () ->
-              Framework.Experiments.scale_sweep ?pool ~tier1 ~tier2 ~stubs ~prefixes ~ks ~runs
-                ~seed ~config ())
-        with
-        | Ok () -> `Ok ()
-        | Error msg -> `Error (false, msg)
+        (* the placement:top-degree grid on this world: runs take the
+           seed after the world's *)
+        let label = Fmt.str "scale-caida%d-p%d" (tier1 + tier2 + stubs) prefixes in
+        run_sweep ~jobs ~verify:false ~csv (fun ?pool () ->
+            E.Convergence_series
+              (E.sweep ?pool ~label ~runs ~seed:(seed + 1) (List.map float_of_int ks)
+                 (fun ~x ~seed -> (scale ~k:(int_of_float x) ~seed).E.withdrawal)))
+    in
+    match result with Ok () -> `Ok () | Error msg -> `Error (false, msg)
   in
-  let tier1 =
-    Arg.(value & opt int 4 & info [ "tier1" ] ~docv:"N" ~doc:"Tier-1 clique size.")
+  let count name default doc =
+    Arg.(value & opt (int_at_least 1) default & info [ name ] ~docv:"N" ~doc)
   in
-  let tier2 = Arg.(value & opt int 24 & info [ "tier2" ] ~docv:"N" ~doc:"Transit AS count.") in
-  let stubs = Arg.(value & opt int 72 & info [ "stubs" ] ~docv:"N" ~doc:"Stub AS count.") in
+  let tier1 = count "tier1" 4 "Tier-1 clique size." in
+  let tier2 = count "tier2" 24 "Transit AS count." in
+  let stubs = count "stubs" 72 "Stub AS count." in
   let prefixes =
     Arg.(
       value
-      & opt int 200
+      & opt (int_at_least 1) 200
       & info [ "prefixes" ] ~docv:"P"
           ~doc:"Load prefixes, spread round-robin across the stubs before measuring.")
   in
@@ -892,7 +799,9 @@ let scale_cmd =
       & info [ "ks" ] ~docv:"K,K,..."
           ~doc:"Centralized member counts to sweep (top-degree placement).")
   in
-  let runs = Arg.(value & opt int 3 & info [ "runs" ] ~docv:"R" ~doc:"Runs per point.") in
+  let runs =
+    Arg.(value & opt (int_at_least 1) 3 & info [ "runs" ] ~docv:"R" ~doc:"Runs per point.")
+  in
   let single =
     Arg.(
       value
@@ -905,21 +814,11 @@ let scale_cmd =
   let budget =
     Arg.(
       value
-      & opt int 20_000_000
+      & opt (int_at_least 1) 20_000_000
       & info [ "budget" ] ~docv:"EVENTS"
           ~doc:
             "Event budget for the load phase (and each measured phase); bounds peak memory \
              and host time at Internet scale.")
-  in
-  let wall =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "wall" ] ~docv:"SECONDS"
-          ~doc:
-            "Host-clock deadline per phase (load / announce / withdrawal).  With batching \
-             one delivery event can carry thousands of prefixes, so the event budget alone \
-             does not bound wall time; a phase stopped at its deadline counts as unsettled.")
   in
   let csv =
     Arg.(
@@ -930,14 +829,15 @@ let scale_cmd =
   Cmd.v
     (Cmd.info "scale"
        ~doc:
-         "Internet-scale stress: load a synthetic CAIDA graph with prefixes across its \
-          stubs, then sweep withdrawal convergence vs centralized member count \
-          (top-degree placement).  With $(b,--single), one detailed run reporting \
-          update throughput, RIB sizes and heap usage.")
+         "Internet-scale stress: on one synthetic CAIDA graph generated from $(b,--seed), \
+          load prefixes across its stubs, then sweep withdrawal convergence vs centralized \
+          member count (the placement:top-degree run; runs take the seeds after the \
+          graph's).  With $(b,--single), one detailed run at $(b,--seed) reporting update \
+          throughput, RIB sizes and heap usage.")
     Term.(
       ret
         (const run $ tier1 $ tier2 $ stubs $ prefixes $ ks $ runs $ seed_arg $ mrai_arg
-        $ jobs_arg $ single $ budget $ wall $ csv))
+        $ jobs_arg $ single $ budget $ csv))
 
 let () =
   let doc = "hybrid BGP-SDN emulation framework" in

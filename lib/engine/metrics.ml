@@ -93,12 +93,12 @@ type entry = { name : string; help : string; labels : labels; series : series }
 
 type t = {
   entries : (string, entry) Hashtbl.t; (* keyed by series_key *)
-  mutable collectors : (unit -> unit) list;
+  collectors : (unit -> unit) Queue.t;
 }
 
-let create () = { entries = Hashtbl.create 64; collectors = [] }
+let create () = { entries = Hashtbl.create 64; collectors = Queue.create () }
 
-let on_collect t f = t.collectors <- t.collectors @ [ f ]
+let on_collect t f = Queue.add f t.collectors
 
 let kind_name = function
   | S_counter _ -> "counter"
@@ -189,7 +189,7 @@ let freeze entry =
   { name = entry.name; help = entry.help; labels = entry.labels; value }
 
 let snapshot t ~at =
-  List.iter (fun f -> f ()) t.collectors;
+  Queue.iter (fun f -> f ()) t.collectors;
   let keyed = Hashtbl.fold (fun key entry acc -> (key, entry) :: acc) t.entries [] in
   let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) keyed in
   { at; samples = List.map (fun (_, e) -> freeze e) sorted }

@@ -139,11 +139,13 @@ type measurement = {
   changes : int;
 }
 
-let measure ?(max_events = 10_000_000) ?changes_before t ~prefix ~event_time =
+let measure ?(max_events = 10_000_000) ?(bounded = false) ?changes_before t ~prefix ~event_time =
   let changes_before =
     match changes_before with Some c -> c | None -> control_changes t prefix
   in
-  let settled_at = Network.settle ~max_events t.network in
+  if bounded then ignore (Engine.Sim.run ~max_events (Network.sim t.network))
+  else ignore (Network.settle ~max_events t.network);
+  let settled_at = Network.now t.network in
   let last_change =
     match last_control_change t prefix with
     | Some time when Engine.Time.(time >= event_time) -> Some time

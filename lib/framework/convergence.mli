@@ -41,6 +41,7 @@ type measurement = {
 
 val measure :
   ?max_events:int ->
+  ?bounded:bool ->
   ?changes_before:int ->
   t ->
   prefix:Net.Ipv4.prefix ->
@@ -48,7 +49,9 @@ val measure :
   measurement
 (** Run the network to quiescence and report the interval from
     [event_time] to the prefix's last control-plane change ([None] when
-    the event changed nothing). *)
+    the event changed nothing).  Past [max_events] events the run is
+    taken as divergent and raises, unless [bounded], which measures
+    whatever state the budget reached. *)
 
 val wait_quiet :
   ?step:Engine.Time.span ->

@@ -62,11 +62,11 @@ let settle ?max_events t = Network.settle ?max_events t.network
 
 (* Perform [action] and run to quiescence, measuring convergence of
    [prefix] from the moment of the action. *)
-let measure ?max_events t ~prefix action =
+let measure ?max_events ?bounded t ~prefix action =
   let event_time = now t in
   let changes_before = Convergence.control_changes t.watcher prefix in
   action ();
-  Convergence.measure ?max_events ~changes_before t.watcher ~prefix ~event_time
+  Convergence.measure ?max_events ?bounded ~changes_before t.watcher ~prefix ~event_time
 
 (* Convergence time in seconds, NaN when nothing changed. *)
 let convergence_seconds (m : Convergence.measurement) =

@@ -38,9 +38,14 @@ val recover_link : t -> Net.Asn.t -> Net.Asn.t -> unit
 val settle : ?max_events:int -> t -> Engine.Time.t
 
 val measure :
-  ?max_events:int -> t -> prefix:Net.Ipv4.prefix -> (unit -> unit) -> Convergence.measurement
+  ?max_events:int ->
+  ?bounded:bool ->
+  t ->
+  prefix:Net.Ipv4.prefix ->
+  (unit -> unit) ->
+  Convergence.measurement
 (** Perform the action and run to quiescence, measuring the prefix's
-    convergence from the moment of the action. *)
+    convergence from the moment of the action ({!Convergence.measure}). *)
 
 val convergence_seconds : Convergence.measurement -> float
 (** NaN when the event changed nothing. *)

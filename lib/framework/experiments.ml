@@ -3,15 +3,11 @@
    Fig. 2: withdrawal convergence on a 16-AS clique vs fraction of
    SDN-controlled ASes, boxplots over 10 seeded runs; plus the
    announcement and fail-over variants §4 mentions, and the ablations
-   DESIGN.md commits to.  All are parameterized so tests can run scaled-
-   down versions of the same code paths. *)
+   DESIGN.md commits to.  Every sweep is one row of [kinds] (the table at
+   the end of this file) over the single-run primitives defined first;
+   tests run the same rows and primitives at small sizes. *)
 
 type event_kind = Withdrawal | Announcement | Failover
-
-let event_to_string = function
-  | Withdrawal -> "withdrawal"
-  | Announcement -> "announcement"
-  | Failover -> "failover"
 
 type run_result = {
   seconds : float; (* convergence time of the measured event *)
@@ -84,6 +80,15 @@ let clique_run ~n ~sdn ~event ~seed ~config () =
     measure_withdrawal ~since:(collector_count exp) exp origin prefix
   | Failover -> invalid_arg "Experiments.clique_run: use failover_run"
 
+(* The fail-over topology: a stub's primary provider is clique member 0,
+   and a 2-AS backup chain reaches member 1; returns the spec, the stub
+   and the primary.  [sdn] members are centralized, never 0 or 1. *)
+let failover_world ~n ~sdn =
+  if sdn > n - 2 then invalid_arg "Experiments: fail-over runs keep clique members 0 and 1 legacy";
+  let chain = Topology.Artificial.failover_backup_chain ~clique_size:n ~chain_len:2 () in
+  let spec = with_clique_sdn ~n ~sdn chain in
+  (spec, Topology.Artificial.stub_asn spec, Topology.Artificial.asn 0)
+
 (* Fail-over: a stub's short primary path (into clique member 0) dies and
    the network must fall back to a strictly longer backup chain (into
    member 1).  Legacy clique members hold stale intermediate-length paths
@@ -92,14 +97,8 @@ let clique_run ~n ~sdn ~event ~seed ~config () =
    [sdn] clique members are centralized — never members 0/1, which anchor
    the primary and backup paths. *)
 let failover_run ~n ~sdn ~seed ~config () =
-  if sdn > n - 2 then invalid_arg "Experiments.failover_run: too many SDN members";
-  let spec =
-    with_clique_sdn ~n ~sdn
-      (Topology.Artificial.failover_backup_chain ~clique_size:n ~chain_len:2 ())
-  in
+  let spec, stub, primary = failover_world ~n ~sdn in
   let exp = Experiment.create ~config ~seed spec in
-  let stub = Topology.Artificial.stub_asn spec in
-  let primary = Topology.Artificial.asn 0 in
   let prefix = announced exp stub in
   (* Track per-AS data-plane restoration (the paper's end-to-end video
      interruption): sample forwarding state every 100 ms after the
@@ -138,13 +137,6 @@ let failover_run ~n ~sdn ~seed ~config () =
 
 (* --- Sweeps --------------------------------------------------------------- *)
 
-let take_drop k xs =
-  let rec go k acc xs =
-    if k = 0 then (List.rev acc, xs)
-    else match xs with [] -> (List.rev acc, []) | x :: rest -> go (k - 1) (x :: acc) rest
-  in
-  go k [] xs
-
 (* The parallel experiment runner every sweep and ablation goes through.
 
    The (x, trial) grid is flattened into one task list and dispatched
@@ -159,77 +151,13 @@ let sweep ?pool ~label ~runs ~seed xs run =
   let tasks = List.concat_map (fun x -> List.init runs (fun i -> (x, seed + (1000 * i)))) xs in
   let eval (x, seed) = run ~x ~seed in
   let results =
-    match pool with
-    | Some pool -> Engine.Pool.map pool eval tasks
-    | None -> List.map eval tasks
+    Array.of_list
+      (match pool with
+      | Some pool -> Engine.Pool.map pool eval tasks
+      | None -> List.map eval tasks)
   in
-  let rec regroup xs results =
-    match xs with
-    | [] -> []
-    | x :: rest ->
-      let mine, others = take_drop runs results in
-      { x; results = mine } :: regroup rest others
-  in
-  { label; points = regroup xs results }
-
-(* 0, 2, 4, ... n-2 SDN members out of n, as in Fig. 2. *)
-let sdn_levels n =
-  List.init (n / 2) (fun i -> 2 * i)
-  |> List.filter (fun k -> k <= n - 2)
-  |> List.map float_of_int
-
-(* Fig. 2: withdrawal convergence vs SDN fraction. *)
-let fig2_withdrawal ?pool ?(n = 16) ?(runs = 10) ?(seed = 7) ?(config = Config.default) () =
-  sweep ?pool ~label:(Fmt.str "fig2-withdrawal-clique%d" n) ~runs ~seed (sdn_levels n)
-    (fun ~x ~seed -> clique_run ~n ~sdn:(int_of_float x) ~event:Withdrawal ~seed ~config ())
-
-(* §4: announcement experiments — smaller reductions. *)
-let announcement_sweep ?pool ?(n = 16) ?(runs = 10) ?(seed = 11) ?(config = Config.default) () =
-  sweep ?pool ~label:(Fmt.str "announcement-clique%d" n) ~runs ~seed (sdn_levels n)
-    (fun ~x ~seed -> clique_run ~n ~sdn:(int_of_float x) ~event:Announcement ~seed ~config ())
-
-(* §4: fail-over experiments — smaller reductions. *)
-let failover_sweep ?pool ?(n = 16) ?(runs = 10) ?(seed = 13) ?(config = Config.default) () =
-  sweep ?pool ~label:(Fmt.str "failover-clique%d" n) ~runs ~seed (sdn_levels n)
-    (fun ~x ~seed -> failover_run ~n ~sdn:(int_of_float x) ~seed ~config ())
-
-(* Ablation A1: the controller's delayed-recomputation interval, at a
-   fixed 50% deployment. *)
-let ablation_recompute_delay ?pool ?(n = 16) ?(runs = 10) ?(seed = 17)
-    ?(config = Config.default) ?(delays_ms = [ 0; 500; 2000; 8000 ]) () =
-  sweep ?pool ~label:(Fmt.str "ablation-recompute-delay-clique%d" n) ~runs ~seed
-    (List.map float_of_int delays_ms) (fun ~x ~seed ->
-      let config = Config.with_recompute_delay config (Engine.Time.ms (int_of_float x)) in
-      clique_run ~n ~sdn:(n / 2) ~event:Withdrawal ~seed ~config ())
-
-(* Ablation A3: MRAI sensitivity of the 0%-SDN baseline and of a 50%
-   deployment. *)
-let ablation_mrai ?pool ?(n = 16) ?(runs = 10) ?(seed = 19) ?(config = Config.default)
-    ?(mrai_s = [ 5; 15; 30 ]) ~sdn () =
-  sweep ?pool ~label:(Fmt.str "ablation-mrai-clique%d-sdn%d" n sdn) ~runs ~seed
-    (List.map float_of_int mrai_s) (fun ~x ~seed ->
-      let config = Config.with_mrai config (Engine.Time.sec (int_of_float x)) in
-      clique_run ~n ~sdn ~event:Withdrawal ~seed ~config ())
-
-(* Ablation A4: RFC-style MRAI (withdrawals exempt, x=0) vs Quagga-style
-   (x=1). *)
-let ablation_wrate ?pool ?(n = 16) ?(runs = 10) ?(seed = 23) ?(config = Config.default) ~sdn ()
-    =
-  sweep ?pool ~label:(Fmt.str "ablation-wrate-clique%d-sdn%d" n sdn) ~runs ~seed [ 0.0; 1.0 ]
-    (fun ~x ~seed ->
-      let bgp = { config.Config.bgp with Bgp.Config.mrai_on_withdrawals = x > 0.5 } in
-      clique_run ~n ~sdn ~event:Withdrawal ~seed ~config:{ config with Config.bgp } ())
-
-(* Scaling: withdrawal convergence vs clique size at a fixed deployment
-   fraction — does the linear-in-(legacy count) behaviour persist as the
-   network grows? *)
-let scaling_sweep ?pool ?(sizes = [ 8; 12; 16; 20; 24 ]) ?(fraction = 0.5) ?(runs = 5)
-    ?(seed = 37) ?(config = Config.default) () =
-  sweep ?pool ~label:(Fmt.str "scaling-withdrawal-f%.2f" fraction) ~runs ~seed
-    (List.map float_of_int sizes) (fun ~x ~seed ->
-      let n = int_of_float x in
-      let sdn = min (int_of_float (float_of_int n *. fraction)) (n - 2) in
-      clique_run ~n ~sdn ~event:Withdrawal ~seed ~config ())
+  let point j x = { x; results = List.init runs (fun i -> results.((j * runs) + i)) } in
+  { label; points = List.mapi point xs }
 
 (* Convergence under background churn: a second AS flaps its own prefix
    throughout the measurement.  Because MRAI timers are per *peer*, not
@@ -260,50 +188,6 @@ let churn_run ~n ~sdn ~flap_period_s ~seed ~config () =
   Scenario.schedule network (List.concat (List.init 40 cycle));
   measure_withdrawal exp origin prefix
 
-(* --- Deployment placement -------------------------------------------------
-
-   On heterogeneous (Internet-like) topologies it matters *which* ASes
-   join the cluster.  Three strategies: the k best-connected ASes, k
-   random ASes, k stubs.  The origin never joins. *)
-
-type placement = Top_degree | Random_choice | Stubs_first
-
-let placement_to_string = function
-  | Top_degree -> "top-degree"
-  | Random_choice -> "random"
-  | Stubs_first -> "stubs"
-
-let choose_members ~spec ~k ~placement ~origin ~seed =
-  let candidates =
-    List.filter (fun a -> not (Net.Asn.equal a origin)) (Topology.Spec.asns spec)
-  in
-  let degree a = List.length (Topology.Spec.neighbors spec a) in
-  match placement with
-  | Top_degree ->
-    List.stable_sort (fun a b -> Int.compare (degree b) (degree a)) candidates
-    |> List.filteri (fun i _ -> i < k)
-  | Stubs_first ->
-    List.stable_sort (fun a b -> Int.compare (degree a) (degree b)) candidates
-    |> List.filteri (fun i _ -> i < k)
-  | Random_choice -> Engine.Rng.sample (Engine.Rng.create seed) k candidates
-
-(* Withdrawal convergence with [k] members placed by [placement]. *)
-let placement_run ~spec ~k ~placement ~origin ~seed ~config () =
-  let members = choose_members ~spec ~k ~placement ~origin ~seed in
-  let exp = Experiment.create ~config ~seed (Topology.Spec.with_sdn spec members) in
-  measure_withdrawal exp origin (announced exp origin)
-
-(* Sweep k for one strategy on an Internet-like topology.  The spec is
-   generated once and shared read-only across (possibly parallel) runs;
-   each run derives its own members/Experiment from it. *)
-let placement_sweep ?pool ?(tier1 = 3) ?(tier2 = 8) ?(stubs = 20) ?(ks = [ 0; 2; 4; 6; 8 ])
-    ?(runs = 5) ?(seed = 53) ?(config = Config.default) ~placement () =
-  let spec = Topology.Caida.generate ~tier1 ~tier2 ~stubs (Engine.Rng.create seed) in
-  let origin = List.hd (Topology.Caida.stub_asns ~tier1 ~tier2 ~stubs) in
-  sweep ?pool ~label:(Fmt.str "placement-%s" (placement_to_string placement)) ~runs
-    ~seed:(seed + 1) (List.map float_of_int ks) (fun ~x ~seed ->
-      placement_run ~spec ~k:(int_of_float x) ~placement ~origin ~seed ~config ())
-
 (* Table-size independence (negative control): withdraw one prefix while
    [background] unrelated prefixes sit in every table.  Since updates are
    per-prefix and the background is quiescent, convergence of the
@@ -320,77 +204,97 @@ let table_size_run ~n ~sdn ~background ~seed ~config () =
   let origin = Topology.Artificial.asn 0 in
   measure_withdrawal exp origin (announced exp origin)
 
-(* --- Internet scale -------------------------------------------------------
+(* --- Deployment placement on Internet-like graphs -------------------------
 
-   The tentpole stress path: a synthetic CAIDA graph (thousands of ASes)
-   loaded with thousands of prefixes spread across its stubs, then one
-   measured withdrawal.  The load phase is throughput-bound, not
-   convergence-bound: it runs under an explicit event budget so peak
-   memory and host time stay proportional to [load_max_events] rather
-   than to full global propagation (at full Internet scale every router
-   learning every prefix would not fit one process).  [load_settled]
-   reports whether the budget in fact reached quiescence — small
-   configurations (tests, the smoke alias) do. *)
+   On heterogeneous (Internet-like) topologies it matters *which* ASes
+   join the cluster.  Three strategies: the k best-connected ASes, k
+   random ASes, k stubs.  The origin never joins.  The placement rows and
+   [hybridsim scale] share one world (a CAIDA-style graph generated once
+   from the base seed) and one withdrawal run ([caida_run]); scale runs
+   add a prefix load in front of it. *)
+
+type placement = Top_degree | Random_choice | Stubs_first
+
+let placement_to_string = function
+  | Top_degree -> "top-degree"
+  | Random_choice -> "random"
+  | Stubs_first -> "stubs"
+
+let choose_members ~spec ~k ~placement ~origin ~seed =
+  let candidates =
+    List.filter (fun a -> not (Net.Asn.equal a origin)) (Topology.Spec.asns spec)
+  in
+  (* Degrees in one pass over the links: [Spec.neighbors] scans every link,
+     so calling it from the sort comparator was quadratic at scale. *)
+  let degrees = Hashtbl.create 256 in
+  let degree a = Option.value (Hashtbl.find_opt degrees a) ~default:0 in
+  let bump a = Hashtbl.replace degrees a (degree a + 1) in
+  List.iter
+    (fun (l : Topology.Spec.link_spec) ->
+      bump l.a;
+      if not (Net.Asn.equal l.a l.b) then bump l.b)
+    (Topology.Spec.links spec);
+  let ranked order =
+    List.map (fun a -> (degree a, a)) candidates
+    |> List.stable_sort (fun (da, _) (db, _) -> order da db)
+    |> List.filteri (fun i _ -> i < k)
+    |> List.map snd
+  in
+  match placement with
+  | Top_degree -> ranked (fun da db -> Int.compare db da)
+  | Stubs_first -> ranked Int.compare
+  | Random_choice -> Engine.Rng.sample (Engine.Rng.create seed) k candidates
+
+type caida_world = { spec : Topology.Spec.t; stub_asns : Net.Asn.t list }
+
+let caida_world ~tier1 ~tier2 ~stubs ~seed =
+  {
+    spec = Topology.Caida.generate ~tier1 ~tier2 ~stubs (Engine.Rng.create seed);
+    stub_asns = Topology.Caida.stub_asns ~tier1 ~tier2 ~stubs;
+  }
 
 type scale_result = {
-  ases : int;
-  links : int;
-  prefixes : int;
-  sdn_members : int;
   load_updates : int; (* collector-recorded updates during the load phase *)
   load_seconds : float; (* host seconds spent in the load phase *)
-  updates_per_sec : float; (* load_updates / load_seconds *)
   load_settled : bool; (* the load phase reached quiescence under its budget *)
   withdrawal : run_result; (* the measured withdrawal after the load *)
-  rib_routes : int; (* Loc-RIB entries summed over legacy routers *)
-  adj_in_routes : int; (* Adj-RIB-In entries summed over legacy routers *)
-  live_words : int; (* major-heap live words after the run (post-compaction) *)
+  rib_routes : int; (* Loc-RIB entries over legacy routers after the load *)
+  adj_in_routes : int; (* Adj-RIB-In entries over legacy routers after the load *)
+  live_words : int; (* major-heap live words at the end of the run *)
   peak_words : int; (* Gc top_heap_words over the whole run *)
   distinct_attrs : int; (* interned attribute sets (domain-local table) *)
 }
 
-(* Run the queue dry under two explicit bounds: an event budget and an
-   optional host-clock deadline.  [Network.settle] treats an exhausted
-   budget as divergence and raises, but at scale a bounded horizon is the
-   intended operating mode.  One batched delivery can carry thousands of
-   prefixes — per-event cost varies by four orders of magnitude — so
-   events alone cannot bound wall time; the deadline is checked between
-   small slices.  Returns [true] iff the queue actually drained
-   (quiescence). *)
-let bounded_settle ?deadline ?(clock = Sys.time) exp ~budget =
-  let sim = Experiment.sim exp in
-  let slice = 100 in
-  let rec loop remaining =
-    if remaining <= 0 then false
-    else if (match deadline with Some d -> clock () >= d | None -> false) then false
-    else
-      match Engine.Sim.run ~max_events:(min slice remaining) sim with
-      | Engine.Sim.Exhausted -> true
-      | Engine.Sim.Reached_limit -> loop (remaining - slice)
-      | Engine.Sim.Reached_time _ -> assert false
+(* The one CAIDA withdrawal run: [k] members placed by [placement] on
+   [spec], [load] run on the fresh experiment (its result is returned),
+   then [origin]'s plan prefix announced and withdrawn.  Each phase runs
+   to quiescence and raises on divergence ([Network.settle]), or, given a
+   [budget], stops after that many events: the scale path's horizon. *)
+let caida_run ?budget ~load ~spec ~k ~placement ~origin ~seed ~config () =
+  let members = choose_members ~spec ~k ~placement ~origin ~seed in
+  let exp = Experiment.create ~config ~seed (Topology.Spec.with_sdn spec members) in
+  let loaded = load exp in
+  let prefix = Experiment.default_prefix exp origin in
+  let measure action =
+    Experiment.measure ?max_events:budget ~bounded:(Option.is_some budget) exp ~prefix action
   in
-  loop budget
+  ignore (measure (fun () -> ignore (Experiment.announce exp origin)));
+  let since = collector_count exp in
+  let withdrawn = measure (fun () -> ignore (Experiment.withdraw exp origin)) in
+  (exp, loaded, result ~since exp withdrawn)
 
-(* [Convergence.measure] under the same bounded budget/deadline. *)
-let bounded_measure ?deadline ?clock exp ~budget ~prefix action =
-  let watcher = Experiment.watcher exp in
-  let event_time = Experiment.now exp in
-  let changes_before = Convergence.control_changes watcher prefix in
-  action ();
-  ignore (bounded_settle ?deadline ?clock exp ~budget);
-  let last_change =
-    match Convergence.last_control_change watcher prefix with
-    | Some time when Engine.Time.(time >= event_time) -> Some time
-    | Some _ | None -> None
-  in
-  {
-    Convergence.prefix;
-    event_time;
-    settled_at = Experiment.now exp;
-    last_change;
-    convergence = Option.map (fun c -> Engine.Time.diff c event_time) last_change;
-    changes = Convergence.control_changes watcher prefix - changes_before;
-  }
+(* Withdrawal convergence with [k] members placed by [placement]. *)
+let placement_run ~spec ~k ~placement ~origin ~seed ~config () =
+  let exp, (), r = caida_run ~load:ignore ~spec ~k ~placement ~origin ~seed ~config () in
+  (* the committed placement CSVs count every update since bootstrap *)
+  { r with collector_updates = collector_count exp }
+
+(* --- Internet scale -------------------------------------------------------
+
+   The placement run on a large CAIDA world, with thousands of load
+   prefixes spread across its stubs before the measured withdrawal.  The
+   event budget bounds peak memory and host time; [load_settled] reports
+   whether the load in fact quiesced, as small configurations do. *)
 
 (* Synthetic prefixes for the load phase: 101.0.0.0/24 onward, disjoint
    from the addressing plan's 100.64/10 origin prefixes and 10/8 router
@@ -401,79 +305,47 @@ let scale_prefix m =
     (Net.Ipv4.addr_of_octets (101 + (m lsr 16)) ((m lsr 8) land 0xff) (m land 0xff) 0)
     24
 
-let scale_run ?(tier1 = 5) ?(tier2 = 40) ?(stubs = 455) ?(prefixes = 1000) ?(sdn = 0)
-    ?(load_max_events = 20_000_000) ?phase_wall_s ?(clock = Sys.time) ~seed ~config () =
-  let total = tier1 + tier2 + stubs in
-  let spec = Topology.Caida.generate ~tier1 ~tier2 ~stubs (Engine.Rng.create seed) in
-  let stub_list = Topology.Caida.stub_asns ~tier1 ~tier2 ~stubs in
-  let origin = List.hd stub_list in
-  let members = choose_members ~spec ~k:sdn ~placement:Top_degree ~origin ~seed in
-  let spec = Topology.Spec.with_sdn spec members in
+let scale_run ?(prefixes = 1000) ?(load_max_events = 20_000_000) ?(clock = Sys.time) ~world ~k
+    ~seed ~config () =
+  let stubs = Array.of_list world.stub_asns in
+  (* the load phase; the withdrawal and end-of-run heap complete its figures *)
+  let load exp =
+    let network = Experiment.network exp in
+    let t0 = clock () in
+    let updates_before = collector_count exp in
+    for m = 0 to prefixes - 1 do
+      Network.originate network stubs.(m mod Array.length stubs) (scale_prefix m)
+    done;
+    let drained = Engine.Sim.run ~max_events:load_max_events (Experiment.sim exp) in
+    let load_seconds = clock () -. t0 in
+    let load_updates = collector_count exp - updates_before in
+    let rib_routes, adj_in_routes =
+      Net.Asn.Map.fold
+        (fun _ r (loc, adj) -> (loc + Bgp.Router.loc_size r, adj + Bgp.Router.adj_in_size r))
+        (Network.routers network) (0, 0)
+    in
+    fun withdrawal ->
+      let stat = Gc.stat () in
+      {
+        load_updates;
+        load_seconds;
+        load_settled = drained = Engine.Sim.Exhausted;
+        withdrawal;
+        rib_routes;
+        adj_in_routes;
+        live_words = stat.Gc.live_words;
+        peak_words = stat.Gc.top_heap_words;
+        distinct_attrs = (Bgp.Attrs.intern_stats ()).Bgp.Attrs.distinct_full;
+      }
+  in
   (* At scale the collector keeps counts and last-update instants only;
      the full event log would dominate the live heap. *)
   let config = { config with Config.collector_retention = Bgp.Collector.Counts_only } in
-  let exp = Experiment.create ~config ~seed spec in
-  let network = Experiment.network exp in
-  let stub_arr = Array.of_list stub_list in
-  (* Load: [prefixes] origins round-robin across the stubs, one event
-     budget for the whole propagation. *)
-  let t0 = clock () in
-  let deadline_from t = Option.map (fun w -> t +. w) phase_wall_s in
-  let updates_before = collector_count exp in
-  for m = 0 to prefixes - 1 do
-    Network.originate network stub_arr.(m mod Array.length stub_arr) (scale_prefix m)
-  done;
-  let load_settled =
-    bounded_settle ?deadline:(deadline_from t0) ~clock exp ~budget:load_max_events
+  let _, finish, withdrawal =
+    caida_run ~budget:load_max_events ~load ~spec:world.spec ~k ~placement:Top_degree
+      ~origin:(List.hd world.stub_asns) ~seed ~config ()
   in
-  let load_seconds = clock () -. t0 in
-  let load_updates = collector_count exp - updates_before in
-  let rib_routes, adj_in_routes =
-    Net.Asn.Map.fold
-      (fun _ r (loc, adj) -> (loc + Bgp.Router.loc_size r, adj + Bgp.Router.adj_in_size r))
-      (Network.routers network) (0, 0)
-  in
-  (* The measured withdrawal: the origin announces its (plan) prefix and
-     withdraws it, each phase run to quiescence under the same budget. *)
-  let prefix = Experiment.default_prefix exp origin in
-  let measure action =
-    bounded_measure ?deadline:(deadline_from (clock ())) ~clock exp ~budget:load_max_events
-      ~prefix action
-  in
-  ignore (measure (fun () -> ignore (Experiment.announce exp origin)));
-  let since = collector_count exp in
-  let withdrawal =
-    result ~since exp (measure (fun () -> ignore (Experiment.withdraw exp origin)))
-  in
-  let stat = Gc.stat () in
-  let intern = Bgp.Attrs.intern_stats () in
-  {
-    ases = total;
-    links = List.length (Topology.Spec.links spec);
-    prefixes;
-    sdn_members = sdn;
-    load_updates;
-    load_seconds;
-    updates_per_sec =
-      (if load_seconds > 0.0 then float_of_int load_updates /. load_seconds else nan);
-    load_settled;
-    withdrawal;
-    rib_routes;
-    adj_in_routes;
-    live_words = stat.Gc.live_words;
-    peak_words = stat.Gc.top_heap_words;
-    distinct_attrs = intern.Bgp.Attrs.distinct_full;
-  }
-
-(* The convergence-vs-centralization curve at scale: the Fig. 2 shape on
-   a CAIDA-generated graph with loaded tables, x = centralized member
-   count (top-degree placement). *)
-let scale_sweep ?pool ?(tier1 = 4) ?(tier2 = 24) ?(stubs = 72) ?(prefixes = 200)
-    ?(ks = [ 0; 8; 16; 24 ]) ?(runs = 3) ?(seed = 97) ?(config = Config.default) () =
-  sweep ?pool ~label:(Fmt.str "scale-caida%d-p%d" (tier1 + tier2 + stubs) prefixes) ~runs ~seed
-    (List.map float_of_int ks) (fun ~x ~seed ->
-      (scale_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn:(int_of_float x) ~seed ~config ())
-        .withdrawal)
+  finish withdrawal
 
 (* --- Flap storm / route-flap damping ------------------------------------ *)
 
@@ -511,8 +383,7 @@ let flap_run ?(n = 8) ?(flaps = 4) ?(gap_s = 45.0) ~damping ~seed ~config () =
   done;
   (* the storm is over; measure recovery of the final announcement *)
   let final_event = !final_event in
-  let settled = Network.settle network in
-  ignore settled;
+  ignore (Network.settle network);
   let watcher = Experiment.watcher exp in
   let recovery_seconds =
     match Convergence.last_control_change watcher prefix with
@@ -520,27 +391,14 @@ let flap_run ?(n = 8) ?(flaps = 4) ?(gap_s = 45.0) ~damping ~seed ~config () =
       Engine.Time.to_sec_f (Engine.Time.diff t final_event)
     | Some _ | None -> 0.0
   in
+  let count f = Net.Asn.Map.fold (fun asn r acc -> acc + f asn r) (Network.routers network) 0 in
   let suppressions_total =
-    List.fold_left
-      (fun acc asn ->
-        match Network.router network asn with
-        | Some r -> (
-          match Bgp.Router.damping_state r with
-          | Some d -> acc + Bgp.Damping.suppressions d
-          | None -> acc)
-        | None -> acc)
-      0 (Network.asns network)
+    count (fun _ r ->
+        match Bgp.Router.damping_state r with Some d -> Bgp.Damping.suppressions d | None -> 0)
   in
   let blackholed_after_storm =
-    List.length
-      (List.filter
-         (fun asn ->
-           (not (Net.Asn.equal asn origin))
-           &&
-           match Network.router network asn with
-           | Some r -> Bgp.Router.best r prefix = None
-           | None -> false)
-         (Network.asns network))
+    count (fun asn r ->
+        Bool.to_int ((not (Net.Asn.equal asn origin)) && Bgp.Router.best r prefix = None))
   in
   {
     collector_updates_total = Bgp.Collector.event_count collector - updates_before;
@@ -672,14 +530,12 @@ type loss_result = {
   loss_epochs : Trafficgen.epoch list; (* post-event bursts, oldest first *)
 }
 
-let rec drop k xs = if k <= 0 then xs else match xs with [] -> [] | _ :: tl -> drop (k - 1) tl
-
-(* The shared measured core: announce [origin]'s prefix, settle, then
-   fail the [origin]-[peer] link and sample probe bursts every
-   [interval_ms] until a burst comes back loss-free (or [cap_s] of
-   simulated time passes — a censored run, e.g. a single-homed origin
-   that can never recover). *)
-let loss_run_core ~spec ~origin ~peer ~per_prefix ~interval_ms ~cap_s ~seed ~config () =
+(* The measured loss run on any topology: announce [origin]'s prefix,
+   settle, then fail the [origin]-[peer] link and sample probe bursts
+   every [interval_ms] until a burst comes back loss-free (or 600 s of
+   simulated time pass — a censored run, e.g. a single-homed origin that
+   can never recover). *)
+let loss_run_on ?(per_prefix = 2) ?(interval_ms = 100) ~spec ~origin ~peer ~seed ~config () =
   let exp = Experiment.create ~config ~seed spec in
   let prefix = announced exp origin in
   let network = Experiment.network exp in
@@ -692,7 +548,7 @@ let loss_run_core ~spec ~origin ~peer ~per_prefix ~interval_ms ~cap_s ~seed ~con
   ignore (Trafficgen.burst tg);
   let baseline_epochs = List.length (Trafficgen.epochs tg) in
   let interval = Engine.Time.ms interval_ms in
-  let cap = Engine.Time.of_sec_f cap_s in
+  let cap = Engine.Time.sec 600 in
   let event_time = ref Engine.Time.zero in
   let rec sample () =
     let e = Trafficgen.burst tg in
@@ -706,7 +562,7 @@ let loss_run_core ~spec ~origin ~peer ~per_prefix ~interval_ms ~cap_s ~seed ~con
         Experiment.fail_link exp origin peer;
         sample ())
   in
-  let post = drop baseline_epochs (Trafficgen.epochs tg) in
+  let post = List.filteri (fun i _ -> i >= baseline_epochs) (Trafficgen.epochs tg) in
   let rel (e : Trafficgen.epoch) =
     Engine.Time.to_sec_f (Engine.Time.diff e.Trafficgen.at !event_time)
   in
@@ -742,48 +598,9 @@ let loss_run_core ~spec ~origin ~peer ~per_prefix ~interval_ms ~cap_s ~seed ~con
 (* Loss on the fail-over topology: the stub's primary path dies and the
    network must shift onto the strictly longer backup chain; [sdn] clique
    members (never the primary/backup anchors) are centralized. *)
-let loss_run ?(per_prefix = 2) ?(interval_ms = 100) ?(cap_s = 600.0) ~n ~sdn ~seed ~config () =
-  if sdn > n - 2 then invalid_arg "Experiments.loss_run: too many SDN members";
-  let spec =
-    with_clique_sdn ~n ~sdn
-      (Topology.Artificial.failover_backup_chain ~clique_size:n ~chain_len:2 ())
-  in
-  let stub = Topology.Artificial.stub_asn spec in
-  let primary = Topology.Artificial.asn 0 in
-  loss_run_core ~spec ~origin:stub ~peer:primary ~per_prefix ~interval_ms ~cap_s ~seed ~config
-    ()
-
-(* Fig. 2's companion curve: data-plane loss duration vs SDN membership
-   on the fail-over clique. *)
-let loss_sweep ?pool ?(n = 16) ?(runs = 5) ?(seed = 43) ?(per_prefix = 2) ?(interval_ms = 100)
-    ?(config = Config.default) () =
-  sweep ?pool ~label:(Fmt.str "loss-failover-clique%d" n) ~runs ~seed (sdn_levels n)
-    (fun ~x ~seed -> loss_run ~per_prefix ~interval_ms ~n ~sdn:(int_of_float x) ~seed ~config ())
-
-(* The same curve on an Internet-like CAIDA graph: the origin is a
-   multi-homed stub (so the failure is survivable), the failed link its
-   first provider, members placed top-degree.  The spec is generated
-   once from the base seed and shared read-only across runs. *)
-let loss_sweep_caida ?pool ?(tier1 = 3) ?(tier2 = 8) ?(stubs = 20) ?(ks = [ 0; 2; 4; 6; 8 ])
-    ?(runs = 3) ?(seed = 61) ?(per_prefix = 2) ?(interval_ms = 100) ?(config = Config.default)
-    () =
-  let spec0 = Topology.Caida.generate ~tier1 ~tier2 ~stubs (Engine.Rng.create seed) in
-  let stub_list = Topology.Caida.stub_asns ~tier1 ~tier2 ~stubs in
-  let origin =
-    match
-      List.find_opt (fun a -> List.length (Topology.Spec.neighbors spec0 a) >= 2) stub_list
-    with
-    | Some a -> a
-    | None -> List.hd stub_list
-  in
-  let peer = List.hd (Topology.Spec.neighbors spec0 origin) in
-  sweep ?pool ~label:(Fmt.str "loss-caida%d" (tier1 + tier2 + stubs)) ~runs ~seed:(seed + 1)
-    (List.map float_of_int ks) (fun ~x ~seed ->
-      let members =
-        choose_members ~spec:spec0 ~k:(int_of_float x) ~placement:Top_degree ~origin ~seed
-      in
-      let spec = Topology.Spec.with_sdn spec0 members in
-      loss_run_core ~spec ~origin ~peer ~per_prefix ~interval_ms ~cap_s:600.0 ~seed ~config ())
+let loss_run ?per_prefix ?interval_ms ~n ~sdn ~seed ~config () =
+  let spec, stub, primary = failover_world ~n ~sdn in
+  loss_run_on ?per_prefix ?interval_ms ~spec ~origin:stub ~peer:primary ~seed ~config ()
 
 let pp_loss_series ppf s =
   Fmt.pf ppf "@[<v># %s@,%8s %10s %10s %10s %10s %10s@," s.label "x" "loss_s" "bh_s"
@@ -807,3 +624,176 @@ let loss_series_to_csv =
     (fun r ->
       Fmt.str "%.6f,%.6f,%.6f,%.6f,%d,%d,%.6f,%d" r.converge_seconds r.loss_seconds
         r.blackhole_seconds r.loop_seconds r.probes r.lost r.max_loss_ratio r.residual_issues)
+
+(* --- The sweep table ------------------------------------------------------
+
+   Every [hybridsim sweep --kind] is one row: its name, the CSV label and
+   x axis as functions of the clique size [-n], its default run count,
+   the smallest [-n] its runs accept, and the run at one (x, seed).  A
+   row's run is applied to the sweep's parameters once, before the grid
+   starts, so a row can build a shared read-only world there. *)
+
+type params = { n : int; seed : int; config : Config.t; per_prefix : int; interval_ms : int }
+
+type measure =
+  | Convergence of (params -> x:int -> seed:int -> run_result)
+  | Loss of (params -> x:int -> seed:int -> loss_result)
+
+type kind = {
+  name : string;
+  aliases : string list;
+  doc : string;
+  label_of : int -> string;
+  axis : int -> int list;
+  runs : int;
+  min_n : int;
+  measure : measure;
+}
+
+type sweep_result = Convergence_series of run_result series | Loss_series of loss_result series
+
+let row ?(aliases = []) ?(min_n = 2) ~runs name doc label_of axis measure =
+  { name; aliases; doc; label_of; axis; runs; min_n; measure }
+
+let kinds =
+  let clique name n = Fmt.str "%s-clique%d" name n in
+  let fixed xs _ = xs in
+  let upto step limit = List.init ((limit / step) + 1) (fun i -> step * i) in
+  (* 0, 2, 4, ... n-2 SDN members out of n, as in Fig. 2 *)
+  let sdn_levels n = upto 2 (n - 2) in
+  (* half the clique centralized: n >= 3 keeps the origin and one more AS legacy *)
+  let half p = p.n / 2 in
+  let withdrawal p ~sdn ~seed config = clique_run ~n:p.n ~sdn ~event:Withdrawal ~seed ~config () in
+  let scaling name ~fraction =
+    row name ~runs:5
+      (Fmt.str "withdrawal vs clique size 8..24 at %.0f%% SDN (-n unused)" (fraction *. 100.0))
+      (fun _ -> Fmt.str "scaling-withdrawal-f%.2f" fraction)
+      (fixed [ 8; 12; 16; 20; 24 ])
+      (Convergence
+         (fun p ~x:n ~seed ->
+           let sdn = min (int_of_float (float_of_int n *. fraction)) (n - 2) in
+           withdrawal { p with n } ~sdn ~seed p.config))
+  in
+  let mrai name ~halved =
+    row name ~runs:10 ~min_n:(if halved then 3 else 2)
+      (Fmt.str "MRAI 5, 15 and 30 s at %d%% SDN" (if halved then 50 else 0))
+      (fun n -> Fmt.str "%s-sdn%d" (clique "ablation-mrai" n) (if halved then n / 2 else 0))
+      (fixed [ 5; 15; 30 ])
+      (Convergence
+         (fun p ~x ~seed ->
+           let sdn = if halved then half p else 0 in
+           withdrawal p ~sdn ~seed (Config.with_mrai p.config (Engine.Time.sec x))))
+  in
+  (* the CAIDA rows' world: a 31-AS graph from the base seed; their runs
+     take the next seed *)
+  let caida31 p = caida_world ~tier1:3 ~tier2:8 ~stubs:20 ~seed:p.seed in
+  let placement placement =
+    let name = placement_to_string placement in
+    row ("placement:" ^ name)
+      ~aliases:(if placement = Top_degree then [ "placement" ] else [])
+      ~runs:5
+      (Fmt.str "withdrawal vs k = 0..8 members placed %s on a 31-AS CAIDA-style graph (-n unused)"
+         name)
+      (fun _ -> "placement-" ^ name)
+      (fixed [ 0; 2; 4; 6; 8 ])
+      (Convergence
+         (fun p ->
+           let world = caida31 p in
+           let origin = List.hd world.stub_asns in
+           fun ~x ~seed ->
+             placement_run ~spec:world.spec ~k:x ~placement ~origin ~seed:(seed + 1)
+               ~config:p.config ()))
+  in
+  [
+    row "fig2" ~aliases:[ "withdraw" ] ~runs:10
+      "the paper's Fig. 2: withdrawal vs SDN members 0, 2, .., n-2" (clique "fig2-withdrawal")
+      sdn_levels
+      (Convergence (fun p ~x ~seed -> withdrawal p ~sdn:x ~seed p.config));
+    row "announce" ~runs:10 "announcement vs SDN members" (clique "announcement") sdn_levels
+      (Convergence
+         (fun p ~x ~seed ->
+           clique_run ~n:p.n ~sdn:x ~event:Announcement ~seed ~config:p.config ()));
+    row "failover" ~runs:10 "fail-over onto a longer backup chain vs SDN members"
+      (clique "failover") sdn_levels
+      (Convergence (fun p ~x ~seed -> failover_run ~n:p.n ~sdn:x ~seed ~config:p.config ()));
+    scaling "scaling" ~fraction:0.5;
+    scaling "scaling:0" ~fraction:0.0;
+    row "ablation:delay" ~runs:10 ~min_n:3 "controller recompute delay 0..8 s at 50% SDN"
+      (clique "ablation-recompute-delay")
+      (fixed [ 0; 500; 2000; 8000 ])
+      (Convergence
+         (fun p ~x ~seed ->
+           withdrawal p ~sdn:(half p) ~seed
+             (Config.with_recompute_delay p.config (Engine.Time.ms x))));
+    mrai "ablation:mrai" ~halved:false;
+    mrai "ablation:mrai:half" ~halved:true;
+    row "ablation:wrate" ~runs:10 "RFC-exempt (x=0) vs Quagga-paced (x=1) withdrawals at 0% SDN"
+      (fun n -> clique "ablation-wrate" n ^ "-sdn0")
+      (fixed [ 0; 1 ])
+      (Convergence
+         (fun p ~x ~seed ->
+           let bgp = { p.config.Config.bgp with Bgp.Config.mrai_on_withdrawals = x = 1 } in
+           withdrawal p ~sdn:0 ~seed { p.config with Config.bgp }));
+    row "ablation:speaker" ~runs:5 ~min_n:3 "cluster speaker MRAI off (x=0) vs on (x=1) at 50% SDN"
+      (clique "ablation-speaker-mrai")
+      (fixed [ 0; 1 ])
+      (Convergence
+         (fun p ~x ~seed ->
+           let speaker_mrai = if x = 1 then Some Bgp.Config.default else None in
+           withdrawal p ~sdn:(half p) ~seed { p.config with Config.speaker_mrai }));
+    row "churn-load" ~runs:1 ~min_n:3 "withdrawal beside a flapping neighbour vs SDN members"
+      (clique "churn-load")
+      (fun n -> upto 4 (n - 3))
+      (Convergence
+         (fun p ~x ~seed -> churn_run ~n:p.n ~sdn:x ~flap_period_s:20.0 ~seed ~config:p.config ()));
+    row "table-size" ~runs:1 "withdrawal vs background prefixes (a negative control)"
+      (clique "table-size")
+      (fun n -> upto 5 (n - 1))
+      (Convergence
+         (fun p ~x ~seed -> table_size_run ~n:p.n ~sdn:0 ~background:x ~seed ~config:p.config ()));
+    placement Top_degree;
+    placement Random_choice;
+    placement Stubs_first;
+    row "loss" ~runs:5 "data-plane loss vs SDN members on the fail-over clique"
+      (clique "loss-failover") sdn_levels
+      (Loss
+         (fun p ~x ~seed ->
+           loss_run ~per_prefix:p.per_prefix ~interval_ms:p.interval_ms ~n:p.n ~sdn:x ~seed
+             ~config:p.config ()));
+    (* the first multi-homed stub loses its first provider link, so the
+       failure is survivable *)
+    row "loss:caida" ~runs:3
+      "data-plane loss vs k top-degree members on the placement graph, failing a stub's \
+       provider link (-n unused)"
+      (fun _ -> "loss-caida31")
+      (fixed [ 0; 2; 4; 6; 8 ])
+      (Loss
+         (fun p ->
+           let { spec; stub_asns } = caida31 p in
+           let multihomed a = List.length (Topology.Spec.neighbors spec a) >= 2 in
+           let origin =
+             Option.value (List.find_opt multihomed stub_asns) ~default:(List.hd stub_asns)
+           in
+           let peer = List.hd (Topology.Spec.neighbors spec origin) in
+           fun ~x ~seed ->
+             let seed = seed + 1 in
+             let members = choose_members ~spec ~k:x ~placement:Top_degree ~origin ~seed in
+             loss_run_on ~per_prefix:p.per_prefix ~interval_ms:p.interval_ms
+               ~spec:(Topology.Spec.with_sdn spec members) ~origin ~peer ~seed ~config:p.config
+               ()));
+  ]
+
+let check_n kind n =
+  if n >= kind.min_n then Ok () else Error (Fmt.str "--kind %s needs -n >= %d" kind.name kind.min_n)
+
+let sweep_kind ?pool ?runs kind p =
+  Result.iter_error (fun msg -> invalid_arg ("Experiments.sweep_kind: " ^ msg)) (check_n kind p.n);
+  let runs = Option.value runs ~default:kind.runs in
+  let grid run =
+    sweep ?pool ~label:(kind.label_of p.n) ~runs ~seed:p.seed
+      (List.map float_of_int (kind.axis p.n))
+      (fun ~x ~seed -> run ~x:(int_of_float x) ~seed)
+  in
+  match kind.measure with
+  | Convergence run -> Convergence_series (grid (run p))
+  | Loss run -> Loss_series (grid (run p))

@@ -1,18 +1,16 @@
-(** Canned experiments reproducing the paper's evaluation, parameterized
-    so tests can run scaled-down instances of the exact code paths
-    [hybridsim sweep] runs.
+(** Canned experiments reproducing the paper's evaluation: single-run
+    primitives, the grid runner {!sweep}, and the table {!kinds} of every
+    sweep [hybridsim sweep --kind] runs.  Tests run the same rows and
+    primitives at small sizes.
 
-    Every sweep takes an optional [?pool] ({!Engine.Pool.t}): when given,
-    the independent [(x, trial)] runs of the sweep are dispatched across
-    the pool's domains.  Each run owns its whole mutable world (its
-    [Experiment], and through it its [Sim], [Metrics] registry, [Rng]
-    streams and [Causal] spans), and results are collected in deterministic
-    (x, trial-index) order — so parallel output is bit-identical to the
-    sequential run ([?pool] absent, or [jobs = 1]). *)
+    With [?pool] ({!Engine.Pool.t}), {!sweep} and {!sweep_kind} dispatch
+    the independent [(x, trial)] runs across the pool's domains.  Each run
+    owns its whole mutable world (its [Experiment], and through it its
+    [Sim], [Metrics] registry, [Rng] streams and [Causal] spans), and
+    results are collected in (x, trial-index) order — so parallel output
+    is bit-identical to the sequential run. *)
 
 type event_kind = Withdrawal | Announcement | Failover
-
-val event_to_string : event_kind -> string
 
 type run_result = {
   seconds : float;  (** convergence time of the measured event *)
@@ -36,11 +34,6 @@ type 'r series = { label : string; points : 'r point list }
 val box : run_result point -> Engine.Stats.boxplot
 (** Boxplot of the point's convergence seconds.
     @raise Invalid_argument on a point without runs. *)
-
-val with_clique_sdn : n:int -> sdn:int -> Topology.Spec.t -> Topology.Spec.t
-(** Centralize the last [sdn] ASes of an [n]-clique (nodes [n-1] down to
-    [n-sdn]), so the origin and fail-over anchors (nodes 0 and 1) join
-    last. *)
 
 val clique_run :
   n:int -> sdn:int -> event:event_kind -> seed:int -> config:Config.t -> unit -> run_result
@@ -67,62 +60,6 @@ val sweep :
     in (x, trial) order, so the result is identical to the sequential one.
     @raise Invalid_argument if [runs < 1]. *)
 
-val fig2_withdrawal :
-  ?pool:Engine.Pool.t -> ?n:int -> ?runs:int -> ?seed:int -> ?config:Config.t -> unit ->
-  run_result series
-(** The paper's Fig. 2 sweep: withdrawal convergence vs SDN fraction. *)
-
-val announcement_sweep :
-  ?pool:Engine.Pool.t -> ?n:int -> ?runs:int -> ?seed:int -> ?config:Config.t -> unit ->
-  run_result series
-
-val failover_sweep :
-  ?pool:Engine.Pool.t -> ?n:int -> ?runs:int -> ?seed:int -> ?config:Config.t -> unit ->
-  run_result series
-
-val ablation_recompute_delay :
-  ?pool:Engine.Pool.t ->
-  ?n:int ->
-  ?runs:int ->
-  ?seed:int ->
-  ?config:Config.t ->
-  ?delays_ms:int list ->
-  unit ->
-  run_result series
-
-val ablation_mrai :
-  ?pool:Engine.Pool.t ->
-  ?n:int ->
-  ?runs:int ->
-  ?seed:int ->
-  ?config:Config.t ->
-  ?mrai_s:int list ->
-  sdn:int ->
-  unit ->
-  run_result series
-
-val ablation_wrate :
-  ?pool:Engine.Pool.t ->
-  ?n:int ->
-  ?runs:int ->
-  ?seed:int ->
-  ?config:Config.t ->
-  sdn:int ->
-  unit ->
-  run_result series
-(** RFC-exempt (x=0) vs Quagga-paced (x=1) withdrawals. *)
-
-val scaling_sweep :
-  ?pool:Engine.Pool.t ->
-  ?sizes:int list ->
-  ?fraction:float ->
-  ?runs:int ->
-  ?seed:int ->
-  ?config:Config.t ->
-  unit ->
-  run_result series
-(** Withdrawal convergence vs clique size at a fixed SDN fraction. *)
-
 val churn_run :
   n:int -> sdn:int -> flap_period_s:float -> seed:int -> config:Config.t -> unit -> run_result
 (** Withdrawal convergence while an unrelated AS flaps its prefix: per-peer
@@ -131,8 +68,6 @@ val churn_run :
 (** Deployment-placement strategies for heterogeneous topologies. *)
 type placement = Top_degree | Random_choice | Stubs_first
 
-val placement_to_string : placement -> string
-
 val choose_members :
   spec:Topology.Spec.t ->
   k:int ->
@@ -140,6 +75,13 @@ val choose_members :
   origin:Net.Asn.t ->
   seed:int ->
   Net.Asn.t list
+
+type caida_world = { spec : Topology.Spec.t; stub_asns : Net.Asn.t list }
+(** A generated Internet-like graph and its stubs in generation order. *)
+
+val caida_world : tier1:int -> tier2:int -> stubs:int -> seed:int -> caida_world
+(** The world the placement rows, [loss:caida] and [hybridsim scale] share:
+    {!Topology.Caida.generate} from [seed], generated once per sweep. *)
 
 val placement_run :
   spec:Topology.Spec.t ->
@@ -150,21 +92,8 @@ val placement_run :
   config:Config.t ->
   unit ->
   run_result
-
-val placement_sweep :
-  ?pool:Engine.Pool.t ->
-  ?tier1:int ->
-  ?tier2:int ->
-  ?stubs:int ->
-  ?ks:int list ->
-  ?runs:int ->
-  ?seed:int ->
-  ?config:Config.t ->
-  placement:placement ->
-  unit ->
-  run_result series
-(** Withdrawal convergence vs cluster size on a synthetic Internet-like
-    topology, for one placement strategy. *)
+(** Withdrawal convergence of [origin]'s prefix with [k] members placed by
+    [placement]; [collector_updates] counts every update since bootstrap. *)
 
 val table_size_run :
   n:int -> sdn:int -> background:int -> seed:int -> config:Config.t -> unit -> run_result
@@ -172,18 +101,13 @@ val table_size_run :
     prefixes installed everywhere — should be table-size independent. *)
 
 type scale_result = {
-  ases : int;
-  links : int;
-  prefixes : int;
-  sdn_members : int;
   load_updates : int;  (** collector-recorded updates during the load phase *)
   load_seconds : float;  (** host seconds spent in the load phase *)
-  updates_per_sec : float;
   load_settled : bool;
       (** the load phase reached quiescence within its event budget *)
   withdrawal : run_result;  (** the measured withdrawal after the load *)
-  rib_routes : int;  (** Loc-RIB entries summed over legacy routers *)
-  adj_in_routes : int;  (** Adj-RIB-In entries summed over legacy routers *)
+  rib_routes : int;  (** Loc-RIB entries over legacy routers after the load *)
+  adj_in_routes : int;  (** Adj-RIB-In entries over legacy routers after the load *)
   live_words : int;  (** major-heap live words at end of run *)
   peak_words : int;  (** [Gc.top_heap_words] over the whole run *)
   distinct_attrs : int;  (** interned attribute sets (domain-local table) *)
@@ -194,46 +118,24 @@ val scale_prefix : int -> Net.Ipv4.prefix
     the addressing plan's origin prefixes. *)
 
 val scale_run :
-  ?tier1:int ->
-  ?tier2:int ->
-  ?stubs:int ->
   ?prefixes:int ->
-  ?sdn:int ->
   ?load_max_events:int ->
-  ?phase_wall_s:float ->
   ?clock:(unit -> float) ->
+  world:caida_world ->
+  k:int ->
   seed:int ->
   config:Config.t ->
   unit ->
   scale_result
-(** Internet-scale stress: a synthetic CAIDA graph loaded with [prefixes]
-    origins spread round-robin across its stubs (event budget
-    [load_max_events]; [load_settled] reports whether propagation in fact
-    quiesced), then one measured announce + withdrawal of the origin
-    stub's own prefix.  [sdn] centralizes that many top-degree ASes.  The
-    collector runs in [Counts_only] retention.  [clock] supplies host
-    time for the throughput figures (default [Sys.time]; pass
-    [Unix.gettimeofday] for wall clock).  [phase_wall_s] adds a
-    host-clock deadline per phase (load / announce / withdrawal): at
-    Internet scale one batched delivery can carry thousands of prefixes,
-    so an event budget alone cannot bound wall time; a phase stopped at
-    its deadline counts as unsettled. *)
-
-val scale_sweep :
-  ?pool:Engine.Pool.t ->
-  ?tier1:int ->
-  ?tier2:int ->
-  ?stubs:int ->
-  ?prefixes:int ->
-  ?ks:int list ->
-  ?runs:int ->
-  ?seed:int ->
-  ?config:Config.t ->
-  unit ->
-  run_result series
-(** The convergence-vs-centralization curve at scale: withdrawal
-    convergence on a loaded CAIDA graph vs centralized member count
-    (top-degree placement). *)
+(** Internet-scale stress: {!placement_run}'s withdrawal with [k]
+    top-degree members, its origin the world's first stub, after a load
+    of [prefixes] origins spread round-robin across the stubs.  Every
+    phase runs under the event budget [load_max_events]; [load_settled]
+    reports whether the load in fact quiesced.  The collector runs in
+    [Counts_only] retention, and [withdrawal.collector_updates] counts
+    the withdrawal phase only.  [clock] supplies host time for the
+    throughput figures (default [Sys.time]; pass [Unix.gettimeofday] for
+    wall clock). *)
 
 type flap_result = {
   collector_updates_total : int;
@@ -296,7 +198,6 @@ type loss_result = {
 val loss_run :
   ?per_prefix:int ->
   ?interval_ms:int ->
-  ?cap_s:float ->
   n:int ->
   sdn:int ->
   seed:int ->
@@ -306,40 +207,67 @@ val loss_run :
 (** One measured loss run on the fail-over topology: the stub's primary
     path dies, probe bursts ([per_prefix] seeded sources per prefix,
     every [interval_ms] of simulated time) classify the data plane until
-    a burst comes back loss-free or [cap_s] passes (censored). *)
+    a burst comes back loss-free or 600 s of simulated time pass
+    (censored). *)
 
-val loss_sweep :
-  ?pool:Engine.Pool.t ->
-  ?n:int ->
-  ?runs:int ->
-  ?seed:int ->
+val loss_run_on :
   ?per_prefix:int ->
   ?interval_ms:int ->
-  ?config:Config.t ->
+  spec:Topology.Spec.t ->
+  origin:Net.Asn.t ->
+  peer:Net.Asn.t ->
+  seed:int ->
+  config:Config.t ->
   unit ->
-  loss_result series
-(** Fig. 2's companion curve: loss / black-hole / loop duration vs SDN
-    membership on the fail-over clique.  Runs dispatch through [pool]
-    when given; output is bit-identical to the sequential sweep. *)
-
-val loss_sweep_caida :
-  ?pool:Engine.Pool.t ->
-  ?tier1:int ->
-  ?tier2:int ->
-  ?stubs:int ->
-  ?ks:int list ->
-  ?runs:int ->
-  ?seed:int ->
-  ?per_prefix:int ->
-  ?interval_ms:int ->
-  ?config:Config.t ->
-  unit ->
-  loss_result series
-(** The same curve on a generated CAIDA graph: the origin is a
-    multi-homed stub, the failed link its first provider, members placed
-    top-degree. *)
+  loss_result
+(** {!loss_run}'s measurement on any topology: [origin]'s prefix is
+    announced, then its link to [peer] fails.  The [loss:caida] row runs
+    it on the CAIDA world, failing a multi-homed stub's provider link. *)
 
 val pp_loss_series : Format.formatter -> loss_result series -> unit
 
 val loss_series_to_csv : loss_result series -> string
 (** One row per (point, run) for external plotting. *)
+
+(* --- The sweep table ------------------------------------------------------ *)
+
+type params = {
+  n : int;  (** clique size, for the rows whose world is a clique *)
+  seed : int;  (** base seed: trial [i] at each x runs with [seed + 1000 * i] *)
+  config : Config.t;
+  per_prefix : int;  (** loss rows: seeded probe sources per destination prefix *)
+  interval_ms : int;  (** loss rows: simulated ms between post-failure probe bursts *)
+}
+
+(** A row's run at one (x, seed), by result type.  The row applies it to
+    the sweep's {!params} once, before the grid starts, so it can build a
+    shared read-only world there. *)
+type measure =
+  | Convergence of (params -> x:int -> seed:int -> run_result)
+  | Loss of (params -> x:int -> seed:int -> loss_result)
+
+type kind = {
+  name : string;  (** the [--kind] value *)
+  aliases : string list;
+  doc : string;
+  label_of : int -> string;  (** series (CSV) label for clique size [n] *)
+  axis : int -> int list;  (** x values for clique size [n] *)
+  runs : int;  (** default runs per point *)
+  min_n : int;  (** smallest clique size the row's runs accept *)
+  measure : measure;
+}
+
+val kinds : kind list
+(** Every sweep, in [--kind] help order. *)
+
+type sweep_result =
+  | Convergence_series of run_result series
+  | Loss_series of loss_result series
+
+val check_n : kind -> int -> (unit, string) result
+(** [Error] when clique size [n] is below the row's [min_n]. *)
+
+val sweep_kind : ?pool:Engine.Pool.t -> ?runs:int -> kind -> params -> sweep_result
+(** Run one row's grid through {!sweep}, [runs] (default the row's)
+    trials per point.
+    @raise Invalid_argument if {!check_n} rejects [params.n], before any run. *)

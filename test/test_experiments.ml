@@ -1,12 +1,45 @@
 (* Framework.Experiments: scaled-down versions of the paper experiments —
    the same code paths as `hybridsim sweep`, with small n and few runs. *)
 
+module E = Framework.Experiments
+
 let cfg = Framework.Config.fast_test
+
+(* A row of the sweep table by name, and its grid at clique size [n]. *)
+let row name = List.find (fun (k : E.kind) -> k.name = name) E.kinds
+
+let params ~n ~seed = { E.n; seed; config = cfg; per_prefix = 2; interval_ms = 100 }
+
+let convergence ?pool ~runs name ~n ~seed =
+  match E.sweep_kind ?pool ~runs (row name) (params ~n ~seed) with
+  | E.Convergence_series s -> s
+  | E.Loss_series _ -> Alcotest.failf "%s is a loss row" name
+
+let loss ?pool ~runs name ~n ~seed =
+  match E.sweep_kind ?pool ~runs (row name) (params ~n ~seed) with
+  | E.Loss_series s -> s
+  | E.Convergence_series _ -> Alcotest.failf "%s is a convergence row" name
+
+(* The [n]-clique withdrawal grid over a custom axis. *)
+let withdrawal_grid ?pool ~label ~runs ~seed xs run =
+  E.sweep ?pool ~label ~runs ~seed (List.map float_of_int xs) (fun ~x ~seed ->
+      let n, sdn, config = run (int_of_float x) in
+      E.clique_run ~n ~sdn ~event:E.Withdrawal ~seed ~config ())
+
+(* Ablation A1's grid at a custom delay axis. *)
+let recompute_delay_grid ?pool ~n ~runs ~seed delays_ms =
+  withdrawal_grid ?pool ~label:"ablation-recompute-delay" ~runs ~seed delays_ms (fun ms ->
+      (n, n / 2, Framework.Config.with_recompute_delay cfg (Engine.Time.ms ms)))
+
+(* The scaling grid at custom sizes and deployment fraction. *)
+let scaling_grid ?pool ~sizes ~fraction ~runs ~seed () =
+  withdrawal_grid ?pool ~label:"scaling-withdrawal" ~runs ~seed sizes (fun n ->
+      (n, min (int_of_float (float_of_int n *. fraction)) (n - 2), cfg))
 
 let test_fig2_shape () =
   (* 8-AS clique, 0/2/4/6 SDN, 2 runs: median Tdown must decrease with
      the SDN fraction, and the linear fit must slope downward. *)
-  let s = Framework.Experiments.fig2_withdrawal ~n:8 ~runs:2 ~seed:3 ~config:cfg () in
+  let s = convergence "fig2" ~n:8 ~runs:2 ~seed:3 in
   let medians =
     List.map (fun p -> (Framework.Experiments.box p).Engine.Stats.median)
       s.Framework.Experiments.points
@@ -22,7 +55,7 @@ let test_fig2_shape () =
   Alcotest.(check bool) (Fmt.str "linear fit r2=%.2f" r2) true (r2 > 0.7)
 
 let test_announcement_fast_and_flat () =
-  let s = Framework.Experiments.announcement_sweep ~n:8 ~runs:2 ~seed:5 ~config:cfg () in
+  let s = convergence "announce" ~n:8 ~runs:2 ~seed:5 in
   List.iter
     (fun p ->
       Alcotest.(check bool)
@@ -37,7 +70,7 @@ let test_failover_completes () =
   Alcotest.(check bool) "positive" true (r.Framework.Experiments.seconds > 0.0)
 
 let test_failover_sweep_runs () =
-  let s = Framework.Experiments.failover_sweep ~n:6 ~runs:1 ~seed:9 ~config:cfg () in
+  let s = convergence "failover" ~n:6 ~runs:1 ~seed:9 in
   Alcotest.(check bool) "has points" true (List.length s.Framework.Experiments.points >= 2);
   List.iter
     (fun p ->
@@ -46,16 +79,13 @@ let test_failover_sweep_runs () =
     s.Framework.Experiments.points
 
 let test_ablation_recompute_delay () =
-  let s =
-    Framework.Experiments.ablation_recompute_delay ~n:6 ~runs:1 ~seed:11 ~config:cfg
-      ~delays_ms:[ 0; 1000 ] ()
-  in
+  let s = recompute_delay_grid ~n:6 ~runs:1 ~seed:11 [ 0; 1000 ] in
   Alcotest.(check int) "two points" 2 (List.length s.Framework.Experiments.points)
 
 let test_ablation_wrate_direction () =
   (* Quagga-style withdrawal pacing (x=1) must converge slower than
      RFC-style exemption (x=0). *)
-  let s = Framework.Experiments.ablation_wrate ~n:6 ~runs:2 ~seed:13 ~config:cfg ~sdn:0 () in
+  let s = convergence "ablation:wrate" ~n:6 ~runs:2 ~seed:13 in
   match s.Framework.Experiments.points with
   | [ rfc; quagga ] ->
     Alcotest.(check bool)
@@ -70,8 +100,8 @@ let test_ablation_mrai_direction () =
   (* Exploration rounds are MRAI-paced: at 0% SDN a longer MRAI must
      converge slower. *)
   let s =
-    Framework.Experiments.ablation_mrai ~n:6 ~runs:2 ~seed:17 ~config:cfg ~mrai_s:[ 1; 2; 4 ]
-      ~sdn:0 ()
+    withdrawal_grid ~label:"ablation-mrai" ~runs:2 ~seed:17 [ 1; 2; 4 ] (fun mrai ->
+        (6, 0, Framework.Config.with_mrai cfg (Engine.Time.sec mrai)))
   in
   let medians =
     List.map (fun p -> (Framework.Experiments.box p).Engine.Stats.median)
@@ -108,6 +138,26 @@ let test_placement_strategies () =
   in
   Alcotest.(check bool) "measured" true (Float.is_finite r.Framework.Experiments.seconds)
 
+(* A measured phase past its event limit is divergence and raises, as
+   each phase of a placement run does; only a [bounded] phase (the scale
+   path's horizon) reports whatever state it reached. *)
+let test_measure_event_limit () =
+  let world = E.caida_world ~tier1:2 ~tier2:4 ~stubs:8 ~seed:91 in
+  let origin = List.hd world.stub_asns in
+  let measure ?bounded () =
+    let exp = Framework.Experiment.create ~config:cfg ~seed:2 world.spec in
+    let prefix = Framework.Experiment.default_prefix exp origin in
+    Framework.Experiment.measure ~max_events:5 ?bounded exp ~prefix (fun () ->
+        ignore (Framework.Experiment.announce exp origin))
+  in
+  (match measure () with
+  | exception Failure msg ->
+    Alcotest.(check bool) msg true (String.starts_with ~prefix:"Network.settle" msg)
+  | _ -> Alcotest.fail "an unbounded phase past its event limit must raise");
+  let m = measure ~bounded:true () in
+  Alcotest.(check bool) "bounded phase stops short of convergence" true
+    (m.Framework.Convergence.changes >= 0)
+
 let test_churn_run () =
   let quiet =
     Framework.Experiments.clique_run ~n:5 ~sdn:0 ~event:Framework.Experiments.Withdrawal
@@ -137,10 +187,7 @@ let test_table_size_control () =
     (loaded.Framework.Experiments.seconds < 3.0 *. bare.Framework.Experiments.seconds)
 
 let test_scaling_sweep () =
-  let s =
-    Framework.Experiments.scaling_sweep ~sizes:[ 5; 7 ] ~fraction:0.4 ~runs:1 ~seed:43
-      ~config:cfg ()
-  in
+  let s = scaling_grid ~sizes:[ 5; 7 ] ~fraction:0.4 ~runs:1 ~seed:43 () in
   match s.Framework.Experiments.points with
   | [ small; large ] ->
     Alcotest.(check bool) "bigger clique converges slower" true
@@ -176,6 +223,44 @@ let test_guards () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "failover via clique_run must raise"
 
+(* Every row refuses a clique below its minimum before running anything,
+   and runs at the minimum; names and aliases are unique, since the CLI
+   looks rows up by them. *)
+let test_kind_minimum_n () =
+  let names = List.concat_map (fun (k : E.kind) -> k.name :: k.aliases) E.kinds in
+  Alcotest.(check int) "unique names" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun (k : E.kind) ->
+      (match E.sweep_kind ~runs:1 k (params ~n:(k.min_n - 1) ~seed:1) with
+      | exception Invalid_argument msg ->
+        (* the table's own check, not a run that got as far as failing *)
+        Alcotest.(check bool) msg true (String.starts_with ~prefix:"Experiments.sweep_kind" msg)
+      | _ -> Alcotest.failf "%s accepted n = %d" k.name (k.min_n - 1));
+      (* the rows whose axis ignores n are covered at full size by the
+         CSV goldens *)
+      if k.axis k.min_n <> k.axis 16 then
+        ignore (E.sweep_kind ~runs:1 k (params ~n:k.min_n ~seed:1)))
+    E.kinds
+
+(* Ranking by degree must not rescan the links per comparison: on a
+   2,000-AS graph the allocation per AS stays a small constant (the
+   comparator's [Spec.neighbors] lists cost ~10x this). *)
+let test_choose_members_linear () =
+  let tier1, tier2, stubs = (5, 95, 1900) in
+  let spec = Topology.Caida.generate ~tier1 ~tier2 ~stubs (Engine.Rng.create 7) in
+  let origin = List.hd (Topology.Caida.stub_asns ~tier1 ~tier2 ~stubs) in
+  List.iter
+    (fun placement ->
+      let before = Gc.minor_words () in
+      let members = E.choose_members ~spec ~k:100 ~placement ~origin ~seed:1 in
+      let per_as = (Gc.minor_words () -. before) /. 2000.0 in
+      Alcotest.(check int) "k members" 100 (List.length members);
+      Alcotest.(check bool)
+        (Fmt.str "%.0f minor words per AS <= 100" per_as)
+        true (per_as <= 100.0))
+    [ E.Top_degree; E.Stubs_first ]
+
 let suite =
   [
     Alcotest.test_case "fig2 shape (scaled)" `Slow test_fig2_shape;
@@ -186,10 +271,13 @@ let suite =
     Alcotest.test_case "ablation wrate direction" `Quick test_ablation_wrate_direction;
     Alcotest.test_case "ablation mrai direction" `Quick test_ablation_mrai_direction;
     Alcotest.test_case "placement strategies" `Quick test_placement_strategies;
+    Alcotest.test_case "measure: event limit raises unless bounded" `Quick test_measure_event_limit;
     Alcotest.test_case "churn coupling" `Quick test_churn_run;
     Alcotest.test_case "table-size control" `Quick test_table_size_control;
     Alcotest.test_case "scaling sweep" `Slow test_scaling_sweep;
     Alcotest.test_case "sub-cluster resilience" `Quick test_subcluster_resilience;
     Alcotest.test_case "determinism" `Quick test_run_results_deterministic;
     Alcotest.test_case "argument guards" `Quick test_guards;
+    Alcotest.test_case "sweep kinds refuse small n" `Quick test_kind_minimum_n;
+    Alcotest.test_case "choose_members linear" `Quick test_choose_members_linear;
   ]

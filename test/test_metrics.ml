@@ -82,6 +82,23 @@ let test_on_collect () =
   Alcotest.(check (option (float 1e-9))) "collect callback ran" (Some 42.0)
     (Metrics.value snap "pulled")
 
+(* Registration is O(1) — every router and session registers one
+   collector, so appending made construction quadratic in sessions — and
+   a scrape still runs collectors in registration order. *)
+let test_on_collect_scale () =
+  let m = Metrics.create () in
+  let count = 20_000 in
+  let seen = ref [] in
+  let collectors = Array.init count (fun i () -> seen := i :: !seen) in
+  let before = Gc.minor_words () in
+  Array.iter (Metrics.on_collect m) collectors;
+  let per_collector = (Gc.minor_words () -. before) /. float_of_int count in
+  Alcotest.(check bool)
+    (Fmt.str "%.1f minor words per registration <= 4" per_collector)
+    true (per_collector <= 4.0);
+  ignore (Metrics.snapshot m ~at:Time.zero);
+  Alcotest.(check bool) "registration order" true (List.rev !seen = List.init count Fun.id)
+
 (* A tiny fixed registry exercised against exact export text, so format
    drift is caught deliberately rather than discovered by downstream
    parsers. *)
@@ -233,6 +250,7 @@ let suite =
       test_registration_idempotent_and_canonical;
     Alcotest.test_case "snapshot isolation" `Quick test_snapshot_isolation;
     Alcotest.test_case "on_collect pull gauges" `Quick test_on_collect;
+    Alcotest.test_case "on_collect O(1), in order" `Quick test_on_collect_scale;
     Alcotest.test_case "prometheus golden" `Quick test_prometheus_golden;
     Alcotest.test_case "jsonl golden" `Quick test_jsonl_golden;
     Alcotest.test_case "csv golden" `Quick test_csv_golden;

@@ -123,36 +123,35 @@ let check_differential name seq par =
 let with_jobs jobs f = Engine.Pool.with_pool ~jobs f
 
 let test_fig2_differential () =
-  let seq = Framework.Experiments.fig2_withdrawal ~n:6 ~runs:2 ~seed:3 ~config:cfg () in
+  let seq = Test_experiments.convergence "fig2" ~n:6 ~runs:2 ~seed:3 in
   List.iter
     (fun jobs ->
       with_jobs jobs (fun pool ->
-          let par =
-            Framework.Experiments.fig2_withdrawal ~pool ~n:6 ~runs:2 ~seed:3 ~config:cfg ()
-          in
+          let par = Test_experiments.convergence ~pool "fig2" ~n:6 ~runs:2 ~seed:3 in
           check_differential (Fmt.str "fig2 jobs=%d" jobs) seq par))
     [ 2; 3; 4 ]
 
 let test_announcement_differential () =
-  let seq = Framework.Experiments.announcement_sweep ~n:6 ~runs:2 ~seed:5 ~config:cfg () in
+  let seq = Test_experiments.convergence "announce" ~n:6 ~runs:2 ~seed:5 in
   with_jobs 3 (fun pool ->
-      let par =
-        Framework.Experiments.announcement_sweep ~pool ~n:6 ~runs:2 ~seed:5 ~config:cfg ()
-      in
+      let par = Test_experiments.convergence ~pool "announce" ~n:6 ~runs:2 ~seed:5 in
       check_differential "announce jobs=3" seq par)
 
 let test_failover_differential () =
-  let seq = Framework.Experiments.failover_sweep ~n:6 ~runs:2 ~seed:9 ~config:cfg () in
+  let seq = Test_experiments.convergence "failover" ~n:6 ~runs:2 ~seed:9 in
   with_jobs 2 (fun pool ->
-      let par =
-        Framework.Experiments.failover_sweep ~pool ~n:6 ~runs:2 ~seed:9 ~config:cfg ()
-      in
+      let par = Test_experiments.convergence ~pool "failover" ~n:6 ~runs:2 ~seed:9 in
       check_differential "failover jobs=2" seq par)
 
 let test_placement_differential () =
+  (* the placement row's grid on a smaller world *)
+  let world = Framework.Experiments.caida_world ~tier1:2 ~tier2:4 ~stubs:8 ~seed:53 in
   let sweep ?pool () =
-    Framework.Experiments.placement_sweep ?pool ~tier1:2 ~tier2:4 ~stubs:8 ~ks:[ 0; 2 ]
-      ~runs:2 ~seed:53 ~config:cfg ~placement:Framework.Experiments.Top_degree ()
+    Framework.Experiments.sweep ?pool ~label:"placement-top-degree" ~runs:2 ~seed:54 [ 0.0; 2.0 ]
+      (fun ~x ~seed ->
+        Framework.Experiments.placement_run ~spec:world.spec ~k:(int_of_float x)
+          ~placement:Framework.Experiments.Top_degree ~origin:(List.hd world.stub_asns) ~seed
+          ~config:cfg ())
   in
   let seq = sweep () in
   with_jobs 4 (fun pool ->
@@ -161,8 +160,7 @@ let test_placement_differential () =
 
 let test_ablation_differential () =
   let sweep ?pool () =
-    Framework.Experiments.ablation_recompute_delay ?pool ~n:6 ~runs:2 ~seed:11 ~config:cfg
-      ~delays_ms:[ 0; 1000 ] ()
+    Test_experiments.recompute_delay_grid ?pool ~n:6 ~runs:2 ~seed:11 [ 0; 1000 ]
   in
   let seq = sweep () in
   with_jobs 2 (fun pool -> check_differential "ablation jobs=2" seq (sweep ~pool ()));
@@ -171,21 +169,54 @@ let test_ablation_differential () =
 
 let test_scaling_differential () =
   let sweep ?pool () =
-    Framework.Experiments.scaling_sweep ?pool ~sizes:[ 5; 7 ] ~fraction:0.4 ~runs:2 ~seed:43
-      ~config:cfg ()
+    Test_experiments.scaling_grid ?pool ~sizes:[ 5; 7 ] ~fraction:0.4 ~runs:2 ~seed:43 ()
   in
   let seq = sweep () in
   with_jobs 3 (fun pool -> check_differential "scaling jobs=3" seq (sweep ~pool ()))
 
+(* [hybridsim scale]'s sweep path at a tiny size: the placement world
+   with a 10-prefix load in front of every withdrawal. *)
+let test_scale_differential () =
+  let world = Framework.Experiments.caida_world ~tier1:2 ~tier2:4 ~stubs:8 ~seed:97 in
+  let sweep ?pool () =
+    Framework.Experiments.sweep ?pool ~label:"scale-caida14-p10" ~runs:2 ~seed:98 [ 0.0; 2.0 ]
+      (fun ~x ~seed ->
+        (Framework.Experiments.scale_run ~prefixes:10 ~world ~k:(int_of_float x) ~seed
+           ~config:cfg ())
+          .Framework.Experiments.withdrawal)
+  in
+  let seq = sweep () in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun r ->
+          Alcotest.(check bool) "withdrawal measured" true
+            (Float.is_finite r.Framework.Experiments.seconds))
+        p.Framework.Experiments.results)
+    seq.Framework.Experiments.points;
+  with_jobs 2 (fun pool -> check_differential "scale jobs=2" seq (sweep ~pool ()))
+
 (* The loss grid through the same runner: per-run loss results (probe
    epochs included) must not depend on the domain count. *)
 let test_loss_differential () =
-  let clique ?pool () =
-    Framework.Experiments.loss_sweep ?pool ~n:6 ~runs:2 ~seed:43 ~config:cfg ()
+  let clique ?pool () = Test_experiments.loss ?pool "loss" ~n:6 ~runs:2 ~seed:43 in
+  (* the loss:caida row's grid (its first multi-homed stub's first
+     provider link fails) on a smaller world *)
+  let world = Framework.Experiments.caida_world ~tier1:2 ~tier2:4 ~stubs:8 ~seed:61 in
+  let spec = world.spec in
+  let origin =
+    List.find (fun a -> List.length (Topology.Spec.neighbors spec a) >= 2) world.stub_asns
   in
+  let peer = List.hd (Topology.Spec.neighbors spec origin) in
   let caida ?pool () =
-    Framework.Experiments.loss_sweep_caida ?pool ~tier1:2 ~tier2:4 ~stubs:8 ~ks:[ 0; 2 ] ~runs:1
-      ~seed:61 ~config:cfg ()
+    Framework.Experiments.sweep ?pool ~label:"loss-caida14" ~runs:1 ~seed:62 [ 0.0; 2.0 ]
+      (fun ~x ~seed ->
+        let members =
+          Framework.Experiments.choose_members ~spec ~k:(int_of_float x)
+            ~placement:Framework.Experiments.Top_degree ~origin ~seed
+        in
+        Framework.Experiments.loss_run_on ~spec:(Topology.Spec.with_sdn spec members) ~origin
+          ~peer ~seed ~config:cfg ())
   in
   let seq_clique = clique () and seq_caida = caida () in
   let loss_seconds s =
@@ -233,4 +264,5 @@ let suite =
     Alcotest.test_case "ablation parallel == sequential" `Quick test_ablation_differential;
     Alcotest.test_case "scaling parallel == sequential" `Slow test_scaling_differential;
     Alcotest.test_case "loss parallel == sequential" `Quick test_loss_differential;
+    Alcotest.test_case "scale parallel == sequential" `Quick test_scale_differential;
   ]
