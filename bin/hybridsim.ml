@@ -710,7 +710,7 @@ let chaos_cmd =
   let runs =
     Arg.(
       value
-      & opt int 25
+      & opt (int_at_least 1) 25
       & info [ "runs" ] ~docv:"R" ~doc:"Fault schedules to generate and execute.")
   in
   let no_fallback =
@@ -733,9 +733,9 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:
          "Run a seeded chaos campaign: randomized fault schedules against the hybrid \
-          clique, with an invariant oracle (no loops, no stale flow rules, session/RIB \
-          consistency, checkpoint idempotency) at every quiescent point.  Output is \
-          bit-identical for a given seed.")
+          clique, with an invariant oracle (no stale flow rules, session/RIB \
+          consistency, a loop-free data plane that agrees with the reference walker) at \
+          every quiescent point.  Output is bit-identical for a given seed.")
     Term.(const run $ seed_arg $ runs $ no_fallback $ minimize)
 
 (* --- scale ---------------------------------------------------------------- *)

@@ -29,10 +29,6 @@ type t = {
   mutable last_time : Engine.Time.t option;
 }
 
-type Engine.Node.blob +=
-  | Collector_state of
-      event list * int * (Net.Ipv4.prefix * Engine.Time.t) list * Engine.Time.t option
-
 let create ?(retention = Full) ~sim ~asn ~node_id ~router_id ~send () =
   let node = Engine.Node.create ~kind:"collector" sim ~name:"collector" in
   let t =
@@ -58,16 +54,6 @@ let create ?(retention = Full) ~sim ~asn ~node_id ~router_id ~send () =
       t.event_count <- 0;
       Tbl.clear t.last_by_prefix;
       t.last_time <- None);
-  Engine.Node.set_snapshot node (fun () ->
-      Collector_state (t.events, t.event_count, Tbl.entries t.last_by_prefix, t.last_time));
-  Engine.Node.set_restore node (function
-    | Collector_state (events, count, last_entries, last_time) ->
-      t.events <- events;
-      t.event_count <- count;
-      Tbl.clear t.last_by_prefix;
-      List.iter (fun (p, time) -> Tbl.set p time t.last_by_prefix) last_entries;
-      t.last_time <- last_time
-    | _ -> invalid_arg "Collector.restore: foreign snapshot blob");
   Engine.Node.start node;
   t
 

@@ -101,7 +101,7 @@ let mark_dirty t =
 
 let set_on_dirty t f = t.on_dirty <- Some f
 
-let create sim ~rng ~config ~name ~send =
+let create sim ~rng ~config ~send =
   (* The timer callback needs the record and the record needs the timer;
      tie the knot through a reference. *)
   let self = ref None in
@@ -115,7 +115,7 @@ let create sim ~rng ~config ~name ~send =
       rng;
       config;
       send;
-      timer = Engine.Timer.create ~category:"bgp.mrai" sim ~name ~callback;
+      timer = Engine.Timer.create ~category:"bgp.mrai" sim ~callback;
       pending = Pm.empty;
       urgent = Ps.empty;
       dirty = false;
@@ -162,30 +162,3 @@ let reset t =
   t.dirty <- false;
   Engine.Timer.cancel t.timer
 
-(* Checkpointing.  The jitter stream position travels with the pending
-   set so a restored run draws the same MRAI intervals the original
-   would have. *)
-type state = {
-  s_pending : (Net.Ipv4.prefix * pending) list;
-  s_due : Engine.Time.t option;
-  s_rng : Engine.Rng.t;
-}
-
-let state t =
-  {
-    s_pending = Pm.bindings t.pending;
-    s_due = Engine.Timer.due t.timer;
-    s_rng = Engine.Rng.copy t.rng;
-  }
-
-let restore t st =
-  Engine.Rng.assign ~from:st.s_rng t.rng;
-  (* Checkpoints are taken between scheduler events, where the urgent set
-     is always empty and no flush is outstanding. *)
-  t.urgent <- Ps.empty;
-  t.dirty <- false;
-  t.pending <-
-    List.fold_left (fun acc (prefix, p) -> Pm.add prefix p acc) Pm.empty st.s_pending;
-  match st.s_due with
-  | Some at -> Engine.Timer.start_at t.timer at
-  | None -> Engine.Timer.cancel t.timer

@@ -11,7 +11,6 @@ val create :
   Engine.Sim.t ->
   rng:Engine.Rng.t ->
   config:Config.t ->
-  name:string ->
   send:(Message.update -> unit) ->
   t
 
@@ -42,13 +41,3 @@ val is_throttled : t -> bool
 
 val reset : t -> unit
 (** Drop pending changes and stop the timer (session reset). *)
-
-type state
-(** Opaque checkpoint of the pending set, armed expiry and jitter-stream
-    position. *)
-
-val state : t -> state
-
-val restore : t -> state -> unit
-(** Reinstall [state] into an instance created with the same config:
-    re-arms the timer at its recorded absolute expiry. *)

@@ -10,8 +10,8 @@
    prefixes per peer) one hash of the packed prefix per operation beats
    both a persistent map's rebalancing allocation and a trie's
    node-per-prefix-bit walk.  Every ordered read sorts the packed keys,
-   so iteration is [compare_prefix] ascending and checkpoint dumps and
-   decision ordering match the map-based reference implementations
+   so iteration is [compare_prefix] ascending and dumps and decision
+   ordering match the map-based reference implementations
    (enforced by test/test_rib_differential.ml). *)
 
 module Tbl = Net.Ipv4.Prefix_table
@@ -126,13 +126,6 @@ module Adj_in = struct
   let all_prefixes t = Tbl.keys t.by_prefix
 
   let size t = t.count
-
-  let entries t =
-    Net.Asn.Map.fold
-      (fun peer table acc ->
-        List.fold_left (fun acc (_, r) -> (peer, r) :: acc) acc (Tbl.entries table))
-      t.by_peer []
-    |> List.rev
 
   let clear t =
     t.by_peer <- Net.Asn.Map.empty;

@@ -25,10 +25,6 @@ module Adj_in : sig
 
   val size : t -> int
 
-  val entries : t -> (Net.Asn.t * Route.t) list
-  (** Every (peer, route) pair, ascending (peer, prefix) — the checkpoint
-      dump; replay through {!set} to rebuild. *)
-
   val clear : t -> unit
 end
 
@@ -70,7 +66,7 @@ module Adj_out : sig
   val size : t -> int
 
   val entries : t -> (Net.Asn.t * (Net.Ipv4.prefix * Attrs.t) list) list
-  (** Per-peer advertised sets, ascending peer order (checkpoint dump). *)
+  (** Per-peer advertised sets, ascending peer order. *)
 
   val clear : t -> unit
 end

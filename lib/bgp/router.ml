@@ -62,11 +62,6 @@ type t = {
   adj_out : Rib.Adj_out.t;
   originated : Attrs.t Tbl.t;
   mutable busy_until : Engine.Time.t;
-  (* Updates accepted but not yet processed by the serialized bgpd:
-     (finish instant, peer, update) in processing order.  The scheduler
-     event for each entry pops the head, so the queue is the explicit,
-     checkpointable form of what used to live in captured closures. *)
-  pending_updates : (Engine.Time.t * Net.Asn.t * Message.update) Queue.t;
   damping : Damping.t option;
   stats : stats;
   tm : telemetry;
@@ -81,9 +76,8 @@ type t = {
 
 let name t = Net.Asn.to_string t.asn
 
-(* [create] is completed by [hook_lifecycle] at the bottom of this file
-   (the crash/restart/snapshot hooks need the session machinery defined
-   in between). *)
+(* [create] is completed at the bottom of this file (the crash/restart
+   hooks need the session machinery defined in between). *)
 let create_unhooked ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
   let m = Engine.Sim.metrics sim in
   let labels = [ ("node", Net.Asn.to_string asn) ] in
@@ -106,10 +100,9 @@ let create_unhooked ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
     }
   in
   (* The split from the root stream happens exactly where it always did,
-     keeping every later subsystem's draws byte-identical; the node only
-     borrows the stream for checkpointing. *)
+     keeping every later subsystem's draws byte-identical. *)
   let rng = Engine.Rng.split (Engine.Sim.rng sim) in
-  let node = Engine.Node.create ~kind:"router" ~rng sim ~name:(Net.Asn.to_string asn) in
+  let node = Engine.Node.create ~kind:"router" sim ~name:(Net.Asn.to_string asn) in
   let t =
     {
       damping = Option.map Damping.create damping;
@@ -128,7 +121,6 @@ let create_unhooked ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
       adj_out = Rib.Adj_out.create ();
       originated = Tbl.create ();
       busy_until = Engine.Time.zero;
-      pending_updates = Queue.create ();
       stats =
         {
           msgs_in = 0;
@@ -232,9 +224,7 @@ let add_peer t ~peer_asn ~peer_node ~policy =
     | Some _ | None -> ()
   in
   let mrai =
-    Mrai.create t.sim ~rng:(Engine.Rng.split t.rng) ~config:t.config
-      ~name:(Fmt.str "%a-mrai-%a" Net.Asn.pp t.asn Net.Asn.pp peer_asn)
-      ~send:send_update
+    Mrai.create t.sim ~rng:(Engine.Rng.split t.rng) ~config:t.config ~send:send_update
   in
   let peer =
     { peer_asn; peer_node; policy; established = false; open_sent = false; peer_hold = 0;
@@ -477,9 +467,7 @@ let rec start_liveness t peer =
           end
         in
         let timer =
-          Engine.Timer.create ~category:"bgp.liveness" t.sim
-            ~name:(Fmt.str "%a-keepalive-%a" Net.Asn.pp t.asn Net.Asn.pp peer.peer_asn)
-            ~callback:emit
+          Engine.Timer.create ~category:"bgp.liveness" t.sim ~callback:emit
         in
         timer_ref := Some timer;
         peer.keepalive <- Some timer;
@@ -492,7 +480,6 @@ let rec start_liveness t peer =
       | None ->
         let timer =
           Engine.Timer.create ~category:"bgp.liveness" t.sim
-            ~name:(Fmt.str "%a-hold-%a" Net.Asn.pp t.asn Net.Asn.pp peer.peer_asn)
             ~callback:(fun () -> hold_expired t peer)
         in
         peer.hold <- Some timer;
@@ -661,94 +648,16 @@ let handle_message t ~from msg =
       let start = Engine.Time.max now t.busy_until in
       let finish = Engine.Time.add start (Config.processing_delay t.config t.rng) in
       t.busy_until <- finish;
-      (* Finish instants are non-decreasing and events at the same instant
-         fire in scheduling order, so each event pops exactly the entry it
-         was scheduled for.  A crash clears the queue and bumps the node
-         epoch, which voids the orphaned events. *)
-      Queue.push (finish, peer_asn, u) t.pending_updates;
+      (* A crash bumps the node epoch, which voids the pending events. *)
       Engine.Node.schedule_at ~category:"bgp.process" t.node finish (fun () ->
-          match Queue.take_opt t.pending_updates with
-          | Some (_, peer, u) -> process_update t peer u
-          | None -> ()))
+          process_update t peer_asn u))
 
-(* --- Lifecycle and checkpointing --------------------------------------- *)
-
-type checkpoint = {
-  ck_rng : Engine.Rng.t;
-  ck_busy : Engine.Time.t;
-  ck_adj_in : (Net.Asn.t * Route.t) list;
-  ck_loc : Route.t list;
-  ck_adj_out : (Net.Asn.t * (Net.Ipv4.prefix * Attrs.t) list) list;
-  ck_originated : (Net.Ipv4.prefix * Attrs.t) list;
-  ck_peers : (Net.Asn.t * bool * bool * int * int * Mrai.state) list;
-  ck_pending : (Engine.Time.t * Net.Asn.t * Message.update) list;
-}
-
-type Engine.Node.blob += Router_state of checkpoint
-
-let snapshot t =
-  Router_state
-    {
-      ck_rng = Engine.Rng.copy t.rng;
-      ck_busy = t.busy_until;
-      ck_adj_in = Rib.Adj_in.entries t.adj_in;
-      ck_loc = List.map snd (Rib.Loc.entries t.loc);
-      ck_adj_out = Rib.Adj_out.entries t.adj_out;
-      ck_originated = Tbl.entries t.originated;
-      ck_peers =
-        List.map
-          (fun (asn, p) ->
-            (asn, p.established, p.open_sent, p.peer_hold, p.retry_attempt, Mrai.state p.mrai))
-          (Net.Asn.Map.bindings t.peers);
-      ck_pending = List.of_seq (Queue.to_seq t.pending_updates);
-    }
-
-(* Restores into a freshly built router with the same peers/config.  Loc
-   entries are written directly ([on_best_change] subscribers are NOT
-   replayed — the framework rebuilds FIBs from its own checkpoint). *)
-let restore t = function
-  | Router_state ck ->
-    Engine.Rng.assign ~from:ck.ck_rng t.rng;
-    t.busy_until <- ck.ck_busy;
-    Rib.Adj_in.clear t.adj_in;
-    List.iter (fun (peer, r) -> Rib.Adj_in.set t.adj_in ~peer r) ck.ck_adj_in;
-    Rib.Loc.clear t.loc;
-    List.iter (Rib.Loc.set t.loc) ck.ck_loc;
-    Rib.Adj_out.clear t.adj_out;
-    List.iter
-      (fun (peer, entries) ->
-        List.iter (fun (prefix, attrs) -> Rib.Adj_out.set t.adj_out ~peer prefix attrs) entries)
-      ck.ck_adj_out;
-    Tbl.clear t.originated;
-    List.iter (fun (p, a) -> Tbl.set p a t.originated) ck.ck_originated;
-    List.iter
-      (fun (asn, established, open_sent, peer_hold, retry_attempt, mrai_state) ->
-        match find_peer t asn with
-        | None -> ()
-        | Some peer ->
-          peer.established <- established;
-          peer.open_sent <- open_sent;
-          peer.peer_hold <- peer_hold;
-          peer.retry_attempt <- retry_attempt;
-          Mrai.restore peer.mrai mrai_state;
-          if established then start_liveness t peer)
-      ck.ck_peers;
-    Queue.clear t.pending_updates;
-    List.iter
-      (fun (finish, peer, u) ->
-        Queue.push (finish, peer, u) t.pending_updates;
-        Engine.Node.schedule_at ~category:"bgp.process" t.node finish (fun () ->
-            match Queue.take_opt t.pending_updates with
-            | Some (_, peer, u) -> process_update t peer u
-            | None -> ()))
-      ck.ck_pending
-  | _ -> invalid_arg "Router.restore: foreign snapshot blob"
+(* --- Lifecycle ---------------------------------------------------------- *)
 
 (* Crash: lose all volatile bgpd state.  [originated] survives — it is the
    router's configuration, not learned state.  Owned timers and scheduled
    events are voided by the node runtime itself. *)
 let on_crashed t =
-  Queue.clear t.pending_updates;
   t.busy_until <- Engine.Time.zero;
   Net.Asn.Map.iter
     (fun _ peer ->
@@ -778,8 +687,6 @@ let create ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
   let t = create_unhooked ?damping ~sim ~asn ~node_id ~router_id ~config ~send () in
   Engine.Node.on_crash t.node (fun () -> on_crashed t);
   Engine.Node.on_start t.node (fun ~first -> if not first then on_restarted t);
-  Engine.Node.set_snapshot t.node (fun () -> snapshot t);
-  Engine.Node.set_restore t.node (restore t);
   Engine.Node.start t.node;
   t
 

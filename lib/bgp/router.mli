@@ -33,8 +33,8 @@ val name : t -> string
 val asn : t -> Net.Asn.t
 
 val node : t -> Engine.Node.t
-(** The runtime node: lifecycle (crash/restart), mailbox port target,
-    snapshot/restore.  A crash loses all learned state but keeps
+(** The runtime node: lifecycle (crash/restart) and mailbox port
+    target.  A crash loses all learned state but keeps
     [originate]d prefixes (configuration); a restart re-originates them
     and re-opens every session with a NOTIFICATION-then-OPEN exchange. *)
 

@@ -532,56 +532,7 @@ let resync_member t member =
     | prefixes -> List.iter (mark_dirty t) prefixes
   end
 
-(* --- Lifecycle and checkpointing ----------------------------------------- *)
-
-type checkpoint = {
-  co_rib : (Net.Ipv4.prefix * As_graph.exit_route list) list;
-  co_originated : (Net.Ipv4.prefix * Net.Asn.Set.t) list;
-  co_installed : (Net.Ipv4.prefix * Sdn.Flow.action Net.Asn.Map.t) list;
-  co_decisions : (Net.Ipv4.prefix * As_graph.decision Net.Asn.Map.t) list;
-  co_graph_edges : (int * int * float) list;
-  co_recompute : Recompute.state option;
-  co_resyncing : Net.Asn.Set.t;
-}
-
-type Engine.Node.blob += Controller_state of checkpoint
-
-let snapshot t =
-  Controller_state
-    {
-      co_rib = Pm.bindings t.rib;
-      co_originated = Pm.bindings t.originated;
-      co_installed = Pm.bindings t.installed;
-      co_decisions = Pm.bindings t.decisions;
-      co_graph_edges = Net.Graph.edges t.switch_graph;
-      co_recompute = Option.map Recompute.state t.recompute;
-      co_resyncing = t.resyncing;
-    }
-
-(* Fingerprints are deliberately NOT captured: the restored graph's
-   version counter restarts, so a kept fingerprint could never match
-   again anyway.  Dropping them costs at most one redundant (and
-   deterministic) recomputation per prefix, whose outputs the flow diff
-   and the speaker's Adj-RIB-Out deduplicate away. *)
-let restore t = function
-  | Controller_state ck ->
-    let of_bindings bs = List.fold_left (fun acc (p, v) -> Pm.add p v acc) Pm.empty bs in
-    t.rib <- of_bindings ck.co_rib;
-    t.originated <- of_bindings ck.co_originated;
-    t.installed <- of_bindings ck.co_installed;
-    t.decisions <- of_bindings ck.co_decisions;
-    t.fingerprints <- Pm.empty;
-    t.resyncing <- ck.co_resyncing;
-    List.iter
-      (fun (u, v, _) -> Net.Graph.remove_edge t.switch_graph u v)
-      (Net.Graph.edges t.switch_graph);
-    List.iter
-      (fun (u, v, w) -> Net.Graph.add_edge ~w t.switch_graph u v)
-      ck.co_graph_edges;
-    (match (t.recompute, ck.co_recompute) with
-    | Some r, Some st -> Recompute.restore r st
-    | _ -> ())
-  | _ -> invalid_arg "Controller.restore: foreign snapshot blob"
+(* --- Lifecycle ----------------------------------------------------------- *)
 
 (* Crash: the POX application dies.  Learned state (RIB, decisions,
    installed-rule shadow, fingerprints) is lost; [originated] is retained
@@ -692,7 +643,5 @@ let create ?flow_idle_timeout ?flow_hard_timeout ~sim ~config ~members:member_li
     ~on_session:(fun s ~up -> on_session_change t s ~up);
   Engine.Node.on_crash t.node (fun () -> on_crashed t);
   Engine.Node.on_start t.node (fun ~first -> if not first then on_restarted t);
-  Engine.Node.set_snapshot t.node (fun () -> snapshot t);
-  Engine.Node.set_restore t.node (restore t);
   Engine.Node.start t.node;
   t

@@ -29,7 +29,7 @@ let fire t () =
 let create ~sim ~delay ~callback =
   let self = ref None in
   let timer =
-    Engine.Timer.create ~category:"ctrl.recompute" sim ~name:"recompute"
+    Engine.Timer.create ~category:"ctrl.recompute" sim
       ~callback:(fun () -> match !self with Some t -> fire t () | None -> ())
   in
   let t =
@@ -69,18 +69,6 @@ let flush_now t =
 let reset t =
   t.dirty <- Net.Ipv4.Prefix_set.empty;
   Engine.Timer.cancel t.timer
-
-(* Checkpointing: the dirty set and the armed expiry travel together so a
-   restored controller flushes the same batch at the same instant. *)
-type state = { s_dirty : Net.Ipv4.Prefix_set.t; s_due : Engine.Time.t option }
-
-let state t = { s_dirty = t.dirty; s_due = Engine.Timer.due t.timer }
-
-let restore t st =
-  t.dirty <- st.s_dirty;
-  match st.s_due with
-  | Some at -> Engine.Timer.start_at t.timer at
-  | None -> Engine.Timer.cancel t.timer
 
 let pending t = Net.Ipv4.Prefix_set.cardinal t.dirty
 

@@ -21,13 +21,6 @@ val flush_now : t -> unit
 val reset : t -> unit
 (** Forget the dirty set and cancel the pending batch (controller crash). *)
 
-type state
-(** Opaque checkpoint of the dirty set and armed expiry. *)
-
-val state : t -> state
-
-val restore : t -> state -> unit
-
 val pending : t -> int
 
 val batches : t -> int

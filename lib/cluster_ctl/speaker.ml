@@ -63,12 +63,12 @@ type t = {
   mutable any_dirty : bool;
 }
 
-(* [create] is completed by [hook_lifecycle] at the bottom of this file. *)
+(* [create] is completed at the bottom of this file. *)
 let create_unhooked ?liveness ~sim ~send_relay () =
   let rng = Engine.Rng.split (Engine.Sim.rng sim) in
   {
     sim;
-    node = Engine.Node.create ~kind:"speaker" ~rng sim ~name:"speaker";
+    node = Engine.Node.create ~kind:"speaker" sim ~name:"speaker";
     rng;
     liveness;
     send_relay;
@@ -139,7 +139,6 @@ let add_session ?(mrai_config : Bgp.Config.t option) t ~member ~neighbor ~member
     Option.map
       (fun config ->
         Bgp.Mrai.create t.sim ~rng:(Engine.Rng.split t.rng) ~config
-          ~name:(Fmt.str "speaker-mrai-%a-%a" Net.Asn.pp member Net.Asn.pp neighbor)
           ~send:(fun update ->
             match !self with
             | Some s when s.established ->
@@ -277,9 +276,7 @@ let start_liveness t (s : session) =
           end
         in
         let timer =
-          Engine.Timer.create ~category:"speaker.liveness" t.sim
-            ~name:(Fmt.str "speaker-keepalive-%a-%a" Net.Asn.pp s.member Net.Asn.pp s.neighbor)
-            ~callback:emit
+          Engine.Timer.create ~category:"speaker.liveness" t.sim ~callback:emit
         in
         timer_ref := Some timer;
         s.keepalive <- Some timer;
@@ -292,7 +289,6 @@ let start_liveness t (s : session) =
       | None ->
         let timer =
           Engine.Timer.create ~category:"speaker.liveness" t.sim
-            ~name:(Fmt.str "speaker-hold-%a-%a" Net.Asn.pp s.member Net.Asn.pp s.neighbor)
             ~callback:(fun () ->
               Engine.Metrics.Counter.inc t.hold_expirations;
               ignore (send_wire t s (Bgp.Message.Notification "hold timer expired"));
@@ -379,56 +375,7 @@ let withdraw t ~member ~neighbor prefix =
 let advertised t ~member ~neighbor prefix =
   Option.bind (find t ~member ~neighbor) (fun s -> Pt.find prefix s.adj_out)
 
-(* --- Lifecycle and checkpointing --------------------------------------- *)
-
-type session_ck = {
-  sk_member : Net.Asn.t;
-  sk_neighbor : Net.Asn.t;
-  sk_established : bool;
-  sk_open_sent : bool;
-  sk_peer_hold : int;
-  sk_adj_out : (Net.Ipv4.prefix * Bgp.Attrs.t) list;
-  sk_mrai : Bgp.Mrai.state option;
-}
-
-type Engine.Node.blob += Speaker_state of Engine.Rng.t * session_ck list
-
-let snapshot t =
-  let sessions =
-    List.map
-      (fun s ->
-        {
-          sk_member = s.member;
-          sk_neighbor = s.neighbor;
-          sk_established = s.established;
-          sk_open_sent = s.open_sent;
-          sk_peer_hold = s.peer_hold;
-          sk_adj_out = Pt.entries s.adj_out;
-          sk_mrai = Option.map Bgp.Mrai.state s.mrai;
-        })
-      (sessions t)
-  in
-  Speaker_state (Engine.Rng.copy t.rng, sessions)
-
-let restore t = function
-  | Speaker_state (rng, sessions) ->
-    Engine.Rng.assign ~from:rng t.rng;
-    List.iter
-      (fun sk ->
-        match find t ~member:sk.sk_member ~neighbor:sk.sk_neighbor with
-        | None -> ()
-        | Some s ->
-          s.established <- sk.sk_established;
-          s.open_sent <- sk.sk_open_sent;
-          s.peer_hold <- sk.sk_peer_hold;
-          Pt.clear s.adj_out;
-          List.iter (fun (p, a) -> Pt.set p a s.adj_out) sk.sk_adj_out;
-          (match (s.mrai, sk.sk_mrai) with
-          | Some m, Some st -> Bgp.Mrai.restore m st
-          | _ -> ());
-          if s.established then start_liveness t s)
-      sessions
-  | _ -> invalid_arg "Speaker.restore: foreign snapshot blob"
+(* --- Lifecycle ---------------------------------------------------------- *)
 
 (* A crashed speaker silently loses every session (the ExaBGP process
    died); peers only find out when the restart's NOTIFICATION reaches
@@ -458,7 +405,5 @@ let create ?liveness ~sim ~send_relay () =
   let t = create_unhooked ?liveness ~sim ~send_relay () in
   Engine.Node.on_crash t.node (fun () -> on_crashed t);
   Engine.Node.on_start t.node (fun ~first -> if not first then on_restarted t);
-  Engine.Node.set_snapshot t.node (fun () -> snapshot t);
-  Engine.Node.set_restore t.node (restore t);
   Engine.Node.start t.node;
   t

@@ -3,8 +3,7 @@
    Every emulated component (router, switch, speaker, controller,
    collector) sits on one of these: a lifecycle state machine, a bounded
    ingress mailbox with drop accounting, owned timers that die with the
-   node, epoch-guarded event scheduling, and snapshot/restore hooks for
-   whole-network checkpointing.
+   node and epoch-guarded event scheduling.
 
    Two invariants keep the runtime behaviour-preserving for runs that
    never crash a node:
@@ -21,13 +20,10 @@
 
 type lifecycle = Created | Up | Down
 
-type blob = ..
-
 type t = {
   sim : Sim.t;
   name : string;
   kind : string;
-  rng : Rng.t option;
   mailbox_capacity : int;
   mailbox : (unit -> unit) Queue.t;
   mutable draining : bool;
@@ -36,8 +32,6 @@ type t = {
   mutable timers : Timer.t list; (* reverse adoption order *)
   mutable start_hooks : (first:bool -> unit) list; (* reverse order *)
   mutable crash_hooks : (unit -> unit) list; (* reverse order *)
-  mutable snapshot_hook : (unit -> blob) option;
-  mutable restore_hook : (blob -> unit) option;
   mutable dropped : int;
   mutable processed : int;
   mutable crashes : int;
@@ -46,13 +40,12 @@ type t = {
 
 type 'msg port = { node : t; handler : from:int -> 'msg -> unit }
 
-let create ?(kind = "node") ?rng ?(mailbox_capacity = 4096) sim ~name =
+let create ?(kind = "node") ?(mailbox_capacity = 4096) sim ~name =
   if mailbox_capacity <= 0 then invalid_arg "Node.create: mailbox_capacity must be positive";
   {
     sim;
     name;
     kind;
-    rng;
     mailbox_capacity;
     mailbox = Queue.create ();
     draining = false;
@@ -61,8 +54,6 @@ let create ?(kind = "node") ?rng ?(mailbox_capacity = 4096) sim ~name =
     timers = [];
     start_hooks = [];
     crash_hooks = [];
-    snapshot_hook = None;
-    restore_hook = None;
     dropped = 0;
     processed = 0;
     crashes = 0;
@@ -75,7 +66,6 @@ let kind t = t.kind
 let lifecycle t = t.lifecycle
 let is_up t = t.lifecycle = Up
 let epoch t = t.epoch
-let rng t = t.rng
 let mailbox_depth t = Queue.length t.mailbox
 let mailbox_dropped t = t.dropped
 let processed t = t.processed
@@ -114,8 +104,6 @@ let bump_drop_counter t =
 
 let on_start t f = t.start_hooks <- f :: t.start_hooks
 let on_crash t f = t.crash_hooks <- f :: t.crash_hooks
-let set_snapshot t f = t.snapshot_hook <- Some f
-let set_restore t f = t.restore_hook <- Some f
 
 let start t =
   match t.lifecycle with
@@ -145,12 +133,10 @@ let restart t =
 
 let own_timer t timer = t.timers <- timer :: t.timers
 
-let timer ?category t ~name ~callback =
-  let tm = Timer.create ?category t.sim ~name ~callback in
+let timer ?category t ~callback =
+  let tm = Timer.create ?category t.sim ~callback in
   own_timer t tm;
   tm
-
-let owned_timers t = List.rev t.timers
 
 let guarded t f =
   let epoch_at_schedule = t.epoch in
@@ -219,38 +205,3 @@ let deliver p ~from msg =
     finish_drain t;
     true
   end
-
-(* Snapshot / restore. *)
-
-type state = {
-  s_lifecycle : lifecycle;
-  s_epoch : int;
-  s_timers : (string * Time.t) list;
-  s_blob : blob option;
-}
-
-let state t =
-  let timers =
-    List.filter_map
-      (fun tm -> match Timer.due tm with Some at -> Some (Timer.name tm, at) | None -> None)
-      (owned_timers t)
-  in
-  {
-    s_lifecycle = t.lifecycle;
-    s_epoch = t.epoch;
-    s_timers = timers;
-    s_blob = Option.map (fun f -> f ()) t.snapshot_hook;
-  }
-
-let restore_state t st =
-  t.lifecycle <- st.s_lifecycle;
-  t.epoch <- st.s_epoch;
-  List.iter
-    (fun (name, at) ->
-      match List.find_opt (fun tm -> Timer.name tm = name) (owned_timers t) with
-      | Some tm -> Timer.start_at tm at
-      | None -> ())
-    st.s_timers;
-  match (st.s_blob, t.restore_hook) with
-  | Some blob, Some f -> f blob
-  | _ -> ()

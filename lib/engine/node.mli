@@ -9,11 +9,7 @@
       (typed views of the mailbox are created with {!port});
     - its timers, auto-cancelled when the node crashes;
     - epoch-guarded scheduling: events scheduled through the node are
-      silently discarded if the node crashed after they were scheduled;
-    - an optional per-node RNG stream (supplied by the component so the
-      split order from the root RNG is unchanged by this runtime);
-    - [snapshot]/[restore] hooks returning an opaque in-memory state blob,
-      the basis of whole-network checkpointing.
+      silently discarded if the node crashed after they were scheduled.
 
     The runtime is deliberately behaviour-preserving: when no lifecycle
     action is taken, delivery through a port is the same synchronous
@@ -23,24 +19,12 @@
 
 type lifecycle = Created | Up | Down
 
-type blob = ..
-(** Component state blobs are in-memory values: each component extends
-    this type with its own constructor. *)
-
 type t
 
-val create :
-  ?kind:string ->
-  ?rng:Rng.t ->
-  ?mailbox_capacity:int ->
-  Sim.t ->
-  name:string ->
-  t
+val create : ?kind:string -> ?mailbox_capacity:int -> Sim.t -> name:string -> t
 (** [kind] labels the component family ("router", "switch", "speaker",
-    "controller", "collector"); [rng] is the component's already-split
-    stream (never split here — split order must stay byte-identical);
-    [mailbox_capacity] bounds queued-but-unprocessed deliveries
-    (default 4096). *)
+    "controller", "collector"); [mailbox_capacity] bounds
+    queued-but-unprocessed deliveries (default 4096). *)
 
 val sim : t -> Sim.t
 
@@ -54,8 +38,6 @@ val is_up : t -> bool
 
 val epoch : t -> int
 (** Incremented by every crash; epoch-guarded events compare against it. *)
-
-val rng : t -> Rng.t option
 
 (** {1 Lifecycle} *)
 
@@ -81,15 +63,11 @@ val restart : t -> unit
 
 (** {1 Owned timers} *)
 
-val timer : ?category:string -> t -> name:string -> callback:(unit -> unit) -> Timer.t
-(** Create a timer owned by this node (cancelled on crash, captured by
-    {!state}). *)
+val timer : ?category:string -> t -> callback:(unit -> unit) -> Timer.t
+(** Create a timer owned by this node (cancelled on crash). *)
 
 val own_timer : t -> Timer.t -> unit
 (** Adopt an externally created timer. *)
-
-val owned_timers : t -> Timer.t list
-(** In adoption order. *)
 
 (** {1 Epoch-guarded scheduling} *)
 
@@ -128,27 +106,5 @@ val processed : t -> int
 (** Messages the node has processed over its lifetime. *)
 
 val crashes : t -> int
-
-(** {1 Snapshot / restore} *)
-
-val set_snapshot : t -> (unit -> blob) -> unit
-
-val set_restore : t -> (blob -> unit) -> unit
-
-type state = {
-  s_lifecycle : lifecycle;
-  s_epoch : int;
-  s_timers : (string * Time.t) list;  (** armed owned timers: (name, due) *)
-  s_blob : blob option;  (** the component hook's opaque state *)
-}
-
-val state : t -> state
-(** Capture lifecycle, armed owned timers and the component blob. *)
-
-val restore_state : t -> state -> unit
-(** Reinstall a captured state into a freshly constructed node: sets the
-    lifecycle {e without} running start/crash hooks, re-arms owned timers
-    by name at their recorded absolute expiry (unknown names are
-    ignored), then hands the blob to the restore hook. *)
 
 val pp_lifecycle : Format.formatter -> lifecycle -> unit

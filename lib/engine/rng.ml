@@ -22,12 +22,6 @@ let next_int64 t =
 
 let split t = { state = next_int64 t }
 
-(* Checkpoint support: duplicate or overwrite the stream position without
-   consuming a draw. *)
-let copy t = { state = t.state }
-
-let assign ~from t = t.state <- from.state
-
 let bits53 t = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11)
 
 let float t bound = bits53 t /. 9007199254740992.0 *. bound

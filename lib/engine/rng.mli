@@ -17,13 +17,6 @@ val create : int -> t
 val split : t -> t
 (** [split t] derives an independent stream, advancing [t] by one draw. *)
 
-val copy : t -> t
-(** [copy t] duplicates the stream at its current position without
-    consuming a draw — the checkpointing primitive. *)
-
-val assign : from:t -> t -> unit
-(** [assign ~from t] overwrites [t]'s position with [from]'s (restore). *)
-
 val next_int64 : t -> int64
 
 val float : t -> float -> float

@@ -1,22 +1,17 @@
 (* Restartable one-shot timer on top of the scheduler.
 
    This is the shape both BGP MRAI timers and the controller's delayed
-   recomputation need: arm, coalesce while armed, cancel, fire once.
-   The armed deadline is remembered ([due]) so node checkpoints can
-   capture and re-arm timers at their original absolute expiry. *)
+   recomputation need: arm, coalesce while armed, cancel, fire once. *)
 
 type t = {
   sim : Sim.t;
-  name : string;
   category : string;
   callback : unit -> unit;
   mutable armed : Sim.handle option;
-  mutable deadline : Time.t option;
   mutable fires : int;
 }
 
-let create ?(category = "timer") sim ~name ~callback =
-  { sim; name; category; callback; armed = None; deadline = None; fires = 0 }
+let create ?(category = "timer") sim ~callback = { sim; category; callback; armed = None; fires = 0 }
 
 let is_armed t =
   match t.armed with
@@ -25,26 +20,17 @@ let is_armed t =
 
 let cancel t =
   (match t.armed with Some h -> Sim.cancel h | None -> ());
-  t.armed <- None;
-  t.deadline <- None
+  t.armed <- None
 
 let fire t () =
   t.armed <- None;
-  t.deadline <- None;
   t.fires <- t.fires + 1;
   t.callback ()
 
-let start_at t at =
+let start t span =
   cancel t;
-  t.deadline <- Some at;
-  t.armed <- Some (Sim.schedule_at ~category:t.category t.sim at (fire t))
-
-let start t span = start_at t (Time.add (Sim.now t.sim) span)
+  t.armed <- Some (Sim.schedule_after ~category:t.category t.sim span (fire t))
 
 let start_if_idle t span = if not (is_armed t) then start t span
 
-let due t = if is_armed t then t.deadline else None
-
 let fires t = t.fires
-
-let name t = t.name

@@ -3,17 +3,12 @@
 
 type t
 
-val create : ?category:string -> Sim.t -> name:string -> callback:(unit -> unit) -> t
+val create : ?category:string -> Sim.t -> callback:(unit -> unit) -> t
 (** [category] (default ["timer"]) tags the scheduled expiry events for
     the scheduler's per-category accounting. *)
 
 val start : t -> Time.span -> unit
 (** (Re)arm the timer: any pending expiry is cancelled first. *)
-
-val start_at : t -> Time.t -> unit
-(** Arm at an absolute instant (checkpoint restore re-arms timers at
-    their original expiry this way).
-    @raise Invalid_argument if the instant is in the past. *)
 
 val start_if_idle : t -> Time.span -> unit
 (** Arm only if not already armed — coalesces bursts of triggers. *)
@@ -22,10 +17,5 @@ val cancel : t -> unit
 
 val is_armed : t -> bool
 
-val due : t -> Time.t option
-(** Absolute expiry instant while armed, [None] otherwise. *)
-
 val fires : t -> int
 (** Number of times the timer has fired. *)
-
-val name : t -> string

@@ -186,7 +186,7 @@ let apply_fault net e =
 (* A deterministic rendering of the converged control and data planes:
    session FSM states, Loc-RIBs, flow tables, controller decisions and
    speaker sessions.  Deliberately excludes wall-clock fields and traffic
-   counters so [checkpoint |> restore] must reproduce it exactly. *)
+   counters, so same-seed runs render it byte for byte. *)
 let render_state net =
   let buf = Buffer.create 4096 in
   let add fmt = Fmt.kstr (Buffer.add_string buf) fmt in
@@ -250,42 +250,7 @@ type violation = { invariant : string; detail : string }
 
 let pp_violation ppf v = Fmt.pf ppf "[%s] %s" v.invariant v.detail
 
-(* I1: packets never cycle.  Walk the programmed forwarding state (FIBs
-   and flow tables) from every AS toward every origin address; revisiting
-   a node is a loop.  Blackholes (No_route) are legal — a prefix may
-   genuinely be unreachable mid-recovery — loops never are. *)
-let check_no_loops net acc =
-  let plan = Network.plan net in
-  let asns = Network.asns net in
-  List.fold_left
-    (fun acc dst_as ->
-      let addr = plan.Addressing.host_addr dst_as in
-      List.fold_left
-        (fun acc src ->
-          let rec walk asn visited acc =
-            if List.exists (Net.Asn.equal asn) visited then
-              {
-                invariant = "no-forwarding-loop";
-                detail =
-                  Fmt.str "%a -> %a loops at %a (path %a)" Net.Asn.pp src Net.Asn.pp dst_as
-                    Net.Asn.pp asn
-                    Fmt.(list ~sep:(any ">") Net.Asn.pp)
-                    (List.rev visited);
-              }
-              :: acc
-            else
-              match Network.forwarding_at net asn addr with
-              | Network.Local | Network.No_route -> acc
-              | Network.Next node -> (
-                match Network.asn_of_node net node with
-                | None -> acc (* toward collector/ctrl: not a data path *)
-                | Some next -> walk next (asn :: visited) acc)
-          in
-          walk src [] acc)
-        acc asns)
-    acc asns
-
-(* I2: no flow rule points at a dead element.  Every Output port of every
+(* I1: no flow rule points at a dead element.  Every Output port of every
    live switch must name a fabric node that is up and reachable over an
    up link — a rule surviving its target's death is exactly the stale
    state the failover machinery must clean up. *)
@@ -330,7 +295,7 @@ let check_flow_targets net acc =
             (Sdn.Flow_table.rules (Sdn.Switch.table sw)))
     acc (Network.asns net)
 
-(* I3: RIB contents agree with session state.  A router must hold no
+(* I2: RIB contents agree with session state.  A router must hold no
    candidate route learned from a peer whose session is not Established,
    and the controller's external RIB must only cite speaker sessions that
    are established. *)
@@ -390,25 +355,12 @@ let check_session_rib net acc =
       (Cluster_ctl.Controller.known_prefixes ctrl)
   | _ -> acc
 
-(* I4: checkpointing is faithful.  A checkpoint taken at a quiescent
-   point, restored into a fresh network, must reproduce the digest of the
-   original byte for byte. *)
-let check_checkpoint_idempotent net acc =
-  let before = state_digest net in
-  let restored = Network.restore (Network.checkpoint net) in
-  let after = state_digest restored in
-  if String.equal before after then acc
-  else
-    {
-      invariant = "checkpoint-restore-idempotent";
-      detail = Fmt.str "digest %s became %s after checkpoint+restore" before after;
-    }
-    :: acc
-
-(* I5: the static forwarding verifier holds.  The compiled data-plane
-   snapshot must (a) report no forwarding cycles and (b) classify every
-   (src, dst) pair exactly as the event-driven reference walker does —
-   the fast path summarizing the network must forward like it. *)
+(* I3: packets never cycle, and the static forwarding verifier holds.
+   The compiled data-plane snapshot of the FIBs and flow tables must
+   (a) report no forwarding cycles and (b) classify every (src, dst)
+   pair exactly as the event-driven reference walker does — the fast
+   path summarizing the network must forward like it.  Blackholes are
+   legal (a prefix may be unreachable mid-recovery); loops never are. *)
 let check_fwd_verify net acc =
   let acc =
     List.fold_left
@@ -428,10 +380,7 @@ let check_fwd_verify net acc =
     acc (Fwd_verify.differential net)
 
 let check_invariants net =
-  [] |> check_no_loops net |> check_flow_targets net |> check_session_rib net
-  |> check_fwd_verify net
-  |> check_checkpoint_idempotent net
-  |> List.rev
+  [] |> check_flow_targets net |> check_session_rib net |> check_fwd_verify net |> List.rev
 
 (* --- One run ------------------------------------------------------------ *)
 

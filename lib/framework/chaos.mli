@@ -36,9 +36,10 @@ type violation = { invariant : string; detail : string }
 val pp_violation : Format.formatter -> violation -> unit
 
 val check_invariants : Network.t -> violation list
-(** Interrogate a (quiescent) network: no forwarding loops, no flow rule
-    pointing at a crashed node or down link, RIB contents consistent with
-    session FSM state, and checkpoint→restore digest idempotency. *)
+(** Interrogate a (quiescent) network: no flow rule pointing at a
+    crashed node or down link, RIB contents consistent with session FSM
+    state, and a data-plane snapshot with no forwarding loops that
+    agrees with the reference walker ({!Fwd_verify}). *)
 
 val render_state : Network.t -> string
 (** The deterministic control/data-plane rendering behind

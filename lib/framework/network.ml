@@ -24,7 +24,6 @@ type data_stats = { mutable forwarded : int; mutable dropped : int; mutable deli
 type t = {
   sim : Engine.Sim.t;
   net : Payload.t Net.Netsim.t;
-  seed : int; (* construction seed, recorded for checkpointing *)
   spec : Topology.Spec.t;
   plan : Addressing.plan;
   config : Config.t;
@@ -69,8 +68,6 @@ let routers t = t.routers
 let router t asn = Net.Asn.Map.find_opt asn t.routers
 
 let switch t asn = Net.Asn.Map.find_opt asn t.switches
-
-let seed t = t.seed
 
 (* --- Node registry ------------------------------------------------------ *)
 
@@ -428,7 +425,6 @@ let create ?(config = Config.default) ~seed spec =
     {
       sim;
       net;
-      seed;
       spec;
       plan;
       config;
@@ -851,122 +847,3 @@ let dataplane_snapshot t =
       end)
     (Net.Netsim.links t.net);
   dp
-
-(* --- Whole-network checkpointing ---------------------------------------- *)
-
-(* A checkpoint is the construction recipe (seed + spec + config) plus
-   everything that diverged since: link states, every runtime node's
-   captured state (lifecycle, armed timers, component blob), the fabric's
-   loss RNG position and in-flight messages, and the framework-owned data
-   planes.  Restoring rebuilds the network from the recipe and overwrites
-   the divergent state — the restored simulator's clock restarts at zero,
-   with captured events re-scheduled at their original absolute instants.
-
-   Known limits (see DESIGN.md "Node runtime"): telemetry counters are
-   not carried over, flow-rule idle/hard timeouts and damping re-check
-   events are not re-armed, and same-instant event ties across the
-   checkpoint boundary follow restore re-scheduling order. *)
-
-type checkpoint = {
-  ck_seed : int;
-  ck_spec : Topology.Spec.t;
-  ck_config : Config.t;
-  ck_time : Engine.Time.t;
-  ck_links : (Net.Link.id * bool) list;
-  ck_routers : (Net.Asn.t * Engine.Node.state) list;
-  ck_switches : (Net.Asn.t * Engine.Node.state) list;
-  ck_collector : Engine.Node.state;
-  ck_controller : Engine.Node.state option;
-  ck_speaker : Engine.Node.state option;
-  ck_net_rng : Engine.Rng.t;
-  ck_in_flight : Payload.t Net.Netsim.in_flight list;
-  ck_fibs : (Net.Asn.t * (Net.Ipv4.prefix * int) list) list;
-  ck_locals : (Net.Asn.t * Net.Ipv4.prefix list) list;
-}
-
-let checkpoint_time ck = ck.ck_time
-
-let checkpoint t =
-  if Hashtbl.length t.rel_overrides > 0 then
-    invalid_arg "Network.checkpoint: runtime-added peerings are not checkpointable";
-  {
-    ck_seed = t.seed;
-    ck_spec = t.spec;
-    ck_config = t.config;
-    ck_time = Engine.Sim.now t.sim;
-    ck_links =
-      List.map (fun l -> (Net.Link.id l, Net.Link.is_up l)) (Net.Netsim.links t.net);
-    ck_routers =
-      List.map
-        (fun (asn, r) -> (asn, Engine.Node.state (Bgp.Router.node r)))
-        (Net.Asn.Map.bindings t.routers);
-    ck_switches =
-      List.map
-        (fun (asn, sw) -> (asn, Engine.Node.state (Sdn.Switch.node sw)))
-        (Net.Asn.Map.bindings t.switches);
-    ck_collector = Engine.Node.state (Bgp.Collector.node t.collector);
-    ck_controller =
-      Option.map (fun c -> Engine.Node.state (Cluster_ctl.Controller.node c)) t.controller;
-    ck_speaker =
-      Option.map (fun s -> Engine.Node.state (Cluster_ctl.Speaker.node s)) t.speaker;
-    ck_net_rng = Engine.Rng.copy (Net.Netsim.rng t.net);
-    ck_in_flight = Net.Netsim.in_flight t.net;
-    ck_fibs =
-      List.map (fun (asn, fib) -> (asn, Net.Fib.entries fib)) (Net.Asn.Map.bindings t.fibs);
-    ck_locals =
-      Hashtbl.fold
-        (fun asn s acc -> (asn, Net.Ipv4.Prefix_set.elements !s) :: acc)
-        t.local_prefixes []
-      |> List.sort (fun (a, _) (b, _) -> Net.Asn.compare a b);
-  }
-
-let restore ck =
-  let t = create ~config:ck.ck_config ~seed:ck.ck_seed ck.ck_spec in
-  (* Link states first, silently: watchers must not see these as runtime
-     transitions. *)
-  List.iter
-    (fun (id, up) ->
-      match Net.Netsim.link_by_id t.net id with
-      | Some link -> Net.Link.set_up_internal link up
-      | None -> ())
-    ck.ck_links;
-  (* Component states; each restore re-arms that component's timers and
-     re-schedules its pending work at the captured absolute instants. *)
-  List.iter
-    (fun (asn, st) ->
-      match Net.Asn.Map.find_opt asn t.routers with
-      | Some r -> Engine.Node.restore_state (Bgp.Router.node r) st
-      | None -> ())
-    ck.ck_routers;
-  List.iter
-    (fun (asn, st) ->
-      match Net.Asn.Map.find_opt asn t.switches with
-      | Some sw -> Engine.Node.restore_state (Sdn.Switch.node sw) st
-      | None -> ())
-    ck.ck_switches;
-  Engine.Node.restore_state (Bgp.Collector.node t.collector) ck.ck_collector;
-  (match (t.controller, ck.ck_controller) with
-  | Some c, Some st -> Engine.Node.restore_state (Cluster_ctl.Controller.node c) st
-  | _ -> ());
-  (match (t.speaker, ck.ck_speaker) with
-  | Some s, Some st -> Engine.Node.restore_state (Cluster_ctl.Speaker.node s) st
-  | _ -> ());
-  (* The wire: loss-RNG position, then the captured in-flight messages. *)
-  Engine.Rng.assign ~from:ck.ck_net_rng (Net.Netsim.rng t.net);
-  List.iter (Net.Netsim.inject_in_flight t.net) ck.ck_in_flight;
-  (* Framework-owned data planes. *)
-  List.iter
-    (fun (asn, entries) ->
-      match Net.Asn.Map.find_opt asn t.fibs with
-      | None -> ()
-      | Some fib ->
-        Net.Fib.clear fib;
-        List.iter (fun (p, v) -> Net.Fib.insert fib p v) entries)
-    ck.ck_fibs;
-  List.iter
-    (fun (asn, prefixes) ->
-      let s = local_set t asn in
-      s := Net.Ipv4.Prefix_set.of_list prefixes)
-    ck.ck_locals;
-  (* No [start]: sessions are already open per the captured states. *)
-  t

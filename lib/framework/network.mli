@@ -23,9 +23,6 @@ val start : t -> unit
 
 val sim : t -> Engine.Sim.t
 
-val seed : t -> int
-(** The construction seed (recorded for checkpointing). *)
-
 val fabric : t -> Payload.t Net.Netsim.t
 
 val runtime_node : t -> Net.Asn.t -> Engine.Node.t option
@@ -177,24 +174,3 @@ val dataplane_snapshot : t -> Net.Dataplane.t
     the non-mutating lookups, so probing the snapshot perturbs neither
     flow packet counters nor miss metrics.  Recompile after the control
     plane changes. *)
-
-(* --- Whole-network checkpointing --- *)
-
-type checkpoint
-(** An in-memory snapshot: the construction recipe (seed, spec, config)
-    plus link states, every runtime node's captured state, the wire
-    (in-flight messages and the loss-RNG position) and the framework's
-    data planes.  See DESIGN.md "Node runtime" for what is (and is not)
-    captured. *)
-
-val checkpoint : t -> checkpoint
-(** @raise Invalid_argument when peerings were added at runtime
-    ({!add_peering} state is not checkpointable). *)
-
-val checkpoint_time : checkpoint -> Engine.Time.t
-
-val restore : checkpoint -> t
-(** Rebuild a network from a checkpoint.  The restored simulator's clock
-    restarts at zero with captured events re-scheduled at their original
-    absolute instants; do not call {!start} on the result — sessions are
-    already open per the captured states. *)

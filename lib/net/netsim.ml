@@ -24,7 +24,7 @@ type 'a sink = Handler of 'a handler | Port of 'a Engine.Node.port
 
 type drop_reason = Link_down | Loss | Queue | No_handler | Node_down | Session_down
 
-(* Int-keyed tables (node ids, link ids, flight ids, endpoint pairs), so
+(* Int-keyed tables (node ids, link ids, endpoint pairs), so
    neither the key nor the hash goes through the polymorphic primitives.
    The multiplicative hash moves well-mixed high product bits down, as
    bucket selection reads the low bits and pair keys differ in high ones. *)
@@ -52,16 +52,6 @@ type 'a node = {
   idx : int; (* dense, in [add_node] order: the halves of a [pairs] key *)
 }
 
-type 'a flight = {
-  f_id : int;
-  f_src : int;
-  f_dst : int;
-  f_at : Engine.Time.t;
-  f_payload : 'a;
-}
-
-type 'a in_flight = { src : int; dst : int; deliver_at : Engine.Time.t; payload : 'a }
-
 type 'a t = {
   sim : Engine.Sim.t;
   rng : Engine.Rng.t;
@@ -69,8 +59,6 @@ type 'a t = {
   links : Link.t Itbl.t; (* by link id *)
   pairs : Link.t Itbl.t; (* by [pair_key] of the endpoints *)
   mutable next_link_id : int;
-  flights : 'a flight Itbl.t;
-  mutable next_flight_id : int;
   sent_c : Engine.Metrics.Counter.t;
   delivered_c : Engine.Metrics.Counter.t;
   dropped_c : Engine.Metrics.Counter.t;
@@ -87,8 +75,6 @@ let create sim =
     links = Itbl.create 64;
     pairs = Itbl.create 64;
     next_link_id = 0;
-    flights = Itbl.create 64;
-    next_flight_id = 0;
     sent_c =
       Engine.Metrics.counter m ~help:"messages accepted onto a link" "net_messages_sent_total";
     delivered_c =
@@ -103,8 +89,6 @@ let create sim =
   }
 
 let sim t = t.sim
-
-let rng t = t.rng
 
 (* One int per unordered node pair: the two dense indices side by side. *)
 let pair_key a b = if a.idx < b.idx then (a.idx lsl 31) lor b.idx else (b.idx lsl 31) lor a.idx
@@ -145,8 +129,6 @@ let add_link ?(delay = Engine.Time.ms 2) ?(loss = 0.0) ?bandwidth_bps ?queue_lim
   Itbl.replace t.links id link;
   Itbl.replace t.pairs key link;
   link
-
-let link_by_id t id = Itbl.find_opt t.links id
 
 let link_between t u v =
   match (Itbl.find_opt t.nodes u, Itbl.find_opt t.nodes v) with
@@ -241,20 +223,6 @@ let deliver t link ~src (dst : _ node) payload =
       end
   end
 
-(* Each scheduled delivery is tracked in [flights] until it fires, so a
-   checkpoint can capture the wire contents ([in_flight]) and a restore
-   can put them back ([inject_in_flight]). *)
-let schedule_flight t link ~src ~dst deliver_at payload =
-  let id = t.next_flight_id in
-  t.next_flight_id <- id + 1;
-  let dst_node = node t dst in
-  Itbl.replace t.flights id
-    { f_id = id; f_src = src; f_dst = dst; f_at = deliver_at; f_payload = payload };
-  ignore
-    (Engine.Sim.schedule_at ~category:"net.deliver" t.sim deliver_at (fun () ->
-         Itbl.remove t.flights id;
-         deliver t link ~src dst_node payload))
-
 (* [size_bits] matters only on bandwidth-limited links, where it adds
    serialization delay and FIFO queuing (drop-tail when the direction's
    queue is full). *)
@@ -269,19 +237,11 @@ let send ?(size_bits = 8 * 64) t ~src ~dst payload =
       true (* accepted by the sender, lost in the queue *)
     | Some delivery_at ->
       Engine.Metrics.Counter.inc t.sent_c;
-      schedule_flight t link ~src ~dst delivery_at payload;
+      let dst_node = node t dst in
+      ignore
+        (Engine.Sim.schedule_at ~category:"net.deliver" t.sim delivery_at (fun () ->
+             deliver t link ~src dst_node payload));
       true)
-
-let in_flight t =
-  Itbl.fold (fun _ f acc -> f :: acc) t.flights []
-  |> List.sort (fun a b -> Int.compare a.f_id b.f_id)
-  |> List.map (fun f ->
-         { src = f.f_src; dst = f.f_dst; deliver_at = f.f_at; payload = f.f_payload })
-
-let inject_in_flight t { src; dst; deliver_at; payload } =
-  match link_between t src dst with
-  | None -> invalid_arg (Fmt.str "Netsim.inject_in_flight: no link %d<->%d" src dst)
-  | Some link -> schedule_flight t link ~src ~dst deliver_at payload
 
 (* Current topology restricted to links that are up. *)
 let up_graph t =

@@ -22,10 +22,6 @@ val create : Engine.Sim.t -> 'a t
 
 val sim : 'a t -> Engine.Sim.t
 
-val rng : 'a t -> Engine.Rng.t
-(** The fabric's loss-decision stream (checkpointing captures its
-    position). *)
-
 val add_node : 'a t -> id:int -> name:string -> unit
 (** @raise Invalid_argument on duplicate ids. *)
 
@@ -64,8 +60,6 @@ val add_link :
     delay and drop-tail queuing (see {!Link.admit}).
     @raise Invalid_argument on duplicates or unknown nodes. *)
 
-val link_by_id : 'a t -> Link.id -> Link.t option
-
 val link_between : 'a t -> int -> int -> Link.t option
 
 val links : 'a t -> Link.t list
@@ -95,17 +89,6 @@ val drops : 'a t -> drop_reason -> int
 val note_drop : 'a t -> drop_reason -> unit
 (** Account a drop that never reached a wire (protocol-layer discard,
     e.g. a BGP relay thrown away while its session is down). *)
-
-type 'a in_flight = { src : int; dst : int; deliver_at : Engine.Time.t; payload : 'a }
-
-val in_flight : 'a t -> 'a in_flight list
-(** Messages on the wire (sent, not yet delivered), in send order —
-    the wire contents a checkpoint must capture. *)
-
-val inject_in_flight : 'a t -> 'a in_flight -> unit
-(** Re-schedule a captured delivery at its original absolute instant
-    (restore path).
-    @raise Invalid_argument if no link joins the endpoints. *)
 
 val up_graph : 'a t -> Graph.t
 (** Snapshot of the topology restricted to links that are currently up. *)

@@ -58,11 +58,6 @@ type t = {
   expired_by : (string, Engine.Metrics.Counter.t) Hashtbl.t; (* lazy, by reason *)
 }
 
-(* rules, index of the fallback rule within them (if active), last
-   control-plane contact. *)
-type Engine.Node.blob +=
-  | Switch_state of Flow.rule list * int option * Engine.Time.t
-
 let prefix_all = Net.Ipv4.prefix (Net.Ipv4.addr_of_octets 0 0 0 0) 0
 
 (* Registered on first failover so failure-free runs export exactly the
@@ -191,15 +186,14 @@ let create ?liveness ?(fallback_port = fun () -> None) ?(on_relay_drop = fun () 
     expired_by = Hashtbl.create 2;
   }
   in
-  (* The supervision timer exists eagerly (even before start) so a
-     checkpoint can re-arm it by name on restore. *)
+  (* One supervision timer per switch, owned by the node: a crash cancels
+     it and every start re-arms it. *)
   (match liveness with
   | None -> ()
   | Some _ ->
     t.supervise <-
       Some
         (Engine.Node.timer ~category:"sdn.liveness" node
-           ~name:(Fmt.str "sw-%a-supervise" Net.Asn.pp asn)
            ~callback:(fun () -> supervise_tick t)));
   (* A crashed switch loses its flow table; the controller re-installs
      rules when the framework resyncs the member on restart. *)
@@ -209,36 +203,6 @@ let create ?liveness ?(fallback_port = fun () -> None) ?(on_relay_drop = fun () 
   Engine.Node.on_start node (fun ~first:_ ->
       t.last_ctrl_seen <- Engine.Sim.now sim;
       start_supervision t);
-  (* Rule records are mutable ([packets], [last_used]) and the
-     checkpointed run keeps running, so both directions copy.  Timeout
-     enforcement is not re-armed on restore — a documented checkpoint
-     limitation (rules outlive their recorded idle/hard deadlines). *)
-  Engine.Node.set_snapshot node (fun () ->
-      let rules = Flow_table.rules t.table in
-      let fb_index =
-        match t.fallback with
-        | None -> None
-        | Some fb ->
-          let rec idx i = function
-            | [] -> None
-            | r :: rest -> if r == fb then Some i else idx (i + 1) rest
-          in
-          idx 0 rules
-      in
-      Switch_state
-        ( List.map (fun (r : Flow.rule) -> { r with packets = r.packets }) rules,
-          fb_index,
-          t.last_ctrl_seen ));
-  Engine.Node.set_restore node (function
-    | Switch_state (rules, fb_index, last_ctrl_seen) ->
-      Flow_table.clear t.table;
-      let copies =
-        List.map (fun (r : Flow.rule) -> { r with packets = r.packets }) rules
-      in
-      List.iter (Flow_table.add t.table) copies;
-      t.fallback <- Option.bind fb_index (fun i -> List.nth_opt copies i);
-      t.last_ctrl_seen <- last_ctrl_seen
-    | _ -> invalid_arg "Switch.restore: foreign snapshot blob");
   Engine.Node.start node;
   t
 

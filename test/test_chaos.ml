@@ -93,6 +93,24 @@ let test_oracle_catches_stale_flow_rule () =
          v.Framework.Chaos.invariant = "no-stale-flow-rule")
        violations)
 
+(* Two member switches forwarding AS 0's prefix at each other: the loop
+   must surface through the forwarding verifier. *)
+let test_oracle_catches_forwarding_loop () =
+  let net, _ = converged_net () in
+  let prefix = (Framework.Network.plan net).Framework.Addressing.origin_prefix (asn 0) in
+  let plant from_ to_ =
+    let sw = Option.get (Framework.Network.switch net from_) in
+    Sdn.Flow_table.add (Sdn.Switch.table sw)
+      (Sdn.Flow.make ~priority:99 ~match_prefix:prefix (Sdn.Flow.Output (Net.Asn.to_int to_)))
+  in
+  plant (asn 2) (asn 3);
+  plant (asn 3) (asn 2);
+  let violations = Framework.Chaos.check_invariants net in
+  Alcotest.(check bool) "forwarding loop detected" true
+    (List.exists
+       (fun (v : Framework.Chaos.violation) -> v.Framework.Chaos.invariant = "fwd-verify-loop")
+       violations)
+
 (* --- Graceful degradation vs. blackholing ------------------------------- *)
 
 let reach_during_head_outage ~fallback =
@@ -243,6 +261,8 @@ let suite =
     Alcotest.test_case "50-run campaign deterministic" `Slow test_campaign_deterministic;
     Alcotest.test_case "schedules vary and always heal" `Quick test_schedules_vary_and_heal;
     Alcotest.test_case "oracle catches a stale flow rule" `Quick test_oracle_catches_stale_flow_rule;
+    Alcotest.test_case "oracle catches a forwarding loop" `Quick
+      test_oracle_catches_forwarding_loop;
     Alcotest.test_case "fallback retains reachability" `Quick test_fallback_retains_reachability;
     Alcotest.test_case "no-fallback blackholes" `Quick test_no_fallback_blackholes;
     Alcotest.test_case "minimize keeps a passing schedule" `Quick test_minimize_keeps_passing_schedule;

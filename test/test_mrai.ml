@@ -17,7 +17,7 @@ let setup ?on_withdrawals () =
   let sim = Sim.create () in
   let sent = ref [] in
   let mrai =
-    Bgp.Mrai.create sim ~rng:(Rng.create 1) ~config:(config ?on_withdrawals ()) ~name:"test"
+    Bgp.Mrai.create sim ~rng:(Rng.create 1) ~config:(config ?on_withdrawals ())
       ~send:(fun u -> sent := (Sim.now sim, u) :: !sent)
   in
   (sim, mrai, sent)

@@ -208,7 +208,8 @@ let test_dynamic_peering_hybrid () =
    order, and a recompute batch flushes its UPDATEs in exactly that order. *)
 let test_runtime_sessions_flush_in_order () =
   let spec = Topology.Spec.with_sdn (Topology.Artificial.line 5) [ asn 3; asn 4 ] in
-  let net = Framework.Network.create ~config:cfg ~seed:15 spec in
+  let config = { cfg with Framework.Config.causal = Engine.Causal.Full } in
+  let net = Framework.Network.create ~config ~seed:15 spec in
   Framework.Network.start net;
   ignore (Framework.Network.settle net);
   Framework.Network.add_peering net (asn 0) (asn 4);
@@ -227,30 +228,55 @@ let test_runtime_sessions_flush_in_order () =
     [ (65004, 65003); (65004, collector); (65005, collector); (65005, 65001); (65004, 65002) ]
     pairs;
   (* run exactly up to the end of the recompute batch the origination
-     triggers, then read the relayed UPDATEs off the wire in send order *)
+     triggers, remembering the span ids that batch step opened *)
   let ctrl = Option.get (Framework.Network.controller net) in
   let batches () = (Cluster_ctl.Controller.stats ctrl).Cluster_ctl.Controller.recompute_batches in
   let before = batches () in
   let plan = Framework.Network.plan net in
   Framework.Network.originate net (asn 3) (plan.Framework.Addressing.origin_prefix (asn 3));
   let sim = Framework.Network.sim net in
-  while batches () = before && Engine.Sim.step sim do
+  let causal = Engine.Sim.causal sim in
+  let mark = ref 0 in
+  while
+    batches () = before
+    && begin
+      mark := Engine.Causal.total causal;
+      Engine.Sim.step sim
+    end
+  do
     ()
   done;
-  let flushed =
-    List.filter_map
-      (fun (f : _ Net.Netsim.in_flight) ->
-        match f.Net.Netsim.payload with
-        | Framework.Payload.Openflow
-            (Sdn.Openflow.Bgp_relay
-               { member; neighbor; direction = Sdn.Openflow.To_neighbor;
-                 payload = Bgp.Message.Update _ }) ->
-          Some (Net.Asn.to_int member, Net.Asn.to_int neighbor)
-        | _ -> None)
-      (Net.Netsim.in_flight (Framework.Network.fabric net))
+  let lo = !mark and hi = Engine.Causal.total causal in
+  ignore (Framework.Network.settle net);
+  (* The batch's sends are its [net.deliver] spans, in send order.  A
+     relayed UPDATE lands on the member's switch ([sw-ASn]), which sends
+     it on to the neighbor; flow mods stop at the switch. *)
+  let spans = Engine.Causal.spans causal in
+  let children id category =
+    List.filter
+      (fun (c : Engine.Causal.span) -> c.parent = id && String.equal c.category category)
+      spans
   in
-  Alcotest.(check (list (pair int int))) "UPDATEs leave in configuration order" pairs flushed;
-  ignore (Framework.Network.settle net)
+  let receiver (sp : Engine.Causal.span) =
+    match children sp.id "node.deliver" with
+    | [ d ] -> d.node
+    | _ -> Alcotest.failf "span %d: expected one node.deliver child" sp.id
+  in
+  let asn_of_name = function
+    | "collector" -> collector
+    | name -> Scanf.sscanf name "%_[^A]AS%d" Fun.id
+  in
+  let flushed =
+    List.concat_map
+      (fun (sp : Engine.Causal.span) ->
+        if sp.id < lo || sp.id >= hi || not (String.equal sp.category "net.deliver") then []
+        else
+          List.map
+            (fun onward -> (asn_of_name (receiver sp), asn_of_name (receiver onward)))
+            (children sp.id "net.deliver"))
+      spans
+  in
+  Alcotest.(check (list (pair int int))) "UPDATEs leave in configuration order" pairs flushed
 
 let test_dynamic_peering_guards () =
   let net = build 3 in

@@ -1,5 +1,5 @@
 (* Engine.Node actor runtime: lifecycle, mailboxes, epoch guards, owned
-   timers, and whole-network checkpoint/restore equivalence. *)
+   timers, and component crash/restart through the framework. *)
 
 open Engine
 
@@ -116,7 +116,7 @@ let test_crash_cancels_owned_timers () =
   let n = Node.create sim ~name:"t" in
   Node.start n;
   let fired = ref false in
-  let tm = Node.timer n ~name:"tick" ~callback:(fun () -> fired := true) in
+  let tm = Node.timer n ~callback:(fun () -> fired := true) in
   Timer.start tm (Time.ms 10);
   ignore (Sim.schedule_at sim (Time.ms 5) (fun () -> Node.crash n));
   ignore (Sim.run sim);
@@ -169,99 +169,6 @@ let test_controller_crash_restart_reconverges () =
   Alcotest.(check bool) "member reachable again" true
     (Framework.Experiment.reachable exp ~src:member ~dst:(asn 0))
 
-(* --- Checkpoint / restore equivalence ----------------------------------- *)
-
-(* Everything observable that convergence produces: per-router Loc-RIBs,
-   per-switch flow tables, and the collector's full event dump (which is
-   what FIG2 convergence times are computed from). *)
-let fingerprint net =
-  let buf = Buffer.create 8192 in
-  List.iter
-    (fun a ->
-      match Framework.Network.router net a with
-      | Some r ->
-        List.iter
-          (fun (p, route) ->
-            Buffer.add_string buf
-              (Fmt.str "%a loc %a %a\n" Net.Asn.pp a Net.Ipv4.pp_prefix p Bgp.Route.pp route))
-          (Bgp.Router.loc_entries r)
-      | None -> (
-        match Framework.Network.switch net a with
-        | Some sw ->
-          List.iter
-            (fun rule ->
-              Buffer.add_string buf (Fmt.str "%a flow %a\n" Net.Asn.pp a Sdn.Flow.pp rule))
-            (Sdn.Flow_table.entries_sorted (Sdn.Switch.table sw))
-        | None -> ()))
-    (Framework.Network.asns net);
-  Buffer.add_string buf (Bgp.Collector.dump (Framework.Network.collector net));
-  Buffer.contents buf
-
-(* Drive a fresh 16-AS hybrid clique to the mid-convergence instant: an
-   announced prefix settles, then a withdrawal is cut off [mid] after it
-   starts propagating. *)
-let drive_to_mid seed =
-  let net = Framework.Network.create ~config:cfg ~seed (hybrid_spec 16 4) in
-  Framework.Network.start net;
-  let origin = asn 0 in
-  let prefix = (Framework.Network.plan net).Framework.Addressing.origin_prefix origin in
-  Framework.Network.originate net origin prefix;
-  let settled = Framework.Network.settle net in
-  Framework.Network.withdraw net origin prefix;
-  let mid = Time.add settled (Time.ms 20) in
-  Framework.Network.run_until net mid;
-  (net, prefix, mid)
-
-let test_checkpoint_restore_byte_identical () =
-  let seed = 77 in
-  (* Reference: the uninterrupted run. *)
-  let net_a, prefix, mid = drive_to_mid seed in
-  let quiesced_a = Framework.Network.settle net_a in
-  let fp_a = fingerprint net_a in
-  let conv_a =
-    Bgp.Collector.last_update_for (Framework.Network.collector net_a) prefix
-  in
-  (* The same run, checkpointed mid-convergence and restored into a
-     fresh simulator. *)
-  let net_b, _, mid_b = drive_to_mid seed in
-  Alcotest.(check int) "identical mid instant" (Time.to_us mid) (Time.to_us mid_b);
-  let ck = Framework.Network.checkpoint net_b in
-  Alcotest.(check int) "checkpoint stamped at mid" (Time.to_us mid)
-    (Time.to_us (Framework.Network.checkpoint_time ck));
-  let net_c = Framework.Network.restore ck in
-  let quiesced_c = Framework.Network.settle net_c in
-  let conv_c =
-    Bgp.Collector.last_update_for (Framework.Network.collector net_c) prefix
-  in
-  (* The withdrawal was genuinely still converging at the checkpoint. *)
-  (match conv_a with
-  | Some t -> Alcotest.(check bool) "checkpoint taken mid-convergence" true Time.(mid < t)
-  | None -> Alcotest.fail "no collector activity for the withdrawn prefix");
-  Alcotest.(check int) "quiescence instants identical" (Time.to_us quiesced_a)
-    (Time.to_us quiesced_c);
-  Alcotest.(check (option int)) "final collector update identical"
-    (Option.map Time.to_us conv_a) (Option.map Time.to_us conv_c);
-  Alcotest.(check string) "RIBs, flow tables and collector dump byte-identical" fp_a
-    (fingerprint net_c)
-
-(* Restoring must also commute with *further* lifecycle actions: crash a
-   router after the restore point in both worlds and compare again. *)
-let test_checkpoint_then_crash_equivalent () =
-  let seed = 78 in
-  let continue_with_crash net =
-    Framework.Network.crash_node net (asn 3);
-    ignore (Framework.Network.settle net);
-    Framework.Network.restart_node net (asn 3);
-    ignore (Framework.Network.settle net);
-    fingerprint net
-  in
-  let net_a, _, _ = drive_to_mid seed in
-  let fp_a = continue_with_crash net_a in
-  let net_b, _, _ = drive_to_mid seed in
-  let net_c = Framework.Network.restore (Framework.Network.checkpoint net_b) in
-  let fp_c = continue_with_crash net_c in
-  Alcotest.(check string) "crash after restore matches crash after continue" fp_a fp_c
-
 let suite =
   [
     Alcotest.test_case "lifecycle and hooks" `Quick test_lifecycle_and_hooks;
@@ -273,8 +180,4 @@ let suite =
       test_router_crash_restart_reconverges;
     Alcotest.test_case "controller crash/restart reconverges" `Quick
       test_controller_crash_restart_reconverges;
-    Alcotest.test_case "checkpoint/restore byte-identical" `Quick
-      test_checkpoint_restore_byte_identical;
-    Alcotest.test_case "checkpoint then crash equivalent" `Quick
-      test_checkpoint_then_crash_equivalent;
   ]

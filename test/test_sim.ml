@@ -80,7 +80,7 @@ let test_max_events () =
 let test_timer_fires_once () =
   let sim = Sim.create () in
   let fires = ref 0 in
-  let timer = Timer.create sim ~name:"t" ~callback:(fun () -> incr fires) in
+  let timer = Timer.create sim ~callback:(fun () -> incr fires) in
   Timer.start timer (Time.ms 10);
   ignore (Sim.run sim);
   Alcotest.(check int) "one fire" 1 !fires;
@@ -91,7 +91,7 @@ let test_timer_restart_replaces () =
   let fired_at = ref [] in
   let timer = ref None in
   let t =
-    Timer.create sim ~name:"t" ~callback:(fun () ->
+    Timer.create sim ~callback:(fun () ->
         fired_at := Sim.now sim :: !fired_at;
         ignore timer)
   in
@@ -105,7 +105,7 @@ let test_timer_restart_replaces () =
 let test_timer_start_if_idle_coalesces () =
   let sim = Sim.create () in
   let fires = ref 0 in
-  let t = Timer.create sim ~name:"t" ~callback:(fun () -> incr fires) in
+  let t = Timer.create sim ~callback:(fun () -> incr fires) in
   Timer.start_if_idle t (Time.ms 10);
   Timer.start_if_idle t (Time.ms 50);
   ignore (Sim.run sim);
@@ -115,7 +115,7 @@ let test_timer_start_if_idle_coalesces () =
 let test_timer_cancel () =
   let sim = Sim.create () in
   let fires = ref 0 in
-  let t = Timer.create sim ~name:"t" ~callback:(fun () -> incr fires) in
+  let t = Timer.create sim ~callback:(fun () -> incr fires) in
   Timer.start t (Time.ms 10);
   Timer.cancel t;
   ignore (Sim.run sim);
