@@ -67,6 +67,16 @@ let with_sdn_tail spec k =
 
 (* --- Common options ------------------------------------------------------ *)
 
+(* An integer option below [min] is a usage error, reported before any run
+   starts. *)
+let int_at_least min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= min -> Ok v
+    | _ -> Error (`Msg (Fmt.str "expected an integer >= %d, got %S" min s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
@@ -74,7 +84,8 @@ let topo_arg default =
   Arg.(value & opt string default & info [ "topo" ] ~docv:"SPEC" ~doc:"Topology spec.")
 
 let sdn_arg default =
-  Arg.(value & opt int default & info [ "sdn" ] ~docv:"K" ~doc:"SDN member count.")
+  Arg.(
+    value & opt (int_at_least 0) default & info [ "sdn" ] ~docv:"K" ~doc:"SDN member count.")
 
 let jobs_arg =
   Arg.(
@@ -97,7 +108,7 @@ let resolve_jobs jobs =
 let mrai_arg =
   Arg.(
     value
-    & opt int 30
+    & opt (int_at_least 0) 30
     & info [ "mrai" ] ~docv:"SECONDS" ~doc:"eBGP MinRouteAdvertisementInterval.")
 
 let config_of_mrai mrai =
@@ -157,16 +168,6 @@ let write_snapshot path snap =
   Fmt.pr "metrics: final snapshot written to %s@." path
 
 (* --- sweep ---------------------------------------------------------------- *)
-
-(* An integer option below [min] is a usage error, reported before any run
-   starts. *)
-let int_at_least min =
-  let parse s =
-    match int_of_string_opt s with
-    | Some v when v >= min -> Ok v
-    | _ -> Error (`Msg (Fmt.str "expected an integer >= %d, got %S" min s))
-  in
-  Arg.conv (parse, Fmt.int)
 
 module E = Framework.Experiments
 

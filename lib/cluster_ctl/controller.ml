@@ -638,7 +638,7 @@ let create ?flow_idle_timeout ?flow_hard_timeout ~sim ~config ~members:member_li
     Some
       (Recompute.create ~sim ~delay:config.recompute_delay ~callback:(fun prefixes ->
            recompute_batch t prefixes));
-  Speaker.set_handlers speaker
+  Speaker.attach_controller speaker
     ~on_update:(fun s u -> on_external_update t s u)
     ~on_session:(fun s ~up -> on_session_change t s ~up);
   Engine.Node.on_crash t.node (fun () -> on_crashed t);

@@ -89,7 +89,7 @@ let create_unhooked ?liveness ~sim ~send_relay () =
 
 let node t = t.node
 
-let set_handlers t ~on_update ~on_session =
+let attach_controller t ~on_update ~on_session =
   t.on_update <- on_update;
   t.on_session <- on_session
 

@@ -30,7 +30,7 @@ val node : t -> Engine.Node.t
     restart re-opens each configured session with a NOTIFICATION-then-OPEN
     exchange so remote routers flush and resync. *)
 
-val set_handlers :
+val attach_controller :
   t ->
   on_update:(session -> Bgp.Message.update -> unit) ->
   on_session:(session -> up:bool -> unit) ->

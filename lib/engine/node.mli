@@ -5,8 +5,8 @@
     A node owns:
     - a lifecycle state machine [Created -> Up -> Down -> Up -> ...] with
       [crash]/[restart] transitions and registered hooks;
-    - a bounded ingress mailbox of pending work, with drop accounting
-      (typed views of the mailbox are created with {!port});
+    - typed ingress ports ({!port}) that refuse deliveries while the node
+      is down;
     - its timers, auto-cancelled when the node crashes;
     - epoch-guarded scheduling: events scheduled through the node are
       silently discarded if the node crashed after they were scheduled.
@@ -14,17 +14,16 @@
     The runtime is deliberately behaviour-preserving: when no lifecycle
     action is taken, delivery through a port is the same synchronous
     handler call a raw closure would have made, no extra RNG draws are
-    taken and no metric series are registered until a drop or lifecycle
+    taken and no metric series are registered until a lifecycle
     transition actually happens. *)
 
 type lifecycle = Created | Up | Down
 
 type t
 
-val create : ?kind:string -> ?mailbox_capacity:int -> Sim.t -> name:string -> t
+val create : ?kind:string -> Sim.t -> name:string -> t
 (** [kind] labels the component family ("router", "switch", "speaker",
-    "controller", "collector"); [mailbox_capacity] bounds
-    queued-but-unprocessed deliveries (default 4096). *)
+    "controller", "collector"). *)
 
 val sim : t -> Sim.t
 
@@ -46,16 +45,15 @@ val on_start : t -> (first:bool -> unit) -> unit
     ([first = false]); registration order is execution order. *)
 
 val on_crash : t -> (unit -> unit) -> unit
-(** Hook run on [Up -> Down], after owned timers are cancelled and the
-    mailbox is flushed. *)
+(** Hook run on [Up -> Down], after owned timers are cancelled. *)
 
 val start : t -> unit
 (** [Created | Down -> Up]; no-op when already up. *)
 
 val crash : t -> unit
-(** [Up -> Down]: bump the epoch, cancel owned timers, discard the
-    mailbox, run the crash hooks.  No-op unless up.  While down, port
-    deliveries are refused and guarded events do not fire. *)
+(** [Up -> Down]: bump the epoch, cancel owned timers, run the crash
+    hooks.  No-op unless up.  While down, port deliveries are refused
+    and guarded events do not fire. *)
 
 val restart : t -> unit
 (** [crash] (if up) followed by [start]: the component's restart hooks
@@ -77,33 +75,19 @@ val schedule_at : ?category:string -> t -> Time.t -> (unit -> unit) -> unit
 (** Like {!Sim.schedule_at} but the action is skipped if the node crashed
     (epoch changed) or is down when the event fires. *)
 
-(** {1 Mailbox and typed ports} *)
+(** {1 Typed ports} *)
 
 type 'msg port
-(** A typed ingress into the node's mailbox. *)
+(** A typed ingress into the node. *)
 
 val port : t -> handler:(from:int -> 'msg -> unit) -> 'msg port
 
 val port_node : 'msg port -> t
 
 val deliver : 'msg port -> from:int -> 'msg -> bool
-(** Process one message now — a direct handler call when the node is
-    idle — or, when delivered re-entrantly from one of its handlers,
-    queue it to be processed before the outermost delivery returns.  A
-    handler's exception propagates; messages it left queued are
-    processed first by the next delivery.
-    [false] when the node is not up ([`node down`]) or the mailbox is
-    full ([`queue overflow`] — counted in [node_mailbox_dropped_total]
-    and visible via {!mailbox_dropped}). *)
-
-val mailbox_depth : t -> int
-(** Messages enqueued but not yet processed (non-zero only during
-    re-entrant processing, or after a raising handler left some). *)
-
-val mailbox_dropped : t -> int
-
-val processed : t -> int
-(** Messages the node has processed over its lifetime. *)
+(** [false] when the node is not up; otherwise mark a [node.deliver]
+    event and call the handler now.  A handler's exception propagates
+    and leaves the node accepting the next delivery. *)
 
 val crashes : t -> int
 

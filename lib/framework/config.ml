@@ -1,5 +1,5 @@
 (* Framework-level experiment configuration: BGP timing, controller
-   behaviour, link properties, infrastructure placement. *)
+   behaviour, failure detection, tracing and collector retention. *)
 
 type t = {
   bgp : Bgp.Config.t;
@@ -8,14 +8,6 @@ type t = {
   speaker_mrai : Bgp.Config.t option;
       (* pace the cluster speaker's announcements like a normal BGP
          implementation (None = ExaBGP-style immediate emission) *)
-  default_link_delay : Engine.Time.span;
-  collector_link_delay : Engine.Time.span;
-  control_link_delay : Engine.Time.span; (* controller <-> switch *)
-  wire_transport : bool;
-      (* pass every BGP message through the RFC 4271 binary codec at the
-         sender (encode -> byte stream -> decode), exactly as a TCP
-         transport would carry it; semantic UPDATEs that split into
-         several wire messages are delivered as such *)
   speaker_liveness : Bgp.Config.keepalive option;
       (* KEEPALIVE/hold timers on the cluster speaker's external sessions
          (None = sessions never hold-expire, the pre-liveness behaviour) *)
@@ -42,10 +34,6 @@ let default =
     damping = None;
     controller = Cluster_ctl.Controller.default_config;
     speaker_mrai = None;
-    default_link_delay = Engine.Time.ms 2;
-    collector_link_delay = Engine.Time.ms 1;
-    control_link_delay = Engine.Time.ms 1;
-    wire_transport = false;
     speaker_liveness = None;
     switch_liveness = None;
     flow_idle_timeout = None;

@@ -8,12 +8,6 @@ type t = {
   speaker_mrai : Bgp.Config.t option;
       (** pace the cluster speaker's announcements like a conventional BGP
           implementation ([None] = ExaBGP-style immediate emission) *)
-  default_link_delay : Engine.Time.span;
-  collector_link_delay : Engine.Time.span;
-  control_link_delay : Engine.Time.span;
-  wire_transport : bool;
-      (** pass every BGP message through the RFC 4271 binary codec at the
-          sender, as a TCP transport would *)
   speaker_liveness : Bgp.Config.keepalive option;
       (** KEEPALIVE/hold timers on the cluster speaker's external sessions
           ([None] = sessions never hold-expire) *)

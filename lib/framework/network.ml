@@ -19,6 +19,14 @@ let collector_node = -2
 
 let collector_asn = Net.Asn.of_int 4_200_000_000
 
+(* Propagation delays: AS-AS links without a per-link delay in the spec,
+   collector peerings and controller <-> switch control links. *)
+let peering_delay = Engine.Time.ms 2
+
+let collector_delay = Engine.Time.ms 1
+
+let control_delay = Engine.Time.ms 1
+
 type data_stats = { mutable forwarded : int; mutable dropped : int; mutable delivered : int }
 
 type t = {
@@ -220,12 +228,9 @@ let create ?(config = Config.default) ~seed spec =
   let sdn_set = Net.Asn.Set.of_list sdn in
   let is_sdn asn = Net.Asn.Set.mem asn sdn_set in
   (* Fabric nodes. *)
-  List.iter
-    (fun asn ->
-      Net.Netsim.add_node net ~id:(Net.Asn.to_int asn) ~name:(Net.Asn.to_string asn))
-    all_asns;
-  Net.Netsim.add_node net ~id:collector_node ~name:"collector";
-  if sdn <> [] then Net.Netsim.add_node net ~id:ctrl_node ~name:"ctrl";
+  List.iter (fun asn -> Net.Netsim.add_node net ~id:(Net.Asn.to_int asn)) all_asns;
+  Net.Netsim.add_node net ~id:collector_node;
+  if sdn <> [] then Net.Netsim.add_node net ~id:ctrl_node;
   (* Fabric links: AS-AS per the spec, collector to everyone, control
      links to every switch. *)
   List.iter
@@ -233,7 +238,7 @@ let create ?(config = Config.default) ~seed spec =
       let delay =
         match l.Topology.Spec.delay_us with
         | Some us -> Engine.Time.us us
-        | None -> config.Config.default_link_delay
+        | None -> peering_delay
       in
       ignore
         (Net.Netsim.add_link ~delay net (Net.Asn.to_int l.Topology.Spec.a)
@@ -241,31 +246,13 @@ let create ?(config = Config.default) ~seed spec =
     (Topology.Spec.links spec);
   List.iter
     (fun asn ->
-      ignore
-        (Net.Netsim.add_link ~delay:config.Config.collector_link_delay net collector_node
-           (Net.Asn.to_int asn)))
+      ignore (Net.Netsim.add_link ~delay:collector_delay net collector_node (Net.Asn.to_int asn)))
     all_asns;
   List.iter
     (fun asn ->
-      ignore
-        (Net.Netsim.add_link ~delay:config.Config.control_link_delay net ctrl_node
-           (Net.Asn.to_int asn)))
+      ignore (Net.Netsim.add_link ~delay:control_delay net ctrl_node (Net.Asn.to_int asn)))
     sdn;
-  (* BGP transmission, optionally through the RFC 4271 binary codec (a
-     semantic UPDATE may split into several wire messages, delivered
-     individually, as a real TCP transport would). *)
-  let send_bgp_via ~src ~dst msg =
-    if not config.Config.wire_transport then
-      Net.Netsim.send net ~src ~dst (Payload.Bgp msg)
-    else begin
-      match Bgp.Wire.decode_all (Bgp.Wire.encode_concat msg) with
-      | Ok msgs ->
-        List.fold_left
-          (fun acc m -> Net.Netsim.send net ~src ~dst (Payload.Bgp m) && acc)
-          true msgs
-      | Error e -> failwith (Fmt.str "Network: wire codec failure: %a" Bgp.Wire.pp_error e)
-    end
-  in
+  let send_bgp_via ~src ~dst msg = Net.Netsim.send net ~src ~dst (Payload.Bgp msg) in
   (* Collector. *)
   let collector =
     Bgp.Collector.create ~retention:config.Config.collector_retention ~sim
@@ -685,7 +672,7 @@ let add_peering ?(rel = Topology.Spec.Open) ?delay t a b =
     invalid_arg (Fmt.str "Network.add_peering: unknown %a" Net.Asn.pp a);
   if not (Topology.Spec.mem t.spec b) then
     invalid_arg (Fmt.str "Network.add_peering: unknown %a" Net.Asn.pp b);
-  let delay = Option.value delay ~default:t.config.Config.default_link_delay in
+  let delay = Option.value delay ~default:peering_delay in
   (* Netsim rejects duplicate links, so existing peerings are caught here. *)
   ignore (Net.Netsim.add_link ~delay t.net (Net.Asn.to_int a) (Net.Asn.to_int b));
   let probe = Topology.Spec.link ~rel a b in

@@ -1,7 +1,7 @@
 (* Weighted graph over integer node ids.
 
-   Used for physical topologies, the controller's switch graph and the
-   per-prefix AS topology graph.  Adjacency is a map per node (so edge
+   Used for physical topologies and the controller's switch graph.
+   Adjacency is a map per node (so edge
    insertion is O(log degree) — a clique no longer pays a quadratic
    rebuild per node) with a memoized sorted neighbor list, so traversal
    order — and therefore every algorithm built on top — stays
@@ -160,68 +160,6 @@ let copy t =
   g.nedges <- t.nedges;
   g.version <- t.version;
   g
-
-(* --- Dijkstra ----------------------------------------------------------- *)
-
-(* Heap elements are (distance, insertion sequence, node): the sequence
-   number makes pop order — and hence tie-breaking — deterministic. *)
-let heap_cmp (d1, s1, _) (d2, s2, _) =
-  let c = Float.compare d1 d2 in
-  if c <> 0 then c else Int.compare s1 s2
-
-(* Dijkstra from [src]; infinite-distance nodes are absent from the result. *)
-let dijkstra t src =
-  let dist = Hashtbl.create 64 and pred = Hashtbl.create 64 in
-  let heap = Engine.Heap.create ~dummy:(0.0, 0, 0) heap_cmp in
-  let seq = ref 0 in
-  let push d v =
-    Engine.Heap.push heap (d, !seq, v);
-    incr seq
-  in
-  Hashtbl.replace dist src 0.0;
-  push 0.0 src;
-  let rec loop () =
-    match Engine.Heap.pop heap with
-    | None -> ()
-    | Some (d, _, v) ->
-      (* Skip stale entries. *)
-      if Float.equal (Hashtbl.find dist v) d then
-        List.iter
-          (fun (w, wt) ->
-            if wt < 0.0 then invalid_arg "Graph.dijkstra: negative weight";
-            let nd = d +. wt in
-            let better =
-              match Hashtbl.find_opt dist w with
-              | None -> true
-              | Some old -> nd < old
-            in
-            if better then begin
-              Hashtbl.replace dist w nd;
-              Hashtbl.replace pred w v;
-              push nd w
-            end)
-          (neighbors t v);
-      loop ()
-  in
-  loop ();
-  (dist, pred)
-
-let distance t src dst =
-  let dist, _ = dijkstra t src in
-  Hashtbl.find_opt dist dst
-
-let shortest_path t src dst =
-  if src = dst then if mem_node t src then Some [ src ] else None
-  else begin
-    let _, pred = dijkstra t src in
-    if not (Hashtbl.mem pred dst) then None
-    else begin
-      let rec build v acc =
-        if v = src then v :: acc else build (Hashtbl.find pred v) (v :: acc)
-      in
-      Some (build dst [])
-    end
-  end
 
 let bfs_reachable t src =
   if not (mem_node t src) then []

@@ -52,15 +52,6 @@ val edges : t -> (int * int * float) list
 
 val copy : t -> t
 
-val dijkstra : t -> int -> (int, float) Hashtbl.t * (int, int) Hashtbl.t
-(** [dijkstra t src] is [(dist, pred)]; unreachable nodes are absent.
-    @raise Invalid_argument on negative edge weights. *)
-
-val distance : t -> int -> int -> float option
-
-val shortest_path : t -> int -> int -> int list option
-(** Node sequence from [src] to [dst] inclusive. *)
-
 val bfs_reachable : t -> int -> int list
 (** Nodes reachable from [src], sorted, including [src]. *)
 

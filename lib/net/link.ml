@@ -7,50 +7,18 @@ type t = {
   a : int;
   b : int;
   delay : Engine.Time.span;
-  bandwidth_bps : int option; (* None = infinite capacity *)
-  queue_limit : int; (* max transmissions in flight per direction *)
   mutable up : bool;
   mutable loss : float;
-  mutable delivered : int;
-  mutable dropped : int;
-  (* per-direction transmitter state for serialization delay: the time at
-     which the (single) transmitter toward each endpoint frees up *)
-  mutable busy_until_ab : Engine.Time.t;
-  mutable busy_until_ba : Engine.Time.t;
 }
 
-let make ?bandwidth_bps ?(queue_limit = 64) ~id ~a ~b ~delay ~loss () =
+let make ~id ~a ~b ~delay ~loss =
   if a = b then invalid_arg "Link.make: self-link";
   if loss < 0.0 || loss > 1.0 then invalid_arg "Link.make: loss out of [0,1]";
-  (match bandwidth_bps with
-  | Some bps when bps <= 0 -> invalid_arg "Link.make: bandwidth must be positive"
-  | Some _ | None -> ());
-  if queue_limit < 1 then invalid_arg "Link.make: queue_limit must be >= 1";
-  {
-    id;
-    a;
-    b;
-    delay;
-    bandwidth_bps;
-    queue_limit;
-    up = true;
-    loss;
-    delivered = 0;
-    dropped = 0;
-    busy_until_ab = Engine.Time.zero;
-    busy_until_ba = Engine.Time.zero;
-  }
+  { id; a; b; delay; up = true; loss }
 
 let id t = t.id
 
 let endpoints t = (t.a, t.b)
-
-let other_end t v =
-  if v = t.a then t.b
-  else if v = t.b then t.a
-  else invalid_arg "Link.other_end: node not on link"
-
-let connects t u v = (t.a = u && t.b = v) || (t.a = v && t.b = u)
 
 let is_up t = t.up
 
@@ -62,52 +30,5 @@ let set_loss t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Link.set_loss";
   t.loss <- p
 
-let delivered t = t.delivered
-
-let dropped t = t.dropped
-
-let note_delivered t = t.delivered <- t.delivered + 1
-
-let note_dropped t = t.dropped <- t.dropped + 1
-
 (* State changes go through Netsim so endpoint watchers are notified. *)
 let set_up_internal t up = t.up <- up
-
-let bandwidth_bps t = t.bandwidth_bps
-
-(* Serialization (transmission) time of [size_bits] on this link. *)
-let transmission_time t ~size_bits =
-  match t.bandwidth_bps with
-  | None -> Engine.Time.span_zero
-  | Some bps -> Engine.Time.us (max 1 (size_bits * 1_000_000 / bps))
-
-(* Admit a transmission toward [dst] at [now]: returns the delivery time,
-   or [None] when the per-direction queue (of pending transmissions) is
-   full.  The transmitter serializes messages FIFO; queue depth is
-   approximated by how far the transmitter's busy horizon extends beyond
-   now, measured in transmissions of this size. *)
-let admit t ~now ~dst ~size_bits =
-  match t.bandwidth_bps with
-  | None -> Some (Engine.Time.add now t.delay)
-  | Some _ ->
-    let busy = if dst = t.b then t.busy_until_ab else t.busy_until_ba in
-    let tx = transmission_time t ~size_bits in
-    let backlog_spans =
-      if Engine.Time.(busy <= now) then 0
-      else begin
-        let waiting = Engine.Time.to_us (Engine.Time.diff busy now) in
-        let per = max 1 (Engine.Time.to_us tx) in
-        (waiting + per - 1) / per
-      end
-    in
-    if backlog_spans >= t.queue_limit then None
-    else begin
-      let start = Engine.Time.max now busy in
-      let done_at = Engine.Time.add start tx in
-      if dst = t.b then t.busy_until_ab <- done_at else t.busy_until_ba <- done_at;
-      Some (Engine.Time.add done_at t.delay)
-    end
-
-let pp ppf t =
-  Fmt.pf ppf "link#%d %d<->%d %a %s" t.id t.a t.b Engine.Time.pp_span t.delay
-    (if t.up then "up" else "down")

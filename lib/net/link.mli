@@ -4,38 +4,12 @@ type id = int
 
 type t
 
-val make :
-  ?bandwidth_bps:int ->
-  ?queue_limit:int ->
-  id:id ->
-  a:int ->
-  b:int ->
-  delay:Engine.Time.span ->
-  loss:float ->
-  unit ->
-  t
-(** [bandwidth_bps] enables serialization delay and per-direction FIFO
-    queuing (default: infinite capacity); [queue_limit] bounds pending
-    transmissions per direction (drop-tail, default 64).
-    @raise Invalid_argument on self-links, loss outside [0,1],
-    non-positive bandwidth or queue limit. *)
-
-val bandwidth_bps : t -> int option
-
-val transmission_time : t -> size_bits:int -> Engine.Time.span
-
-val admit : t -> now:Engine.Time.t -> dst:int -> size_bits:int -> Engine.Time.t option
-(** Admit a transmission toward endpoint [dst]: the delivery instant
-    (queuing + serialization + propagation), or [None] on drop-tail. *)
+val make : id:id -> a:int -> b:int -> delay:Engine.Time.span -> loss:float -> t
+(** @raise Invalid_argument on self-links or loss outside [0,1]. *)
 
 val id : t -> id
 
 val endpoints : t -> int * int
-
-val other_end : t -> int -> int
-(** @raise Invalid_argument if the node is not an endpoint. *)
-
-val connects : t -> int -> int -> bool
 
 val is_up : t -> bool
 
@@ -45,17 +19,5 @@ val loss : t -> float
 
 val set_loss : t -> float -> unit
 
-val delivered : t -> int
-(** Messages delivered over this link so far. *)
-
-val dropped : t -> int
-(** Messages dropped (loss or link-down while in flight). *)
-
-val note_delivered : t -> unit
-
-val note_dropped : t -> unit
-
 val set_up_internal : t -> bool -> unit
 (** Raw state flip — use {!Netsim.set_link_up} so watchers are notified. *)
-
-val pp : Format.formatter -> t -> unit

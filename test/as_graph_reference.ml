@@ -1,5 +1,5 @@
 (* Reference implementation of [Cluster_ctl.As_graph.compute]: the
-   original hash-table formulation over [Net.Graph.dijkstra], kept
+   original hash-table formulation over [Shortest_paths.dijkstra], kept
    verbatim (minus the arena) as an oracle for the dense-array version.
    Candidate edges live in an [(int * int)]-keyed table, the reversed AS
    topology graph is a [Net.Graph.t] with node 0 as the destination, and
@@ -70,7 +70,7 @@ let compute ~members ~switch_graph ~(routes : exit_route list) ~originators () =
   Net.Graph.add_node reversed dest_id;
   Net.Asn.Set.iter (fun m -> Net.Graph.add_node reversed (Net.Asn.to_int m)) members;
   Hashtbl.iter (fun (u, v) (w, _) -> Net.Graph.add_edge ~w reversed v u) edges;
-  let dist, succ = Net.Graph.dijkstra reversed dest_id in
+  let dist, succ = Shortest_paths.dijkstra reversed dest_id in
   let memo : (int, Net.Asn.t list * Bgp.Policy.route_provenance) Hashtbl.t = Hashtbl.create 16 in
   let rec path_of m =
     match Hashtbl.find_opt memo m with

@@ -1,4 +1,5 @@
-(* Net.Graph: structure, Dijkstra, components. *)
+(* Net.Graph: structure, components, and the reference Dijkstra in
+   [Shortest_paths]. *)
 
 open Net
 
@@ -38,27 +39,33 @@ let test_dijkstra_weighted () =
   Graph.add_edge ~w:1.0 g 2 3;
   Graph.add_edge ~w:5.0 g 1 3;
   Graph.add_edge ~w:1.0 g 3 4;
-  Alcotest.(check (option (float 1e-9))) "dist via middle" (Some 3.0) (Graph.distance g 1 4);
-  Alcotest.(check (option (list int))) "path" (Some [ 1; 2; 3; 4 ]) (Graph.shortest_path g 1 4)
+  Alcotest.(check (option (float 1e-9))) "dist via middle" (Some 3.0)
+    (Shortest_paths.distance g 1 4);
+  Alcotest.(check (option (list int))) "path" (Some [ 1; 2; 3; 4 ])
+    (Shortest_paths.shortest_path g 1 4)
 
 let test_dijkstra_unreachable () =
   let g = Graph.create () in
   Graph.add_edge g 1 2;
   Graph.add_node g 99;
-  Alcotest.(check (option (float 0.0))) "unreachable" None (Graph.distance g 1 99);
-  Alcotest.(check (option (list int))) "no path" None (Graph.shortest_path g 1 99)
+  Alcotest.(check (option (float 0.0))) "unreachable" None
+    (Shortest_paths.distance g 1 99);
+  Alcotest.(check (option (list int))) "no path" None
+    (Shortest_paths.shortest_path g 1 99)
 
 let test_shortest_path_self () =
   let g = Graph.create () in
   Graph.add_node g 1;
-  Alcotest.(check (option (list int))) "self path" (Some [ 1 ]) (Graph.shortest_path g 1 1)
+  Alcotest.(check (option (list int))) "self path" (Some [ 1 ])
+    (Shortest_paths.shortest_path g 1 1)
 
 let test_directed () =
   let g = Graph.create ~directed:true () in
   Graph.add_edge g 1 2;
   Alcotest.(check bool) "forward" true (Graph.mem_edge g 1 2);
   Alcotest.(check bool) "no backward" false (Graph.mem_edge g 2 1);
-  Alcotest.(check (option (list int))) "no reverse path" None (Graph.shortest_path g 2 1)
+  Alcotest.(check (option (list int))) "no reverse path" None
+    (Shortest_paths.shortest_path g 2 1)
 
 let test_components () =
   let g = Graph.create () in
@@ -124,7 +131,7 @@ let prop_dijkstra_matches_bfs =
             end)
           (Graph.neighbors g v)
       done;
-      let dist, _ = Graph.dijkstra g 0 in
+      let dist, _ = Shortest_paths.dijkstra g 0 in
       List.for_all
         (fun v ->
           match (Hashtbl.find_opt level v, Hashtbl.find_opt dist v) with

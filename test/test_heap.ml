@@ -1,6 +1,5 @@
-(* Engine.Heap: ordering, growth, and a heapsort property. *)
-
-open Engine
+(* Heap (the test-side min-heap under [Shortest_paths]): ordering, growth,
+   and a heapsort property. *)
 
 let make () = Heap.create ~dummy:0 Int.compare
 

@@ -8,13 +8,19 @@ let setup () =
   let net : string Netsim.t = Netsim.create sim in
   (sim, net)
 
+(* Attach a started runtime node with [handler] as the receiver of [id]. *)
+let receive sim net id handler =
+  let n = Node.create ~kind:"test" sim ~name:(string_of_int id) in
+  Node.start n;
+  Netsim.attach net id (Node.port n ~handler)
+
 let test_delivery_with_delay () =
   let sim, net = setup () in
-  Netsim.add_node net ~id:1 ~name:"a";
-  Netsim.add_node net ~id:2 ~name:"b";
+  Netsim.add_node net ~id:1;
+  Netsim.add_node net ~id:2;
   ignore (Netsim.add_link ~delay:(Time.ms 7) net 1 2);
   let got = ref [] in
-  Netsim.set_handler net 2 (fun ~from msg -> got := (from, msg, Sim.now sim) :: !got);
+  receive sim net 2 (fun ~from msg -> got := (from, msg, Sim.now sim) :: !got);
   Alcotest.(check bool) "send accepted" true (Netsim.send net ~src:1 ~dst:2 "hello");
   ignore (Sim.run sim);
   match !got with
@@ -26,36 +32,36 @@ let test_delivery_with_delay () =
 
 let test_no_link_no_send () =
   let _, net = setup () in
-  Netsim.add_node net ~id:1 ~name:"a";
-  Netsim.add_node net ~id:2 ~name:"b";
+  Netsim.add_node net ~id:1;
+  Netsim.add_node net ~id:2;
   Alcotest.(check bool) "send refused" false (Netsim.send net ~src:1 ~dst:2 "x")
 
 let test_down_link_refuses () =
   let _, net = setup () in
-  Netsim.add_node net ~id:1 ~name:"a";
-  Netsim.add_node net ~id:2 ~name:"b";
+  Netsim.add_node net ~id:1;
+  Netsim.add_node net ~id:2;
   let link = Netsim.add_link net 1 2 in
   Netsim.set_link_up net link false;
   Alcotest.(check bool) "send refused on down link" false (Netsim.send net ~src:1 ~dst:2 "x")
 
 let test_inflight_dropped_on_failure () =
   let sim, net = setup () in
-  Netsim.add_node net ~id:1 ~name:"a";
-  Netsim.add_node net ~id:2 ~name:"b";
+  Netsim.add_node net ~id:1;
+  Netsim.add_node net ~id:2;
   let link = Netsim.add_link ~delay:(Time.ms 10) net 1 2 in
   let got = ref 0 in
-  Netsim.set_handler net 2 (fun ~from:_ _ -> incr got);
+  receive sim net 2 (fun ~from:_ _ -> incr got);
   ignore (Netsim.send net ~src:1 ~dst:2 "doomed");
   (* Fail the link while the message is in flight. *)
   ignore (Sim.schedule_at sim (Time.ms 5) (fun () -> Netsim.set_link_up net link false));
   ignore (Sim.run sim);
   Alcotest.(check int) "message dropped" 0 !got;
-  Alcotest.(check int) "drop counted" 1 (Link.dropped link)
+  Alcotest.(check int) "drop counted" 1 (Netsim.drops net Netsim.Link_down)
 
 let test_watchers_notified () =
   let _, net = setup () in
-  Netsim.add_node net ~id:1 ~name:"a";
-  Netsim.add_node net ~id:2 ~name:"b";
+  Netsim.add_node net ~id:1;
+  Netsim.add_node net ~id:2;
   let link = Netsim.add_link net 1 2 in
   let events = ref [] in
   Netsim.set_link_watcher net 1 (fun ~link:_ ~peer ~up -> events := (1, peer, up) :: !events);
@@ -68,38 +74,27 @@ let test_watchers_notified () =
 
 let test_lossy_link () =
   let sim, net = setup () in
-  Netsim.add_node net ~id:1 ~name:"a";
-  Netsim.add_node net ~id:2 ~name:"b";
-  let link = Netsim.add_link ~loss:1.0 net 1 2 in
+  Netsim.add_node net ~id:1;
+  Netsim.add_node net ~id:2;
+  ignore (Netsim.add_link ~loss:1.0 net 1 2);
   let got = ref 0 in
-  Netsim.set_handler net 2 (fun ~from:_ _ -> incr got);
+  receive sim net 2 (fun ~from:_ _ -> incr got);
   ignore (Netsim.send net ~src:1 ~dst:2 "lost");
   ignore (Sim.run sim);
   Alcotest.(check int) "total loss drops all" 0 !got;
-  Alcotest.(check int) "counted" 1 (Link.dropped link)
+  Alcotest.(check int) "counted" 1 (Netsim.drops net Netsim.Loss)
 
 let test_duplicate_guards () =
   let _, net = setup () in
-  Netsim.add_node net ~id:1 ~name:"a";
-  (match Netsim.add_node net ~id:1 ~name:"again" with
+  Netsim.add_node net ~id:1;
+  (match Netsim.add_node net ~id:1 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "duplicate node must raise");
-  Netsim.add_node net ~id:2 ~name:"b";
+  Netsim.add_node net ~id:2;
   ignore (Netsim.add_link net 1 2);
   match Netsim.add_link net 2 1 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate link must raise"
-
-let test_up_graph () =
-  let _, net = setup () in
-  List.iter (fun i -> Netsim.add_node net ~id:i ~name:(string_of_int i)) [ 1; 2; 3 ];
-  let l12 = Netsim.add_link net 1 2 in
-  ignore (Netsim.add_link net 2 3);
-  Netsim.set_link_up net l12 false;
-  let g = Netsim.up_graph net in
-  Alcotest.(check bool) "down link absent" false (Graph.mem_edge g 1 2);
-  Alcotest.(check bool) "up link present" true (Graph.mem_edge g 2 3);
-  Alcotest.(check (list int)) "all nodes present" [ 1; 2; 3 ] (Graph.nodes g)
 
 let prop_link_fifo =
   QCheck.Test.make ~name:"per-link delivery preserves send order" ~count:100
@@ -107,80 +102,23 @@ let prop_link_fifo =
     (fun payloads ->
       let sim = Sim.create () in
       let net : int Netsim.t = Netsim.create sim in
-      Netsim.add_node net ~id:1 ~name:"a";
-      Netsim.add_node net ~id:2 ~name:"b";
+      Netsim.add_node net ~id:1;
+      Netsim.add_node net ~id:2;
       ignore (Netsim.add_link ~delay:(Time.ms 3) net 1 2);
       let got = ref [] in
-      Netsim.set_handler net 2 (fun ~from:_ msg -> got := msg :: !got);
+      receive sim net 2 (fun ~from:_ msg -> got := msg :: !got);
       List.iter (fun payload -> ignore (Netsim.send net ~src:1 ~dst:2 payload)) payloads;
       ignore (Sim.run sim);
       List.rev !got = payloads)
-
-(* Bandwidth-limited links: serialization delay, FIFO queuing, drop-tail. *)
-
-let setup_bw ?(queue_limit = 64) bandwidth_bps =
-  let sim = Sim.create () in
-  let net : int Netsim.t = Netsim.create sim in
-  Netsim.add_node net ~id:1 ~name:"a";
-  Netsim.add_node net ~id:2 ~name:"b";
-  let link = Netsim.add_link ~delay:(Time.ms 10) ~bandwidth_bps ~queue_limit net 1 2 in
-  let got = ref [] in
-  Netsim.set_handler net 2 (fun ~from:_ msg -> got := (msg, Sim.now sim) :: !got);
-  (sim, net, link, got)
-
-let test_serialization_delay () =
-  (* 8000 bits at 1 Mbit/s = 8 ms of serialization + 10 ms propagation *)
-  let sim, net, _, got = setup_bw 1_000_000 in
-  ignore (Netsim.send ~size_bits:8000 net ~src:1 ~dst:2 0);
-  ignore (Sim.run sim);
-  match !got with
-  | [ (_, at) ] -> Alcotest.(check int) "tx + prop" 18_000 (Time.to_us at)
-  | _ -> Alcotest.fail "expected one delivery"
-
-let test_queueing_serializes_bursts () =
-  (* three back-to-back messages serialize one after another *)
-  let sim, net, _, got = setup_bw 1_000_000 in
-  for i = 1 to 3 do
-    ignore (Netsim.send ~size_bits:8000 net ~src:1 ~dst:2 i)
-  done;
-  ignore (Sim.run sim);
-  let times = List.rev_map (fun (_, at) -> Time.to_us at) !got in
-  Alcotest.(check (list int)) "spaced by transmission time" [ 18_000; 26_000; 34_000 ] times
-
-let test_drop_tail () =
-  let sim, net, link, got = setup_bw ~queue_limit:2 1_000_000 in
-  for i = 1 to 6 do
-    ignore (Netsim.send ~size_bits:8000 net ~src:1 ~dst:2 i)
-  done;
-  ignore (Sim.run sim);
-  Alcotest.(check bool) "some dropped" true (Link.dropped link > 0);
-  Alcotest.(check bool) "some delivered" true (List.length !got >= 2);
-  Alcotest.(check bool) "not all delivered" true (List.length !got < 6)
-
-let test_directions_independent () =
-  let sim = Sim.create () in
-  let net : int Netsim.t = Netsim.create sim in
-  Netsim.add_node net ~id:1 ~name:"a";
-  Netsim.add_node net ~id:2 ~name:"b";
-  ignore (Netsim.add_link ~delay:(Time.ms 10) ~bandwidth_bps:1_000_000 net 1 2);
-  let at_1 = ref None and at_2 = ref None in
-  Netsim.set_handler net 1 (fun ~from:_ _ -> at_1 := Some (Sim.now sim));
-  Netsim.set_handler net 2 (fun ~from:_ _ -> at_2 := Some (Sim.now sim));
-  ignore (Netsim.send ~size_bits:8000 net ~src:1 ~dst:2 0);
-  ignore (Netsim.send ~size_bits:8000 net ~src:2 ~dst:1 0);
-  ignore (Sim.run sim);
-  (* full duplex: both arrive after one transmission each, no coupling *)
-  Alcotest.(check (option int)) "a->b" (Some 18_000) (Option.map Time.to_us !at_2);
-  Alcotest.(check (option int)) "b->a" (Some 18_000) (Option.map Time.to_us !at_1)
 
 (* --- Drop-reason accounting (net_messages_dropped_total{reason=...}) ---- *)
 
 let test_drop_reason_link_down () =
   let sim, net = setup () in
-  Netsim.add_node net ~id:1 ~name:"a";
-  Netsim.add_node net ~id:2 ~name:"b";
+  Netsim.add_node net ~id:1;
+  Netsim.add_node net ~id:2;
   let link = Netsim.add_link ~delay:(Time.ms 10) net 1 2 in
-  Netsim.set_handler net 2 (fun ~from:_ _ -> ());
+  receive sim net 2 (fun ~from:_ _ -> ());
   ignore (Netsim.send net ~src:1 ~dst:2 "doomed");
   ignore (Sim.schedule_at sim (Time.ms 5) (fun () -> Netsim.set_link_up net link false));
   ignore (Sim.run sim);
@@ -189,32 +127,18 @@ let test_drop_reason_link_down () =
 
 let test_drop_reason_loss () =
   let sim, net = setup () in
-  Netsim.add_node net ~id:1 ~name:"a";
-  Netsim.add_node net ~id:2 ~name:"b";
+  Netsim.add_node net ~id:1;
+  Netsim.add_node net ~id:2;
   ignore (Netsim.add_link ~loss:1.0 net 1 2);
-  Netsim.set_handler net 2 (fun ~from:_ _ -> ());
+  receive sim net 2 (fun ~from:_ _ -> ());
   ignore (Netsim.send net ~src:1 ~dst:2 "lost");
   ignore (Sim.run sim);
   Alcotest.(check int) "loss counted" 1 (Netsim.drops net Netsim.Loss)
 
-let test_drop_reason_queue () =
-  let sim = Sim.create () in
-  let net : int Netsim.t = Netsim.create sim in
-  Netsim.add_node net ~id:1 ~name:"a";
-  Netsim.add_node net ~id:2 ~name:"b";
-  ignore
-    (Netsim.add_link ~delay:(Time.ms 1) ~bandwidth_bps:1_000_000 ~queue_limit:2 net 1 2);
-  Netsim.set_handler net 2 (fun ~from:_ _ -> ());
-  for i = 1 to 6 do
-    ignore (Netsim.send ~size_bits:8000 net ~src:1 ~dst:2 i)
-  done;
-  ignore (Sim.run sim);
-  Alcotest.(check bool) "drop-tail counted as queue" true (Netsim.drops net Netsim.Queue > 0)
-
 let test_drop_reason_no_handler () =
   let sim, net = setup () in
-  Netsim.add_node net ~id:1 ~name:"a";
-  Netsim.add_node net ~id:2 ~name:"b";
+  Netsim.add_node net ~id:1;
+  Netsim.add_node net ~id:2;
   ignore (Netsim.add_link net 1 2);
   ignore (Netsim.send net ~src:1 ~dst:2 "void");
   ignore (Sim.run sim);
@@ -222,8 +146,8 @@ let test_drop_reason_no_handler () =
 
 let test_drop_reason_node_down () =
   let sim, net = setup () in
-  Netsim.add_node net ~id:1 ~name:"a";
-  Netsim.add_node net ~id:2 ~name:"b";
+  Netsim.add_node net ~id:1;
+  Netsim.add_node net ~id:2;
   ignore (Netsim.add_link ~delay:(Time.ms 10) net 1 2);
   let got = ref 0 in
   let receiver = Node.create ~kind:"test" sim ~name:"b" in
@@ -238,8 +162,8 @@ let test_drop_reason_node_down () =
 
 let test_drop_reason_metric_labels () =
   let sim, net = setup () in
-  Netsim.add_node net ~id:1 ~name:"a";
-  Netsim.add_node net ~id:2 ~name:"b";
+  Netsim.add_node net ~id:1;
+  Netsim.add_node net ~id:2;
   ignore (Netsim.add_link net 1 2);
   ignore (Netsim.send net ~src:1 ~dst:2 "void");
   ignore (Sim.run sim);
@@ -253,10 +177,6 @@ let test_drop_reason_metric_labels () =
 let suite =
   [
     Alcotest.test_case "delivery with delay" `Quick test_delivery_with_delay;
-    Alcotest.test_case "serialization delay" `Quick test_serialization_delay;
-    Alcotest.test_case "queueing serializes bursts" `Quick test_queueing_serializes_bursts;
-    Alcotest.test_case "drop tail" `Quick test_drop_tail;
-    Alcotest.test_case "directions independent" `Quick test_directions_independent;
     QCheck_alcotest.to_alcotest prop_link_fifo;
     Alcotest.test_case "no link refuses send" `Quick test_no_link_no_send;
     Alcotest.test_case "down link refuses send" `Quick test_down_link_refuses;
@@ -264,10 +184,8 @@ let suite =
     Alcotest.test_case "watchers notified once" `Quick test_watchers_notified;
     Alcotest.test_case "lossy link" `Quick test_lossy_link;
     Alcotest.test_case "duplicate guards" `Quick test_duplicate_guards;
-    Alcotest.test_case "up graph" `Quick test_up_graph;
     Alcotest.test_case "drop reason: link down" `Quick test_drop_reason_link_down;
     Alcotest.test_case "drop reason: loss" `Quick test_drop_reason_loss;
-    Alcotest.test_case "drop reason: queue" `Quick test_drop_reason_queue;
     Alcotest.test_case "drop reason: no handler" `Quick test_drop_reason_no_handler;
     Alcotest.test_case "drop reason: node down" `Quick test_drop_reason_node_down;
     Alcotest.test_case "drop reason: metric labels" `Quick test_drop_reason_metric_labels;

@@ -156,6 +156,29 @@ let test_hybrid_data_path () =
   Alcotest.(check bool) "legacy -> sdn" true
     (Framework.Monitor.reachable net ~src:(asn 0) ~dst:(asn 3))
 
+(* Announce then withdraw in a hybrid clique: both events converge and
+   the withdrawal leaves no residual route in any legacy Loc-RIB. *)
+let test_hybrid_withdrawal_clears_loc_ribs () =
+  let spec = Topology.Spec.with_sdn (Topology.Artificial.clique 5) [ asn 3; asn 4 ] in
+  let exp = Framework.Experiment.create ~config:cfg ~seed:61 spec in
+  let origin = asn 0 in
+  let prefix = Framework.Experiment.default_prefix exp origin in
+  let converges event =
+    Framework.Experiment.convergence_seconds
+      (Framework.Experiment.measure exp ~prefix (fun () -> ignore (event exp origin)))
+  in
+  Alcotest.(check bool) "announce converges" true
+    (Float.is_finite (converges Framework.Experiment.announce));
+  Alcotest.(check bool) "withdraw converges" true
+    (Float.is_finite (converges Framework.Experiment.withdraw));
+  let net = Framework.Experiment.network exp in
+  List.iter
+    (fun a ->
+      match Framework.Network.router net a with
+      | Some r -> Alcotest.(check int) "loc-rib empty" 0 (Bgp.Router.loc_size r)
+      | None -> ())
+    (Framework.Network.asns net)
+
 let test_dynamic_peering_legacy () =
   (* line 0-1-2: traffic 0->2 transits 1 until a direct 0-2 peering is
      added at runtime *)
@@ -312,6 +335,8 @@ let suite =
     Alcotest.test_case "speaker sessions" `Quick test_speaker_sessions_established;
     Alcotest.test_case "hybrid route exchange" `Quick test_hybrid_route_exchange;
     Alcotest.test_case "hybrid data path" `Quick test_hybrid_data_path;
+    Alcotest.test_case "hybrid withdrawal clears Loc-RIBs" `Quick
+      test_hybrid_withdrawal_clears_loc_ribs;
     Alcotest.test_case "dynamic peering (legacy)" `Quick test_dynamic_peering_legacy;
     Alcotest.test_case "dynamic peering (hybrid)" `Quick test_dynamic_peering_hybrid;
     Alcotest.test_case "runtime sessions flush in order" `Quick

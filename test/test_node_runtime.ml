@@ -1,5 +1,5 @@
-(* Engine.Node actor runtime: lifecycle, mailboxes, epoch guards, owned
-   timers, and component crash/restart through the framework. *)
+(* Engine.Node actor runtime: lifecycle, port delivery, epoch guards,
+   owned timers, and component crash/restart through the framework. *)
 
 open Engine
 
@@ -53,63 +53,28 @@ let test_epoch_guard () =
   Alcotest.(check (list string)) "post-restart scheduling works" [ "before"; "fresh" ]
     (List.rev !fired)
 
-let test_mailbox_order_and_overflow () =
-  let sim = Sim.create ~seed:3 () in
-  let n = Node.create ~mailbox_capacity:2 sim ~name:"mb" in
-  Node.start n;
-  let seen = ref [] in
-  let port = ref None in
-  let handler ~from:_ msg =
-    seen := msg :: !seen;
-    if msg = "first" then begin
-      (* re-entrant deliveries queue behind the draining message *)
-      Alcotest.(check bool) "re-entrant enqueue" true
-        (Node.deliver (Option.get !port) ~from:0 "a");
-      Alcotest.(check bool) "re-entrant enqueue" true
-        (Node.deliver (Option.get !port) ~from:0 "b");
-      Alcotest.(check bool) "overflow refused" false
-        (Node.deliver (Option.get !port) ~from:0 "c")
-    end
-  in
-  let p = Node.port n ~handler in
-  port := Some p;
-  Alcotest.(check bool) "delivered" true (Node.deliver p ~from:0 "first");
-  Alcotest.(check (list string)) "arrival order" [ "first"; "a"; "b" ] (List.rev !seen);
-  Alcotest.(check int) "drop accounted" 1 (Node.mailbox_dropped n);
-  Alcotest.(check int) "processed" 3 (Node.processed n);
-  Node.crash n;
-  Alcotest.(check bool) "down node refuses" false (Node.deliver p ~from:0 "x")
-
 (* A raising handler must not wedge the node: the exception propagates to
-   the caller, the node keeps accepting messages, and a message queued
-   re-entrantly before the raise is handled first on the next delivery. *)
+   the caller and the node accepts the next message.  A down node refuses
+   deliveries without calling the handler. *)
 let test_raising_handler () =
   let sim = Sim.create ~seed:4 () in
   let n = Node.create sim ~name:"raise" in
   Node.start n;
   let seen = ref [] in
-  let port = ref None in
   let handler ~from:_ msg =
     seen := msg :: !seen;
-    if msg = "boom" then begin
-      Alcotest.(check bool) "queued before the raise" true
-        (Node.deliver (Option.get !port) ~from:0 "queued");
-      failwith "handler failure"
-    end
+    if msg = "boom" then failwith "handler failure"
   in
   let p = Node.port n ~handler in
-  port := Some p;
   (match Node.deliver p ~from:0 "boom" with
   | _ -> Alcotest.fail "the handler's exception must propagate"
   | exception Failure _ -> ());
-  Alcotest.(check int) "queued message still pending" 1 (Node.mailbox_depth n);
   Alcotest.(check bool) "still accepting" true (Node.deliver p ~from:0 "next");
-  Alcotest.(check (list string)) "queued message handled first"
-    [ "boom"; "queued"; "next" ] (List.rev !seen);
-  Alcotest.(check int) "mailbox drained" 0 (Node.mailbox_depth n);
-  Alcotest.(check int) "processed" 3 (Node.processed n);
-  Alcotest.(check bool) "direct path again" true (Node.deliver p ~from:0 "last");
-  Alcotest.(check int) "processed after" 4 (Node.processed n)
+  Alcotest.(check (list string)) "both handled" [ "boom"; "next" ] (List.rev !seen);
+  Node.crash n;
+  Alcotest.(check bool) "down node refuses" false (Node.deliver p ~from:0 "x");
+  Alcotest.(check (list string)) "refused message not handled" [ "boom"; "next" ]
+    (List.rev !seen)
 
 let test_crash_cancels_owned_timers () =
   let sim = Sim.create ~seed:4 () in
@@ -173,7 +138,6 @@ let suite =
   [
     Alcotest.test_case "lifecycle and hooks" `Quick test_lifecycle_and_hooks;
     Alcotest.test_case "epoch guard" `Quick test_epoch_guard;
-    Alcotest.test_case "mailbox order and overflow" `Quick test_mailbox_order_and_overflow;
     Alcotest.test_case "raising handler" `Quick test_raising_handler;
     Alcotest.test_case "crash cancels owned timers" `Quick test_crash_cancels_owned_timers;
     Alcotest.test_case "router crash/restart reconverges" `Quick

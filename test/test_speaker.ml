@@ -22,7 +22,7 @@ let setup () =
       ()
   in
   let updates = ref [] and sessions = ref [] in
-  Cluster_ctl.Speaker.set_handlers speaker
+  Cluster_ctl.Speaker.attach_controller speaker
     ~on_update:(fun s u ->
       updates :=
         (Cluster_ctl.Speaker.session_member s, Cluster_ctl.Speaker.session_neighbor s, u)
