@@ -424,7 +424,9 @@ let dot_cmd =
       print_string (Framework.Visualize.spec_to_dot spec);
       `Ok ()
   in
-  let n = Arg.(value & opt int 8 & info [ "n"; "size" ] ~docv:"N" ~doc:"Clique size.") in
+  let n =
+    Arg.(value & opt (int_at_least 2) 8 & info [ "n"; "size" ] ~docv:"N" ~doc:"Clique size.")
+  in
   Cmd.v
     (Cmd.info "dot" ~doc:"Emit the experiment component diagram (Fig. 1 equivalent) as dot.")
     Term.(ret (const run $ n $ sdn_arg 4))

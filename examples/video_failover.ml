@@ -1,46 +1,25 @@
-(* The demo's end-to-end application view: a "video stream" (a periodic
-   probe flow) between two hosts while the primary route fails over.
+(* The demo's end-to-end application view: how long a "video stream"
+   toward a stub AS is interrupted while its primary route fails over.
 
-   We stream probes from a clique member to a stub AS, fail the stub's
-   primary link mid-stream, and report the loss window — once with pure
-   BGP and once with half the clique centralized.
+   The stub's primary link dies and the network shifts onto the backup
+   chain.  Every 100 ms of simulated time a burst of probes walks the
+   data plane toward the stub; the interruption is the time until a
+   burst comes back loss-free.  We run it once with pure BGP and once
+   with half the clique centralized.
 
      dune exec examples/video_failover.exe *)
 
-let run ~sdn =
-  let n = 8 in
-  let spec = Topology.Artificial.failover_backup_chain ~clique_size:n ~chain_len:2 () in
-  let members = List.init sdn (fun i -> Topology.Artificial.asn (n - 1 - i)) in
-  let spec = Topology.Spec.with_sdn spec members in
-  let exp = Framework.Experiment.create ~seed:7 spec in
-  let network = Framework.Experiment.network exp in
-  let stub = Topology.Artificial.stub_asn spec in
-  let viewer = Topology.Artificial.asn 2 (* a legacy clique member *) in
-  let prefix = Framework.Experiment.default_prefix exp stub in
-  (* stub hosts the "video server" *)
-  ignore (Framework.Experiment.measure exp ~prefix (fun () ->
-      ignore (Framework.Experiment.announce exp stub)));
-  ignore (Framework.Experiment.announce exp viewer);
-  ignore (Framework.Experiment.settle exp);
-  (* one probe every 500 ms for 3 simulated minutes *)
-  let stream =
-    Framework.Monitor.start_stream network ~src:viewer ~dst:stub
-      ~interval:(Engine.Time.ms 500) ~count:360
-  in
-  (* fail the primary 10 s into the stream *)
-  ignore
-    (Engine.Sim.schedule_after (Framework.Experiment.sim exp) (Engine.Time.sec 10) (fun () ->
-         Framework.Network.fail_link network stub (Topology.Artificial.asn 0)));
-  ignore (Framework.Experiment.settle exp);
-  (stream, Framework.Monitor.loss_ratio stream, Framework.Monitor.mean_rtt_ms stream)
-
 let () =
-  Fmt.pr "video fail-over demo: 360 probes at 2/s, primary link dies at t+10s@.@.";
+  let n = 8 in
+  Fmt.pr "video fail-over demo: %d-AS clique, the stub's primary link dies@.@." n;
   List.iter
     (fun sdn ->
-      let stream, loss, rtt = run ~sdn in
-      let s = stream.Framework.Monitor.stats in
-      Fmt.pr "%d/8 ASes centralized: sent=%d replies=%d loss=%.1f%% mean rtt=%.1f ms@." sdn
-        s.Framework.Monitor.sent s.Framework.Monitor.replies (loss *. 100.0) rtt)
+      let r =
+        Framework.Experiments.loss_run ~n ~sdn ~seed:7 ~config:Framework.Config.default ()
+      in
+      Fmt.pr "%d/%d ASes centralized: loss_seconds=%.1f blackhole_seconds=%.1f \
+              max_loss_ratio=%.2f@."
+        sdn n r.Framework.Experiments.loss_seconds r.Framework.Experiments.blackhole_seconds
+        r.Framework.Experiments.max_loss_ratio)
     [ 0; 4 ];
-  Fmt.pr "@.(loss is the fail-over interruption window as the application sees it)@."
+  Fmt.pr "@.(loss_seconds is the fail-over interruption window as the application sees it)@."

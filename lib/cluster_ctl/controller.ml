@@ -15,20 +15,9 @@
 
 module Pm = Net.Ipv4.Prefix_map
 
-type config = {
-  recompute_delay : Engine.Time.span;
-  proactive : bool;
-      (* true: push flow rules for every decision (the paper's mode);
-         false: install reactively on PACKET_IN with an idle timeout *)
-  reactive_idle_timeout : Engine.Time.span;
-}
+type config = { recompute_delay : Engine.Time.span }
 
-let default_config =
-  {
-    recompute_delay = Engine.Time.sec 2;
-    proactive = true;
-    reactive_idle_timeout = Engine.Time.sec 30;
-  }
+let default_config = { recompute_delay = Engine.Time.sec 2 }
 
 type stats = {
   mutable updates_in : int;
@@ -83,7 +72,6 @@ type t = {
   sim : Engine.Sim.t;
   node : Engine.Node.t;
   config : config;
-  flow_idle_timeout : Engine.Time.span option;
   flow_hard_timeout : Engine.Time.span option;
   members : Net.Asn.Set.t;
   speaker : Speaker.t;
@@ -271,18 +259,8 @@ let recompute_prefix t prefix =
   (* Program the data plane. *)
   let installed = Option.value (Pm.find_opt prefix t.installed) ~default:Net.Asn.Map.empty in
   let changes, new_installed =
-    Flow_compiler.diff ?idle_timeout:t.flow_idle_timeout ?hard_timeout:t.flow_hard_timeout
-      ~prefix ~node_of_asn:t.node_of_asn ~members:(members t) ~installed ~desired ()
-  in
-  (* Reactive mode installs rules only on demand: recomputation refreshes
-     or deletes rules already on a switch but never pushes new ones. *)
-  let changes, new_installed =
-    if t.config.proactive then (changes, new_installed)
-    else begin
-      let had m = Net.Asn.Map.mem m installed in
-      ( List.filter (fun (c : Flow_compiler.change) -> had c.Flow_compiler.member) changes,
-        Net.Asn.Map.filter (fun m _ -> had m) new_installed )
-    end
+    Flow_compiler.diff ?hard_timeout:t.flow_hard_timeout ~prefix ~node_of_asn:t.node_of_asn
+      ~members:(members t) ~installed ~desired ()
   in
   t.installed <- Pm.add prefix new_installed t.installed;
   List.iter
@@ -420,53 +398,8 @@ let handle_port_status t ~switch_asn ~port ~up =
     else if up then Speaker.open_session t.speaker ~member:switch_asn ~neighbor:peer_asn
     else Speaker.session_down t.speaker ~member:switch_asn ~neighbor:peer_asn
 
-(* The longest prefix holding [dst] that has a decision for [member]:
-   longest-prefix match over the decided prefixes, as a FIB would. *)
-let longest_decided t ~member dst =
-  Pm.fold
-    (fun prefix map best ->
-      if Net.Ipv4.mem dst prefix && Net.Asn.Map.mem member map then
-        match best with
-        | Some (p, _) when Net.Ipv4.prefix_len p >= Net.Ipv4.prefix_len prefix -> best
-        | Some _ | None -> Some (prefix, Net.Asn.Map.find member map)
-      else best)
-    t.decisions None
-
-(* PACKET_IN: emit the packet on the decided port; in reactive mode also
-   install the rule (with an idle timeout) so the flow's successors stay
-   in the data plane. *)
-let handle_packet_in t ~switch_asn ~in_port:_ (packet : Net.Packet.t) =
-  match longest_decided t ~member:switch_asn packet.Net.Packet.dst with
-  | None -> ()
-  | Some (prefix, d) -> (
-    match Flow_compiler.action_of_decision ~node_of_asn:t.node_of_asn d with
-    | Some (Sdn.Flow.Output port as action) ->
-      if not t.config.proactive then begin
-        let rule =
-          Sdn.Flow.make
-            ~priority:(Net.Ipv4.prefix_len prefix)
-            ~idle_timeout:t.config.reactive_idle_timeout ~match_prefix:prefix action
-        in
-        t.stats.flow_mods <- t.stats.flow_mods + 1;
-        ignore
-          (t.send_switch ~member:switch_asn
-             (Sdn.Openflow.Flow_mod { command = Sdn.Openflow.Add; rule }));
-        let installed =
-          Option.value (Pm.find_opt prefix t.installed) ~default:Net.Asn.Map.empty
-        in
-        t.installed <- Pm.add prefix (Net.Asn.Map.add switch_asn action installed) t.installed;
-        (* [installed] changed outside recomputation: the next recompute
-           must not be skipped on stale inputs. *)
-        t.fingerprints <- Pm.remove prefix t.fingerprints
-      end;
-      ignore
-        (t.send_switch ~member:switch_asn (Sdn.Openflow.Packet_out { out_port = port; packet }))
-    | Some (Sdn.Flow.To_controller | Sdn.Flow.Drop) | None -> ())
-
 let handle_openflow t msg =
   match msg with
-  | Sdn.Openflow.Packet_in { switch_asn; in_port; packet } ->
-    handle_packet_in t ~switch_asn ~in_port packet
   | Sdn.Openflow.Port_status { switch_asn; port; up } ->
     handle_port_status t ~switch_asn ~port ~up
   | Sdn.Openflow.Bgp_relay { member; neighbor; direction = Sdn.Openflow.To_speaker; payload } ->
@@ -476,9 +409,9 @@ let handle_openflow t msg =
     (* Heartbeat probe from a member switch: answering proves the control
        plane is alive and keeps the switch out of fallback mode. *)
     ignore (t.send_switch ~member:switch_asn Sdn.Openflow.Echo_reply)
-  | Sdn.Openflow.Flow_removed { switch_asn; rule; reason = _ } ->
-    (* A timed-out rule is gone from the switch: forget it so a later
-       PACKET_IN (reactive) or recomputation (proactive) reinstalls it. *)
+  | Sdn.Openflow.Flow_removed { switch_asn; rule } ->
+    (* A timed-out rule is gone from the switch: forget it so the next
+       recomputation reinstalls it. *)
     let prefix = rule.Sdn.Flow.match_prefix in
     (match Pm.find_opt prefix t.installed with
     | Some installed ->
@@ -486,12 +419,12 @@ let handle_openflow t msg =
       (* The rule must be reinstallable by the next recomputation even if
          its routing inputs are unchanged. *)
       t.fingerprints <- Pm.remove prefix t.fingerprints;
-      (* Proactive mode promises complete tables: expiry alone (no routing
-         input changed) must still trigger the reinstall. *)
-      if t.config.proactive then mark_dirty t prefix
+      (* Tables are kept complete: expiry alone (no routing input
+         changed) must still trigger the reinstall. *)
+      mark_dirty t prefix
     | None -> ())
-  | Sdn.Openflow.Bgp_relay _ | Sdn.Openflow.Packet_out _ | Sdn.Openflow.Flow_mod _
-  | Sdn.Openflow.Echo_reply | Sdn.Openflow.Resync_done -> ()
+  | Sdn.Openflow.Bgp_relay _ | Sdn.Openflow.Flow_mod _ | Sdn.Openflow.Echo_reply
+  | Sdn.Openflow.Resync_done -> ()
 
 (* --- Origination --------------------------------------------------------- *)
 
@@ -559,7 +492,7 @@ let on_restarted t =
 
 (* --- Construction --------------------------------------------------------- *)
 
-let create ?flow_idle_timeout ?flow_hard_timeout ~sim ~config ~members:member_list ~speaker
+let create ?flow_hard_timeout ~sim ~config ~members:member_list ~speaker
     ~send_switch ~node_of_asn ~asn_of_node ~addr_of_member ~intra_links () =
   let members = Net.Asn.Set.of_list member_list in
   let switch_graph = Net.Graph.create () in
@@ -597,7 +530,6 @@ let create ?flow_idle_timeout ?flow_hard_timeout ~sim ~config ~members:member_li
       sim;
       node = Engine.Node.create ~kind:"controller" sim ~name:"controller";
       config;
-      flow_idle_timeout;
       flow_hard_timeout;
       members;
       speaker;

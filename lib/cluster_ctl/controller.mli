@@ -2,16 +2,10 @@
     selection on the AS topology graph, flow-rule compilation, BGP
     announcements through the cluster speaker, delayed recomputation. *)
 
-type config = {
-  recompute_delay : Engine.Time.span;
-  proactive : bool;
-      (** true: push flow rules for every decision (the paper's mode);
-          false: install on PACKET_IN with an idle timeout *)
-  reactive_idle_timeout : Engine.Time.span;
-}
+type config = { recompute_delay : Engine.Time.span }
 
 val default_config : config
-(** 2-second delayed recomputation, proactive installation. *)
+(** 2-second delayed recomputation. *)
 
 type stats = {
   mutable updates_in : int;
@@ -30,7 +24,6 @@ type stats = {
 type t
 
 val create :
-  ?flow_idle_timeout:Engine.Time.span ->
   ?flow_hard_timeout:Engine.Time.span ->
   sim:Engine.Sim.t ->
   config:config ->
@@ -45,10 +38,10 @@ val create :
   t
 (** Registers itself as the speaker's update/session handler; imports and
     exports use each speaker session's own policy.
-    [flow_idle_timeout]/[flow_hard_timeout] stamp every proactively pushed
-    flow rule, so installed rules decay at the switch when the controller
-    dies and stops refreshing them (the FLOW_REMOVED notification marks
-    the prefix dirty so a live controller immediately reinstalls). *)
+    [flow_hard_timeout] stamps every pushed flow rule, so installed rules
+    decay at the switch when the controller dies and stops refreshing
+    them (the FLOW_REMOVED notification marks the prefix dirty so a live
+    controller immediately reinstalls). *)
 
 val node : t -> Engine.Node.t
 (** The runtime node: a crash loses the RIB, decisions and installed-rule
@@ -74,8 +67,9 @@ val subscribe_decision_change :
   t -> (Net.Ipv4.prefix -> Net.Asn.t -> As_graph.decision option -> unit) -> unit
 
 val handle_openflow : t -> Sdn.Openflow.t -> unit
-(** Entry point for messages arriving at the controller node: PACKET_IN,
-    PORT_STATUS, and BGP relays (handed to the speaker). *)
+(** Entry point for messages arriving at the controller node:
+    PORT_STATUS, FLOW_REMOVED, ECHO_REQUEST, and BGP relays (handed to
+    the speaker). *)
 
 val originate : t -> member:Net.Asn.t -> Net.Ipv4.prefix -> unit
 

@@ -3,14 +3,11 @@
 
 module Pm = Net.Ipv4.Prefix_map
 
-(* Desired forwarding action at a member's switch for one prefix. *)
+(* Desired forwarding action at a member's switch for one prefix; none
+   for local delivery, which the member's local delivery set covers. *)
 let action_of_decision ~node_of_asn (d : As_graph.decision) =
   match d.As_graph.hop with
-  | As_graph.Deliver_local -> Some (Sdn.Flow.Output (Net.Asn.to_int d.As_graph.member))
-    (* port = own node id is the Switch.handle_control PACKET_OUT-to-self
-       convention for local delivery; for installed rules we instead mark
-       local prefixes on the switch, so this case is normally filtered out
-       by the caller. *)
+  | As_graph.Deliver_local -> None
   | As_graph.Exit { neighbor } -> Option.map (fun n -> Sdn.Flow.Output n) (node_of_asn neighbor)
   | As_graph.Intra { next_member } ->
     Option.map (fun n -> Sdn.Flow.Output n) (node_of_asn next_member)
@@ -25,7 +22,7 @@ type change = {
 (* [installed]: what each member's switch currently has for this prefix.
    [desired]: the new decisions.  Returns the per-member FLOW_MODs and the
    new installed state. *)
-let diff ?idle_timeout ?hard_timeout ~prefix ~node_of_asn ~(members : Net.Asn.t list)
+let diff ?hard_timeout ~prefix ~node_of_asn ~(members : Net.Asn.t list)
     ~(installed : Sdn.Flow.action Net.Asn.Map.t) ~(desired : As_graph.decision Net.Asn.Map.t)
     () =
   let priority = Net.Ipv4.prefix_len prefix in
@@ -34,10 +31,7 @@ let diff ?idle_timeout ?hard_timeout ~prefix ~node_of_asn ~(members : Net.Asn.t 
   List.iter
     (fun member ->
       let want =
-        match Net.Asn.Map.find_opt member desired with
-        | Some d when d.As_graph.hop <> As_graph.Deliver_local ->
-          action_of_decision ~node_of_asn d
-        | Some _ (* Deliver_local: the switch's is_local check handles it *) | None -> None
+        Option.bind (Net.Asn.Map.find_opt member desired) (action_of_decision ~node_of_asn)
       in
       let have = Net.Asn.Map.find_opt member installed in
       let mods =
@@ -47,8 +41,7 @@ let diff ?idle_timeout ?hard_timeout ~prefix ~node_of_asn ~(members : Net.Asn.t 
           [ Sdn.Openflow.Flow_mod
               {
                 command = Sdn.Openflow.Add;
-                rule =
-                  Sdn.Flow.make ?idle_timeout ?hard_timeout ~priority ~match_prefix:prefix w;
+                rule = Sdn.Flow.make ?hard_timeout ~priority ~match_prefix:prefix w;
               } ]
         | None, Some h ->
           [ Sdn.Openflow.Flow_mod

@@ -1,13 +1,9 @@
 (** Compile AS-graph decisions to flow rules, diffed against the installed
     state so only changes produce FLOW_MODs. *)
 
-val action_of_decision :
-  node_of_asn:(Net.Asn.t -> int option) -> As_graph.decision -> Sdn.Flow.action option
-
 type change = { member : Net.Asn.t; mods : Sdn.Openflow.t list }
 
 val diff :
-  ?idle_timeout:Engine.Time.span ->
   ?hard_timeout:Engine.Time.span ->
   prefix:Net.Ipv4.prefix ->
   node_of_asn:(Net.Asn.t -> int option) ->
@@ -17,6 +13,6 @@ val diff :
   unit ->
   change list * Sdn.Flow.action Net.Asn.Map.t
 (** Returns the per-member FLOW_MODs and the new installed-state map.
-    [Deliver_local] decisions install nothing (the switch's local-prefix
-    check delivers those packets).  [idle_timeout]/[hard_timeout] stamp
-    every added rule so it decays at the switch unless refreshed. *)
+    [Deliver_local] decisions install nothing (the member's local
+    delivery set covers those addresses).  [hard_timeout] stamps every
+    added rule so it decays at the switch unless refreshed. *)

@@ -264,33 +264,28 @@ let check_flow_targets net acc =
         else
           List.fold_left
             (fun acc (r : Sdn.Flow.rule) ->
-              match r.Sdn.Flow.action with
-              | Sdn.Flow.To_controller | Sdn.Flow.Drop -> acc
-              | Sdn.Flow.Output port ->
-                if port = Net.Asn.to_int asn then acc (* local-delivery convention *)
-                else begin
-                  let bad detail = { invariant = "no-stale-flow-rule"; detail } :: acc in
-                  match Network.asn_of_node net port with
-                  | None ->
-                    bad
-                      (Fmt.str "%a: rule %a -> non-AS node %d" Net.Asn.pp asn
-                         Net.Ipv4.pp_prefix r.Sdn.Flow.match_prefix port)
-                  | Some target ->
-                    if not (Network.link_up net asn target) then
-                      bad
-                        (Fmt.str "%a: rule %a -> %a over a down link" Net.Asn.pp asn
-                           Net.Ipv4.pp_prefix r.Sdn.Flow.match_prefix Net.Asn.pp target)
-                    else if
-                      not
-                        (match Network.runtime_node net target with
-                        | Some n -> Engine.Node.is_up n
-                        | None -> false)
-                    then
-                      bad
-                        (Fmt.str "%a: rule %a -> crashed node %a" Net.Asn.pp asn
-                           Net.Ipv4.pp_prefix r.Sdn.Flow.match_prefix Net.Asn.pp target)
-                    else acc
-                end)
+              let (Sdn.Flow.Output port) = r.Sdn.Flow.action in
+              let bad detail = { invariant = "no-stale-flow-rule"; detail } :: acc in
+              match Network.asn_of_node net port with
+              | None ->
+                bad
+                  (Fmt.str "%a: rule %a -> non-AS node %d" Net.Asn.pp asn
+                     Net.Ipv4.pp_prefix r.Sdn.Flow.match_prefix port)
+              | Some target ->
+                if not (Network.link_up net asn target) then
+                  bad
+                    (Fmt.str "%a: rule %a -> %a over a down link" Net.Asn.pp asn
+                       Net.Ipv4.pp_prefix r.Sdn.Flow.match_prefix Net.Asn.pp target)
+                else if
+                  not
+                    (match Network.runtime_node net target with
+                    | Some n -> Engine.Node.is_up n
+                    | None -> false)
+                then
+                  bad
+                    (Fmt.str "%a: rule %a -> crashed node %a" Net.Asn.pp asn
+                       Net.Ipv4.pp_prefix r.Sdn.Flow.match_prefix Net.Asn.pp target)
+                else acc)
             acc
             (Sdn.Flow_table.rules (Sdn.Switch.table sw)))
     acc (Network.asns net)

@@ -14,10 +14,9 @@ type t = {
   switch_liveness : Sdn.Switch.liveness option;
       (* member switches heartbeat the controller and degrade into a
          legacy-BGP fallback route when the control plane goes silent *)
-  flow_idle_timeout : Engine.Time.span option;
   flow_hard_timeout : Engine.Time.span option;
-      (* stamp proactively installed flow rules so stale forwarding state
-         decays at the switch when the controller stops refreshing it *)
+      (* stamp installed flow rules so stale forwarding state decays at
+         the switch when the controller stops refreshing it *)
   causal : Engine.Causal.mode;
       (* causal span tracing: the default bounded ring is the always-on
          flight recorder chaos dumps on invariant violations; [Full]
@@ -36,7 +35,6 @@ let default =
     speaker_mrai = None;
     speaker_liveness = None;
     switch_liveness = None;
-    flow_idle_timeout = None;
     flow_hard_timeout = None;
     causal = Engine.Causal.Ring 4096;
     collector_retention = Bgp.Collector.Full;
@@ -45,8 +43,7 @@ let default =
 let with_mrai t span = { t with bgp = Bgp.Config.with_mrai t.bgp span }
 
 let with_recompute_delay t span =
-  { t with
-    controller = { t.controller with Cluster_ctl.Controller.recompute_delay = span } }
+  { t with controller = { Cluster_ctl.Controller.recompute_delay = span } }
 
 (* A configuration scaled for fast unit tests: second-scale MRAI. *)
 let fast_test =
@@ -61,9 +58,7 @@ let fast_test =
         session_down_detect = Engine.Time.ms 100;
         session_open_delay = Engine.Time.ms 200;
       };
-    controller =
-      { Cluster_ctl.Controller.default_config with
-        Cluster_ctl.Controller.recompute_delay = Engine.Time.ms 200 };
+    controller = { Cluster_ctl.Controller.recompute_delay = Engine.Time.ms 200 };
   }
 
 (* Every failure-detection mechanism armed with second-scale timers:

@@ -14,9 +14,8 @@ type t = {
   switch_liveness : Sdn.Switch.liveness option;
       (** member switches heartbeat the controller and degrade into a
           legacy-BGP fallback route when the control plane goes silent *)
-  flow_idle_timeout : Engine.Time.span option;
   flow_hard_timeout : Engine.Time.span option;
-      (** decay timeouts stamped on proactively installed flow rules *)
+      (** decay timeout stamped on installed flow rules *)
   causal : Engine.Causal.mode;
       (** causal span tracing mode; the default [Ring 4096] keeps a cheap
           always-on flight recorder, [Full] retains every span for

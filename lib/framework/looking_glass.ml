@@ -39,11 +39,9 @@ let router_rib router =
 let switch_flows sw =
   buffer_with (fun ppf ->
       let table = Sdn.Switch.table sw in
-      let stats = Sdn.Switch.stats sw in
-      Fmt.pf ppf "%s  flow table (%d rules; fwd=%d punted=%d dropped=%d)@."
+      Fmt.pf ppf "%s  flow table (%d rules)@."
         (Net.Asn.to_string (Sdn.Switch.asn sw))
-        (Sdn.Flow_table.size table) stats.Sdn.Switch.forwarded stats.Sdn.Switch.to_controller
-        stats.Sdn.Switch.dropped;
+        (Sdn.Flow_table.size table);
       List.iter
         (fun rule -> Fmt.pf ppf "  %a@." Sdn.Flow.pp rule)
         (Sdn.Flow_table.entries_sorted table))

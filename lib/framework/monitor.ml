@@ -1,14 +1,9 @@
-(* End-to-end connectivity and loss monitoring.
-
-   Two complementary tools, mirroring the original framework's ping-based
-   host monitoring:
-
-   - a zero-time *walker* over the programmed forwarding state (legacy
-     FIBs + SDN flow tables) that classifies a path as delivered, black-
-     holed, or looping — used for "is connectivity stable" checks; and
-   - a *probe stream* of real data packets through the fabric (delays,
-     loss, in-flight drops included), whose delivery ratio over time is
-     the loss measurement — this is the paper's end-to-end video proxy. *)
+(* End-to-end connectivity monitoring: a zero-time walker over the
+   programmed forwarding state (legacy FIBs + SDN flow tables) that
+   classifies a path as delivered, black-holed, or looping.  It is the
+   reference the compiled [Net.Dataplane] snapshot is held to, and the
+   "is connectivity stable" check of the invariant oracle; loss under
+   convergence is measured by [Trafficgen] bursts over the snapshot. *)
 
 type outcome =
   | Delivered of Net.Asn.t list (* AS-level path, source first *)
@@ -94,82 +89,6 @@ let pp_traceroute ppf (outcome, hops) =
         (Engine.Time.to_ms_f cumulative))
     hops;
   Fmt.pf ppf "-- %s@." status
-
-(* --- Probe streams ------------------------------------------------------ *)
-
-type probe_stats = {
-  mutable sent : int;
-  mutable received : int;
-  mutable replies : int;
-  mutable rtt_sum_us : int;
-}
-
-type stream = {
-  src : Net.Asn.t;
-  dst : Net.Asn.t;
-  stats : probe_stats;
-  mutable sent_at : (int * Engine.Time.t) list;
-}
-
-let loss_ratio s =
-  if s.stats.sent = 0 then 0.0
-  else 1.0 -. (float_of_int s.stats.replies /. float_of_int s.stats.sent)
-
-let mean_rtt_ms s =
-  if s.stats.replies = 0 then nan
-  else float_of_int s.stats.rtt_sum_us /. float_of_int s.stats.replies /. 1000.0
-
-(* Send [count] echo probes from src's host to dst's host, [interval]
-   apart, starting now.  Replies are matched by sequence number. *)
-let start_stream network ~src ~dst ~interval ~count =
-  let plan = Network.plan network in
-  let sim = Network.sim network in
-  let m = Engine.Sim.metrics sim in
-  (* Shared across streams: idempotent registration returns one handle. *)
-  let sent_c = Engine.Metrics.counter m ~help:"echo probes injected" "monitor_probes_sent_total" in
-  let received_c =
-    Engine.Metrics.counter m ~help:"echo probes reaching their target"
-      "monitor_probes_received_total"
-  in
-  let replies_c =
-    Engine.Metrics.counter m ~help:"echo replies returning to the source"
-      "monitor_probe_replies_total"
-  in
-  let stream =
-    { src; dst; stats = { sent = 0; received = 0; replies = 0; rtt_sum_us = 0 }; sent_at = [] }
-  in
-  let src_addr = plan.Addressing.host_addr src in
-  let dst_addr = plan.Addressing.host_addr dst in
-  Network.subscribe_deliver network (fun asn packet ->
-      match packet.Net.Packet.kind with
-      | Net.Packet.Icmp_echo _ ->
-        if Net.Asn.equal asn dst && Net.Ipv4.equal_addr packet.Net.Packet.dst dst_addr then begin
-          stream.stats.received <- stream.stats.received + 1;
-          Engine.Metrics.Counter.inc received_c
-        end
-      | Net.Packet.Icmp_reply { seq } ->
-        if Net.Asn.equal asn src && Net.Ipv4.equal_addr packet.Net.Packet.dst src_addr then begin
-          match List.assoc_opt seq stream.sent_at with
-          | Some t0 ->
-            stream.stats.replies <- stream.stats.replies + 1;
-            Engine.Metrics.Counter.inc replies_c;
-            stream.stats.rtt_sum_us <-
-              stream.stats.rtt_sum_us
-              + Engine.Time.to_us (Engine.Time.diff (Engine.Sim.now sim) t0)
-          | None -> ()
-        end
-      | Net.Packet.Payload _ -> ());
-  for i = 0 to count - 1 do
-    ignore
-      (Engine.Sim.schedule_after ~category:"monitor.probe" sim
-         (Engine.Time.span_scale interval (float_of_int i))
-         (fun () ->
-           stream.stats.sent <- stream.stats.sent + 1;
-           Engine.Metrics.Counter.inc sent_c;
-           stream.sent_at <- (i, Engine.Sim.now sim) :: stream.sent_at;
-           Network.inject network ~src (Net.Packet.echo ~src:src_addr ~dst:dst_addr i)))
-  done;
-  stream
 
 let pp_outcome ppf o =
   let kind, path =

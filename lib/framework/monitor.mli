@@ -1,6 +1,6 @@
-(** End-to-end connectivity and loss monitoring: a zero-time walker over
-    programmed forwarding state, and real probe streams through the
-    fabric. *)
+(** End-to-end connectivity monitoring: a zero-time walker over the
+    programmed forwarding state.  Loss under convergence is measured by
+    {!Trafficgen} bursts over the compiled {!Net.Dataplane} snapshot. *)
 
 type outcome =
   | Delivered of Net.Asn.t list  (** AS-level path, source first *)
@@ -30,34 +30,5 @@ val traceroute :
 (** The walker annotated with cumulative one-way latency per hop. *)
 
 val pp_traceroute : Format.formatter -> outcome * trace_hop list -> unit
-
-type probe_stats = {
-  mutable sent : int;
-  mutable received : int;
-  mutable replies : int;
-  mutable rtt_sum_us : int;
-}
-
-type stream = {
-  src : Net.Asn.t;
-  dst : Net.Asn.t;
-  stats : probe_stats;
-  mutable sent_at : (int * Engine.Time.t) list;
-}
-
-val start_stream :
-  Network.t ->
-  src:Net.Asn.t ->
-  dst:Net.Asn.t ->
-  interval:Engine.Time.span ->
-  count:int ->
-  stream
-(** Schedule [count] echo probes, [interval] apart, from now.  Loss and
-    RTT accumulate as the simulation runs. *)
-
-val loss_ratio : stream -> float
-(** 1 − replies/sent. *)
-
-val mean_rtt_ms : stream -> float
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -8,8 +8,9 @@
    - node [ctrl_node] (-1) hosts the cluster BGP speaker and the IDR
      controller, linked to every SDN switch (the per-peering
      speaker-to-border-switch relay links of the paper);
-   - data packets are forwarded through legacy FIBs and SDN flow tables,
-     so end-to-end connectivity reflects actual programmed state. *)
+   - the fabric carries BGP and OpenFlow only: the data plane is read
+     from the programmed FIBs and flow tables, by the walker
+     ([forwarding_at]) and the compiled snapshot ([dataplane_snapshot]). *)
 
 module Pm = Net.Ipv4.Prefix_map
 
@@ -27,8 +28,6 @@ let collector_delay = Engine.Time.ms 1
 
 let control_delay = Engine.Time.ms 1
 
-type data_stats = { mutable forwarded : int; mutable dropped : int; mutable delivered : int }
-
 type t = {
   sim : Engine.Sim.t;
   net : Payload.t Net.Netsim.t;
@@ -42,9 +41,6 @@ type t = {
   collector : Bgp.Collector.t;
   controller : Cluster_ctl.Controller.t option;
   speaker : Cluster_ctl.Speaker.t option;
-  data_stats : data_stats;
-  mutable on_deliver : (Net.Asn.t -> Net.Packet.t -> unit) list;
-  mutable auto_reply : bool;
   (* relationships of peerings added at runtime, keyed (me, neighbor) *)
   rel_overrides : (Net.Asn.t * Net.Asn.t, Bgp.Policy.relationship) Hashtbl.t;
   (* (me, neighbor) -> spec link, both directions; see [index_links] *)
@@ -68,8 +64,6 @@ let collector t = t.collector
 let controller t = t.controller
 
 let speaker t = t.speaker
-
-let data_stats t = t.data_stats
 
 let routers t = t.routers
 
@@ -106,8 +100,6 @@ let sdn_asns t = Topology.Spec.sdn_asns t.spec
 
 let legacy_asns t = Topology.Spec.legacy_asns t.spec
 
-let node_of_asn_exn asn = Net.Asn.to_int asn
-
 let is_as_node t node = node > 0 && Topology.Spec.mem t.spec (Net.Asn.of_int node)
 
 let asn_of_node t node =
@@ -139,43 +131,6 @@ let add_local_prefix t asn prefix =
 let remove_local_prefix t asn prefix =
   let s = local_set t asn in
   s := Net.Ipv4.Prefix_set.remove prefix !s
-
-let subscribe_deliver t f = t.on_deliver <- t.on_deliver @ [ f ]
-
-let set_auto_reply t flag = t.auto_reply <- flag
-
-(* --- Data plane --------------------------------------------------------- *)
-
-let rec deliver_local t asn (packet : Net.Packet.t) =
-  t.data_stats.delivered <- t.data_stats.delivered + 1;
-  List.iter (fun f -> f asn packet) t.on_deliver;
-  if t.auto_reply then
-    match Net.Packet.reply_to packet with
-    | Some reply -> inject t ~src:asn reply
-    | None -> ()
-
-and forward_legacy t asn (packet : Net.Packet.t) =
-  if is_local_addr t asn packet.Net.Packet.dst then deliver_local t asn packet
-  else
-    match Net.Packet.decr_ttl packet with
-    | None -> t.data_stats.dropped <- t.data_stats.dropped + 1
-    | Some packet -> (
-      let fib = Net.Asn.Map.find asn t.fibs in
-      match Net.Fib.lookup_value fib packet.Net.Packet.dst with
-      | Some next_node ->
-        if Net.Netsim.send t.net ~src:(node_of_asn_exn asn) ~dst:next_node (Payload.Data packet)
-        then t.data_stats.forwarded <- t.data_stats.forwarded + 1
-        else t.data_stats.dropped <- t.data_stats.dropped + 1
-      | None -> t.data_stats.dropped <- t.data_stats.dropped + 1)
-
-(* Start a packet at an AS, as if a local host emitted it. *)
-and inject t ~src (packet : Net.Packet.t) =
-  match Net.Asn.Map.find_opt src t.switches with
-  | Some sw -> Sdn.Switch.handle_data sw ~from:(node_of_asn_exn src) packet
-  | None -> (
-    match Net.Asn.Map.find_opt src t.routers with
-    | Some _ -> forward_legacy t src packet
-    | None -> invalid_arg (Fmt.str "Network.inject: unknown AS %a" Net.Asn.pp src))
 
 (* --- Construction ------------------------------------------------------- *)
 
@@ -356,8 +311,7 @@ let create ?(config = Config.default) ~seed spec =
           (Topology.Spec.links spec)
       in
       let controller =
-        Cluster_ctl.Controller.create ?flow_idle_timeout:config.Config.flow_idle_timeout
-          ?flow_hard_timeout:config.Config.flow_hard_timeout ~sim
+        Cluster_ctl.Controller.create ?flow_hard_timeout:config.Config.flow_hard_timeout ~sim
           ~config:config.Config.controller ~members:sdn ~speaker
           ~send_switch:(fun ~member msg ->
             Net.Netsim.send net ~src:ctrl_node ~dst:(Net.Asn.to_int member)
@@ -393,13 +347,9 @@ let create ?(config = Config.default) ~seed spec =
                 ~sim ~asn:member ~node_id
                 ~send_control:(fun msg ->
                   Net.Netsim.send net ~src:node_id ~dst:ctrl_node (Payload.Openflow msg))
-                ~send_data:(fun ~dst pkt ->
-                  Net.Netsim.send net ~src:node_id ~dst (Payload.Data pkt))
                 ~send_bgp:(fun ~dst msg -> send_bgp_via ~src:node_id ~dst msg)
                 ~asn_of_node:(fun node -> asn_of_node (the ()) node)
                 ~node_of_asn:(fun asn -> node_of_asn (the ()) asn)
-                ~is_local:(fun addr -> is_local_addr (the ()) member addr)
-                ~deliver_local:(fun pkt -> deliver_local (the ()) member pkt)
                 ()
             in
             Net.Asn.Map.add member sw acc)
@@ -422,38 +372,12 @@ let create ?(config = Config.default) ~seed spec =
       collector;
       controller;
       speaker;
-      data_stats = { forwarded = 0; dropped = 0; delivered = 0 };
-      on_deliver = [];
-      auto_reply = true;
       rel_overrides = Hashtbl.create 8;
       link_index;
       burst_loss = Hashtbl.create 4;
     }
   in
   t_ref := Some t;
-  (* Data-plane health series, synced from their owners at
-     snapshot time (data_stats counts are monotonic, so exporting the
-     delta since the previous collect keeps counter semantics). *)
-  let m = Engine.Sim.metrics sim in
-  let fwd_c =
-    Engine.Metrics.counter m ~help:"data packets forwarded hop by hop"
-      "net_data_forwarded_total"
-  in
-  let dlv_c =
-    Engine.Metrics.counter m ~help:"data packets delivered to a local host"
-      "net_data_delivered_total"
-  in
-  let drp_c =
-    Engine.Metrics.counter m ~help:"data packets dropped (no route, TTL, dead link)"
-      "net_data_dropped_total"
-  in
-  let exported = ref (0, 0, 0) in
-  Engine.Metrics.on_collect m (fun () ->
-      let f0, d0, r0 = !exported in
-      Engine.Metrics.Counter.add fwd_c (t.data_stats.forwarded - f0);
-      Engine.Metrics.Counter.add dlv_c (t.data_stats.delivered - d0);
-      Engine.Metrics.Counter.add drp_c (t.data_stats.dropped - r0);
-      exported := (t.data_stats.forwarded, t.data_stats.delivered, t.data_stats.dropped));
   (* Ingress: every fabric node's deliveries go through its component's
      runtime-node mailbox, so a crashed component refuses traffic at the
      fabric boundary (counted as [node_down] drops) instead of having a
@@ -464,7 +388,6 @@ let create ?(config = Config.default) ~seed spec =
         (Engine.Node.port (Bgp.Router.node router) ~handler:(fun ~from msg ->
              match msg with
              | Payload.Bgp m -> Bgp.Router.handle_message router ~from m
-             | Payload.Data p -> forward_legacy t asn p
              | Payload.Openflow _ -> ())))
     routers;
   Net.Asn.Map.iter
@@ -473,7 +396,6 @@ let create ?(config = Config.default) ~seed spec =
         (Engine.Node.port (Sdn.Switch.node sw) ~handler:(fun ~from msg ->
              match msg with
              | Payload.Bgp m -> Sdn.Switch.handle_bgp sw ~from m
-             | Payload.Data p -> Sdn.Switch.handle_data sw ~from p
              | Payload.Openflow c ->
                if from = ctrl_node then Sdn.Switch.handle_control sw c)))
     switches;
@@ -481,7 +403,7 @@ let create ?(config = Config.default) ~seed spec =
     (Engine.Node.port (Bgp.Collector.node collector) ~handler:(fun ~from msg ->
          match msg with
          | Payload.Bgp m -> Bgp.Collector.handle_message collector ~from m
-         | Payload.Data _ | Payload.Openflow _ -> ()));
+         | Payload.Openflow _ -> ()));
   (match controller with
   | Some ctrl ->
     (* The cluster head: the controller's runtime node gates the shared
@@ -492,7 +414,7 @@ let create ?(config = Config.default) ~seed spec =
       (Engine.Node.port (Cluster_ctl.Controller.node ctrl) ~handler:(fun ~from:_ msg ->
            match msg with
            | Payload.Openflow m -> Cluster_ctl.Controller.handle_openflow ctrl m
-           | Payload.Bgp _ | Payload.Data _ -> ()))
+           | Payload.Bgp _ -> ()))
   | None -> ());
   (* A router crash also loses its kernel forwarding state. *)
   Net.Asn.Map.iter
@@ -747,12 +669,13 @@ let forwarding_at t asn (addr : Net.Ipv4.addr) =
   if is_local_addr t asn addr then Local
   else
     match Net.Asn.Map.find_opt asn t.switches with
-    | Some sw -> (
-      match Sdn.Flow_table.lookup (Sdn.Switch.table sw) addr with
-      | Some { Sdn.Flow.action = Sdn.Flow.Output port; _ } -> Next port
-      | Some { Sdn.Flow.action = Sdn.Flow.Drop; _ }
-      | Some { Sdn.Flow.action = Sdn.Flow.To_controller; _ }
-      | None -> No_route)
+    | Some sw ->
+      let table = Sdn.Switch.table sw in
+      let i = Sdn.Flow_table.lookup_idx table (Net.Ipv4.addr_to_bits addr) in
+      if i < 0 then No_route
+      else
+        let (Sdn.Flow.Output port) = (Sdn.Flow_table.nth_rule table i).Sdn.Flow.action in
+        Next port
     | None -> (
       match Net.Asn.Map.find_opt asn t.fibs with
       | Some fib -> (
@@ -764,11 +687,9 @@ let forwarding_at t asn (addr : Net.Ipv4.addr) =
 (* Compile the composed forwarding state — FIBs, flow tables, local
    delivery sets, link liveness — into a frozen [Net.Dataplane] snapshot
    over dense node indices.  The snapshot mirrors [forwarding_at] plus
-   the [link_up] check of the connectivity walker, but reads tables
-   through the non-mutating lookups, so probing it perturbs neither flow
-   packet counters nor miss metrics.  Legacy FIB values (next fabric
-   node ids) are recompiled into dense indices so the hot path never
-   maps ids per hop. *)
+   the [link_up] check of the connectivity walker.  Legacy FIB values
+   (next fabric node ids) are recompiled into dense indices so the hot
+   path never maps ids per hop. *)
 let dataplane_snapshot t =
   let as_list = Topology.Spec.asns t.spec in
   let asns = Array.of_list (List.map Net.Asn.to_int as_list) in
@@ -813,9 +734,8 @@ let dataplane_snapshot t =
       let acts =
         Array.map
           (fun (r : Sdn.Flow.rule) ->
-            match r.Sdn.Flow.action with
-            | Sdn.Flow.Output port -> code_of_node port
-            | Sdn.Flow.Drop | Sdn.Flow.To_controller -> Net.Dataplane.drop)
+            let (Sdn.Flow.Output port) = r.Sdn.Flow.action in
+            code_of_node port)
           rules
       in
       Net.Dataplane.set_rules dp i ~nets ~masks ~acts)

@@ -1,7 +1,7 @@
 (** The network builder: a topology spec turned into a running emulation —
     legacy BGP routers, SDN switches under the IDR controller + cluster
     speaker, the monitoring collector, automatic addressing/policies, and
-    the data plane. *)
+    the data-plane views over the programmed forwarding state. *)
 
 type t
 
@@ -142,35 +142,15 @@ val now : t -> Engine.Time.t
 
 (* --- Data plane --- *)
 
-type data_stats = { mutable forwarded : int; mutable dropped : int; mutable delivered : int }
-
-val data_stats : t -> data_stats
-
-val inject : t -> src:Net.Asn.t -> Net.Packet.t -> unit
-(** Start a packet at an AS, as if emitted by a local host. *)
-
-val subscribe_deliver : t -> (Net.Asn.t -> Net.Packet.t -> unit) -> unit
-(** Called on every locally delivered packet. *)
-
-val set_auto_reply : t -> bool -> unit
-(** Whether delivered echo requests generate replies (default true). *)
-
-val add_local_prefix : t -> Net.Asn.t -> Net.Ipv4.prefix -> unit
-
-val remove_local_prefix : t -> Net.Asn.t -> Net.Ipv4.prefix -> unit
-
-val is_local_addr : t -> Net.Asn.t -> Net.Ipv4.addr -> bool
-
 type forwarding = Local | Next of int | No_route
 
 val forwarding_at : t -> Net.Asn.t -> Net.Ipv4.addr -> forwarding
-(** The AS's current forwarding decision for an address (FIB for legacy,
-    flow table for SDN members). *)
+(** The AS's current forwarding decision for an address: [Local] for its
+    router address and the prefixes it originates, else the FIB (legacy)
+    or the flow table (SDN members), read without mutating either. *)
 
 val dataplane_snapshot : t -> Net.Dataplane.t
 (** Compile the composed forwarding state (FIBs + flow tables + local
     delivery sets + link liveness) into a frozen allocation-free
-    fast-path snapshot over dense node indices.  Reads tables through
-    the non-mutating lookups, so probing the snapshot perturbs neither
-    flow packet counters nor miss metrics.  Recompile after the control
-    plane changes. *)
+    fast-path snapshot over dense node indices.  Recompile after the
+    control plane changes. *)

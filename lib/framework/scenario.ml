@@ -18,7 +18,6 @@ type action =
   | Crash_head (* the cluster head: controller + speaker *)
   | Restart_head
   | Heal (* bring every failed link back up *)
-  | Ping of Net.Asn.t * Net.Asn.t
   | Note of string
 
 type step = { at : Engine.Time.t; action : action }
@@ -47,7 +46,6 @@ let steps t = t.steps
      @17.0 crash-head
      @18.0 restart AS65003
      @20.0 recover-link AS65001 AS65002
-     @25.0 ping AS65002 AS65001
      @30.0 withdraw AS65001
      @31.0 note measurement window ends
 
@@ -72,7 +70,6 @@ let pp_action ppf = function
   | Crash_head -> Fmt.string ppf "crash-head"
   | Restart_head -> Fmt.string ppf "restart-head"
   | Heal -> Fmt.string ppf "heal"
-  | Ping (a, b) -> Fmt.pf ppf "ping %a %a" Net.Asn.pp a Net.Asn.pp b
   | Note s -> Fmt.pf ppf "note %s" s
 
 let pp_step ppf s = Fmt.pf ppf "@%.6f %a" (Engine.Time.to_sec_f s.at) pp_action s.action
@@ -156,7 +153,6 @@ let parse_action verb args =
   | "crash-head" -> none Crash_head args
   | "restart-head" -> none Restart_head args
   | "heal" -> none Heal args
-  | "ping" -> two (fun a b -> Ping (a, b)) args
   | "note" -> Ok (Note (String.concat " " args))
   | other -> Error (Fmt.str "unknown action %S" other)
 
@@ -231,9 +227,6 @@ let check_step net step =
       link a b
     | Partition (a, None) | Recover_ctrl a -> member a
     | Crash_head | Restart_head -> head ()
-    | Ping (a, b) ->
-      let* () = as_ a in
-      as_ b
     | Heal | Note _ -> Ok ()
   in
   Result.map_error (Fmt.str "scenario step \"%a\": %s" pp_step step) checked
@@ -263,11 +256,6 @@ let apply net action =
   | Crash_head -> Network.crash_controller net
   | Restart_head -> Network.restart_controller net
   | Heal -> Network.heal_all_links net
-  | Ping (src, dst) ->
-    let plan = Network.plan net in
-    Network.inject net ~src
-      (Net.Packet.echo ~src:(plan.Addressing.host_addr src)
-         ~dst:(plan.Addressing.host_addr dst) 0)
   | Note _ -> ()
   | Flap _ -> invalid_arg "Scenario.apply: a flap is a train of steps (see Scenario.expand)"
 

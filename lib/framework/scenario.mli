@@ -25,7 +25,6 @@ type action =
   | Crash_head  (** the cluster head: controller + speaker together *)
   | Restart_head
   | Heal  (** bring every failed link back up *)
-  | Ping of Net.Asn.t * Net.Asn.t
   | Note of string
 
 type step = { at : Engine.Time.t; action : action }

@@ -5,8 +5,8 @@
    node indices, through which packed int-encoded probes (src index, dst
    address bits, TTL, all immediate ints) are forwarded in a batch TTL
    walk: one [forward] call resolves the probe's entire path and
-   classifies its fate without building a [Packet.t] record, an [option],
-   or any other per-hop value.
+   classifies its fate without building a record, an [option], or any
+   other per-hop value.
 
    The structure is a snapshot: compile it (cheap, proportional to table
    sizes), fire millions of probes, recompile after the control plane

@@ -2,7 +2,7 @@
     forwarding state (legacy FIBs + SDN flow tables + local delivery sets
     + link liveness) over dense node indices, walked by packed
     int-encoded probes.  One {!forward} call resolves a probe's whole
-    path — no [Packet.t] record, no per-hop [option], no allocation at
+    path — no packet record, no per-hop [option], no allocation at
     all on the hot path.  Compile with the builder functions (allocation
     there is fine), then fire probes; recompile after the control plane
     changes.  Not domain-safe: one snapshot per domain. *)

@@ -1,34 +1,3 @@
-(* Data-plane packets.
-
-   The framework's end-to-end monitoring (the paper pings hosts / streams
-   video between them) is modelled as periodic probe packets forwarded
-   hop-by-hop through FIBs and flow tables. *)
-
-type kind =
-  | Icmp_echo of { seq : int }
-  | Icmp_reply of { seq : int }
-  | Payload of string
-
-type t = { src : Ipv4.addr; dst : Ipv4.addr; ttl : int; kind : kind }
+(* Data-plane probe defaults. *)
 
 let default_ttl = 64
-
-let echo ?(ttl = default_ttl) ~src ~dst seq = { src; dst; ttl; kind = Icmp_echo { seq } }
-
-let reply_to p =
-  match p.kind with
-  | Icmp_echo { seq } ->
-    Some { src = p.dst; dst = p.src; ttl = default_ttl; kind = Icmp_reply { seq } }
-  | Icmp_reply _ | Payload _ -> None
-
-let data ?(ttl = default_ttl) ~src ~dst payload = { src; dst; ttl; kind = Payload payload }
-
-let decr_ttl p = if p.ttl <= 0 then None else Some { p with ttl = p.ttl - 1 }
-
-let pp_kind ppf = function
-  | Icmp_echo { seq } -> Fmt.pf ppf "echo(%d)" seq
-  | Icmp_reply { seq } -> Fmt.pf ppf "reply(%d)" seq
-  | Payload s -> Fmt.pf ppf "data(%d bytes)" (String.length s)
-
-let pp ppf p =
-  Fmt.pf ppf "%a -> %a ttl=%d %a" Ipv4.pp_addr p.src Ipv4.pp_addr p.dst p.ttl pp_kind p.kind

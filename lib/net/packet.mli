@@ -1,22 +1,5 @@
-(** Data-plane packets for end-to-end connectivity and loss monitoring. *)
-
-type kind =
-  | Icmp_echo of { seq : int }
-  | Icmp_reply of { seq : int }
-  | Payload of string
-
-type t = { src : Ipv4.addr; dst : Ipv4.addr; ttl : int; kind : kind }
+(** Data-plane probe defaults shared by the snapshot walker, the probe
+    bursts and the forwarding verifier. *)
 
 val default_ttl : int
-
-val echo : ?ttl:int -> src:Ipv4.addr -> dst:Ipv4.addr -> int -> t
-
-val reply_to : t -> t option
-(** The echo reply for an echo request; [None] for other kinds. *)
-
-val data : ?ttl:int -> src:Ipv4.addr -> dst:Ipv4.addr -> string -> t
-
-val decr_ttl : t -> t option
-(** [None] when the TTL is exhausted (packet must be dropped). *)
-
-val pp : Format.formatter -> t -> unit
+(** Hop budget of a probe. *)

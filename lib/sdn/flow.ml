@@ -6,50 +6,27 @@
 
 type port = int
 
-type action =
-  | Output of port
-  | To_controller
-  | Drop
+type action = Output of port
 
 type rule = {
   match_prefix : Net.Ipv4.prefix;
   priority : int;
   action : action;
-  mutable packets : int; (* match counter *)
-  idle_timeout : Engine.Time.span option; (* expire after this much disuse *)
   hard_timeout : Engine.Time.span option; (* expire this long after install *)
-  mutable last_used : Engine.Time.t; (* maintained by the switch *)
 }
 
-let make ?(priority = 0) ?idle_timeout ?hard_timeout ~match_prefix action =
-  {
-    match_prefix;
-    priority;
-    action;
-    packets = 0;
-    idle_timeout;
-    hard_timeout;
-    last_used = Engine.Time.zero;
-  }
+let make ?(priority = 0) ?hard_timeout ~match_prefix action =
+  { match_prefix; priority; action; hard_timeout }
 
 let matches rule addr = Net.Ipv4.mem addr rule.match_prefix
 
-let action_equal a b =
-  match (a, b) with
-  | Output p, Output q -> p = q
-  | To_controller, To_controller -> true
-  | Drop, Drop -> true
-  | (Output _ | To_controller | Drop), _ -> false
+let action_equal (Output p) (Output q) = p = q
 
 (* Same match and priority: the key OpenFlow uses for add-or-replace. *)
 let same_match a b =
   Net.Ipv4.equal_prefix a.match_prefix b.match_prefix && a.priority = b.priority
 
-let pp_action ppf = function
-  | Output p -> Fmt.pf ppf "output:%d" p
-  | To_controller -> Fmt.string ppf "controller"
-  | Drop -> Fmt.string ppf "drop"
+let pp_action ppf (Output p) = Fmt.pf ppf "output:%d" p
 
 let pp ppf r =
-  Fmt.pf ppf "prio=%d %a -> %a (%d pkts)" r.priority Net.Ipv4.pp_prefix r.match_prefix
-    pp_action r.action r.packets
+  Fmt.pf ppf "prio=%d %a -> %a" r.priority Net.Ipv4.pp_prefix r.match_prefix pp_action r.action

@@ -3,25 +3,17 @@
 
 type port = int
 
-type action = Output of port | To_controller | Drop
+type action = Output of port
 
 type rule = {
   match_prefix : Net.Ipv4.prefix;
   priority : int;
   action : action;
-  mutable packets : int;
-  idle_timeout : Engine.Time.span option;  (** expire after this much disuse *)
   hard_timeout : Engine.Time.span option;  (** expire this long after install *)
-  mutable last_used : Engine.Time.t;  (** maintained by the switch *)
 }
 
 val make :
-  ?priority:int ->
-  ?idle_timeout:Engine.Time.span ->
-  ?hard_timeout:Engine.Time.span ->
-  match_prefix:Net.Ipv4.prefix ->
-  action ->
-  rule
+  ?priority:int -> ?hard_timeout:Engine.Time.span -> match_prefix:Net.Ipv4.prefix -> action -> rule
 
 val matches : rule -> Net.Ipv4.addr -> bool
 

@@ -9,11 +9,7 @@
    rebuild the array; occupancy is [Array.length], O(1), so the metrics
    gauge no longer walks the table on every collect. *)
 
-type t = {
-  mutable rules : Flow.rule array; (* sorted by [order] *)
-  mutable misses : int;
-  misses_c : Engine.Metrics.Counter.t option;
-}
+type t = { mutable rules : Flow.rule array (* sorted by [order] *) }
 
 (* Total order on rules: descending priority, then descending prefix
    length, then ascending prefix for determinism.  [order a b = 0] iff
@@ -29,17 +25,10 @@ let order (a : Flow.rule) (b : Flow.rule) =
   end
 
 (* [metrics]/[labels] are optional so tables can exist outside a simulation
-   (tests, offline compilation); when given, misses become a labeled counter
-   and occupancy a pull-style gauge synced at snapshot time. *)
+   (tests, offline compilation); when given, occupancy is a pull-style
+   gauge synced at snapshot time. *)
 let create ?metrics ?(labels = []) () =
-  let misses_c =
-    Option.map
-      (fun m ->
-        Engine.Metrics.counter m ~help:"lookups that matched no rule" ~labels
-          "sdn_flow_table_misses_total")
-      metrics
-  in
-  let t = { rules = [||]; misses = 0; misses_c } in
+  let t = { rules = [||] } in
   Option.iter
     (fun m ->
       let g =
@@ -53,8 +42,6 @@ let create ?metrics ?(labels = []) () =
 let rules t = Array.to_list t.rules
 
 let size t = Array.length t.rules
-
-let misses t = t.misses
 
 (* First index whose rule sorts at-or-after [rule]; [Array.length] when
    every rule sorts before it. *)
@@ -99,33 +86,11 @@ let mem_physical t rule = Array.exists (fun r -> r == rule) t.rules
 
 let clear t = t.rules <- [||]
 
-let lookup t addr =
-  (* Sorted by (priority desc, length desc): the first match is the
-     winner, and equal-length prefixes are disjoint, so no later rule of
-     the same rank can also match. *)
-  let n = Array.length t.rules in
-  let rec scan i =
-    if i >= n then None
-    else begin
-      let r = t.rules.(i) in
-      if Flow.matches r addr then Some r else scan (i + 1)
-    end
-  in
-  match scan 0 with
-  | None ->
-    t.misses <- t.misses + 1;
-    Option.iter Engine.Metrics.Counter.inc t.misses_c;
-    None
-  | Some best ->
-    best.Flow.packets <- best.Flow.packets + 1;
-    Some best
-
-(* Index of the winning rule for an address, [-1] on a miss.  Unlike
-   [lookup] this neither boxes the result nor mutates anything (no
-   [packets]/[misses] bump, no metric), so verifiers and the data-plane
-   fast path can interrogate a table without perturbing its counters.
-   Matching is pure int arithmetic on the prefix bits: [Int32.to_int] is
-   an immediate read, so the scan allocates nothing. *)
+(* Index of the winning rule for an address, [-1] on a miss.  Sorted by
+   (priority desc, length desc): the first match is the winner, and
+   equal-length prefixes are disjoint, so no later rule of the same rank
+   can also match.  Matching is pure int arithmetic on the prefix bits:
+   [Int32.to_int] is an immediate read, so the scan allocates nothing. *)
 let lookup_idx t addr_bits =
   let rules = t.rules in
   let n = Array.length rules in
@@ -155,6 +120,6 @@ let find t ~match_prefix =
 let entries_sorted t = Array.to_list t.rules
 
 let pp ppf t =
-  Fmt.pf ppf "@[<v>flow table (%d rules, %d misses)" (size t) t.misses;
+  Fmt.pf ppf "@[<v>flow table (%d rules)" (size t);
   List.iter (fun r -> Fmt.pf ppf "@,  %a" Flow.pp r) (entries_sorted t);
   Fmt.pf ppf "@]"

@@ -3,16 +3,12 @@
 type t
 
 val create : ?metrics:Engine.Metrics.t -> ?labels:Engine.Metrics.labels -> unit -> t
-(** When [metrics] is given, misses are exported as
-    [sdn_flow_table_misses_total] and occupancy as the [sdn_flow_table_rules]
-    gauge, both carrying [labels]. *)
+(** When [metrics] is given, occupancy is exported as the
+    [sdn_flow_table_rules] gauge carrying [labels]. *)
 
 val rules : t -> Flow.rule list
 
 val size : t -> int
-
-val misses : t -> int
-(** Lookups that matched no rule. *)
 
 val add : t -> Flow.rule -> unit
 (** Add-or-replace on the (match, priority) key. *)
@@ -31,17 +27,11 @@ val mem_physical : t -> Flow.rule -> bool
 
 val clear : t -> unit
 
-val lookup : t -> Net.Ipv4.addr -> Flow.rule option
-(** Winning rule for the address; bumps its packet counter. *)
-
 val lookup_idx : t -> int -> int
 (** [lookup_idx t bits] is the index (into the sorted rule array, see
-    {!nth_rule}) of the winning rule for an address given as
-    {!Net.Ipv4.addr_to_bits} int bits, or [-1] on a miss.  Unlike
-    {!lookup} it allocates nothing and mutates nothing — no [option]
-    boxing, no packet/miss counters — so read-only consumers (the static
-    forwarding verifier, the data-plane fast path) can use it without
-    perturbing table state. *)
+    {!nth_rule}) of the winning rule — highest priority, then longest
+    prefix — for an address given as {!Net.Ipv4.addr_to_bits} int bits,
+    or [-1] on a miss.  It allocates nothing and mutates nothing. *)
 
 val nth_rule : t -> int -> Flow.rule
 (** The rule at a {!lookup_idx} index.  @raise Invalid_argument when out

@@ -5,8 +5,6 @@
 
 type flow_mod_command = Add | Delete | Delete_strict
 
-type removal_reason = Idle_timeout | Hard_timeout
-
 type relay_direction = To_speaker | To_neighbor
 
 type t =
@@ -16,10 +14,8 @@ type t =
   | Resync_done
       (* controller -> switch after a restart: the flow table has been
          atomically reinstalled; leave legacy fallback mode *)
-  | Packet_in of { switch_asn : Net.Asn.t; in_port : Flow.port; packet : Net.Packet.t }
-  | Packet_out of { out_port : Flow.port; packet : Net.Packet.t }
   | Flow_mod of { command : flow_mod_command; rule : Flow.rule }
-  | Flow_removed of { switch_asn : Net.Asn.t; rule : Flow.rule; reason : removal_reason }
+  | Flow_removed of { switch_asn : Net.Asn.t; rule : Flow.rule }
   | Port_status of { switch_asn : Net.Asn.t; port : Flow.port; up : bool }
   | Bgp_relay of {
       member : Net.Asn.t; (* the cluster member AS whose peering this is *)
@@ -33,16 +29,11 @@ let pp ppf = function
   | Echo_request { switch_asn } -> Fmt.pf ppf "ECHO_REQUEST %a" Net.Asn.pp switch_asn
   | Echo_reply -> Fmt.string ppf "ECHO_REPLY"
   | Resync_done -> Fmt.string ppf "RESYNC_DONE"
-  | Packet_in { switch_asn; in_port; packet } ->
-    Fmt.pf ppf "PACKET_IN %a port=%d %a" Net.Asn.pp switch_asn in_port Net.Packet.pp packet
-  | Packet_out { out_port; packet } ->
-    Fmt.pf ppf "PACKET_OUT port=%d %a" out_port Net.Packet.pp packet
   | Flow_mod { command; rule } ->
     let cmd = match command with Add -> "add" | Delete -> "del" | Delete_strict -> "del!" in
     Fmt.pf ppf "FLOW_MOD %s %a" cmd Flow.pp rule
-  | Flow_removed { switch_asn; rule; reason } ->
-    let r = match reason with Idle_timeout -> "idle" | Hard_timeout -> "hard" in
-    Fmt.pf ppf "FLOW_REMOVED %a %a (%s)" Net.Asn.pp switch_asn Flow.pp rule r
+  | Flow_removed { switch_asn; rule } ->
+    Fmt.pf ppf "FLOW_REMOVED %a %a (hard timeout)" Net.Asn.pp switch_asn Flow.pp rule
   | Port_status { switch_asn; port; up } ->
     Fmt.pf ppf "PORT_STATUS %a port=%d %s" Net.Asn.pp switch_asn port
       (if up then "up" else "down")

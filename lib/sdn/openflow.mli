@@ -3,8 +3,6 @@
 
 type flow_mod_command = Add | Delete | Delete_strict
 
-type removal_reason = Idle_timeout | Hard_timeout
-
 type relay_direction = To_speaker | To_neighbor
 
 type t =
@@ -15,10 +13,9 @@ type t =
   | Resync_done
       (** controller → switch after a restart: flow state reinstalled,
           leave legacy fallback mode *)
-  | Packet_in of { switch_asn : Net.Asn.t; in_port : Flow.port; packet : Net.Packet.t }
-  | Packet_out of { out_port : Flow.port; packet : Net.Packet.t }
   | Flow_mod of { command : flow_mod_command; rule : Flow.rule }
-  | Flow_removed of { switch_asn : Net.Asn.t; rule : Flow.rule; reason : removal_reason }
+  | Flow_removed of { switch_asn : Net.Asn.t; rule : Flow.rule }
+      (** switch → controller: the rule reached its hard timeout *)
   | Port_status of { switch_asn : Net.Asn.t; port : Flow.port; up : bool }
   | Bgp_relay of {
       member : Net.Asn.t;

@@ -1,18 +1,18 @@
 (* An OpenFlow switch standing as a cluster member AS's border device.
 
-   Data packets are forwarded by flow-table lookup; table misses go to the
-   controller as PACKET_INs.  BGP messages arriving from external (legacy)
-   neighbors are not processed locally — the switch encapsulates them
-   toward the cluster BGP speaker (BGP_RELAY), and relays the speaker's
-   messages back out to the neighbors, exactly the control-plane relaying
-   the paper describes.
+   Its flow table is programmed proactively by the controller and read by
+   the data-plane snapshot and the forwarding walker.  BGP messages
+   arriving from external (legacy) neighbors are not processed locally —
+   the switch encapsulates them toward the cluster BGP speaker
+   (BGP_RELAY), and relays the speaker's messages back out to the
+   neighbors, exactly the control-plane relaying the paper describes.
 
    Failure domain: when [liveness] is configured the switch probes the
    controller with ECHO_REQUESTs and, after [fail_after] of control-plane
    silence, degrades into legacy fallback mode — a lowest-priority
    default route toward a surviving legacy neighbor (the OSHI-style
    "legacy plane stays live" answer to controller death).  Installed
-   flow rules keep expiring on their idle/hard timeouts, so stale SDN
+   flow rules keep expiring on their hard timeouts, so stale SDN
    paths decay onto the fallback route instead of blackholing.  The
    switch leaves fallback only on the controller's RESYNC_DONE, sent
    after the restarted controller has replayed speaker state and
@@ -24,9 +24,6 @@ type liveness = {
 }
 
 type stats = {
-  mutable forwarded : int;
-  mutable to_controller : int;
-  mutable dropped : int;
   mutable relayed_in : int;
   mutable relayed_out : int;
   mutable flow_mods : int;
@@ -44,18 +41,15 @@ type t = {
   fallback_port : unit -> Flow.port option;
   on_relay_drop : unit -> unit;
   send_control : Openflow.t -> bool;
-  send_data : dst:int -> Net.Packet.t -> bool;
   send_bgp : dst:int -> Bgp.Message.t -> bool;
   asn_of_node : int -> Net.Asn.t option;
   node_of_asn : Net.Asn.t -> int option;
-  is_local : Net.Ipv4.addr -> bool;
-  deliver_local : Net.Packet.t -> unit;
   stats : stats;
   mutable last_ctrl_seen : Engine.Time.t;
   mutable fallback : Flow.rule option; (* the installed legacy default route *)
   mutable supervise : Engine.Timer.t option;
   mutable failovers_c : Engine.Metrics.Counter.t option; (* lazy *)
-  expired_by : (string, Engine.Metrics.Counter.t) Hashtbl.t; (* lazy, by reason *)
+  mutable expired_c : Engine.Metrics.Counter.t option; (* lazy *)
 }
 
 let prefix_all = Net.Ipv4.prefix (Net.Ipv4.addr_of_octets 0 0 0 0) 0
@@ -78,21 +72,18 @@ let count_failover t =
   in
   Engine.Metrics.Counter.inc c
 
-let count_expired t reason =
-  let label =
-    match reason with Openflow.Idle_timeout -> "idle" | Openflow.Hard_timeout -> "hard"
-  in
+let count_expired t =
   let c =
-    match Hashtbl.find_opt t.expired_by label with
+    match t.expired_c with
     | Some c -> c
     | None ->
       let c =
         Engine.Metrics.counter (Engine.Sim.metrics t.sim)
           ~help:"flow rules removed by timeout"
-          ~labels:[ ("node", Net.Asn.to_string t.asn); ("reason", label) ]
+          ~labels:[ ("node", Net.Asn.to_string t.asn); ("reason", "hard") ]
           "flow_rules_expired_total"
       in
-      Hashtbl.replace t.expired_by label c;
+      t.expired_c <- Some c;
       c
   in
   Engine.Metrics.Counter.inc c
@@ -143,8 +134,7 @@ let supervise_tick t =
     Option.iter (fun timer -> Engine.Timer.start timer echo_interval) t.supervise
 
 let create ?liveness ?(fallback_port = fun () -> None) ?(on_relay_drop = fun () -> ())
-    ~sim ~asn ~node_id ~send_control ~send_data ~send_bgp ~asn_of_node ~node_of_asn
-    ~is_local ~deliver_local () =
+    ~sim ~asn ~node_id ~send_control ~send_bgp ~asn_of_node ~node_of_asn () =
   let node =
     Engine.Node.create ~kind:"switch" sim ~name:(Fmt.str "sw-%a" Net.Asn.pp asn)
   in
@@ -163,27 +153,15 @@ let create ?liveness ?(fallback_port = fun () -> None) ?(on_relay_drop = fun () 
     fallback_port;
     on_relay_drop;
     send_control;
-    send_data;
     send_bgp;
     asn_of_node;
     node_of_asn;
-    is_local;
-    deliver_local;
-    stats =
-      {
-        forwarded = 0;
-        to_controller = 0;
-        dropped = 0;
-        relayed_in = 0;
-        relayed_out = 0;
-        flow_mods = 0;
-        relay_drops = 0;
-      };
+    stats = { relayed_in = 0; relayed_out = 0; flow_mods = 0; relay_drops = 0 };
     last_ctrl_seen = Engine.Sim.now sim;
     fallback = None;
     supervise = None;
     failovers_c = None;
-    expired_by = Hashtbl.create 2;
+    expired_c = None;
   }
   in
   (* One supervision timer per switch, owned by the node: a crash cancels
@@ -216,55 +194,18 @@ let table t = t.table
 
 let stats t = t.stats
 
-let packet_in t ~in_port packet =
-  t.stats.to_controller <- t.stats.to_controller + 1;
-  ignore (t.send_control (Openflow.Packet_in { switch_asn = t.asn; in_port; packet }))
-
-(* Timeout enforcement.  Timers hold the physical rule record, so a
-   same-key replacement installed later is untouched by the old timers. *)
-let expire t rule reason =
-  if Flow_table.remove_physical t.table rule then begin
-    count_expired t reason;
-    ignore (t.send_control (Openflow.Flow_removed { switch_asn = t.asn; rule; reason }))
-  end
-
-let arm_timeouts t (rule : Flow.rule) =
-  rule.Flow.last_used <- Engine.Sim.now t.sim;
+(* Hard-timeout enforcement.  The timer holds the physical rule record,
+   so a same-key replacement installed later is untouched by the old
+   timer. *)
+let arm_timeout t (rule : Flow.rule) =
   Option.iter
     (fun span ->
       Engine.Node.schedule_after ~category:"sdn.timeout" t.node span (fun () ->
-          expire t rule Openflow.Hard_timeout))
-    rule.Flow.hard_timeout;
-  Option.iter
-    (fun span ->
-      let rec check () =
-        if Flow_table.mem_physical t.table rule then begin
-          let idle_deadline = Engine.Time.add rule.Flow.last_used span in
-          if Engine.Time.(idle_deadline <= Engine.Sim.now t.sim) then
-            expire t rule Openflow.Idle_timeout
-          else
-            Engine.Node.schedule_at ~category:"sdn.timeout" t.node idle_deadline check
-        end
-      in
-      Engine.Node.schedule_after ~category:"sdn.timeout" t.node span check)
-    rule.Flow.idle_timeout
-
-let handle_data t ~from (packet : Net.Packet.t) =
-  if t.is_local packet.Net.Packet.dst then t.deliver_local packet
-  else
-    match Net.Packet.decr_ttl packet with
-    | None -> t.stats.dropped <- t.stats.dropped + 1
-    | Some packet -> (
-      let matched = Flow_table.lookup t.table packet.Net.Packet.dst in
-      Option.iter (fun (r : Flow.rule) -> r.Flow.last_used <- Engine.Sim.now t.sim) matched;
-      match matched with
-      | Some { Flow.action = Flow.Output port; _ } ->
-        if t.send_data ~dst:port packet then t.stats.forwarded <- t.stats.forwarded + 1
-        else t.stats.dropped <- t.stats.dropped + 1
-      | Some { Flow.action = Flow.Drop; _ } -> t.stats.dropped <- t.stats.dropped + 1
-      | Some { Flow.action = Flow.To_controller; _ } | None ->
-        (* Table miss (or explicit punt): controller decides. *)
-        packet_in t ~in_port:from packet)
+          if Flow_table.remove_physical t.table rule then begin
+            count_expired t;
+            ignore (t.send_control (Openflow.Flow_removed { switch_asn = t.asn; rule }))
+          end))
+    rule.Flow.hard_timeout
 
 (* BGP from an external neighbor: encapsulate toward the speaker.  The
    relay is always attempted — even while degraded — so that a restarted
@@ -305,14 +246,10 @@ let handle_control t msg =
     match command with
     | Openflow.Add ->
       Flow_table.add t.table rule;
-      arm_timeouts t rule
+      arm_timeout t rule
     | Openflow.Delete -> Flow_table.delete t.table ~match_prefix:rule.Flow.match_prefix
     | Openflow.Delete_strict -> Flow_table.delete_exact t.table rule
   end
-  | Openflow.Packet_out { out_port; packet } ->
-    if out_port = t.node_id then t.deliver_local packet
-    else if t.send_data ~dst:out_port packet then t.stats.forwarded <- t.stats.forwarded + 1
-    else t.stats.dropped <- t.stats.dropped + 1
   | Openflow.Bgp_relay { neighbor; direction = Openflow.To_neighbor; payload; _ } -> begin
     match t.node_of_asn neighbor with
     | Some dst ->
@@ -320,8 +257,8 @@ let handle_control t msg =
       ignore (t.send_bgp ~dst payload)
     | None -> ()
   end
-  | Openflow.Bgp_relay _ | Openflow.Packet_in _ | Openflow.Port_status _
-  | Openflow.Flow_removed _ | Openflow.Echo_request _ -> ()
+  | Openflow.Bgp_relay _ | Openflow.Port_status _ | Openflow.Flow_removed _
+  | Openflow.Echo_request _ -> ()
 
 (* Adjacent link changed state: report to the controller, and re-pick the
    legacy fallback route when its egress just died. *)
@@ -329,5 +266,5 @@ let port_change t ~peer ~up =
   (match t.fallback with
   | Some { Flow.action = Flow.Output port; _ } when (not up) && port = peer ->
     repick_fallback t
-  | _ -> ());
+  | Some _ | None -> ());
   ignore (t.send_control (Openflow.Port_status { switch_asn = t.asn; port = peer; up }))

@@ -1,6 +1,6 @@
-(** An OpenFlow switch acting as a cluster member's border device: flow
-    forwarding, PACKET_IN on miss, and BGP relaying between external
-    neighbors and the cluster BGP speaker.  With [liveness] configured it
+(** An OpenFlow switch acting as a cluster member's border device: it
+    holds the flow table the controller programs and relays BGP between
+    external neighbors and the cluster BGP speaker.  With [liveness] configured it
     heartbeats the controller and degrades into a legacy-BGP fallback
     route when the control plane goes silent. *)
 
@@ -10,9 +10,6 @@ type liveness = {
 }
 
 type stats = {
-  mutable forwarded : int;
-  mutable to_controller : int;
-  mutable dropped : int;
   mutable relayed_in : int;
   mutable relayed_out : int;
   mutable flow_mods : int;
@@ -30,12 +27,9 @@ val create :
   asn:Net.Asn.t ->
   node_id:int ->
   send_control:(Openflow.t -> bool) ->
-  send_data:(dst:int -> Net.Packet.t -> bool) ->
   send_bgp:(dst:int -> Bgp.Message.t -> bool) ->
   asn_of_node:(int -> Net.Asn.t option) ->
   node_of_asn:(Net.Asn.t -> int option) ->
-  is_local:(Net.Ipv4.addr -> bool) ->
-  deliver_local:(Net.Packet.t -> unit) ->
   unit ->
   t
 (** [fallback_port] picks the legacy neighbor the fallback default route
@@ -59,15 +53,13 @@ val fallback_active : t -> bool
 (** Whether the switch is currently degraded onto its legacy default
     route. *)
 
-val handle_data : t -> from:int -> Net.Packet.t -> unit
-(** Forward a data packet (TTL decrement, flow lookup, PACKET_IN on miss). *)
-
 val handle_bgp : t -> from:int -> Bgp.Message.t -> unit
 (** Encapsulate an external neighbor's BGP message toward the speaker. *)
 
 val handle_control : t -> Openflow.t -> unit
-(** Process a message from the controller (FLOW_MOD, PACKET_OUT, relay,
-    ECHO_REPLY, RESYNC_DONE). *)
+(** Process a message from the controller (FLOW_MOD, relay, ECHO_REPLY,
+    RESYNC_DONE).  An added rule with a hard timeout is removed when it
+    expires, and the controller is told with FLOW_REMOVED. *)
 
 val port_change : t -> peer:int -> up:bool -> unit
 (** Report an adjacent link state change as PORT_STATUS. *)

@@ -91,20 +91,17 @@ let test_unit_rules_first_match () =
   Alcotest.check fate "drop rule" Net.Dataplane.Blackholed (Net.Dataplane.result_fate r)
 
 let test_decr_ttl_edges () =
-  let a = Net.Ipv4.addr_of_octets 10 0 0 1 and b = Net.Ipv4.addr_of_octets 10 0 0 2 in
-  let p1 = Net.Packet.echo ~ttl:1 ~src:a ~dst:b 1 in
-  (match Net.Packet.decr_ttl p1 with
-  | Some p -> Alcotest.(check int) "1 -> 0" 0 p.Net.Packet.ttl
-  | None -> Alcotest.fail "ttl=1 must still forward once");
-  let p0 = Net.Packet.echo ~ttl:0 ~src:a ~dst:b 1 in
-  Alcotest.(check bool) "0 dies" true (Net.Packet.decr_ttl p0 = None);
-  (* the snapshot walk agrees: ttl=1 crosses exactly one link *)
+  (* a probe's ttl is its link budget: ttl=1 crosses exactly one link,
+     and ttl=0 cannot leave a source that does not deliver locally *)
   let dp = chain () in
   let r = Net.Dataplane.forward dp ~src:1 ~dst_bits:(addr_bits 10 0 2 7) ~ttl:1 in
   Alcotest.check fate "one link reaches 2" Net.Dataplane.Delivered
     (Net.Dataplane.result_fate r);
   let r = Net.Dataplane.forward dp ~src:0 ~dst_bits:(addr_bits 10 0 2 7) ~ttl:1 in
   Alcotest.check fate "two links need ttl 2" Net.Dataplane.Ttl_expired
+    (Net.Dataplane.result_fate r);
+  let r = Net.Dataplane.forward dp ~src:1 ~dst_bits:(addr_bits 10 0 2 7) ~ttl:0 in
+  Alcotest.check fate "ttl 0 dies at the source" Net.Dataplane.Ttl_expired
     (Net.Dataplane.result_fate r)
 
 (* --- Differential: snapshot vs live walker over real networks ----------- *)

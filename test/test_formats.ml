@@ -12,7 +12,7 @@ let scenario_text =
    @2.0 announce AS65002 100.99.0.0/24\n\
    @10.0 fail-link AS65001 AS65002\n\
    @20.0 recover-link AS65001 AS65002\n\
-   @25.0 ping AS65002 AS65001\n\
+   @25.0 crash AS65002\n\
    @30.0 withdraw AS65001\n\
    @31.0 note measurement window ends\n"
 

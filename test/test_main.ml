@@ -35,7 +35,6 @@ let () =
       ("cluster.flow_compiler", Test_flow_compiler.suite);
       ("cluster.recompute", Test_recompute.suite);
       ("cluster.speaker", Test_speaker.suite);
-      ("cluster.reactive", Test_reactive.suite);
       ("cluster.controller", Test_controller.suite);
       ("cluster.incremental", Test_incremental.suite);
       ("framework.addressing", Test_addressing.suite);

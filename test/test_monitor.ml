@@ -1,4 +1,4 @@
-(* Framework.Monitor: forwarding-state walker and probe streams. *)
+(* Framework.Monitor: the forwarding-state walker. *)
 
 let asn = Topology.Artificial.asn
 
@@ -52,33 +52,6 @@ let test_connectivity_matrix () =
   Alcotest.(check int) "matrix size" 6 (List.length matrix);
   Alcotest.(check bool) "all reachable" true (List.for_all (fun (_, _, ok) -> ok) matrix)
 
-let test_probe_stream_no_loss () =
-  let net = build () in
-  originate net (asn 0);
-  originate net (asn 2);
-  let stream =
-    Framework.Monitor.start_stream net ~src:(asn 2) ~dst:(asn 0)
-      ~interval:(Engine.Time.ms 100) ~count:10
-  in
-  ignore (Framework.Network.settle net);
-  Alcotest.(check (float 1e-9)) "no loss" 0.0 (Framework.Monitor.loss_ratio stream);
-  Alcotest.(check bool) "rtt measured" true (Framework.Monitor.mean_rtt_ms stream > 0.0)
-
-let test_probe_stream_loss_during_blackhole () =
-  (* On a line topology, failing the only path loses probes until the
-     prefix is withdrawn; total loss thereafter (no reroute exists). *)
-  let net = build ~spec:(Topology.Artificial.line 3) () in
-  originate net (asn 0);
-  originate net (asn 2);
-  Framework.Network.fail_link net (asn 0) (asn 1);
-  ignore (Framework.Network.settle net);
-  let stream =
-    Framework.Monitor.start_stream net ~src:(asn 2) ~dst:(asn 0)
-      ~interval:(Engine.Time.ms 50) ~count:5
-  in
-  ignore (Framework.Network.settle net);
-  Alcotest.(check (float 1e-9)) "all probes lost" 1.0 (Framework.Monitor.loss_ratio stream)
-
 let test_traceroute () =
   let net = build ~spec:(Topology.Artificial.line 4) () in
   originate net (asn 3);
@@ -105,6 +78,4 @@ let suite =
     Alcotest.test_case "traceroute" `Quick test_traceroute;
     Alcotest.test_case "walk blackhole" `Quick test_walk_blackhole;
     Alcotest.test_case "connectivity matrix" `Quick test_connectivity_matrix;
-    Alcotest.test_case "probe stream no loss" `Quick test_probe_stream_no_loss;
-    Alcotest.test_case "probe loss after failure" `Quick test_probe_stream_loss_during_blackhole;
   ]

@@ -46,17 +46,7 @@ let test_data_plane_end_to_end () =
     Framework.Monitor.walk net ~src:(asn 2)
       ~dst_addr:(plan.Framework.Addressing.host_addr (asn 0))
   in
-  Alcotest.(check bool) "delivered" true (Framework.Monitor.is_delivered outcome);
-  (* real packets: inject an echo, settle, expect delivery + auto reply *)
-  let before = (Framework.Network.data_stats net).Framework.Network.delivered in
-  Framework.Network.inject net ~src:(asn 2)
-    (Net.Packet.echo
-       ~src:(plan.Framework.Addressing.host_addr (asn 2))
-       ~dst:(plan.Framework.Addressing.host_addr (asn 0))
-       1);
-  ignore (Framework.Network.settle net);
-  let after = (Framework.Network.data_stats net).Framework.Network.delivered in
-  Alcotest.(check int) "echo + reply delivered" 2 (after - before)
+  Alcotest.(check bool) "delivered" true (Framework.Monitor.is_delivered outcome)
 
 let test_link_failure_session_down () =
   let net = build 3 in

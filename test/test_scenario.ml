@@ -53,23 +53,6 @@ let test_link_actions () =
   Alcotest.(check bool) "session recovered after flap" true
     (Bgp.Router.peer_established r0 (asn 1))
 
-let test_ping_action () =
-  let exp = Framework.Experiment.create ~config:cfg ~seed:33 (Topology.Artificial.clique 3) in
-  let t0 = Engine.Time.to_sec_f (Framework.Experiment.now exp) in
-  let scenario =
-    Framework.Scenario.make ~title:"ping"
-      [
-        Framework.Scenario.at (t0 +. 0.1) (Framework.Scenario.Announce (asn 0, None));
-        Framework.Scenario.at (t0 +. 0.1) (Framework.Scenario.Announce (asn 1, None));
-        Framework.Scenario.at (t0 +. 5.0) (Framework.Scenario.Ping (asn 1, asn 0));
-      ]
-  in
-  let net = Framework.Experiment.network exp in
-  let delivered = ref 0 in
-  Framework.Network.subscribe_deliver net (fun _ _ -> incr delivered);
-  ignore (Framework.Scenario.run exp scenario);
-  Alcotest.(check bool) "echo and reply delivered" true (!delivered >= 2)
-
 let test_crash_restart_actions () =
   let exp = Framework.Experiment.create ~config:cfg ~seed:34 (Topology.Artificial.clique 4) in
   let t0 = Engine.Time.to_sec_f (Framework.Experiment.now exp) in
@@ -167,6 +150,7 @@ let test_bad_failure_domain_lines () =
       "@1e300 announce AS65001";
       "@1.0 crash AS65001 AS65002 junk";
       "@1.0 heal now please";
+      "@1.0 ping AS65001 AS65000";
     ]
 
 let test_partition_flap_heal_execute () =
@@ -218,7 +202,6 @@ let test_missing_targets_rejected () =
         let r = Option.get (Framework.Network.router net (asn 2)) in
         Alcotest.(check bool) "announce never scheduled" true (Bgp.Router.best r prefix = None))
     [
-      "@1.0 ping AS65001 AS65099";
       "@1.0 fail-link AS65001 AS65099";
       "@1.0 flap AS65099 AS65001 2";
       "@1.0 crash AS65099";
@@ -366,7 +349,6 @@ let suite =
     Alcotest.test_case "bad failure-domain lines rejected" `Quick test_bad_failure_domain_lines;
     Alcotest.test_case "partition/flap/heal execute" `Quick test_partition_flap_heal_execute;
     Alcotest.test_case "link actions" `Quick test_link_actions;
-    Alcotest.test_case "ping action" `Quick test_ping_action;
     Alcotest.test_case "crash/restart actions" `Quick test_crash_restart_actions;
     Alcotest.test_case "text round trip" `Quick test_text_round_trip;
     Alcotest.test_case "missing targets rejected up front" `Quick test_missing_targets_rejected;

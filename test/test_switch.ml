@@ -1,106 +1,43 @@
-(* Sdn.Switch: forwarding, PACKET_IN on miss, BGP relaying, port status —
+(* Sdn.Switch: flow programming and timeouts, BGP relaying, port status —
    exercised through its closures, no fabric needed. *)
 
 open Sdn
 
 let p s = Option.get (Net.Ipv4.prefix_of_string s)
 
-let a s = Option.get (Net.Ipv4.addr_of_string s)
-
 let member = Net.Asn.of_int 65010
 
-type env = {
-  switch : Switch.t;
-  control : Openflow.t list ref;
-  data : (int * Net.Packet.t) list ref;
-  bgp : (int * Bgp.Message.t) list ref;
-  local : Net.Packet.t list ref;
-}
+type env = { control : Openflow.t list ref; bgp : (int * Bgp.Message.t) list ref }
 
-let setup ?(local_prefix = "100.64.10.0/24") () =
+(* Timeouts need the simulated clock to advance, so the simulator is
+   returned with the switch. *)
+let setup () =
   let sim = Engine.Sim.create () in
-  let control = ref [] and data = ref [] and bgp = ref [] and local = ref [] in
+  let control = ref [] and bgp = ref [] in
   let switch =
     Switch.create ~sim ~asn:member ~node_id:65010
       ~send_control:(fun m ->
         control := m :: !control;
-        true)
-      ~send_data:(fun ~dst pkt ->
-        data := (dst, pkt) :: !data;
         true)
       ~send_bgp:(fun ~dst m ->
         bgp := (dst, m) :: !bgp;
         true)
       ~asn_of_node:(fun node -> if node >= 65001 then Some (Net.Asn.of_int node) else None)
       ~node_of_asn:(fun asn -> Some (Net.Asn.to_int asn))
-      ~is_local:(fun addr -> Net.Ipv4.mem addr (p local_prefix))
-      ~deliver_local:(fun pkt -> local := pkt :: !local)
       ()
   in
-  (switch, { switch; control; data; bgp; local })
-
-let echo dst = Net.Packet.echo ~src:(a "100.64.1.10") ~dst:(a dst) 0
-
-let test_miss_goes_to_controller () =
-  let sw, env = setup () in
-  Switch.handle_data sw ~from:65001 (echo "100.64.5.10");
-  (match !(env.control) with
-  | [ Openflow.Packet_in { switch_asn; in_port; _ } ] ->
-    Alcotest.(check int) "tagged with switch" 65010 (Net.Asn.to_int switch_asn);
-    Alcotest.(check int) "in port" 65001 in_port
-  | _ -> Alcotest.fail "expected PACKET_IN");
-  Alcotest.(check int) "not forwarded" 0 (List.length !(env.data))
-
-let test_flow_forwarding () =
-  let sw, env = setup () in
-  Switch.handle_control sw
-    (Openflow.Flow_mod
-       { command = Openflow.Add;
-         rule = Flow.make ~priority:24 ~match_prefix:(p "100.64.5.0/24") (Flow.Output 65002) });
-  Switch.handle_data sw ~from:65001 (echo "100.64.5.10");
-  (match !(env.data) with
-  | [ (65002, pkt) ] ->
-    Alcotest.(check int) "ttl decremented" (Net.Packet.default_ttl - 1) pkt.Net.Packet.ttl
-  | _ -> Alcotest.fail "expected forward to 65002");
-  Alcotest.(check int) "forward counted" 1 (Switch.stats sw).Switch.forwarded
-
-let test_local_delivery () =
-  let sw, env = setup () in
-  Switch.handle_data sw ~from:65001 (echo "100.64.10.99");
-  Alcotest.(check int) "delivered locally" 1 (List.length !(env.local));
-  Alcotest.(check int) "nothing forwarded" 0 (List.length !(env.data))
-
-let test_ttl_exhaustion () =
-  let sw, env = setup () in
-  Switch.handle_control sw
-    (Openflow.Flow_mod
-       { command = Openflow.Add;
-         rule = Flow.make ~match_prefix:(p "0.0.0.0/0") (Flow.Output 65002) });
-  let dead = { (echo "100.64.5.10") with Net.Packet.ttl = 0 } in
-  Switch.handle_data sw ~from:65001 dead;
-  Alcotest.(check int) "dropped" 1 (Switch.stats sw).Switch.dropped;
-  Alcotest.(check int) "not forwarded" 0 (List.length !(env.data))
-
-let test_drop_rule () =
-  let sw, _env = setup () in
-  Switch.handle_control sw
-    (Openflow.Flow_mod
-       { command = Openflow.Add;
-         rule = Flow.make ~match_prefix:(p "100.64.5.0/24") Flow.Drop });
-  Switch.handle_data sw ~from:65001 (echo "100.64.5.10");
-  Alcotest.(check int) "dropped by rule" 1 (Switch.stats sw).Switch.dropped
+  (sim, switch, { control; bgp })
 
 let test_flow_delete () =
-  let sw, env = setup () in
+  let _sim, sw, _env = setup () in
   let rule = Flow.make ~priority:24 ~match_prefix:(p "100.64.5.0/24") (Flow.Output 65002) in
   Switch.handle_control sw (Openflow.Flow_mod { command = Openflow.Add; rule });
+  Alcotest.(check int) "installed" 1 (Flow_table.size (Switch.table sw));
   Switch.handle_control sw (Openflow.Flow_mod { command = Openflow.Delete; rule });
-  Switch.handle_data sw ~from:65001 (echo "100.64.5.10");
-  Alcotest.(check int) "back to PACKET_IN" 1 (List.length !(env.control));
   Alcotest.(check int) "table empty" 0 (Flow_table.size (Switch.table sw))
 
 let test_bgp_relay_inbound () =
-  let sw, env = setup () in
+  let _sim, sw, env = setup () in
   let msg = Bgp.Message.Keepalive in
   Switch.handle_bgp sw ~from:65001 msg;
   match !(env.control) with
@@ -110,7 +47,7 @@ let test_bgp_relay_inbound () =
   | _ -> Alcotest.fail "expected BGP_RELAY to speaker"
 
 let test_bgp_relay_outbound () =
-  let sw, env = setup () in
+  let _sim, sw, env = setup () in
   Switch.handle_control sw
     (Openflow.Bgp_relay
        { member; neighbor = Net.Asn.of_int 65001; direction = Openflow.To_neighbor;
@@ -119,43 +56,12 @@ let test_bgp_relay_outbound () =
   | [ (65001, Bgp.Message.Keepalive) ] -> ()
   | _ -> Alcotest.fail "expected BGP toward the neighbor"
 
-let test_packet_out () =
-  let sw, env = setup () in
-  Switch.handle_control sw (Openflow.Packet_out { out_port = 65002; packet = echo "1.2.3.4" });
-  Alcotest.(check int) "emitted" 1 (List.length !(env.data));
-  (* out_port = own node id means deliver locally *)
-  Switch.handle_control sw (Openflow.Packet_out { out_port = 65010; packet = echo "1.2.3.4" });
-  Alcotest.(check int) "self port delivers locally" 1 (List.length !(env.local))
-
-(* Timeouts need the simulated clock to advance. *)
-let setup_timed () =
-  let sim = Engine.Sim.create () in
-  let control = ref [] and data = ref [] and bgp = ref [] and local = ref [] in
-  let switch =
-    Switch.create ~sim ~asn:member ~node_id:65010
-      ~send_control:(fun m ->
-        control := m :: !control;
-        true)
-      ~send_data:(fun ~dst pkt ->
-        data := (dst, pkt) :: !data;
-        true)
-      ~send_bgp:(fun ~dst m ->
-        bgp := (dst, m) :: !bgp;
-        true)
-      ~asn_of_node:(fun node -> if node >= 65001 then Some (Net.Asn.of_int node) else None)
-      ~node_of_asn:(fun asn -> Some (Net.Asn.to_int asn))
-      ~is_local:(fun _ -> false)
-      ~deliver_local:(fun pkt -> local := pkt :: !local)
-      ()
-  in
-  (sim, switch, control)
-
 let removed_count control =
   List.length
     (List.filter (function Openflow.Flow_removed _ -> true | _ -> false) !control)
 
 let test_hard_timeout () =
-  let sim, sw, control = setup_timed () in
+  let sim, sw, { control; _ } = setup () in
   Switch.handle_control sw
     (Openflow.Flow_mod
        { command = Openflow.Add;
@@ -168,31 +74,8 @@ let test_hard_timeout () =
   Alcotest.(check int) "removed at hard timeout" 0 (Flow_table.size (Switch.table sw));
   Alcotest.(check int) "controller notified" 1 (removed_count control)
 
-let test_idle_timeout_respects_use () =
-  let sim, sw, control = setup_timed () in
-  Switch.handle_control sw
-    (Openflow.Flow_mod
-       { command = Openflow.Add;
-         rule =
-           Flow.make ~idle_timeout:(Engine.Time.sec 5) ~match_prefix:(p "100.64.5.0/24")
-             (Flow.Output 65002) });
-  (* traffic at t=3 postpones the idle expiry to t=8 *)
-  ignore
-    (Engine.Sim.schedule_at sim (Engine.Time.sec 3) (fun () ->
-         Switch.handle_data sw ~from:65001 (echo "100.64.5.10")));
-  ignore (Engine.Sim.run ~until:(Engine.Time.sec 7) sim);
-  Alcotest.(check int) "alive while used" 1 (Flow_table.size (Switch.table sw));
-  ignore (Engine.Sim.run sim);
-  Alcotest.(check int) "expired once idle" 0 (Flow_table.size (Switch.table sw));
-  Alcotest.(check bool) "reason is idle" true
-    (List.exists
-       (function
-         | Openflow.Flow_removed { reason = Openflow.Idle_timeout; _ } -> true
-         | _ -> false)
-       !control)
-
 let test_timeout_spares_replacement () =
-  let sim, sw, _control = setup_timed () in
+  let sim, sw, _env = setup () in
   let add ?hard_timeout port =
     Switch.handle_control sw
       (Openflow.Flow_mod
@@ -212,7 +95,7 @@ let test_timeout_spares_replacement () =
   | l -> Alcotest.failf "expected 1 rule, got %d" (List.length l))
 
 let test_port_change_reports () =
-  let sw, env = setup () in
+  let _sim, sw, env = setup () in
   Switch.port_change sw ~peer:65001 ~up:false;
   match !(env.control) with
   | [ Openflow.Port_status { switch_asn; port; up } ] ->
@@ -223,17 +106,10 @@ let test_port_change_reports () =
 
 let suite =
   [
-    Alcotest.test_case "miss to controller" `Quick test_miss_goes_to_controller;
-    Alcotest.test_case "flow forwarding" `Quick test_flow_forwarding;
-    Alcotest.test_case "local delivery" `Quick test_local_delivery;
-    Alcotest.test_case "ttl exhaustion" `Quick test_ttl_exhaustion;
-    Alcotest.test_case "drop rule" `Quick test_drop_rule;
     Alcotest.test_case "flow delete" `Quick test_flow_delete;
     Alcotest.test_case "bgp relay inbound" `Quick test_bgp_relay_inbound;
     Alcotest.test_case "bgp relay outbound" `Quick test_bgp_relay_outbound;
-    Alcotest.test_case "packet out" `Quick test_packet_out;
     Alcotest.test_case "hard timeout" `Quick test_hard_timeout;
-    Alcotest.test_case "idle timeout respects use" `Quick test_idle_timeout_respects_use;
     Alcotest.test_case "timeout spares replacement" `Quick test_timeout_spares_replacement;
     Alcotest.test_case "port change reports" `Quick test_port_change_reports;
   ]
