@@ -760,6 +760,15 @@ let kinds =
          (fun p ~x ~seed ->
            loss_run ~per_prefix:p.per_prefix ~interval_ms:p.interval_ms ~n:p.n ~sdn:x ~seed
              ~config:p.config ()));
+    row "loss:delay" ~runs:5 ~min_n:3
+      "data-plane loss vs controller recompute delay 0..8 s at n-2 SDN members"
+      (clique "loss-recompute-delay")
+      (fixed [ 0; 500; 2000; 8000 ])
+      (Loss
+         (fun p ~x ~seed ->
+           loss_run ~per_prefix:p.per_prefix ~interval_ms:p.interval_ms ~n:p.n ~sdn:(p.n - 2) ~seed
+             ~config:(Config.with_recompute_delay p.config (Engine.Time.ms x))
+             ()));
     (* the first multi-homed stub loses its first provider link, so the
        failure is survivable *)
     row "loss:caida" ~runs:3

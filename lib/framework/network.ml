@@ -687,70 +687,50 @@ let forwarding_at t asn (addr : Net.Ipv4.addr) =
 (* Compile the composed forwarding state — FIBs, flow tables, local
    delivery sets, link liveness — into a frozen [Net.Dataplane] snapshot
    over dense node indices.  The snapshot mirrors [forwarding_at] plus
-   the [link_up] check of the connectivity walker.  Legacy FIB values
-   (next fabric node ids) are recompiled into dense indices so the hot
-   path never maps ids per hop. *)
+   the [link_up] check of the connectivity walker.  Next hops (fabric
+   node ids) become dense indices as the live FIBs and flow tables are
+   read, so the hot path never maps ids per hop. *)
 let dataplane_snapshot t =
   let as_list = Topology.Spec.asns t.spec in
   let asns = Array.of_list (List.map Net.Asn.to_int as_list) in
   let dp = Net.Dataplane.create ~asns in
   let idx asn = Net.Dataplane.index_of dp (Net.Asn.to_int asn) in
-  let code_of_node node =
-    match asn_of_node t node with
-    | Some next_asn ->
-      let j = idx next_asn in
-      if j >= 0 then j else Net.Dataplane.drop
-    | None -> Net.Dataplane.drop
-  in
+  (* An AS's fabric node id is its AS number, so [index_of] is [-1]
+     ([drop]) exactly for the nodes outside the snapshot. *)
+  let code_of_node = Net.Dataplane.index_of dp in
   List.iter
     (fun asn ->
       let i = idx asn in
       Net.Dataplane.add_local_addr dp i (t.plan.Addressing.router_addr asn);
       Net.Ipv4.Prefix_set.iter (fun p -> Net.Dataplane.add_local dp i p) !(local_set t asn))
     as_list;
+  (* an SDN member forwards by its flow table, set below *)
   Net.Asn.Map.iter
     (fun asn fib ->
-      let i = idx asn in
-      let compiled = Net.Fib.create () in
-      Net.Fib.iter fib (fun p next -> Net.Fib.insert compiled p (code_of_node next));
-      Net.Dataplane.set_fib dp i compiled)
+      if not (Net.Asn.Map.mem asn t.switches) then
+        Net.Dataplane.set_fib dp (idx asn) fib ~code:code_of_node)
     t.fibs;
   Net.Asn.Map.iter
     (fun asn sw ->
-      let i = idx asn in
-      let rules = Array.of_list (Sdn.Flow_table.entries_sorted (Sdn.Switch.table sw)) in
-      let nets =
-        Array.map
-          (fun (r : Sdn.Flow.rule) ->
-            Net.Ipv4.addr_to_bits (Net.Ipv4.prefix_network r.Sdn.Flow.match_prefix))
-          rules
-      in
-      let masks =
-        Array.map
-          (fun (r : Sdn.Flow.rule) ->
-            Net.Ipv4.mask_bits (Net.Ipv4.prefix_len r.Sdn.Flow.match_prefix))
-          rules
-      in
-      let acts =
-        Array.map
-          (fun (r : Sdn.Flow.rule) ->
-            let (Sdn.Flow.Output port) = r.Sdn.Flow.action in
-            code_of_node port)
-          rules
-      in
-      Net.Dataplane.set_rules dp i ~nets ~masks ~acts)
+      let table = Sdn.Switch.table sw in
+      let rules = Array.init (Sdn.Flow_table.size table) (Sdn.Flow_table.nth_rule table) in
+      Net.Dataplane.set_rules dp (idx asn)
+        (Array.map (fun (r : Sdn.Flow.rule) -> r.Sdn.Flow.match_prefix) rules)
+        ~acts:
+          (Array.map
+             (fun (r : Sdn.Flow.rule) ->
+               let (Sdn.Flow.Output port) = r.Sdn.Flow.action in
+               code_of_node port)
+             rules))
     t.switches;
-  List.iter
-    (fun link ->
+  Net.Netsim.iter_links t.net (fun link ->
       if Net.Link.is_up link then begin
         let a, b = Net.Link.endpoints link in
-        if is_as_node t a && is_as_node t b then begin
-          let i = Net.Dataplane.index_of dp a and j = Net.Dataplane.index_of dp b in
-          if i >= 0 && j >= 0 then begin
-            Net.Dataplane.set_link dp i j true;
-            Net.Dataplane.set_link dp j i true
-          end
+        let i = Net.Dataplane.index_of dp a and j = Net.Dataplane.index_of dp b in
+        if i >= 0 && j >= 0 then begin
+          Net.Dataplane.set_link dp i j true;
+          Net.Dataplane.set_link dp j i true
         end
-      end)
-    (Net.Netsim.links t.net);
+      end);
+  Net.Dataplane.compile dp;
   dp

@@ -1,4 +1,4 @@
-(* Allocation-free data-plane fast path.
+(* Allocation-free data-plane fast path over destination classes.
 
    A compiled, frozen view of a network's forwarding state — legacy FIBs,
    SDN flow tables, local delivery sets and link liveness — over dense
@@ -8,11 +8,22 @@
    classifies its fate without building a record, an [option], or any
    other per-hop value.
 
-   The structure is a snapshot: compile it (cheap, proportional to table
-   sizes), fire millions of probes, recompile after the control plane
-   moves.  Loop detection uses a preallocated per-snapshot visited-stamp
-   cursor, so repeated walks share scratch instead of allocating visited
-   sets.  Not domain-safe: one snapshot per domain. *)
+   Compilation cuts the address space at the boundaries of every prefix
+   any node holds (FIB routes, flow rules, local sets).  Each interval
+   between two consecutive boundaries is a destination class: no prefix
+   starts or ends inside one, so every node's forwarding function (local
+   delivery, then longest-prefix match or first-match rule) is constant
+   on it.  The compiled table stores that constant per (class, node): a
+   next index, [drop], or [local].  [forward] finds the probe's class
+   once, by a branchless binary search, and each hop is then one array
+   read plus the visited, TTL and link checks.
+
+   The builder records each node's entries as flat arrays in paint order
+   (a later entry overrides an earlier one where they overlap) and marks
+   the snapshot dirty; [forward] recompiles a dirty snapshot first, so a
+   builder call made between walks takes effect on the next one.  Loop
+   detection uses a preallocated per-snapshot visited-stamp cursor.  Not
+   domain-safe: one snapshot per domain. *)
 
 type fate = Delivered | Blackholed | Looped | Ttl_expired
 
@@ -38,21 +49,44 @@ let pp_fate ppf f = Fmt.string ppf (fate_to_string f)
    or controller punt, a next hop outside the snapshot). *)
 let drop = -1
 
-type fwd =
-  | No_fwd
-  | Fib of int Fib.t (* LPM trie whose values are action codes *)
-  | Rules of { nets : int array; masks : int array; acts : int array }
-      (* a flow table flattened in its (priority desc, length desc)
-         order: first int-mask match wins, exactly like the live table *)
+(* Class-table code for "delivered at this node"; it is painted over the
+   forwarding entries, because local delivery is checked first. *)
+let local = -2
+
+(* One past the last address: the sentinel that pads [bounds]. *)
+let addr_end = 1 lsl 32
+
+(* AS number -> dense index, hashed inline (multiply-xorshift) rather
+   than through the C [Hashtbl.hash]: the snapshot builder maps every
+   next hop and link end through it. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash n =
+    let h = n * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 29)
+end)
 
 type t = {
   n : int;
   asns : int array; (* dense index -> AS number *)
-  index : (int, int) Hashtbl.t; (* AS number -> dense index *)
-  fwd : fwd array;
-  mutable local_nets : int array array; (* per node: masked networks... *)
-  mutable local_masks : int array array; (* ...and their masks, in step *)
+  index : int Itbl.t; (* AS number -> dense index *)
+  (* Builder state.  Prefixes are packed as [(network lsl 6) lor len]
+     ({!Ipv4.prefix_to_packed}). *)
+  fwd_prefixes : int array array; (* per node, forwarding entries in paint order... *)
+  fwd_acts : int array array; (* ...and their action codes, in step *)
+  locals : int list array; (* per node, locally delivered prefixes *)
   links : Bytes.t; (* n*n directed adjacency, '\001' = usable *)
+  mutable dirty : bool; (* a builder call since the last [compile] *)
+  (* Compiled state. *)
+  mutable nc : int; (* destination classes *)
+  mutable bounds : int array;
+      (* class lower bounds, ascending from 0, padded with [addr_end] to
+         a power-of-two length *)
+  mutable half : int; (* [Array.length bounds / 2]: the search's first step *)
+  mutable code : int array; (* class-major: [code.(c * n + i)] *)
   visited : int array; (* loop-detection stamps, one slot per node *)
   path : int array; (* the last walk's node sequence *)
   mutable path_len : int;
@@ -61,16 +95,21 @@ type t = {
 
 let create ~asns =
   let n = Array.length asns in
-  let index = Hashtbl.create (max 16 n) in
-  Array.iteri (fun i a -> Hashtbl.replace index a i) asns;
+  let index = Itbl.create (max 16 n) in
+  Array.iteri (fun i a -> Itbl.replace index a i) asns;
   {
     n;
     asns = Array.copy asns;
     index;
-    fwd = Array.make n No_fwd;
-    local_nets = Array.make n [||];
-    local_masks = Array.make n [||];
+    fwd_prefixes = Array.make n [||];
+    fwd_acts = Array.make n [||];
+    locals = Array.make n [];
     links = Bytes.make (n * n) '\000';
+    dirty = true;
+    nc = 0;
+    bounds = [||];
+    half = 0;
+    code = [||];
     visited = Array.make n (-1);
     path = Array.make (n + 1) (-1);
     path_len = 0;
@@ -81,68 +120,150 @@ let size t = t.n
 
 let asn_at t i = t.asns.(i)
 
-let index_of t asn = match Hashtbl.find_opt t.index asn with Some i -> i | None -> -1
+let index_of t asn = try Itbl.find t.index asn with Not_found -> -1
 
 (* --- Building the snapshot (allocation here is fine) -------------------- *)
 
 let add_local t i prefix =
-  let net = Ipv4.addr_to_bits (Ipv4.prefix_network prefix) in
-  let mask = Ipv4.mask_bits (Ipv4.prefix_len prefix) in
-  t.local_nets.(i) <- Array.append t.local_nets.(i) [| net |];
-  t.local_masks.(i) <- Array.append t.local_masks.(i) [| mask |]
+  t.locals.(i) <- Ipv4.prefix_to_packed prefix :: t.locals.(i);
+  t.dirty <- true
 
 let add_local_addr t i addr =
-  t.local_nets.(i) <- Array.append t.local_nets.(i) [| Ipv4.addr_to_bits addr |];
-  t.local_masks.(i) <- Array.append t.local_masks.(i) [| Ipv4.mask_bits 32 |]
+  t.locals.(i) <- (Ipv4.addr_to_bits addr lsl 6) lor 32 :: t.locals.(i);
+  t.dirty <- true
 
-let set_fib t i fib = t.fwd.(i) <- Fib fib
+let set_fwd t i prefixes acts =
+  t.fwd_prefixes.(i) <- prefixes;
+  t.fwd_acts.(i) <- acts;
+  t.dirty <- true
 
-let set_rules t i ~nets ~masks ~acts =
-  if Array.length nets <> Array.length masks || Array.length nets <> Array.length acts then
-    invalid_arg "Dataplane.set_rules: length mismatch";
-  t.fwd.(i) <- Rules { nets; masks; acts }
+(* The trie iterates ancestors before descendants, so painting in its
+   order leaves each class with its longest match. *)
+let set_fib t i fib ~code =
+  let k = Fib.size fib in
+  let prefixes = Array.make k 0 and acts = Array.make k drop in
+  let j = ref 0 in
+  Fib.iter fib (fun p v ->
+      prefixes.(!j) <- p;
+      acts.(!j) <- code v;
+      incr j);
+  set_fwd t i prefixes acts
+
+(* First match wins, so the rules are painted last-first. *)
+let set_rules t i rules ~acts =
+  let k = Array.length rules in
+  if Array.length acts <> k then invalid_arg "Dataplane.set_rules: length mismatch";
+  set_fwd t i
+    (Array.init k (fun j -> Ipv4.prefix_to_packed rules.(k - 1 - j)))
+    (Array.init k (fun j -> acts.(k - 1 - j)))
 
 let set_link t i j up = Bytes.set t.links ((i * t.n) + j) (if up then '\001' else '\000')
 
+(* --- Compiling the class table ------------------------------------------ *)
+
+(* The class of an address in [0, addr_end): the largest [k] with
+   [bounds.(k) <= dst].  Each step adds [step] exactly when
+   [bounds.(k + step) <= dst], i.e. when [bounds.(k + step) - dst - 1]
+   is negative: its sign, spread over the word by [asr 62], masks
+   [step] without a branch.  A module-level recursion, so no closure
+   is allocated per call. *)
+let rec classify bounds dst k step =
+  if step = 0 then k
+  else
+    classify bounds dst
+      (k + (step land ((Array.unsafe_get bounds (k + step) - dst - 1) asr 62)))
+      (step lsr 1)
+
+let first_class t dst = classify t.bounds dst 0 t.half
+
+(* A packed prefix covers the addresses [lo_of p, hi_of p). *)
+let lo_of packed = packed lsr 6
+
+let hi_of packed = (packed lsr 6) + (1 lsl (32 - (packed land 63)))
+
+let fill_classes t i packed v =
+  let hi = hi_of packed in
+  let c1 = if hi >= addr_end then t.nc else first_class t hi in
+  for c = first_class t (lo_of packed) to c1 - 1 do
+    Array.unsafe_set t.code ((c * t.n) + i) v
+  done
+
+(* Compile the class table from the builder state: cut the address space
+   at every prefix's ends, then paint each node's entries over its
+   column ([drop] where nothing is painted) and its local prefixes last.
+   Action codes outside [0, n) paint as [drop]. *)
+let compile t =
+  let n = t.n in
+  let count =
+    Array.fold_left (fun a p -> a + (2 * Array.length p)) 1 t.fwd_prefixes
+    + Array.fold_left (fun a l -> a + (2 * List.length l)) 0 t.locals
+  in
+  let cuts = Array.make count 0 in
+  let k = ref 1 in
+  (* Nodes mostly hold the same prefixes, so a direct-mapped filter of
+     recent cuts drops most repeats before the sort (a snapshot is
+     compiled every probe burst); the dedup after it removes the rest. *)
+  let recent = Array.make 256 (-1) in
+  let add v =
+    let h = ((v * 0x9E3779B97F4A7C1) lsr 40) land 255 in
+    if recent.(h) <> v then begin
+      recent.(h) <- v;
+      cuts.(!k) <- v;
+      incr k
+    end
+  in
+  let cut packed =
+    add (lo_of packed);
+    add (hi_of packed)
+  in
+  Array.iter (Array.iter cut) t.fwd_prefixes;
+  Array.iter (List.iter cut) t.locals;
+  let count = !k in
+  let cuts = Array.sub cuts 0 count in
+  Array.sort Int.compare cuts;
+  (* dedup in place; [addr_end] ends the last class rather than starting
+     one *)
+  let nc = ref 1 in
+  for j = 1 to count - 1 do
+    if cuts.(j) <> cuts.(!nc - 1) && cuts.(j) < addr_end then begin
+      cuts.(!nc) <- cuts.(j);
+      incr nc
+    end
+  done;
+  let nc = !nc in
+  let width = ref 1 in
+  while !width < nc do
+    width := 2 * !width
+  done;
+  t.bounds <- Array.init !width (fun j -> if j < nc then cuts.(j) else addr_end);
+  t.half <- !width / 2;
+  t.nc <- nc;
+  t.code <- Array.make (nc * n) drop;
+  for i = 0 to n - 1 do
+    let prefixes = t.fwd_prefixes.(i) and acts = t.fwd_acts.(i) in
+    for j = 0 to Array.length prefixes - 1 do
+      let a = acts.(j) in
+      fill_classes t i prefixes.(j) (if a >= 0 && a < n then a else drop)
+    done;
+    List.iter (fun p -> fill_classes t i p local) t.locals.(i)
+  done;
+  t.dirty <- false
+
 (* --- The hot path ------------------------------------------------------- *)
-
-(* Every scan on the hot path is a module-level recursion: a local
-   [let rec] capturing the probe would allocate its closure on each
-   call, and at millions of probes per second that is the whole
-   allocation budget. *)
-
-let rec local_scan nets masks dst_bits j k =
-  j < k
-  && (dst_bits land Array.unsafe_get masks j = Array.unsafe_get nets j
-     || local_scan nets masks dst_bits (j + 1) k)
-
-let is_local t i dst_bits =
-  let nets = Array.unsafe_get t.local_nets i in
-  local_scan nets (Array.unsafe_get t.local_masks i) dst_bits 0 (Array.length nets)
-
-let rec rules_scan nets masks acts dst_bits j n =
-  if j >= n then drop
-  else if dst_bits land Array.unsafe_get masks j = Array.unsafe_get nets j then
-    Array.unsafe_get acts j
-  else rules_scan nets masks acts dst_bits (j + 1) n
-
-let next_of t i dst_bits =
-  match Array.unsafe_get t.fwd i with
-  | No_fwd -> drop
-  | Fib f -> Fib.lookup_bits f ~default:drop dst_bits
-  | Rules r -> rules_scan r.nets r.masks r.acts dst_bits 0 (Array.length r.nets)
 
 let link_ok t i j = Bytes.unsafe_get t.links ((i * t.n) + j) <> '\000'
 
-(* Forward one probe to its final fate.  Mirrors the live per-hop order
-   exactly (local delivery, then TTL, then lookup, then link liveness);
-   the only addition is loop classification: forwarding state is frozen
-   during a walk, so revisiting a node proves a persistent cycle — a real
-   packet would go on to die of TTL there.  Returns the packed int
-   [(hops lsl 2) lor fate_code]; nothing on this path allocates. *)
-let rec walk t stamp dst_bits cur ttl hops =
+(* Forward one probe of class row [row] to its final fate.  Mirrors the
+   live per-hop order exactly (local delivery, then TTL, then lookup,
+   then link liveness); the only addition is loop classification:
+   forwarding state is frozen during a walk, so revisiting a node proves
+   a persistent cycle — a real packet would go on to die of TTL there.
+   Returns the packed int [(hops lsl 2) lor fate_code]; nothing on this
+   path allocates. *)
+let rec walk t stamp row cur ttl hops =
   Array.unsafe_set t.path hops cur;
-  if is_local t cur dst_bits then begin
+  let nxt = Array.unsafe_get t.code (row + cur) in
+  if nxt = local then begin
     t.path_len <- hops + 1;
     hops lsl 2 (* Delivered = 0 *)
   end
@@ -156,20 +277,19 @@ let rec walk t stamp dst_bits cur ttl hops =
       t.path_len <- hops + 1;
       (hops lsl 2) lor 3 (* Ttl_expired *)
     end
-    else begin
-      let nxt = next_of t cur dst_bits in
-      if nxt < 0 || not (link_ok t cur nxt) then begin
-        t.path_len <- hops + 1;
-        (hops lsl 2) lor 1 (* Blackholed *)
-      end
-      else walk t stamp dst_bits nxt (ttl - 1) (hops + 1)
+    else if nxt < 0 || not (link_ok t cur nxt) then begin
+      t.path_len <- hops + 1;
+      (hops lsl 2) lor 1 (* Blackholed *)
     end
+    else walk t stamp row nxt (ttl - 1) (hops + 1)
   end
 
 let forward t ~src ~dst_bits ~ttl =
   if src < 0 || src >= t.n then invalid_arg "Dataplane.forward: bad src index";
+  if t.dirty then compile t;
   t.stamp <- t.stamp + 1;
-  walk t t.stamp dst_bits src ttl 0
+  let c = first_class t (dst_bits land (addr_end - 1)) in
+  walk t t.stamp (c * t.n) src ttl 0
 
 let result_fate r = fate_of_code (r land 3)
 
@@ -179,8 +299,3 @@ let result_hops r = r lsr 2
 
 (* The node-index path of the most recent [forward] (copied out). *)
 let last_path t = Array.sub t.path 0 t.path_len
-
-let pp ppf t =
-  Fmt.pf ppf "dataplane snapshot: %d nodes, %d fibs, %d rule tables" t.n
-    (Array.fold_left (fun a f -> match f with Fib _ -> a + 1 | _ -> a) 0 t.fwd)
-    (Array.fold_left (fun a f -> match f with Rules _ -> a + 1 | _ -> a) 0 t.fwd)

@@ -1,11 +1,15 @@
 (** Allocation-free data-plane fast path: a compiled, frozen snapshot of
     forwarding state (legacy FIBs + SDN flow tables + local delivery sets
     + link liveness) over dense node indices, walked by packed
-    int-encoded probes.  One {!forward} call resolves a probe's whole
-    path — no packet record, no per-hop [option], no allocation at
-    all on the hot path.  Compile with the builder functions (allocation
-    there is fine), then fire probes; recompile after the control plane
-    changes.  Not domain-safe: one snapshot per domain. *)
+    int-encoded probes.  The snapshot cuts the address space into
+    destination classes (the intervals between the ends of every prefix
+    it holds) and tabulates, per class and node, the next index, a drop
+    or local delivery.  One {!forward} call classifies its destination
+    once and resolves the whole path with one table read per hop — no
+    packet record, no per-hop [option], no allocation at all on the hot
+    path.  Build with the builder functions (allocation there is fine),
+    then fire probes; rebuild after the control plane changes.  Not
+    domain-safe: one snapshot per domain. *)
 
 type t
 
@@ -40,7 +44,13 @@ val asn_at : t -> int -> int
 val index_of : t -> int -> int
 (** Dense index of an AS number, [-1] when absent. *)
 
-(** {2 Building} *)
+(** {2 Building}
+
+    Every builder call takes effect on the next {!forward}: a snapshot
+    whose state changed recompiles its class table there (or at
+    {!compile}).  Builder calls copy what they are given; later changes
+    to a FIB or array handed over do not reach the snapshot.  Action
+    codes outside [0 .. size - 1] forward like {!drop}. *)
 
 val add_local : t -> int -> Ipv4.prefix -> unit
 (** Addresses in this prefix are locally delivered at the node. *)
@@ -48,20 +58,25 @@ val add_local : t -> int -> Ipv4.prefix -> unit
 val add_local_addr : t -> int -> Ipv4.addr -> unit
 (** Single-address (/32) local delivery — router loopbacks. *)
 
-val set_fib : t -> int -> int Fib.t -> unit
-(** Legacy node: an LPM trie whose values are action codes (dense next
-    index, or {!drop}).  The trie is aliased, not copied — hand the
-    snapshot its own trie. *)
+val set_fib : t -> int -> 'a Fib.t -> code:('a -> int) -> unit
+(** Legacy node: longest-prefix match over this FIB, each entry's value
+    mapped to an action code (a dense next index, or {!drop}) by
+    [code].  Replaces the node's earlier FIB or rules. *)
 
-val set_rules : t -> int -> nets:int array -> masks:int array -> acts:int array -> unit
-(** SDN node: a flow table flattened in its (priority desc, length desc)
-    lookup order as {!Ipv4.addr_to_bits} networks, {!Ipv4.mask_bits}
-    masks and action codes; first match wins, exactly like the live
-    table.  @raise Invalid_argument on length mismatch. *)
+val set_rules : t -> int -> Ipv4.prefix array -> acts:int array -> unit
+(** SDN node: a flow table as its match prefixes in lookup order
+    (priority desc, length desc) and their action codes; first match
+    wins, exactly like the live table, whatever the lengths.  Replaces
+    the node's earlier FIB or rules.
+    @raise Invalid_argument on length mismatch. *)
 
 val set_link : t -> int -> int -> bool -> unit
 (** Directed link usability between dense indices (set both ways for a
     bidirectional link). *)
+
+val compile : t -> unit
+(** Compile the class table now, so the next {!forward} does not.  Cost
+    grows with the snapshot's entries plus nodes × classes. *)
 
 (** {2 The hot path} *)
 
@@ -69,8 +84,10 @@ val forward : t -> src:int -> dst_bits:int -> ttl:int -> int
 (** Forward one probe (src dense index, destination
     {!Ipv4.addr_to_bits}, TTL) to its terminal fate, mirroring the live
     per-hop order: local delivery, then TTL expiry, then lookup, then
-    link liveness.  Returns the packed int [(hops lsl 2) lor fate-code];
-    decode with {!result_fate}/{!result_hops}.  Allocates nothing.
+    link liveness.  Only the low 32 bits of [dst_bits] are read: any int,
+    negative ones included, forwards like [dst_bits land 0xffff_ffff].
+    Returns the packed int [(hops lsl 2) lor fate-code]; decode with
+    {!result_fate}/{!result_hops}.  Allocates nothing once compiled.
     @raise Invalid_argument for a bad [src] index. *)
 
 val result_fate : int -> fate
@@ -83,5 +100,3 @@ val result_hops : int -> int
 val last_path : t -> int array
 (** Dense-index path of the most recent {!forward} (copies; diagnostics
     and tests, not the hot path). *)
-
-val pp : Format.formatter -> t -> unit

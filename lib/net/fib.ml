@@ -18,10 +18,6 @@ let lookup t addr = Ipv4.Prefix_trie.lookup addr t
 
 let lookup_value t addr = Ipv4.Prefix_trie.lookup_value addr t
 
-let lookup_exn t addr = Ipv4.Prefix_trie.lookup_value_exn addr t
-
-let lookup_bits t ~default bits = Ipv4.Prefix_trie.lookup_bits ~default bits t
-
 let entries t = Ipv4.Prefix_trie.entries t
 
 let clear = Ipv4.Prefix_trie.clear

@@ -20,17 +20,11 @@ val lookup : 'a t -> Ipv4.addr -> (Ipv4.prefix * 'a) option
 
 val lookup_value : 'a t -> Ipv4.addr -> 'a option
 
-val lookup_exn : 'a t -> Ipv4.addr -> 'a
-(** {!lookup_value} without the per-lookup [option] boxing: a hit
-    allocates nothing.  @raise Not_found when no prefix covers [addr]. *)
-
-val lookup_bits : 'a t -> default:'a -> int -> 'a
-(** Allocation- and exception-free longest-prefix match on
-    {!Ipv4.addr_to_bits} int bits; [default] on a miss. *)
-
 val entries : 'a t -> (Ipv4.prefix * 'a) list
 (** Sorted by prefix. *)
 
 val clear : 'a t -> unit
 
-val iter : 'a t -> (Ipv4.prefix -> 'a -> unit) -> unit
+val iter : 'a t -> (int -> 'a -> unit) -> unit
+(** In {!entries} order, each prefix as {!Ipv4.prefix_to_packed};
+    allocates nothing per entry. *)

@@ -249,29 +249,6 @@ module Prefix_trie = struct
 
   let lookup_value addr t = Option.map snd (lookup addr t)
 
-  (* Allocation-free longest-prefix match on pre-extracted address bits
-     (see [addr_to_bits]).  The walk carries the best candidate by
-     ALIASING the populated node's own [value] cell — no fresh [Some] is
-     built per hop — and unwraps once at the end. *)
-  (* The hot-path walk is a module-level recursion (not a local [let rec]
-     capturing [bits]) so calls allocate no closure; [best] only aliases
-     option cells already in the trie. *)
-  let rec lookup_walk bits node i best =
-    let best = match node.value with Some _ as s -> s | None -> best in
-    if i = 32 then best
-    else
-      match (if bit bits i = 0 then node.zero else node.one) with
-      | None -> best
-      | Some c -> lookup_walk bits c (i + 1) best
-
-  let lookup_bits ~default bits t =
-    match lookup_walk bits t.root 0 None with Some v -> v | None -> default
-
-  let lookup_value_exn addr t =
-    match lookup_walk (bits_of_network addr) t.root 0 None with
-    | Some v -> v
-    | None -> raise Not_found
-
   (* Pre-order: a node's own value (shorter length) before its zero
      subtree (same network, longer lengths) before its one subtree
      (larger networks) — i.e. [compare_prefix] ascending. *)
@@ -293,9 +270,7 @@ module Prefix_trie = struct
 
   let iter f t =
     let rec walk node bits i =
-      (match node.value with
-      | Some v -> f { network = Int32.of_int bits; len = i } v
-      | None -> ());
+      (match node.value with Some v -> f ((bits lsl 6) lor i) v | None -> ());
       (match node.zero with Some c -> walk c bits (i + 1) | None -> ());
       match node.one with
       | Some c -> walk c (bits lor (1 lsl (31 - i))) (i + 1)

@@ -127,21 +127,12 @@ module Prefix_trie : sig
 
   val lookup_value : addr -> 'a t -> 'a option
 
-  val lookup_value_exn : addr -> 'a t -> 'a
-  (** Longest-prefix match without the [option]/pair boxing of {!lookup}:
-      the walk aliases populated nodes' own value cells, so a hit
-      allocates nothing.  @raise Not_found on a miss. *)
-
-  val lookup_bits : default:'a -> int -> 'a t -> 'a
-  (** Allocation- and exception-free longest-prefix match on
-      {!Ipv4.addr_to_bits} int bits; [default] on a miss.  The data-plane
-      fast path's lookup. *)
-
   val fold : (prefix -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
   (** Ascending [compare_prefix] order, like [Prefix_map.fold]. *)
 
-  val iter : (prefix -> 'a -> unit) -> 'a t -> unit
-  (** Ascending [compare_prefix] order. *)
+  val iter : (int -> 'a -> unit) -> 'a t -> unit
+  (** Ascending [compare_prefix] order, each prefix as
+      {!prefix_to_packed}: no record or boxed network per entry. *)
 
   val entries : 'a t -> (prefix * 'a) list
   (** Ascending [compare_prefix] order. *)

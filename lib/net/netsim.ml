@@ -123,6 +123,8 @@ let links t =
   Itbl.fold (fun _ l acc -> l :: acc) t.links []
   |> List.sort (fun a b -> Int.compare (Link.id a) (Link.id b))
 
+let iter_links t f = Itbl.iter (fun _ l -> f l) t.links
+
 let set_link_up t link up =
   if Link.is_up link <> up then begin
     Link.set_up_internal link up;

@@ -40,6 +40,9 @@ val link_between : 'a t -> int -> int -> Link.t option
 val links : 'a t -> Link.t list
 (** Sorted by link id. *)
 
+val iter_links : 'a t -> (Link.t -> unit) -> unit
+(** Every link, in no particular order; allocates nothing. *)
+
 val set_link_up : 'a t -> Link.t -> bool -> unit
 (** Flip link state and notify both endpoints' watchers.  Messages already
     in flight on a failing link are dropped at delivery time. *)

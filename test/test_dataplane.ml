@@ -20,10 +20,10 @@ let chain () =
   let dp = Net.Dataplane.create ~asns:[| 100; 101; 102 |] in
   let fib01 = Net.Fib.create () in
   Net.Fib.insert fib01 (prefix "10.0.2.0/24") 1;
-  Net.Dataplane.set_fib dp 0 fib01;
+  Net.Dataplane.set_fib dp 0 fib01 ~code:Fun.id;
   let fib12 = Net.Fib.create () in
   Net.Fib.insert fib12 (prefix "10.0.2.0/24") 2;
-  Net.Dataplane.set_fib dp 1 fib12;
+  Net.Dataplane.set_fib dp 1 fib12 ~code:Fun.id;
   Net.Dataplane.add_local dp 2 (prefix "10.0.2.0/24");
   Net.Dataplane.set_link dp 0 1 true;
   Net.Dataplane.set_link dp 1 2 true;
@@ -56,10 +56,10 @@ let test_unit_loop_and_ttl () =
   let dp = Net.Dataplane.create ~asns:[| 200; 201 |] in
   let fib0 = Net.Fib.create () in
   Net.Fib.insert fib0 (prefix "10.9.0.0/16") 1;
-  Net.Dataplane.set_fib dp 0 fib0;
+  Net.Dataplane.set_fib dp 0 fib0 ~code:Fun.id;
   let fib1 = Net.Fib.create () in
   Net.Fib.insert fib1 (prefix "10.9.0.0/16") 0;
-  Net.Dataplane.set_fib dp 1 fib1;
+  Net.Dataplane.set_fib dp 1 fib1 ~code:Fun.id;
   Net.Dataplane.set_link dp 0 1 true;
   Net.Dataplane.set_link dp 1 0 true;
   let r = Net.Dataplane.forward dp ~src:0 ~dst_bits:(addr_bits 10 9 1 1) ~ttl:64 in
@@ -72,11 +72,9 @@ let test_unit_loop_and_ttl () =
 let test_unit_rules_first_match () =
   (* SDN rule tables are first-match in table order, not LPM *)
   let dp = Net.Dataplane.create ~asns:[| 300; 301; 302 |] in
-  let wide_net = addr_bits 10 0 0 0 and wide_mask = Net.Ipv4.mask_bits 8 in
-  let narrow_net = addr_bits 10 0 2 0 and narrow_mask = Net.Ipv4.mask_bits 24 in
+  let wide = prefix "10.0.0.0/8" and narrow = prefix "10.0.2.0/24" in
   (* the wide rule sits first, so it wins even against the narrow match *)
-  Net.Dataplane.set_rules dp 0 ~nets:[| wide_net; narrow_net |]
-    ~masks:[| wide_mask; narrow_mask |] ~acts:[| 1; 2 |];
+  Net.Dataplane.set_rules dp 0 [| wide; narrow |] ~acts:[| 1; 2 |];
   Net.Dataplane.add_local dp 1 (prefix "10.0.0.0/8");
   Net.Dataplane.add_local dp 2 (prefix "10.0.2.0/24");
   Net.Dataplane.set_link dp 0 1 true;
@@ -85,8 +83,7 @@ let test_unit_rules_first_match () =
   Alcotest.check fate "delivered" Net.Dataplane.Delivered (Net.Dataplane.result_fate r);
   Alcotest.(check (array int)) "took the first rule" [| 0; 1 |] (Net.Dataplane.last_path dp);
   (* a Drop action (code -1) black-holes *)
-  Net.Dataplane.set_rules dp 0 ~nets:[| wide_net |] ~masks:[| wide_mask |]
-    ~acts:[| Net.Dataplane.drop |];
+  Net.Dataplane.set_rules dp 0 [| wide |] ~acts:[| Net.Dataplane.drop |];
   let r = Net.Dataplane.forward dp ~src:0 ~dst_bits:(addr_bits 10 0 2 9) ~ttl:4 in
   Alcotest.check fate "drop rule" Net.Dataplane.Blackholed (Net.Dataplane.result_fate r)
 
@@ -103,6 +100,132 @@ let test_decr_ttl_edges () =
   let r = Net.Dataplane.forward dp ~src:1 ~dst_bits:(addr_bits 10 0 2 7) ~ttl:0 in
   Alcotest.check fate "ttl 0 dies at the source" Net.Dataplane.Ttl_expired
     (Net.Dataplane.result_fate r)
+
+(* --- Differential: class table vs the per-hop reference walk ------------ *)
+
+(* One step of a random program, applied to both implementations. *)
+type op =
+  | Local of int * Net.Ipv4.prefix
+  | Local_addr of int * int (* address bits *)
+  | Set_fib of int * (Net.Ipv4.prefix * int) list
+  | Set_rules of int * (Net.Ipv4.prefix * int) list (* lookup order, not length-sorted *)
+  | Link of int * int * bool
+  | Probe of int * int * int (* src, dst_bits (any int), ttl *)
+
+let pp_op ppf = function
+  | Local (i, p) -> Fmt.pf ppf "local %d %a" i Net.Ipv4.pp_prefix p
+  | Local_addr (i, a) -> Fmt.pf ppf "local-addr %d %x" i a
+  | Set_fib (i, es) ->
+    Fmt.pf ppf "fib %d [%a]" i
+      Fmt.(list ~sep:(any "; ") (pair ~sep:(any "->") Net.Ipv4.pp_prefix int))
+      es
+  | Set_rules (i, rs) ->
+    Fmt.pf ppf "rules %d [%a]" i
+      Fmt.(list ~sep:(any "; ") (pair ~sep:(any "->") Net.Ipv4.pp_prefix int))
+      rs
+  | Link (i, j, up) -> Fmt.pf ppf "link %d %d %b" i j up
+  | Probe (s, d, ttl) -> Fmt.pf ppf "probe %d %x ttl %d" s d ttl
+
+(* Prefixes grow from a few shared base addresses, so they nest and
+   overlap (/0 and /32 included); destinations flip low bits of a base
+   and may carry bits above 31 or be negative. *)
+let gen_program =
+  QCheck.Gen.(
+    let* n = int_range 1 6 in
+    let* bases = list_repeat 3 (int_bound 0xffff_ffff) in
+    let bases = Array.of_list (0 :: bases) in
+    let base = map (Array.get bases) (int_bound (Array.length bases - 1)) in
+    let node = int_bound (n - 1) in
+    let prefix =
+      let* b = base in
+      let* len =
+        frequency
+          [ (1, return 0); (2, return 32); (2, oneofl [ 8; 16; 24 ]); (5, int_bound 32) ]
+      in
+      return (Net.Ipv4.prefix (Net.Ipv4.addr_of_bits b) len)
+    in
+    let act = int_range (-2) n in
+    let entries = list_size (int_bound 6) (pair prefix act) in
+    let dst =
+      let* b = base in
+      let* k = int_bound 32 in
+      let* flip = int_bound 0xffff_ffff in
+      let low = b lxor (flip land ((1 lsl k) - 1)) in
+      let* high =
+        frequency
+          [ (4, return 0); (1, map (fun h -> h lsl 32) (int_range 1 0xffff)); (1, return min_int) ]
+      in
+      return (low lor high)
+    in
+    let op =
+      frequency
+        [
+          (2, map2 (fun i p -> Local (i, p)) node prefix);
+          (1, map2 (fun i d -> Local_addr (i, d land 0xffff_ffff)) node dst);
+          (3, map2 (fun i es -> Set_fib (i, es)) node entries);
+          (3, map2 (fun i rs -> Set_rules (i, rs)) node entries);
+          (3, map3 (fun i j up -> Link (i, j, up)) node node bool);
+          (8, map3 (fun s d ttl -> Probe (s, d, ttl)) node dst (int_bound 70));
+        ]
+    in
+    let* links = list_repeat (n * n) bool in
+    let* ops = list_size (int_range 1 40) op in
+    return (n, links, ops))
+
+let print_program (n, links, ops) =
+  Fmt.str "n=%d links=[%a]@.%a" n
+    Fmt.(list ~sep:nop (fun ppf b -> string ppf (if b then "1" else "0")))
+    links
+    Fmt.(list ~sep:cut pp_op)
+    ops
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"class table = per-hop reference walk" ~count:500
+    (QCheck.make ~print:print_program gen_program)
+    (fun (n, links, ops) ->
+      let asns = Array.init n (fun i -> 64_500 + i) in
+      let dp = Net.Dataplane.create ~asns and rf = Dataplane_reference.create ~asns in
+      List.iteri
+        (fun k up ->
+          Net.Dataplane.set_link dp (k / n) (k mod n) up;
+          Dataplane_reference.set_link rf (k / n) (k mod n) up)
+        links;
+      let fib_of es =
+        let fib = Net.Fib.create () in
+        List.iter (fun (p, a) -> Net.Fib.insert fib p a) es;
+        fib
+      in
+      List.for_all
+        (function
+          | Local (i, p) ->
+            Net.Dataplane.add_local dp i p;
+            Dataplane_reference.add_local rf i p;
+            true
+          | Local_addr (i, a) ->
+            let a = Net.Ipv4.addr_of_bits a in
+            Net.Dataplane.add_local_addr dp i a;
+            Dataplane_reference.add_local_addr rf i a;
+            true
+          | Set_fib (i, es) ->
+            let fib = fib_of es in
+            Net.Dataplane.set_fib dp i fib ~code:Fun.id;
+            Dataplane_reference.set_fib rf i fib ~code:Fun.id;
+            true
+          | Set_rules (i, rs) ->
+            let rules = Array.of_list (List.map fst rs) in
+            let acts = Array.of_list (List.map snd rs) in
+            Net.Dataplane.set_rules dp i rules ~acts;
+            Dataplane_reference.set_rules rf i rules ~acts;
+            true
+          | Link (i, j, up) ->
+            Net.Dataplane.set_link dp i j up;
+            Dataplane_reference.set_link rf i j up;
+            true
+          | Probe (src, dst_bits, ttl) ->
+            let got = Net.Dataplane.forward dp ~src ~dst_bits ~ttl in
+            let want = Dataplane_reference.forward rf ~src ~dst_bits ~ttl in
+            got = want && Net.Dataplane.last_path dp = Dataplane_reference.last_path rf)
+        ops)
 
 (* --- Differential: snapshot vs live walker over real networks ----------- *)
 
@@ -316,6 +439,39 @@ let test_fast_path_gate () =
   let best = List.fold_left (fun acc (rate, _) -> Float.max acc rate) 0.0 reps in
   Alcotest.(check bool) (Fmt.str "%.2fM probes/s >= 1M" (best /. 1e6)) true (best >= 1e6)
 
+(* Work count for snapshot compile: words allocated by one
+   [Network.dataplane_snapshot] on the settled fail-over world (every AS
+   originating, the stub's primary link failed) at SDN 0, 8 and 14.
+   Allocated = minor + major - promoted: on OCaml 5 [Gc.counters] reports
+   minor words only as of the last minor collection, so the minor figure
+   comes from [Gc.minor_words], and promoted words would otherwise count
+   twice.  Copying every FIB into a fresh trie cost 23182 / 19382 / 16532
+   words at the three levels; reading the live FIBs and flow tables into
+   the class table costs about 4.8k / 5.3k / 5.7k. *)
+let test_snapshot_words () =
+  let words f =
+    let m0 = Gc.minor_words () and _, p0, j0 = Gc.counters () in
+    ignore (Sys.opaque_identity (f ()));
+    let m1 = Gc.minor_words () and _, p1, j1 = Gc.counters () in
+    m1 -. m0 +. (j1 -. j0) -. (p1 -. p0)
+  in
+  List.iter
+    (fun sdn ->
+      let spec = Topology.Artificial.failover_backup_chain ~clique_size:16 ~chain_len:2 () in
+      let spec =
+        Topology.Spec.with_sdn spec (List.init sdn (fun i -> Topology.Artificial.asn (15 - i)))
+      in
+      let net = Framework.Network.create ~config:Framework.Config.default ~seed:7 spec in
+      Framework.Network.start net;
+      ignore (Framework.Network.settle net);
+      List.iter (originate net) (Framework.Network.asns net);
+      Framework.Network.fail_link net (Topology.Artificial.stub_asn spec) (asn 0);
+      ignore (Framework.Network.settle net);
+      ignore (Framework.Network.dataplane_snapshot net);
+      let w = words (fun () -> Framework.Network.dataplane_snapshot net) in
+      Alcotest.(check bool) (Fmt.str "SDN %d: %.0f words <= 8000" sdn w) true (w <= 8000.0))
+    [ 0; 8; 14 ]
+
 let suite =
   [
     Alcotest.test_case "unit: delivered + local at source" `Quick test_unit_delivered;
@@ -338,4 +494,6 @@ let suite =
     Alcotest.test_case "loss_run: loss clears by convergence" `Quick test_loss_run_recovers;
     Alcotest.test_case "fast path: delivers, 0 words, >= 1M probes/s" `Quick
       test_fast_path_gate;
+    Alcotest.test_case "snapshot compile: words per snapshot" `Quick test_snapshot_words;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
   ]
