@@ -465,14 +465,10 @@ let scenario_cmd =
           Fmt.pr "collector dump written to %s@." path)
         dump;
       if show_state then print_string (Framework.Looking_glass.network_state network);
-      (match timeline with
-      | Some prefix_str -> (
-        match Net.Ipv4.prefix_of_string prefix_str with
-        | None -> Fmt.pr "bad --timeline prefix %S@." prefix_str
-        | Some prefix ->
-          print_string
-            (Framework.Visualize.timeline (Framework.Experiment.watcher exp) prefix))
-      | None -> ());
+      Option.iter
+        (fun prefix ->
+          print_string (Framework.Visualize.timeline (Framework.Experiment.watcher exp) prefix))
+        timeline;
       finish_telemetry tele;
       Ok ()
     in
@@ -485,8 +481,18 @@ let scenario_cmd =
     Arg.(value & opt (some string) None
          & info [ "dump-collector" ] ~docv:"PATH" ~doc:"Write the collector's update dump.")
   in
+  (* parsed with the other options, so a bad prefix is a usage error
+     before anything runs *)
+  let prefix =
+    let parse s =
+      match Net.Ipv4.prefix_of_string s with
+      | Some p -> Ok p
+      | None -> Error (`Msg (Fmt.str "expected an IPv4 prefix such as 10.0.0.0/8, got %S" s))
+    in
+    Arg.conv (parse, Net.Ipv4.pp_prefix)
+  in
   let timeline =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some prefix) None
          & info [ "timeline" ] ~docv:"PREFIX" ~doc:"Print the route-change timeline of a prefix.")
   in
   let show_state =
@@ -747,6 +753,14 @@ let scale_cmd =
   let run tier1 tier2 stubs prefixes ks runs seed mrai jobs single budget csv =
     let result =
       let* jobs = resolve_jobs jobs in
+      (* the origin is never a member, so at most every other AS is *)
+      let ases = tier1 + tier2 + stubs in
+      let* () =
+        match List.find_opt (fun k -> k < 0 || k > ases - 1) ks with
+        | Some k ->
+          Error (Fmt.str "--ks: %d is outside 0..%d (the graph has %d ASes)" k (ases - 1) ases)
+        | None -> Ok ()
+      in
       let config = config_of_mrai mrai in
       let world = E.caida_world ~tier1 ~tier2 ~stubs ~seed in
       let scale ~k ~seed =
@@ -757,7 +771,7 @@ let scale_cmd =
         let k = match ks with k :: _ -> k | [] -> 0 in
         let r = scale ~k ~seed in
         Fmt.pr "graph:           %d ASes (%d tier1, %d tier2, %d stubs), %d links@."
-          (tier1 + tier2 + stubs) tier1 tier2 stubs
+          ases tier1 tier2 stubs
           (Topology.Spec.link_count world.E.spec);
         Fmt.pr "centralized:     %d top-degree members@." k;
         Fmt.pr "load:            %d prefixes, %d collector updates in %.2f s wall (%.0f upd/s)@."
@@ -774,7 +788,7 @@ let scale_cmd =
       else
         (* the placement:top-degree grid on this world: runs take the
            seed after the world's *)
-        let label = Fmt.str "scale-caida%d-p%d" (tier1 + tier2 + stubs) prefixes in
+        let label = Fmt.str "scale-caida%d-p%d" ases prefixes in
         run_sweep ~jobs ~verify:false ~csv (fun ?pool () ->
             E.Convergence_series
               (E.sweep ?pool ~label ~runs ~seed:(seed + 1) (List.map float_of_int ks)
@@ -800,7 +814,9 @@ let scale_cmd =
       value
       & opt (list int) [ 0; 8; 16; 24 ]
       & info [ "ks" ] ~docv:"K,K,..."
-          ~doc:"Centralized member counts to sweep (top-degree placement).")
+          ~doc:
+            "Centralized member counts to sweep (top-degree placement), each between 0 and \
+             the AS count minus one.")
   in
   let runs =
     Arg.(value & opt (int_at_least 1) 3 & info [ "runs" ] ~docv:"R" ~doc:"Runs per point.")

@@ -25,7 +25,6 @@ type change = {
 let diff ?hard_timeout ~prefix ~node_of_asn ~(members : Net.Asn.t list)
     ~(installed : Sdn.Flow.action Net.Asn.Map.t) ~(desired : As_graph.decision Net.Asn.Map.t)
     () =
-  let priority = Net.Ipv4.prefix_len prefix in
   let changes = ref [] in
   let new_installed = ref Net.Asn.Map.empty in
   List.iter
@@ -41,12 +40,12 @@ let diff ?hard_timeout ~prefix ~node_of_asn ~(members : Net.Asn.t list)
           [ Sdn.Openflow.Flow_mod
               {
                 command = Sdn.Openflow.Add;
-                rule = Sdn.Flow.make ?hard_timeout ~priority ~match_prefix:prefix w;
+                rule = Sdn.Flow.make ?hard_timeout ~match_prefix:prefix w;
               } ]
         | None, Some h ->
           [ Sdn.Openflow.Flow_mod
               { command = Sdn.Openflow.Delete;
-                rule = Sdn.Flow.make ~priority ~match_prefix:prefix h } ]
+                rule = Sdn.Flow.make ~match_prefix:prefix h } ]
         | None, None -> []
       in
       (match want with

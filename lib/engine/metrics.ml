@@ -56,38 +56,7 @@ module Gauge = struct
   let value t = t.v
 end
 
-module Histogram = struct
-  type t = {
-    bounds : float array; (* strictly increasing upper bounds *)
-    counts : int array; (* per-bucket, length = bounds + 1 (overflow) *)
-    mutable sum : float;
-    mutable count : int;
-  }
-
-  let observe t x =
-    let n = Array.length t.bounds in
-    let rec slot i = if i >= n || x <= t.bounds.(i) then i else slot (i + 1) in
-    t.counts.(slot 0) <- t.counts.(slot 0) + 1;
-    t.sum <- t.sum +. x;
-    t.count <- t.count + 1
-
-  let count t = t.count
-
-  let sum t = t.sum
-end
-
-(* Geometric ("log-scale") bucket bounds: start, start*factor, ... *)
-let log_buckets ?(start = 0.001) ?(factor = 2.0) ?(count = 16) () =
-  if start <= 0.0 || factor <= 1.0 || count < 1 then
-    invalid_arg "Metrics.log_buckets: need start > 0, factor > 1, count >= 1";
-  Array.init count (fun i -> start *. (factor ** float_of_int i))
-
-let default_buckets = log_buckets ()
-
-type series =
-  | S_counter of Counter.t
-  | S_gauge of Gauge.t
-  | S_histogram of Histogram.t
+type series = S_counter of Counter.t | S_gauge of Gauge.t
 
 type entry = { name : string; help : string; labels : labels; series : series }
 
@@ -100,10 +69,7 @@ let create () = { entries = Hashtbl.create 64; collectors = Queue.create () }
 
 let on_collect t f = Queue.add f t.collectors
 
-let kind_name = function
-  | S_counter _ -> "counter"
-  | S_gauge _ -> "gauge"
-  | S_histogram _ -> "histogram"
+let kind_name = function S_counter _ -> "counter" | S_gauge _ -> "gauge"
 
 let register t ~name ~help ~labels make =
   let labels = canon_labels labels in
@@ -129,38 +95,9 @@ let gauge t ?(help = "") ?(labels = []) name =
     invalid_arg (Fmt.str "Metrics.gauge: %s already registered as a %s" name
                    (kind_name entry.series))
 
-let histogram t ?(help = "") ?(labels = []) ?(buckets = default_buckets) name =
-  let make () =
-    (match Array.to_list buckets with
-    | [] -> invalid_arg "Metrics.histogram: empty buckets"
-    | first :: rest ->
-      ignore
-        (List.fold_left
-           (fun prev b ->
-             if b <= prev then invalid_arg "Metrics.histogram: buckets must increase";
-             b)
-           first rest));
-    S_histogram
-      { Histogram.bounds = Array.copy buckets;
-        counts = Array.make (Array.length buckets + 1) 0;
-        sum = 0.0;
-        count = 0 }
-  in
-  match register t ~name ~help ~labels make with
-  | { series = S_histogram h; _ } -> h
-  | entry ->
-    invalid_arg (Fmt.str "Metrics.histogram: %s already registered as a %s" name
-                   (kind_name entry.series))
-
 (* --- Snapshots ----------------------------------------------------------- *)
 
-type hist_value = {
-  buckets : (float * int) list; (* (upper bound, cumulative count); +inf last *)
-  sum : float;
-  count : int;
-}
-
-type value = Counter_v of int | Gauge_v of float | Histogram_v of hist_value
+type value = Counter_v of int | Gauge_v of float
 
 type sample = { name : string; help : string; labels : labels; value : value }
 
@@ -171,20 +108,6 @@ let freeze entry =
     match entry.series with
     | S_counter c -> Counter_v c.Counter.v
     | S_gauge g -> Gauge_v g.Gauge.v
-    | S_histogram h ->
-      let cumulative = ref 0 in
-      let finite =
-        Array.to_list
-          (Array.mapi
-             (fun i bound ->
-               cumulative := !cumulative + h.Histogram.counts.(i);
-               (bound, !cumulative))
-             h.Histogram.bounds)
-      in
-      Histogram_v
-        { buckets = finite @ [ (infinity, h.Histogram.count) ];
-          sum = h.Histogram.sum;
-          count = h.Histogram.count }
   in
   { name = entry.name; help = entry.help; labels = entry.labels; value }
 
@@ -198,11 +121,7 @@ let find_sample snapshot ?(labels = []) name =
   let labels = canon_labels labels in
   List.find_opt (fun s -> String.equal s.name name && s.labels = labels) snapshot.samples
 
-(* Scalar view of a sample: counters and gauges as-is, histograms by count. *)
-let sample_value = function
-  | Counter_v v -> float_of_int v
-  | Gauge_v v -> v
-  | Histogram_v h -> float_of_int h.count
+let sample_value = function Counter_v v -> float_of_int v | Gauge_v v -> v
 
 let value snapshot ?labels name = Option.map (fun s -> sample_value s.value) (find_sample snapshot ?labels name)
 
@@ -213,10 +132,6 @@ let value snapshot ?labels name = Option.map (fun s -> sample_value s.value) (fi
 let fmt_float x =
   if Float.is_integer x && Float.abs x < 1e15 then Fmt.str "%.0f" x
   else Fmt.str "%.9g" x
-
-let fmt_le bound = if bound = infinity then "+Inf" else fmt_float bound
-
-let labels_with labels extra = canon_labels (labels @ extra)
 
 let prom_line buf name labels v =
   Buffer.add_string buf name;
@@ -236,23 +151,11 @@ let to_prometheus snapshot =
         Buffer.add_string
           buf
           (Fmt.str "# TYPE %s %s\n" s.name
-             (match s.value with
-             | Counter_v _ -> "counter"
-             | Gauge_v _ -> "gauge"
-             | Histogram_v _ -> "histogram"))
+             (match s.value with Counter_v _ -> "counter" | Gauge_v _ -> "gauge"))
       end;
       match s.value with
       | Counter_v v -> prom_line buf s.name s.labels (string_of_int v)
-      | Gauge_v v -> prom_line buf s.name s.labels (fmt_float v)
-      | Histogram_v h ->
-        List.iter
-          (fun (bound, cumulative) ->
-            prom_line buf (s.name ^ "_bucket")
-              (labels_with s.labels [ ("le", fmt_le bound) ])
-              (string_of_int cumulative))
-          h.buckets;
-        prom_line buf (s.name ^ "_sum") s.labels (fmt_float h.sum);
-        prom_line buf (s.name ^ "_count") s.labels (string_of_int h.count))
+      | Gauge_v v -> prom_line buf s.name s.labels (fmt_float v))
     snapshot.samples;
   Buffer.contents buf
 
@@ -290,14 +193,6 @@ let to_jsonl snapshot =
         match s.value with
         | Counter_v v -> Fmt.str ",\"type\":\"counter\",\"value\":%d}" v
         | Gauge_v v -> Fmt.str ",\"type\":\"gauge\",\"value\":%s}" (fmt_float v)
-        | Histogram_v h ->
-          Fmt.str ",\"type\":\"histogram\",\"count\":%d,\"sum\":%s,\"buckets\":[%s]}" h.count
-            (fmt_float h.sum)
-            (String.concat ","
-               (List.map
-                  (fun (bound, cumulative) ->
-                    Fmt.str "{\"le\":\"%s\",\"count\":%d}" (fmt_le bound) cumulative)
-                  h.buckets))
       in
       Buffer.add_string buf common;
       Buffer.add_string buf rest;
@@ -326,16 +221,7 @@ let to_csv ?(header = true) snapshot =
     (fun s ->
       match s.value with
       | Counter_v v -> row s.name s.labels "counter" (string_of_int v)
-      | Gauge_v v -> row s.name s.labels "gauge" (fmt_float v)
-      | Histogram_v h ->
-        List.iter
-          (fun (bound, cumulative) ->
-            row (s.name ^ "_bucket")
-              (labels_with s.labels [ ("le", fmt_le bound) ])
-              "histogram" (string_of_int cumulative))
-          h.buckets;
-        row (s.name ^ "_sum") s.labels "histogram" (fmt_float h.sum);
-        row (s.name ^ "_count") s.labels "histogram" (string_of_int h.count))
+      | Gauge_v v -> row s.name s.labels "gauge" (fmt_float v))
     snapshot.samples;
   Buffer.contents buf
 

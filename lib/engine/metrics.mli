@@ -1,5 +1,5 @@
-(** Label-aware metrics registry: counters, gauges and log-scale
-    histograms, snapshot-able at any simulated instant.
+(** Label-aware metrics registry: counters and gauges, snapshot-able at
+    any simulated instant.
 
     One registry per simulation (see {!Sim.metrics}).  Label sets are
     canonicalized (sorted by key) at registration and snapshots are
@@ -50,42 +50,15 @@ module Gauge : sig
   val value : t -> float
 end
 
-(** Fixed-bucket distribution; use {!log_buckets} for the intended
-    log-scale bounds. *)
-module Histogram : sig
-  type t
-
-  val observe : t -> float -> unit
-
-  val count : t -> int
-
-  val sum : t -> float
-end
-
-val log_buckets : ?start:float -> ?factor:float -> ?count:int -> unit -> float array
-(** Geometric bucket upper bounds [start, start*factor, ...]; defaults
-    give 16 base-2 buckets from 1 ms up (seconds-denominated). *)
-
 val counter : t -> ?help:string -> ?labels:labels -> string -> Counter.t
 (** Find-or-create.
     @raise Invalid_argument if the series exists with a different kind. *)
 
 val gauge : t -> ?help:string -> ?labels:labels -> string -> Gauge.t
 
-val histogram :
-  t -> ?help:string -> ?labels:labels -> ?buckets:float array -> string -> Histogram.t
-
 (** {1 Snapshots} *)
 
-type hist_value = {
-  buckets : (float * int) list;
-      (** (upper bound, cumulative count) pairs; the [infinity] bound is
-          always last and equals [count]. *)
-  sum : float;
-  count : int;
-}
-
-type value = Counter_v of int | Gauge_v of float | Histogram_v of hist_value
+type value = Counter_v of int | Gauge_v of float
 
 type sample = { name : string; help : string; labels : labels; value : value }
 
@@ -98,13 +71,12 @@ val snapshot : t -> at:Time.t -> snapshot
 val find_sample : snapshot -> ?labels:labels -> string -> sample option
 
 val value : snapshot -> ?labels:labels -> string -> float option
-(** Scalar view: counter/gauge values as-is, histograms by their count. *)
+(** Scalar view: counters as floats, gauges as-is. *)
 
 (** {1 Exporters} *)
 
 val to_prometheus : snapshot -> string
-(** Prometheus text exposition format ([# HELP]/[# TYPE] per family,
-    histogram [_bucket]/[_sum]/[_count] expansion). *)
+(** Prometheus text exposition format ([# HELP]/[# TYPE] per family). *)
 
 val to_jsonl : snapshot -> string
 (** One JSON object per sample, one per line, each stamped with the
@@ -114,8 +86,7 @@ val to_jsonl : snapshot -> string
 val csv_header : string
 
 val to_csv : ?header:bool -> snapshot -> string
-(** [t_us,metric,labels,type,value] rows; histograms are flattened to
-    [_bucket]/[_sum]/[_count] rows. *)
+(** [t_us,metric,labels,type,value] rows. *)
 
 (** {1 Parsing} *)
 

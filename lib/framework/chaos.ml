@@ -216,8 +216,9 @@ let render_state net =
         List.iter
           (fun (r : Sdn.Flow.rule) ->
             add "  flow %a prio=%d %a\n" Net.Ipv4.pp_prefix r.Sdn.Flow.match_prefix
-              r.Sdn.Flow.priority Sdn.Flow.pp_action r.Sdn.Flow.action)
-          (Sdn.Flow_table.entries_sorted (Sdn.Switch.table sw)))
+              (Net.Ipv4.prefix_len r.Sdn.Flow.match_prefix)
+              Sdn.Flow.pp_action r.Sdn.Flow.action)
+          (Sdn.Flow_table.rules (Sdn.Switch.table sw)))
     (Network.asns net);
   (match Network.controller net with
   | None -> ()
@@ -264,7 +265,7 @@ let check_flow_targets net acc =
         else
           List.fold_left
             (fun acc (r : Sdn.Flow.rule) ->
-              let (Sdn.Flow.Output port) = r.Sdn.Flow.action in
+              let port = Sdn.Flow.out_port r in
               let bad detail = { invariant = "no-stale-flow-rule"; detail } :: acc in
               match Network.asn_of_node net port with
               | None ->

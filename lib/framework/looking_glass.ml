@@ -44,7 +44,7 @@ let switch_flows sw =
         (Sdn.Flow_table.size table);
       List.iter
         (fun rule -> Fmt.pf ppf "  %a@." Sdn.Flow.pp rule)
-        (Sdn.Flow_table.entries_sorted table))
+        (Sdn.Flow_table.rules table))
 
 (* The controller's per-prefix decisions and sub-cluster view. *)
 let controller_state ctrl =

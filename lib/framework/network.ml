@@ -665,24 +665,18 @@ let link_delay t a b =
 (* Forwarding-state introspection for the connectivity walker. *)
 type forwarding = Local | Next of int | No_route
 
+(* Every AS forwards by one longest-prefix match: an SDN member over its
+   flow table, a legacy router over its FIB. *)
 let forwarding_at t asn (addr : Net.Ipv4.addr) =
   if is_local_addr t asn addr then Local
   else
-    match Net.Asn.Map.find_opt asn t.switches with
-    | Some sw ->
-      let table = Sdn.Switch.table sw in
-      let i = Sdn.Flow_table.lookup_idx table (Net.Ipv4.addr_to_bits addr) in
-      if i < 0 then No_route
-      else
-        let (Sdn.Flow.Output port) = (Sdn.Flow_table.nth_rule table i).Sdn.Flow.action in
-        Next port
-    | None -> (
-      match Net.Asn.Map.find_opt asn t.fibs with
-      | Some fib -> (
-        match Net.Fib.lookup_value fib addr with
-        | Some node -> Next node
-        | None -> No_route)
-      | None -> No_route)
+    let next =
+      match Net.Asn.Map.find_opt asn t.switches with
+      | Some sw -> Option.map Sdn.Flow.out_port (Net.Fib.lookup_value (Sdn.Switch.table sw) addr)
+      | None ->
+        Option.bind (Net.Asn.Map.find_opt asn t.fibs) (fun fib -> Net.Fib.lookup_value fib addr)
+    in
+    match next with Some node -> Next node | None -> No_route
 
 (* Compile the composed forwarding state — FIBs, flow tables, local
    delivery sets, link liveness — into a frozen [Net.Dataplane] snapshot
@@ -702,27 +696,16 @@ let dataplane_snapshot t =
     (fun asn ->
       let i = idx asn in
       Net.Dataplane.add_local_addr dp i (t.plan.Addressing.router_addr asn);
-      Net.Ipv4.Prefix_set.iter (fun p -> Net.Dataplane.add_local dp i p) !(local_set t asn))
+      Net.Ipv4.Prefix_set.iter (fun p -> Net.Dataplane.add_local dp i p) !(local_set t asn);
+      match Net.Asn.Map.find_opt asn t.switches with
+      | Some sw ->
+        Net.Dataplane.set_fib dp i (Sdn.Switch.table sw) ~code:(fun r ->
+            code_of_node (Sdn.Flow.out_port r))
+      | None ->
+        Option.iter
+          (fun fib -> Net.Dataplane.set_fib dp i fib ~code:code_of_node)
+          (Net.Asn.Map.find_opt asn t.fibs))
     as_list;
-  (* an SDN member forwards by its flow table, set below *)
-  Net.Asn.Map.iter
-    (fun asn fib ->
-      if not (Net.Asn.Map.mem asn t.switches) then
-        Net.Dataplane.set_fib dp (idx asn) fib ~code:code_of_node)
-    t.fibs;
-  Net.Asn.Map.iter
-    (fun asn sw ->
-      let table = Sdn.Switch.table sw in
-      let rules = Array.init (Sdn.Flow_table.size table) (Sdn.Flow_table.nth_rule table) in
-      Net.Dataplane.set_rules dp (idx asn)
-        (Array.map (fun (r : Sdn.Flow.rule) -> r.Sdn.Flow.match_prefix) rules)
-        ~acts:
-          (Array.map
-             (fun (r : Sdn.Flow.rule) ->
-               let (Sdn.Flow.Output port) = r.Sdn.Flow.action in
-               code_of_node port)
-             rules))
-    t.switches;
   Net.Netsim.iter_links t.net (fun link ->
       if Net.Link.is_up link then begin
         let a, b = Net.Link.endpoints link in

@@ -12,18 +12,19 @@
    any node holds (FIB routes, flow rules, local sets).  Each interval
    between two consecutive boundaries is a destination class: no prefix
    starts or ends inside one, so every node's forwarding function (local
-   delivery, then longest-prefix match or first-match rule) is constant
-   on it.  The compiled table stores that constant per (class, node): a
-   next index, [drop], or [local].  [forward] finds the probe's class
-   once, by a branchless binary search, and each hop is then one array
-   read plus the visited, TTL and link checks.
+   delivery, then longest-prefix match) is constant on it.  The compiled
+   table stores that constant per (class, node): a next index, [drop],
+   or [local].  [forward] finds the probe's class once, by a branchless
+   binary search, and each hop is then one array read plus the visited,
+   TTL and link checks.
 
-   The builder records each node's entries as flat arrays in paint order
-   (a later entry overrides an earlier one where they overlap) and marks
-   the snapshot dirty; [forward] recompiles a dirty snapshot first, so a
-   builder call made between walks takes effect on the next one.  Loop
-   detection uses a preallocated per-snapshot visited-stamp cursor.  Not
-   domain-safe: one snapshot per domain. *)
+   The builder records each node's FIB as flat arrays in trie order,
+   ancestors first, so painting them in order leaves each class with its
+   longest match.  It marks the snapshot dirty; [forward] recompiles a
+   dirty snapshot first, so a builder call made between walks takes
+   effect on the next one.  Loop detection uses a preallocated
+   per-snapshot visited-stamp cursor.  Not domain-safe: one snapshot per
+   domain. *)
 
 type fate = Delivered | Blackholed | Looped | Ttl_expired
 
@@ -75,7 +76,7 @@ type t = {
   index : int Itbl.t; (* AS number -> dense index *)
   (* Builder state.  Prefixes are packed as [(network lsl 6) lor len]
      ({!Ipv4.prefix_to_packed}). *)
-  fwd_prefixes : int array array; (* per node, forwarding entries in paint order... *)
+  fwd_prefixes : int array array; (* per node, FIB entries in paint order... *)
   fwd_acts : int array array; (* ...and their action codes, in step *)
   locals : int list array; (* per node, locally delivered prefixes *)
   links : Bytes.t; (* n*n directed adjacency, '\001' = usable *)
@@ -132,11 +133,6 @@ let add_local_addr t i addr =
   t.locals.(i) <- (Ipv4.addr_to_bits addr lsl 6) lor 32 :: t.locals.(i);
   t.dirty <- true
 
-let set_fwd t i prefixes acts =
-  t.fwd_prefixes.(i) <- prefixes;
-  t.fwd_acts.(i) <- acts;
-  t.dirty <- true
-
 (* The trie iterates ancestors before descendants, so painting in its
    order leaves each class with its longest match. *)
 let set_fib t i fib ~code =
@@ -147,15 +143,9 @@ let set_fib t i fib ~code =
       prefixes.(!j) <- p;
       acts.(!j) <- code v;
       incr j);
-  set_fwd t i prefixes acts
-
-(* First match wins, so the rules are painted last-first. *)
-let set_rules t i rules ~acts =
-  let k = Array.length rules in
-  if Array.length acts <> k then invalid_arg "Dataplane.set_rules: length mismatch";
-  set_fwd t i
-    (Array.init k (fun j -> Ipv4.prefix_to_packed rules.(k - 1 - j)))
-    (Array.init k (fun j -> acts.(k - 1 - j)))
+  t.fwd_prefixes.(i) <- prefixes;
+  t.fwd_acts.(i) <- acts;
+  t.dirty <- true
 
 let set_link t i j up = Bytes.set t.links ((i * t.n) + j) (if up then '\001' else '\000')
 

@@ -59,16 +59,10 @@ val add_local_addr : t -> int -> Ipv4.addr -> unit
 (** Single-address (/32) local delivery — router loopbacks. *)
 
 val set_fib : t -> int -> 'a Fib.t -> code:('a -> int) -> unit
-(** Legacy node: longest-prefix match over this FIB, each entry's value
+(** The node forwards by longest-prefix match over this FIB (a legacy
+    router's routes or an SDN switch's flow table), each entry's value
     mapped to an action code (a dense next index, or {!drop}) by
-    [code].  Replaces the node's earlier FIB or rules. *)
-
-val set_rules : t -> int -> Ipv4.prefix array -> acts:int array -> unit
-(** SDN node: a flow table as its match prefixes in lookup order
-    (priority desc, length desc) and their action codes; first match
-    wins, exactly like the live table, whatever the lengths.  Replaces
-    the node's earlier FIB or rules.
-    @raise Invalid_argument on length mismatch. *)
+    [code].  Replaces the node's earlier FIB. *)
 
 val set_link : t -> int -> int -> bool -> unit
 (** Directed link usability between dense indices (set both ways for a

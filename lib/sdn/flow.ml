@@ -2,7 +2,10 @@
 
    The emulation has no port numbers: a "port" is the node id of the
    neighbor reached over the corresponding link, which is what forwarding
-   needs. *)
+   needs.  A rule has no priority field: the controller installs one
+   destination rule per prefix at OpenFlow priority = prefix length, so a
+   rule's rank is its prefix length and the table is longest-prefix
+   match (see [Flow_table]). *)
 
 type port = int
 
@@ -10,23 +13,19 @@ type action = Output of port
 
 type rule = {
   match_prefix : Net.Ipv4.prefix;
-  priority : int;
   action : action;
   hard_timeout : Engine.Time.span option; (* expire this long after install *)
 }
 
-let make ?(priority = 0) ?hard_timeout ~match_prefix action =
-  { match_prefix; priority; action; hard_timeout }
+let make ?hard_timeout ~match_prefix action = { match_prefix; action; hard_timeout }
 
-let matches rule addr = Net.Ipv4.mem addr rule.match_prefix
+let out_port { action = Output p; _ } = p
 
 let action_equal (Output p) (Output q) = p = q
 
-(* Same match and priority: the key OpenFlow uses for add-or-replace. *)
-let same_match a b =
-  Net.Ipv4.equal_prefix a.match_prefix b.match_prefix && a.priority = b.priority
-
 let pp_action ppf (Output p) = Fmt.pf ppf "output:%d" p
 
+(* Printed with its OpenFlow priority, the prefix length. *)
 let pp ppf r =
-  Fmt.pf ppf "prio=%d %a -> %a" r.priority Net.Ipv4.pp_prefix r.match_prefix pp_action r.action
+  Fmt.pf ppf "prio=%d %a -> %a" (Net.Ipv4.prefix_len r.match_prefix) Net.Ipv4.pp_prefix
+    r.match_prefix pp_action r.action

@@ -3,7 +3,7 @@
    peering of a cluster member terminates at the cluster BGP speaker, and
    its messages travel encapsulated over the switch-controller channel. *)
 
-type flow_mod_command = Add | Delete | Delete_strict
+type flow_mod_command = Add | Delete
 
 type relay_direction = To_speaker | To_neighbor
 
@@ -30,7 +30,7 @@ let pp ppf = function
   | Echo_reply -> Fmt.string ppf "ECHO_REPLY"
   | Resync_done -> Fmt.string ppf "RESYNC_DONE"
   | Flow_mod { command; rule } ->
-    let cmd = match command with Add -> "add" | Delete -> "del" | Delete_strict -> "del!" in
+    let cmd = match command with Add -> "add" | Delete -> "del" in
     Fmt.pf ppf "FLOW_MOD %s %a" cmd Flow.pp rule
   | Flow_removed { switch_asn; rule } ->
     Fmt.pf ppf "FLOW_REMOVED %a %a (hard timeout)" Net.Asn.pp switch_asn Flow.pp rule

@@ -1,7 +1,7 @@
 (** OpenFlow-style control messages, including the BGP relay
     encapsulation between border switches and the cluster BGP speaker. *)
 
-type flow_mod_command = Add | Delete | Delete_strict
+type flow_mod_command = Add | Delete
 
 type relay_direction = To_speaker | To_neighbor
 

@@ -9,14 +9,14 @@
 
    Failure domain: when [liveness] is configured the switch probes the
    controller with ECHO_REQUESTs and, after [fail_after] of control-plane
-   silence, degrades into legacy fallback mode — a lowest-priority
-   default route toward a surviving legacy neighbor (the OSHI-style
-   "legacy plane stays live" answer to controller death).  Installed
-   flow rules keep expiring on their hard timeouts, so stale SDN
-   paths decay onto the fallback route instead of blackholing.  The
-   switch leaves fallback only on the controller's RESYNC_DONE, sent
-   after the restarted controller has replayed speaker state and
-   reinstalled the member's flows. *)
+   silence, degrades into legacy fallback mode — a 0.0.0.0/0 default
+   route, matched only where no SDN rule is, toward a surviving legacy
+   neighbor (the OSHI-style "legacy plane stays live" answer to
+   controller death).  Installed flow rules keep expiring on their hard
+   timeouts, so stale SDN paths decay onto the fallback route instead of
+   blackholing.  The switch leaves fallback only on the controller's
+   RESYNC_DONE, sent after the restarted controller has replayed speaker
+   state and reinstalled the member's flows. *)
 
 type liveness = {
   echo_interval : Engine.Time.span;  (* ECHO_REQUEST probe period *)
@@ -93,7 +93,7 @@ let count_expired t =
 let fallback_active t = Option.is_some t.fallback
 
 let install_fallback t port =
-  let rule = Flow.make ~priority:0 ~match_prefix:prefix_all (Flow.Output port) in
+  let rule = Flow.make ~match_prefix:prefix_all (Flow.Output port) in
   Flow_table.add t.table rule;
   t.fallback <- Some rule
 
@@ -195,7 +195,7 @@ let table t = t.table
 let stats t = t.stats
 
 (* Hard-timeout enforcement.  The timer holds the physical rule record,
-   so a same-key replacement installed later is untouched by the old
+   so a same-prefix replacement installed later is untouched by the old
    timer. *)
 let arm_timeout t (rule : Flow.rule) =
   Option.iter
@@ -240,7 +240,7 @@ let handle_control t msg =
       ~category:
         (match command with
         | Openflow.Add -> "flow.install"
-        | Openflow.Delete | Openflow.Delete_strict -> "flow.remove")
+        | Openflow.Delete -> "flow.remove")
       ~node:t.asn_name ~render:Net.Ipv4.packed_prefix_to_string
       (Net.Ipv4.prefix_to_packed rule.Flow.match_prefix);
     match command with
@@ -248,7 +248,6 @@ let handle_control t msg =
       Flow_table.add t.table rule;
       arm_timeout t rule
     | Openflow.Delete -> Flow_table.delete t.table ~match_prefix:rule.Flow.match_prefix
-    | Openflow.Delete_strict -> Flow_table.delete_exact t.table rule
   end
   | Openflow.Bgp_relay { neighbor; direction = Openflow.To_neighbor; payload; _ } -> begin
     match t.node_of_asn neighbor with

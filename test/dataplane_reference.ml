@@ -1,21 +1,15 @@
 (* Reference implementation of [Net.Dataplane]: the original per-hop
    walk, kept as an oracle for the destination-class table.  Each hop
    scans the node's local prefixes, then looks the destination up in its
-   own trie copy (legacy node) or scans its rule array in order (SDN
-   node).  The builder takes the same calls as [Net.Dataplane], so a test
-   can drive both with one program; action codes outside [0, n) drop. *)
+   own trie copy.  The builder takes the same calls as [Net.Dataplane],
+   so a test can drive both with one program; action codes outside
+   [0, n) drop. *)
 
 let drop = Net.Dataplane.drop
 
-type fwd =
-  | No_fwd
-  | Fib of int Net.Fib.t (* LPM trie whose values are action codes *)
-  | Rules of { nets : int array; masks : int array; acts : int array }
-      (* first int-mask match wins *)
-
 type t = {
   n : int;
-  fwd : fwd array;
+  fibs : int Net.Fib.t array; (* per node, LPM tries whose values are action codes *)
   mutable local_nets : int array array; (* per node: masked networks... *)
   mutable local_masks : int array array; (* ...and their masks, in step *)
   links : Bytes.t; (* n*n directed adjacency, '\001' = usable *)
@@ -29,7 +23,7 @@ let create ~asns =
   let n = Array.length asns in
   {
     n;
-    fwd = Array.make n No_fwd;
+    fibs = Array.init n (fun _ -> Net.Fib.create ());
     local_nets = Array.make n [||];
     local_masks = Array.make n [||];
     links = Bytes.make (n * n) '\000';
@@ -52,13 +46,7 @@ let add_local_addr t i addr =
 let set_fib t i fib ~code =
   let copy = Net.Fib.create () in
   List.iter (fun (p, v) -> Net.Fib.insert copy p (code v)) (Net.Fib.entries fib);
-  t.fwd.(i) <- Fib copy
-
-let set_rules t i rules ~acts =
-  let net p = Net.Ipv4.addr_to_bits (Net.Ipv4.prefix_network p) in
-  let mask p = Net.Ipv4.mask_bits (Net.Ipv4.prefix_len p) in
-  t.fwd.(i) <-
-    Rules { nets = Array.map net rules; masks = Array.map mask rules; acts = Array.copy acts }
+  t.fibs.(i) <- copy
 
 let set_link t i j up = Bytes.set t.links ((i * t.n) + j) (if up then '\001' else '\000')
 
@@ -69,16 +57,7 @@ let is_local t i dst_bits =
 
 let next_of t i dst_bits =
   let nxt =
-    match t.fwd.(i) with
-    | No_fwd -> drop
-    | Fib f -> Option.value (Net.Fib.lookup_value f (Net.Ipv4.addr_of_bits dst_bits)) ~default:drop
-    | Rules r ->
-      let rec scan j =
-        if j >= Array.length r.nets then drop
-        else if dst_bits land r.masks.(j) = r.nets.(j) then r.acts.(j)
-        else scan (j + 1)
-      in
-      scan 0
+    Option.value (Net.Fib.lookup_value t.fibs.(i) (Net.Ipv4.addr_of_bits dst_bits)) ~default:drop
   in
   if nxt >= t.n then drop else nxt
 

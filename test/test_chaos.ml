@@ -83,7 +83,7 @@ let test_oracle_catches_stale_flow_rule () =
   Framework.Network.crash_node net victim;
   let sw = Option.get (Framework.Network.switch net (asn 2)) in
   Sdn.Flow_table.add (Sdn.Switch.table sw)
-    (Sdn.Flow.make ~priority:99
+    (Sdn.Flow.make
        ~match_prefix:(Option.get (Net.Ipv4.prefix_of_string "100.99.0.0/24"))
        (Sdn.Flow.Output (Net.Asn.to_int victim)));
   let violations = Framework.Chaos.check_invariants net in
@@ -93,15 +93,16 @@ let test_oracle_catches_stale_flow_rule () =
          v.Framework.Chaos.invariant = "no-stale-flow-rule")
        violations)
 
-(* Two member switches forwarding AS 0's prefix at each other: the loop
-   must surface through the forwarding verifier. *)
+(* Two member switches forwarding AS 0's prefix at each other (each plant
+   replaces the switch's rule for that prefix): the loop must surface
+   through the forwarding verifier. *)
 let test_oracle_catches_forwarding_loop () =
   let net, _ = converged_net () in
   let prefix = (Framework.Network.plan net).Framework.Addressing.origin_prefix (asn 0) in
   let plant from_ to_ =
     let sw = Option.get (Framework.Network.switch net from_) in
     Sdn.Flow_table.add (Sdn.Switch.table sw)
-      (Sdn.Flow.make ~priority:99 ~match_prefix:prefix (Sdn.Flow.Output (Net.Asn.to_int to_)))
+      (Sdn.Flow.make ~match_prefix:prefix (Sdn.Flow.Output (Net.Asn.to_int to_)))
   in
   plant (asn 2) (asn 3);
   plant (asn 3) (asn 2);

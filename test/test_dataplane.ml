@@ -69,21 +69,35 @@ let test_unit_loop_and_ttl () =
   let r = Net.Dataplane.forward dp ~src:0 ~dst_bits:(addr_bits 10 9 1 1) ~ttl:1 in
   Alcotest.check fate "ttl death" Net.Dataplane.Ttl_expired (Net.Dataplane.result_fate r)
 
-let test_unit_rules_first_match () =
-  (* SDN rule tables are first-match in table order, not LPM *)
+(* An SDN flow table of (match prefix, output port) rules. *)
+let flow_table rules =
+  let table = Sdn.Flow_table.create () in
+  List.iter
+    (fun (p, port) ->
+      Sdn.Flow_table.add table (Sdn.Flow.make ~match_prefix:p (Sdn.Flow.Output port)))
+    rules;
+  table
+
+let test_unit_flow_table () =
+  (* an SDN member's flow table goes in through [set_fib] like any FIB:
+     the longest rule wins, whatever order the rules were installed in *)
   let dp = Net.Dataplane.create ~asns:[| 300; 301; 302 |] in
-  let wide = prefix "10.0.0.0/8" and narrow = prefix "10.0.2.0/24" in
-  (* the wide rule sits first, so it wins even against the narrow match *)
-  Net.Dataplane.set_rules dp 0 [| wide; narrow |] ~acts:[| 1; 2 |];
+  let set_table rules =
+    Net.Dataplane.set_fib dp 0 (flow_table rules) ~code:(fun r ->
+        Net.Dataplane.index_of dp (Sdn.Flow.out_port r))
+  in
+  set_table [ (prefix "10.0.2.0/24", 302); (prefix "10.0.0.0/8", 301) ];
   Net.Dataplane.add_local dp 1 (prefix "10.0.0.0/8");
   Net.Dataplane.add_local dp 2 (prefix "10.0.2.0/24");
   Net.Dataplane.set_link dp 0 1 true;
   Net.Dataplane.set_link dp 0 2 true;
   let r = Net.Dataplane.forward dp ~src:0 ~dst_bits:(addr_bits 10 0 2 9) ~ttl:4 in
   Alcotest.check fate "delivered" Net.Dataplane.Delivered (Net.Dataplane.result_fate r);
-  Alcotest.(check (array int)) "took the first rule" [| 0; 1 |] (Net.Dataplane.last_path dp);
-  (* a Drop action (code -1) black-holes *)
-  Net.Dataplane.set_rules dp 0 [| wide |] ~acts:[| Net.Dataplane.drop |];
+  Alcotest.(check (array int)) "took the longest rule" [| 0; 2 |] (Net.Dataplane.last_path dp);
+  ignore (Net.Dataplane.forward dp ~src:0 ~dst_bits:(addr_bits 10 0 3 9) ~ttl:4);
+  Alcotest.(check (array int)) "the /8 takes the rest" [| 0; 1 |] (Net.Dataplane.last_path dp);
+  (* a rule toward a node outside the snapshot codes as drop: black hole *)
+  set_table [ (prefix "10.0.0.0/8", 999) ];
   let r = Net.Dataplane.forward dp ~src:0 ~dst_bits:(addr_bits 10 0 2 9) ~ttl:4 in
   Alcotest.check fate "drop rule" Net.Dataplane.Blackholed (Net.Dataplane.result_fate r)
 
@@ -108,7 +122,7 @@ type op =
   | Local of int * Net.Ipv4.prefix
   | Local_addr of int * int (* address bits *)
   | Set_fib of int * (Net.Ipv4.prefix * int) list
-  | Set_rules of int * (Net.Ipv4.prefix * int) list (* lookup order, not length-sorted *)
+  | Set_flows of int * (Net.Ipv4.prefix * int) list (* an SDN flow table: prefix -> port *)
   | Link of int * int * bool
   | Probe of int * int * int (* src, dst_bits (any int), ttl *)
 
@@ -119,8 +133,8 @@ let pp_op ppf = function
     Fmt.pf ppf "fib %d [%a]" i
       Fmt.(list ~sep:(any "; ") (pair ~sep:(any "->") Net.Ipv4.pp_prefix int))
       es
-  | Set_rules (i, rs) ->
-    Fmt.pf ppf "rules %d [%a]" i
+  | Set_flows (i, rs) ->
+    Fmt.pf ppf "flows %d [%a]" i
       Fmt.(list ~sep:(any "; ") (pair ~sep:(any "->") Net.Ipv4.pp_prefix int))
       rs
   | Link (i, j, up) -> Fmt.pf ppf "link %d %d %b" i j up
@@ -163,7 +177,7 @@ let gen_program =
           (2, map2 (fun i p -> Local (i, p)) node prefix);
           (1, map2 (fun i d -> Local_addr (i, d land 0xffff_ffff)) node dst);
           (3, map2 (fun i es -> Set_fib (i, es)) node entries);
-          (3, map2 (fun i rs -> Set_rules (i, rs)) node entries);
+          (3, map2 (fun i rs -> Set_flows (i, rs)) node entries);
           (3, map3 (fun i j up -> Link (i, j, up)) node node bool);
           (8, map3 (fun s d ttl -> Probe (s, d, ttl)) node dst (int_bound 70));
         ]
@@ -211,11 +225,11 @@ let prop_matches_reference =
             Net.Dataplane.set_fib dp i fib ~code:Fun.id;
             Dataplane_reference.set_fib rf i fib ~code:Fun.id;
             true
-          | Set_rules (i, rs) ->
-            let rules = Array.of_list (List.map fst rs) in
-            let acts = Array.of_list (List.map snd rs) in
-            Net.Dataplane.set_rules dp i rules ~acts;
-            Dataplane_reference.set_rules rf i rules ~acts;
+          | Set_flows (i, rs) ->
+            (* each rule's port is its action code *)
+            let table = flow_table rs in
+            Net.Dataplane.set_fib dp i table ~code:Sdn.Flow.out_port;
+            Dataplane_reference.set_fib rf i table ~code:Sdn.Flow.out_port;
             true
           | Link (i, j, up) ->
             Net.Dataplane.set_link dp i j up;
@@ -477,7 +491,7 @@ let suite =
     Alcotest.test_case "unit: delivered + local at source" `Quick test_unit_delivered;
     Alcotest.test_case "unit: blackhole (no route, down link)" `Quick test_unit_blackhole;
     Alcotest.test_case "unit: loop vs ttl death" `Quick test_unit_loop_and_ttl;
-    Alcotest.test_case "unit: rule tables are first-match" `Quick test_unit_rules_first_match;
+    Alcotest.test_case "unit: SDN flow table through set_fib" `Quick test_unit_flow_table;
     Alcotest.test_case "packet decr_ttl edges" `Quick test_decr_ttl_edges;
     Alcotest.test_case "differential: settled clique" `Quick test_differential_clique;
     Alcotest.test_case "differential: blackholes on a cut line" `Quick

@@ -43,7 +43,8 @@ let test_fresh_install () =
   | [ Sdn.Openflow.Flow_mod { command = Sdn.Openflow.Add; rule } ] ->
     Alcotest.(check bool) "action output 65001" true
       (Sdn.Flow.action_equal rule.Sdn.Flow.action (Sdn.Flow.Output 65001));
-    Alcotest.(check int) "priority = prefix length" 24 rule.Sdn.Flow.priority
+    Alcotest.(check bool) "matches the decision's prefix" true
+      (Net.Ipv4.equal_prefix rule.Sdn.Flow.match_prefix prefix)
   | _ -> Alcotest.fail "expected one Add");
   Alcotest.(check int) "state recorded" 1 (Net.Asn.Map.cardinal installed)
 

@@ -23,21 +23,6 @@ let test_gauge_semantics () =
   Metrics.Gauge.add g (-1.5);
   Alcotest.(check (float 1e-9)) "set + add" 2.0 (Metrics.Gauge.value g)
 
-let test_histogram_semantics () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m ~buckets:[| 1.0; 10.0 |] "latency" in
-  List.iter (Metrics.Histogram.observe h) [ 0.5; 5.0; 50.0 ];
-  Alcotest.(check int) "count" 3 (Metrics.Histogram.count h);
-  Alcotest.(check (float 1e-9)) "sum" 55.5 (Metrics.Histogram.sum h);
-  let snap = Metrics.snapshot m ~at:Time.zero in
-  match Metrics.find_sample snap "latency" with
-  | Some { value = Histogram_v hv; _ } ->
-    Alcotest.(check (list (pair (float 1e-9) int)))
-      "cumulative buckets, +Inf last"
-      [ (1.0, 1); (10.0, 2); (infinity, 3) ]
-      hv.buckets
-  | _ -> Alcotest.fail "histogram sample missing"
-
 let test_registration_idempotent_and_canonical () =
   let m = Metrics.create () in
   let a = Metrics.counter m ~labels:[ ("b", "2"); ("a", "1") ] "x_total" in
@@ -108,18 +93,14 @@ let golden_snapshot () =
   Metrics.Counter.add c 7;
   let g = Metrics.gauge m "rib_routes" in
   Metrics.Gauge.set g 3.0;
-  let h = Metrics.histogram m ~buckets:[| 0.5 |] "conv_seconds" in
-  Metrics.Histogram.observe h 0.25;
-  Metrics.Histogram.observe h 2.0;
+  let conv = Metrics.gauge m ~labels:[ ("prefix", "10.0.0.0/8") ] "conv_seconds" in
+  Metrics.Gauge.set conv 2.25;
   Metrics.snapshot m ~at:(Time.ms 1500)
 
 let test_prometheus_golden () =
   Alcotest.(check string) "prometheus exposition"
-    "# TYPE conv_seconds histogram\n\
-     conv_seconds_bucket{le=\"0.5\"} 1\n\
-     conv_seconds_bucket{le=\"+Inf\"} 2\n\
-     conv_seconds_sum 2.25\n\
-     conv_seconds_count 2\n\
+    "# TYPE conv_seconds gauge\n\
+     conv_seconds{prefix=\"10.0.0.0/8\"} 2.25\n\
      # TYPE rib_routes gauge\n\
      rib_routes 3\n\
      # HELP upd_total updates seen\n\
@@ -129,7 +110,7 @@ let test_prometheus_golden () =
 
 let test_jsonl_golden () =
   Alcotest.(check string) "jsonl rows"
-    "{\"t_us\":1500000,\"metric\":\"conv_seconds\",\"labels\":{},\"type\":\"histogram\",\"count\":2,\"sum\":2.25,\"buckets\":[{\"le\":\"0.5\",\"count\":1},{\"le\":\"+Inf\",\"count\":2}]}\n\
+    "{\"t_us\":1500000,\"metric\":\"conv_seconds\",\"labels\":{\"prefix\":\"10.0.0.0/8\"},\"type\":\"gauge\",\"value\":2.25}\n\
      {\"t_us\":1500000,\"metric\":\"rib_routes\",\"labels\":{},\"type\":\"gauge\",\"value\":3}\n\
      {\"t_us\":1500000,\"metric\":\"upd_total\",\"labels\":{\"node\":\"AS65001\"},\"type\":\"counter\",\"value\":7}\n"
     (Metrics.to_jsonl (golden_snapshot ()))
@@ -137,10 +118,7 @@ let test_jsonl_golden () =
 let test_csv_golden () =
   Alcotest.(check string) "csv rows"
     "t_us,metric,labels,type,value\n\
-     1500000,conv_seconds_bucket,le=0.5,histogram,1\n\
-     1500000,conv_seconds_bucket,le=+Inf,histogram,2\n\
-     1500000,conv_seconds_sum,,histogram,2.25\n\
-     1500000,conv_seconds_count,,histogram,2\n\
+     1500000,conv_seconds,prefix=10.0.0.0/8,gauge,2.25\n\
      1500000,rib_routes,,gauge,3\n\
      1500000,upd_total,node=AS65001,counter,7\n"
     (Metrics.to_csv (golden_snapshot ()))
@@ -150,8 +128,7 @@ let test_prometheus_roundtrip () =
   match Metrics.parse_prometheus (Metrics.to_prometheus snap) with
   | Error e -> Alcotest.fail e
   | Ok parsed ->
-    (* 4 histogram-expanded rows + gauge + counter. *)
-    Alcotest.(check int) "sample count" 6 (List.length parsed);
+    Alcotest.(check int) "sample count" 3 (List.length parsed);
     let find name labels =
       List.find_opt
         (fun p -> p.Metrics.p_name = name && p.Metrics.p_labels = labels)
@@ -160,14 +137,9 @@ let test_prometheus_roundtrip () =
     (match find "upd_total" [ ("node", "AS65001") ] with
     | Some p -> Alcotest.(check (float 1e-9)) "counter value survives" 7.0 p.Metrics.p_value
     | None -> Alcotest.fail "upd_total{node} missing after round-trip");
-    (match find "conv_seconds_bucket" [ ("le", "+Inf") ] with
-    | Some p -> Alcotest.(check (float 1e-9)) "+Inf bucket" 2.0 p.Metrics.p_value
-    | None -> Alcotest.fail "+Inf bucket missing after round-trip")
-
-let test_log_buckets () =
-  let b = Metrics.log_buckets ~start:0.001 ~factor:2.0 ~count:4 () in
-  Alcotest.(check (array (float 1e-12))) "geometric bounds"
-    [| 0.001; 0.002; 0.004; 0.008 |] b
+    (match find "conv_seconds" [ ("prefix", "10.0.0.0/8") ] with
+    | Some p -> Alcotest.(check (float 1e-9)) "fractional gauge survives" 2.25 p.Metrics.p_value
+    | None -> Alcotest.fail "conv_seconds{prefix} missing after round-trip")
 
 (* The sampler must never keep the queue alive on its own, and must
    resume when new work arrives after a drain. *)
@@ -235,7 +207,7 @@ let test_telemetry_validate () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   (match Framework.Telemetry.validate Framework.Telemetry.Csv (Metrics.to_csv snap) with
-  | Ok n -> Alcotest.(check int) "csv rows validated" 6 n
+  | Ok n -> Alcotest.(check int) "csv rows validated" 3 n
   | Error e -> Alcotest.fail e);
   match Framework.Telemetry.validate Framework.Telemetry.Jsonl "{\"broken\":\n" with
   | Error _ -> ()
@@ -245,7 +217,6 @@ let suite =
   [
     Alcotest.test_case "counter semantics" `Quick test_counter_semantics;
     Alcotest.test_case "gauge semantics" `Quick test_gauge_semantics;
-    Alcotest.test_case "histogram semantics" `Quick test_histogram_semantics;
     Alcotest.test_case "registration idempotent + canonical labels" `Quick
       test_registration_idempotent_and_canonical;
     Alcotest.test_case "snapshot isolation" `Quick test_snapshot_isolation;
@@ -255,7 +226,6 @@ let suite =
     Alcotest.test_case "jsonl golden" `Quick test_jsonl_golden;
     Alcotest.test_case "csv golden" `Quick test_csv_golden;
     Alcotest.test_case "prometheus round-trip" `Quick test_prometheus_roundtrip;
-    Alcotest.test_case "log bucket bounds" `Quick test_log_buckets;
     Alcotest.test_case "sampler dormant + resume" `Quick test_sampler_dormant_and_resume;
     Alcotest.test_case "sim category counters" `Quick test_sim_category_counters;
     Alcotest.test_case "same seed, byte-identical export" `Quick

@@ -30,7 +30,7 @@ let setup () =
 
 let test_flow_delete () =
   let _sim, sw, _env = setup () in
-  let rule = Flow.make ~priority:24 ~match_prefix:(p "100.64.5.0/24") (Flow.Output 65002) in
+  let rule = Flow.make ~match_prefix:(p "100.64.5.0/24") (Flow.Output 65002) in
   Switch.handle_control sw (Openflow.Flow_mod { command = Openflow.Add; rule });
   Alcotest.(check int) "installed" 1 (Flow_table.size (Switch.table sw));
   Switch.handle_control sw (Openflow.Flow_mod { command = Openflow.Delete; rule });
@@ -81,7 +81,7 @@ let test_timeout_spares_replacement () =
       (Openflow.Flow_mod
          { command = Openflow.Add;
            rule =
-             Flow.make ?hard_timeout ~priority:24 ~match_prefix:(p "100.64.5.0/24")
+             Flow.make ?hard_timeout ~match_prefix:(p "100.64.5.0/24")
                (Flow.Output port) })
   in
   add ~hard_timeout:(Engine.Time.sec 5) 65002;
