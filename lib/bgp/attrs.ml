@@ -1,12 +1,13 @@
 (* BGP path attributes, hash-consed.
 
-   Every construction funnels through [intern], which returns a canonical
-   value per distinct attribute content: equal logical attrs are the SAME
-   physical value, with small-int ids for O(1) equality.  A 10k-AS table
-   stores each distinct AS-path once no matter how many (peer, prefix)
-   slots reference it.
+   Every construction funnels through one intern set, which returns a
+   canonical value per distinct attribute content: equal logical attrs are
+   the SAME physical value, with small-int ids for O(1) equality.  A
+   route's attrs share their AS-path tail with the attrs they were
+   prepended to, so a 10k-AS table stores little more than one cons per
+   distinct set.
 
-   Intern tables are domain-local (Domain.DLS): [Engine.Pool] runs whole
+   The set is domain-local (Domain.DLS): [Engine.Pool] runs whole
    experiments on separate domains, and each simulation constructs and
    compares attrs only within its own domain.  Ids are used ONLY for
    equality, never for ordering, so domain-local id assignment cannot
@@ -30,106 +31,132 @@ type t = {
   origin : origin;
   communities : Community.Set.t;
   path_len : int; (* cached List.length as_path *)
+  path_hash : int; (* [path_hash_of as_path], extended one prepend at a time *)
   wire_id : int; (* canonical id of the wire-visible attrs (no local_pref) *)
   id : int; (* canonical id of the full attribute set *)
 }
 
 let default_local_pref = 100
 
-(* Wire-visible content, with communities as their canonical sorted element
-   list: two equal sets can have different AVL shapes, so the raw set is
-   not a safe structural hash-table key. *)
-type wire_key =
-  Net.Asn.t list * Net.Ipv4.addr * int * origin * Community.t list
+let mix h x =
+  let h = (h lxor x) * 0x9E3779B97F4A7C1 in
+  h lxor (h lsr 29)
 
-(* Int-keyed: wire ids are dense and sequential, so the identity is a
-   perfect hash. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
+let path_hash_of path = List.fold_right (fun asn h -> mix h (Net.Asn.to_int asn)) path 0
 
-  let equal = Int.equal
+(* Hash of the wire-visible content only: every local-pref variant of one
+   wire content has the same home slot, hence sits on one probe run. *)
+let wire_hash t =
+  let h = mix t.path_hash (Net.Ipv4.addr_to_bits t.next_hop) in
+  let h = mix (mix h t.med) (origin_rank t.origin) in
+  Community.Set.fold (fun (asn, tag) h -> mix h ((asn lsl 16) lor tag)) t.communities h
 
-  let hash (i : int) = i
-end)
+(* Paths of canonical values share tails, so the physical check usually
+   ends the walk at the first shared cons. *)
+let rec path_equal a b =
+  a == b
+  || match (a, b) with
+     | x :: xs, y :: ys -> Net.Asn.equal x y && path_equal xs ys
+     | _ -> false
 
-type tables = {
-  paths : (Net.Asn.t list, Net.Asn.t list) Hashtbl.t; (* logical -> canonical *)
-  wires : (wire_key, int) Hashtbl.t;
-  (* wire_id -> its canonical values, one per local_pref: the full table,
-     and the memo [with_local_pref] restamps through without rehashing
-     the path. *)
-  full : t list Itbl.t;
+let wire_content_equal a b =
+  a.path_hash = b.path_hash && a.med = b.med && a.origin = b.origin
+  && a.path_len = b.path_len
+  && Net.Ipv4.equal_addr a.next_hop b.next_hop
+  && path_equal a.as_path b.as_path
+  && Community.Set.equal a.communities b.communities
+
+(* The intern set: open addressing with linear probing, at most half full,
+   [empty] marking a free slot.  Nothing is ever removed, so every value
+   with a given home slot lies on the unbroken run from it. *)
+type table = {
+  mutable slots : t array; (* power-of-two length *)
   mutable next_wire : int;
-  mutable next_id : int;
+  mutable next_id : int; (* = values in [slots] *)
 }
 
-let tables_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        paths = Hashtbl.create 1024;
-        wires = Hashtbl.create 1024;
-        full = Itbl.create 1024;
-        next_wire = 0;
-        next_id = 0;
-      })
+let empty =
+  {
+    as_path = [];
+    next_hop = Net.Ipv4.addr_of_int32 0l;
+    local_pref = 0;
+    med = 0;
+    origin = Igp;
+    communities = Community.Set.empty;
+    path_len = 0;
+    path_hash = 0;
+    wire_id = -1;
+    id = -1;
+  }
 
-let intern_path tbl path =
-  match path with
-  | [] -> []
-  | _ -> (
-    match Hashtbl.find_opt tbl.paths path with
-    | Some canonical -> canonical
-    | None ->
-      Hashtbl.add tbl.paths path path;
-      path)
+let table_key =
+  Domain.DLS.new_key (fun () -> { slots = Array.make 1024 empty; next_wire = 0; next_id = 0 })
 
-let rec find_local_pref lp = function
-  | [] -> None
-  | t :: rest -> if t.local_pref = lp then Some t else find_local_pref lp rest
+(* The first slot from [i] holding [key]'s wire content, or the empty slot
+   ending the run. *)
+let rec find_wire slots mask key i =
+  let s = slots.(i) in
+  if s == empty || wire_content_equal s key then i
+  else find_wire slots mask key ((i + 1) land mask)
 
-(* The canonical value for wire-visible content [wire_id] (whose fields
-   are the rest of the arguments) stamped with [local_pref]. *)
-let canonical tbl ~wire_id ~as_path ~next_hop ~local_pref ~med ~origin ~communities =
-  let variants = Option.value (Itbl.find_opt tbl.full wire_id) ~default:[] in
-  match find_local_pref local_pref variants with
-  | Some t -> t
-  | None ->
-    let id = tbl.next_id in
-    tbl.next_id <- id + 1;
-    let t =
-      {
-        as_path;
-        next_hop;
-        local_pref;
-        med;
-        origin;
-        communities;
-        path_len = List.length as_path;
-        wire_id;
-        id;
-      }
-    in
-    Itbl.replace tbl.full wire_id (t :: variants);
-    t
+(* From [i], the slot of wire [wire_id]'s variant with [local_pref], or the
+   empty slot ending the run. *)
+let rec find_variant slots mask wire_id local_pref i =
+  let s = slots.(i) in
+  if s == empty || (s.wire_id = wire_id && s.local_pref = local_pref) then i
+  else find_variant slots mask wire_id local_pref ((i + 1) land mask)
 
-let intern ~as_path ~next_hop ~local_pref ~med ~origin ~communities =
-  let tbl = Domain.DLS.get tables_key in
-  let as_path = intern_path tbl as_path in
-  let wkey = (as_path, next_hop, med, origin, Community.Set.elements communities) in
-  let wire_id =
-    match Hashtbl.find_opt tbl.wires wkey with
-    | Some id -> id
-    | None ->
-      let id = tbl.next_wire in
-      tbl.next_wire <- id + 1;
-      Hashtbl.add tbl.wires wkey id;
-      id
-  in
-  canonical tbl ~wire_id ~as_path ~next_hop ~local_pref ~med ~origin ~communities
+let rec free_slot slots mask i =
+  if slots.(i) == empty then i else free_slot slots mask ((i + 1) land mask)
+
+let grow tbl =
+  let old = tbl.slots in
+  let slots = Array.make (2 * Array.length old) empty in
+  let mask = Array.length slots - 1 in
+  Array.iter
+    (fun t -> if t != empty then slots.(free_slot slots mask (wire_hash t land mask)) <- t)
+    old;
+  tbl.slots <- slots
+
+(* Make [key] canonical at slot [i], the empty slot ending its run; the
+   candidate's own ids are placeholders and are replaced. *)
+let store tbl i key ~wire_id =
+  let t = { key with wire_id; id = tbl.next_id } in
+  tbl.slots.(i) <- t;
+  tbl.next_id <- tbl.next_id + 1;
+  if 2 * tbl.next_id > Array.length tbl.slots then grow tbl;
+  t
+
+let intern key =
+  let tbl = Domain.DLS.get table_key in
+  let slots = tbl.slots in
+  let mask = Array.length slots - 1 in
+  let i = find_wire slots mask key (wire_hash key land mask) in
+  let found = slots.(i) in
+  if found == empty then begin
+    let wire_id = tbl.next_wire in
+    tbl.next_wire <- wire_id + 1;
+    store tbl i key ~wire_id
+  end
+  else
+    let j = find_variant slots mask found.wire_id key.local_pref i in
+    if slots.(j) == empty then store tbl j key ~wire_id:found.wire_id else slots.(j)
 
 let make ?(as_path = []) ?(local_pref = default_local_pref) ?(med = 0) ?(origin = Igp)
     ?(communities = Community.Set.empty) ~next_hop () =
-  intern ~as_path ~next_hop ~local_pref ~med ~origin ~communities
+  intern
+    {
+      as_path;
+      next_hop;
+      local_pref;
+      med;
+      origin;
+      communities;
+      path_len = List.length as_path;
+      path_hash = path_hash_of as_path;
+      wire_id = -1;
+      id = -1;
+    }
 
 let as_path t = t.as_path
 
@@ -144,52 +171,59 @@ let rec path_mem asn = function
 let path_contains t asn = path_mem asn t.as_path
 
 let prepend t asn =
-  (* [t.as_path] is canonical, so the new cons shares its tail; interning
-     the cons then shares the whole path across all routes carrying it. *)
-  intern ~as_path:(asn :: t.as_path) ~next_hop:t.next_hop ~local_pref:t.local_pref
-    ~med:t.med ~origin:t.origin ~communities:t.communities
+  (* the new cons shares [t.as_path], so the path costs one cons *)
+  intern
+    {
+      t with
+      as_path = asn :: t.as_path;
+      path_len = t.path_len + 1;
+      path_hash = mix t.path_hash (Net.Asn.to_int asn);
+    }
 
 (* [times] own-ASN prepends, the router's next hop and the default
    local-pref in one intern: the per-peer export content, without the
    intermediate canonical values a [prepend]/[with_next_hop]/
-   [with_local_pref] chain would create (and the intern tables keep). *)
+   [with_local_pref] chain would create (and the intern set keeps). *)
 let exported t ~asn ~times ~next_hop =
-  let rec prepend_n n path = if n <= 0 then path else prepend_n (n - 1) (asn :: path) in
-  intern ~as_path:(prepend_n times t.as_path) ~next_hop ~local_pref:default_local_pref
-    ~med:t.med ~origin:t.origin ~communities:t.communities
+  let rec prepend_n n path h =
+    if n <= 0 then (path, h) else prepend_n (n - 1) (asn :: path) (mix h (Net.Asn.to_int asn))
+  in
+  let as_path, path_hash = prepend_n times t.as_path t.path_hash in
+  intern
+    {
+      t with
+      as_path;
+      path_len = t.path_len + max times 0;
+      path_hash;
+      next_hop;
+      local_pref = default_local_pref;
+    }
 
 let origin_as t =
   match List.rev t.as_path with [] -> None | last :: _ -> Some last
 
 let neighbor_as t = match t.as_path with [] -> None | first :: _ -> Some first
 
-(* Restamping keeps the wire-visible content, so the canonical result is
-   found from [t.wire_id] alone: no path or wire-key hashing on import. *)
+(* Restamping keeps the wire-visible content, so the variant is found on
+   [t]'s probe run by [t.wire_id] alone: no path or community comparison
+   on import. *)
 let with_local_pref t lp =
   if lp = t.local_pref then t
   else
-    canonical (Domain.DLS.get tables_key) ~wire_id:t.wire_id ~as_path:t.as_path
-      ~next_hop:t.next_hop ~local_pref:lp ~med:t.med ~origin:t.origin
-      ~communities:t.communities
+    let tbl = Domain.DLS.get table_key in
+    let mask = Array.length tbl.slots - 1 in
+    let i = find_variant tbl.slots mask t.wire_id lp (wire_hash t land mask) in
+    if tbl.slots.(i) == empty then store tbl i { t with local_pref = lp } ~wire_id:t.wire_id
+    else tbl.slots.(i)
 
 let with_next_hop t nh =
-  if Net.Ipv4.equal_addr nh t.next_hop then t
-  else
-    intern ~as_path:t.as_path ~next_hop:nh ~local_pref:t.local_pref ~med:t.med
-      ~origin:t.origin ~communities:t.communities
+  if Net.Ipv4.equal_addr nh t.next_hop then t else intern { t with next_hop = nh }
 
-let with_med t med =
-  if med = t.med then t
-  else
-    intern ~as_path:t.as_path ~next_hop:t.next_hop ~local_pref:t.local_pref ~med
-      ~origin:t.origin ~communities:t.communities
+let with_med t med = if med = t.med then t else intern { t with med }
 
 let add_community t c =
   if Community.Set.mem c t.communities then t
-  else
-    intern ~as_path:t.as_path ~next_hop:t.next_hop ~local_pref:t.local_pref
-      ~med:t.med ~origin:t.origin
-      ~communities:(Community.Set.add c t.communities)
+  else intern { t with communities = Community.Set.add c t.communities }
 
 let has_community t c = Community.Set.mem c t.communities
 
@@ -204,15 +238,11 @@ let id t = t.id
 
 let wire_id t = t.wire_id
 
-type intern_stats = { distinct_paths : int; distinct_wire : int; distinct_full : int }
+type intern_stats = { distinct_wire : int; distinct_full : int }
 
 let intern_stats () =
-  let tbl = Domain.DLS.get tables_key in
-  {
-    distinct_paths = Hashtbl.length tbl.paths;
-    distinct_wire = Hashtbl.length tbl.wires;
-    distinct_full = tbl.next_id;
-  }
+  let tbl = Domain.DLS.get table_key in
+  { distinct_wire = tbl.next_wire; distinct_full = tbl.next_id }
 
 let pp_path ppf path =
   if path = [] then Fmt.string ppf "(empty)"

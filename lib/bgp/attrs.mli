@@ -15,6 +15,7 @@ type t = private {
   origin : origin;
   communities : Community.Set.t;
   path_len : int;  (** cached [List.length as_path] *)
+  path_hash : int;  (** hash of [as_path], extended by each prepend *)
   wire_id : int;  (** canonical id of the wire-visible attrs (domain-local) *)
   id : int;  (** canonical id of the full attribute set (domain-local) *)
 }
@@ -60,8 +61,8 @@ val neighbor_as : t -> Net.Asn.t option
 (** Leftmost AS of the path. *)
 
 val with_local_pref : t -> int -> t
-(** Restamps through the canonical value's wire id, without rehashing its
-    path (the import path stamps every received route). *)
+(** Finds the variant by the canonical value's wire id, without comparing
+    paths (the import path stamps every received route). *)
 
 val with_next_hop : t -> Net.Ipv4.addr -> t
 
@@ -82,15 +83,11 @@ val id : t -> int
 
 val wire_id : t -> int
 
-type intern_stats = {
-  distinct_paths : int;
-  distinct_wire : int;
-  distinct_full : int;
-}
+type intern_stats = { distinct_wire : int; distinct_full : int }
 
 val intern_stats : unit -> intern_stats
-(** Sizes of this domain's intern tables (distinct AS-paths, wire-visible
-    sets, full sets) — for tests and memory accounting. *)
+(** Sizes of this domain's intern set (distinct wire-visible sets, full
+    sets) — for tests and memory accounting. *)
 
 val pp_path : Format.formatter -> Net.Asn.t list -> unit
 

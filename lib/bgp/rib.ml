@@ -17,118 +17,94 @@
 module Tbl = Net.Ipv4.Prefix_table
 
 module Adj_in = struct
-  (* Two views of the same routes.  The peer-major view (one table per
-     peer, dropped when emptied) serves session maintenance
-     ([drop_peer], [prefixes_from]); the prefix-major view makes
-     [candidates] — run on every decision process — a single lookup
-     yielding a compact flat array of (peer, route) cells in ascending
-     peer order.  Both are updated together; [count] tracks the total so
-     [size] is O(1). *)
-  type t = {
-    mutable by_peer : Route.t Tbl.t Net.Asn.Map.t;
-    by_prefix : (int * Route.t) array Tbl.t;
-    mutable count : int;
-  }
+  (* One prefix-major view: per prefix, the peers' routes in ascending
+     peer order, each route's peer read from its [Route.source].
+     [candidates] — run on every decision process — is then one lookup
+     over a flat array.  Session maintenance ([drop_peer],
+     [prefixes_from]) scans every prefix, which is fine on session-down
+     only.  [count] tracks the total so [size] is O(1). *)
+  type t = { by_prefix : Route.t array Tbl.t; mutable count : int }
 
-  let create () = { by_peer = Net.Asn.Map.empty; by_prefix = Tbl.create (); count = 0 }
+  let create () = { by_prefix = Tbl.create (); count = 0 }
 
-  (* Insert or replace a cell keeping ascending peer order.  Replacement
-     mutates in place (the array is owned by the table); insertion copies. *)
-  let array_set arr pi route =
-    let n = Array.length arr in
-    let rec pos i = if i = n || fst arr.(i) >= pi then i else pos (i + 1) in
-    let i = pos 0 in
-    if i < n && fst arr.(i) = pi then begin
-      arr.(i) <- (pi, route);
-      arr
-    end
-    else begin
-      let out = Array.make (n + 1) (pi, route) in
-      Array.blit arr 0 out 0 i;
-      Array.blit arr i out (i + 1) (n - i);
-      out
-    end
+  let peer_of (route : Route.t) =
+    match route.Route.source with
+    | Route.Ebgp peer -> Net.Asn.to_int peer
+    | Route.Local -> invalid_arg "Rib.Adj_in: a local route has no peer"
 
-  let array_remove arr pi =
-    let n = Array.length arr in
-    let rec pos i = if i = n || fst arr.(i) = pi then i else pos (i + 1) in
-    let i = pos 0 in
-    if i = n then arr
-    else begin
-      let out = Array.make (n - 1) arr.(0) in
-      Array.blit arr 0 out 0 i;
-      Array.blit arr (i + 1) out i (n - 1 - i);
-      out
-    end
+  (* The index of [peer]'s route in [arr], or where it would go. *)
+  let rec position arr peer i =
+    if i = Array.length arr || peer_of arr.(i) >= peer then i else position arr peer (i + 1)
 
-  let set t ~peer (route : Route.t) =
+  let holds arr i peer = i < Array.length arr && peer_of arr.(i) = peer
+
+  let set t (route : Route.t) =
     let prefix = Route.prefix route in
-    let table =
-      match Net.Asn.Map.find_opt peer t.by_peer with
-      | Some tbl -> tbl
-      | None ->
-        let tbl = Tbl.create () in
-        t.by_peer <- Net.Asn.Map.add peer tbl t.by_peer;
-        tbl
-    in
-    let before = Tbl.size table in
-    Tbl.set prefix route table;
-    t.count <- t.count + Tbl.size table - before;
-    let pi = Net.Asn.to_int peer in
-    let arr = match Tbl.find prefix t.by_prefix with None -> [||] | Some a -> a in
-    let arr' = array_set arr pi route in
-    if arr' != arr || Array.length arr = 0 then Tbl.set prefix arr' t.by_prefix
+    let peer = peer_of route in
+    match Tbl.find prefix t.by_prefix with
+    | None ->
+      Tbl.set prefix [| route |] t.by_prefix;
+      t.count <- t.count + 1
+    | Some arr ->
+      let i = position arr peer 0 in
+      if holds arr i peer then arr.(i) <- route
+      else begin
+        let n = Array.length arr in
+        let out = Array.make (n + 1) route in
+        Array.blit arr 0 out 0 i;
+        Array.blit arr i out (i + 1) (n - i);
+        Tbl.set prefix out t.by_prefix;
+        t.count <- t.count + 1
+      end
 
-  let remove_from_prefix t ~peer prefix =
+  let remove t ~peer prefix =
+    let peer = Net.Asn.to_int peer in
     match Tbl.find prefix t.by_prefix with
     | None -> ()
     | Some arr ->
-      let arr' = array_remove arr (Net.Asn.to_int peer) in
-      if Array.length arr' = 0 then Tbl.remove prefix t.by_prefix
-      else if arr' != arr then Tbl.set prefix arr' t.by_prefix
-
-  let remove t ~peer prefix =
-    match Net.Asn.Map.find_opt peer t.by_peer with
-    | None -> ()
-    | Some table ->
-      let before = Tbl.size table in
-      Tbl.remove prefix table;
-      if Tbl.size table < before then begin
+      let n = Array.length arr in
+      let i = position arr peer 0 in
+      if holds arr i peer then begin
         t.count <- t.count - 1;
-        if Tbl.is_empty table then t.by_peer <- Net.Asn.Map.remove peer t.by_peer;
-        remove_from_prefix t ~peer prefix
+        if n = 1 then Tbl.remove prefix t.by_prefix
+        else begin
+          let out = Array.make (n - 1) arr.(0) in
+          Array.blit arr 0 out 0 i;
+          Array.blit arr (i + 1) out i (n - 1 - i);
+          Tbl.set prefix out t.by_prefix
+        end
       end
 
   let find t ~peer prefix =
-    Option.bind (Net.Asn.Map.find_opt peer t.by_peer) (Tbl.find prefix)
+    let peer = Net.Asn.to_int peer in
+    match Tbl.find prefix t.by_prefix with
+    | None -> None
+    | Some arr ->
+      let i = position arr peer 0 in
+      if holds arr i peer then Some arr.(i) else None
 
   (* All routes for a prefix across peers, in ascending peer order. *)
   let candidates t prefix =
-    match Tbl.find prefix t.by_prefix with
-    | None -> []
-    | Some arr -> Array.fold_right (fun (_, r) acc -> r :: acc) arr []
+    match Tbl.find prefix t.by_prefix with None -> [] | Some arr -> Array.to_list arr
 
   let prefixes_from t ~peer =
-    match Net.Asn.Map.find_opt peer t.by_peer with
-    | None -> []
-    | Some table -> Tbl.keys table
+    let peer = Net.Asn.to_int peer in
+    List.filter_map
+      (fun (prefix, arr) ->
+        let i = position arr peer 0 in
+        if holds arr i peer then Some prefix else None)
+      (Tbl.entries t.by_prefix)
 
   let drop_peer t ~peer =
-    match Net.Asn.Map.find_opt peer t.by_peer with
-    | None -> []
-    | Some table ->
-      let dropped = Tbl.keys table in
-      t.by_peer <- Net.Asn.Map.remove peer t.by_peer;
-      List.iter (fun prefix -> remove_from_prefix t ~peer prefix) dropped;
-      t.count <- t.count - List.length dropped;
-      dropped
+    let dropped = prefixes_from t ~peer in
+    List.iter (remove t ~peer) dropped;
+    dropped
 
   let all_prefixes t = Tbl.keys t.by_prefix
 
   let size t = t.count
 
   let clear t =
-    t.by_peer <- Net.Asn.Map.empty;
     Tbl.clear t.by_prefix;
     t.count <- 0
 end

@@ -5,8 +5,10 @@ module Adj_in : sig
 
   val create : unit -> t
 
-  val set : t -> peer:Net.Asn.t -> Route.t -> unit
-  (** Insert or implicitly replace the peer's route for its prefix. *)
+  val set : t -> Route.t -> unit
+  (** Insert or implicitly replace the route's peer's route for its
+      prefix; the peer is the route's [Ebgp] source.
+      @raise Invalid_argument for a [Local] route. *)
 
   val remove : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> unit
 
@@ -16,10 +18,12 @@ module Adj_in : sig
   (** All peers' routes for the prefix, ascending peer order. *)
 
   val prefixes_from : t -> peer:Net.Asn.t -> Net.Ipv4.prefix list
+  (** Ascending prefix order; scans every prefix. *)
 
   val drop_peer : t -> peer:Net.Asn.t -> Net.Ipv4.prefix list
   (** Remove everything from the peer (session down); returns the dropped
-      prefixes so the decision process can be rerun for them. *)
+      prefixes, in ascending order, so the decision process can be rerun
+      for them. *)
 
   val all_prefixes : t -> Net.Ipv4.prefix list
 

@@ -605,7 +605,7 @@ let process_update t peer_asn (u : Message.update) =
             Route.make ~prefix ~attrs ~source:(Route.Ebgp peer_asn)
               ~learned_at:(Engine.Sim.now t.sim)
           in
-          Rib.Adj_in.set t.adj_in ~peer:peer_asn route;
+          Rib.Adj_in.set t.adj_in route;
           affected := prefix :: !affected
         | None ->
           (* Policy rejection implicitly withdraws any previous route. *)

@@ -303,20 +303,20 @@ let mark_dirty t prefix =
 
 (* --- Inputs ------------------------------------------------------------- *)
 
+(* The prefix's routes stay sorted by (member, neighbor), one per pair:
+   [route] replaces its pair's entry or is inserted in order. *)
 let upsert_route t prefix (route : As_graph.exit_route) =
-  let same (r : As_graph.exit_route) =
-    Net.Asn.equal r.As_graph.member route.As_graph.member
-    && Net.Asn.equal r.As_graph.neighbor route.As_graph.neighbor
+  let order (r : As_graph.exit_route) =
+    let c = Net.Asn.compare r.As_graph.member route.As_graph.member in
+    if c <> 0 then c else Net.Asn.compare r.As_graph.neighbor route.As_graph.neighbor
   in
-  let others = List.filter (fun r -> not (same r)) (rib_routes t prefix) in
-  let routes =
-    List.sort
-      (fun (a : As_graph.exit_route) (b : As_graph.exit_route) ->
-        let c = Net.Asn.compare a.As_graph.member b.As_graph.member in
-        if c <> 0 then c else Net.Asn.compare a.As_graph.neighbor b.As_graph.neighbor)
-      (route :: others)
+  let rec insert = function
+    | [] -> [ route ]
+    | r :: rest as routes ->
+      let c = order r in
+      if c < 0 then r :: insert rest else route :: (if c = 0 then rest else routes)
   in
-  t.rib <- Pm.add prefix routes t.rib
+  t.rib <- Pm.add prefix (insert (rib_routes t prefix)) t.rib
 
 let remove_route t prefix ~member ~neighbor =
   let routes =

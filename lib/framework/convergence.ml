@@ -16,11 +16,24 @@
 
 module Pm = Net.Ipv4.Prefix_map
 
-(* Loc-RIB / decision changes of one prefix. *)
+(* Loc-RIB / decision changes of one prefix, oldest first, in two growable
+   int arrays (the first [count] cells are used): two words per change, where
+   a list of (time, AS) tuples spent six. *)
 type prefix_changes = {
   mutable count : int;
-  mutable history : (Engine.Time.t * Net.Asn.t) list; (* newest first *)
+  mutable times : int array; (* [Engine.Time.to_us]; non-decreasing *)
+  mutable asns : int array;
 }
+
+let record pc now asn =
+  if pc.count = Array.length pc.times then begin
+    let grow a = Array.append a (Array.make (max 4 (Array.length a)) 0) in
+    pc.times <- grow pc.times;
+    pc.asns <- grow pc.asns
+  end;
+  pc.times.(pc.count) <- Engine.Time.to_us now;
+  pc.asns.(pc.count) <- Net.Asn.to_int asn;
+  pc.count <- pc.count + 1
 
 type t = {
   mutable changes : prefix_changes Pm.t;
@@ -53,12 +66,11 @@ let attach network =
       match Pm.find_opt prefix t.changes with
       | Some pc -> pc
       | None ->
-        let pc = { count = 0; history = [] } in
+        let pc = { count = 0; times = [||]; asns = [||] } in
         t.changes <- Pm.add prefix pc t.changes;
         pc
     in
-    pc.count <- pc.count + 1;
-    pc.history <- (now, asn) :: pc.history;
+    record pc now asn;
     t.last_any <- now;
     Engine.Metrics.Counter.inc changes_c;
     Engine.Metrics.Gauge.set last_change_g (Engine.Time.to_sec_f now)
@@ -87,11 +99,10 @@ let refresh_collector t =
       if better then t.last_collector_update <- Pm.add prefix time t.last_collector_update)
     (Bgp.Collector.last_updates collector)
 
-let history_newest_first t prefix =
-  match Pm.find_opt prefix t.changes with Some pc -> pc.history | None -> []
-
 let last_control_change t prefix =
-  match history_newest_first t prefix with (time, _) :: _ -> Some time | [] -> None
+  match Pm.find_opt prefix t.changes with
+  | Some pc when pc.count > 0 -> Some (Engine.Time.of_us pc.times.(pc.count - 1))
+  | Some _ | None -> None
 
 let last_collector_update t prefix =
   refresh_collector t;
@@ -100,31 +111,34 @@ let last_collector_update t prefix =
 let control_changes t prefix =
   match Pm.find_opt prefix t.changes with Some pc -> pc.count | None -> 0
 
-let history t prefix = List.rev (history_newest_first t prefix)
+let history t prefix =
+  match Pm.find_opt prefix t.changes with
+  | None -> []
+  | Some pc ->
+    List.init pc.count (fun i ->
+        (Engine.Time.of_us pc.times.(i), Net.Asn.of_int pc.asns.(i)))
 
 (* Path-exploration rounds: a prefix's changes cluster into MRAI-spaced
    waves; count the clusters of distinct change instants, splitting
    wherever consecutive instants are more than [gap] apart (use about
    half the MRAI).  This makes the mechanism behind Fig. 2 — "convergence
-   time = rounds x MRAI" — a measurable quantity. *)
-let exploration_rounds ?(gap = Engine.Time.sec 10) ?since t prefix =
-  let times =
-    List.filter_map
-      (fun (time, _) ->
-        match since with
-        | Some s when Engine.Time.(time < s) -> None
-        | Some _ | None -> Some time)
-      (history_newest_first t prefix)
-    |> List.sort_uniq Engine.Time.compare
-  in
-  match times with
-  | [] -> 0
-  | first :: rest ->
-    fst
-      (List.fold_left
-         (fun (rounds, prev) time ->
-           ((if Engine.Time.(diff time prev > gap) then rounds + 1 else rounds), time))
-         (1, first) rest)
+   time = rounds x MRAI" — a measurable quantity.  Change instants are
+   recorded in simulated-time order, so a walk over them sees the distinct
+   instants ascending. *)
+let exploration_rounds ?(gap = Engine.Time.sec 10) ?(since = Engine.Time.zero) t prefix =
+  match Pm.find_opt prefix t.changes with
+  | None -> 0
+  | Some pc ->
+    let gap = Engine.Time.to_us gap and since = Engine.Time.to_us since in
+    let rounds = ref 0 and prev = ref 0 in
+    for i = 0 to pc.count - 1 do
+      let time = pc.times.(i) in
+      if time >= since then begin
+        if !rounds = 0 || time - !prev > gap then incr rounds;
+        prev := time
+      end
+    done;
+    !rounds
 
 (* Convergence time of an event on a prefix: run the network to
    quiescence, then report the interval from [event_time] to the last

@@ -260,9 +260,9 @@ type scale_result = {
   withdrawal : run_result; (* the measured withdrawal after the load *)
   rib_routes : int; (* Loc-RIB entries over legacy routers after the load *)
   adj_in_routes : int; (* Adj-RIB-In entries over legacy routers after the load *)
-  live_words : int; (* major-heap live words at the end of the run *)
+  live_words : int; (* major-heap live words right after the load *)
   peak_words : int; (* Gc top_heap_words over the whole run *)
-  distinct_attrs : int; (* interned attribute sets (domain-local table) *)
+  distinct_attrs : int; (* interned attribute sets (domain-local intern set) *)
 }
 
 (* The one CAIDA withdrawal run: [k] members placed by [placement] on
@@ -308,7 +308,7 @@ let scale_prefix m =
 let scale_run ?(prefixes = 1000) ?(load_max_events = 20_000_000) ?(clock = Sys.time) ~world ~k
     ~seed ~config () =
   let stubs = Array.of_list world.stub_asns in
-  (* the load phase; the withdrawal and end-of-run heap complete its figures *)
+  (* the load phase; the withdrawal and the run's peak heap complete its figures *)
   let load exp =
     let network = Experiment.network exp in
     let t0 = clock () in
@@ -324,8 +324,9 @@ let scale_run ?(prefixes = 1000) ?(load_max_events = 20_000_000) ?(clock = Sys.t
         (fun _ r (loc, adj) -> (loc + Bgp.Router.loc_size r, adj + Bgp.Router.adj_in_size r))
         (Network.routers network) (0, 0)
     in
+    (* while the loaded experiment is still reachable *)
+    let live_words = (Gc.stat ()).Gc.live_words in
     fun withdrawal ->
-      let stat = Gc.stat () in
       {
         load_updates;
         load_seconds;
@@ -333,8 +334,8 @@ let scale_run ?(prefixes = 1000) ?(load_max_events = 20_000_000) ?(clock = Sys.t
         withdrawal;
         rib_routes;
         adj_in_routes;
-        live_words = stat.Gc.live_words;
-        peak_words = stat.Gc.top_heap_words;
+        live_words;
+        peak_words = (Gc.quick_stat ()).Gc.top_heap_words;
         distinct_attrs = (Bgp.Attrs.intern_stats ()).Bgp.Attrs.distinct_full;
       }
   in

@@ -108,9 +108,9 @@ type scale_result = {
   withdrawal : run_result;  (** the measured withdrawal after the load *)
   rib_routes : int;  (** Loc-RIB entries over legacy routers after the load *)
   adj_in_routes : int;  (** Adj-RIB-In entries over legacy routers after the load *)
-  live_words : int;  (** major-heap live words at end of run *)
+  live_words : int;  (** major-heap live words right after the load *)
   peak_words : int;  (** [Gc.top_heap_words] over the whole run *)
-  distinct_attrs : int;  (** interned attribute sets (domain-local table) *)
+  distinct_attrs : int;  (** interned attribute sets (domain-local intern set) *)
 }
 
 val scale_prefix : int -> Net.Ipv4.prefix

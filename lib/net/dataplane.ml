@@ -18,7 +18,7 @@
    binary search, and each hop is then one array read plus the visited,
    TTL and link checks.
 
-   The builder records each node's FIB as flat arrays in trie order,
+   The builder records each node's FIB as flat arrays in prefix order,
    ancestors first, so painting them in order leaves each class with its
    longest match.  It marks the snapshot dirty; [forward] recompiles a
    dirty snapshot first, so a builder call made between walks takes
@@ -133,8 +133,8 @@ let add_local_addr t i addr =
   t.locals.(i) <- (Ipv4.addr_to_bits addr lsl 6) lor 32 :: t.locals.(i);
   t.dirty <- true
 
-(* The trie iterates ancestors before descendants, so painting in its
-   order leaves each class with its longest match. *)
+(* [Fib.iter] runs in prefix order, ancestors before descendants, so
+   painting in its order leaves each class with its longest match. *)
 let set_fib t i fib ~code =
   let k = Fib.size fib in
   let prefixes = Array.make k 0 and acts = Array.make k drop in

@@ -1,11 +1,13 @@
-(** Longest-prefix-match forwarding table (binary trie), generic in the
-    entry type. *)
+(** Longest-prefix-match forwarding table (a hash of packed prefixes),
+    generic in the entry type.  Not domain-safe; each table is owned by one
+    router or switch. *)
 
 type 'a t
 
 val create : unit -> 'a t
 
 val size : 'a t -> int
+(** O(1). *)
 
 val insert : 'a t -> Ipv4.prefix -> 'a -> unit
 (** Replaces any existing entry for exactly this prefix. *)
@@ -14,17 +16,19 @@ val find : 'a t -> Ipv4.prefix -> 'a option
 (** Exact-prefix lookup. *)
 
 val remove : 'a t -> Ipv4.prefix -> unit
+(** No-op when absent. *)
 
 val lookup : 'a t -> Ipv4.addr -> (Ipv4.prefix * 'a) option
-(** Longest-prefix match for an address. *)
+(** Longest-prefix match for an address: one exact probe per prefix
+    length in use, longest first. *)
 
 val lookup_value : 'a t -> Ipv4.addr -> 'a option
 
 val entries : 'a t -> (Ipv4.prefix * 'a) list
-(** Sorted by prefix. *)
+(** Ascending [Ipv4.compare_prefix] order. *)
 
 val clear : 'a t -> unit
 
 val iter : 'a t -> (int -> 'a -> unit) -> unit
 (** In {!entries} order, each prefix as {!Ipv4.prefix_to_packed};
-    allocates nothing per entry. *)
+    allocates nothing per entry.  [f] must not modify the table. *)

@@ -94,6 +94,15 @@ let pp_prefix ppf p = Fmt.pf ppf "%a/%d" pp_addr p.network p.len
    immediate int on 64-bit hosts. *)
 let prefix_to_packed p = (addr_to_bits p.network lsl 6) lor p.len
 
+(* Inline multiply-xorshift mix instead of the C [Hashtbl.hash]: the low
+   bits of a packed /24 (zero host byte, constant length) carry no
+   entropy, and table slots are taken from the low bits. *)
+let hash_packed n =
+  let h = n * 0x9E3779B97F4A7C1 in
+  h lxor (h lsr 29)
+
+let prefix_of_packed n = { network = Int32.of_int (n lsr 6); len = n land 63 }
+
 let packed_prefix_to_string n = dotted_quad (n lsr 6) ("/" ^ string_of_int (n land 63))
 
 let prefix_to_string p = packed_prefix_to_string (prefix_to_packed p)
@@ -144,172 +153,20 @@ module Allocator = struct
     { network; len = t.len }
 end
 
-(* Mutable binary trie keyed on prefix bits.  One node per distinct bit
-   path; a populated node at depth [i] holds the value for the /i prefix
-   spelled by the path.  Pre-order traversal (value, zero subtree, one
-   subtree) visits prefixes in exactly [compare_prefix] ascending order
-   (unsigned network, then length), so iteration is a drop-in
-   deterministic replacement for [Prefix_map] folds.  Empty branches are
-   pruned on removal so long-lived tables don't accrete dead spines. *)
-module Prefix_trie = struct
-  type 'a node = {
-    mutable value : 'a option;
-    mutable zero : 'a node option;
-    mutable one : 'a node option;
-  }
-
-  type 'a t = { root : 'a node; mutable size : int }
-
-  let make_node () = { value = None; zero = None; one = None }
-
-  let create () = { root = make_node (); size = 0 }
-
-  let size t = t.size
-
-  let is_empty t = t.size = 0
-
-  (* Address bits as a non-negative int so the walk avoids Int32 boxing. *)
-  let bits_of_network (n : int32) = Int32.to_int n land 0xffff_ffff
-
-  let bit bits i = (bits lsr (31 - i)) land 1
-
-  let find p t =
-    let bits = bits_of_network p.network in
-    let len = p.len in
-    let rec go node i =
-      if i = len then node.value
-      else
-        match (if bit bits i = 0 then node.zero else node.one) with
-        | None -> None
-        | Some c -> go c (i + 1)
-    in
-    go t.root 0
-
-  let mem p t = Option.is_some (find p t)
-
-  let set p v t =
-    let bits = bits_of_network p.network in
-    let len = p.len in
-    let rec go node i =
-      if i = len then begin
-        if Option.is_none node.value then t.size <- t.size + 1;
-        node.value <- Some v
-      end
-      else begin
-        let child = if bit bits i = 0 then node.zero else node.one in
-        match child with
-        | Some c -> go c (i + 1)
-        | None ->
-          let c = make_node () in
-          if bit bits i = 0 then node.zero <- Some c else node.one <- Some c;
-          go c (i + 1)
-      end
-    in
-    go t.root 0
-
-  (* Returns [true] when the subtree below (and including) [node] became
-     empty, letting the parent drop its link. *)
-  let remove p t =
-    let bits = bits_of_network p.network in
-    let len = p.len in
-    let rec go node i =
-      if i = len then begin
-        if Option.is_some node.value then begin
-          t.size <- t.size - 1;
-          node.value <- None
-        end
-      end
-      else begin
-        let on_zero = bit bits i = 0 in
-        match (if on_zero then node.zero else node.one) with
-        | None -> ()
-        | Some c ->
-          go c (i + 1);
-          if Option.is_none c.value && Option.is_none c.zero && Option.is_none c.one
-          then if on_zero then node.zero <- None else node.one <- None
-      end
-    in
-    go t.root 0
-
-  let lookup addr t =
-    let bits = bits_of_network addr in
-    let rec walk node i best =
-      let best =
-        match node.value with
-        | Some v -> Some ({ network = apply_mask addr i; len = i }, v)
-        | None -> best
-      in
-      if i = 32 then best
-      else
-        match (if bit bits i = 0 then node.zero else node.one) with
-        | None -> best
-        | Some c -> walk c (i + 1) best
-    in
-    walk t.root 0 None
-
-  let lookup_value addr t = Option.map snd (lookup addr t)
-
-  (* Pre-order: a node's own value (shorter length) before its zero
-     subtree (same network, longer lengths) before its one subtree
-     (larger networks) — i.e. [compare_prefix] ascending. *)
-  let fold f t init =
-    let rec walk node bits i acc =
-      let acc =
-        match node.value with
-        | Some v -> f { network = Int32.of_int bits; len = i } v acc
-        | None -> acc
-      in
-      let acc =
-        match node.zero with Some c -> walk c bits (i + 1) acc | None -> acc
-      in
-      match node.one with
-      | Some c -> walk c (bits lor (1 lsl (31 - i))) (i + 1) acc
-      | None -> acc
-    in
-    walk t.root 0 0 init
-
-  let iter f t =
-    let rec walk node bits i =
-      (match node.value with Some v -> f ((bits lsl 6) lor i) v | None -> ());
-      (match node.zero with Some c -> walk c bits (i + 1) | None -> ());
-      match node.one with
-      | Some c -> walk c (bits lor (1 lsl (31 - i))) (i + 1)
-      | None -> ()
-    in
-    walk t.root 0 0
-
-  let entries t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
-
-  let keys t = List.rev (fold (fun p _ acc -> p :: acc) t [])
-
-  let clear t =
-    t.root.value <- None;
-    t.root.zero <- None;
-    t.root.one <- None;
-    t.size <- 0
-end
-
 (* Exact-match table keyed by [prefix_to_packed]: one hash of an
    immediate int per lookup, for owners that never need longest-prefix
    match.  Packed order is [compare_prefix] order (network bits above the
-   length), so sorting by key gives the trie's iteration order. *)
+   length), so sorting by key gives [compare_prefix] order. *)
 module Prefix_table = struct
   module H = Hashtbl.Make (struct
     type t = int
 
     let equal = Int.equal
 
-    (* Inline multiply-xorshift mix instead of the C [Hashtbl.hash]: the
-       low bits of a packed /24 (zero host byte, constant length) carry
-       no entropy, and the bucket index is taken from the low bits. *)
-    let hash n =
-      let h = n * 0x9E3779B97F4A7C1 in
-      h lxor (h lsr 29)
+    let hash = hash_packed
   end)
 
   type 'a t = 'a H.t
-
-  let unpack n = { network = Int32.of_int (n lsr 6); len = n land 63 }
 
   let create () = H.create 16
 
@@ -330,9 +187,10 @@ module Prefix_table = struct
   let entries t =
     H.fold (fun k v acc -> (k, v) :: acc) t []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map (fun (k, v) -> (unpack k, v))
+    |> List.map (fun (k, v) -> (prefix_of_packed k, v))
 
-  let keys t = H.fold (fun k _ acc -> k :: acc) t [] |> List.sort Int.compare |> List.map unpack
+  let keys t =
+    H.fold (fun k _ acc -> k :: acc) t [] |> List.sort Int.compare |> List.map prefix_of_packed
 end
 
 module Prefix_map = Map.Make (struct

@@ -66,7 +66,13 @@ val prefix_to_string : prefix -> string
 val prefix_to_packed : prefix -> int
 (** The prefix as one immediate int (network bits and length); with
     {!packed_prefix_to_string} the allocation-free label of a causal
-    marker. *)
+    marker.  Packed order is [compare_prefix] order. *)
+
+val prefix_of_packed : int -> prefix
+(** Inverse of {!prefix_to_packed}. *)
+
+val hash_packed : int -> int
+(** A hash of a packed prefix whose low bits are well mixed. *)
 
 val packed_prefix_to_string : int -> string
 (** [packed_prefix_to_string (prefix_to_packed p) = prefix_to_string p]. *)
@@ -97,56 +103,10 @@ module Allocator : sig
   val capacity : t -> int
 end
 
-(** Mutable binary trie keyed on prefix bits, with longest-prefix match.
-    Iteration order is deterministic: exactly [compare_prefix] ascending,
-    matching [Prefix_map] folds.  Not domain-safe; each trie is owned by
-    one router/component. *)
-module Prefix_trie : sig
-  type 'a t
-
-  val create : unit -> 'a t
-
-  val size : 'a t -> int
-  (** O(1). *)
-
-  val is_empty : 'a t -> bool
-
-  val find : prefix -> 'a t -> 'a option
-  (** Exact-prefix lookup. *)
-
-  val mem : prefix -> 'a t -> bool
-
-  val set : prefix -> 'a -> 'a t -> unit
-  (** Insert or replace the entry for exactly this prefix. *)
-
-  val remove : prefix -> 'a t -> unit
-  (** No-op when absent; prunes emptied branches. *)
-
-  val lookup : addr -> 'a t -> (prefix * 'a) option
-  (** Longest-prefix match for an address. *)
-
-  val lookup_value : addr -> 'a t -> 'a option
-
-  val fold : (prefix -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
-  (** Ascending [compare_prefix] order, like [Prefix_map.fold]. *)
-
-  val iter : (int -> 'a -> unit) -> 'a t -> unit
-  (** Ascending [compare_prefix] order, each prefix as
-      {!prefix_to_packed}: no record or boxed network per entry. *)
-
-  val entries : 'a t -> (prefix * 'a) list
-  (** Ascending [compare_prefix] order. *)
-
-  val keys : 'a t -> prefix list
-
-  val clear : 'a t -> unit
-end
-
 (** Mutable exact-match table keyed on {!prefix_to_packed}, for owners
     that never need longest-prefix match (the RIBs, the speaker, the
     collector).  Every ordered read sorts the packed keys, so iteration is
-    [compare_prefix] ascending exactly as in {!Prefix_trie}.  Not
-    domain-safe. *)
+    [compare_prefix] ascending.  Not domain-safe. *)
 module Prefix_table : sig
   type 'a t
 
@@ -170,7 +130,7 @@ module Prefix_table : sig
   val clear : 'a t -> unit
 
   val entries : 'a t -> (prefix * 'a) list
-  (** Ascending [compare_prefix] order, like {!Prefix_trie.entries}. *)
+  (** Ascending [compare_prefix] order. *)
 
   val keys : 'a t -> prefix list
   (** Ascending [compare_prefix] order. *)

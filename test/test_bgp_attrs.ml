@@ -109,13 +109,51 @@ let prop_table_growth_bounded =
       let distinct = List.length (List.sort_uniq compare specs) in
       after - before <= distinct)
 
+(* QCheck: every local-pref variant of one wire content carries that
+   content's wire id, whichever variant was built first and by whichever
+   constructor; distinct wire contents never share a wire id. *)
+let variant_gen =
+  QCheck.Gen.(
+    let wire =
+      quad (list_size (int_range 0 3) (int_range 65001 65004)) (int_range 0 1) (int_range 0 1) bool
+    in
+    pair wire (pair (oneofl [ 90; 100; 110; 120 ]) (int_range 0 2)))
+
+let build_variant ((path, med, hop, tagged), (local_pref, how)) =
+  let next_hop = if hop = 0 then nh else Net.Ipv4.addr_of_octets 10 0 0 2 in
+  let communities =
+    if tagged then Bgp.Community.Set.singleton (Bgp.Community.make 65000 9)
+    else Bgp.Community.Set.empty
+  in
+  let make ~local_pref as_path =
+    Bgp.Attrs.make ~as_path:(List.map asn as_path) ~local_pref ~med ~communities ~next_hop ()
+  in
+  match (how, path) with
+  | 1, _ -> Bgp.Attrs.with_local_pref (make ~local_pref:77 path) local_pref
+  | 2, first :: rest -> Bgp.Attrs.prepend (make ~local_pref rest) (asn first)
+  | _ -> make ~local_pref path
+
+let prop_wire_id_per_wire_content =
+  QCheck.Test.make ~name:"local-pref variants share one wire id" ~count:200
+    (QCheck.make
+       ~print:(fun l -> string_of_int (List.length l))
+       QCheck.Gen.(list_size (int_range 1 40) variant_gen))
+    (fun variants ->
+      let built = List.map (fun v -> (v, build_variant v)) variants in
+      List.for_all
+        (fun ((wire, (lp, _)), a) ->
+          List.for_all
+            (fun ((wire', (lp', _)), b) ->
+              (wire = wire') = Bgp.Attrs.wire_equal a b
+              && (wire = wire' && lp = lp') = (a == b))
+            built)
+        built)
+
 let test_intern_stats_monotone () =
   let s0 = Bgp.Attrs.intern_stats () in
   let a = Bgp.Attrs.make ~as_path:[ asn 64999 ] ~next_hop:nh () in
   ignore (Bgp.Attrs.with_local_pref a 77);
   let s1 = Bgp.Attrs.intern_stats () in
-  Alcotest.(check bool) "paths monotone" true
-    (s1.Bgp.Attrs.distinct_paths >= s0.Bgp.Attrs.distinct_paths);
   Alcotest.(check bool) "wire monotone" true
     (s1.Bgp.Attrs.distinct_wire >= s0.Bgp.Attrs.distinct_wire);
   (* same wire attrs under two local-prefs: one wire entry, two full *)
@@ -174,6 +212,7 @@ let suite =
     Alcotest.test_case "intern physical equality" `Quick test_intern_physical_equality;
     QCheck_alcotest.to_alcotest prop_same_spec_physically_equal;
     QCheck_alcotest.to_alcotest prop_table_growth_bounded;
+    QCheck_alcotest.to_alcotest prop_wire_id_per_wire_content;
     Alcotest.test_case "intern stats monotone" `Quick test_intern_stats_monotone;
     Alcotest.test_case "exported matches the prepend chain" `Quick test_exported_matches_chain;
   ]

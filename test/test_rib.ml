@@ -14,17 +14,17 @@ let route ~peer ~prefix =
 let test_adj_in_implicit_withdraw () =
   let rib = Bgp.Rib.Adj_in.create () in
   let pre = p "100.64.0.0/24" in
-  Bgp.Rib.Adj_in.set rib ~peer:(asn 65001) (route ~peer:65001 ~prefix:pre);
-  Bgp.Rib.Adj_in.set rib ~peer:(asn 65001) (route ~peer:65001 ~prefix:pre);
+  Bgp.Rib.Adj_in.set rib (route ~peer:65001 ~prefix:pre);
+  Bgp.Rib.Adj_in.set rib (route ~peer:65001 ~prefix:pre);
   Alcotest.(check int) "replaced, not duplicated" 1 (Bgp.Rib.Adj_in.size rib);
-  Bgp.Rib.Adj_in.set rib ~peer:(asn 65002) (route ~peer:65002 ~prefix:pre);
+  Bgp.Rib.Adj_in.set rib (route ~peer:65002 ~prefix:pre);
   Alcotest.(check int) "two candidates" 2 (List.length (Bgp.Rib.Adj_in.candidates rib pre))
 
 let test_adj_in_candidates_order () =
   let rib = Bgp.Rib.Adj_in.create () in
   let pre = p "100.64.0.0/24" in
   List.iter
-    (fun peer -> Bgp.Rib.Adj_in.set rib ~peer:(asn peer) (route ~peer ~prefix:pre))
+    (fun peer -> Bgp.Rib.Adj_in.set rib (route ~peer ~prefix:pre))
     [ 65005; 65001; 65003 ];
   let peers =
     List.filter_map (fun r -> Bgp.Route.from_peer r) (Bgp.Rib.Adj_in.candidates rib pre)
@@ -35,9 +35,9 @@ let test_adj_in_candidates_order () =
 let test_adj_in_drop_peer () =
   let rib = Bgp.Rib.Adj_in.create () in
   let p1 = p "100.64.0.0/24" and p2 = p "100.64.1.0/24" in
-  Bgp.Rib.Adj_in.set rib ~peer:(asn 65001) (route ~peer:65001 ~prefix:p1);
-  Bgp.Rib.Adj_in.set rib ~peer:(asn 65001) (route ~peer:65001 ~prefix:p2);
-  Bgp.Rib.Adj_in.set rib ~peer:(asn 65002) (route ~peer:65002 ~prefix:p1);
+  Bgp.Rib.Adj_in.set rib (route ~peer:65001 ~prefix:p1);
+  Bgp.Rib.Adj_in.set rib (route ~peer:65001 ~prefix:p2);
+  Bgp.Rib.Adj_in.set rib (route ~peer:65002 ~prefix:p1);
   let dropped = Bgp.Rib.Adj_in.drop_peer rib ~peer:(asn 65001) in
   Alcotest.(check int) "dropped both" 2 (List.length dropped);
   Alcotest.(check int) "other peer remains" 1 (Bgp.Rib.Adj_in.size rib);
@@ -47,7 +47,7 @@ let test_adj_in_drop_peer () =
 let test_adj_in_remove () =
   let rib = Bgp.Rib.Adj_in.create () in
   let pre = p "100.64.0.0/24" in
-  Bgp.Rib.Adj_in.set rib ~peer:(asn 65001) (route ~peer:65001 ~prefix:pre);
+  Bgp.Rib.Adj_in.set rib (route ~peer:65001 ~prefix:pre);
   Bgp.Rib.Adj_in.remove rib ~peer:(asn 65001) pre;
   Alcotest.(check int) "removed" 0 (Bgp.Rib.Adj_in.size rib);
   Alcotest.(check (list string)) "all_prefixes empty" []

@@ -1,4 +1,4 @@
-(* Differential suite: the scale-path structures (prefix trie, exact-match
+(* Differential suite: the scale-path structures (hashed FIB, exact-match
    prefix tables and the RIBs built on them, hash-consed attrs) against
    plain map-based reference implementations —
    the pre-scale design kept here as an executable specification.  Every
@@ -6,7 +6,6 @@
    exactly. *)
 
 module Pm = Net.Ipv4.Prefix_map
-module Pt = Net.Ipv4.Prefix_trie
 module Tbl = Net.Ipv4.Prefix_table
 module Am = Net.Asn.Map
 
@@ -45,63 +44,7 @@ let check_entries name expected got =
         (Net.Ipv4.equal_prefix pe pg))
     expected got
 
-(* --- Prefix_trie vs Prefix_map: insert / remove / exact / LPM -------- *)
-
-let reference_lpm addr m =
-  Pm.fold
-    (fun p v best ->
-      if Net.Ipv4.mem addr p then
-        match best with
-        | Some (bp, _) when Net.Ipv4.prefix_len bp >= Net.Ipv4.prefix_len p -> best
-        | _ -> Some (p, v)
-      else best)
-    m None
-
-let test_trie_vs_map () =
-  let rng = Engine.Rng.create 42 in
-  let trie = Pt.create () in
-  let reference = ref Pm.empty in
-  for step = 1 to 3000 do
-    let p = random_prefix rng in
-    (match Engine.Rng.int rng 5 with
-    | 0 | 1 ->
-      let v = step in
-      Pt.set p v trie;
-      reference := Pm.add p v !reference
-    | 2 ->
-      Pt.remove p trie;
-      reference := Pm.remove p !reference
-    | 3 ->
-      let addr = random_addr rng in
-      let got = Pt.lookup addr trie in
-      let want = reference_lpm addr !reference in
-      Alcotest.(check bool)
-        (Fmt.str "step %d: LPM for %a" step Net.Ipv4.pp_addr addr)
-        true
-        (match (got, want) with
-        | None, None -> true
-        | Some (gp, gv), Some (wp, wv) -> Net.Ipv4.equal_prefix gp wp && gv = wv
-        | _ -> false)
-    | _ ->
-      let got = Pt.find p trie in
-      Alcotest.(check (option int))
-        (Fmt.str "step %d: find %a" step Net.Ipv4.pp_prefix p)
-        (Pm.find_opt p !reference) got);
-    Alcotest.(check int) (Fmt.str "step %d: size" step) (Pm.cardinal !reference)
-      (Pt.size trie);
-    if step mod 250 = 0 then begin
-      let expected = Pm.bindings !reference in
-      check_entries (Fmt.str "step %d: entries" step) expected (Pt.entries trie);
-      List.iter2
-        (fun (_, ve) (_, vg) -> Alcotest.(check int) "entry value" ve vg)
-        expected (Pt.entries trie)
-    end
-  done;
-  Pt.clear trie;
-  Alcotest.(check int) "clear empties" 0 (Pt.size trie);
-  Alcotest.(check bool) "clear is_empty" true (Pt.is_empty trie)
-
-(* --- Prefix_table vs Prefix_map: set / remove / find / order --------- *)
+(* --- Net.Fib vs Prefix_map: insert / remove / exact / LPM / order ---- *)
 
 (* Mixed lengths across the whole address space: /0, /32 and networks
    with the top bit set, whose packed keys sort above every 0.x-127.x
@@ -116,6 +59,89 @@ let wide_prefix rng =
     Net.Ipv4.prefix
       (Net.Ipv4.addr_of_octets (octet ()) (octet ()) (octet ()) (octet ()))
       (Engine.Rng.int rng 33)
+
+let reference_lpm addr m =
+  Pm.fold
+    (fun p v best ->
+      if Net.Ipv4.mem addr p then
+        match best with
+        | Some (bp, _) when Net.Ipv4.prefix_len bp >= Net.Ipv4.prefix_len p -> best
+        | _ -> Some (p, v)
+      else best)
+    m None
+
+(* A uniform address inside [p]. *)
+let address_in rng p =
+  let r = (Engine.Rng.int rng 0x10000 lsl 16) lor Engine.Rng.int rng 0x10000 in
+  let host = r land lnot (Net.Ipv4.mask_bits (Net.Ipv4.prefix_len p)) land 0xffff_ffff in
+  Net.Ipv4.addr_of_bits (Net.Ipv4.addr_to_bits (Net.Ipv4.prefix_network p) lor host)
+
+(* Half the steps draw from the overlapping /8../28 pool, so LPM has real
+   longest-vs-shorter choices; the other half from [wide_prefix], so /0,
+   /32 and top-bit networks are inserted, removed and ordered too. *)
+let test_fib_vs_map () =
+  let rng = Engine.Rng.create 42 in
+  let fib = Net.Fib.create () in
+  let reference = ref Pm.empty in
+  let matched = Array.make 33 false in
+  for step = 1 to 4000 do
+    let p = if Engine.Rng.bool rng then random_prefix rng else wide_prefix rng in
+    (match Engine.Rng.int rng 5 with
+    | 0 | 1 ->
+      Net.Fib.insert fib p step;
+      reference := Pm.add p step !reference
+    | 2 ->
+      Net.Fib.remove fib p;
+      reference := Pm.remove p !reference
+    | 3 ->
+      let addr = if Engine.Rng.bool rng then random_addr rng else address_in rng p in
+      let got = Net.Fib.lookup fib addr in
+      let want = reference_lpm addr !reference in
+      Option.iter (fun (gp, _) -> matched.(Net.Ipv4.prefix_len gp) <- true) got;
+      Alcotest.(check bool)
+        (Fmt.str "step %d: LPM for %a" step Net.Ipv4.pp_addr addr)
+        true
+        (match (got, want) with
+        | None, None -> true
+        | Some (gp, gv), Some (wp, wv) -> Net.Ipv4.equal_prefix gp wp && gv = wv
+        | _ -> false);
+      Alcotest.(check (option int))
+        (Fmt.str "step %d: LPM value" step)
+        (Option.map snd want) (Net.Fib.lookup_value fib addr)
+    | _ ->
+      Alcotest.(check (option int))
+        (Fmt.str "step %d: find %a" step Net.Ipv4.pp_prefix p)
+        (Pm.find_opt p !reference) (Net.Fib.find fib p));
+    Alcotest.(check int) (Fmt.str "step %d: size" step) (Pm.cardinal !reference)
+      (Net.Fib.size fib);
+    if step mod 200 = 0 then begin
+      let expected = Pm.bindings !reference in
+      check_entries (Fmt.str "step %d: entries" step) expected (Net.Fib.entries fib);
+      List.iter2
+        (fun (_, ve) (_, vg) -> Alcotest.(check int) "entry value" ve vg)
+        expected (Net.Fib.entries fib);
+      let visited = ref [] in
+      Net.Fib.iter fib (fun packed v ->
+          visited := (Net.Ipv4.prefix_of_packed packed, v) :: !visited);
+      check_entries (Fmt.str "step %d: iter" step) expected (List.rev !visited);
+      List.iter2
+        (fun (_, ve) (_, vg) -> Alcotest.(check int) "iter value" ve vg)
+        expected (List.rev !visited)
+    end
+  done;
+  Alcotest.(check bool) "LPM answered with a /0" true matched.(0);
+  Alcotest.(check bool) "LPM answered with a /32" true matched.(32);
+  let words0 = Gc.minor_words () in
+  Net.Fib.iter fib (fun _ _ -> ());
+  let words = Gc.minor_words () -. words0 in
+  Alcotest.(check bool)
+    (Fmt.str "iter over %d entries: %.0f minor words" (Net.Fib.size fib) words)
+    true (words < 32.0);
+  Net.Fib.clear fib;
+  Alcotest.(check int) "clear empties" 0 (Net.Fib.size fib);
+  Alcotest.(check (list int)) "clear leaves no entries" [] (List.map snd (Net.Fib.entries fib))
+
+(* --- Prefix_table vs Prefix_map: set / remove / find / order --------- *)
 
 let test_table_vs_map () =
   let rng = Engine.Rng.create 77 in
@@ -204,7 +230,7 @@ let test_adj_in_differential () =
     (match Engine.Rng.int rng 8 with
     | 0 | 1 | 2 | 3 ->
       let r = route ~peer:(Net.Asn.to_int peer) ~prefix ~tag:(Engine.Rng.int rng 4) in
-      Bgp.Rib.Adj_in.set rib ~peer r;
+      Bgp.Rib.Adj_in.set rib r;
       ref_adj_in_set reference ~peer r
     | 4 | 5 ->
       Bgp.Rib.Adj_in.remove rib ~peer prefix;
@@ -413,7 +439,7 @@ let test_small_topology_mirror () =
 
 let suite =
   [
-    Alcotest.test_case "trie vs map (insert/remove/LPM)" `Quick test_trie_vs_map;
+    Alcotest.test_case "fib vs map (insert/remove/LPM/order)" `Quick test_fib_vs_map;
     Alcotest.test_case "prefix table vs map (set/remove/order)" `Quick test_table_vs_map;
     Alcotest.test_case "adj-in vs map reference" `Quick test_adj_in_differential;
     Alcotest.test_case "loc vs map reference" `Quick test_loc_differential;
