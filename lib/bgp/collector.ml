@@ -105,9 +105,6 @@ let last_update_for t prefix = Tbl.find prefix t.last_by_prefix
 
 let last_updates t = Tbl.entries t.last_by_prefix
 
-let updates_since t time =
-  List.length (List.filter (fun e -> Engine.Time.(e.time >= time)) (events t))
-
 let clear t =
   t.events <- [];
   t.event_count <- 0;

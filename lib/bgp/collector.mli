@@ -53,8 +53,6 @@ val last_updates : t -> (Net.Ipv4.prefix * Engine.Time.t) list
 (** Per-prefix most recent update instant, ascending by prefix.
     Maintained under every retention mode. *)
 
-val updates_since : t -> Engine.Time.t -> int
-
 val clear : t -> unit
 
 val dump : t -> string

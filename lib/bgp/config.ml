@@ -7,6 +7,11 @@
    (directly connected eBGP notices interface-down immediately; we allow a
    small detection delay). *)
 
+type keepalive = Session.keepalive = {
+  interval : Engine.Time.span;
+  hold_time : Engine.Time.span;
+}
+
 type t = {
   mrai : Engine.Time.span;
   mrai_jitter_lo : float;
@@ -29,8 +34,6 @@ type t = {
          a bounded retry schedule still extends queue drain, and most
          experiments rely on the link watcher to re-open sessions. *)
 }
-
-and keepalive = { interval : Engine.Time.span; hold_time : Engine.Time.span }
 
 (* Quagga defaults: keepalive 60 s, hold 180 s. *)
 let default_keepalive = { interval = Engine.Time.sec 60; hold_time = Engine.Time.sec 180 }

@@ -1,5 +1,10 @@
 (** BGP timing configuration (Quagga-like defaults). *)
 
+type keepalive = Session.keepalive = {
+  interval : Engine.Time.span;
+  hold_time : Engine.Time.span;
+}
+
 type t = {
   mrai : Engine.Time.span;  (** base eBGP MinRouteAdvertisementInterval *)
   mrai_jitter_lo : float;
@@ -16,8 +21,6 @@ type t = {
   reconnect : Session.backoff option;
       (** exponential-backoff retry of unanswered OPENs; off by default *)
 }
-
-and keepalive = { interval : Engine.Time.span; hold_time : Engine.Time.span }
 
 val default_keepalive : keepalive
 (** Quagga defaults: 60 s keepalive, 180 s hold. *)

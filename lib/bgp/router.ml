@@ -30,20 +30,15 @@ type telemetry = {
   withdrawals_received : Engine.Metrics.Counter.t;
   decision_runs_c : Engine.Metrics.Counter.t;
   best_changes_c : Engine.Metrics.Counter.t;
-  hold_expirations : Engine.Metrics.Counter.t;
 }
 
 type peer = {
   peer_asn : Net.Asn.t;
   peer_node : int;
   policy : Policy.t;
-  mutable established : bool;
-  mutable open_sent : bool;
-  mutable peer_hold : int; (* hold time (s) the peer proposed in its OPEN; 0 = none *)
+  session : Session.t;
   mutable retry_attempt : int; (* reconnect backoff position *)
   mrai : Mrai.t;
-  mutable keepalive : Engine.Timer.t option; (* periodic KEEPALIVE emission *)
-  mutable hold : Engine.Timer.t option; (* liveness: reset by any inbound message *)
 }
 
 type t = {
@@ -54,9 +49,10 @@ type t = {
   node_id : int;
   router_id : Net.Ipv4.addr;
   config : Config.t;
+  ep : Session.endpoint;
   send_raw : dst:int -> Message.t -> bool;
   mutable peers : peer Net.Asn.Map.t;
-  peer_of_node : (int, Net.Asn.t) Hashtbl.t;
+  peer_of_node : (int, peer) Hashtbl.t;
   adj_in : Rib.Adj_in.t;
   loc : Rib.Loc.t;
   adj_out : Rib.Adj_out.t;
@@ -95,14 +91,13 @@ let create_unhooked ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
           "bgp_withdrawals_received_total";
       decision_runs_c = counter ~help:"decision process invocations" "bgp_decision_runs_total";
       best_changes_c = counter ~help:"Loc-RIB best-path changes" "bgp_best_changes_total";
-      hold_expirations =
-        counter ~help:"sessions torn down by hold-timer expiry" "bgp_hold_expirations_total";
     }
   in
   (* The split from the root stream happens exactly where it always did,
      keeping every later subsystem's draws byte-identical. *)
   let rng = Engine.Rng.split (Engine.Sim.rng sim) in
   let node = Engine.Node.create ~kind:"router" sim ~name:(Net.Asn.to_string asn) in
+  let ep = Session.endpoint node ~rng ~category:"bgp.liveness" config.Config.keepalives in
   let t =
     {
       damping = Option.map Damping.create damping;
@@ -113,6 +108,7 @@ let create_unhooked ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
       node_id;
       router_id;
       config;
+      ep;
       send_raw = send;
       peers = Net.Asn.Map.empty;
       peer_of_node = Hashtbl.create 8;
@@ -167,15 +163,13 @@ let find_peer t peer_asn = Net.Asn.Map.find_opt peer_asn t.peers
 let peer_asns t = List.map fst (Net.Asn.Map.bindings t.peers)
 
 let peer_established t peer_asn =
-  match find_peer t peer_asn with Some p -> p.established | None -> false
+  match find_peer t peer_asn with Some p -> Session.is_established p.session | None -> false
 
 let session_state t peer_asn =
-  match find_peer t peer_asn with
-  | None -> Session.Idle
-  | Some p -> Session.of_flags ~open_sent:p.open_sent ~established:p.established
+  match find_peer t peer_asn with None -> Session.Idle | Some p -> Session.state p.session
 
-let send_message t peer msg =
-  let sent = t.send_raw ~dst:peer.peer_node msg in
+let send_message t dst msg =
+  let sent = t.send_raw ~dst msg in
   if sent then begin
     t.stats.msgs_out <- t.stats.msgs_out + 1;
     match msg with
@@ -212,41 +206,6 @@ let with_batch t f =
     let bt = Printexc.get_raw_backtrace () in
     close_batch t;
     Printexc.raise_with_backtrace e bt
-
-let add_peer t ~peer_asn ~peer_node ~policy =
-  if Net.Asn.Map.mem peer_asn t.peers then
-    invalid_arg (Fmt.str "Router.add_peer: duplicate %a" Net.Asn.pp peer_asn);
-  let send_update update =
-    (* Looked up at send time: the peer may have gone down since the
-       update was queued. *)
-    match Net.Asn.Map.find_opt peer_asn t.peers with
-    | Some p when p.established -> ignore (send_message t p (Message.Update update))
-    | Some _ | None -> ()
-  in
-  let mrai =
-    Mrai.create t.sim ~rng:(Engine.Rng.split t.rng) ~config:t.config ~send:send_update
-  in
-  let peer =
-    { peer_asn; peer_node; policy; established = false; open_sent = false; peer_hold = 0;
-      retry_attempt = 0; mrai; keepalive = None; hold = None }
-  in
-  Mrai.set_on_dirty mrai (fun () ->
-      if t.batch_depth > 0 then t.batch_dirty <- peer :: t.batch_dirty
-      else Mrai.flush_event mrai);
-  t.peers <- Net.Asn.Map.add peer_asn peer t.peers;
-  Hashtbl.replace t.peer_of_node peer_node peer_asn;
-  (* Session-state gauge, sampled at scrape time. *)
-  let m = Engine.Sim.metrics t.sim in
-  let state_gauge =
-    Engine.Metrics.gauge m ~help:"BGP session FSM state (0=idle, 1=connect, 2=established)"
-      ~labels:[ ("node", Net.Asn.to_string t.asn); ("peer", Net.Asn.to_string peer_asn) ]
-      "bgp_session_state"
-  in
-  Engine.Metrics.on_collect m (fun () ->
-      Engine.Metrics.Gauge.set state_gauge
-        (float_of_int
-           (Session.to_int
-              (Session.of_flags ~open_sent:peer.open_sent ~established:peer.established))))
 
 (* --- Decision process and export ------------------------------------- *)
 
@@ -334,7 +293,7 @@ let desired_export t prefix ex peer =
     Policy.export peer.policy ~provenance:ex.provenance ~prefix (exported_attrs t ex peer)
 
 let export_to_peer t prefix ex peer =
-  if peer.established then begin
+  if Session.is_established peer.session then begin
     let current = Rib.Adj_out.find t.adj_out ~peer:peer.peer_asn prefix in
     match (desired_export t prefix ex peer, current) with
     | Some a, Some b when Attrs.wire_equal a b -> ()
@@ -403,111 +362,22 @@ let sync_peer t peer =
   List.iter (fun (prefix, route) -> export_to_peer t prefix (Some (export_of t route)) peer)
     (Rib.Loc.entries t.loc)
 
-let stop_liveness peer =
-  Option.iter Engine.Timer.cancel peer.keepalive;
-  Option.iter Engine.Timer.cancel peer.hold
-
-(* The hold time (whole seconds) we propose in our OPENs; 0 when
-   keepalives are off — RFC 4271 lets either side disable liveness. *)
-let our_hold_secs t =
-  match t.config.Config.keepalives with
-  | None -> 0
-  | Some { Config.hold_time; _ } ->
-    let s = int_of_float (Engine.Time.to_sec_f hold_time) in
-    max 1 s
-
-(* RFC 4271 §4.2 negotiation: the session hold time is the smaller of the
-   two proposals, and 0 on either side disables liveness entirely. *)
-let negotiated_hold t peer =
-  let ours = our_hold_secs t in
-  if ours = 0 || peer.peer_hold = 0 then None
-  else Some (Engine.Time.sec (min ours peer.peer_hold))
-
-let send_open t peer =
-  ignore
-    (send_message t peer
-       (Message.Open { asn = t.asn; router_id = t.router_id; hold_time = our_hold_secs t }))
-
 let session_down t peer_asn =
   match find_peer t peer_asn with
   | None -> ()
   | Some peer ->
-    if peer.established || peer.open_sent then begin
-      peer.established <- false;
-      peer.open_sent <- false;
+    if Session.teardown peer.session then begin
       Mrai.reset peer.mrai;
-      stop_liveness peer;
       let dropped_in = Rib.Adj_in.drop_peer t.adj_in ~peer:peer_asn in
       ignore (Rib.Adj_out.drop_peer t.adj_out ~peer:peer_asn);
       with_batch t (fun () -> run_decisions t dropped_in)
     end
 
-(* KEEPALIVE emission + hold-timer supervision.  Armed only when both
-   sides proposed a non-zero hold time; the emission interval is jittered
-   per cycle (Quagga jitters keepalives the same way it jitters MRAI) and
-   clamped to a third of the negotiated hold so three losses are needed
-   to kill a healthy session. *)
-let rec start_liveness t peer =
-  match (t.config.Config.keepalives, negotiated_hold t peer) with
-  | None, _ | _, None -> ()
-  | Some { Config.interval; _ }, Some hold_time ->
-    let interval =
-      Engine.Time.min interval (Engine.Time.span_scale hold_time (1.0 /. 3.0))
-    in
-    let jittered () = Engine.Rng.jitter_span t.rng interval ~lo:0.75 ~hi:1.0 in
-    let keepalive =
-      match peer.keepalive with
-      | Some timer -> timer
-      | None ->
-        let timer_ref = ref None in
-        let emit () =
-          if peer.established then begin
-            ignore (send_message t peer Message.Keepalive);
-            Option.iter (fun timer -> Engine.Timer.start timer (jittered ())) !timer_ref
-          end
-        in
-        let timer =
-          Engine.Timer.create ~category:"bgp.liveness" t.sim ~callback:emit
-        in
-        timer_ref := Some timer;
-        peer.keepalive <- Some timer;
-        Engine.Node.own_timer t.node timer;
-        timer
-    in
-    let hold =
-      match peer.hold with
-      | Some timer -> timer
-      | None ->
-        let timer =
-          Engine.Timer.create ~category:"bgp.liveness" t.sim
-            ~callback:(fun () -> hold_expired t peer)
-        in
-        peer.hold <- Some timer;
-        Engine.Node.own_timer t.node timer;
-        timer
-    in
-    Engine.Timer.start keepalive (jittered ());
-    Engine.Timer.start hold hold_time
-
-and hold_expired t peer =
-  Engine.Metrics.Counter.inc t.tm.hold_expirations;
-  ignore (send_message t peer (Message.Notification "hold timer expired"));
-  session_down t peer.peer_asn;
-  (* The neighbor may be rebooting rather than gone: retry the session on
-     the backoff schedule (an eventual NOTIFICATION+OPEN from the peer's
-     own restart path also re-establishes, whichever comes first). *)
-  match t.config.Config.reconnect with
-  | None -> ()
-  | Some backoff ->
-    let delay = Session.delay backoff t.rng ~attempt:0 in
-    Engine.Node.schedule_after ~category:"bgp.reconnect" t.node delay (fun () ->
-        if not (peer.established || peer.open_sent) then open_session t peer.peer_asn)
-
 (* Deterministic exponential-backoff retry of an unanswered OPEN.  The
    chain stops when the session establishes, when the session-down path
-   resets the flags (link reported down), or when the attempt budget is
+   resets it (link reported down), or when the attempt budget is
    exhausted (the peer's own restart OPEN can still revive the session). *)
-and schedule_retry t peer =
+let rec schedule_retry t peer =
   match t.config.Config.reconnect with
   | None -> ()
   | Some backoff ->
@@ -515,37 +385,67 @@ and schedule_retry t peer =
     if attempt < backoff.Session.max_attempts then begin
       let delay = Session.delay backoff t.rng ~attempt in
       Engine.Node.schedule_after ~category:"bgp.reconnect" t.node delay (fun () ->
-          if peer.open_sent && not peer.established then begin
+          if Session.state peer.session = Session.Connect then begin
             peer.retry_attempt <- attempt + 1;
-            send_open t peer;
+            Session.send_open peer.session;
             schedule_retry t peer
           end)
     end
 
-and open_session t peer_asn =
+let open_session t peer_asn =
   match find_peer t peer_asn with
   | None -> invalid_arg (Fmt.str "Router.open_session: unknown peer %a" Net.Asn.pp peer_asn)
   | Some peer ->
-    if not peer.open_sent then begin
-      peer.open_sent <- true;
+    if Session.connect peer.session then begin
       peer.retry_attempt <- 0;
-      send_open t peer;
       schedule_retry t peer
     end
 
-let establish t peer =
-  if not peer.established then begin
-    peer.established <- true;
-    peer.retry_attempt <- 0;
-    start_liveness t peer;
-    sync_peer t peer
-  end
+(* After the session's NOTIFICATION: the neighbor may be rebooting rather
+   than gone, so retry the session on the backoff schedule (an eventual
+   NOTIFICATION+OPEN from the peer's own restart path also re-establishes,
+   whichever comes first). *)
+let hold_expired t peer_asn =
+  session_down t peer_asn;
+  match t.config.Config.reconnect with
+  | None -> ()
+  | Some backoff ->
+    let delay = Session.delay backoff t.rng ~attempt:0 in
+    Engine.Node.schedule_after ~category:"bgp.reconnect" t.node delay (fun () ->
+        open_session t peer_asn)
 
-(* Any inbound traffic proves the peer alive. *)
-let touch_hold t peer =
-  match (negotiated_hold t peer, peer.hold) with
-  | Some hold_time, Some hold when peer.established -> Engine.Timer.start hold hold_time
-  | _, _ -> ()
+let add_peer t ~peer_asn ~peer_node ~policy =
+  if Net.Asn.Map.mem peer_asn t.peers then
+    invalid_arg (Fmt.str "Router.add_peer: duplicate %a" Net.Asn.pp peer_asn);
+  let session =
+    Session.create t.ep ~asn:t.asn ~router_id:t.router_id ~send:(send_message t peer_node)
+      ~on_expired:(fun () -> hold_expired t peer_asn)
+  in
+  let send_update update =
+    (* Checked at send time: the peer may have gone down since the
+       update was queued. *)
+    if Session.is_established session then
+      ignore (send_message t peer_node (Message.Update update))
+  in
+  let mrai =
+    Mrai.create t.sim ~rng:(Engine.Rng.split t.rng) ~config:t.config ~send:send_update
+  in
+  let peer = { peer_asn; peer_node; policy; session; retry_attempt = 0; mrai } in
+  Mrai.set_on_dirty mrai (fun () ->
+      if t.batch_depth > 0 then t.batch_dirty <- peer :: t.batch_dirty
+      else Mrai.flush_event mrai);
+  t.peers <- Net.Asn.Map.add peer_asn peer t.peers;
+  Hashtbl.replace t.peer_of_node peer_node peer;
+  (* Session-state gauge, sampled at scrape time. *)
+  let m = Engine.Sim.metrics t.sim in
+  let state_gauge =
+    Engine.Metrics.gauge m ~help:"BGP session FSM state (0=idle, 1=connect, 2=established)"
+      ~labels:[ ("node", Net.Asn.to_string t.asn); ("peer", Net.Asn.to_string peer_asn) ]
+      "bgp_session_state"
+  in
+  Engine.Metrics.on_collect m (fun () ->
+      Engine.Metrics.Gauge.set state_gauge
+        (float_of_int (Session.to_int (Session.state session))))
 
 let start t = List.iter (fun (_, p) -> open_session t p.peer_asn) (Net.Asn.Map.bindings t.peers)
 
@@ -567,12 +467,11 @@ let note_flap t peer_asn prefix event =
       Engine.Node.schedule_at ~category:"bgp.damping" t.node recheck (fun () ->
           with_batch t (fun () -> run_decision t prefix)))
 
-let process_update t peer_asn (u : Message.update) =
+let process_update t peer (u : Message.update) =
   with_batch t @@ fun () ->
-  match find_peer t peer_asn with
-  | None -> ()
-  | Some peer when not peer.established -> () (* stale: session flapped *)
-  | Some peer ->
+  (* Stale when the session flapped since the update arrived. *)
+  if Session.is_established peer.session then begin
+    let peer_asn = peer.peer_asn in
     let affected = ref [] in
     List.iter
       (fun prefix ->
@@ -615,31 +514,27 @@ let process_update t peer_asn (u : Message.update) =
           end)
       u.Message.announced;
     run_decisions t (List.rev !affected)
+  end
 
 let handle_message t ~from msg =
   with_batch t @@ fun () ->
   match Hashtbl.find_opt t.peer_of_node from with
   | None -> ()
-  | Some peer_asn -> (
-    Option.iter (fun peer -> touch_hold t peer) (find_peer t peer_asn);
+  | Some peer -> (
+    Session.touch peer.session;
     match msg with
-    | Message.Open { hold_time; _ } -> (
-      match find_peer t peer_asn with
-      | None -> ()
-      | Some peer ->
-        peer.peer_hold <- hold_time;
-        if not peer.open_sent then begin
-          peer.open_sent <- true;
-          send_open t peer
-        end;
-        establish t peer)
+    | Message.Open { hold_time; _ } ->
+      if Session.receive_open peer.session ~hold_time then begin
+        peer.retry_attempt <- 0;
+        sync_peer t peer
+      end
     | Message.Keepalive -> ()
-    | Message.Notification _ -> session_down t peer_asn
+    | Message.Notification _ -> session_down t peer.peer_asn
     | Message.Update u ->
       t.stats.msgs_in <- t.stats.msgs_in + 1;
       t.stats.prefixes_in <- t.stats.prefixes_in + Message.update_size u;
       Engine.Sim.mark t.sim ~category:"bgp.update" ~node:(Engine.Node.name t.node)
-        ~render:Net.Asn.int_to_string (Net.Asn.to_int peer_asn);
+        ~render:Net.Asn.int_to_string (Net.Asn.to_int peer.peer_asn);
       Engine.Metrics.Counter.add t.tm.updates_received (List.length u.Message.announced);
       Engine.Metrics.Counter.add t.tm.withdrawals_received (List.length u.Message.withdrawn);
       (* Serialized processing behind a busy watermark: emulates a
@@ -650,7 +545,7 @@ let handle_message t ~from msg =
       t.busy_until <- finish;
       (* A crash bumps the node epoch, which voids the pending events. *)
       Engine.Node.schedule_at ~category:"bgp.process" t.node finish (fun () ->
-          process_update t peer_asn u))
+          process_update t peer u))
 
 (* --- Lifecycle ---------------------------------------------------------- *)
 
@@ -661,9 +556,7 @@ let on_crashed t =
   t.busy_until <- Engine.Time.zero;
   Net.Asn.Map.iter
     (fun _ peer ->
-      peer.established <- false;
-      peer.open_sent <- false;
-      peer.peer_hold <- 0;
+      Session.crash peer.session;
       peer.retry_attempt <- 0;
       Mrai.reset peer.mrai)
     t.peers;
@@ -679,7 +572,7 @@ let on_restarted t =
   with_batch t (fun () -> run_decisions t (Tbl.keys t.originated));
   Net.Asn.Map.iter
     (fun _ peer ->
-      ignore (send_message t peer (Message.Notification "peer restarted"));
+      ignore (send_message t peer.peer_node (Message.Notification "peer restarted"));
       open_session t peer.peer_asn)
     t.peers
 

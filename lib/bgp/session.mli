@@ -1,11 +1,10 @@
-(** Per-peer BGP session FSM (collapsed RFC 4271 states) and the
-    deterministic exponential-backoff reconnect schedule. *)
+(** The per-peer BGP session shared by both endpoints of an eBGP peering
+    (the legacy border router and the cluster speaker): the collapsed
+    RFC 4271 FSM, OPEN exchange with hold-time negotiation, KEEPALIVE and
+    hold-timer liveness, and the deterministic exponential-backoff
+    reconnect schedule. *)
 
 type state = Idle | Connect | Established
-
-val of_flags : open_sent:bool -> established:bool -> state
-(** Derive the FSM state from the router's session flags: [Established]
-    dominates, an unanswered OPEN is [Connect], otherwise [Idle]. *)
 
 val to_string : state -> string
 
@@ -13,7 +12,58 @@ val to_int : state -> int
 (** Stable encoding for metrics gauges: Idle = 0, Connect = 1,
     Established = 2. *)
 
-val pp : Format.formatter -> state -> unit
+type keepalive = { interval : Engine.Time.span; hold_time : Engine.Time.span }
+(** KEEPALIVE emission interval and proposed hold time (RFC 4271 §4.4). *)
+
+type endpoint
+(** What one endpoint shares across its sessions. *)
+
+val endpoint :
+  Engine.Node.t -> rng:Engine.Rng.t -> category:string -> keepalive option -> endpoint
+(** Liveness timers are owned by the node and scheduled under [category],
+    keepalive jitter draws from [rng], and [None] turns liveness off
+    (OPENs propose hold 0).  Registers
+    [bgp_hold_expirations_total{node=<node name>}]. *)
+
+type t
+
+val create :
+  endpoint ->
+  asn:Net.Asn.t ->
+  router_id:Net.Ipv4.addr ->
+  send:(Message.t -> bool) ->
+  on_expired:(unit -> unit) ->
+  t
+(** An [Idle] session presenting [asn]/[router_id] in its OPENs.  On hold
+    expiry it bumps the endpoint's counter, [send]s [NOTIFICATION "hold
+    timer expired"], then calls [on_expired] to tear down the caller's
+    way. *)
+
+val state : t -> state
+
+val is_established : t -> bool
+
+val connect : t -> bool
+(** Send an OPEN unless one is already out ([Idle] to [Connect]); [true]
+    when it sent one. *)
+
+val send_open : t -> unit
+(** Re-send the OPEN (a reconnect retry); the state does not change. *)
+
+val receive_open : t -> hold_time:int -> bool
+(** Record the peer's proposed hold, answer with our OPEN if none is out,
+    and establish, arming liveness when both sides proposed a non-zero
+    hold (RFC 4271: the smaller wins).  [true] when newly established. *)
+
+val touch : t -> unit
+(** Inbound traffic: restart the hold timer of an established session.
+    Allocates nothing when liveness is off. *)
+
+val teardown : t -> bool
+(** Back to [Idle], stopping liveness; [true] unless already [Idle]. *)
+
+val crash : t -> unit
+(** Forget all session state (the node crashed; its timers died with it). *)
 
 type backoff = {
   retry_initial : Engine.Time.span;

@@ -21,11 +21,8 @@ module Pt = Net.Ipv4.Prefix_table
 type session = {
   member : Net.Asn.t;
   neighbor : Net.Asn.t;
-  member_addr : Net.Ipv4.addr;
   policy : Bgp.Policy.t;
-  mutable established : bool;
-  mutable open_sent : bool;
-  mutable peer_hold : int; (* hold time (s) the neighbor proposed; 0 = none *)
+  bgp : Bgp.Session.t;
   adj_out : Bgp.Attrs.t Pt.t;
   mrai : Bgp.Mrai.t option;
   (* Non-MRAI sessions note the prefixes whose Adj-RIB-Out entry changed
@@ -34,21 +31,18 @@ type session = {
      scheduler events. *)
   mutable touched : Net.Ipv4.prefix list;
   mutable dirty : bool;
-  mutable keepalive : Engine.Timer.t option;
-  mutable hold : Engine.Timer.t option;
 }
 
 type stats = {
   mutable updates_in : int;
   mutable updates_out : int;
-  mutable opens : int;
 }
 
 type t = {
   sim : Engine.Sim.t;
   node : Engine.Node.t;
   rng : Engine.Rng.t;
-  liveness : Bgp.Config.keepalive option;
+  ep : Bgp.Session.endpoint;
   send_relay : member:Net.Asn.t -> neighbor:Net.Asn.t -> Bgp.Message.t -> bool;
   by_key : (Net.Asn.t * Net.Asn.t, session) Hashtbl.t; (* relay and API lookups *)
   mutable order : session array; (* first [count] slots: configuration order *)
@@ -56,7 +50,6 @@ type t = {
   mutable on_update : session -> Bgp.Message.update -> unit;
   mutable on_session : session -> up:bool -> unit;
   stats : stats;
-  hold_expirations : Engine.Metrics.Counter.t;
   (* Update batching, mirroring Router: controller-driven announcement
      bursts within one scheduler event leave as one UPDATE per session. *)
   mutable batch_depth : int;
@@ -66,25 +59,21 @@ type t = {
 (* [create] is completed at the bottom of this file. *)
 let create_unhooked ?liveness ~sim ~send_relay () =
   let rng = Engine.Rng.split (Engine.Sim.rng sim) in
+  let node = Engine.Node.create ~kind:"speaker" sim ~name:"speaker" in
   {
     sim;
-    node = Engine.Node.create ~kind:"speaker" sim ~name:"speaker";
+    node;
     rng;
-    liveness;
+    ep = Bgp.Session.endpoint node ~rng ~category:"speaker.liveness" liveness;
     send_relay;
     by_key = Hashtbl.create 32;
     order = [||];
     count = 0;
     on_update = (fun _ _ -> ());
     on_session = (fun _ ~up:_ -> ());
-    stats = { updates_in = 0; updates_out = 0; opens = 0 };
+    stats = { updates_in = 0; updates_out = 0 };
     batch_depth = 0;
     any_dirty = false;
-    hold_expirations =
-      Engine.Metrics.counter (Engine.Sim.metrics sim)
-        ~help:"sessions torn down by hold-timer expiry"
-        ~labels:[ ("node", "speaker") ]
-        "bgp_hold_expirations_total";
   }
 
 let node t = t.node
@@ -108,7 +97,7 @@ let session_neighbor s = s.neighbor
 
 let session_policy s = s.policy
 
-let is_established s = s.established
+let is_established s = Bgp.Session.is_established s.bgp
 
 let sessions_of t member =
   List.filter_map
@@ -116,7 +105,7 @@ let sessions_of t member =
     (sessions t)
 
 let session_established t ~member ~neighbor =
-  match find t ~member ~neighbor with Some s -> s.established | None -> false
+  match find t ~member ~neighbor with Some s -> is_established s | None -> false
 
 let stats t = t.stats
 
@@ -128,6 +117,17 @@ let send_wire t (s : session) msg =
     | Bgp.Message.Open _ | Bgp.Message.Keepalive | Bgp.Message.Notification _ -> ()
   end;
   sent
+
+let down t s =
+  if Bgp.Session.teardown s.bgp then begin
+    Pt.clear s.adj_out;
+    s.touched <- [];
+    s.dirty <- false;
+    Option.iter Bgp.Mrai.reset s.mrai;
+    t.on_session s ~up:false
+  end
+
+let session_down t ~member ~neighbor = Option.iter (down t) (find t ~member ~neighbor)
 
 let add_session ?(mrai_config : Bgp.Config.t option) t ~member ~neighbor ~member_addr ~policy =
   let key = (member, neighbor) in
@@ -141,15 +141,18 @@ let add_session ?(mrai_config : Bgp.Config.t option) t ~member ~neighbor ~member
         Bgp.Mrai.create t.sim ~rng:(Engine.Rng.split t.rng) ~config
           ~send:(fun update ->
             match !self with
-            | Some s when s.established ->
-              ignore (send_wire t s (Bgp.Message.Update update))
+            | Some s when is_established s -> ignore (send_wire t s (Bgp.Message.Update update))
             | Some _ | None -> ()))
       mrai_config
   in
+  (* The session layer sends no UPDATE, so it writes to the relay directly. *)
+  let bgp =
+    Bgp.Session.create t.ep ~asn:member ~router_id:member_addr
+      ~send:(t.send_relay ~member ~neighbor)
+      ~on_expired:(fun () -> Option.iter (down t) !self)
+  in
   let s =
-    { member; neighbor; member_addr; policy; established = false; open_sent = false; peer_hold = 0;
-      adj_out = Pt.create (); mrai; touched = []; dirty = false; keepalive = None;
-      hold = None }
+    { member; neighbor; policy; bgp; adj_out = Pt.create (); mrai; touched = []; dirty = false }
   in
   self := Some s;
   Option.iter
@@ -185,7 +188,7 @@ let flush_session t (s : session) =
         (List.sort_uniq (fun a b -> Net.Ipv4.compare_prefix b a) s.touched)
     in
     s.touched <- [];
-    if s.established then
+    if is_established s then
       ignore (send_wire t s (Bgp.Message.update ~announced ~withdrawn ()))
   end
 
@@ -203,131 +206,28 @@ let with_batch t f =
       if t.batch_depth = 0 then flush_batch t)
     f
 
-(* The hold time (whole seconds) the speaker proposes; 0 (liveness off)
-   opts sessions out of keepalive supervision entirely. *)
-let our_hold_secs t =
-  match t.liveness with
-  | None -> 0
-  | Some { Bgp.Config.hold_time; _ } -> max 1 (int_of_float (Engine.Time.to_sec_f hold_time))
-
-let negotiated_hold t (s : session) =
-  let ours = our_hold_secs t in
-  if ours = 0 || s.peer_hold = 0 then None else Some (Engine.Time.sec (min ours s.peer_hold))
-
-let send_open t (s : session) =
-  t.stats.opens <- t.stats.opens + 1;
-  ignore
-    (send_wire t s
-       (Bgp.Message.Open
-          { asn = s.member; router_id = s.member_addr; hold_time = our_hold_secs t }))
-
-let open_session_of t s =
-  if not s.open_sent then begin
-    s.open_sent <- true;
-    send_open t s
-  end
+let open_all t = iter_sessions t (fun s -> ignore (Bgp.Session.connect s.bgp))
 
 let open_session t ~member ~neighbor =
   match find t ~member ~neighbor with
   | None ->
     invalid_arg
       (Fmt.str "Speaker.open_session: unknown %a/%a" Net.Asn.pp member Net.Asn.pp neighbor)
-  | Some s -> open_session_of t s
-
-let open_all t = iter_sessions t (open_session_of t)
-
-let stop_liveness (s : session) =
-  Option.iter Engine.Timer.cancel s.keepalive;
-  Option.iter Engine.Timer.cancel s.hold
-
-let down t s =
-  if s.established || s.open_sent then begin
-    s.established <- false;
-    s.open_sent <- false;
-    Pt.clear s.adj_out;
-    s.touched <- [];
-    s.dirty <- false;
-    Option.iter Bgp.Mrai.reset s.mrai;
-    stop_liveness s;
-    t.on_session s ~up:false
-  end
-
-let session_down t ~member ~neighbor = Option.iter (down t) (find t ~member ~neighbor)
-
-(* Per-session KEEPALIVE emission + hold supervision, mirroring
-   Router.start_liveness (negotiated hold, jittered emission). *)
-let start_liveness t (s : session) =
-  match (t.liveness, negotiated_hold t s) with
-  | None, _ | _, None -> ()
-  | Some { Bgp.Config.interval; _ }, Some hold_time ->
-    let interval =
-      Engine.Time.min interval (Engine.Time.span_scale hold_time (1.0 /. 3.0))
-    in
-    let jittered () = Engine.Rng.jitter_span t.rng interval ~lo:0.75 ~hi:1.0 in
-    let keepalive =
-      match s.keepalive with
-      | Some timer -> timer
-      | None ->
-        let timer_ref = ref None in
-        let emit () =
-          if s.established then begin
-            ignore (send_wire t s Bgp.Message.Keepalive);
-            Option.iter (fun timer -> Engine.Timer.start timer (jittered ())) !timer_ref
-          end
-        in
-        let timer =
-          Engine.Timer.create ~category:"speaker.liveness" t.sim ~callback:emit
-        in
-        timer_ref := Some timer;
-        s.keepalive <- Some timer;
-        Engine.Node.own_timer t.node timer;
-        timer
-    in
-    let hold =
-      match s.hold with
-      | Some timer -> timer
-      | None ->
-        let timer =
-          Engine.Timer.create ~category:"speaker.liveness" t.sim
-            ~callback:(fun () ->
-              Engine.Metrics.Counter.inc t.hold_expirations;
-              ignore (send_wire t s (Bgp.Message.Notification "hold timer expired"));
-              down t s)
-        in
-        s.hold <- Some timer;
-        Engine.Node.own_timer t.node timer;
-        timer
-    in
-    Engine.Timer.start keepalive (jittered ());
-    Engine.Timer.start hold hold_time
-
-let establish t (s : session) =
-  if not s.established then begin
-    s.established <- true;
-    start_liveness t s;
-    t.on_session s ~up:true
-  end
-
-let touch_hold t (s : session) =
-  match (negotiated_hold t s, s.hold) with
-  | Some hold_time, Some hold when s.established -> Engine.Timer.start hold hold_time
-  | _, _ -> ()
+  | Some s -> ignore (Bgp.Session.connect s.bgp)
 
 (* A BGP message relayed in from a border switch. *)
 let handle_relay t ~member ~neighbor (msg : Bgp.Message.t) =
   match find t ~member ~neighbor with
   | None -> ()
   | Some s -> (
-    touch_hold t s;
+    Bgp.Session.touch s.bgp;
     match msg with
     | Bgp.Message.Open { hold_time; _ } ->
-      s.peer_hold <- hold_time;
-      open_session_of t s;
-      establish t s
+      if Bgp.Session.receive_open s.bgp ~hold_time then t.on_session s ~up:true
     | Bgp.Message.Keepalive -> ()
     | Bgp.Message.Notification _ -> down t s
     | Bgp.Message.Update u ->
-      if s.established then begin
+      if is_established s then begin
         t.stats.updates_in <- t.stats.updates_in + 1;
         Engine.Sim.mark t.sim ~category:"speaker.relay" ~node:"speaker"
           ~render:Net.Asn.int_to_string (Net.Asn.to_int neighbor);
@@ -336,7 +236,7 @@ let handle_relay t ~member ~neighbor (msg : Bgp.Message.t) =
 
 (* Controller-driven advertisement with Adj-RIB-Out deduplication. *)
 let announce_to t s prefix attrs =
-  if s.established then begin
+  if is_established s then begin
     match Pt.find prefix s.adj_out with
     | Some prev when Bgp.Attrs.wire_equal prev attrs -> ()
     | Some _ | None -> (
@@ -353,7 +253,7 @@ let announce_to t s prefix attrs =
   end
 
 let withdraw_to t s prefix =
-  if s.established then begin
+  if is_established s then begin
     if Pt.mem prefix s.adj_out then begin
       Pt.remove prefix s.adj_out;
       match s.mrai with
@@ -385,9 +285,7 @@ let advertised t ~member ~neighbor prefix =
 let on_crashed t =
   iter_sessions t
     (fun s ->
-      s.established <- false;
-      s.open_sent <- false;
-      s.peer_hold <- 0;
+      Bgp.Session.crash s.bgp;
       Pt.clear s.adj_out;
       s.touched <- [];
       s.dirty <- false;
@@ -399,7 +297,7 @@ let on_crashed t =
 let on_restarted t =
   iter_sessions t (fun s ->
       ignore (send_wire t s (Bgp.Message.Notification "speaker restarted"));
-      open_session_of t s)
+      ignore (Bgp.Session.connect s.bgp))
 
 let create ?liveness ~sim ~send_relay () =
   let t = create_unhooked ?liveness ~sim ~send_relay () in

@@ -11,7 +11,6 @@ type session
 type stats = {
   mutable updates_in : int;
   mutable updates_out : int;
-  mutable opens : int;
 }
 
 val create :

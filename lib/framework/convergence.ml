@@ -196,8 +196,6 @@ let wait_quiet ?(step = Engine.Time.sec 1) ?(max_wait = Engine.Time.sec 7200) ~q
   in
   loop ()
 
-let last_any_change t = t.last_any
-
 let pp_measurement ppf m =
   Fmt.pf ppf "event@%a settled@%a convergence=%a changes=%d" Engine.Time.pp m.event_time
     Engine.Time.pp m.settled_at

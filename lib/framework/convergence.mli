@@ -27,9 +27,6 @@ val exploration_rounds :
     than [gap] (default 10 s, about half the default MRAI) apart.  0 when
     nothing changed. *)
 
-val last_any_change : t -> Engine.Time.t
-(** Latest control-plane change for any prefix. *)
-
 type measurement = {
   prefix : Net.Ipv4.prefix;
   event_time : Engine.Time.t;

@@ -6,7 +6,6 @@
 type t = {
   network : Network.t;
   watcher : Convergence.t;
-  mutable bootstrap_done : bool;
 }
 
 let network t = t.network
@@ -23,24 +22,14 @@ let metrics t = Engine.Sim.metrics (sim t)
    what experiment results carry as their final telemetry. *)
 let final_metrics t = Engine.Metrics.snapshot (metrics t) ~at:(now t)
 
-(* Build the emulation and bring all BGP sessions up, with every AS
-   originating its default prefix unless [originate_all] is false; runs
-   until the bootstrap has fully converged. *)
-let create ?(config = Config.default) ?(seed = 42) ?(originate_all = false) spec =
+(* Build the emulation and bring all BGP sessions up; runs until the
+   bootstrap has fully converged.  No prefix is originated yet. *)
+let create ?(config = Config.default) ?(seed = 42) spec =
   let network = Network.create ~config ~seed spec in
   let watcher = Convergence.attach network in
-  let t = { network; watcher; bootstrap_done = false } in
   Network.start network;
   ignore (Network.settle network);
-  if originate_all then begin
-    List.iter
-      (fun asn ->
-        Network.originate network asn ((Network.plan network).Addressing.origin_prefix asn))
-      (Topology.Spec.asns spec);
-    ignore (Network.settle network)
-  end;
-  t.bootstrap_done <- true;
-  t
+  { network; watcher }
 
 let default_prefix t asn = (Network.plan t.network).Addressing.origin_prefix asn
 

@@ -4,11 +4,9 @@
 
 type t
 
-val create :
-  ?config:Config.t -> ?seed:int -> ?originate_all:bool -> Topology.Spec.t -> t
-(** Build the emulation, open all sessions and run to quiescence.  With
-    [originate_all], every AS announces its default prefix during
-    bootstrap. *)
+val create : ?config:Config.t -> ?seed:int -> Topology.Spec.t -> t
+(** Build the emulation, open all sessions and run to quiescence.  No
+    prefix is originated yet. *)
 
 val network : t -> Network.t
 

@@ -208,19 +208,6 @@ let burst ?snapshot t =
     Engine.Metrics.Counter.add (dropped_counter t Net.Dataplane.Ttl_expired) e.ttl_expired;
   e
 
-let run t ~every ~until =
-  if Engine.Time.compare every Engine.Time.zero <= 0 then
-    invalid_arg "Trafficgen.run: interval must be positive";
-  let sim = Network.sim t.net in
-  let rec arm at =
-    if Engine.Time.compare at until <= 0 then
-      ignore
-        (Engine.Sim.schedule_at ~category:"trafficgen" sim at (fun () ->
-             ignore (burst t);
-             arm (Engine.Time.add at every)))
-  in
-  arm (Engine.Time.add (Engine.Sim.now sim) every)
-
 let epochs t = List.rev t.epochs
 
 let totals t =

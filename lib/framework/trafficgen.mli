@@ -55,12 +55,6 @@ val burst : ?snapshot:Net.Dataplane.t -> t -> epoch
     already-compiled {!Network.dataplane_snapshot} when the caller knows
     the control plane has not changed since. *)
 
-val run : t -> every:Engine.Time.span -> until:Engine.Time.t -> unit
-(** Schedule recurring bursts on the simulator, one every [every],
-    first at [now + every], last at or before [until].  Each burst
-    compiles a fresh snapshot, so it sees the control-plane state at its
-    own instant.  @raise Invalid_argument on a non-positive interval. *)
-
 val epochs : t -> epoch list
 (** Every recorded epoch, oldest first. *)
 

@@ -62,13 +62,28 @@ let state_a env = Bgp.Router.session_state env.a (asn 65002)
 
 (* --- The FSM itself ----------------------------------------------------- *)
 
-let test_of_flags () =
-  Alcotest.(check string) "idle" "idle"
-    (Bgp.Session.to_string (Bgp.Session.of_flags ~open_sent:false ~established:false));
-  Alcotest.(check string) "connect" "connect"
-    (Bgp.Session.to_string (Bgp.Session.of_flags ~open_sent:true ~established:false));
-  Alcotest.(check string) "established dominates" "established"
-    (Bgp.Session.to_string (Bgp.Session.of_flags ~open_sent:true ~established:true));
+let test_state_encoding () =
+  let sim = Sim.create () in
+  let node = Node.create sim ~name:"r" in
+  let ep = Bgp.Session.endpoint node ~rng:(Sim.rng sim) ~category:"test" None in
+  let wire = ref [] in
+  let s =
+    Bgp.Session.create ep ~asn:(asn 65001) ~router_id:(Net.Ipv4.addr_of_octets 10 0 0 1)
+      ~send:(fun msg ->
+        wire := msg :: !wire;
+        true)
+      ~on_expired:ignore
+  in
+  let state () = Bgp.Session.to_string (Bgp.Session.state s) in
+  Alcotest.(check string) "idle" "idle" (state ());
+  Alcotest.(check bool) "connect sends" true (Bgp.Session.connect s);
+  Alcotest.(check string) "connect" "connect" (state ());
+  Alcotest.(check bool) "second connect is a no-op" false (Bgp.Session.connect s);
+  Alcotest.(check bool) "peer OPEN establishes" true (Bgp.Session.receive_open s ~hold_time:0);
+  Alcotest.(check string) "established" "established" (state ());
+  Alcotest.(check int) "one OPEN on the wire" 1 (List.length !wire);
+  Alcotest.(check bool) "teardown" true (Bgp.Session.teardown s);
+  Alcotest.(check string) "idle again" "idle" (state ());
   (* stable gauge encoding *)
   Alcotest.(check (list int)) "to_int" [ 0; 1; 2 ]
     (List.map Bgp.Session.to_int [ Bgp.Session.Idle; Bgp.Session.Connect; Bgp.Session.Established ])
@@ -193,7 +208,7 @@ let test_same_seed_identical () =
 
 let suite =
   [
-    Alcotest.test_case "of_flags and gauge encoding" `Quick test_of_flags;
+    Alcotest.test_case "state and gauge encoding" `Quick test_state_encoding;
     Alcotest.test_case "idle -> connect -> established" `Quick test_fsm_transitions;
     Alcotest.test_case "hold expiry purges Adj-RIB-In" `Quick test_hold_expiry_purges_adj_in;
     Alcotest.test_case "hold 0 disables liveness" `Quick test_hold_zero_disables_liveness;

@@ -12,11 +12,11 @@ let p s = Option.get (Net.Ipv4.prefix_of_string s)
 
 let policy = Bgp.Policy.make Bgp.Policy.Unrestricted
 
-let setup () =
+let setup ?liveness () =
   let sim = Engine.Sim.create () in
   let wire = ref [] in
   let speaker =
-    Cluster_ctl.Speaker.create ~sim ~send_relay:(fun ~member ~neighbor msg ->
+    Cluster_ctl.Speaker.create ?liveness ~sim ~send_relay:(fun ~member ~neighbor msg ->
         wire := (member, neighbor, msg) :: !wire;
         true)
       ()
@@ -111,6 +111,49 @@ let test_duplicate_session_rejected () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "duplicate session must raise"
 
+(* Liveness: 2 s KEEPALIVE interval, 6 s proposed hold. *)
+let liveness = { Bgp.Config.interval = Engine.Time.sec 2; hold_time = Engine.Time.sec 6 }
+
+let open_with_hold hold_time = Bgp.Message.Open { asn = neighbor; router_id = nh; hold_time }
+
+let keepalives wire =
+  List.length (List.filter (fun (_, _, msg) -> msg = Bgp.Message.Keepalive) !wire)
+
+let test_liveness_hold_expiry () =
+  let speaker, wire, _, sessions = setup ~liveness () in
+  let sim = Engine.Node.sim (Cluster_ctl.Speaker.node speaker) in
+  (* The neighbor OPENs with hold 6 and then stays silent. *)
+  Cluster_ctl.Speaker.handle_relay speaker ~member ~neighbor (open_with_hold 6);
+  ignore (Engine.Sim.run ~until:(Engine.Time.sec 5) sim);
+  Alcotest.(check bool) "KEEPALIVEs emitted before the hold runs out" true (keepalives wire >= 2);
+  Alcotest.(check bool) "still established at 5 s" true
+    (Cluster_ctl.Speaker.session_established speaker ~member ~neighbor);
+  ignore (Engine.Sim.run ~until:(Engine.Time.sec 7) sim);
+  (match !wire with
+  | (_, _, Bgp.Message.Notification reason) :: _ ->
+    Alcotest.(check string) "NOTIFICATION on the wire" "hold timer expired" reason
+  | _ -> Alcotest.fail "expected a NOTIFICATION last on the wire");
+  Alcotest.(check bool) "down" false
+    (Cluster_ctl.Speaker.session_established speaker ~member ~neighbor);
+  Alcotest.(check (list bool)) "controller told up, then down" [ false; true ]
+    (List.map (fun (_, _, up) -> up) !sessions);
+  let snap = Engine.Metrics.snapshot (Engine.Sim.metrics sim) ~at:(Engine.Sim.now sim) in
+  Alcotest.(check (option (float 0.0))) "one hold expiry" (Some 1.0)
+    (Engine.Metrics.value snap ~labels:[ ("node", "speaker") ] "bgp_hold_expirations_total");
+  let sent = keepalives wire in
+  ignore (Engine.Sim.run ~until:(Engine.Time.sec 30) sim);
+  Alcotest.(check int) "no KEEPALIVE after teardown" sent (keepalives wire)
+
+let test_liveness_hold_zero () =
+  let speaker, wire, _, _ = setup ~liveness () in
+  let sim = Engine.Node.sim (Cluster_ctl.Speaker.node speaker) in
+  Cluster_ctl.Speaker.handle_relay speaker ~member ~neighbor (open_with_hold 0);
+  Alcotest.(check int) "no timer armed" 0 (Engine.Sim.pending sim);
+  ignore (Engine.Sim.run ~until:(Engine.Time.sec 60) sim);
+  Alcotest.(check int) "no KEEPALIVE" 0 (keepalives wire);
+  Alcotest.(check bool) "established without liveness" true
+    (Cluster_ctl.Speaker.session_established speaker ~member ~neighbor)
+
 let suite =
   [
     Alcotest.test_case "open handshake + AS identity" `Quick test_open_handshake_preserves_identity;
@@ -120,4 +163,6 @@ let suite =
     Alcotest.test_case "withdraw only if advertised" `Quick test_withdraw_only_if_advertised;
     Alcotest.test_case "session down clears state" `Quick test_session_down_clears_state;
     Alcotest.test_case "duplicate session rejected" `Quick test_duplicate_session_rejected;
+    Alcotest.test_case "liveness hold expiry" `Quick test_liveness_hold_expiry;
+    Alcotest.test_case "liveness off at hold 0" `Quick test_liveness_hold_zero;
   ]
