@@ -30,9 +30,24 @@ type t = {
   mutable dirty : bool;
   mutable on_dirty : (unit -> unit) option;
   mutable flushes : int;
+  tm : telemetry;
+}
+
+(* Every instance in a sim bumps the same two unlabeled series. *)
+and telemetry = {
   deferrals_c : Engine.Metrics.Counter.t;
   flushes_c : Engine.Metrics.Counter.t;
 }
+
+let telemetry =
+  Engine.Metrics.shared (fun m ->
+      {
+        deferrals_c =
+          Engine.Metrics.counter m ~help:"route changes deferred by a running MRAI timer"
+            "bgp_mrai_deferrals_total";
+        flushes_c =
+          Engine.Metrics.counter m ~help:"batched UPDATE flushes" "bgp_mrai_flushes_total";
+      })
 
 let split_pending pending =
   let announced, withdrawn =
@@ -50,7 +65,7 @@ let rec flush t =
     let announced, withdrawn = split_pending t.pending in
     t.pending <- Pm.empty;
     t.flushes <- t.flushes + 1;
-    Engine.Metrics.Counter.inc t.flushes_c;
+    Engine.Metrics.Counter.inc t.tm.flushes_c;
     t.send { Message.announced; withdrawn };
     arm t
   end
@@ -85,7 +100,7 @@ let flush_event t =
     t.urgent <- Ps.empty;
     if had_pending then begin
       t.flushes <- t.flushes + 1;
-      Engine.Metrics.Counter.inc t.flushes_c
+      Engine.Metrics.Counter.inc t.tm.flushes_c
     end;
     t.send { Message.announced; withdrawn };
     if had_pending then arm t
@@ -106,9 +121,6 @@ let create sim ~rng ~config ~send =
      tie the knot through a reference. *)
   let self = ref None in
   let callback () = match !self with Some t -> flush t | None -> () in
-  (* All per-peer instances share the same unlabeled series — idempotent
-     registration returns the same handle each time. *)
-  let m = Engine.Sim.metrics sim in
   let t =
     {
       sim;
@@ -121,11 +133,7 @@ let create sim ~rng ~config ~send =
       dirty = false;
       on_dirty = None;
       flushes = 0;
-      deferrals_c =
-        Engine.Metrics.counter m ~help:"route changes deferred by a running MRAI timer"
-          "bgp_mrai_deferrals_total";
-      flushes_c =
-        Engine.Metrics.counter m ~help:"batched UPDATE flushes" "bgp_mrai_flushes_total";
+      tm = Engine.Metrics.get_shared (Engine.Sim.metrics sim) telemetry;
     }
   in
   self := Some t;
@@ -138,13 +146,13 @@ let flushes t = t.flushes
 let enqueue_announce t prefix attrs =
   t.pending <- Pm.add prefix (Announce attrs) t.pending;
   t.urgent <- Ps.remove prefix t.urgent;
-  if is_throttled t then Engine.Metrics.Counter.inc t.deferrals_c else mark_dirty t
+  if is_throttled t then Engine.Metrics.Counter.inc t.tm.deferrals_c else mark_dirty t
 
 let enqueue_withdraw t prefix =
   if t.config.Config.mrai_on_withdrawals then begin
     t.pending <- Pm.add prefix Withdraw t.pending;
     t.urgent <- Ps.remove prefix t.urgent;
-    if is_throttled t then Engine.Metrics.Counter.inc t.deferrals_c else mark_dirty t
+    if is_throttled t then Engine.Metrics.Counter.inc t.tm.deferrals_c else mark_dirty t
   end
   else begin
     (* Withdrawals are exempt from MRAI: cancel any pending announcement

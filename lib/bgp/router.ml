@@ -39,6 +39,9 @@ type peer = {
   session : Session.t;
   mutable retry_attempt : int; (* reconnect backoff position *)
   mrai : Mrai.t;
+  (* [bgp_session_state], registered by the router's collector on the
+     first snapshot after the peer was added. *)
+  mutable state_gauge : Engine.Metrics.Gauge.t option;
 }
 
 type t = {
@@ -138,9 +141,28 @@ let create_unhooked ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
   let adj_gauge =
     Engine.Metrics.gauge m ~help:"routes in the Adj-RIB-In" ~labels "bgp_adj_in_routes"
   in
+  let state_gauge peer =
+    match peer.state_gauge with
+    | Some g -> g
+    | None ->
+      let g =
+        Engine.Metrics.gauge m ~help:"BGP session FSM state (0=idle, 1=connect, 2=established)"
+          ~labels:[ ("node", Net.Asn.to_string asn); ("peer", Net.Asn.to_string peer.peer_asn) ]
+          "bgp_session_state"
+      in
+      peer.state_gauge <- Some g;
+      g
+  in
+  (* One collector per router: RIB sizes and every peer's session state,
+     sampled at scrape time. *)
   Engine.Metrics.on_collect m (fun () ->
       Engine.Metrics.Gauge.set loc_gauge (float_of_int (Rib.Loc.size t.loc));
-      Engine.Metrics.Gauge.set adj_gauge (float_of_int (Rib.Adj_in.size t.adj_in)));
+      Engine.Metrics.Gauge.set adj_gauge (float_of_int (Rib.Adj_in.size t.adj_in));
+      Net.Asn.Map.iter
+        (fun _ peer ->
+          Engine.Metrics.Gauge.set (state_gauge peer)
+            (float_of_int (Session.to_int (Session.state peer.session))))
+        t.peers);
   t
 
 let asn t = t.asn
@@ -430,22 +452,14 @@ let add_peer t ~peer_asn ~peer_node ~policy =
   let mrai =
     Mrai.create t.sim ~rng:(Engine.Rng.split t.rng) ~config:t.config ~send:send_update
   in
-  let peer = { peer_asn; peer_node; policy; session; retry_attempt = 0; mrai } in
+  let peer =
+    { peer_asn; peer_node; policy; session; retry_attempt = 0; mrai; state_gauge = None }
+  in
   Mrai.set_on_dirty mrai (fun () ->
       if t.batch_depth > 0 then t.batch_dirty <- peer :: t.batch_dirty
       else Mrai.flush_event mrai);
   t.peers <- Net.Asn.Map.add peer_asn peer t.peers;
-  Hashtbl.replace t.peer_of_node peer_node peer;
-  (* Session-state gauge, sampled at scrape time. *)
-  let m = Engine.Sim.metrics t.sim in
-  let state_gauge =
-    Engine.Metrics.gauge m ~help:"BGP session FSM state (0=idle, 1=connect, 2=established)"
-      ~labels:[ ("node", Net.Asn.to_string t.asn); ("peer", Net.Asn.to_string peer_asn) ]
-      "bgp_session_state"
-  in
-  Engine.Metrics.on_collect m (fun () ->
-      Engine.Metrics.Gauge.set state_gauge
-        (float_of_int (Session.to_int (Session.state session))))
+  Hashtbl.replace t.peer_of_node peer_node peer
 
 let start t = List.iter (fun (_, p) -> open_session t p.peer_asn) (Net.Asn.Map.bindings t.peers)
 

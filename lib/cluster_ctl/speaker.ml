@@ -33,11 +33,6 @@ type session = {
   mutable dirty : bool;
 }
 
-type stats = {
-  mutable updates_in : int;
-  mutable updates_out : int;
-}
-
 type t = {
   sim : Engine.Sim.t;
   node : Engine.Node.t;
@@ -49,7 +44,6 @@ type t = {
   mutable count : int;
   mutable on_update : session -> Bgp.Message.update -> unit;
   mutable on_session : session -> up:bool -> unit;
-  stats : stats;
   (* Update batching, mirroring Router: controller-driven announcement
      bursts within one scheduler event leave as one UPDATE per session. *)
   mutable batch_depth : int;
@@ -71,7 +65,6 @@ let create_unhooked ?liveness ~sim ~send_relay () =
     count = 0;
     on_update = (fun _ _ -> ());
     on_session = (fun _ ~up:_ -> ());
-    stats = { updates_in = 0; updates_out = 0 };
     batch_depth = 0;
     any_dirty = false;
   }
@@ -107,16 +100,7 @@ let sessions_of t member =
 let session_established t ~member ~neighbor =
   match find t ~member ~neighbor with Some s -> is_established s | None -> false
 
-let stats t = t.stats
-
-let send_wire t (s : session) msg =
-  let sent = t.send_relay ~member:s.member ~neighbor:s.neighbor msg in
-  if sent then begin
-    match msg with
-    | Bgp.Message.Update _ -> t.stats.updates_out <- t.stats.updates_out + 1
-    | Bgp.Message.Open _ | Bgp.Message.Keepalive | Bgp.Message.Notification _ -> ()
-  end;
-  sent
+let send_wire t (s : session) msg = t.send_relay ~member:s.member ~neighbor:s.neighbor msg
 
 let down t s =
   if Bgp.Session.teardown s.bgp then begin
@@ -228,7 +212,6 @@ let handle_relay t ~member ~neighbor (msg : Bgp.Message.t) =
     | Bgp.Message.Notification _ -> down t s
     | Bgp.Message.Update u ->
       if is_established s then begin
-        t.stats.updates_in <- t.stats.updates_in + 1;
         Engine.Sim.mark t.sim ~category:"speaker.relay" ~node:"speaker"
           ~render:Net.Asn.int_to_string (Net.Asn.to_int neighbor);
         t.on_update s u

@@ -8,11 +8,6 @@ type session
 (** One configured external peering: its member, neighbor and the
     policy governing it, resolved once at configuration. *)
 
-type stats = {
-  mutable updates_in : int;
-  mutable updates_out : int;
-}
-
 val create :
   ?liveness:Bgp.Config.keepalive ->
   sim:Engine.Sim.t ->
@@ -66,8 +61,6 @@ val is_established : session -> bool
 val sessions_of : t -> Net.Asn.t -> Net.Asn.t list
 
 val session_established : t -> member:Net.Asn.t -> neighbor:Net.Asn.t -> bool
-
-val stats : t -> stats
 
 val open_session : t -> member:Net.Asn.t -> neighbor:Net.Asn.t -> unit
 

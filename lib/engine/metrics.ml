@@ -3,14 +3,17 @@
    One registry per simulation (owned by Sim), so parallel experiments
    never share counters and identical seeds yield identical snapshots.
    Everything is deterministic: label sets are canonicalized (sorted by
-   key) at registration, snapshots are sorted by (name, labels), and no
-   wall-clock value ever enters the registry — wall-clock profiling lives
-   in Sim's separate profile table precisely so that exports stay
-   byte-reproducible across runs of the same seed.
+   key) at registration, snapshots are sorted by the rendered series
+   [name{k="v",...}], and no wall-clock value ever enters the registry —
+   wall-clock profiling lives in Sim's separate profile table precisely
+   so that exports stay byte-reproducible across runs of the same seed.
 
    Registration is idempotent: asking for the same (name, labels) series
    again returns the existing handle, so hot paths keep a handle and cold
-   paths may just re-look it up. *)
+   paths may just re-look it up.  The registry is keyed by the name and
+   the canonical label list themselves, hashed and compared without
+   formatting; the rendered string exists only where a snapshot sorts
+   the series and an exporter prints them. *)
 
 type labels = (string * string) list
 
@@ -24,13 +27,38 @@ let canon_labels labels =
   (* last writer wins on duplicate keys, matching Hashtbl.replace intuition *)
   dedup sorted
 
-let render_labels = function
-  | [] -> ""
-  | labels ->
-    Fmt.str "{%s}"
-      (String.concat "," (List.map (fun (k, v) -> Fmt.str "%s=%S" k v) labels))
+(* Prometheus text escapes exactly three bytes in a label value; every
+   other byte is written raw. *)
+let add_label_value buf v =
+  String.iter
+    (function
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c -> Buffer.add_char buf c)
+    v
 
-let series_key name labels = name ^ render_labels labels
+(* [name{k="v",...}], or the bare name without labels. *)
+let add_series buf name labels =
+  Buffer.add_string buf name;
+  match labels with
+  | [] -> ()
+  | _ ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char buf ',';
+        Buffer.add_string buf k;
+        Buffer.add_string buf "=\"";
+        add_label_value buf v;
+        Buffer.add_char buf '"')
+      labels;
+    Buffer.add_char buf '}'
+
+let series_key name labels =
+  let buf = Buffer.create 64 in
+  add_series buf name labels;
+  Buffer.contents buf
 
 (* --- Series ------------------------------------------------------------- *)
 
@@ -60,24 +88,27 @@ type series = S_counter of Counter.t | S_gauge of Gauge.t
 
 type entry = { name : string; help : string; labels : labels; series : series }
 
+(* A per-registry value built on first use (see [shared]). *)
+type binding = Binding : 'a Type.Id.t * 'a -> binding
+
 type t = {
-  entries : (string, entry) Hashtbl.t; (* keyed by series_key *)
+  entries : (string * labels, entry) Hashtbl.t; (* keyed by (name, canonical labels) *)
   collectors : (unit -> unit) Queue.t;
+  mutable shared : binding list;
 }
 
-let create () = { entries = Hashtbl.create 64; collectors = Queue.create () }
+let create () = { entries = Hashtbl.create 64; collectors = Queue.create (); shared = [] }
 
 let on_collect t f = Queue.add f t.collectors
 
 let kind_name = function S_counter _ -> "counter" | S_gauge _ -> "gauge"
 
 let register t ~name ~help ~labels make =
-  let labels = canon_labels labels in
-  let key = series_key name labels in
+  let key = (name, canon_labels labels) in
   match Hashtbl.find_opt t.entries key with
   | Some entry -> entry
   | None ->
-    let entry = { name; help; labels; series = make () } in
+    let entry = { name; help; labels = snd key; series = make () } in
     Hashtbl.replace t.entries key entry;
     entry
 
@@ -94,6 +125,21 @@ let gauge t ?(help = "") ?(labels = []) name =
   | entry ->
     invalid_arg (Fmt.str "Metrics.gauge: %s already registered as a %s" name
                    (kind_name entry.series))
+
+type 'a shared = { id : 'a Type.Id.t; make : t -> 'a }
+
+let shared make = { id = Type.Id.make (); make }
+
+let get_shared (type a) t (s : a shared) : a =
+  let rec find : binding list -> a = function
+    | Binding (id, v) :: rest -> (
+      match Type.Id.provably_equal id s.id with Some Type.Equal -> v | None -> find rest)
+    | [] ->
+      let v = s.make t in
+      t.shared <- Binding (s.id, v) :: t.shared;
+      v
+  in
+  find t.shared
 
 (* --- Snapshots ----------------------------------------------------------- *)
 
@@ -113,7 +159,9 @@ let freeze entry =
 
 let snapshot t ~at =
   Queue.iter (fun f -> f ()) t.collectors;
-  let keyed = Hashtbl.fold (fun key entry acc -> (key, entry) :: acc) t.entries [] in
+  let keyed =
+    Hashtbl.fold (fun _ (e : entry) acc -> (series_key e.name e.labels, e) :: acc) t.entries []
+  in
   let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) keyed in
   { at; samples = List.map (fun (_, e) -> freeze e) sorted }
 
@@ -134,8 +182,7 @@ let fmt_float x =
   else Fmt.str "%.9g" x
 
 let prom_line buf name labels v =
-  Buffer.add_string buf name;
-  Buffer.add_string buf (render_labels labels);
+  add_series buf name labels;
   Buffer.add_char buf ' ';
   Buffer.add_string buf v;
   Buffer.add_char buf '\n'

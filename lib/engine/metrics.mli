@@ -3,9 +3,10 @@
 
     One registry per simulation (see {!Sim.metrics}).  Label sets are
     canonicalized (sorted by key) at registration and snapshots are
-    sorted by (name, labels), so identical seeds yield byte-identical
-    exports.  Registration is idempotent: the same (name, labels) pair
-    always returns the same handle.
+    sorted by the rendered series [name{k="v",...}], so identical seeds
+    yield byte-identical exports.  Registration is idempotent: the same
+    (name, labels) pair always returns the same handle.  A re-lookup
+    hashes and compares the name and labels; it formats nothing.
 
     Domain-safety: registries are deliberately unsynchronized — there is
     no process-global registry precisely so parallel sweeps ({!Pool})
@@ -56,6 +57,19 @@ val counter : t -> ?help:string -> ?labels:labels -> string -> Counter.t
 
 val gauge : t -> ?help:string -> ?labels:labels -> string -> Gauge.t
 
+type 'a shared
+(** Handles that every user of a registry shares, such as unlabeled
+    series bumped by many per-peer instances. *)
+
+val shared : (t -> 'a) -> 'a shared
+(** Declare a shared value (once, at module initialization); the
+    function builds it for one registry. *)
+
+val get_shared : t -> 'a shared -> 'a
+(** The registry's value: built on the first call, the same value
+    afterwards, so the series it registers are looked up once per
+    registry. *)
+
 (** {1 Snapshots} *)
 
 type value = Counter_v of int | Gauge_v of float
@@ -76,7 +90,9 @@ val value : snapshot -> ?labels:labels -> string -> float option
 (** {1 Exporters} *)
 
 val to_prometheus : snapshot -> string
-(** Prometheus text exposition format ([# HELP]/[# TYPE] per family). *)
+(** Prometheus text exposition format ([# HELP]/[# TYPE] per family).
+    Label values escape backslash, double quote and newline; every
+    other byte is written raw. *)
 
 val to_jsonl : snapshot -> string
 (** One JSON object per sample, one per line, each stamped with the

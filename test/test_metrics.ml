@@ -141,6 +141,137 @@ let test_prometheus_roundtrip () =
     | Some p -> Alcotest.(check (float 1e-9)) "fractional gauge survives" 2.25 p.Metrics.p_value
     | None -> Alcotest.fail "conv_seconds{prefix} missing after round-trip")
 
+(* Label values are arbitrary bytes: the exporter escapes backslash,
+   double quote and newline, the parser reads those three escapes, and
+   every other byte (tabs, UTF-8, control bytes) survives verbatim. *)
+let any_byte_string = QCheck.Gen.(string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 12))
+
+let prop_label_roundtrip =
+  let keys = [ "node"; "peer"; "prefix" ] in
+  QCheck.Test.make ~name:"label values round-trip through prometheus text" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list (pair string string)) int)
+       QCheck.Gen.(
+         pair
+           (map
+              (List.mapi (fun i v -> (List.nth keys i, v)))
+              (list_size (int_range 1 3) any_byte_string))
+           (int_bound 1000)))
+    (fun (labels, v) ->
+      let m = Metrics.create () in
+      Metrics.Counter.add (Metrics.counter m ~labels "x_total") v;
+      match Metrics.parse_prometheus (Metrics.to_prometheus (Metrics.snapshot m ~at:Time.zero)) with
+      | Ok [ p ] ->
+        p.Metrics.p_name = "x_total" && p.Metrics.p_labels = labels
+        && p.Metrics.p_value = float_of_int v
+      | Ok _ | Error _ -> false)
+
+let test_label_escapes () =
+  let m = Metrics.create () in
+  ignore (Metrics.gauge m ~labels:[ ("a", "a\tb"); ("b", "caf\xc3\xa9"); ("c", "q\"\\\n") ] "g");
+  Alcotest.(check string) "three escapes, other bytes raw"
+    "# TYPE g gauge\ng{a=\"a\tb\",b=\"caf\xc3\xa9\",c=\"q\\\"\\\\\\n\"} 0\n"
+    (Metrics.to_prometheus (Metrics.snapshot m ~at:Time.zero))
+
+(* Export order does not depend on registration order: random series
+   (names sharing prefixes, 0-3 labels given in any order, repeats)
+   registered in two shuffles of the same list export the same text, and
+   every repeat registration returns the handle of the first. *)
+type handle = C of Metrics.Counter.t | G of Metrics.Gauge.t
+
+let series_gen =
+  QCheck.Gen.(
+    let name = oneofl [ "a"; "a_b"; "ab"; "a_total"; "b"; "b_"; "z_gauge" ] in
+    let value = oneofl [ "1"; "10"; "2"; "AS65001"; "AS6500"; "x,y"; "" ] in
+    let labels =
+      map
+        (fun (n, (x, y, z)) ->
+          List.filteri (fun i _ -> i < n) [ ("k", x); ("k2", y); ("a", z) ])
+        (pair (int_bound 3) (triple value value value))
+    in
+    triple name labels (int_bound 9))
+
+let prop_export_order =
+  QCheck.Test.make ~name:"export order independent of registration order" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(list (triple string (list (pair string string)) int))
+       QCheck.Gen.(list_size (int_range 1 40) series_gen))
+    (fun specs ->
+      let shuffle seed l =
+        let st = Random.State.make [| seed |] in
+        List.map snd
+          (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+      in
+      let build order =
+        let m = Metrics.create () in
+        let seen = Hashtbl.create 16 in
+        let same =
+          List.for_all
+            (fun (i, (name, labels, v)) ->
+              (* the kind is a function of the name, so repeats never clash *)
+              let h =
+                if String.ends_with ~suffix:"gauge" name || name = "b" then begin
+                  let g = Metrics.gauge m ~labels:(shuffle i labels) name in
+                  Metrics.Gauge.add g (float_of_int v);
+                  G g
+                end
+                else begin
+                  let c = Metrics.counter m ~labels:(shuffle i labels) name in
+                  Metrics.Counter.add c v;
+                  C c
+                end
+              in
+              let key = (name, List.sort compare labels) in
+              match (Hashtbl.find_opt seen key, h) with
+              | None, _ -> Hashtbl.replace seen key h; true
+              | Some (C c), C c' -> c == c'
+              | Some (G g), G g' -> g == g'
+              | Some _, _ -> false)
+            order
+        in
+        let snap = Metrics.snapshot m ~at:(Time.ms 5) in
+        (same, Metrics.to_prometheus snap, Metrics.to_jsonl snap, Metrics.to_csv snap)
+      in
+      let indexed = List.mapi (fun i s -> (i, s)) specs in
+      let same_a, prom_a, jsonl_a, csv_a = build indexed in
+      let same_b, prom_b, jsonl_b, csv_b = build (shuffle (List.length specs) indexed) in
+      (* samples come in byte order of the rendered [name{k="v",...}] *)
+      let rendered =
+        List.filter_map
+          (fun line ->
+            if line = "" || line.[0] = '#' then None
+            else Some (String.sub line 0 (String.rindex line ' ')))
+          (String.split_on_char '\n' prom_a)
+      in
+      same_a && same_b && List.sort_uniq String.compare rendered = rendered
+      && prom_a = prom_b && jsonl_a = jsonl_b && csv_a = csv_b)
+
+(* Construction fence: a re-lookup hashes the name and labels and formats
+   nothing (formatting the key cost 895 words), and building a 16-AS
+   clique makes no registry call per peering (393,852 words while every
+   peer registered a gauge and every lookup formatted its key). *)
+let test_construction_words () =
+  let m = Metrics.create () in
+  let labels = [ ("node", "AS65001"); ("peer", "AS65002") ] in
+  let g = Metrics.gauge m ~labels "bgp_session_state" in
+  List.iter
+    (fun labels ->
+      let before = Gc.minor_words () in
+      let g' = Sys.opaque_identity (Metrics.gauge m ~labels "bgp_session_state") in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool) "same handle" true (g == g');
+      Alcotest.(check bool) (Fmt.str "%.0f minor words per re-lookup <= 64" words) true (words <= 64.0))
+    [ labels; List.rev labels ];
+  let spec = Topology.Artificial.clique 16 in
+  let create () = Framework.Network.create ~config:Framework.Config.default ~seed:7 spec in
+  ignore (create ());
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (create ()));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Fmt.str "%.0f minor words per clique:16 create <= 100000" words)
+    true (words <= 100_000.0)
+
 (* The sampler must never keep the queue alive on its own, and must
    resume when new work arrives after a drain. *)
 let test_sampler_dormant_and_resume () =
@@ -226,6 +357,10 @@ let suite =
     Alcotest.test_case "jsonl golden" `Quick test_jsonl_golden;
     Alcotest.test_case "csv golden" `Quick test_csv_golden;
     Alcotest.test_case "prometheus round-trip" `Quick test_prometheus_roundtrip;
+    QCheck_alcotest.to_alcotest prop_label_roundtrip;
+    Alcotest.test_case "label escapes" `Quick test_label_escapes;
+    QCheck_alcotest.to_alcotest prop_export_order;
+    Alcotest.test_case "construction allocation fence" `Quick test_construction_words;
     Alcotest.test_case "sampler dormant + resume" `Quick test_sampler_dormant_and_resume;
     Alcotest.test_case "sim category counters" `Quick test_sim_category_counters;
     Alcotest.test_case "same seed, byte-identical export" `Quick

@@ -287,6 +287,49 @@ let test_stats_counted () =
   Alcotest.(check bool) "b received updates" true (sb.Bgp.Router.msgs_in > 0);
   Alcotest.(check bool) "b changed best" true (sb.Bgp.Router.best_changes > 0)
 
+(* [bgp_session_state] is registered by the router's collector, not by
+   [add_peer]: every snapshot still holds one series per peering, a
+   peering added after an earlier snapshot included, with the session's
+   state at scrape time. *)
+let test_session_state_gauges () =
+  let h = make_harness () in
+  let a = add_router h 65001 and b = add_router h 65002 and c = add_router h 65003 in
+  let state () =
+    let snap = Metrics.snapshot (Sim.metrics h.sim) ~at:(Sim.now h.sim) in
+    List.filter_map
+      (function
+        | { Metrics.name = "bgp_session_state"; labels; value = Gauge_v v; _ } ->
+          Some (List.map snd labels, v)
+        | _ -> None)
+      snap.samples
+  in
+  let check msg expected =
+    Alcotest.(check (list (pair (list string) (float 0.0)))) msg expected (state ())
+  in
+  check "no peers, no series" [];
+  peer_pair a b;
+  check "idle" [ ([ "AS65001"; "AS65002" ], 0.0); ([ "AS65002"; "AS65001" ], 0.0) ];
+  peer_pair a c;
+  check "peerings added after a scrape"
+    [
+      ([ "AS65001"; "AS65002" ], 0.0);
+      ([ "AS65001"; "AS65003" ], 0.0);
+      ([ "AS65002"; "AS65001" ], 0.0);
+      ([ "AS65003"; "AS65001" ], 0.0);
+    ];
+  List.iter Bgp.Router.start [ a; b; c ];
+  run h;
+  check "all established"
+    [
+      ([ "AS65001"; "AS65002" ], 2.0);
+      ([ "AS65001"; "AS65003" ], 2.0);
+      ([ "AS65002"; "AS65001" ], 2.0);
+      ([ "AS65003"; "AS65001" ], 2.0);
+    ];
+  Bgp.Router.session_down a (asn 65003);
+  Alcotest.(check bool) "state follows the session" true
+    (List.assoc [ "AS65001"; "AS65003" ] (state ()) < 2.0)
+
 (* One best change fanned out to peers with different export needs: the
    shared 1x attrs, a peer's own prepended attrs and the path-loop skip
    must not bleed into one another, whatever the peer order. *)
@@ -387,6 +430,7 @@ let suite =
     Alcotest.test_case "re-establish resyncs" `Quick test_reestablish_resyncs;
     Alcotest.test_case "export prepending" `Quick test_export_prepending;
     Alcotest.test_case "stats counted" `Quick test_stats_counted;
+    Alcotest.test_case "session-state gauges" `Quick test_session_state_gauges;
     Alcotest.test_case "shared export per peer" `Quick test_shared_export_per_peer;
     Alcotest.test_case "batch survives an exception" `Quick test_batch_survives_exception;
   ]
