@@ -2,8 +2,9 @@
 
    Adj_in:  per (peer, prefix) routes as received (post-import-policy).
    Loc:     the selected best route per prefix.
-   Adj_out: per (peer, prefix) attributes as advertised — consulted to
-            suppress duplicate announcements and to know what to withdraw.
+
+   The Adj-RIB-Out is per peer and shares its table with the peer's
+   update queue: see [Mrai].
 
    Storage is mutable exact-match tables ([Net.Ipv4.Prefix_table]): a
    RIB never needs longest-prefix match, and at Internet scale (10k+
@@ -127,67 +128,4 @@ module Loc = struct
   let size t = Tbl.size t.best
 
   let clear t = Tbl.clear t.best
-end
-
-module Adj_out = struct
-  (* One table per peer, dropped as soon as it empties (a peer whose last
-     advertisement was withdrawn leaves no residue), with a maintained
-     total count so [size] is O(1). *)
-  type t = {
-    mutable by_peer : Attrs.t Tbl.t Net.Asn.Map.t;
-    mutable count : int;
-  }
-
-  let create () = { by_peer = Net.Asn.Map.empty; count = 0 }
-
-  let set t ~peer prefix attrs =
-    let table =
-      match Net.Asn.Map.find_opt peer t.by_peer with
-      | Some tbl -> tbl
-      | None ->
-        let tbl = Tbl.create () in
-        t.by_peer <- Net.Asn.Map.add peer tbl t.by_peer;
-        tbl
-    in
-    let before = Tbl.size table in
-    Tbl.set prefix attrs table;
-    t.count <- t.count + Tbl.size table - before
-
-  let remove t ~peer prefix =
-    match Net.Asn.Map.find_opt peer t.by_peer with
-    | None -> ()
-    | Some table ->
-      let before = Tbl.size table in
-      Tbl.remove prefix table;
-      if Tbl.size table < before then begin
-        t.count <- t.count - 1;
-        if Tbl.is_empty table then t.by_peer <- Net.Asn.Map.remove peer t.by_peer
-      end
-
-  let find t ~peer prefix =
-    Option.bind (Net.Asn.Map.find_opt peer t.by_peer) (Tbl.find prefix)
-
-  let advertised t ~peer =
-    match Net.Asn.Map.find_opt peer t.by_peer with
-    | None -> []
-    | Some table -> Tbl.entries table
-
-  let drop_peer t ~peer =
-    match Net.Asn.Map.find_opt peer t.by_peer with
-    | None -> []
-    | Some table ->
-      let dropped = Tbl.keys table in
-      t.by_peer <- Net.Asn.Map.remove peer t.by_peer;
-      t.count <- t.count - List.length dropped;
-      dropped
-
-  let size t = t.count
-
-  let entries t =
-    Net.Asn.Map.bindings t.by_peer
-    |> List.map (fun (peer, table) -> (peer, Tbl.entries table))
-
-  let clear t =
-    t.by_peer <- Net.Asn.Map.empty;
-    t.count <- 0
 end

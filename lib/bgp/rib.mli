@@ -1,4 +1,5 @@
-(** Routing information bases: Adj-RIB-In, Loc-RIB, Adj-RIB-Out. *)
+(** Routing information bases: Adj-RIB-In and Loc-RIB.  Each peer's
+    Adj-RIB-Out lives in its {!Mrai.t}. *)
 
 module Adj_in : sig
   type t
@@ -48,29 +49,6 @@ module Loc : sig
   val prefixes : t -> Net.Ipv4.prefix list
 
   val size : t -> int
-
-  val clear : t -> unit
-end
-
-module Adj_out : sig
-  type t
-
-  val create : unit -> t
-
-  val set : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> Attrs.t -> unit
-
-  val remove : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> unit
-
-  val find : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> Attrs.t option
-
-  val advertised : t -> peer:Net.Asn.t -> (Net.Ipv4.prefix * Attrs.t) list
-
-  val drop_peer : t -> peer:Net.Asn.t -> Net.Ipv4.prefix list
-
-  val size : t -> int
-
-  val entries : t -> (Net.Asn.t * (Net.Ipv4.prefix * Attrs.t) list) list
-  (** Per-peer advertised sets, ascending peer order. *)
 
   val clear : t -> unit
 end

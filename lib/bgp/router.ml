@@ -38,7 +38,7 @@ type peer = {
   policy : Policy.t;
   session : Session.t;
   mutable retry_attempt : int; (* reconnect backoff position *)
-  mrai : Mrai.t;
+  mrai : Mrai.t; (* the peer's Adj-RIB-Out and update queue *)
   (* [bgp_session_state], registered by the router's collector on the
      first snapshot after the peer was added. *)
   mutable state_gauge : Engine.Metrics.Gauge.t option;
@@ -54,11 +54,10 @@ type t = {
   config : Config.t;
   ep : Session.endpoint;
   send_raw : dst:int -> Message.t -> bool;
-  mutable peers : peer Net.Asn.Map.t;
+  mutable peers : peer array; (* ascending ASN: export and flush walk it *)
   peer_of_node : (int, peer) Hashtbl.t;
   adj_in : Rib.Adj_in.t;
   loc : Rib.Loc.t;
-  adj_out : Rib.Adj_out.t;
   originated : Attrs.t Tbl.t;
   mutable busy_until : Engine.Time.t;
   damping : Damping.t option;
@@ -66,11 +65,11 @@ type t = {
   tm : telemetry;
   mutable on_best_change : (Net.Ipv4.prefix -> Route.t option -> unit) array;
   (* Update batching: every entry point that can enqueue outbound changes
-     runs inside a batch scope; peers whose MRAI state went dirty during
-     the scope are flushed once, in ascending ASN order, when the
-     outermost scope closes — one packed UPDATE per peer per event. *)
+     runs inside a batch scope; peers whose queue went dirty during the
+     scope are flushed once, in ascending ASN order, when the outermost
+     scope closes — one packed UPDATE per peer per event. *)
   mutable batch_depth : int;
-  mutable batch_dirty : peer list;
+  mutable any_dirty : bool;
 }
 
 let name t = Net.Asn.to_string t.asn
@@ -113,11 +112,10 @@ let create_unhooked ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
       config;
       ep;
       send_raw = send;
-      peers = Net.Asn.Map.empty;
+      peers = [||];
       peer_of_node = Hashtbl.create 8;
       adj_in = Rib.Adj_in.create ();
       loc = Rib.Loc.create ();
-      adj_out = Rib.Adj_out.create ();
       originated = Tbl.create ();
       busy_until = Engine.Time.zero;
       stats =
@@ -132,7 +130,7 @@ let create_unhooked ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
       tm;
       on_best_change = [||];
       batch_depth = 0;
-      batch_dirty = [];
+      any_dirty = false;
     }
   in
   let loc_gauge =
@@ -158,8 +156,8 @@ let create_unhooked ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
   Engine.Metrics.on_collect m (fun () ->
       Engine.Metrics.Gauge.set loc_gauge (float_of_int (Rib.Loc.size t.loc));
       Engine.Metrics.Gauge.set adj_gauge (float_of_int (Rib.Adj_in.size t.adj_in));
-      Net.Asn.Map.iter
-        (fun _ peer ->
+      Array.iter
+        (fun peer ->
           Engine.Metrics.Gauge.set (state_gauge peer)
             (float_of_int (Session.to_int (Session.state peer.session))))
         t.peers);
@@ -180,9 +178,22 @@ let stats t = t.stats
    [subscribers @ [f]] append. *)
 let subscribe_best_change t f = t.on_best_change <- Array.append t.on_best_change [| f |]
 
-let find_peer t peer_asn = Net.Asn.Map.find_opt peer_asn t.peers
+(* The index of the first peer in [peers.(lo..hi-1)] whose ASN is not
+   below [asn], or [hi]. *)
+let rec search peers asn lo hi =
+  if lo = hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if Net.Asn.compare peers.(mid).peer_asn asn < 0 then search peers asn (mid + 1) hi
+    else search peers asn lo mid
 
-let peer_asns t = List.map fst (Net.Asn.Map.bindings t.peers)
+let find_peer t peer_asn =
+  let i = search t.peers peer_asn 0 (Array.length t.peers) in
+  if i < Array.length t.peers && Net.Asn.equal t.peers.(i).peer_asn peer_asn then
+    Some t.peers.(i)
+  else None
+
+let peer_asns t = Array.to_list (Array.map (fun p -> p.peer_asn) t.peers)
 
 let peer_established t peer_asn =
   match find_peer t peer_asn with Some p -> Session.is_established p.session | None -> false
@@ -204,12 +215,14 @@ let send_message t dst msg =
   sent
 
 let flush_batch t =
-  let dirty = t.batch_dirty in
-  t.batch_dirty <- [];
-  let dirty =
-    List.sort_uniq (fun a b -> Net.Asn.compare a.peer_asn b.peer_asn) dirty
-  in
-  List.iter (fun p -> Mrai.flush_event p.mrai) dirty
+  if t.any_dirty then begin
+    t.any_dirty <- false;
+    let peers = t.peers in
+    for i = 0 to Array.length peers - 1 do
+      let mrai = peers.(i).mrai in
+      if Mrai.is_dirty mrai then Mrai.flush_event mrai
+    done
+  end
 
 let close_batch t =
   t.batch_depth <- t.batch_depth - 1;
@@ -314,23 +327,19 @@ let desired_export t prefix ex peer =
   | Some ex ->
     Policy.export peer.policy ~provenance:ex.provenance ~prefix (exported_attrs t ex peer)
 
+(* Deduplication against the Adj-RIB-Out happens inside [Mrai]. *)
 let export_to_peer t prefix ex peer =
-  if Session.is_established peer.session then begin
-    let current = Rib.Adj_out.find t.adj_out ~peer:peer.peer_asn prefix in
-    match (desired_export t prefix ex peer, current) with
-    | Some a, Some b when Attrs.wire_equal a b -> ()
-    | Some a, (Some _ | None) ->
-      Rib.Adj_out.set t.adj_out ~peer:peer.peer_asn prefix a;
-      Mrai.enqueue_announce peer.mrai prefix a
-    | None, Some _ ->
-      Rib.Adj_out.remove t.adj_out ~peer:peer.peer_asn prefix;
-      Mrai.enqueue_withdraw peer.mrai prefix
-    | None, None -> ()
-  end
+  if Session.is_established peer.session then
+    match desired_export t prefix ex peer with
+    | Some a -> Mrai.announce peer.mrai prefix a
+    | None -> Mrai.withdraw peer.mrai prefix
 
 let export_all_peers t prefix best =
   let ex = Option.map (export_of t) best in
-  Net.Asn.Map.iter (fun _ peer -> export_to_peer t prefix ex peer) t.peers
+  let peers = t.peers in
+  for i = 0 to Array.length peers - 1 do
+    export_to_peer t prefix ex peers.(i)
+  done
 
 let run_decision t prefix =
   t.stats.decision_runs <- t.stats.decision_runs + 1;
@@ -391,7 +400,6 @@ let session_down t peer_asn =
     if Session.teardown peer.session then begin
       Mrai.reset peer.mrai;
       let dropped_in = Rib.Adj_in.drop_peer t.adj_in ~peer:peer_asn in
-      ignore (Rib.Adj_out.drop_peer t.adj_out ~peer:peer_asn);
       with_batch t (fun () -> run_decisions t dropped_in)
     end
 
@@ -437,7 +445,7 @@ let hold_expired t peer_asn =
         open_session t peer_asn)
 
 let add_peer t ~peer_asn ~peer_node ~policy =
-  if Net.Asn.Map.mem peer_asn t.peers then
+  if Option.is_some (find_peer t peer_asn) then
     invalid_arg (Fmt.str "Router.add_peer: duplicate %a" Net.Asn.pp peer_asn);
   let session =
     Session.create t.ep ~asn:t.asn ~router_id:t.router_id ~send:(send_message t peer_node)
@@ -456,12 +464,16 @@ let add_peer t ~peer_asn ~peer_node ~policy =
     { peer_asn; peer_node; policy; session; retry_attempt = 0; mrai; state_gauge = None }
   in
   Mrai.set_on_dirty mrai (fun () ->
-      if t.batch_depth > 0 then t.batch_dirty <- peer :: t.batch_dirty
-      else Mrai.flush_event mrai);
-  t.peers <- Net.Asn.Map.add peer_asn peer t.peers;
+      if t.batch_depth > 0 then t.any_dirty <- true else Mrai.flush_event mrai);
+  let n = Array.length t.peers in
+  let i = search t.peers peer_asn 0 n in
+  let peers = Array.make (n + 1) peer in
+  Array.blit t.peers 0 peers 0 i;
+  Array.blit t.peers i peers (i + 1) (n - i);
+  t.peers <- peers;
   Hashtbl.replace t.peer_of_node peer_node peer
 
-let start t = List.iter (fun (_, p) -> open_session t p.peer_asn) (Net.Asn.Map.bindings t.peers)
+let start t = Array.iter (fun p -> open_session t p.peer_asn) t.peers
 
 (* --- Inbound processing ------------------------------------------------ *)
 
@@ -568,15 +580,14 @@ let handle_message t ~from msg =
    events are voided by the node runtime itself. *)
 let on_crashed t =
   t.busy_until <- Engine.Time.zero;
-  Net.Asn.Map.iter
-    (fun _ peer ->
+  Array.iter
+    (fun peer ->
       Session.crash peer.session;
       peer.retry_attempt <- 0;
       Mrai.reset peer.mrai)
     t.peers;
   Rib.Adj_in.clear t.adj_in;
-  Rib.Loc.clear t.loc;
-  Rib.Adj_out.clear t.adj_out
+  Rib.Loc.clear t.loc
 
 (* Restart: re-originate configured prefixes, then resync every session.
    The NOTIFICATION makes the live peer run its session-down path (it
@@ -584,8 +595,8 @@ let on_crashed t =
    open), so the OPEN that follows is answered like a cold start. *)
 let on_restarted t =
   with_batch t (fun () -> run_decisions t (Tbl.keys t.originated));
-  Net.Asn.Map.iter
-    (fun _ peer ->
+  Array.iter
+    (fun peer ->
       ignore (send_message t peer.peer_node (Message.Notification "peer restarted"));
       open_session t peer.peer_asn)
     t.peers
@@ -601,7 +612,8 @@ let create ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
 
 let adj_in_find t ~peer prefix = Rib.Adj_in.find t.adj_in ~peer prefix
 
-let adj_out_find t ~peer prefix = Rib.Adj_out.find t.adj_out ~peer prefix
+let adj_out_find t ~peer prefix =
+  match find_peer t peer with Some p -> Mrai.advertised p.mrai prefix | None -> None
 
 let adj_in_size t = Rib.Adj_in.size t.adj_in
 

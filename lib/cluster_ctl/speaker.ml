@@ -9,28 +9,20 @@
    Each session is a record carrying its export/import policy, resolved
    once when the peering is configured; the controller walks the records
    in configuration order and announces through them directly, without
-   a per-prefix (member, neighbor) lookup.  The speaker keeps a
-   per-session exact-match Adj-RIB-Out so the controller's
-   (re)announcements are deduplicated, and optionally paces announcements
-   with an MRAI like a conventional BGP implementation would (off by
-   default — ExaBGP emits updates as instructed; the controller's delayed
-   recomputation is the rate limiter). *)
-
-module Pt = Net.Ipv4.Prefix_table
+   a per-prefix (member, neighbor) lookup.  Each session's outbound side
+   is a [Bgp.Mrai.t], the same Adj-RIB-Out and update queue a router
+   keeps per peer: it deduplicates the controller's (re)announcements
+   and, when configured, paces them with an MRAI like a conventional BGP
+   implementation would (off by default — ExaBGP emits updates as
+   instructed; the controller's delayed recomputation is the rate
+   limiter). *)
 
 type session = {
   member : Net.Asn.t;
   neighbor : Net.Asn.t;
   policy : Bgp.Policy.t;
   bgp : Bgp.Session.t;
-  adj_out : Bgp.Attrs.t Pt.t;
-  mrai : Bgp.Mrai.t option;
-  (* Non-MRAI sessions note the prefixes whose Adj-RIB-Out entry changed
-     within a batch scope; the scope close emits their current entries
-     (or withdrawals) as one packed UPDATE.  Always empty between
-     scheduler events. *)
-  mutable touched : Net.Ipv4.prefix list;
-  mutable dirty : bool;
+  out : Bgp.Mrai.t;
 }
 
 type t = {
@@ -104,10 +96,7 @@ let send_wire t (s : session) msg = t.send_relay ~member:s.member ~neighbor:s.ne
 
 let down t s =
   if Bgp.Session.teardown s.bgp then begin
-    Pt.clear s.adj_out;
-    s.touched <- [];
-    s.dirty <- false;
-    Option.iter Bgp.Mrai.reset s.mrai;
+    Bgp.Mrai.reset s.out;
     t.on_session s ~up:false
   end
 
@@ -119,15 +108,15 @@ let add_session ?(mrai_config : Bgp.Config.t option) t ~member ~neighbor ~member
     invalid_arg
       (Fmt.str "Speaker.add_session: duplicate %a/%a" Net.Asn.pp member Net.Asn.pp neighbor);
   let self = ref None in
-  let mrai =
-    Option.map
-      (fun config ->
-        Bgp.Mrai.create t.sim ~rng:(Engine.Rng.split t.rng) ~config
-          ~send:(fun update ->
-            match !self with
-            | Some s when is_established s -> ignore (send_wire t s (Bgp.Message.Update update))
-            | Some _ | None -> ()))
-      mrai_config
+  let send update =
+    match !self with
+    | Some s when is_established s -> ignore (send_wire t s (Bgp.Message.Update update))
+    | Some _ | None -> ()
+  in
+  let out =
+    match mrai_config with
+    | Some config -> Bgp.Mrai.create t.sim ~rng:(Engine.Rng.split t.rng) ~config ~send
+    | None -> Bgp.Mrai.unpaced ~send
   in
   (* The session layer sends no UPDATE, so it writes to the relay directly. *)
   let bgp =
@@ -135,19 +124,10 @@ let add_session ?(mrai_config : Bgp.Config.t option) t ~member ~neighbor ~member
       ~send:(t.send_relay ~member ~neighbor)
       ~on_expired:(fun () -> Option.iter (down t) !self)
   in
-  let s =
-    { member; neighbor; policy; bgp; adj_out = Pt.create (); mrai; touched = []; dirty = false }
-  in
+  let s = { member; neighbor; policy; bgp; out } in
   self := Some s;
-  Option.iter
-    (fun m ->
-      Bgp.Mrai.set_on_dirty m (fun () ->
-          if t.batch_depth > 0 then begin
-            s.dirty <- true;
-            t.any_dirty <- true
-          end
-          else Bgp.Mrai.flush_event m))
-    mrai;
+  Bgp.Mrai.set_on_dirty out (fun () ->
+      if t.batch_depth > 0 then t.any_dirty <- true else Bgp.Mrai.flush_event out);
   Hashtbl.replace t.by_key key s;
   if t.count = Array.length t.order then begin
     let order = Array.make (max 16 (2 * t.count)) s in
@@ -157,38 +137,33 @@ let add_session ?(mrai_config : Bgp.Config.t option) t ~member ~neighbor ~member
   t.order.(t.count) <- s;
   t.count <- t.count + 1
 
-(* End-of-scope flush, in configuration order. *)
-let flush_session t (s : session) =
-  s.dirty <- false;
-  (match s.mrai with Some m -> Bgp.Mrai.flush_event m | None -> ());
-  if s.touched <> [] then begin
-    let announced, withdrawn =
-      List.fold_left
-        (fun (ann, wd) prefix ->
-          match Pt.find prefix s.adj_out with
-          | Some attrs -> ((prefix, attrs) :: ann, wd)
-          | None -> (ann, prefix :: wd))
-        ([], [])
-        (List.sort_uniq (fun a b -> Net.Ipv4.compare_prefix b a) s.touched)
-    in
-    s.touched <- [];
-    if is_established s then
-      ignore (send_wire t s (Bgp.Message.update ~announced ~withdrawn ()))
-  end
-
+(* End-of-scope flush of the dirty sessions, in configuration order. *)
 let flush_batch t =
   if t.any_dirty then begin
     t.any_dirty <- false;
-    iter_sessions t (fun s -> if s.dirty then flush_session t s)
+    for i = 0 to t.count - 1 do
+      let out = t.order.(i).out in
+      if Bgp.Mrai.is_dirty out then Bgp.Mrai.flush_event out
+    done
   end
 
+let close_batch t =
+  t.batch_depth <- t.batch_depth - 1;
+  if t.batch_depth = 0 then flush_batch t
+
+(* As [Bgp.Router.with_batch]: a direct handler, so the scope closes (and
+   flushes) on both paths without allocating, and an exception leaves
+   with its own backtrace. *)
 let with_batch t f =
   t.batch_depth <- t.batch_depth + 1;
-  Fun.protect
-    ~finally:(fun () ->
-      t.batch_depth <- t.batch_depth - 1;
-      if t.batch_depth = 0 then flush_batch t)
-    f
+  match f () with
+  | v ->
+    close_batch t;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    close_batch t;
+    Printexc.raise_with_backtrace e bt
 
 let open_all t = iter_sessions t (fun s -> ignore (Bgp.Session.connect s.bgp))
 
@@ -217,37 +192,11 @@ let handle_relay t ~member ~neighbor (msg : Bgp.Message.t) =
         t.on_update s u
       end)
 
-(* Controller-driven advertisement with Adj-RIB-Out deduplication. *)
-let announce_to t s prefix attrs =
-  if is_established s then begin
-    match Pt.find prefix s.adj_out with
-    | Some prev when Bgp.Attrs.wire_equal prev attrs -> ()
-    | Some _ | None -> (
-      Pt.set prefix attrs s.adj_out;
-      match s.mrai with
-      | Some m -> Bgp.Mrai.enqueue_announce m prefix attrs
-      | None when t.batch_depth > 0 ->
-        s.touched <- prefix :: s.touched;
-        s.dirty <- true;
-        t.any_dirty <- true
-      | None ->
-        ignore
-          (send_wire t s (Bgp.Message.update ~announced:[ (prefix, attrs) ] ())))
-  end
+(* Controller-driven advertisement; [Bgp.Mrai] deduplicates against the
+   session's Adj-RIB-Out. *)
+let announce_to _ s prefix attrs = if is_established s then Bgp.Mrai.announce s.out prefix attrs
 
-let withdraw_to t s prefix =
-  if is_established s then begin
-    if Pt.mem prefix s.adj_out then begin
-      Pt.remove prefix s.adj_out;
-      match s.mrai with
-      | Some m -> Bgp.Mrai.enqueue_withdraw m prefix
-      | None when t.batch_depth > 0 ->
-        s.touched <- prefix :: s.touched;
-        s.dirty <- true;
-        t.any_dirty <- true
-      | None -> ignore (send_wire t s (Bgp.Message.update ~withdrawn:[ prefix ] ()))
-    end
-  end
+let withdraw_to _ s prefix = if is_established s then Bgp.Mrai.withdraw s.out prefix
 
 let announce t ~member ~neighbor prefix attrs =
   Option.iter (fun s -> announce_to t s prefix attrs) (find t ~member ~neighbor)
@@ -256,7 +205,7 @@ let withdraw t ~member ~neighbor prefix =
   Option.iter (fun s -> withdraw_to t s prefix) (find t ~member ~neighbor)
 
 let advertised t ~member ~neighbor prefix =
-  Option.bind (find t ~member ~neighbor) (fun s -> Pt.find prefix s.adj_out)
+  Option.bind (find t ~member ~neighbor) (fun s -> Bgp.Mrai.advertised s.out prefix)
 
 (* --- Lifecycle ---------------------------------------------------------- *)
 
@@ -269,10 +218,7 @@ let on_crashed t =
   iter_sessions t
     (fun s ->
       Bgp.Session.crash s.bgp;
-      Pt.clear s.adj_out;
-      s.touched <- [];
-      s.dirty <- false;
-      Option.iter Bgp.Mrai.reset s.mrai)
+      Bgp.Mrai.reset s.out)
 
 (* Restart: NOTIFICATION-then-OPEN on every configured session, so the
    remote router tears the old session down (flushing our stale routes)

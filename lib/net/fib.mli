@@ -1,4 +1,4 @@
-(** Longest-prefix-match forwarding table (a hash of packed prefixes),
+(** Longest-prefix-match forwarding table (an {!Ipv4.Prefix_table}),
     generic in the entry type.  Not domain-safe; each table is owned by one
     router or switch. *)
 

@@ -96,7 +96,7 @@ let prefix_to_packed p = (addr_to_bits p.network lsl 6) lor p.len
 
 (* Inline multiply-xorshift mix instead of the C [Hashtbl.hash]: the low
    bits of a packed /24 (zero host byte, constant length) carry no
-   entropy, and table slots are taken from the low bits. *)
+   entropy, and [Prefix_table] takes a slot from the low 32 bits. *)
 let hash_packed n =
   let h = n * 0x9E3779B97F4A7C1 in
   h lxor (h lsr 29)
@@ -153,44 +153,159 @@ module Allocator = struct
     { network; len = t.len }
 end
 
-(* Exact-match table keyed by [prefix_to_packed]: one hash of an
-   immediate int per lookup, for owners that never need longest-prefix
-   match.  Packed order is [compare_prefix] order (network bits above the
-   length), so sorting by key gives [compare_prefix] order. *)
+(* Exact-match table keyed by [prefix_to_packed]: open addressing with
+   linear probing and no per-entry cell.  A slot's key word is the packed
+   prefix (38 bits) with the owner's tag bits above it, so moves carry the
+   tag along; [empty] (negative) marks a free slot.  The table is at most
+   three quarters full and grows by half, so it spends 2.7 to 4 words
+   per entry (a chained hash table spends about 4.5).  A key's home slot
+   scales the hash's low 32 bits to the capacity, which need not be a
+   power of two.  Both arrays are allocated on the first insert and
+   dropped when the table empties, so an unused table costs its record
+   only.  Deletion shifts later members of the probe run back, so runs
+   stay unbroken without tombstones.  Packed order is [compare_prefix]
+   order (network bits above the length), so sorting the keys gives
+   [compare_prefix] order. *)
 module Prefix_table = struct
-  module H = Hashtbl.Make (struct
-    type t = int
+  let empty = -1
 
-    let equal = Int.equal
+  let key_bits = 38
 
-    let hash = hash_packed
-  end)
+  let key_mask = (1 lsl key_bits) - 1
 
-  type 'a t = 'a H.t
+  type 'a t = {
+    mutable keys : int array; (* packed prefix lor (tag lsl key_bits), or [empty] *)
+    mutable vals : 'a array; (* as long as [keys] *)
+    mutable size : int;
+  }
 
-  let create () = H.create 16
+  let create () = { keys = [||]; vals = [||]; size = 0 }
 
-  let size = H.length
+  let size t = t.size
 
-  let is_empty t = H.length t = 0
+  let is_empty t = t.size = 0
 
-  let find p t = H.find_opt t (prefix_to_packed p)
+  let home_of n key = ((hash_packed key land 0xffff_ffff) * n) lsr 32
 
-  let mem p t = H.mem t (prefix_to_packed p)
+  let next n i = if i + 1 = n then 0 else i + 1
 
-  let set p v t = H.replace t (prefix_to_packed p) v
+  (* How far slot [j] lies after slot [i], cyclically. *)
+  let after n i j = if j >= i then j - i else j - i + n
 
-  let remove p t = H.remove t (prefix_to_packed p)
+  (* The slot holding [key], or the empty slot that ends its probe run. *)
+  let rec probe keys n key i =
+    let k = keys.(i) in
+    if k land key_mask = key || k = empty then i else probe keys n key (next n i)
 
-  let clear = H.reset
+  let home keys key =
+    let n = Array.length keys in
+    probe keys n key (home_of n key)
+
+  let slot t key =
+    if t.size = 0 then -1
+    else
+      let i = home t.keys key in
+      if t.keys.(i) = empty then -1 else i
+
+  let value t i = t.vals.(i)
+
+  let set_value t i v = t.vals.(i) <- v
+
+  let packed_at t i = t.keys.(i) land key_mask
+
+  let tag t i = t.keys.(i) lsr key_bits
+
+  let set_tag t i tag = t.keys.(i) <- t.keys.(i) land key_mask lor (tag lsl key_bits)
+
+  (* Free slots hold [filler], the value being inserted: see [remove_slot]. *)
+  let resize t capacity filler =
+    let keys = t.keys and vals = t.vals in
+    t.keys <- Array.make capacity empty;
+    t.vals <- Array.make capacity filler;
+    Array.iteri
+      (fun j k ->
+        if k <> empty then begin
+          let i = home t.keys (k land key_mask) in
+          t.keys.(i) <- k;
+          t.vals.(i) <- vals.(j)
+        end)
+      keys
+
+  let add t key v =
+    let n = Array.length t.keys in
+    if n = 0 then begin
+      t.keys <- Array.make 2 empty;
+      t.vals <- Array.make 2 v
+    end
+    else if 4 * (t.size + 1) > 3 * n then resize t (n + (n / 2)) v;
+    let i = home t.keys key in
+    t.keys.(i) <- key;
+    t.vals.(i) <- v;
+    t.size <- t.size + 1;
+    i
+
+  let clear t =
+    t.keys <- [||];
+    t.vals <- [||];
+    t.size <- 0
+
+  (* Backward-shift deletion: each later member of the probe run moves into
+     the hole unless its home slot lies cyclically in (hole, j].  The last
+     hole takes the value of the free slot that ends the run, so removed
+     values do not accumulate: free slots hold only the value the last
+     resize filled them with. *)
+  let rec shift keys vals n hole j =
+    let k = keys.(j) in
+    if k = empty then begin
+      keys.(hole) <- empty;
+      vals.(hole) <- vals.(j)
+    end
+    else if after n (home_of n (k land key_mask)) j >= after n hole j then begin
+      keys.(hole) <- k;
+      vals.(hole) <- vals.(j);
+      shift keys vals n j (next n j)
+    end
+    else shift keys vals n hole (next n j)
+
+  let remove_slot t i =
+    if t.size = 1 then clear t
+    else begin
+      t.size <- t.size - 1;
+      let n = Array.length t.keys in
+      shift t.keys t.vals n i (next n i)
+    end
+
+  let sorted_slots t =
+    let keys = t.keys in
+    let order = Array.make t.size 0 and j = ref 0 in
+    Array.iteri
+      (fun i k ->
+        if k <> empty then begin
+          order.(!j) <- i;
+          incr j
+        end)
+      keys;
+    Array.sort (fun a b -> Int.compare (keys.(a) land key_mask) (keys.(b) land key_mask)) order;
+    order
+
+  let find p t =
+    match slot t (prefix_to_packed p) with -1 -> None | i -> Some t.vals.(i)
+
+  let mem p t = slot t (prefix_to_packed p) >= 0
+
+  let set p v t =
+    let key = prefix_to_packed p in
+    match slot t key with -1 -> ignore (add t key v) | i -> t.vals.(i) <- v
+
+  let remove p t = match slot t (prefix_to_packed p) with -1 -> () | i -> remove_slot t i
 
   let entries t =
-    H.fold (fun k v acc -> (k, v) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map (fun (k, v) -> (prefix_of_packed k, v))
+    Array.fold_right
+      (fun i acc -> (prefix_of_packed (packed_at t i), t.vals.(i)) :: acc)
+      (sorted_slots t) []
 
   let keys t =
-    H.fold (fun k _ acc -> k :: acc) t [] |> List.sort Int.compare |> List.map prefix_of_packed
+    Array.fold_right (fun i acc -> prefix_of_packed (packed_at t i) :: acc) (sorted_slots t) []
 end
 
 module Prefix_map = Map.Make (struct

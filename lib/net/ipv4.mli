@@ -72,7 +72,7 @@ val prefix_of_packed : int -> prefix
 (** Inverse of {!prefix_to_packed}. *)
 
 val hash_packed : int -> int
-(** A hash of a packed prefix whose low bits are well mixed. *)
+(** A hash of a packed prefix whose low 32 bits are well mixed. *)
 
 val packed_prefix_to_string : int -> string
 (** [packed_prefix_to_string (prefix_to_packed p) = prefix_to_string p]. *)
@@ -105,8 +105,11 @@ end
 
 (** Mutable exact-match table keyed on {!prefix_to_packed}, for owners
     that never need longest-prefix match (the RIBs, the speaker, the
-    collector).  Every ordered read sorts the packed keys, so iteration is
-    [compare_prefix] ascending.  Not domain-safe. *)
+    collector) and the one open-addressed table under {!Fib} and the BGP
+    Adj-RIB-Out.  Its arrays are allocated on the first insert, so an
+    unused table costs a three-field record.  Every ordered read sorts
+    the packed keys, so iteration is [compare_prefix] ascending.  Not
+    domain-safe. *)
 module Prefix_table : sig
   type 'a t
 
@@ -134,6 +137,37 @@ module Prefix_table : sig
 
   val keys : 'a t -> prefix list
   (** Ascending [compare_prefix] order. *)
+
+  (** {2 Slots}
+
+      Allocation-free access by packed prefix.  A slot is an index that
+      stays valid until the next {!add} or {!remove_slot}.  Each slot
+      carries a small int [tag] (below 2{^24}) that its owner may use
+      for per-entry state; moves keep it.  {!add} and {!set} insert with
+      tag 0. *)
+
+  val slot : 'a t -> int -> int
+  (** The slot holding this packed prefix, or [-1]. *)
+
+  val add : 'a t -> int -> 'a -> int
+  (** Insert an absent packed prefix; returns its slot. *)
+
+  val remove_slot : 'a t -> int -> unit
+
+  val value : 'a t -> int -> 'a
+
+  val set_value : 'a t -> int -> 'a -> unit
+
+  val tag : 'a t -> int -> int
+
+  val set_tag : 'a t -> int -> int -> unit
+
+  val packed_at : 'a t -> int -> int
+  (** The packed prefix in a slot. *)
+
+  val sorted_slots : 'a t -> int array
+  (** A fresh array of the occupied slots in ascending prefix order;
+      valid as long as the slots are. *)
 end
 
 module Prefix_map : Map.S with type key = prefix

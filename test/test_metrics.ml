@@ -272,6 +272,47 @@ let test_construction_words () =
     (Fmt.str "%.0f minor words per clique:16 create <= 100000" words)
     true (words <= 100_000.0)
 
+(* Export-path fence: a fixed CAIDA world at the benchmark's smoke size
+   (3/8/40 ASes, 30 load prefixes) loaded and then withdrawn, bounded in
+   minor words per Loc-RIB best change.  It measured about 304 while each
+   peer's pending changes were persistent maps beside a router-wide
+   Adj-RIB-Out, and 183 with one outbound table per peer. *)
+let test_export_words () =
+  let tier1, tier2, stubs = (3, 8, 40) in
+  let spec = Topology.Caida.generate ~tier1 ~tier2 ~stubs (Rng.create 7) in
+  let stub_arr = Array.of_list (Topology.Caida.stub_asns ~tier1 ~tier2 ~stubs) in
+  let config =
+    {
+      Framework.Config.default with
+      Framework.Config.collector_retention = Bgp.Collector.Counts_only;
+    }
+  in
+  let net = Framework.Network.create ~config ~seed:7 spec in
+  Framework.Network.start net;
+  ignore (Framework.Network.settle net);
+  let load =
+    List.init 30 (fun m ->
+        (stub_arr.(m mod Array.length stub_arr), Framework.Experiments.scale_prefix m))
+  in
+  let best_changes () =
+    Net.Asn.Map.fold
+      (fun _ r acc -> acc + (Bgp.Router.stats r).Bgp.Router.best_changes)
+      (Framework.Network.routers net) 0
+  in
+  let changes0 = best_changes () in
+  let before = Gc.minor_words () in
+  List.iter (fun (stub, p) -> Framework.Network.originate net stub p) load;
+  ignore (Framework.Network.settle net);
+  List.iter (fun (stub, p) -> Framework.Network.withdraw net stub p) load;
+  ignore (Framework.Network.settle net);
+  let words = Gc.minor_words () -. before in
+  let changes = best_changes () - changes0 in
+  Alcotest.(check bool) "the load changed routes" true (changes > 1000);
+  let per_change = words /. float_of_int changes in
+  Alcotest.(check bool)
+    (Fmt.str "%.1f minor words per best change <= 229" per_change)
+    true (per_change <= 229.0)
+
 (* The sampler must never keep the queue alive on its own, and must
    resume when new work arrives after a drain. *)
 let test_sampler_dormant_and_resume () =
@@ -361,6 +402,7 @@ let suite =
     Alcotest.test_case "label escapes" `Quick test_label_escapes;
     QCheck_alcotest.to_alcotest prop_export_order;
     Alcotest.test_case "construction allocation fence" `Quick test_construction_words;
+    Alcotest.test_case "export-path allocation fence" `Quick test_export_words;
     Alcotest.test_case "sampler dormant + resume" `Quick test_sampler_dormant_and_resume;
     Alcotest.test_case "sim category counters" `Quick test_sim_category_counters;
     Alcotest.test_case "same seed, byte-identical export" `Quick

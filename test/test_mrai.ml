@@ -1,5 +1,6 @@
 (* Bgp.Mrai: pacing semantics — immediate first send, coalescing while
-   throttled, withdrawal exemption, reset. *)
+   throttled, withdrawal exemption, reset — and a differential against
+   the persistent-map design it replaced (test/mrai_reference.ml). *)
 
 open Engine
 
@@ -26,7 +27,7 @@ let sent_times sent = List.rev_map (fun (t, _) -> Time.to_us t) !sent
 
 let test_first_immediate () =
   let sim, mrai, sent = setup () in
-  Bgp.Mrai.enqueue_announce mrai (p "100.64.0.0/24") (attrs ());
+  Bgp.Mrai.announce mrai (p "100.64.0.0/24") (attrs ());
   Alcotest.(check (list int)) "sent at once" [ 0 ] (sent_times sent);
   Alcotest.(check bool) "throttled after" true (Bgp.Mrai.is_throttled mrai);
   ignore (Sim.run sim);
@@ -35,10 +36,10 @@ let test_first_immediate () =
 let test_coalescing () =
   let sim, mrai, sent = setup () in
   let pre = p "100.64.0.0/24" in
-  Bgp.Mrai.enqueue_announce mrai pre (attrs ~med:1 ());
+  Bgp.Mrai.announce mrai pre (attrs ~med:1 ());
   (* while throttled: three successive changes for the same prefix *)
-  Bgp.Mrai.enqueue_announce mrai pre (attrs ~med:2 ());
-  Bgp.Mrai.enqueue_announce mrai pre (attrs ~med:3 ());
+  Bgp.Mrai.announce mrai pre (attrs ~med:2 ());
+  Bgp.Mrai.announce mrai pre (attrs ~med:3 ());
   Alcotest.(check int) "queued" 1 (Bgp.Mrai.pending_count mrai);
   ignore (Sim.run sim);
   match List.rev !sent with
@@ -53,20 +54,20 @@ let test_coalescing () =
 
 let test_timer_rearms_only_when_flushing () =
   let sim, mrai, sent = setup () in
-  Bgp.Mrai.enqueue_announce mrai (p "100.64.0.0/24") (attrs ());
+  Bgp.Mrai.announce mrai (p "100.64.0.0/24") (attrs ());
   ignore (Sim.run sim);
   (* empty expiry: timer must be idle now *)
   Alcotest.(check bool) "idle after empty expiry" false (Bgp.Mrai.is_throttled mrai);
-  Bgp.Mrai.enqueue_announce mrai (p "100.64.1.0/24") (attrs ());
+  Bgp.Mrai.announce mrai (p "100.64.1.0/24") (attrs ());
   Alcotest.(check int) "immediate again after idle" 2 (List.length !sent)
 
 let test_withdraw_exempt () =
   let _, mrai, sent = setup ~on_withdrawals:false () in
   let pre = p "100.64.0.0/24" in
-  Bgp.Mrai.enqueue_announce mrai pre (attrs ());
+  Bgp.Mrai.announce mrai pre (attrs ());
   (* throttled; a withdrawal must bypass and cancel the pending announce *)
-  Bgp.Mrai.enqueue_announce mrai pre (attrs ~med:9 ());
-  Bgp.Mrai.enqueue_withdraw mrai pre;
+  Bgp.Mrai.announce mrai pre (attrs ~med:9 ());
+  Bgp.Mrai.withdraw mrai pre;
   Alcotest.(check int) "withdraw sent immediately" 2 (List.length !sent);
   (match !sent with
   | (_, u) :: _ ->
@@ -77,8 +78,8 @@ let test_withdraw_exempt () =
 let test_withdraw_paced () =
   let sim, mrai, sent = setup ~on_withdrawals:true () in
   let pre = p "100.64.0.0/24" in
-  Bgp.Mrai.enqueue_announce mrai pre (attrs ());
-  Bgp.Mrai.enqueue_withdraw mrai pre;
+  Bgp.Mrai.announce mrai pre (attrs ());
+  Bgp.Mrai.withdraw mrai pre;
   Alcotest.(check int) "withdraw queued, not sent" 1 (List.length !sent);
   ignore (Sim.run sim);
   match !sent with
@@ -90,8 +91,8 @@ let test_withdraw_paced () =
 
 let test_reset () =
   let sim, mrai, sent = setup () in
-  Bgp.Mrai.enqueue_announce mrai (p "100.64.0.0/24") (attrs ());
-  Bgp.Mrai.enqueue_announce mrai (p "100.64.1.0/24") (attrs ());
+  Bgp.Mrai.announce mrai (p "100.64.0.0/24") (attrs ());
+  Bgp.Mrai.announce mrai (p "100.64.1.0/24") (attrs ());
   Bgp.Mrai.reset mrai;
   Alcotest.(check int) "pending cleared" 0 (Bgp.Mrai.pending_count mrai);
   Alcotest.(check bool) "timer stopped" false (Bgp.Mrai.is_throttled mrai);
@@ -101,9 +102,9 @@ let test_reset () =
 let test_announce_overrides_pending_withdraw () =
   let sim, mrai, sent = setup ~on_withdrawals:true () in
   let pre = p "100.64.0.0/24" in
-  Bgp.Mrai.enqueue_announce mrai pre (attrs ~med:1 ());
-  Bgp.Mrai.enqueue_withdraw mrai pre;
-  Bgp.Mrai.enqueue_announce mrai pre (attrs ~med:2 ());
+  Bgp.Mrai.announce mrai pre (attrs ~med:1 ());
+  Bgp.Mrai.withdraw mrai pre;
+  Bgp.Mrai.announce mrai pre (attrs ~med:2 ());
   ignore (Sim.run sim);
   match List.rev !sent with
   | [ _; (_, flush) ] ->
@@ -111,6 +112,134 @@ let test_announce_overrides_pending_withdraw () =
       (List.length flush.Bgp.Message.announced);
     Alcotest.(check int) "no withdrawal left" 0 (List.length flush.Bgp.Message.withdrawn)
   | l -> Alcotest.failf "expected 2 updates, got %d" (List.length l)
+
+(* --- Differential: one outbound table vs the map-based reference ----- *)
+
+type op =
+  | Announce of int * int (* prefix, attrs *)
+  | Withdraw of int
+  | Flush (* the owner's end-of-event flush *)
+  | Advance of int (* seconds of simulated time, timer expiries included *)
+  | Reset
+
+let pool =
+  Array.map p
+    [| "100.64.0.0/24"; "100.64.1.0/24"; "100.64.0.0/16"; "10.0.0.0/8"; "0.0.0.0/0";
+       "200.1.2.0/24"; "255.255.255.255/32"; "128.0.0.0/1" |]
+
+(* Two wire-distinct attrs and a local-pref variant of the first, which
+   deduplication must treat as already advertised. *)
+let attr_pool =
+  [|
+    attrs ~med:1 ();
+    attrs ~med:2 ();
+    Bgp.Attrs.make ~med:1 ~local_pref:200 ~next_hop:nh ();
+  |]
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun i a -> Announce (i, a)) (int_bound 7) (int_bound 2));
+        (4, map (fun i -> Withdraw i) (int_bound 7));
+        (3, return Flush);
+        (2, map (fun s -> Advance s) (oneofl [ 1; 5; 12; 40 ]));
+        (1, return Reset);
+      ])
+
+let print_op = function
+  | Announce (i, a) -> Fmt.str "announce %s a%d" (Net.Ipv4.prefix_to_string pool.(i)) a
+  | Withdraw i -> Fmt.str "withdraw %s" (Net.Ipv4.prefix_to_string pool.(i))
+  | Flush -> "flush"
+  | Advance s -> Fmt.str "advance %ds" s
+  | Reset -> "reset"
+
+type case = { paced : bool; on_withdrawals : bool; hooked : bool; ops : op list }
+
+let gen_case =
+  QCheck.Gen.(
+    map
+      (fun ((paced, on_withdrawals, hooked), ops) -> { paced; on_withdrawals; hooked; ops })
+      (pair (triple bool bool bool) (list_size (int_range 1 60) gen_op)))
+
+let print_case c =
+  Fmt.str "paced=%b mrai_on_withdrawals=%b hooked=%b\n%s" c.paced c.on_withdrawals c.hooked
+    (String.concat "\n" (List.map print_op c.ops))
+
+let same_update (a : Bgp.Message.update) (b : Bgp.Message.update) =
+  List.equal
+    (fun (p, x) (q, y) -> Net.Ipv4.equal_prefix p q && x == y)
+    a.Bgp.Message.announced b.Bgp.Message.announced
+  && List.equal Net.Ipv4.equal_prefix a.Bgp.Message.withdrawn b.Bgp.Message.withdrawn
+
+(* Both sides run on their own sim with the same jittered config and RNG
+   seed, so equal UPDATEs at equal times also mean equal timer draws. *)
+let run_case c =
+  let config =
+    {
+      Bgp.Config.default with
+      Bgp.Config.mrai = Time.sec 10;
+      mrai_on_withdrawals = c.on_withdrawals;
+    }
+  in
+  let side () =
+    let sim = Sim.create () in
+    let sent = ref [] in
+    let send u = sent := (Time.to_us (Sim.now sim), u) :: !sent in
+    (sim, sent, send)
+  in
+  let sim_a, sent_a, send_a = side () and sim_b, sent_b, send_b = side () in
+  let table, model =
+    if c.paced then
+      ( Bgp.Mrai.create sim_a ~rng:(Rng.create 42) ~config ~send:send_a,
+        Mrai_reference.create sim_b ~rng:(Rng.create 42) ~config ~send:send_b )
+    else (Bgp.Mrai.unpaced ~send:send_a, Mrai_reference.unpaced ~send:send_b)
+  in
+  if c.hooked then begin
+    Bgp.Mrai.set_on_dirty table ignore;
+    Mrai_reference.set_on_dirty model ignore
+  end;
+  let counter sim name =
+    Engine.Metrics.value (Engine.Metrics.snapshot (Sim.metrics sim) ~at:(Sim.now sim)) name
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Announce (i, a) ->
+        Bgp.Mrai.announce table pool.(i) attr_pool.(a);
+        Mrai_reference.announce model pool.(i) attr_pool.(a)
+      | Withdraw i ->
+        Bgp.Mrai.withdraw table pool.(i);
+        Mrai_reference.withdraw model pool.(i)
+      | Flush ->
+        Bgp.Mrai.flush_event table;
+        Mrai_reference.flush_event model
+      | Advance s ->
+        let until sim = Time.add (Sim.now sim) (Time.sec s) in
+        ignore (Sim.run ~until:(until sim_a) sim_a);
+        ignore (Sim.run ~until:(until sim_b) sim_b)
+      | Reset ->
+        Bgp.Mrai.reset table;
+        Mrai_reference.reset model);
+      List.equal (fun (t, u) (t', u') -> t = t' && same_update u u') !sent_a !sent_b
+      && Bgp.Mrai.pending_count table = Mrai_reference.pending_count model
+      && Bgp.Mrai.is_throttled table = Mrai_reference.is_throttled model
+      && Array.for_all
+           (fun prefix ->
+             match (Bgp.Mrai.advertised table prefix, Mrai_reference.advertised model prefix) with
+             | None, None -> true
+             | Some x, Some y -> x == y
+             | _ -> false)
+           pool
+      && List.for_all
+           (fun name -> counter sim_a name = counter sim_b name)
+           [ "bgp_mrai_deferrals_total"; "bgp_mrai_flushes_total" ])
+    c.ops
+
+let prop_reference =
+  QCheck.Test.make ~name:"outbound table = persistent-map reference" ~count:500
+    (QCheck.make ~print:print_case gen_case)
+    run_case
 
 let suite =
   [
@@ -122,4 +251,5 @@ let suite =
     Alcotest.test_case "reset" `Quick test_reset;
     Alcotest.test_case "announce overrides pending withdraw" `Quick
       test_announce_overrides_pending_withdraw;
+    QCheck_alcotest.to_alcotest prop_reference;
   ]

@@ -1,4 +1,4 @@
-(* Bgp.Rib: the three RIBs' bookkeeping. *)
+(* Bgp.Rib and a peer's Adj-RIB-Out: the three RIBs' bookkeeping. *)
 
 let nh = Net.Ipv4.addr_of_octets 10 0 0 1
 
@@ -69,18 +69,18 @@ let test_loc () =
   Bgp.Rib.Loc.remove loc pre;
   Alcotest.(check int) "removed" 0 (Bgp.Rib.Loc.size loc)
 
+(* A peer's Adj-RIB-Out is its [Bgp.Mrai] table. *)
 let test_adj_out () =
-  let out = Bgp.Rib.Adj_out.create () in
+  let out = Bgp.Mrai.unpaced ~send:ignore in
   let pre = p "100.64.0.0/24" in
   let attrs = Bgp.Attrs.make ~next_hop:nh () in
-  Bgp.Rib.Adj_out.set out ~peer:(asn 65001) pre attrs;
-  Alcotest.(check bool) "recorded" true
-    (Bgp.Rib.Adj_out.find out ~peer:(asn 65001) pre <> None);
-  Alcotest.(check int) "advertised list" 1
-    (List.length (Bgp.Rib.Adj_out.advertised out ~peer:(asn 65001)));
-  let dropped = Bgp.Rib.Adj_out.drop_peer out ~peer:(asn 65001) in
+  Bgp.Mrai.announce out pre attrs;
+  Alcotest.(check bool) "recorded" true (Bgp.Mrai.advertised out pre <> None);
+  Alcotest.(check int) "advertised list" 1 (List.length (Bgp.Mrai.advertised_entries out));
+  let dropped = Bgp.Mrai.advertised_entries out in
+  Bgp.Mrai.reset out;
   Alcotest.(check int) "drop peer" 1 (List.length dropped);
-  Alcotest.(check int) "empty after drop" 0 (Bgp.Rib.Adj_out.size out)
+  Alcotest.(check int) "empty after drop" 0 (List.length (Bgp.Mrai.advertised_entries out))
 
 let suite =
   [

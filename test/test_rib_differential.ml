@@ -178,6 +178,15 @@ let test_table_vs_map () =
   let top_bit = Net.Ipv4.prefix (Net.Ipv4.addr_of_octets 128 0 0 0) 1 in
   Alcotest.(check bool) "covers top-bit networks" true
     (Pm.exists (fun p _ -> Net.Ipv4.subsumes ~outer:top_bit ~inner:p) !reference);
+  (* A table emptied entry by entry leaves no residue: it is as small as a
+     fresh one (a peer whose advertisements were all withdrawn costs a
+     record only). *)
+  Pm.iter (fun p _ -> Tbl.remove p table) !reference;
+  Alcotest.(check int) "emptied by removal" 0 (Tbl.size table);
+  Alcotest.(check int) "no residue after the last removal"
+    (Obj.reachable_words (Obj.repr (Tbl.create () : int Tbl.t)))
+    (Obj.reachable_words (Obj.repr table));
+  Tbl.set (wide_prefix rng) 0 table;
   Tbl.clear table;
   Alcotest.(check int) "clear empties" 0 (Tbl.size table);
   Alcotest.(check bool) "clear is_empty" true (Tbl.is_empty table)
@@ -326,12 +335,27 @@ let test_loc_differential () =
   done;
   check_entries "final entries" (Pm.bindings !reference) (Bgp.Rib.Loc.entries rib)
 
-(* --- Adj-RIB-Out: table-backed vs per-peer Prefix_map ---------------- *)
+(* --- Adj-RIB-Out: per-peer Mrai tables vs per-peer Prefix_map -------- *)
 
+(* Each peer's Adj-RIB-Out is its own [Bgp.Mrai] table, in three queue
+   regimes: unpaced and flushed at once, unpaced with a hook that never
+   flushes (withdrawals stay queued), and paced behind a timer that never
+   expires.  None may show a queued withdrawal as advertised. *)
 let test_adj_out_differential () =
   let rng = Engine.Rng.create 3003 in
-  let rib = Bgp.Rib.Adj_out.create () in
-  let peers = [ 65001; 65002; 65003 ] in
+  let sim = Engine.Sim.create () in
+  let config = Bgp.Config.no_jitter Bgp.Config.default in
+  let queued = Bgp.Mrai.unpaced ~send:ignore in
+  Bgp.Mrai.set_on_dirty queued ignore;
+  let tables =
+    [
+      (65001, Bgp.Mrai.unpaced ~send:ignore);
+      (65002, queued);
+      (65003, Bgp.Mrai.create sim ~rng:(Engine.Rng.create 5) ~config ~send:ignore);
+    ]
+  in
+  let peers = List.map fst tables in
+  let table peer = List.assoc (Net.Asn.to_int peer) tables in
   let attrs tag = Bgp.Attrs.make ~as_path:[ asn (65200 + tag) ] ~next_hop:nh () in
   let ref_tables = ref Am.empty in
   for step = 1 to 2000 do
@@ -340,11 +364,11 @@ let test_adj_out_differential () =
     (match Engine.Rng.int rng 6 with
     | 0 | 1 | 2 ->
       let a = attrs (Engine.Rng.int rng 4) in
-      Bgp.Rib.Adj_out.set rib ~peer prefix a;
+      Bgp.Mrai.announce (table peer) prefix a;
       let m = Option.value (Am.find_opt peer !ref_tables) ~default:Pm.empty in
       ref_tables := Am.add peer (Pm.add prefix a m) !ref_tables
     | 3 | 4 ->
-      Bgp.Rib.Adj_out.remove rib ~peer prefix;
+      Bgp.Mrai.withdraw (table peer) prefix;
       (match Am.find_opt peer !ref_tables with
       | None -> ()
       | Some m ->
@@ -353,7 +377,8 @@ let test_adj_out_differential () =
           (if Pm.is_empty m then Am.remove peer !ref_tables
            else Am.add peer m !ref_tables))
     | _ ->
-      let got = Bgp.Rib.Adj_out.drop_peer rib ~peer in
+      let got = List.map fst (Bgp.Mrai.advertised_entries (table peer)) in
+      Bgp.Mrai.reset (table peer);
       let want =
         match Am.find_opt peer !ref_tables with
         | None -> []
@@ -366,9 +391,11 @@ let test_adj_out_differential () =
         (List.map (fun k -> (k, ())) got));
     let ref_size = Am.fold (fun _ m acc -> acc + Pm.cardinal m) !ref_tables 0 in
     Alcotest.(check int) (Fmt.str "step %d: size" step) ref_size
-      (Bgp.Rib.Adj_out.size rib);
+      (List.fold_left
+         (fun acc (_, t) -> acc + List.length (Bgp.Mrai.advertised_entries t))
+         0 tables);
     let probe = random_prefix rng in
-    let got = Bgp.Rib.Adj_out.find rib ~peer probe in
+    let got = Bgp.Mrai.advertised (table peer) probe in
     let want = Option.bind (Am.find_opt peer !ref_tables) (Pm.find_opt probe) in
     Alcotest.(check bool)
       (Fmt.str "step %d: find agrees" step)
@@ -378,28 +405,17 @@ let test_adj_out_differential () =
       | Some g, Some w -> g == w
       | _ -> false)
   done;
-  (* the satellite fix: no peer with an empty advertised set may linger *)
-  let entries = Bgp.Rib.Adj_out.entries rib in
   List.iter
-    (fun (peer, advertised) ->
-      Alcotest.(check bool)
-        (Fmt.str "no empty per-peer map for AS%d" (Net.Asn.to_int peer))
-        true
-        (advertised <> []))
-    entries;
-  Alcotest.(check int) "entries peer count" (Am.cardinal !ref_tables)
-    (List.length entries);
-  List.iter
-    (fun (peer, advertised) ->
-      let want = Pm.bindings (Am.find_opt peer !ref_tables |> Option.get) in
-      check_entries
-        (Fmt.str "final advertised AS%d" (Net.Asn.to_int peer))
-        want advertised;
-      check_entries
-        (Fmt.str "final Adj_out.advertised AS%d" (Net.Asn.to_int peer))
-        want
-        (Bgp.Rib.Adj_out.advertised rib ~peer))
-    entries
+    (fun (p, t) ->
+      let want =
+        match Am.find_opt (asn p) !ref_tables with None -> [] | Some m -> Pm.bindings m
+      in
+      let got = Bgp.Mrai.advertised_entries t in
+      check_entries (Fmt.str "final advertised AS%d" p) want got;
+      List.iter2
+        (fun (_, w) (_, g) -> Alcotest.(check bool) "advertised attrs" true (w == g))
+        want got)
+    tables
 
 (* --- Small-topology end-to-end: table-backed Loc-RIBs vs a map mirror
    rebuilt from the best-route change stream of a real run -------------- *)

@@ -12,7 +12,7 @@ let p s = Option.get (Net.Ipv4.prefix_of_string s)
 
 let policy = Bgp.Policy.make Bgp.Policy.Unrestricted
 
-let setup ?liveness () =
+let setup ?liveness ?mrai_config () =
   let sim = Engine.Sim.create () in
   let wire = ref [] in
   let speaker =
@@ -31,7 +31,7 @@ let setup ?liveness () =
       sessions :=
         (Cluster_ctl.Speaker.session_member s, Cluster_ctl.Speaker.session_neighbor s, up)
         :: !sessions);
-  Cluster_ctl.Speaker.add_session speaker ~member ~neighbor ~member_addr:nh ~policy;
+  Cluster_ctl.Speaker.add_session ?mrai_config speaker ~member ~neighbor ~member_addr:nh ~policy;
   (speaker, wire, updates, sessions)
 
 let open_msg = Bgp.Message.Open { asn = neighbor; router_id = nh; hold_time = 0 }
@@ -154,6 +154,111 @@ let test_liveness_hold_zero () =
   Alcotest.(check bool) "established without liveness" true
     (Cluster_ctl.Speaker.session_established speaker ~member ~neighbor)
 
+(* With [mrai_config] a session's outbound table is paced: duplicates
+   are dropped, changes coalesce while the timer runs, and a batch scope
+   sends one UPDATE per session. *)
+let mrai_config =
+  Bgp.Config.no_jitter { Bgp.Config.default with Bgp.Config.mrai = Engine.Time.sec 10 }
+
+let wire_updates wire =
+  List.rev
+    (List.filter_map
+       (fun (m, n, msg) ->
+         match msg with
+         | Bgp.Message.Update u -> Some (Net.Asn.to_int m, Net.Asn.to_int n, u)
+         | _ -> None)
+       !wire)
+
+let meds (u : Bgp.Message.update) =
+  List.map (fun (_, a) -> a.Bgp.Attrs.med) u.Bgp.Message.announced
+
+let test_mrai_session () =
+  let speaker, wire, _, _ = setup ~mrai_config () in
+  let sim = Engine.Node.sim (Cluster_ctl.Speaker.node speaker) in
+  Cluster_ctl.Speaker.handle_relay speaker ~member ~neighbor open_msg;
+  let pre = p "9.9.9.0/24" in
+  let attrs med = Bgp.Attrs.make ~as_path:[ member ] ~med ~next_hop:nh () in
+  Cluster_ctl.Speaker.announce speaker ~member ~neighbor pre (attrs 1);
+  Cluster_ctl.Speaker.announce speaker ~member ~neighbor pre (attrs 1);
+  Alcotest.(check (list (list int))) "first change sent at once, duplicate dropped" [ [ 1 ] ]
+    (List.map (fun (_, _, u) -> meds u) (wire_updates wire));
+  Cluster_ctl.Speaker.announce speaker ~member ~neighbor pre (attrs 2);
+  Cluster_ctl.Speaker.announce speaker ~member ~neighbor pre (attrs 3);
+  Alcotest.(check int) "throttled: nothing more on the wire" 1 (List.length (wire_updates wire));
+  ignore (Engine.Sim.run ~until:(Engine.Time.ms 9_999) sim);
+  Alcotest.(check int) "held until the MRAI boundary" 1 (List.length (wire_updates wire));
+  ignore (Engine.Sim.run ~until:(Engine.Time.sec 10) sim);
+  Alcotest.(check (list (list int))) "one flush at expiry, latest only" [ [ 1 ]; [ 3 ] ]
+    (List.map (fun (_, _, u) -> meds u) (wire_updates wire));
+  Alcotest.(check (option int)) "adj-out holds the latest" (Some 3)
+    (Option.map
+       (fun a -> a.Bgp.Attrs.med)
+       (Cluster_ctl.Speaker.advertised speaker ~member ~neighbor pre))
+
+let test_mrai_batch () =
+  let speaker, wire, _, _ = setup ~mrai_config () in
+  let other = asn 65002 in
+  Cluster_ctl.Speaker.add_session ~mrai_config speaker ~member ~neighbor:other ~member_addr:nh
+    ~policy;
+  List.iter
+    (fun n ->
+      Cluster_ctl.Speaker.handle_relay speaker ~member ~neighbor:n
+        (Bgp.Message.Open { asn = n; router_id = nh; hold_time = 0 }))
+    [ neighbor; other ];
+  let attrs = Bgp.Attrs.make ~as_path:[ member ] ~next_hop:nh () in
+  let prefixes = [ p "9.9.9.0/24"; p "1.1.1.0/24"; p "5.5.5.0/24" ] in
+  Cluster_ctl.Speaker.with_batch speaker (fun () ->
+      List.iter
+        (fun n ->
+          List.iter (fun pre -> Cluster_ctl.Speaker.announce speaker ~member ~neighbor:n pre attrs)
+            prefixes)
+        [ other; neighbor ];
+      Alcotest.(check int) "nothing sent inside the scope" 0 (List.length (wire_updates wire)));
+  Alcotest.(check (list (pair int (list string))))
+    "one UPDATE per session, configuration order, prefix order"
+    [
+      (65001, [ "1.1.1.0/24"; "5.5.5.0/24"; "9.9.9.0/24" ]);
+      (65002, [ "1.1.1.0/24"; "5.5.5.0/24"; "9.9.9.0/24" ]);
+    ]
+    (List.map
+       (fun (_, n, u) ->
+         (n, List.map (fun (pre, _) -> Net.Ipv4.prefix_to_string pre) u.Bgp.Message.announced))
+       (wire_updates wire))
+
+(* A raising body closes the scope (flushing what it queued) and the
+   exception leaves as itself; so does one raised by the flush, unwrapped
+   (no [Fun.Finally_raised]). *)
+let test_batch_raises () =
+  let speaker, wire, _, _ = setup () in
+  Cluster_ctl.Speaker.handle_relay speaker ~member ~neighbor open_msg;
+  let attrs = Bgp.Attrs.make ~as_path:[ member ] ~next_hop:nh () in
+  (match
+     Cluster_ctl.Speaker.with_batch speaker (fun () ->
+         Cluster_ctl.Speaker.announce speaker ~member ~neighbor (p "9.9.9.0/24") attrs;
+         raise Exit)
+   with
+  | () -> Alcotest.fail "expected Exit"
+  | exception Exit -> ());
+  Alcotest.(check int) "queued change flushed on the way out" 1 (List.length (wire_updates wire));
+  Cluster_ctl.Speaker.announce speaker ~member ~neighbor (p "1.1.1.0/24") attrs;
+  Alcotest.(check int) "scope closed: later changes go out at once" 2
+    (List.length (wire_updates wire));
+  let sim = Engine.Sim.create () in
+  let speaker =
+    Cluster_ctl.Speaker.create ~sim
+      ~send_relay:(fun ~member:_ ~neighbor:_ -> function
+        | Bgp.Message.Update _ -> failwith "relay down" | _ -> true)
+      ()
+  in
+  Cluster_ctl.Speaker.add_session speaker ~member ~neighbor ~member_addr:nh ~policy;
+  Cluster_ctl.Speaker.handle_relay speaker ~member ~neighbor open_msg;
+  match
+    Cluster_ctl.Speaker.with_batch speaker (fun () ->
+        Cluster_ctl.Speaker.announce speaker ~member ~neighbor (p "9.9.9.0/24") attrs)
+  with
+  | () -> Alcotest.fail "expected the flush to raise"
+  | exception Failure msg -> Alcotest.(check string) "the flush's own exception" "relay down" msg
+
 let suite =
   [
     Alcotest.test_case "open handshake + AS identity" `Quick test_open_handshake_preserves_identity;
@@ -165,4 +270,7 @@ let suite =
     Alcotest.test_case "duplicate session rejected" `Quick test_duplicate_session_rejected;
     Alcotest.test_case "liveness hold expiry" `Quick test_liveness_hold_expiry;
     Alcotest.test_case "liveness off at hold 0" `Quick test_liveness_hold_zero;
+    Alcotest.test_case "mrai: dedup and coalescing" `Quick test_mrai_session;
+    Alcotest.test_case "mrai: one UPDATE per session per batch" `Quick test_mrai_batch;
+    Alcotest.test_case "batch scope closes on raise" `Quick test_batch_raises;
   ]
