@@ -46,10 +46,14 @@ let path_hash_of path = List.fold_right (fun asn h -> mix h (Net.Asn.to_int asn)
 
 (* Hash of the wire-visible content only: every local-pref variant of one
    wire content has the same home slot, hence sits on one probe run. *)
+let content_hash ~path_hash ~next_hop ~med ~origin communities =
+  let h = mix path_hash (Net.Ipv4.addr_to_bits next_hop) in
+  let h = mix (mix h med) (origin_rank origin) in
+  Community.Set.fold (fun (asn, tag) h -> mix h ((asn lsl 16) lor tag)) communities h
+
 let wire_hash t =
-  let h = mix t.path_hash (Net.Ipv4.addr_to_bits t.next_hop) in
-  let h = mix (mix h t.med) (origin_rank t.origin) in
-  Community.Set.fold (fun (asn, tag) h -> mix h ((asn lsl 16) lor tag)) t.communities h
+  content_hash ~path_hash:t.path_hash ~next_hop:t.next_hop ~med:t.med ~origin:t.origin
+    t.communities
 
 (* Paths of canonical values share tails, so the physical check usually
    ends the walk at the first shared cons. *)
@@ -180,24 +184,72 @@ let prepend t asn =
       path_hash = mix t.path_hash (Net.Asn.to_int asn);
     }
 
+(* Whether [path] is [times] copies of [asn] followed by [tail]. *)
+let rec prepended path asn times tail =
+  if times = 0 then path_equal path tail
+  else
+    match path with
+    | x :: rest -> Net.Asn.equal x asn && prepended rest asn (times - 1) tail
+    | [] -> false
+
+let rec prepend_hash asn times h =
+  if times = 0 then h else prepend_hash asn (times - 1) (mix h (Net.Asn.to_int asn))
+
+let rec prepend_path asn times path =
+  if times = 0 then path else prepend_path asn (times - 1) (asn :: path)
+
+(* [find_wire] for the content of [t] with [times] prepends of [asn] and
+   [next_hop], without building it. *)
+let rec find_exported slots mask t ~asn ~times ~path_hash ~next_hop i =
+  let s = slots.(i) in
+  if
+    s == empty
+    || s.path_hash = path_hash && s.med = t.med && s.origin = t.origin
+       && s.path_len = t.path_len + times
+       && Net.Ipv4.equal_addr s.next_hop next_hop
+       && prepended s.as_path asn times t.as_path
+       && Community.Set.equal s.communities t.communities
+  then i
+  else find_exported slots mask t ~asn ~times ~path_hash ~next_hop ((i + 1) land mask)
+
 (* [times] own-ASN prepends, the router's next hop and the default
    local-pref in one intern: the per-peer export content, without the
    intermediate canonical values a [prepend]/[with_next_hop]/
-   [with_local_pref] chain would create (and the intern set keeps). *)
+   [with_local_pref] chain would create (and the intern set keeps).
+   Export runs on every best change, so the set is probed with the
+   would-be content and the value is built only when it is new. *)
 let exported t ~asn ~times ~next_hop =
-  let rec prepend_n n path h =
-    if n <= 0 then (path, h) else prepend_n (n - 1) (asn :: path) (mix h (Net.Asn.to_int asn))
+  let times = max times 0 in
+  let path_hash = prepend_hash asn times t.path_hash in
+  let tbl = Domain.DLS.get table_key in
+  let slots = tbl.slots in
+  let mask = Array.length slots - 1 in
+  let home =
+    content_hash ~path_hash ~next_hop ~med:t.med ~origin:t.origin t.communities land mask
   in
-  let as_path, path_hash = prepend_n times t.as_path t.path_hash in
-  intern
-    {
-      t with
-      as_path;
-      path_len = t.path_len + max times 0;
-      path_hash;
-      next_hop;
-      local_pref = default_local_pref;
-    }
+  let i = find_exported slots mask t ~asn ~times ~path_hash ~next_hop home in
+  let found = slots.(i) in
+  let j =
+    if found == empty then i else find_variant slots mask found.wire_id default_local_pref i
+  in
+  if slots.(j) != empty then slots.(j)
+  else
+    let key =
+      {
+        t with
+        as_path = prepend_path asn times t.as_path;
+        path_len = t.path_len + times;
+        path_hash;
+        next_hop;
+        local_pref = default_local_pref;
+      }
+    in
+    if found != empty then store tbl j key ~wire_id:found.wire_id
+    else begin
+      let wire_id = tbl.next_wire in
+      tbl.next_wire <- wire_id + 1;
+      store tbl j key ~wire_id
+    end
 
 let origin_as t =
   match List.rev t.as_path with [] -> None | last :: _ -> Some last

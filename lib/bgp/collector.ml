@@ -26,7 +26,7 @@ type t = {
   mutable events : event list; (* newest first; empty under Counts_only *)
   mutable event_count : int;
   last_by_prefix : Engine.Time.t Tbl.t;
-  mutable last_time : Engine.Time.t option;
+  mutable last_time : Engine.Time.t; (* meaningful while [event_count > 0] *)
 }
 
 let create ?(retention = Full) ~sim ~asn ~node_id ~router_id ~send () =
@@ -44,7 +44,7 @@ let create ?(retention = Full) ~sim ~asn ~node_id ~router_id ~send () =
       events = [];
       event_count = 0;
       last_by_prefix = Tbl.create ();
-      last_time = None;
+      last_time = Engine.Time.zero;
     }
   in
   (* A crashed collector loses its event log — the monitoring feed has a
@@ -52,8 +52,7 @@ let create ?(retention = Full) ~sim ~asn ~node_id ~router_id ~send () =
   Engine.Node.on_crash node (fun () ->
       t.events <- [];
       t.event_count <- 0;
-      Tbl.clear t.last_by_prefix;
-      t.last_time <- None);
+      Tbl.clear t.last_by_prefix);
   Engine.Node.start node;
   t
 
@@ -65,19 +64,35 @@ let node_id t = t.node_id
 
 let add_peer t ~peer_asn ~peer_node = Hashtbl.replace t.peer_of_node peer_node peer_asn
 
-let record t ~peer ~prefix action =
-  let time = Engine.Sim.now t.sim in
-  (match t.retention with
-  | Full -> t.events <- { time; peer; prefix; action } :: t.events
-  | Counts_only -> ());
+(* One update seen at [time]: a [Counts_only] collector builds nothing
+   per prefix beyond its last-update slot. *)
+let stamp t prefix time =
   Tbl.set prefix time t.last_by_prefix;
-  t.last_time <- Some time;
+  t.last_time <- time;
   t.event_count <- t.event_count + 1
 
+let rec record_withdrawn t peer time = function
+  | [] -> ()
+  | prefix :: rest ->
+    (match t.retention with
+    | Full -> t.events <- { time; peer; prefix; action = Withdraw } :: t.events
+    | Counts_only -> ());
+    stamp t prefix time;
+    record_withdrawn t peer time rest
+
+let rec record_announced t peer time = function
+  | [] -> ()
+  | (prefix, attrs) :: rest ->
+    (match t.retention with
+    | Full -> t.events <- { time; peer; prefix; action = Announce attrs } :: t.events
+    | Counts_only -> ());
+    stamp t prefix time;
+    record_announced t peer time rest
+
 let handle_message t ~from msg =
-  match Hashtbl.find_opt t.peer_of_node from with
-  | None -> ()
-  | Some peer -> (
+  match Hashtbl.find t.peer_of_node from with
+  | exception Not_found -> ()
+  | peer -> (
     match msg with
     | Message.Open _ ->
       (* Auto-respond so routers' session FSM completes.  Hold time 0:
@@ -88,9 +103,9 @@ let handle_message t ~from msg =
            (Message.Open { asn = t.asn; router_id = t.router_id; hold_time = 0 }))
     | Message.Keepalive | Message.Notification _ -> ()
     | Message.Update u ->
-      List.iter (fun prefix -> record t ~peer ~prefix Withdraw) u.Message.withdrawn;
-      List.iter (fun (prefix, attrs) -> record t ~peer ~prefix (Announce attrs))
-        u.Message.announced)
+      let time = Engine.Sim.now t.sim in
+      record_withdrawn t peer time u.Message.withdrawn;
+      record_announced t peer time u.Message.announced)
 
 let events t = List.rev t.events
 
@@ -99,7 +114,7 @@ let event_count t = t.event_count
 let events_for t prefix =
   List.filter (fun e -> Net.Ipv4.equal_prefix e.prefix prefix) (events t)
 
-let last_update_time t = t.last_time
+let last_update_time t = if t.event_count = 0 then None else Some t.last_time
 
 let last_update_for t prefix = Tbl.find prefix t.last_by_prefix
 
@@ -108,8 +123,7 @@ let last_updates t = Tbl.entries t.last_by_prefix
 let clear t =
   t.events <- [];
   t.event_count <- 0;
-  Tbl.clear t.last_by_prefix;
-  t.last_time <- None
+  Tbl.clear t.last_by_prefix
 
 (* --- Dump format (MRT-inspired text) ----------------------------------
 

@@ -56,22 +56,18 @@ let local_pref t = t.local_pref
 
 let export_prepend t = t.export_prepend
 
-(* Import processing for a route received from a peer governed by [t]:
-   reject AS-path loops and filtered prefixes, stamp local-pref (a purely
-   local attribute) and the provenance community. *)
-let import t ~me ~prefix (attrs : Attrs.t) =
-  if Attrs.path_contains attrs me then None
-  else if not (t.import_prefix_filter prefix) then None
-  else if Attrs.has_community attrs Community.no_advertise then None
-  else begin
-    let attrs = Attrs.with_local_pref attrs t.local_pref in
-    let attrs =
-      match t.import_community with
-      | Some c -> Attrs.add_community attrs c
-      | None -> attrs
-    in
-    Some attrs
-  end
+(* Import processing for a route received from a peer governed by [t], in
+   two steps so a rejection allocates nothing: [accepts] rejects AS-path
+   loops, filtered prefixes and NO_ADVERTISE; [import] stamps local-pref
+   (a purely local attribute) and the provenance community. *)
+let accepts t ~me ~prefix (attrs : Attrs.t) =
+  (not (Attrs.path_contains attrs me))
+  && t.import_prefix_filter prefix
+  && not (Attrs.has_community attrs Community.no_advertise)
+
+let import t (attrs : Attrs.t) =
+  let attrs = Attrs.with_local_pref attrs t.local_pref in
+  match t.import_community with Some c -> Attrs.add_community attrs c | None -> attrs
 
 (* The source "relationship" of a locally originated route. *)
 type route_provenance = From of relationship | Originated
@@ -88,12 +84,24 @@ let export_allowed ~to_rel ~provenance =
     | From (Customer | Sibling | Unrestricted) -> true
     | From (Peer | Provider) -> false)
 
-let export t ~provenance ~prefix (attrs : Attrs.t) =
-  if not (t.export_prefix_filter prefix) then None
-  else if Attrs.has_community attrs Community.no_export then None
-  else if Attrs.has_community attrs Community.no_advertise then None
-  else if not (export_allowed ~to_rel:t.relationship ~provenance) then None
-  else Some attrs
+(* The provenance of a route learned from a neighbor of relationship
+   [rel]: one static value per relationship, never a fresh block. *)
+let learned_from = function
+  | Customer -> From Customer
+  | Provider -> From Provider
+  | Peer -> From Peer
+  | Sibling -> From Sibling
+  | Unrestricted -> From Unrestricted
+
+(* Export policy toward a neighbor governed by [t]: the valley-free rule,
+   the prefix filter and NO_EXPORT/NO_ADVERTISE.  The rule reads only the
+   communities, which the exported attrs share with the route's own, so
+   it is asked before any exported attrs exist. *)
+let exports t ~provenance ~prefix (attrs : Attrs.t) =
+  export_allowed ~to_rel:t.relationship ~provenance
+  && t.export_prefix_filter prefix
+  && (not (Attrs.has_community attrs Community.no_export))
+  && not (Attrs.has_community attrs Community.no_advertise)
 
 let pp ppf t =
   Fmt.pf ppf "%s lp=%d" (relationship_to_string t.relationship) t.local_pref

@@ -26,17 +26,26 @@ val local_pref : t -> int
 
 val export_prepend : t -> int
 
-val import : t -> me:Net.Asn.t -> prefix:Net.Ipv4.prefix -> Attrs.t -> Attrs.t option
-(** Import processing: AS-path loop check, prefix filter, NO_ADVERTISE,
-    local-pref stamping, provenance community.  [None] = rejected. *)
+val accepts : t -> me:Net.Asn.t -> prefix:Net.Ipv4.prefix -> Attrs.t -> bool
+(** The import filter: [false] when the AS path holds [me], the prefix
+    filter rejects the prefix, or the route carries NO_ADVERTISE. *)
+
+val import : t -> Attrs.t -> Attrs.t
+(** The attrs of an accepted route as stored: local-pref stamped and the
+    provenance community added. *)
 
 type route_provenance = From of relationship | Originated
 
 val export_allowed : to_rel:relationship -> provenance:route_provenance -> bool
 (** The valley-free export predicate. *)
 
-val export : t -> provenance:route_provenance -> prefix:Net.Ipv4.prefix -> Attrs.t -> Attrs.t option
-(** Export processing toward a neighbor governed by [t]: valley-free rule,
-    prefix filter, NO_EXPORT/NO_ADVERTISE.  [None] = do not advertise. *)
+val learned_from : relationship -> route_provenance
+(** [From rel], as a shared constant. *)
+
+val exports : t -> provenance:route_provenance -> prefix:Net.Ipv4.prefix -> Attrs.t -> bool
+(** The export predicate toward a neighbor governed by [t]: valley-free
+    rule, prefix filter, NO_EXPORT/NO_ADVERTISE.  It reads only the
+    route's communities, so it may be asked with the route's own attrs
+    before exported ones are built. *)
 
 val pp : Format.formatter -> t -> unit

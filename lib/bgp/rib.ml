@@ -19,9 +19,9 @@ module Tbl = Net.Ipv4.Prefix_table
 
 module Adj_in = struct
   (* One prefix-major view: per prefix, the peers' routes in ascending
-     peer order, each route's peer read from its [Route.source].
-     [candidates] — run on every decision process — is then one lookup
-     over a flat array.  Session maintenance ([drop_peer],
+     peer order, each route's peer read from its [Route.source].  The
+     decision process walks [routes], one lookup's flat array, in place;
+     every update probes the table once.  Session maintenance ([drop_peer],
      [prefixes_from]) scans every prefix, which is fine on session-down
      only.  [count] tracks the total so [size] is O(1). *)
   type t = { by_prefix : Route.t array Tbl.t; mutable count : int }
@@ -40,13 +40,14 @@ module Adj_in = struct
   let holds arr i peer = i < Array.length arr && peer_of arr.(i) = peer
 
   let set t (route : Route.t) =
-    let prefix = Route.prefix route in
+    let key = Net.Ipv4.prefix_to_packed (Route.prefix route) in
     let peer = peer_of route in
-    match Tbl.find prefix t.by_prefix with
-    | None ->
-      Tbl.set prefix [| route |] t.by_prefix;
+    match Tbl.slot t.by_prefix key with
+    | -1 ->
+      ignore (Tbl.add t.by_prefix key [| route |]);
       t.count <- t.count + 1
-    | Some arr ->
+    | s ->
+      let arr = Tbl.value t.by_prefix s in
       let i = position arr peer 0 in
       if holds arr i peer then arr.(i) <- route
       else begin
@@ -54,39 +55,42 @@ module Adj_in = struct
         let out = Array.make (n + 1) route in
         Array.blit arr 0 out 0 i;
         Array.blit arr i out (i + 1) (n - i);
-        Tbl.set prefix out t.by_prefix;
+        Tbl.set_value t.by_prefix s out;
         t.count <- t.count + 1
       end
 
   let remove t ~peer prefix =
     let peer = Net.Asn.to_int peer in
-    match Tbl.find prefix t.by_prefix with
-    | None -> ()
-    | Some arr ->
+    match Tbl.slot t.by_prefix (Net.Ipv4.prefix_to_packed prefix) with
+    | -1 -> false
+    | s ->
+      let arr = Tbl.value t.by_prefix s in
       let n = Array.length arr in
       let i = position arr peer 0 in
-      if holds arr i peer then begin
-        t.count <- t.count - 1;
-        if n = 1 then Tbl.remove prefix t.by_prefix
-        else begin
-          let out = Array.make (n - 1) arr.(0) in
-          Array.blit arr 0 out 0 i;
-          Array.blit arr (i + 1) out i (n - 1 - i);
-          Tbl.set prefix out t.by_prefix
-        end
-      end
+      holds arr i peer
+      && begin
+           t.count <- t.count - 1;
+           if n = 1 then Tbl.remove_slot t.by_prefix s
+           else begin
+             let out = Array.make (n - 1) arr.(0) in
+             Array.blit arr 0 out 0 i;
+             Array.blit arr (i + 1) out i (n - 1 - i);
+             Tbl.set_value t.by_prefix s out
+           end;
+           true
+         end
+
+  let routes t prefix =
+    match Tbl.slot t.by_prefix (Net.Ipv4.prefix_to_packed prefix) with
+    | -1 -> [||]
+    | s -> Tbl.value t.by_prefix s
 
   let find t ~peer prefix =
-    let peer = Net.Asn.to_int peer in
-    match Tbl.find prefix t.by_prefix with
-    | None -> None
-    | Some arr ->
-      let i = position arr peer 0 in
-      if holds arr i peer then Some arr.(i) else None
+    let arr = routes t prefix and peer = Net.Asn.to_int peer in
+    let i = position arr peer 0 in
+    if holds arr i peer then Some arr.(i) else None
 
-  (* All routes for a prefix across peers, in ascending peer order. *)
-  let candidates t prefix =
-    match Tbl.find prefix t.by_prefix with None -> [] | Some arr -> Array.to_list arr
+  let candidates t prefix = Array.to_list (routes t prefix)
 
   let prefixes_from t ~peer =
     let peer = Net.Asn.to_int peer in
@@ -98,7 +102,7 @@ module Adj_in = struct
 
   let drop_peer t ~peer =
     let dropped = prefixes_from t ~peer in
-    List.iter (remove t ~peer) dropped;
+    List.iter (fun prefix -> ignore (remove t ~peer prefix)) dropped;
     dropped
 
   let all_prefixes t = Tbl.keys t.by_prefix
@@ -117,9 +121,35 @@ module Loc = struct
 
   let find t prefix = Tbl.find prefix t.best
 
-  let set t (route : Route.t) = Tbl.set (Route.prefix route) route t.best
+  (* Same source, wire-equal attrs and the same local-pref: replacing one
+     with the other changes nothing a subscriber or a peer could see. *)
+  let same_best (a : Route.t) (b : Route.t) =
+    (match (a.Route.source, b.Route.source) with
+    | Route.Local, Route.Local -> true
+    | Route.Ebgp p, Route.Ebgp q -> Net.Asn.equal p q
+    | Route.Local, Route.Ebgp _ | Route.Ebgp _, Route.Local -> false)
+    && Attrs.wire_equal a.Route.attrs b.Route.attrs
+    && a.Route.attrs.Attrs.local_pref = b.Route.attrs.Attrs.local_pref
 
-  let remove t prefix = Tbl.remove prefix t.best
+  let install t (route : Route.t) =
+    let key = Net.Ipv4.prefix_to_packed (Route.prefix route) in
+    match Tbl.slot t.best key with
+    | -1 ->
+      ignore (Tbl.add t.best key route);
+      true
+    | s ->
+      (not (same_best (Tbl.value t.best s) route))
+      && begin
+           Tbl.set_value t.best s route;
+           true
+         end
+
+  let remove t prefix =
+    match Tbl.slot t.best (Net.Ipv4.prefix_to_packed prefix) with
+    | -1 -> false
+    | s ->
+      Tbl.remove_slot t.best s;
+      true
 
   let entries t = Tbl.entries t.best
 

@@ -11,12 +11,18 @@ module Adj_in : sig
       prefix; the peer is the route's [Ebgp] source.
       @raise Invalid_argument for a [Local] route. *)
 
-  val remove : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> unit
+  val remove : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> bool
+  (** [true] when the peer had a route for the prefix. *)
 
   val find : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> Route.t option
 
+  val routes : t -> Net.Ipv4.prefix -> Route.t array
+  (** All peers' routes for the prefix, ascending peer order: the table's
+      own array (empty when none), to be read and not kept across a
+      change to the prefix. *)
+
   val candidates : t -> Net.Ipv4.prefix -> Route.t list
-  (** All peers' routes for the prefix, ascending peer order. *)
+  (** [routes] as a fresh list. *)
 
   val prefixes_from : t -> peer:Net.Asn.t -> Net.Ipv4.prefix list
   (** Ascending prefix order; scans every prefix. *)
@@ -40,9 +46,13 @@ module Loc : sig
 
   val find : t -> Net.Ipv4.prefix -> Route.t option
 
-  val set : t -> Route.t -> unit
+  val install : t -> Route.t -> bool
+  (** Make the route its prefix's best unless the current best has the
+      same source, wire-equal attrs and the same local-pref; [true] when
+      the best changed. *)
 
-  val remove : t -> Net.Ipv4.prefix -> unit
+  val remove : t -> Net.Ipv4.prefix -> bool
+  (** [true] when the prefix had a best. *)
 
   val entries : t -> (Net.Ipv4.prefix * Route.t) list
 

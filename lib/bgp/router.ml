@@ -34,6 +34,7 @@ type telemetry = {
 
 type peer = {
   peer_asn : Net.Asn.t;
+  source : Route.source; (* [Ebgp peer_asn], shared by every route learned from the peer *)
   peer_node : int;
   policy : Policy.t;
   session : Session.t;
@@ -58,7 +59,7 @@ type t = {
   peer_of_node : (int, peer) Hashtbl.t;
   adj_in : Rib.Adj_in.t;
   loc : Rib.Loc.t;
-  originated : Attrs.t Tbl.t;
+  originated : Route.t Tbl.t; (* the local routes *)
   mutable busy_until : Engine.Time.t;
   damping : Damping.t option;
   stats : stats;
@@ -228,15 +229,13 @@ let close_batch t =
   t.batch_depth <- t.batch_depth - 1;
   if t.batch_depth = 0 then flush_batch t
 
-(* Runs twice per delivered UPDATE, so a direct handler rather than a
-   closure-allocating wrapper.  The scope closes (and flushes) on both
-   paths, and an exception leaves with its own backtrace. *)
-let with_batch t f =
+(* [f t x] inside a batch scope.  Callers pass a top-level [f], so
+   opening a scope allocates no closure.  The scope closes (and flushes)
+   on both paths, and an exception leaves with its own backtrace. *)
+let with_batch t f x =
   t.batch_depth <- t.batch_depth + 1;
-  match f () with
-  | v ->
-    close_batch t;
-    v
+  match f t x with
+  | () -> close_batch t
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
     close_batch t;
@@ -244,29 +243,32 @@ let with_batch t f =
 
 (* --- Decision process and export ------------------------------------- *)
 
-let local_route t prefix =
-  match Tbl.find prefix t.originated with
-  | None -> None
-  | Some attrs ->
-    Some (Route.make ~prefix ~attrs ~source:Route.Local ~learned_at:Engine.Time.zero)
+let suppressed t prefix (route : Route.t) =
+  match (t.damping, route.Route.source) with
+  | None, _ | Some _, Route.Local -> false
+  | Some damping, Route.Ebgp peer ->
+    Damping.is_suppressed damping ~peer ~prefix ~now:(Engine.Sim.now t.sim)
+
+(* The index of the most preferred route in [routes.(i..)] and
+   [routes.(best)] ([best] < 0: none yet).  Damping excludes suppressed
+   (peer, prefix) routes from selection; they remain in Adj-RIB-In and
+   return once their penalty decays.  Every route is asked in ascending
+   peer order, since the question can end a suppression. *)
+let rec best_learned t prefix routes i best =
+  if i = Array.length routes then best
+  else
+    let r = routes.(i) in
+    let best =
+      if (not (suppressed t prefix r)) && (best < 0 || Decision.better r routes.(best)) then i
+      else best
+    in
+    best_learned t prefix routes (i + 1) best
 
 let candidates t prefix =
-  let learned = Rib.Adj_in.candidates t.adj_in prefix in
-  (* Damping excludes suppressed (peer, prefix) routes from selection;
-     they remain in Adj-RIB-In and return once their penalty decays. *)
   let learned =
-    match t.damping with
-    | None -> learned
-    | Some damping ->
-      let now = Engine.Sim.now t.sim in
-      List.filter
-        (fun r ->
-          match Route.from_peer r with
-          | Some peer -> not (Damping.is_suppressed damping ~peer ~prefix ~now)
-          | None -> true)
-        learned
+    List.filter (fun r -> not (suppressed t prefix r)) (Rib.Adj_in.candidates t.adj_in prefix)
   in
-  match local_route t prefix with Some r -> r :: learned | None -> learned
+  match Tbl.find prefix t.originated with Some r -> r :: learned | None -> learned
 
 let damping_state t = t.damping
 
@@ -276,101 +278,93 @@ let loc_entries t = Rib.Loc.entries t.loc
 
 let originated_prefixes t = Tbl.keys t.originated
 
-let route_equal a b =
-  (match (Route.source a, Route.source b) with
-  | Route.Local, Route.Local -> true
-  | Route.Ebgp p, Route.Ebgp q -> Net.Asn.equal p q
-  | Route.Local, Route.Ebgp _ | Route.Ebgp _, Route.Local -> false)
-  && Attrs.wire_equal (Route.attrs a) (Route.attrs b)
-  && (Route.attrs a).Attrs.local_pref = (Route.attrs b).Attrs.local_pref
-
+(* The provenance of a route, as one of [Policy]'s shared values. *)
 let provenance t (route : Route.t) =
-  match Route.source route with
+  match route.Route.source with
   | Route.Local -> Policy.Originated
-  | Route.Ebgp q -> (
-    match find_peer t q with
-    | Some p -> Policy.From (Policy.relationship p.policy)
-    | None -> Policy.From Policy.Unrestricted)
+  | Route.Ebgp q ->
+    let peers = t.peers in
+    let i = search peers q 0 (Array.length peers) in
+    Policy.learned_from
+      (if i < Array.length peers && Net.Asn.equal peers.(i).peer_asn q then
+         Policy.relationship peers.(i).policy
+       else Policy.Unrestricted)
 
-(* What an advertisement of one best route shares across peers, computed
-   once per best change: its origin peer, its provenance and the exported
-   attrs for peers without extra prepends (interned on first use, so a
-   route no peer receives creates no attrs). *)
-type export = {
-  route : Route.t;
-  from : Net.Asn.t option;
-  provenance : Policy.route_provenance;
-  mutable plain : Attrs.t option;
-}
+(* Whether [peer] may be told of [route]: not its own route back, no loop
+   in its path, and its export policy agrees. *)
+let may_export peer prefix (route : Route.t) provenance =
+  (match route.Route.source with
+  | Route.Ebgp q -> not (Net.Asn.equal q peer.peer_asn)
+  | Route.Local -> true)
+  && (not (Attrs.path_contains route.Route.attrs peer.peer_asn))
+  && Policy.exports peer.policy ~provenance ~prefix route.Route.attrs
 
-let export_of t route =
-  { route; from = Route.from_peer route; provenance = provenance t route; plain = None }
+let exported t attrs peer =
+  Attrs.exported attrs ~asn:t.asn ~times:(1 + Policy.export_prepend peer.policy)
+    ~next_hop:t.router_id
 
-let exported_attrs t ex peer =
-  let k = Policy.export_prepend peer.policy in
-  match ex.plain with
-  | Some a when k = 0 -> a
-  | Some _ | None ->
-    let a =
-      Attrs.exported (Route.attrs ex.route) ~asn:t.asn ~times:(1 + k) ~next_hop:t.router_id
-    in
-    if k = 0 then ex.plain <- Some a;
-    a
-
-(* What (if anything) the current best route looks like when advertised to
-   [peer]. *)
-let desired_export t prefix ex peer =
-  match ex with
-  | None -> None
-  | Some { from = Some q; _ } when Net.Asn.equal q peer.peer_asn -> None
-  | Some ex when Attrs.path_contains (Route.attrs ex.route) peer.peer_asn -> None
-  | Some ex ->
-    Policy.export peer.policy ~provenance:ex.provenance ~prefix (exported_attrs t ex peer)
-
-(* Deduplication against the Adj-RIB-Out happens inside [Mrai]. *)
-let export_to_peer t prefix ex peer =
-  if Session.is_established peer.session then
-    match desired_export t prefix ex peer with
-    | Some a -> Mrai.announce peer.mrai prefix a
-    | None -> Mrai.withdraw peer.mrai prefix
-
+(* Deduplication against the Adj-RIB-Out happens inside [Mrai].  The
+   exported attrs are built only for peers that take the route, and once
+   for all peers without extra prepends: [plain] holds the route's own
+   attrs until then, which no exported value can be (export prepends our
+   ASN and sets our next hop). *)
 let export_all_peers t prefix best =
-  let ex = Option.map (export_of t) best in
   let peers = t.peers in
-  for i = 0 to Array.length peers - 1 do
-    export_to_peer t prefix ex peers.(i)
-  done
+  match best with
+  | None ->
+    for i = 0 to Array.length peers - 1 do
+      let peer = peers.(i) in
+      if Session.is_established peer.session then Mrai.withdraw peer.mrai prefix
+    done
+  | Some route ->
+    let provenance = provenance t route and own = route.Route.attrs in
+    let plain = ref own in
+    for i = 0 to Array.length peers - 1 do
+      let peer = peers.(i) in
+      if Session.is_established peer.session then
+        if may_export peer prefix route provenance then begin
+          let attrs =
+            if Policy.export_prepend peer.policy > 0 then exported t own peer
+            else begin
+              if !plain == own then plain := exported t own peer;
+              !plain
+            end
+          in
+          Mrai.announce peer.mrai prefix attrs
+        end
+        else Mrai.withdraw peer.mrai prefix
+    done
 
+let best_changed t prefix best =
+  t.stats.best_changes <- t.stats.best_changes + 1;
+  Engine.Metrics.Counter.inc t.tm.best_changes_c;
+  let subscribers = t.on_best_change in
+  for i = 0 to Array.length subscribers - 1 do
+    subscribers.(i) prefix best
+  done;
+  export_all_peers t prefix best
+
+let install t prefix route = if Rib.Loc.install t.loc route then best_changed t prefix (Some route)
+
+(* The decision process walks the prefix's Adj-RIB-In array in place and
+   weighs the local route, if any, against its winner.  [Decision.compare]
+   is a total order, so this picks what [Decision.select] would over the
+   local route and the admitted learned ones. *)
 let run_decision t prefix =
   t.stats.decision_runs <- t.stats.decision_runs + 1;
   Engine.Metrics.Counter.inc t.tm.decision_runs_c;
-  let best = Decision.select (candidates t prefix) in
-  let old = Rib.Loc.find t.loc prefix in
-  let changed =
-    match (old, best) with
-    | None, None -> false
-    | Some a, Some b -> not (route_equal a b)
-    | None, Some _ | Some _, None -> true
-  in
-  if changed then begin
-    (match best with
-    | Some r -> Rib.Loc.set t.loc r
-    | None -> Rib.Loc.remove t.loc prefix);
-    t.stats.best_changes <- t.stats.best_changes + 1;
-    Engine.Metrics.Counter.inc t.tm.best_changes_c;
-    Array.iter (fun f -> f prefix best) t.on_best_change;
-    export_all_peers t prefix best
-  end
+  let learned = Rib.Adj_in.routes t.adj_in prefix in
+  let i = best_learned t prefix learned 0 (-1) in
+  match Tbl.slot t.originated (Net.Ipv4.prefix_to_packed prefix) with
+  | -1 ->
+    if i >= 0 then install t prefix learned.(i)
+    else if Rib.Loc.remove t.loc prefix then best_changed t prefix None
+  | o ->
+    let local = Tbl.value t.originated o in
+    install t prefix (if i >= 0 && Decision.better learned.(i) local then learned.(i) else local)
 
-let run_decisions t prefixes =
-  let seen = Tbl.create () in
-  List.iter
-    (fun p ->
-      if not (Tbl.mem p seen) then begin
-        Tbl.set p () seen;
-        run_decision t p
-      end)
-    prefixes
+(* Session-down and restart lists are duplicate-free by construction. *)
+let run_decisions t prefixes = List.iter (run_decision t) prefixes
 
 (* --- Origination ------------------------------------------------------ *)
 
@@ -378,19 +372,25 @@ let originate ?(med = 0) ?(origin = Attrs.Igp) ?(communities = Community.Set.emp
   let attrs =
     Attrs.make ~as_path:[] ~med ~origin ~communities ~next_hop:t.router_id ()
   in
-  Tbl.set prefix attrs t.originated;
-  with_batch t (fun () -> run_decision t prefix)
+  let route = Route.make ~prefix ~attrs ~source:Route.Local ~learned_at:Engine.Time.zero in
+  Tbl.set prefix route t.originated;
+  with_batch t run_decision prefix
 
 let withdraw_origin t prefix =
-  if Tbl.mem prefix t.originated then begin
-    Tbl.remove prefix t.originated;
-    with_batch t (fun () -> run_decision t prefix)
-  end
+  match Tbl.slot t.originated (Net.Ipv4.prefix_to_packed prefix) with
+  | -1 -> ()
+  | o ->
+    Tbl.remove_slot t.originated o;
+    with_batch t run_decision prefix
 
 (* --- Sessions ---------------------------------------------------------- *)
 
 let sync_peer t peer =
-  List.iter (fun (prefix, route) -> export_to_peer t prefix (Some (export_of t route)) peer)
+  List.iter
+    (fun (prefix, route) ->
+      if may_export peer prefix route (provenance t route) then
+        Mrai.announce peer.mrai prefix (exported t route.Route.attrs peer)
+      else Mrai.withdraw peer.mrai prefix)
     (Rib.Loc.entries t.loc)
 
 let session_down t peer_asn =
@@ -400,7 +400,7 @@ let session_down t peer_asn =
     if Session.teardown peer.session then begin
       Mrai.reset peer.mrai;
       let dropped_in = Rib.Adj_in.drop_peer t.adj_in ~peer:peer_asn in
-      with_batch t (fun () -> run_decisions t dropped_in)
+      with_batch t run_decisions dropped_in
     end
 
 (* Deterministic exponential-backoff retry of an unanswered OPEN.  The
@@ -461,7 +461,16 @@ let add_peer t ~peer_asn ~peer_node ~policy =
     Mrai.create t.sim ~rng:(Engine.Rng.split t.rng) ~config:t.config ~send:send_update
   in
   let peer =
-    { peer_asn; peer_node; policy; session; retry_attempt = 0; mrai; state_gauge = None }
+    {
+      peer_asn;
+      source = Route.Ebgp peer_asn;
+      peer_node;
+      policy;
+      session;
+      retry_attempt = 0;
+      mrai;
+      state_gauge = None;
+    }
   in
   Mrai.set_on_dirty mrai (fun () ->
       if t.batch_depth > 0 then t.any_dirty <- true else Mrai.flush_event mrai);
@@ -491,68 +500,118 @@ let note_flap t peer_asn prefix event =
          at-or-below the threshold despite floating-point rounding *)
       let recheck = Engine.Time.add reuse_at (Engine.Time.ms 10) in
       Engine.Node.schedule_at ~category:"bgp.damping" t.node recheck (fun () ->
-          with_batch t (fun () -> run_decision t prefix)))
+          with_batch t run_decision prefix))
 
-let process_update t peer (u : Message.update) =
-  with_batch t @@ fun () ->
-  (* Stale when the session flapped since the update arrived. *)
-  if Session.is_established peer.session then begin
-    let peer_asn = peer.peer_asn in
-    let affected = ref [] in
-    List.iter
-      (fun prefix ->
-        if Option.is_some (Rib.Adj_in.find t.adj_in ~peer:peer_asn prefix) then begin
-          Rib.Adj_in.remove t.adj_in ~peer:peer_asn prefix;
-          note_flap t peer_asn prefix Damping.Withdrawal;
-          affected := prefix :: !affected
-        end)
-      u.Message.withdrawn;
-    List.iter
-      (fun (prefix, attrs) ->
-        match Policy.import peer.policy ~me:t.asn ~prefix attrs with
-        | Some attrs ->
-          (match t.damping with
-          | None -> ()
-          | Some damping -> (
-            match Rib.Adj_in.find t.adj_in ~peer:peer_asn prefix with
-            | Some old ->
-              if not (Attrs.wire_equal (Route.attrs old) attrs) then
-                note_flap t peer_asn prefix Damping.Attribute_change
-            | None ->
-              (* Re-advertisement after a withdrawal leaves a decaying
-                 penalty behind; a first-ever announcement does not. *)
-              if
-                Damping.current_penalty damping ~peer:peer_asn ~prefix
-                  ~now:(Engine.Sim.now t.sim)
-                > 0.0
-              then note_flap t peer_asn prefix Damping.Readvertisement));
-          let route =
-            Route.make ~prefix ~attrs ~source:(Route.Ebgp peer_asn)
-              ~learned_at:(Engine.Sim.now t.sim)
-          in
-          Rib.Adj_in.set t.adj_in route;
-          affected := prefix :: !affected
-        | None ->
-          (* Policy rejection implicitly withdraws any previous route. *)
-          if Option.is_some (Rib.Adj_in.find t.adj_in ~peer:peer_asn prefix) then begin
-            Rib.Adj_in.remove t.adj_in ~peer:peer_asn prefix;
-            affected := prefix :: !affected
-          end)
-      u.Message.announced;
-    run_decisions t (List.rev !affected)
+(* The prefixes an UPDATE affects, each once, in first-affected order:
+   one scratch per domain, reused by every router's UPDATEs.  A mark
+   counts only for the generation that set it, and each UPDATE starts a
+   new generation and an empty [order], so nothing an UPDATE left behind
+   (an exception from a subscriber included) can hide a prefix from the
+   next.  UPDATEs are processed one at a time: each runs in its own
+   scheduler event. *)
+type scratch = {
+  marks : int Tbl.t; (* packed prefix -> generation of its last mark *)
+  mutable generation : int;
+  mutable order : Net.Ipv4.prefix array; (* first [count] cells *)
+  mutable count : int;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { marks = Tbl.create (); generation = 0; order = [||]; count = 0 })
+
+let mark s prefix =
+  let key = Net.Ipv4.prefix_to_packed prefix in
+  let fresh =
+    match Tbl.slot s.marks key with
+    | -1 ->
+      ignore (Tbl.add s.marks key s.generation);
+      true
+    | i ->
+      Tbl.value s.marks i <> s.generation
+      && begin
+           Tbl.set_value s.marks i s.generation;
+           true
+         end
+  in
+  if fresh then begin
+    if s.count = Array.length s.order then begin
+      let order = Array.make (max 8 (2 * s.count)) prefix in
+      Array.blit s.order 0 order 0 s.count;
+      s.order <- order
+    end;
+    s.order.(s.count) <- prefix;
+    s.count <- s.count + 1
   end
 
+let rec apply_withdrawn t peer s = function
+  | [] -> ()
+  | prefix :: rest ->
+    if Rib.Adj_in.remove t.adj_in ~peer:peer.peer_asn prefix then begin
+      note_flap t peer.peer_asn prefix Damping.Withdrawal;
+      mark s prefix
+    end;
+    apply_withdrawn t peer s rest
+
+(* Flap bookkeeping of an accepted announcement, before it replaces the
+   peer's previous route. *)
+let note_announcement t damping peer prefix attrs =
+  match Rib.Adj_in.find t.adj_in ~peer:peer.peer_asn prefix with
+  | Some old ->
+    if not (Attrs.wire_equal (Route.attrs old) attrs) then
+      note_flap t peer.peer_asn prefix Damping.Attribute_change
+  | None ->
+    (* Re-advertisement after a withdrawal leaves a decaying penalty
+       behind; a first-ever announcement does not. *)
+    if
+      Damping.current_penalty damping ~peer:peer.peer_asn ~prefix ~now:(Engine.Sim.now t.sim)
+      > 0.0
+    then note_flap t peer.peer_asn prefix Damping.Readvertisement
+
+let rec apply_announced t peer s now = function
+  | [] -> ()
+  | (prefix, attrs) :: rest ->
+    if Policy.accepts peer.policy ~me:t.asn ~prefix attrs then begin
+      let attrs = Policy.import peer.policy attrs in
+      (match t.damping with
+      | None -> ()
+      | Some damping -> note_announcement t damping peer prefix attrs);
+      Rib.Adj_in.set t.adj_in (Route.make ~prefix ~attrs ~source:peer.source ~learned_at:now);
+      mark s prefix
+    end
+    else if
+      (* Policy rejection implicitly withdraws any previous route. *)
+      Rib.Adj_in.remove t.adj_in ~peer:peer.peer_asn prefix
+    then mark s prefix;
+    apply_announced t peer s now rest
+
+let apply_update t (peer, (u : Message.update)) =
+  (* Stale when the session flapped since the update arrived. *)
+  if Session.is_established peer.session then begin
+    let s = Domain.DLS.get scratch_key in
+    s.generation <- s.generation + 1;
+    s.count <- 0;
+    apply_withdrawn t peer s u.Message.withdrawn;
+    apply_announced t peer s (Engine.Sim.now t.sim) u.Message.announced;
+    for i = 0 to s.count - 1 do
+      run_decision t s.order.(i)
+    done
+  end
+
+let process_update t peer u = with_batch t apply_update (peer, u)
+
+(* Only an OPEN (table sync) and a NOTIFICATION (session down, which
+   opens its own scope) queue outbound changes here; an UPDATE's changes
+   come from its own [bgp.process] event. *)
 let handle_message t ~from msg =
-  with_batch t @@ fun () ->
-  match Hashtbl.find_opt t.peer_of_node from with
-  | None -> ()
-  | Some peer -> (
+  match Hashtbl.find t.peer_of_node from with
+  | exception Not_found -> ()
+  | peer -> (
     Session.touch peer.session;
     match msg with
     | Message.Open { hold_time; _ } ->
       if Session.receive_open peer.session ~hold_time then begin
         peer.retry_attempt <- 0;
-        sync_peer t peer
+        with_batch t sync_peer peer
       end
     | Message.Keepalive -> ()
     | Message.Notification _ -> session_down t peer.peer_asn
@@ -594,7 +653,7 @@ let on_crashed t =
    flushes routes learned from us and stops treating the old session as
    open), so the OPEN that follows is answered like a cold start. *)
 let on_restarted t =
-  with_batch t (fun () -> run_decisions t (Tbl.keys t.originated));
+  with_batch t run_decisions (Tbl.keys t.originated);
   Array.iter
     (fun peer ->
       ignore (send_message t peer.peer_node (Message.Notification "peer restarted"));

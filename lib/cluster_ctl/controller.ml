@@ -179,19 +179,24 @@ let announcement t s prefix decision_map =
       if back_to_exit || Net.Asn.equal neighbor member || path_mem neighbor d.As_graph.as_path
       then None
       else begin
-        let attrs =
+        let cached =
           match t.sync_attrs.(i) with
-          | Some attrs -> attrs
+          | Some _ as cached -> cached
           | None ->
-            let attrs =
-              Bgp.Attrs.make ~as_path:(member :: d.As_graph.as_path)
-                ~next_hop:(t.addr_of_member member) ()
+            let cached =
+              Some
+                (Bgp.Attrs.make ~as_path:(member :: d.As_graph.as_path)
+                   ~next_hop:(t.addr_of_member member) ())
             in
-            t.sync_attrs.(i) <- Some attrs;
-            attrs
+            t.sync_attrs.(i) <- cached;
+            cached
         in
-        Bgp.Policy.export (Speaker.session_policy s) ~provenance:d.As_graph.provenance ~prefix
-          attrs
+        match cached with
+        | Some attrs
+          when Bgp.Policy.exports (Speaker.session_policy s) ~provenance:d.As_graph.provenance
+                 ~prefix attrs ->
+          cached
+        | Some _ | None -> None
       end
   end
 
@@ -341,11 +346,15 @@ let on_external_update t s (u : Bgp.Message.update) =
     u.Bgp.Message.withdrawn;
   List.iter
     (fun (prefix, attrs) ->
-      (match Bgp.Policy.import policy ~me:member ~prefix attrs with
-      | Some attrs ->
+      if Bgp.Policy.accepts policy ~me:member ~prefix attrs then
         upsert_route t prefix
-          { As_graph.member; neighbor; attrs; rel = Bgp.Policy.relationship policy }
-      | None -> remove_route t prefix ~member ~neighbor);
+          {
+            As_graph.member;
+            neighbor;
+            attrs = Bgp.Policy.import policy attrs;
+            rel = Bgp.Policy.relationship policy;
+          }
+      else remove_route t prefix ~member ~neighbor;
       mark_dirty t prefix)
     u.Bgp.Message.announced
 

@@ -162,27 +162,42 @@ let resolve_cat t name =
    events, so ordering two events is two int comparisons. *)
 let earlier a b = a.at_us < b.at_us || (a.at_us = b.at_us && a.seq < b.seq)
 
+(* Sift [ev] up from hole [i].  The sifts are top-level functions, not
+   closures over the queue, so pushing and popping allocate nothing. *)
+let rec sift_up q ev i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    let p = q.(parent) in
+    if earlier ev p then begin
+      q.(i) <- p;
+      sift_up q ev parent
+    end
+    else q.(i) <- ev
+  end
+  else q.(i) <- ev
+
 let push t ev =
   if t.size = Array.length t.queue then begin
     let q = Array.make (2 * t.size) dummy_event in
     Array.blit t.queue 0 q 0 t.size;
     t.queue <- q
   end;
-  let q = t.queue in
-  let rec up i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      let p = q.(parent) in
-      if earlier ev p then begin
-        q.(i) <- p;
-        up parent
-      end
-      else q.(i) <- ev
-    end
-    else q.(i) <- ev
-  in
-  up t.size;
+  sift_up t.queue ev t.size;
   t.size <- t.size + 1
+
+(* Sift [last] down from hole [i] of the first [n] cells. *)
+let rec sift_down q last n i =
+  let l = (2 * i) + 1 in
+  if l >= n then q.(i) <- last
+  else begin
+    let r = l + 1 in
+    let c = if r < n && earlier q.(r) q.(l) then r else l in
+    if earlier q.(c) last then begin
+      q.(i) <- q.(c);
+      sift_down q last n c
+    end
+    else q.(i) <- last
+  end
 
 (* Remove and return the earliest event; the queue must be non-empty. *)
 let pop t =
@@ -192,20 +207,7 @@ let pop t =
   t.size <- n;
   let last = q.(n) in
   q.(n) <- dummy_event;
-  let rec down i =
-    let l = (2 * i) + 1 in
-    if l >= n then q.(i) <- last
-    else begin
-      let r = l + 1 in
-      let c = if r < n && earlier q.(r) q.(l) then r else l in
-      if earlier q.(c) last then begin
-        q.(i) <- q.(c);
-        down c
-      end
-      else q.(i) <- last
-    end
-  in
-  if n > 0 then down 0;
+  if n > 0 then sift_down q last n 0;
   top
 
 let schedule_at ?(category = "event") t fire_at action =

@@ -15,6 +15,7 @@
    Attach the watcher *before* running the phase being measured. *)
 
 module Pm = Net.Ipv4.Prefix_map
+module Tbl = Net.Ipv4.Prefix_table
 
 (* Loc-RIB / decision changes of one prefix, oldest first, in two growable
    int arrays (the first [count] cells are used): two words per change, where
@@ -36,7 +37,7 @@ let record pc now asn =
   pc.count <- pc.count + 1
 
 type t = {
-  mutable changes : prefix_changes Pm.t;
+  changes : prefix_changes Tbl.t;
   mutable last_collector_update : Engine.Time.t Pm.t;
   mutable last_any : Engine.Time.t; (* latest control change, any prefix *)
   network : Network.t;
@@ -45,7 +46,7 @@ type t = {
 let attach network =
   let t =
     {
-      changes = Pm.empty;
+      changes = Tbl.create ();
       last_collector_update = Pm.empty;
       last_any = Engine.Time.zero;
       network;
@@ -62,13 +63,14 @@ let attach network =
   in
   let note prefix asn =
     let now = Engine.Sim.now (Network.sim network) in
+    let key = Net.Ipv4.prefix_to_packed prefix in
     let pc =
-      match Pm.find_opt prefix t.changes with
-      | Some pc -> pc
-      | None ->
+      match Tbl.slot t.changes key with
+      | -1 ->
         let pc = { count = 0; times = [||]; asns = [||] } in
-        t.changes <- Pm.add prefix pc t.changes;
+        ignore (Tbl.add t.changes key pc);
         pc
+      | i -> Tbl.value t.changes i
     in
     record pc now asn;
     t.last_any <- now;
@@ -100,7 +102,7 @@ let refresh_collector t =
     (Bgp.Collector.last_updates collector)
 
 let last_control_change t prefix =
-  match Pm.find_opt prefix t.changes with
+  match Tbl.find prefix t.changes with
   | Some pc when pc.count > 0 -> Some (Engine.Time.of_us pc.times.(pc.count - 1))
   | Some _ | None -> None
 
@@ -109,10 +111,10 @@ let last_collector_update t prefix =
   Pm.find_opt prefix t.last_collector_update
 
 let control_changes t prefix =
-  match Pm.find_opt prefix t.changes with Some pc -> pc.count | None -> 0
+  match Tbl.find prefix t.changes with Some pc -> pc.count | None -> 0
 
 let history t prefix =
-  match Pm.find_opt prefix t.changes with
+  match Tbl.find prefix t.changes with
   | None -> []
   | Some pc ->
     List.init pc.count (fun i ->
@@ -126,7 +128,7 @@ let history t prefix =
    recorded in simulated-time order, so a walk over them sees the distinct
    instants ascending. *)
 let exploration_rounds ?(gap = Engine.Time.sec 10) ?(since = Engine.Time.zero) t prefix =
-  match Pm.find_opt prefix t.changes with
+  match Tbl.find prefix t.changes with
   | None -> 0
   | Some pc ->
     let gap = Engine.Time.to_us gap and since = Engine.Time.to_us since in

@@ -259,11 +259,10 @@ let create ?(config = Config.default) ~seed spec =
           Engine.Sim.mark sim ~category:"fib.write" ~node:name
             ~render:Net.Ipv4.packed_prefix_to_string (Net.Ipv4.prefix_to_packed prefix);
           match best with
-          | Some route -> (
-            match Bgp.Route.from_peer route with
-            | Some peer -> Net.Fib.insert fib prefix (Net.Asn.to_int peer)
-            | None -> Net.Fib.remove fib prefix (* locally originated *))
-          | None -> Net.Fib.remove fib prefix))
+          | Some { Bgp.Route.source = Bgp.Route.Ebgp peer; _ } ->
+            Net.Fib.insert fib prefix (Net.Asn.to_int peer)
+          | Some { Bgp.Route.source = Bgp.Route.Local; _ } (* locally originated *) | None ->
+            Net.Fib.remove fib prefix))
     routers;
   (* The record is needed by the switch/controller closures below; build
      it first with placeholders for the SDN parts, then fill them in. *)

@@ -191,13 +191,20 @@ let deliver t link ~src (dst : _ node) payload =
       ignore (Engine.Node.deliver p ~from:src payload)
   end
 
+(* Every BGP message passes here, so the lookups raise rather than
+   return options. *)
 let send t ~src ~dst payload =
-  match link_between t src dst with
-  | Some link when Link.is_up link ->
-    Engine.Metrics.Counter.inc t.sent_c;
-    let dst_node = node t dst in
-    ignore
-      (Engine.Sim.schedule_after ~category:"net.deliver" t.sim (Link.delay link) (fun () ->
-           deliver t link ~src dst_node payload));
-    true
-  | Some _ | None -> false
+  match Itbl.find t.nodes dst with
+  | exception Not_found -> false
+  | dst_node -> (
+    match Itbl.find t.pairs (pair_key (Itbl.find t.nodes src) dst_node) with
+    | exception Not_found -> false
+    | link ->
+      Link.is_up link
+      && begin
+           Engine.Metrics.Counter.inc t.sent_c;
+           ignore
+             (Engine.Sim.schedule_after ~category:"net.deliver" t.sim (Link.delay link)
+                (fun () -> deliver t link ~src dst_node payload));
+           true
+         end)

@@ -1,0 +1,178 @@
+(* Reference model of one router's inbound UPDATE path as it was before
+   the decision process walked the Adj-RIB-In in place, kept as an oracle
+   for [Bgp.Router].
+
+   Per UPDATE: every affected prefix is consed onto a list (withdrawals
+   first, then announcements, each in message order); the list is
+   reversed and deduplicated through a fresh prefix table, so each prefix
+   is decided once, in first-affected order.  A decision builds the
+   candidate list (the local route, then the learned routes that damping
+   does not suppress, in ascending peer order) and takes
+   [Bgp.Decision.select] of it.  The RIBs are persistent maps.  Damping
+   rechecks are scheduled on the same simulator, at the same instant the
+   router schedules its own. *)
+
+module Pm = Net.Ipv4.Prefix_map
+module Tbl = Net.Ipv4.Prefix_table
+
+type t = {
+  sim : Engine.Sim.t;
+  asn : Net.Asn.t;
+  mutable adj_in : Bgp.Route.t list Pm.t; (* per prefix, ascending peer order *)
+  mutable loc : Bgp.Route.t Pm.t;
+  mutable originated : Bgp.Attrs.t Pm.t;
+  damping : Bgp.Damping.t option;
+  mutable decision_runs : int;
+  mutable notifications : (Net.Ipv4.prefix * Bgp.Route.t option) list; (* newest first *)
+}
+
+let create ?damping sim ~asn =
+  {
+    sim;
+    asn;
+    adj_in = Pm.empty;
+    loc = Pm.empty;
+    originated = Pm.empty;
+    damping = Option.map Bgp.Damping.create damping;
+    decision_runs = 0;
+    notifications = [];
+  }
+
+let peer_of (r : Bgp.Route.t) =
+  match Bgp.Route.source r with
+  | Bgp.Route.Ebgp p -> Net.Asn.to_int p
+  | Bgp.Route.Local -> invalid_arg "Decision_reference: a local route has no peer"
+
+let routes t prefix = Option.value (Pm.find_opt prefix t.adj_in) ~default:[]
+
+let adj_in_find t ~peer prefix =
+  List.find_opt (fun r -> peer_of r = Net.Asn.to_int peer) (routes t prefix)
+
+let adj_in_remove t ~peer prefix =
+  match List.filter (fun r -> peer_of r <> Net.Asn.to_int peer) (routes t prefix) with
+  | [] -> t.adj_in <- Pm.remove prefix t.adj_in
+  | rest -> t.adj_in <- Pm.add prefix rest t.adj_in
+
+let adj_in_set t (route : Bgp.Route.t) =
+  let prefix = Bgp.Route.prefix route and peer = peer_of route in
+  let others = List.filter (fun r -> peer_of r <> peer) (routes t prefix) in
+  t.adj_in <-
+    Pm.add prefix
+      (List.sort (fun a b -> Int.compare (peer_of a) (peer_of b)) (route :: others))
+      t.adj_in
+
+let local_route t prefix =
+  Option.map
+    (fun attrs ->
+      Bgp.Route.make ~prefix ~attrs ~source:Bgp.Route.Local ~learned_at:Engine.Time.zero)
+    (Pm.find_opt prefix t.originated)
+
+let candidates t prefix =
+  let learned =
+    match t.damping with
+    | None -> routes t prefix
+    | Some damping ->
+      let now = Engine.Sim.now t.sim in
+      List.filter
+        (fun r ->
+          match Bgp.Route.from_peer r with
+          | Some peer -> not (Bgp.Damping.is_suppressed damping ~peer ~prefix ~now)
+          | None -> true)
+        (routes t prefix)
+  in
+  match local_route t prefix with Some r -> r :: learned | None -> learned
+
+let route_equal a b =
+  Bgp.Route.source a = Bgp.Route.source b
+  && Bgp.Attrs.wire_equal (Bgp.Route.attrs a) (Bgp.Route.attrs b)
+  && (Bgp.Route.attrs a).Bgp.Attrs.local_pref = (Bgp.Route.attrs b).Bgp.Attrs.local_pref
+
+let run_decision t prefix =
+  t.decision_runs <- t.decision_runs + 1;
+  let best = Bgp.Decision.select (candidates t prefix) in
+  let changed =
+    match (Pm.find_opt prefix t.loc, best) with
+    | None, None -> false
+    | Some a, Some b -> not (route_equal a b)
+    | None, Some _ | Some _, None -> true
+  in
+  if changed then begin
+    (match best with
+    | Some r -> t.loc <- Pm.add prefix r t.loc
+    | None -> t.loc <- Pm.remove prefix t.loc);
+    t.notifications <- (prefix, best) :: t.notifications
+  end
+
+let run_decisions t prefixes =
+  let seen = Tbl.create () in
+  List.iter
+    (fun p ->
+      if not (Tbl.mem p seen) then begin
+        Tbl.set p () seen;
+        run_decision t p
+      end)
+    prefixes
+
+let originate t ~next_hop prefix =
+  t.originated <- Pm.add prefix (Bgp.Attrs.make ~as_path:[] ~next_hop ()) t.originated;
+  run_decision t prefix
+
+let note_flap t peer prefix event =
+  match t.damping with
+  | None -> ()
+  | Some damping -> (
+    let now = Engine.Sim.now t.sim in
+    match Bgp.Damping.record damping ~peer ~prefix ~now event with
+    | `Ok -> ()
+    | `Suppressed_until reuse_at ->
+      let recheck = Engine.Time.add reuse_at (Engine.Time.ms 10) in
+      ignore (Engine.Sim.schedule_at t.sim recheck (fun () -> run_decision t prefix)))
+
+let process_update t ~peer ~policy (u : Bgp.Message.update) =
+  let import prefix attrs =
+    if Bgp.Policy.accepts policy ~me:t.asn ~prefix attrs then
+      Some (Bgp.Policy.import policy attrs)
+    else None
+  in
+  let affected = ref [] in
+  List.iter
+    (fun prefix ->
+      if Option.is_some (adj_in_find t ~peer prefix) then begin
+        adj_in_remove t ~peer prefix;
+        note_flap t peer prefix Bgp.Damping.Withdrawal;
+        affected := prefix :: !affected
+      end)
+    u.Bgp.Message.withdrawn;
+  List.iter
+    (fun (prefix, attrs) ->
+      match import prefix attrs with
+      | Some attrs ->
+        (match t.damping with
+        | None -> ()
+        | Some damping -> (
+          match adj_in_find t ~peer prefix with
+          | Some old ->
+            if not (Bgp.Attrs.wire_equal (Bgp.Route.attrs old) attrs) then
+              note_flap t peer prefix Bgp.Damping.Attribute_change
+          | None ->
+            if
+              Bgp.Damping.current_penalty damping ~peer ~prefix ~now:(Engine.Sim.now t.sim)
+              > 0.0
+            then note_flap t peer prefix Bgp.Damping.Readvertisement));
+        adj_in_set t
+          (Bgp.Route.make ~prefix ~attrs ~source:(Bgp.Route.Ebgp peer)
+             ~learned_at:(Engine.Sim.now t.sim));
+        affected := prefix :: !affected
+      | None ->
+        if Option.is_some (adj_in_find t ~peer prefix) then begin
+          adj_in_remove t ~peer prefix;
+          affected := prefix :: !affected
+        end)
+    u.Bgp.Message.announced;
+  run_decisions t (List.rev !affected)
+
+let notifications t = List.rev t.notifications
+
+let decision_runs t = t.decision_runs
+
+let damping t = t.damping

@@ -13,34 +13,30 @@ let attrs ?(path = [ 65001 ]) ?(communities = Bgp.Community.Set.empty) () =
 
 let test_import_loop_rejected () =
   let p = make Customer in
-  Alcotest.(check bool) "own ASN in path rejected" true
-    (import p ~me ~prefix (attrs ~path:[ 65001; 65000; 65002 ] ()) = None);
-  Alcotest.(check bool) "clean path accepted" true
-    (import p ~me ~prefix (attrs ()) <> None)
+  Alcotest.(check bool) "own ASN in path rejected" false
+    (accepts p ~me ~prefix (attrs ~path:[ 65001; 65000; 65002 ] ()));
+  Alcotest.(check bool) "clean path accepted" true (accepts p ~me ~prefix (attrs ()))
 
 let test_import_sets_local_pref () =
   List.iter
     (fun (rel, lp) ->
-      match import (make rel) ~me ~prefix (attrs ()) with
-      | Some a -> Alcotest.(check int) (relationship_to_string rel) lp a.Bgp.Attrs.local_pref
-      | None -> Alcotest.fail "import rejected")
+      Alcotest.(check int) (relationship_to_string rel) lp
+        (import (make rel) (attrs ())).Bgp.Attrs.local_pref)
     [ (Customer, 130); (Sibling, 120); (Peer, 110); (Unrestricted, 100); (Provider, 90) ]
 
 let test_import_prefix_filter () =
   let deny = make ~import_prefix_filter:(fun _ -> false) Customer in
-  Alcotest.(check bool) "filtered" true (import deny ~me ~prefix (attrs ()) = None)
+  Alcotest.(check bool) "filtered" false (accepts deny ~me ~prefix (attrs ()))
 
 let test_import_no_advertise () =
   let p = make Customer in
   let a = attrs ~communities:(Bgp.Community.Set.singleton Bgp.Community.no_advertise) () in
-  Alcotest.(check bool) "NO_ADVERTISE rejected" true (import p ~me ~prefix a = None)
+  Alcotest.(check bool) "NO_ADVERTISE rejected" false (accepts p ~me ~prefix a)
 
 let test_import_community_stamp () =
   let tag = Bgp.Community.make 65000 1 in
   let p = make ~import_community:tag Peer in
-  match import p ~me ~prefix (attrs ()) with
-  | Some a -> Alcotest.(check bool) "stamped" true (Bgp.Attrs.has_community a tag)
-  | None -> Alcotest.fail "import rejected"
+  Alcotest.(check bool) "stamped" true (Bgp.Attrs.has_community (import p (attrs ())) tag)
 
 (* The valley-free matrix: rows = where the route came from, columns =
    where it would go. *)
@@ -80,21 +76,32 @@ let test_export_matrix () =
 let test_export_no_export_community () =
   let p = make Customer in
   let a = attrs ~communities:(Bgp.Community.Set.singleton Bgp.Community.no_export) () in
-  Alcotest.(check bool) "NO_EXPORT blocked" true
-    (export p ~provenance:Originated ~prefix a = None)
+  Alcotest.(check bool) "NO_EXPORT blocked" false (exports p ~provenance:Originated ~prefix a)
 
 let test_export_prefix_filter () =
   let p = make ~export_prefix_filter:(fun _ -> false) Customer in
-  Alcotest.(check bool) "filter blocks" true
-    (export p ~provenance:Originated ~prefix (attrs ()) = None)
+  Alcotest.(check bool) "filter blocks" false
+    (exports p ~provenance:Originated ~prefix (attrs ()))
 
+(* The predicate agrees with the valley-free matrix for every provenance
+   and relationship, and [learned_from] hands out one shared value per
+   relationship. *)
 let test_export_passes_attrs_through () =
-  let p = make Provider in
-  match export p ~provenance:(From Customer) ~prefix (attrs ~path:[ 65009 ] ()) with
-  | Some a ->
-    Alcotest.(check (list int)) "path unchanged by export policy" [ 65009 ]
-      (List.map Net.Asn.to_int (Bgp.Attrs.as_path a))
-  | None -> Alcotest.fail "customer route must export to provider"
+  let rels = [ Customer; Provider; Peer; Sibling; Unrestricted ] in
+  List.iter
+    (fun to_rel ->
+      List.iter
+        (fun provenance ->
+          Alcotest.(check bool) "predicate = matrix"
+            (export_allowed ~to_rel ~provenance)
+            (exports (make to_rel) ~provenance ~prefix (attrs ~path:[ 65009 ] ())))
+        (Originated :: List.map learned_from rels))
+    rels;
+  List.iter
+    (fun rel ->
+      Alcotest.(check bool) "one shared value" true (learned_from rel == learned_from rel);
+      Alcotest.(check bool) "From rel" true (learned_from rel = From rel))
+    rels
 
 (* Gao-Rexford safety: a route never traverses customer->provider or
    peer after having gone "down" — equivalently an exported route's

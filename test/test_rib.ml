@@ -48,7 +48,10 @@ let test_adj_in_remove () =
   let rib = Bgp.Rib.Adj_in.create () in
   let pre = p "100.64.0.0/24" in
   Bgp.Rib.Adj_in.set rib (route ~peer:65001 ~prefix:pre);
-  Bgp.Rib.Adj_in.remove rib ~peer:(asn 65001) pre;
+  Alcotest.(check bool) "remove reports the route" true
+    (Bgp.Rib.Adj_in.remove rib ~peer:(asn 65001) pre);
+  Alcotest.(check bool) "a second remove finds none" false
+    (Bgp.Rib.Adj_in.remove rib ~peer:(asn 65001) pre);
   Alcotest.(check int) "removed" 0 (Bgp.Rib.Adj_in.size rib);
   Alcotest.(check (list string)) "all_prefixes empty" []
     (List.map Net.Ipv4.prefix_to_string (Bgp.Rib.Adj_in.all_prefixes rib))
@@ -57,16 +60,21 @@ let test_loc () =
   let loc = Bgp.Rib.Loc.create () in
   let pre = p "100.64.0.0/24" in
   Alcotest.(check bool) "initially empty" true (Bgp.Rib.Loc.find loc pre = None);
-  Bgp.Rib.Loc.set loc (route ~peer:65001 ~prefix:pre);
+  Alcotest.(check bool) "install a first best" true
+    (Bgp.Rib.Loc.install loc (route ~peer:65001 ~prefix:pre));
+  Alcotest.(check bool) "the same best again changes nothing" false
+    (Bgp.Rib.Loc.install loc (route ~peer:65001 ~prefix:pre));
   Alcotest.(check int) "size" 1 (Bgp.Rib.Loc.size loc);
-  Bgp.Rib.Loc.set loc (route ~peer:65002 ~prefix:pre);
+  Alcotest.(check bool) "another peer's route replaces it" true
+    (Bgp.Rib.Loc.install loc (route ~peer:65002 ~prefix:pre));
   Alcotest.(check int) "replace keeps size" 1 (Bgp.Rib.Loc.size loc);
   (match Bgp.Rib.Loc.find loc pre with
   | Some r ->
     Alcotest.(check (option int)) "latest kept" (Some 65002)
       (Option.map Net.Asn.to_int (Bgp.Route.from_peer r))
   | None -> Alcotest.fail "must find");
-  Bgp.Rib.Loc.remove loc pre;
+  Alcotest.(check bool) "remove reports the best" true (Bgp.Rib.Loc.remove loc pre);
+  Alcotest.(check bool) "a second remove finds none" false (Bgp.Rib.Loc.remove loc pre);
   Alcotest.(check int) "removed" 0 (Bgp.Rib.Loc.size loc)
 
 (* A peer's Adj-RIB-Out is its [Bgp.Mrai] table. *)

@@ -242,7 +242,11 @@ let test_adj_in_differential () =
       Bgp.Rib.Adj_in.set rib r;
       ref_adj_in_set reference ~peer r
     | 4 | 5 ->
-      Bgp.Rib.Adj_in.remove rib ~peer prefix;
+      let held = Option.bind (Am.find_opt peer reference.tables) (Pm.find_opt prefix) <> None in
+      Alcotest.(check bool)
+        (Fmt.str "step %d: remove reports the route" step)
+        held
+        (Bgp.Rib.Adj_in.remove rib ~peer prefix);
       ref_adj_in_remove reference ~peer prefix
     | 6 ->
       let got = Bgp.Rib.Adj_in.drop_peer rib ~peer in
@@ -315,11 +319,22 @@ let test_loc_differential () =
     let prefix = random_prefix rng in
     (match Engine.Rng.int rng 3 with
     | 0 | 1 ->
+      (* [install] replaces the best only when the wire content differs
+         (the source and local-pref are the same here). *)
       let r = route ~peer:65001 ~prefix ~tag:(Engine.Rng.int rng 4) in
-      Bgp.Rib.Loc.set rib r;
-      reference := Pm.add prefix r !reference
+      let differs =
+        match Pm.find_opt prefix !reference with
+        | Some old -> not (Bgp.Attrs.wire_equal (Bgp.Route.attrs old) (Bgp.Route.attrs r))
+        | None -> true
+      in
+      Alcotest.(check bool)
+        (Fmt.str "step %d: install reports a change" step)
+        differs (Bgp.Rib.Loc.install rib r);
+      if differs then reference := Pm.add prefix r !reference
     | _ ->
-      Bgp.Rib.Loc.remove rib prefix;
+      Alcotest.(check bool)
+        (Fmt.str "step %d: remove reports the best" step)
+        (Pm.mem prefix !reference) (Bgp.Rib.Loc.remove rib prefix);
       reference := Pm.remove prefix !reference);
     Alcotest.(check int)
       (Fmt.str "step %d: size" step)

@@ -390,7 +390,10 @@ exception Boom
 
 (* An exception escaping a batch scope (here a best-change subscriber's)
    leaves as itself, the scope still flushes what it enqueued, and the
-   router's next UPDATE is processed and flushed normally. *)
+   router's next UPDATE is processed and flushed normally.  The UPDATE the
+   exception cut short leaves nothing behind in the per-UPDATE scratch:
+   afterwards b itself and c each decide every prefix of their next
+   UPDATE, including the ones the cut-short UPDATE had marked. *)
 let test_batch_survives_exception () =
   let h = make_harness () in
   let a = add_router h 65001 and b = add_router h 65002 and c = add_router h 65003 in
@@ -401,8 +404,12 @@ let test_batch_survives_exception () =
      prefixes in one UPDATE to b *)
   Bgp.Router.originate a p1;
   Bgp.Router.originate a p2;
+  let armed = ref true in
   Bgp.Router.subscribe_best_change b (fun prefix _ ->
-      if Net.Ipv4.equal_prefix prefix p2 then raise Boom);
+      if !armed && Net.Ipv4.equal_prefix prefix p2 then begin
+        armed := false;
+        raise Boom
+      end);
   List.iter Bgp.Router.start [ a; b; c ];
   (match run h with
   | () -> Alcotest.fail "the subscriber's exception must propagate"
@@ -413,7 +420,163 @@ let test_batch_survives_exception () =
   Bgp.Router.originate a p3;
   run h;
   Alcotest.(check bool) "the next UPDATE is processed" true (Bgp.Router.best b p3 <> None);
-  Alcotest.(check bool) "and flushed onward" true (Bgp.Router.best c p3 <> None)
+  Alcotest.(check bool) "and flushed onward" true (Bgp.Router.best c p3 <> None);
+  (* One UPDATE to b re-announcing both prefixes of the cut-short one over
+     a longer path: b decides both, and so does c on b's UPDATE. *)
+  let runs r = (Bgp.Router.stats r).Bgp.Router.decision_runs in
+  let b_runs = runs b and c_runs = runs c in
+  let longer =
+    Bgp.Attrs.make ~as_path:[ asn 65001; asn 65100 ] ~next_hop:(Net.Ipv4.addr_of_octets 10 0 1 1) ()
+  in
+  Bgp.Router.handle_message b ~from:65001
+    (Bgp.Message.Update { Bgp.Message.announced = [ (p1, longer); (p2, longer) ]; withdrawn = [] });
+  run h;
+  Alcotest.(check int) "b decides both prefixes of its next UPDATE" 2 (runs b - b_runs);
+  Alcotest.(check int) "c decides both prefixes of its next UPDATE" 2 (runs c - c_runs);
+  List.iter
+    (fun prefix ->
+      Alcotest.(check (option (list int)))
+        (Fmt.str "c's %a best is the new path" Net.Ipv4.pp_prefix prefix)
+        (Some [ 65002; 65001; 65100 ])
+        (Option.map path_of (Bgp.Router.best c prefix)))
+    [ p1; p2 ]
+
+(* --- Decision order: the in-place walk vs the list-and-table path ------- *)
+
+let diff_me = 65000
+
+let diff_pool = Array.init 6 (fun i -> p (Fmt.str "100.64.%d.0/24" i))
+
+(* One peer per relationship the import path treats differently: a plain
+   customer, a peer that stamps a community, a provider whose prefix
+   filter rejects pool prefix 1, and an unrestricted neighbor. *)
+let diff_peers =
+  [|
+    (65001, Bgp.Policy.make Bgp.Policy.Customer);
+    (65002, Bgp.Policy.make ~import_community:(Bgp.Community.make 65000 7) Bgp.Policy.Peer);
+    ( 65003,
+      Bgp.Policy.make
+        ~import_prefix_filter:(fun q -> not (Net.Ipv4.equal_prefix q diff_pool.(1)))
+        Bgp.Policy.Provider );
+    (65004, Bgp.Policy.make Bgp.Policy.Unrestricted);
+  |]
+
+(* Attribute variants: three path lengths, an AS-path loop through us,
+   NO_ADVERTISE, a MED and an ORIGIN difference. *)
+let diff_attrs peer variant =
+  let nh = Net.Ipv4.addr_of_octets 10 1 0 (peer mod 256) in
+  let path tail = List.map asn (peer :: tail) in
+  match variant with
+  | 0 -> Bgp.Attrs.make ~as_path:(path []) ~next_hop:nh ()
+  | 1 -> Bgp.Attrs.make ~as_path:(path [ 65100 ]) ~next_hop:nh ()
+  | 2 -> Bgp.Attrs.make ~as_path:(path [ 65100; 65101 ]) ~next_hop:nh ()
+  | 3 -> Bgp.Attrs.make ~as_path:(path [ diff_me ]) ~next_hop:nh ()
+  | 4 ->
+    Bgp.Attrs.make ~as_path:(path [])
+      ~communities:(Bgp.Community.Set.singleton Bgp.Community.no_advertise)
+      ~next_hop:nh ()
+  | 5 -> Bgp.Attrs.make ~as_path:(path []) ~med:10 ~next_hop:nh ()
+  | _ -> Bgp.Attrs.make ~as_path:(path [ 65102 ]) ~origin:Bgp.Attrs.Incomplete ~next_hop:nh ()
+
+type diff_update = { from : int; withdrawn : int list; announced : (int * int) list }
+
+let diff_message u =
+  let peer, _ = diff_peers.(u.from) in
+  {
+    Bgp.Message.withdrawn = List.map (fun i -> diff_pool.(i)) u.withdrawn;
+    announced = List.map (fun (i, v) -> (diff_pool.(i), diff_attrs peer v)) u.announced;
+  }
+
+let same_note (p1, b1) (p2, b2) =
+  Net.Ipv4.equal_prefix p1 p2
+  &&
+  match (b1, b2) with
+  | None, None -> true
+  | Some (a : Bgp.Route.t), Some (b : Bgp.Route.t) ->
+    Net.Ipv4.equal_prefix a.Bgp.Route.prefix b.Bgp.Route.prefix
+    && a.Bgp.Route.source = b.Bgp.Route.source
+    && a.Bgp.Route.attrs == b.Bgp.Route.attrs
+    && Time.equal a.Bgp.Route.learned_at b.Bgp.Route.learned_at
+  | Some _, None | None, Some _ -> false
+
+(* The router and the reference see the same UPDATEs, 2 s apart, on one
+   simulator; each UPDATE reaches the reference at the instant the router
+   processes it.  Returns whether the (prefix, best) notification
+   sequences, the decision counts and the damping suppression and reuse
+   counts agree. *)
+let diff_agrees (damped, updates) =
+  let sim = Sim.create ~seed:5 () in
+  let damping = if damped then Some Bgp.Damping.default_config else None in
+  let me = asn diff_me and router_id = Net.Ipv4.addr_of_octets 10 0 0 1 in
+  let r =
+    Bgp.Router.create ?damping ~sim ~asn:me ~node_id:0 ~router_id ~config:fast_config
+      ~send:(fun ~dst:_ _ -> true)
+      ()
+  in
+  let oracle = Decision_reference.create ?damping sim ~asn:me in
+  let got = ref [] in
+  Bgp.Router.subscribe_best_change r (fun prefix best -> got := (prefix, best) :: !got);
+  Array.iteri
+    (fun k (peer, policy) ->
+      Bgp.Router.add_peer r ~peer_asn:(asn peer) ~peer_node:(k + 1) ~policy;
+      Bgp.Router.handle_message r ~from:(k + 1)
+        (Bgp.Message.Open { asn = asn peer; router_id; hold_time = 0 }))
+    diff_peers;
+  Bgp.Router.originate r diff_pool.(0);
+  Decision_reference.originate oracle ~next_hop:router_id diff_pool.(0);
+  List.iteri
+    (fun i u ->
+      let at = Time.sec (2 * (i + 1)) in
+      let peer, policy = diff_peers.(u.from) in
+      let msg = diff_message u in
+      ignore
+        (Sim.schedule_at sim at (fun () ->
+             Bgp.Router.handle_message r ~from:(u.from + 1) (Bgp.Message.Update msg);
+             ignore
+               (Sim.schedule_at sim (Time.add at (Time.ms 1)) (fun () ->
+                    Decision_reference.process_update oracle ~peer:(asn peer) ~policy msg)))))
+    updates;
+  ignore (Sim.run sim);
+  let got = List.rev !got and want = Decision_reference.notifications oracle in
+  List.length got = List.length want
+  && List.for_all2 same_note got want
+  && (Bgp.Router.stats r).Bgp.Router.decision_runs = Decision_reference.decision_runs oracle
+  &&
+  match (Bgp.Router.damping_state r, Decision_reference.damping oracle) with
+  | Some d, Some o ->
+    Bgp.Damping.suppressions d = Bgp.Damping.suppressions o
+    && Bgp.Damping.reuses d = Bgp.Damping.reuses o
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+
+let arb_diff =
+  let open QCheck.Gen in
+  let prefix = int_bound (Array.length diff_pool - 1) in
+  let update =
+    map3
+      (fun from withdrawn announced -> { from; withdrawn; announced })
+      (int_bound (Array.length diff_peers - 1))
+      (list_size (int_bound 4) prefix)
+      (list_size (int_bound 4) (pair prefix (int_bound 6)))
+  in
+  let print (damped, updates) =
+    Fmt.str "damping %b:@ %a" damped
+      Fmt.(
+        list ~sep:sp (fun ppf u ->
+            Fmt.pf ppf "[from %d -%a +%a]" u.from
+              (list ~sep:comma int) u.withdrawn
+              (list ~sep:comma (pair ~sep:(any "/") int int))
+              u.announced))
+      updates
+  in
+  QCheck.make ~print (pair bool (list_size (int_range 1 25) update))
+
+(* Duplicates inside [withdrawn] and inside [announced], overlap between
+   the two, import rejections and damping on and off: the router decides
+   each affected prefix once, in first-affected order, and picks what the
+   list-and-table path picked. *)
+let prop_decisions_match_reference =
+  QCheck.Test.make ~name:"decisions = list-and-table reference" ~count:300 arb_diff diff_agrees
 
 let suite =
   [
@@ -433,4 +596,5 @@ let suite =
     Alcotest.test_case "session-state gauges" `Quick test_session_state_gauges;
     Alcotest.test_case "shared export per peer" `Quick test_shared_export_per_peer;
     Alcotest.test_case "batch survives an exception" `Quick test_batch_survives_exception;
+    QCheck_alcotest.to_alcotest prop_decisions_match_reference;
   ]
