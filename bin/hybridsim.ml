@@ -380,7 +380,7 @@ let topo_cmd =
         (Topology.Spec.node_count spec) (Topology.Spec.link_count spec)
         (Topology.Spec.is_connected spec) (Topology.Spec.is_valid spec);
       let degrees =
-        List.map (fun a -> List.length (Topology.Spec.neighbors spec a)) (Topology.Spec.asns spec)
+        List.map (Topology.Spec.degree spec) (Topology.Spec.asns spec)
       in
       let fdeg = List.map float_of_int degrees in
       Fmt.pr "degree: min=%.0f median=%.0f max=%.0f@."
@@ -756,6 +756,14 @@ let scale_cmd =
       (* the origin is never a member, so at most every other AS is *)
       let ases = tier1 + tier2 + stubs in
       let* () =
+        if ases > Framework.Addressing.max_ases then
+          Error
+            (Fmt.str
+               "--tier1 + --tier2 + --stubs is %d, but the address plan covers at most %d ASes"
+               ases Framework.Addressing.max_ases)
+        else Ok ()
+      in
+      let* () =
         match List.find_opt (fun k -> k < 0 || k > ases - 1) ks with
         | Some k ->
           Error (Fmt.str "--ks: %d is outside 0..%d (the graph has %d ASes)" k (ases - 1) ases)
@@ -780,7 +788,8 @@ let scale_cmd =
         Fmt.pr "load settled:    %b (budget %d events)@." r.E.load_settled budget;
         Fmt.pr "tables:          %d Loc-RIB routes, %d Adj-RIB-In routes, %d distinct attrs@."
           r.E.rib_routes r.E.adj_in_routes r.E.distinct_attrs;
-        Fmt.pr "heap:            %d live words, %d peak words@." r.E.live_words r.E.peak_words;
+        Fmt.pr "heap:            %d live words, %d peak words, %.0f words per AS built@."
+          r.E.live_words r.E.peak_words r.E.built_words_per_as;
         Fmt.pr "withdrawal:      Tdown = %.2f s, %d changes, %d collector updates@."
           r.E.withdrawal.E.seconds r.E.withdrawal.E.changes r.E.withdrawal.E.collector_updates;
         Ok ()

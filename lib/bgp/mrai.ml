@@ -47,11 +47,27 @@ let telemetry =
 type pacing =
   | Unpaced (* every change is exempt *)
   | Paced of {
+      sim : Engine.Sim.t;
       rng : Engine.Rng.t;
       config : Config.t;
-      timer : Engine.Timer.t;
       tm : telemetry;
+      mutable timer : Engine.Timer.t option; (* made when the first paced flush arms it *)
     }
+
+(* An owner's batch scope, shared by all its tables (see [enter]). *)
+type batch = { mutable depth : int; mutable any_dirty : bool }
+
+let batch () = { depth = 0; any_dirty = false }
+
+let enter b = b.depth <- b.depth + 1
+
+let leave b =
+  b.depth <- b.depth - 1;
+  b.depth = 0 && b.any_dirty
+  && begin
+       b.any_dirty <- false;
+       true
+     end
 
 type t = {
   send : Message.update -> unit;
@@ -60,29 +76,22 @@ type t = {
   mutable paced : int; (* slots with [paced_bit] *)
   mutable exempt : int; (* slots with [exempt_bit] *)
   (* Set once per event on the first queued change; cleared by
-     [flush_event].  The owner's [on_dirty] hook collects dirty peers so
-     one scheduler event emits one packed UPDATE per peer. *)
+     [flush_event].  Inside its owner's batch scope the change only marks
+     the batch, so one scheduler event emits one packed UPDATE per peer. *)
   mutable dirty : bool;
-  mutable on_dirty : (unit -> unit) option;
+  batch : batch;
   pacing : pacing;
 }
 
-let make ~send pacing =
-  {
-    send;
-    out = Tbl.create ();
-    queue = [||];
-    paced = 0;
-    exempt = 0;
-    dirty = false;
-    on_dirty = None;
-    pacing;
-  }
+let make ?(batch = batch ()) ~send pacing =
+  { send; out = Tbl.create (); queue = [||]; paced = 0; exempt = 0; dirty = false; batch; pacing }
 
 let slot t prefix = Tbl.slot t.out (Net.Ipv4.prefix_to_packed prefix)
 
 let is_throttled t =
-  match t.pacing with Paced p -> Engine.Timer.is_armed p.timer | Unpaced -> false
+  match t.pacing with
+  | Paced { timer = Some timer; _ } -> Engine.Timer.is_armed timer
+  | Paced { timer = None; _ } | Unpaced -> false
 
 (* Send the queued slots carrying [bits] as one UPDATE and clear those
    bits; a sent withdrawal frees its slot.  The queue is in prefix order,
@@ -118,19 +127,28 @@ let emit t bits =
 let release t = if t.paced + t.exempt = 0 && not (is_throttled t) then t.queue <- [||]
 
 (* A flush that carries paced changes counts, and arms the timer after
-   it. *)
-let emit_paced t bits =
+   it.  Timer expiry sends the paced changes as one UPDATE and re-arms;
+   with nothing paced the timer stays idle.  Exempt changes wait for
+   their own end-of-event flush. *)
+let rec emit_paced t bits =
   match t.pacing with
-  | Paced { tm; timer; config; rng } ->
+  | Paced ({ tm; config; rng; _ } as p) ->
     Engine.Metrics.Counter.inc tm.flushes_c;
     emit t bits;
+    let timer =
+      match p.timer with
+      | Some timer -> timer
+      | None ->
+        let timer =
+          Engine.Timer.create ~category:"bgp.mrai" p.sim ~callback:(fun () -> expire t)
+        in
+        p.timer <- Some timer;
+        timer
+    in
     Engine.Timer.start timer (Config.jittered_mrai config rng)
   | Unpaced -> emit t bits
 
-(* Timer expiry: the paced changes leave as one UPDATE and the timer
-   re-arms; with nothing paced it stays idle.  Exempt changes wait for
-   their own end-of-event flush. *)
-let expire t = if t.paced > 0 then emit_paced t paced_bit else release t
+and expire t = if t.paced > 0 then emit_paced t paced_bit else release t
 
 (* End-of-event flush: everything queued within the current scheduler
    event leaves as one packed UPDATE.  While the MRAI timer runs only the
@@ -147,30 +165,20 @@ let flush_event t =
   else if t.exempt > 0 then emit t exempt_bit;
   release t
 
-(* Without a registered owner the flush degenerates to per-change sends —
-   the pre-batching behavior (tests that call a table directly use it). *)
+(* Outside a batch scope the flush degenerates to per-change sends. *)
 let mark_dirty t =
   if not t.dirty then begin
     t.dirty <- true;
-    match t.on_dirty with Some f -> f () | None -> flush_event t
+    if t.batch.depth > 0 then t.batch.any_dirty <- true else flush_event t
   end
-
-let set_on_dirty t f = t.on_dirty <- Some f
 
 let is_dirty t = t.dirty
 
-let create sim ~rng ~config ~send =
-  (* The timer callback needs the record and the record needs the timer;
-     tie the knot through a reference. *)
-  let self = ref None in
-  let callback () = Option.iter expire !self in
-  let timer = Engine.Timer.create ~category:"bgp.mrai" sim ~callback in
+let create ?batch sim ~rng ~config ~send =
   let tm = Engine.Metrics.get_shared (Engine.Sim.metrics sim) telemetry in
-  let t = make ~send (Paced { rng; config; timer; tm }) in
-  self := Some t;
-  t
+  make ?batch ~send (Paced { sim; rng; config; tm; timer = None })
 
-let unpaced ~send = make ~send Unpaced
+let unpaced ?batch ~send () = make ?batch ~send Unpaced
 
 let pending_count t = t.paced
 
@@ -214,7 +222,7 @@ let enqueue t i prefix ~advertised bit =
    sends it); otherwise it marks the table dirty. *)
 let paced_change t =
   match t.pacing with
-  | Paced { timer; tm; _ } when Engine.Timer.is_armed timer ->
+  | Paced { timer = Some timer; tm; _ } when Engine.Timer.is_armed timer ->
     Engine.Metrics.Counter.inc tm.deferrals_c
   | Paced _ | Unpaced -> mark_dirty t
 
@@ -276,4 +284,6 @@ let reset t =
   t.paced <- 0;
   t.exempt <- 0;
   t.dirty <- false;
-  match t.pacing with Paced { timer; _ } -> Engine.Timer.cancel timer | Unpaced -> ()
+  match t.pacing with
+  | Paced { timer = Some timer; _ } -> Engine.Timer.cancel timer
+  | Paced { timer = None; _ } | Unpaced -> ()

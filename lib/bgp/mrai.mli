@@ -11,17 +11,36 @@
     explicit withdrawals bypass the timer unless [mrai_on_withdrawals] is
     set.  An {!unpaced} table treats every change as exempt. *)
 
+type batch
+(** An owner's batch scope, shared by all of its tables.  Inside the
+    scope, the first change of an event to a table only marks the table
+    dirty (see {!is_dirty}); the owner flushes its dirty tables, in its
+    own order, when the outermost scope closes, so all changes of one
+    event leave as a single packed UPDATE per table.  Outside any scope
+    every change flushes immediately. *)
+
+val batch : unit -> batch
+
+val enter : batch -> unit
+(** Open a (nested) scope. *)
+
+val leave : batch -> bool
+(** Close a scope: [true] when it was the outermost one and a table went
+    dirty within it, so the owner should flush its dirty tables now. *)
+
 type t
 
 val create :
+  ?batch:batch ->
   Engine.Sim.t ->
   rng:Engine.Rng.t ->
   config:Config.t ->
   send:(Message.update -> unit) ->
   t
-(** A paced table. *)
+(** A paced table in [batch] (default: a batch of its own, never
+    entered).  The MRAI timer is made when it is first armed. *)
 
-val unpaced : send:(Message.update -> unit) -> t
+val unpaced : ?batch:batch -> send:(Message.update -> unit) -> unit -> t
 (** A table without an MRAI timer: every change leaves at the end of its
     event (the cluster speaker's default).  Registers no metric. *)
 
@@ -38,13 +57,6 @@ val advertised : t -> Net.Ipv4.prefix -> Attrs.t option
 
 val advertised_entries : t -> (Net.Ipv4.prefix * Attrs.t) list
 (** Ascending prefix order. *)
-
-val set_on_dirty : t -> (unit -> unit) -> unit
-(** Called (at most once per event) when the first change of a scheduler
-    event is queued.  The owner records this table as dirty and calls
-    {!flush_event} at end of event, so all changes of one event leave as a
-    single packed UPDATE.  Without a hook, every change flushes
-    immediately. *)
 
 val is_dirty : t -> bool
 (** A change was queued since the last {!flush_event}. *)

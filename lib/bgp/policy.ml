@@ -34,9 +34,10 @@ type t = {
   export_prepend : int; (* extra own-ASN prepends toward this neighbor (TE) *)
 }
 
-let make ?local_pref ?(import_prefix_filter = fun _ -> true)
-    ?(export_prefix_filter = fun _ -> true) ?import_community ?(export_prepend = 0)
-    relationship =
+let accept_all _ = true
+
+let build ?local_pref ?(import_prefix_filter = accept_all) ?(export_prefix_filter = accept_all)
+    ?import_community ?(export_prepend = 0) relationship =
   if export_prepend < 0 then invalid_arg "Policy.make: negative export_prepend";
   let local_pref =
     match local_pref with Some lp -> lp | None -> default_local_pref relationship
@@ -49,6 +50,34 @@ let make ?local_pref ?(import_prefix_filter = fun _ -> true)
     import_community;
     export_prepend;
   }
+
+(* A policy is immutable, so every peering with a plain template shares
+   one value per relationship. *)
+let customer = build Customer
+
+let provider = build Provider
+
+let peer = build Peer
+
+let sibling = build Sibling
+
+let unrestricted = build Unrestricted
+
+let make ?local_pref ?import_prefix_filter ?export_prefix_filter ?import_community
+    ?export_prepend relationship =
+  match
+    (local_pref, import_prefix_filter, export_prefix_filter, import_community, export_prepend)
+  with
+  | None, None, None, None, None -> (
+    match relationship with
+    | Customer -> customer
+    | Provider -> provider
+    | Peer -> peer
+    | Sibling -> sibling
+    | Unrestricted -> unrestricted)
+  | _ ->
+    build ?local_pref ?import_prefix_filter ?export_prefix_filter ?import_community
+      ?export_prepend relationship
 
 let relationship t = t.relationship
 

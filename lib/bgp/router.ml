@@ -18,24 +18,31 @@ type stats = {
   mutable msgs_out : int;
   mutable prefixes_in : int;
   mutable prefixes_out : int;
+  mutable withdrawals_in : int;
+  mutable withdrawals_out : int;
   mutable decision_runs : int;
   mutable best_changes : int;
 }
 
-(* Registry handles, created once per router (labels [node=<asn>]). *)
-type telemetry = {
+(* The router's registry series, registered by its collector on the
+   first snapshot and brought up to date from [stats] on every one, so a
+   router that is never scraped registers nothing. *)
+type series = {
   updates_sent : Engine.Metrics.Counter.t;
   updates_received : Engine.Metrics.Counter.t;
   withdrawals_sent : Engine.Metrics.Counter.t;
   withdrawals_received : Engine.Metrics.Counter.t;
   decision_runs_c : Engine.Metrics.Counter.t;
   best_changes_c : Engine.Metrics.Counter.t;
+  hold_expirations : Engine.Metrics.Counter.t;
+  loc_gauge : Engine.Metrics.Gauge.t;
+  adj_gauge : Engine.Metrics.Gauge.t;
 }
 
 type peer = {
   peer_asn : Net.Asn.t;
   source : Route.source; (* [Ebgp peer_asn], shared by every route learned from the peer *)
-  peer_node : int;
+  peer_node : int; (* also the peer's session key *)
   policy : Policy.t;
   session : Session.t;
   mutable retry_attempt : int; (* reconnect backoff position *)
@@ -55,114 +62,28 @@ type t = {
   config : Config.t;
   ep : Session.endpoint;
   send_raw : dst:int -> Message.t -> bool;
+  (* Peers are appended to [added] and merged into the two sorted arrays
+     by the first read after, so configuring d peers sorts once. *)
   mutable peers : peer array; (* ascending ASN: export and flush walk it *)
-  peer_of_node : (int, peer) Hashtbl.t;
+  mutable by_node : peer array; (* ascending node id: inbound lookup *)
+  mutable added : peer list; (* not yet merged, newest first *)
   adj_in : Rib.Adj_in.t;
   loc : Rib.Loc.t;
   originated : Route.t Tbl.t; (* the local routes *)
   mutable busy_until : Engine.Time.t;
   damping : Damping.t option;
   stats : stats;
-  tm : telemetry;
+  mutable series : series option;
   mutable on_best_change : (Net.Ipv4.prefix -> Route.t option -> unit) array;
   (* Update batching: every entry point that can enqueue outbound changes
-     runs inside a batch scope; peers whose queue went dirty during the
-     scope are flushed once, in ascending ASN order, when the outermost
-     scope closes — one packed UPDATE per peer per event. *)
-  mutable batch_depth : int;
-  mutable any_dirty : bool;
+     runs inside a scope of this batch, which every peer's table shares;
+     peers whose queue went dirty during the scope are flushed once, in
+     ascending ASN order, when the outermost scope closes — one packed
+     UPDATE per peer per event. *)
+  batch : Mrai.batch;
 }
 
 let name t = Net.Asn.to_string t.asn
-
-(* [create] is completed at the bottom of this file (the crash/restart
-   hooks need the session machinery defined in between). *)
-let create_unhooked ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
-  let m = Engine.Sim.metrics sim in
-  let labels = [ ("node", Net.Asn.to_string asn) ] in
-  let counter ?help name = Engine.Metrics.counter m ?help ~labels name in
-  let tm =
-    {
-      updates_sent =
-        counter ~help:"prefixes announced in sent UPDATEs" "bgp_updates_sent_total";
-      updates_received =
-        counter ~help:"prefixes announced in received UPDATEs" "bgp_updates_received_total";
-      withdrawals_sent =
-        counter ~help:"prefixes withdrawn in sent UPDATEs" "bgp_withdrawals_sent_total";
-      withdrawals_received =
-        counter ~help:"prefixes withdrawn in received UPDATEs"
-          "bgp_withdrawals_received_total";
-      decision_runs_c = counter ~help:"decision process invocations" "bgp_decision_runs_total";
-      best_changes_c = counter ~help:"Loc-RIB best-path changes" "bgp_best_changes_total";
-    }
-  in
-  (* The split from the root stream happens exactly where it always did,
-     keeping every later subsystem's draws byte-identical. *)
-  let rng = Engine.Rng.split (Engine.Sim.rng sim) in
-  let node = Engine.Node.create ~kind:"router" sim ~name:(Net.Asn.to_string asn) in
-  let ep = Session.endpoint node ~rng ~category:"bgp.liveness" config.Config.keepalives in
-  let t =
-    {
-      damping = Option.map Damping.create damping;
-      sim;
-      node;
-      rng;
-      asn;
-      node_id;
-      router_id;
-      config;
-      ep;
-      send_raw = send;
-      peers = [||];
-      peer_of_node = Hashtbl.create 8;
-      adj_in = Rib.Adj_in.create ();
-      loc = Rib.Loc.create ();
-      originated = Tbl.create ();
-      busy_until = Engine.Time.zero;
-      stats =
-        {
-          msgs_in = 0;
-          msgs_out = 0;
-          prefixes_in = 0;
-          prefixes_out = 0;
-          decision_runs = 0;
-          best_changes = 0;
-        };
-      tm;
-      on_best_change = [||];
-      batch_depth = 0;
-      any_dirty = false;
-    }
-  in
-  let loc_gauge =
-    Engine.Metrics.gauge m ~help:"routes in the Loc-RIB" ~labels "bgp_loc_rib_routes"
-  in
-  let adj_gauge =
-    Engine.Metrics.gauge m ~help:"routes in the Adj-RIB-In" ~labels "bgp_adj_in_routes"
-  in
-  let state_gauge peer =
-    match peer.state_gauge with
-    | Some g -> g
-    | None ->
-      let g =
-        Engine.Metrics.gauge m ~help:"BGP session FSM state (0=idle, 1=connect, 2=established)"
-          ~labels:[ ("node", Net.Asn.to_string asn); ("peer", Net.Asn.to_string peer.peer_asn) ]
-          "bgp_session_state"
-      in
-      peer.state_gauge <- Some g;
-      g
-  in
-  (* One collector per router: RIB sizes and every peer's session state,
-     sampled at scrape time. *)
-  Engine.Metrics.on_collect m (fun () ->
-      Engine.Metrics.Gauge.set loc_gauge (float_of_int (Rib.Loc.size t.loc));
-      Engine.Metrics.Gauge.set adj_gauge (float_of_int (Rib.Adj_in.size t.adj_in));
-      Array.iter
-        (fun peer ->
-          Engine.Metrics.Gauge.set (state_gauge peer)
-            (float_of_int (Session.to_int (Session.state peer.session))))
-        t.peers);
-  t
 
 let asn t = t.asn
 
@@ -179,6 +100,23 @@ let stats t = t.stats
    [subscribers @ [f]] append. *)
 let subscribe_best_change t f = t.on_best_change <- Array.append t.on_best_change [| f |]
 
+let merge_added t =
+  let peers = Array.append t.peers (Array.of_list t.added) in
+  t.added <- [];
+  Array.sort (fun p q -> Net.Asn.compare p.peer_asn q.peer_asn) peers;
+  for i = 1 to Array.length peers - 1 do
+    if Net.Asn.equal peers.(i - 1).peer_asn peers.(i).peer_asn then
+      invalid_arg (Fmt.str "Router.add_peer: duplicate %a" Net.Asn.pp peers.(i).peer_asn)
+  done;
+  let by_node = Array.copy peers in
+  Array.sort (fun p q -> Int.compare p.peer_node q.peer_node) by_node;
+  t.peers <- peers;
+  t.by_node <- by_node
+
+let peers t =
+  if t.added <> [] then merge_added t;
+  t.peers
+
 (* The index of the first peer in [peers.(lo..hi-1)] whose ASN is not
    below [asn], or [hi]. *)
 let rec search peers asn lo hi =
@@ -189,12 +127,31 @@ let rec search peers asn lo hi =
     else search peers asn lo mid
 
 let find_peer t peer_asn =
-  let i = search t.peers peer_asn 0 (Array.length t.peers) in
-  if i < Array.length t.peers && Net.Asn.equal t.peers.(i).peer_asn peer_asn then
-    Some t.peers.(i)
+  let peers = peers t in
+  let i = search peers peer_asn 0 (Array.length peers) in
+  if i < Array.length peers && Net.Asn.equal peers.(i).peer_asn peer_asn then Some peers.(i)
   else None
 
-let peer_asns t = Array.to_list (Array.map (fun p -> p.peer_asn) t.peers)
+(* The index in [by_node.(lo..hi-1)] of the peer behind fabric node
+   [node], or -1. *)
+let rec search_node by_node node lo hi =
+  if lo = hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let n = by_node.(mid).peer_node in
+    if n = node then mid
+    else if n < node then search_node by_node node (mid + 1) hi
+    else search_node by_node node lo mid
+
+(* [f t peer] for the peer behind fabric node [node], if any: a lookup
+   that allocates nothing on the inbound path. *)
+let with_peer_of_node t node f x =
+  ignore (peers t);
+  match search_node t.by_node node 0 (Array.length t.by_node) with
+  | -1 -> ()
+  | i -> f t t.by_node.(i) x
+
+let peer_asns t = Array.to_list (Array.map (fun p -> p.peer_asn) (peers t))
 
 let peer_established t peer_asn =
   match find_peer t peer_asn with Some p -> Session.is_established p.session | None -> false
@@ -202,38 +159,35 @@ let peer_established t peer_asn =
 let session_state t peer_asn =
   match find_peer t peer_asn with None -> Session.Idle | Some p -> Session.state p.session
 
-let send_message t dst msg =
-  let sent = t.send_raw ~dst msg in
+let count_sent stats send_raw dst msg =
+  let sent = send_raw ~dst msg in
   if sent then begin
-    t.stats.msgs_out <- t.stats.msgs_out + 1;
+    stats.msgs_out <- stats.msgs_out + 1;
     match msg with
     | Message.Update u ->
-      t.stats.prefixes_out <- t.stats.prefixes_out + Message.update_size u;
-      Engine.Metrics.Counter.add t.tm.updates_sent (List.length u.Message.announced);
-      Engine.Metrics.Counter.add t.tm.withdrawals_sent (List.length u.Message.withdrawn)
+      let withdrawn = List.length u.Message.withdrawn in
+      stats.prefixes_out <- stats.prefixes_out + List.length u.Message.announced + withdrawn;
+      stats.withdrawals_out <- stats.withdrawals_out + withdrawn
     | Message.Open _ | Message.Keepalive | Message.Notification _ -> ()
   end;
   sent
 
-let flush_batch t =
-  if t.any_dirty then begin
-    t.any_dirty <- false;
-    let peers = t.peers in
+let send_message t dst msg = count_sent t.stats t.send_raw dst msg
+
+let close_batch t =
+  if Mrai.leave t.batch then begin
+    let peers = peers t in
     for i = 0 to Array.length peers - 1 do
       let mrai = peers.(i).mrai in
       if Mrai.is_dirty mrai then Mrai.flush_event mrai
     done
   end
 
-let close_batch t =
-  t.batch_depth <- t.batch_depth - 1;
-  if t.batch_depth = 0 then flush_batch t
-
 (* [f t x] inside a batch scope.  Callers pass a top-level [f], so
    opening a scope allocates no closure.  The scope closes (and flushes)
    on both paths, and an exception leaves with its own backtrace. *)
 let with_batch t f x =
-  t.batch_depth <- t.batch_depth + 1;
+  Mrai.enter t.batch;
   match f t x with
   | () -> close_batch t
   | exception e ->
@@ -283,7 +237,7 @@ let provenance t (route : Route.t) =
   match route.Route.source with
   | Route.Local -> Policy.Originated
   | Route.Ebgp q ->
-    let peers = t.peers in
+    let peers = peers t in
     let i = search peers q 0 (Array.length peers) in
     Policy.learned_from
       (if i < Array.length peers && Net.Asn.equal peers.(i).peer_asn q then
@@ -309,7 +263,7 @@ let exported t attrs peer =
    attrs until then, which no exported value can be (export prepends our
    ASN and sets our next hop). *)
 let export_all_peers t prefix best =
-  let peers = t.peers in
+  let peers = peers t in
   match best with
   | None ->
     for i = 0 to Array.length peers - 1 do
@@ -337,7 +291,6 @@ let export_all_peers t prefix best =
 
 let best_changed t prefix best =
   t.stats.best_changes <- t.stats.best_changes + 1;
-  Engine.Metrics.Counter.inc t.tm.best_changes_c;
   let subscribers = t.on_best_change in
   for i = 0 to Array.length subscribers - 1 do
     subscribers.(i) prefix best
@@ -352,7 +305,6 @@ let install t prefix route = if Rib.Loc.install t.loc route then best_changed t 
    local route and the admitted learned ones. *)
 let run_decision t prefix =
   t.stats.decision_runs <- t.stats.decision_runs + 1;
-  Engine.Metrics.Counter.inc t.tm.decision_runs_c;
   let learned = Rib.Adj_in.routes t.adj_in prefix in
   let i = best_learned t prefix learned 0 (-1) in
   match Tbl.slot t.originated (Net.Ipv4.prefix_to_packed prefix) with
@@ -444,13 +396,13 @@ let hold_expired t peer_asn =
     Engine.Node.schedule_after ~category:"bgp.reconnect" t.node delay (fun () ->
         open_session t peer_asn)
 
+(* A peer joins [added]; the next read of the peers merges it in.  Once
+   merged (after [start]), a duplicate is refused here; before, by the
+   merge. *)
 let add_peer t ~peer_asn ~peer_node ~policy =
-  if Option.is_some (find_peer t peer_asn) then
+  if t.added = [] && Option.is_some (find_peer t peer_asn) then
     invalid_arg (Fmt.str "Router.add_peer: duplicate %a" Net.Asn.pp peer_asn);
-  let session =
-    Session.create t.ep ~asn:t.asn ~router_id:t.router_id ~send:(send_message t peer_node)
-      ~on_expired:(fun () -> hold_expired t peer_asn)
-  in
+  let session = Session.create t.ep ~asn:t.asn ~router_id:t.router_id ~key:peer_node in
   let send_update update =
     (* Checked at send time: the peer may have gone down since the
        update was queued. *)
@@ -458,7 +410,8 @@ let add_peer t ~peer_asn ~peer_node ~policy =
       ignore (send_message t peer_node (Message.Update update))
   in
   let mrai =
-    Mrai.create t.sim ~rng:(Engine.Rng.split t.rng) ~config:t.config ~send:send_update
+    Mrai.create ~batch:t.batch t.sim ~rng:(Engine.Rng.split t.rng) ~config:t.config
+      ~send:send_update
   in
   let peer =
     {
@@ -472,17 +425,9 @@ let add_peer t ~peer_asn ~peer_node ~policy =
       state_gauge = None;
     }
   in
-  Mrai.set_on_dirty mrai (fun () ->
-      if t.batch_depth > 0 then t.any_dirty <- true else Mrai.flush_event mrai);
-  let n = Array.length t.peers in
-  let i = search t.peers peer_asn 0 n in
-  let peers = Array.make (n + 1) peer in
-  Array.blit t.peers 0 peers 0 i;
-  Array.blit t.peers i peers (i + 1) (n - i);
-  t.peers <- peers;
-  Hashtbl.replace t.peer_of_node peer_node peer
+  t.added <- peer :: t.added
 
-let start t = Array.iter (fun p -> open_session t p.peer_asn) t.peers
+let start t = Array.iter (fun p -> open_session t p.peer_asn) (peers t)
 
 (* --- Inbound processing ------------------------------------------------ *)
 
@@ -602,35 +547,34 @@ let process_update t peer u = with_batch t apply_update (peer, u)
 (* Only an OPEN (table sync) and a NOTIFICATION (session down, which
    opens its own scope) queue outbound changes here; an UPDATE's changes
    come from its own [bgp.process] event. *)
-let handle_message t ~from msg =
-  match Hashtbl.find t.peer_of_node from with
-  | exception Not_found -> ()
-  | peer -> (
-    Session.touch peer.session;
-    match msg with
-    | Message.Open { hold_time; _ } ->
-      if Session.receive_open peer.session ~hold_time then begin
-        peer.retry_attempt <- 0;
-        with_batch t sync_peer peer
-      end
-    | Message.Keepalive -> ()
-    | Message.Notification _ -> session_down t peer.peer_asn
-    | Message.Update u ->
-      t.stats.msgs_in <- t.stats.msgs_in + 1;
-      t.stats.prefixes_in <- t.stats.prefixes_in + Message.update_size u;
-      Engine.Sim.mark t.sim ~category:"bgp.update" ~node:(Engine.Node.name t.node)
-        ~render:Net.Asn.int_to_string (Net.Asn.to_int peer.peer_asn);
-      Engine.Metrics.Counter.add t.tm.updates_received (List.length u.Message.announced);
-      Engine.Metrics.Counter.add t.tm.withdrawals_received (List.length u.Message.withdrawn);
-      (* Serialized processing behind a busy watermark: emulates a
-         single-threaded bgpd working through its input queue. *)
-      let now = Engine.Sim.now t.sim in
-      let start = Engine.Time.max now t.busy_until in
-      let finish = Engine.Time.add start (Config.processing_delay t.config t.rng) in
-      t.busy_until <- finish;
-      (* A crash bumps the node epoch, which voids the pending events. *)
-      Engine.Node.schedule_at ~category:"bgp.process" t.node finish (fun () ->
-          process_update t peer u))
+let handle_peer_message t peer msg =
+  Session.touch peer.session;
+  match msg with
+  | Message.Open { hold_time; _ } ->
+    if Session.receive_open peer.session ~hold_time then begin
+      peer.retry_attempt <- 0;
+      with_batch t sync_peer peer
+    end
+  | Message.Keepalive -> ()
+  | Message.Notification _ -> session_down t peer.peer_asn
+  | Message.Update u ->
+    let withdrawn = List.length u.Message.withdrawn in
+    t.stats.msgs_in <- t.stats.msgs_in + 1;
+    t.stats.prefixes_in <- t.stats.prefixes_in + List.length u.Message.announced + withdrawn;
+    t.stats.withdrawals_in <- t.stats.withdrawals_in + withdrawn;
+    Engine.Sim.mark t.sim ~category:"bgp.update" ~node:(Engine.Node.name t.node)
+      ~render:Net.Asn.int_to_string (Net.Asn.to_int peer.peer_asn);
+    (* Serialized processing behind a busy watermark: emulates a
+       single-threaded bgpd working through its input queue. *)
+    let now = Engine.Sim.now t.sim in
+    let start = Engine.Time.max now t.busy_until in
+    let finish = Engine.Time.add start (Config.processing_delay t.config t.rng) in
+    t.busy_until <- finish;
+    (* A crash bumps the node epoch, which voids the pending events. *)
+    Engine.Node.schedule_at ~category:"bgp.process" t.node finish (fun () ->
+        process_update t peer u)
+
+let handle_message t ~from msg = with_peer_of_node t from handle_peer_message msg
 
 (* --- Lifecycle ---------------------------------------------------------- *)
 
@@ -644,7 +588,7 @@ let on_crashed t =
       Session.crash peer.session;
       peer.retry_attempt <- 0;
       Mrai.reset peer.mrai)
-    t.peers;
+    (peers t);
   Rib.Adj_in.clear t.adj_in;
   Rib.Loc.clear t.loc
 
@@ -658,13 +602,133 @@ let on_restarted t =
     (fun peer ->
       ignore (send_message t peer.peer_node (Message.Notification "peer restarted"));
       open_session t peer.peer_asn)
-    t.peers
+    (peers t)
+
+(* --- Construction and telemetry ----------------------------------------- *)
+
+let register_series t =
+  let m = Engine.Sim.metrics t.sim in
+  let labels = [ ("node", name t) ] in
+  let counter ~help name = Engine.Metrics.counter m ~help ~labels name in
+  let gauge ~help name = Engine.Metrics.gauge m ~help ~labels name in
+  {
+    updates_sent = counter ~help:"prefixes announced in sent UPDATEs" "bgp_updates_sent_total";
+    updates_received =
+      counter ~help:"prefixes announced in received UPDATEs" "bgp_updates_received_total";
+    withdrawals_sent =
+      counter ~help:"prefixes withdrawn in sent UPDATEs" "bgp_withdrawals_sent_total";
+    withdrawals_received =
+      counter ~help:"prefixes withdrawn in received UPDATEs" "bgp_withdrawals_received_total";
+    decision_runs_c = counter ~help:"decision process invocations" "bgp_decision_runs_total";
+    best_changes_c = counter ~help:"Loc-RIB best-path changes" "bgp_best_changes_total";
+    hold_expirations = Session.expirations_counter t.ep;
+    loc_gauge = gauge ~help:"routes in the Loc-RIB" "bgp_loc_rib_routes";
+    adj_gauge = gauge ~help:"routes in the Adj-RIB-In" "bgp_adj_in_routes";
+  }
+
+let state_gauge t peer =
+  match peer.state_gauge with
+  | Some g -> g
+  | None ->
+    let g =
+      Engine.Metrics.gauge (Engine.Sim.metrics t.sim)
+        ~help:"BGP session FSM state (0=idle, 1=connect, 2=established)"
+        ~labels:[ ("node", name t); ("peer", Net.Asn.to_string peer.peer_asn) ]
+        "bgp_session_state"
+    in
+    peer.state_gauge <- Some g;
+    g
+
+(* A counter is monotonic, so it follows the count it exports by adding
+   what the count gained since the last snapshot. *)
+let sync counter count =
+  Engine.Metrics.Counter.add counter (count - Engine.Metrics.Counter.value counter)
+
+(* The router's one collector: its counts, RIB sizes and every peer's
+   session state, sampled at scrape time. *)
+let collect t =
+  let s =
+    match t.series with
+    | Some s -> s
+    | None ->
+      let s = register_series t in
+      t.series <- Some s;
+      s
+  in
+  let st = t.stats in
+  sync s.updates_sent (st.prefixes_out - st.withdrawals_out);
+  sync s.updates_received (st.prefixes_in - st.withdrawals_in);
+  sync s.withdrawals_sent st.withdrawals_out;
+  sync s.withdrawals_received st.withdrawals_in;
+  sync s.decision_runs_c st.decision_runs;
+  sync s.best_changes_c st.best_changes;
+  sync s.hold_expirations (Session.hold_expirations t.ep);
+  Engine.Metrics.Gauge.set s.loc_gauge (float_of_int (Rib.Loc.size t.loc));
+  Engine.Metrics.Gauge.set s.adj_gauge (float_of_int (Rib.Adj_in.size t.adj_in));
+  Array.iter
+    (fun peer ->
+      Engine.Metrics.Gauge.set (state_gauge t peer)
+        (float_of_int (Session.to_int (Session.state peer.session))))
+    (peers t)
+
+let hold_expired_node t node =
+  with_peer_of_node t node (fun t peer () -> hold_expired t peer.peer_asn) ()
 
 let create ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
-  let t = create_unhooked ?damping ~sim ~asn ~node_id ~router_id ~config ~send () in
-  Engine.Node.on_crash t.node (fun () -> on_crashed t);
-  Engine.Node.on_start t.node (fun ~first -> if not first then on_restarted t);
-  Engine.Node.start t.node;
+  (* The split from the root stream happens exactly where it always did,
+     keeping every later subsystem's draws byte-identical. *)
+  let rng = Engine.Rng.split (Engine.Sim.rng sim) in
+  let node = Engine.Node.create ~kind:"router" sim ~name:(Net.Asn.to_string asn) in
+  let stats =
+    {
+      msgs_in = 0;
+      msgs_out = 0;
+      prefixes_in = 0;
+      prefixes_out = 0;
+      withdrawals_in = 0;
+      withdrawals_out = 0;
+      decision_runs = 0;
+      best_changes = 0;
+    }
+  in
+  (* A session names its peer by the peer's node.  Hold expiry needs the
+     router, which holds the endpoint, so it reaches it through [self]. *)
+  let self = ref None in
+  let ep =
+    Session.endpoint node ~rng ~category:"bgp.liveness" ~send:(count_sent stats send)
+      ~on_expired:(fun peer_node -> Option.iter (fun t -> hold_expired_node t peer_node) !self)
+      config.Config.keepalives
+  in
+  let t =
+    {
+      damping = Option.map Damping.create damping;
+      sim;
+      node;
+      rng;
+      asn;
+      node_id;
+      router_id;
+      config;
+      ep;
+      send_raw = send;
+      peers = [||];
+      by_node = [||];
+      added = [];
+      adj_in = Rib.Adj_in.create ();
+      loc = Rib.Loc.create ();
+      originated = Tbl.create ();
+      busy_until = Engine.Time.zero;
+      stats;
+      series = None;
+      on_best_change = [||];
+      batch = Mrai.batch ();
+    }
+  in
+  self := Some t;
+  Engine.Metrics.on_collect (Engine.Sim.metrics sim) (fun () -> collect t);
+  Engine.Node.on_crash node (fun () -> on_crashed t);
+  Engine.Node.on_start node (fun ~first -> if not first then on_restarted t);
+  Engine.Node.start node;
   t
 
 (* Test/diagnostic accessors. *)

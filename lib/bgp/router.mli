@@ -5,11 +5,19 @@
 type stats = {
   mutable msgs_in : int;
   mutable msgs_out : int;
-  mutable prefixes_in : int;
-  mutable prefixes_out : int;
+  mutable prefixes_in : int;  (** announced + withdrawn, over received UPDATEs *)
+  mutable prefixes_out : int;  (** announced + withdrawn, over sent UPDATEs *)
+  mutable withdrawals_in : int;
+  mutable withdrawals_out : int;
   mutable decision_runs : int;
   mutable best_changes : int;
 }
+(** The router's counts.  They are also its registry series: the
+    router's collector registers [bgp_updates_*], [bgp_withdrawals_*],
+    [bgp_decision_runs_total], [bgp_best_changes_total],
+    [bgp_hold_expirations_total], the two RIB gauges and every peer's
+    [bgp_session_state] on the first snapshot, and brings them up to
+    date on every snapshot. *)
 
 type t
 
@@ -49,6 +57,10 @@ val subscribe_best_change : t -> (Net.Ipv4.prefix -> Route.t option -> unit) -> 
     framework hooks the FIB here). *)
 
 val add_peer : t -> peer_asn:Net.Asn.t -> peer_node:int -> policy:Policy.t -> unit
+(** Peers added in a row are sorted once, by the first call that reads
+    them ({!start} at the latest).  A duplicate ASN raises
+    [Invalid_argument]: here once the peers were read, else from that
+    first read. *)
 
 val peer_asns : t -> Net.Asn.t list
 

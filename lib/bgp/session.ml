@@ -33,39 +33,46 @@ let to_int = function Idle -> 0 | Connect -> 1 | Established -> 2
 
 type keepalive = { interval : Engine.Time.span; hold_time : Engine.Time.span }
 
-(* What one endpoint shares across its sessions. *)
+(* What one endpoint shares across its sessions, including the two hooks
+   every session calls with its own [key], so a session holds no closure
+   of its own. *)
 type endpoint = {
   node : Engine.Node.t;
   rng : Engine.Rng.t;
   category : string;
   liveness : keepalive option;
   our_hold : int;
-  hold_expirations : Engine.Metrics.Counter.t;
+  send : int -> Message.t -> bool;
+  on_expired : int -> unit;
+  mutable expirations : int;
 }
 
 (* The hold time (whole seconds) an endpoint proposes in its OPENs; 0 when
    keepalives are off — RFC 4271 lets either side disable liveness. *)
-let endpoint node ~rng ~category liveness =
+let endpoint node ~rng ~category ~send ~on_expired liveness =
   let our_hold =
     match liveness with
     | None -> 0
     | Some { hold_time; _ } -> max 1 (int_of_float (Engine.Time.to_sec_f hold_time))
   in
-  let hold_expirations =
-    Engine.Metrics.counter
-      (Engine.Sim.metrics (Engine.Node.sim node))
-      ~help:"sessions torn down by hold-timer expiry"
-      ~labels:[ ("node", Engine.Node.name node) ]
-      "bgp_hold_expirations_total"
-  in
-  { node; rng; category; liveness; our_hold; hold_expirations }
+  { node; rng; category; liveness; our_hold; send; on_expired; expirations = 0 }
+
+let hold_expirations ep = ep.expirations
+
+(* The endpoint's expiry count as [bgp_hold_expirations_total{node}]: the
+   owner's collector registers the series on its first snapshot. *)
+let expirations_counter ep =
+  Engine.Metrics.counter
+    (Engine.Sim.metrics (Engine.Node.sim ep.node))
+    ~help:"sessions torn down by hold-timer expiry"
+    ~labels:[ ("node", Engine.Node.name ep.node) ]
+    "bgp_hold_expirations_total"
 
 type t = {
   ep : endpoint;
   asn : Net.Asn.t;
   router_id : Net.Ipv4.addr;
-  send : Message.t -> bool;
-  on_expired : unit -> unit;
+  key : int; (* the owner's name for this session in [ep.send] and [ep.on_expired] *)
   mutable established : bool;
   mutable open_sent : bool;
   mutable peer_hold : int; (* hold time (s) the peer proposed in its OPEN; 0 = none *)
@@ -73,17 +80,18 @@ type t = {
   mutable hold : Engine.Timer.t option; (* liveness: reset by any inbound message *)
 }
 
-let create ep ~asn ~router_id ~send ~on_expired =
-  { ep; asn; router_id; send; on_expired; established = false; open_sent = false; peer_hold = 0;
+let create ep ~asn ~router_id ~key =
+  { ep; asn; router_id; key; established = false; open_sent = false; peer_hold = 0;
     keepalive = None; hold = None }
+
+let send s msg = s.ep.send s.key msg
 
 let state s = if s.established then Established else if s.open_sent then Connect else Idle
 
 let is_established s = s.established
 
 let send_open s =
-  ignore
-    (s.send (Message.Open { asn = s.asn; router_id = s.router_id; hold_time = s.ep.our_hold }))
+  ignore (send s (Message.Open { asn = s.asn; router_id = s.router_id; hold_time = s.ep.our_hold }))
 
 let connect s =
   let was_idle = not s.open_sent in
@@ -104,9 +112,9 @@ let stop_liveness s =
   Option.iter Engine.Timer.cancel s.hold
 
 let hold_expired s () =
-  Engine.Metrics.Counter.inc s.ep.hold_expirations;
-  ignore (s.send (Message.Notification "hold timer expired"));
-  s.on_expired ()
+  s.ep.expirations <- s.ep.expirations + 1;
+  ignore (send s (Message.Notification "hold timer expired"));
+  s.ep.on_expired s.key
 
 (* KEEPALIVE emission + hold-timer supervision.  Armed only when both
    sides proposed a non-zero hold time; the emission interval is jittered
@@ -128,7 +136,7 @@ let start_liveness s =
       | None ->
         let emit () =
           if s.established then begin
-            ignore (s.send Message.Keepalive);
+            ignore (send s Message.Keepalive);
             Option.iter (fun timer -> Engine.Timer.start timer (jittered ())) s.keepalive
           end
         in

@@ -19,25 +19,34 @@ type endpoint
 (** What one endpoint shares across its sessions. *)
 
 val endpoint :
-  Engine.Node.t -> rng:Engine.Rng.t -> category:string -> keepalive option -> endpoint
+  Engine.Node.t ->
+  rng:Engine.Rng.t ->
+  category:string ->
+  send:(int -> Message.t -> bool) ->
+  on_expired:(int -> unit) ->
+  keepalive option ->
+  endpoint
 (** Liveness timers are owned by the node and scheduled under [category],
     keepalive jitter draws from [rng], and [None] turns liveness off
-    (OPENs propose hold 0).  Registers
-    [bgp_hold_expirations_total{node=<node name>}]. *)
+    (OPENs propose hold 0).  A session writes with [send key] and reports
+    its hold expiry to [on_expired key], where [key] is the owner's name
+    for it (see {!create}). *)
+
+val hold_expirations : endpoint -> int
+(** Sessions of this endpoint torn down by hold-timer expiry. *)
+
+val expirations_counter : endpoint -> Engine.Metrics.Counter.t
+(** The registry series that exports {!hold_expirations}:
+    [bgp_hold_expirations_total{node=<node name>}].  The owner registers
+    it from a collector and brings it up to date there. *)
 
 type t
 
-val create :
-  endpoint ->
-  asn:Net.Asn.t ->
-  router_id:Net.Ipv4.addr ->
-  send:(Message.t -> bool) ->
-  on_expired:(unit -> unit) ->
-  t
+val create : endpoint -> asn:Net.Asn.t -> router_id:Net.Ipv4.addr -> key:int -> t
 (** An [Idle] session presenting [asn]/[router_id] in its OPENs.  On hold
-    expiry it bumps the endpoint's counter, [send]s [NOTIFICATION "hold
-    timer expired"], then calls [on_expired] to tear down the caller's
-    way. *)
+    expiry it counts the expiry, sends [NOTIFICATION "hold timer
+    expired"], then calls the endpoint's [on_expired key] to tear down
+    the owner's way. *)
 
 val state : t -> state
 

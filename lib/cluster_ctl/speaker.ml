@@ -38,28 +38,8 @@ type t = {
   mutable on_session : session -> up:bool -> unit;
   (* Update batching, mirroring Router: controller-driven announcement
      bursts within one scheduler event leave as one UPDATE per session. *)
-  mutable batch_depth : int;
-  mutable any_dirty : bool;
+  batch : Bgp.Mrai.batch;
 }
-
-(* [create] is completed at the bottom of this file. *)
-let create_unhooked ?liveness ~sim ~send_relay () =
-  let rng = Engine.Rng.split (Engine.Sim.rng sim) in
-  let node = Engine.Node.create ~kind:"speaker" sim ~name:"speaker" in
-  {
-    sim;
-    node;
-    rng;
-    ep = Bgp.Session.endpoint node ~rng ~category:"speaker.liveness" liveness;
-    send_relay;
-    by_key = Hashtbl.create 32;
-    order = [||];
-    count = 0;
-    on_update = (fun _ _ -> ());
-    on_session = (fun _ ~up:_ -> ());
-    batch_depth = 0;
-    any_dirty = false;
-  }
 
 let node t = t.node
 
@@ -102,32 +82,24 @@ let down t s =
 
 let session_down t ~member ~neighbor = Option.iter (down t) (find t ~member ~neighbor)
 
+(* A session's key is its position in [order]. *)
 let add_session ?(mrai_config : Bgp.Config.t option) t ~member ~neighbor ~member_addr ~policy =
   let key = (member, neighbor) in
   if Hashtbl.mem t.by_key key then
     invalid_arg
       (Fmt.str "Speaker.add_session: duplicate %a/%a" Net.Asn.pp member Net.Asn.pp neighbor);
-  let self = ref None in
+  let bgp = Bgp.Session.create t.ep ~asn:member ~router_id:member_addr ~key:t.count in
   let send update =
-    match !self with
-    | Some s when is_established s -> ignore (send_wire t s (Bgp.Message.Update update))
-    | Some _ | None -> ()
+    if Bgp.Session.is_established bgp then
+      ignore (t.send_relay ~member ~neighbor (Bgp.Message.Update update))
   in
   let out =
     match mrai_config with
-    | Some config -> Bgp.Mrai.create t.sim ~rng:(Engine.Rng.split t.rng) ~config ~send
-    | None -> Bgp.Mrai.unpaced ~send
-  in
-  (* The session layer sends no UPDATE, so it writes to the relay directly. *)
-  let bgp =
-    Bgp.Session.create t.ep ~asn:member ~router_id:member_addr
-      ~send:(t.send_relay ~member ~neighbor)
-      ~on_expired:(fun () -> Option.iter (down t) !self)
+    | Some config ->
+      Bgp.Mrai.create ~batch:t.batch t.sim ~rng:(Engine.Rng.split t.rng) ~config ~send
+    | None -> Bgp.Mrai.unpaced ~batch:t.batch ~send ()
   in
   let s = { member; neighbor; policy; bgp; out } in
-  self := Some s;
-  Bgp.Mrai.set_on_dirty out (fun () ->
-      if t.batch_depth > 0 then t.any_dirty <- true else Bgp.Mrai.flush_event out);
   Hashtbl.replace t.by_key key s;
   if t.count = Array.length t.order then begin
     let order = Array.make (max 16 (2 * t.count)) s in
@@ -138,24 +110,18 @@ let add_session ?(mrai_config : Bgp.Config.t option) t ~member ~neighbor ~member
   t.count <- t.count + 1
 
 (* End-of-scope flush of the dirty sessions, in configuration order. *)
-let flush_batch t =
-  if t.any_dirty then begin
-    t.any_dirty <- false;
+let close_batch t =
+  if Bgp.Mrai.leave t.batch then
     for i = 0 to t.count - 1 do
       let out = t.order.(i).out in
       if Bgp.Mrai.is_dirty out then Bgp.Mrai.flush_event out
     done
-  end
-
-let close_batch t =
-  t.batch_depth <- t.batch_depth - 1;
-  if t.batch_depth = 0 then flush_batch t
 
 (* As [Bgp.Router.with_batch]: a direct handler, so the scope closes (and
    flushes) on both paths without allocating, and an exception leaves
    with its own backtrace. *)
 let with_batch t f =
-  t.batch_depth <- t.batch_depth + 1;
+  Bgp.Mrai.enter t.batch;
   match f () with
   | v ->
     close_batch t;
@@ -229,7 +195,40 @@ let on_restarted t =
       ignore (Bgp.Session.connect s.bgp))
 
 let create ?liveness ~sim ~send_relay () =
-  let t = create_unhooked ?liveness ~sim ~send_relay () in
+  let rng = Engine.Rng.split (Engine.Sim.rng sim) in
+  let node = Engine.Node.create ~kind:"speaker" sim ~name:"speaker" in
+  (* Sessions are keyed by their position in [order], which the endpoint's
+     hooks read through [self]. *)
+  let self = ref None in
+  let session i = (Option.get !self).order.(i) in
+  let ep =
+    Bgp.Session.endpoint node ~rng ~category:"speaker.liveness"
+      ~send:(fun i msg -> send_wire (Option.get !self) (session i) msg)
+      ~on_expired:(fun i -> down (Option.get !self) (session i))
+      liveness
+  in
+  let t =
+    {
+      sim;
+      node;
+      rng;
+      ep;
+      send_relay;
+      by_key = Hashtbl.create 32;
+      order = [||];
+      count = 0;
+      on_update = (fun _ _ -> ());
+      on_session = (fun _ ~up:_ -> ());
+      batch = Bgp.Mrai.batch ();
+    }
+  in
+  self := Some t;
+  (* The expiry counter, registered on the first snapshot. *)
+  let expirations = lazy (Bgp.Session.expirations_counter ep) in
+  Engine.Metrics.on_collect (Engine.Sim.metrics sim) (fun () ->
+      let c = Lazy.force expirations in
+      Engine.Metrics.Counter.add c
+        (Bgp.Session.hold_expirations ep - Engine.Metrics.Counter.value c));
   Engine.Node.on_crash t.node (fun () -> on_crashed t);
   Engine.Node.on_start t.node (fun ~first -> if not first then on_restarted t);
   Engine.Node.start t.node;

@@ -5,40 +5,52 @@
    plain [Random.State] sharing does not give and which keeps experiment
    runs comparable across code changes. *)
 
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: the primitives below
+   read and write it as a raw int64, so a draw allocates nothing.  Every
+   step is written in this module, where the compiler inlines it, so the
+   int64 temporaries of a draw stay in registers. *)
+type t = bytes
+
+external get_state : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+external set_state : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] of_state z =
+  let t = Bytes.create 8 in
+  set_state t 0 z;
+  t
+
+let create seed = of_state (Int64.of_int seed)
+
+let[@inline] next_int64 t =
+  let z = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = Int64.of_int seed }
+let split t = of_state (next_int64 t)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] bits53 t = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11)
 
-let split t = { state = next_int64 t }
+let[@inline] float t bound = bits53 t /. 9007199254740992.0 *. bound
 
-let bits53 t = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11)
+let[@inline] uniform t lo hi = lo +. float t (hi -. lo)
 
-let float t bound = bits53 t /. 9007199254740992.0 *. bound
-
-let uniform t lo hi = lo +. float t (hi -. lo)
+(* Rejection sampling to avoid modulo bias: a top-level loop over
+   immediate arguments, so no closure and no boxed bound. *)
+let rec draw t bound =
+  let bound64 = Int64.of_int bound in
+  let r = Int64.shift_right_logical (next_int64 t) 1 in
+  let v = Int64.rem r bound64 in
+  if Int64.sub r v > Int64.sub (Int64.sub Int64.max_int bound64) 1L then draw t bound
+  else Int64.to_int v
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
-  let bound64 = Int64.of_int bound in
-  let rec draw () =
-    let r = Int64.shift_right_logical (next_int64 t) 1 in
-    let v = Int64.rem r bound64 in
-    if Int64.sub r v > Int64.sub (Int64.sub Int64.max_int bound64) 1L then draw ()
-    else Int64.to_int v
-  in
-  draw ()
+  draw t bound
 
 let int_range t lo hi =
   if hi < lo then invalid_arg "Rng.int_range: empty range";
@@ -73,4 +85,6 @@ let sample t k l =
     let shuffled = shuffle t l in
     List.filteri (fun i _ -> i < k) shuffled
 
-let jitter_span t span ~lo ~hi = Time.span_scale span (uniform t lo hi)
+(* [Time.span_scale], computed here so the factor is never boxed. *)
+let jitter_span t span ~lo ~hi =
+  Time.us (Float.to_int (Float.of_int (Time.to_us span) *. uniform t lo hi))

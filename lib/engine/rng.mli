@@ -10,6 +10,8 @@
     draws would race and destroy determinism silently. *)
 
 type t
+(** The state is 8 unboxed bytes: [int], [int_range], [bool], [chance]
+    and [jitter_span] allocate nothing. *)
 
 val create : int -> t
 (** [create seed] is a fresh generator. *)

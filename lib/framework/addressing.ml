@@ -14,19 +14,19 @@ type plan = {
   origin_prefix : Net.Asn.t -> Net.Ipv4.prefix;
 }
 
+(* One /24 per AS from 100.64.0.0/10, and one router /24 from 10/8 per
+   256 ASes: the plan covers the first 16,384 ASes of a spec. *)
+let max_ases = 256 * 64
+
 let plan spec =
-  let table = Hashtbl.create 64 in
-  List.iteri
-    (fun i (n : Topology.Spec.node_spec) -> Hashtbl.replace table n.Topology.Spec.asn i)
-    (Topology.Spec.nodes spec);
   let index_of asn =
-    match Hashtbl.find_opt table asn with
+    match Topology.Spec.ordinal spec asn with
     | Some i -> i
     | None -> invalid_arg (Fmt.str "Addressing: unknown %a" Net.Asn.pp asn)
   in
   let split asn =
     let k = index_of asn in
-    if k >= 256 * 64 then failwith "Addressing: topology too large for the address plan";
+    if k >= max_ases then failwith "Addressing: topology too large for the address plan";
     (k / 256, k mod 256)
   in
   let router_addr asn =

@@ -8,6 +8,9 @@ type plan = {
   origin_prefix : Net.Asn.t -> Net.Ipv4.prefix;
 }
 
+val max_ases : int
+(** The most ASes a plan addresses: 16,384. *)
+
 val plan : Topology.Spec.t -> plan
 (** @raise Invalid_argument for ASNs outside the spec;
-    @raise Failure for topologies beyond the address plan (~16k ASes). *)
+    @raise Failure for an AS past the first {!max_ases} of the spec. *)

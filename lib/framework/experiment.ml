@@ -24,12 +24,14 @@ let final_metrics t = Engine.Metrics.snapshot (metrics t) ~at:(now t)
 
 (* Build the emulation and bring all BGP sessions up; runs until the
    bootstrap has fully converged.  No prefix is originated yet. *)
-let create ?(config = Config.default) ?(seed = 42) spec =
-  let network = Network.create ~config ~seed spec in
+let boot network =
   let watcher = Convergence.attach network in
   Network.start network;
   ignore (Network.settle network);
   { network; watcher }
+
+let create ?(config = Config.default) ?(seed = 42) spec =
+  boot (Network.create ~config ~seed spec)
 
 let default_prefix t asn = (Network.plan t.network).Addressing.origin_prefix asn
 

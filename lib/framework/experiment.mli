@@ -8,6 +8,10 @@ val create : ?config:Config.t -> ?seed:int -> Topology.Spec.t -> t
 (** Build the emulation, open all sessions and run to quiescence.  No
     prefix is originated yet. *)
 
+val boot : Network.t -> t
+(** {!create}'s second half: attach the convergence watcher, open all
+    sessions and run to quiescence. *)
+
 val network : t -> Network.t
 
 val watcher : t -> Convergence.t

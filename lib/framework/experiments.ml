@@ -224,16 +224,7 @@ let choose_members ~spec ~k ~placement ~origin ~seed =
   let candidates =
     List.filter (fun a -> not (Net.Asn.equal a origin)) (Topology.Spec.asns spec)
   in
-  (* Degrees in one pass over the links: [Spec.neighbors] scans every link,
-     so calling it from the sort comparator was quadratic at scale. *)
-  let degrees = Hashtbl.create 256 in
-  let degree a = Option.value (Hashtbl.find_opt degrees a) ~default:0 in
-  let bump a = Hashtbl.replace degrees a (degree a + 1) in
-  List.iter
-    (fun (l : Topology.Spec.link_spec) ->
-      bump l.a;
-      if not (Net.Asn.equal l.a l.b) then bump l.b)
-    (Topology.Spec.links spec);
+  let degree = Topology.Spec.degree spec in
   let ranked order =
     List.map (fun a -> (degree a, a)) candidates
     |> List.stable_sort (fun (da, _) (db, _) -> order da db)
@@ -263,17 +254,28 @@ type scale_result = {
   live_words : int; (* major-heap live words right after the load *)
   peak_words : int; (* Gc top_heap_words over the whole run *)
   distinct_attrs : int; (* interned attribute sets (domain-local intern set) *)
+  built_words_per_as : float; (* words Network.create allocated, per AS *)
 }
+
+(* Words the calling domain has allocated so far, minor and major. *)
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
 
 (* The one CAIDA withdrawal run: [k] members placed by [placement] on
    [spec], [load] run on the fresh experiment (its result is returned),
    then [origin]'s plan prefix announced and withdrawn.  Each phase runs
    to quiescence and raises on divergence ([Network.settle]), or, given a
-   [budget], stops after that many events: the scale path's horizon. *)
+   [budget], stops after that many events: the scale path's horizon.
+   [load] also learns the words [Network.create] allocated. *)
 let caida_run ?budget ~load ~spec ~k ~placement ~origin ~seed ~config () =
   let members = choose_members ~spec ~k ~placement ~origin ~seed in
-  let exp = Experiment.create ~config ~seed (Topology.Spec.with_sdn spec members) in
-  let loaded = load exp in
+  let spec = Topology.Spec.with_sdn spec members in
+  let before = allocated_words () in
+  let network = Network.create ~config ~seed spec in
+  let built = allocated_words () -. before in
+  let exp = Experiment.boot network in
+  let loaded = load ~built exp in
   let prefix = Experiment.default_prefix exp origin in
   let measure action =
     Experiment.measure ?max_events:budget ~bounded:(Option.is_some budget) exp ~prefix action
@@ -285,7 +287,9 @@ let caida_run ?budget ~load ~spec ~k ~placement ~origin ~seed ~config () =
 
 (* Withdrawal convergence with [k] members placed by [placement]. *)
 let placement_run ~spec ~k ~placement ~origin ~seed ~config () =
-  let exp, (), r = caida_run ~load:ignore ~spec ~k ~placement ~origin ~seed ~config () in
+  let exp, (), r =
+    caida_run ~load:(fun ~built:_ _ -> ()) ~spec ~k ~placement ~origin ~seed ~config ()
+  in
   (* the committed placement CSVs count every update since bootstrap *)
   { r with collector_updates = collector_count exp }
 
@@ -309,7 +313,7 @@ let scale_run ?(prefixes = 1000) ?(load_max_events = 20_000_000) ?(clock = Sys.t
     ~seed ~config () =
   let stubs = Array.of_list world.stub_asns in
   (* the load phase; the withdrawal and the run's peak heap complete its figures *)
-  let load exp =
+  let load ~built exp =
     let network = Experiment.network exp in
     let t0 = clock () in
     let updates_before = collector_count exp in
@@ -337,6 +341,7 @@ let scale_run ?(prefixes = 1000) ?(load_max_events = 20_000_000) ?(clock = Sys.t
         live_words;
         peak_words = (Gc.quick_stat ()).Gc.top_heap_words;
         distinct_attrs = (Bgp.Attrs.intern_stats ()).Bgp.Attrs.distinct_full;
+        built_words_per_as = built /. float_of_int (Topology.Spec.node_count world.spec);
       }
   in
   (* At scale the collector keeps counts and last-update instants only;
@@ -780,7 +785,7 @@ let kinds =
       (Loss
          (fun p ->
            let { spec; stub_asns } = caida31 p in
-           let multihomed a = List.length (Topology.Spec.neighbors spec a) >= 2 in
+           let multihomed a = Topology.Spec.degree spec a >= 2 in
            let origin =
              Option.value (List.find_opt multihomed stub_asns) ~default:(List.hd stub_asns)
            in

@@ -111,6 +111,9 @@ type scale_result = {
   live_words : int;  (** major-heap live words right after the load *)
   peak_words : int;  (** [Gc.top_heap_words] over the whole run *)
   distinct_attrs : int;  (** interned attribute sets (domain-local intern set) *)
+  built_words_per_as : float;
+      (** words [Network.create] allocated (minor and major), per AS: the
+          network's fixed heap, since nearly all of it survives *)
 }
 
 val scale_prefix : int -> Net.Ipv4.prefix

@@ -43,8 +43,6 @@ type t = {
   speaker : Cluster_ctl.Speaker.t option;
   (* relationships of peerings added at runtime, keyed (me, neighbor) *)
   rel_overrides : (Net.Asn.t * Net.Asn.t, Bgp.Policy.relationship) Hashtbl.t;
-  (* (me, neighbor) -> spec link, both directions; see [index_links] *)
-  link_index : (Net.Asn.t * Net.Asn.t, Topology.Spec.link_spec) Hashtbl.t;
   (* link id -> the loss it had before its current loss burst *)
   burst_loss : (Net.Link.id, float) Hashtbl.t;
 }
@@ -134,38 +132,28 @@ let remove_local_prefix t asn prefix =
 
 (* --- Construction ------------------------------------------------------- *)
 
-(* (me, neighbor) -> spec link, both directions.  Built once per network:
-   the naive per-peering List.find_opt over the full link list made
-   construction O(E^2), which dominates setup on Internet-scale graphs. *)
-let index_links spec =
-  let idx = Hashtbl.create 1024 in
-  List.iter
-    (fun (l : Topology.Spec.link_spec) ->
-      Hashtbl.replace idx (l.Topology.Spec.a, l.Topology.Spec.b) l;
-      Hashtbl.replace idx (l.Topology.Spec.b, l.Topology.Spec.a) l)
-    (Topology.Spec.links spec);
-  idx
+let policy_relationship = function
+  | Topology.Spec.Customer -> Bgp.Policy.Customer
+  | Topology.Spec.Provider -> Bgp.Policy.Provider
+  | Topology.Spec.Peer -> Bgp.Policy.Peer
+  | Topology.Spec.Sibling -> Bgp.Policy.Sibling
+  | Topology.Spec.Unrestricted -> Bgp.Policy.Unrestricted
 
-let indexed_relationship link_index ~me ~neighbor =
-  if Net.Asn.equal neighbor collector_asn then Bgp.Policy.Customer
-  else begin
-    match Hashtbl.find_opt link_index (me, neighbor) with
-    | None -> Bgp.Policy.Unrestricted
-    | Some l -> (
-      match Topology.Spec.neighbor_role_of_link ~me l with
-      | Topology.Spec.Customer -> Bgp.Policy.Customer
-      | Topology.Spec.Provider -> Bgp.Policy.Provider
-      | Topology.Spec.Peer -> Bgp.Policy.Peer
-      | Topology.Spec.Sibling -> Bgp.Policy.Sibling
-      | Topology.Spec.Unrestricted -> Bgp.Policy.Unrestricted)
-  end
+(* [neighbor]'s relationship to [me] on spec link [l]. *)
+let link_policy ~me l =
+  Bgp.Policy.make (policy_relationship (Topology.Spec.neighbor_role_of_link ~me l))
 
 (* Runtime-aware relationship lookup: peerings added after construction
    take precedence over (absence in) the spec. *)
 let relationship_for t ~me ~neighbor =
   match Hashtbl.find_opt t.rel_overrides (me, neighbor) with
   | Some rel -> rel
-  | None -> indexed_relationship t.link_index ~me ~neighbor
+  | None ->
+    if Net.Asn.equal neighbor collector_asn then Bgp.Policy.Customer
+    else
+      match Topology.Spec.neighbor_role t.spec ~me ~neighbor with
+      | Some role -> policy_relationship role
+      | None -> Bgp.Policy.Unrestricted
 
 let policy_for t ~me ~neighbor = Bgp.Policy.make (relationship_for t ~me ~neighbor)
 
@@ -177,7 +165,6 @@ let create ?(config = Config.default) ~seed spec =
   let sim = Engine.Sim.create ~seed ~causal:config.Config.causal () in
   let net = Net.Netsim.create sim in
   let plan = Addressing.plan spec in
-  let link_index = index_links spec in
   let all_asns = Topology.Spec.asns spec in
   let sdn = Topology.Spec.sdn_asns spec in
   let sdn_set = Net.Asn.Set.of_list sdn in
@@ -233,14 +220,14 @@ let create ?(config = Config.default) ~seed spec =
         end)
       Net.Asn.Map.empty all_asns
   in
-  (* Configure router peers: spec neighbors + the collector. *)
+  (* Configure router peers: spec neighbors (from the spec's index, in
+     link-list order) + the collector. *)
   Net.Asn.Map.iter
     (fun asn router ->
-      List.iter
-        (fun neighbor ->
+      Topology.Spec.iter_links_of spec asn (fun l ->
+          let neighbor = Topology.Spec.other_end ~me:asn l in
           Bgp.Router.add_peer router ~peer_asn:neighbor ~peer_node:(Net.Asn.to_int neighbor)
-            ~policy:(Bgp.Policy.make (indexed_relationship link_index ~me:asn ~neighbor)))
-        (Topology.Spec.neighbors spec asn);
+            ~policy:(link_policy ~me:asn l));
       Bgp.Router.add_peer router ~peer_asn:collector_asn ~peer_node:collector_node
         ~policy:(Bgp.Policy.make Bgp.Policy.Customer);
       Bgp.Collector.add_peer collector ~peer_asn:asn ~peer_node:(Net.Asn.to_int asn))
@@ -287,14 +274,12 @@ let create ?(config = Config.default) ~seed spec =
          the wire but handled intra-cluster, and the collector). *)
       List.iter
         (fun member ->
-          List.iter
-            (fun neighbor ->
+          Topology.Spec.iter_links_of spec member (fun l ->
+              let neighbor = Topology.Spec.other_end ~me:member l in
               if not (is_sdn neighbor) then
                 Cluster_ctl.Speaker.add_session ?mrai_config:config.Config.speaker_mrai speaker
                   ~member ~neighbor ~member_addr:(plan.Addressing.router_addr member)
-                  ~policy:
-                    (Bgp.Policy.make (indexed_relationship link_index ~me:member ~neighbor)))
-            (Topology.Spec.neighbors spec member);
+                  ~policy:(link_policy ~me:member l));
           Cluster_ctl.Speaker.add_session ?mrai_config:config.Config.speaker_mrai speaker
             ~member ~neighbor:collector_asn
             ~member_addr:(plan.Addressing.router_addr member)
@@ -328,12 +313,15 @@ let create ?(config = Config.default) ~seed spec =
         | None -> false
       in
       let fallback_port_for member () =
-        Topology.Spec.neighbors spec member
-        |> List.filter (fun n -> (not (is_sdn n)) && link_is_up member n)
-        |> List.sort Net.Asn.compare
-        |> function
-        | [] -> None
-        | n :: _ -> Some (Net.Asn.to_int n)
+        let best = ref None in
+        Topology.Spec.iter_links_of spec member (fun l ->
+            let n = Topology.Spec.other_end ~me:member l in
+            if
+              (not (is_sdn n))
+              && link_is_up member n
+              && match !best with Some b -> Net.Asn.compare n b < 0 | None -> true
+            then best := Some n);
+        Option.map Net.Asn.to_int !best
       in
       let switches =
         List.fold_left
@@ -372,7 +360,6 @@ let create ?(config = Config.default) ~seed spec =
       controller;
       speaker;
       rel_overrides = Hashtbl.create 8;
-      link_index;
       burst_loss = Hashtbl.create 4;
     }
   in
@@ -597,17 +584,10 @@ let add_peering ?(rel = Topology.Spec.Open) ?delay t a b =
   (* Netsim rejects duplicate links, so existing peerings are caught here. *)
   ignore (Net.Netsim.add_link ~delay t.net (Net.Asn.to_int a) (Net.Asn.to_int b));
   let probe = Topology.Spec.link ~rel a b in
-  let to_policy_rel = function
-    | Topology.Spec.Customer -> Bgp.Policy.Customer
-    | Topology.Spec.Provider -> Bgp.Policy.Provider
-    | Topology.Spec.Peer -> Bgp.Policy.Peer
-    | Topology.Spec.Sibling -> Bgp.Policy.Sibling
-    | Topology.Spec.Unrestricted -> Bgp.Policy.Unrestricted
-  in
   Hashtbl.replace t.rel_overrides (a, b)
-    (to_policy_rel (Topology.Spec.neighbor_role_of_link ~me:a probe));
+    (policy_relationship (Topology.Spec.neighbor_role_of_link ~me:a probe));
   Hashtbl.replace t.rel_overrides (b, a)
-    (to_policy_rel (Topology.Spec.neighbor_role_of_link ~me:b probe));
+    (policy_relationship (Topology.Spec.neighbor_role_of_link ~me:b probe));
   let configure_endpoint me other =
     match Net.Asn.Map.find_opt me t.routers with
     | Some router ->

@@ -55,9 +55,15 @@ let bgpd_conf spec plan asn =
   add "router bgp %d" (Net.Asn.to_int asn);
   add " bgp router-id %s" (Net.Ipv4.addr_to_string router_id);
   add " network %s" (Net.Ipv4.prefix_to_string origin);
-  let neighbors = Topology.Spec.neighbors spec asn in
+  (* each neighbor with its role seen from [asn], in link-list order *)
+  let neighbors =
+    List.map
+      (fun l ->
+        (Topology.Spec.other_end ~me:asn l, Topology.Spec.neighbor_role_of_link ~me:asn l))
+      (Topology.Spec.links_of spec asn)
+  in
   List.iter
-    (fun neighbor ->
+    (fun (neighbor, _) ->
       let addr = plan.Addressing.router_addr neighbor in
       let naddr = Net.Ipv4.addr_to_string addr in
       add " neighbor %s remote-as %d" naddr (Net.Asn.to_int neighbor);
@@ -69,15 +75,7 @@ let bgpd_conf spec plan asn =
   add "!";
   (* import policy per neighbor: local-pref tier + provenance community *)
   List.iter
-    (fun neighbor ->
-      let link =
-        List.find
-          (fun (l : Topology.Spec.link_spec) ->
-            (Net.Asn.equal l.Topology.Spec.a asn && Net.Asn.equal l.Topology.Spec.b neighbor)
-            || (Net.Asn.equal l.Topology.Spec.b asn && Net.Asn.equal l.Topology.Spec.a neighbor))
-          (Topology.Spec.links spec)
-      in
-      let rel = Topology.Spec.neighbor_role_of_link ~me:asn link in
+    (fun (neighbor, rel) ->
       add "route-map IMPORT-%d permit 10" (Net.Asn.to_int neighbor);
       add " set local-preference %d" (relationship_local_pref rel);
       (match provenance_community rel with
@@ -94,20 +92,7 @@ let bgpd_conf spec plan asn =
       add "!")
     neighbors;
   (* community list used by the valley-free deny clauses *)
-  if
-    List.exists
-      (fun neighbor ->
-        let link =
-          List.find
-            (fun (l : Topology.Spec.link_spec) ->
-              (Net.Asn.equal l.Topology.Spec.a asn && Net.Asn.equal l.Topology.Spec.b neighbor)
-              || (Net.Asn.equal l.Topology.Spec.b asn
-                 && Net.Asn.equal l.Topology.Spec.a neighbor))
-            (Topology.Spec.links spec)
-        in
-        restricts_export (Topology.Spec.neighbor_role_of_link ~me:asn link))
-      neighbors
-  then begin
+  if List.exists (fun (_, rel) -> restricts_export rel) neighbors then begin
     add "ip community-list standard FROM-PEER-OR-PROVIDER permit %s" community_peer;
     add "ip community-list standard FROM-PEER-OR-PROVIDER permit %s" community_provider;
     add "!"

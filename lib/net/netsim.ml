@@ -48,7 +48,7 @@ type 'a t = {
   sim : Engine.Sim.t;
   rng : Engine.Rng.t;
   nodes : 'a node Itbl.t;
-  links : Link.t Itbl.t; (* by link id *)
+  mutable links : Link.t array; (* by link id: the first [next_link_id] *)
   pairs : Link.t Itbl.t; (* by [pair_key] of the endpoints *)
   mutable next_link_id : int;
   sent_c : Engine.Metrics.Counter.t;
@@ -64,7 +64,7 @@ let create sim =
     sim;
     rng = Engine.Rng.split (Engine.Sim.rng sim);
     nodes = Itbl.create 64;
-    links = Itbl.create 64;
+    links = [||];
     pairs = Itbl.create 64;
     next_link_id = 0;
     sent_c =
@@ -110,7 +110,12 @@ let add_link ?(delay = Engine.Time.ms 2) ?(loss = 0.0) t u v =
   let id = t.next_link_id in
   t.next_link_id <- id + 1;
   let link = Link.make ~id ~a:u ~b:v ~delay ~loss in
-  Itbl.replace t.links id link;
+  if id = Array.length t.links then begin
+    let links = Array.make (max 64 (2 * id)) link in
+    Array.blit t.links 0 links 0 id;
+    t.links <- links
+  end;
+  t.links.(id) <- link;
   Itbl.replace t.pairs key link;
   link
 
@@ -119,11 +124,12 @@ let link_between t u v =
   | Some nu, Some nv -> Itbl.find_opt t.pairs (pair_key nu nv)
   | _ -> None
 
-let links t =
-  Itbl.fold (fun _ l acc -> l :: acc) t.links []
-  |> List.sort (fun a b -> Int.compare (Link.id a) (Link.id b))
+let links t = List.init t.next_link_id (fun id -> t.links.(id))
 
-let iter_links t f = Itbl.iter (fun _ l -> f l) t.links
+let iter_links t f =
+  for id = 0 to t.next_link_id - 1 do
+    f t.links.(id)
+  done
 
 let set_link_up t link up =
   if Link.is_up link <> up then begin

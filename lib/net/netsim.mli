@@ -41,7 +41,7 @@ val links : 'a t -> Link.t list
 (** Sorted by link id. *)
 
 val iter_links : 'a t -> (Link.t -> unit) -> unit
-(** Every link, in no particular order; allocates nothing. *)
+(** Every link, in link id order; allocates nothing. *)
 
 val set_link_up : 'a t -> Link.t -> bool -> unit
 (** Flip link state and notify both endpoints' watchers.  Messages already

@@ -189,16 +189,17 @@ let run_case c =
     (sim, sent, send)
   in
   let sim_a, sent_a, send_a = side () and sim_b, sent_b, send_b = side () in
+  (* hooked: the table sits in a batch scope that never closes, so a
+     dirty table waits for an explicit flush *)
+  let batch = Bgp.Mrai.batch () in
+  if c.hooked then Bgp.Mrai.enter batch;
   let table, model =
     if c.paced then
-      ( Bgp.Mrai.create sim_a ~rng:(Rng.create 42) ~config ~send:send_a,
+      ( Bgp.Mrai.create ~batch sim_a ~rng:(Rng.create 42) ~config ~send:send_a,
         Mrai_reference.create sim_b ~rng:(Rng.create 42) ~config ~send:send_b )
-    else (Bgp.Mrai.unpaced ~send:send_a, Mrai_reference.unpaced ~send:send_b)
+    else (Bgp.Mrai.unpaced ~batch ~send:send_a (), Mrai_reference.unpaced ~send:send_b)
   in
-  if c.hooked then begin
-    Bgp.Mrai.set_on_dirty table ignore;
-    Mrai_reference.set_on_dirty model ignore
-  end;
+  if c.hooked then Mrai_reference.set_on_dirty model ignore;
   let counter sim name =
     Engine.Metrics.value (Engine.Metrics.snapshot (Sim.metrics sim) ~at:(Sim.now sim)) name
   in

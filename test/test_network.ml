@@ -314,6 +314,57 @@ let test_determinism () =
   let a = run () and b = run () in
   Alcotest.(check (triple int int int)) "bit-identical rerun" a b
 
+(* A network built from the topology index configures what the per-AS
+   link-list filter configured: each router's peers (its neighbors and
+   the collector) and the speaker's sessions, member by member in spec
+   order, each member's legacy neighbors in link-list order, then its
+   collector session. *)
+let prop_network_matches_filter =
+  QCheck.Test.make ~name:"peers and sessions = link-list filter" ~count:100 QCheck.small_nat
+    (fun seed ->
+      let spec = Test_topology.random_spec seed in
+      let net = Framework.Network.create ~config:cfg ~seed spec in
+      let collector = Framework.Network.collector_asn in
+      let is_sdn a = Topology.Spec.role_of spec a = Topology.Spec.Sdn in
+      let routers_ok =
+        List.for_all
+          (fun a ->
+            let r = Option.get (Framework.Network.router net a) in
+            Bgp.Router.peer_asns r
+            = List.sort Net.Asn.compare (collector :: Test_topology.filter_neighbors spec a))
+          (Topology.Spec.legacy_asns spec)
+      in
+      let want =
+        List.concat_map
+          (fun m ->
+            List.filter_map
+              (fun (l : Topology.Spec.link_spec) ->
+                let n = if Net.Asn.equal l.a m then l.b else l.a in
+                if is_sdn n then None
+                else
+                  Some
+                    ( m,
+                      n,
+                      Topology.Spec.neighbor_role_to_string
+                        (Topology.Spec.neighbor_role_of_link ~me:m l) ))
+              (Test_topology.filter_links spec m)
+            @ [ (m, collector, "customer") ])
+          (Topology.Spec.sdn_asns spec)
+      in
+      let got =
+        match Framework.Network.speaker net with
+        | None -> []
+        | Some sp ->
+          List.map
+            (fun s ->
+              ( Cluster_ctl.Speaker.session_member s,
+                Cluster_ctl.Speaker.session_neighbor s,
+                Bgp.Policy.relationship_to_string
+                  (Bgp.Policy.relationship (Cluster_ctl.Speaker.session_policy s)) ))
+            (Cluster_ctl.Speaker.sessions sp)
+      in
+      routers_ok && got = want)
+
 let suite =
   [
     Alcotest.test_case "sessions up" `Quick test_sessions_up;
@@ -333,4 +384,5 @@ let suite =
       test_runtime_sessions_flush_in_order;
     Alcotest.test_case "dynamic peering guards" `Quick test_dynamic_peering_guards;
     Alcotest.test_case "determinism" `Quick test_determinism;
+    QCheck_alcotest.to_alcotest prop_network_matches_filter;
   ]

@@ -79,7 +79,7 @@ let test_loc () =
 
 (* A peer's Adj-RIB-Out is its [Bgp.Mrai] table. *)
 let test_adj_out () =
-  let out = Bgp.Mrai.unpaced ~send:ignore in
+  let out = Bgp.Mrai.unpaced ~send:ignore () in
   let pre = p "100.64.0.0/24" in
   let attrs = Bgp.Attrs.make ~next_hop:nh () in
   Bgp.Mrai.announce out pre attrs;

@@ -360,11 +360,13 @@ let test_adj_out_differential () =
   let rng = Engine.Rng.create 3003 in
   let sim = Engine.Sim.create () in
   let config = Bgp.Config.no_jitter Bgp.Config.default in
-  let queued = Bgp.Mrai.unpaced ~send:ignore in
-  Bgp.Mrai.set_on_dirty queued ignore;
+  (* a batch scope that never closes: dirty tables are never flushed *)
+  let batch = Bgp.Mrai.batch () in
+  Bgp.Mrai.enter batch;
+  let queued = Bgp.Mrai.unpaced ~batch ~send:ignore () in
   let tables =
     [
-      (65001, Bgp.Mrai.unpaced ~send:ignore);
+      (65001, Bgp.Mrai.unpaced ~send:ignore ());
       (65002, queued);
       (65003, Bgp.Mrai.create sim ~rng:(Engine.Rng.create 5) ~config ~send:ignore);
     ]

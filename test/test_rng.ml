@@ -62,6 +62,66 @@ let test_jitter_bounds () =
       Alcotest.failf "jitter out of bounds: %f" sec
   done
 
+(* The first 1,000 draws of each stream from seed 2014, rendered one per
+   line ([float] in hex, so every bit counts) and digested.  The digests
+   were recorded from the boxed-[int64] generator this one replaced, so
+   a change of representation cannot move a stream. *)
+let pinned =
+  [
+    ("int", "5f9be99c8e15fc6473c8c5b1d61667a7", fun r -> string_of_int (Rng.int r 1000));
+    (* a bound near 2^62 rejects about a quarter of its draws *)
+    ("int wide", "bf7c5541a746b8273a17367aa023a8f9", fun r -> string_of_int (Rng.int r (3 lsl 60)));
+    ( "int_range",
+      "0a35ce26acd1d85d2254cef875b021ce",
+      fun r -> string_of_int (Rng.int_range r 10_000 50_000) );
+    ("float", "adfda5adf7379428ef2aabd760fe7d81", fun r -> Printf.sprintf "%h" (Rng.float r 1.0));
+    ("chance", "14e54db2ddd01a3f37874a8249e27848", fun r -> string_of_bool (Rng.chance r 0.3));
+    ( "jitter_span",
+      "56985e44532a1ded7e6224d93a72359e",
+      fun r -> string_of_int (Time.to_us (Rng.jitter_span r (Time.sec 30) ~lo:0.75 ~hi:1.0)) );
+  ]
+
+let test_pinned_streams () =
+  List.iter
+    (fun (name, digest, draw) ->
+      let rng = Rng.create 2014 in
+      let buf = Buffer.create 16384 in
+      for _ = 1 to 1000 do
+        Buffer.add_string buf (draw rng);
+        Buffer.add_char buf '\n'
+      done;
+      Alcotest.(check string) name digest (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    pinned
+
+(* Minor words per call of [draw], over 1,000 calls after a warm-up. *)
+let words_per_draw draw =
+  for _ = 1 to 100 do
+    draw ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    draw ()
+  done;
+  (Gc.minor_words () -. before) /. 1000.0
+
+let test_draws_allocate_nothing () =
+  let rng = Rng.create 9 and config = Bgp.Config.default in
+  List.iter
+    (fun (name, draw) -> Alcotest.(check (float 0.01)) name 0.0 (words_per_draw draw))
+    [
+      ("int", fun () -> ignore (Sys.opaque_identity (Rng.int rng 1000)));
+      ("int_range", fun () -> ignore (Sys.opaque_identity (Rng.int_range rng 10_000 50_000)));
+      ("chance", fun () -> ignore (Sys.opaque_identity (Rng.chance rng 0.3)));
+      ("bool", fun () -> ignore (Sys.opaque_identity (Rng.bool rng)));
+      ( "jitter_span",
+        fun () ->
+          ignore (Sys.opaque_identity (Rng.jitter_span rng (Time.sec 30) ~lo:0.75 ~hi:1.0)) );
+      ( "processing_delay",
+        fun () -> ignore (Sys.opaque_identity (Bgp.Config.processing_delay config rng)) );
+      ( "jittered_mrai",
+        fun () -> ignore (Sys.opaque_identity (Bgp.Config.jittered_mrai config rng)) );
+    ]
+
 let prop_shuffle_permutation =
   QCheck.Test.make ~name:"shuffle is a permutation" ~count:200
     QCheck.(pair small_int (list small_int))
@@ -86,6 +146,8 @@ let suite =
     Alcotest.test_case "float bounds" `Quick test_float_bounds;
     Alcotest.test_case "invalid arguments" `Quick test_invalid_args;
     Alcotest.test_case "mrai jitter bounds" `Quick test_jitter_bounds;
+    Alcotest.test_case "pinned streams" `Quick test_pinned_streams;
+    Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
     QCheck_alcotest.to_alcotest prop_shuffle_permutation;
     QCheck_alcotest.to_alcotest prop_sample_size;
   ]

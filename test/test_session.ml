@@ -65,14 +65,17 @@ let state_a env = Bgp.Router.session_state env.a (asn 65002)
 let test_state_encoding () =
   let sim = Sim.create () in
   let node = Node.create sim ~name:"r" in
-  let ep = Bgp.Session.endpoint node ~rng:(Sim.rng sim) ~category:"test" None in
   let wire = ref [] in
-  let s =
-    Bgp.Session.create ep ~asn:(asn 65001) ~router_id:(Net.Ipv4.addr_of_octets 10 0 0 1)
-      ~send:(fun msg ->
+  let ep =
+    Bgp.Session.endpoint node ~rng:(Sim.rng sim) ~category:"test"
+      ~send:(fun key msg ->
+        Alcotest.(check int) "the session's key" 7 key;
         wire := msg :: !wire;
         true)
-      ~on_expired:ignore
+      ~on_expired:ignore None
+  in
+  let s =
+    Bgp.Session.create ep ~asn:(asn 65001) ~router_id:(Net.Ipv4.addr_of_octets 10 0 0 1) ~key:7
   in
   let state () = Bgp.Session.to_string (Bgp.Session.state s) in
   Alcotest.(check string) "idle" "idle" (state ());

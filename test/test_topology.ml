@@ -208,6 +208,74 @@ let prop_caida_generate_valid =
       let s = Topology.Caida.generate ~tier1:3 ~tier2:6 ~stubs:10 rng in
       Topology.Spec.is_valid s && Topology.Spec.is_connected s)
 
+(* --- The topology index ----------------------------------------------- *)
+
+(* A random valid spec from [seed]: 2-14 ASes in shuffled order, each
+   pair linked with probability 0.4 in a random orientation and relation,
+   the links shuffled, and about a third of the ASes SDN members. *)
+let random_spec seed =
+  let rng = Engine.Rng.create seed in
+  let n = Engine.Rng.int_range rng 2 14 in
+  let asns = Engine.Rng.shuffle rng (List.init n (fun i -> Net.Asn.of_int (64_001 + (7 * i)))) in
+  let at = Array.of_list asns in
+  let rels = Topology.Spec.[| C2p; P2p; S2s; Open |] in
+  let links = ref [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if Engine.Rng.chance rng 0.4 then begin
+        let a, b = if Engine.Rng.bool rng then (at.(i), at.(j)) else (at.(j), at.(i)) in
+        links := Topology.Spec.link ~rel:rels.(Engine.Rng.int rng 4) a b :: !links
+      end
+    done
+  done;
+  let spec =
+    Topology.Spec.make ~title:"random" ~nodes:(List.map Topology.Spec.node asns)
+      ~links:(Engine.Rng.shuffle rng !links)
+  in
+  Topology.Spec.with_sdn spec (List.filter (fun _ -> Engine.Rng.chance rng 0.3) asns)
+
+(* The per-AS filter over the whole link list that the index replaced. *)
+let filter_links spec asn =
+  List.filter
+    (fun (l : Topology.Spec.link_spec) -> Net.Asn.equal l.a asn || Net.Asn.equal l.b asn)
+    (Topology.Spec.links spec)
+
+let filter_neighbors spec asn =
+  List.map
+    (fun (l : Topology.Spec.link_spec) -> if Net.Asn.equal l.a asn then l.b else l.a)
+    (filter_links spec asn)
+
+let prop_index_matches_filter =
+  QCheck.Test.make ~name:"index = link-list filter" ~count:300 QCheck.small_nat (fun seed ->
+      let spec = random_spec seed in
+      let asns = Topology.Spec.asns spec in
+      let stranger = Net.Asn.of_int 1 in
+      List.for_all
+        (fun me ->
+          Topology.Spec.links_of spec me = filter_links spec me
+          && Topology.Spec.neighbors spec me = filter_neighbors spec me
+          && Topology.Spec.degree spec me = List.length (filter_links spec me)
+          && List.for_all
+               (fun neighbor ->
+                 let want =
+                   List.find_opt
+                     (fun (l : Topology.Spec.link_spec) ->
+                       Net.Asn.equal (if Net.Asn.equal l.a me then l.b else l.a) neighbor)
+                     (filter_links spec me)
+                   |> Option.map (Topology.Spec.neighbor_role_of_link ~me)
+                 in
+                 Topology.Spec.neighbor_role spec ~me ~neighbor = want)
+               (stranger :: asns))
+        (stranger :: asns)
+      && List.for_all (Topology.Spec.mem spec) asns
+      && (not (Topology.Spec.mem spec stranger))
+      && List.mapi (fun i a -> Topology.Spec.ordinal spec a = Some i) asns
+         |> List.for_all Fun.id
+      && List.for_all
+           (fun a ->
+             Option.map (fun n -> n.Topology.Spec.asn) (Topology.Spec.find_node spec a) = Some a)
+           asns)
+
 let suite =
   [
     Alcotest.test_case "clique" `Quick test_clique;
@@ -227,4 +295,5 @@ let suite =
     Alcotest.test_case "glp degree tail" `Quick test_glp_heavier_tail_than_ba;
     QCheck_alcotest.to_alcotest prop_waxman_connected;
     QCheck_alcotest.to_alcotest prop_caida_generate_valid;
+    QCheck_alcotest.to_alcotest prop_index_matches_filter;
   ]
