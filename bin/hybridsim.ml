@@ -777,21 +777,39 @@ let scale_cmd =
       in
       if single then begin
         let k = match ks with k :: _ -> k | [] -> 0 in
-        let r = scale ~k ~seed in
-        Fmt.pr "graph:           %d ASes (%d tier1, %d tier2, %d stubs), %d links@."
-          ases tier1 tier2 stubs
-          (Topology.Spec.link_count world.E.spec);
-        Fmt.pr "centralized:     %d top-degree members@." k;
-        Fmt.pr "load:            %d prefixes, %d collector updates in %.2f s wall (%.0f upd/s)@."
-          prefixes r.E.load_updates r.E.load_seconds
-          (float_of_int r.E.load_updates /. r.E.load_seconds);
-        Fmt.pr "load settled:    %b (budget %d events)@." r.E.load_settled budget;
-        Fmt.pr "tables:          %d Loc-RIB routes, %d Adj-RIB-In routes, %d distinct attrs@."
-          r.E.rib_routes r.E.adj_in_routes r.E.distinct_attrs;
-        Fmt.pr "heap:            %d live words, %d peak words, %.0f words per AS built@."
-          r.E.live_words r.E.peak_words r.E.built_words_per_as;
-        Fmt.pr "withdrawal:      Tdown = %.2f s, %d changes, %d collector updates@."
-          r.E.withdrawal.E.seconds r.E.withdrawal.E.changes r.E.withdrawal.E.collector_updates;
+        let live_words () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words
+        in
+        let before = live_words () in
+        (* Everything but the heap figures is printed while the result is
+           held; the result (its telemetry snapshot included) is dropped
+           before the words the run left behind are counted. *)
+        let live, peak, built =
+          let r = scale ~k ~seed in
+          Fmt.pr "graph:           %d ASes (%d tier1, %d tier2, %d stubs), %d links@."
+            ases tier1 tier2 stubs
+            (Topology.Spec.link_count world.E.spec);
+          Fmt.pr "centralized:     %d top-degree members@." k;
+          Fmt.pr
+            "load:            %d prefixes, %d collector updates in %.2f s wall (%.0f upd/s)@."
+            prefixes r.E.load_updates r.E.load_seconds
+            (float_of_int r.E.load_updates /. r.E.load_seconds);
+          Fmt.pr "load settled:    %b (budget %d events)@." r.E.load_settled budget;
+          Fmt.pr "tables:          %d Loc-RIB routes, %d Adj-RIB-In routes, %d distinct attrs@."
+            r.E.rib_routes r.E.adj_in_routes r.E.distinct_attrs;
+          Fmt.pr "withdrawal:      Tdown = %.2f s, %d changes, %d collector updates@."
+            r.E.withdrawal.E.seconds r.E.withdrawal.E.changes
+            r.E.withdrawal.E.collector_updates;
+          (r.E.live_words, r.E.peak_words, r.E.built_words_per_as)
+        in
+        let left = live_words () - before in
+        (* the world was live at [before] too *)
+        ignore (Sys.opaque_identity world);
+        Fmt.pr
+          "heap:            %d live words, %d peak words, %.0f words per AS built, %d words \
+           left after the run@."
+          live peak built left;
         Ok ()
       end
       else

@@ -2,14 +2,18 @@
 
    Every construction funnels through one intern set, which returns a
    canonical value per distinct attribute content: equal logical attrs are
-   the SAME physical value, with small-int ids for O(1) equality.  A
-   route's attrs share their AS-path tail with the attrs they were
-   prepended to, so a 10k-AS table stores little more than one cons per
-   distinct set.
+   the SAME physical value, and each carries a small-int wire id for O(1)
+   wire equality.  A route's attrs share their AS-path tail with the attrs
+   they were prepended to, so a 10k-AS table stores little more than one
+   cons per distinct set.
+
+   The set is weak: it keeps no value alive, so a set that no RIB,
+   Adj-RIB-Out or caller references is reclaimed by the GC, and a sweep of
+   many experiments in one process holds only the live experiment's sets.
 
    The set is domain-local (Domain.DLS): [Engine.Pool] runs whole
    experiments on separate domains, and each simulation constructs and
-   compares attrs only within its own domain.  Ids are used ONLY for
+   compares attrs only within its own domain.  Wire ids are used ONLY for
    equality, never for ordering, so domain-local id assignment cannot
    perturb deterministic results. *)
 
@@ -20,8 +24,8 @@ let origin_rank = function Igp -> 0 | Egp -> 1 | Incomplete -> 2
 let origin_to_string = function Igp -> "i" | Egp -> "e" | Incomplete -> "?"
 
 (* Content fields first, cached fields last: polymorphic [compare] on two
-   canonical values resolves on content before it can reach the ids, and
-   full-content-equal values are the same canonical value (ids equal), so
+   canonical values resolves on content before it can reach the cached
+   fields, and full-content-equal values are the same canonical value, so
    structural equality/ordering semantics are unchanged. *)
 type t = {
   as_path : Net.Asn.t list; (* leftmost = most recent hop *)
@@ -33,7 +37,6 @@ type t = {
   path_len : int; (* cached List.length as_path *)
   path_hash : int; (* [path_hash_of as_path], extended one prepend at a time *)
   wire_id : int; (* canonical id of the wire-visible attrs (no local_pref) *)
-  id : int; (* canonical id of the full attribute set *)
 }
 
 let default_local_pref = 100
@@ -44,16 +47,25 @@ let mix h x =
 
 let path_hash_of path = List.fold_right (fun asn h -> mix h (Net.Asn.to_int asn)) path 0
 
-(* Hash of the wire-visible content only: every local-pref variant of one
-   wire content has the same home slot, hence sits on one probe run. *)
-let content_hash ~path_hash ~next_hop ~med ~origin communities =
+(* The intern set's key for the wire-visible content only: a hash with
+   the sign bit and the low [lp_bits] clear.  Every local-pref variant of
+   one wire content has the same key, hence the same home slot and one
+   probe run; a slot's tag adds the low bits of its value's local-pref. *)
+let lp_width = 8
+
+let lp_bits = (1 lsl lp_width) - 1
+
+let content_key ~path_hash ~next_hop ~med ~origin communities =
   let h = mix path_hash (Net.Ipv4.addr_to_bits next_hop) in
   let h = mix (mix h med) (origin_rank origin) in
   Community.Set.fold (fun (asn, tag) h -> mix h ((asn lsl 16) lor tag)) communities h
+  land (max_int lxor lp_bits)
 
-let wire_hash t =
-  content_hash ~path_hash:t.path_hash ~next_hop:t.next_hop ~med:t.med ~origin:t.origin
+let wire_key t =
+  content_key ~path_hash:t.path_hash ~next_hop:t.next_hop ~med:t.med ~origin:t.origin
     t.communities
+
+let tag wire local_pref = wire lor (local_pref land lp_bits)
 
 (* Paths of canonical values share tails, so the physical check usually
    ends the walk at the first shared cons. *)
@@ -64,21 +76,40 @@ let rec path_equal a b =
      | _ -> false
 
 let wire_content_equal a b =
-  a.path_hash = b.path_hash && a.med = b.med && a.origin = b.origin
-  && a.path_len = b.path_len
+  a.med = b.med && a.origin = b.origin && a.path_len = b.path_len
   && Net.Ipv4.equal_addr a.next_hop b.next_hop
   && path_equal a.as_path b.as_path
   && Community.Set.equal a.communities b.communities
 
-(* The intern set: open addressing with linear probing, at most half full,
-   [empty] marking a free slot.  Nothing is ever removed, so every value
-   with a given home slot lies on the unbroken run from it. *)
+(* The intern set: open addressing with linear probing over two parallel
+   arrays, a strong one of slot tags and a weak one of values.  A probe
+   compares tags and reads the weak array ([Weak.get] costs about nine
+   plain reads) only on a match, so a hit costs one read.  A slot is
+   [free] until a value is stored there; a slot whose value the GC
+   cleared keeps its tag as a tombstone, so every value with a given home
+   slot lies on the unbroken run of non-free slots from it.  The
+   tombstones go and the table is sized by its live values on a store
+   that leaves it over three quarters used ([rebuild]), and at the end of
+   a major GC that leaves about an eighth or less of it live ([trim]), so
+   a dropped experiment's table shrinks without another intern. *)
+let free = -1
+
+let exact = -1 (* a tag selector: the whole tag, local-pref bits included *)
+
+let any_lp = lnot lp_bits (* a tag selector: the wire key only *)
+
+let min_capacity = 1024
+
 type table = {
-  mutable slots : t array; (* power-of-two length *)
+  mutable tags : int array; (* power-of-two length; [free] or a value's tag *)
+  mutable values : t Weak.t; (* same length *)
+  mutable used : int; (* non-free slots: live values and tombstones *)
   mutable next_wire : int;
-  mutable next_id : int; (* = values in [slots] *)
+  mutable at : int; (* where the last probe stopped: the hit, or the free slot *)
+  mutable busy : bool; (* an intern is under way: the GC alarm leaves the arrays alone *)
 }
 
+(* The "no value" result of a probe, never stored. *)
 let empty =
   {
     as_path = [];
@@ -90,61 +121,180 @@ let empty =
     path_len = 0;
     path_hash = 0;
     wire_id = -1;
-    id = -1;
   }
 
-let table_key =
-  Domain.DLS.new_key (fun () -> { slots = Array.make 1024 empty; next_wire = 0; next_id = 0 })
+let home tag mask = (tag lsr lp_width) land mask
 
-(* The first slot from [i] holding [key]'s wire content, or the empty slot
-   ending the run. *)
-let rec find_wire slots mask key i =
-  let s = slots.(i) in
-  if s == empty || wire_content_equal s key then i
-  else find_wire slots mask key ((i + 1) land mask)
+let rec free_slot tags mask i =
+  if tags.(i) = free then i else free_slot tags mask ((i + 1) land mask)
 
-(* From [i], the slot of wire [wire_id]'s variant with [local_pref], or the
-   empty slot ending the run. *)
-let rec find_variant slots mask wire_id local_pref i =
-  let s = slots.(i) in
-  if s == empty || (s.wire_id = wire_id && s.local_pref = local_pref) then i
-  else find_variant slots mask wire_id local_pref ((i + 1) land mask)
+(* The smallest power of two from [cap] at most two thirds full with
+   [live] values: a table that outgrows three quarters full doubles.  A
+   probe compares tags in one int array, so long runs stay cheap, and the
+   two arrays cost no more per value than the one strong array of values
+   the set had at half full. *)
+let rec capacity_for live cap =
+  if 2 * cap >= 3 * live then cap else capacity_for live (2 * cap)
 
-let rec free_slot slots mask i =
-  if slots.(i) == empty then i else free_slot slots mask ((i + 1) land mask)
+let count_live tbl =
+  let n = ref 0 in
+  for i = 0 to Array.length tbl.tags - 1 do
+    if tbl.tags.(i) <> free && Weak.check tbl.values i then incr n
+  done;
+  !n
 
-let grow tbl =
-  let old = tbl.slots in
-  let slots = Array.make (2 * Array.length old) empty in
-  let mask = Array.length slots - 1 in
-  Array.iter
-    (fun t -> if t != empty then slots.(free_slot slots mask (wire_hash t land mask)) <- t)
-    old;
-  tbl.slots <- slots
+(* Move the live values into fresh arrays of [cap] slots; returns how
+   many moved.  Each moves by [Weak.get] and [Weak.set]: a one-slot
+   [Weak.blit] is cheaper in a micro-benchmark, but it cleans both whole
+   arrays while the GC sweeps ephemerons, which makes a move quadratic. *)
+let move tbl cap =
+  let old_tags = tbl.tags and old_values = tbl.values in
+  let tags = Array.make cap free and values = Weak.create cap in
+  let mask = cap - 1 in
+  let live = ref 0 in
+  for i = 0 to Array.length old_tags - 1 do
+    let tag = old_tags.(i) in
+    if tag <> free then
+      match Weak.get old_values i with
+      | Some _ as cell ->
+        let j = free_slot tags mask (home tag mask) in
+        tags.(j) <- tag;
+        Weak.set values j cell;
+        incr live
+      | None -> ()
+  done;
+  tbl.tags <- tags;
+  tbl.values <- values;
+  tbl.used <- !live;
+  !live
 
-(* Make [key] canonical at slot [i], the empty slot ending its run; the
-   candidate's own ids are placeholders and are replaced. *)
-let store tbl i key ~wire_id =
-  let t = { key with wire_id; id = tbl.next_id } in
-  tbl.slots.(i) <- t;
-  tbl.next_id <- tbl.next_id + 1;
-  if 2 * tbl.next_id > Array.length tbl.slots then grow tbl;
+(* Drop the tombstones and size the arrays to at most two thirds full:
+   first by [used], which bounds the live count, then, if the tombstones
+   were many, again by the count that moved. *)
+let rebuild tbl =
+  let cap = capacity_for tbl.used min_capacity in
+  let fit = capacity_for (move tbl cap) min_capacity in
+  if fit < cap then ignore (move tbl fit)
+
+(* Live values among 64 evenly spaced slots: at most 8 estimates a table
+   an eighth or less live, without reading every weak slot. *)
+let sampled_live tbl =
+  let stride = Array.length tbl.tags / 64 and n = ref 0 in
+  for k = 0 to 63 do
+    let i = k * stride in
+    if tbl.tags.(i) <> free && Weak.check tbl.values i then incr n
+  done;
+  !n
+
+(* Run at the end of every major GC.  An intern holds slot indices across
+   allocations, where the alarm can run, so a busy table waits for the
+   next cycle. *)
+let trim tbl =
+  if (not tbl.busy) && Array.length tbl.tags > min_capacity && sampled_live tbl <= 8 then begin
+    tbl.busy <- true;
+    let cap = capacity_for (count_live tbl) min_capacity in
+    if cap < Array.length tbl.tags then ignore (move tbl cap);
+    tbl.busy <- false
+  end
+
+(* A fresh domain's table, with its alarm.  The alarm reaches the table
+   through a weak pointer, so a finished domain's table is reclaimed and
+   its alarm then deletes itself. *)
+let create_table () =
+  let tbl =
+    {
+      tags = Array.make min_capacity free;
+      values = Weak.create min_capacity;
+      used = 0;
+      next_wire = 0;
+      at = 0;
+      busy = false;
+    }
+  in
+  let self = Weak.create 1 and alarm = ref None in
+  Weak.set self 0 (Some tbl);
+  alarm :=
+    Some
+      (Gc.create_alarm (fun () ->
+           match Weak.get self 0 with
+           | Some tbl -> trim tbl
+           | None -> Option.iter Gc.delete_alarm !alarm));
+  tbl
+
+let table_key = Domain.DLS.new_key create_table
+
+(* The table of an intern under way; [release] ends it. *)
+let acquire () =
+  let tbl = Domain.DLS.get table_key in
+  tbl.busy <- true;
+  tbl
+
+let release tbl v =
+  tbl.busy <- false;
+  v
+
+(* Where the probes stop: on a hit, [at] is the value's slot; on a miss,
+   the free slot ending the run, where [store] puts the new value. *)
+let stop tbl i v =
+  tbl.at <- i;
+  v
+
+(* From [i], the live value whose tag, under selector [sel], is [tag] and
+   whose content is [key]'s: all of it for [exact], the wire-visible part
+   for [any_lp]. *)
+let rec find_content tbl mask key sel tag i =
+  let s = tbl.tags.(i) in
+  if s = free then stop tbl i empty
+  else if s land sel <> tag then find_content tbl mask key sel tag ((i + 1) land mask)
+  else
+    match Weak.get tbl.values i with
+    | Some v when wire_content_equal v key && (sel = any_lp || v.local_pref = key.local_pref)
+      ->
+      stop tbl i v
+    | Some _ | None -> find_content tbl mask key sel tag ((i + 1) land mask)
+
+(* From [i], the live variant of wire [wire_id] with [local_pref]. *)
+let rec find_variant tbl mask tag wire_id local_pref i =
+  let s = tbl.tags.(i) in
+  if s = free then stop tbl i empty
+  else if s <> tag then find_variant tbl mask tag wire_id local_pref ((i + 1) land mask)
+  else
+    match Weak.get tbl.values i with
+    | Some v when v.wire_id = wire_id && v.local_pref = local_pref -> stop tbl i v
+    | Some _ | None -> find_variant tbl mask tag wire_id local_pref ((i + 1) land mask)
+
+let fresh_wire tbl =
+  let w = tbl.next_wire in
+  tbl.next_wire <- w + 1;
+  w
+
+(* The wire id for new content: a live variant's ([sibling], from a
+   probe under [any_lp]), or a fresh one. *)
+let wire_id_of tbl sibling = if sibling == empty then fresh_wire tbl else sibling.wire_id
+
+(* Make [t], built with its wire id, canonical at free slot [i]. *)
+let store tbl i tag t =
+  tbl.tags.(i) <- tag;
+  Weak.set tbl.values i (Some t);
+  tbl.used <- tbl.used + 1;
+  if 4 * tbl.used > 3 * Array.length tbl.tags then rebuild tbl;
   t
 
+(* The exact value first: a hit reads one weak slot.  Only new content
+   walks the run again, for a local-pref variant's wire id. *)
 let intern key =
-  let tbl = Domain.DLS.get table_key in
-  let slots = tbl.slots in
-  let mask = Array.length slots - 1 in
-  let i = find_wire slots mask key (wire_hash key land mask) in
-  let found = slots.(i) in
-  if found == empty then begin
-    let wire_id = tbl.next_wire in
-    tbl.next_wire <- wire_id + 1;
-    store tbl i key ~wire_id
-  end
-  else
-    let j = find_variant slots mask found.wire_id key.local_pref i in
-    if slots.(j) == empty then store tbl j key ~wire_id:found.wire_id else slots.(j)
+  let tbl = acquire () in
+  let wire = wire_key key in
+  let mask = Array.length tbl.tags - 1 in
+  let i = home wire mask in
+  let tag = tag wire key.local_pref in
+  let v = find_content tbl mask key exact tag i in
+  release tbl
+    (if v != empty then v
+     else
+       let slot = tbl.at in
+       let wire_id = wire_id_of tbl (find_content tbl mask key any_lp wire i) in
+       store tbl slot tag { key with wire_id })
 
 let make ?(as_path = []) ?(local_pref = default_local_pref) ?(med = 0) ?(origin = Igp)
     ?(communities = Community.Set.empty) ~next_hop () =
@@ -159,7 +309,6 @@ let make ?(as_path = []) ?(local_pref = default_local_pref) ?(med = 0) ?(origin 
       path_len = List.length as_path;
       path_hash = path_hash_of as_path;
       wire_id = -1;
-      id = -1;
     }
 
 let as_path t = t.as_path
@@ -198,58 +347,55 @@ let rec prepend_hash asn times h =
 let rec prepend_path asn times path =
   if times = 0 then path else prepend_path asn (times - 1) (asn :: path)
 
-(* [find_wire] for the content of [t] with [times] prepends of [asn] and
-   [next_hop], without building it. *)
-let rec find_exported slots mask t ~asn ~times ~path_hash ~next_hop i =
-  let s = slots.(i) in
-  if
-    s == empty
-    || s.path_hash = path_hash && s.med = t.med && s.origin = t.origin
-       && s.path_len = t.path_len + times
-       && Net.Ipv4.equal_addr s.next_hop next_hop
-       && prepended s.as_path asn times t.as_path
-       && Community.Set.equal s.communities t.communities
-  then i
-  else find_exported slots mask t ~asn ~times ~path_hash ~next_hop ((i + 1) land mask)
+(* [find_content] for the content of [t] with [times] prepends of [asn],
+   [next_hop] and the default local-pref, without building it. *)
+let rec find_exported tbl mask t ~asn ~times ~next_hop sel tag i =
+  let s = tbl.tags.(i) in
+  if s = free then stop tbl i empty
+  else if s land sel <> tag then
+    find_exported tbl mask t ~asn ~times ~next_hop sel tag ((i + 1) land mask)
+  else
+    match Weak.get tbl.values i with
+    | Some v
+      when v.med = t.med && v.origin = t.origin
+           && v.path_len = t.path_len + times
+           && Net.Ipv4.equal_addr v.next_hop next_hop
+           && prepended v.as_path asn times t.as_path
+           && Community.Set.equal v.communities t.communities
+           && (sel = any_lp || v.local_pref = default_local_pref) ->
+      stop tbl i v
+    | Some _ | None -> find_exported tbl mask t ~asn ~times ~next_hop sel tag ((i + 1) land mask)
 
 (* [times] own-ASN prepends, the router's next hop and the default
    local-pref in one intern: the per-peer export content, without the
    intermediate canonical values a [prepend]/[with_next_hop]/
-   [with_local_pref] chain would create (and the intern set keeps).
-   Export runs on every best change, so the set is probed with the
-   would-be content and the value is built only when it is new. *)
+   [with_local_pref] chain would create.  Export runs on every best
+   change, so the set is probed with the would-be content and the value
+   is built only when it is new. *)
 let exported t ~asn ~times ~next_hop =
   let times = max times 0 in
   let path_hash = prepend_hash asn times t.path_hash in
-  let tbl = Domain.DLS.get table_key in
-  let slots = tbl.slots in
-  let mask = Array.length slots - 1 in
-  let home =
-    content_hash ~path_hash ~next_hop ~med:t.med ~origin:t.origin t.communities land mask
-  in
-  let i = find_exported slots mask t ~asn ~times ~path_hash ~next_hop home in
-  let found = slots.(i) in
-  let j =
-    if found == empty then i else find_variant slots mask found.wire_id default_local_pref i
-  in
-  if slots.(j) != empty then slots.(j)
-  else
-    let key =
-      {
-        t with
-        as_path = prepend_path asn times t.as_path;
-        path_len = t.path_len + times;
-        path_hash;
-        next_hop;
-        local_pref = default_local_pref;
-      }
-    in
-    if found != empty then store tbl j key ~wire_id:found.wire_id
-    else begin
-      let wire_id = tbl.next_wire in
-      tbl.next_wire <- wire_id + 1;
-      store tbl j key ~wire_id
-    end
+  let tbl = acquire () in
+  let wire = content_key ~path_hash ~next_hop ~med:t.med ~origin:t.origin t.communities in
+  let mask = Array.length tbl.tags - 1 in
+  let i = home wire mask in
+  let tag = tag wire default_local_pref in
+  let v = find_exported tbl mask t ~asn ~times ~next_hop exact tag i in
+  release tbl
+    (if v != empty then v
+     else
+       let slot = tbl.at in
+       let sibling = find_exported tbl mask t ~asn ~times ~next_hop any_lp wire i in
+       store tbl slot tag
+         {
+           t with
+           as_path = prepend_path asn times t.as_path;
+           path_len = t.path_len + times;
+           path_hash;
+           next_hop;
+           local_pref = default_local_pref;
+           wire_id = wire_id_of tbl sibling;
+         })
 
 let origin_as t =
   match List.rev t.as_path with [] -> None | last :: _ -> Some last
@@ -262,11 +408,14 @@ let neighbor_as t = match t.as_path with [] -> None | first :: _ -> Some first
 let with_local_pref t lp =
   if lp = t.local_pref then t
   else
-    let tbl = Domain.DLS.get table_key in
-    let mask = Array.length tbl.slots - 1 in
-    let i = find_variant tbl.slots mask t.wire_id lp (wire_hash t land mask) in
-    if tbl.slots.(i) == empty then store tbl i { t with local_pref = lp } ~wire_id:t.wire_id
-    else tbl.slots.(i)
+    let tbl = acquire () in
+    let wire = wire_key t in
+    let mask = Array.length tbl.tags - 1 in
+    let tag = tag wire lp in
+    let v = find_variant tbl mask tag t.wire_id lp (home wire mask) in
+    release tbl
+      (if v != empty then v
+       else store tbl tbl.at tag { t with local_pref = lp })
 
 let with_next_hop t nh =
   if Net.Ipv4.equal_addr nh t.next_hop then t else intern { t with next_hop = nh }
@@ -286,15 +435,22 @@ let equal a b = a == b
    single int comparison. *)
 let wire_equal a b = a.wire_id = b.wire_id
 
-let id t = t.id
-
 let wire_id t = t.wire_id
 
 type intern_stats = { distinct_wire : int; distinct_full : int }
 
 let intern_stats () =
   let tbl = Domain.DLS.get table_key in
-  { distinct_wire = tbl.next_wire; distinct_full = tbl.next_id }
+  let wires = Hashtbl.create 64 and full = ref 0 in
+  for i = 0 to Array.length tbl.tags - 1 do
+    if tbl.tags.(i) <> free then
+      match Weak.get tbl.values i with
+      | Some v ->
+        incr full;
+        Hashtbl.replace wires v.wire_id ()
+      | None -> ()
+  done;
+  { distinct_wire = Hashtbl.length wires; distinct_full = !full }
 
 let pp_path ppf path =
   if path = [] then Fmt.string ppf "(empty)"

@@ -17,15 +17,21 @@ type t = private {
   path_len : int;  (** cached [List.length as_path] *)
   path_hash : int;  (** hash of [as_path], extended by each prepend *)
   wire_id : int;  (** canonical id of the wire-visible attrs (domain-local) *)
-  id : int;  (** canonical id of the full attribute set (domain-local) *)
 }
 (** Values are hash-consed: every construction returns the canonical,
     physically-unique value for its content, so [equal] is pointer
     equality and [wire_equal] a single int comparison.  Canonical values
-    are immutable and must never be mutated through [Obj] tricks.  Intern
-    tables and ids are domain-local ([Engine.Pool] runs each experiment on
-    one domain); ids are only meaningful for equality within a domain and
-    must never be used for ordering. *)
+    are immutable and must never be mutated through [Obj] tricks.
+
+    The intern set holds its values weakly: a value nothing else
+    references is reclaimed by the GC, and its content, built again
+    later, becomes a new canonical value (with a new wire id if no
+    local-pref variant of it was live).  Any two values a caller holds
+    stay physically equal exactly when their contents are equal.
+
+    Intern tables and wire ids are domain-local ([Engine.Pool] runs each
+    experiment on one domain); wire ids are only meaningful for equality
+    within a domain and must never be used for ordering. *)
 
 val default_local_pref : int
 
@@ -79,15 +85,15 @@ val wire_equal : t -> t -> bool
 (** Equality of the attributes a peer sees (local-pref excluded) — used to
     suppress duplicate advertisements.  O(1) id comparison. *)
 
-val id : t -> int
-
 val wire_id : t -> int
 
 type intern_stats = { distinct_wire : int; distinct_full : int }
 
 val intern_stats : unit -> intern_stats
-(** Sizes of this domain's intern set (distinct wire-visible sets, full
-    sets) — for tests and memory accounting. *)
+(** This domain's live canonical values (distinct wire-visible contents,
+    full sets), counting every value the GC has not yet reclaimed; a scan
+    of the whole set, for tests and memory accounting.  The counts fall
+    when values are reclaimed. *)
 
 val pp_path : Format.formatter -> Net.Asn.t list -> unit
 

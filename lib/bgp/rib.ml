@@ -39,8 +39,8 @@ module Adj_in = struct
 
   let holds arr i peer = i < Array.length arr && peer_of arr.(i) = peer
 
-  let set t (route : Route.t) =
-    let key = Net.Ipv4.prefix_to_packed (Route.prefix route) in
+  let set t prefix (route : Route.t) =
+    let key = Net.Ipv4.prefix_to_packed prefix in
     let peer = peer_of route in
     match Tbl.slot t.by_prefix key with
     | -1 ->
@@ -131,8 +131,8 @@ module Loc = struct
     && Attrs.wire_equal a.Route.attrs b.Route.attrs
     && a.Route.attrs.Attrs.local_pref = b.Route.attrs.Attrs.local_pref
 
-  let install t (route : Route.t) =
-    let key = Net.Ipv4.prefix_to_packed (Route.prefix route) in
+  let install t prefix (route : Route.t) =
+    let key = Net.Ipv4.prefix_to_packed prefix in
     match Tbl.slot t.best key with
     | -1 ->
       ignore (Tbl.add t.best key route);

@@ -6,8 +6,8 @@ module Adj_in : sig
 
   val create : unit -> t
 
-  val set : t -> Route.t -> unit
-  (** Insert or implicitly replace the route's peer's route for its
+  val set : t -> Net.Ipv4.prefix -> Route.t -> unit
+  (** Insert or implicitly replace the route's peer's route for the
       prefix; the peer is the route's [Ebgp] source.
       @raise Invalid_argument for a [Local] route. *)
 
@@ -46,8 +46,8 @@ module Loc : sig
 
   val find : t -> Net.Ipv4.prefix -> Route.t option
 
-  val install : t -> Route.t -> bool
-  (** Make the route its prefix's best unless the current best has the
+  val install : t -> Net.Ipv4.prefix -> Route.t -> bool
+  (** Make the route the prefix's best unless the current best has the
       same source, wire-equal attrs and the same local-pref; [true] when
       the best changed. *)
 

@@ -1,25 +1,18 @@
-(* A route: a prefix with its path attributes and provenance. *)
+(* A route: path attributes and provenance.  A stored route is two
+   fields: its prefix is the key of the RIB that holds it, and an [Ebgp]
+   source is shared by every route learned from the peer. *)
 
 type source =
   | Local (* originated by this router *)
   | Ebgp of Net.Asn.t (* learned from this external peer *)
 
-type t = {
-  prefix : Net.Ipv4.prefix;
-  attrs : Attrs.t;
-  source : source;
-  learned_at : Engine.Time.t;
-}
+type t = { attrs : Attrs.t; source : source }
 
-let make ~prefix ~attrs ~source ~learned_at = { prefix; attrs; source; learned_at }
-
-let prefix t = t.prefix
+let make ~attrs ~source = { attrs; source }
 
 let attrs t = t.attrs
 
 let source t = t.source
-
-let learned_at t = t.learned_at
 
 let is_local t = match t.source with Local -> true | Ebgp _ -> false
 
@@ -29,5 +22,5 @@ let pp_source ppf = function
   | Local -> Fmt.string ppf "local"
   | Ebgp p -> Fmt.pf ppf "ebgp:%a" Net.Asn.pp p
 
-let pp ppf t =
-  Fmt.pf ppf "%a %a via %a" Net.Ipv4.pp_prefix t.prefix Attrs.pp t.attrs pp_source t.source
+let pp ~prefix ppf t =
+  Fmt.pf ppf "%a %a via %a" Net.Ipv4.pp_prefix prefix Attrs.pp t.attrs pp_source t.source

@@ -1,24 +1,15 @@
-(** A route: prefix, path attributes, provenance. *)
+(** A route: path attributes and provenance.  Its prefix is the key of
+    the table that stores it. *)
 
 type source = Local | Ebgp of Net.Asn.t
 
-type t = {
-  prefix : Net.Ipv4.prefix;
-  attrs : Attrs.t;
-  source : source;
-  learned_at : Engine.Time.t;
-}
+type t = { attrs : Attrs.t; source : source }
 
-val make :
-  prefix:Net.Ipv4.prefix -> attrs:Attrs.t -> source:source -> learned_at:Engine.Time.t -> t
-
-val prefix : t -> Net.Ipv4.prefix
+val make : attrs:Attrs.t -> source:source -> t
 
 val attrs : t -> Attrs.t
 
 val source : t -> source
-
-val learned_at : t -> Engine.Time.t
 
 val is_local : t -> bool
 
@@ -26,4 +17,5 @@ val from_peer : t -> Net.Asn.t option
 
 val pp_source : Format.formatter -> source -> unit
 
-val pp : Format.formatter -> t -> unit
+val pp : prefix:Net.Ipv4.prefix -> Format.formatter -> t -> unit
+(** [prefix attrs via source]. *)

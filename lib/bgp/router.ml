@@ -297,7 +297,8 @@ let best_changed t prefix best =
   done;
   export_all_peers t prefix best
 
-let install t prefix route = if Rib.Loc.install t.loc route then best_changed t prefix (Some route)
+let install t prefix route =
+  if Rib.Loc.install t.loc prefix route then best_changed t prefix (Some route)
 
 (* The decision process walks the prefix's Adj-RIB-In array in place and
    weighs the local route, if any, against its winner.  [Decision.compare]
@@ -324,7 +325,7 @@ let originate ?(med = 0) ?(origin = Attrs.Igp) ?(communities = Community.Set.emp
   let attrs =
     Attrs.make ~as_path:[] ~med ~origin ~communities ~next_hop:t.router_id ()
   in
-  let route = Route.make ~prefix ~attrs ~source:Route.Local ~learned_at:Engine.Time.zero in
+  let route = Route.make ~attrs ~source:Route.Local in
   Tbl.set prefix route t.originated;
   with_batch t run_decision prefix
 
@@ -512,7 +513,7 @@ let note_announcement t damping peer prefix attrs =
       > 0.0
     then note_flap t peer.peer_asn prefix Damping.Readvertisement
 
-let rec apply_announced t peer s now = function
+let rec apply_announced t peer s = function
   | [] -> ()
   | (prefix, attrs) :: rest ->
     if Policy.accepts peer.policy ~me:t.asn ~prefix attrs then begin
@@ -520,14 +521,14 @@ let rec apply_announced t peer s now = function
       (match t.damping with
       | None -> ()
       | Some damping -> note_announcement t damping peer prefix attrs);
-      Rib.Adj_in.set t.adj_in (Route.make ~prefix ~attrs ~source:peer.source ~learned_at:now);
+      Rib.Adj_in.set t.adj_in prefix (Route.make ~attrs ~source:peer.source);
       mark s prefix
     end
     else if
       (* Policy rejection implicitly withdraws any previous route. *)
       Rib.Adj_in.remove t.adj_in ~peer:peer.peer_asn prefix
     then mark s prefix;
-    apply_announced t peer s now rest
+    apply_announced t peer s rest
 
 let apply_update t (peer, (u : Message.update)) =
   (* Stale when the session flapped since the update arrived. *)
@@ -536,7 +537,7 @@ let apply_update t (peer, (u : Message.update)) =
     s.generation <- s.generation + 1;
     s.count <- 0;
     apply_withdrawn t peer s u.Message.withdrawn;
-    apply_announced t peer s (Engine.Sim.now t.sim) u.Message.announced;
+    apply_announced t peer s u.Message.announced;
     for i = 0 to s.count - 1 do
       run_decision t s.order.(i)
     done

@@ -202,7 +202,8 @@ let render_state net =
               (Bgp.Session.to_string (Bgp.Router.session_state r peer)))
           (List.sort Net.Asn.compare (Bgp.Router.peer_asns r));
         List.iter
-          (fun (p, route) -> add "  loc %a %a\n" Net.Ipv4.pp_prefix p Bgp.Route.pp route)
+          (fun (p, route) ->
+            add "  loc %a %a\n" Net.Ipv4.pp_prefix p (Bgp.Route.pp ~prefix:p) route)
           (Bgp.Router.loc_entries r))
     (Network.asns net);
   List.iter

@@ -253,7 +253,7 @@ type scale_result = {
   adj_in_routes : int; (* Adj-RIB-In entries over legacy routers after the load *)
   live_words : int; (* major-heap live words right after the load *)
   peak_words : int; (* Gc top_heap_words over the whole run *)
-  distinct_attrs : int; (* interned attribute sets (domain-local intern set) *)
+  distinct_attrs : int; (* live sets in the domain-local (weak) intern set *)
   built_words_per_as : float; (* words Network.create allocated, per AS *)
 }
 

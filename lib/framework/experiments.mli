@@ -110,7 +110,11 @@ type scale_result = {
   adj_in_routes : int;  (** Adj-RIB-In entries over legacy routers after the load *)
   live_words : int;  (** major-heap live words right after the load *)
   peak_words : int;  (** [Gc.top_heap_words] over the whole run *)
-  distinct_attrs : int;  (** interned attribute sets (domain-local intern set) *)
+  distinct_attrs : int;
+      (** attribute sets live in the domain-local intern set after the
+          withdrawal; the set is weak, so this counts the sets the run
+          still references (and any the GC has not yet reclaimed), not
+          every set it ever built *)
   built_words_per_as : float;
       (** words [Network.create] allocated (minor and major), per AS: the
           network's fixed heap, since nearly all of it survives *)

@@ -5,24 +5,27 @@
    packed prefix, at most three quarters full), so a table costs a few
    words per entry where a bit trie spent a node per prefix bit.  [lens]
    counts the entries of each prefix length, so a longest-prefix match
-   probes only the lengths in use, longest first.  Packed order is
-   [compare_prefix] order: ordered reads walk the slots sorted by packed
-   key, cached until the key set changes (only then do slots move). *)
+   probes only the lengths in use, longest first; it is made by the first
+   insert, so a table that never holds an entry costs no count array.
+   Packed order is [compare_prefix] order: ordered reads walk the slots
+   sorted by packed key, cached until the key set changes (only then do
+   slots move). *)
 
 module Tbl = Ipv4.Prefix_table
 
 type 'a t = {
   tbl : 'a Tbl.t;
-  lens : int array; (* entries per prefix length, 0..32 *)
+  mutable lens : int array; (* entries per prefix length, 0..32; [||] before any insert *)
   mutable order : int array; (* the slots in ascending prefix order, when [ordered] *)
   mutable ordered : bool;
 }
 
-let create () = { tbl = Tbl.create (); lens = Array.make 33 0; order = [||]; ordered = true }
+let create () = { tbl = Tbl.create (); lens = [||]; order = [||]; ordered = true }
 
 let size t = Tbl.size t.tbl
 
 let count t key delta =
+  if Array.length t.lens = 0 then t.lens <- Array.make 33 0;
   t.lens.(key land 63) <- t.lens.(key land 63) + delta;
   t.ordered <- false
 
@@ -56,13 +59,16 @@ let rec longest t bits len =
     | -1 -> longest t bits (len - 1)
     | i -> i
 
+let longest_of t addr =
+  if Array.length t.lens = 0 then -1 else longest t (Ipv4.addr_to_bits addr) 32
+
 let lookup t addr =
-  match longest t (Ipv4.addr_to_bits addr) 32 with
+  match longest_of t addr with
   | -1 -> None
   | i -> Some (Ipv4.prefix_of_packed (Tbl.packed_at t.tbl i), Tbl.value t.tbl i)
 
 let lookup_value t addr =
-  match longest t (Ipv4.addr_to_bits addr) 32 with -1 -> None | i -> Some (Tbl.value t.tbl i)
+  match longest_of t addr with -1 -> None | i -> Some (Tbl.value t.tbl i)
 
 let sorted t =
   if not t.ordered then begin
@@ -85,6 +91,6 @@ let entries t =
 
 let clear t =
   Tbl.clear t.tbl;
-  Array.fill t.lens 0 33 0;
+  t.lens <- [||];
   t.order <- [||];
   t.ordered <- true

@@ -53,8 +53,8 @@ let adj_in_remove t ~peer prefix =
   | [] -> t.adj_in <- Pm.remove prefix t.adj_in
   | rest -> t.adj_in <- Pm.add prefix rest t.adj_in
 
-let adj_in_set t (route : Bgp.Route.t) =
-  let prefix = Bgp.Route.prefix route and peer = peer_of route in
+let adj_in_set t prefix (route : Bgp.Route.t) =
+  let peer = peer_of route in
   let others = List.filter (fun r -> peer_of r <> peer) (routes t prefix) in
   t.adj_in <-
     Pm.add prefix
@@ -64,7 +64,7 @@ let adj_in_set t (route : Bgp.Route.t) =
 let local_route t prefix =
   Option.map
     (fun attrs ->
-      Bgp.Route.make ~prefix ~attrs ~source:Bgp.Route.Local ~learned_at:Engine.Time.zero)
+      Bgp.Route.make ~attrs ~source:Bgp.Route.Local)
     (Pm.find_opt prefix t.originated)
 
 let candidates t prefix =
@@ -159,9 +159,7 @@ let process_update t ~peer ~policy (u : Bgp.Message.update) =
               Bgp.Damping.current_penalty damping ~peer ~prefix ~now:(Engine.Sim.now t.sim)
               > 0.0
             then note_flap t peer prefix Bgp.Damping.Readvertisement));
-        adj_in_set t
-          (Bgp.Route.make ~prefix ~attrs ~source:(Bgp.Route.Ebgp peer)
-             ~learned_at:(Engine.Sim.now t.sim));
+        adj_in_set t prefix (Bgp.Route.make ~attrs ~source:(Bgp.Route.Ebgp peer));
         affected := prefix :: !affected
       | None ->
         if Option.is_some (adj_in_find t ~peer prefix) then begin

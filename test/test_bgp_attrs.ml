@@ -68,7 +68,6 @@ let test_intern_physical_equality () =
       (asn 65001)
   in
   Alcotest.(check bool) "construction route irrelevant" true (a == c);
-  Alcotest.(check int) "ids agree" (Bgp.Attrs.id a) (Bgp.Attrs.id c);
   Alcotest.(check int) "wire ids agree" (Bgp.Attrs.wire_id a) (Bgp.Attrs.wire_id c)
 
 (* QCheck: any two logically-equal random attrs are physically equal, and
@@ -92,7 +91,6 @@ let prop_same_spec_physically_equal =
     (fun spec ->
       let a = build spec and b = build spec in
       a == b && Bgp.Attrs.equal a b
-      && Bgp.Attrs.id a = Bgp.Attrs.id b
       && Bgp.Attrs.wire_id a = Bgp.Attrs.wire_id b)
 
 let prop_table_growth_bounded =
@@ -149,16 +147,67 @@ let prop_wire_id_per_wire_content =
             built)
         built)
 
-let test_intern_stats_monotone () =
-  let s0 = Bgp.Attrs.intern_stats () in
-  let a = Bgp.Attrs.make ~as_path:[ asn 64999 ] ~next_hop:nh () in
-  ignore (Bgp.Attrs.with_local_pref a 77);
-  let s1 = Bgp.Attrs.intern_stats () in
-  Alcotest.(check bool) "wire monotone" true
-    (s1.Bgp.Attrs.distinct_wire >= s0.Bgp.Attrs.distinct_wire);
-  (* same wire attrs under two local-prefs: one wire entry, two full *)
+(* QCheck: values the caller still holds survive a collection as the
+   canonical values of their contents.  Half of a random batch is held,
+   the GC reclaims the rest, and the whole batch is built again: every
+   held value comes back physically, and over the rebuilt batch [==] and
+   [wire_equal] still hold exactly on equal full and wire contents. *)
+let prop_canonical_across_collections =
+  QCheck.Test.make ~name:"canonical across collections" ~count:50
+    (QCheck.make
+       ~print:(fun l -> string_of_int (List.length l))
+       QCheck.Gen.(list_size (int_range 2 40) variant_gen))
+    (fun variants ->
+      let held = List.filteri (fun i _ -> i mod 2 = 0) (List.map build_variant variants) in
+      Gc.full_major ();
+      let rebuilt = List.map (fun v -> (v, build_variant v)) variants in
+      List.for_all2 ( == ) held (List.filteri (fun i _ -> i mod 2 = 0) (List.map snd rebuilt))
+      && List.for_all
+           (fun ((wire, (lp, _)), a) ->
+             List.for_all
+               (fun ((wire', (lp', _)), b) ->
+                 (wire = wire') = Bgp.Attrs.wire_equal a b
+                 && (wire = wire' && lp = lp') = (a == b))
+               rebuilt)
+           rebuilt)
+
+(* [n] sets of distinct wire content, each under two local-prefs, that no
+   other test builds. *)
+let intern_batch n =
+  List.concat_map
+    (fun i ->
+      let a = Bgp.Attrs.make ~as_path:[ asn 64999 ] ~med:(1_000_000 + i) ~next_hop:nh () in
+      [ a; Bgp.Attrs.with_local_pref a 77 ])
+    (List.init n Fun.id)
+
+(* The intern set keeps nothing alive: sets held only by a local list are
+   reclaimed once it is dropped, and the live counts come back to within
+   1% of their reading before. *)
+let test_intern_reclaims () =
+  let stats () = Bgp.Attrs.intern_stats () in
+  Gc.full_major ();
+  let s0 = stats () in
+  let held = Sys.opaque_identity (intern_batch 10_000) in
+  let s1 = stats () in
   Alcotest.(check bool) "full >= wire" true
-    (s1.Bgp.Attrs.distinct_full >= s1.Bgp.Attrs.distinct_wire)
+    (s1.Bgp.Attrs.distinct_full >= s1.Bgp.Attrs.distinct_wire);
+  Alcotest.(check bool) "20,000 sets held" true
+    (s1.Bgp.Attrs.distinct_full >= s0.Bgp.Attrs.distinct_full + 20_000
+    && s1.Bgp.Attrs.distinct_wire >= s0.Bgp.Attrs.distinct_wire + 10_000);
+  ignore (Sys.opaque_identity held);
+  Gc.full_major ();
+  let s2 = stats () in
+  let near before after = 100 * abs (after - before) <= before in
+  Alcotest.(check bool)
+    (Fmt.str "full sets %d -> %d -> %d" s0.Bgp.Attrs.distinct_full s1.Bgp.Attrs.distinct_full
+       s2.Bgp.Attrs.distinct_full)
+    true
+    (near s0.Bgp.Attrs.distinct_full s2.Bgp.Attrs.distinct_full);
+  Alcotest.(check bool)
+    (Fmt.str "wire contents %d -> %d -> %d" s0.Bgp.Attrs.distinct_wire
+       s1.Bgp.Attrs.distinct_wire s2.Bgp.Attrs.distinct_wire)
+    true
+    (near s0.Bgp.Attrs.distinct_wire s2.Bgp.Attrs.distinct_wire)
 
 (* [exported] is one intern of what the per-peer export chain built in
    three: the same canonical value, over seeded attrs that exercise every
@@ -213,6 +262,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_same_spec_physically_equal;
     QCheck_alcotest.to_alcotest prop_table_growth_bounded;
     QCheck_alcotest.to_alcotest prop_wire_id_per_wire_content;
-    Alcotest.test_case "intern stats monotone" `Quick test_intern_stats_monotone;
+    QCheck_alcotest.to_alcotest prop_canonical_across_collections;
+    Alcotest.test_case "reclaims dropped sets" `Quick test_intern_reclaims;
     Alcotest.test_case "exported matches the prepend chain" `Quick test_exported_matches_chain;
   ]

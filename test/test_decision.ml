@@ -13,7 +13,7 @@ let route ?(local_pref = 100) ?(path = [ 65001 ]) ?(med = 0) ?(origin = Bgp.Attr
   let source =
     match source with `Local -> Bgp.Route.Local | `Ebgp n -> Bgp.Route.Ebgp (Net.Asn.of_int n)
   in
-  Bgp.Route.make ~prefix ~attrs ~source ~learned_at:Engine.Time.zero
+  Bgp.Route.make ~attrs ~source
 
 let prefer a b msg =
   Alcotest.(check bool) msg true (Bgp.Decision.better a b);
@@ -75,7 +75,7 @@ let arb_route =
       let* origin = oneofl [ Bgp.Attrs.Igp; Bgp.Attrs.Egp; Bgp.Attrs.Incomplete ] in
       return (route ~local_pref:lp ~path ~med ~origin ~source:(`Ebgp src) ()))
   in
-  QCheck.make ~print:(fun r -> Fmt.str "%a" Bgp.Route.pp r) gen
+  QCheck.make ~print:(fun r -> Fmt.str "%a" (Bgp.Route.pp ~prefix) r) gen
 
 let prop_total_order_antisymmetric =
   QCheck.Test.make ~name:"compare is antisymmetric" ~count:300

@@ -261,6 +261,33 @@ let test_choose_members_linear () =
         true (per_as <= 100.0))
     [ E.Top_degree; E.Stubs_first ]
 
+(* A settled experiment, once dropped, leaves nothing behind: after a full
+   collection the live heap is back within 2% of the run's peak live
+   words of its reading before.  While the intern set was strong, this
+   run's attribute sets outlived it: about 40k words. *)
+let test_dropped_run_leaves_no_residue () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  (* a world no other test loads, so no earlier run built its sets *)
+  let world = E.caida_world ~tier1:3 ~tier2:8 ~stubs:40 ~seed:11 in
+  (* the figures only: the result's telemetry snapshot goes with the run *)
+  let settle () =
+    let r = E.scale_run ~prefixes:30 ~world ~k:0 ~seed:11 ~config:cfg () in
+    (r.E.load_settled, r.E.rib_routes, r.E.live_words)
+  in
+  let before = live () in
+  let settled, routes, peak = settle () in
+  let left = live () - before in
+  (* the world was live at [before] too *)
+  ignore (Sys.opaque_identity world);
+  Alcotest.(check bool) "the load settled" true (settled && routes > 1000);
+  Alcotest.(check bool)
+    (Fmt.str "%d words left of a %d-word peak (limit 2%%)" left peak)
+    true
+    (50 * left <= peak)
+
 let suite =
   [
     Alcotest.test_case "fig2 shape (scaled)" `Slow test_fig2_shape;
@@ -280,4 +307,6 @@ let suite =
     Alcotest.test_case "argument guards" `Quick test_guards;
     Alcotest.test_case "sweep kinds refuse small n" `Quick test_kind_minimum_n;
     Alcotest.test_case "choose_members linear" `Quick test_choose_members_linear;
+    Alcotest.test_case "dropped run leaves no residue" `Quick
+      test_dropped_run_leaves_no_residue;
   ]

@@ -248,7 +248,7 @@ let route ~local_pref ~path ~med ~origin ~source =
   let attrs =
     Bgp.Attrs.make ~as_path:(List.map asn path) ~local_pref ~med ~origin ~next_hop:nh ()
   in
-  Bgp.Route.make ~prefix ~attrs ~source ~learned_at:Engine.Time.zero
+  Bgp.Route.make ~attrs ~source
 
 let arb_route =
   let gen =
@@ -265,7 +265,7 @@ let arb_route =
       in
       return (route ~local_pref:lp ~path ~med ~origin ~source))
   in
-  QCheck.make ~print:(fun r -> Fmt.str "%a" Bgp.Route.pp r) gen
+  QCheck.make ~print:(fun r -> Fmt.str "%a" (Bgp.Route.pp ~prefix) r) gen
 
 let prop_compare_matches_reference =
   QCheck.Test.make ~name:"straight-line compare = reference step list" ~count:1000

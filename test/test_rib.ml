@@ -6,25 +6,25 @@ let p s = Option.get (Net.Ipv4.prefix_of_string s)
 
 let asn = Net.Asn.of_int
 
-let route ~peer ~prefix =
-  Bgp.Route.make ~prefix
+let route ~peer =
+  Bgp.Route.make
     ~attrs:(Bgp.Attrs.make ~as_path:[ asn peer ] ~next_hop:nh ())
-    ~source:(Bgp.Route.Ebgp (asn peer)) ~learned_at:Engine.Time.zero
+    ~source:(Bgp.Route.Ebgp (asn peer))
 
 let test_adj_in_implicit_withdraw () =
   let rib = Bgp.Rib.Adj_in.create () in
   let pre = p "100.64.0.0/24" in
-  Bgp.Rib.Adj_in.set rib (route ~peer:65001 ~prefix:pre);
-  Bgp.Rib.Adj_in.set rib (route ~peer:65001 ~prefix:pre);
+  Bgp.Rib.Adj_in.set rib pre (route ~peer:65001);
+  Bgp.Rib.Adj_in.set rib pre (route ~peer:65001);
   Alcotest.(check int) "replaced, not duplicated" 1 (Bgp.Rib.Adj_in.size rib);
-  Bgp.Rib.Adj_in.set rib (route ~peer:65002 ~prefix:pre);
+  Bgp.Rib.Adj_in.set rib pre (route ~peer:65002);
   Alcotest.(check int) "two candidates" 2 (List.length (Bgp.Rib.Adj_in.candidates rib pre))
 
 let test_adj_in_candidates_order () =
   let rib = Bgp.Rib.Adj_in.create () in
   let pre = p "100.64.0.0/24" in
   List.iter
-    (fun peer -> Bgp.Rib.Adj_in.set rib (route ~peer ~prefix:pre))
+    (fun peer -> Bgp.Rib.Adj_in.set rib pre (route ~peer))
     [ 65005; 65001; 65003 ];
   let peers =
     List.filter_map (fun r -> Bgp.Route.from_peer r) (Bgp.Rib.Adj_in.candidates rib pre)
@@ -35,9 +35,9 @@ let test_adj_in_candidates_order () =
 let test_adj_in_drop_peer () =
   let rib = Bgp.Rib.Adj_in.create () in
   let p1 = p "100.64.0.0/24" and p2 = p "100.64.1.0/24" in
-  Bgp.Rib.Adj_in.set rib (route ~peer:65001 ~prefix:p1);
-  Bgp.Rib.Adj_in.set rib (route ~peer:65001 ~prefix:p2);
-  Bgp.Rib.Adj_in.set rib (route ~peer:65002 ~prefix:p1);
+  Bgp.Rib.Adj_in.set rib p1 (route ~peer:65001);
+  Bgp.Rib.Adj_in.set rib p2 (route ~peer:65001);
+  Bgp.Rib.Adj_in.set rib p1 (route ~peer:65002);
   let dropped = Bgp.Rib.Adj_in.drop_peer rib ~peer:(asn 65001) in
   Alcotest.(check int) "dropped both" 2 (List.length dropped);
   Alcotest.(check int) "other peer remains" 1 (Bgp.Rib.Adj_in.size rib);
@@ -47,7 +47,7 @@ let test_adj_in_drop_peer () =
 let test_adj_in_remove () =
   let rib = Bgp.Rib.Adj_in.create () in
   let pre = p "100.64.0.0/24" in
-  Bgp.Rib.Adj_in.set rib (route ~peer:65001 ~prefix:pre);
+  Bgp.Rib.Adj_in.set rib pre (route ~peer:65001);
   Alcotest.(check bool) "remove reports the route" true
     (Bgp.Rib.Adj_in.remove rib ~peer:(asn 65001) pre);
   Alcotest.(check bool) "a second remove finds none" false
@@ -61,12 +61,12 @@ let test_loc () =
   let pre = p "100.64.0.0/24" in
   Alcotest.(check bool) "initially empty" true (Bgp.Rib.Loc.find loc pre = None);
   Alcotest.(check bool) "install a first best" true
-    (Bgp.Rib.Loc.install loc (route ~peer:65001 ~prefix:pre));
+    (Bgp.Rib.Loc.install loc pre (route ~peer:65001));
   Alcotest.(check bool) "the same best again changes nothing" false
-    (Bgp.Rib.Loc.install loc (route ~peer:65001 ~prefix:pre));
+    (Bgp.Rib.Loc.install loc pre (route ~peer:65001));
   Alcotest.(check int) "size" 1 (Bgp.Rib.Loc.size loc);
   Alcotest.(check bool) "another peer's route replaces it" true
-    (Bgp.Rib.Loc.install loc (route ~peer:65002 ~prefix:pre));
+    (Bgp.Rib.Loc.install loc pre (route ~peer:65002));
   Alcotest.(check int) "replace keeps size" 1 (Bgp.Rib.Loc.size loc);
   (match Bgp.Rib.Loc.find loc pre with
   | Some r ->

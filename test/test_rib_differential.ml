@@ -29,10 +29,10 @@ let random_addr rng =
     (10 + Engine.Rng.int rng 4)
     (Engine.Rng.int rng 8) (Engine.Rng.int rng 8) (Engine.Rng.int rng 256)
 
-let route ~peer ~prefix ~tag =
-  Bgp.Route.make ~prefix
+let route ~peer ~tag =
+  Bgp.Route.make
     ~attrs:(Bgp.Attrs.make ~as_path:[ asn peer; asn (65100 + tag) ] ~next_hop:nh ())
-    ~source:(Bgp.Route.Ebgp (asn peer)) ~learned_at:Engine.Time.zero
+    ~source:(Bgp.Route.Ebgp (asn peer))
 
 let check_entries name expected got =
   Alcotest.(check int) (name ^ ": cardinal") (List.length expected) (List.length got);
@@ -195,9 +195,9 @@ let test_table_vs_map () =
 
 type ref_adj_in = { mutable tables : Bgp.Route.t Pm.t Am.t }
 
-let ref_adj_in_set t ~peer r =
+let ref_adj_in_set t ~peer prefix r =
   let m = Option.value (Am.find_opt peer t.tables) ~default:Pm.empty in
-  t.tables <- Am.add peer (Pm.add (Bgp.Route.prefix r) r m) t.tables
+  t.tables <- Am.add peer (Pm.add prefix r m) t.tables
 
 let ref_adj_in_remove t ~peer prefix =
   match Am.find_opt peer t.tables with
@@ -224,8 +224,7 @@ let ref_adj_in_candidates t prefix =
 let ref_adj_in_size t = Am.fold (fun _ m acc -> acc + Pm.cardinal m) t.tables 0
 
 let same_route a b =
-  Net.Ipv4.equal_prefix (Bgp.Route.prefix a) (Bgp.Route.prefix b)
-  && Bgp.Route.attrs a == Bgp.Route.attrs b
+  Bgp.Route.attrs a == Bgp.Route.attrs b
   && Bgp.Route.source a = Bgp.Route.source b
 
 let test_adj_in_differential () =
@@ -238,9 +237,9 @@ let test_adj_in_differential () =
     let prefix = random_prefix rng in
     (match Engine.Rng.int rng 8 with
     | 0 | 1 | 2 | 3 ->
-      let r = route ~peer:(Net.Asn.to_int peer) ~prefix ~tag:(Engine.Rng.int rng 4) in
-      Bgp.Rib.Adj_in.set rib r;
-      ref_adj_in_set reference ~peer r
+      let r = route ~peer:(Net.Asn.to_int peer) ~tag:(Engine.Rng.int rng 4) in
+      Bgp.Rib.Adj_in.set rib prefix r;
+      ref_adj_in_set reference ~peer prefix r
     | 4 | 5 ->
       let held = Option.bind (Am.find_opt peer reference.tables) (Pm.find_opt prefix) <> None in
       Alcotest.(check bool)
@@ -321,7 +320,7 @@ let test_loc_differential () =
     | 0 | 1 ->
       (* [install] replaces the best only when the wire content differs
          (the source and local-pref are the same here). *)
-      let r = route ~peer:65001 ~prefix ~tag:(Engine.Rng.int rng 4) in
+      let r = route ~peer:65001 ~tag:(Engine.Rng.int rng 4) in
       let differs =
         match Pm.find_opt prefix !reference with
         | Some old -> not (Bgp.Attrs.wire_equal (Bgp.Route.attrs old) (Bgp.Route.attrs r))
@@ -329,7 +328,7 @@ let test_loc_differential () =
       in
       Alcotest.(check bool)
         (Fmt.str "step %d: install reports a change" step)
-        differs (Bgp.Rib.Loc.install rib r);
+        differs (Bgp.Rib.Loc.install rib prefix r);
       if differs then reference := Pm.add prefix r !reference
     | _ ->
       Alcotest.(check bool)

@@ -493,10 +493,7 @@ let same_note (p1, b1) (p2, b2) =
   match (b1, b2) with
   | None, None -> true
   | Some (a : Bgp.Route.t), Some (b : Bgp.Route.t) ->
-    Net.Ipv4.equal_prefix a.Bgp.Route.prefix b.Bgp.Route.prefix
-    && a.Bgp.Route.source = b.Bgp.Route.source
-    && a.Bgp.Route.attrs == b.Bgp.Route.attrs
-    && Time.equal a.Bgp.Route.learned_at b.Bgp.Route.learned_at
+    a.Bgp.Route.source = b.Bgp.Route.source && a.Bgp.Route.attrs == b.Bgp.Route.attrs
   | Some _, None | None, Some _ -> false
 
 (* The router and the reference see the same UPDATEs, 2 s apart, on one

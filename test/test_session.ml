@@ -191,7 +191,7 @@ let render env =
     (Bgp.Session.to_string (Bgp.Router.session_state env.b (asn 65001)))
     (Bgp.Router.stats env.a).Bgp.Router.msgs_out
     (Bgp.Router.stats env.b).Bgp.Router.msgs_out
-    (Fmt.option ~none:(Fmt.any "-") Bgp.Route.pp)
+    (Fmt.option ~none:(Fmt.any "-") (Bgp.Route.pp ~prefix:(p "100.64.0.0/24")))
     (Bgp.Router.best env.b (p "100.64.0.0/24"))
 
 let test_same_seed_identical () =
