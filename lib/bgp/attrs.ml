@@ -33,7 +33,6 @@ type t = {
   local_pref : int;
   med : int;
   origin : origin;
-  communities : Community.Set.t;
   path_len : int; (* cached List.length as_path *)
   path_hash : int; (* [path_hash_of as_path], extended one prepend at a time *)
   wire_id : int; (* canonical id of the wire-visible attrs (no local_pref) *)
@@ -55,15 +54,11 @@ let lp_width = 8
 
 let lp_bits = (1 lsl lp_width) - 1
 
-let content_key ~path_hash ~next_hop ~med ~origin communities =
+let content_key ~path_hash ~next_hop ~med ~origin =
   let h = mix path_hash (Net.Ipv4.addr_to_bits next_hop) in
-  let h = mix (mix h med) (origin_rank origin) in
-  Community.Set.fold (fun (asn, tag) h -> mix h ((asn lsl 16) lor tag)) communities h
-  land (max_int lxor lp_bits)
+  mix (mix h med) (origin_rank origin) land (max_int lxor lp_bits)
 
-let wire_key t =
-  content_key ~path_hash:t.path_hash ~next_hop:t.next_hop ~med:t.med ~origin:t.origin
-    t.communities
+let wire_key t = content_key ~path_hash:t.path_hash ~next_hop:t.next_hop ~med:t.med ~origin:t.origin
 
 let tag wire local_pref = wire lor (local_pref land lp_bits)
 
@@ -79,7 +74,6 @@ let wire_content_equal a b =
   a.med = b.med && a.origin = b.origin && a.path_len = b.path_len
   && Net.Ipv4.equal_addr a.next_hop b.next_hop
   && path_equal a.as_path b.as_path
-  && Community.Set.equal a.communities b.communities
 
 (* The intern set: open addressing with linear probing over two parallel
    arrays, a strong one of slot tags and a weak one of values.  A probe
@@ -117,7 +111,6 @@ let empty =
     local_pref = 0;
     med = 0;
     origin = Igp;
-    communities = Community.Set.empty;
     path_len = 0;
     path_hash = 0;
     wire_id = -1;
@@ -296,8 +289,8 @@ let intern key =
        let wire_id = wire_id_of tbl (find_content tbl mask key any_lp wire i) in
        store tbl slot tag { key with wire_id })
 
-let make ?(as_path = []) ?(local_pref = default_local_pref) ?(med = 0) ?(origin = Igp)
-    ?(communities = Community.Set.empty) ~next_hop () =
+let make ?(as_path = []) ?(local_pref = default_local_pref) ?(med = 0) ?(origin = Igp) ~next_hop
+    () =
   intern
     {
       as_path;
@@ -305,7 +298,6 @@ let make ?(as_path = []) ?(local_pref = default_local_pref) ?(med = 0) ?(origin 
       local_pref;
       med;
       origin;
-      communities;
       path_len = List.length as_path;
       path_hash = path_hash_of as_path;
       wire_id = -1;
@@ -333,64 +325,46 @@ let prepend t asn =
       path_hash = mix t.path_hash (Net.Asn.to_int asn);
     }
 
-(* Whether [path] is [times] copies of [asn] followed by [tail]. *)
-let rec prepended path asn times tail =
-  if times = 0 then path_equal path tail
-  else
-    match path with
-    | x :: rest -> Net.Asn.equal x asn && prepended rest asn (times - 1) tail
-    | [] -> false
-
-let rec prepend_hash asn times h =
-  if times = 0 then h else prepend_hash asn (times - 1) (mix h (Net.Asn.to_int asn))
-
-let rec prepend_path asn times path =
-  if times = 0 then path else prepend_path asn (times - 1) (asn :: path)
-
-(* [find_content] for the content of [t] with [times] prepends of [asn],
-   [next_hop] and the default local-pref, without building it. *)
-let rec find_exported tbl mask t ~asn ~times ~next_hop sel tag i =
+(* [find_content] for the content of [t] with [asn] prepended, [next_hop]
+   and the default local-pref, without building it. *)
+let rec find_exported tbl mask t ~asn ~next_hop sel tag i =
   let s = tbl.tags.(i) in
   if s = free then stop tbl i empty
-  else if s land sel <> tag then
-    find_exported tbl mask t ~asn ~times ~next_hop sel tag ((i + 1) land mask)
+  else if s land sel <> tag then find_exported tbl mask t ~asn ~next_hop sel tag ((i + 1) land mask)
   else
     match Weak.get tbl.values i with
-    | Some v
+    | Some ({ as_path = first :: rest; _ } as v)
       when v.med = t.med && v.origin = t.origin
-           && v.path_len = t.path_len + times
+           && v.path_len = t.path_len + 1
            && Net.Ipv4.equal_addr v.next_hop next_hop
-           && prepended v.as_path asn times t.as_path
-           && Community.Set.equal v.communities t.communities
+           && Net.Asn.equal first asn && path_equal rest t.as_path
            && (sel = any_lp || v.local_pref = default_local_pref) ->
       stop tbl i v
-    | Some _ | None -> find_exported tbl mask t ~asn ~times ~next_hop sel tag ((i + 1) land mask)
+    | Some _ | None -> find_exported tbl mask t ~asn ~next_hop sel tag ((i + 1) land mask)
 
-(* [times] own-ASN prepends, the router's next hop and the default
-   local-pref in one intern: the per-peer export content, without the
-   intermediate canonical values a [prepend]/[with_next_hop]/
-   [with_local_pref] chain would create.  Export runs on every best
-   change, so the set is probed with the would-be content and the value
-   is built only when it is new. *)
-let exported t ~asn ~times ~next_hop =
-  let times = max times 0 in
-  let path_hash = prepend_hash asn times t.path_hash in
+(* The own-ASN prepend, the router's next hop and the default local-pref
+   in one intern: the export content, without the intermediate canonical
+   values a [prepend]/[with_next_hop]/[with_local_pref] chain would
+   create.  Export runs on every best change, so the set is probed with
+   the would-be content and the value is built only when it is new. *)
+let exported t ~asn ~next_hop =
+  let path_hash = mix t.path_hash (Net.Asn.to_int asn) in
   let tbl = acquire () in
-  let wire = content_key ~path_hash ~next_hop ~med:t.med ~origin:t.origin t.communities in
+  let wire = content_key ~path_hash ~next_hop ~med:t.med ~origin:t.origin in
   let mask = Array.length tbl.tags - 1 in
   let i = home wire mask in
   let tag = tag wire default_local_pref in
-  let v = find_exported tbl mask t ~asn ~times ~next_hop exact tag i in
+  let v = find_exported tbl mask t ~asn ~next_hop exact tag i in
   release tbl
     (if v != empty then v
      else
        let slot = tbl.at in
-       let sibling = find_exported tbl mask t ~asn ~times ~next_hop any_lp wire i in
+       let sibling = find_exported tbl mask t ~asn ~next_hop any_lp wire i in
        store tbl slot tag
          {
            t with
-           as_path = prepend_path asn times t.as_path;
-           path_len = t.path_len + times;
+           as_path = asn :: t.as_path;
+           path_len = t.path_len + 1;
            path_hash;
            next_hop;
            local_pref = default_local_pref;
@@ -403,8 +377,7 @@ let origin_as t =
 let neighbor_as t = match t.as_path with [] -> None | first :: _ -> Some first
 
 (* Restamping keeps the wire-visible content, so the variant is found on
-   [t]'s probe run by [t.wire_id] alone: no path or community comparison
-   on import. *)
+   [t]'s probe run by [t.wire_id] alone: no path comparison on import. *)
 let with_local_pref t lp =
   if lp = t.local_pref then t
   else
@@ -419,14 +392,6 @@ let with_local_pref t lp =
 
 let with_next_hop t nh =
   if Net.Ipv4.equal_addr nh t.next_hop then t else intern { t with next_hop = nh }
-
-let with_med t med = if med = t.med then t else intern { t with med }
-
-let add_community t c =
-  if Community.Set.mem c t.communities then t
-  else intern { t with communities = Community.Set.add c t.communities }
-
-let has_community t c = Community.Set.mem c t.communities
 
 let equal a b = a == b
 

@@ -5,15 +5,12 @@ type origin = Igp | Egp | Incomplete
 val origin_rank : origin -> int
 (** Decision-process rank: IGP < EGP < Incomplete. *)
 
-val origin_to_string : origin -> string
-
 type t = private {
   as_path : Net.Asn.t list;  (** leftmost = most recently traversed AS *)
   next_hop : Net.Ipv4.addr;
   local_pref : int;
   med : int;
   origin : origin;
-  communities : Community.Set.t;
   path_len : int;  (** cached [List.length as_path] *)
   path_hash : int;  (** hash of [as_path], extended by each prepend *)
   wire_id : int;  (** canonical id of the wire-visible attrs (domain-local) *)
@@ -40,7 +37,6 @@ val make :
   ?local_pref:int ->
   ?med:int ->
   ?origin:origin ->
-  ?communities:Community.Set.t ->
   next_hop:Net.Ipv4.addr ->
   unit ->
   t
@@ -54,11 +50,11 @@ val path_contains : t -> Net.Asn.t -> bool
 val prepend : t -> Net.Asn.t -> t
 (** Prepend an ASN (what an eBGP speaker does on export). *)
 
-val exported : t -> asn:Net.Asn.t -> times:int -> next_hop:Net.Ipv4.addr -> t
+val exported : t -> asn:Net.Asn.t -> next_hop:Net.Ipv4.addr -> t
 (** What an eBGP speaker advertises for a route carrying [t]: [asn]
-    prepended [times] times, [next_hop] its own, local-pref back to
-    {!default_local_pref}.  One intern; physically equal to [times]
-    {!prepend}s, then {!with_next_hop}, then {!with_local_pref}. *)
+    prepended, [next_hop] its own, local-pref back to
+    {!default_local_pref}.  One intern; physically equal to {!prepend},
+    then {!with_next_hop}, then {!with_local_pref}. *)
 
 val origin_as : t -> Net.Asn.t option
 (** Rightmost (originating) AS of the path. *)
@@ -71,12 +67,6 @@ val with_local_pref : t -> int -> t
     paths (the import path stamps every received route). *)
 
 val with_next_hop : t -> Net.Ipv4.addr -> t
-
-val with_med : t -> int -> t
-
-val add_community : t -> Community.t -> t
-
-val has_community : t -> Community.t -> bool
 
 val equal : t -> t -> bool
 (** Full structural equality — O(1) thanks to interning. *)

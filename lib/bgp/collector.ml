@@ -18,7 +18,6 @@ type t = {
   sim : Engine.Sim.t;
   node : Engine.Node.t;
   asn : Net.Asn.t;
-  node_id : int;
   router_id : Net.Ipv4.addr;
   send_raw : dst:int -> Message.t -> bool;
   peer_of_node : (int, Net.Asn.t) Hashtbl.t;
@@ -26,17 +25,15 @@ type t = {
   mutable events : event list; (* newest first; empty under Counts_only *)
   mutable event_count : int;
   last_by_prefix : Engine.Time.t Tbl.t;
-  mutable last_time : Engine.Time.t; (* meaningful while [event_count > 0] *)
 }
 
-let create ?(retention = Full) ~sim ~asn ~node_id ~router_id ~send () =
+let create ?(retention = Full) ~sim ~asn ~router_id ~send () =
   let node = Engine.Node.create ~kind:"collector" sim ~name:"collector" in
   let t =
     {
       sim;
       node;
       asn;
-      node_id;
       router_id;
       send_raw = send;
       peer_of_node = Hashtbl.create 16;
@@ -44,7 +41,6 @@ let create ?(retention = Full) ~sim ~asn ~node_id ~router_id ~send () =
       events = [];
       event_count = 0;
       last_by_prefix = Tbl.create ();
-      last_time = Engine.Time.zero;
     }
   in
   (* A crashed collector loses its event log — the monitoring feed has a
@@ -56,11 +52,7 @@ let create ?(retention = Full) ~sim ~asn ~node_id ~router_id ~send () =
   Engine.Node.start node;
   t
 
-let asn t = t.asn
-
 let node t = t.node
-
-let node_id t = t.node_id
 
 let add_peer t ~peer_asn ~peer_node = Hashtbl.replace t.peer_of_node peer_node peer_asn
 
@@ -68,7 +60,6 @@ let add_peer t ~peer_asn ~peer_node = Hashtbl.replace t.peer_of_node peer_node p
    per prefix beyond its last-update slot. *)
 let stamp t prefix time =
   Tbl.set prefix time t.last_by_prefix;
-  t.last_time <- time;
   t.event_count <- t.event_count + 1
 
 let rec record_withdrawn t peer time = function
@@ -111,19 +102,7 @@ let events t = List.rev t.events
 
 let event_count t = t.event_count
 
-let events_for t prefix =
-  List.filter (fun e -> Net.Ipv4.equal_prefix e.prefix prefix) (events t)
-
-let last_update_time t = if t.event_count = 0 then None else Some t.last_time
-
-let last_update_for t prefix = Tbl.find prefix t.last_by_prefix
-
 let last_updates t = Tbl.entries t.last_by_prefix
-
-let clear t =
-  t.events <- [];
-  t.event_count <- 0;
-  Tbl.clear t.last_by_prefix
 
 (* --- Dump format (MRT-inspired text) ----------------------------------
 
@@ -208,12 +187,3 @@ let rate_buckets ?(bucket = Engine.Time.sec 1) t =
     (events t);
   Hashtbl.fold (fun b count acc -> (Engine.Time.of_us (b * bucket_us), count) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> Engine.Time.compare a b)
-
-let pp_event ppf e =
-  match e.action with
-  | Announce attrs ->
-    Fmt.pf ppf "%a %a announce %a [%a]" Engine.Time.pp e.time Net.Asn.pp e.peer
-      Net.Ipv4.pp_prefix e.prefix Attrs.pp_path (Attrs.as_path attrs)
-  | Withdraw ->
-    Fmt.pf ppf "%a %a withdraw %a" Engine.Time.pp e.time Net.Asn.pp e.peer Net.Ipv4.pp_prefix
-      e.prefix

@@ -18,20 +18,15 @@ val create :
   ?retention:retention ->
   sim:Engine.Sim.t ->
   asn:Net.Asn.t ->
-  node_id:int ->
   router_id:Net.Ipv4.addr ->
   send:(dst:int -> Message.t -> bool) ->
   unit ->
   t
 (** [retention] defaults to [Full]. *)
 
-val asn : t -> Net.Asn.t
-
 val node : t -> Engine.Node.t
 (** The runtime node; a crash loses the event log (a real collector
     outage leaves the same gap in the monitoring feed). *)
-
-val node_id : t -> int
 
 val add_peer : t -> peer_asn:Net.Asn.t -> peer_node:int -> unit
 
@@ -43,17 +38,9 @@ val events : t -> event list
 
 val event_count : t -> int
 
-val events_for : t -> Net.Ipv4.prefix -> event list
-
-val last_update_time : t -> Engine.Time.t option
-
-val last_update_for : t -> Net.Ipv4.prefix -> Engine.Time.t option
-
 val last_updates : t -> (Net.Ipv4.prefix * Engine.Time.t) list
 (** Per-prefix most recent update instant, ascending by prefix.
     Maintained under every retention mode. *)
-
-val clear : t -> unit
 
 val dump : t -> string
 (** MRT-inspired text dump:
@@ -64,5 +51,3 @@ val parse_dump : string -> (event list, string) result
 
 val rate_buckets : ?bucket:Engine.Time.span -> t -> (Engine.Time.t * int) list
 (** Update counts per time bucket (default 1 s), sorted by time. *)
-
-val pp_event : Format.formatter -> event -> unit

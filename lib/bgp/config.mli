@@ -22,9 +22,6 @@ type t = {
       (** exponential-backoff retry of unanswered OPENs; off by default *)
 }
 
-val default_keepalive : keepalive
-(** Quagga defaults: 60 s keepalive, 180 s hold. *)
-
 val with_keepalives : ?keepalive:keepalive -> t -> t
 
 val with_reconnect : ?backoff:Session.backoff -> t -> t

@@ -153,8 +153,6 @@ module Loc = struct
 
   let entries t = Tbl.entries t.best
 
-  let prefixes t = Tbl.keys t.best
-
   let size t = Tbl.size t.best
 
   let clear t = Tbl.clear t.best

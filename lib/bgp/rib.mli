@@ -56,8 +56,6 @@ module Loc : sig
 
   val entries : t -> (Net.Ipv4.prefix * Route.t) list
 
-  val prefixes : t -> Net.Ipv4.prefix list
-
   val size : t -> int
 
   val clear : t -> unit

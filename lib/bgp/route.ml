@@ -14,8 +14,6 @@ let attrs t = t.attrs
 
 let source t = t.source
 
-let is_local t = match t.source with Local -> true | Ebgp _ -> false
-
 let from_peer t = match t.source with Local -> None | Ebgp p -> Some p
 
 let pp_source ppf = function

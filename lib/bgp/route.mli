@@ -11,11 +11,7 @@ val attrs : t -> Attrs.t
 
 val source : t -> source
 
-val is_local : t -> bool
-
 val from_peer : t -> Net.Asn.t option
-
-val pp_source : Format.formatter -> source -> unit
 
 val pp : prefix:Net.Ipv4.prefix -> Format.formatter -> t -> unit
 (** [prefix attrs via source]. *)

@@ -71,7 +71,6 @@ type t = {
   loc : Rib.Loc.t;
   originated : Route.t Tbl.t; (* the local routes *)
   mutable busy_until : Engine.Time.t;
-  damping : Damping.t option;
   stats : stats;
   mutable series : series option;
   mutable on_best_change : (Net.Ipv4.prefix -> Route.t option -> unit) array;
@@ -90,8 +89,6 @@ let asn t = t.asn
 let node t = t.node
 
 let node_id t = t.node_id
-
-let router_id t = t.router_id
 
 let stats t = t.stats
 
@@ -197,40 +194,21 @@ let with_batch t f x =
 
 (* --- Decision process and export ------------------------------------- *)
 
-let suppressed t prefix (route : Route.t) =
-  match (t.damping, route.Route.source) with
-  | None, _ | Some _, Route.Local -> false
-  | Some damping, Route.Ebgp peer ->
-    Damping.is_suppressed damping ~peer ~prefix ~now:(Engine.Sim.now t.sim)
-
 (* The index of the most preferred route in [routes.(i..)] and
-   [routes.(best)] ([best] < 0: none yet).  Damping excludes suppressed
-   (peer, prefix) routes from selection; they remain in Adj-RIB-In and
-   return once their penalty decays.  Every route is asked in ascending
-   peer order, since the question can end a suppression. *)
-let rec best_learned t prefix routes i best =
+   [routes.(best)] ([best] < 0: none yet). *)
+let rec best_learned routes i best =
   if i = Array.length routes then best
   else
-    let r = routes.(i) in
-    let best =
-      if (not (suppressed t prefix r)) && (best < 0 || Decision.better r routes.(best)) then i
-      else best
-    in
-    best_learned t prefix routes (i + 1) best
+    let best = if best < 0 || Decision.better routes.(i) routes.(best) then i else best in
+    best_learned routes (i + 1) best
 
 let candidates t prefix =
-  let learned =
-    List.filter (fun r -> not (suppressed t prefix r)) (Rib.Adj_in.candidates t.adj_in prefix)
-  in
+  let learned = Rib.Adj_in.candidates t.adj_in prefix in
   match Tbl.find prefix t.originated with Some r -> r :: learned | None -> learned
-
-let damping_state t = t.damping
 
 let best t prefix = Rib.Loc.find t.loc prefix
 
 let loc_entries t = Rib.Loc.entries t.loc
-
-let originated_prefixes t = Tbl.keys t.originated
 
 (* The provenance of a route, as one of [Policy]'s shared values. *)
 let provenance t (route : Route.t) =
@@ -241,27 +219,25 @@ let provenance t (route : Route.t) =
     let i = search peers q 0 (Array.length peers) in
     Policy.learned_from
       (if i < Array.length peers && Net.Asn.equal peers.(i).peer_asn q then
-         Policy.relationship peers.(i).policy
+         peers.(i).policy
        else Policy.Unrestricted)
 
 (* Whether [peer] may be told of [route]: not its own route back, no loop
    in its path, and its export policy agrees. *)
-let may_export peer prefix (route : Route.t) provenance =
+let may_export peer (route : Route.t) provenance =
   (match route.Route.source with
   | Route.Ebgp q -> not (Net.Asn.equal q peer.peer_asn)
   | Route.Local -> true)
   && (not (Attrs.path_contains route.Route.attrs peer.peer_asn))
-  && Policy.exports peer.policy ~provenance ~prefix route.Route.attrs
+  && Policy.export_allowed ~to_rel:peer.policy ~provenance
 
-let exported t attrs peer =
-  Attrs.exported attrs ~asn:t.asn ~times:(1 + Policy.export_prepend peer.policy)
-    ~next_hop:t.router_id
+let exported t attrs = Attrs.exported attrs ~asn:t.asn ~next_hop:t.router_id
 
 (* Deduplication against the Adj-RIB-Out happens inside [Mrai].  The
-   exported attrs are built only for peers that take the route, and once
-   for all peers without extra prepends: [plain] holds the route's own
-   attrs until then, which no exported value can be (export prepends our
-   ASN and sets our next hop). *)
+   exported attrs are built once, for the first peer that takes the
+   route: [plain] holds the route's own attrs until then, which no
+   exported value can be (export prepends our ASN and sets our next
+   hop). *)
 let export_all_peers t prefix best =
   let peers = peers t in
   match best with
@@ -276,15 +252,9 @@ let export_all_peers t prefix best =
     for i = 0 to Array.length peers - 1 do
       let peer = peers.(i) in
       if Session.is_established peer.session then
-        if may_export peer prefix route provenance then begin
-          let attrs =
-            if Policy.export_prepend peer.policy > 0 then exported t own peer
-            else begin
-              if !plain == own then plain := exported t own peer;
-              !plain
-            end
-          in
-          Mrai.announce peer.mrai prefix attrs
+        if may_export peer route provenance then begin
+          if !plain == own then plain := exported t own;
+          Mrai.announce peer.mrai prefix !plain
         end
         else Mrai.withdraw peer.mrai prefix
     done
@@ -307,7 +277,7 @@ let install t prefix route =
 let run_decision t prefix =
   t.stats.decision_runs <- t.stats.decision_runs + 1;
   let learned = Rib.Adj_in.routes t.adj_in prefix in
-  let i = best_learned t prefix learned 0 (-1) in
+  let i = best_learned learned 0 (-1) in
   match Tbl.slot t.originated (Net.Ipv4.prefix_to_packed prefix) with
   | -1 ->
     if i >= 0 then install t prefix learned.(i)
@@ -321,11 +291,8 @@ let run_decisions t prefixes = List.iter (run_decision t) prefixes
 
 (* --- Origination ------------------------------------------------------ *)
 
-let originate ?(med = 0) ?(origin = Attrs.Igp) ?(communities = Community.Set.empty) t prefix =
-  let attrs =
-    Attrs.make ~as_path:[] ~med ~origin ~communities ~next_hop:t.router_id ()
-  in
-  let route = Route.make ~attrs ~source:Route.Local in
+let originate t prefix =
+  let route = Route.make ~attrs:(Attrs.make ~next_hop:t.router_id ()) ~source:Route.Local in
   Tbl.set prefix route t.originated;
   with_batch t run_decision prefix
 
@@ -341,8 +308,8 @@ let withdraw_origin t prefix =
 let sync_peer t peer =
   List.iter
     (fun (prefix, route) ->
-      if may_export peer prefix route (provenance t route) then
-        Mrai.announce peer.mrai prefix (exported t route.Route.attrs peer)
+      if may_export peer route (provenance t route) then
+        Mrai.announce peer.mrai prefix (exported t route.Route.attrs)
       else Mrai.withdraw peer.mrai prefix)
     (Rib.Loc.entries t.loc)
 
@@ -432,22 +399,6 @@ let start t = Array.iter (fun p -> open_session t p.peer_asn) (peers t)
 
 (* --- Inbound processing ------------------------------------------------ *)
 
-(* Flap bookkeeping: penalize the (peer, prefix) pair and, when it gets
-   suppressed, schedule a re-decision at its reuse time. *)
-let note_flap t peer_asn prefix event =
-  match t.damping with
-  | None -> ()
-  | Some damping -> (
-    let now = Engine.Sim.now t.sim in
-    match Damping.record damping ~peer:peer_asn ~prefix ~now event with
-    | `Ok -> ()
-    | `Suppressed_until reuse_at ->
-      (* a hair past the reuse instant so the decayed penalty is safely
-         at-or-below the threshold despite floating-point rounding *)
-      let recheck = Engine.Time.add reuse_at (Engine.Time.ms 10) in
-      Engine.Node.schedule_at ~category:"bgp.damping" t.node recheck (fun () ->
-          with_batch t run_decision prefix))
-
 (* The prefixes an UPDATE affects, each once, in first-affected order:
    one scratch per domain, reused by every router's UPDATEs.  A mark
    counts only for the generation that set it, and each UPDATE starts a
@@ -492,40 +443,20 @@ let mark s prefix =
 let rec apply_withdrawn t peer s = function
   | [] -> ()
   | prefix :: rest ->
-    if Rib.Adj_in.remove t.adj_in ~peer:peer.peer_asn prefix then begin
-      note_flap t peer.peer_asn prefix Damping.Withdrawal;
-      mark s prefix
-    end;
+    if Rib.Adj_in.remove t.adj_in ~peer:peer.peer_asn prefix then mark s prefix;
     apply_withdrawn t peer s rest
-
-(* Flap bookkeeping of an accepted announcement, before it replaces the
-   peer's previous route. *)
-let note_announcement t damping peer prefix attrs =
-  match Rib.Adj_in.find t.adj_in ~peer:peer.peer_asn prefix with
-  | Some old ->
-    if not (Attrs.wire_equal (Route.attrs old) attrs) then
-      note_flap t peer.peer_asn prefix Damping.Attribute_change
-  | None ->
-    (* Re-advertisement after a withdrawal leaves a decaying penalty
-       behind; a first-ever announcement does not. *)
-    if
-      Damping.current_penalty damping ~peer:peer.peer_asn ~prefix ~now:(Engine.Sim.now t.sim)
-      > 0.0
-    then note_flap t peer.peer_asn prefix Damping.Readvertisement
 
 let rec apply_announced t peer s = function
   | [] -> ()
   | (prefix, attrs) :: rest ->
-    if Policy.accepts peer.policy ~me:t.asn ~prefix attrs then begin
+    if not (Attrs.path_contains attrs t.asn) then begin
       let attrs = Policy.import peer.policy attrs in
-      (match t.damping with
-      | None -> ()
-      | Some damping -> note_announcement t damping peer prefix attrs);
       Rib.Adj_in.set t.adj_in prefix (Route.make ~attrs ~source:peer.source);
       mark s prefix
     end
     else if
-      (* Policy rejection implicitly withdraws any previous route. *)
+      (* An AS-path loop rejection implicitly withdraws any previous
+         route. *)
       Rib.Adj_in.remove t.adj_in ~peer:peer.peer_asn prefix
     then mark s prefix;
     apply_announced t peer s rest
@@ -675,7 +606,7 @@ let collect t =
 let hold_expired_node t node =
   with_peer_of_node t node (fun t peer () -> hold_expired t peer.peer_asn) ()
 
-let create ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
+let create ~sim ~asn ~node_id ~router_id ~config ~send () =
   (* The split from the root stream happens exactly where it always did,
      keeping every later subsystem's draws byte-identical. *)
   let rng = Engine.Rng.split (Engine.Sim.rng sim) in
@@ -702,7 +633,6 @@ let create ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
   in
   let t =
     {
-      damping = Option.map Damping.create damping;
       sim;
       node;
       rng;

@@ -22,7 +22,6 @@ type stats = {
 type t
 
 val create :
-  ?damping:Damping.config ->
   sim:Engine.Sim.t ->
   asn:Net.Asn.t ->
   node_id:int ->
@@ -32,9 +31,7 @@ val create :
   unit ->
   t
 (** [send] delivers a message to a fabric node (wired to Netsim by the
-    framework); [damping] enables RFC 2439 route-flap damping. *)
-
-val damping_state : t -> Damping.t option
+    framework). *)
 
 val name : t -> string
 
@@ -47,8 +44,6 @@ val node : t -> Engine.Node.t
     and re-opens every session with a NOTIFICATION-then-OPEN exchange. *)
 
 val node_id : t -> int
-
-val router_id : t -> Net.Ipv4.addr
 
 val stats : t -> stats
 
@@ -83,8 +78,7 @@ val session_down : t -> Net.Asn.t -> unit
 val handle_message : t -> from:int -> Message.t -> unit
 (** Fabric delivery entry point ([from] is the sender's node id). *)
 
-val originate :
-  ?med:int -> ?origin:Attrs.origin -> ?communities:Community.Set.t -> t -> Net.Ipv4.prefix -> unit
+val originate : t -> Net.Ipv4.prefix -> unit
 
 val withdraw_origin : t -> Net.Ipv4.prefix -> unit
 
@@ -93,8 +87,6 @@ val best : t -> Net.Ipv4.prefix -> Route.t option
 val candidates : t -> Net.Ipv4.prefix -> Route.t list
 
 val loc_entries : t -> (Net.Ipv4.prefix * Route.t) list
-
-val originated_prefixes : t -> Net.Ipv4.prefix list
 
 val adj_in_find : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> Route.t option
 

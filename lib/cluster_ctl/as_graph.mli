@@ -68,6 +68,4 @@ val naive_compute :
     loops through the legacy world (demonstrated in the test suite);
     exists for comparison only. *)
 
-val pp_hop : Format.formatter -> hop -> unit
-
 val pp_decision : Format.formatter -> decision -> unit

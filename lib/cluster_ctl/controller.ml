@@ -157,7 +157,7 @@ let begin_sync t = t.sync_gen <- t.sync_gen + 1
    map: the member's centrally selected route with its own ASN prepended
    (AS identity preserved), filtered by loop check, by not-back-to-exit,
    and by the session's export policy. *)
-let announcement t s prefix decision_map =
+let announcement t s decision_map =
   let member = Speaker.session_member s and neighbor = Speaker.session_neighbor s in
   let i = member_slot t member in
   if i < 0 then None
@@ -176,32 +176,28 @@ let announcement t s prefix decision_map =
         | As_graph.Bridge { via_neighbor; _ } -> Net.Asn.equal via_neighbor neighbor
         | As_graph.Deliver_local | As_graph.Intra _ -> false
       in
-      if back_to_exit || Net.Asn.equal neighbor member || path_mem neighbor d.As_graph.as_path
+      if
+        back_to_exit || Net.Asn.equal neighbor member
+        || path_mem neighbor d.As_graph.as_path
+        || not
+             (Bgp.Policy.export_allowed ~to_rel:(Speaker.session_policy s)
+                ~provenance:d.As_graph.provenance)
       then None
-      else begin
-        let cached =
-          match t.sync_attrs.(i) with
-          | Some _ as cached -> cached
-          | None ->
-            let cached =
-              Some
-                (Bgp.Attrs.make ~as_path:(member :: d.As_graph.as_path)
-                   ~next_hop:(t.addr_of_member member) ())
-            in
-            t.sync_attrs.(i) <- cached;
-            cached
-        in
-        match cached with
-        | Some attrs
-          when Bgp.Policy.exports (Speaker.session_policy s) ~provenance:d.As_graph.provenance
-                 ~prefix attrs ->
+      else
+        match t.sync_attrs.(i) with
+        | Some _ as cached -> cached
+        | None ->
+          let cached =
+            Some
+              (Bgp.Attrs.make ~as_path:(member :: d.As_graph.as_path)
+                 ~next_hop:(t.addr_of_member member) ())
+          in
+          t.sync_attrs.(i) <- cached;
           cached
-        | Some _ | None -> None
-      end
   end
 
 let sync_session t s prefix decision_map =
-  match announcement t s prefix decision_map with
+  match announcement t s decision_map with
   | Some attrs ->
     t.stats.announces <- t.stats.announces + 1;
     Engine.Metrics.Counter.inc t.tm.announce_c;
@@ -346,14 +342,9 @@ let on_external_update t s (u : Bgp.Message.update) =
     u.Bgp.Message.withdrawn;
   List.iter
     (fun (prefix, attrs) ->
-      if Bgp.Policy.accepts policy ~me:member ~prefix attrs then
+      if not (Bgp.Attrs.path_contains attrs member) then
         upsert_route t prefix
-          {
-            As_graph.member;
-            neighbor;
-            attrs = Bgp.Policy.import policy attrs;
-            rel = Bgp.Policy.relationship policy;
-          }
+          { As_graph.member; neighbor; attrs = Bgp.Policy.import policy attrs; rel = policy }
       else remove_route t prefix ~member ~neighbor;
       mark_dirty t prefix)
     u.Bgp.Message.announced

@@ -50,8 +50,6 @@ let create ~sim ~delay ~callback =
   self := Some t;
   t
 
-let delay t = t.delay
-
 let mark_dirty t prefix =
   t.marks <- t.marks + 1;
   t.dirty <- Net.Ipv4.Prefix_set.add prefix t.dirty;
@@ -59,8 +57,6 @@ let mark_dirty t prefix =
   else if Engine.Timer.is_armed t.timer then
     Engine.Metrics.Counter.inc t.coalesced_c
   else Engine.Timer.start_if_idle t.timer t.delay
-
-let mark_dirty_many t prefixes = List.iter (mark_dirty t) prefixes
 
 let flush_now t =
   Engine.Timer.cancel t.timer;

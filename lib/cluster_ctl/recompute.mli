@@ -9,11 +9,7 @@ val create :
   callback:(Net.Ipv4.prefix list -> unit) ->
   t
 
-val delay : t -> Engine.Time.span
-
 val mark_dirty : t -> Net.Ipv4.prefix -> unit
-
-val mark_dirty_many : t -> Net.Ipv4.prefix list -> unit
 
 val flush_now : t -> unit
 (** Recompute everything dirty immediately (cancels the pending timer). *)

@@ -34,7 +34,6 @@ module Iplane = Topology.Iplane
 module Random_models = Topology.Random_models
 
 module Bgp_attrs = Bgp.Attrs
-module Bgp_damping = Bgp.Damping
 module Bgp_route = Bgp.Route
 module Bgp_policy = Bgp.Policy
 module Bgp_decision = Bgp.Decision

@@ -41,7 +41,6 @@ end
 (** {1 BGP} *)
 
 module Bgp_attrs = Bgp.Attrs
-module Bgp_damping = Bgp.Damping
 module Bgp_route = Bgp.Route
 module Bgp_policy = Bgp.Policy
 module Bgp_decision = Bgp.Decision

@@ -245,8 +245,7 @@ type bucket =
 let bucket_of_category = function
   | "net.deliver" | "link" | "data" -> Propagation
   | "bgp.mrai" -> Mrai_hold
-  | "bgp.liveness" | "bgp.reconnect" | "bgp.damping" | "speaker.liveness"
-  | "sdn.liveness" ->
+  | "bgp.liveness" | "bgp.reconnect" | "speaker.liveness" | "sdn.liveness" ->
       Session_backoff
   | "ctrl.recompute" | "ctrl.update" | "controller" -> Recompute
   | "flow.install" | "flow.remove" | "sdn.timeout" | "switch" -> Flow_install

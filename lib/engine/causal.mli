@@ -113,13 +113,11 @@ val with_span :
 type bucket =
   | Propagation  (** link/fabric delivery delay *)
   | Mrai_hold  (** MRAI batching holds *)
-  | Session_backoff  (** liveness detection, reconnect backoff, damping *)
+  | Session_backoff  (** liveness detection, reconnect backoff *)
   | Recompute  (** controller recomputation batches *)
   | Flow_install  (** switch-side rule installs/removals and timeouts *)
   | Mailbox  (** node mailbox hops and serialized processing delay *)
   | Other
-
-val bucket_of_category : string -> bucket
 
 val bucket_to_string : bucket -> string
 

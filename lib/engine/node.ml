@@ -48,16 +48,9 @@ let create ?(kind = "node") sim ~name =
 
 let sim t = t.sim
 let name t = t.name
-let kind t = t.kind
-let lifecycle t = t.lifecycle
 let is_up t = t.lifecycle = Up
 let epoch t = t.epoch
 let crashes t = t.crashes
-
-let pp_lifecycle fmt = function
-  | Created -> Format.pp_print_string fmt "created"
-  | Up -> Format.pp_print_string fmt "up"
-  | Down -> Format.pp_print_string fmt "down"
 
 (* Lazily registered so crash-free runs export unchanged metrics. *)
 let bump_lifecycle_counter t transition =

@@ -29,10 +29,6 @@ val sim : t -> Sim.t
 
 val name : t -> string
 
-val kind : t -> string
-
-val lifecycle : t -> lifecycle
-
 val is_up : t -> bool
 
 val epoch : t -> int
@@ -64,9 +60,6 @@ val restart : t -> unit
 val timer : ?category:string -> t -> callback:(unit -> unit) -> Timer.t
 (** Create a timer owned by this node (cancelled on crash). *)
 
-val own_timer : t -> Timer.t -> unit
-(** Adopt an externally created timer. *)
-
 (** {1 Epoch-guarded scheduling} *)
 
 val schedule_after : ?category:string -> t -> Time.span -> (unit -> unit) -> unit
@@ -90,5 +83,3 @@ val deliver : 'msg port -> from:int -> 'msg -> bool
     and leaves the node accepting the next delivery. *)
 
 val crashes : t -> int
-
-val pp_lifecycle : Format.formatter -> lifecycle -> unit

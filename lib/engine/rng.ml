@@ -60,11 +60,6 @@ let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let chance t p = float t 1.0 < p
 
-let exponential t ~mean =
-  let u = float t 1.0 in
-  let u = if u <= 0.0 then epsilon_float else u in
-  -.mean *. log u
-
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | l -> List.nth l (int t (List.length l))

@@ -24,9 +24,6 @@ val next_int64 : t -> int64
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [\[0, bound)]. *)
 
-val uniform : t -> float -> float -> float
-(** [uniform t lo hi] draws uniformly from [\[lo, hi)]. *)
-
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [\[0, bound)], without modulo bias. *)
 
@@ -37,8 +34,6 @@ val bool : t -> bool
 
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p]. *)
-
-val exponential : t -> mean:float -> float
 
 val pick : t -> 'a list -> 'a
 (** Uniform choice from a non-empty list. *)

@@ -13,7 +13,6 @@ type t = {
   sim : Sim.t;
   interval : Time.span;
   on_sample : Metrics.snapshot -> unit;
-  mutable ticks : int;
   mutable dormant : bool;
   mutable stopped : bool;
 }
@@ -22,7 +21,6 @@ let category = "telemetry.sample"
 
 let rec tick t () =
   if not t.stopped then begin
-    t.ticks <- t.ticks + 1;
     t.on_sample (Metrics.snapshot (Sim.metrics t.sim) ~at:(Sim.now t.sim));
     (* Our own event has been popped already: pending > 0 means real work
        remains, so the timeline should keep sampling. *)
@@ -34,7 +32,7 @@ and arm t = ignore (Sim.schedule_after ~category t.sim t.interval (tick t))
 let start sim ~interval ~on_sample =
   if Time.to_us interval <= 0 then
     invalid_arg "Sampler.start: interval must be positive";
-  let t = { sim; interval; on_sample; ticks = 0; dormant = false; stopped = false } in
+  let t = { sim; interval; on_sample; dormant = false; stopped = false } in
   Sim.on_wake sim (fun () ->
       if (not t.stopped) && t.dormant then begin
         t.dormant <- false;
@@ -44,5 +42,3 @@ let start sim ~interval ~on_sample =
   t
 
 let stop t = t.stopped <- true
-
-let ticks t = t.ticks

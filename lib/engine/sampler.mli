@@ -16,6 +16,3 @@ val start : Sim.t -> interval:Time.span -> on_sample:(Metrics.snapshot -> unit) 
 
 val stop : t -> unit
 (** Permanently disable further ticks. *)
-
-val ticks : t -> int
-(** Samples delivered so far. *)

@@ -111,8 +111,6 @@ let executed t = t.executed
 
 let set_profiling t flag = t.profiling <- flag
 
-let profiling t = t.profiling
-
 let profile t =
   Array.fold_left
     (fun acc c ->

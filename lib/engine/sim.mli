@@ -93,8 +93,6 @@ val run : ?until:Time.t -> ?max_events:int -> t -> run_result
 val set_profiling : t -> bool -> unit
 (** Off at creation; the only switch for the wall-clock profile. *)
 
-val profiling : t -> bool
-
 type profile_row = { category : string; events : int; seconds : float }
 
 val profile : t -> profile_row list

@@ -60,10 +60,6 @@ let boxplot l =
     stddev = stddev l;
   }
 
-let pp_boxplot ppf b =
-  Fmt.pf ppf "n=%d min=%.2f q1=%.2f med=%.2f q3=%.2f max=%.2f mean=%.2f sd=%.2f"
-    b.n b.minimum b.q1 b.median b.q3 b.maximum b.mean b.stddev
-
 (* Least-squares fit y = a + b*x; used to check Fig. 2's "linear
    reduction" claim programmatically. *)
 let linear_fit pts =
@@ -117,8 +113,6 @@ module Running = struct
   let mean t = if t.n = 0 then nan else t.mean
 
   let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-
-  let stddev t = sqrt (variance t)
 
   let minimum t = if t.n = 0 then nan else t.minimum
 

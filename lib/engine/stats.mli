@@ -25,8 +25,6 @@ val median : float list -> float
 val boxplot : float list -> boxplot
 (** @raise Invalid_argument on an empty sample. *)
 
-val pp_boxplot : Format.formatter -> boxplot -> unit
-
 val linear_fit : (float * float) list -> float * float
 (** [linear_fit pts] is [(intercept, slope)] of the least-squares line. *)
 
@@ -46,8 +44,6 @@ module Running : sig
   val mean : t -> float
 
   val variance : t -> float
-
-  val stddev : t -> float
 
   val minimum : t -> float
 

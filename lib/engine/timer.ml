@@ -8,10 +8,9 @@ type t = {
   category : string;
   callback : unit -> unit;
   mutable armed : Sim.handle option;
-  mutable fires : int;
 }
 
-let create ?(category = "timer") sim ~callback = { sim; category; callback; armed = None; fires = 0 }
+let create ?(category = "timer") sim ~callback = { sim; category; callback; armed = None }
 
 let is_armed t =
   match t.armed with
@@ -24,7 +23,6 @@ let cancel t =
 
 let fire t () =
   t.armed <- None;
-  t.fires <- t.fires + 1;
   t.callback ()
 
 let start t span =
@@ -32,5 +30,3 @@ let start t span =
   t.armed <- Some (Sim.schedule_after ~category:t.category t.sim span (fire t))
 
 let start_if_idle t span = if not (is_armed t) then start t span
-
-let fires t = t.fires

@@ -16,6 +16,3 @@ val start_if_idle : t -> Time.span -> unit
 val cancel : t -> unit
 
 val is_armed : t -> bool
-
-val fires : t -> int
-(** Number of times the timer has fired. *)

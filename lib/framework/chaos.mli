@@ -33,8 +33,6 @@ val generate : spec:Topology.Spec.t -> rng:Engine.Rng.t -> int -> schedule
 
 type violation = { invariant : string; detail : string }
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val check_invariants : Network.t -> violation list
 (** Interrogate a (quiescent) network: no flow rule pointing at a
     crashed node or down link, RIB contents consistent with session FSM
@@ -44,9 +42,6 @@ val check_invariants : Network.t -> violation list
 val render_state : Network.t -> string
 (** The deterministic control/data-plane rendering behind
     {!state_digest} (no wall-clock fields, no traffic counters). *)
-
-val state_digest : Network.t -> string
-(** MD5 hex digest of {!render_state}. *)
 
 (* --- Execution --- *)
 
@@ -65,10 +60,6 @@ val execute :
 (** Run one schedule: build the network ({!Config.failure_test}; with
     [~fallback:false] the switches' legacy fallback is disabled),
     converge, inject, heal, wait for quiet, check invariants. *)
-
-val run_one : ?fallback:bool -> ?spec:Topology.Spec.t -> seed:int -> int -> run_result
-(** [run_one ~seed i] generates schedule [i] of the campaign and
-    {!execute}s it. *)
 
 val minimize : ?fallback:bool -> ?spec:Topology.Spec.t -> seed:int -> schedule -> schedule
 (** Greedily drop faults while the schedule still produces a violation:

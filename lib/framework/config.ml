@@ -3,7 +3,6 @@
 
 type t = {
   bgp : Bgp.Config.t;
-  damping : Bgp.Damping.config option; (* RFC 2439 flap damping on legacy routers *)
   controller : Cluster_ctl.Controller.config;
   speaker_mrai : Bgp.Config.t option;
       (* pace the cluster speaker's announcements like a normal BGP
@@ -30,7 +29,6 @@ type t = {
 let default =
   {
     bgp = Bgp.Config.default;
-    damping = None;
     controller = Cluster_ctl.Controller.default_config;
     speaker_mrai = None;
     speaker_liveness = None;

@@ -2,8 +2,6 @@
 
 type t = {
   bgp : Bgp.Config.t;
-  damping : Bgp.Damping.config option;
-      (** RFC 2439 route-flap damping on legacy routers *)
   controller : Cluster_ctl.Controller.config;
   speaker_mrai : Bgp.Config.t option;
       (** pace the cluster speaker's announcements like a conventional BGP

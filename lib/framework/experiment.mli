@@ -20,9 +20,6 @@ val sim : t -> Engine.Sim.t
 
 val now : t -> Engine.Time.t
 
-val metrics : t -> Engine.Metrics.t
-(** The simulation's metrics registry. *)
-
 val final_metrics : t -> Engine.Metrics.snapshot
 (** The registry frozen at the current simulated instant. *)
 

@@ -353,66 +353,6 @@ let scale_run ?(prefixes = 1000) ?(load_max_events = 20_000_000) ?(clock = Sys.t
   in
   finish withdrawal
 
-(* --- Flap storm / route-flap damping ------------------------------------ *)
-
-type flap_result = {
-  collector_updates_total : int; (* monitoring-plane churn over the storm *)
-  recovery_seconds : float; (* convergence after the final re-announcement *)
-  suppressions_total : int; (* damping suppressions across all routers *)
-  blackholed_after_storm : int; (* routers without the route once quiet *)
-}
-
-(* A flapping origin: [flaps] withdraw/re-announce cycles [gap_s] apart on
-   a clique, with or without RFC 2439 damping at the receivers.  Damping
-   trades churn for availability: suppressed routers stop relaying the
-   flaps but keep blackholing until the penalty decays. *)
-let flap_run ?(n = 8) ?(flaps = 4) ?(gap_s = 45.0) ~damping ~seed ~config () =
-  let config =
-    { config with Config.damping = (if damping then Some Bgp.Damping.default_config else None) }
-  in
-  let spec = Topology.Artificial.clique n in
-  let exp = Experiment.create ~config ~seed spec in
-  let origin = Topology.Artificial.asn 0 in
-  let prefix = announced exp origin in
-  let network = Experiment.network exp in
-  let sim = Experiment.sim exp in
-  let collector = Network.collector network in
-  let updates_before = Bgp.Collector.event_count collector in
-  let gap = Engine.Time.of_sec_f gap_s in
-  let final_event = ref Engine.Time.zero in
-  for i = 1 to flaps do
-    ignore (Experiment.withdraw exp origin);
-    Network.run_until network (Engine.Time.add (Engine.Sim.now sim) gap);
-    final_event := Engine.Sim.now sim;
-    ignore (Experiment.announce exp origin);
-    if i < flaps then Network.run_until network (Engine.Time.add (Engine.Sim.now sim) gap)
-  done;
-  (* the storm is over; measure recovery of the final announcement *)
-  let final_event = !final_event in
-  ignore (Network.settle network);
-  let watcher = Experiment.watcher exp in
-  let recovery_seconds =
-    match Convergence.last_control_change watcher prefix with
-    | Some t when Engine.Time.(t >= final_event) ->
-      Engine.Time.to_sec_f (Engine.Time.diff t final_event)
-    | Some _ | None -> 0.0
-  in
-  let count f = Net.Asn.Map.fold (fun asn r acc -> acc + f asn r) (Network.routers network) 0 in
-  let suppressions_total =
-    count (fun _ r ->
-        match Bgp.Router.damping_state r with Some d -> Bgp.Damping.suppressions d | None -> 0)
-  in
-  let blackholed_after_storm =
-    count (fun asn r ->
-        Bool.to_int ((not (Net.Asn.equal asn origin)) && Bgp.Router.best r prefix = None))
-  in
-  {
-    collector_updates_total = Bgp.Collector.event_count collector - updates_before;
-    recovery_seconds;
-    suppressions_total;
-    blackholed_after_storm;
-  }
-
 (* --- Sub-cluster resilience (design goal: disjoint sub-clusters survive
    intra-cluster link failure via legacy paths) -------------------------- *)
 

@@ -144,25 +144,6 @@ val scale_run :
     throughput figures (default [Sys.time]; pass [Unix.gettimeofday] for
     wall clock). *)
 
-type flap_result = {
-  collector_updates_total : int;
-  recovery_seconds : float;
-  suppressions_total : int;
-  blackholed_after_storm : int;
-}
-
-val flap_run :
-  ?n:int ->
-  ?flaps:int ->
-  ?gap_s:float ->
-  damping:bool ->
-  seed:int ->
-  config:Config.t ->
-  unit ->
-  flap_result
-(** A flapping origin with or without RFC 2439 damping at the receivers:
-    damping trades monitoring-plane churn for recovery latency. *)
-
 type subcluster_result = {
   reachable_before : bool;
   reachable_after_split : bool;

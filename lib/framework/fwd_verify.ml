@@ -39,8 +39,6 @@ let pp_issue ppf i =
 
 let loops r = List.filter (fun i -> i.fate = Net.Dataplane.Looped) r.issues
 
-let blackholes r = List.filter (fun i -> i.fate = Net.Dataplane.Blackholed) r.issues
-
 let path_of dp =
   Array.to_list (Net.Dataplane.last_path dp)
   |> List.map (fun i -> Net.Asn.of_int (Net.Dataplane.asn_at dp i))

@@ -28,8 +28,6 @@ val pp_issue : Format.formatter -> issue -> unit
 
 val loops : report -> issue list
 
-val blackholes : report -> issue list
-
 val verify :
   ?ttl:int ->
   ?snapshot:Net.Dataplane.t ->
@@ -49,8 +47,6 @@ type disagreement = {
 }
 
 val pp_disagreement : Format.formatter -> disagreement -> unit
-
-val fate_of_outcome : Monitor.outcome -> Net.Dataplane.fate
 
 val differential : ?ttl:int -> Network.t -> disagreement list
 (** All pairs where the snapshot's fate differs from {!Monitor.walk}

@@ -75,21 +75,6 @@ let traceroute network ~src ~dst =
   in
   (outcome, annotate [] Engine.Time.span_zero (outcome_path outcome))
 
-let pp_traceroute ppf (outcome, hops) =
-  let status =
-    match outcome with
-    | Delivered _ -> "reached"
-    | Blackhole _ -> "blackhole"
-    | Loop _ -> "loop"
-    | Ttl_exceeded _ -> "ttl exceeded"
-  in
-  List.iteri
-    (fun i { hop; cumulative } ->
-      Fmt.pf ppf "%2d  %a  %.2f ms@." (i + 1) Net.Asn.pp hop
-        (Engine.Time.to_ms_f cumulative))
-    hops;
-  Fmt.pf ppf "-- %s@." status
-
 let pp_outcome ppf o =
   let kind, path =
     match o with

@@ -8,8 +8,6 @@ type outcome =
   | Loop of Net.Asn.t list
   | Ttl_exceeded of Net.Asn.t list
 
-val outcome_path : outcome -> Net.Asn.t list
-
 val is_delivered : outcome -> bool
 
 val walk : ?max_hops:int -> Network.t -> src:Net.Asn.t -> dst_addr:Net.Ipv4.addr -> outcome
@@ -28,7 +26,5 @@ type trace_hop = { hop : Net.Asn.t; cumulative : Engine.Time.span }
 val traceroute :
   Network.t -> src:Net.Asn.t -> dst:Net.Asn.t -> outcome * trace_hop list
 (** The walker annotated with cumulative one-way latency per hop. *)
-
-val pp_traceroute : Format.formatter -> outcome * trace_hop list -> unit
 
 val pp_outcome : Format.formatter -> outcome -> unit

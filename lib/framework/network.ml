@@ -55,8 +55,6 @@ let spec t = t.spec
 
 let plan t = t.plan
 
-let config t = t.config
-
 let collector t = t.collector
 
 let controller t = t.controller
@@ -80,17 +78,6 @@ let runtime_node t asn =
   else if Topology.Spec.mem t.spec asn then
     Net.Netsim.attached_node t.net (Net.Asn.to_int asn)
   else None
-
-(* Every runtime node, fabric id order (controller at [ctrl_node],
-   collector at [collector_node] first), plus the speaker, which has no
-   fabric node of its own (it shares [ctrl_node] with the controller). *)
-let runtime_nodes t =
-  let fabric =
-    List.filter_map (Net.Netsim.attached_node t.net) (Net.Netsim.node_ids t.net)
-  in
-  match t.speaker with
-  | Some sp -> fabric @ [ Cluster_ctl.Speaker.node sp ]
-  | None -> fabric
 
 let asns t = Topology.Spec.asns t.spec
 
@@ -140,8 +127,7 @@ let policy_relationship = function
   | Topology.Spec.Unrestricted -> Bgp.Policy.Unrestricted
 
 (* [neighbor]'s relationship to [me] on spec link [l]. *)
-let link_policy ~me l =
-  Bgp.Policy.make (policy_relationship (Topology.Spec.neighbor_role_of_link ~me l))
+let link_policy ~me l = policy_relationship (Topology.Spec.neighbor_role_of_link ~me l)
 
 (* Runtime-aware relationship lookup: peerings added after construction
    take precedence over (absence in) the spec. *)
@@ -154,8 +140,6 @@ let relationship_for t ~me ~neighbor =
       match Topology.Spec.neighbor_role t.spec ~me ~neighbor with
       | Some role -> policy_relationship role
       | None -> Bgp.Policy.Unrestricted
-
-let policy_for t ~me ~neighbor = Bgp.Policy.make (relationship_for t ~me ~neighbor)
 
 let create ?(config = Config.default) ~seed spec =
   (match Topology.Spec.validate spec with
@@ -198,8 +182,7 @@ let create ?(config = Config.default) ~seed spec =
   (* Collector. *)
   let collector =
     Bgp.Collector.create ~retention:config.Config.collector_retention ~sim
-      ~asn:collector_asn ~node_id:collector_node
-      ~router_id:(Net.Ipv4.addr_of_octets 10 255 255 1)
+      ~asn:collector_asn ~router_id:(Net.Ipv4.addr_of_octets 10 255 255 1)
       ~send:(fun ~dst msg -> send_bgp_via ~src:collector_node ~dst msg)
       ()
   in
@@ -211,7 +194,7 @@ let create ?(config = Config.default) ~seed spec =
         else begin
           let node_id = Net.Asn.to_int asn in
           let router =
-            Bgp.Router.create ?damping:config.Config.damping ~sim ~asn ~node_id
+            Bgp.Router.create ~sim ~asn ~node_id
               ~router_id:(plan.Addressing.router_addr asn) ~config:config.Config.bgp
               ~send:(fun ~dst msg -> send_bgp_via ~src:node_id ~dst msg)
               ()
@@ -229,7 +212,7 @@ let create ?(config = Config.default) ~seed spec =
           Bgp.Router.add_peer router ~peer_asn:neighbor ~peer_node:(Net.Asn.to_int neighbor)
             ~policy:(link_policy ~me:asn l));
       Bgp.Router.add_peer router ~peer_asn:collector_asn ~peer_node:collector_node
-        ~policy:(Bgp.Policy.make Bgp.Policy.Customer);
+        ~policy:Bgp.Policy.Customer;
       Bgp.Collector.add_peer collector ~peer_asn:asn ~peer_node:(Net.Asn.to_int asn))
     routers;
   (* Legacy FIBs driven by Loc-RIB changes. *)
@@ -283,7 +266,7 @@ let create ?(config = Config.default) ~seed spec =
           Cluster_ctl.Speaker.add_session ?mrai_config:config.Config.speaker_mrai speaker
             ~member ~neighbor:collector_asn
             ~member_addr:(plan.Addressing.router_addr member)
-            ~policy:(Bgp.Policy.make Bgp.Policy.Customer);
+            ~policy:Bgp.Policy.Customer;
           Bgp.Collector.add_peer collector ~peer_asn:member ~peer_node:(Net.Asn.to_int member))
         sdn;
       let intra_links =
@@ -443,8 +426,6 @@ let start t =
 
 (* --- Experiment-facing operations -------------------------------------- *)
 
-let role t asn = Topology.Spec.role_of t.spec asn
-
 (* Root a causal span per experiment action so the whole convergence
    fan-out (sessions, MRAI holds, recomputes, flow installs, FIB writes)
    hangs off one tree per action. *)
@@ -592,7 +573,7 @@ let add_peering ?(rel = Topology.Spec.Open) ?delay t a b =
     match Net.Asn.Map.find_opt me t.routers with
     | Some router ->
       Bgp.Router.add_peer router ~peer_asn:other ~peer_node:(Net.Asn.to_int other)
-        ~policy:(Bgp.Policy.make (relationship_for t ~me ~neighbor:other));
+        ~policy:(relationship_for t ~me ~neighbor:other);
       Bgp.Router.open_session router other
     | None -> (
       (* [me] is an SDN member *)
@@ -611,7 +592,7 @@ let add_peering ?(rel = Topology.Spec.Open) ?delay t a b =
           Cluster_ctl.Speaker.add_session ?mrai_config:t.config.Config.speaker_mrai speaker
             ~member:me ~neighbor:other
             ~member_addr:(t.plan.Addressing.router_addr me)
-            ~policy:(policy_for t ~me ~neighbor:other);
+            ~policy:(relationship_for t ~me ~neighbor:other);
           Cluster_ctl.Speaker.open_session speaker ~member:me ~neighbor:other
         | None -> ())
   in

@@ -5,11 +5,6 @@
 
 type t
 
-val ctrl_node : int
-(** Fabric node id hosting the controller + cluster BGP speaker. *)
-
-val collector_node : int
-
 val collector_asn : Net.Asn.t
 
 val create : ?config:Config.t -> seed:int -> Topology.Spec.t -> t
@@ -29,15 +24,9 @@ val runtime_node : t -> Net.Asn.t -> Engine.Node.t option
 (** The runtime node behind an AS (its router or switch) or, for
     {!collector_asn}, the collector. *)
 
-val runtime_nodes : t -> Engine.Node.t list
-(** Every runtime node in fabric-id order, plus the cluster speaker
-    (which shares {!ctrl_node} with the controller). *)
-
 val spec : t -> Topology.Spec.t
 
 val plan : t -> Addressing.plan
-
-val config : t -> Config.t
 
 val collector : t -> Bgp.Collector.t
 
@@ -57,11 +46,7 @@ val sdn_asns : t -> Net.Asn.t list
 
 val legacy_asns : t -> Net.Asn.t list
 
-val role : t -> Net.Asn.t -> Topology.Spec.role
-
 val asn_of_node : t -> int -> Net.Asn.t option
-
-val node_of_asn : t -> Net.Asn.t -> int option
 
 val link_up : t -> Net.Asn.t -> Net.Asn.t -> bool
 

@@ -4,7 +4,3 @@
 type t =
   | Bgp of Bgp.Message.t
   | Openflow of Sdn.Openflow.t
-
-let pp ppf = function
-  | Bgp m -> Fmt.pf ppf "bgp:%a" Bgp.Message.pp m
-  | Openflow m -> Fmt.pf ppf "of:%a" Sdn.Openflow.pp m

@@ -3,5 +3,3 @@
 type t =
   | Bgp of Bgp.Message.t
   | Openflow of Sdn.Openflow.t
-
-val pp : Format.formatter -> t -> unit

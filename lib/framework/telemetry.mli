@@ -14,9 +14,6 @@ val format_of_path : string -> format
 
 type t
 
-val default_interval : Engine.Time.span
-(** One simulated second. *)
-
 val create : ?interval:Engine.Time.span -> sim:Engine.Sim.t -> path:string -> unit -> t
 (** Start sampling [sim]'s registry every [interval] of simulated time.
     Nothing is written until {!finish}. *)

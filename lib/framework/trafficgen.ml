@@ -23,11 +23,6 @@ type schedule =
   | Sampled_pairs of int
   | Per_prefix of int
 
-let pp_schedule ppf = function
-  | All_pairs -> Fmt.string ppf "all-pairs"
-  | Sampled_pairs k -> Fmt.pf ppf "sampled-pairs(%d)" k
-  | Per_prefix k -> Fmt.pf ppf "per-prefix(%d)" k
-
 type epoch = {
   at : Engine.Time.t;
   injected : int;
@@ -40,11 +35,6 @@ type epoch = {
 let epoch_lost e = e.blackholed + e.looped + e.ttl_expired
 
 let loss_ratio e = if e.injected = 0 then 0.0 else float_of_int (epoch_lost e) /. float_of_int e.injected
-
-let pp_epoch ppf e =
-  Fmt.pf ppf "t=%a injected=%d delivered=%d blackhole=%d loop=%d ttl=%d loss=%.4f"
-    Engine.Time.pp e.at e.injected e.delivered e.blackholed e.looped e.ttl_expired
-    (loss_ratio e)
 
 type t = {
   net : Network.t;
@@ -93,8 +83,6 @@ let create ?(ttl = Net.Packet.default_ttl) ?(seed = 0) ?dsts net schedule =
     delivered_c = None;
     dropped_by = Hashtbl.create 4;
   }
-
-let schedule t = t.schedule
 
 (* --- Metrics (lazy registration, per the switch counter idiom) ---------- *)
 
@@ -209,24 +197,3 @@ let burst ?snapshot t =
   e
 
 let epochs t = List.rev t.epochs
-
-let totals t =
-  List.fold_left
-    (fun acc e ->
-      {
-        at = (if Engine.Time.compare e.at acc.at > 0 then e.at else acc.at);
-        injected = acc.injected + e.injected;
-        delivered = acc.delivered + e.delivered;
-        blackholed = acc.blackholed + e.blackholed;
-        looped = acc.looped + e.looped;
-        ttl_expired = acc.ttl_expired + e.ttl_expired;
-      })
-    {
-      at = Engine.Time.zero;
-      injected = 0;
-      delivered = 0;
-      blackholed = 0;
-      looped = 0;
-      ttl_expired = 0;
-    }
-    t.epochs

@@ -17,8 +17,6 @@ type schedule =
   | Sampled_pairs of int  (** that many seeded random pairs per burst *)
   | Per_prefix of int  (** that many seeded random sources per destination prefix *)
 
-val pp_schedule : Format.formatter -> schedule -> unit
-
 type epoch = {
   at : Engine.Time.t;  (** simulated instant of the burst *)
   injected : int;
@@ -34,8 +32,6 @@ val epoch_lost : epoch -> int
 val loss_ratio : epoch -> float
 (** Lost fraction of the injected probes (0 when none were injected). *)
 
-val pp_epoch : Format.formatter -> epoch -> unit
-
 type t
 
 val create : ?ttl:int -> ?seed:int -> ?dsts:Net.Asn.t list -> Network.t -> schedule -> t
@@ -47,8 +43,6 @@ val create : ?ttl:int -> ?seed:int -> ?dsts:Net.Asn.t list -> Network.t -> sched
     @raise Invalid_argument on a non-positive sample budget or an empty
     destination set. *)
 
-val schedule : t -> schedule
-
 val burst : ?snapshot:Net.Dataplane.t -> t -> epoch
 (** Fire one scheduled burst against the current forwarding state and
     record (and return) its epoch.  [snapshot] reuses an
@@ -57,6 +51,3 @@ val burst : ?snapshot:Net.Dataplane.t -> t -> epoch
 
 val epochs : t -> epoch list
 (** Every recorded epoch, oldest first. *)
-
-val totals : t -> epoch
-(** Sum over all epochs ([at] = the latest burst instant). *)

@@ -12,8 +12,6 @@ let compare = Int.compare
 
 let equal = Int.equal
 
-let hash = Hashtbl.hash
-
 let pp ppf t = Fmt.pf ppf "AS%d" t
 
 let to_string t = "AS" ^ string_of_int t

@@ -11,8 +11,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val hash : t -> int
-
 val pp : Format.formatter -> t -> unit
 (** Renders as ["AS65001"]. *)
 

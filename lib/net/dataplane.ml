@@ -28,8 +28,6 @@
 
 type fate = Delivered | Blackholed | Looped | Ttl_expired
 
-let fate_code = function Delivered -> 0 | Blackholed -> 1 | Looped -> 2 | Ttl_expired -> 3
-
 let fate_of_code = function
   | 0 -> Delivered
   | 1 -> Blackholed
@@ -116,8 +114,6 @@ let create ~asns =
     path_len = 0;
     stamp = 0;
   }
-
-let size t = t.n
 
 let asn_at t i = t.asns.(i)
 

@@ -18,12 +18,6 @@ type t
     (a live packet would continue around it and die of TTL). *)
 type fate = Delivered | Blackholed | Looped | Ttl_expired
 
-val fate_code : fate -> int
-(** Stable int codes 0..3, in declaration order. *)
-
-val fate_of_code : int -> fate
-(** @raise Invalid_argument outside 0..3. *)
-
 val fate_to_string : fate -> string
 (** ["delivered"], ["blackhole"], ["loop"], ["ttl_expired"] — the metric
     label values. *)
@@ -35,8 +29,6 @@ val drop : int
 
 val create : asns:int array -> t
 (** A snapshot over these nodes; dense index = array position. *)
-
-val size : t -> int
 
 val asn_at : t -> int -> int
 (** The AS number at a dense index. *)

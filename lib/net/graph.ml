@@ -27,8 +27,6 @@ type t = {
 let create ?(directed = false) () =
   { adj = Hashtbl.create 64; directed; nedges = 0; version = 0 }
 
-let is_directed t = t.directed
-
 let version t = t.version
 
 let touch t = t.version <- t.version + 1
@@ -140,11 +138,6 @@ let remove_node t v =
     touch t
   end
 
-let clear t =
-  Hashtbl.reset t.adj;
-  t.nedges <- 0;
-  touch t
-
 let edges t =
   let all =
     Hashtbl.fold
@@ -199,9 +192,3 @@ let is_connected t =
   match nodes t with
   | [] -> true
   | v :: _ -> List.length (bfs_reachable t v) = node_count t
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>graph %d nodes %d edges" (node_count t) (edge_count t);
-  List.iter (fun (u, v, w) -> Fmt.pf ppf "@,  %d %s %d (%.1f)" u
-                (if t.directed then "->" else "--") v w) (edges t);
-  Fmt.pf ppf "@]"

@@ -6,16 +6,10 @@ type t
 val create : ?directed:bool -> unit -> t
 (** Undirected by default. *)
 
-val is_directed : t -> bool
-
 val version : t -> int
 (** Monotone structural-mutation counter: bumped by every
-    [add_node]/[add_edge]/[remove_edge]/[remove_node]/[clear] that changes
+    [add_node]/[add_edge]/[remove_edge]/[remove_node] that changes
     the graph.  Cache derived structures keyed on it. *)
-
-val clear : t -> unit
-(** Remove every node and edge (bumps the version); the value stays
-    usable, so scratch graphs can be rebuilt without reallocating. *)
 
 val add_node : t -> int -> unit
 
@@ -32,8 +26,6 @@ val neighbors : t -> int -> (int * float) list
 (** Sorted by neighbor id; empty for unknown nodes. *)
 
 val succ : t -> int -> int list
-
-val degree : t -> int -> int
 
 val weight : t -> int -> int -> float option
 
@@ -52,12 +44,7 @@ val edges : t -> (int * int * float) list
 
 val copy : t -> t
 
-val bfs_reachable : t -> int -> int list
-(** Nodes reachable from [src], sorted, including [src]. *)
-
 val components : t -> int list list
 (** Connected components (undirected view), each sorted. *)
 
 val is_connected : t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -16,8 +16,6 @@ let equal_addr = Int32.equal
 
 let addr_of_int32 i = i
 
-let addr_to_int32 a = a
-
 let addr_of_octets a b c d =
   if a < 0 || a > 255 || b < 0 || b > 255 || c < 0 || c > 255 || d < 0 || d > 255 then
     invalid_arg "Ipv4.addr_of_octets";
@@ -81,8 +79,6 @@ let compare_prefix p q =
 
 let equal_prefix p q = compare_prefix p q = 0
 
-let hash_prefix p = Hashtbl.hash (p.network, p.len)
-
 let mem addr p = Int32.equal (apply_mask addr p.len) p.network
 
 let subsumes ~outer ~inner =
@@ -140,8 +136,6 @@ module Allocator = struct
   let create ~(pool : prefix) ~len =
     if len < pool.len || len > 32 then invalid_arg "Ipv4.Allocator.create";
     { pool; len; next = 0; capacity = 1 lsl (len - pool.len) }
-
-  let allocated t = t.next
 
   let capacity t = t.capacity
 

@@ -12,8 +12,6 @@ val equal_addr : addr -> addr -> bool
 
 val addr_of_int32 : int32 -> addr
 
-val addr_to_int32 : addr -> int32
-
 val addr_of_octets : int -> int -> int -> int -> addr
 
 val octets : addr -> int * int * int * int
@@ -51,8 +49,6 @@ val compare_prefix : prefix -> prefix -> int
 
 val equal_prefix : prefix -> prefix -> bool
 
-val hash_prefix : prefix -> int
-
 val mem : addr -> prefix -> bool
 
 val subsumes : outer:prefix -> inner:prefix -> bool
@@ -70,9 +66,6 @@ val prefix_to_packed : prefix -> int
 
 val prefix_of_packed : int -> prefix
 (** Inverse of {!prefix_to_packed}. *)
-
-val hash_packed : int -> int
-(** A hash of a packed prefix whose low 32 bits are well mixed. *)
 
 val packed_prefix_to_string : int -> string
 (** [packed_prefix_to_string (prefix_to_packed p) = prefix_to_string p]. *)
@@ -97,8 +90,6 @@ module Allocator : sig
 
   val next : t -> prefix
   (** @raise Failure when the pool is exhausted. *)
-
-  val allocated : t -> int
 
   val capacity : t -> int
 end

@@ -94,8 +94,6 @@ let node t id =
   | Some n -> n
   | None -> invalid_arg (Fmt.str "Netsim: unknown node %d" id)
 
-let node_ids t = Itbl.fold (fun id _ acc -> id :: acc) t.nodes [] |> List.sort Int.compare
-
 let attach t id port = (node t id).sink <- Some port
 
 let attached_node t id = Option.map Engine.Node.port_node (node t id).sink

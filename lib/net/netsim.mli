@@ -16,9 +16,6 @@ val create : Engine.Sim.t -> 'a t
 val add_node : 'a t -> id:int -> unit
 (** @raise Invalid_argument on duplicate ids. *)
 
-val node_ids : 'a t -> int list
-(** Sorted ascending. *)
-
 val attach : 'a t -> int -> 'a Engine.Node.port -> unit
 (** Attach an [Engine.Node] port as the node's receiver: deliveries to a
     crashed node are dropped (reason [Node_down]) instead of being handed

@@ -23,21 +23,3 @@ type t =
       direction : relay_direction;
       payload : Bgp.Message.t;
     }
-
-let pp ppf = function
-  | Hello -> Fmt.string ppf "HELLO"
-  | Echo_request { switch_asn } -> Fmt.pf ppf "ECHO_REQUEST %a" Net.Asn.pp switch_asn
-  | Echo_reply -> Fmt.string ppf "ECHO_REPLY"
-  | Resync_done -> Fmt.string ppf "RESYNC_DONE"
-  | Flow_mod { command; rule } ->
-    let cmd = match command with Add -> "add" | Delete -> "del" in
-    Fmt.pf ppf "FLOW_MOD %s %a" cmd Flow.pp rule
-  | Flow_removed { switch_asn; rule } ->
-    Fmt.pf ppf "FLOW_REMOVED %a %a (hard timeout)" Net.Asn.pp switch_asn Flow.pp rule
-  | Port_status { switch_asn; port; up } ->
-    Fmt.pf ppf "PORT_STATUS %a port=%d %s" Net.Asn.pp switch_asn port
-      (if up then "up" else "down")
-  | Bgp_relay { member; neighbor; direction; payload } ->
-    let dir = match direction with To_speaker -> "->speaker" | To_neighbor -> "->neighbor" in
-    Fmt.pf ppf "BGP_RELAY %a/%a %s %a" Net.Asn.pp member Net.Asn.pp neighbor dir
-      Bgp.Message.pp payload

@@ -23,5 +23,3 @@ type t =
       direction : relay_direction;
       payload : Bgp.Message.t;
     }
-
-val pp : Format.formatter -> t -> unit

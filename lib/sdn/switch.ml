@@ -192,8 +192,6 @@ let node_id t = t.node_id
 
 let table t = t.table
 
-let stats t = t.stats
-
 (* Hard-timeout enforcement.  The timer holds the physical rule record,
    so a same-prefix replacement installed later is untouched by the old
    timer. *)

@@ -47,8 +47,6 @@ val node_id : t -> int
 
 val table : t -> Flow_table.t
 
-val stats : t -> stats
-
 val fallback_active : t -> bool
 (** Whether the switch is currently degraded onto its legacy default
     route. *)

@@ -67,22 +67,6 @@ let grid ?(rel = Spec.Open) rows cols =
     ~nodes:(nodes (rows * cols))
     ~links:(List.rev !links)
 
-(* A stub AS dual-homed to two transit ASes that are connected to the rest
-   of a clique: the fail-over experiment's shape — kill the primary link
-   and routing must fall back to the backup. *)
-let dual_homed_stub ?(clique_size = 6) () =
-  if clique_size < 2 then invalid_arg "Artificial.dual_homed_stub";
-  let base = clique ~rel:Spec.Open clique_size in
-  let stub = asn clique_size in
-  let primary = asn 0 in
-  let backup = asn 1 in
-  Spec.make
-    ~title:(Fmt.str "dual-homed-stub-%d" clique_size)
-    ~nodes:(Spec.nodes base @ [ Spec.node stub ])
-    ~links:
-      (Spec.links base
-      @ [ Spec.link ~rel:Spec.C2p stub primary; Spec.link ~rel:Spec.C2p stub backup ])
-
 let stub_asn spec =
   match List.rev (Spec.nodes spec) with
   | [] -> invalid_arg "Artificial.stub_asn: empty spec"

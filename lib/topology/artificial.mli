@@ -22,13 +22,8 @@ val tree : ?rel:Spec.rel -> int -> Spec.t
 
 val grid : ?rel:Spec.rel -> int -> int -> Spec.t
 
-val dual_homed_stub : ?clique_size:int -> unit -> Spec.t
-(** A clique plus one stub AS dual-homed to clique members 0 (primary) and
-    1 (backup) — the fail-over experiment topology. *)
-
 val stub_asn : Spec.t -> Net.Asn.t
-(** The last node of a spec (the stub in {!dual_homed_stub} and
-    {!failover_backup_chain}). *)
+(** The last node of a spec (the stub in {!failover_backup_chain}). *)
 
 val failover_backup_chain : ?clique_size:int -> ?chain_len:int -> unit -> Spec.t
 (** A clique plus a stub whose primary path enters at member 0 and whose

@@ -156,7 +156,5 @@ let generate ?(tier1 = 4) ?(tier2 = 12) ?(stubs = 34) ?(multihome = 0.4) rng =
     ~nodes:(List.init total (fun i -> Spec.node (asn i)))
     ~links:(List.rev !links)
 
-let tier1_asns ~tier1 = List.init tier1 Artificial.asn
-
 let stub_asns ~tier1 ~tier2 ~stubs =
   List.init stubs (fun i -> Artificial.asn (tier1 + tier2 + i))

@@ -21,6 +21,4 @@ val generate : ?tier1:int -> ?tier2:int -> ?stubs:int -> ?multihome:float -> Eng
 (** Synthetic Internet-like graph: tier-1 peering clique, multi-homed
     tier-2 transit with lateral peering, and stub customers. *)
 
-val tier1_asns : tier1:int -> Net.Asn.t list
-
 val stub_asns : tier1:int -> tier2:int -> stubs:int -> Net.Asn.t list

@@ -5,9 +5,6 @@ type parse_error = { line : int; content : string; reason : string }
 
 val pp_parse_error : Format.formatter -> parse_error -> unit
 
-val pop_to_asn : ?pops_per_as:int -> int -> Net.Asn.t
-(** Fixed PoP→AS mapping: [asn = 65001 + pop / pops_per_as] (default 4). *)
-
 val parse_string : ?title:string -> ?pops_per_as:int -> string -> (Spec.t, parse_error) result
 (** Parse "[pop1 pop2 \[latency_us\]]" lines; PoP-level links collapse onto
     AS-level links keeping the minimum latency. *)

@@ -91,21 +91,6 @@ type t = {
   index : index;
 }
 
-let rel_to_string = function
-  | C2p -> "c2p"
-  | P2p -> "p2p"
-  | S2s -> "s2s"
-  | Open -> "open"
-
-let rel_of_string = function
-  | "c2p" -> Some C2p
-  | "p2p" -> Some P2p
-  | "s2s" -> Some S2s
-  | "open" -> Some Open
-  | _ -> None
-
-let role_to_string = function Legacy -> "legacy" | Sdn -> "sdn"
-
 let node ?(role = Legacy) ?name asn =
   let name = match name with Some n -> n | None -> Net.Asn.to_string asn in
   { asn; role; name }
@@ -308,13 +293,3 @@ let to_graph t =
   g
 
 let is_connected t = Net.Graph.is_connected (to_graph t)
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>topology %S: %d ASes (%d SDN), %d links" t.title (node_count t)
-    (List.length (sdn_asns t))
-    (link_count t);
-  List.iter
-    (fun l ->
-      Fmt.pf ppf "@,  %a -[%s]- %a" Net.Asn.pp l.a (rel_to_string l.rel) Net.Asn.pp l.b)
-    t.links;
-  Fmt.pf ppf "@]"

@@ -16,12 +16,6 @@ type link_spec = { a : Net.Asn.t; b : Net.Asn.t; rel : rel; delay_us : int optio
 
 type t
 
-val rel_to_string : rel -> string
-
-val rel_of_string : string -> rel option
-
-val role_to_string : role -> string
-
 val node : ?role:role -> ?name:string -> Net.Asn.t -> node_spec
 
 val link : ?rel:rel -> ?delay_us:int -> Net.Asn.t -> Net.Asn.t -> link_spec
@@ -78,10 +72,6 @@ val degree : t -> Net.Asn.t -> int
 val iter_links_of : t -> Net.Asn.t -> (link_spec -> unit) -> unit
 (** {!links_of} without building the list. *)
 
-val link_between : t -> Net.Asn.t -> Net.Asn.t -> link_spec option
-(** The link joining two ASes, either way round (the first one, if the
-    spec repeats it). *)
-
 (** A neighbor's role relative to a given AS. *)
 type neighbor_role = Customer | Provider | Peer | Sibling | Unrestricted
 
@@ -98,9 +88,4 @@ val validate : t -> string list
 
 val is_valid : t -> bool
 
-val to_graph : t -> Net.Graph.t
-(** Undirected AS graph; node ids are raw ASN integers. *)
-
 val is_connected : t -> bool
-
-val pp : Format.formatter -> t -> unit

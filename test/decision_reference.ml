@@ -6,34 +6,28 @@
    first, then announcements, each in message order); the list is
    reversed and deduplicated through a fresh prefix table, so each prefix
    is decided once, in first-affected order.  A decision builds the
-   candidate list (the local route, then the learned routes that damping
-   does not suppress, in ascending peer order) and takes
-   [Bgp.Decision.select] of it.  The RIBs are persistent maps.  Damping
-   rechecks are scheduled on the same simulator, at the same instant the
-   router schedules its own. *)
+   candidate list (the local route, then the learned routes in ascending
+   peer order) and takes [Bgp.Decision.select] of it.  The RIBs are
+   persistent maps. *)
 
 module Pm = Net.Ipv4.Prefix_map
 module Tbl = Net.Ipv4.Prefix_table
 
 type t = {
-  sim : Engine.Sim.t;
   asn : Net.Asn.t;
   mutable adj_in : Bgp.Route.t list Pm.t; (* per prefix, ascending peer order *)
   mutable loc : Bgp.Route.t Pm.t;
   mutable originated : Bgp.Attrs.t Pm.t;
-  damping : Bgp.Damping.t option;
   mutable decision_runs : int;
   mutable notifications : (Net.Ipv4.prefix * Bgp.Route.t option) list; (* newest first *)
 }
 
-let create ?damping sim ~asn =
+let create ~asn =
   {
-    sim;
     asn;
     adj_in = Pm.empty;
     loc = Pm.empty;
     originated = Pm.empty;
-    damping = Option.map Bgp.Damping.create damping;
     decision_runs = 0;
     notifications = [];
   }
@@ -68,18 +62,7 @@ let local_route t prefix =
     (Pm.find_opt prefix t.originated)
 
 let candidates t prefix =
-  let learned =
-    match t.damping with
-    | None -> routes t prefix
-    | Some damping ->
-      let now = Engine.Sim.now t.sim in
-      List.filter
-        (fun r ->
-          match Bgp.Route.from_peer r with
-          | Some peer -> not (Bgp.Damping.is_suppressed damping ~peer ~prefix ~now)
-          | None -> true)
-        (routes t prefix)
-  in
+  let learned = routes t prefix in
   match local_route t prefix with Some r -> r :: learned | None -> learned
 
 let route_equal a b =
@@ -117,48 +100,22 @@ let originate t ~next_hop prefix =
   t.originated <- Pm.add prefix (Bgp.Attrs.make ~as_path:[] ~next_hop ()) t.originated;
   run_decision t prefix
 
-let note_flap t peer prefix event =
-  match t.damping with
-  | None -> ()
-  | Some damping -> (
-    let now = Engine.Sim.now t.sim in
-    match Bgp.Damping.record damping ~peer ~prefix ~now event with
-    | `Ok -> ()
-    | `Suppressed_until reuse_at ->
-      let recheck = Engine.Time.add reuse_at (Engine.Time.ms 10) in
-      ignore (Engine.Sim.schedule_at t.sim recheck (fun () -> run_decision t prefix)))
-
 let process_update t ~peer ~policy (u : Bgp.Message.update) =
-  let import prefix attrs =
-    if Bgp.Policy.accepts policy ~me:t.asn ~prefix attrs then
-      Some (Bgp.Policy.import policy attrs)
-    else None
+  let import attrs =
+    if Bgp.Attrs.path_contains attrs t.asn then None else Some (Bgp.Policy.import policy attrs)
   in
   let affected = ref [] in
   List.iter
     (fun prefix ->
       if Option.is_some (adj_in_find t ~peer prefix) then begin
         adj_in_remove t ~peer prefix;
-        note_flap t peer prefix Bgp.Damping.Withdrawal;
         affected := prefix :: !affected
       end)
     u.Bgp.Message.withdrawn;
   List.iter
     (fun (prefix, attrs) ->
-      match import prefix attrs with
+      match import attrs with
       | Some attrs ->
-        (match t.damping with
-        | None -> ()
-        | Some damping -> (
-          match adj_in_find t ~peer prefix with
-          | Some old ->
-            if not (Bgp.Attrs.wire_equal (Bgp.Route.attrs old) attrs) then
-              note_flap t peer prefix Bgp.Damping.Attribute_change
-          | None ->
-            if
-              Bgp.Damping.current_penalty damping ~peer ~prefix ~now:(Engine.Sim.now t.sim)
-              > 0.0
-            then note_flap t peer prefix Bgp.Damping.Readvertisement));
         adj_in_set t prefix (Bgp.Route.make ~attrs ~source:(Bgp.Route.Ebgp peer));
         affected := prefix :: !affected
       | None ->
@@ -172,5 +129,3 @@ let process_update t ~peer ~policy (u : Bgp.Message.update) =
 let notifications t = List.rev t.notifications
 
 let decision_runs t = t.decision_runs
-
-let damping t = t.damping

@@ -1,4 +1,4 @@
-(* Bgp.Attrs and Bgp.Community. *)
+(* Bgp.Attrs. *)
 
 let nh = Net.Ipv4.addr_of_octets 10 0 0 1
 
@@ -28,20 +28,10 @@ let test_wire_equal_ignores_local_pref () =
   let a = Bgp.Attrs.make ~as_path:[ asn 65001 ] ~local_pref:100 ~next_hop:nh () in
   let b = Bgp.Attrs.with_local_pref a 200 in
   Alcotest.(check bool) "local pref excluded" true (Bgp.Attrs.wire_equal a b);
-  let c = Bgp.Attrs.with_med a 5 in
+  let c = Bgp.Attrs.make ~as_path:[ asn 65001 ] ~med:5 ~next_hop:nh () in
   Alcotest.(check bool) "med included" false (Bgp.Attrs.wire_equal a c);
   let d = Bgp.Attrs.prepend a (asn 65009) in
   Alcotest.(check bool) "path included" false (Bgp.Attrs.wire_equal a d)
-
-let test_communities () =
-  let c = Bgp.Community.make 65000 77 in
-  let a = Bgp.Attrs.add_community (Bgp.Attrs.make ~next_hop:nh ()) c in
-  Alcotest.(check bool) "has community" true (Bgp.Attrs.has_community a c);
-  Alcotest.(check bool) "no other" false (Bgp.Attrs.has_community a Bgp.Community.no_export);
-  Alcotest.(check string) "render" "65000:77" (Bgp.Community.to_string c);
-  Alcotest.(check bool) "parse roundtrip" true
-    (Bgp.Community.of_string "65000:77" = Some c);
-  Alcotest.(check bool) "bad parse" true (Bgp.Community.of_string "9999999:1" = None)
 
 let test_origin_rank () =
   Alcotest.(check bool) "igp < egp" true
@@ -62,9 +52,7 @@ let test_intern_physical_equality () =
   (* different construction route, same content *)
   let c =
     Bgp.Attrs.prepend
-      (Bgp.Attrs.with_med
-         (Bgp.Attrs.with_local_pref (Bgp.Attrs.make ~as_path:[ asn 65002 ] ~next_hop:nh ()) 120)
-         7)
+      (Bgp.Attrs.with_local_pref (Bgp.Attrs.make ~as_path:[ asn 65002 ] ~med:7 ~next_hop:nh ()) 120)
       (asn 65001)
   in
   Alcotest.(check bool) "construction route irrelevant" true (a == c);
@@ -113,18 +101,17 @@ let prop_table_growth_bounded =
 let variant_gen =
   QCheck.Gen.(
     let wire =
-      quad (list_size (int_range 0 3) (int_range 65001 65004)) (int_range 0 1) (int_range 0 1) bool
+      quad
+        (list_size (int_range 0 3) (int_range 65001 65004))
+        (int_range 0 1) (int_range 0 1)
+        (oneofl Bgp.Attrs.[ Igp; Incomplete ])
     in
     pair wire (pair (oneofl [ 90; 100; 110; 120 ]) (int_range 0 2)))
 
-let build_variant ((path, med, hop, tagged), (local_pref, how)) =
+let build_variant ((path, med, hop, origin), (local_pref, how)) =
   let next_hop = if hop = 0 then nh else Net.Ipv4.addr_of_octets 10 0 0 2 in
-  let communities =
-    if tagged then Bgp.Community.Set.singleton (Bgp.Community.make 65000 9)
-    else Bgp.Community.Set.empty
-  in
   let make ~local_pref as_path =
-    Bgp.Attrs.make ~as_path:(List.map asn as_path) ~local_pref ~med ~communities ~next_hop ()
+    Bgp.Attrs.make ~as_path:(List.map asn as_path) ~local_pref ~med ~origin ~next_hop ()
   in
   match (how, path) with
   | 1, _ -> Bgp.Attrs.with_local_pref (make ~local_pref:77 path) local_pref
@@ -211,15 +198,12 @@ let test_intern_reclaims () =
 
 (* [exported] is one intern of what the per-peer export chain built in
    three: the same canonical value, over seeded attrs that exercise every
-   field the chain carries through (communities, MED, origin, a
-   local-pref other than the default). *)
+   field the chain carries through (MED, origin, a local-pref other than
+   the default). *)
 let test_exported_matches_chain () =
   let rng = Engine.Rng.create 19 in
   let pick l = Engine.Rng.pick rng l in
   let hops = [ nh; Net.Ipv4.addr_of_octets 10 0 0 2; Net.Ipv4.addr_of_octets 192 0 2 1 ] in
-  let communities =
-    [ Bgp.Community.make 65000 1; Bgp.Community.make 65000 2; Bgp.Community.no_export ]
-  in
   for i = 1 to 300 do
     let a =
       Bgp.Attrs.make
@@ -227,23 +211,19 @@ let test_exported_matches_chain () =
         ~local_pref:(pick [ 90; 100; 110; 130 ])
         ~med:(Engine.Rng.int rng 3)
         ~origin:(pick Bgp.Attrs.[ Igp; Egp; Incomplete ])
-        ~communities:
-          (Bgp.Community.Set.of_list (List.filter (fun _ -> Engine.Rng.bool rng) communities))
         ~next_hop:(pick hops) ()
     in
     let me = asn (65001 + Engine.Rng.int rng 8) in
-    let times = 1 + Engine.Rng.int rng 3 in
     let next_hop = pick hops in
-    let rec prepend_n n a = if n = 0 then a else prepend_n (n - 1) (Bgp.Attrs.prepend a me) in
     let chain =
       Bgp.Attrs.with_local_pref
-        (Bgp.Attrs.with_next_hop (prepend_n times a) next_hop)
+        (Bgp.Attrs.with_next_hop (Bgp.Attrs.prepend a me) next_hop)
         Bgp.Attrs.default_local_pref
     in
     Alcotest.(check bool)
-      (Fmt.str "case %d: exported == chain (%a, x%d)" i Bgp.Attrs.pp a times)
+      (Fmt.str "case %d: exported == chain (%a)" i Bgp.Attrs.pp a)
       true
-      (Bgp.Attrs.exported a ~asn:me ~times ~next_hop == chain);
+      (Bgp.Attrs.exported a ~asn:me ~next_hop == chain);
     (* the memoized restamp round-trips to the same canonical value *)
     Alcotest.(check bool)
       (Fmt.str "case %d: restamp round trip" i)
@@ -256,7 +236,6 @@ let suite =
     Alcotest.test_case "prepend" `Quick test_prepend;
     Alcotest.test_case "path endpoints" `Quick test_path_endpoints;
     Alcotest.test_case "wire equality" `Quick test_wire_equal_ignores_local_pref;
-    Alcotest.test_case "communities" `Quick test_communities;
     Alcotest.test_case "origin rank" `Quick test_origin_rank;
     Alcotest.test_case "intern physical equality" `Quick test_intern_physical_equality;
     QCheck_alcotest.to_alcotest prop_same_spec_physically_equal;

@@ -10,7 +10,7 @@ let setup () =
   let sim = Sim.create () in
   let sent = ref [] in
   let collector =
-    Bgp.Collector.create ~sim ~asn:(Net.Asn.of_int 64000) ~node_id:99 ~router_id:nh
+    Bgp.Collector.create ~sim ~asn:(Net.Asn.of_int 64000) ~router_id:nh
       ~send:(fun ~dst msg ->
         sent := (dst, msg) :: !sent;
         true)
@@ -49,8 +49,10 @@ let test_records_events () =
     Alcotest.(check bool) "second is withdraw" true
       (e2.Bgp.Collector.action = Bgp.Collector.Withdraw)
   | _ -> Alcotest.fail "expected 2 events");
-  Alcotest.(check (option int)) "last update time" (Some 9_000)
-    (Option.map Time.to_us (Bgp.Collector.last_update_time collector))
+  Alcotest.(check (list (pair string int))) "last update per prefix" [ ("100.64.0.0/24", 9_000) ]
+    (List.map
+       (fun (q, at) -> (Net.Ipv4.prefix_to_string q, Time.to_us at))
+       (Bgp.Collector.last_updates collector))
 
 let test_per_prefix_queries () =
   let sim, collector, _ = setup () in
@@ -61,23 +63,29 @@ let test_per_prefix_queries () =
     (Sim.schedule_at sim (Time.ms 2) (fun () ->
          Bgp.Collector.handle_message collector ~from:1 (announce_update (p "100.64.1.0/24"))));
   ignore (Sim.run sim);
+  let last prefix = List.assoc_opt prefix (Bgp.Collector.last_updates collector) in
   Alcotest.(check int) "events for prefix" 1
-    (List.length (Bgp.Collector.events_for collector (p "100.64.0.0/24")));
+    (List.length
+       (List.filter
+          (fun e -> Net.Ipv4.equal_prefix e.Bgp.Collector.prefix (p "100.64.0.0/24"))
+          (Bgp.Collector.events collector)));
   Alcotest.(check (option int)) "last for prefix" (Some 1_000)
-    (Option.map Time.to_us (Bgp.Collector.last_update_for collector (p "100.64.0.0/24")));
+    (Option.map Time.to_us (last (p "100.64.0.0/24")));
   Alcotest.(check (option int)) "unknown prefix" None
-    (Option.map Time.to_us (Bgp.Collector.last_update_for collector (p "9.9.9.0/24")))
+    (Option.map Time.to_us (last (p "9.9.9.0/24")))
 
 let test_unknown_peer_ignored () =
   let _, collector, _ = setup () in
   Bgp.Collector.handle_message collector ~from:42 (announce_update (p "100.64.0.0/24"));
   Alcotest.(check int) "ignored" 0 (Bgp.Collector.event_count collector)
 
+(* A crash clears the log: a collector outage leaves a gap in the feed. *)
 let test_clear () =
   let _, collector, _ = setup () in
   Bgp.Collector.handle_message collector ~from:1 (announce_update (p "100.64.0.0/24"));
-  Bgp.Collector.clear collector;
-  Alcotest.(check int) "cleared" 0 (Bgp.Collector.event_count collector)
+  Engine.Node.crash (Bgp.Collector.node collector);
+  Alcotest.(check int) "cleared" 0 (Bgp.Collector.event_count collector);
+  Alcotest.(check int) "no last updates" 0 (List.length (Bgp.Collector.last_updates collector))
 
 let suite =
   [

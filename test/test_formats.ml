@@ -88,7 +88,7 @@ let test_scenario_executes_parsed () =
 let make_collector_with_events () =
   let sim = Engine.Sim.create () in
   let collector =
-    Bgp.Collector.create ~sim ~asn:(Net.Asn.of_int 64000) ~node_id:99
+    Bgp.Collector.create ~sim ~asn:(Net.Asn.of_int 64000)
       ~router_id:(Net.Ipv4.addr_of_octets 10 9 9 9)
       ~send:(fun ~dst:_ _ -> true)
       ()
@@ -151,21 +151,6 @@ let test_rate_buckets () =
     Alcotest.(check int) "bucket 1 start" 1_000_000 (Engine.Time.to_us t1);
     Alcotest.(check int) "bucket 1 count" 1 c1
   | _ -> Alcotest.fail "unexpected buckets"
-
-(* --- Flap-storm experiment ------------------------------------------------ *)
-
-let test_flap_damping_tradeoff () =
-  let config = Framework.Config.fast_test in
-  let off = Framework.Experiments.flap_run ~n:5 ~flaps:3 ~gap_s:10.0 ~damping:false ~seed:31 ~config () in
-  let on = Framework.Experiments.flap_run ~n:5 ~flaps:3 ~gap_s:10.0 ~damping:true ~seed:31 ~config () in
-  Alcotest.(check int) "no suppressions without damping" 0 off.Framework.Experiments.suppressions_total;
-  Alcotest.(check bool) "damping suppresses" true (on.Framework.Experiments.suppressions_total > 0);
-  Alcotest.(check bool) "damping reduces churn" true
-    (on.Framework.Experiments.collector_updates_total
-    < off.Framework.Experiments.collector_updates_total);
-  Alcotest.(check bool) "damping delays recovery" true
-    (on.Framework.Experiments.recovery_seconds > off.Framework.Experiments.recovery_seconds);
-  Alcotest.(check int) "both eventually recover" 0 on.Framework.Experiments.blackholed_after_storm
 
 (* --- Telemetry validation and finish hardening --------------------------- *)
 
@@ -273,7 +258,6 @@ let suite =
     Alcotest.test_case "collector dump roundtrip" `Quick test_dump_roundtrip;
     Alcotest.test_case "collector dump errors" `Quick test_dump_parse_errors;
     Alcotest.test_case "collector rate buckets" `Quick test_rate_buckets;
-    Alcotest.test_case "flap damping trade-off" `Quick test_flap_damping_tradeoff;
     Alcotest.test_case "format_of_path edge cases" `Quick test_format_of_path_edges;
     Alcotest.test_case "validate rejects malformed inputs" `Quick test_validate_malformed;
     Alcotest.test_case "validate_file rejects malformed files" `Quick

@@ -49,9 +49,9 @@ let setup () =
   in
   let a = make 65001 and b = make 65002 in
   Bgp.Router.add_peer a ~peer_asn:(asn 65002) ~peer_node:65002
-    ~policy:(Bgp.Policy.make Bgp.Policy.Unrestricted);
+    ~policy:Bgp.Policy.Unrestricted;
   Bgp.Router.add_peer b ~peer_asn:(asn 65001) ~peer_node:65001
-    ~policy:(Bgp.Policy.make Bgp.Policy.Unrestricted);
+    ~policy:Bgp.Policy.Unrestricted;
   Bgp.Router.start a;
   Bgp.Router.start b;
   { sim; a; b; blocked }

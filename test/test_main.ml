@@ -25,7 +25,6 @@ let () =
       ("bgp.rib_differential", Test_rib_differential.suite);
       ("bgp.mrai", Test_mrai.suite);
       ("bgp.router", Test_router.suite);
-      ("bgp.damping", Test_damping.suite);
       ("bgp.liveness", Test_liveness.suite);
       ("bgp.session", Test_session.suite);
       ("bgp.collector", Test_collector.suite);

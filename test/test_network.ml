@@ -359,8 +359,7 @@ let prop_network_matches_filter =
             (fun s ->
               ( Cluster_ctl.Speaker.session_member s,
                 Cluster_ctl.Speaker.session_neighbor s,
-                Bgp.Policy.relationship_to_string
-                  (Bgp.Policy.relationship (Cluster_ctl.Speaker.session_policy s)) ))
+                Bgp.Policy.relationship_to_string (Cluster_ctl.Speaker.session_policy s) ))
             (Cluster_ctl.Speaker.sessions sp)
       in
       routers_ok && got = want)

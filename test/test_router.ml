@@ -25,7 +25,7 @@ type harness = {
 
 let make_harness () = { sim = Sim.create ~seed:5 (); handlers = Hashtbl.create 8; routers = [] }
 
-let add_router ?damping ?(config = fast_config) h n =
+let add_router ?(config = fast_config) h n =
   let node_id = n in
   let send ~dst msg =
     match Hashtbl.find_opt h.handlers dst with
@@ -35,7 +35,7 @@ let add_router ?damping ?(config = fast_config) h n =
       true
   in
   let r =
-    Bgp.Router.create ?damping ~sim:h.sim ~asn:(asn n) ~node_id
+    Bgp.Router.create ~sim:h.sim ~asn:(asn n) ~node_id
       ~router_id:(Net.Ipv4.addr_of_octets 10 0 (n mod 256) 1)
       ~config ~send ()
   in
@@ -45,9 +45,9 @@ let add_router ?damping ?(config = fast_config) h n =
 
 let peer_pair ?(rel_ab = Bgp.Policy.Unrestricted) ?(rel_ba = Bgp.Policy.Unrestricted) a b =
   Bgp.Router.add_peer a ~peer_asn:(Bgp.Router.asn b) ~peer_node:(Bgp.Router.node_id b)
-    ~policy:(Bgp.Policy.make rel_ab);
+    ~policy:rel_ab;
   Bgp.Router.add_peer b ~peer_asn:(Bgp.Router.asn a) ~peer_node:(Bgp.Router.node_id a)
-    ~policy:(Bgp.Policy.make rel_ba)
+    ~policy:rel_ba
 
 let run h = ignore (Sim.run h.sim)
 
@@ -250,30 +250,6 @@ let test_reestablish_resyncs () =
   Alcotest.(check bool) "back after re-establish" true
     (Bgp.Router.best b (p "100.64.0.0/24") <> None)
 
-let test_export_prepending () =
-  let h = make_harness () in
-  (* a reaches d directly (prepended x3) or via b (clean): the prepended
-     direct path must lose at d *)
-  let a = add_router h 65001 and b = add_router h 65002 and d = add_router h 65004 in
-  Bgp.Router.add_peer a ~peer_asn:(Bgp.Router.asn d) ~peer_node:65004
-    ~policy:(Bgp.Policy.make ~export_prepend:3 Bgp.Policy.Unrestricted);
-  Bgp.Router.add_peer d ~peer_asn:(Bgp.Router.asn a) ~peer_node:65001
-    ~policy:(Bgp.Policy.make Bgp.Policy.Unrestricted);
-  peer_pair a b;
-  peer_pair b d;
-  List.iter Bgp.Router.start [ a; b; d ];
-  run h;
-  Bgp.Router.originate a (p "100.64.0.0/24");
-  run h;
-  (match Bgp.Router.adj_in_find d ~peer:(asn 65001) (p "100.64.0.0/24") with
-  | Some r ->
-    Alcotest.(check (list int)) "prepended on the wire" [ 65001; 65001; 65001; 65001 ]
-      (path_of r)
-  | None -> Alcotest.fail "direct route must arrive");
-  match Bgp.Router.best d (p "100.64.0.0/24") with
-  | Some r -> Alcotest.(check (list int)) "transit path wins" [ 65002; 65001 ] (path_of r)
-  | None -> Alcotest.fail "d must route"
-
 let test_stats_counted () =
   let h = make_harness () in
   let a = add_router h 65001 and b = add_router h 65002 in
@@ -330,18 +306,17 @@ let test_session_state_gauges () =
   Alcotest.(check bool) "state follows the session" true
     (List.assoc [ "AS65001"; "AS65003" ] (state ()) < 2.0)
 
-(* One best change fanned out to peers with different export needs: the
-   shared 1x attrs, a peer's own prepended attrs and the path-loop skip
-   must not bleed into one another, whatever the peer order. *)
+(* One best change fanned out to several peers: the plain peers share one
+   exported value, and the peer already in the path is skipped, whatever
+   the peer order. *)
 let test_shared_export_per_peer () =
   let h = make_harness () in
   let r = add_router h 65001 in
   let plain = add_router h 65002
-  and prepended = add_router h 65003
   and plain_after = add_router h 65004
   and in_path = add_router h 65005
   and transit = add_router h 65009 in
-  let link ?(policy = Bgp.Policy.make Bgp.Policy.Unrestricted) a b =
+  let link ?(policy = Bgp.Policy.Unrestricted) a b =
     Bgp.Router.add_peer a ~peer_asn:(Bgp.Router.asn b) ~peer_node:(Bgp.Router.node_id b) ~policy
   in
   let pair ?policy a b =
@@ -349,17 +324,15 @@ let test_shared_export_per_peer () =
     link b a
   in
   pair r plain;
-  link r prepended
-    ~policy:(Bgp.Policy.make ~export_prepend:2 Bgp.Policy.Unrestricted);
-  link prepended r;
   pair r plain_after;
-  (* r hears in_path's prefix directly (local-pref 50) and via transit
-     (100), so its best path carries in_path's ASN *)
-  link r in_path ~policy:(Bgp.Policy.make ~local_pref:50 Bgp.Policy.Unrestricted);
+  (* r hears in_path's prefix directly from a provider (local-pref 90)
+     and via a customer (130), so its best path carries in_path's ASN *)
+  link r in_path ~policy:Bgp.Policy.Provider;
   link in_path r;
-  pair r transit;
+  link r transit ~policy:Bgp.Policy.Customer;
+  link transit r;
   pair transit in_path;
-  List.iter Bgp.Router.start [ r; plain; prepended; plain_after; in_path; transit ];
+  List.iter Bgp.Router.start [ r; plain; plain_after; in_path; transit ];
   run h;
   let prefix = p "100.64.0.0/24" in
   Bgp.Router.originate in_path prefix;
@@ -372,9 +345,7 @@ let test_shared_export_per_peer () =
   in
   Alcotest.(check (option (list int))) "plain peer: one prepend"
     (Some [ 65001; 65009; 65005 ]) (received plain);
-  Alcotest.(check (option (list int))) "prepend peer: three prepends"
-    (Some [ 65001; 65001; 65001; 65009; 65005 ]) (received prepended);
-  Alcotest.(check (option (list int))) "plain peer after the prepend peer: one prepend"
+  Alcotest.(check (option (list int))) "the next plain peer: one prepend"
     (Some [ 65001; 65009; 65005 ]) (received plain_after);
   Alcotest.(check bool) "peer already in the path gets nothing" true
     (Bgp.Router.adj_out_find r ~peer:(asn 65005) prefix = None);
@@ -447,22 +418,18 @@ let diff_me = 65000
 
 let diff_pool = Array.init 6 (fun i -> p (Fmt.str "100.64.%d.0/24" i))
 
-(* One peer per relationship the import path treats differently: a plain
-   customer, a peer that stamps a community, a provider whose prefix
-   filter rejects pool prefix 1, and an unrestricted neighbor. *)
+(* One peer per relationship, each stamping its own local-pref on
+   import: a customer, a peer, a provider and an unrestricted neighbor. *)
 let diff_peers =
   [|
-    (65001, Bgp.Policy.make Bgp.Policy.Customer);
-    (65002, Bgp.Policy.make ~import_community:(Bgp.Community.make 65000 7) Bgp.Policy.Peer);
-    ( 65003,
-      Bgp.Policy.make
-        ~import_prefix_filter:(fun q -> not (Net.Ipv4.equal_prefix q diff_pool.(1)))
-        Bgp.Policy.Provider );
-    (65004, Bgp.Policy.make Bgp.Policy.Unrestricted);
+    (65001, Bgp.Policy.Customer);
+    (65002, Bgp.Policy.Peer);
+    (65003, Bgp.Policy.Provider);
+    (65004, Bgp.Policy.Unrestricted);
   |]
 
-(* Attribute variants: three path lengths, an AS-path loop through us,
-   NO_ADVERTISE, a MED and an ORIGIN difference. *)
+(* Attribute variants: three path lengths, an AS-path loop through us
+   (an import rejection), a MED and an ORIGIN difference. *)
 let diff_attrs peer variant =
   let nh = Net.Ipv4.addr_of_octets 10 1 0 (peer mod 256) in
   let path tail = List.map asn (peer :: tail) in
@@ -471,11 +438,7 @@ let diff_attrs peer variant =
   | 1 -> Bgp.Attrs.make ~as_path:(path [ 65100 ]) ~next_hop:nh ()
   | 2 -> Bgp.Attrs.make ~as_path:(path [ 65100; 65101 ]) ~next_hop:nh ()
   | 3 -> Bgp.Attrs.make ~as_path:(path [ diff_me ]) ~next_hop:nh ()
-  | 4 ->
-    Bgp.Attrs.make ~as_path:(path [])
-      ~communities:(Bgp.Community.Set.singleton Bgp.Community.no_advertise)
-      ~next_hop:nh ()
-  | 5 -> Bgp.Attrs.make ~as_path:(path []) ~med:10 ~next_hop:nh ()
+  | 4 -> Bgp.Attrs.make ~as_path:(path []) ~med:10 ~next_hop:nh ()
   | _ -> Bgp.Attrs.make ~as_path:(path [ 65102 ]) ~origin:Bgp.Attrs.Incomplete ~next_hop:nh ()
 
 type diff_update = { from : int; withdrawn : int list; announced : (int * int) list }
@@ -499,18 +462,16 @@ let same_note (p1, b1) (p2, b2) =
 (* The router and the reference see the same UPDATEs, 2 s apart, on one
    simulator; each UPDATE reaches the reference at the instant the router
    processes it.  Returns whether the (prefix, best) notification
-   sequences, the decision counts and the damping suppression and reuse
-   counts agree. *)
-let diff_agrees (damped, updates) =
+   sequences and the decision counts agree. *)
+let diff_agrees updates =
   let sim = Sim.create ~seed:5 () in
-  let damping = if damped then Some Bgp.Damping.default_config else None in
   let me = asn diff_me and router_id = Net.Ipv4.addr_of_octets 10 0 0 1 in
   let r =
-    Bgp.Router.create ?damping ~sim ~asn:me ~node_id:0 ~router_id ~config:fast_config
+    Bgp.Router.create ~sim ~asn:me ~node_id:0 ~router_id ~config:fast_config
       ~send:(fun ~dst:_ _ -> true)
       ()
   in
-  let oracle = Decision_reference.create ?damping sim ~asn:me in
+  let oracle = Decision_reference.create ~asn:me in
   let got = ref [] in
   Bgp.Router.subscribe_best_change r (fun prefix best -> got := (prefix, best) :: !got);
   Array.iteri
@@ -538,13 +499,6 @@ let diff_agrees (damped, updates) =
   List.length got = List.length want
   && List.for_all2 same_note got want
   && (Bgp.Router.stats r).Bgp.Router.decision_runs = Decision_reference.decision_runs oracle
-  &&
-  match (Bgp.Router.damping_state r, Decision_reference.damping oracle) with
-  | Some d, Some o ->
-    Bgp.Damping.suppressions d = Bgp.Damping.suppressions o
-    && Bgp.Damping.reuses d = Bgp.Damping.reuses o
-  | None, None -> true
-  | Some _, None | None, Some _ -> false
 
 let arb_diff =
   let open QCheck.Gen in
@@ -554,10 +508,10 @@ let arb_diff =
       (fun from withdrawn announced -> { from; withdrawn; announced })
       (int_bound (Array.length diff_peers - 1))
       (list_size (int_bound 4) prefix)
-      (list_size (int_bound 4) (pair prefix (int_bound 6)))
+      (list_size (int_bound 4) (pair prefix (int_bound 5)))
   in
-  let print (damped, updates) =
-    Fmt.str "damping %b:@ %a" damped
+  let print updates =
+    Fmt.str "%a"
       Fmt.(
         list ~sep:sp (fun ppf u ->
             Fmt.pf ppf "[from %d -%a +%a]" u.from
@@ -566,11 +520,11 @@ let arb_diff =
               u.announced))
       updates
   in
-  QCheck.make ~print (pair bool (list_size (int_range 1 25) update))
+  QCheck.make ~print (list_size (int_range 1 25) update)
 
 (* Duplicates inside [withdrawn] and inside [announced], overlap between
-   the two, import rejections and damping on and off: the router decides
-   each affected prefix once, in first-affected order, and picks what the
+   the two and import rejections: the router decides each affected
+   prefix once, in first-affected order, and picks what the
    list-and-table path picked. *)
 let prop_decisions_match_reference =
   QCheck.Test.make ~name:"decisions = list-and-table reference" ~count:300 arb_diff diff_agrees
@@ -588,7 +542,6 @@ let suite =
     Alcotest.test_case "local-pref beats length" `Quick test_local_pref_beats_path_length;
     Alcotest.test_case "session down flushes" `Quick test_session_down_flushes;
     Alcotest.test_case "re-establish resyncs" `Quick test_reestablish_resyncs;
-    Alcotest.test_case "export prepending" `Quick test_export_prepending;
     Alcotest.test_case "stats counted" `Quick test_stats_counted;
     Alcotest.test_case "session-state gauges" `Quick test_session_state_gauges;
     Alcotest.test_case "shared export per peer" `Quick test_shared_export_per_peer;

@@ -47,9 +47,9 @@ let setup ?(seed = 11) ?(config_b = keepalive_config) () =
   in
   let a = make 65001 keepalive_config and b = make 65002 config_b in
   Bgp.Router.add_peer a ~peer_asn:(asn 65002) ~peer_node:65002
-    ~policy:(Bgp.Policy.make Bgp.Policy.Unrestricted);
+    ~policy:Bgp.Policy.Unrestricted;
   Bgp.Router.add_peer b ~peer_asn:(asn 65001) ~peer_node:65001
-    ~policy:(Bgp.Policy.make Bgp.Policy.Unrestricted);
+    ~policy:Bgp.Policy.Unrestricted;
   { sim; a; b; blocked }
 
 let start env =

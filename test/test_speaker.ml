@@ -10,7 +10,7 @@ let nh = Net.Ipv4.addr_of_octets 10 0 10 1
 
 let p s = Option.get (Net.Ipv4.prefix_of_string s)
 
-let policy = Bgp.Policy.make Bgp.Policy.Unrestricted
+let policy = Bgp.Policy.Unrestricted
 
 let setup ?liveness ?mrai_config () =
   let sim = Engine.Sim.create () in
