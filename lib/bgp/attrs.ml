@@ -103,8 +103,8 @@ type table = {
   mutable busy : bool; (* an intern is under way: the GC alarm leaves the arrays alone *)
 }
 
-(* The "no value" result of a probe, never stored. *)
-let empty =
+(* The "no value" result of a probe, never stored in the intern set. *)
+let vacant =
   {
     as_path = [];
     next_hop = Net.Ipv4.addr_of_int32 0l;
@@ -237,7 +237,7 @@ let stop tbl i v =
    for [any_lp]. *)
 let rec find_content tbl mask key sel tag i =
   let s = tbl.tags.(i) in
-  if s = free then stop tbl i empty
+  if s = free then stop tbl i vacant
   else if s land sel <> tag then find_content tbl mask key sel tag ((i + 1) land mask)
   else
     match Weak.get tbl.values i with
@@ -249,7 +249,7 @@ let rec find_content tbl mask key sel tag i =
 (* From [i], the live variant of wire [wire_id] with [local_pref]. *)
 let rec find_variant tbl mask tag wire_id local_pref i =
   let s = tbl.tags.(i) in
-  if s = free then stop tbl i empty
+  if s = free then stop tbl i vacant
   else if s <> tag then find_variant tbl mask tag wire_id local_pref ((i + 1) land mask)
   else
     match Weak.get tbl.values i with
@@ -263,7 +263,7 @@ let fresh_wire tbl =
 
 (* The wire id for new content: a live variant's ([sibling], from a
    probe under [any_lp]), or a fresh one. *)
-let wire_id_of tbl sibling = if sibling == empty then fresh_wire tbl else sibling.wire_id
+let wire_id_of tbl sibling = if sibling == vacant then fresh_wire tbl else sibling.wire_id
 
 (* Make [t], built with its wire id, canonical at free slot [i]. *)
 let store tbl i tag t =
@@ -283,7 +283,7 @@ let intern key =
   let tag = tag wire key.local_pref in
   let v = find_content tbl mask key exact tag i in
   release tbl
-    (if v != empty then v
+    (if v != vacant then v
      else
        let slot = tbl.at in
        let wire_id = wire_id_of tbl (find_content tbl mask key any_lp wire i) in
@@ -329,7 +329,7 @@ let prepend t asn =
    and the default local-pref, without building it. *)
 let rec find_exported tbl mask t ~asn ~next_hop sel tag i =
   let s = tbl.tags.(i) in
-  if s = free then stop tbl i empty
+  if s = free then stop tbl i vacant
   else if s land sel <> tag then find_exported tbl mask t ~asn ~next_hop sel tag ((i + 1) land mask)
   else
     match Weak.get tbl.values i with
@@ -356,7 +356,7 @@ let exported t ~asn ~next_hop =
   let tag = tag wire default_local_pref in
   let v = find_exported tbl mask t ~asn ~next_hop exact tag i in
   release tbl
-    (if v != empty then v
+    (if v != vacant then v
      else
        let slot = tbl.at in
        let sibling = find_exported tbl mask t ~asn ~next_hop any_lp wire i in
@@ -387,7 +387,7 @@ let with_local_pref t lp =
     let tag = tag wire lp in
     let v = find_variant tbl mask tag t.wire_id lp (home wire mask) in
     release tbl
-      (if v != empty then v
+      (if v != vacant then v
        else store tbl tbl.at tag { t with local_pref = lp })
 
 let with_next_hop t nh =
@@ -399,6 +399,14 @@ let equal a b = a == b
    duplicate advertisements in Adj-RIB-Out.  With interning this is a
    single int comparison. *)
 let wire_equal a b = a.wire_id = b.wire_id
+
+(* One exporter's [exported] of [a] and of [b] are the same value
+   exactly when their paths, MEDs and ORIGINs agree: the next hop and
+   local-pref are the exporter's own. *)
+let export_equal a b =
+  a == b
+  || a.path_hash = b.path_hash && a.med = b.med && a.origin = b.origin
+     && a.path_len = b.path_len && path_equal a.as_path b.as_path
 
 let wire_id t = t.wire_id
 

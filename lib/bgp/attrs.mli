@@ -75,7 +75,18 @@ val wire_equal : t -> t -> bool
 (** Equality of the attributes a peer sees (local-pref excluded) — used to
     suppress duplicate advertisements.  O(1) id comparison. *)
 
+val export_equal : t -> t -> bool
+(** Whether {!exported} gives the same value for both, for any one
+    exporter: the same AS path, MED and ORIGIN.  The next hops may
+    differ. *)
+
 val wire_id : t -> int
+
+val vacant : t
+(** A value no construction returns (it is never interned, and its wire
+    id matches no canonical value's): a filler for array cells that hold
+    no attributes, so that they keep no canonical value alive.  Never
+    sent or compared. *)
 
 type intern_stats = { distinct_wire : int; distinct_full : int }
 

@@ -1,4 +1,4 @@
-(* One peer's outbound side: Adj-RIB-Out and update queue in one table,
+(* One peer's outbound side: the changes queued for it and not yet sent,
    paced by the MinRouteAdvertisementInterval.
 
    Semantics (matching Quagga's behaviour): the first advertisement after
@@ -9,24 +9,32 @@
    something was flushed.  Explicit withdrawals bypass the timer unless
    [mrai_on_withdrawals] is set.
 
-   Storage: one [Net.Ipv4.Prefix_table] of advertised attrs whose slot
-   tags carry three bits — advertised, queued paced, queued exempt.  A
-   withdrawal clears the advertised bit and queues the slot; the slot is
-   freed when the withdrawal is sent.  A slot is never both paced and
-   exempt.  [queue] holds the queued slots' prefixes (the values the
-   UPDATE carries) in prefix order, so a flush touches only what it
-   sends: it emits the advertised ones as announcements and the rest as
-   withdrawals, and clears their bits. *)
+   Storage: the queued changes only, in prefix order, in three parallel
+   arrays.  [keys] holds each change's packed prefix with three bits
+   above it — announcement, queued paced, queued exempt (never both) —
+   [prefixes] the values the UPDATE carries and [values] an
+   announcement's attrs.  A withdrawal's cell and the cells past the
+   queue hold a stale value or [Attrs.vacant] until the arrays are
+   released (overwriting sent cells with [Attrs.vacant] raised the peak
+   heap of a 10/400/4,590-AS, 100-prefix load from 38.7M to 40.2M words
+   and lowered nothing).  A flush touches only what it sends and drops
+   it, so a table whose changes have all left holds nothing.  What the
+   peer holds is its owner's to derive (the router from its Loc-RIB,
+   the speaker from the decisions it last synced), so the owner queues a
+   change only where the peer's view differs and the table compares
+   nothing. *)
 
-module Tbl = Net.Ipv4.Prefix_table
-
-let advertised_bit = 1
+let announce_bit = 1
 
 let paced_bit = 2
 
 let exempt_bit = 4
 
 let queued_bits = paced_bit lor exempt_bit
+
+let key_bits = 38 (* a packed prefix: 32 address bits above 6 length bits *)
+
+let key_mask = (1 lsl key_bits) - 1
 
 (* Every paced instance in a sim bumps the same two unlabeled series. *)
 type telemetry = {
@@ -71,10 +79,13 @@ let leave b =
 
 type t = {
   send : Message.update -> unit;
-  out : Attrs.t Tbl.t;
-  mutable queue : Net.Ipv4.prefix array; (* first [paced + exempt]; [||] when none *)
-  mutable paced : int; (* slots with [paced_bit] *)
-  mutable exempt : int; (* slots with [exempt_bit] *)
+  (* The first [paced + exempt] cells are the queued changes, ascending
+     by prefix; [||] when none. *)
+  mutable keys : int array;
+  mutable prefixes : Net.Ipv4.prefix array;
+  mutable values : Attrs.t array;
+  mutable paced : int; (* changes with [paced_bit] *)
+  mutable exempt : int; (* changes with [exempt_bit] *)
   (* Set once per event on the first queued change; cleared by
      [flush_event].  Inside its owner's batch scope the change only marks
      the batch, so one scheduler event emits one packed UPDATE per peer. *)
@@ -84,47 +95,60 @@ type t = {
 }
 
 let make ?(batch = batch ()) ~send pacing =
-  { send; out = Tbl.create (); queue = [||]; paced = 0; exempt = 0; dirty = false; batch; pacing }
+  {
+    send;
+    keys = [||];
+    prefixes = [||];
+    values = [||];
+    paced = 0;
+    exempt = 0;
+    dirty = false;
+    batch;
+    pacing;
+  }
 
-let slot t prefix = Tbl.slot t.out (Net.Ipv4.prefix_to_packed prefix)
+let bits t i = t.keys.(i) lsr key_bits
 
 let is_throttled t =
   match t.pacing with
   | Paced { timer = Some timer; _ } -> Engine.Timer.is_armed timer
   | Paced { timer = None; _ } | Unpaced -> false
 
-(* Send the queued slots carrying [bits] as one UPDATE and clear those
-   bits; a sent withdrawal frees its slot.  The queue is in prefix order,
-   so a backward walk conses both lists in order; the slots it keeps
-   close up at the front, still in order. *)
+(* Send the queued changes carrying [bits] as one UPDATE and drop them.
+   The queue is in prefix order, so a backward walk conses both lists in
+   order; the changes it keeps close up at the front, still in order. *)
 let emit t bits =
-  let q = t.queue and n = t.paced + t.exempt in
+  let keys = t.keys and prefixes = t.prefixes and values = t.values in
+  let n = t.paced + t.exempt in
   let announced = ref [] and withdrawn = ref [] and kept = ref n in
   for k = n - 1 downto 0 do
-    let p = q.(k) in
-    let i = slot t p in
-    let tag = Tbl.tag t.out i in
-    if tag land bits = 0 then begin
+    let key = keys.(k) and p = prefixes.(k) in
+    let b = key lsr key_bits in
+    if b land bits = 0 then begin
       decr kept;
-      q.(!kept) <- p
+      keys.(!kept) <- key;
+      prefixes.(!kept) <- p;
+      values.(!kept) <- values.(k)
     end
-    else if tag land advertised_bit <> 0 then begin
-      announced := (p, Tbl.value t.out i) :: !announced;
-      Tbl.set_tag t.out i advertised_bit
-    end
-    else begin
-      withdrawn := p :: !withdrawn;
-      Tbl.remove_slot t.out i
-    end
+    else if b land announce_bit <> 0 then announced := (p, values.(k)) :: !announced
+    else withdrawn := p :: !withdrawn
   done;
-  Array.blit q !kept q 0 (n - !kept);
+  let left = n - !kept in
+  Array.blit keys !kept keys 0 left;
+  Array.blit prefixes !kept prefixes 0 left;
+  Array.blit values !kept values 0 left;
   if bits land paced_bit <> 0 then t.paced <- 0;
   if bits land exempt_bit <> 0 then t.exempt <- 0;
   t.send { Message.announced = !announced; withdrawn = !withdrawn }
 
-(* The queue array outlives a flush only while the timer runs, so a busy
-   peer reuses it and an idle table holds none. *)
-let release t = if t.paced + t.exempt = 0 && not (is_throttled t) then t.queue <- [||]
+(* The arrays outlive a flush only while the timer runs, so a busy peer
+   reuses them and an idle table holds none. *)
+let release t =
+  if t.paced + t.exempt = 0 && not (is_throttled t) then begin
+    t.keys <- [||];
+    t.prefixes <- [||];
+    t.values <- [||]
+  end
 
 (* A flush that carries paced changes counts, and arms the timer after
    it.  Timer expiry sends the paced changes as one UPDATE and re-arms;
@@ -182,41 +206,61 @@ let unpaced ?batch ~send () = make ?batch ~send Unpaced
 
 let pending_count t = t.paced
 
-(* The position of the first queued prefix in [lo, hi) at or above
-   packed [key], given that [hi] is. *)
-let rec search q key lo hi =
+let queued_count t = t.paced + t.exempt
+
+(* The first position in [lo, hi) whose prefix is at or above packed
+   [key], given that [hi]'s is. *)
+let rec search keys key lo hi =
   if lo = hi then lo
   else
     let mid = (lo + hi) / 2 in
-    if Net.Ipv4.prefix_to_packed q.(mid) < key then search q key (mid + 1) hi
-    else search q key lo mid
+    if keys.(mid) land key_mask < key then search keys key (mid + 1) hi
+    else search keys key lo mid
 
-(* Insert [prefix] into the queue, keeping prefix order.  Changes mostly
+(* Where the change for packed [key] is, or would go.  Changes mostly
    arrive in prefix order (an UPDATE's prefixes, a Loc-RIB walk), so the
    common case appends. *)
-let push t prefix =
+let position t key =
   let n = t.paced + t.exempt in
-  if n = Array.length t.queue then begin
-    let q = Array.make (max 4 (2 * n)) prefix in
-    Array.blit t.queue 0 q 0 n;
-    t.queue <- q
-  end;
-  let q = t.queue and key = Net.Ipv4.prefix_to_packed prefix in
-  let i =
-    if n = 0 || Net.Ipv4.prefix_to_packed q.(n - 1) < key then n else search q key 0 (n - 1)
-  in
-  Array.blit q i q (i + 1) (n - i);
-  q.(i) <- prefix
+  if n = 0 || t.keys.(n - 1) land key_mask < key then n else search t.keys key 0 (n - 1)
 
-(* Queue slot [i] under [bit] (dropping its other queued bit), with
-   [advertised] as its advertised bit. *)
-let enqueue t i prefix ~advertised bit =
-  let tag = Tbl.tag t.out i in
-  if tag land paced_bit <> 0 then t.paced <- t.paced - 1
-  else if tag land exempt_bit <> 0 then t.exempt <- t.exempt - 1
-  else push t prefix;
-  if bit = paced_bit then t.paced <- t.paced + 1 else t.exempt <- t.exempt + 1;
-  Tbl.set_tag t.out i (advertised lor bit)
+let holds t i key = i < t.paced + t.exempt && t.keys.(i) land key_mask = key
+
+let view t prefix ~sent =
+  let key = Net.Ipv4.prefix_to_packed prefix in
+  let i = position t key in
+  if not (holds t i key) then sent
+  else if bits t i land announce_bit <> 0 then Some t.values.(i)
+  else None
+
+(* Open position [i] of the queue for [prefix]. *)
+let insert t i prefix =
+  let n = t.paced + t.exempt in
+  if n = Array.length t.keys then begin
+    let cap = max 4 (2 * n) in
+    let keys = Array.make cap 0
+    and prefixes = Array.make cap prefix
+    and values = Array.make cap Attrs.vacant in
+    Array.blit t.keys 0 keys 0 n;
+    Array.blit t.prefixes 0 prefixes 0 n;
+    Array.blit t.values 0 values 0 n;
+    t.keys <- keys;
+    t.prefixes <- prefixes;
+    t.values <- values
+  end;
+  Array.blit t.keys i t.keys (i + 1) (n - i);
+  Array.blit t.prefixes i t.prefixes (i + 1) (n - i);
+  Array.blit t.values i t.values (i + 1) (n - i);
+  t.prefixes.(i) <- prefix
+
+(* Queue a change with [change] bits at position [i], replacing the
+   change queued there when [found]. *)
+let enqueue t i ~found key prefix change =
+  if not found then insert t i prefix
+  else if bits t i land paced_bit <> 0 then t.paced <- t.paced - 1
+  else t.exempt <- t.exempt - 1;
+  if change land paced_bit <> 0 then t.paced <- t.paced + 1 else t.exempt <- t.exempt + 1;
+  t.keys.(i) <- key lor (change lsl key_bits)
 
 (* A paced change counts as deferred while the timer runs (timer expiry
    sends it); otherwise it marks the table dirty. *)
@@ -227,60 +271,32 @@ let paced_change t =
   | Paced _ | Unpaced -> mark_dirty t
 
 let announce t prefix attrs =
-  let i = slot t prefix in
-  if
-    not
-      (i >= 0
-      && Tbl.tag t.out i land advertised_bit <> 0
-      && Attrs.wire_equal (Tbl.value t.out i) attrs)
-  then begin
-    let i =
-      if i < 0 then Tbl.add t.out (Net.Ipv4.prefix_to_packed prefix) attrs
-      else begin
-        Tbl.set_value t.out i attrs;
-        i
-      end
-    in
-    match t.pacing with
-    | Paced _ ->
-      enqueue t i prefix ~advertised:advertised_bit paced_bit;
-      paced_change t
-    | Unpaced ->
-      enqueue t i prefix ~advertised:advertised_bit exempt_bit;
-      mark_dirty t
-  end
+  let key = Net.Ipv4.prefix_to_packed prefix in
+  let i = position t key in
+  let queued = match t.pacing with Paced _ -> paced_bit | Unpaced -> exempt_bit in
+  enqueue t i ~found:(holds t i key) key prefix (announce_bit lor queued);
+  t.values.(i) <- attrs;
+  match t.pacing with Paced _ -> paced_change t | Unpaced -> mark_dirty t
 
 let withdraw t prefix =
-  let i = slot t prefix in
-  if i >= 0 && Tbl.tag t.out i land advertised_bit <> 0 then
-    match t.pacing with
-    | Paced { config; _ } when config.Config.mrai_on_withdrawals ->
-      enqueue t i prefix ~advertised:0 paced_bit;
-      paced_change t
-    | Paced _ | Unpaced ->
-      (* Exempt: cancels any queued announcement and leaves at end of
-         event, the timer state untouched. *)
-      enqueue t i prefix ~advertised:0 exempt_bit;
-      mark_dirty t
+  let key = Net.Ipv4.prefix_to_packed prefix in
+  let i = position t key in
+  let found = holds t i key in
+  match t.pacing with
+  | Paced { config; _ } when config.Config.mrai_on_withdrawals ->
+    enqueue t i ~found key prefix paced_bit;
+    paced_change t
+  | Paced _ | Unpaced ->
+    (* Exempt: cancels any queued announcement and leaves at end of
+       event, the timer state untouched. *)
+    enqueue t i ~found key prefix exempt_bit;
+    mark_dirty t
 
-let advertised t prefix =
-  match slot t prefix with
-  | -1 -> None
-  | i -> if Tbl.tag t.out i land advertised_bit <> 0 then Some (Tbl.value t.out i) else None
-
-let advertised_entries t =
-  Array.fold_right
-    (fun i acc ->
-      if Tbl.tag t.out i land advertised_bit <> 0 then
-        (Net.Ipv4.prefix_of_packed (Tbl.packed_at t.out i), Tbl.value t.out i) :: acc
-      else acc)
-    (Tbl.sorted_slots t.out) []
-
-(* Session reset: empty the Adj-RIB-Out, drop queued changes, stop the
-   timer. *)
+(* Session reset: drop queued changes, stop the timer. *)
 let reset t =
-  Tbl.clear t.out;
-  t.queue <- [||];
+  t.keys <- [||];
+  t.prefixes <- [||];
+  t.values <- [||];
   t.paced <- 0;
   t.exempt <- 0;
   t.dirty <- false;

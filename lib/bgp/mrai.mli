@@ -1,10 +1,16 @@
-(** One peer's outbound side: its Adj-RIB-Out and the queue of changes
-    not yet sent, paced by the MinRouteAdvertisementInterval.
+(** One peer's outbound side: the changes queued for it and not yet
+    sent, paced by the MinRouteAdvertisementInterval.
 
-    Both live in one table keyed by packed prefix.  A slot holds the
-    advertised attributes and two queued bits: paced (waits for the MRAI
-    timer) and exempt (leaves at the end of the event even while the
-    timer runs).  A queued withdrawal keeps its slot until it is sent.
+    A table holds only its queued changes, each with its attrs (none for
+    a withdrawal) and one of two bits: paced (waits for the MRAI timer)
+    or exempt (leaves at the end of the event even while the timer
+    runs).  A change is dropped once sent.  The peer's Adj-RIB-Out is
+    derived: the queued change for a prefix if there is one, else what
+    the owner last had sent, which the owner derives from its own state
+    (the router from its Loc-RIB, the speaker from the decisions it last
+    synced).  That view is always what the owner's previous state
+    exports, so the owner tells a change from a no-op and queues only
+    changes: the table compares nothing.
 
     Pacing: the first change after an idle period goes out at the end of
     its event and arms the timer; further changes coalesce until expiry;
@@ -45,18 +51,18 @@ val unpaced : ?batch:batch -> send:(Message.update -> unit) -> unit -> t
     event (the cluster speaker's default).  Registers no metric. *)
 
 val announce : t -> Net.Ipv4.prefix -> Attrs.t -> unit
-(** Advertise [attrs] for the prefix.  No-op when the prefix is already
-    advertised with wire-equal attributes. *)
+(** Queue [attrs] for the prefix, replacing a queued change.  The caller
+    has checked that the peer's view (see {!view}) is not wire-equal
+    attributes. *)
 
 val withdraw : t -> Net.Ipv4.prefix -> unit
-(** No-op when the prefix is not advertised. *)
+(** Queue a withdrawal for the prefix, replacing a queued change.  The
+    caller has checked that the peer's view is a route. *)
 
-val advertised : t -> Net.Ipv4.prefix -> Attrs.t option
-(** The Adj-RIB-Out entry: what the peer has been (or is about to be)
-    told for the prefix. *)
-
-val advertised_entries : t -> (Net.Ipv4.prefix * Attrs.t) list
-(** Ascending prefix order. *)
+val view : t -> Net.Ipv4.prefix -> sent:Attrs.t option -> Attrs.t option
+(** What the peer has been (or is about to be) told for the prefix: the
+    queued change, else [sent], the owner's account of what it was last
+    sent. *)
 
 val is_dirty : t -> bool
 (** A change was queued since the last {!flush_event}. *)
@@ -70,9 +76,11 @@ val flush_event : t -> unit
 val pending_count : t -> int
 (** Queued paced changes. *)
 
+val queued_count : t -> int
+(** Queued changes, paced and exempt. *)
+
 val is_throttled : t -> bool
 (** True while the MRAI timer is running. *)
 
 val reset : t -> unit
-(** Session reset: empty the Adj-RIB-Out, drop queued changes and stop
-    the timer. *)
+(** Session reset: drop queued changes and stop the timer. *)

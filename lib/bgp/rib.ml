@@ -3,8 +3,9 @@
    Adj_in:  per (peer, prefix) routes as received (post-import-policy).
    Loc:     the selected best route per prefix.
 
-   The Adj-RIB-Out is per peer and shares its table with the peer's
-   update queue: see [Mrai].
+   A peer's Adj-RIB-Out is not stored: once its queued changes (see
+   [Mrai]) are sent, it is what the export policy gives for the Loc-RIB
+   best, so [Loc] hands back the best each change replaces.
 
    Storage is mutable exact-match tables ([Net.Ipv4.Prefix_table]): a
    RIB never needs longest-prefix match, and at Internet scale (10k+
@@ -131,25 +132,29 @@ module Loc = struct
     && Attrs.wire_equal a.Route.attrs b.Route.attrs
     && a.Route.attrs.Attrs.local_pref = b.Route.attrs.Attrs.local_pref
 
+  type replaced = Kept | Replaced of Route.t option
+
   let install t prefix (route : Route.t) =
     let key = Net.Ipv4.prefix_to_packed prefix in
     match Tbl.slot t.best key with
     | -1 ->
       ignore (Tbl.add t.best key route);
-      true
+      Replaced None
     | s ->
-      (not (same_best (Tbl.value t.best s) route))
-      && begin
-           Tbl.set_value t.best s route;
-           true
-         end
+      let old = Tbl.value t.best s in
+      if same_best old route then Kept
+      else begin
+        Tbl.set_value t.best s route;
+        Replaced (Some old)
+      end
 
   let remove t prefix =
     match Tbl.slot t.best (Net.Ipv4.prefix_to_packed prefix) with
-    | -1 -> false
+    | -1 -> None
     | s ->
+      let old = Tbl.value t.best s in
       Tbl.remove_slot t.best s;
-      true
+      Some old
 
   let entries t = Tbl.entries t.best
 

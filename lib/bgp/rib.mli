@@ -1,5 +1,6 @@
-(** Routing information bases: Adj-RIB-In and Loc-RIB.  Each peer's
-    Adj-RIB-Out lives in its {!Mrai.t}. *)
+(** Routing information bases: Adj-RIB-In and Loc-RIB.  A peer's
+    Adj-RIB-Out is derived from the Loc-RIB and its {!Mrai.t}'s queued
+    changes. *)
 
 module Adj_in : sig
   type t
@@ -46,13 +47,16 @@ module Loc : sig
 
   val find : t -> Net.Ipv4.prefix -> Route.t option
 
-  val install : t -> Net.Ipv4.prefix -> Route.t -> bool
-  (** Make the route the prefix's best unless the current best has the
-      same source, wire-equal attrs and the same local-pref; [true] when
-      the best changed. *)
+  type replaced =
+    | Kept  (** the best stayed *)
+    | Replaced of Route.t option  (** the best before the change, if any *)
 
-  val remove : t -> Net.Ipv4.prefix -> bool
-  (** [true] when the prefix had a best. *)
+  val install : t -> Net.Ipv4.prefix -> Route.t -> replaced
+  (** Make the route the prefix's best unless the current best has the
+      same source, wire-equal attrs and the same local-pref ([Kept]). *)
+
+  val remove : t -> Net.Ipv4.prefix -> Route.t option
+  (** The best removed, if the prefix had one. *)
 
   val entries : t -> (Net.Ipv4.prefix * Route.t) list
 

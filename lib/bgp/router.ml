@@ -2,7 +2,9 @@
    inter- from intra-domain routing by emulating each AS as one device).
 
    Faithful protocol mechanics that matter for convergence dynamics:
-   - Adj-RIB-In / Loc-RIB / Adj-RIB-Out separation with implicit withdraw;
+   - Adj-RIB-In / Loc-RIB / Adj-RIB-Out separation with implicit withdraw
+     (a peer's Adj-RIB-Out is derived: its queued changes, else what the
+     export policy gives for the Loc-RIB best);
    - the standard decision process (Decision.compare);
    - per-peer MRAI with Quagga-style jitter — the pacing that produces the
      classic path-exploration rounds on withdrawal;
@@ -46,7 +48,7 @@ type peer = {
   policy : Policy.t;
   session : Session.t;
   mutable retry_attempt : int; (* reconnect backoff position *)
-  mrai : Mrai.t; (* the peer's Adj-RIB-Out and update queue *)
+  mrai : Mrai.t; (* the changes queued for the peer *)
   (* [bgp_session_state], registered by the router's collector on the
      first snapshot after the peer was added. *)
   mutable state_gauge : Engine.Metrics.Gauge.t option;
@@ -233,42 +235,57 @@ let may_export peer (route : Route.t) provenance =
 
 let exported t attrs = Attrs.exported attrs ~asn:t.asn ~next_hop:t.router_id
 
-(* Deduplication against the Adj-RIB-Out happens inside [Mrai].  The
-   exported attrs are built once, for the first peer that takes the
-   route: [plain] holds the route's own attrs until then, which no
-   exported value can be (export prepends our ASN and sets our next
-   hop). *)
-let export_all_peers t prefix best =
+(* Whether [peer] is sent anything for the best [route], of [provenance]
+   ([route] None: no best). *)
+let exports peer route provenance =
+  match route with Some r -> may_export peer r provenance | None -> false
+
+(* The best changed from [old] to [best].  An established peer's view
+   (its queued change for the prefix, else what it was sent) is what
+   [old] exports to it, so it needs a change only when the two bests
+   export differently: one of them is withheld from it, or their paths,
+   MEDs or ORIGINs differ.  The exported attrs are built once, for the
+   first peer that needs them: [plain] holds the route's own attrs until
+   then, which no exported value can be (export prepends our ASN and
+   sets our next hop). *)
+let export_all_peers t prefix old best =
   let peers = peers t in
+  let old_prov = match old with Some o -> provenance t o | None -> Policy.Originated in
   match best with
   | None ->
     for i = 0 to Array.length peers - 1 do
       let peer = peers.(i) in
-      if Session.is_established peer.session then Mrai.withdraw peer.mrai prefix
+      if Session.is_established peer.session && exports peer old old_prov then
+        Mrai.withdraw peer.mrai prefix
     done
   | Some route ->
     let provenance = provenance t route and own = route.Route.attrs in
+    let same = match old with Some o -> Attrs.export_equal o.Route.attrs own | None -> false in
     let plain = ref own in
     for i = 0 to Array.length peers - 1 do
       let peer = peers.(i) in
       if Session.is_established peer.session then
         if may_export peer route provenance then begin
-          if !plain == own then plain := exported t own;
-          Mrai.announce peer.mrai prefix !plain
+          if not (same && exports peer old old_prov) then begin
+            if !plain == own then plain := exported t own;
+            Mrai.announce peer.mrai prefix !plain
+          end
         end
-        else Mrai.withdraw peer.mrai prefix
+        else if exports peer old old_prov then Mrai.withdraw peer.mrai prefix
     done
 
-let best_changed t prefix best =
+let best_changed t prefix old best =
   t.stats.best_changes <- t.stats.best_changes + 1;
   let subscribers = t.on_best_change in
   for i = 0 to Array.length subscribers - 1 do
     subscribers.(i) prefix best
   done;
-  export_all_peers t prefix best
+  export_all_peers t prefix old best
 
 let install t prefix route =
-  if Rib.Loc.install t.loc prefix route then best_changed t prefix (Some route)
+  match Rib.Loc.install t.loc prefix route with
+  | Rib.Loc.Kept -> ()
+  | Rib.Loc.Replaced old -> best_changed t prefix old (Some route)
 
 (* The decision process walks the prefix's Adj-RIB-In array in place and
    weighs the local route, if any, against its winner.  [Decision.compare]
@@ -281,7 +298,11 @@ let run_decision t prefix =
   match Tbl.slot t.originated (Net.Ipv4.prefix_to_packed prefix) with
   | -1 ->
     if i >= 0 then install t prefix learned.(i)
-    else if Rib.Loc.remove t.loc prefix then best_changed t prefix None
+    else begin
+      match Rib.Loc.remove t.loc prefix with
+      | Some _ as old -> best_changed t prefix old None
+      | None -> ()
+    end
   | o ->
     let local = Tbl.value t.originated o in
     install t prefix (if i >= 0 && Decision.better learned.(i) local then learned.(i) else local)
@@ -305,12 +326,13 @@ let withdraw_origin t prefix =
 
 (* --- Sessions ---------------------------------------------------------- *)
 
+(* A session that just came up holds nothing: it is sent every best it
+   may have. *)
 let sync_peer t peer =
   List.iter
     (fun (prefix, route) ->
       if may_export peer route (provenance t route) then
-        Mrai.announce peer.mrai prefix (exported t route.Route.attrs)
-      else Mrai.withdraw peer.mrai prefix)
+        Mrai.announce peer.mrai prefix (exported t route.Route.attrs))
     (Rib.Loc.entries t.loc)
 
 let session_down t peer_asn =
@@ -667,7 +689,18 @@ let create ~sim ~asn ~node_id ~router_id ~config ~send () =
 let adj_in_find t ~peer prefix = Rib.Adj_in.find t.adj_in ~peer prefix
 
 let adj_out_find t ~peer prefix =
-  match find_peer t peer with Some p -> Mrai.advertised p.mrai prefix | None -> None
+  match find_peer t peer with
+  | Some p when Session.is_established p.session ->
+    let sent =
+      match best t prefix with
+      | Some r when may_export p r (provenance t r) -> Some (exported t r.Route.attrs)
+      | Some _ | None -> None
+    in
+    Mrai.view p.mrai prefix ~sent
+  | Some _ | None -> None
+
+let queued_count t =
+  Array.fold_left (fun n p -> n + Mrai.queued_count p.mrai) 0 (peers t)
 
 let adj_in_size t = Rib.Adj_in.size t.adj_in
 

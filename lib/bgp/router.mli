@@ -91,6 +91,14 @@ val loc_entries : t -> (Net.Ipv4.prefix * Route.t) list
 val adj_in_find : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> Route.t option
 
 val adj_out_find : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> Attrs.t option
+(** The peer's Adj-RIB-Out entry, derived rather than stored: [None]
+    while the session is down; else the change queued for the peer, if
+    any; else the export of the Loc-RIB best when the peer may be told of
+    it (not its own route back, no loop, the export policy agrees). *)
+
+val queued_count : t -> int
+(** Changes queued for all peers and not yet sent: 0 once the router is
+    at rest. *)
 
 val adj_in_size : t -> int
 

@@ -78,17 +78,8 @@ type t = {
   send_switch : member:Net.Asn.t -> Sdn.Openflow.t -> bool;
   node_of_asn : Net.Asn.t -> int option;
   asn_of_node : int -> Net.Asn.t option;
-  addr_of_member : Net.Asn.t -> Net.Ipv4.addr;
   switch_graph : Net.Graph.t;
   arena : As_graph.arena;
-  member_index : Net.Asn.t array; (* ascending members: slot i of the sync cache *)
-  (* Per-prefix sync cache, valid for slots stamped with [sync_gen]: each
-     member's decision and its announcement attributes, made at most once
-     per prefix and only when one of its sessions exports them. *)
-  mutable sync_gen : int;
-  sync_stamp : int array;
-  sync_decision : As_graph.decision option array;
-  sync_attrs : Bgp.Attrs.t option array;
   mutable rib : As_graph.exit_route list Pm.t;
   mutable originated : Net.Asn.Set.t Pm.t;
   mutable installed : Sdn.Flow.action Net.Asn.Map.t Pm.t;
@@ -131,81 +122,16 @@ let known_prefixes t =
 let subscribe_decision_change t f =
   t.on_decision_change <- Array.append t.on_decision_change [| f |]
 
-(* --- Announcement construction ---------------------------------------- *)
+(* --- Announcements ------------------------------------------------------ *)
 
-(* Slot of a member in [member_index], or -1. *)
-let member_slot t (member : Net.Asn.t) =
-  let idx = t.member_index and key = (member :> int) in
-  let rec search lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) lsr 1 in
-      let x = (Array.unsafe_get idx mid :> int) in
-      if x = key then mid else if x < key then search (mid + 1) hi else search lo mid
-  in
-  search 0 (Array.length idx)
-
-let rec path_mem (asn : Net.Asn.t) (path : Net.Asn.t list) =
-  match path with
-  | [] -> false
-  | a :: rest -> (a :> int) = (asn :> int) || path_mem asn rest
-
-(* Start syncing another prefix (or decision map): invalidates the cache. *)
-let begin_sync t = t.sync_gen <- t.sync_gen + 1
-
-(* What a session should advertise for this prefix given the decision
-   map: the member's centrally selected route with its own ASN prepended
-   (AS identity preserved), filtered by loop check, by not-back-to-exit,
-   and by the session's export policy. *)
-let announcement t s decision_map =
-  let member = Speaker.session_member s and neighbor = Speaker.session_neighbor s in
-  let i = member_slot t member in
-  if i < 0 then None
-  else begin
-    if t.sync_stamp.(i) <> t.sync_gen then begin
-      t.sync_stamp.(i) <- t.sync_gen;
-      t.sync_decision.(i) <- Net.Asn.Map.find_opt member decision_map;
-      t.sync_attrs.(i) <- None
-    end;
-    match t.sync_decision.(i) with
-    | None -> None
-    | Some (d : As_graph.decision) ->
-      let back_to_exit =
-        match d.As_graph.hop with
-        | As_graph.Exit { neighbor = n } -> Net.Asn.equal n neighbor
-        | As_graph.Bridge { via_neighbor; _ } -> Net.Asn.equal via_neighbor neighbor
-        | As_graph.Deliver_local | As_graph.Intra _ -> false
-      in
-      if
-        back_to_exit || Net.Asn.equal neighbor member
-        || path_mem neighbor d.As_graph.as_path
-        || not
-             (Bgp.Policy.export_allowed ~to_rel:(Speaker.session_policy s)
-                ~provenance:d.As_graph.provenance)
-      then None
-      else
-        match t.sync_attrs.(i) with
-        | Some _ as cached -> cached
-        | None ->
-          let cached =
-            Some
-              (Bgp.Attrs.make ~as_path:(member :: d.As_graph.as_path)
-                 ~next_hop:(t.addr_of_member member) ())
-          in
-          t.sync_attrs.(i) <- cached;
-          cached
-  end
-
-let sync_session t s prefix decision_map =
-  match announcement t s decision_map with
-  | Some attrs ->
-    t.stats.announces <- t.stats.announces + 1;
-    Engine.Metrics.Counter.inc t.tm.announce_c;
-    Speaker.announce_to t.speaker s prefix attrs
-  | None ->
-    t.stats.withdraws <- t.stats.withdraws + 1;
-    Engine.Metrics.Counter.inc t.tm.withdraw_c;
-    Speaker.withdraw_to t.speaker s prefix
+(* Every session synced for a prefix counts as an announcement when its
+   member's decision exports to it and as a withdrawal otherwise; the
+   speaker drops what a session already holds. *)
+let count_syncs t ~announced ~synced =
+  t.stats.announces <- t.stats.announces + announced;
+  t.stats.withdraws <- t.stats.withdraws + (synced - announced);
+  Engine.Metrics.Counter.add t.tm.announce_c announced;
+  Engine.Metrics.Counter.add t.tm.withdraw_c (synced - announced)
 
 (* --- Recomputation ------------------------------------------------------ *)
 
@@ -274,8 +200,9 @@ let recompute_prefix t prefix =
         mods)
     changes;
   (* Update the legacy world through the speaker. *)
-  begin_sync t;
-  Speaker.iter_sessions t.speaker (fun s -> sync_session t s prefix desired)
+  count_syncs t
+    ~announced:(Speaker.sync t.speaker prefix desired)
+    ~synced:(Speaker.session_count t.speaker)
 
 (* Close the fallback-exit handshake: the batch that just ran reinstalled
    the flow state of every member awaiting resync, so release them from
@@ -352,12 +279,12 @@ let on_external_update t s (u : Bgp.Message.update) =
 let on_session_change t s ~up =
   if up then begin
     (* Full-table sync toward the new session from current decisions. *)
-    Speaker.with_batch t.speaker (fun () ->
-        List.iter
-          (fun prefix ->
-            begin_sync t;
-            sync_session t s prefix (decisions_for t prefix))
-          (known_prefixes t))
+    let prefixes = known_prefixes t in
+    let announced =
+      Speaker.with_batch t.speaker (fun () ->
+          Speaker.resync t.speaker s prefixes (decisions_for t))
+    in
+    count_syncs t ~announced ~synced:(List.length prefixes)
   end
   else begin
     let member = Speaker.session_member s and neighbor = Speaker.session_neighbor s in
@@ -493,7 +420,7 @@ let on_restarted t =
 (* --- Construction --------------------------------------------------------- *)
 
 let create ?flow_hard_timeout ~sim ~config ~members:member_list ~speaker
-    ~send_switch ~node_of_asn ~asn_of_node ~addr_of_member ~intra_links () =
+    ~send_switch ~node_of_asn ~asn_of_node ~intra_links () =
   let members = Net.Asn.Set.of_list member_list in
   let switch_graph = Net.Graph.create () in
   List.iter (fun m -> Net.Graph.add_node switch_graph (Net.Asn.to_int m)) member_list;
@@ -536,14 +463,8 @@ let create ?flow_hard_timeout ~sim ~config ~members:member_list ~speaker
       send_switch;
       node_of_asn;
       asn_of_node;
-      addr_of_member;
       switch_graph;
       arena = As_graph.create_arena ();
-      member_index = Array.of_list (Net.Asn.Set.elements members);
-      sync_gen = 0;
-      sync_stamp = Array.make (Net.Asn.Set.cardinal members) (-1);
-      sync_decision = Array.make (Net.Asn.Set.cardinal members) None;
-      sync_attrs = Array.make (Net.Asn.Set.cardinal members) None;
       rib = Pm.empty;
       originated = Pm.empty;
       installed = Pm.empty;

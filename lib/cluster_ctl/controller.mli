@@ -32,7 +32,6 @@ val create :
   send_switch:(member:Net.Asn.t -> Sdn.Openflow.t -> bool) ->
   node_of_asn:(Net.Asn.t -> int option) ->
   asn_of_node:(int -> Net.Asn.t option) ->
-  addr_of_member:(Net.Asn.t -> Net.Ipv4.addr) ->
   intra_links:(Net.Asn.t * Net.Asn.t) list ->
   unit ->
   t

@@ -1,6 +1,8 @@
 (** The cluster BGP speaker: terminates cluster members' external eBGP
     peerings (preserving AS identity), relays updates to/from the
-    controller, deduplicates announcements per session. *)
+    controller, and turns the controller's member decisions into each
+    session's announcements, deduplicated against what the session was
+    last sent. *)
 
 type t
 
@@ -78,15 +80,29 @@ val with_batch : t -> (unit -> 'a) -> 'a
     configuration order).  Outside any scope each change is sent
     immediately, as before. *)
 
-val announce_to : t -> session -> Net.Ipv4.prefix -> Bgp.Attrs.t -> unit
-(** Advertise (deduplicated against the session's Adj-RIB-Out); ignored
-    while the session is not established. *)
+val sync : t -> Net.Ipv4.prefix -> As_graph.decision Net.Asn.Map.t -> int
+(** Send every established session, in configuration order, what its
+    member's decision for the prefix exports to it (nothing when the
+    member has none or the session may not be told), and record the
+    decisions as the prefix's last sync.  A session that already holds
+    that gets no change.  Returns how many sessions, established or
+    not, the decisions export to. *)
 
-val withdraw_to : t -> session -> Net.Ipv4.prefix -> unit
+val resync :
+  t ->
+  session ->
+  Net.Ipv4.prefix list ->
+  (Net.Ipv4.prefix -> As_graph.decision Net.Asn.Map.t) ->
+  int
+(** {!sync} one session for each of the prefixes, with those decisions,
+    leaving the record as it is (a session's full-table sync when it
+    comes up).  Returns how many of the prefixes export to it. *)
 
-val announce : t -> member:Net.Asn.t -> neighbor:Net.Asn.t -> Net.Ipv4.prefix -> Bgp.Attrs.t -> unit
-(** {!announce_to} the session configured for (member, neighbor), if any. *)
+val session_count : t -> int
 
-val withdraw : t -> member:Net.Asn.t -> neighbor:Net.Asn.t -> Net.Ipv4.prefix -> unit
+val queued_count : t -> int
+(** Changes queued for all sessions and not yet sent. *)
 
 val advertised : t -> member:Net.Asn.t -> neighbor:Net.Asn.t -> Net.Ipv4.prefix -> Bgp.Attrs.t option
+(** The session's Adj-RIB-Out entry: its queued change for the prefix,
+    else what its last synced decision exports to it. *)

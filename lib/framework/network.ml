@@ -285,7 +285,7 @@ let create ?(config = Config.default) ~seed spec =
               (Payload.Openflow msg))
           ~node_of_asn:(fun asn -> node_of_asn (the ()) asn)
           ~asn_of_node:(fun node -> asn_of_node (the ()) node)
-          ~addr_of_member:plan.Addressing.router_addr ~intra_links ()
+          ~intra_links ()
       in
       (* Fallback egress for a degraded member: its lowest-numbered legacy
          neighbor whose link is still up (deterministic, re-picked by the

@@ -149,8 +149,7 @@ end
 
 (* Exact-match table keyed by [prefix_to_packed]: open addressing with
    linear probing and no per-entry cell.  A slot's key word is the packed
-   prefix (38 bits) with the owner's tag bits above it, so moves carry the
-   tag along; [empty] (negative) marks a free slot.  The table is at most
+   prefix; [empty] (negative) marks a free slot.  The table is at most
    three quarters full and grows by half, so it spends 2.7 to 4 words
    per entry (a chained hash table spends about 4.5).  A key's home slot
    scales the hash's low 32 bits to the capacity, which need not be a
@@ -163,12 +162,8 @@ end
 module Prefix_table = struct
   let empty = -1
 
-  let key_bits = 38
-
-  let key_mask = (1 lsl key_bits) - 1
-
   type 'a t = {
-    mutable keys : int array; (* packed prefix lor (tag lsl key_bits), or [empty] *)
+    mutable keys : int array; (* packed prefix, or [empty] *)
     mutable vals : 'a array; (* as long as [keys] *)
     mutable size : int;
   }
@@ -189,7 +184,7 @@ module Prefix_table = struct
   (* The slot holding [key], or the empty slot that ends its probe run. *)
   let rec probe keys n key i =
     let k = keys.(i) in
-    if k land key_mask = key || k = empty then i else probe keys n key (next n i)
+    if k = key || k = empty then i else probe keys n key (next n i)
 
   let home keys key =
     let n = Array.length keys in
@@ -205,11 +200,7 @@ module Prefix_table = struct
 
   let set_value t i v = t.vals.(i) <- v
 
-  let packed_at t i = t.keys.(i) land key_mask
-
-  let tag t i = t.keys.(i) lsr key_bits
-
-  let set_tag t i tag = t.keys.(i) <- t.keys.(i) land key_mask lor (tag lsl key_bits)
+  let packed_at t i = t.keys.(i)
 
   (* Free slots hold [filler], the value being inserted: see [remove_slot]. *)
   let resize t capacity filler =
@@ -219,7 +210,7 @@ module Prefix_table = struct
     Array.iteri
       (fun j k ->
         if k <> empty then begin
-          let i = home t.keys (k land key_mask) in
+          let i = home t.keys k in
           t.keys.(i) <- k;
           t.vals.(i) <- vals.(j)
         end)
@@ -254,7 +245,7 @@ module Prefix_table = struct
       keys.(hole) <- empty;
       vals.(hole) <- vals.(j)
     end
-    else if after n (home_of n (k land key_mask)) j >= after n hole j then begin
+    else if after n (home_of n k) j >= after n hole j then begin
       keys.(hole) <- k;
       vals.(hole) <- vals.(j);
       shift keys vals n j (next n j)
@@ -279,7 +270,7 @@ module Prefix_table = struct
           incr j
         end)
       keys;
-    Array.sort (fun a b -> Int.compare (keys.(a) land key_mask) (keys.(b) land key_mask)) order;
+    Array.sort (fun a b -> Int.compare keys.(a) keys.(b)) order;
     order
 
   let find p t =

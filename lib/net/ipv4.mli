@@ -96,11 +96,10 @@ end
 
 (** Mutable exact-match table keyed on {!prefix_to_packed}, for owners
     that never need longest-prefix match (the RIBs, the speaker, the
-    collector) and the one open-addressed table under {!Fib} and the BGP
-    Adj-RIB-Out.  Its arrays are allocated on the first insert, so an
-    unused table costs a three-field record.  Every ordered read sorts
-    the packed keys, so iteration is [compare_prefix] ascending.  Not
-    domain-safe. *)
+    collector) and the one open-addressed table under {!Fib}.  Its
+    arrays are allocated on the first insert, so an unused table costs a
+    three-field record.  Every ordered read sorts the packed keys, so
+    iteration is [compare_prefix] ascending.  Not domain-safe. *)
 module Prefix_table : sig
   type 'a t
 
@@ -132,10 +131,7 @@ module Prefix_table : sig
   (** {2 Slots}
 
       Allocation-free access by packed prefix.  A slot is an index that
-      stays valid until the next {!add} or {!remove_slot}.  Each slot
-      carries a small int [tag] (below 2{^24}) that its owner may use
-      for per-entry state; moves keep it.  {!add} and {!set} insert with
-      tag 0. *)
+      stays valid until the next {!add} or {!remove_slot}. *)
 
   val slot : 'a t -> int -> int
   (** The slot holding this packed prefix, or [-1]. *)
@@ -148,10 +144,6 @@ module Prefix_table : sig
   val value : 'a t -> int -> 'a
 
   val set_value : 'a t -> int -> 'a -> unit
-
-  val tag : 'a t -> int -> int
-
-  val set_tag : 'a t -> int -> int -> unit
 
   val packed_at : 'a t -> int -> int
   (** The packed prefix in a slot. *)

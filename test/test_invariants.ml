@@ -10,7 +10,12 @@
        router's best route;
    I3. loc-rib paths are simple (no AS appears twice);
    I4. the data plane never loops (walks end in delivery or blackhole);
-   I5. under Gao-Rexford policies, every selected path is valley-free. *)
+   I5. under Gao-Rexford policies, every selected path is valley-free;
+   I6. at rest nothing is queued: no router peer or speaker session
+       holds an unsent change, each established router peer's
+       Adj-RIB-Out is the export predicate applied to the Loc-RIB, and
+       each speaker session's is what its legacy neighbor holds from
+       the member. *)
 
 let cfg = Framework.Config.fast_test
 
@@ -178,6 +183,86 @@ let check_valley_free spec net =
         (Bgp.Router.loc_entries router))
     (Framework.Network.routers net)
 
+(* I6 *)
+let policy_of_role = function
+  | Topology.Spec.Customer -> Bgp.Policy.Customer
+  | Topology.Spec.Provider -> Bgp.Policy.Provider
+  | Topology.Spec.Peer -> Bgp.Policy.Peer
+  | Topology.Spec.Sibling -> Bgp.Policy.Sibling
+  | Topology.Spec.Unrestricted -> Bgp.Policy.Unrestricted
+
+let check_at_rest net =
+  let spec = Framework.Network.spec net and plan = Framework.Network.plan net in
+  let routers = Framework.Network.routers net in
+  (* [me]'s policy toward [neighbor]: the spec's relationship, Customer
+     for the route collector. *)
+  let policy ~me ~neighbor =
+    if Net.Asn.equal neighbor Framework.Network.collector_asn then Bgp.Policy.Customer
+    else
+      match Topology.Spec.neighbor_role spec ~me ~neighbor with
+      | Some role -> policy_of_role role
+      | None -> Bgp.Policy.Unrestricted
+  in
+  Net.Asn.Map.iter
+    (fun a_asn a ->
+      if Bgp.Router.queued_count a <> 0 then
+        Alcotest.failf "%a holds %d unsent changes at rest" Net.Asn.pp a_asn
+          (Bgp.Router.queued_count a);
+      List.iter
+        (fun b_asn ->
+          if Bgp.Router.peer_established a b_asn then
+            List.iter
+              (fun (prefix, route) ->
+                let provenance =
+                  match Bgp.Route.from_peer route with
+                  | None -> Bgp.Policy.Originated
+                  | Some q -> Bgp.Policy.learned_from (policy ~me:a_asn ~neighbor:q)
+                in
+                let want =
+                  if
+                    Bgp.Route.from_peer route <> Some b_asn
+                    && (not (Bgp.Attrs.path_contains (Bgp.Route.attrs route) b_asn))
+                    && Bgp.Policy.export_allowed ~to_rel:(policy ~me:a_asn ~neighbor:b_asn)
+                         ~provenance
+                  then
+                    Some
+                      (Bgp.Attrs.exported (Bgp.Route.attrs route) ~asn:a_asn
+                         ~next_hop:(plan.Framework.Addressing.router_addr a_asn))
+                  else None
+                in
+                if not (Option.equal ( == ) want (Bgp.Router.adj_out_find a ~peer:b_asn prefix))
+                then
+                  Alcotest.failf "%a's Adj-RIB-Out toward %a for %a is not its export"
+                    Net.Asn.pp a_asn Net.Asn.pp b_asn Net.Ipv4.pp_prefix prefix)
+              (Bgp.Router.loc_entries a))
+        (Bgp.Router.peer_asns a))
+    routers;
+  match Framework.Network.speaker net with
+  | None -> ()
+  | Some speaker ->
+    if Cluster_ctl.Speaker.queued_count speaker <> 0 then
+      Alcotest.failf "the speaker holds %d unsent changes at rest"
+        (Cluster_ctl.Speaker.queued_count speaker);
+    List.iter
+      (fun s ->
+        let member = Cluster_ctl.Speaker.session_member s
+        and neighbor = Cluster_ctl.Speaker.session_neighbor s in
+        match Net.Asn.Map.find_opt neighbor routers with
+        | Some n when Cluster_ctl.Speaker.is_established s ->
+          List.iter
+            (fun (prefix, _) ->
+              let held =
+                Option.map Bgp.Route.attrs (Bgp.Router.adj_in_find n ~peer:member prefix)
+              in
+              let told = Cluster_ctl.Speaker.advertised speaker ~member ~neighbor prefix in
+              if not (Option.equal Bgp.Attrs.wire_equal held told) then
+                Alcotest.failf "session %a->%a: Adj-RIB-Out for %a is not what %a holds"
+                  Net.Asn.pp member Net.Asn.pp neighbor Net.Ipv4.pp_prefix prefix Net.Asn.pp
+                  neighbor)
+            (Bgp.Router.loc_entries n)
+        | Some _ | None -> ())
+      (Cluster_ctl.Speaker.sessions speaker)
+
 let run_invariant_battery seed =
   let spec = random_spec seed in
   let origins = origins_of spec seed in
@@ -186,7 +271,8 @@ let run_invariant_battery seed =
   check_peer_consistency net;
   check_decision_fixed_point net prefixes;
   check_simple_paths net;
-  check_no_forwarding_loops net origins
+  check_no_forwarding_loops net origins;
+  check_at_rest net
 
 let test_invariants_random_topologies () =
   List.iter run_invariant_battery [ 101; 202; 303; 404; 505; 616; 727; 838; 949; 1060 ]
@@ -210,6 +296,7 @@ let test_invariants_after_failures () =
       check_decision_fixed_point net (all_prefixes net origins);
       check_simple_paths net;
       check_no_forwarding_loops net origins;
+      check_at_rest net;
       (* and again after recovery *)
       List.iter
         (fun (l : Topology.Spec.link_spec) ->
@@ -217,7 +304,8 @@ let test_invariants_after_failures () =
         victims;
       ignore (Framework.Network.settle net);
       check_peer_consistency net;
-      check_no_forwarding_loops net origins)
+      check_no_forwarding_loops net origins;
+      check_at_rest net)
     [ 606; 707; 808 ]
 
 let test_invariants_hybrid () =
@@ -236,7 +324,8 @@ let test_invariants_hybrid () =
       let net = settled_network ~spec ~seed ~origins in
       check_peer_consistency net;
       check_simple_paths net;
-      check_no_forwarding_loops net origins)
+      check_no_forwarding_loops net origins;
+      check_at_rest net)
     [ 111; 222; 333 ]
 
 let test_valley_free_on_internet () =
@@ -249,7 +338,8 @@ let test_valley_free_on_internet () =
       let net = settled_network ~spec ~seed ~origins in
       check_valley_free spec net;
       check_peer_consistency net;
-      check_simple_paths net)
+      check_simple_paths net;
+      check_at_rest net)
     [ 11; 22; 33 ]
 
 let suite =

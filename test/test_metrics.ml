@@ -297,9 +297,12 @@ let test_construction_words () =
    peer's pending changes were persistent maps beside a router-wide
    Adj-RIB-Out, 172 with one outbound table per peer, and 80 once an
    UPDATE allocated only what it stores (in-place decisions, a boolean
-   export predicate, no per-UPDATE tables).  The hybrid twin centralizes
-   the 6 top-degree ASes (the benchmark's smoke hybrid size): 279 words,
-   then 177. *)
+   export predicate, no per-UPDATE tables); it reads about 70 with the
+   peers' Adj-RIB-Outs derived instead of stored.  The hybrid twin
+   centralizes the 6 top-degree ASes (the benchmark's smoke hybrid
+   size): 279 words, then 177, then 133 to 137 once the speaker's
+   sessions derived theirs too (the weak intern set makes it vary with
+   GC timing). *)
 let export_words_per_change ~sdn =
   let tier1, tier2, stubs = (3, 8, 40) in
   let spec = Topology.Caida.generate ~tier1 ~tier2 ~stubs (Rng.create 7) in
@@ -340,7 +343,8 @@ let export_words_per_change ~sdn =
   Alcotest.(check bool) "the load changed routes" true (changes > 1000);
   words /. float_of_int changes
 
-(* Bounds: the readings above plus 25%. *)
+(* Bounds: the readings above plus 25% (100), and the highest hybrid
+   reading with derived Adj-RIB-Outs plus 15% (158). *)
 let test_export_words () =
   let per_change = export_words_per_change ~sdn:0 in
   Alcotest.(check bool)
@@ -350,8 +354,8 @@ let test_export_words () =
 let test_export_words_hybrid () =
   let per_change = export_words_per_change ~sdn:6 in
   Alcotest.(check bool)
-    (Fmt.str "%.1f minor words per best change <= 221" per_change)
-    true (per_change <= 221.0)
+    (Fmt.str "%.1f minor words per best change <= 158" per_change)
+    true (per_change <= 158.0)
 
 (* The sampler must never keep the queue alive on its own, and must
    resume when new work arrives after a drain. *)

@@ -172,8 +172,14 @@ let same_update (a : Bgp.Message.update) (b : Bgp.Message.update) =
     a.Bgp.Message.announced b.Bgp.Message.announced
   && List.equal Net.Ipv4.equal_prefix a.Bgp.Message.withdrawn b.Bgp.Message.withdrawn
 
+module Pm = Net.Ipv4.Prefix_map
+
 (* Both sides run on their own sim with the same jittered config and RNG
-   seed, so equal UPDATEs at equal times also mean equal timer draws. *)
+   seed, so equal UPDATEs at equal times also mean equal timer draws.
+   The table keeps only unsent changes; like its owners, the harness
+   derives what the peer holds from the UPDATE stream the table itself
+   has sent (its view: the queued change, else that) and queues a
+   change only where the view differs. *)
 let run_case c =
   let config =
     {
@@ -189,6 +195,13 @@ let run_case c =
     (sim, sent, send)
   in
   let sim_a, sent_a, send_a = side () and sim_b, sent_b, send_b = side () in
+  (* What the peer was sent, from the table's own UPDATEs. *)
+  let told = ref Pm.empty in
+  let send_a (u : Bgp.Message.update) =
+    told := List.fold_left (fun m prefix -> Pm.remove prefix m) !told u.Bgp.Message.withdrawn;
+    told := List.fold_left (fun m (prefix, a) -> Pm.add prefix a m) !told u.Bgp.Message.announced;
+    send_a u
+  in
   (* hooked: the table sits in a batch scope that never closes, so a
      dirty table waits for an explicit flush *)
   let batch = Bgp.Mrai.batch () in
@@ -200,6 +213,7 @@ let run_case c =
     else (Bgp.Mrai.unpaced ~batch ~send:send_a (), Mrai_reference.unpaced ~send:send_b)
   in
   if c.hooked then Mrai_reference.set_on_dirty model ignore;
+  let view prefix = Bgp.Mrai.view table prefix ~sent:(Pm.find_opt prefix !told) in
   let counter sim name =
     Engine.Metrics.value (Engine.Metrics.snapshot (Sim.metrics sim) ~at:(Sim.now sim)) name
   in
@@ -207,11 +221,15 @@ let run_case c =
     (fun op ->
       (match op with
       | Announce (i, a) ->
-        Bgp.Mrai.announce table pool.(i) attr_pool.(a);
-        Mrai_reference.announce model pool.(i) attr_pool.(a)
+        let prefix = pool.(i) and attrs = attr_pool.(a) in
+        (match view prefix with
+        | Some v when Bgp.Attrs.wire_equal v attrs -> ()
+        | Some _ | None -> Bgp.Mrai.announce table prefix attrs);
+        Mrai_reference.announce model prefix attrs
       | Withdraw i ->
-        Bgp.Mrai.withdraw table pool.(i);
-        Mrai_reference.withdraw model pool.(i)
+        let prefix = pool.(i) in
+        if view prefix <> None then Bgp.Mrai.withdraw table prefix;
+        Mrai_reference.withdraw model prefix
       | Flush ->
         Bgp.Mrai.flush_event table;
         Mrai_reference.flush_event model
@@ -221,13 +239,14 @@ let run_case c =
         ignore (Sim.run ~until:(until sim_b) sim_b)
       | Reset ->
         Bgp.Mrai.reset table;
+        told := Pm.empty;
         Mrai_reference.reset model);
       List.equal (fun (t, u) (t', u') -> t = t' && same_update u u') !sent_a !sent_b
       && Bgp.Mrai.pending_count table = Mrai_reference.pending_count model
       && Bgp.Mrai.is_throttled table = Mrai_reference.is_throttled model
       && Array.for_all
            (fun prefix ->
-             match (Bgp.Mrai.advertised table prefix, Mrai_reference.advertised model prefix) with
+             match (view prefix, Mrai_reference.advertised model prefix) with
              | None, None -> true
              | Some x, Some y -> x == y
              | _ -> false)

@@ -56,39 +56,61 @@ let test_adj_in_remove () =
   Alcotest.(check (list string)) "all_prefixes empty" []
     (List.map Net.Ipv4.prefix_to_string (Bgp.Rib.Adj_in.all_prefixes rib))
 
+let from_peer = function
+  | Some r -> Option.map Net.Asn.to_int (Bgp.Route.from_peer r)
+  | None -> None
+
 let test_loc () =
   let loc = Bgp.Rib.Loc.create () in
   let pre = p "100.64.0.0/24" in
   Alcotest.(check bool) "initially empty" true (Bgp.Rib.Loc.find loc pre = None);
   Alcotest.(check bool) "install a first best" true
-    (Bgp.Rib.Loc.install loc pre (route ~peer:65001));
-  Alcotest.(check bool) "the same best again changes nothing" false
-    (Bgp.Rib.Loc.install loc pre (route ~peer:65001));
+    (Bgp.Rib.Loc.install loc pre (route ~peer:65001) = Bgp.Rib.Loc.Replaced None);
+  Alcotest.(check bool) "the same best again changes nothing" true
+    (Bgp.Rib.Loc.install loc pre (route ~peer:65001) = Bgp.Rib.Loc.Kept);
   Alcotest.(check int) "size" 1 (Bgp.Rib.Loc.size loc);
-  Alcotest.(check bool) "another peer's route replaces it" true
-    (Bgp.Rib.Loc.install loc pre (route ~peer:65002));
+  (match Bgp.Rib.Loc.install loc pre (route ~peer:65002) with
+  | Bgp.Rib.Loc.Replaced old ->
+    Alcotest.(check (option int)) "another peer's route replaces it" (Some 65001) (from_peer old)
+  | Bgp.Rib.Loc.Kept -> Alcotest.fail "another peer's route must replace the best");
   Alcotest.(check int) "replace keeps size" 1 (Bgp.Rib.Loc.size loc);
   (match Bgp.Rib.Loc.find loc pre with
   | Some r ->
     Alcotest.(check (option int)) "latest kept" (Some 65002)
       (Option.map Net.Asn.to_int (Bgp.Route.from_peer r))
   | None -> Alcotest.fail "must find");
-  Alcotest.(check bool) "remove reports the best" true (Bgp.Rib.Loc.remove loc pre);
-  Alcotest.(check bool) "a second remove finds none" false (Bgp.Rib.Loc.remove loc pre);
+  Alcotest.(check (option int)) "remove reports the best" (Some 65002)
+    (from_peer (Bgp.Rib.Loc.remove loc pre));
+  Alcotest.(check bool) "a second remove finds none" true (Bgp.Rib.Loc.remove loc pre = None);
   Alcotest.(check int) "removed" 0 (Bgp.Rib.Loc.size loc)
 
-(* A peer's Adj-RIB-Out is its [Bgp.Mrai] table. *)
+(* A peer's Adj-RIB-Out is derived: its queued change, else the export
+   of the Loc-RIB best; a session reset empties it. *)
 let test_adj_out () =
-  let out = Bgp.Mrai.unpaced ~send:ignore () in
-  let pre = p "100.64.0.0/24" in
-  let attrs = Bgp.Attrs.make ~next_hop:nh () in
-  Bgp.Mrai.announce out pre attrs;
-  Alcotest.(check bool) "recorded" true (Bgp.Mrai.advertised out pre <> None);
-  Alcotest.(check int) "advertised list" 1 (List.length (Bgp.Mrai.advertised_entries out));
-  let dropped = Bgp.Mrai.advertised_entries out in
-  Bgp.Mrai.reset out;
-  Alcotest.(check int) "drop peer" 1 (List.length dropped);
-  Alcotest.(check int) "empty after drop" 0 (List.length (Bgp.Mrai.advertised_entries out))
+  let sim = Engine.Sim.create () in
+  let r =
+    Bgp.Router.create ~sim ~asn:(asn 65000) ~node_id:0 ~router_id:nh ~config:Bgp.Config.default
+      ~send:(fun ~dst:_ _ -> true)
+      ()
+  in
+  let peer = asn 65001 in
+  Bgp.Router.add_peer r ~peer_asn:peer ~peer_node:1 ~policy:Bgp.Policy.Customer;
+  Bgp.Router.handle_message r ~from:1
+    (Bgp.Message.Open { asn = peer; router_id = nh; hold_time = 0 });
+  let p1 = p "100.64.0.0/24" and p2 = p "100.64.1.0/24" in
+  (* the first announcement leaves at once and arms the MRAI timer; the
+     second waits for it *)
+  Bgp.Router.originate r p1;
+  Bgp.Router.originate r p2;
+  let want = Bgp.Attrs.make ~as_path:[ asn 65000 ] ~next_hop:nh () in
+  let holds pre =
+    match Bgp.Router.adj_out_find r ~peer pre with Some a -> a == want | None -> false
+  in
+  Alcotest.(check bool) "recorded" true (holds p1);
+  Alcotest.(check bool) "queued change shown" true (holds p2);
+  Bgp.Router.session_down r peer;
+  Alcotest.(check bool) "empty after drop" true
+    (List.for_all (fun pre -> Bgp.Router.adj_out_find r ~peer pre = None) [ p1; p2 ])
 
 let suite =
   [

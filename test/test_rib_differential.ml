@@ -326,14 +326,19 @@ let test_loc_differential () =
         | Some old -> not (Bgp.Attrs.wire_equal (Bgp.Route.attrs old) (Bgp.Route.attrs r))
         | None -> true
       in
+      let replaced = Pm.find_opt prefix !reference in
       Alcotest.(check bool)
-        (Fmt.str "step %d: install reports a change" step)
-        differs (Bgp.Rib.Loc.install rib prefix r);
+        (Fmt.str "step %d: install reports a change and the best it replaced" step)
+        true
+        (match Bgp.Rib.Loc.install rib prefix r with
+        | Bgp.Rib.Loc.Kept -> not differs
+        | Bgp.Rib.Loc.Replaced old -> differs && Option.equal ( == ) old replaced);
       if differs then reference := Pm.add prefix r !reference
     | _ ->
       Alcotest.(check bool)
         (Fmt.str "step %d: remove reports the best" step)
-        (Pm.mem prefix !reference) (Bgp.Rib.Loc.remove rib prefix);
+        true
+        (Option.equal ( == ) (Pm.find_opt prefix !reference) (Bgp.Rib.Loc.remove rib prefix));
       reference := Pm.remove prefix !reference);
     Alcotest.(check int)
       (Fmt.str "step %d: size" step)
@@ -349,89 +354,104 @@ let test_loc_differential () =
   done;
   check_entries "final entries" (Pm.bindings !reference) (Bgp.Rib.Loc.entries rib)
 
-(* --- Adj-RIB-Out: per-peer Mrai tables vs per-peer Prefix_map -------- *)
+(* --- Adj-RIB-Out: Router.adj_out_find vs per-peer Prefix_map --------- *)
 
-(* Each peer's Adj-RIB-Out is its own [Bgp.Mrai] table, in three queue
-   regimes: unpaced and flushed at once, unpaced with a hook that never
-   flushes (withdrawals stay queued), and paced behind a timer that never
-   expires.  None may show a queued withdrawal as advertised. *)
+(* A router's Adj-RIB-Out is derived from its Loc-RIB and its peers'
+   queued changes.  Three customers see every local route while their
+   session is up; random originations, withdrawals, session flaps and
+   time steps (MRAI expiries) drive the router, and each peer's view
+   must equal a per-peer map of what it was told.  Every few steps the
+   run goes quiet, and then what the router's UPDATEs actually told
+   each peer must equal the map too. *)
 let test_adj_out_differential () =
   let rng = Engine.Rng.create 3003 in
   let sim = Engine.Sim.create () in
-  let config = Bgp.Config.no_jitter Bgp.Config.default in
-  (* a batch scope that never closes: dirty tables are never flushed *)
-  let batch = Bgp.Mrai.batch () in
-  Bgp.Mrai.enter batch;
-  let queued = Bgp.Mrai.unpaced ~batch ~send:ignore () in
-  let tables =
-    [
-      (65001, Bgp.Mrai.unpaced ~send:ignore ());
-      (65002, queued);
-      (65003, Bgp.Mrai.create sim ~rng:(Engine.Rng.create 5) ~config ~send:ignore);
-    ]
+  let me = asn 65000 in
+  let peers = [ 65001; 65002; 65003 ] in
+  (* What each peer's UPDATE stream told it, reset with its session. *)
+  let told = Hashtbl.create 3 in
+  let send ~dst msg =
+    (match msg with
+    | Bgp.Message.Update u ->
+      let m = Option.value (Hashtbl.find_opt told dst) ~default:Pm.empty in
+      let m = List.fold_left (fun m prefix -> Pm.remove prefix m) m u.Bgp.Message.withdrawn in
+      let m = List.fold_left (fun m (prefix, a) -> Pm.add prefix a m) m u.Bgp.Message.announced in
+      Hashtbl.replace told dst m
+    | Bgp.Message.Open _ | Bgp.Message.Keepalive | Bgp.Message.Notification _ -> ());
+    true
   in
-  let peers = List.map fst tables in
-  let table peer = List.assoc (Net.Asn.to_int peer) tables in
-  let attrs tag = Bgp.Attrs.make ~as_path:[ asn (65200 + tag) ] ~next_hop:nh () in
-  let ref_tables = ref Am.empty in
+  let r =
+    Bgp.Router.create ~sim ~asn:me ~node_id:0 ~router_id:nh
+      ~config:(Bgp.Config.no_jitter Bgp.Config.default) ~send ()
+  in
+  List.iter
+    (fun n -> Bgp.Router.add_peer r ~peer_asn:(asn n) ~peer_node:n ~policy:Bgp.Policy.Customer)
+    peers;
+  let up n =
+    Bgp.Router.handle_message r ~from:n
+      (Bgp.Message.Open { asn = asn n; router_id = nh; hold_time = 0 })
+  in
+  List.iter up peers;
+  let exported = Bgp.Attrs.make ~as_path:[ me ] ~next_hop:nh () in
+  let originated = ref Pm.empty and ref_tables = ref Am.empty and touched = ref Pm.empty in
+  List.iter (fun n -> ref_tables := Am.add (asn n) Pm.empty !ref_tables) peers;
+  let agrees peer prefix =
+    let want = Option.bind (Am.find_opt peer !ref_tables) (Pm.find_opt prefix) in
+    match (Bgp.Router.adj_out_find r ~peer prefix, want) with
+    | None, None -> true
+    | Some g, Some w -> g == w
+    | _ -> false
+  in
   for step = 1 to 2000 do
-    let peer = asn (Engine.Rng.pick rng peers) in
-    let prefix = random_prefix rng in
-    (match Engine.Rng.int rng 6 with
+    let n = Engine.Rng.pick rng peers in
+    let peer = asn n and prefix = random_prefix rng in
+    (match Engine.Rng.int rng 8 with
     | 0 | 1 | 2 ->
-      let a = attrs (Engine.Rng.int rng 4) in
-      Bgp.Mrai.announce (table peer) prefix a;
-      let m = Option.value (Am.find_opt peer !ref_tables) ~default:Pm.empty in
-      ref_tables := Am.add peer (Pm.add prefix a m) !ref_tables
+      Bgp.Router.originate r prefix;
+      originated := Pm.add prefix () !originated;
+      touched := Pm.add prefix () !touched;
+      ref_tables := Am.map (Pm.add prefix exported) !ref_tables
     | 3 | 4 ->
-      Bgp.Mrai.withdraw (table peer) prefix;
-      (match Am.find_opt peer !ref_tables with
-      | None -> ()
-      | Some m ->
-        let m = Pm.remove prefix m in
-        ref_tables :=
-          (if Pm.is_empty m then Am.remove peer !ref_tables
-           else Am.add peer m !ref_tables))
+      Bgp.Router.withdraw_origin r prefix;
+      originated := Pm.remove prefix !originated;
+      ref_tables := Am.map (Pm.remove prefix) !ref_tables
+    | 5 ->
+      if Bgp.Router.peer_established r peer then begin
+        Bgp.Router.session_down r peer;
+        Hashtbl.remove told n;
+        ref_tables := Am.remove peer !ref_tables
+      end
+      else begin
+        up n;
+        ref_tables := Am.add peer (Pm.map (fun () -> exported) !originated) !ref_tables
+      end
+    | 6 ->
+      let until = Engine.Time.add (Engine.Sim.now sim) (Engine.Time.sec 5) in
+      ignore (Engine.Sim.run ~until sim)
     | _ ->
-      let got = List.map fst (Bgp.Mrai.advertised_entries (table peer)) in
-      Bgp.Mrai.reset (table peer);
-      let want =
-        match Am.find_opt peer !ref_tables with
-        | None -> []
-        | Some m -> List.map fst (Pm.bindings m)
-      in
-      ref_tables := Am.remove peer !ref_tables;
-      check_entries
-        (Fmt.str "step %d: drop_peer" step)
-        (List.map (fun k -> (k, ())) want)
-        (List.map (fun k -> (k, ())) got));
-    let ref_size = Am.fold (fun _ m acc -> acc + Pm.cardinal m) !ref_tables 0 in
-    Alcotest.(check int) (Fmt.str "step %d: size" step) ref_size
-      (List.fold_left
-         (fun acc (_, t) -> acc + List.length (Bgp.Mrai.advertised_entries t))
-         0 tables);
+      ignore (Engine.Sim.run sim);
+      List.iter
+        (fun n ->
+          let want = Option.value (Am.find_opt (asn n) !ref_tables) ~default:Pm.empty in
+          let got = Option.value (Hashtbl.find_opt told n) ~default:Pm.empty in
+          check_entries
+            (Fmt.str "step %d: AS%d told, once quiet" step n)
+            (Pm.bindings want) (Pm.bindings got);
+          List.iter2
+            (fun (_, w) (_, g) -> Alcotest.(check bool) "told attrs" true (w == g))
+            (Pm.bindings want) (Pm.bindings got))
+        peers);
     let probe = random_prefix rng in
-    let got = Bgp.Mrai.advertised (table peer) probe in
-    let want = Option.bind (Am.find_opt peer !ref_tables) (Pm.find_opt probe) in
-    Alcotest.(check bool)
-      (Fmt.str "step %d: find agrees" step)
-      true
-      (match (got, want) with
-      | None, None -> true
-      | Some g, Some w -> g == w
-      | _ -> false)
+    Alcotest.(check bool) (Fmt.str "step %d: find agrees" step) true (agrees peer probe);
+    Alcotest.(check bool) (Fmt.str "step %d: changed prefix agrees" step) true (agrees peer prefix)
   done;
   List.iter
-    (fun (p, t) ->
-      let want =
-        match Am.find_opt (asn p) !ref_tables with None -> [] | Some m -> Pm.bindings m
-      in
-      let got = Bgp.Mrai.advertised_entries t in
-      check_entries (Fmt.str "final advertised AS%d" p) want got;
-      List.iter2
-        (fun (_, w) (_, g) -> Alcotest.(check bool) "advertised attrs" true (w == g))
-        want got)
-    tables
+    (fun n ->
+      Pm.iter
+        (fun prefix () ->
+          Alcotest.(check bool) (Fmt.str "final view of AS%d" n) true (agrees (asn n) prefix))
+        !touched)
+    peers
 
 (* --- Small-topology end-to-end: table-backed Loc-RIBs vs a map mirror
    rebuilt from the best-route change stream of a real run -------------- *)

@@ -529,6 +529,69 @@ let arb_diff =
 let prop_decisions_match_reference =
   QCheck.Test.make ~name:"decisions = list-and-table reference" ~count:300 arb_diff diff_agrees
 
+(* The Adj-RIB-Out is derived, so a change queued behind the MRAI timer
+   is the only record of what the peer will hold.  Router 65001 learns a
+   prefix from 65002 and tells 65003: the first route A leaves at once;
+   B, then A again, arrive while the timer runs, and the peer is sent A
+   a second time at expiry.  A withdrawal arriving during the next
+   interval still leaves at the end of its own event. *)
+let test_mrai_queued_change () =
+  let sim = Sim.create () in
+  let config = { fast_config with Bgp.Config.mrai_on_withdrawals = false } in
+  let told = ref [] in
+  let send ~dst msg =
+    (match msg with
+    | Bgp.Message.Update u when dst = 3 -> told := (Time.to_us (Sim.now sim), u) :: !told
+    | _ -> ());
+    true
+  in
+  let r =
+    Bgp.Router.create ~sim ~asn:(asn 65001) ~node_id:1
+      ~router_id:(Net.Ipv4.addr_of_octets 10 0 1 1) ~config ~send ()
+  in
+  let nh = Net.Ipv4.addr_of_octets 10 0 2 1 in
+  List.iter
+    (fun n ->
+      Bgp.Router.add_peer r ~peer_asn:(asn (65000 + n)) ~peer_node:n
+        ~policy:Bgp.Policy.Unrestricted;
+      Bgp.Router.handle_message r ~from:n
+        (Bgp.Message.Open { asn = asn (65000 + n); router_id = nh; hold_time = 0 }))
+    [ 2; 3 ];
+  let pre = p "100.64.0.0/24" in
+  let at ms update =
+    ignore
+      (Sim.schedule_after sim (Time.ms ms) (fun () ->
+           Bgp.Router.handle_message r ~from:2 (Bgp.Message.Update update)))
+  in
+  let route path =
+    {
+      Bgp.Message.announced =
+        [ (pre, Bgp.Attrs.make ~as_path:(List.map asn path) ~next_hop:nh ()) ];
+      withdrawn = [];
+    }
+  in
+  at 0 (route [ 65002 ]);
+  at 100 (route [ 65002; 65009 ]);
+  at 200 (route [ 65002 ]);
+  at 1500 { Bgp.Message.announced = []; withdrawn = [ pre ] };
+  ignore (Sim.run ~until:(Time.sec 3) sim);
+  let shown (at, (u : Bgp.Message.update)) =
+    ( at / 1000,
+      List.map
+        (fun (_, a) -> List.map Net.Asn.to_int (Bgp.Attrs.as_path a))
+        u.Bgp.Message.announced,
+      List.length u.Bgp.Message.withdrawn )
+  in
+  Alcotest.(check (list (triple int (list (list int)) int)))
+    "A at once, A again at expiry, the withdrawal at the end of its event"
+    [
+      (1, [ [ 65001; 65002 ] ], 0);
+      (1001, [ [ 65001; 65002 ] ], 0);
+      (1501, [], 1);
+    ]
+    (List.rev_map shown !told);
+  Alcotest.(check int) "nothing left queued" 0 (Bgp.Router.queued_count r)
+
 let suite =
   [
     Alcotest.test_case "session establishment" `Quick test_session_establishment;
@@ -546,5 +609,6 @@ let suite =
     Alcotest.test_case "session-state gauges" `Quick test_session_state_gauges;
     Alcotest.test_case "shared export per peer" `Quick test_shared_export_per_peer;
     Alcotest.test_case "batch survives an exception" `Quick test_batch_survives_exception;
+    Alcotest.test_case "mrai: queued change is the peer's view" `Quick test_mrai_queued_change;
     QCheck_alcotest.to_alcotest prop_decisions_match_reference;
   ]

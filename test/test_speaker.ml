@@ -34,6 +34,22 @@ let setup ?liveness ?mrai_config () =
   Cluster_ctl.Speaker.add_session ?mrai_config speaker ~member ~neighbor ~member_addr:nh ~policy;
   (speaker, wire, updates, sessions)
 
+(* The member's decision for a prefix, [path] beyond the member itself:
+   the speaker sends it as [member :: path]. *)
+let decision path =
+  {
+    Cluster_ctl.As_graph.member;
+    hop = Cluster_ctl.As_graph.Deliver_local;
+    as_path = List.map asn path;
+    distance = 0.;
+    provenance = Bgp.Policy.Originated;
+  }
+
+let sync speaker pre path =
+  ignore (Cluster_ctl.Speaker.sync speaker pre (Net.Asn.Map.singleton member (decision path)))
+
+let sync_none speaker pre = ignore (Cluster_ctl.Speaker.sync speaker pre Net.Asn.Map.empty)
+
 let open_msg = Bgp.Message.Open { asn = neighbor; router_id = nh; hold_time = 0 }
 
 let update_msg =
@@ -71,23 +87,20 @@ let test_announce_dedup () =
   let speaker, wire, _, _ = setup () in
   Cluster_ctl.Speaker.handle_relay speaker ~member ~neighbor open_msg;
   let before = List.length !wire in
-  let attrs = Bgp.Attrs.make ~as_path:[ member ] ~next_hop:nh () in
-  Cluster_ctl.Speaker.announce speaker ~member ~neighbor (p "9.9.9.0/24") attrs;
-  Cluster_ctl.Speaker.announce speaker ~member ~neighbor (p "9.9.9.0/24") attrs;
+  sync speaker (p "9.9.9.0/24") [];
+  sync speaker (p "9.9.9.0/24") [];
   Alcotest.(check int) "identical announcement suppressed" (before + 1) (List.length !wire);
-  let attrs2 = Bgp.Attrs.prepend attrs (asn 65020) in
-  Cluster_ctl.Speaker.announce speaker ~member ~neighbor (p "9.9.9.0/24") attrs2;
+  sync speaker (p "9.9.9.0/24") [ 65020 ];
   Alcotest.(check int) "changed announcement sent" (before + 2) (List.length !wire)
 
 let test_withdraw_only_if_advertised () =
   let speaker, wire, _, _ = setup () in
   Cluster_ctl.Speaker.handle_relay speaker ~member ~neighbor open_msg;
   let before = List.length !wire in
-  Cluster_ctl.Speaker.withdraw speaker ~member ~neighbor (p "9.9.9.0/24");
+  sync_none speaker (p "9.9.9.0/24");
   Alcotest.(check int) "nothing to withdraw" before (List.length !wire);
-  let attrs = Bgp.Attrs.make ~as_path:[ member ] ~next_hop:nh () in
-  Cluster_ctl.Speaker.announce speaker ~member ~neighbor (p "9.9.9.0/24") attrs;
-  Cluster_ctl.Speaker.withdraw speaker ~member ~neighbor (p "9.9.9.0/24");
+  sync speaker (p "9.9.9.0/24") [];
+  sync_none speaker (p "9.9.9.0/24");
   Alcotest.(check int) "announce + withdraw" (before + 2) (List.length !wire);
   Alcotest.(check bool) "adj-out cleared" true
     (Cluster_ctl.Speaker.advertised speaker ~member ~neighbor (p "9.9.9.0/24") = None)
@@ -95,8 +108,9 @@ let test_withdraw_only_if_advertised () =
 let test_session_down_clears_state () =
   let speaker, _, _, sessions = setup () in
   Cluster_ctl.Speaker.handle_relay speaker ~member ~neighbor open_msg;
-  let attrs = Bgp.Attrs.make ~as_path:[ member ] ~next_hop:nh () in
-  Cluster_ctl.Speaker.announce speaker ~member ~neighbor (p "9.9.9.0/24") attrs;
+  sync speaker (p "9.9.9.0/24") [];
+  Alcotest.(check bool) "adj-out holds it" true
+    (Cluster_ctl.Speaker.advertised speaker ~member ~neighbor (p "9.9.9.0/24") <> None);
   Cluster_ctl.Speaker.session_down speaker ~member ~neighbor;
   Alcotest.(check bool) "down" false
     (Cluster_ctl.Speaker.session_established speaker ~member ~neighbor);
@@ -169,31 +183,32 @@ let wire_updates wire =
          | _ -> None)
        !wire)
 
-let meds (u : Bgp.Message.update) =
-  List.map (fun (_, a) -> a.Bgp.Attrs.med) u.Bgp.Message.announced
+(* An announcement's tag: the AS after the member, less 65100. *)
+let tag (a : Bgp.Attrs.t) =
+  match Bgp.Attrs.as_path a with _ :: t :: _ -> Net.Asn.to_int t - 65100 | _ -> -1
+
+let tags (u : Bgp.Message.update) = List.map (fun (_, a) -> tag a) u.Bgp.Message.announced
 
 let test_mrai_session () =
   let speaker, wire, _, _ = setup ~mrai_config () in
   let sim = Engine.Node.sim (Cluster_ctl.Speaker.node speaker) in
   Cluster_ctl.Speaker.handle_relay speaker ~member ~neighbor open_msg;
   let pre = p "9.9.9.0/24" in
-  let attrs med = Bgp.Attrs.make ~as_path:[ member ] ~med ~next_hop:nh () in
-  Cluster_ctl.Speaker.announce speaker ~member ~neighbor pre (attrs 1);
-  Cluster_ctl.Speaker.announce speaker ~member ~neighbor pre (attrs 1);
+  let sync k = sync speaker pre [ 65100 + k ] in
+  sync 1;
+  sync 1;
   Alcotest.(check (list (list int))) "first change sent at once, duplicate dropped" [ [ 1 ] ]
-    (List.map (fun (_, _, u) -> meds u) (wire_updates wire));
-  Cluster_ctl.Speaker.announce speaker ~member ~neighbor pre (attrs 2);
-  Cluster_ctl.Speaker.announce speaker ~member ~neighbor pre (attrs 3);
+    (List.map (fun (_, _, u) -> tags u) (wire_updates wire));
+  sync 2;
+  sync 3;
   Alcotest.(check int) "throttled: nothing more on the wire" 1 (List.length (wire_updates wire));
   ignore (Engine.Sim.run ~until:(Engine.Time.ms 9_999) sim);
   Alcotest.(check int) "held until the MRAI boundary" 1 (List.length (wire_updates wire));
   ignore (Engine.Sim.run ~until:(Engine.Time.sec 10) sim);
   Alcotest.(check (list (list int))) "one flush at expiry, latest only" [ [ 1 ]; [ 3 ] ]
-    (List.map (fun (_, _, u) -> meds u) (wire_updates wire));
+    (List.map (fun (_, _, u) -> tags u) (wire_updates wire));
   Alcotest.(check (option int)) "adj-out holds the latest" (Some 3)
-    (Option.map
-       (fun a -> a.Bgp.Attrs.med)
-       (Cluster_ctl.Speaker.advertised speaker ~member ~neighbor pre))
+    (Option.map tag (Cluster_ctl.Speaker.advertised speaker ~member ~neighbor pre))
 
 let test_mrai_batch () =
   let speaker, wire, _, _ = setup ~mrai_config () in
@@ -205,14 +220,21 @@ let test_mrai_batch () =
       Cluster_ctl.Speaker.handle_relay speaker ~member ~neighbor:n
         (Bgp.Message.Open { asn = n; router_id = nh; hold_time = 0 }))
     [ neighbor; other ];
-  let attrs = Bgp.Attrs.make ~as_path:[ member ] ~next_hop:nh () in
   let prefixes = [ p "9.9.9.0/24"; p "1.1.1.0/24"; p "5.5.5.0/24" ] in
+  let s_neighbor, s_other =
+    match Cluster_ctl.Speaker.sessions speaker with
+    | [ a; b ] -> (a, b)
+    | _ -> Alcotest.fail "two sessions"
+  in
+  (* [other] is queued first: the close must still flush in configuration
+     order, not in the order the sessions were dirtied. *)
   Cluster_ctl.Speaker.with_batch speaker (fun () ->
       List.iter
-        (fun n ->
-          List.iter (fun pre -> Cluster_ctl.Speaker.announce speaker ~member ~neighbor:n pre attrs)
-            prefixes)
-        [ other; neighbor ];
+        (fun s ->
+          ignore
+            (Cluster_ctl.Speaker.resync speaker s prefixes (fun _ ->
+                 Net.Asn.Map.singleton member (decision []))))
+        [ s_other; s_neighbor ];
       Alcotest.(check int) "nothing sent inside the scope" 0 (List.length (wire_updates wire)));
   Alcotest.(check (list (pair int (list string))))
     "one UPDATE per session, configuration order, prefix order"
@@ -231,16 +253,15 @@ let test_mrai_batch () =
 let test_batch_raises () =
   let speaker, wire, _, _ = setup () in
   Cluster_ctl.Speaker.handle_relay speaker ~member ~neighbor open_msg;
-  let attrs = Bgp.Attrs.make ~as_path:[ member ] ~next_hop:nh () in
   (match
      Cluster_ctl.Speaker.with_batch speaker (fun () ->
-         Cluster_ctl.Speaker.announce speaker ~member ~neighbor (p "9.9.9.0/24") attrs;
+         sync speaker (p "9.9.9.0/24") [];
          raise Exit)
    with
   | () -> Alcotest.fail "expected Exit"
   | exception Exit -> ());
   Alcotest.(check int) "queued change flushed on the way out" 1 (List.length (wire_updates wire));
-  Cluster_ctl.Speaker.announce speaker ~member ~neighbor (p "1.1.1.0/24") attrs;
+  sync speaker (p "1.1.1.0/24") [];
   Alcotest.(check int) "scope closed: later changes go out at once" 2
     (List.length (wire_updates wire));
   let sim = Engine.Sim.create () in
@@ -253,8 +274,7 @@ let test_batch_raises () =
   Cluster_ctl.Speaker.add_session speaker ~member ~neighbor ~member_addr:nh ~policy;
   Cluster_ctl.Speaker.handle_relay speaker ~member ~neighbor open_msg;
   match
-    Cluster_ctl.Speaker.with_batch speaker (fun () ->
-        Cluster_ctl.Speaker.announce speaker ~member ~neighbor (p "9.9.9.0/24") attrs)
+    Cluster_ctl.Speaker.with_batch speaker (fun () -> sync speaker (p "9.9.9.0/24") [])
   with
   | () -> Alcotest.fail "expected the flush to raise"
   | exception Failure msg -> Alcotest.(check string) "the flush's own exception" "relay down" msg
