@@ -5,11 +5,19 @@
      hybridsim run --topo clique:16 --sdn 8 --event withdraw
      hybridsim topo --kind ba:30:2 --dot topo.dot
      hybridsim dot -n 8 --sdn 4            component diagram (Fig. 1)
-     hybridsim demo                         sub-cluster resilience demo *)
+     hybridsim demo                         sub-cluster resilience demo
+
+   [run], [trace], [scale] and every [sweep] row build a run description
+   ([Framework.Experiments.t]) and hand it to [Experiments.run]; its
+   validation is what rejects a bad --sdn, --ks or fail-over topology. *)
 
 open Cmdliner
+module E = Framework.Experiments
 
 let ( let* ) r f = Result.bind r f
+
+(* A command's outcome for [Term.ret]: an [Error] is a usage error (exit 124). *)
+let usage = function Ok () -> `Ok () | Error msg -> `Error (false, msg)
 
 (* --- Topology specification parsing: "clique:16", "er:20:0.2", ... ----- *)
 
@@ -21,49 +29,55 @@ let parse_topo ~seed s =
     | Some n when n >= min -> Ok (make n)
     | _ -> Error (Fmt.str "%s:N with N >= %d" name min)
   in
-  match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
-  | [ "clique"; n ] -> sized "clique" n ~min:2 Topology.Artificial.clique
-  | [ "ring"; n ] -> sized "ring" n ~min:3 Topology.Artificial.ring
-  | [ "line"; n ] -> sized "line" n ~min:2 Topology.Artificial.line
-  | [ "star"; n ] -> sized "star" n ~min:2 Topology.Artificial.star
-  | [ "er"; n; p ] -> (
+  (* a dataset file, its path taken verbatim; one that cannot be read is a
+     usage error like any other bad spec *)
+  let load parse pp_error path =
+    match parse path with
+    | Ok spec -> Ok spec
+    | Error e -> Error (Fmt.str "%a" pp_error e)
+    | exception Sys_error msg -> Error msg
+  in
+  (* only the family name is case-insensitive *)
+  let family, args =
+    let s = String.trim s in
+    match String.index_opt s ':' with
+    | Some i ->
+      (String.lowercase_ascii (String.sub s 0 i), Some (String.sub s (i + 1) (String.length s - i - 1)))
+    | None -> (String.lowercase_ascii s, None)
+  in
+  match (family, Option.fold ~none:[] ~some:(String.split_on_char ':') args) with
+  | "caida-file", _ when Option.is_some args ->
+    load Topology.Caida.parse_file Topology.Caida.pp_parse_error (Option.get args)
+  | "iplane-file", _ when Option.is_some args ->
+    load Topology.Iplane.parse_file Topology.Iplane.pp_parse_error (Option.get args)
+  | "clique", [ n ] -> sized "clique" n ~min:2 Topology.Artificial.clique
+  | "ring", [ n ] -> sized "ring" n ~min:3 Topology.Artificial.ring
+  | "line", [ n ] -> sized "line" n ~min:2 Topology.Artificial.line
+  | "star", [ n ] -> sized "star" n ~min:2 Topology.Artificial.star
+  | "er", [ n; p ] -> (
     match (int_of_string_opt n, float_of_string_opt p) with
     | Some n, Some p when n >= 2 && p >= 0.0 && p <= 1.0 ->
       Ok (Topology.Random_models.erdos_renyi rng ~n ~p)
     | _ -> Error "er:N:P with N >= 2 and P in [0,1]")
-  | [ "ba"; n; m ] -> (
+  | "ba", [ n; m ] -> (
     match (int_of_string_opt n, int_of_string_opt m) with
     | Some n, Some m when n > m && m >= 1 -> Ok (Topology.Random_models.barabasi_albert rng ~n ~m)
     | _ -> Error "ba:N:M with N > M >= 1")
-  | [ "waxman"; n ] -> sized "waxman" n ~min:2 (fun n -> Topology.Random_models.waxman rng ~n)
-  | [ "glp"; n; m ] -> (
+  | "waxman", [ n ] -> sized "waxman" n ~min:2 (fun n -> Topology.Random_models.waxman rng ~n)
+  | "glp", [ n; m ] -> (
     match (int_of_string_opt n, int_of_string_opt m) with
     | Some n, Some m when n > m && m >= 1 && n >= 3 ->
       Ok (Topology.Random_models.glp rng ~n ~m)
     | _ -> Error "glp:N:M with N > M >= 1, N >= 3")
-  | [ "caida" ] -> Ok (Topology.Caida.generate rng)
-  | [ "iplane" ] -> Ok (Topology.Iplane.generate rng)
-  | [ "caida-file"; path ] ->
-    Result.map_error
-      (fun e -> Fmt.str "%a" Topology.Caida.pp_parse_error e)
-      (Topology.Caida.parse_file path)
-  | [ "iplane-file"; path ] ->
-    Result.map_error
-      (fun e -> Fmt.str "%a" Topology.Iplane.pp_parse_error e)
-      (Topology.Iplane.parse_file path)
+  | "caida", [] -> Ok (Topology.Caida.generate rng)
+  | "iplane", [] -> Ok (Topology.Iplane.generate rng)
   | _ ->
     Error
       "unknown topology; use clique:N, ring:N, line:N, star:N, er:N:P, ba:N:M, glp:N:M, \
        waxman:N, caida, iplane, caida-file:PATH, iplane-file:PATH"
 
-let with_sdn_tail spec k =
-  if k = 0 then Ok spec
-  else if k > Topology.Spec.node_count spec then Error "--sdn exceeds topology size"
-  else begin
-    let asns = Topology.Spec.asns spec in
-    let n = List.length asns in
-    Ok (Topology.Spec.with_sdn spec (List.filteri (fun i _ -> i >= n - k) asns))
-  end
+(* [spec] with its last [sdn] ASes centralized, as a run would build it. *)
+let centralize spec sdn = E.check (E.describe ~members:(E.Last sdn) (E.Graph spec))
 
 (* --- Common options ------------------------------------------------------ *)
 
@@ -169,8 +183,6 @@ let write_snapshot path snap =
 
 (* --- sweep ---------------------------------------------------------------- *)
 
-module E = Framework.Experiments
-
 let print_convergence s =
   Fmt.pr "%a@.@.%s@." E.pp_series s (Framework.Visualize.series_to_ascii s);
   (* a one-point sweep (e.g. fig2 at -n 2) has no trend to fit *)
@@ -241,7 +253,7 @@ let sweep_cmd =
       let params = { E.n; seed; config = config_of_mrai mrai; per_prefix; interval_ms } in
       run_sweep ~jobs ~verify ~csv (fun ?pool () -> E.sweep_kind ?pool ?runs kind params)
     in
-    match result with Ok () -> `Ok () | Error msg -> `Error (false, msg)
+    usage result
   in
   let kind =
     Arg.(
@@ -304,69 +316,58 @@ let sweep_cmd =
 
 (* --- run ------------------------------------------------------------------ *)
 
-(* Withdraw (after announcing) or announce the first AS's prefix to
-   quiescence, printing what ran; [run] and [trace] share it. *)
-let measure_event exp spec event =
-  let origin = List.hd (Topology.Spec.asns spec) in
-  let measured =
-    if event = "announce" then Core.measure_announcement exp origin
-    else Core.measure_withdrawal exp origin
+(* The run [run] and [trace] describe: the first AS's prefix withdrawn
+   (after its announcement) or announced on [topo] with its last [sdn]
+   ASes centralized, or the fail-over world on the clique [topo].  Also
+   returns the world the run builds. *)
+let describe_event ~topo ~sdn ~event ~seed ~config =
+  let* spec = parse_topo ~seed topo in
+  let on world = E.describe ~members:(E.Last sdn) ~config ~seed world in
+  let* d =
+    match String.lowercase_ascii event with
+    | "withdraw" -> Ok (on (E.Graph spec))
+    | "announce" -> Ok { (on (E.Graph spec)) with event = E.Announcement }
+    | "failover" -> Ok (on (E.Failover spec))
+    | e -> Error (Fmt.str "unknown event %S (withdraw|announce|failover)" e)
   in
-  Fmt.pr "topology: %s (%d ASes, %d SDN)@." (Topology.Spec.title spec)
-    (Topology.Spec.node_count spec)
-    (List.length (Topology.Spec.sdn_asns spec));
-  Fmt.pr "event: %s at %a@." event Net.Asn.pp origin;
-  (origin, measured)
+  let* world = E.check d in
+  Ok (d, world)
+
+let print_event world (d : E.run_result E.t) event =
+  Fmt.pr "topology: %s (%d ASes, %d SDN)@." (Topology.Spec.title world)
+    (Topology.Spec.node_count world)
+    (List.length (Topology.Spec.sdn_asns world));
+  Fmt.pr "event: %s at %a@." (String.lowercase_ascii event) Net.Asn.pp d.origin
+
+let event_arg =
+  Arg.(value & opt string "withdraw" & info [ "event" ] ~docv:"EVENT"
+         ~doc:"withdraw, announce or failover (onto a backup chain off the clique $(b,--topo)).")
 
 let run_cmd =
   let run topo sdn event seed mrai metrics_out metrics_interval =
     let result =
-      let* spec = parse_topo ~seed topo in
-      let* spec = with_sdn_tail spec sdn in
-      let config = config_of_mrai mrai in
-      match String.lowercase_ascii event with
-      | ("withdraw" | "announce") as event ->
-        let exp = Framework.Experiment.create ~config ~seed spec in
-        let tele = telemetry_of exp metrics_out metrics_interval in
-        let _, measured = measure_event exp spec event in
-        Fmt.pr "%a@." Framework.Convergence.pp_measurement measured;
-        Fmt.pr "convergence: %.2f s@." (Framework.Experiment.convergence_seconds measured);
-        finish_telemetry tele;
-        Ok ()
-      (* the run builds its own n-clique plus stub and backup chain, and
-         keeps clique members 0 and 1 (the path anchors) legacy *)
-      | "failover"
-        when not (String.starts_with ~prefix:"clique:" (String.lowercase_ascii (String.trim topo)))
-        ->
-        Error "--event failover needs --topo clique:N"
-      | "failover" when sdn > Topology.Spec.node_count spec - 2 ->
-        Error (Fmt.str "--event failover needs --sdn <= %d" (Topology.Spec.node_count spec - 2))
-      | "failover" ->
-        let n = Topology.Spec.node_count spec in
-        let r = Framework.Experiments.failover_run ~n ~sdn ~seed ~config () in
-        Fmt.pr "failover on %d-clique + backup chain, %d SDN members@." n sdn;
-        Fmt.pr "control-plane convergence: %.2f s@." r.Framework.Experiments.seconds;
-        Fmt.pr "data-plane restoration: mean %.2f s, max %.2f s@."
-          r.Framework.Experiments.restore_mean r.Framework.Experiments.restore_max;
-        Option.iter
-          (fun path -> write_snapshot path r.Framework.Experiments.metrics)
-          metrics_out;
-        Ok ()
-      | e -> Error (Fmt.str "unknown event %S (withdraw|announce|failover)" e)
+      let* d, world = describe_event ~topo ~sdn ~event ~seed ~config:(config_of_mrai mrai) in
+      (* a fail-over run exports its final snapshot, the others a timeline *)
+      let timeline = match d.event with E.Fail_link _ -> false | _ -> true in
+      let tele = ref None in
+      let on_boot exp = if timeline then tele := telemetry_of exp metrics_out metrics_interval in
+      let r = E.run ~on_boot d in
+      print_event world d event;
+      Fmt.pr "convergence=%.3fs changes=%d collector_updates=%d@." r.seconds r.changes
+        r.collector_updates;
+      if not timeline then
+        Fmt.pr "data-plane restoration: mean %.2f s, max %.2f s@." r.restore_mean r.restore_max;
+      if timeline then finish_telemetry !tele
+      else Option.iter (fun path -> write_snapshot path r.metrics) metrics_out;
+      Ok ()
     in
-    match result with
-    | Ok () -> `Ok ()
-    | Error msg -> `Error (false, msg)
-  in
-  let event =
-    Arg.(value & opt string "withdraw" & info [ "event" ] ~docv:"EVENT"
-           ~doc:"withdraw, announce or failover.")
+    usage result
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a single convergence experiment.")
     Term.(
       ret
-        (const run $ topo_arg "clique:16" $ sdn_arg 0 $ event $ seed_arg $ mrai_arg
+        (const run $ topo_arg "clique:16" $ sdn_arg 0 $ event_arg $ seed_arg $ mrai_arg
         $ metrics_out_arg $ metrics_interval_arg))
 
 (* --- topo ----------------------------------------------------------------- *)
@@ -418,7 +419,7 @@ let topo_cmd =
 
 let dot_cmd =
   let run n sdn =
-    match with_sdn_tail (Topology.Artificial.clique n) sdn with
+    match centralize (Topology.Artificial.clique n) sdn with
     | Error msg -> `Error (false, msg)
     | Ok spec ->
       print_string (Framework.Visualize.spec_to_dot spec);
@@ -437,7 +438,7 @@ let scenario_cmd =
   let run topo sdn file seed mrai dump timeline show_state metrics_out metrics_interval =
     let result =
       let* spec = parse_topo ~seed topo in
-      let* spec = with_sdn_tail spec sdn in
+      let* spec = centralize spec sdn in
       let* scenario = Framework.Scenario.parse_file file in
       let config = config_of_mrai mrai in
       let exp = Framework.Experiment.create ~config ~seed spec in
@@ -472,7 +473,7 @@ let scenario_cmd =
       finish_telemetry tele;
       Ok ()
     in
-    match result with Ok () -> `Ok () | Error msg -> `Error (false, msg)
+    usage result
   in
   let file =
     Arg.(required & opt (some file) None & info [ "file" ] ~docv:"PATH" ~doc:"Scenario file.")
@@ -574,51 +575,42 @@ let trace_cmd =
       | Error msg -> `Error (false, Fmt.str "%s: %s" path msg))
     | None -> (
       let result =
-        let* spec = parse_topo ~seed topo in
-        let* spec = with_sdn_tail spec sdn in
         let config =
           { (config_of_mrai mrai) with Framework.Config.causal = Engine.Causal.Full }
         in
-        match String.lowercase_ascii event with
-        | ("withdraw" | "announce") as event ->
-          let exp = Framework.Experiment.create ~config ~seed spec in
-          let origin, measured = measure_event exp spec event in
-          let causal = Engine.Sim.causal (Framework.Experiment.sim exp) in
-          Fmt.pr "convergence: %.6f s@."
-            (Framework.Experiment.convergence_seconds measured);
-          Fmt.pr "trace: id=%d, %d spans@." (Engine.Causal.trace_id causal)
-            (Engine.Causal.total causal);
-          let prefix = Framework.Experiment.default_prefix exp origin in
-          let label = Net.Ipv4.prefix_to_string prefix in
-          (match Engine.Causal.convergence_leaf ~label causal with
-          | None -> Fmt.pr "no data-plane write found for %s@." label
-          | Some leaf ->
-            let a = Engine.Causal.attribute causal leaf in
-            Fmt.pr "@[<v>%a@]@." Engine.Causal.pp_attribution a;
-            if critical then
-              List.iter
-                (fun s -> Fmt.pr "  %s@." (Engine.Causal.render_line s))
-                (Engine.Causal.path_to_root causal leaf));
-          Option.iter
-            (fun path ->
-              let content =
-                if Filename.check_suffix (String.lowercase_ascii path) ".jsonl" then
-                  Engine.Causal.to_jsonl causal
-                else Engine.Causal.to_chrome causal
-              in
-              Out_channel.with_open_text path (fun oc -> output_string oc content);
-              Fmt.pr "trace: written to %s@." path)
-            out;
-          Ok ()
-        | e -> Error (Fmt.str "unknown event %S (withdraw|announce)" e)
+        let* d, world = describe_event ~topo ~sdn ~event ~seed ~config in
+        let exp = ref None in
+        let r = E.run ~on_boot:(fun e -> exp := Some e) d in
+        let exp = Option.get !exp in
+        let causal = Engine.Sim.causal (Framework.Experiment.sim exp) in
+        print_event world d event;
+        Fmt.pr "convergence: %.6f s@." r.seconds;
+        Fmt.pr "trace: id=%d, %d spans@." (Engine.Causal.trace_id causal)
+          (Engine.Causal.total causal);
+        let prefix = Framework.Experiment.default_prefix exp d.origin in
+        let label = Net.Ipv4.prefix_to_string prefix in
+        (match Engine.Causal.convergence_leaf ~label causal with
+        | None -> Fmt.pr "no data-plane write found for %s@." label
+        | Some leaf ->
+          let a = Engine.Causal.attribute causal leaf in
+          Fmt.pr "@[<v>%a@]@." Engine.Causal.pp_attribution a;
+          if critical then
+            List.iter
+              (fun s -> Fmt.pr "  %s@." (Engine.Causal.render_line s))
+              (Engine.Causal.path_to_root causal leaf));
+        Option.iter
+          (fun path ->
+            let content =
+              if Filename.check_suffix (String.lowercase_ascii path) ".jsonl" then
+                Engine.Causal.to_jsonl causal
+              else Engine.Causal.to_chrome causal
+            in
+            Out_channel.with_open_text path (fun oc -> output_string oc content);
+            Fmt.pr "trace: written to %s@." path)
+          out;
+        Ok ()
       in
-      match result with
-      | Ok () -> `Ok ()
-      | Error msg -> `Error (false, msg))
-  in
-  let event =
-    Arg.(value & opt string "withdraw" & info [ "event" ] ~docv:"EVENT"
-           ~doc:"withdraw or announce.")
+      usage result)
   in
   let out =
     Arg.(
@@ -651,7 +643,7 @@ let trace_cmd =
           critical-path attribution table, and Perfetto-loadable exports.")
     Term.(
       ret
-        (const run $ topo_arg "clique:8" $ sdn_arg 0 $ event $ seed_arg $ mrai_arg $ out $ critical
+        (const run $ topo_arg "clique:8" $ sdn_arg 0 $ event_arg $ seed_arg $ mrai_arg $ out $ critical
         $ check))
 
 (* --- export-quagga ----------------------------------------------------------- *)
@@ -753,7 +745,6 @@ let scale_cmd =
   let run tier1 tier2 stubs prefixes ks runs seed mrai jobs single budget csv =
     let result =
       let* jobs = resolve_jobs jobs in
-      (* the origin is never a member, so at most every other AS is *)
       let ases = tier1 + tier2 + stubs in
       let* () =
         if ases > Framework.Addressing.max_ases then
@@ -763,18 +754,23 @@ let scale_cmd =
                ases Framework.Addressing.max_ases)
         else Ok ()
       in
-      let* () =
-        match List.find_opt (fun k -> k < 0 || k > ases - 1) ks with
-        | Some k ->
-          Error (Fmt.str "--ks: %d is outside 0..%d (the graph has %d ASes)" k (ases - 1) ases)
-        | None -> Ok ()
-      in
       let config = config_of_mrai mrai in
       let world = E.caida_world ~tier1 ~tier2 ~stubs ~seed in
-      let scale ~k ~seed =
-        E.scale_run ~prefixes ~load_max_events:budget ~clock:Unix.gettimeofday ~world ~k ~seed
-          ~config ()
+      (* the placement:top-degree run, its origin the first stub, behind
+         the load *)
+      let describe ~k ~seed =
+        {
+          (E.describe ~members:(E.Placed (E.Top_degree, k)) ~origin:(List.hd world.stub_asns)
+             ~config ~seed (E.Graph world.spec))
+          with
+          measure = E.Scale { origins = world.stub_asns; prefixes; budget; clock = Unix.gettimeofday };
+        }
       in
+      let* _ =
+        List.fold_left (fun ok k -> Result.bind ok (fun _ -> E.check (describe ~k ~seed))) (Ok world.spec) ks
+        |> Result.map_error (( ^ ) "--ks: ")
+      in
+      let scale ~k ~seed = E.run (describe ~k ~seed) in
       if single then begin
         let k = match ks with k :: _ -> k | [] -> 0 in
         let live_words () =
@@ -821,7 +817,7 @@ let scale_cmd =
               (E.sweep ?pool ~label ~runs ~seed:(seed + 1) (List.map float_of_int ks)
                  (fun ~x ~seed -> (scale ~k:(int_of_float x) ~seed).E.withdrawal)))
     in
-    match result with Ok () -> `Ok () | Error msg -> `Error (false, msg)
+    usage result
   in
   let count name default doc =
     Arg.(value & opt (int_at_least 1) default & info [ name ] ~docv:"N" ~doc)

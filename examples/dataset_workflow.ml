@@ -25,10 +25,10 @@ let () =
   Fmt.pr "loaded %s: %d ASes, %d links (PoP pairs collapsed, min latency kept)@." iplane_path
     (Topology.Spec.node_count iplane_spec)
     (Topology.Spec.link_count iplane_spec);
-  let exp = Framework.Experiment.create ~seed:3 iplane_spec in
-  let origin = List.hd (Topology.Spec.asns iplane_spec) in
-  let m = Core.measure_announcement exp origin in
-  Fmt.pr "announcement on the iPlane graph converged in %.2f s@.@." (Core.seconds m);
+  let r =
+    Core.Experiments.(run { (describe ~seed:3 (Graph iplane_spec)) with event = Announcement })
+  in
+  Fmt.pr "announcement on the iPlane graph converged in %.2f s@.@." r.seconds;
   (* --- CAIDA AS relationships ---------------------------------------- *)
   let caida_path = "example-caida-rel.txt" in
   write caida_path (Topology.Caida.render (Topology.Caida.generate ~tier1:3 ~tier2:6 ~stubs:10 rng));
@@ -48,8 +48,7 @@ let () =
   in
   Fmt.pr "  %d customer-provider, %d other links@." customers
     (Topology.Spec.link_count caida_spec - customers);
-  let exp = Framework.Experiment.create ~seed:4 caida_spec in
   let origin = List.hd (List.rev (Topology.Spec.asns caida_spec)) in
-  let m = Core.measure_withdrawal exp origin in
+  let r = Core.Experiments.(run (describe ~origin ~seed:4 (Graph caida_spec))) in
   Fmt.pr "withdrawal of a stub prefix converged in %.2f s under valley-free policies@."
-    (Core.seconds m)
+    r.seconds

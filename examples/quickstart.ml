@@ -7,12 +7,12 @@
      dune exec examples/quickstart.exe *)
 
 let () =
-  let origin = Core.Topo.asn 0 in
+  (* AS 0 announces its prefix, the clique settles, AS 0 withdraws it *)
   let measure ~sdn_members =
-    let spec = Core.Topo.clique 16 in
-    let spec = if sdn_members = 0 then spec else Core.sdn_tail ~k:sdn_members spec in
-    let exp = Core.run ~seed:1 spec in
-    Core.seconds (Core.measure_withdrawal exp origin)
+    let run =
+      Core.Experiments.(describe ~members:(Last sdn_members) ~seed:1 (Graph (Core.Topo.clique 16)))
+    in
+    (Core.Experiments.run run).seconds
   in
   let baseline = measure ~sdn_members:0 in
   let hybrid = measure ~sdn_members:8 in
@@ -22,7 +22,9 @@ let () =
   Fmt.pr "  improvement:          %6.1fx@." (baseline /. hybrid);
   (* The framework also renders the experiment's component diagram
      (the paper's Fig. 1) for any topology: *)
-  let spec = Core.sdn_tail ~k:8 (Core.Topo.clique 16) in
+  let spec =
+    Result.get_ok Core.Experiments.(check (describe ~members:(Last 8) (Graph (Core.Topo.clique 16))))
+  in
   let dot = Core.Visualize.spec_to_dot spec in
   let oc = open_out "quickstart-components.dot" in
   output_string oc dot;

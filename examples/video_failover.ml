@@ -15,7 +15,12 @@ let () =
   List.iter
     (fun sdn ->
       let r =
-        Framework.Experiments.loss_run ~n ~sdn ~seed:7 ~config:Framework.Config.default ()
+        Framework.Experiments.(
+          run
+            {
+              (describe ~members:(Last sdn) ~seed:7 (Failover (Topology.Artificial.clique n))) with
+              measure = Loss { per_prefix = 2; interval_ms = 100 };
+            })
       in
       Fmt.pr "%d/%d ASes centralized: loss_seconds=%.1f blackhole_seconds=%.1f \
               max_loss_ratio=%.2f@."

@@ -371,11 +371,6 @@ let exported t ~asn ~next_hop =
            wire_id = wire_id_of tbl sibling;
          })
 
-let origin_as t =
-  match List.rev t.as_path with [] -> None | last :: _ -> Some last
-
-let neighbor_as t = match t.as_path with [] -> None | first :: _ -> Some first
-
 (* Restamping keeps the wire-visible content, so the variant is found on
    [t]'s probe run by [t.wire_id] alone: no path comparison on import. *)
 let with_local_pref t lp =

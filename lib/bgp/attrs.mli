@@ -56,12 +56,6 @@ val exported : t -> asn:Net.Asn.t -> next_hop:Net.Ipv4.addr -> t
     {!default_local_pref}.  One intern; physically equal to {!prepend},
     then {!with_next_hop}, then {!with_local_pref}. *)
 
-val origin_as : t -> Net.Asn.t option
-(** Rightmost (originating) AS of the path. *)
-
-val neighbor_as : t -> Net.Asn.t option
-(** Leftmost AS of the path. *)
-
 val with_local_pref : t -> int -> t
 (** Finds the variant by the canonical value's wire id, without comparing
     paths (the import path stamps every received route). *)

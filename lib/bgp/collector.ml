@@ -174,16 +174,3 @@ let parse_dump text =
   in
   go 1 [] lines
 
-(* Update counts per time bucket — the "updates over time" view used for
-   burst/churn plots. *)
-let rate_buckets ?(bucket = Engine.Time.sec 1) t =
-  let table : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  let bucket_us = Engine.Time.to_us bucket in
-  if bucket_us <= 0 then invalid_arg "Collector.rate_buckets: bucket must be positive";
-  List.iter
-    (fun e ->
-      let b = Engine.Time.to_us e.time / bucket_us in
-      Hashtbl.replace table b (1 + Option.value (Hashtbl.find_opt table b) ~default:0))
-    (events t);
-  Hashtbl.fold (fun b count acc -> (Engine.Time.of_us (b * bucket_us), count) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> Engine.Time.compare a b)

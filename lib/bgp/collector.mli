@@ -49,5 +49,3 @@ val dump : t -> string
 val parse_dump : string -> (event list, string) result
 (** Parse a dump back into events (attributes carry the AS path only). *)
 
-val rate_buckets : ?bucket:Engine.Time.span -> t -> (Engine.Time.t * int) list
-(** Update counts per time bucket (default 1 s), sorted by time. *)

@@ -47,27 +47,3 @@ let select = function
   | first :: rest ->
     Some (List.fold_left (fun best r -> if better r best then r else best) first rest)
 
-(* Explain the comparison for debugging/teaching: which step decided. *)
-let explain a b =
-  let steps =
-    [
-      ("local_pref", fun () ->
-        Int.compare (Route.attrs b).Attrs.local_pref (Route.attrs a).Attrs.local_pref);
-      ("local_origin", fun () -> Int.compare (source_rank a) (source_rank b));
-      ("as_path_length", fun () ->
-        Int.compare (Attrs.path_length (Route.attrs a)) (Attrs.path_length (Route.attrs b)));
-      ("origin", fun () ->
-        Int.compare
-          (Attrs.origin_rank (Route.attrs a).Attrs.origin)
-          (Attrs.origin_rank (Route.attrs b).Attrs.origin));
-      ("med", fun () -> Int.compare (Route.attrs a).Attrs.med (Route.attrs b).Attrs.med);
-      ("neighbor", fun () -> Int.compare (neighbor_key a) (neighbor_key b));
-    ]
-  in
-  let rec eval = function
-    | [] -> ("tie", 0)
-    | (name, f) :: rest ->
-      let c = f () in
-      if c <> 0 then (name, c) else eval rest
-  in
-  eval steps

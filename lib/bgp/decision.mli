@@ -9,5 +9,3 @@ val better : Route.t -> Route.t -> bool
 val select : Route.t list -> Route.t option
 (** The most preferred candidate. *)
 
-val explain : Route.t -> Route.t -> string * int
-(** The decision step that separated the two routes, and its sign. *)

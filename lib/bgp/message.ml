@@ -15,12 +15,6 @@ type t =
 
 let update ?(announced = []) ?(withdrawn = []) () = Update { announced; withdrawn }
 
-let empty_update = { announced = []; withdrawn = [] }
-
-let is_empty_update u = u.announced = [] && u.withdrawn = []
-
-let update_size u = List.length u.announced + List.length u.withdrawn
-
 let pp ppf = function
   | Open { asn; router_id; hold_time } ->
     Fmt.pf ppf "OPEN %a rid=%a hold=%ds" Net.Asn.pp asn Net.Ipv4.pp_addr router_id hold_time

@@ -14,10 +14,4 @@ type t =
 
 val update : ?announced:(Net.Ipv4.prefix * Attrs.t) list -> ?withdrawn:Net.Ipv4.prefix list -> unit -> t
 
-val empty_update : update
-
-val is_empty_update : update -> bool
-
-val update_size : update -> int
-
 val pp : Format.formatter -> t -> unit

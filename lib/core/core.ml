@@ -3,16 +3,8 @@
 
    The layered libraries remain directly usable ([Engine], [Net],
    [Topology], [Bgp], [Sdn], [Cluster_ctl], [Framework]); this module
-   re-exports them under one roof and offers the handful of entry points
-   a quickstart needs.
-
-   {[
-     let spec = Core.Topo.clique 16 |> Core.sdn_tail ~k:8 in
-     let exp = Core.run spec in
-     let origin = Core.Topo.asn 0 in
-     let m = Core.measure_withdrawal exp origin in
-     Fmt.pr "converged in %.1fs@." (Core.seconds m)
-   ]} *)
+   re-exports them under one roof.  A quickstart describes a run and runs
+   it with [Experiments] (see core.mli). *)
 
 let version = "1.0.0"
 
@@ -65,28 +57,3 @@ module Looking_glass = Framework.Looking_glass
 module Topo = struct
   include Topology.Artificial
 end
-
-(* Mark the last [k] ASes of a spec as SDN-controlled. *)
-let sdn_tail ~k spec =
-  let asns = Spec.asns spec in
-  let n = List.length asns in
-  if k > n then invalid_arg "Core.sdn_tail: k exceeds topology size";
-  let tail = List.filteri (fun i _ -> i >= n - k) asns in
-  Spec.with_sdn spec tail
-
-(* Build and bootstrap an experiment. *)
-let run ?config ?seed spec = Experiment.create ?config ?seed spec
-
-(* Announce the AS's default prefix, settle, withdraw it, and measure the
-   withdrawal convergence — the paper's headline experiment on any
-   topology. *)
-let measure_withdrawal exp origin =
-  let prefix = Experiment.default_prefix exp origin in
-  ignore (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp origin)));
-  Experiment.measure exp ~prefix (fun () -> ignore (Experiment.withdraw exp origin))
-
-let measure_announcement exp origin =
-  let prefix = Experiment.default_prefix exp origin in
-  Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp origin))
-
-let seconds = Experiment.convergence_seconds

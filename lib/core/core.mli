@@ -1,13 +1,12 @@
 (** Hybridsdn — public facade of the hybrid BGP-SDN emulation framework.
 
-    Re-exports every layer under one roof and provides the quickstart
-    entry points:
+    Re-exports every layer under one roof.  A quickstart describes a run
+    ({!Experiments.t}) and runs it:
 
     {[
-      let spec = Core.sdn_tail ~k:8 (Core.Topo.clique 16) in
-      let exp = Core.run ~seed:1 spec in
-      let m = Core.measure_withdrawal exp (Core.Topo.asn 0) in
-      Fmt.pr "converged in %.1fs@." (Core.seconds m)
+      let d = Core.Experiments.(describe ~members:(Last 8) ~seed:1 (Graph (Core.Topo.clique 16))) in
+      let r = Core.Experiments.run d in
+      Fmt.pr "converged in %.1fs@." r.Core.Experiments.seconds
     ]} *)
 
 val version : string
@@ -73,18 +72,3 @@ module Scenario = Framework.Scenario
 module Visualize = Framework.Visualize
 module Addressing = Framework.Addressing
 module Looking_glass = Framework.Looking_glass
-
-(** {1 Quickstart helpers} *)
-
-val sdn_tail : k:int -> Spec.t -> Spec.t
-(** Mark the last [k] ASes of a spec as SDN-controlled. *)
-
-val run : ?config:Config.t -> ?seed:int -> Spec.t -> Experiment.t
-(** Build and bootstrap an experiment. *)
-
-val measure_withdrawal : Experiment.t -> Asn.t -> Convergence.measurement
-(** Announce the AS's default prefix, settle, withdraw it, measure. *)
-
-val measure_announcement : Experiment.t -> Asn.t -> Convergence.measurement
-
-val seconds : Convergence.measurement -> float

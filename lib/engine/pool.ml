@@ -146,4 +146,3 @@ let map t f xs =
     | None -> ());
     Array.to_list (Array.map Option.get results)
 
-let map_reduce t ~map:f ~reduce ~init xs = List.fold_left reduce init (map t f xs)

@@ -8,7 +8,7 @@
     never shares anything between tasks beyond the immutable inputs the
     caller closes over.
 
-    Determinism: {!map} and {!map_reduce} return results in input
+    Determinism: {!map} returns results in input
     order, whatever order tasks finished in, so a parallel sweep is
     bit-identical to its sequential counterpart.  With [jobs = 1] no
     domains are ever spawned and [map] is literally [List.map] — the
@@ -39,11 +39,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     tasks have finished — so a failing map never leaves stray tasks
     running.  The pool is reusable: any number of [map]s may be issued
     sequentially from the owning domain. *)
-
-val map_reduce : t -> map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> init:'c -> 'a list -> 'c
-(** [map_reduce t ~map ~reduce ~init xs] maps in parallel, then folds
-    the results sequentially in input order on the submitting domain —
-    deterministic whatever [reduce] is. *)
 
 val shutdown : t -> unit
 (** Join all worker domains.  Idempotent; the pool must not be used

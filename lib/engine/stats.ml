@@ -87,34 +87,3 @@ let r_squared pts =
   in
   if ss_tot < 1e-12 then 1.0 else 1.0 -. (ss_res /. ss_tot)
 
-(* Streaming accumulator for long-running measurements (loss counters,
-   per-update latencies) that should not retain every sample. *)
-module Running = struct
-  type t = {
-    mutable n : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable minimum : float;
-    mutable maximum : float;
-  }
-
-  let create () = { n = 0; mean = 0.0; m2 = 0.0; minimum = infinity; maximum = neg_infinity }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.minimum then t.minimum <- x;
-    if x > t.maximum then t.maximum <- x
-
-  let count t = t.n
-
-  let mean t = if t.n = 0 then nan else t.mean
-
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-
-  let minimum t = if t.n = 0 then nan else t.minimum
-
-  let maximum t = if t.n = 0 then nan else t.maximum
-end

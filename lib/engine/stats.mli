@@ -31,21 +31,3 @@ val linear_fit : (float * float) list -> float * float
 val r_squared : (float * float) list -> float
 (** Coefficient of determination of the least-squares fit. *)
 
-(** Streaming mean/variance/min/max (Welford) for unbounded measurements. *)
-module Running : sig
-  type t
-
-  val create : unit -> t
-
-  val add : t -> float -> unit
-
-  val count : t -> int
-
-  val mean : t -> float
-
-  val variance : t -> float
-
-  val minimum : t -> float
-
-  val maximum : t -> float
-end

@@ -62,6 +62,4 @@ let of_us n = n
 
 let pp ppf t = Fmt.pf ppf "%.3fs" (to_sec_f t)
 
-let pp_span = pp
-
 let to_string t = Fmt.str "%a" pp t

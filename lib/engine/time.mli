@@ -60,6 +60,4 @@ val of_us : int -> t
 
 val pp : Format.formatter -> t -> unit
 
-val pp_span : Format.formatter -> span -> unit
-
 val to_string : t -> string

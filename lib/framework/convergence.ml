@@ -197,9 +197,3 @@ let wait_quiet ?(step = Engine.Time.sec 1) ?(max_wait = Engine.Time.sec 7200) ~q
     end
   in
   loop ()
-
-let pp_measurement ppf m =
-  Fmt.pf ppf "event@%a settled@%a convergence=%a changes=%d" Engine.Time.pp m.event_time
-    Engine.Time.pp m.settled_at
-    (Fmt.option ~none:(Fmt.any "none") Engine.Time.pp_span)
-    m.convergence m.changes

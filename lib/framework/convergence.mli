@@ -59,5 +59,3 @@ val wait_quiet :
 (** Advance the simulation until no control-plane change for [quiet] —
     the detection mode for networks whose event queue never drains
     (keepalives, endless probe streams). *)
-
-val pp_measurement : Format.formatter -> measurement -> unit

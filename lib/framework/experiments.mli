@@ -1,7 +1,6 @@
-(** Canned experiments reproducing the paper's evaluation: single-run
-    primitives, the grid runner {!sweep}, and the table {!kinds} of every
-    sweep [hybridsim sweep --kind] runs.  Tests run the same rows and
-    primitives at small sizes.
+(** Canned experiments reproducing the paper's evaluation: the run
+    description {!t} and {!run}, which executes it; the grid runner
+    {!sweep}; and the table {!kinds} of every [hybridsim sweep --kind].
 
     With [?pool] ({!Engine.Pool.t}), {!sweep} and {!sweep_kind} dispatch
     the independent [(x, trial)] runs across the pool's domains.  Each run
@@ -10,16 +9,13 @@
     results are collected in (x, trial-index) order — so parallel output
     is bit-identical to the sequential run. *)
 
-type event_kind = Withdrawal | Announcement | Failover
-
 type run_result = {
   seconds : float;  (** convergence time of the measured event *)
   changes : int;  (** control-plane best-route changes during it *)
   collector_updates : int;
-      (** updates seen by the route collector during the measured event
-          (for withdrawal runs: the withdrawal phase only, excluding the
-          bootstrap announcement) *)
-  restore_mean : float;  (** mean per-AS data-plane restoration (failover) *)
+      (** updates seen by the route collector: during the measured event,
+          or since boot (the description's {!collector_count}) *)
+  restore_mean : float;  (** mean per-AS data-plane restoration ({!Restoration}) *)
   restore_max : float;
   metrics : Engine.Metrics.snapshot;  (** whole-stack telemetry at run end *)
 }
@@ -35,15 +31,155 @@ val box : run_result point -> Engine.Stats.boxplot
 (** Boxplot of the point's convergence seconds.
     @raise Invalid_argument on a point without runs. *)
 
-val clique_run :
-  n:int -> sdn:int -> event:event_kind -> seed:int -> config:Config.t -> unit -> run_result
-(** One convergence measurement on an [n]-clique with [sdn] centralized
-    ASes (the origin stays legacy).
-    @raise Invalid_argument for [Failover] (use {!failover_run}). *)
+type loss_result = {
+  converge_seconds : float;  (** control-plane convergence of the event *)
+  loss_seconds : float;  (** event to first loss-free probe burst *)
+  blackhole_seconds : float;  (** event to last burst with a black-holed probe *)
+  loop_seconds : float;  (** event to last burst with a looping probe *)
+  probes : int;  (** post-event probes injected *)
+  lost : int;  (** post-event probes not delivered *)
+  max_loss_ratio : float;  (** worst single-burst loss fraction *)
+  residual_issues : int;  (** {!Fwd_verify} non-delivered pairs at run end *)
+  loss_epochs : Trafficgen.epoch list;  (** post-event bursts, oldest first *)
+}
 
-val failover_run : n:int -> sdn:int -> seed:int -> config:Config.t -> unit -> run_result
-(** Primary-link failure with a longer backup chain; also measures per-AS
-    data-plane restoration. *)
+type scale_result = {
+  load_updates : int;  (** collector-recorded updates during the load phase *)
+  load_seconds : float;  (** host seconds spent in the load phase *)
+  load_settled : bool;
+      (** the load phase reached quiescence within its event budget *)
+  withdrawal : run_result;  (** the measured event after the load *)
+  rib_routes : int;  (** Loc-RIB entries over legacy routers after the load *)
+  adj_in_routes : int;  (** Adj-RIB-In entries over legacy routers after the load *)
+  live_words : int;  (** major-heap live words right after the load *)
+  peak_words : int;  (** [Gc.top_heap_words] over the whole run *)
+  distinct_attrs : int;
+      (** attribute sets live in the (weak) domain-local intern set after
+          the event: the sets the run still references, and any the GC has
+          not yet reclaimed *)
+  built_words_per_as : float;
+      (** words [Network.create] allocated, per AS: nearly all survive *)
+}
+
+(** Deployment-placement strategies for heterogeneous topologies. *)
+type placement = Top_degree | Random_choice | Stubs_first
+
+val choose_members :
+  spec:Topology.Spec.t ->
+  k:int ->
+  placement:placement ->
+  origin:Net.Asn.t ->
+  seed:int ->
+  Net.Asn.t list
+(** [k] ASes other than [origin]: the best connected, the least connected
+    (stable in spec order), or a seeded sample. *)
+
+type caida_world = { spec : Topology.Spec.t; stub_asns : Net.Asn.t list }
+(** A generated Internet-like graph and its stubs in generation order. *)
+
+val caida_world : tier1:int -> tier2:int -> stubs:int -> seed:int -> caida_world
+(** The world the placement rows, [loss:caida] and [hybridsim scale] share:
+    {!Topology.Caida.generate} from [seed], generated once per sweep. *)
+
+val scale_prefix : int -> Net.Ipv4.prefix
+(** The [m]-th synthetic load prefix (101.0.0.0/24 onward), disjoint from
+    the addressing plan's origin prefixes. *)
+
+(** {1 Run descriptions} *)
+
+(** The topology a run builds. *)
+type world =
+  | Graph of Topology.Spec.t  (** any topology; any of its ASes may join *)
+  | Clique of int
+      (** the paper's n-clique (ASes 0 .. n-1); ASes 0 and 1 (the origin,
+          and the flapper of a churn run) never join *)
+  | Failover of Topology.Spec.t
+      (** a clique of ASes 0 .. n-1 plus a stub whose primary link enters
+          member 0 and whose strictly longer 2-AS backup chain reaches
+          member 1; members 0 and 1 never join *)
+
+(** The ASes the run centralizes. *)
+type members =
+  | Last of int  (** the last [k] of the world's ASes that may join *)
+  | Placed of placement * int  (** [k] chosen by {!choose_members} *)
+
+(** The measured event, at the origin. *)
+type event =
+  | Withdrawal  (** of the origin's announced plan prefix *)
+  | Announcement  (** of that prefix, not announced before *)
+  | Fail_link of Net.Asn.t  (** of the origin's link to this AS *)
+
+type load = {
+  origins : Net.Asn.t list;  (** the load prefixes go round-robin across these *)
+  prefixes : int;  (** {!scale_prefix} 0 .. [prefixes - 1] *)
+  budget : int;
+      (** event bound of the load phase and of each later phase; a phase
+          that reaches it stops there instead of raising *)
+  clock : unit -> float;  (** host time for [load_seconds] *)
+}
+(** Internet-scale stress: prefixes originated right after boot.  A run
+    with a load keeps the collector in [Counts_only] retention. *)
+
+(** What [collector_updates] counts. *)
+type collector_count = Since_event | Since_boot
+
+(** What a run reports. *)
+type _ measure =
+  | Convergence : run_result measure
+  | Restoration : run_result measure
+      (** convergence, plus each AS's first reachability of the origin,
+          sampled every 100 ms after the event *)
+  | Loss : { per_prefix : int; interval_ms : int } -> loss_result measure
+      (** [per_prefix] seeded probe sources toward the origin's prefix, a
+          burst every [interval_ms] of simulated time after the event until
+          one comes back loss-free or 600 s pass (censored) *)
+  | Scale : load -> scale_result measure
+      (** convergence after the load, plus the load's figures *)
+
+type 'r t = {
+  world : world;
+  members : members;
+  origin : Net.Asn.t;  (** the AS whose plan prefix the run announces *)
+  background : Net.Asn.t list;
+      (** ASes whose own prefixes are announced and settled first *)
+  churn : Scenario.step list;
+      (** scheduled once the origin's prefix has settled, just before the
+          event; their times count from it *)
+  event : event;
+  measure : 'r measure;
+  collector : collector_count;
+  config : Config.t;
+  seed : int;
+}
+(** One run: build the world with its members centralized, boot it,
+    announce the background prefixes and settle, run a {!Scale} load,
+    announce the origin's prefix and settle (unless the event is that
+    announcement), schedule the churn, then measure the event to
+    quiescence. *)
+
+val describe :
+  ?members:members -> ?origin:Net.Asn.t -> ?config:Config.t -> ?seed:int -> world -> run_result t
+(** A run on [world] with no background, load or churn, counting
+    collector updates during the event: by default no members,
+    {!Config.default} and seed 42.  The origin defaults to the first AS
+    ([Graph], [Clique]) or the stub ([Failover]); the event and
+    measurement to a {!Withdrawal}'s {!Convergence}, or on [Failover] to
+    the primary link's {!Fail_link} and {!Restoration}. *)
+
+val check : 'r t -> (Topology.Spec.t, string) result
+(** The world with its members centralized, or why {!run} refuses the
+    description: a [Failover] world that is not a clique; more members
+    than may join; an origin, background or load AS outside the world; a
+    failed link that does not exist. *)
+
+val run : ?on_boot:(Experiment.t -> unit) -> 'r t -> 'r
+(** Execute a description; [on_boot] sees the experiment once its
+    sessions are up, before anything is announced.  Each phase runs to
+    quiescence and raises on divergence, or under a load stops at its
+    budget.
+    @raise Invalid_argument if {!check} refuses the description. *)
+
+(** {1 Sweeps} *)
 
 val sweep :
   ?pool:Engine.Pool.t ->
@@ -59,90 +195,6 @@ val sweep :
     with [pool] the runs are dispatched across its domains and collected
     in (x, trial) order, so the result is identical to the sequential one.
     @raise Invalid_argument if [runs < 1]. *)
-
-val churn_run :
-  n:int -> sdn:int -> flap_period_s:float -> seed:int -> config:Config.t -> unit -> run_result
-(** Withdrawal convergence while an unrelated AS flaps its prefix: per-peer
-    MRAI timers couple the measured prefix to the background churn. *)
-
-(** Deployment-placement strategies for heterogeneous topologies. *)
-type placement = Top_degree | Random_choice | Stubs_first
-
-val choose_members :
-  spec:Topology.Spec.t ->
-  k:int ->
-  placement:placement ->
-  origin:Net.Asn.t ->
-  seed:int ->
-  Net.Asn.t list
-
-type caida_world = { spec : Topology.Spec.t; stub_asns : Net.Asn.t list }
-(** A generated Internet-like graph and its stubs in generation order. *)
-
-val caida_world : tier1:int -> tier2:int -> stubs:int -> seed:int -> caida_world
-(** The world the placement rows, [loss:caida] and [hybridsim scale] share:
-    {!Topology.Caida.generate} from [seed], generated once per sweep. *)
-
-val placement_run :
-  spec:Topology.Spec.t ->
-  k:int ->
-  placement:placement ->
-  origin:Net.Asn.t ->
-  seed:int ->
-  config:Config.t ->
-  unit ->
-  run_result
-(** Withdrawal convergence of [origin]'s prefix with [k] members placed by
-    [placement]; [collector_updates] counts every update since bootstrap. *)
-
-val table_size_run :
-  n:int -> sdn:int -> background:int -> seed:int -> config:Config.t -> unit -> run_result
-(** Negative control: withdrawal convergence with [background] unrelated
-    prefixes installed everywhere — should be table-size independent. *)
-
-type scale_result = {
-  load_updates : int;  (** collector-recorded updates during the load phase *)
-  load_seconds : float;  (** host seconds spent in the load phase *)
-  load_settled : bool;
-      (** the load phase reached quiescence within its event budget *)
-  withdrawal : run_result;  (** the measured withdrawal after the load *)
-  rib_routes : int;  (** Loc-RIB entries over legacy routers after the load *)
-  adj_in_routes : int;  (** Adj-RIB-In entries over legacy routers after the load *)
-  live_words : int;  (** major-heap live words right after the load *)
-  peak_words : int;  (** [Gc.top_heap_words] over the whole run *)
-  distinct_attrs : int;
-      (** attribute sets live in the domain-local intern set after the
-          withdrawal; the set is weak, so this counts the sets the run
-          still references (and any the GC has not yet reclaimed), not
-          every set it ever built *)
-  built_words_per_as : float;
-      (** words [Network.create] allocated (minor and major), per AS: the
-          network's fixed heap, since nearly all of it survives *)
-}
-
-val scale_prefix : int -> Net.Ipv4.prefix
-(** The [m]-th synthetic load prefix (101.0.0.0/24 onward), disjoint from
-    the addressing plan's origin prefixes. *)
-
-val scale_run :
-  ?prefixes:int ->
-  ?load_max_events:int ->
-  ?clock:(unit -> float) ->
-  world:caida_world ->
-  k:int ->
-  seed:int ->
-  config:Config.t ->
-  unit ->
-  scale_result
-(** Internet-scale stress: {!placement_run}'s withdrawal with [k]
-    top-degree members, its origin the world's first stub, after a load
-    of [prefixes] origins spread round-robin across the stubs.  Every
-    phase runs under the event budget [load_max_events]; [load_settled]
-    reports whether the load in fact quiesced.  The collector runs in
-    [Counts_only] retention, and [withdrawal.collector_updates] counts
-    the withdrawal phase only.  [clock] supplies host time for the
-    throughput figures (default [Sys.time]; pass [Unix.gettimeofday] for
-    wall clock). *)
 
 type subcluster_result = {
   reachable_before : bool;
@@ -169,49 +221,6 @@ val median_trend : run_result series -> float * float * float
 (** (intercept, slope, r²) of the least-squares line through the medians
     — the Fig. 2 "linear reduction" check. *)
 
-(* --- Data-plane loss under convergence ---------------------------------- *)
-
-type loss_result = {
-  converge_seconds : float;  (** control-plane convergence of the event *)
-  loss_seconds : float;  (** event to first loss-free probe burst *)
-  blackhole_seconds : float;  (** event to last burst with a black-holed probe *)
-  loop_seconds : float;  (** event to last burst with a looping probe *)
-  probes : int;  (** post-event probes injected *)
-  lost : int;  (** post-event probes not delivered *)
-  max_loss_ratio : float;  (** worst single-burst loss fraction *)
-  residual_issues : int;  (** {!Fwd_verify} non-delivered pairs at run end *)
-  loss_epochs : Trafficgen.epoch list;  (** post-event bursts, oldest first *)
-}
-
-val loss_run :
-  ?per_prefix:int ->
-  ?interval_ms:int ->
-  n:int ->
-  sdn:int ->
-  seed:int ->
-  config:Config.t ->
-  unit ->
-  loss_result
-(** One measured loss run on the fail-over topology: the stub's primary
-    path dies, probe bursts ([per_prefix] seeded sources per prefix,
-    every [interval_ms] of simulated time) classify the data plane until
-    a burst comes back loss-free or 600 s of simulated time pass
-    (censored). *)
-
-val loss_run_on :
-  ?per_prefix:int ->
-  ?interval_ms:int ->
-  spec:Topology.Spec.t ->
-  origin:Net.Asn.t ->
-  peer:Net.Asn.t ->
-  seed:int ->
-  config:Config.t ->
-  unit ->
-  loss_result
-(** {!loss_run}'s measurement on any topology: [origin]'s prefix is
-    announced, then its link to [peer] fails.  The [loss:caida] row runs
-    it on the CAIDA world, failing a multi-homed stub's provider link. *)
-
 val pp_loss_series : Format.formatter -> loss_result series -> unit
 
 val loss_series_to_csv : loss_result series -> string
@@ -227,12 +236,12 @@ type params = {
   interval_ms : int;  (** loss rows: simulated ms between post-failure probe bursts *)
 }
 
-(** A row's run at one (x, seed), by result type.  The row applies it to
-    the sweep's {!params} once, before the grid starts, so it can build a
-    shared read-only world there. *)
-type measure =
-  | Convergence of (params -> x:int -> seed:int -> run_result)
-  | Loss of (params -> x:int -> seed:int -> loss_result)
+(** A row's run description at one (x, seed), by result type.  The row
+    applies it to the sweep's {!params} once, before the grid starts, so
+    it can build a shared read-only world there. *)
+type runs =
+  | Convergence_runs of (params -> x:int -> seed:int -> run_result t)
+  | Loss_runs of (params -> x:int -> seed:int -> loss_result t)
 
 type kind = {
   name : string;  (** the [--kind] value *)
@@ -242,7 +251,7 @@ type kind = {
   axis : int -> int list;  (** x values for clique size [n] *)
   runs : int;  (** default runs per point *)
   min_n : int;  (** smallest clique size the row's runs accept *)
-  measure : measure;
+  describe : runs;
 }
 
 val kinds : kind list

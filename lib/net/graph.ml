@@ -61,9 +61,6 @@ let neighbors t v =
 
 let succ t v = List.map fst (neighbors t v)
 
-let degree t v =
-  match Hashtbl.find_opt t.adj v with None -> 0 | Some e -> Int_map.cardinal e.out
-
 let weight t u v =
   match Hashtbl.find_opt t.adj u with
   | None -> None
@@ -117,24 +114,6 @@ let remove_edge t u v =
   if not t.directed then ignore (remove_half t v u);
   if existed then begin
     t.nedges <- t.nedges - 1;
-    touch t
-  end
-
-let remove_node t v =
-  if Hashtbl.mem t.adj v then begin
-    let out_degree = degree t v in
-    Hashtbl.remove t.adj v;
-    let removed_in = ref 0 in
-    Hashtbl.iter
-      (fun _ e ->
-        if Int_map.mem v e.out then begin
-          e.out <- Int_map.remove v e.out;
-          e.sorted <- None;
-          incr removed_in
-        end)
-      t.adj;
-    if t.directed then t.nedges <- t.nedges - out_degree - !removed_in
-    else t.nedges <- t.nedges - out_degree;
     touch t
   end
 

@@ -8,7 +8,7 @@ val create : ?directed:bool -> unit -> t
 
 val version : t -> int
 (** Monotone structural-mutation counter: bumped by every
-    [add_node]/[add_edge]/[remove_edge]/[remove_node] that changes
+    [add_node]/[add_edge]/[remove_edge] that changes
     the graph.  Cache derived structures keyed on it. *)
 
 val add_node : t -> int -> unit
@@ -36,8 +36,6 @@ val add_edge : ?w:float -> t -> int -> int -> unit
     @raise Invalid_argument on self-loops. *)
 
 val remove_edge : t -> int -> int -> unit
-
-val remove_node : t -> int -> unit
 
 val edges : t -> (int * int * float) list
 (** Each undirected edge once (u < v), sorted. *)

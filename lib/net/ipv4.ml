@@ -112,40 +112,11 @@ let prefix_of_string s =
   | [ addr ] -> Option.map (fun a -> prefix a 32) (addr_of_string addr)
   | _ -> None
 
-let host_count p = if p.len >= 31 then 1 else (1 lsl (32 - p.len)) - 2
-
 let nth_host p n =
   let span = Int32.shift_left 1l (32 - p.len) in
   if n < 0 || (p.len < 32 && Int32.unsigned_compare (Int32.of_int n) span >= 0) then
     invalid_arg "Ipv4.nth_host";
   Int32.add p.network (Int32.of_int n)
-
-let subnets p ~len =
-  if len < p.len || len > 32 then invalid_arg "Ipv4.subnets";
-  let count = 1 lsl (len - p.len) in
-  let step = Int32.shift_left 1l (32 - len) in
-  List.init count (fun i ->
-      { network = Int32.add p.network (Int32.mul (Int32.of_int i) step); len })
-
-(* Sequential allocator of equal-sized subnets from a pool — the automatic
-   IP assignment the framework performs for AS loopbacks, link nets and
-   originated prefixes. *)
-module Allocator = struct
-  type t = { pool : prefix; len : int; mutable next : int; capacity : int }
-
-  let create ~(pool : prefix) ~len =
-    if len < pool.len || len > 32 then invalid_arg "Ipv4.Allocator.create";
-    { pool; len; next = 0; capacity = 1 lsl (len - pool.len) }
-
-  let capacity t = t.capacity
-
-  let next t =
-    if t.next >= t.capacity then failwith "Ipv4.Allocator: pool exhausted";
-    let step = Int32.shift_left 1l (32 - t.len) in
-    let network = Int32.add t.pool.network (Int32.mul (Int32.of_int t.next) step) in
-    t.next <- t.next + 1;
-    { network; len = t.len }
-end
 
 (* Exact-match table keyed by [prefix_to_packed]: open addressing with
    linear probing and no per-entry cell.  A slot's key word is the packed

@@ -73,26 +73,8 @@ val packed_prefix_to_string : int -> string
 val prefix_of_string : string -> prefix option
 (** Accepts ["10.0.0.0/8"] and bare addresses (as /32). *)
 
-val host_count : prefix -> int
-(** Usable host addresses (1 for /31 and /32). *)
-
 val nth_host : prefix -> int -> addr
 (** [nth_host p n] is the [n]-th address of [p] (0 = network address). *)
-
-val subnets : prefix -> len:int -> prefix list
-(** All subnets of [p] with the given longer length. *)
-
-(** Sequential allocator of equal-sized subnets from a pool. *)
-module Allocator : sig
-  type t
-
-  val create : pool:prefix -> len:int -> t
-
-  val next : t -> prefix
-  (** @raise Failure when the pool is exhausted. *)
-
-  val capacity : t -> int
-end
 
 (** Mutable exact-match table keyed on {!prefix_to_packed}, for owners
     that never need longest-prefix match (the RIBs, the speaker, the

@@ -40,33 +40,6 @@ let ring ?(rel = Spec.Open) n =
   in
   Spec.make ~title:(Fmt.str "ring-%d" n) ~nodes:(nodes n) ~links
 
-(* Complete binary tree with [depth] levels; children are customers of
-   their parent, mirroring provider hierarchies. *)
-let tree ?(rel = Spec.C2p) depth =
-  if depth < 1 then invalid_arg "Artificial.tree: depth must be >= 1";
-  let n = (1 lsl depth) - 1 in
-  let links = ref [] in
-  for i = 1 to n - 1 do
-    let parent = (i - 1) / 2 in
-    links := Spec.link ~rel (asn i) (asn parent) :: !links
-  done;
-  Spec.make ~title:(Fmt.str "tree-d%d" depth) ~nodes:(nodes n) ~links:(List.rev !links)
-
-let grid ?(rel = Spec.Open) rows cols =
-  if rows < 1 || cols < 1 || rows * cols < 2 then invalid_arg "Artificial.grid";
-  let id r c = (r * cols) + c in
-  let links = ref [] in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      if c + 1 < cols then links := Spec.link ~rel (asn (id r c)) (asn (id r (c + 1))) :: !links;
-      if r + 1 < rows then links := Spec.link ~rel (asn (id r c)) (asn (id (r + 1) c)) :: !links
-    done
-  done;
-  Spec.make
-    ~title:(Fmt.str "grid-%dx%d" rows cols)
-    ~nodes:(nodes (rows * cols))
-    ~links:(List.rev !links)
-
 let stub_asn spec =
   match List.rev (Spec.nodes spec) with
   | [] -> invalid_arg "Artificial.stub_asn: empty spec"

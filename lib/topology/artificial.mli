@@ -17,11 +17,6 @@ val line : ?rel:Spec.rel -> int -> Spec.t
 
 val ring : ?rel:Spec.rel -> int -> Spec.t
 
-val tree : ?rel:Spec.rel -> int -> Spec.t
-(** Complete binary tree of the given depth; children are customers. *)
-
-val grid : ?rel:Spec.rel -> int -> int -> Spec.t
-
 val stub_asn : Spec.t -> Net.Asn.t
 (** The last node of a spec (the stub in {!failover_backup_chain}). *)
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repo-wide check: format (if ocamlformat is available), build, unit
-# tests, and the end-to-end metrics smoke run.  Exits non-zero on the
-# first failure.  Run from anywhere inside the repo.
+# tests, the export audit (fails when a lib/*/*.mli val has no user
+# outside its module), and every golden and smoke alias.  Exits non-zero
+# on the first failure.  Run from anywhere inside the repo.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -20,6 +21,15 @@ dune build
 
 step "unit tests"
 dune runtest
+
+step "export audit (no lib/*/*.mli val is left without a user outside its module)"
+summary=$(sh scripts/exports_audit.sh | grep ' vals in lib/')
+echo "$summary"
+none=$(echo "$summary" | sed -n 's/.*, \([0-9]*\) from no other unit$/\1/p')
+if [ "$none" != 0 ]; then
+  echo "exports referenced by no other unit: run sh scripts/exports_audit.sh for the list"
+  exit 1
+fi
 
 step "smoke (instrumented run + metrics validation)"
 dune build @smoke

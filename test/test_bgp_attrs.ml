@@ -14,16 +14,6 @@ let test_prepend () =
   Alcotest.(check bool) "contains" true (Bgp.Attrs.path_contains a (asn 65002));
   Alcotest.(check bool) "not contains" false (Bgp.Attrs.path_contains a (asn 65009))
 
-let test_path_endpoints () =
-  let a = Bgp.Attrs.make ~as_path:[ asn 65001; asn 65002; asn 65003 ] ~next_hop:nh () in
-  Alcotest.(check (option int)) "origin AS" (Some 65003)
-    (Option.map Net.Asn.to_int (Bgp.Attrs.origin_as a));
-  Alcotest.(check (option int)) "neighbor AS" (Some 65001)
-    (Option.map Net.Asn.to_int (Bgp.Attrs.neighbor_as a));
-  let empty = Bgp.Attrs.make ~next_hop:nh () in
-  Alcotest.(check (option int)) "empty origin" None
-    (Option.map Net.Asn.to_int (Bgp.Attrs.origin_as empty))
-
 let test_wire_equal_ignores_local_pref () =
   let a = Bgp.Attrs.make ~as_path:[ asn 65001 ] ~local_pref:100 ~next_hop:nh () in
   let b = Bgp.Attrs.with_local_pref a 200 in
@@ -234,7 +224,6 @@ let test_exported_matches_chain () =
 let suite =
   [
     Alcotest.test_case "prepend" `Quick test_prepend;
-    Alcotest.test_case "path endpoints" `Quick test_path_endpoints;
     Alcotest.test_case "wire equality" `Quick test_wire_equal_ignores_local_pref;
     Alcotest.test_case "origin rank" `Quick test_origin_rank;
     Alcotest.test_case "intern physical equality" `Quick test_intern_physical_equality;

@@ -230,10 +230,15 @@ let test_convergence_leaf_label_filter () =
    child span is queued at its parent's fire instant and the waits
    telescope from the action root to the final FIB write. *)
 let test_clique_attribution_matches_convergence () =
-  let spec = Topology.Artificial.clique 6 in
-  let exp = Framework.Experiment.create ~config:full_config ~seed:2014 spec in
-  let m = Core.measure_withdrawal exp (asn 0) in
-  let seconds = Framework.Experiment.convergence_seconds m in
+  let exp = ref None in
+  let r =
+    Framework.Experiments.(
+      run
+        ~on_boot:(fun e -> exp := Some e)
+        (describe ~config:full_config ~seed:2014 (Graph (Topology.Artificial.clique 6))))
+  in
+  let seconds = r.Framework.Experiments.seconds in
+  let exp = Option.get !exp in
   let c = Sim.causal (Framework.Experiment.sim exp) in
   let label =
     Net.Ipv4.prefix_to_string (Framework.Experiment.default_prefix exp (asn 0))
@@ -259,10 +264,14 @@ let test_clique_attribution_matches_convergence () =
 (* --- Deterministic exports (sequential and under Pool) ------------------- *)
 
 let chrome_of_run seed =
-  let spec = Topology.Spec.with_sdn (Topology.Artificial.clique 5) [ asn 3; asn 4 ] in
-  let exp = Framework.Experiment.create ~config:full_config ~seed spec in
-  ignore (Core.measure_withdrawal exp (asn 0));
-  Causal.to_chrome (Sim.causal (Framework.Experiment.sim exp))
+  let sim = ref None in
+  ignore
+    Framework.Experiments.(
+      run
+        ~on_boot:(fun e -> sim := Some (Framework.Experiment.sim e))
+        (describe ~members:(Last 2) ~config:full_config ~seed
+           (Graph (Topology.Artificial.clique 5))));
+  Causal.to_chrome (Sim.causal (Option.get !sim))
 
 let test_same_seed_byte_identical () =
   let a = chrome_of_run 7 and b = chrome_of_run 7 in
@@ -315,10 +324,7 @@ let test_cancelled_events_not_exported () =
 let test_mode_leaves_result_alone () =
   let run causal =
     let config = { Framework.Config.default with Framework.Config.causal } in
-    let r =
-      Framework.Experiments.clique_run ~n:16 ~sdn:8 ~event:Framework.Experiments.Withdrawal
-        ~seed:67 ~config ()
-    in
+    let r = Framework.Experiments.(run (describe ~members:(Last 8) ~config ~seed:67 (Clique 16))) in
     Framework.Experiments.(r.seconds, r.changes, r.collector_updates)
   in
   let disabled = run Causal.Disabled in

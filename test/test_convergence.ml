@@ -61,14 +61,13 @@ let test_collector_view_close_to_control_view () =
   Alcotest.(check bool) (Fmt.str "gap %.3fs bounded" gap) true (Float.abs gap < 3.0)
 
 let test_sdn_reduces_withdrawal_time () =
-  let t_legacy =
-    let exp = make_exp ~n:6 () in
-    Framework.Experiment.convergence_seconds (Core.measure_withdrawal exp (asn 0))
+  let withdrawal sdn =
+    Framework.Experiments.(
+      run (describe ~members:(Last sdn) ~config:cfg ~seed:5 (Graph (Topology.Artificial.clique 6))))
+      .Framework.Experiments.seconds
   in
-  let t_hybrid =
-    let exp = make_exp ~n:6 ~sdn:[ asn 2; asn 3; asn 4; asn 5 ] () in
-    Framework.Experiment.convergence_seconds (Core.measure_withdrawal exp (asn 0))
-  in
+  let t_legacy = withdrawal 0 in
+  let t_hybrid = withdrawal 4 in
   Alcotest.(check bool)
     (Fmt.str "hybrid %.2fs < legacy %.2fs" t_hybrid t_legacy)
     true (t_hybrid < t_legacy)

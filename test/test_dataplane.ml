@@ -399,8 +399,13 @@ let test_trafficgen_fate_agreement () =
 
 let test_loss_run_recovers () =
   let r =
-    Framework.Experiments.loss_run ~per_prefix:2 ~interval_ms:100 ~n:5 ~sdn:2 ~seed:3
-      ~config:cfg ()
+    Framework.Experiments.(
+      run
+        {
+          (describe ~members:(Last 2) ~config:cfg ~seed:3 (Failover (Topology.Artificial.clique 5)))
+          with
+          measure = Loss { per_prefix = 2; interval_ms = 100 };
+        })
   in
   Alcotest.(check bool) "loss observed" true (r.Framework.Experiments.lost > 0);
   Alcotest.(check bool) "loss cleared" true

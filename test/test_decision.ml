@@ -58,12 +58,6 @@ let test_select () =
   | None -> Alcotest.fail "must select");
   Alcotest.(check bool) "empty" true (Bgp.Decision.select [] = None)
 
-let test_explain () =
-  let a = route ~local_pref:130 () and b = route ~local_pref:90 ~source:(`Ebgp 65002) () in
-  let step, sign = Bgp.Decision.explain a b in
-  Alcotest.(check string) "deciding step" "local_pref" step;
-  Alcotest.(check bool) "sign prefers a" true (sign < 0)
-
 let arb_route =
   let gen =
     QCheck.Gen.(
@@ -106,7 +100,6 @@ let suite =
     Alcotest.test_case "MED" `Quick test_med;
     Alcotest.test_case "neighbor tiebreak" `Quick test_neighbor_tiebreak;
     Alcotest.test_case "select" `Quick test_select;
-    Alcotest.test_case "explain" `Quick test_explain;
     QCheck_alcotest.to_alcotest prop_total_order_antisymmetric;
     QCheck_alcotest.to_alcotest prop_total_order_transitive;
     QCheck_alcotest.to_alcotest prop_select_is_minimum;

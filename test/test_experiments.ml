@@ -20,11 +20,26 @@ let loss ?pool ~runs name ~n ~seed =
   | E.Loss_series s -> s
   | E.Convergence_series _ -> Alcotest.failf "%s is a convergence row" name
 
+(* AS 0's withdrawal on the [n]-clique with its last [sdn] ASes centralized. *)
+let withdrawal ?(config = cfg) ~n ~sdn ~seed () =
+  E.run (E.describe ~members:(Last sdn) ~config ~seed (Clique n))
+
 (* The [n]-clique withdrawal grid over a custom axis. *)
 let withdrawal_grid ?pool ~label ~runs ~seed xs run =
   E.sweep ?pool ~label ~runs ~seed (List.map float_of_int xs) (fun ~x ~seed ->
       let n, sdn, config = run (int_of_float x) in
-      E.clique_run ~n ~sdn ~event:E.Withdrawal ~seed ~config ())
+      withdrawal ~config ~n ~sdn ~seed ())
+
+(* [hybridsim scale]'s run: the placement:top-degree withdrawal from the
+   world's first stub behind a [prefixes]-prefix load across its stubs. *)
+let scale ~prefixes (world : E.caida_world) ~k ~seed =
+  E.run
+    {
+      (E.describe ~members:(Placed (Top_degree, k)) ~origin:(List.hd world.stub_asns) ~config:cfg
+         ~seed (Graph world.spec))
+      with
+      measure = Scale { origins = world.stub_asns; prefixes; budget = 20_000_000; clock = Sys.time };
+    }
 
 (* Ablation A1's grid at a custom delay axis. *)
 let recompute_delay_grid ?pool ~n ~runs ~seed delays_ms =
@@ -65,7 +80,9 @@ let test_announcement_fast_and_flat () =
     s.Framework.Experiments.points
 
 let test_failover_completes () =
-  let r = Framework.Experiments.failover_run ~n:5 ~sdn:2 ~seed:7 ~config:cfg () in
+  let r =
+    E.run (E.describe ~members:(Last 2) ~config:cfg ~seed:7 (Failover (Topology.Artificial.clique 5)))
+  in
   Alcotest.(check bool) "failover measured" true (not (Float.is_nan r.Framework.Experiments.seconds));
   Alcotest.(check bool) "positive" true (r.Framework.Experiments.seconds > 0.0)
 
@@ -133,8 +150,11 @@ let test_placement_strategies () =
     (not (List.exists (Net.Asn.equal origin) (top @ bottom)));
   (* a placement run completes and measures *)
   let r =
-    Framework.Experiments.placement_run ~spec ~k:2
-      ~placement:Framework.Experiments.Top_degree ~origin ~seed:2 ~config:cfg ()
+    E.run
+      {
+        (E.describe ~members:(Placed (Top_degree, 2)) ~origin ~config:cfg ~seed:2 (Graph spec)) with
+        collector = Since_boot;
+      }
   in
   Alcotest.(check bool) "measured" true (Float.is_finite r.Framework.Experiments.seconds)
 
@@ -159,12 +179,21 @@ let test_measure_event_limit () =
     (m.Framework.Convergence.changes >= 0)
 
 let test_churn_run () =
-  let quiet =
-    Framework.Experiments.clique_run ~n:5 ~sdn:0 ~event:Framework.Experiments.Withdrawal
-      ~seed:49 ~config:cfg ()
+  let quiet = withdrawal ~n:5 ~sdn:0 ~seed:49 () in
+  (* AS 1 flaps its prefix every 2 s through the measurement *)
+  let flapper = Topology.Artificial.asn 1 in
+  let cycle i =
+    let base = 2.0 *. float_of_int i in
+    Framework.Scenario.
+      [ at base (Announce (flapper, None)); at (base +. 1.0) (Withdraw (flapper, None)) ]
   in
   let churny =
-    Framework.Experiments.churn_run ~n:5 ~sdn:0 ~flap_period_s:2.0 ~seed:49 ~config:cfg ()
+    E.run
+      {
+        (E.describe ~config:cfg ~seed:49 (Clique 5)) with
+        churn = List.concat (List.init 40 cycle);
+        collector = Since_boot;
+      }
   in
   Alcotest.(check bool) "both measured" true
     (Float.is_finite quiet.Framework.Experiments.seconds
@@ -173,12 +202,16 @@ let test_churn_run () =
     (churny.Framework.Experiments.seconds >= quiet.Framework.Experiments.seconds *. 0.8)
 
 let test_table_size_control () =
-  let bare =
-    Framework.Experiments.table_size_run ~n:5 ~sdn:0 ~background:0 ~seed:45 ~config:cfg ()
+  let run background =
+    E.run
+      {
+        (E.describe ~config:cfg ~seed:45 (Clique 5)) with
+        background = List.map Topology.Artificial.asn background;
+        collector = Since_boot;
+      }
   in
-  let loaded =
-    Framework.Experiments.table_size_run ~n:5 ~sdn:0 ~background:3 ~seed:45 ~config:cfg ()
-  in
+  let bare = run [] in
+  let loaded = run [ 1; 2; 3 ] in
   (* same order of magnitude: background prefixes must not explode Tdown *)
   Alcotest.(check bool)
     (Fmt.str "%.1f vs %.1f comparable" bare.Framework.Experiments.seconds
@@ -205,23 +238,42 @@ let test_subcluster_resilience () =
   Alcotest.(check bool) "recovers" true r.Framework.Experiments.reachable_after_recovery
 
 let test_run_results_deterministic () =
-  let run () =
-    Framework.Experiments.clique_run ~n:5 ~sdn:2 ~event:Framework.Experiments.Withdrawal
-      ~seed:17 ~config:cfg ()
-  in
+  let run () = withdrawal ~n:5 ~sdn:2 ~seed:17 () in
   let a = run () and b = run () in
   Alcotest.(check (float 1e-12)) "identical seconds" a.Framework.Experiments.seconds
     b.Framework.Experiments.seconds;
   Alcotest.(check int) "identical changes" a.Framework.Experiments.changes
     b.Framework.Experiments.changes
 
+(* The runner refuses a description before building anything: a clique
+   keeps ASes 0 and 1 legacy, and fail-over needs a clique. *)
 let test_guards () =
-  (match Framework.Experiments.clique_run ~n:4 ~sdn:3 ~event:Framework.Experiments.Withdrawal ~seed:1 ~config:cfg () with
+  (match withdrawal ~n:4 ~sdn:3 ~seed:1 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "sdn too large must raise");
-  match Framework.Experiments.clique_run ~n:4 ~sdn:0 ~event:Framework.Experiments.Failover ~seed:1 ~config:cfg () with
+  match E.run (E.describe ~config:cfg ~seed:1 (Failover (Topology.Artificial.ring 6))) with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "failover via clique_run must raise"
+  | _ -> Alcotest.fail "fail-over off a clique must raise"
+
+(* The quickstart's run (a [Graph] world, as [hybridsim run] builds it)
+   and the fig2 row's run at x = k are the same run. *)
+let test_entry_points_agree () =
+  let seed = 5 in
+  let row = convergence "fig2" ~n:6 ~runs:1 ~seed in
+  List.iter
+    (fun (p : E.run_result E.point) ->
+      let k = int_of_float p.x in
+      let quick =
+        Core.Experiments.(
+          run (describe ~members:(Last k) ~config:cfg ~seed (Graph (Core.Topo.clique 6))))
+      in
+      let fig2 = List.hd p.results in
+      Alcotest.(check (float 0.0)) (Fmt.str "seconds at k=%d" k) fig2.seconds quick.seconds;
+      Alcotest.(check int) (Fmt.str "changes at k=%d" k) fig2.changes quick.changes;
+      Alcotest.(check int)
+        (Fmt.str "collector updates at k=%d" k)
+        fig2.collector_updates quick.collector_updates)
+    row.points
 
 (* Every row refuses a clique below its minimum before running anything,
    and runs at the minimum; names and aliases are unique, since the CLI
@@ -274,7 +326,7 @@ let test_dropped_run_leaves_no_residue () =
   let world = E.caida_world ~tier1:3 ~tier2:8 ~stubs:40 ~seed:11 in
   (* the figures only: the result's telemetry snapshot goes with the run *)
   let settle () =
-    let r = E.scale_run ~prefixes:30 ~world ~k:0 ~seed:11 ~config:cfg () in
+    let r = scale ~prefixes:30 world ~k:0 ~seed:11 in
     (r.E.load_settled, r.E.rib_routes, r.E.live_words)
   in
   let before = live () in
@@ -305,6 +357,7 @@ let suite =
     Alcotest.test_case "sub-cluster resilience" `Quick test_subcluster_resilience;
     Alcotest.test_case "determinism" `Quick test_run_results_deterministic;
     Alcotest.test_case "argument guards" `Quick test_guards;
+    Alcotest.test_case "quickstart and fig2 row agree" `Quick test_entry_points_agree;
     Alcotest.test_case "sweep kinds refuse small n" `Quick test_kind_minimum_n;
     Alcotest.test_case "choose_members linear" `Quick test_choose_members_linear;
     Alcotest.test_case "dropped run leaves no residue" `Quick

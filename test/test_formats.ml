@@ -140,18 +140,6 @@ let test_dump_parse_errors () =
       | Ok _ -> Alcotest.failf "should reject %S" text)
     [ "garbage"; "5|65001|X|100.64.0.0/24|"; "5|65001|A|not-a-prefix|65001" ]
 
-let test_rate_buckets () =
-  let collector = make_collector_with_events () in
-  let buckets = Bgp.Collector.rate_buckets ~bucket:(Engine.Time.sec 1) collector in
-  Alcotest.(check int) "two buckets" 2 (List.length buckets);
-  match buckets with
-  | [ (t0, c0); (t1, c1) ] ->
-    Alcotest.(check int) "bucket 0 start" 0 (Engine.Time.to_us t0);
-    Alcotest.(check int) "bucket 0 count" 1 c0;
-    Alcotest.(check int) "bucket 1 start" 1_000_000 (Engine.Time.to_us t1);
-    Alcotest.(check int) "bucket 1 count" 1 c1
-  | _ -> Alcotest.fail "unexpected buckets"
-
 (* --- Telemetry validation and finish hardening --------------------------- *)
 
 module Tel = Framework.Telemetry
@@ -257,7 +245,6 @@ let suite =
     Alcotest.test_case "scenario executes parsed" `Quick test_scenario_executes_parsed;
     Alcotest.test_case "collector dump roundtrip" `Quick test_dump_roundtrip;
     Alcotest.test_case "collector dump errors" `Quick test_dump_parse_errors;
-    Alcotest.test_case "collector rate buckets" `Quick test_rate_buckets;
     Alcotest.test_case "format_of_path edge cases" `Quick test_format_of_path_edges;
     Alcotest.test_case "validate rejects malformed inputs" `Quick test_validate_malformed;
     Alcotest.test_case "validate_file rejects malformed files" `Quick

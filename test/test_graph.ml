@@ -80,15 +80,6 @@ let test_components () =
   Graph.add_edge g 5 9;
   Alcotest.(check bool) "now connected" true (Graph.is_connected g)
 
-let test_remove_node () =
-  let g = Graph.create () in
-  Graph.add_edge g 1 2;
-  Graph.add_edge g 2 3;
-  Graph.remove_node g 2;
-  Alcotest.(check int) "nodes" 2 (Graph.node_count g);
-  Alcotest.(check int) "edges gone" 0 (Graph.edge_count g);
-  Alcotest.(check (list int)) "no dangling adjacency" [] (Graph.succ g 1)
-
 let test_copy_independent () =
   let g = Graph.create () in
   Graph.add_edge g 1 2;
@@ -151,7 +142,6 @@ let suite =
     Alcotest.test_case "path to self" `Quick test_shortest_path_self;
     Alcotest.test_case "directed graph" `Quick test_directed;
     Alcotest.test_case "components" `Quick test_components;
-    Alcotest.test_case "remove node" `Quick test_remove_node;
     Alcotest.test_case "copy independence" `Quick test_copy_independent;
     QCheck_alcotest.to_alcotest prop_dijkstra_matches_bfs;
   ]

@@ -43,26 +43,8 @@ let test_subsumes () =
   Alcotest.(check bool) "equal subsumes" true
     (Ipv4.subsumes ~outer:(p "10.0.0.0/8") ~inner:(p "10.0.0.0/8"))
 
-let test_subnets () =
-  let subs = Ipv4.subnets (p "10.0.0.0/22") ~len:24 in
-  Alcotest.(check (list prefix)) "four /24s"
-    [ p "10.0.0.0/24"; p "10.0.1.0/24"; p "10.0.2.0/24"; p "10.0.3.0/24" ]
-    subs
-
 let test_hosts () =
-  Alcotest.(check int) "/24 host count" 254 (Ipv4.host_count (p "10.0.0.0/24"));
-  Alcotest.(check int) "/32 host count" 1 (Ipv4.host_count (p "10.0.0.1/32"));
   Alcotest.check addr "nth host" (a "10.0.0.10") (Ipv4.nth_host (p "10.0.0.0/24") 10)
-
-let test_allocator () =
-  let alloc = Ipv4.Allocator.create ~pool:(p "10.0.0.0/30") ~len:32 in
-  Alcotest.(check int) "capacity" 4 (Ipv4.Allocator.capacity alloc);
-  let all = List.init 4 (fun _ -> Ipv4.Allocator.next alloc) in
-  Alcotest.(check (list prefix)) "sequential"
-    [ p "10.0.0.0/32"; p "10.0.0.1/32"; p "10.0.0.2/32"; p "10.0.0.3/32" ]
-    all;
-  Alcotest.check_raises "exhausted" (Failure "Ipv4.Allocator: pool exhausted") (fun () ->
-      ignore (Ipv4.Allocator.next alloc))
 
 (* The Format-free string printers, and the packed-prefix and int ASN
    renderers causal markers store, are byte-identical to the [pp]
@@ -115,16 +97,6 @@ let prop_prefix_contains_network =
       let pre = Ipv4.prefix (Ipv4.addr_of_int32 i) len in
       Ipv4.mem (Ipv4.prefix_network pre) pre)
 
-let prop_subnets_subsumed =
-  QCheck.Test.make ~name:"subnets are subsumed by their parent" ~count:200
-    QCheck.(pair arb_addr (int_range 0 28))
-    (fun (i, len) ->
-      let parent = Ipv4.prefix (Ipv4.addr_of_int32 i) len in
-      let sub_len = min 32 (len + 3) in
-      List.for_all
-        (fun inner -> Ipv4.subsumes ~outer:parent ~inner)
-        (Ipv4.subnets parent ~len:sub_len))
-
 let suite =
   [
     Alcotest.test_case "addr roundtrip" `Quick test_addr_roundtrip;
@@ -133,11 +105,8 @@ let suite =
     Alcotest.test_case "prefix parse" `Quick test_prefix_parse;
     Alcotest.test_case "mem" `Quick test_mem;
     Alcotest.test_case "subsumes" `Quick test_subsumes;
-    Alcotest.test_case "subnets" `Quick test_subnets;
     Alcotest.test_case "hosts" `Quick test_hosts;
-    Alcotest.test_case "allocator" `Quick test_allocator;
     Alcotest.test_case "string printers match pp" `Quick test_printers_match_pp;
     QCheck_alcotest.to_alcotest prop_addr_string_roundtrip;
     QCheck_alcotest.to_alcotest prop_prefix_contains_network;
-    QCheck_alcotest.to_alcotest prop_subnets_subsumed;
   ]

@@ -402,9 +402,8 @@ let test_sim_category_counters () =
 let test_same_seed_byte_identical () =
   let run () =
     let r =
-      Framework.Experiments.clique_run ~n:6 ~sdn:2
-        ~event:Framework.Experiments.Withdrawal ~seed:11
-        ~config:Framework.Config.fast_test ()
+      Framework.Experiments.(
+        run (describe ~members:(Last 2) ~config:Framework.Config.fast_test ~seed:11 (Clique 6)))
     in
     Metrics.to_jsonl r.Framework.Experiments.metrics
   in

@@ -42,16 +42,6 @@ let test_pool_reuse () =
       Alcotest.(check (list int)) "second batch" (List.init 31 (fun i -> i * 2)) b;
       Alcotest.(check (list int)) "empty batch" [] (Engine.Pool.map pool Fun.id []))
 
-let test_pool_map_reduce () =
-  Engine.Pool.with_pool ~jobs:3 (fun pool ->
-      let got =
-        Engine.Pool.map_reduce pool
-          ~map:(fun i -> Fmt.str "%d" i)
-          ~reduce:(fun acc s -> acc ^ s)
-          ~init:"" (List.init 10 Fun.id)
-      in
-      Alcotest.(check string) "deterministic fold order" "0123456789" got)
-
 let test_pool_guards () =
   (match Engine.Pool.create ~jobs:0 with
   | exception Invalid_argument _ -> ()
@@ -149,9 +139,15 @@ let test_placement_differential () =
   let sweep ?pool () =
     Framework.Experiments.sweep ?pool ~label:"placement-top-degree" ~runs:2 ~seed:54 [ 0.0; 2.0 ]
       (fun ~x ~seed ->
-        Framework.Experiments.placement_run ~spec:world.spec ~k:(int_of_float x)
-          ~placement:Framework.Experiments.Top_degree ~origin:(List.hd world.stub_asns) ~seed
-          ~config:cfg ())
+        Framework.Experiments.(
+          run
+            {
+              (describe
+                 ~members:(Placed (Top_degree, int_of_float x))
+                 ~origin:(List.hd world.stub_asns) ~config:cfg ~seed (Graph world.spec))
+              with
+              collector = Since_boot;
+            }))
   in
   let seq = sweep () in
   with_jobs 4 (fun pool ->
@@ -181,8 +177,7 @@ let test_scale_differential () =
   let sweep ?pool () =
     Framework.Experiments.sweep ?pool ~label:"scale-caida14-p10" ~runs:2 ~seed:98 [ 0.0; 2.0 ]
       (fun ~x ~seed ->
-        (Framework.Experiments.scale_run ~prefixes:10 ~world ~k:(int_of_float x) ~seed
-           ~config:cfg ())
+        (Test_experiments.scale ~prefixes:10 world ~k:(int_of_float x) ~seed)
           .Framework.Experiments.withdrawal)
   in
   let seq = sweep () in
@@ -211,12 +206,16 @@ let test_loss_differential () =
   let caida ?pool () =
     Framework.Experiments.sweep ?pool ~label:"loss-caida14" ~runs:1 ~seed:62 [ 0.0; 2.0 ]
       (fun ~x ~seed ->
-        let members =
-          Framework.Experiments.choose_members ~spec ~k:(int_of_float x)
-            ~placement:Framework.Experiments.Top_degree ~origin ~seed
-        in
-        Framework.Experiments.loss_run_on ~spec:(Topology.Spec.with_sdn spec members) ~origin
-          ~peer ~seed ~config:cfg ())
+        Framework.Experiments.(
+          run
+            {
+              (describe
+                 ~members:(Placed (Top_degree, int_of_float x))
+                 ~origin ~config:cfg ~seed (Graph spec))
+              with
+              event = Fail_link peer;
+              measure = Loss { per_prefix = 2; interval_ms = 100 };
+            }))
   in
   let seq_clique = clique () and seq_caida = caida () in
   let loss_seconds s =
@@ -254,7 +253,6 @@ let suite =
     Alcotest.test_case "pool: jobs=1 bypass" `Quick test_pool_jobs1_bypass;
     Alcotest.test_case "pool: exception propagation" `Quick test_pool_exception;
     Alcotest.test_case "pool: reuse across batches" `Quick test_pool_reuse;
-    Alcotest.test_case "pool: map_reduce order" `Quick test_pool_map_reduce;
     Alcotest.test_case "pool: guards" `Quick test_pool_guards;
     Alcotest.test_case "pool: HYBRIDSIM_JOBS_CAP" `Quick test_jobs_cap_env;
     Alcotest.test_case "fig2 parallel == sequential" `Slow test_fig2_differential;

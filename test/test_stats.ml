@@ -44,15 +44,6 @@ let test_linear_fit_noisy () =
   Alcotest.(check bool) "slope near 3" true (Float.abs (b -. 3.0) < 0.3);
   Alcotest.(check bool) "r2 high" true (Stats.r_squared pts > 0.99)
 
-let test_running () =
-  let r = Stats.Running.create () in
-  List.iter (Stats.Running.add r) [ 2.0; 4.0; 6.0; 8.0 ];
-  Alcotest.(check int) "count" 4 (Stats.Running.count r);
-  feq "mean" 5.0 (Stats.Running.mean r);
-  feq "min" 2.0 (Stats.Running.minimum r);
-  feq "max" 8.0 (Stats.Running.maximum r);
-  feq "variance" (20.0 /. 3.0) (Stats.Running.variance r)
-
 let prop_boxplot_ordered =
   QCheck.Test.make ~name:"boxplot quartiles are ordered" ~count:200
     QCheck.(list_of_size Gen.(1 -- 50) (float_bound_inclusive 1000.0))
@@ -63,14 +54,6 @@ let prop_boxplot_ordered =
       && b.Stats.median <= b.Stats.q3
       && b.Stats.q3 <= b.Stats.maximum)
 
-let prop_running_matches_batch =
-  QCheck.Test.make ~name:"running mean matches batch mean" ~count:200
-    QCheck.(list_of_size Gen.(1 -- 50) (float_bound_inclusive 100.0))
-    (fun l ->
-      let r = Stats.Running.create () in
-      List.iter (Stats.Running.add r) l;
-      Float.abs (Stats.Running.mean r -. Stats.mean l) < 1e-6)
-
 let suite =
   [
     Alcotest.test_case "mean and stddev" `Quick test_mean_stddev;
@@ -78,7 +61,5 @@ let suite =
     Alcotest.test_case "boxplot" `Quick test_boxplot;
     Alcotest.test_case "linear fit exact" `Quick test_linear_fit;
     Alcotest.test_case "linear fit noisy" `Quick test_linear_fit_noisy;
-    Alcotest.test_case "running stats" `Quick test_running;
     QCheck_alcotest.to_alcotest prop_boxplot_ordered;
-    QCheck_alcotest.to_alcotest prop_running_matches_batch;
   ]
