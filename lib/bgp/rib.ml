@@ -11,9 +11,10 @@
    RIB never needs longest-prefix match, and at Internet scale (10k+
    prefixes per peer) one hash of the packed prefix per operation beats
    both a persistent map's rebalancing allocation and a trie's
-   node-per-prefix-bit walk.  Every ordered read sorts the packed keys,
-   so iteration is [compare_prefix] ascending and dumps and decision
-   ordering match the map-based reference implementations
+   node-per-prefix-bit walk.  Every ordered read sorts the packed keys
+   (the Loc-RIB's [iter] reuses its last sort until a prefix comes or
+   goes), so iteration is [compare_prefix] ascending and dumps and
+   decision ordering match the map-based reference implementations
    (enforced by test/test_rib_differential.ml). *)
 
 module Tbl = Net.Ipv4.Prefix_table
@@ -116,9 +117,15 @@ module Adj_in = struct
 end
 
 module Loc = struct
-  type t = { best : Route.t Tbl.t }
+  (* [order] caches the slots in ascending prefix order for [iter]; [[||]]
+     means not built (or an empty table).  Only a change to the key set
+     moves slots, so only that drops it, and only [iter] builds it: a run
+     that never walks the table in order never pays for the array. *)
+  type t = { best : Route.t Tbl.t; mutable order : int array }
 
-  let create () = { best = Tbl.create () }
+  let create () = { best = Tbl.create (); order = [||] }
+
+  let stale t = if Array.length t.order > 0 then t.order <- [||]
 
   let find t prefix = Tbl.find prefix t.best
 
@@ -139,6 +146,7 @@ module Loc = struct
     match Tbl.slot t.best key with
     | -1 ->
       ignore (Tbl.add t.best key route);
+      stale t;
       Replaced None
     | s ->
       let old = Tbl.value t.best s in
@@ -154,11 +162,22 @@ module Loc = struct
     | s ->
       let old = Tbl.value t.best s in
       Tbl.remove_slot t.best s;
+      stale t;
       Some old
 
   let entries t = Tbl.entries t.best
 
+  let iter t f =
+    if Array.length t.order <> Tbl.size t.best then t.order <- Tbl.sorted_slots t.best;
+    let order = t.order in
+    for k = 0 to Array.length order - 1 do
+      let s = order.(k) in
+      f (Tbl.packed_at t.best s) (Tbl.value t.best s)
+    done
+
   let size t = Tbl.size t.best
 
-  let clear t = Tbl.clear t.best
+  let clear t =
+    Tbl.clear t.best;
+    t.order <- [||]
 end

@@ -60,6 +60,12 @@ module Loc : sig
 
   val entries : t -> (Net.Ipv4.prefix * Route.t) list
 
+  val iter : t -> (int -> Route.t -> unit) -> unit
+  (** In {!entries} order, each prefix as {!Net.Ipv4.prefix_to_packed}.
+      The sorted order is cached until the next change to the set of
+      prefixes, so a walk allocates nothing unless that set changed since
+      the last one.  [f] must not modify the table. *)
+
   val size : t -> int
 
   val clear : t -> unit

@@ -212,6 +212,8 @@ let best t prefix = Rib.Loc.find t.loc prefix
 
 let loc_entries t = Rib.Loc.entries t.loc
 
+let iter_best t f = Rib.Loc.iter t.loc f
+
 (* The provenance of a route, as one of [Policy]'s shared values. *)
 let provenance t (route : Route.t) =
   match route.Route.source with

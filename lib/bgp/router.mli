@@ -49,7 +49,8 @@ val stats : t -> stats
 
 val subscribe_best_change : t -> (Net.Ipv4.prefix -> Route.t option -> unit) -> unit
 (** Called whenever the Loc-RIB best route for a prefix changes (the
-    framework hooks the FIB here). *)
+    framework marks legacy forwarding changes for the causal trace
+    here). *)
 
 val add_peer : t -> peer_asn:Net.Asn.t -> peer_node:int -> policy:Policy.t -> unit
 (** Peers added in a row are sorted once, by the first call that reads
@@ -87,6 +88,12 @@ val best : t -> Net.Ipv4.prefix -> Route.t option
 val candidates : t -> Net.Ipv4.prefix -> Route.t list
 
 val loc_entries : t -> (Net.Ipv4.prefix * Route.t) list
+
+val iter_best : t -> (int -> Route.t -> unit) -> unit
+(** The Loc-RIB bests in {!loc_entries} order, each prefix packed
+    ({!Net.Ipv4.prefix_to_packed}); allocates nothing while the set of
+    prefixes is unchanged since the last walk ({!Rib.Loc.iter}).  [f]
+    must not change the router. *)
 
 val adj_in_find : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> Route.t option
 

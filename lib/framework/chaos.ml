@@ -353,7 +353,7 @@ let check_session_rib net acc =
   | _ -> acc
 
 (* I3: packets never cycle, and the static forwarding verifier holds.
-   The compiled data-plane snapshot of the FIBs and flow tables must
+   The compiled data-plane snapshot of the forwarding state must
    (a) report no forwarding cycles and (b) classify every (src, dst)
    pair exactly as the event-driven reference walker does — the fast
    path summarizing the network must forward like it.  Blackholes are

@@ -1,6 +1,6 @@
 (* Static forwarding-state verification.
 
-   After a convergence event the composed BGP FIB + SDN flow-table state
+   After a convergence event the composed legacy BGP + SDN flow-table forwarding state
    either carries every (src, dst) pair, black-holes it (legal while a
    prefix is genuinely unreachable), or — never legally — cycles it.
    This module walks a frozen [Net.Dataplane] snapshot over all pairs to

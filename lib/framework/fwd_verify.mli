@@ -1,5 +1,5 @@
 (** Static forwarding-state verification: classify every (src, dst) pair
-    of the composed BGP FIB + SDN flow-table state — delivered,
+    of the composed legacy BGP + SDN flow-table forwarding state — delivered,
     black-holed, looping, TTL-bound — by walking a frozen
     {!Net.Dataplane} snapshot, without sending packets and without
     mutating flow counters.  Loops are never legal; black holes may be

@@ -1,5 +1,5 @@
 (* End-to-end connectivity monitoring: a zero-time walker over the
-   programmed forwarding state (legacy FIBs + SDN flow tables) that
+   programmed forwarding state (legacy Loc-RIBs + SDN flow tables) that
    classifies a path as delivered, black-holed, or looping.  It is the
    reference the compiled [Net.Dataplane] snapshot is held to, and the
    "is connectivity stable" check of the invariant oracle; loss under

@@ -11,8 +11,8 @@ type outcome =
 val is_delivered : outcome -> bool
 
 val walk : ?max_hops:int -> Network.t -> src:Net.Asn.t -> dst_addr:Net.Ipv4.addr -> outcome
-(** Follow FIBs/flow tables hop by hop; a next hop over a failed link is
-    a blackhole. *)
+(** Follow each AS's forwarding ({!Network.forwarding_at}) hop by hop; a
+    next hop over a failed link is a blackhole. *)
 
 val reachable : Network.t -> src:Net.Asn.t -> dst:Net.Asn.t -> bool
 (** Walk from [src] to [dst]'s host address. *)

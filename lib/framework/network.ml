@@ -9,8 +9,9 @@
      controller, linked to every SDN switch (the per-peering
      speaker-to-border-switch relay links of the paper);
    - the fabric carries BGP and OpenFlow only: the data plane is read
-     from the programmed FIBs and flow tables, by the walker
-     ([forwarding_at]) and the compiled snapshot ([dataplane_snapshot]). *)
+     from the legacy routers' Loc-RIBs and the switches' flow tables, by
+     the walker ([forwarding_at]) and the compiled snapshot
+     ([dataplane_snapshot]). *)
 
 module Pm = Net.Ipv4.Prefix_map
 
@@ -36,7 +37,6 @@ type t = {
   config : Config.t;
   routers : Bgp.Router.t Net.Asn.Map.t;
   switches : Sdn.Switch.t Net.Asn.Map.t;
-  fibs : int Net.Fib.t Net.Asn.Map.t; (* legacy data planes: prefix -> next node *)
   local_prefixes : (Net.Asn.t, Net.Ipv4.Prefix_set.t ref) Hashtbl.t;
   collector : Bgp.Collector.t;
   controller : Cluster_ctl.Controller.t option;
@@ -215,24 +215,15 @@ let create ?(config = Config.default) ~seed spec =
         ~policy:Bgp.Policy.Customer;
       Bgp.Collector.add_peer collector ~peer_asn:asn ~peer_node:(Net.Asn.to_int asn))
     routers;
-  (* Legacy FIBs driven by Loc-RIB changes. *)
-  let fibs =
-    Net.Asn.Map.map
-      (fun _ -> (Net.Fib.create () : int Net.Fib.t))
-      routers
-  in
+  (* A legacy router forwards from its Loc-RIB (see [forwarding_at]), so
+     a best change is where its forwarding changes: the causal trace marks
+     it there. *)
   Net.Asn.Map.iter
     (fun asn router ->
-      let fib = Net.Asn.Map.find asn fibs in
       let name = Net.Asn.to_string asn in
-      Bgp.Router.subscribe_best_change router (fun prefix best ->
+      Bgp.Router.subscribe_best_change router (fun prefix _ ->
           Engine.Sim.mark sim ~category:"fib.write" ~node:name
-            ~render:Net.Ipv4.packed_prefix_to_string (Net.Ipv4.prefix_to_packed prefix);
-          match best with
-          | Some { Bgp.Route.source = Bgp.Route.Ebgp peer; _ } ->
-            Net.Fib.insert fib prefix (Net.Asn.to_int peer)
-          | Some { Bgp.Route.source = Bgp.Route.Local; _ } (* locally originated *) | None ->
-            Net.Fib.remove fib prefix))
+            ~render:Net.Ipv4.packed_prefix_to_string (Net.Ipv4.prefix_to_packed prefix)))
     routers;
   (* The record is needed by the switch/controller closures below; build
      it first with placeholders for the SDN parts, then fill them in. *)
@@ -337,7 +328,6 @@ let create ?(config = Config.default) ~seed spec =
       config;
       routers;
       switches;
-      fibs;
       local_prefixes = Hashtbl.create 16;
       collector;
       controller;
@@ -385,12 +375,6 @@ let create ?(config = Config.default) ~seed spec =
            | Payload.Openflow m -> Cluster_ctl.Controller.handle_openflow ctrl m
            | Payload.Bgp _ -> ()))
   | None -> ());
-  (* A router crash also loses its kernel forwarding state. *)
-  Net.Asn.Map.iter
-    (fun asn router ->
-      let fib = Net.Asn.Map.find asn fibs in
-      Engine.Node.on_crash (Bgp.Router.node router) (fun () -> Net.Fib.clear fib))
-    routers;
   (* Link watchers: session lifecycle for legacy routers, PORT_STATUS for
      switches. *)
   Net.Asn.Map.iter
@@ -625,8 +609,20 @@ let link_delay t a b =
 (* Forwarding-state introspection for the connectivity walker. *)
 type forwarding = Local | Next of int | No_route
 
+(* A legacy router's forwarding is derived from its Loc-RIB, as the
+   kernel FIB a router installs from its RIB: a prefix whose best was
+   learned over eBGP forwards to the peer it came from (an AS's node id
+   is its AS number); a local best, or none, installs nothing.  A crash
+   clears the Loc-RIB, and with it the router's forwarding. *)
+let rec learned_next router addr len =
+  if len < 0 then None
+  else
+    match Bgp.Router.best router (Net.Ipv4.prefix addr len) with
+    | Some { Bgp.Route.source = Bgp.Route.Ebgp peer; _ } -> Some (Net.Asn.to_int peer)
+    | Some { Bgp.Route.source = Bgp.Route.Local; _ } | None -> learned_next router addr (len - 1)
+
 (* Every AS forwards by one longest-prefix match: an SDN member over its
-   flow table, a legacy router over its FIB. *)
+   flow table, a legacy router over its learned bests. *)
 let forwarding_at t asn (addr : Net.Ipv4.addr) =
   if is_local_addr t asn addr then Local
   else
@@ -634,16 +630,16 @@ let forwarding_at t asn (addr : Net.Ipv4.addr) =
       match Net.Asn.Map.find_opt asn t.switches with
       | Some sw -> Option.map Sdn.Flow.out_port (Net.Fib.lookup_value (Sdn.Switch.table sw) addr)
       | None ->
-        Option.bind (Net.Asn.Map.find_opt asn t.fibs) (fun fib -> Net.Fib.lookup_value fib addr)
+        Option.bind (Net.Asn.Map.find_opt asn t.routers) (fun r -> learned_next r addr 32)
     in
     match next with Some node -> Next node | None -> No_route
 
-(* Compile the composed forwarding state — FIBs, flow tables, local
-   delivery sets, link liveness — into a frozen [Net.Dataplane] snapshot
-   over dense node indices.  The snapshot mirrors [forwarding_at] plus
-   the [link_up] check of the connectivity walker.  Next hops (fabric
-   node ids) become dense indices as the live FIBs and flow tables are
-   read, so the hot path never maps ids per hop. *)
+(* Compile the composed forwarding state — legacy Loc-RIBs, flow tables,
+   local delivery sets, link liveness — into a frozen [Net.Dataplane]
+   snapshot over dense node indices.  The snapshot mirrors
+   [forwarding_at] plus the [link_up] check of the connectivity walker.
+   Next hops (fabric node ids) become dense indices as the live tables
+   are read, so the hot path never maps ids per hop. *)
 let dataplane_snapshot t =
   let as_list = Topology.Spec.asns t.spec in
   let asns = Array.of_list (List.map Net.Asn.to_int as_list) in
@@ -663,8 +659,13 @@ let dataplane_snapshot t =
             code_of_node (Sdn.Flow.out_port r))
       | None ->
         Option.iter
-          (fun fib -> Net.Dataplane.set_fib dp i fib ~code:code_of_node)
-          (Net.Asn.Map.find_opt asn t.fibs))
+          (fun router ->
+            Net.Dataplane.set_entries dp i ~max:(Bgp.Router.loc_size router) (fun add ->
+                Bgp.Router.iter_best router (fun packed best ->
+                    match best.Bgp.Route.source with
+                    | Bgp.Route.Ebgp peer -> add packed (code_of_node (Net.Asn.to_int peer))
+                    | Bgp.Route.Local -> ())))
+          (Net.Asn.Map.find_opt asn t.routers))
     as_list;
   Net.Netsim.iter_links t.net (fun link ->
       if Net.Link.is_up link then begin

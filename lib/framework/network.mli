@@ -91,7 +91,8 @@ val heal_all_links : t -> unit
 
 val crash_node : t -> Net.Asn.t -> unit
 (** Crash the AS's component process (router or switch): volatile state
-    is lost (RIBs and FIB, or the flow table), owned timers are
+    is lost (RIBs, and with them a router's forwarding, or the flow
+    table), owned timers are
     cancelled, pending fabric deliveries are refused until restart.
     @raise Invalid_argument for an unknown AS. *)
 
@@ -131,11 +132,13 @@ type forwarding = Local | Next of int | No_route
 
 val forwarding_at : t -> Net.Asn.t -> Net.Ipv4.addr -> forwarding
 (** The AS's current forwarding decision for an address: [Local] for its
-    router address and the prefixes it originates, else the FIB (legacy)
-    or the flow table (SDN members), read without mutating either. *)
+    router address and the prefixes it originates, else a longest-prefix
+    match over the flow table (SDN members) or over the Loc-RIB bests
+    learned over eBGP (legacy routers: the next hop is the peer the best
+    came from; a local best is skipped), read without mutating either. *)
 
 val dataplane_snapshot : t -> Net.Dataplane.t
-(** Compile the composed forwarding state (FIBs + flow tables + local
-    delivery sets + link liveness) into a frozen allocation-free
+(** Compile the composed forwarding state (legacy routers' learned
+    bests + flow tables + local delivery sets + link liveness) into a frozen allocation-free
     fast-path snapshot over dense node indices.  Recompile after the
     control plane changes. *)

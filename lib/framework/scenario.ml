@@ -183,11 +183,9 @@ let parse_string ?(title = "scenario") text =
   go 1 [] lines
 
 let parse_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse_string ~title:(Filename.basename path) text
+  match Topology.Text_file.read path with
+  | text -> parse_string ~title:(Filename.basename path) text
+  | exception Sys_error msg -> Error msg
 
 (* --- Execution -------------------------------------------------------------- *)
 

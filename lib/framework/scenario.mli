@@ -55,6 +55,8 @@ val parse_string : ?title:string -> string -> (t, string) result
     microsecond, so [parse_string (render t)] gives back [t]'s steps. *)
 
 val parse_file : string -> (t, string) result
+(** {!parse_string} over the file; one that cannot be read (a directory
+    among them) is an [Error] naming the path. *)
 
 val validate : Network.t -> t -> (unit, string) result
 (** Every step names only ASes, links, control channels and a cluster

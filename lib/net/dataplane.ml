@@ -1,7 +1,7 @@
 (* Allocation-free data-plane fast path over destination classes.
 
-   A compiled, frozen view of a network's forwarding state — legacy FIBs,
-   SDN flow tables, local delivery sets and link liveness — over dense
+   A compiled, frozen view of a network's forwarding state — legacy
+   routes, SDN flow tables, local delivery sets and link liveness — over dense
    node indices, through which packed int-encoded probes (src index, dst
    address bits, TTL, all immediate ints) are forwarded in a batch TTL
    walk: one [forward] call resolves the probe's entire path and
@@ -9,7 +9,7 @@
    other per-hop value.
 
    Compilation cuts the address space at the boundaries of every prefix
-   any node holds (FIB routes, flow rules, local sets).  Each interval
+   any node holds (routes, flow rules, local sets).  Each interval
    between two consecutive boundaries is a destination class: no prefix
    starts or ends inside one, so every node's forwarding function (local
    delivery, then longest-prefix match) is constant on it.  The compiled
@@ -18,7 +18,7 @@
    binary search, and each hop is then one array read plus the visited,
    TTL and link checks.
 
-   The builder records each node's FIB as flat arrays in prefix order,
+   The builder records each node's entries as flat arrays in prefix order,
    ancestors first, so painting them in order leaves each class with its
    longest match.  It marks the snapshot dirty; [forward] recompiles a
    dirty snapshot first, so a builder call made between walks takes
@@ -74,8 +74,9 @@ type t = {
   index : int Itbl.t; (* AS number -> dense index *)
   (* Builder state.  Prefixes are packed as [(network lsl 6) lor len]
      ({!Ipv4.prefix_to_packed}). *)
-  fwd_prefixes : int array array; (* per node, FIB entries in paint order... *)
-  fwd_acts : int array array; (* ...and their action codes, in step *)
+  fwd_prefixes : int array array; (* per node, forwarding entries in paint order... *)
+  fwd_acts : int array array; (* ...and their action codes, in step... *)
+  fwd_len : int array; (* ...of which the first [fwd_len.(i)] are used *)
   locals : int list array; (* per node, locally delivered prefixes *)
   links : Bytes.t; (* n*n directed adjacency, '\001' = usable *)
   mutable dirty : bool; (* a builder call since the last [compile] *)
@@ -102,6 +103,7 @@ let create ~asns =
     index;
     fwd_prefixes = Array.make n [||];
     fwd_acts = Array.make n [||];
+    fwd_len = Array.make n 0;
     locals = Array.make n [];
     links = Bytes.make (n * n) '\000';
     dirty = true;
@@ -129,19 +131,22 @@ let add_local_addr t i addr =
   t.locals.(i) <- (Ipv4.addr_to_bits addr lsl 6) lor 32 :: t.locals.(i);
   t.dirty <- true
 
-(* [Fib.iter] runs in prefix order, ancestors before descendants, so
-   painting in its order leaves each class with its longest match. *)
-let set_fib t i fib ~code =
-  let k = Fib.size fib in
-  let prefixes = Array.make k 0 and acts = Array.make k drop in
+(* Entries come in prefix order, ancestors before descendants, so
+   painting in their order leaves each class with its longest match. *)
+let set_entries t i ~max fill =
+  let prefixes = Array.make max 0 and acts = Array.make max drop in
   let j = ref 0 in
-  Fib.iter fib (fun p v ->
+  fill (fun p a ->
       prefixes.(!j) <- p;
-      acts.(!j) <- code v;
+      acts.(!j) <- a;
       incr j);
   t.fwd_prefixes.(i) <- prefixes;
   t.fwd_acts.(i) <- acts;
+  t.fwd_len.(i) <- !j;
   t.dirty <- true
+
+let set_fib t i fib ~code =
+  set_entries t i ~max:(Fib.size fib) (fun add -> Fib.iter fib (fun p v -> add p (code v)))
 
 let set_link t i j up = Bytes.set t.links ((i * t.n) + j) (if up then '\001' else '\000')
 
@@ -181,7 +186,7 @@ let fill_classes t i packed v =
 let compile t =
   let n = t.n in
   let count =
-    Array.fold_left (fun a p -> a + (2 * Array.length p)) 1 t.fwd_prefixes
+    Array.fold_left (fun a k -> a + (2 * k)) 1 t.fwd_len
     + Array.fold_left (fun a l -> a + (2 * List.length l)) 0 t.locals
   in
   let cuts = Array.make count 0 in
@@ -202,7 +207,11 @@ let compile t =
     add (lo_of packed);
     add (hi_of packed)
   in
-  Array.iter (Array.iter cut) t.fwd_prefixes;
+  for i = 0 to n - 1 do
+    for j = 0 to t.fwd_len.(i) - 1 do
+      cut t.fwd_prefixes.(i).(j)
+    done
+  done;
   Array.iter (List.iter cut) t.locals;
   let count = !k in
   let cuts = Array.sub cuts 0 count in
@@ -227,7 +236,7 @@ let compile t =
   t.code <- Array.make (nc * n) drop;
   for i = 0 to n - 1 do
     let prefixes = t.fwd_prefixes.(i) and acts = t.fwd_acts.(i) in
-    for j = 0 to Array.length prefixes - 1 do
+    for j = 0 to t.fwd_len.(i) - 1 do
       let a = acts.(j) in
       fill_classes t i prefixes.(j) (if a >= 0 && a < n then a else drop)
     done;

@@ -1,5 +1,5 @@
 (** Allocation-free data-plane fast path: a compiled, frozen snapshot of
-    forwarding state (legacy FIBs + SDN flow tables + local delivery sets
+    forwarding state (legacy routes + SDN flow tables + local delivery sets
     + link liveness) over dense node indices, walked by packed
     int-encoded probes.  The snapshot cuts the address space into
     destination classes (the intervals between the ends of every prefix
@@ -41,7 +41,7 @@ val index_of : t -> int -> int
     Every builder call takes effect on the next {!forward}: a snapshot
     whose state changed recompiles its class table there (or at
     {!compile}).  Builder calls copy what they are given; later changes
-    to a FIB or array handed over do not reach the snapshot.  Action
+    to a table or array handed over do not reach the snapshot.  Action
     codes outside [0 .. size - 1] forward like {!drop}. *)
 
 val add_local : t -> int -> Ipv4.prefix -> unit
@@ -50,11 +50,17 @@ val add_local : t -> int -> Ipv4.prefix -> unit
 val add_local_addr : t -> int -> Ipv4.addr -> unit
 (** Single-address (/32) local delivery — router loopbacks. *)
 
+val set_entries : t -> int -> max:int -> ((int -> int -> unit) -> unit) -> unit
+(** [set_entries t i ~max fill]: the node forwards by longest-prefix
+    match over the entries [fill] passes to its argument, each as a
+    packed prefix ({!Ipv4.prefix_to_packed}) and its action code (a
+    dense next index, or {!drop}): at most [max] of them, in ascending
+    {!Ipv4.compare_prefix} order (a legacy router's Loc-RIB walk).
+    Replaces the node's earlier entries. *)
+
 val set_fib : t -> int -> 'a Fib.t -> code:('a -> int) -> unit
-(** The node forwards by longest-prefix match over this FIB (a legacy
-    router's routes or an SDN switch's flow table), each entry's value
-    mapped to an action code (a dense next index, or {!drop}) by
-    [code].  Replaces the node's earlier FIB. *)
+(** {!set_entries} over this FIB (an SDN switch's flow table), each
+    entry's value mapped to its action code by [code]. *)
 
 val set_link : t -> int -> int -> bool -> unit
 (** Directed link usability between dense indices (set both ways for a

@@ -1,5 +1,6 @@
-(* Longest-prefix-match forwarding table, generic in the entry type: legacy
-   routers store next-hop AS decisions, SDN switches store flow rules.
+(* Longest-prefix-match forwarding table, generic in the entry type: SDN
+   switches store flow rules (a legacy router's forwarding is derived
+   from its Loc-RIB and needs no table).
 
    Entries sit in an [Ipv4.Prefix_table] (open addressing keyed by the
    packed prefix, at most three quarters full), so a table costs a few

@@ -1,6 +1,6 @@
 (** Longest-prefix-match forwarding table (an {!Ipv4.Prefix_table}),
     generic in the entry type.  Not domain-safe; each table is owned by one
-    router or switch. *)
+    switch. *)
 
 type 'a t
 

@@ -4,8 +4,7 @@
    installs one destination rule per prefix at priority = prefix length,
    and the legacy fallback is 0.0.0.0/0, so that choice is exactly
    longest-prefix match: the table is a [Net.Fib] of rules keyed by their
-   match prefix, the same structure every legacy router forwards by.
-   Occupancy is [Fib.size], O(1), so the metrics gauge never walks the
+   match prefix.  Occupancy is [Fib.size], O(1), so the metrics gauge never walks the
    table. *)
 
 type t = Flow.rule Net.Fib.t

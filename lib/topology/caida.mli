@@ -13,6 +13,8 @@ val parse_string : ?title:string -> string -> (Spec.t, parse_error) result
     file or generator. *)
 
 val parse_file : string -> (Spec.t, parse_error) result
+(** {!parse_string} over the file ({!Text_file.read}).
+    @raise Sys_error naming the path when it cannot be read. *)
 
 val render : Spec.t -> string
 (** Render a spec back to serial-1 text ([Open] links render as peers). *)

@@ -84,12 +84,7 @@ let parse_string ?(title = "iplane") ?pops_per_as text =
     in
     Ok (Spec.make ~title ~nodes ~links)
 
-let parse_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse_string ~title:(Filename.basename path) text
+let parse_file path = parse_string ~title:(Filename.basename path) (Text_file.read path)
 
 (* Synthesize an iPlane-like inter-PoP file: [ases] ASes with
    [pops_per_as] PoPs each placed on the unit square; PoPs connect within

@@ -10,6 +10,8 @@ val parse_string : ?title:string -> ?pops_per_as:int -> string -> (Spec.t, parse
     AS-level links keeping the minimum latency. *)
 
 val parse_file : string -> (Spec.t, parse_error) result
+(** {!parse_string} over the file ({!Text_file.read}).
+    @raise Sys_error naming the path when it cannot be read. *)
 
 val generate_text : ?ases:int -> ?pops_per_as:int -> Engine.Rng.t -> string
 (** Synthesize an iPlane-like inter-PoP file (geometric placement,

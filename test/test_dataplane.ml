@@ -458,6 +458,204 @@ let test_fast_path_gate () =
   let best = List.fold_left (fun acc (rate, _) -> Float.max acc rate) 0.0 reps in
   Alcotest.(check bool) (Fmt.str "%.2fM probes/s >= 1M" (best /. 1e6)) true (best >= 1e6)
 
+(* --- Legacy forwarding = the reference FIB ------------------------------- *)
+
+(* A legacy router's forwarding is derived from its Loc-RIB; the FIB the
+   network used to keep beside it is [Fib_reference].  Random programs on
+   a small hybrid clique originate and withdraw nested prefixes (a
+   default route and the plan's covering /10 among them, some at the
+   router alone, so a local best is not also locally delivered), fail
+   and recover links, and crash and restart legacy routers.  At every
+   settle each legacy AS's reference FIB must hold exactly the learned
+   bests of its Loc-RIB, be empty while the router is down, and agree
+   with [forwarding_at] and with the AS's snapshot row on every probe
+   address. *)
+type fwd_op =
+  | Originate of int * int (* AS position, prefix-pool position (-1: the AS's plan prefix) *)
+  | Originate_router of int * int (* at the router only: no local delivery *)
+  | Withdraw of int * int
+  | Fail of int * int
+  | Recover of int * int
+  | Crash of int
+  | Restart of int
+  | Settle
+
+let fwd_pool =
+  Array.map prefix
+    [| "0.0.0.0/0"; "100.64.0.0/10"; "100.64.0.0/16"; "10.0.0.0/8"; "10.1.0.0/16"; "10.1.2.0/24";
+       "10.1.2.128/25" |]
+
+let pp_fwd_op ppf = function
+  | Originate (i, p) -> Fmt.pf ppf "originate %d %d" i p
+  | Originate_router (i, p) -> Fmt.pf ppf "originate-router %d %d" i p
+  | Withdraw (i, p) -> Fmt.pf ppf "withdraw %d %d" i p
+  | Fail (i, j) -> Fmt.pf ppf "fail %d %d" i j
+  | Recover (i, j) -> Fmt.pf ppf "recover %d %d" i j
+  | Crash i -> Fmt.pf ppf "crash %d" i
+  | Restart i -> Fmt.pf ppf "restart %d" i
+  | Settle -> Fmt.string ppf "settle"
+
+let gen_fwd_program =
+  QCheck.Gen.(
+    let* n = int_range 3 6 in
+    let* sdn = int_bound 2 in
+    let node = int_bound (n - 1) in
+    let pfx = int_range (-1) (Array.length fwd_pool - 1) in
+    let op =
+      frequency
+        [
+          (4, map2 (fun i p -> Originate (i, p)) node pfx);
+          (2, map2 (fun i p -> Originate_router (i, p)) node pfx);
+          (2, map2 (fun i p -> Withdraw (i, p)) node pfx);
+          (2, map2 (fun i j -> Fail (i, j)) node node);
+          (2, map2 (fun i j -> Recover (i, j)) node node);
+          (1, map (fun i -> Crash i) node);
+          (1, map (fun i -> Restart i) node);
+          (3, return Settle);
+        ]
+    in
+    let* ops = list_size (int_range 1 25) op in
+    return (n, sdn, ops))
+
+let print_fwd_program (n, sdn, ops) =
+  Fmt.str "@[<v>clique %d, %d SDN@,%a@]" n sdn Fmt.(list ~sep:cut pp_fwd_op) ops
+
+(* What the reference says an AS does with [addr]: [Local] for its
+   router address and its locally delivered prefixes, else the FIB. *)
+let reference_forwarding plan fib locals asn addr =
+  if
+    Net.Ipv4.equal_addr addr (plan.Framework.Addressing.router_addr asn)
+    || Net.Ipv4.Prefix_set.exists (Net.Ipv4.mem addr) locals
+  then Framework.Network.Local
+  else
+    match Net.Fib.lookup_value fib addr with
+    | Some node -> Framework.Network.Next node
+    | None -> Framework.Network.No_route
+
+let pp_forwarding ppf = function
+  | Framework.Network.Local -> Fmt.string ppf "local"
+  | Framework.Network.Next n -> Fmt.pf ppf "next %d" n
+  | Framework.Network.No_route -> Fmt.string ppf "no route"
+
+(* The snapshot's action for [addr] at dense index [i], read by a
+   one-hop probe with every link usable: [Local], [Next] with the next
+   node's AS number, or [No_route] for a drop. *)
+let snapshot_forwarding dp i addr =
+  let r = Net.Dataplane.forward dp ~src:i ~dst_bits:(Net.Ipv4.addr_to_bits addr) ~ttl:1 in
+  if Net.Dataplane.result_hops r = 1 then
+    Framework.Network.Next (Net.Dataplane.asn_at dp (Net.Dataplane.last_path dp).(1))
+  else
+    match Net.Dataplane.result_fate r with
+    | Net.Dataplane.Delivered -> Framework.Network.Local
+    | _ -> Framework.Network.No_route
+
+(* Raises (failing the property) at the first disagreement. *)
+let check_legacy_forwarding net reference locals probes =
+  let plan = Framework.Network.plan net in
+  let dp = Framework.Network.dataplane_snapshot net in
+  let n = List.length (Framework.Network.asns net) in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if i <> j then Net.Dataplane.set_link dp i j true
+    done
+  done;
+  Net.Asn.Map.iter
+    (fun asn router ->
+      let fail fmt = QCheck.Test.fail_reportf ("AS %a: " ^^ fmt) Net.Asn.pp asn in
+      let fib = Fib_reference.fib reference asn in
+      let learned =
+        List.filter_map
+          (fun (p, (r : Bgp.Route.t)) ->
+            match r.Bgp.Route.source with
+            | Bgp.Route.Ebgp peer -> Some (p, Net.Asn.to_int peer)
+            | Bgp.Route.Local -> None)
+          (Bgp.Router.loc_entries router)
+      in
+      if Net.Fib.entries fib <> learned then fail "reference FIB <> learned Loc-RIB bests";
+      if (not (Engine.Node.is_up (Bgp.Router.node router))) && Net.Fib.size fib > 0 then
+        fail "down router with a non-empty reference FIB";
+      let local =
+        Option.value (Net.Asn.Map.find_opt asn locals) ~default:Net.Ipv4.Prefix_set.empty
+      in
+      let i = Net.Dataplane.index_of dp (Net.Asn.to_int asn) in
+      List.iter
+        (fun addr ->
+          let want = reference_forwarding plan fib local asn addr in
+          let live = Framework.Network.forwarding_at net asn addr in
+          let row = snapshot_forwarding dp i addr in
+          if live <> want then
+            fail "%a: forwarding_at %a, reference %a" Net.Ipv4.pp_addr addr pp_forwarding live
+              pp_forwarding want;
+          if row <> want then
+            fail "%a: snapshot row %a, reference %a" Net.Ipv4.pp_addr addr pp_forwarding row
+              pp_forwarding want)
+        probes)
+    (Framework.Network.routers net)
+
+let prop_legacy_forwarding =
+  QCheck.Test.make ~name:"legacy forwarding = reference FIB" ~count:150
+    (QCheck.make ~print:print_fwd_program gen_fwd_program)
+    (fun (n, sdn, ops) ->
+      let spec =
+        Topology.Spec.with_sdn (Topology.Artificial.clique n)
+          (List.init sdn (fun k -> asn (n - 1 - k)))
+      in
+      let net = Framework.Network.create ~config:cfg ~seed:5 spec in
+      let reference = Fib_reference.attach net in
+      Framework.Network.start net;
+      let plan = Framework.Network.plan net in
+      let prefix_of i p =
+        if p < 0 then plan.Framework.Addressing.origin_prefix (asn i) else fwd_pool.(p)
+      in
+      (* [None] for an SDN member *)
+      let router_up i =
+        Option.map
+          (fun r -> Engine.Node.is_up (Bgp.Router.node r))
+          (Framework.Network.router net (asn i))
+      in
+      (* the prefixes [Network.originate] marked for local delivery *)
+      let locals = ref Net.Asn.Map.empty in
+      let update_local i p f =
+        let s =
+          Option.value (Net.Asn.Map.find_opt (asn i) !locals) ~default:Net.Ipv4.Prefix_set.empty
+        in
+        locals := Net.Asn.Map.add (asn i) (f (prefix_of i p) s) !locals
+      in
+      let probes =
+        List.concat_map
+          (fun p ->
+            let lo = Net.Ipv4.addr_to_bits (Net.Ipv4.prefix_network p)
+            and size = 1 lsl (32 - Net.Ipv4.prefix_len p) in
+            List.map Net.Ipv4.addr_of_bits [ lo; lo + (size / 2); lo + size - 1 ])
+          (Array.to_list fwd_pool
+          @ List.map plan.Framework.Addressing.origin_prefix (Framework.Network.asns net))
+        @ List.map plan.Framework.Addressing.router_addr (Framework.Network.asns net)
+      in
+      let settle () =
+        ignore (Framework.Network.settle net);
+        check_legacy_forwarding net reference !locals probes
+      in
+      List.iter
+        (function
+          | Originate (i, p) ->
+            update_local i p Net.Ipv4.Prefix_set.add;
+            Framework.Network.originate net (asn i) (prefix_of i p)
+          | Originate_router (i, p) ->
+            Option.iter
+              (fun r -> Bgp.Router.originate r (prefix_of i p))
+              (Framework.Network.router net (asn i))
+          | Withdraw (i, p) ->
+            update_local i p Net.Ipv4.Prefix_set.remove;
+            Framework.Network.withdraw net (asn i) (prefix_of i p)
+          | Fail (i, j) -> if i <> j then Framework.Network.fail_link net (asn i) (asn j)
+          | Recover (i, j) -> if i <> j then Framework.Network.recover_link net (asn i) (asn j)
+          | Crash i -> if router_up i = Some true then Framework.Network.crash_node net (asn i)
+          | Restart i -> if router_up i = Some false then Framework.Network.restart_node net (asn i)
+          | Settle -> settle ())
+        ops;
+      settle ();
+      true)
+
 (* Work count for snapshot compile: words allocated by one
    [Network.dataplane_snapshot] on the settled fail-over world (every AS
    originating, the stub's primary link failed) at SDN 0, 8 and 14.
@@ -465,8 +663,8 @@ let test_fast_path_gate () =
    minor words only as of the last minor collection, so the minor figure
    comes from [Gc.minor_words], and promoted words would otherwise count
    twice.  Copying every FIB into a fresh trie cost 23182 / 19382 / 16532
-   words at the three levels; reading the live FIBs and flow tables into
-   the class table costs about 4.8k / 5.3k / 5.7k. *)
+   words at the three levels; reading the live Loc-RIBs and flow tables
+   into the class table costs about 5.2k at each. *)
 let test_snapshot_words () =
   let words f =
     let m0 = Gc.minor_words () and _, p0, j0 = Gc.counters () in
@@ -515,4 +713,5 @@ let suite =
       test_fast_path_gate;
     Alcotest.test_case "snapshot compile: words per snapshot" `Quick test_snapshot_words;
     QCheck_alcotest.to_alcotest prop_matches_reference;
+    QCheck_alcotest.to_alcotest prop_legacy_forwarding;
   ]

@@ -340,6 +340,30 @@ let test_dropped_run_leaves_no_residue () =
     true
     (50 * left <= peak)
 
+(* [built_words_per_as] counts every word [Network.create] allocates, so
+   builds of one spec in one process agree within 1% wherever in the
+   minor heap they start: on an empty one, or filled so far that a minor
+   collection falls inside the build. *)
+let test_built_words_stable () =
+  let world = E.caida_world ~tier1:3 ~tier2:8 ~stubs:40 ~seed:7 in
+  let heap = (Gc.get ()).Gc.minor_heap_size in
+  let built fill =
+    Gc.minor ();
+    for _ = 1 to fill / 101 do
+      ignore (Sys.opaque_identity (Array.make 100 0))
+    done;
+    (scale ~prefixes:1 world ~k:0 ~seed:7).E.built_words_per_as
+  in
+  let first = built 0 in
+  List.iter
+    (fun fill ->
+      let b = built fill in
+      Alcotest.(check bool)
+        (Fmt.str "%.1f and %.1f words per AS built (within 1%%)" first b)
+        true
+        (Float.abs (first -. b) <= 0.01 *. Float.max first b))
+    [ heap / 2; heap - 60_000; heap - 40_000; heap - 20_000 ]
+
 let suite =
   [
     Alcotest.test_case "fig2 shape (scaled)" `Slow test_fig2_shape;
@@ -360,6 +384,7 @@ let suite =
     Alcotest.test_case "quickstart and fig2 row agree" `Quick test_entry_points_agree;
     Alcotest.test_case "sweep kinds refuse small n" `Quick test_kind_minimum_n;
     Alcotest.test_case "choose_members linear" `Quick test_choose_members_linear;
+    Alcotest.test_case "built words per AS are stable" `Quick test_built_words_stable;
     Alcotest.test_case "dropped run leaves no residue" `Quick
       test_dropped_run_leaves_no_residue;
   ]

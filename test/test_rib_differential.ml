@@ -350,9 +350,31 @@ let test_loc_differential () =
       (match (Bgp.Rib.Loc.find rib probe, Pm.find_opt probe !reference) with
       | None, None -> true
       | Some g, Some w -> same_route g w
-      | _ -> false)
+      | _ -> false);
+    (* [iter] reuses its sorted order until a prefix comes or goes: walk
+       often, so stale orders get a chance to show *)
+    if step mod 3 = 0 then begin
+      let visited = ref [] in
+      Bgp.Rib.Loc.iter rib (fun packed r ->
+          visited := (Net.Ipv4.prefix_of_packed packed, r) :: !visited);
+      Alcotest.(check bool)
+        (Fmt.str "step %d: iter = reference bindings" step)
+        true
+        (List.equal
+           (fun (pw, w) (pg, g) -> Net.Ipv4.equal_prefix pw pg && w == g)
+           (Pm.bindings !reference) (List.rev !visited))
+    end
   done;
-  check_entries "final entries" (Pm.bindings !reference) (Bgp.Rib.Loc.entries rib)
+  check_entries "final entries" (Pm.bindings !reference) (Bgp.Rib.Loc.entries rib);
+  Bgp.Rib.Loc.iter rib (fun _ _ -> ());
+  let words0 = Gc.minor_words () in
+  Bgp.Rib.Loc.iter rib (fun _ _ -> ());
+  let words = Gc.minor_words () -. words0 in
+  Alcotest.(check bool)
+    (Fmt.str "repeat iter over %d bests: %.0f minor words" (Bgp.Rib.Loc.size rib) words)
+    true (words < 32.0);
+  Bgp.Rib.Loc.clear rib;
+  Bgp.Rib.Loc.iter rib (fun _ _ -> Alcotest.fail "iter after clear")
 
 (* --- Adj-RIB-Out: Router.adj_out_find vs per-peer Prefix_map --------- *)
 

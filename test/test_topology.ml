@@ -138,6 +138,37 @@ let test_iplane_parse () =
     let l = List.hd (Topology.Spec.links spec) in
     Alcotest.(check (option int)) "min latency kept" (Some 1500) l.Topology.Spec.delay_us
 
+(* The file readers share one reader: a file parses as its text does, and
+   a directory is refused with an error naming it (it used to say only
+   "Value too large for defined data type"; a scenario file escaped as an
+   exception). *)
+let test_file_readers () =
+  let dir = Filename.temp_dir "topology-test" "" in
+  let file = Filename.concat dir "links.txt" in
+  Out_channel.with_open_text file (fun oc -> output_string oc "65001|65002|-1\n");
+  (match Topology.Caida.parse_file file with
+  | Ok spec -> Alcotest.(check int) "file parsed" 1 (Topology.Spec.link_count spec)
+  | Error e -> Alcotest.failf "parse failed: %a" Topology.Caida.pp_parse_error e);
+  let names_dir what = function
+    | Sys_error msg ->
+      Alcotest.(check bool)
+        (Fmt.str "%s: %S names the directory" what msg)
+        true
+        (Astring_like.contains msg dir && Astring_like.contains msg "directory")
+    | e -> Alcotest.failf "%s: unexpected %s" what (Printexc.to_string e)
+  in
+  (match Topology.Caida.parse_file dir with
+  | _ -> Alcotest.fail "caida: a directory parsed"
+  | exception e -> names_dir "caida" e);
+  (match Topology.Iplane.parse_file dir with
+  | _ -> Alcotest.fail "iplane: a directory parsed"
+  | exception e -> names_dir "iplane" e);
+  (match Framework.Scenario.parse_file dir with
+  | Ok _ -> Alcotest.fail "scenario: a directory parsed"
+  | Error msg -> names_dir "scenario" (Sys_error msg));
+  Sys.remove file;
+  Sys.rmdir dir
+
 let test_iplane_generate () =
   let rng = Engine.Rng.create 9 in
   let spec = Topology.Iplane.generate ~ases:8 ~pops_per_as:3 rng in
@@ -283,6 +314,7 @@ let suite =
     Alcotest.test_case "caida generate/render roundtrip" `Quick test_caida_roundtrip;
     Alcotest.test_case "iplane parse" `Quick test_iplane_parse;
     Alcotest.test_case "iplane generate" `Quick test_iplane_generate;
+    Alcotest.test_case "file readers refuse a directory by name" `Quick test_file_readers;
     QCheck_alcotest.to_alcotest prop_er_connected;
     QCheck_alcotest.to_alcotest prop_ba_connected_valid;
     QCheck_alcotest.to_alcotest prop_glp_connected_valid;
