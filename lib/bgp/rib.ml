@@ -1,13 +1,19 @@
-(* Routing information bases.
+(* Routing information base: the Adj-RIB-In and the Loc-RIB in one table.
 
-   Adj_in:  per (peer, prefix) routes as received (post-import-policy).
-   Loc:     the selected best route per prefix.
+   Per prefix, one array: cell 0 holds the selected best ([none] when the
+   prefix has none) and cells 1.. the peers' routes as received
+   (post-import-policy), in ascending peer order, each route's peer read
+   from its [Route.source].  The best is always one of the learned routes
+   or the router's local route, so the Loc-RIB costs one cell per prefix
+   instead of a table of its own, and a decision probes the table once:
+   it walks the learned cells in place and writes its winner into cell 0.
+   An entry lives while it holds a learned route or a best.
 
    A peer's Adj-RIB-Out is not stored: once its queued changes (see
    [Mrai]) are sent, it is what the export policy gives for the Loc-RIB
-   best, so [Loc] hands back the best each change replaces.
+   best, so [Loc.decide] hands back the best each change replaces.
 
-   Storage is mutable exact-match tables ([Net.Ipv4.Prefix_table]): a
+   Storage is a mutable exact-match table ([Net.Ipv4.Prefix_table]): a
    RIB never needs longest-prefix match, and at Internet scale (10k+
    prefixes per peer) one hash of the packed prefix per operation beats
    both a persistent map's rebalancing allocation and a trie's
@@ -15,21 +21,47 @@
    (the Loc-RIB's [iter] reuses its last sort until a prefix comes or
    goes), so iteration is [compare_prefix] ascending and dumps and
    decision ordering match the map-based reference implementations
-   (enforced by test/test_rib_differential.ml). *)
+   (enforced by test/test_rib_differential.ml).  Session maintenance
+   ([drop_peer], [prefixes_from]) scans every prefix, which is fine on
+   session-down only. *)
 
 module Tbl = Net.Ipv4.Prefix_table
 
+(* [order] caches the slots in ascending prefix order for [Loc.iter];
+   [[||]] means not built (or an empty table).  Only a change to the key
+   set moves slots, so only that drops it, and only [iter] builds it: a
+   run that never walks the table in order never pays for the array.
+   [learned] and [bests] count the two RIBs' routes, so both sizes are
+   O(1). *)
+type t = {
+  by_prefix : Route.t array Tbl.t;
+  mutable order : int array;
+  mutable learned : int;
+  mutable bests : int;
+}
+
+(* Cell 0 of a prefix without a best: a physically unique route that no
+   caller can hold. *)
+let none = Route.make ~attrs:Attrs.vacant ~source:Route.Local
+
+let create () = { by_prefix = Tbl.create (); order = [||]; learned = 0; bests = 0 }
+
+let stale t = if Array.length t.order > 0 then t.order <- [||]
+
+let clear t =
+  Tbl.clear t.by_prefix;
+  t.order <- [||];
+  t.learned <- 0;
+  t.bests <- 0
+
+(* The prefix's array, [[||]] when it has no entry: to be read and not
+   kept across a change to the prefix. *)
+let entry t prefix =
+  match Tbl.slot t.by_prefix (Net.Ipv4.prefix_to_packed prefix) with
+  | -1 -> [||]
+  | s -> Tbl.value t.by_prefix s
+
 module Adj_in = struct
-  (* One prefix-major view: per prefix, the peers' routes in ascending
-     peer order, each route's peer read from its [Route.source].  The
-     decision process walks [routes], one lookup's flat array, in place;
-     every update probes the table once.  Session maintenance ([drop_peer],
-     [prefixes_from]) scans every prefix, which is fine on session-down
-     only.  [count] tracks the total so [size] is O(1). *)
-  type t = { by_prefix : Route.t array Tbl.t; mutable count : int }
-
-  let create () = { by_prefix = Tbl.create (); count = 0 }
-
   let peer_of (route : Route.t) =
     match route.Route.source with
     | Route.Ebgp peer -> Net.Asn.to_int peer
@@ -37,7 +69,7 @@ module Adj_in = struct
 
   (* The index of [peer]'s route in [arr], or where it would go. *)
   let rec position arr peer i =
-    if i = Array.length arr || peer_of arr.(i) >= peer then i else position arr peer (i + 1)
+    if i >= Array.length arr || peer_of arr.(i) >= peer then i else position arr peer (i + 1)
 
   let holds arr i peer = i < Array.length arr && peer_of arr.(i) = peer
 
@@ -46,11 +78,12 @@ module Adj_in = struct
     let peer = peer_of route in
     match Tbl.slot t.by_prefix key with
     | -1 ->
-      ignore (Tbl.add t.by_prefix key [| route |]);
-      t.count <- t.count + 1
+      ignore (Tbl.add t.by_prefix key [| none; route |]);
+      stale t;
+      t.learned <- t.learned + 1
     | s ->
       let arr = Tbl.value t.by_prefix s in
-      let i = position arr peer 0 in
+      let i = position arr peer 1 in
       if holds arr i peer then arr.(i) <- route
       else begin
         let n = Array.length arr in
@@ -58,7 +91,7 @@ module Adj_in = struct
         Array.blit arr 0 out 0 i;
         Array.blit arr i out (i + 1) (n - i);
         Tbl.set_value t.by_prefix s out;
-        t.count <- t.count + 1
+        t.learned <- t.learned + 1
       end
 
   let remove t ~peer prefix =
@@ -68,11 +101,14 @@ module Adj_in = struct
     | s ->
       let arr = Tbl.value t.by_prefix s in
       let n = Array.length arr in
-      let i = position arr peer 0 in
+      let i = position arr peer 1 in
       holds arr i peer
       && begin
-           t.count <- t.count - 1;
-           if n = 1 then Tbl.remove_slot t.by_prefix s
+           t.learned <- t.learned - 1;
+           if n = 2 && arr.(0) == none then begin
+             Tbl.remove_slot t.by_prefix s;
+             stale t
+           end
            else begin
              let out = Array.make (n - 1) arr.(0) in
              Array.blit arr 0 out 0 i;
@@ -82,23 +118,21 @@ module Adj_in = struct
            true
          end
 
-  let routes t prefix =
-    match Tbl.slot t.by_prefix (Net.Ipv4.prefix_to_packed prefix) with
-    | -1 -> [||]
-    | s -> Tbl.value t.by_prefix s
-
   let find t ~peer prefix =
-    let arr = routes t prefix and peer = Net.Asn.to_int peer in
-    let i = position arr peer 0 in
+    let arr = entry t prefix and peer = Net.Asn.to_int peer in
+    let i = position arr peer 1 in
     if holds arr i peer then Some arr.(i) else None
 
-  let candidates t prefix = Array.to_list (routes t prefix)
+  let candidates t prefix =
+    let arr = entry t prefix in
+    let rec from i acc = if i < 1 then acc else from (i - 1) (arr.(i) :: acc) in
+    from (Array.length arr - 1) []
 
   let prefixes_from t ~peer =
     let peer = Net.Asn.to_int peer in
     List.filter_map
       (fun (prefix, arr) ->
-        let i = position arr peer 0 in
+        let i = position arr peer 1 in
         if holds arr i peer then Some prefix else None)
       (Tbl.entries t.by_prefix)
 
@@ -107,27 +141,19 @@ module Adj_in = struct
     List.iter (fun prefix -> ignore (remove t ~peer prefix)) dropped;
     dropped
 
-  let all_prefixes t = Tbl.keys t.by_prefix
+  let all_prefixes t =
+    List.filter_map
+      (fun (prefix, arr) -> if Array.length arr > 1 then Some prefix else None)
+      (Tbl.entries t.by_prefix)
 
-  let size t = t.count
-
-  let clear t =
-    Tbl.clear t.by_prefix;
-    t.count <- 0
+  let size t = t.learned
 end
 
 module Loc = struct
-  (* [order] caches the slots in ascending prefix order for [iter]; [[||]]
-     means not built (or an empty table).  Only a change to the key set
-     moves slots, so only that drops it, and only [iter] builds it: a run
-     that never walks the table in order never pays for the array. *)
-  type t = { best : Route.t Tbl.t; mutable order : int array }
-
-  let create () = { best = Tbl.create (); order = [||] }
-
-  let stale t = if Array.length t.order > 0 then t.order <- [||]
-
-  let find t prefix = Tbl.find prefix t.best
+  let find t prefix =
+    match entry t prefix with
+    | [||] -> None
+    | arr -> if arr.(0) == none then None else Some arr.(0)
 
   (* Same source, wire-equal attrs and the same local-pref: replacing one
      with the other changes nothing a subscriber or a peer could see. *)
@@ -139,45 +165,75 @@ module Loc = struct
     && Attrs.wire_equal a.Route.attrs b.Route.attrs
     && a.Route.attrs.Attrs.local_pref = b.Route.attrs.Attrs.local_pref
 
-  type replaced = Kept | Replaced of Route.t option
+  type change = Kept | Changed of { old : Route.t option; best : Route.t option }
 
-  let install t prefix (route : Route.t) =
+  (* The index of the most preferred route in [arr.(i..)] and [arr.(best)]
+     ([best] < 0: none yet). *)
+  let rec best_learned arr i best =
+    if i = Array.length arr then best
+    else
+      let best = if best < 0 || Decision.better arr.(i) arr.(best) then i else best in
+      best_learned arr (i + 1) best
+
+  (* [Decision.compare] is a total order, so weighing the local route
+     against the learned winner picks what [Decision.select] would over
+     all of them. *)
+  let decide t prefix ~local =
     let key = Net.Ipv4.prefix_to_packed prefix in
-    match Tbl.slot t.best key with
-    | -1 ->
-      ignore (Tbl.add t.best key route);
-      stale t;
-      Replaced None
+    match Tbl.slot t.by_prefix key with
+    | -1 -> (
+      match local with
+      | None -> Kept
+      | Some route ->
+        ignore (Tbl.add t.by_prefix key [| route |]);
+        stale t;
+        t.bests <- t.bests + 1;
+        Changed { old = None; best = local })
     | s ->
-      let old = Tbl.value t.best s in
-      if same_best old route then Kept
+      let arr = Tbl.value t.by_prefix s in
+      let i = best_learned arr 1 (-1) in
+      let best =
+        match local with
+        | None -> if i < 0 then none else arr.(i)
+        | Some l -> if i >= 0 && Decision.better arr.(i) l then arr.(i) else l
+      in
+      let old = arr.(0) in
+      if best == none then begin
+        (* [old] is a best: an entry with neither a best nor a learned
+           route does not exist. *)
+        t.bests <- t.bests - 1;
+        if Array.length arr = 1 then begin
+          Tbl.remove_slot t.by_prefix s;
+          stale t
+        end
+        else arr.(0) <- none;
+        Changed { old = Some old; best = None }
+      end
+      else if old == none then begin
+        arr.(0) <- best;
+        t.bests <- t.bests + 1;
+        Changed { old = None; best = Some best }
+      end
+      else if same_best old best then Kept
       else begin
-        Tbl.set_value t.best s route;
-        Replaced (Some old)
+        arr.(0) <- best;
+        Changed { old = Some old; best = Some best }
       end
 
-  let remove t prefix =
-    match Tbl.slot t.best (Net.Ipv4.prefix_to_packed prefix) with
-    | -1 -> None
-    | s ->
-      let old = Tbl.value t.best s in
-      Tbl.remove_slot t.best s;
-      stale t;
-      Some old
-
-  let entries t = Tbl.entries t.best
+  let entries t =
+    List.filter_map
+      (fun (prefix, arr) -> if arr.(0) == none then None else Some (prefix, arr.(0)))
+      (Tbl.entries t.by_prefix)
 
   let iter t f =
-    if Array.length t.order <> Tbl.size t.best then t.order <- Tbl.sorted_slots t.best;
+    let tbl = t.by_prefix in
+    if Array.length t.order <> Tbl.size tbl then t.order <- Tbl.sorted_slots tbl;
     let order = t.order in
     for k = 0 to Array.length order - 1 do
       let s = order.(k) in
-      f (Tbl.packed_at t.best s) (Tbl.value t.best s)
+      let best = (Tbl.value tbl s).(0) in
+      if best != none then f (Tbl.packed_at tbl s) best
     done
 
-  let size t = Tbl.size t.best
-
-  let clear t =
-    Tbl.clear t.best;
-    t.order <- [||]
+  let size t = t.bests
 end

@@ -1,15 +1,20 @@
-(** Routing information bases: Adj-RIB-In and Loc-RIB.  A peer's
-    Adj-RIB-Out is derived from the Loc-RIB and its {!Mrai.t}'s queued
-    changes. *)
+(** A router's routing information base: per prefix, one array whose
+    cell 0 is the Loc-RIB best and whose later cells are the Adj-RIB-In,
+    one route per peer.  A peer's Adj-RIB-Out is derived from the
+    Loc-RIB and its {!Mrai.t}'s queued changes. *)
+
+type t
+
+val create : unit -> t
+
+val clear : t -> unit
+(** Both RIBs. *)
 
 module Adj_in : sig
-  type t
-
-  val create : unit -> t
-
   val set : t -> Net.Ipv4.prefix -> Route.t -> unit
   (** Insert or implicitly replace the route's peer's route for the
-      prefix; the peer is the route's [Ebgp] source.
+      prefix; the peer is the route's [Ebgp] source.  The prefix's best
+      is left as it was until the next {!Loc.decide}.
       @raise Invalid_argument for a [Local] route. *)
 
   val remove : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> bool
@@ -17,13 +22,8 @@ module Adj_in : sig
 
   val find : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> Route.t option
 
-  val routes : t -> Net.Ipv4.prefix -> Route.t array
-  (** All peers' routes for the prefix, ascending peer order: the table's
-      own array (empty when none), to be read and not kept across a
-      change to the prefix. *)
-
   val candidates : t -> Net.Ipv4.prefix -> Route.t list
-  (** [routes] as a fresh list. *)
+  (** All peers' routes for the prefix, ascending peer order. *)
 
   val prefixes_from : t -> peer:Net.Asn.t -> Net.Ipv4.prefix list
   (** Ascending prefix order; scans every prefix. *)
@@ -34,39 +34,34 @@ module Adj_in : sig
       for them. *)
 
   val all_prefixes : t -> Net.Ipv4.prefix list
+  (** The prefixes some peer has a route for, ascending. *)
 
   val size : t -> int
-
-  val clear : t -> unit
 end
 
 module Loc : sig
-  type t
-
-  val create : unit -> t
-
   val find : t -> Net.Ipv4.prefix -> Route.t option
 
-  type replaced =
+  type change =
     | Kept  (** the best stayed *)
-    | Replaced of Route.t option  (** the best before the change, if any *)
+    | Changed of { old : Route.t option; best : Route.t option }
+        (** the best before and after the decision, at least one of
+            them present *)
 
-  val install : t -> Net.Ipv4.prefix -> Route.t -> replaced
-  (** Make the route the prefix's best unless the current best has the
-      same source, wire-equal attrs and the same local-pref ([Kept]). *)
-
-  val remove : t -> Net.Ipv4.prefix -> Route.t option
-  (** The best removed, if the prefix had one. *)
+  val decide : t -> Net.Ipv4.prefix -> local:Route.t option -> change
+  (** Rerun the decision process for the prefix over its learned routes
+      and the local route, if any, in one probe of the table: the most
+      preferred under {!Decision.compare} becomes the best, unless the
+      current best has the same source, wire-equal attrs and the same
+      local-pref ([Kept]).  With no candidate the best is removed. *)
 
   val entries : t -> (Net.Ipv4.prefix * Route.t) list
 
   val iter : t -> (int -> Route.t -> unit) -> unit
   (** In {!entries} order, each prefix as {!Net.Ipv4.prefix_to_packed}.
       The sorted order is cached until the next change to the set of
-      prefixes, so a walk allocates nothing unless that set changed since
-      the last one.  [f] must not modify the table. *)
+      prefixes either RIB holds, so a walk allocates nothing unless that
+      set changed since the last one.  [f] must not modify the table. *)
 
   val size : t -> int
-
-  val clear : t -> unit
 end

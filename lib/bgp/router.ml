@@ -69,8 +69,7 @@ type t = {
   mutable peers : peer array; (* ascending ASN: export and flush walk it *)
   mutable by_node : peer array; (* ascending node id: inbound lookup *)
   mutable added : peer list; (* not yet merged, newest first *)
-  adj_in : Rib.Adj_in.t;
-  loc : Rib.Loc.t;
+  rib : Rib.t; (* the Adj-RIB-In and the Loc-RIB *)
   originated : Route.t Tbl.t; (* the local routes *)
   mutable busy_until : Engine.Time.t;
   stats : stats;
@@ -196,23 +195,15 @@ let with_batch t f x =
 
 (* --- Decision process and export ------------------------------------- *)
 
-(* The index of the most preferred route in [routes.(i..)] and
-   [routes.(best)] ([best] < 0: none yet). *)
-let rec best_learned routes i best =
-  if i = Array.length routes then best
-  else
-    let best = if best < 0 || Decision.better routes.(i) routes.(best) then i else best in
-    best_learned routes (i + 1) best
-
 let candidates t prefix =
-  let learned = Rib.Adj_in.candidates t.adj_in prefix in
+  let learned = Rib.Adj_in.candidates t.rib prefix in
   match Tbl.find prefix t.originated with Some r -> r :: learned | None -> learned
 
-let best t prefix = Rib.Loc.find t.loc prefix
+let best t prefix = Rib.Loc.find t.rib prefix
 
-let loc_entries t = Rib.Loc.entries t.loc
+let loc_entries t = Rib.Loc.entries t.rib
 
-let iter_best t f = Rib.Loc.iter t.loc f
+let iter_best t f = Rib.Loc.iter t.rib f
 
 (* The provenance of a route, as one of [Policy]'s shared values. *)
 let provenance t (route : Route.t) =
@@ -284,30 +275,13 @@ let best_changed t prefix old best =
   done;
   export_all_peers t prefix old best
 
-let install t prefix route =
-  match Rib.Loc.install t.loc prefix route with
-  | Rib.Loc.Kept -> ()
-  | Rib.Loc.Replaced old -> best_changed t prefix old (Some route)
-
-(* The decision process walks the prefix's Adj-RIB-In array in place and
-   weighs the local route, if any, against its winner.  [Decision.compare]
-   is a total order, so this picks what [Decision.select] would over the
-   local route and the admitted learned ones. *)
+(* The decision process: [Rib.Loc.decide] weighs the prefix's learned
+   routes and its local route, if any, in one probe of the RIB. *)
 let run_decision t prefix =
   t.stats.decision_runs <- t.stats.decision_runs + 1;
-  let learned = Rib.Adj_in.routes t.adj_in prefix in
-  let i = best_learned learned 0 (-1) in
-  match Tbl.slot t.originated (Net.Ipv4.prefix_to_packed prefix) with
-  | -1 ->
-    if i >= 0 then install t prefix learned.(i)
-    else begin
-      match Rib.Loc.remove t.loc prefix with
-      | Some _ as old -> best_changed t prefix old None
-      | None -> ()
-    end
-  | o ->
-    let local = Tbl.value t.originated o in
-    install t prefix (if i >= 0 && Decision.better learned.(i) local then learned.(i) else local)
+  match Rib.Loc.decide t.rib prefix ~local:(Tbl.find prefix t.originated) with
+  | Rib.Loc.Kept -> ()
+  | Rib.Loc.Changed { old; best } -> best_changed t prefix old best
 
 (* Session-down and restart lists are duplicate-free by construction. *)
 let run_decisions t prefixes = List.iter (run_decision t) prefixes
@@ -335,7 +309,7 @@ let sync_peer t peer =
     (fun (prefix, route) ->
       if may_export peer route (provenance t route) then
         Mrai.announce peer.mrai prefix (exported t route.Route.attrs))
-    (Rib.Loc.entries t.loc)
+    (Rib.Loc.entries t.rib)
 
 let session_down t peer_asn =
   match find_peer t peer_asn with
@@ -343,7 +317,7 @@ let session_down t peer_asn =
   | Some peer ->
     if Session.teardown peer.session then begin
       Mrai.reset peer.mrai;
-      let dropped_in = Rib.Adj_in.drop_peer t.adj_in ~peer:peer_asn in
+      let dropped_in = Rib.Adj_in.drop_peer t.rib ~peer:peer_asn in
       with_batch t run_decisions dropped_in
     end
 
@@ -467,7 +441,7 @@ let mark s prefix =
 let rec apply_withdrawn t peer s = function
   | [] -> ()
   | prefix :: rest ->
-    if Rib.Adj_in.remove t.adj_in ~peer:peer.peer_asn prefix then mark s prefix;
+    if Rib.Adj_in.remove t.rib ~peer:peer.peer_asn prefix then mark s prefix;
     apply_withdrawn t peer s rest
 
 let rec apply_announced t peer s = function
@@ -475,13 +449,13 @@ let rec apply_announced t peer s = function
   | (prefix, attrs) :: rest ->
     if not (Attrs.path_contains attrs t.asn) then begin
       let attrs = Policy.import peer.policy attrs in
-      Rib.Adj_in.set t.adj_in prefix (Route.make ~attrs ~source:peer.source);
+      Rib.Adj_in.set t.rib prefix (Route.make ~attrs ~source:peer.source);
       mark s prefix
     end
     else if
       (* An AS-path loop rejection implicitly withdraws any previous
          route. *)
-      Rib.Adj_in.remove t.adj_in ~peer:peer.peer_asn prefix
+      Rib.Adj_in.remove t.rib ~peer:peer.peer_asn prefix
     then mark s prefix;
     apply_announced t peer s rest
 
@@ -545,8 +519,7 @@ let on_crashed t =
       peer.retry_attempt <- 0;
       Mrai.reset peer.mrai)
     (peers t);
-  Rib.Adj_in.clear t.adj_in;
-  Rib.Loc.clear t.loc
+  Rib.clear t.rib
 
 (* Restart: re-originate configured prefixes, then resync every session.
    The NOTIFICATION makes the live peer run its session-down path (it
@@ -619,8 +592,8 @@ let collect t =
   sync s.decision_runs_c st.decision_runs;
   sync s.best_changes_c st.best_changes;
   sync s.hold_expirations (Session.hold_expirations t.ep);
-  Engine.Metrics.Gauge.set s.loc_gauge (float_of_int (Rib.Loc.size t.loc));
-  Engine.Metrics.Gauge.set s.adj_gauge (float_of_int (Rib.Adj_in.size t.adj_in));
+  Engine.Metrics.Gauge.set s.loc_gauge (float_of_int (Rib.Loc.size t.rib));
+  Engine.Metrics.Gauge.set s.adj_gauge (float_of_int (Rib.Adj_in.size t.rib));
   Array.iter
     (fun peer ->
       Engine.Metrics.Gauge.set (state_gauge t peer)
@@ -669,8 +642,7 @@ let create ~sim ~asn ~node_id ~router_id ~config ~send () =
       peers = [||];
       by_node = [||];
       added = [];
-      adj_in = Rib.Adj_in.create ();
-      loc = Rib.Loc.create ();
+      rib = Rib.create ();
       originated = Tbl.create ();
       busy_until = Engine.Time.zero;
       stats;
@@ -688,7 +660,7 @@ let create ~sim ~asn ~node_id ~router_id ~config ~send () =
 
 (* Test/diagnostic accessors. *)
 
-let adj_in_find t ~peer prefix = Rib.Adj_in.find t.adj_in ~peer prefix
+let adj_in_find t ~peer prefix = Rib.Adj_in.find t.rib ~peer prefix
 
 let adj_out_find t ~peer prefix =
   match find_peer t peer with
@@ -704,6 +676,6 @@ let adj_out_find t ~peer prefix =
 let queued_count t =
   Array.fold_left (fun n p -> n + Mrai.queued_count p.mrai) 0 (peers t)
 
-let adj_in_size t = Rib.Adj_in.size t.adj_in
+let adj_in_size t = Rib.Adj_in.size t.rib
 
-let loc_size t = Rib.Loc.size t.loc
+let loc_size t = Rib.Loc.size t.rib

@@ -12,29 +12,68 @@
    is an exact quiet-period test: [Network.settle] drains the queue and
    the convergence time is simply the last recorded change.
 
+   A prefix's history is packed into one byte buffer: per change, the
+   microseconds since the prefix's previous change (since time zero for
+   its first), then the AS, each as an unsigned LEB128 varint (7 bits a
+   byte, the high bit set on every byte but the last).  Changes come
+   10-50 ms apart within a wave and an MRAI apart between waves, and
+   private ASNs fit 3 bytes, so a change takes 5 or 6 bytes where two int
+   array cells took 16; the count and the last instant sit beside the
+   buffer so the hot queries read no byte of it.
+
    Attach the watcher *before* running the phase being measured. *)
 
 module Pm = Net.Ipv4.Prefix_map
 module Tbl = Net.Ipv4.Prefix_table
 
-(* Loc-RIB / decision changes of one prefix, oldest first, in two growable
-   int arrays (the first [count] cells are used): two words per change, where
-   a list of (time, AS) tuples spent six. *)
+(* Loc-RIB / decision changes of one prefix, oldest first: [len] bytes of
+   [bytes] hold [count] (time delta, AS) varint pairs, the deltas summing
+   to [last]. *)
 type prefix_changes = {
   mutable count : int;
-  mutable times : int array; (* [Engine.Time.to_us]; non-decreasing *)
-  mutable asns : int array;
+  mutable last : int; (* [Engine.Time.to_us] of the newest change *)
+  mutable len : int;
+  mutable bytes : Bytes.t;
 }
 
-let record pc now asn =
-  if pc.count = Array.length pc.times then begin
-    let grow a = Array.append a (Array.make (max 4 (Array.length a)) 0) in
-    pc.times <- grow pc.times;
-    pc.asns <- grow pc.asns
+let push pc byte =
+  if pc.len = Bytes.length pc.bytes then begin
+    let grown = Bytes.create (pc.len + (pc.len / 2) + 8) in
+    Bytes.blit pc.bytes 0 grown 0 pc.len;
+    pc.bytes <- grown
   end;
-  pc.times.(pc.count) <- Engine.Time.to_us now;
-  pc.asns.(pc.count) <- Net.Asn.to_int asn;
+  Bytes.unsafe_set pc.bytes pc.len (Char.unsafe_chr byte);
+  pc.len <- pc.len + 1
+
+(* Any int round-trips; a negative one (never written: instants do not
+   decrease) takes nine bytes. *)
+let rec put pc v =
+  if v land lnot 0x7f = 0 then push pc v
+  else begin
+    push pc (v land 0x7f lor 0x80);
+    put pc (v lsr 7)
+  end
+
+let add_change pc time asn =
+  put pc (time - pc.last);
+  put pc asn;
+  pc.last <- time;
   pc.count <- pc.count + 1
+
+(* [f time asn] over the prefix's changes, oldest first. *)
+let iter_changes pc f =
+  let pos = ref 0 in
+  let rec get shift v =
+    let b = Char.code (Bytes.get pc.bytes !pos) in
+    incr pos;
+    let v = v lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then v else get (shift + 7) v
+  in
+  let time = ref 0 in
+  for _ = 1 to pc.count do
+    time := !time + get 0 0;
+    f !time (get 0 0)
+  done
 
 type t = {
   changes : prefix_changes Tbl.t;
@@ -42,6 +81,19 @@ type t = {
   mutable last_any : Engine.Time.t; (* latest control change, any prefix *)
   network : Network.t;
 }
+
+let record t prefix now asn =
+  let key = Net.Ipv4.prefix_to_packed prefix in
+  let pc =
+    match Tbl.slot t.changes key with
+    | -1 ->
+      let pc = { count = 0; last = 0; len = 0; bytes = Bytes.empty } in
+      ignore (Tbl.add t.changes key pc);
+      pc
+    | i -> Tbl.value t.changes i
+  in
+  add_change pc (Engine.Time.to_us now) (Net.Asn.to_int asn);
+  t.last_any <- now
 
 let attach network =
   let t =
@@ -63,17 +115,7 @@ let attach network =
   in
   let note prefix asn =
     let now = Engine.Sim.now (Network.sim network) in
-    let key = Net.Ipv4.prefix_to_packed prefix in
-    let pc =
-      match Tbl.slot t.changes key with
-      | -1 ->
-        let pc = { count = 0; times = [||]; asns = [||] } in
-        ignore (Tbl.add t.changes key pc);
-        pc
-      | i -> Tbl.value t.changes i
-    in
-    record pc now asn;
-    t.last_any <- now;
+    record t prefix now asn;
     Engine.Metrics.Counter.inc changes_c;
     Engine.Metrics.Gauge.set last_change_g (Engine.Time.to_sec_f now)
   in
@@ -103,8 +145,8 @@ let refresh_collector t =
 
 let last_control_change t prefix =
   match Tbl.find prefix t.changes with
-  | Some pc when pc.count > 0 -> Some (Engine.Time.of_us pc.times.(pc.count - 1))
-  | Some _ | None -> None
+  | Some pc -> Some (Engine.Time.of_us pc.last)
+  | None -> None
 
 let last_collector_update t prefix =
   refresh_collector t;
@@ -117,8 +159,10 @@ let history t prefix =
   match Tbl.find prefix t.changes with
   | None -> []
   | Some pc ->
-    List.init pc.count (fun i ->
-        (Engine.Time.of_us pc.times.(i), Net.Asn.of_int pc.asns.(i)))
+    let changes = ref [] in
+    iter_changes pc (fun time asn ->
+        changes := (Engine.Time.of_us time, Net.Asn.of_int asn) :: !changes);
+    List.rev !changes
 
 (* Path-exploration rounds: a prefix's changes cluster into MRAI-spaced
    waves; count the clusters of distinct change instants, splitting
@@ -133,13 +177,11 @@ let exploration_rounds ?(gap = Engine.Time.sec 10) ?(since = Engine.Time.zero) t
   | Some pc ->
     let gap = Engine.Time.to_us gap and since = Engine.Time.to_us since in
     let rounds = ref 0 and prev = ref 0 in
-    for i = 0 to pc.count - 1 do
-      let time = pc.times.(i) in
-      if time >= since then begin
-        if !rounds = 0 || time - !prev > gap then incr rounds;
-        prev := time
-      end
-    done;
+    iter_changes pc (fun time _ ->
+        if time >= since then begin
+          if !rounds = 0 || time - !prev > gap then incr rounds;
+          prev := time
+        end);
     !rounds
 
 (* Convergence time of an event on a prefix: run the network to

@@ -1,13 +1,21 @@
 (** Convergence detection: instruments every decision point (legacy
     Loc-RIBs, controller decisions) and the route collector, keeps each
     prefix's change history, and measures per-prefix convergence of
-    experiment events. *)
+    experiment events.  A prefix's history is one byte buffer of varints
+    (per change, the time since the prefix's previous change, then the
+    AS: about 0.9 words a change), with its count and last instant kept
+    beside it. *)
 
 type t
 
 val attach : Network.t -> t
 (** Subscribe to every router and the controller.  Attach before running
     the phase you want measured. *)
+
+val record : t -> Net.Ipv4.prefix -> Engine.Time.t -> Net.Asn.t -> unit
+(** Log a change of the prefix at an instant by an AS, as the watcher's
+    own subscriptions do for every router and controller change.  A
+    prefix's instants must not decrease. *)
 
 val last_control_change : t -> Net.Ipv4.prefix -> Engine.Time.t option
 

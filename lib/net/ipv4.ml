@@ -112,10 +112,10 @@ let prefix_of_string s =
   | [ addr ] -> Option.map (fun a -> prefix a 32) (addr_of_string addr)
   | _ -> None
 
+(* The span is an [int]: a /0 spans 2^32 addresses, which no [Int32]
+   shift can count. *)
 let nth_host p n =
-  let span = Int32.shift_left 1l (32 - p.len) in
-  if n < 0 || (p.len < 32 && Int32.unsigned_compare (Int32.of_int n) span >= 0) then
-    invalid_arg "Ipv4.nth_host";
+  if n < 0 || n >= 1 lsl (32 - p.len) then invalid_arg "Ipv4.nth_host";
   Int32.add p.network (Int32.of_int n)
 
 (* Exact-match table keyed by [prefix_to_packed]: open addressing with

@@ -74,7 +74,8 @@ val prefix_of_string : string -> prefix option
 (** Accepts ["10.0.0.0/8"] and bare addresses (as /32). *)
 
 val nth_host : prefix -> int -> addr
-(** [nth_host p n] is the [n]-th address of [p] (0 = network address). *)
+(** [nth_host p n] is the [n]-th address of [p] (0 = network address).
+    @raise Invalid_argument unless [0 <= n < 2^(32 - len)]. *)
 
 (** Mutable exact-match table keyed on {!prefix_to_packed}, for owners
     that never need longest-prefix match (the RIBs, the speaker, the

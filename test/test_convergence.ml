@@ -214,6 +214,131 @@ let test_prefix_independence () =
   Alcotest.(check int) "110/8 timeline has a line per change" (List.length h110)
     (List.length (String.split_on_char '\n' tl110) - 1)
 
+(* --- The packed change log against a plain list ----------------------- *)
+
+(* Five prefixes; the last is never recorded. *)
+let log_prefixes =
+  Array.map prefix_of
+    [| "10.0.0.0/8"; "110.0.0.0/8"; "0.0.0.0/0"; "198.51.100.7/32"; "192.0.2.0/24" |]
+
+(* Steps of (prefix index, microseconds since the previous step, AS):
+   equal instants, in-wave and MRAI-sized gaps, gaps past 2^35 us, and
+   2- and 4-byte ASNs up to 2^32 - 1. *)
+let gen_log_steps =
+  QCheck.Gen.(
+    list_size (int_bound 120)
+      (triple (int_bound 3)
+         (frequency
+            [
+              (3, return 0);
+              (4, int_bound 50_000);
+              (2, int_bound 40_000_000);
+              (1, map (fun x -> (1 lsl 35) + x) (int_bound (1 lsl 30)));
+            ])
+         (frequency
+            [
+              (4, int_range 64_512 65_535);
+              (2, int_range 65_536 ((1 lsl 32) - 1));
+              (1, return ((1 lsl 32) - 1));
+              (1, int_range 1 127);
+            ])))
+
+let print_log_steps steps =
+  String.concat "; " (List.map (fun (p, dt, a) -> Fmt.str "(%d, +%d, %d)" p dt a) steps)
+
+(* The clustering [exploration_rounds] specifies, over a plain list. *)
+let reference_rounds ~gap ~since changes =
+  fst
+    (List.fold_left
+       (fun (rounds, prev) (time, _) ->
+         if time < since then (rounds, prev)
+         else ((if rounds = 0 || time - prev > gap then rounds + 1 else rounds), time))
+       (0, 0) changes)
+
+let prop_log_reference =
+  QCheck.Test.make ~name:"change log = list reference" ~count:300
+    (QCheck.make ~print:print_log_steps gen_log_steps)
+    (fun steps ->
+      let w = Framework.Experiment.watcher (make_exp ~n:2 ()) in
+      let reference = Array.make (Array.length log_prefixes) [] in
+      let now = ref 0 in
+      List.iter
+        (fun (i, dt, a) ->
+          now := !now + dt;
+          Framework.Convergence.record w log_prefixes.(i) (Engine.Time.of_us !now)
+            (Net.Asn.of_int a);
+          reference.(i) <- (!now, a) :: reference.(i))
+        steps;
+      Array.for_all2
+        (fun prefix rev_changes ->
+          let changes = List.rev rev_changes in
+          let times = List.map fst changes in
+          let last = match rev_changes with (time, _) :: _ -> Some time | [] -> None in
+          let middle = match times with [] -> 0 | _ -> List.nth times (List.length times / 2) in
+          List.map
+            (fun (time, a) -> (Engine.Time.to_us time, Net.Asn.to_int a))
+            (Framework.Convergence.history w prefix)
+          = changes
+          && Framework.Convergence.control_changes w prefix = List.length changes
+          && Option.map Engine.Time.to_us (Framework.Convergence.last_control_change w prefix)
+             = last
+          && List.for_all
+               (fun gap ->
+                 List.for_all
+                   (fun since ->
+                     Framework.Convergence.exploration_rounds ~gap:(Engine.Time.us gap)
+                       ~since:(Engine.Time.of_us since) w prefix
+                     = reference_rounds ~gap ~since changes)
+                   [ 0; middle; Option.fold ~none:1 ~some:succ last ])
+               [ 0; 1; 10_000_000; 1 lsl 35 ])
+        log_prefixes reference)
+
+(* Live words per recorded change, on a real stream: the 3/8/40 CAIDA
+   world at seed 7 loads 30 prefixes and withdraws them, and its
+   watcher's histories are replayed into a watcher on an idle clique, so
+   the words that one gains are its logs alone.  About 0.97 at this
+   writing (two growable int arrays spent 2.8); the bound is 1.5. *)
+let test_log_words () =
+  let tier1, tier2, stubs = (3, 8, 40) in
+  let spec = Topology.Caida.generate ~tier1 ~tier2 ~stubs (Engine.Rng.create 7) in
+  let stub_arr = Array.of_list (Topology.Caida.stub_asns ~tier1 ~tier2 ~stubs) in
+  let config =
+    {
+      Framework.Config.default with
+      Framework.Config.collector_retention = Bgp.Collector.Counts_only;
+    }
+  in
+  let net = Framework.Network.create ~config ~seed:7 spec in
+  let watcher = Framework.Convergence.attach net in
+  Framework.Network.start net;
+  ignore (Framework.Network.settle net);
+  let load =
+    List.init 30 (fun m ->
+        (stub_arr.(m mod Array.length stub_arr), Framework.Experiments.scale_prefix m))
+  in
+  List.iter (fun (stub, p) -> Framework.Network.originate net stub p) load;
+  ignore (Framework.Network.settle net);
+  List.iter (fun (stub, p) -> Framework.Network.withdraw net stub p) load;
+  ignore (Framework.Network.settle net);
+  let replay = Framework.Experiment.watcher (make_exp ~n:2 ()) in
+  let before = Obj.reachable_words (Obj.repr replay) in
+  let changes =
+    List.fold_left
+      (fun n (_, p) ->
+        List.iter
+          (fun (time, a) -> Framework.Convergence.record replay p time a)
+          (Framework.Convergence.history watcher p);
+        n + Framework.Convergence.control_changes watcher p)
+      0 load
+  in
+  let per_change =
+    float_of_int (Obj.reachable_words (Obj.repr replay) - before) /. float_of_int changes
+  in
+  Alcotest.(check bool) "the load changed routes" true (changes > 1000);
+  Alcotest.(check bool)
+    (Fmt.str "%.2f live words per recorded change (%d changes) <= 1.5" per_change changes)
+    true (per_change <= 1.5)
+
 let suite =
   [
     Alcotest.test_case "announcement measured" `Quick test_announcement_measured;
@@ -228,4 +353,6 @@ let suite =
     Alcotest.test_case "collector view consistent" `Quick
       test_collector_view_close_to_control_view;
     Alcotest.test_case "centralization reduces Tdown" `Quick test_sdn_reduces_withdrawal_time;
+    QCheck_alcotest.to_alcotest prop_log_reference;
+    Alcotest.test_case "change log words per change" `Quick test_log_words;
   ]

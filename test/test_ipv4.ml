@@ -44,7 +44,22 @@ let test_subsumes () =
     (Ipv4.subsumes ~outer:(p "10.0.0.0/8") ~inner:(p "10.0.0.0/8"))
 
 let test_hosts () =
-  Alcotest.check addr "nth host" (a "10.0.0.10") (Ipv4.nth_host (p "10.0.0.0/24") 10)
+  Alcotest.check addr "nth host" (a "10.0.0.10") (Ipv4.nth_host (p "10.0.0.0/24") 10);
+  let out_of_range name pre n =
+    Alcotest.check_raises name (Invalid_argument "Ipv4.nth_host") (fun () ->
+        ignore (Ipv4.nth_host (p pre) n))
+  in
+  out_of_range "past a /24" "10.0.0.0/24" 256;
+  out_of_range "negative" "10.0.0.0/24" (-1);
+  Alcotest.check addr "/0 first" (a "0.0.0.0") (Ipv4.nth_host (p "0.0.0.0/0") 0);
+  Alcotest.check addr "/0 last" (a "255.255.255.255")
+    (Ipv4.nth_host (p "0.0.0.0/0") ((1 lsl 32) - 1));
+  out_of_range "past a /0" "0.0.0.0/0" (1 lsl 32);
+  Alcotest.check addr "/1 last" (a "255.255.255.255")
+    (Ipv4.nth_host (p "128.0.0.0/1") ((1 lsl 31) - 1));
+  out_of_range "past a /1" "128.0.0.0/1" (1 lsl 31);
+  Alcotest.check addr "/32 itself" (a "9.9.9.9") (Ipv4.nth_host (p "9.9.9.9/32") 0);
+  out_of_range "past a /32" "9.9.9.9/32" 1
 
 (* The Format-free string printers, and the packed-prefix and int ASN
    renderers causal markers store, are byte-identical to the [pp]

@@ -6,13 +6,15 @@ let p s = Option.get (Net.Ipv4.prefix_of_string s)
 
 let asn = Net.Asn.of_int
 
-let route ~peer =
+let route_of_length ~hops ~peer =
   Bgp.Route.make
-    ~attrs:(Bgp.Attrs.make ~as_path:[ asn peer ] ~next_hop:nh ())
+    ~attrs:(Bgp.Attrs.make ~as_path:(List.init hops (fun _ -> asn peer)) ~next_hop:nh ())
     ~source:(Bgp.Route.Ebgp (asn peer))
 
+let route ~peer = route_of_length ~hops:1 ~peer
+
 let test_adj_in_implicit_withdraw () =
-  let rib = Bgp.Rib.Adj_in.create () in
+  let rib = Bgp.Rib.create () in
   let pre = p "100.64.0.0/24" in
   Bgp.Rib.Adj_in.set rib pre (route ~peer:65001);
   Bgp.Rib.Adj_in.set rib pre (route ~peer:65001);
@@ -21,7 +23,7 @@ let test_adj_in_implicit_withdraw () =
   Alcotest.(check int) "two candidates" 2 (List.length (Bgp.Rib.Adj_in.candidates rib pre))
 
 let test_adj_in_candidates_order () =
-  let rib = Bgp.Rib.Adj_in.create () in
+  let rib = Bgp.Rib.create () in
   let pre = p "100.64.0.0/24" in
   List.iter
     (fun peer -> Bgp.Rib.Adj_in.set rib pre (route ~peer))
@@ -33,7 +35,7 @@ let test_adj_in_candidates_order () =
     (List.map Net.Asn.to_int peers)
 
 let test_adj_in_drop_peer () =
-  let rib = Bgp.Rib.Adj_in.create () in
+  let rib = Bgp.Rib.create () in
   let p1 = p "100.64.0.0/24" and p2 = p "100.64.1.0/24" in
   Bgp.Rib.Adj_in.set rib p1 (route ~peer:65001);
   Bgp.Rib.Adj_in.set rib p2 (route ~peer:65001);
@@ -45,7 +47,7 @@ let test_adj_in_drop_peer () =
     (Bgp.Rib.Adj_in.find rib ~peer:(asn 65001) p1 = None)
 
 let test_adj_in_remove () =
-  let rib = Bgp.Rib.Adj_in.create () in
+  let rib = Bgp.Rib.create () in
   let pre = p "100.64.0.0/24" in
   Bgp.Rib.Adj_in.set rib pre (route ~peer:65001);
   Alcotest.(check bool) "remove reports the route" true
@@ -60,29 +62,50 @@ let from_peer = function
   | Some r -> Option.map Net.Asn.to_int (Bgp.Route.from_peer r)
   | None -> None
 
+(* The Loc-RIB is cell 0 of the prefix's Adj-RIB-In entry: a decision
+   installs, replaces and removes it while learned routes come and go. *)
 let test_loc () =
-  let loc = Bgp.Rib.Loc.create () in
+  let rib = Bgp.Rib.create () in
   let pre = p "100.64.0.0/24" in
-  Alcotest.(check bool) "initially empty" true (Bgp.Rib.Loc.find loc pre = None);
-  Alcotest.(check bool) "install a first best" true
-    (Bgp.Rib.Loc.install loc pre (route ~peer:65001) = Bgp.Rib.Loc.Replaced None);
+  let decide ?local () = Bgp.Rib.Loc.decide rib pre ~local in
+  let changed ?local want_old want_best =
+    match decide ?local () with
+    | Bgp.Rib.Loc.Changed { old; best } -> (from_peer old, from_peer best) = (want_old, want_best)
+    | Bgp.Rib.Loc.Kept -> false
+  in
+  Alcotest.(check bool) "initially empty" true (Bgp.Rib.Loc.find rib pre = None);
+  Alcotest.(check bool) "no candidate, no best" true (decide () = Bgp.Rib.Loc.Kept);
+  Bgp.Rib.Adj_in.set rib pre (route_of_length ~hops:2 ~peer:65001);
+  Alcotest.(check bool) "a first best" true (changed None (Some 65001));
+  Alcotest.(check bool) "deciding again changes nothing" true (decide () = Bgp.Rib.Loc.Kept);
+  Bgp.Rib.Adj_in.set rib pre (route_of_length ~hops:2 ~peer:65001);
   Alcotest.(check bool) "the same best again changes nothing" true
-    (Bgp.Rib.Loc.install loc pre (route ~peer:65001) = Bgp.Rib.Loc.Kept);
-  Alcotest.(check int) "size" 1 (Bgp.Rib.Loc.size loc);
-  (match Bgp.Rib.Loc.install loc pre (route ~peer:65002) with
-  | Bgp.Rib.Loc.Replaced old ->
-    Alcotest.(check (option int)) "another peer's route replaces it" (Some 65001) (from_peer old)
-  | Bgp.Rib.Loc.Kept -> Alcotest.fail "another peer's route must replace the best");
-  Alcotest.(check int) "replace keeps size" 1 (Bgp.Rib.Loc.size loc);
-  (match Bgp.Rib.Loc.find loc pre with
-  | Some r ->
-    Alcotest.(check (option int)) "latest kept" (Some 65002)
-      (Option.map Net.Asn.to_int (Bgp.Route.from_peer r))
-  | None -> Alcotest.fail "must find");
-  Alcotest.(check (option int)) "remove reports the best" (Some 65002)
-    (from_peer (Bgp.Rib.Loc.remove loc pre));
-  Alcotest.(check bool) "a second remove finds none" true (Bgp.Rib.Loc.remove loc pre = None);
-  Alcotest.(check int) "removed" 0 (Bgp.Rib.Loc.size loc)
+    (decide () = Bgp.Rib.Loc.Kept);
+  Alcotest.(check int) "size" 1 (Bgp.Rib.Loc.size rib);
+  Bgp.Rib.Adj_in.set rib pre (route ~peer:65002);
+  Alcotest.(check (option int)) "a learned route alone leaves the best" (Some 65001)
+    (from_peer (Bgp.Rib.Loc.find rib pre));
+  Alcotest.(check bool) "a shorter path replaces the best" true
+    (changed (Some 65001) (Some 65002));
+  Alcotest.(check int) "replace keeps size" 1 (Bgp.Rib.Loc.size rib);
+  let local = Bgp.Route.make ~attrs:(Bgp.Attrs.make ~next_hop:nh ()) ~source:Bgp.Route.Local in
+  Alcotest.(check bool) "the local route wins" true (changed ~local (Some 65002) None);
+  Alcotest.(check bool) "the local best is held" true
+    (Option.equal ( == ) (Bgp.Rib.Loc.find rib pre) (Some local));
+  Alcotest.(check bool) "without it the learned winner returns" true
+    (changed None (Some 65002));
+  Alcotest.(check bool) "its withdrawal leaves the other peer's" true
+    (Bgp.Rib.Adj_in.remove rib ~peer:(asn 65002) pre && changed (Some 65002) (Some 65001));
+  Alcotest.(check int) "learned routes" 1 (Bgp.Rib.Adj_in.size rib);
+  ignore (Bgp.Rib.Adj_in.remove rib ~peer:(asn 65001) pre);
+  Alcotest.(check (list string)) "a best alone is no learned prefix" []
+    (List.map Net.Ipv4.prefix_to_string (Bgp.Rib.Adj_in.all_prefixes rib));
+  Alcotest.(check (option int)) "the stale best stays until the decision" (Some 65001)
+    (from_peer (Bgp.Rib.Loc.find rib pre));
+  Alcotest.(check bool) "no candidate removes the best" true (changed (Some 65001) None);
+  Alcotest.(check bool) "a second decision finds none" true (decide () = Bgp.Rib.Loc.Kept);
+  Alcotest.(check int) "removed" 0 (Bgp.Rib.Loc.size rib);
+  Alcotest.(check int) "no entries" 0 (List.length (Bgp.Rib.Loc.entries rib))
 
 (* A peer's Adj-RIB-Out is derived: its queued change, else the export
    of the Loc-RIB best; a session reset empties it. *)

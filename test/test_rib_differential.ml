@@ -227,19 +227,24 @@ let same_route a b =
   Bgp.Route.attrs a == Bgp.Route.attrs b
   && Bgp.Route.source a = Bgp.Route.source b
 
+(* The Adj-RIB-In shares its entries with the Loc-RIB's bests, so
+   decisions run between the updates: a prefix whose last learned route
+   is gone keeps its best until the next decision, and no Adj-RIB-In
+   read may show it. *)
 let test_adj_in_differential () =
   let rng = Engine.Rng.create 1001 in
-  let rib = Bgp.Rib.Adj_in.create () in
+  let rib = Bgp.Rib.create () in
   let reference = { tables = Am.empty } in
   let peers = [ 65001; 65002; 65003; 65004; 65005 ] in
   for step = 1 to 2000 do
     let peer = asn (Engine.Rng.pick rng peers) in
     let prefix = random_prefix rng in
-    (match Engine.Rng.int rng 8 with
+    (match Engine.Rng.int rng 9 with
     | 0 | 1 | 2 | 3 ->
       let r = route ~peer:(Net.Asn.to_int peer) ~tag:(Engine.Rng.int rng 4) in
       Bgp.Rib.Adj_in.set rib prefix r;
       ref_adj_in_set reference ~peer prefix r
+    | 7 -> ignore (Bgp.Rib.Loc.decide rib prefix ~local:None)
     | 4 | 5 ->
       let held = Option.bind (Am.find_opt peer reference.tables) (Pm.find_opt prefix) <> None in
       Alcotest.(check bool)
@@ -308,48 +313,91 @@ let test_adj_in_differential () =
     (List.map (fun (k, _) -> (k, ())) (Pm.bindings union))
     (List.map (fun k -> (k, ())) (Bgp.Rib.Adj_in.all_prefixes rib))
 
-(* --- Loc-RIB: table-backed vs Prefix_map ----------------------------- *)
+(* --- Loc-RIB: cell 0 of the merged entry vs Prefix_map ---------------- *)
 
+(* Paths of one to three hops and two MEDs, so the decision weighs path
+   length, MED and the neighbor tiebreak. *)
+let learned ~peer ~tag =
+  Bgp.Route.make
+    ~attrs:
+      (Bgp.Attrs.make
+         ~as_path:(asn peer :: List.init (tag mod 3) (fun _ -> asn (65100 + tag)))
+         ~med:(tag / 3) ~next_hop:nh ())
+    ~source:(Bgp.Route.Ebgp (asn peer))
+
+(* A local route beats every learned one (shorter path) unless its
+   local-pref is lowered. *)
+let local ~tag =
+  Bgp.Route.make
+    ~attrs:(Bgp.Attrs.make ~local_pref:(if tag = 0 then 50 else 100) ~next_hop:nh ())
+    ~source:Bgp.Route.Local
+
+let same_best a b =
+  Bgp.Route.source a = Bgp.Route.source b
+  && Bgp.Attrs.wire_equal (Bgp.Route.attrs a) (Bgp.Route.attrs b)
+  && (Bgp.Route.attrs a).Bgp.Attrs.local_pref = (Bgp.Route.attrs b).Bgp.Attrs.local_pref
+
+(* Learned routes come and go, local routes are configured and removed,
+   and decisions run between them: each decision must report the change
+   (and the best it replaced) that [Decision.select] over the reference's
+   candidates implies, and the bests must equal the reference's in
+   lookups, counts and ordered walks. *)
 let test_loc_differential () =
   let rng = Engine.Rng.create 2002 in
-  let rib = Bgp.Rib.Loc.create () in
-  let reference = ref Pm.empty in
+  let rib = Bgp.Rib.create () in
+  let adj = { tables = Am.empty } and locals = ref Pm.empty and reference = ref Pm.empty in
+  let peers = [ 65001; 65002; 65003 ] in
   for step = 1 to 2000 do
     let prefix = random_prefix rng in
-    (match Engine.Rng.int rng 3 with
+    (match Engine.Rng.int rng 8 with
     | 0 | 1 ->
-      (* [install] replaces the best only when the wire content differs
-         (the source and local-pref are the same here). *)
-      let r = route ~peer:65001 ~tag:(Engine.Rng.int rng 4) in
-      let differs =
-        match Pm.find_opt prefix !reference with
-        | Some old -> not (Bgp.Attrs.wire_equal (Bgp.Route.attrs old) (Bgp.Route.attrs r))
-        | None -> true
-      in
-      let replaced = Pm.find_opt prefix !reference in
-      Alcotest.(check bool)
-        (Fmt.str "step %d: install reports a change and the best it replaced" step)
-        true
-        (match Bgp.Rib.Loc.install rib prefix r with
-        | Bgp.Rib.Loc.Kept -> not differs
-        | Bgp.Rib.Loc.Replaced old -> differs && Option.equal ( == ) old replaced);
-      if differs then reference := Pm.add prefix r !reference
+      let peer = Engine.Rng.pick rng peers in
+      let r = learned ~peer ~tag:(Engine.Rng.int rng 6) in
+      Bgp.Rib.Adj_in.set rib prefix r;
+      ref_adj_in_set adj ~peer:(asn peer) prefix r
+    | 2 ->
+      let peer = asn (Engine.Rng.pick rng peers) in
+      ignore (Bgp.Rib.Adj_in.remove rib ~peer prefix);
+      ref_adj_in_remove adj ~peer prefix
+    | 3 ->
+      locals :=
+        if Pm.mem prefix !locals then Pm.remove prefix !locals
+        else Pm.add prefix (local ~tag:(Engine.Rng.int rng 2)) !locals
     | _ ->
+      let local = Pm.find_opt prefix !locals in
+      let pick = Bgp.Decision.select (Option.to_list local @ ref_adj_in_candidates adj prefix) in
+      let old = Pm.find_opt prefix !reference in
+      let kept =
+        match (old, pick) with
+        | None, None -> true
+        | Some o, Some n -> same_best o n
+        | Some _, None | None, Some _ -> false
+      in
       Alcotest.(check bool)
-        (Fmt.str "step %d: remove reports the best" step)
+        (Fmt.str "step %d: decide reports the change and the best it replaced" step)
         true
-        (Option.equal ( == ) (Pm.find_opt prefix !reference) (Bgp.Rib.Loc.remove rib prefix));
-      reference := Pm.remove prefix !reference);
+        (match Bgp.Rib.Loc.decide rib prefix ~local with
+        | Bgp.Rib.Loc.Kept -> kept
+        | Bgp.Rib.Loc.Changed { old = o; best } ->
+          (not kept) && Option.equal ( == ) o old && Option.equal ( == ) best pick);
+      if not kept then
+        reference :=
+          match pick with
+          | Some r -> Pm.add prefix r !reference
+          | None -> Pm.remove prefix !reference);
     Alcotest.(check int)
       (Fmt.str "step %d: size" step)
       (Pm.cardinal !reference) (Bgp.Rib.Loc.size rib);
+    Alcotest.(check int)
+      (Fmt.str "step %d: learned routes" step)
+      (ref_adj_in_size adj) (Bgp.Rib.Adj_in.size rib);
     let probe = random_prefix rng in
     Alcotest.(check bool)
       (Fmt.str "step %d: find agrees" step)
       true
       (match (Bgp.Rib.Loc.find rib probe, Pm.find_opt probe !reference) with
       | None, None -> true
-      | Some g, Some w -> same_route g w
+      | Some g, Some w -> g == w
       | _ -> false);
     (* [iter] reuses its sorted order until a prefix comes or goes: walk
        often, so stale orders get a chance to show *)
@@ -373,7 +421,8 @@ let test_loc_differential () =
   Alcotest.(check bool)
     (Fmt.str "repeat iter over %d bests: %.0f minor words" (Bgp.Rib.Loc.size rib) words)
     true (words < 32.0);
-  Bgp.Rib.Loc.clear rib;
+  Bgp.Rib.clear rib;
+  Alcotest.(check int) "clear drops the learned routes" 0 (Bgp.Rib.Adj_in.size rib);
   Bgp.Rib.Loc.iter rib (fun _ _ -> Alcotest.fail "iter after clear")
 
 (* --- Adj-RIB-Out: Router.adj_out_find vs per-peer Prefix_map --------- *)
