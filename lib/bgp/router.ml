@@ -492,7 +492,7 @@ let handle_peer_message t peer msg =
     t.stats.msgs_in <- t.stats.msgs_in + 1;
     t.stats.prefixes_in <- t.stats.prefixes_in + List.length u.Message.announced + withdrawn;
     t.stats.withdrawals_in <- t.stats.withdrawals_in + withdrawn;
-    Engine.Sim.mark t.sim ~category:"bgp.update" ~node:(Engine.Node.name t.node)
+    Engine.Sim.mark t.sim ~category:"bgp.update" ~node:(Engine.Node.trace_node t.node)
       ~render:Net.Asn.int_to_string (Net.Asn.to_int peer.peer_asn);
     (* Serialized processing behind a busy watermark: emulates a
        single-threaded bgpd working through its input queue. *)

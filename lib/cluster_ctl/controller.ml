@@ -136,7 +136,7 @@ let count_syncs t ~announced ~synced =
 (* --- Recomputation ------------------------------------------------------ *)
 
 let recompute_prefix t prefix =
-  Engine.Sim.mark t.sim ~category:"ctrl.recompute" ~node:"controller"
+  Engine.Sim.mark t.sim ~category:"ctrl.recompute" ~node:(Engine.Node.trace_node t.node)
     ~render:Net.Ipv4.packed_prefix_to_string (Net.Ipv4.prefix_to_packed prefix);
   let originators = Option.value (Pm.find_opt prefix t.originated) ~default:Net.Asn.Set.empty in
   let fp =

@@ -314,7 +314,7 @@ let handle_relay t ~member ~neighbor (msg : Bgp.Message.t) =
     | Bgp.Message.Notification _ -> down t s
     | Bgp.Message.Update u ->
       if is_established s then begin
-        Engine.Sim.mark t.sim ~category:"speaker.relay" ~node:"speaker"
+        Engine.Sim.mark t.sim ~category:"speaker.relay" ~node:(Engine.Node.trace_node t.node)
           ~render:Net.Asn.int_to_string (Net.Asn.to_int neighbor);
         t.on_update s u
       end)

@@ -1,22 +1,33 @@
 (* Deterministic causal span tracing.  See causal.mli for the contract.
 
-   The store is a set of parallel slot arrays; span id [i] lives in slot
-   [i land mask].  The arrays start at 256 slots and double as spans
-   arrive: a [Ring n] store stops at the power of two >= n and then
-   wraps around (a span is retained iff its id is among the newest
-   [window] = n ids), a [Full] store keeps doubling.  A short run thus
-   holds only the slots it used.  Ids are dense sequence numbers, so no
-   RNG draw happens per span — the only randomness is the run's trace
-   id, minted once at [create] from a dedicated stream so the sim root
-   RNG's draw order is untouched.
+   The store is one flat [int array] of four ints per slot; span id [i]
+   lives in slot [i land mask]:
 
-   The record path ([on_schedule], [on_execute], [annotate], [mark],
-   [with_span]) writes only immediates and already-built strings into
-   the slots, so once a ring has reached its size it allocates nothing.
-   Every pointer store costs a write barrier, so a slot's [kind] says
-   which of [nodes], [labels], [renders] and [args] were written for it:
-   a plain event writes none of them, and a slot's stale entries are
-   never read.  [span] records and rendered labels are built only by the
+     word 0  parent span id
+     word 1  queued us lsl 12, category index lsl 2, kind
+     word 2  event: fired us, -1 while open; render marker: the arg;
+             label marker: the label's index in [labels], -1 for ""
+     word 3  node index lsl 8, renderer index
+
+   so an instant must fit in 50 bits ([max_us], about 35 years) and a
+   store holds at most 1,024 categories and 256 renderers.  Categories,
+   node names and renderers are interned to those indexes once: a
+   scheduler category when [Sim] first meets it, a node when its
+   component is built, a marker's category and renderer by a scan by
+   physical equality over a few entries.  The rare string labels of
+   [annotate] and [with_span] go into a side ring allocated on first
+   use.  The record path ([on_schedule], [on_execute], [annotate],
+   [mark], [with_span]) thus stores only ints, so it passes no write
+   barrier, and once a ring has reached its size it allocates nothing.
+
+   The slot array starts at 256 slots and doubles as spans arrive: a
+   [Ring n] store stops at the power of two >= n and then wraps around
+   (a span is retained iff its id is among the newest [window] = n ids),
+   a [Full] store keeps doubling.  A short run thus holds only the slots
+   it used.  Ids are dense sequence numbers, so no RNG draw happens per
+   span — the only randomness is the run's trace id, minted once at
+   [create] from a dedicated stream so the sim root RNG's draw order is
+   untouched.  [span] records and rendered labels are built only by the
    readers. *)
 
 type mode = Disabled | Ring of int | Full
@@ -32,12 +43,20 @@ type span = {
   closed : bool;
 }
 
-(* Slot kinds. *)
-let event = '\000' (* no node, no label *)
+(* Slot kinds (word 1's low two bits). *)
+let event = 0
 
-let string_marker = '\001' (* node, labels *)
+let label_marker = 1
 
-let render_marker = '\002' (* node, renders applied to args *)
+let render_marker = 2
+
+let us_shift = 12
+
+let max_us = max_int asr us_shift
+
+let max_categories = 1024
+
+let max_renders = 256
 
 type t = {
   mode : mode;
@@ -45,17 +64,18 @@ type t = {
   window : int; (* spans retained: n for [Ring n], max_int for Full *)
   max_slots : int; (* the power of two >= n for [Ring n], max_int for Full *)
   mutable mask : int; (* slots - 1: the slot of id i is i land mask *)
-  mutable kinds : Bytes.t;
-  mutable parents : int array;
-  mutable queued : int array; (* us *)
-  mutable fired : int array; (* us; -1 while the span is open *)
-  mutable categories : string array;
-  mutable nodes : string array;
-  mutable labels : string array;
-  mutable renders : (int -> string) array;
-  mutable args : int array;
+  mutable slots : int array; (* 4 words per slot *)
   mutable next_id : int; (* = total spans ever opened *)
   mutable current : int; (* span of the event now executing, -1 at top *)
+  mutable categories : string array; (* first [ncategories] used *)
+  mutable ncategories : int;
+  mutable nodes : string array; (* first [nnodes] used; node 0 is "" *)
+  mutable nnodes : int;
+  node_index : (string, int) Hashtbl.t;
+  mutable renders : (int -> string) array; (* first [nrenders] used *)
+  mutable nrenders : int;
+  mutable labels : string array; (* side ring; empty until the first label *)
+  mutable next_label : int;
 }
 
 (* The trace id comes from a stream keyed off the seed xor "caus" so it
@@ -82,17 +102,18 @@ let create ?(mode = Disabled) ~seed () =
     window;
     max_slots;
     mask = n - 1;
-    kinds = Bytes.make n event;
-    parents = Array.make n (-1);
-    queued = Array.make n 0;
-    fired = Array.make n (-1);
-    categories = Array.make n "";
-    nodes = Array.make n "";
-    labels = Array.make n "";
-    renders = Array.make n no_render;
-    args = Array.make n 0;
+    slots = Array.make (4 * n) 0;
     next_id = 0;
     current = -1;
+    categories = Array.make 16 "";
+    ncategories = 0;
+    nodes = Array.make 16 "";
+    nnodes = 1;
+    node_index = Hashtbl.create 16;
+    renders = Array.make 4 no_render;
+    nrenders = 0;
+    labels = [||];
+    next_label = 0;
   }
 
 let mode t = t.mode
@@ -107,23 +128,97 @@ let stored t = Stdlib.min t.next_id t.window
 
 let retained t id = id >= 0 && id < t.next_id && id >= t.next_id - t.window
 
-(* Readers: the only place a [span] is built or a label rendered. *)
+(* --- Interning ------------------------------------------------------------ *)
+
+(* [a] with room for one more entry past its first [n]. *)
+let room a n fill =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (2 * n) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
+(* Top-level scans, so a lookup builds no closure; monomorphic, so an
+   array read needs no float-array check. *)
+let rec index_by_address (a : string array) n x i =
+  if i = n then -1 else if Array.unsafe_get a i == x then i else index_by_address a n x (i + 1)
+
+let rec index_by_value (a : string array) n x i =
+  if i = n then -1 else if String.equal (Array.unsafe_get a i) x then i else index_by_value a n x (i + 1)
+
+let add_category t name =
+  let i = index_by_value t.categories t.ncategories name 0 in
+  if i >= 0 then i
+  else begin
+    if t.ncategories = max_categories then
+      invalid_arg (Printf.sprintf "Causal: more than %d span categories" max_categories);
+    t.categories <- room t.categories t.ncategories "";
+    t.categories.(t.ncategories) <- name;
+    t.ncategories <- t.ncategories + 1;
+    t.ncategories - 1
+  end
+
+(* Categories are nearly always string literals, so the scan by address
+   almost always hits; a string built at run time falls back to a scan by
+   value. *)
+let category_index t name =
+  let i = index_by_address t.categories t.ncategories name 0 in
+  if i >= 0 then i else add_category t name
+
+let intern_category t name = if enabled t then category_index t name else 0
+
+let add_node t name =
+  let i = t.nnodes in
+  t.nodes <- room t.nodes i "";
+  t.nodes.(i) <- name;
+  t.nnodes <- i + 1;
+  Hashtbl.add t.node_index name i;
+  i
+
+let node_index t name =
+  if String.equal name "" then 0
+  else match Hashtbl.find_opt t.node_index name with Some i -> i | None -> add_node t name
+
+let intern_node t name = if enabled t then node_index t name else 0
+
+let rec render_by_address (a : (int -> string) array) n f i =
+  if i = n then -1 else if Array.unsafe_get a i == f then i else render_by_address a n f (i + 1)
+
+let render_index t f =
+  let i = render_by_address t.renders t.nrenders f 0 in
+  if i >= 0 then i
+  else begin
+    if t.nrenders = max_renders then
+      invalid_arg (Printf.sprintf "Causal.mark: more than %d renderers" max_renders);
+    t.renders <- room t.renders t.nrenders no_render;
+    t.renders.(t.nrenders) <- f;
+    t.nrenders <- t.nrenders + 1;
+    t.nrenders - 1
+  end
+
+(* --- Readers: the only place a [span] is built or a label rendered ------- *)
+
 let span_of t id =
-  let s = id land t.mask in
-  let kind = Bytes.get t.kinds s in
-  let queued = t.queued.(s) and fired = t.fired.(s) in
+  let o = (id land t.mask) lsl 2 in
+  let a = t.slots in
+  let w1 = a.(o + 1) and w2 = a.(o + 2) and w3 = a.(o + 3) in
+  let kind = w1 land 3 and queued = w1 lsr us_shift in
+  let label =
+    if kind = render_marker then t.renders.(w3 land (max_renders - 1)) w2
+    else if kind = label_marker && w2 >= 0 then t.labels.(w2 land (Array.length t.labels - 1))
+    else ""
+  in
+  let closed = kind <> event || w2 >= 0 in
   {
     id;
-    parent = t.parents.(s);
-    category = t.categories.(s);
-    node = (if kind = event then "" else t.nodes.(s));
-    label =
-      (if kind = string_marker then t.labels.(s)
-       else if kind = render_marker then t.renders.(s) t.args.(s)
-       else "");
+    parent = a.(o);
+    category = t.categories.((w1 lsr 2) land (max_categories - 1));
+    node = t.nodes.(w3 lsr 8);
+    label;
     queued_at = Time.of_us queued;
-    fired_at = Time.of_us (if fired < 0 then queued else fired);
-    closed = fired >= 0;
+    fired_at = Time.of_us (if kind = event && closed then w2 else queued);
+    closed;
   }
 
 let find t id = if retained t id then Some (span_of t id) else None
@@ -143,48 +238,45 @@ let find_last t pred =
   in
   scan (t.next_id - 1)
 
+(* --- Record path ---------------------------------------------------------- *)
+
+let out_of_range us =
+  invalid_arg (Printf.sprintf "Causal: instant %dus is outside 0..%d" us max_us)
+
+let check_us us = if us < 0 || us > max_us then out_of_range us
+
 let grow t =
   let n = t.mask + 1 in
-  let grown a fill =
-    let b = Array.make (2 * n) fill in
-    Array.blit a 0 b 0 n;
-    b
-  in
-  t.kinds <- Bytes.extend t.kinds 0 n;
-  t.parents <- grown t.parents (-1);
-  t.queued <- grown t.queued 0;
-  t.fired <- grown t.fired (-1);
-  t.categories <- grown t.categories "";
-  t.nodes <- grown t.nodes "";
-  t.labels <- grown t.labels "";
-  t.renders <- grown t.renders no_render;
-  t.args <- grown t.args 0;
+  let b = Array.make (8 * n) 0 in
+  Array.blit t.slots 0 b 0 (4 * n);
+  t.slots <- b;
   t.mask <- (2 * n) - 1
 
-(* Fill the fields every span has and return its slot; the caller writes
-   the fields its [kind] names.  Callers have checked the store is
-   enabled. *)
-let open_slot t ~kind ~category ~queued ~fired =
-  if t.next_id = t.mask + 1 && t.next_id < t.max_slots then grow t;
-  let s = t.next_id land t.mask in
-  Bytes.set t.kinds s kind;
-  t.parents.(s) <- t.current;
-  t.queued.(s) <- queued;
-  t.fired.(s) <- fired;
-  t.categories.(s) <- category;
-  t.next_id <- t.next_id + 1;
-  s
+(* Write a span parented under the current one and return its id.
+   Callers have checked the store is enabled and [queued] is in range. *)
+let open_slot t ~kind ~category ~queued w2 w3 =
+  let id = t.next_id in
+  if id = t.mask + 1 && id < t.max_slots then grow t;
+  let o = (id land t.mask) lsl 2 in
+  let a = t.slots in
+  a.(o) <- t.current;
+  a.(o + 1) <- (queued lsl us_shift) lor (category lsl 2) lor kind;
+  a.(o + 2) <- w2;
+  a.(o + 3) <- w3;
+  t.next_id <- id + 1;
+  id
 
 let on_schedule t ~category ~queued_at =
   match t.mode with
   | Disabled -> -1
   | Ring _ | Full ->
-    ignore (open_slot t ~kind:event ~category ~queued:(Time.to_us queued_at) ~fired:(-1));
-    t.next_id - 1
+    let queued = Time.to_us queued_at in
+    check_us queued;
+    open_slot t ~kind:event ~category ~queued (-1) 0
 
 let on_execute t id ~fired_at =
   if id >= 0 then begin
-    if retained t id then t.fired.(id land t.mask) <- Time.to_us fired_at;
+    if retained t id then t.slots.(((id land t.mask) lsl 2) + 2) <- Time.to_us fired_at;
     (* Even an evicted span remains the causal parent of whatever its
        action schedules: children record the id regardless. *)
     t.current <- id
@@ -194,34 +286,51 @@ let current t = t.current
 
 let clear_current t = t.current <- -1
 
-let string_marker_span t ~category ~node ~label ~at =
+let push_label t label =
+  let n = t.next_label in
+  let len = Array.length t.labels in
+  if n = len && n < t.max_slots then begin
+    let b = Array.make (if len = 0 then Stdlib.min 16 t.max_slots else 2 * len) "" in
+    Array.blit t.labels 0 b 0 len;
+    t.labels <- b
+  end;
+  t.labels.(n land (Array.length t.labels - 1)) <- label;
+  t.next_label <- n + 1;
+  n
+
+(* A marker with a string label: a label costs one cell of the side ring,
+   and [""] costs none. *)
+let label_marker_span t ~category ~node ~label ~at =
   let us = Time.to_us at in
-  let s = open_slot t ~kind:string_marker ~category ~queued:us ~fired:us in
-  t.nodes.(s) <- node;
-  t.labels.(s) <- label
+  check_us us;
+  let category = category_index t category in
+  let node = node_index t node in
+  let l = if String.equal label "" then -1 else push_label t label in
+  open_slot t ~kind:label_marker ~category ~queued:us l (node lsl 8)
 
 let annotate t ~category ?(node = "") ?(label = "") ~at () =
   match t.mode with
   | Disabled -> ()
-  | Ring _ | Full -> string_marker_span t ~category ~node ~label ~at
+  | Ring _ | Full -> ignore (label_marker_span t ~category ~node ~label ~at)
 
 let mark t ~category ~node ~render arg ~at =
   match t.mode with
   | Disabled -> ()
   | Ring _ | Full ->
     let us = Time.to_us at in
-    let s = open_slot t ~kind:render_marker ~category ~queued:us ~fired:us in
-    t.nodes.(s) <- node;
-    t.renders.(s) <- render;
-    t.args.(s) <- arg
+    check_us us;
+    if node < 0 || node >= t.nnodes then invalid_arg "Causal.mark: node was not interned";
+    let category = category_index t category in
+    let r = render_index t render in
+    ignore (open_slot t ~kind:render_marker ~category ~queued:us arg ((node lsl 8) lor r))
 
 let with_span t ~category ?(node = "") ?(label = "") ~at f =
   match t.mode with
   | Disabled -> f ()
   | Ring _ | Full -> (
-    string_marker_span t ~category ~node ~label ~at;
+    let id = label_marker_span t ~category ~node ~label ~at in
     let saved = t.current in
-    t.current <- t.next_id - 1;
+    t.current <- id;
     match f () with
     | v ->
       t.current <- saved;
@@ -330,12 +439,15 @@ let convergence_leaf ?label t =
   let first = t.next_id - stored t in
   let rec scan i =
     if i < first then None
-    else if not (is_dataplane_write t.categories.(i land t.mask)) then scan (i - 1)
     else
-      let s = span_of t i in
-      match label with
-      | Some l when not (String.equal s.label l) -> scan (i - 1)
-      | Some _ | None -> Some s
+      let w1 = t.slots.(((i land t.mask) lsl 2) + 1) in
+      if not (is_dataplane_write t.categories.((w1 lsr 2) land (max_categories - 1))) then
+        scan (i - 1)
+      else
+        let s = span_of t i in
+        match label with
+        | Some l when not (String.equal s.label l) -> scan (i - 1)
+        | Some _ | None -> Some s
   in
   scan (t.next_id - 1)
 

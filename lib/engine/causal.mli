@@ -36,8 +36,8 @@ type span = {
   closed : bool;  (** false while queued (or cancelled forever) *)
 }
 (** A snapshot of one stored span, built by the readers below.  The store
-    itself keeps spans in slot arrays and renders a label only when a
-    span is read. *)
+    itself keeps four ints per span (see {!max_us}) and renders a label
+    only when a span is read. *)
 
 type t
 
@@ -66,17 +66,37 @@ val find : t -> int -> span option
 val find_last : t -> (span -> bool) -> span option
 (** The newest retained span satisfying the predicate. *)
 
+val max_us : int
+(** The latest instant a span can record, in microseconds: [2^50 - 1]
+    (about 35.7 years of simulated time).  A span stores its queue
+    instant in 50 bits beside its category and kind; recording a span
+    queued before 0 or after [max_us] raises [Invalid_argument]. *)
+
+(** {1 Interning}
+
+    A span stores its category, node and renderer as small ints.  A
+    component resolves its names once, when it is built, and records
+    with the ints.  A disabled store interns nothing and returns [0]. *)
+
+val intern_category : t -> string -> int
+(** The category's index, for {!on_schedule}.
+    @raise Invalid_argument past 1,024 distinct categories. *)
+
+val intern_node : t -> string -> int
+(** The node's index, for {!mark}; [""] is [0]. *)
+
 (** {1 Scheduler hooks}
 
     Called by {!Sim}; exposed so other schedulers can participate.
     Like the instrumentation calls below, they allocate nothing once a
     [Ring n] store holds [n] spans; until then, and in [Full] mode, the
-    slot arrays occasionally double. *)
+    span array occasionally doubles. *)
 
-val on_schedule : t -> category:string -> queued_at:Time.t -> int
-(** Open a span for a freshly scheduled event, parented under the span
-    currently executing ([-1] at top level).  Returns the span id, or
-    [-1] when disabled. *)
+val on_schedule : t -> category:int -> queued_at:Time.t -> int
+(** Open a span for a freshly scheduled event of an interned category
+    ({!intern_category}), parented under the span currently executing
+    ([-1] at top level).  Returns the span id, or [-1] when disabled.
+    @raise Invalid_argument if [queued_at] is past {!max_us}. *)
 
 val on_execute : t -> int -> fired_at:Time.t -> unit
 (** Close the event's span and make it the current parent for anything
@@ -90,13 +110,19 @@ val clear_current : t -> unit
 
 val annotate : t -> category:string -> ?node:string -> ?label:string -> at:Time.t -> unit -> unit
 (** Record a zero-length marker span (e.g. a FIB or flow-table write) as a
-    child of the current span. *)
+    child of the current span.  Off the hot path: the node is looked up
+    by name, and a non-empty label takes a cell of a side ring that the
+    first label allocates. *)
 
-val mark : t -> category:string -> node:string -> render:(int -> string) -> int -> at:Time.t -> unit
-(** [mark t ~category ~node ~render arg ~at] is {!annotate} with the label
-    [render arg], rendered only when the span is read — the hot-path
-    marker: [node] should be a prebuilt string, [render] a static
-    function and [arg] an immediate (an ASN, a packed prefix, a node id). *)
+val mark : t -> category:string -> node:int -> render:(int -> string) -> int -> at:Time.t -> unit
+(** [mark t ~category ~node ~render arg ~at] is {!annotate} with the node
+    [node] (an {!intern_node} index) and the label [render arg], rendered
+    only when the span is read — the hot-path marker: [category] should
+    be a string literal and [render] a static function, each interned by
+    physical equality (a store holds at most 256 renderers), and [arg]
+    an immediate (an ASN, a packed prefix, a node id).
+    @raise Invalid_argument if [node] was not interned or [at] is past
+    {!max_us}. *)
 
 val with_span :
   t -> category:string -> ?node:string -> ?label:string -> at:Time.t -> (unit -> 'a) -> 'a

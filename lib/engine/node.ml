@@ -22,6 +22,7 @@ type lifecycle = Created | Up | Down
 type t = {
   sim : Sim.t;
   name : string;
+  trace : int; (* [name]'s index in the causal store *)
   kind : string;
   mutable lifecycle : lifecycle;
   mutable epoch : int;
@@ -37,6 +38,7 @@ let create ?(kind = "node") sim ~name =
   {
     sim;
     name;
+    trace = Sim.trace_node sim name;
     kind;
     lifecycle = Created;
     epoch = 0;
@@ -48,6 +50,7 @@ let create ?(kind = "node") sim ~name =
 
 let sim t = t.sim
 let name t = t.name
+let trace_node t = t.trace
 let is_up t = t.lifecycle = Up
 let epoch t = t.epoch
 let crashes t = t.crashes
@@ -113,7 +116,7 @@ let deliver p ~from msg =
   let t = p.node in
   if not (is_up t) then false
   else begin
-    Sim.mark t.sim ~category:"node.deliver" ~node:t.name ~render:string_of_int from;
+    Sim.mark t.sim ~category:"node.deliver" ~node:t.trace ~render:string_of_int from;
     p.handler ~from msg;
     true
   end

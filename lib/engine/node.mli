@@ -29,6 +29,10 @@ val sim : t -> Sim.t
 
 val name : t -> string
 
+val trace_node : t -> int
+(** [name]'s causal-store index ({!Sim.trace_node}), resolved at
+    {!create}: the [~node] of the component's {!Sim.mark} calls. *)
+
 val is_up : t -> bool
 
 val epoch : t -> int

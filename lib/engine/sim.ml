@@ -17,6 +17,7 @@ type prof_cell = { mutable p_events : int; mutable p_seconds : float }
    [schedule_at] so executing an event touches no string-keyed table. *)
 type cat = {
   c_name : string;
+  c_trace : int; (* the category's index in the causal store *)
   c_scheduled : Metrics.Counter.t;
   mutable c_executed : Metrics.Counter.t option; (* registered at first execution *)
   mutable c_prof : prof_cell option; (* created at first profiled execution *)
@@ -54,6 +55,7 @@ type t = {
 let dummy_cat =
   {
     c_name = "";
+    c_trace = 0;
     c_scheduled = Metrics.counter (Metrics.create ()) "unused";
     c_executed = None;
     c_prof = None;
@@ -100,6 +102,8 @@ let annotate t ~category ?node ?label () =
 
 let mark t ~category ~node ~render arg = Causal.mark t.causal ~category ~node ~render arg ~at:t.now
 
+let trace_node t name = Causal.intern_node t.causal name
+
 let with_span t ~category ?node ?label f =
   Causal.with_span t.causal ~category ?node ?label ~at:t.now f
 
@@ -127,6 +131,7 @@ let new_cat t name =
   let c =
     {
       c_name = name;
+      c_trace = Causal.intern_category t.causal name;
       c_scheduled =
         Metrics.counter t.metrics ~labels:[ ("category", name) ] "sim_events_scheduled_total";
       c_executed = None;
@@ -142,19 +147,20 @@ let new_cat t name =
   t.ncats <- t.ncats + 1;
   c
 
-let resolve_cat t name =
-  let rec by_value i =
-    if i = t.ncats then new_cat t name
-    else if String.equal t.cats.(i).c_name name then t.cats.(i)
-    else by_value (i + 1)
-  in
-  let rec by_address i =
-    if i = t.ncats then by_value 0
-    else
-      let c = Array.unsafe_get t.cats i in
-      if c.c_name == name then c else by_address (i + 1)
-  in
-  by_address 0
+(* Top-level, not local closures over [t] and [name], so resolving a
+   category allocates nothing. *)
+let rec cat_by_value t name i =
+  if i = t.ncats then new_cat t name
+  else if String.equal t.cats.(i).c_name name then t.cats.(i)
+  else cat_by_value t name (i + 1)
+
+let rec cat_by_address t name i =
+  if i = t.ncats then cat_by_value t name 0
+  else
+    let c = Array.unsafe_get t.cats i in
+    if c.c_name == name then c else cat_by_address t name (i + 1)
+
+let resolve_cat t name = cat_by_address t name 0
 
 (* The event queue: a binary min-heap on (at_us, seq) specialized to
    events, so ordering two events is two int comparisons. *)
@@ -213,7 +219,7 @@ let schedule_at ?(category = "event") t fire_at action =
     invalid_arg
       (Fmt.str "Sim.schedule_at: %a is in the past (now %a)" Time.pp fire_at Time.pp t.now);
   let cat = resolve_cat t category in
-  let span = Causal.on_schedule t.causal ~category ~queued_at:t.now in
+  let span = Causal.on_schedule t.causal ~category:cat.c_trace ~queued_at:t.now in
   let ev =
     { at_us = Time.to_us fire_at; seq = t.next_seq; cat; span; cancelled = false; action }
   in

@@ -35,10 +35,15 @@ val annotate : t -> category:string -> ?node:string -> ?label:string -> unit -> 
     simulated time, as a child of the currently executing event's span.
     No-op when tracing is disabled. *)
 
-val mark : t -> category:string -> node:string -> render:(int -> string) -> int -> unit
-(** {!annotate} for hot paths: the label is [render arg], rendered only
-    when the span is read (see {!Causal.mark}).  Allocation-free in every
-    mode. *)
+val mark : t -> category:string -> node:int -> render:(int -> string) -> int -> unit
+(** {!annotate} for hot paths: [node] is a {!trace_node} index and the
+    label is [render arg], rendered only when the span is read (see
+    {!Causal.mark}).  Allocation-free in every mode. *)
+
+val trace_node : t -> string -> int
+(** The causal store's index for a node name ({!Causal.intern_node}):
+    a component resolves it once, when it is built, and passes it to
+    every {!mark}. *)
 
 val with_span :
   t -> category:string -> ?node:string -> ?label:string -> (unit -> 'a) -> 'a

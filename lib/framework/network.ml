@@ -219,10 +219,10 @@ let create ?(config = Config.default) ~seed spec =
      a best change is where its forwarding changes: the causal trace marks
      it there. *)
   Net.Asn.Map.iter
-    (fun asn router ->
-      let name = Net.Asn.to_string asn in
+    (fun _ router ->
+      let node = Engine.Node.trace_node (Bgp.Router.node router) in
       Bgp.Router.subscribe_best_change router (fun prefix _ ->
-          Engine.Sim.mark sim ~category:"fib.write" ~node:name
+          Engine.Sim.mark sim ~category:"fib.write" ~node
             ~render:Net.Ipv4.packed_prefix_to_string (Net.Ipv4.prefix_to_packed prefix)))
     routers;
   (* The record is needed by the switch/controller closures below; build

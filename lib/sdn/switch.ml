@@ -34,7 +34,7 @@ type t = {
   sim : Engine.Sim.t;
   node : Engine.Node.t;
   asn : Net.Asn.t;
-  asn_name : string; (* the node of this switch's causal markers *)
+  asn_trace : int; (* the causal-store node of this switch's markers: its AS *)
   node_id : int;
   table : Flow_table.t;
   liveness : liveness option;
@@ -143,7 +143,7 @@ let create ?liveness ?(fallback_port = fun () -> None) ?(on_relay_drop = fun () 
     sim;
     node;
     asn;
-    asn_name = Net.Asn.to_string asn;
+    asn_trace = Engine.Sim.trace_node sim (Net.Asn.to_string asn);
     node_id;
     table =
       Flow_table.create ~metrics:(Engine.Sim.metrics sim)
@@ -239,7 +239,7 @@ let handle_control t msg =
         (match command with
         | Openflow.Add -> "flow.install"
         | Openflow.Delete -> "flow.remove")
-      ~node:t.asn_name ~render:Net.Ipv4.packed_prefix_to_string
+      ~node:t.asn_trace ~render:Net.Ipv4.packed_prefix_to_string
       (Net.Ipv4.prefix_to_packed rule.Flow.match_prefix);
     match command with
     | Openflow.Add ->

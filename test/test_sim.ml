@@ -121,6 +121,33 @@ let test_timer_cancel () =
   ignore (Sim.run sim);
   Alcotest.(check int) "cancelled" 0 !fires
 
+(* Scheduling allocation fence: a schedule plus its execution allocates
+   the event record (7 words) and nothing else — no closure to resolve
+   the category (two per event cost 11 words more), no causal-store
+   word once a ring has wrapped. *)
+let noop () = ()
+
+let words_per_event sim n =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sim.schedule_after ~category:"tick" sim (Time.us 1) noop);
+    ignore (Sim.step sim)
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_schedule_allocation_fence () =
+  List.iter
+    (fun (name, causal, warmup) ->
+      let sim = Sim.create ~causal () in
+      ignore (words_per_event sim warmup);
+      let words = words_per_event sim 1_000 in
+      if Causal.enabled (Sim.causal sim) && Causal.total (Sim.causal sim) <= 4096 then
+        Alcotest.failf "%s: the ring has not wrapped" name;
+      if words > 7.5 then
+        Alcotest.failf "%s: %.2f minor words per scheduled and executed event (bound 7.5)" name
+          words)
+    [ ("Disabled", Causal.Disabled, 10); ("Ring 4096, wrapped", Causal.Ring 4096, 5_000) ]
+
 let suite =
   [
     Alcotest.test_case "FIFO at same instant" `Quick test_fifo_same_instant;
@@ -134,4 +161,5 @@ let suite =
     Alcotest.test_case "timer restart" `Quick test_timer_restart_replaces;
     Alcotest.test_case "timer start_if_idle" `Quick test_timer_start_if_idle_coalesces;
     Alcotest.test_case "timer cancel" `Quick test_timer_cancel;
+    Alcotest.test_case "schedule allocation fence" `Quick test_schedule_allocation_fence;
   ]
