@@ -10,35 +10,31 @@
    6. lower neighbor ASN (stands in for the lowest-router-id tiebreak)
 
    The order is total and deterministic, so route selection — and hence the
-   whole emulation — is reproducible. *)
+   whole emulation — is reproducible.  A route is its attrs: steps 2 and 6
+   read its AS path (empty for a local route, headed by the neighbor for a
+   learned one) without building a [Route.source]. *)
 
-let source_rank r = match Route.source r with Route.Local -> 0 | Route.Ebgp _ -> 1
-
-let neighbor_key r =
-  match Route.source r with
-  | Route.Local -> -1
-  | Route.Ebgp p -> Net.Asn.to_int p
+let source_rank r = if Route.is_local r then 0 else 1
 
 (* Straight-line comparisons: this is the single hottest comparator in the
    emulation (every decision-process run calls it per candidate pair), so
    it must not allocate — no closure lists, each step evaluated only when
    the previous ones tie. *)
 let compare (a : Route.t) (b : Route.t) =
-  let aa = Route.attrs a and ba = Route.attrs b in
-  let c = Int.compare ba.Attrs.local_pref aa.Attrs.local_pref in
+  let c = Int.compare b.Attrs.local_pref a.Attrs.local_pref in
   if c <> 0 then c
   else
     let c = Int.compare (source_rank a) (source_rank b) in
     if c <> 0 then c
     else
-      let c = Int.compare (Attrs.path_length aa) (Attrs.path_length ba) in
+      let c = Int.compare (Attrs.path_length a) (Attrs.path_length b) in
       if c <> 0 then c
       else
-        let c = Int.compare (Attrs.origin_rank aa.Attrs.origin) (Attrs.origin_rank ba.Attrs.origin) in
+        let c = Int.compare (Attrs.origin_rank a.Attrs.origin) (Attrs.origin_rank b.Attrs.origin) in
         if c <> 0 then c
         else
-          let c = Int.compare aa.Attrs.med ba.Attrs.med in
-          if c <> 0 then c else Int.compare (neighbor_key a) (neighbor_key b)
+          let c = Int.compare a.Attrs.med b.Attrs.med in
+          if c <> 0 then c else Int.compare (Route.neighbor a) (Route.neighbor b)
 
 let better a b = compare a b < 0
 

@@ -1,13 +1,18 @@
 (* Routing information base: the Adj-RIB-In and the Loc-RIB in one table.
 
-   Per prefix, one array: cell 0 holds the selected best ([none] when the
-   prefix has none) and cells 1.. the peers' routes as received
+   Per prefix, one [Attrs.t array]: a route is its interned attrs, so a
+   cell points straight at the canonical value and a stored route costs
+   its cell alone.  Cell 0 holds the selected best ([Attrs.vacant] when
+   the prefix has none) and cells 1.. the peers' routes as received
    (post-import-policy), in ascending peer order, each route's peer read
-   from its [Route.source].  The best is always one of the learned routes
-   or the router's local route, so the Loc-RIB costs one cell per prefix
-   instead of a table of its own, and a decision probes the table once:
-   it walks the learned cells in place and writes its winner into cell 0.
-   An entry lives while it holds a learned route or a best.
+   from the head of its AS path ([Route.neighbor]).  The best is always
+   one of the learned routes or the router's local route, so the Loc-RIB
+   costs one cell per prefix instead of a table of its own, and a
+   decision probes the table once: it walks the learned cells in place
+   and writes its winner into cell 0.  Interning makes equal wire content
+   with equal local-pref one value, so a decision that picks the same
+   route back is told by [==].  An entry lives while it holds a learned
+   route or a best.
 
    A peer's Adj-RIB-Out is not stored: once its queued changes (see
    [Mrai]) are sent, it is what the export policy gives for the Loc-RIB
@@ -40,9 +45,8 @@ type t = {
   mutable bests : int;
 }
 
-(* Cell 0 of a prefix without a best: a physically unique route that no
-   caller can hold. *)
-let none = Route.make ~attrs:Attrs.vacant ~source:Route.Local
+(* Cell 0 of a prefix without a best: a value no router can store. *)
+let none = Attrs.vacant
 
 let create () = { by_prefix = Tbl.create (); order = [||]; learned = 0; bests = 0 }
 
@@ -62,10 +66,7 @@ let entry t prefix =
   | s -> Tbl.value t.by_prefix s
 
 module Adj_in = struct
-  let peer_of (route : Route.t) =
-    match route.Route.source with
-    | Route.Ebgp peer -> Net.Asn.to_int peer
-    | Route.Local -> invalid_arg "Rib.Adj_in: a local route has no peer"
+  let peer_of = Route.neighbor
 
   (* The index of [peer]'s route in [arr], or where it would go. *)
   let rec position arr peer i =
@@ -76,6 +77,7 @@ module Adj_in = struct
   let set t prefix (route : Route.t) =
     let key = Net.Ipv4.prefix_to_packed prefix in
     let peer = peer_of route in
+    if peer < 0 then invalid_arg "Rib.Adj_in: a local route has no peer";
     match Tbl.slot t.by_prefix key with
     | -1 ->
       ignore (Tbl.add t.by_prefix key [| none; route |]);
@@ -155,16 +157,6 @@ module Loc = struct
     | [||] -> None
     | arr -> if arr.(0) == none then None else Some arr.(0)
 
-  (* Same source, wire-equal attrs and the same local-pref: replacing one
-     with the other changes nothing a subscriber or a peer could see. *)
-  let same_best (a : Route.t) (b : Route.t) =
-    (match (a.Route.source, b.Route.source) with
-    | Route.Local, Route.Local -> true
-    | Route.Ebgp p, Route.Ebgp q -> Net.Asn.equal p q
-    | Route.Local, Route.Ebgp _ | Route.Ebgp _, Route.Local -> false)
-    && Attrs.wire_equal a.Route.attrs b.Route.attrs
-    && a.Route.attrs.Attrs.local_pref = b.Route.attrs.Attrs.local_pref
-
   type change = Kept | Changed of { old : Route.t option; best : Route.t option }
 
   (* The index of the most preferred route in [arr.(i..)] and [arr.(best)]
@@ -214,7 +206,7 @@ module Loc = struct
         t.bests <- t.bests + 1;
         Changed { old = None; best = Some best }
       end
-      else if same_best old best then Kept
+      else if old == best then Kept
       else begin
         arr.(0) <- best;
         Changed { old = Some old; best = Some best }

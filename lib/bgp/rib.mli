@@ -1,7 +1,8 @@
 (** A router's routing information base: per prefix, one array whose
     cell 0 is the Loc-RIB best and whose later cells are the Adj-RIB-In,
-    one route per peer.  A peer's Adj-RIB-Out is derived from the
-    Loc-RIB and its {!Mrai.t}'s queued changes. *)
+    one route per peer.  A cell holds the route's interned attrs
+    ({!Route.t} is {!Attrs.t}).  A peer's Adj-RIB-Out is derived from
+    the Loc-RIB and its {!Mrai.t}'s queued changes. *)
 
 type t
 
@@ -13,9 +14,10 @@ val clear : t -> unit
 module Adj_in : sig
   val set : t -> Net.Ipv4.prefix -> Route.t -> unit
   (** Insert or implicitly replace the route's peer's route for the
-      prefix; the peer is the route's [Ebgp] source.  The prefix's best
-      is left as it was until the next {!Loc.decide}.
-      @raise Invalid_argument for a [Local] route. *)
+      prefix; the peer is the head of the route's AS path
+      ({!Route.neighbor}).  The prefix's best is left as it was until the
+      next {!Loc.decide}.
+      @raise Invalid_argument for a local route (an empty path). *)
 
   val remove : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> bool
   (** [true] when the peer had a route for the prefix. *)
@@ -51,9 +53,10 @@ module Loc : sig
   val decide : t -> Net.Ipv4.prefix -> local:Route.t option -> change
   (** Rerun the decision process for the prefix over its learned routes
       and the local route, if any, in one probe of the table: the most
-      preferred under {!Decision.compare} becomes the best, unless the
-      current best has the same source, wire-equal attrs and the same
-      local-pref ([Kept]).  With no candidate the best is removed. *)
+      preferred under {!Decision.compare} becomes the best, unless it is
+      the current best ([Kept]: interning makes a route with the same
+      path, wire attrs and local-pref the same value).  With no
+      candidate the best is removed. *)
 
   val entries : t -> (Net.Ipv4.prefix * Route.t) list
 

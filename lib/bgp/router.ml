@@ -8,7 +8,8 @@
    - the standard decision process (Decision.compare);
    - per-peer MRAI with Quagga-style jitter — the pacing that produces the
      classic path-exploration rounds on withdrawal;
-   - AS-path loop rejection on import and suppression on export;
+   - AS-path loop rejection on import and suppression on export, and the
+     first-AS check on import (a route's neighbor is its path's head);
    - serialized update processing: a single-threaded bgpd works through
      its input queue, so each update's processing delay pushes a
      [busy_until] watermark and later updates queue behind it. *)
@@ -41,9 +42,11 @@ type series = {
   adj_gauge : Engine.Metrics.Gauge.t;
 }
 
+(* A route learned from the peer is the imported attrs alone: the
+   peer's ASN heads its path, so the peer record holds no per-route
+   source value. *)
 type peer = {
   peer_asn : Net.Asn.t;
-  source : Route.source; (* [Ebgp peer_asn], shared by every route learned from the peer *)
   peer_node : int; (* also the peer's session key *)
   policy : Policy.t;
   session : Session.t;
@@ -115,18 +118,18 @@ let peers t =
   if t.added <> [] then merge_added t;
   t.peers
 
-(* The index of the first peer in [peers.(lo..hi-1)] whose ASN is not
-   below [asn], or [hi]. *)
+(* The index of the first peer in [peers.(lo..hi-1)] whose ASN
+   ({!Net.Asn.to_int}) is not below [asn], or [hi]. *)
 let rec search peers asn lo hi =
   if lo = hi then lo
   else
     let mid = (lo + hi) / 2 in
-    if Net.Asn.compare peers.(mid).peer_asn asn < 0 then search peers asn (mid + 1) hi
+    if Net.Asn.to_int peers.(mid).peer_asn < asn then search peers asn (mid + 1) hi
     else search peers asn lo mid
 
 let find_peer t peer_asn =
   let peers = peers t in
-  let i = search peers peer_asn 0 (Array.length peers) in
+  let i = search peers (Net.Asn.to_int peer_asn) 0 (Array.length peers) in
   if i < Array.length peers && Net.Asn.equal peers.(i).peer_asn peer_asn then Some peers.(i)
   else None
 
@@ -207,23 +210,21 @@ let iter_best t f = Rib.Loc.iter t.rib f
 
 (* The provenance of a route, as one of [Policy]'s shared values. *)
 let provenance t (route : Route.t) =
-  match route.Route.source with
-  | Route.Local -> Policy.Originated
-  | Route.Ebgp q ->
+  match Route.neighbor route with
+  | -1 -> Policy.Originated
+  | q ->
     let peers = peers t in
     let i = search peers q 0 (Array.length peers) in
     Policy.learned_from
-      (if i < Array.length peers && Net.Asn.equal peers.(i).peer_asn q then
+      (if i < Array.length peers && Net.Asn.to_int peers.(i).peer_asn = q then
          peers.(i).policy
        else Policy.Unrestricted)
 
-(* Whether [peer] may be told of [route]: not its own route back, no loop
-   in its path, and its export policy agrees. *)
+(* Whether [peer] may be told of [route]: not its own route back (whose
+   path starts with the peer's ASN), no loop in its path, and its export
+   policy agrees. *)
 let may_export peer (route : Route.t) provenance =
-  (match route.Route.source with
-  | Route.Ebgp q -> not (Net.Asn.equal q peer.peer_asn)
-  | Route.Local -> true)
-  && (not (Attrs.path_contains route.Route.attrs peer.peer_asn))
+  (not (Attrs.path_contains route peer.peer_asn))
   && Policy.export_allowed ~to_rel:peer.policy ~provenance
 
 let exported t attrs = Attrs.exported attrs ~asn:t.asn ~next_hop:t.router_id
@@ -252,15 +253,15 @@ let export_all_peers t prefix old best =
         Mrai.withdraw peer.mrai prefix
     done
   | Some route ->
-    let provenance = provenance t route and own = route.Route.attrs in
-    let same = match old with Some o -> Attrs.export_equal o.Route.attrs own | None -> false in
-    let plain = ref own in
+    let provenance = provenance t route in
+    let same = match old with Some o -> Attrs.export_equal o route | None -> false in
+    let plain = ref route in
     for i = 0 to Array.length peers - 1 do
       let peer = peers.(i) in
       if Session.is_established peer.session then
         if may_export peer route provenance then begin
           if not (same && exports peer old old_prov) then begin
-            if !plain == own then plain := exported t own;
+            if !plain == route then plain := exported t route;
             Mrai.announce peer.mrai prefix !plain
           end
         end
@@ -288,9 +289,9 @@ let run_decisions t prefixes = List.iter (run_decision t) prefixes
 
 (* --- Origination ------------------------------------------------------ *)
 
+(* A local route is the one route with an empty path. *)
 let originate t prefix =
-  let route = Route.make ~attrs:(Attrs.make ~next_hop:t.router_id ()) ~source:Route.Local in
-  Tbl.set prefix route t.originated;
+  Tbl.set prefix (Attrs.make ~next_hop:t.router_id ()) t.originated;
   with_batch t run_decision prefix
 
 let withdraw_origin t prefix =
@@ -308,7 +309,7 @@ let sync_peer t peer =
   List.iter
     (fun (prefix, route) ->
       if may_export peer route (provenance t route) then
-        Mrai.announce peer.mrai prefix (exported t route.Route.attrs))
+        Mrai.announce peer.mrai prefix (exported t route))
     (Rib.Loc.entries t.rib)
 
 let session_down t peer_asn =
@@ -380,16 +381,7 @@ let add_peer t ~peer_asn ~peer_node ~policy =
       ~send:send_update
   in
   let peer =
-    {
-      peer_asn;
-      source = Route.Ebgp peer_asn;
-      peer_node;
-      policy;
-      session;
-      retry_attempt = 0;
-      mrai;
-      state_gauge = None;
-    }
+    { peer_asn; peer_node; policy; session; retry_attempt = 0; mrai; state_gauge = None }
   in
   t.added <- peer :: t.added
 
@@ -444,19 +436,19 @@ let rec apply_withdrawn t peer s = function
     if Rib.Adj_in.remove t.rib ~peer:peer.peer_asn prefix then mark s prefix;
     apply_withdrawn t peer s rest
 
+(* The imported attrs are the stored route.  A path that does not start
+   with the sender's ASN (empty included) fails RFC 4271 §6.3's first-AS
+   check and one that holds our own ASN is a loop: either is treated as a
+   withdraw (RFC 7606), which drops the peer's previous route, if any. *)
 let rec apply_announced t peer s = function
   | [] -> ()
   | (prefix, attrs) :: rest ->
-    if not (Attrs.path_contains attrs t.asn) then begin
-      let attrs = Policy.import peer.policy attrs in
-      Rib.Adj_in.set t.rib prefix (Route.make ~attrs ~source:peer.source);
+    if Route.neighbor attrs = Net.Asn.to_int peer.peer_asn && not (Attrs.path_contains attrs t.asn)
+    then begin
+      Rib.Adj_in.set t.rib prefix (Policy.import peer.policy attrs);
       mark s prefix
     end
-    else if
-      (* An AS-path loop rejection implicitly withdraws any previous
-         route. *)
-      Rib.Adj_in.remove t.rib ~peer:peer.peer_asn prefix
-    then mark s prefix;
+    else if Rib.Adj_in.remove t.rib ~peer:peer.peer_asn prefix then mark s prefix;
     apply_announced t peer s rest
 
 let apply_update t (peer, (u : Message.update)) =
@@ -667,7 +659,7 @@ let adj_out_find t ~peer prefix =
   | Some p when Session.is_established p.session ->
     let sent =
       match best t prefix with
-      | Some r when may_export p r (provenance t r) -> Some (exported t r.Route.attrs)
+      | Some r when may_export p r (provenance t r) -> Some (exported t r)
       | Some _ | None -> None
     in
     Mrai.view p.mrai prefix ~sent

@@ -21,7 +21,7 @@ let router_rib router =
           (* alternates, best first *)
           let alternates =
             List.filter
-              (fun r -> Bgp.Route.source r <> Bgp.Route.source route)
+              (fun r -> Bgp.Route.neighbor r <> Bgp.Route.neighbor route)
               (Bgp.Router.candidates router prefix)
           in
           List.iter

@@ -618,8 +618,8 @@ let rec learned_next router addr len =
   if len < 0 then None
   else
     match Bgp.Router.best router (Net.Ipv4.prefix addr len) with
-    | Some { Bgp.Route.source = Bgp.Route.Ebgp peer; _ } -> Some (Net.Asn.to_int peer)
-    | Some { Bgp.Route.source = Bgp.Route.Local; _ } | None -> learned_next router addr (len - 1)
+    | Some best when not (Bgp.Route.is_local best) -> Some (Bgp.Route.neighbor best)
+    | Some _ | None -> learned_next router addr (len - 1)
 
 (* Every AS forwards by one longest-prefix match: an SDN member over its
    flow table, a legacy router over its learned bests. *)
@@ -662,9 +662,8 @@ let dataplane_snapshot t =
           (fun router ->
             Net.Dataplane.set_entries dp i ~max:(Bgp.Router.loc_size router) (fun add ->
                 Bgp.Router.iter_best router (fun packed best ->
-                    match best.Bgp.Route.source with
-                    | Bgp.Route.Ebgp peer -> add packed (code_of_node (Net.Asn.to_int peer))
-                    | Bgp.Route.Local -> ())))
+                    if not (Bgp.Route.is_local best) then
+                      add packed (code_of_node (Bgp.Route.neighbor best)))))
           (Net.Asn.Map.find_opt asn t.routers))
     as_list;
   Net.Netsim.iter_links t.net (fun link ->

@@ -100,9 +100,14 @@ let originate t ~next_hop prefix =
   t.originated <- Pm.add prefix (Bgp.Attrs.make ~as_path:[] ~next_hop ()) t.originated;
   run_decision t prefix
 
+(* An import rejects a path that does not start with the peer's ASN (the
+   first-AS check) or that holds our own (a loop). *)
 let process_update t ~peer ~policy (u : Bgp.Message.update) =
   let import attrs =
-    if Bgp.Attrs.path_contains attrs t.asn then None else Some (Bgp.Policy.import policy attrs)
+    match Bgp.Attrs.as_path attrs with
+    | first :: _ when Net.Asn.equal first peer && not (Bgp.Attrs.path_contains attrs t.asn) ->
+      Some (Bgp.Policy.import policy attrs)
+    | _ -> None
   in
   let affected = ref [] in
   List.iter

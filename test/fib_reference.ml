@@ -17,10 +17,9 @@ let attach network : t =
     (fun router ->
       let fib = Net.Fib.create () in
       Bgp.Router.subscribe_best_change router (fun prefix best ->
-          match best with
-          | Some { Bgp.Route.source = Bgp.Route.Ebgp peer; _ } ->
-            Net.Fib.insert fib prefix (Net.Asn.to_int peer)
-          | Some { Bgp.Route.source = Bgp.Route.Local; _ } | None -> Net.Fib.remove fib prefix);
+          match Option.map Bgp.Route.source best with
+          | Some (Bgp.Route.Ebgp peer) -> Net.Fib.insert fib prefix (Net.Asn.to_int peer)
+          | Some Bgp.Route.Local | None -> Net.Fib.remove fib prefix);
       Engine.Node.on_crash (Bgp.Router.node router) (fun () -> Net.Fib.clear fib);
       fib)
     (Framework.Network.routers network)

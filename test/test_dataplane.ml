@@ -565,8 +565,8 @@ let check_legacy_forwarding net reference locals probes =
       let fib = Fib_reference.fib reference asn in
       let learned =
         List.filter_map
-          (fun (p, (r : Bgp.Route.t)) ->
-            match r.Bgp.Route.source with
+          (fun (p, r) ->
+            match Bgp.Route.source r with
             | Bgp.Route.Ebgp peer -> Some (p, Net.Asn.to_int peer)
             | Bgp.Route.Local -> None)
           (Bgp.Router.loc_entries router)

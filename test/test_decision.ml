@@ -4,14 +4,18 @@ let nh = Net.Ipv4.addr_of_octets 10 0 0 1
 
 let prefix = Option.get (Net.Ipv4.prefix_of_string "100.64.0.0/24")
 
-let route ?(local_pref = 100) ?(path = [ 65001 ]) ?(med = 0) ?(origin = Bgp.Attrs.Igp)
+(* The path is derived from the source: empty for [`Local], [n :: tail]
+   for [`Ebgp n] (a route's neighbor is its path's head). *)
+let route ?(local_pref = 100) ?(tail = []) ?(med = 0) ?(origin = Bgp.Attrs.Igp)
     ?(source = `Ebgp 65001) () =
+  let path, source =
+    match source with
+    | `Local -> ([], Bgp.Route.Local)
+    | `Ebgp n -> (n :: tail, Bgp.Route.Ebgp (Net.Asn.of_int n))
+  in
   let attrs =
     Bgp.Attrs.make ~as_path:(List.map Net.Asn.of_int path) ~local_pref ~med ~origin ~next_hop:nh
       ()
-  in
-  let source =
-    match source with `Local -> Bgp.Route.Local | `Ebgp n -> Bgp.Route.Ebgp (Net.Asn.of_int n)
   in
   Bgp.Route.make ~attrs ~source
 
@@ -21,17 +25,17 @@ let prefer a b msg =
 
 let test_local_pref_wins () =
   prefer
-    (route ~local_pref:130 ~path:[ 65001; 65002; 65003 ] ())
-    (route ~local_pref:100 ~path:[ 65004 ] ~source:(`Ebgp 65004) ())
+    (route ~local_pref:130 ~tail:[ 65002; 65003 ] ())
+    (route ~local_pref:100 ~source:(`Ebgp 65004) ())
     "higher local pref beats shorter path"
 
 let test_local_beats_learned () =
-  prefer (route ~source:`Local ~path:[] ()) (route ~path:[ 65001 ] ())
+  prefer (route ~source:`Local ()) (route ())
     "locally originated beats learned"
 
 let test_shorter_path () =
-  prefer (route ~path:[ 65002 ] ~source:(`Ebgp 65002) ())
-    (route ~path:[ 65001; 65003 ] ~source:(`Ebgp 65001) ())
+  prefer (route ~source:(`Ebgp 65002) ())
+    (route ~tail:[ 65003 ] ~source:(`Ebgp 65001) ())
     "shorter AS path wins"
 
 let test_origin () =
@@ -46,13 +50,13 @@ let test_med () =
 let test_neighbor_tiebreak () =
   prefer
     (route ~source:(`Ebgp 65001) ())
-    (route ~source:(`Ebgp 65002) ~path:[ 65002 ] ())
+    (route ~source:(`Ebgp 65002) ())
     "lower neighbor ASN breaks ties"
 
 let test_select () =
   let worst = route ~local_pref:90 () in
-  let best = route ~local_pref:130 ~source:(`Ebgp 65005) ~path:[ 65005 ] () in
-  let mid = route ~local_pref:110 ~source:(`Ebgp 65002) ~path:[ 65002 ] () in
+  let best = route ~local_pref:130 ~source:(`Ebgp 65005) () in
+  let mid = route ~local_pref:110 ~source:(`Ebgp 65002) () in
   (match Bgp.Decision.select [ worst; best; mid ] with
   | Some r -> Alcotest.(check int) "selects best" 130 (Bgp.Route.attrs r).Bgp.Attrs.local_pref
   | None -> Alcotest.fail "must select");
@@ -63,11 +67,13 @@ let arb_route =
     QCheck.Gen.(
       let* lp = int_range 90 130 in
       let* len = int_range 0 4 in
-      let* path = list_repeat len (int_range 65001 65008) in
+      let* tail = list_repeat (max 0 (len - 1)) (int_range 65001 65008) in
       let* med = int_range 0 3 in
       let* src = int_range 65001 65008 in
       let* origin = oneofl [ Bgp.Attrs.Igp; Bgp.Attrs.Egp; Bgp.Attrs.Incomplete ] in
-      return (route ~local_pref:lp ~path ~med ~origin ~source:(`Ebgp src) ()))
+      (* path length [len]: 0 is a local route, 1..4 one learned from [src] *)
+      let source = if len = 0 then `Local else `Ebgp src in
+      return (route ~local_pref:lp ~tail ~med ~origin ~source ()))
   in
   QCheck.make ~print:(fun r -> Fmt.str "%a" (Bgp.Route.pp ~prefix) r) gen
 

@@ -244,18 +244,21 @@ let reference_compare (a : Bgp.Route.t) (b : Bgp.Route.t) =
 
 let prefix = Option.get (Net.Ipv4.prefix_of_string "100.64.0.0/24")
 
-let route ~local_pref ~path ~med ~origin ~source =
-  let attrs =
-    Bgp.Attrs.make ~as_path:(List.map asn path) ~local_pref ~med ~origin ~next_hop:nh ()
+(* A route's path is derived from its source: empty for a local route,
+   headed by the neighbor for a learned one. *)
+let route ~local_pref ~tail ~med ~origin ~source =
+  let path =
+    match source with Bgp.Route.Local -> [] | Bgp.Route.Ebgp n -> n :: List.map asn tail
   in
+  let attrs = Bgp.Attrs.make ~as_path:path ~local_pref ~med ~origin ~next_hop:nh () in
   Bgp.Route.make ~attrs ~source
 
 let arb_route =
   let gen =
     QCheck.Gen.(
       let* lp = int_range 90 130 in
-      let* len = int_range 0 4 in
-      let* path = list_repeat len (int_range 65001 65008) in
+      let* len = int_range 0 3 in
+      let* tail = list_repeat len (int_range 65001 65008) in
       let* med = int_range 0 3 in
       let* origin = oneofl [ Bgp.Attrs.Igp; Bgp.Attrs.Egp; Bgp.Attrs.Incomplete ] in
       let* source =
@@ -263,7 +266,7 @@ let arb_route =
           [ (1, return Bgp.Route.Local);
             (7, map (fun n -> Bgp.Route.Ebgp (asn n)) (int_range 65001 65008)) ]
       in
-      return (route ~local_pref:lp ~path ~med ~origin ~source))
+      return (route ~local_pref:lp ~tail ~med ~origin ~source))
   in
   QCheck.make ~print:(fun r -> Fmt.str "%a" (Bgp.Route.pp ~prefix) r) gen
 

@@ -107,6 +107,37 @@ let test_loc () =
   Alcotest.(check int) "removed" 0 (Bgp.Rib.Loc.size rib);
   Alcotest.(check int) "no entries" 0 (List.length (Bgp.Rib.Loc.entries rib))
 
+(* The RIB's own words per stored route: 1,000 prefixes from 2 peers,
+   each route's attrs distinct and held in a list outside the RIB, so the
+   reading is the table, the per-prefix arrays and whatever a cell keeps
+   between itself and the attrs.  A route is its attrs: 3.61 words a
+   route here, where a 3-word [{ attrs; source }] record behind each cell
+   read 6.62.  The bound is 3.61 + 15%. *)
+let rib_words_per_route_bound = 4.15
+
+let test_footprint_fence () =
+  let rib = Bgp.Rib.create () and held = ref [] in
+  (* one source value per peer, so a layout that stores it counts it once *)
+  let sources = List.map (fun peer -> (peer, Bgp.Route.Ebgp (asn peer))) [ 65001; 65002 ] in
+  for i = 0 to 999 do
+    let pre = p (Fmt.str "100.%d.%d.0/24" (64 + (i / 256)) (i mod 256)) in
+    List.iter
+      (fun ((peer, source) : int * Bgp.Route.source) ->
+        let attrs = Bgp.Attrs.make ~as_path:[ asn peer ] ~med:i ~next_hop:nh () in
+        held := attrs :: !held;
+        Bgp.Rib.Adj_in.set rib pre (Bgp.Route.make ~attrs ~source))
+      sources
+  done;
+  let routes = Bgp.Rib.Adj_in.size rib in
+  Alcotest.(check int) "stored routes" 2000 routes;
+  let words =
+    Obj.reachable_words (Obj.repr (rib, !held)) - Obj.reachable_words (Obj.repr !held)
+  in
+  let per_route = float_of_int words /. float_of_int routes in
+  if per_route > rib_words_per_route_bound then
+    Alcotest.failf "%.2f RIB words per stored route, over %.2f" per_route
+      rib_words_per_route_bound
+
 (* A peer's Adj-RIB-Out is derived: its queued change, else the export
    of the Loc-RIB best; a session reset empties it. *)
 let test_adj_out () =
@@ -143,4 +174,5 @@ let suite =
     Alcotest.test_case "adj-in remove" `Quick test_adj_in_remove;
     Alcotest.test_case "loc-rib" `Quick test_loc;
     Alcotest.test_case "adj-out" `Quick test_adj_out;
+    Alcotest.test_case "footprint fence" `Quick test_footprint_fence;
   ]

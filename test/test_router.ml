@@ -429,7 +429,8 @@ let diff_peers =
   |]
 
 (* Attribute variants: three path lengths, an AS-path loop through us
-   (an import rejection), a MED and an ORIGIN difference. *)
+   and two paths that fail the first-AS check (import rejections), a MED
+   and an ORIGIN difference. *)
 let diff_attrs peer variant =
   let nh = Net.Ipv4.addr_of_octets 10 1 0 (peer mod 256) in
   let path tail = List.map asn (peer :: tail) in
@@ -439,7 +440,9 @@ let diff_attrs peer variant =
   | 2 -> Bgp.Attrs.make ~as_path:(path [ 65100; 65101 ]) ~next_hop:nh ()
   | 3 -> Bgp.Attrs.make ~as_path:(path [ diff_me ]) ~next_hop:nh ()
   | 4 -> Bgp.Attrs.make ~as_path:(path []) ~med:10 ~next_hop:nh ()
-  | _ -> Bgp.Attrs.make ~as_path:(path [ 65102 ]) ~origin:Bgp.Attrs.Incomplete ~next_hop:nh ()
+  | 5 -> Bgp.Attrs.make ~as_path:(path [ 65102 ]) ~origin:Bgp.Attrs.Incomplete ~next_hop:nh ()
+  | 6 -> Bgp.Attrs.make ~as_path:(List.map asn [ 65100; peer ]) ~next_hop:nh ()
+  | _ -> Bgp.Attrs.make ~as_path:[] ~next_hop:nh ()
 
 type diff_update = { from : int; withdrawn : int list; announced : (int * int) list }
 
@@ -456,7 +459,8 @@ let same_note (p1, b1) (p2, b2) =
   match (b1, b2) with
   | None, None -> true
   | Some (a : Bgp.Route.t), Some (b : Bgp.Route.t) ->
-    a.Bgp.Route.source = b.Bgp.Route.source && a.Bgp.Route.attrs == b.Bgp.Route.attrs
+    (* a route is its interned attrs, its source their path's head *)
+    a == b
   | Some _, None | None, Some _ -> false
 
 (* The router and the reference see the same UPDATEs, 2 s apart, on one
@@ -508,7 +512,7 @@ let arb_diff =
       (fun from withdrawn announced -> { from; withdrawn; announced })
       (int_bound (Array.length diff_peers - 1))
       (list_size (int_bound 4) prefix)
-      (list_size (int_bound 4) (pair prefix (int_bound 5)))
+      (list_size (int_bound 4) (pair prefix (int_bound 7)))
   in
   let print updates =
     Fmt.str "%a"
@@ -592,6 +596,80 @@ let test_mrai_queued_change () =
     (List.rev_map shown !told);
   Alcotest.(check int) "nothing left queued" 0 (Bgp.Router.queued_count r)
 
+(* RFC 4271 §6.3's first-AS check.  Router 65000 learns a prefix from
+   65001 and tells 65003; 2 s later 65001 sends the prefix again over
+   [bad_path].  Returns what the router then holds from 65001, its best
+   changes (instant in ms, best path) and its UPDATEs to 65003 (instant
+   in ms, announced paths, withdrawn count). *)
+let first_as_run bad_path =
+  let sim = Sim.create ~seed:5 () in
+  let told = ref [] and bests = ref [] in
+  let now_ms () = Time.to_us (Sim.now sim) / 1000 in
+  let send ~dst msg =
+    (match msg with
+    | Bgp.Message.Update u when dst = 3 ->
+      told :=
+        ( now_ms (),
+          List.map (fun (_, a) -> List.map Net.Asn.to_int (Bgp.Attrs.as_path a)) u.announced,
+          List.length u.withdrawn )
+        :: !told
+    | _ -> ());
+    true
+  in
+  let r =
+    Bgp.Router.create ~sim ~asn:(asn 65000) ~node_id:0
+      ~router_id:(Net.Ipv4.addr_of_octets 10 0 0 1) ~config:fast_config ~send ()
+  in
+  Bgp.Router.subscribe_best_change r (fun _ best ->
+      bests := (now_ms (), Option.map path_of best) :: !bests);
+  let nh = Net.Ipv4.addr_of_octets 10 0 1 1 in
+  List.iter
+    (fun n ->
+      Bgp.Router.add_peer r ~peer_asn:(asn (65000 + n)) ~peer_node:n
+        ~policy:Bgp.Policy.Unrestricted;
+      Bgp.Router.handle_message r ~from:n
+        (Bgp.Message.Open { asn = asn (65000 + n); router_id = nh; hold_time = 0 }))
+    [ 1; 3 ];
+  let pre = p "100.64.0.0/24" in
+  let announce ms path =
+    ignore
+      (Sim.schedule_after sim (Time.ms ms) (fun () ->
+           Bgp.Router.handle_message r ~from:1
+             (Bgp.Message.Update
+                {
+                  Bgp.Message.announced =
+                    [ (pre, Bgp.Attrs.make ~as_path:(List.map asn path) ~next_hop:nh ()) ];
+                  withdrawn = [];
+                })))
+  in
+  announce 0 [ 65001; 65100 ];
+  announce 2000 bad_path;
+  ignore (Sim.run ~until:(Time.sec 5) sim);
+  ( Option.map path_of (Bgp.Router.adj_in_find r ~peer:(asn 65001) pre),
+    List.rev !bests,
+    List.rev !told )
+
+(* A path that does not start with the sender's ASN, or is empty, is
+   treated as a withdraw (RFC 7606), exactly as an AS-path loop is: the
+   router stores nothing from the sender, and its best changes and its
+   UPDATEs to the other peer are the loop rejection's. *)
+let test_first_as_check () =
+  let stored, loop_bests, loop_told = first_as_run [ 65001; 65000 ] in
+  Alcotest.(check (option (list int))) "a loop stores nothing" None stored;
+  Alcotest.(check (list (pair int (option (list int))))) "a loop withdraws the best"
+    [ (1, Some [ 65001; 65100 ]); (2001, None) ] loop_bests;
+  Alcotest.(check (list (triple int (list (list int)) int))) "a loop withdraws from 65003"
+    [ (1, [ [ 65000; 65001; 65100 ] ], 0); (2001, [], 1) ] loop_told;
+  List.iter
+    (fun (what, path) ->
+      let stored, bests, told = first_as_run path in
+      Alcotest.(check (option (list int))) (what ^ ": nothing stored from 65001") None stored;
+      Alcotest.(check (list (pair int (option (list int)))))
+        (what ^ ": the loop's best changes") loop_bests bests;
+      Alcotest.(check (list (triple int (list (list int)) int)))
+        (what ^ ": the loop's UPDATEs") loop_told told)
+    [ ("another AS first", [ 65002; 65100 ]); ("empty path", []) ]
+
 let suite =
   [
     Alcotest.test_case "session establishment" `Quick test_session_establishment;
@@ -610,5 +688,6 @@ let suite =
     Alcotest.test_case "shared export per peer" `Quick test_shared_export_per_peer;
     Alcotest.test_case "batch survives an exception" `Quick test_batch_survives_exception;
     Alcotest.test_case "mrai: queued change is the peer's view" `Quick test_mrai_queued_change;
+    Alcotest.test_case "first-AS check" `Quick test_first_as_check;
     QCheck_alcotest.to_alcotest prop_decisions_match_reference;
   ]
