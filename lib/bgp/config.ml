@@ -2,8 +2,9 @@
 
    Defaults mirror the Quagga setup the paper's framework drives: eBGP
    MRAI of 30 s with multiplicative jitter drawn from [0.75, 1.0] (Quagga
-   jitters its advertisement-interval the same way), per-update processing
-   delay in the tens of milliseconds, and fast session-down detection
+   jitters its advertisement-interval the same way), a processing delay in
+   the tens of milliseconds per batch of received UPDATEs (a router's
+   inbox), and fast session-down detection
    (directly connected eBGP notices interface-down immediately; we allow a
    small detection delay). *)
 
@@ -71,7 +72,8 @@ let jittered_mrai t rng =
   if t.mrai_jitter_lo >= t.mrai_jitter_hi then Engine.Time.span_scale t.mrai t.mrai_jitter_lo
   else Engine.Rng.jitter_span rng t.mrai ~lo:t.mrai_jitter_lo ~hi:t.mrai_jitter_hi
 
-(* Draw one per-update processing delay. *)
+(* Draw one processing delay: the time from the first UPDATE reaching a
+   router's empty inbox to the batch's processing. *)
 let processing_delay t rng =
   let lo = Engine.Time.to_us t.proc_delay_min in
   let hi = Engine.Time.to_us t.proc_delay_max in

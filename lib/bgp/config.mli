@@ -13,6 +13,7 @@ type t = {
       (** apply MRAI to explicit withdrawals too (RFC 4271 exempts them) *)
   proc_delay_min : Engine.Time.span;
   proc_delay_max : Engine.Time.span;
+      (** bounds of the processing delay, drawn once per inbox batch *)
   session_down_detect : Engine.Time.span;
   session_open_delay : Engine.Time.span;
   keepalives : keepalive option;
@@ -37,3 +38,5 @@ val no_jitter : t -> t
 val jittered_mrai : t -> Engine.Rng.t -> Engine.Time.span
 
 val processing_delay : t -> Engine.Rng.t -> Engine.Time.span
+(** One draw from [proc_delay_min, proc_delay_max]: how long a router's
+    inbox batch waits, from its first UPDATE, to be processed. *)

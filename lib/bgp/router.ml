@@ -10,9 +10,9 @@
      classic path-exploration rounds on withdrawal;
    - AS-path loop rejection on import and suppression on export, and the
      first-AS check on import (a route's neighbor is its path's head);
-   - serialized update processing: a single-threaded bgpd works through
-     its input queue, so each update's processing delay pushes a
-     [busy_until] watermark and later updates queue behind it. *)
+   - batched processing: UPDATEs wait in an inbox, and the one
+     [bgp.process] event of a busy period (a processing delay after the
+     first) applies them in arrival order, then decides each prefix once. *)
 
 module Tbl = Net.Ipv4.Prefix_table
 
@@ -74,7 +74,7 @@ type t = {
   mutable added : peer list; (* not yet merged, newest first *)
   rib : Rib.t; (* the Adj-RIB-In and the Loc-RIB *)
   originated : Route.t Tbl.t; (* the local routes *)
-  mutable busy_until : Engine.Time.t;
+  mutable inbox : (peer * Message.update) list; (* newest first *)
   stats : stats;
   mutable series : series option;
   mutable on_best_change : (Net.Ipv4.prefix -> Route.t option -> unit) array;
@@ -389,13 +389,11 @@ let start t = Array.iter (fun p -> open_session t p.peer_asn) (peers t)
 
 (* --- Inbound processing ------------------------------------------------ *)
 
-(* The prefixes an UPDATE affects, each once, in first-affected order:
-   one scratch per domain, reused by every router's UPDATEs.  A mark
-   counts only for the generation that set it, and each UPDATE starts a
-   new generation and an empty [order], so nothing an UPDATE left behind
-   (an exception from a subscriber included) can hide a prefix from the
-   next.  UPDATEs are processed one at a time: each runs in its own
-   scheduler event. *)
+(* The prefixes a batch affects, each once, in first-affected order: one
+   scratch per domain, reused by every router.  A mark counts only for
+   the generation that set it, and each batch starts a new generation
+   and an empty [order], so nothing a batch left behind (an exception
+   from a subscriber included) can hide a prefix from the next. *)
 type scratch = {
   marks : int Tbl.t; (* packed prefix -> generation of its last mark *)
   mutable generation : int;
@@ -451,24 +449,29 @@ let rec apply_announced t peer s = function
     else if Rib.Adj_in.remove t.rib ~peer:peer.peer_asn prefix then mark s prefix;
     apply_announced t peer s rest
 
-let apply_update t (peer, (u : Message.update)) =
-  (* Stale when the session flapped since the update arrived. *)
-  if Session.is_established peer.session then begin
-    let s = Domain.DLS.get scratch_key in
-    s.generation <- s.generation + 1;
-    s.count <- 0;
-    apply_withdrawn t peer s u.Message.withdrawn;
-    apply_announced t peer s u.Message.announced;
-    for i = 0 to s.count - 1 do
-      run_decision t s.order.(i)
-    done
-  end
-
-let process_update t peer u = with_batch t apply_update (peer, u)
+(* A busy period's one event.  The inbox is taken first, so a subscriber's
+   exception cannot leave it full with no event pending; an UPDATE whose
+   session went down since it arrived is skipped. *)
+let process_inbox t () =
+  let updates = List.rev t.inbox in
+  t.inbox <- [];
+  let s = Domain.DLS.get scratch_key in
+  s.generation <- s.generation + 1;
+  s.count <- 0;
+  List.iter
+    (fun (peer, (u : Message.update)) ->
+      if Session.is_established peer.session then begin
+        apply_withdrawn t peer s u.Message.withdrawn;
+        apply_announced t peer s u.Message.announced
+      end)
+    updates;
+  for i = 0 to s.count - 1 do
+    run_decision t s.order.(i)
+  done
 
 (* Only an OPEN (table sync) and a NOTIFICATION (session down, which
    opens its own scope) queue outbound changes here; an UPDATE's changes
-   come from its own [bgp.process] event. *)
+   come from its inbox's [bgp.process] event. *)
 let handle_peer_message t peer msg =
   Session.touch peer.session;
   match msg with
@@ -486,25 +489,22 @@ let handle_peer_message t peer msg =
     t.stats.withdrawals_in <- t.stats.withdrawals_in + withdrawn;
     Engine.Sim.mark t.sim ~category:"bgp.update" ~node:(Engine.Node.trace_node t.node)
       ~render:Net.Asn.int_to_string (Net.Asn.to_int peer.peer_asn);
-    (* Serialized processing behind a busy watermark: emulates a
-       single-threaded bgpd working through its input queue. *)
-    let now = Engine.Sim.now t.sim in
-    let start = Engine.Time.max now t.busy_until in
-    let finish = Engine.Time.add start (Config.processing_delay t.config t.rng) in
-    t.busy_until <- finish;
-    (* A crash bumps the node epoch, which voids the pending events. *)
-    Engine.Node.schedule_at ~category:"bgp.process" t.node finish (fun () ->
-        process_update t peer u)
+    (* A crash voids the pending event and empties the inbox. *)
+    if t.inbox = [] then
+      Engine.Node.schedule_after ~category:"bgp.process" t.node
+        (Config.processing_delay t.config t.rng)
+        (fun () -> with_batch t process_inbox ());
+    t.inbox <- (peer, u) :: t.inbox
 
 let handle_message t ~from msg = with_peer_of_node t from handle_peer_message msg
 
 (* --- Lifecycle ---------------------------------------------------------- *)
 
-(* Crash: lose all volatile bgpd state.  [originated] survives — it is the
-   router's configuration, not learned state.  Owned timers and scheduled
-   events are voided by the node runtime itself. *)
+(* Crash: lose all volatile bgpd state, the inbox included.  [originated]
+   survives — it is the router's configuration, not learned state.  Owned
+   timers and scheduled events are voided by the node runtime itself. *)
 let on_crashed t =
-  t.busy_until <- Engine.Time.zero;
+  t.inbox <- [];
   Array.iter
     (fun peer ->
       Session.crash peer.session;
@@ -636,7 +636,7 @@ let create ~sim ~asn ~node_id ~router_id ~config ~send () =
       added = [];
       rib = Rib.create ();
       originated = Tbl.create ();
-      busy_until = Engine.Time.zero;
+      inbox = [];
       stats;
       series = None;
       on_best_change = [||];

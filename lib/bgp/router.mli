@@ -1,6 +1,14 @@
 (** A BGP speaker emulating one AS's border router: RIBs, decision
-    process, relationship policies, per-peer MRAI, serialized update
-    processing. *)
+    process, relationship policies, per-peer MRAI, batched update
+    processing.
+
+    Received UPDATEs wait in the router's inbox, in arrival order.  The
+    first to reach an empty inbox schedules one [bgp.process] event a
+    processing delay ({!Config.processing_delay}) later; UPDATEs that
+    arrive before it fires join the same batch.  The event applies every
+    UPDATE of the batch (skipping one whose session went down since it
+    arrived), then decides each touched prefix once.  A crash empties
+    the inbox. *)
 
 type stats = {
   mutable msgs_in : int;
@@ -77,7 +85,8 @@ val session_down : t -> Net.Asn.t -> unit
     and rerun the decision process. *)
 
 val handle_message : t -> from:int -> Message.t -> unit
-(** Fabric delivery entry point ([from] is the sender's node id). *)
+(** Fabric delivery entry point ([from] is the sender's node id).  An
+    UPDATE is counted in {!stats} here and joins the inbox. *)
 
 val originate : t -> Net.Ipv4.prefix -> unit
 

@@ -142,7 +142,7 @@ type bucket =
   | Session_backoff  (** liveness detection, reconnect backoff *)
   | Recompute  (** controller recomputation batches *)
   | Flow_install  (** switch-side rule installs/removals and timeouts *)
-  | Mailbox  (** node mailbox hops and serialized processing delay *)
+  | Mailbox  (** node mailbox hops and a router inbox's processing delay *)
   | Other
 
 val bucket_to_string : bucket -> string

@@ -103,9 +103,6 @@ let guarded t f =
   let epoch_at_schedule = t.epoch in
   fun () -> if t.epoch = epoch_at_schedule && is_up t then f ()
 
-let schedule_at ?category t at f =
-  ignore (Sim.schedule_at ?category t.sim at (guarded t f))
-
 let schedule_after ?category t span f =
   ignore (Sim.schedule_after ?category t.sim span (guarded t f))
 

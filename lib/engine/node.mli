@@ -67,10 +67,8 @@ val timer : ?category:string -> t -> callback:(unit -> unit) -> Timer.t
 (** {1 Epoch-guarded scheduling} *)
 
 val schedule_after : ?category:string -> t -> Time.span -> (unit -> unit) -> unit
-
-val schedule_at : ?category:string -> t -> Time.t -> (unit -> unit) -> unit
-(** Like {!Sim.schedule_at} but the action is skipped if the node crashed
-    (epoch changed) or is down when the event fires. *)
+(** Like {!Sim.schedule_after} but the action is skipped if the node
+    crashed (epoch changed) or is down when the event fires. *)
 
 (** {1 Typed ports} *)
 

@@ -787,8 +787,8 @@ let test_chaos_execute_dumps_flight () =
     (List.exists (contains "chaos.") r.Framework.Chaos.flight);
   (* The dump itself is pinned, so the recorder's store layout cannot
      change what it renders. *)
-  Alcotest.(check int) "flight lines" 3311 (List.length r.Framework.Chaos.flight);
-  Alcotest.(check string) "flight dump digest" "a444c67f2015302de2062fcf6daf9946"
+  Alcotest.(check int) "flight lines" 3310 (List.length r.Framework.Chaos.flight);
+  Alcotest.(check string) "flight dump digest" "9edb906d31f838e4bcd637601bf2443c"
     (Digest.to_hex (Digest.string (String.concat "\n" r.Framework.Chaos.flight)))
 
 let suite =

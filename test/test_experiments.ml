@@ -32,10 +32,10 @@ let withdrawal_grid ?pool ~label ~runs ~seed xs run =
 
 (* [hybridsim scale]'s run: the placement:top-degree withdrawal from the
    world's first stub behind a [prefixes]-prefix load across its stubs. *)
-let scale ~prefixes (world : E.caida_world) ~k ~seed =
+let scale ?(config = cfg) ~prefixes (world : E.caida_world) ~k ~seed =
   E.run
     {
-      (E.describe ~members:(Placed (Top_degree, k)) ~origin:(List.hd world.stub_asns) ~config:cfg
+      (E.describe ~members:(Placed (Top_degree, k)) ~origin:(List.hd world.stub_asns) ~config
          ~seed (Graph world.spec))
       with
       measure = Scale { origins = world.stub_asns; prefixes; budget = 20_000_000; clock = Sys.time };
@@ -364,6 +364,37 @@ let test_built_words_stable () =
         (Float.abs (first -. b) <= 0.01 *. Float.max first b))
     [ heap / 2; heap - 60_000; heap - 40_000; heap - 20_000 ]
 
+(* Centralizing the best-connected ASes removes exploring speakers and
+   adds none, so on the 500-AS world Tdown must not rise with k.  Per
+   world seed (3 runs per point, [hybridsim scale]'s seeding), the median
+   at k = 25 and at k = 30 stays within half the shortest jittered MRAI
+   (0.75 x 30 s) of the median at k = 0: one more paced hop costs at
+   least that.  A router that decides once per received UPDATE, rather
+   than once per prefix per processing window, put both one MRAI round
+   above k = 0 on each of these seeds. *)
+let test_caida500_no_hump () =
+  let margin = 0.5 *. 0.75 *. 30.0 in
+  List.iter
+    (fun seed ->
+      let world = E.caida_world ~tier1:5 ~tier2:40 ~stubs:455 ~seed in
+      let s =
+        E.sweep ~label:"caida500" ~runs:3 ~seed:(seed + 1) [ 0.0; 25.0; 30.0 ] (fun ~x ~seed ->
+            (scale ~config:Framework.Config.default ~prefixes:1 world ~k:(int_of_float x) ~seed)
+              .E.withdrawal)
+      in
+      match List.map (fun p -> (E.box p).Engine.Stats.median) s.E.points with
+      | [ k0; k25; k30 ] ->
+        List.iter
+          (fun (k, m) ->
+            Alcotest.(check bool)
+              (Fmt.str "seed %d: k = %d median %.1f s <= k = 0 median %.1f s + %.2f s" seed k m k0
+                 margin)
+              true
+              (m <= k0 +. margin))
+          [ (25, k25); (30, k30) ]
+      | _ -> Alcotest.fail "three points")
+    [ 7; 11; 23 ]
+
 let suite =
   [
     Alcotest.test_case "fig2 shape (scaled)" `Slow test_fig2_shape;
@@ -378,6 +409,7 @@ let suite =
     Alcotest.test_case "churn coupling" `Quick test_churn_run;
     Alcotest.test_case "table-size control" `Quick test_table_size_control;
     Alcotest.test_case "scaling sweep" `Slow test_scaling_sweep;
+    Alcotest.test_case "500-AS curve has no hump" `Quick test_caida500_no_hump;
     Alcotest.test_case "sub-cluster resilience" `Quick test_subcluster_resilience;
     Alcotest.test_case "determinism" `Quick test_run_results_deterministic;
     Alcotest.test_case "argument guards" `Quick test_guards;

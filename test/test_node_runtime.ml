@@ -39,8 +39,8 @@ let test_epoch_guard () =
   let n = Node.create sim ~name:"g" in
   Node.start n;
   let fired = ref [] in
-  Node.schedule_at n (Time.ms 3) (fun () -> fired := "before" :: !fired);
-  Node.schedule_at n (Time.ms 10) (fun () -> fired := "stale" :: !fired);
+  Node.schedule_after n (Time.ms 3) (fun () -> fired := "before" :: !fired);
+  Node.schedule_after n (Time.ms 10) (fun () -> fired := "stale" :: !fired);
   ignore (Sim.schedule_at sim (Time.ms 5) (fun () -> Node.crash n));
   ignore (Sim.schedule_at sim (Time.ms 6) (fun () -> Node.restart n));
   (* scheduled before the crash -> voided by the epoch bump, even though

@@ -361,10 +361,11 @@ exception Boom
 
 (* An exception escaping a batch scope (here a best-change subscriber's)
    leaves as itself, the scope still flushes what it enqueued, and the
-   router's next UPDATE is processed and flushed normally.  The UPDATE the
-   exception cut short leaves nothing behind in the per-UPDATE scratch:
-   afterwards b itself and c each decide every prefix of their next
-   UPDATE, including the ones the cut-short UPDATE had marked. *)
+   router's next UPDATE is processed and flushed normally: the inbox was
+   taken before the exception, so that UPDATE schedules its own event.
+   The batch the exception cut short leaves nothing behind in the
+   scratch: afterwards b itself and c each decide every prefix of their
+   next UPDATE, including the ones the cut-short batch had marked. *)
 let test_batch_survives_exception () =
   let h = make_harness () in
   let a = add_router h 65001 and b = add_router h 65002 and c = add_router h 65003 in
@@ -411,6 +412,127 @@ let test_batch_survives_exception () =
         (Some [ 65002; 65001; 65100 ])
         (Option.map path_of (Bgp.Router.best c prefix)))
     [ p1; p2 ]
+
+(* A router on [sim] that records every UPDATE it sends (instant in
+   us, destination node, message), its sessions to peers 65000 + n (node
+   n) for each [n] in [peers] already established. *)
+let recording_router sim ~peers =
+  let told = ref [] in
+  let send ~dst msg =
+    (match msg with
+    | Bgp.Message.Update u -> told := (Time.to_us (Sim.now sim), dst, u) :: !told
+    | _ -> ());
+    true
+  in
+  let r =
+    Bgp.Router.create ~sim ~asn:(asn 65000) ~node_id:0
+      ~router_id:(Net.Ipv4.addr_of_octets 10 0 0 1) ~config:fast_config ~send ()
+  in
+  let nh = Net.Ipv4.addr_of_octets 10 0 1 1 in
+  List.iter
+    (fun n ->
+      Bgp.Router.add_peer r ~peer_asn:(asn (65000 + n)) ~peer_node:n
+        ~policy:Bgp.Policy.Unrestricted;
+      Bgp.Router.handle_message r ~from:n
+        (Bgp.Message.Open { asn = asn (65000 + n); router_id = nh; hold_time = 0 }))
+    peers;
+  (r, told)
+
+let announce_from n prefix =
+  Bgp.Message.Update
+    {
+      Bgp.Message.announced =
+        [
+          ( prefix,
+            Bgp.Attrs.make ~as_path:[ asn (65000 + n); asn 65100 ]
+              ~next_hop:(Net.Ipv4.addr_of_octets 10 0 n 1) () );
+        ];
+      withdrawn = [];
+    }
+
+let withdraw_from prefix = Bgp.Message.Update { Bgp.Message.announced = []; withdrawn = [ prefix ] }
+
+(* The router learns one prefix from three peers (1, 2, 3) and tells two
+   others (4, 5).  Long after, the three withdraw it at one instant,
+   inside one processing window: the router decides the prefix once,
+   and each other peer gets one UPDATE, the withdrawal, with no path
+   change first.  (Deciding per UPDATE, the first withdrawal's path
+   change leaves at once and the withdrawal waits behind the MRAI timer
+   it started.) *)
+let test_withdrawals_coalesce () =
+  let sim = Sim.create ~seed:5 () in
+  let r, told = recording_router sim ~peers:[ 1; 2; 3; 4; 5 ] in
+  let pre = p "100.64.0.0/24" in
+  let at s msg n =
+    ignore (Sim.schedule_at sim (Time.sec s) (fun () -> Bgp.Router.handle_message r ~from:n (msg n)))
+  in
+  List.iter (at 1 (fun n -> announce_from n pre)) [ 1; 2; 3 ];
+  ignore (Sim.run ~until:(Time.sec 10) sim);
+  Alcotest.(check bool) "the router routes the prefix" true (Bgp.Router.best r pre <> None);
+  let runs () = (Bgp.Router.stats r).Bgp.Router.decision_runs in
+  let before = runs () and settled = Time.to_us (Sim.now sim) in
+  List.iter (at 10 (fun _ -> withdraw_from pre)) [ 1; 2; 3 ];
+  ignore (Sim.run ~until:(Time.sec 20) sim);
+  Alcotest.(check bool) "the prefix is gone" true (Bgp.Router.best r pre = None);
+  Alcotest.(check int) "one decision for the three withdrawals" 1 (runs () - before);
+  List.iter
+    (fun n ->
+      let got =
+        List.filter_map
+          (fun (at, dst, (u : Bgp.Message.update)) ->
+            if at > settled && dst = n then
+              Some (List.length u.Bgp.Message.announced, u.Bgp.Message.withdrawn)
+            else None)
+          (List.rev !told)
+      in
+      Alcotest.(check (list (pair int (list string))))
+        (Fmt.str "peer %d: one withdrawal, no path change" n)
+        [ (0, [ "100.64.0.0/24" ]) ]
+        (List.map (fun (a, w) -> (a, List.map Net.Ipv4.prefix_to_string w)) got))
+    [ 4; 5 ]
+
+(* A crash voids the UPDATEs waiting in the inbox: none of them is ever
+   applied.  After the restart (the sessions re-opened) the first fresh
+   UPDATE schedules its own event, and the one arriving with it joins
+   its batch: one decision for the two.  A crash that left the voided
+   UPDATEs in the inbox would leave the router unable to schedule
+   again. *)
+let test_crash_voids_inbox () =
+  let sim = Sim.create ~seed:5 () in
+  let r, _ = recording_router sim ~peers:[ 1; 2 ] in
+  let voided = p "100.64.1.0/24" and fresh = p "100.64.2.0/24" in
+  let seen = ref [] in
+  Bgp.Router.subscribe_best_change r (fun prefix _ -> seen := prefix :: !seen);
+  let node = Bgp.Router.node r in
+  let at ms f = ignore (Sim.schedule_at sim (Time.ms ms) f) in
+  (* processing takes 1 ms: both UPDATEs still wait when the crash hits *)
+  at 1000 (fun () -> Bgp.Router.handle_message r ~from:1 (announce_from 1 voided));
+  at 1000 (fun () -> Bgp.Router.handle_message r ~from:2 (announce_from 2 voided));
+  at 1000 (fun () -> Node.crash node);
+  at 2000 (fun () ->
+      Node.start node;
+      List.iter
+        (fun n ->
+          Bgp.Router.handle_message r ~from:n
+            (Bgp.Message.Open
+               { asn = asn (65000 + n); router_id = Net.Ipv4.addr_of_octets 10 0 1 1; hold_time = 0 }))
+        [ 1; 2 ]);
+  let runs () = (Bgp.Router.stats r).Bgp.Router.decision_runs in
+  let restarted = ref 0 in
+  at 3000 (fun () ->
+      restarted := runs ();
+      Bgp.Router.handle_message r ~from:1 (announce_from 1 fresh);
+      Bgp.Router.handle_message r ~from:2 (announce_from 2 fresh));
+  ignore (Sim.run ~until:(Time.sec 10) sim);
+  Alcotest.(check bool) "sessions re-established" true
+    (Bgp.Router.peer_established r (asn 65001) && Bgp.Router.peer_established r (asn 65002));
+  Alcotest.(check bool) "the voided batch is never applied" true
+    (Bgp.Router.best r voided = None
+    && (not (List.exists (Net.Ipv4.equal_prefix voided) !seen))
+    && Bgp.Router.adj_in_find r ~peer:(asn 65002) voided = None);
+  Alcotest.(check bool) "the fresh UPDATEs are processed" true
+    (Bgp.Router.best r fresh <> None && Bgp.Router.adj_in_size r = 2);
+  Alcotest.(check int) "in one batch" 1 (runs () - !restarted)
 
 (* --- Decision order: the in-place walk vs the list-and-table path ------- *)
 
@@ -687,6 +809,8 @@ let suite =
     Alcotest.test_case "session-state gauges" `Quick test_session_state_gauges;
     Alcotest.test_case "shared export per peer" `Quick test_shared_export_per_peer;
     Alcotest.test_case "batch survives an exception" `Quick test_batch_survives_exception;
+    Alcotest.test_case "withdrawals in one window coalesce" `Quick test_withdrawals_coalesce;
+    Alcotest.test_case "crash voids the inbox" `Quick test_crash_voids_inbox;
     Alcotest.test_case "mrai: queued change is the peer's view" `Quick test_mrai_queued_change;
     Alcotest.test_case "first-AS check" `Quick test_first_as_check;
     QCheck_alcotest.to_alcotest prop_decisions_match_reference;
