@@ -881,9 +881,11 @@ let scale_cmd =
         (const run $ tier1 $ tier2 $ stubs $ prefixes $ ks $ runs $ seed_arg $ mrai_arg
         $ jobs_arg $ single $ budget $ csv))
 
+let version = "1.0.0"
+
 let () =
   let doc = "hybrid BGP-SDN emulation framework" in
-  let info = Cmd.info "hybridsim" ~version:Core.version ~doc in
+  let info = Cmd.info "hybridsim" ~version ~doc in
   exit
     (Cmd.eval
        (Cmd.group info

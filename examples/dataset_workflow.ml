@@ -26,7 +26,7 @@ let () =
     (Topology.Spec.node_count iplane_spec)
     (Topology.Spec.link_count iplane_spec);
   let r =
-    Core.Experiments.(run { (describe ~seed:3 (Graph iplane_spec)) with event = Announcement })
+    Framework.Experiments.(run { (describe ~seed:3 (Graph iplane_spec)) with event = Announcement })
   in
   Fmt.pr "announcement on the iPlane graph converged in %.2f s@.@." r.seconds;
   (* --- CAIDA AS relationships ---------------------------------------- *)
@@ -49,6 +49,6 @@ let () =
   Fmt.pr "  %d customer-provider, %d other links@." customers
     (Topology.Spec.link_count caida_spec - customers);
   let origin = List.hd (List.rev (Topology.Spec.asns caida_spec)) in
-  let r = Core.Experiments.(run (describe ~origin ~seed:4 (Graph caida_spec))) in
+  let r = Framework.Experiments.(run (describe ~origin ~seed:4 (Graph caida_spec))) in
   Fmt.pr "withdrawal of a stub prefix converged in %.2f s under valley-free policies@."
     r.seconds

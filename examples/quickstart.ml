@@ -10,9 +10,10 @@ let () =
   (* AS 0 announces its prefix, the clique settles, AS 0 withdraws it *)
   let measure ~sdn_members =
     let run =
-      Core.Experiments.(describe ~members:(Last sdn_members) ~seed:1 (Graph (Core.Topo.clique 16)))
+      Framework.Experiments.(
+        describe ~members:(Last sdn_members) ~seed:1 (Graph (Topology.Artificial.clique 16)))
     in
-    (Core.Experiments.run run).seconds
+    (Framework.Experiments.run run).seconds
   in
   let baseline = measure ~sdn_members:0 in
   let hybrid = measure ~sdn_members:8 in
@@ -23,9 +24,11 @@ let () =
   (* The framework also renders the experiment's component diagram
      (the paper's Fig. 1) for any topology: *)
   let spec =
-    Result.get_ok Core.Experiments.(check (describe ~members:(Last 8) (Graph (Core.Topo.clique 16))))
+    Result.get_ok
+      Framework.Experiments.(
+        check (describe ~members:(Last 8) (Graph (Topology.Artificial.clique 16))))
   in
-  let dot = Core.Visualize.spec_to_dot spec in
+  let dot = Framework.Visualize.spec_to_dot spec in
   let oc = open_out "quickstart-components.dot" in
   output_string oc dot;
   close_out oc;

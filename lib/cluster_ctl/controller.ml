@@ -30,19 +30,6 @@ type stats = {
   mutable decision_changes : int;
 }
 
-(* Registry handles, created once per controller. *)
-type telemetry = {
-  updates_in_c : Engine.Metrics.Counter.t;
-  recompute_c : Engine.Metrics.Counter.t;
-  prefixes_recomputed_c : Engine.Metrics.Counter.t;
-  recompute_skipped_c : Engine.Metrics.Counter.t;
-  dijkstra_runs_c : Engine.Metrics.Counter.t;
-  flow_mods_c : Engine.Metrics.Counter.t;
-  announce_c : Engine.Metrics.Counter.t;
-  withdraw_c : Engine.Metrics.Counter.t;
-  decision_changes_c : Engine.Metrics.Counter.t;
-}
-
 (* Everything [recompute_prefix] reads for one prefix.  When these match
    the previous run's inputs, [As_graph.compute] — deterministic — would
    reproduce the previous decisions, the flow diff would be empty and the
@@ -85,14 +72,13 @@ type t = {
   mutable installed : Sdn.Flow.action Net.Asn.Map.t Pm.t;
   mutable decisions : As_graph.decision Net.Asn.Map.t Pm.t;
   mutable fingerprints : fingerprint Pm.t;
-  mutable recompute : Recompute.t option; (* set right after creation *)
+  recompute : Recompute.t;
   mutable resyncing : Net.Asn.Set.t;
       (* members owed a RESYNC_DONE once the next recompute batch has
          reinstalled their flow state (fallback-exit handshake) *)
   mutable on_decision_change :
     (Net.Ipv4.prefix -> Net.Asn.t -> As_graph.decision option -> unit) array;
   stats : stats;
-  tm : telemetry;
 }
 
 let node t = t.node
@@ -129,9 +115,7 @@ let subscribe_decision_change t f =
    speaker drops what a session already holds. *)
 let count_syncs t ~announced ~synced =
   t.stats.announces <- t.stats.announces + announced;
-  t.stats.withdraws <- t.stats.withdraws + (synced - announced);
-  Engine.Metrics.Counter.add t.tm.announce_c announced;
-  Engine.Metrics.Counter.add t.tm.withdraw_c (synced - announced)
+  t.stats.withdraws <- t.stats.withdraws + (synced - announced)
 
 (* --- Recomputation ------------------------------------------------------ *)
 
@@ -150,14 +134,10 @@ let recompute_prefix t prefix =
   | Some prev when fingerprint_equal prev fp ->
     (* Unchanged inputs: the deterministic pipeline would reproduce the
        previous decisions, flow rules and announcements verbatim. *)
-    t.stats.recompute_skipped <- t.stats.recompute_skipped + 1;
-    Engine.Metrics.Counter.inc t.tm.recompute_skipped_c
+    t.stats.recompute_skipped <- t.stats.recompute_skipped + 1
   | Some _ | None ->
   t.fingerprints <- Pm.add prefix fp t.fingerprints;
   t.stats.prefixes_recomputed <- t.stats.prefixes_recomputed + 1;
-  Engine.Metrics.Counter.inc t.tm.prefixes_recomputed_c;
-  (* As_graph.compute runs exactly one Dijkstra over the switch graph. *)
-  Engine.Metrics.Counter.inc t.tm.dijkstra_runs_c;
   let desired =
     As_graph.compute ~arena:t.arena ~members:t.members ~switch_graph:t.switch_graph
       ~routes:fp.fp_routes ~originators ()
@@ -178,7 +158,6 @@ let recompute_prefix t prefix =
       in
       if changed then begin
         t.stats.decision_changes <- t.stats.decision_changes + 1;
-        Engine.Metrics.Counter.inc t.tm.decision_changes_c;
         Array.iter (fun f -> f prefix member new_d) t.on_decision_change
       end)
     t.members;
@@ -195,7 +174,6 @@ let recompute_prefix t prefix =
       List.iter
         (fun m ->
           t.stats.flow_mods <- t.stats.flow_mods + 1;
-          Engine.Metrics.Counter.inc t.tm.flow_mods_c;
           ignore (t.send_switch ~member m))
         mods)
     changes;
@@ -218,16 +196,12 @@ let flush_resyncing t =
 
 let recompute_batch t prefixes =
   t.stats.recompute_batches <- t.stats.recompute_batches + 1;
-  Engine.Metrics.Counter.inc t.tm.recompute_c;
   (* One batching scope per recompute event: the speaker packs every
      (re)announcement of the batch into one UPDATE per session. *)
   Speaker.with_batch t.speaker (fun () -> List.iter (recompute_prefix t) prefixes);
   flush_resyncing t
 
-let mark_dirty t prefix =
-  match t.recompute with
-  | Some r -> Recompute.mark_dirty r prefix
-  | None -> Speaker.with_batch t.speaker (fun () -> recompute_prefix t prefix)
+let mark_dirty t prefix = Recompute.mark_dirty t.recompute prefix
 
 (* --- Inputs ------------------------------------------------------------- *)
 
@@ -261,7 +235,6 @@ let on_external_update t s (u : Bgp.Message.update) =
   let member = Speaker.session_member s and neighbor = Speaker.session_neighbor s in
   let policy = Speaker.session_policy s in
   t.stats.updates_in <- t.stats.updates_in + 1;
-  Engine.Metrics.Counter.inc t.tm.updates_in_c;
   List.iter
     (fun prefix ->
       remove_route t prefix ~member ~neighbor;
@@ -372,12 +345,7 @@ let withdraw_origin t ~member prefix =
        else Pm.add prefix set t.originated);
     mark_dirty t prefix
 
-let flush_recompute t = Option.iter Recompute.flush_now t.recompute
-
-let recompute_info t =
-  match t.recompute with
-  | Some r -> (Recompute.batches r, Recompute.marks r)
-  | None -> (0, 0)
+let flush_recompute t = Recompute.flush_now t.recompute
 
 (* A member switch restarted with an empty flow table: forget what we
    think is installed there and mark everything dirty, so the next batch
@@ -405,7 +373,7 @@ let on_crashed t =
   t.decisions <- Pm.empty;
   t.fingerprints <- Pm.empty;
   t.resyncing <- Net.Asn.Set.empty;
-  Option.iter Recompute.reset t.recompute
+  Recompute.reset t.recompute
 
 (* Restart: re-run the pipeline for configured originations.  External
    routes reappear as the speaker's sessions re-establish and resync.
@@ -417,6 +385,33 @@ let on_restarted t =
   if Pm.is_empty t.originated then flush_resyncing t
   else Pm.iter (fun prefix _ -> mark_dirty t prefix) t.originated
 
+(* --- Telemetry ------------------------------------------------------------ *)
+
+(* The registry series follow [stats]: a counter is monotonic, so each
+   snapshot adds what its count gained since the last one. *)
+let collect t =
+  let m = Engine.Sim.metrics t.sim in
+  let sync ~help name count =
+    let c = Engine.Metrics.counter m ~help name in
+    Engine.Metrics.Counter.add c (count - Engine.Metrics.Counter.value c)
+  in
+  let s = t.stats in
+  sync ~help:"external BGP updates relayed to the controller" "controller_updates_in_total"
+    s.updates_in;
+  sync ~help:"batch recomputation runs" "controller_recompute_total" s.recompute_batches;
+  sync ~help:"per-prefix recomputations" "controller_prefixes_recomputed_total"
+    s.prefixes_recomputed;
+  sync ~help:"dirty prefixes skipped because their inputs were unchanged"
+    "controller_recompute_skipped_total" s.recompute_skipped;
+  (* As_graph.compute runs exactly one Dijkstra per recomputed prefix. *)
+  sync ~help:"shortest-path runs over the switch graph" "controller_dijkstra_runs_total"
+    s.prefixes_recomputed;
+  sync ~help:"FLOW_MODs pushed to switches" "controller_flow_mods_total" s.flow_mods;
+  sync ~help:"announcements sent through the speaker" "controller_announce_total" s.announces;
+  sync ~help:"withdrawals sent through the speaker" "controller_withdraw_total" s.withdraws;
+  sync ~help:"per-member decision changes" "controller_decision_changes_total"
+    s.decision_changes
+
 (* --- Construction --------------------------------------------------------- *)
 
 let create ?flow_hard_timeout ~sim ~config ~members:member_list ~speaker
@@ -427,30 +422,11 @@ let create ?flow_hard_timeout ~sim ~config ~members:member_list ~speaker
   List.iter
     (fun (a, b) -> Net.Graph.add_edge switch_graph (Net.Asn.to_int a) (Net.Asn.to_int b))
     intra_links;
-  let m = Engine.Sim.metrics sim in
-  let counter ?help name = Engine.Metrics.counter m ?help name in
-  let tm =
-    {
-      updates_in_c =
-        counter ~help:"external BGP updates relayed to the controller"
-          "controller_updates_in_total";
-      recompute_c = counter ~help:"batch recomputation runs" "controller_recompute_total";
-      prefixes_recomputed_c =
-        counter ~help:"per-prefix recomputations" "controller_prefixes_recomputed_total";
-      recompute_skipped_c =
-        counter ~help:"dirty prefixes skipped because their inputs were unchanged"
-          "controller_recompute_skipped_total";
-      dijkstra_runs_c =
-        counter ~help:"shortest-path runs over the switch graph"
-          "controller_dijkstra_runs_total";
-      flow_mods_c = counter ~help:"FLOW_MODs pushed to switches" "controller_flow_mods_total";
-      announce_c =
-        counter ~help:"announcements sent through the speaker" "controller_announce_total";
-      withdraw_c =
-        counter ~help:"withdrawals sent through the speaker" "controller_withdraw_total";
-      decision_changes_c =
-        counter ~help:"per-member decision changes" "controller_decision_changes_total";
-    }
+  (* The batch callback fires from the recompute timer, after [t] exists. *)
+  let self = ref None in
+  let recompute =
+    Recompute.create ~sim ~delay:config.recompute_delay ~callback:(fun prefixes ->
+        Option.iter (fun t -> recompute_batch t prefixes) !self)
   in
   let t =
     {
@@ -470,7 +446,7 @@ let create ?flow_hard_timeout ~sim ~config ~members:member_list ~speaker
       installed = Pm.empty;
       decisions = Pm.empty;
       fingerprints = Pm.empty;
-      recompute = None;
+      recompute;
       resyncing = Net.Asn.Set.empty;
       on_decision_change = [||];
       stats =
@@ -484,13 +460,10 @@ let create ?flow_hard_timeout ~sim ~config ~members:member_list ~speaker
           withdraws = 0;
           decision_changes = 0;
         };
-      tm;
     }
   in
-  t.recompute <-
-    Some
-      (Recompute.create ~sim ~delay:config.recompute_delay ~callback:(fun prefixes ->
-           recompute_batch t prefixes));
+  self := Some t;
+  Engine.Metrics.on_collect (Engine.Sim.metrics sim) (fun () -> collect t);
   Speaker.attach_controller speaker
     ~on_update:(fun s u -> on_external_update t s u)
     ~on_session:(fun s ~up -> on_session_change t s ~up);

@@ -7,6 +7,10 @@ type config = { recompute_delay : Engine.Time.span }
 val default_config : config
 (** 2-second delayed recomputation. *)
 
+(** The controller's counts, each kept once: every metrics snapshot
+    brings the registry's [controller_*_total] series up to date from
+    these fields ([controller_dijkstra_runs_total] reads
+    [prefixes_recomputed]: one shortest-path run per recomputed prefix). *)
 type stats = {
   mutable updates_in : int;
   mutable recompute_batches : int;
@@ -76,9 +80,6 @@ val withdraw_origin : t -> member:Net.Asn.t -> Net.Ipv4.prefix -> unit
 
 val flush_recompute : t -> unit
 (** Force pending dirty prefixes to recompute now. *)
-
-val recompute_info : t -> int * int
-(** (batches, marks) of the delayed-recomputation scheduler. *)
 
 val resync_member : t -> Net.Asn.t -> unit
 (** A member switch restarted with an empty flow table: forget its

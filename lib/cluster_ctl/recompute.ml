@@ -8,12 +8,9 @@
    ablation baseline). *)
 
 type t = {
-  sim : Engine.Sim.t;
   delay : Engine.Time.span;
   mutable dirty : Net.Ipv4.Prefix_set.t;
   timer : Engine.Timer.t;
-  mutable batches : int;
-  mutable marks : int;
   coalesced_c : Engine.Metrics.Counter.t;
   callback : Net.Ipv4.prefix list -> unit;
 }
@@ -21,10 +18,7 @@ type t = {
 let fire t () =
   let prefixes = Net.Ipv4.Prefix_set.elements t.dirty in
   t.dirty <- Net.Ipv4.Prefix_set.empty;
-  if prefixes <> [] then begin
-    t.batches <- t.batches + 1;
-    t.callback prefixes
-  end
+  if prefixes <> [] then t.callback prefixes
 
 let create ~sim ~delay ~callback =
   let self = ref None in
@@ -34,12 +28,9 @@ let create ~sim ~delay ~callback =
   in
   let t =
     {
-      sim;
       delay;
       dirty = Net.Ipv4.Prefix_set.empty;
       timer;
-      batches = 0;
-      marks = 0;
       coalesced_c =
         Engine.Metrics.counter (Engine.Sim.metrics sim)
           ~help:"dirty marks absorbed by an already-armed recompute timer"
@@ -51,7 +42,6 @@ let create ~sim ~delay ~callback =
   t
 
 let mark_dirty t prefix =
-  t.marks <- t.marks + 1;
   t.dirty <- Net.Ipv4.Prefix_set.add prefix t.dirty;
   if Engine.Time.equal t.delay Engine.Time.zero then fire t ()
   else if Engine.Timer.is_armed t.timer then
@@ -67,7 +57,3 @@ let reset t =
   Engine.Timer.cancel t.timer
 
 let pending t = Net.Ipv4.Prefix_set.cardinal t.dirty
-
-let batches t = t.batches
-
-let marks t = t.marks

@@ -18,9 +18,3 @@ val reset : t -> unit
 (** Forget the dirty set and cancel the pending batch (controller crash). *)
 
 val pending : t -> int
-
-val batches : t -> int
-(** Recomputation batches executed. *)
-
-val marks : t -> int
-(** Total dirty marks received (marks/batches = coalescing factor). *)

@@ -3,11 +3,10 @@
    The framework's definition (matching the paper's tooling): the network
    has converged for a prefix when no routing state anywhere changes any
    more.  We instrument every decision point — each legacy router's
-   Loc-RIB and each controller member decision — plus the route
-   collector's update stream.  Per prefix we keep the full change history
-   — (time, AS) for every router best-path change and every controller
-   decision change — from which the last change, the change count and the
-   exploration rounds all follow.
+   Loc-RIB and each controller member decision.  Per prefix we keep the
+   full change history — (time, AS) for every router best-path change
+   and every controller decision change — from which the last change,
+   the change count and the exploration rounds all follow.
    Because the emulation is a discrete-event simulation, "no more events"
    is an exact quiet-period test: [Network.settle] drains the queue and
    the convergence time is simply the last recorded change.
@@ -23,7 +22,6 @@
 
    Attach the watcher *before* running the phase being measured. *)
 
-module Pm = Net.Ipv4.Prefix_map
 module Tbl = Net.Ipv4.Prefix_table
 
 (* Loc-RIB / decision changes of one prefix, oldest first: [len] bytes of
@@ -77,7 +75,6 @@ let iter_changes pc f =
 
 type t = {
   changes : prefix_changes Tbl.t;
-  mutable last_collector_update : Engine.Time.t Pm.t;
   mutable last_any : Engine.Time.t; (* latest control change, any prefix *)
   network : Network.t;
 }
@@ -99,7 +96,6 @@ let attach network =
   let t =
     {
       changes = Tbl.create ();
-      last_collector_update = Pm.empty;
       last_any = Engine.Time.zero;
       network;
     }
@@ -129,28 +125,10 @@ let attach network =
   | None -> ());
   t
 
-(* Refresh collector-derived timestamps (pull, not push).  Reads the
-   collector's maintained per-prefix last-update instants — available
-   under every retention mode — rather than rescanning the event log. *)
-let refresh_collector t =
-  let collector = Network.collector t.network in
-  List.iter
-    (fun (prefix, time) ->
-      let current = Pm.find_opt prefix t.last_collector_update in
-      let better =
-        match current with None -> true | Some c -> Engine.Time.(time > c)
-      in
-      if better then t.last_collector_update <- Pm.add prefix time t.last_collector_update)
-    (Bgp.Collector.last_updates collector)
-
 let last_control_change t prefix =
   match Tbl.find prefix t.changes with
   | Some pc -> Some (Engine.Time.of_us pc.last)
   | None -> None
-
-let last_collector_update t prefix =
-  refresh_collector t;
-  Pm.find_opt prefix t.last_collector_update
 
 let control_changes t prefix =
   match Tbl.find prefix t.changes with Some pc -> pc.count | None -> 0

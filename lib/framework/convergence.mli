@@ -1,7 +1,6 @@
 (** Convergence detection: instruments every decision point (legacy
-    Loc-RIBs, controller decisions) and the route collector, keeps each
-    prefix's change history, and measures per-prefix convergence of
-    experiment events.  A prefix's history is one byte buffer of varints
+    Loc-RIBs, controller decisions), keeps each prefix's change history,
+    and measures per-prefix convergence of experiment events.  A prefix's history is one byte buffer of varints
     (per change, the time since the prefix's previous change, then the
     AS: about 0.9 words a change), with its count and last instant kept
     beside it. *)
@@ -18,8 +17,6 @@ val record : t -> Net.Ipv4.prefix -> Engine.Time.t -> Net.Asn.t -> unit
     prefix's instants must not decrease. *)
 
 val last_control_change : t -> Net.Ipv4.prefix -> Engine.Time.t option
-
-val last_collector_update : t -> Net.Ipv4.prefix -> Engine.Time.t option
 
 val control_changes : t -> Net.Ipv4.prefix -> int
 (** Total best-route changes observed for the prefix. *)

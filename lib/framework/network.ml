@@ -41,8 +41,6 @@ type t = {
   collector : Bgp.Collector.t;
   controller : Cluster_ctl.Controller.t option;
   speaker : Cluster_ctl.Speaker.t option;
-  (* relationships of peerings added at runtime, keyed (me, neighbor) *)
-  rel_overrides : (Net.Asn.t * Net.Asn.t, Bgp.Policy.relationship) Hashtbl.t;
   (* link id -> the loss it had before its current loss burst *)
   burst_loss : (Net.Link.id, float) Hashtbl.t;
 }
@@ -128,18 +126,6 @@ let policy_relationship = function
 
 (* [neighbor]'s relationship to [me] on spec link [l]. *)
 let link_policy ~me l = policy_relationship (Topology.Spec.neighbor_role_of_link ~me l)
-
-(* Runtime-aware relationship lookup: peerings added after construction
-   take precedence over (absence in) the spec. *)
-let relationship_for t ~me ~neighbor =
-  match Hashtbl.find_opt t.rel_overrides (me, neighbor) with
-  | Some rel -> rel
-  | None ->
-    if Net.Asn.equal neighbor collector_asn then Bgp.Policy.Customer
-    else
-      match Topology.Spec.neighbor_role t.spec ~me ~neighbor with
-      | Some role -> policy_relationship role
-      | None -> Bgp.Policy.Unrestricted
 
 let create ?(config = Config.default) ~seed spec =
   (match Topology.Spec.validate spec with
@@ -332,7 +318,6 @@ let create ?(config = Config.default) ~seed spec =
       collector;
       controller;
       speaker;
-      rel_overrides = Hashtbl.create 8;
       burst_loss = Hashtbl.create 4;
     }
   in
@@ -536,52 +521,6 @@ let restart_controller t =
     Engine.Node.restart (Cluster_ctl.Controller.node ctrl);
     Engine.Node.restart (Cluster_ctl.Speaker.node sp)
   | _ -> invalid_arg "Network.restart_controller: no SDN cluster in this topology"
-
-(* Dynamically add an inter-AS peering mid-experiment — the framework's
-   "dynamically changing the topology" objective.  [rel] is expressed as
-   in topology specs ([C2p] = [a] is the customer of [b]). *)
-let add_peering ?(rel = Topology.Spec.Open) ?delay t a b =
-  if not (Topology.Spec.mem t.spec a) then
-    invalid_arg (Fmt.str "Network.add_peering: unknown %a" Net.Asn.pp a);
-  if not (Topology.Spec.mem t.spec b) then
-    invalid_arg (Fmt.str "Network.add_peering: unknown %a" Net.Asn.pp b);
-  let delay = Option.value delay ~default:peering_delay in
-  (* Netsim rejects duplicate links, so existing peerings are caught here. *)
-  ignore (Net.Netsim.add_link ~delay t.net (Net.Asn.to_int a) (Net.Asn.to_int b));
-  let probe = Topology.Spec.link ~rel a b in
-  Hashtbl.replace t.rel_overrides (a, b)
-    (policy_relationship (Topology.Spec.neighbor_role_of_link ~me:a probe));
-  Hashtbl.replace t.rel_overrides (b, a)
-    (policy_relationship (Topology.Spec.neighbor_role_of_link ~me:b probe));
-  let configure_endpoint me other =
-    match Net.Asn.Map.find_opt me t.routers with
-    | Some router ->
-      Bgp.Router.add_peer router ~peer_asn:other ~peer_node:(Net.Asn.to_int other)
-        ~policy:(relationship_for t ~me ~neighbor:other);
-      Bgp.Router.open_session router other
-    | None -> (
-      (* [me] is an SDN member *)
-      if Net.Asn.Map.mem other t.switches then begin
-        (* member-to-member: grow the controller's switch graph *)
-        match t.controller with
-        | Some ctrl ->
-          Cluster_ctl.Controller.handle_openflow ctrl
-            (Sdn.Openflow.Port_status
-               { switch_asn = me; port = Net.Asn.to_int other; up = true })
-        | None -> ()
-      end
-      else
-        match t.speaker with
-        | Some speaker ->
-          Cluster_ctl.Speaker.add_session ?mrai_config:t.config.Config.speaker_mrai speaker
-            ~member:me ~neighbor:other
-            ~member_addr:(t.plan.Addressing.router_addr me)
-            ~policy:(relationship_for t ~me ~neighbor:other);
-          Cluster_ctl.Speaker.open_session speaker ~member:me ~neighbor:other
-        | None -> ())
-  in
-  configure_endpoint a b;
-  configure_endpoint b a
 
 (* Run the simulation until no events remain (the network is idle: all
    protocol activity, including MRAI timers, has quiesced) or safety

@@ -110,14 +110,6 @@ val restart_controller : t -> unit
     originated prefixes and external routes return as the speaker
     resyncs its sessions. *)
 
-val add_peering :
-  ?rel:Topology.Spec.rel -> ?delay:Engine.Time.span -> t -> Net.Asn.t -> Net.Asn.t -> unit
-(** Add a new inter-AS peering at runtime ([Open] relationship by
-    default; [C2p] = first AS is the customer): creates the link,
-    configures both endpoints (router peer, speaker session, or
-    controller switch-graph edge) and opens the session.
-    @raise Invalid_argument for unknown ASes or an existing link. *)
-
 val settle : ?max_events:int -> t -> Engine.Time.t
 (** Run until the event queue drains (full protocol quiescence including
     MRAI timers).  @raise Failure at the event-limit safety valve. *)

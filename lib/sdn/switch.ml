@@ -23,13 +23,6 @@ type liveness = {
   fail_after : Engine.Time.span;  (* control silence before fallback *)
 }
 
-type stats = {
-  mutable relayed_in : int;
-  mutable relayed_out : int;
-  mutable flow_mods : int;
-  mutable relay_drops : int; (* BGP relays discarded while degraded *)
-}
-
 type t = {
   sim : Engine.Sim.t;
   node : Engine.Node.t;
@@ -44,7 +37,6 @@ type t = {
   send_bgp : dst:int -> Bgp.Message.t -> bool;
   asn_of_node : int -> Net.Asn.t option;
   node_of_asn : Net.Asn.t -> int option;
-  stats : stats;
   mutable last_ctrl_seen : Engine.Time.t;
   mutable fallback : Flow.rule option; (* the installed legacy default route *)
   mutable supervise : Engine.Timer.t option;
@@ -156,7 +148,6 @@ let create ?liveness ?(fallback_port = fun () -> None) ?(on_relay_drop = fun () 
     send_bgp;
     asn_of_node;
     node_of_asn;
-    stats = { relayed_in = 0; relayed_out = 0; flow_mods = 0; relay_drops = 0 };
     last_ctrl_seen = Engine.Sim.now sim;
     fallback = None;
     supervise = None;
@@ -215,16 +206,12 @@ let handle_bgp t ~from msg =
   match t.asn_of_node from with
   | None -> ()
   | Some neighbor ->
-    t.stats.relayed_in <- t.stats.relayed_in + 1;
     if
       not
         (t.send_control
            (Openflow.Bgp_relay
               { member = t.asn; neighbor; direction = Openflow.To_speaker; payload = msg }))
-    then begin
-      t.stats.relay_drops <- t.stats.relay_drops + 1;
-      t.on_relay_drop ()
-    end
+    then t.on_relay_drop ()
 
 let handle_control t msg =
   t.last_ctrl_seen <- Engine.Sim.now t.sim;
@@ -233,7 +220,6 @@ let handle_control t msg =
   | Openflow.Echo_reply -> () (* liveness already refreshed above *)
   | Openflow.Resync_done -> exit_fallback t
   | Openflow.Flow_mod { command; rule } -> begin
-    t.stats.flow_mods <- t.stats.flow_mods + 1;
     Engine.Sim.mark t.sim
       ~category:
         (match command with
@@ -249,9 +235,7 @@ let handle_control t msg =
   end
   | Openflow.Bgp_relay { neighbor; direction = Openflow.To_neighbor; payload; _ } -> begin
     match t.node_of_asn neighbor with
-    | Some dst ->
-      t.stats.relayed_out <- t.stats.relayed_out + 1;
-      ignore (t.send_bgp ~dst payload)
+    | Some dst -> ignore (t.send_bgp ~dst payload)
     | None -> ()
   end
   | Openflow.Bgp_relay _ | Openflow.Port_status _ | Openflow.Flow_removed _

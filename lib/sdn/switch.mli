@@ -2,19 +2,15 @@
     holds the flow table the controller programs and relays BGP between
     external neighbors and the cluster BGP speaker.  With [liveness] configured it
     heartbeats the controller and degrades into a legacy-BGP fallback
-    route when the control plane goes silent. *)
+    route when the control plane goes silent.
+
+    The switch keeps no counts of its own traffic: relays are counted by
+    the fabric, FLOW_MODs by the controller.  It registers two series on
+    first use, [controller_failovers_total] and [flow_rules_expired_total]. *)
 
 type liveness = {
   echo_interval : Engine.Time.span;  (** ECHO_REQUEST probe period *)
   fail_after : Engine.Time.span;  (** control silence before fallback *)
-}
-
-type stats = {
-  mutable relayed_in : int;
-  mutable relayed_out : int;
-  mutable flow_mods : int;
-  mutable relay_drops : int;
-      (** BGP relays discarded because the control channel refused them *)
 }
 
 type t

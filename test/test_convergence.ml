@@ -55,7 +55,11 @@ let test_collector_view_close_to_control_view () =
          ignore (Framework.Experiment.announce exp (asn 0))));
   let w = Framework.Experiment.watcher exp in
   let control = Option.get (Framework.Convergence.last_control_change w prefix) in
-  let collector = Option.get (Framework.Convergence.last_collector_update w prefix) in
+  let collector =
+    Bgp.Collector.last_updates (Framework.Network.collector (Framework.Experiment.network exp))
+    |> List.find_map (fun (p, at) -> if Net.Ipv4.equal_prefix p prefix then Some at else None)
+    |> Option.get
+  in
   (* the collector hears about the last change within an MRAI + delays *)
   let gap = Engine.Time.to_sec_f (Engine.Time.diff collector control) in
   Alcotest.(check bool) (Fmt.str "gap %.3fs bounded" gap) true (Float.abs gap < 3.0)

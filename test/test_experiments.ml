@@ -264,8 +264,9 @@ let test_entry_points_agree () =
     (fun (p : E.run_result E.point) ->
       let k = int_of_float p.x in
       let quick =
-        Core.Experiments.(
-          run (describe ~members:(Last k) ~config:cfg ~seed (Graph (Core.Topo.clique 6))))
+        Framework.Experiments.(
+          run
+            (describe ~members:(Last k) ~config:cfg ~seed (Graph (Topology.Artificial.clique 6))))
       in
       let fig2 = List.hd p.results in
       Alcotest.(check (float 0.0)) (Fmt.str "seconds at k=%d" k) fig2.seconds quick.seconds;

@@ -169,64 +169,25 @@ let test_hybrid_withdrawal_clears_loc_ribs () =
       | None -> ())
     (Framework.Network.asns net)
 
-let test_dynamic_peering_legacy () =
-  (* line 0-1-2: traffic 0->2 transits 1 until a direct 0-2 peering is
-     added at runtime *)
-  let spec = Topology.Artificial.line 3 in
-  let net = Framework.Network.create ~config:cfg ~seed:13 spec in
-  Framework.Network.start net;
-  ignore (Framework.Network.settle net);
-  let plan = Framework.Network.plan net in
-  Framework.Network.originate net (asn 2) (plan.Framework.Addressing.origin_prefix (asn 2));
-  ignore (Framework.Network.settle net);
-  let path () =
-    match
-      Framework.Monitor.walk net ~src:(asn 0)
-        ~dst_addr:(plan.Framework.Addressing.host_addr (asn 2))
-    with
-    | Framework.Monitor.Delivered p -> List.length p
-    | _ -> -1
+(* The speaker keeps its sessions in configuration order (member by
+   member, legacy neighbors in link-list order, then the collector), and a
+   recompute batch flushes its UPDATEs in exactly that order.  Member 3's
+   link list names its higher-numbered neighbor first, so configuration
+   order is not sorted (member, neighbor) order. *)
+let test_sessions_flush_in_configuration_order () =
+  let node ?role i = Topology.Spec.node ?role (asn i) in
+  let link i j = Topology.Spec.link (asn i) (asn j) in
+  let spec =
+    Topology.Spec.make ~title:"flush-order"
+      ~nodes:
+        [
+          node 0; node 1; node 2; node ~role:Topology.Spec.Sdn 3; node ~role:Topology.Spec.Sdn 4;
+        ]
+      ~links:[ link 3 2; link 3 1; link 3 4; link 4 0; link 0 1; link 1 2 ]
   in
-  Alcotest.(check int) "transit path first" 3 (path ());
-  Framework.Network.add_peering net (asn 0) (asn 2);
-  ignore (Framework.Network.settle net);
-  Alcotest.(check int) "direct after dynamic peering" 2 (path ());
-  let r0 = Option.get (Framework.Network.router net (asn 0)) in
-  Alcotest.(check bool) "session established" true
-    (Bgp.Router.peer_established r0 (asn 2))
-
-let test_dynamic_peering_hybrid () =
-  (* legacy 0 gains a runtime peering with SDN member 3 *)
-  let spec = Topology.Artificial.line 4 in
-  let spec = Topology.Spec.with_sdn spec [ asn 3 ] in
-  let net = Framework.Network.create ~config:cfg ~seed:14 spec in
-  Framework.Network.start net;
-  ignore (Framework.Network.settle net);
-  let plan = Framework.Network.plan net in
-  Framework.Network.originate net (asn 3) (plan.Framework.Addressing.origin_prefix (asn 3));
-  ignore (Framework.Network.settle net);
-  Framework.Network.add_peering net (asn 0) (asn 3);
-  ignore (Framework.Network.settle net);
-  let r0 = Option.get (Framework.Network.router net (asn 0)) in
-  (match Bgp.Router.best r0 (plan.Framework.Addressing.origin_prefix (asn 3)) with
-  | Some route ->
-    Alcotest.(check (list int)) "direct path over new peering" [ 65004 ]
-      (List.map Net.Asn.to_int (Bgp.Attrs.as_path (Bgp.Route.attrs route)))
-  | None -> Alcotest.fail "route must arrive over the new peering");
-  let speaker = Option.get (Framework.Network.speaker net) in
-  Alcotest.(check bool) "speaker session live" true
-    (Cluster_ctl.Speaker.session_established speaker ~member:(asn 3) ~neighbor:(asn 0))
-
-(* Sessions added at run time join the end of the speaker's configuration
-   order, and a recompute batch flushes its UPDATEs in exactly that order. *)
-let test_runtime_sessions_flush_in_order () =
-  let spec = Topology.Spec.with_sdn (Topology.Artificial.line 5) [ asn 3; asn 4 ] in
   let config = { cfg with Framework.Config.causal = Engine.Causal.Full } in
   let net = Framework.Network.create ~config ~seed:15 spec in
   Framework.Network.start net;
-  ignore (Framework.Network.settle net);
-  Framework.Network.add_peering net (asn 0) (asn 4);
-  Framework.Network.add_peering net (asn 1) (asn 3);
   ignore (Framework.Network.settle net);
   let speaker = Option.get (Framework.Network.speaker net) in
   let pairs =
@@ -237,9 +198,11 @@ let test_runtime_sessions_flush_in_order () =
       (Cluster_ctl.Speaker.sessions speaker)
   in
   let collector = Net.Asn.to_int Framework.Network.collector_asn in
-  Alcotest.(check (list (pair int int))) "configuration order, runtime sessions last"
-    [ (65004, 65003); (65004, collector); (65005, collector); (65005, 65001); (65004, 65002) ]
+  Alcotest.(check (list (pair int int))) "configuration order"
+    [ (65004, 65003); (65004, 65002); (65004, collector); (65005, 65001); (65005, collector) ]
     pairs;
+  Alcotest.(check bool) "configuration order is not sorted order" false
+    (List.sort compare pairs = pairs);
   (* run exactly up to the end of the recompute batch the origination
      triggers, remembering the span ids that batch step opened *)
   let ctrl = Option.get (Framework.Network.controller net) in
@@ -290,15 +253,6 @@ let test_runtime_sessions_flush_in_order () =
       spans
   in
   Alcotest.(check (list (pair int int))) "UPDATEs leave in configuration order" pairs flushed
-
-let test_dynamic_peering_guards () =
-  let net = build 3 in
-  (match Framework.Network.add_peering net (asn 0) (asn 1) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "duplicate peering must raise");
-  match Framework.Network.add_peering net (asn 0) (Net.Asn.of_int 4242) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "unknown AS must raise"
 
 let test_determinism () =
   let run () =
@@ -377,11 +331,8 @@ let suite =
     Alcotest.test_case "hybrid data path" `Quick test_hybrid_data_path;
     Alcotest.test_case "hybrid withdrawal clears Loc-RIBs" `Quick
       test_hybrid_withdrawal_clears_loc_ribs;
-    Alcotest.test_case "dynamic peering (legacy)" `Quick test_dynamic_peering_legacy;
-    Alcotest.test_case "dynamic peering (hybrid)" `Quick test_dynamic_peering_hybrid;
-    Alcotest.test_case "runtime sessions flush in order" `Quick
-      test_runtime_sessions_flush_in_order;
-    Alcotest.test_case "dynamic peering guards" `Quick test_dynamic_peering_guards;
+    Alcotest.test_case "sessions flush in configuration order" `Quick
+      test_sessions_flush_in_configuration_order;
     Alcotest.test_case "determinism" `Quick test_determinism;
     QCheck_alcotest.to_alcotest prop_network_matches_filter;
   ]
