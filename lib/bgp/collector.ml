@@ -1,17 +1,15 @@
 (* The BGP route collector: every router peers with it, it accepts
    everything and never advertises — its timestamped update stream is the
-   monitoring signal the framework's convergence detection consumes. *)
-
-module Tbl = Net.Ipv4.Prefix_table
+   monitoring feed a real collector records (update counts, dumps). *)
 
 type action = Announce of Attrs.t | Withdraw
 
 type event = { time : Engine.Time.t; peer : Net.Asn.t; prefix : Net.Ipv4.prefix; action : action }
 
 (* At Internet scale the full event list (one boxed record per update ever
-   seen) dwarfs the RIBs themselves, while convergence detection only
-   needs counts and per-prefix last-update instants — [Counts_only] keeps
-   exactly those and drops the log. *)
+   seen) dwarfs the RIBs themselves, while convergence detection reads
+   the routers' best changes, not this feed — [Counts_only] keeps the
+   update count and drops the log. *)
 type retention = Full | Counts_only
 
 type t = {
@@ -24,7 +22,6 @@ type t = {
   retention : retention;
   mutable events : event list; (* newest first; empty under Counts_only *)
   mutable event_count : int;
-  last_by_prefix : Engine.Time.t Tbl.t;
 }
 
 let create ?(retention = Full) ~sim ~asn ~router_id ~send () =
@@ -40,15 +37,13 @@ let create ?(retention = Full) ~sim ~asn ~router_id ~send () =
       retention;
       events = [];
       event_count = 0;
-      last_by_prefix = Tbl.create ();
     }
   in
   (* A crashed collector loses its event log — the monitoring feed has a
      gap, like a real route collector outage. *)
   Engine.Node.on_crash node (fun () ->
       t.events <- [];
-      t.event_count <- 0;
-      Tbl.clear t.last_by_prefix);
+      t.event_count <- 0);
   Engine.Node.start node;
   t
 
@@ -56,19 +51,13 @@ let node t = t.node
 
 let add_peer t ~peer_asn ~peer_node = Hashtbl.replace t.peer_of_node peer_node peer_asn
 
-(* One update seen at [time]: a [Counts_only] collector builds nothing
-   per prefix beyond its last-update slot. *)
-let stamp t prefix time =
-  Tbl.set prefix time t.last_by_prefix;
-  t.event_count <- t.event_count + 1
-
 let rec record_withdrawn t peer time = function
   | [] -> ()
   | prefix :: rest ->
     (match t.retention with
     | Full -> t.events <- { time; peer; prefix; action = Withdraw } :: t.events
     | Counts_only -> ());
-    stamp t prefix time;
+    t.event_count <- t.event_count + 1;
     record_withdrawn t peer time rest
 
 let rec record_announced t peer time = function
@@ -77,7 +66,7 @@ let rec record_announced t peer time = function
     (match t.retention with
     | Full -> t.events <- { time; peer; prefix; action = Announce attrs } :: t.events
     | Counts_only -> ());
-    stamp t prefix time;
+    t.event_count <- t.event_count + 1;
     record_announced t peer time rest
 
 let handle_message t ~from msg =
@@ -101,8 +90,6 @@ let handle_message t ~from msg =
 let events t = List.rev t.events
 
 let event_count t = t.event_count
-
-let last_updates t = Tbl.entries t.last_by_prefix
 
 (* --- Dump format (MRT-inspired text) ----------------------------------
 

@@ -7,10 +7,10 @@ type event = { time : Engine.Time.t; peer : Net.Asn.t; prefix : Net.Ipv4.prefix;
 
 type retention = Full | Counts_only
 (** [Full] keeps the complete event log (dumps, per-prefix histories).
-    [Counts_only] retains only the total count and per-prefix last-update
-    instants — constant memory per prefix, what convergence detection
-    needs — for Internet-scale runs where the log would dominate the
-    heap. *)
+    [Counts_only] retains only the total update count — constant memory
+    — for Internet-scale runs where the log would dominate the heap
+    (convergence detection reads the routers' best changes, not this
+    feed). *)
 
 type t
 
@@ -37,10 +37,6 @@ val events : t -> event list
 (** Oldest first.  Empty under [Counts_only] retention. *)
 
 val event_count : t -> int
-
-val last_updates : t -> (Net.Ipv4.prefix * Engine.Time.t) list
-(** Per-prefix most recent update instant, ascending by prefix.
-    Maintained under every retention mode. *)
 
 val dump : t -> string
 (** MRT-inspired text dump:

@@ -21,9 +21,9 @@ type t = {
          flight recorder chaos dumps on invariant violations; [Full]
          retains every span for export/critical-path analysis *)
   collector_retention : Bgp.Collector.retention;
-      (* [Counts_only] drops the collector's event log, keeping counts and
-         per-prefix last-update instants — required at Internet scale
-         where the log would dominate the heap *)
+      (* [Counts_only] drops the collector's event log, keeping only the
+         update count — required at Internet scale where the log would
+         dominate the heap *)
 }
 
 let default =

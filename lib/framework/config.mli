@@ -19,9 +19,8 @@ type t = {
           always-on flight recorder, [Full] retains every span for
           critical-path analysis and Chrome/JSONL export *)
   collector_retention : Bgp.Collector.retention;
-      (** [Counts_only] drops the collector's event log, keeping the
-          update count and per-prefix last-update instants — constant
-          memory per prefix for Internet-scale runs *)
+      (** [Counts_only] drops the collector's event log, keeping only
+          the update count — constant memory for Internet-scale runs *)
 }
 
 val default : t

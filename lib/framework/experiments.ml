@@ -363,8 +363,8 @@ let loss exp ~origin ~seed ~per_prefix ~interval_ms phase event =
 let run (type r) ?(on_boot = ignore) (d : r t) : r =
   let spec = match check d with Ok spec -> spec | Error msg -> invalid_arg ("Experiments.run: " ^ msg) in
   let load = match d.measure with Scale l -> Some l | Convergence | Restoration | Loss _ -> None in
-  (* At scale the collector keeps counts and last-update instants only;
-     the full event log would dominate the live heap. *)
+  (* At scale the collector keeps its update count only; the full event
+     log would dominate the live heap. *)
   let config =
     if Option.is_some load then
       { d.config with Config.collector_retention = Bgp.Collector.Counts_only }

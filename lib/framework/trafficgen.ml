@@ -4,8 +4,11 @@
    budget, or per-prefix sampling) and fires it in BURSTS: each burst
    compiles — or reuses — a [Net.Dataplane] snapshot of the composed
    forwarding state and classifies every scheduled probe against it with
-   [Net.Dataplane.forward], so a burst of hundreds of thousands of
-   probes costs no per-probe allocation and perturbs no flow counters.
+   [Net.Dataplane.forward].  The snapshot resolves each destination
+   class once, on its first probe, and caches each destination's class,
+   so a probe costs a cache probe, one table read and a TTL comparison:
+   a burst of hundreds of thousands of probes costs no per-probe
+   allocation and perturbs no flow counters.
 
    Each burst is recorded as an epoch (simulated timestamp + fate
    census) and mirrored into the simulator's metrics registry, which

@@ -1,19 +1,21 @@
 (** Allocation-free data-plane fast path: a compiled, frozen snapshot of
     forwarding state (legacy routes + SDN flow tables + local delivery sets
-    + link liveness) over dense node indices, walked by packed
+    + link liveness) over dense node indices, probed by packed
     int-encoded probes.  The snapshot cuts the address space into
     destination classes (the intervals between the ends of every prefix
     it holds) and tabulates, per class and node, the next index, a drop
-    or local delivery.  One {!forward} call classifies its destination
-    once and resolves the whole path with one table read per hop — no
-    packet record, no per-hop [option], no allocation at all on the hot
-    path.  Build with the builder functions (allocation there is fine),
-    then fire probes; rebuild after the control plane changes.  Not
-    domain-safe: one snapshot per domain. *)
+    or local delivery.  The first probe of a class resolves that class's
+    row for every node at once (fate and hop count at unbounded TTL), and
+    a direct-mapped cache remembers each recent destination's class, so
+    one {!forward} call is a cache probe, one table read and a TTL
+    comparison — no packet record, no per-hop [option], no allocation at
+    all on the hot path.  Build with the builder functions (allocation
+    there is fine), then fire probes; rebuild after the control plane
+    changes.  Not domain-safe: one snapshot per domain. *)
 
 type t
 
-(** A probe's terminal classification.  [Looped] means the walk revisited
+(** A probe's terminal classification.  [Looped] means the path revisited
     a node: with frozen state that proves a persistent forwarding cycle
     (a live packet would continue around it and die of TTL). *)
 type fate = Delivered | Blackholed | Looped | Ttl_expired
@@ -39,8 +41,9 @@ val index_of : t -> int -> int
 (** {2 Building}
 
     Every builder call takes effect on the next {!forward}: a snapshot
-    whose state changed recompiles its class table there (or at
-    {!compile}).  Builder calls copy what they are given; later changes
+    whose entries or local sets changed recompiles its class table there
+    (or at {!compile}); a {!set_link} only drops the resolved rows.
+    Builder calls copy what they are given; later changes
     to a table or array handed over do not reach the snapshot.  Action
     codes outside [0 .. size - 1] forward like {!drop}. *)
 
@@ -64,22 +67,31 @@ val set_fib : t -> int -> 'a Fib.t -> code:('a -> int) -> unit
 
 val set_link : t -> int -> int -> bool -> unit
 (** Directed link usability between dense indices (set both ways for a
-    bidirectional link). *)
+    bidirectional link).  After {!compile}, a call that changes a link
+    keeps the class table and drops the resolved rows: the next
+    {!forward} re-marks every row unresolved (cost nodes × classes), and
+    each class is resolved again on its first probe. *)
 
 val compile : t -> unit
 (** Compile the class table now, so the next {!forward} does not.  Cost
-    grows with the snapshot's entries plus nodes × classes. *)
+    grows with the snapshot's entries plus nodes × classes.  It empties
+    the destination cache, leaves every row unresolved and forgets the
+    last probe ({!last_path} is then empty). *)
 
 (** {2 The hot path} *)
 
 val forward : t -> src:int -> dst_bits:int -> ttl:int -> int
 (** Forward one probe (src dense index, destination
     {!Ipv4.addr_to_bits}, TTL) to its terminal fate, mirroring the live
-    per-hop order: local delivery, then TTL expiry, then lookup, then
-    link liveness.  Only the low 32 bits of [dst_bits] are read: any int,
-    negative ones included, forwards like [dst_bits land 0xffff_ffff].
-    Returns the packed int [(hops lsl 2) lor fate-code]; decode with
-    {!result_fate}/{!result_hops}.  Allocates nothing once compiled.
+    per-hop order: local delivery, then the loop check (a revisited
+    node), then TTL expiry, then lookup, then link liveness.  Only the
+    low 32 bits of [dst_bits] are read: any int, negative ones included,
+    forwards like [dst_bits land 0xffff_ffff].  Returns the packed int
+    [(hops lsl 2) lor fate-code]; decode with
+    {!result_fate}/{!result_hops}.  Cost: a destination-cache probe (a
+    binary search over the classes on a miss), one read of the resolved
+    table (an O(nodes) pass on a class's first probe) and a TTL
+    comparison.  Allocates nothing once compiled.
     @raise Invalid_argument for a bad [src] index. *)
 
 val result_fate : int -> fate
@@ -90,5 +102,7 @@ val result_fate_code : int -> int
 val result_hops : int -> int
 
 val last_path : t -> int array
-(** Dense-index path of the most recent {!forward} (copies; diagnostics
-    and tests, not the hot path). *)
+(** Dense-index path of the most recent {!forward}: its source, then the
+    class row's successors for as many hops as the probe took (a looped
+    path ends on the revisited node).  Builds a fresh array of hops + 1
+    entries; diagnostics and tests, not the hot path. *)

@@ -56,9 +56,10 @@ let test_collector_view_close_to_control_view () =
   let w = Framework.Experiment.watcher exp in
   let control = Option.get (Framework.Convergence.last_control_change w prefix) in
   let collector =
-    Bgp.Collector.last_updates (Framework.Network.collector (Framework.Experiment.network exp))
-    |> List.find_map (fun (p, at) -> if Net.Ipv4.equal_prefix p prefix then Some at else None)
-    |> Option.get
+    Bgp.Collector.events (Framework.Network.collector (Framework.Experiment.network exp))
+    |> List.filter (fun e -> Net.Ipv4.equal_prefix e.Bgp.Collector.prefix prefix)
+    |> List.rev |> List.hd
+    |> fun e -> e.Bgp.Collector.time
   in
   (* the collector hears about the last change within an MRAI + delays *)
   let gap = Engine.Time.to_sec_f (Engine.Time.diff collector control) in
